@@ -264,11 +264,11 @@ func captureObjChain(cap *snapCapture, id core.ID, c *verChain, fromSeq uint64) 
 		if ent.seq <= fromSeq {
 			continue
 		}
-		if ent.obj == nil {
+		if ent.val == nil {
 			cap.vers = append(cap.vers, verCapture{kind: verFrameObjTomb, id: uint64(id), seq: ent.seq, name: c.name})
 			continue
 		}
-		so, err := saveObject(ent.obj)
+		so, err := saveObject(ent.val)
 		if err != nil {
 			return err
 		}
@@ -289,10 +289,10 @@ func captureInterpChain(cap *snapCapture, id blob.ID, c *interpVerChain, fromSeq
 			continue
 		}
 		switch {
-		case ent.it == nil:
+		case ent.val == nil:
 			cap.vers = append(cap.vers, verCapture{kind: verFrameInterpTomb, id: uint64(id), seq: ent.seq})
 		case ent.seq == tailSeq:
-			exp, err := interp.Export(ent.it)
+			exp, err := interp.Export(ent.val)
 			if err != nil {
 				return err
 			}
@@ -323,18 +323,13 @@ func (db *DB) applyVersionFrame(e *viewEdit, frame []byte) error {
 		}
 		e.appendVersion(obj, seq)
 	case verFrameObjTomb:
-		sh := e.shard(e.shardIndexFor(name))
-		c, ok := sh.vers.get(core.ID(id))
-		if !ok {
+		if !e.shards[e.shardIndexFor(name)].vers.has(core.ID(id)) {
 			// The entries this tombstone closed were not captured (pruned,
 			// or a version-less base): nothing below it is answerable.
 			e.raiseFloor(seq)
 			return nil
 		}
-		c = c.appended(verEntry{seq: seq})
-		c, floor := c.pruned(db.verRetention)
-		e.raiseFloor(floor)
-		e.setChain(core.ID(id), c)
+		e.extendChain(core.ID(id), name, verEntry{seq: seq})
 	case verFrameInterp:
 		var exp interp.Exported
 		if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&exp); err != nil {

@@ -208,32 +208,40 @@ const (
 // registration.
 var indexPlans = []string{planKind, planClass, planAttr, planProvenance, planInterval}
 
-// Descendants returns the transitive dependents of src — every object
-// reachable from src by following the provenance adjacency forward.
+// descendantsOf returns the transitive dependents of src — every
+// object reachable from src by following provenance edges forward.
 // src itself is excluded (an object is not derived from itself).
-// Edges live in the referrer's shard, so each hop unions the adjacency
-// of every shard.
-func (v *View) descendants(src core.ID) idSet {
+// referrers visits the direct referrers of one ID; the live view
+// answers it from the adjacency index, an as-of view from the edges it
+// collected at its seq.
+func descendantsOf(src core.ID, referrers func(cur core.ID, visit func(core.ID))) idSet {
 	out := idSet{}
 	queue := []core.ID{src}
+	visit := func(dep core.ID) {
+		if _, seen := out[dep]; !seen {
+			out[dep] = struct{}{}
+			queue = append(queue, dep)
+		}
+	}
 	for len(queue) > 0 {
 		cur := queue[0]
 		queue = queue[1:]
-		for _, sh := range v.shards {
-			set, ok := sh.ix.deps.get(cur)
-			if !ok {
-				continue
-			}
-			set.ascend(func(dep core.ID, _ struct{}) bool {
-				if _, seen := out[dep]; !seen {
-					out[dep] = struct{}{}
-					queue = append(queue, dep)
-				}
-				return true
-			})
-		}
+		referrers(cur, visit)
 	}
 	return out
+}
+
+// descendants is descendantsOf over this view's adjacency index. Edges
+// live in the referrer's shard, so each hop unions the adjacency of
+// every shard.
+func (v *View) descendants(src core.ID) idSet {
+	return descendantsOf(src, func(cur core.ID, visit func(core.ID)) {
+		for _, sh := range v.shards {
+			if set, ok := sh.ix.deps.get(cur); ok {
+				set.ascend(func(dep core.ID, _ struct{}) bool { visit(dep); return true })
+			}
+		}
+	})
 }
 
 // planResult is the outcome of candidate sourcing: which family won,
@@ -314,10 +322,11 @@ func (v *View) plan(sel *IndexedQuery) planResult {
 	return res
 }
 
-// match applies every sel constraint to o. reach must be the
-// descendant sets plan materialized for sel.Reach; sh must be o's
-// shard (it holds o's span).
-func (v *View) match(sel *IndexedQuery, reach []idSet, sh *shardState, o *core.Object) bool {
+// matchObject applies the constraints an object answers by itself —
+// kind, class, attributes — and the materialized Reach sets. Shared by
+// the live and the as-of executors; only where the timeline span comes
+// from differs between them (matchSpan).
+func (sel *IndexedQuery) matchObject(reach []idSet, o *core.Object) bool {
 	if sel.Kind != nil && o.Kind != *sel.Kind {
 		return false
 	}
@@ -334,18 +343,59 @@ func (v *View) match(sel *IndexedQuery, reach []idSet, sh *shardState, o *core.O
 			return false
 		}
 	}
-	if len(sel.Spans) > 0 {
-		sp, ok := sh.ix.spans.spanOf(o.ID)
-		if !ok {
+	return true
+}
+
+// matchSpan reports whether sp overlaps every window of sel.Spans.
+func (sel *IndexedQuery) matchSpan(sp Span) bool {
+	for _, w := range sel.Spans {
+		if !sp.Overlaps(w.Start, w.End) {
 			return false
-		}
-		for _, w := range sel.Spans {
-			if !sp.Overlaps(w.Start, w.End) {
-				return false
-			}
 		}
 	}
 	return true
+}
+
+// match applies every sel constraint to o. reach must be the
+// descendant sets plan materialized for sel.Reach; sh must be o's
+// shard (it holds o's span).
+func (v *View) match(sel *IndexedQuery, reach []idSet, sh *shardState, o *core.Object) bool {
+	if !sel.matchObject(reach, o) {
+		return false
+	}
+	if len(sel.Spans) > 0 {
+		sp, ok := sh.ix.spans.spanOf(o.ID)
+		return ok && sel.matchSpan(sp)
+	}
+	return true
+}
+
+// walkCap bounds how many matches any single ID-ordered candidate walk
+// needs: when the caller doesn't need the total, nothing past
+// offset+limit can influence the result. -1 means unbounded.
+func walkCap(offset, limit int, needTotal bool) int {
+	if !needTotal && limit >= 0 {
+		return offset + limit
+	}
+	return -1
+}
+
+// emitWindow puts matched into the global ID order, counts the matches
+// and clones the ones inside [offset, offset+limit). When the caller
+// doesn't need the total, matches past the window are not even counted
+// — Count(limit) returns min(matches, limit).
+func emitWindow(matched []*core.Object, offset, limit int, needTotal, clone bool) (out []*core.Object, total int) {
+	sortByID(matched)
+	for _, o := range matched {
+		if !needTotal && limit >= 0 && total >= offset+limit {
+			break
+		}
+		total++
+		if clone && total > offset && (limit < 0 || len(out) < limit) {
+			out = append(out, o.Clone())
+		}
+	}
+	return out, total
 }
 
 // runIndexed is the shared executor behind SelectIndexed /
@@ -355,10 +405,8 @@ func (v *View) match(sel *IndexedQuery, reach []idSet, sh *shardState, o *core.O
 // stops as soon as the window is full, so matches past the cap are
 // neither cloned nor visited. The entire run executes against this
 // immutable view — no locks, no interaction with concurrent writers.
-func (v *View) runIndexed(sel IndexedQuery, pred func(*core.Object) bool, offset, limit int, needTotal, clone bool) (out []*core.Object, total int) {
-	if offset < 0 {
-		offset = 0
-	}
+func (v *View) runIndexed(sel IndexedQuery, pred func(*core.Object) bool, offset, limit int, needTotal, clone bool) ([]*core.Object, int) {
+	offset = max(offset, 0)
 	planStart := time.Now()
 	pr := v.plan(&sel)
 	if t := v.db.tel.Load(); t != nil {
@@ -369,13 +417,7 @@ func (v *View) runIndexed(sel IndexedQuery, pred func(*core.Object) bool, offset
 	match := func(sh *shardState, o *core.Object) bool {
 		return v.match(&sel, pr.reach, sh, o) && (pred == nil || pred(o))
 	}
-	// hardCap bounds how many matches any single candidate walk needs:
-	// when the caller doesn't need the total, nothing past
-	// offset+limit can influence the result.
-	hardCap := -1
-	if !needTotal && limit >= 0 {
-		hardCap = offset + limit
-	}
+	hardCap := walkCap(offset, limit, needTotal)
 
 	var matched []*core.Object
 	perShard := func(si int, walk func(yield func(id core.ID) bool)) {
@@ -444,23 +486,7 @@ func (v *View) runIndexed(sel IndexedQuery, pred func(*core.Object) bool, offset
 		}
 	}
 
-	sort.Slice(matched, func(a, b int) bool { return matched[a].ID < matched[b].ID })
-	// emit: count a match and clone it when it falls inside the window.
-	// When the caller doesn't need the total, matches past the cap are
-	// not even counted — Count(limit) returns min(matches, limit).
-	for _, o := range matched {
-		if !needTotal && limit >= 0 && total >= offset+limit {
-			break
-		}
-		total++
-		if clone && total > offset && (limit < 0 || len(out) < limit) {
-			out = append(out, o.Clone())
-		}
-		if !(needTotal || limit < 0 || total < offset+limit) {
-			break
-		}
-	}
-	return out, total
+	return emitWindow(matched, offset, limit, needTotal, clone)
 }
 
 // SelectIndexed returns the objects matching sel and pred, ordered by

@@ -25,6 +25,9 @@ type dbTelemetry struct {
 	// planScan entry pointing at the scan-fallback counter.
 	queryPlan *telemetry.Histogram
 	probes    map[string]*telemetry.Counter
+
+	// versionGone counts View.AsOf refusals below the version floor.
+	versionGone *telemetry.Counter
 }
 
 func newDBTelemetry(reg *telemetry.Registry) *dbTelemetry {
@@ -41,6 +44,7 @@ func newDBTelemetry(reg *telemetry.Registry) *dbTelemetry {
 		telemetry.StageBlobRead,
 		telemetry.StageQueryPlan,
 		telemetry.StageCheckpoint,
+		telemetry.StageAsOfResolve,
 	} {
 		reg.Histogram(telemetry.StageFamily, stage)
 	}
@@ -60,6 +64,8 @@ func newDBTelemetry(reg *telemetry.Registry) *dbTelemetry {
 		ckptIncr:   reg.Counter(telemetry.CheckpointFamily, `mode="incremental"`),
 		queryPlan:  reg.Histogram(telemetry.StageFamily, telemetry.StageQueryPlan),
 		probes:     probes,
+
+		versionGone: reg.Counter(telemetry.VersionGoneFamily, ""),
 	}
 }
 

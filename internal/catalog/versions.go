@@ -14,10 +14,12 @@ package catalog
 //
 // A chain answers "what did this object look like as of seq S" by
 // resolving the newest entry with seq <= S. The catalog as of S is
-// the union of those answers — materialized by AsOf into an AsOfView
-// that implements the same indexed-query contract the live View does,
-// so /v1/query?as_of=S composes with live_at, pagination, and epoch
-// pinning unchanged.
+// the union of those answers, and View.AsOf never builds it: an
+// AsOfView is the pinned epoch plus S, and each read resolves against
+// the chains on demand — a name or ID lookup is one chain probe, a
+// query one pass over the chains — behind the same indexed-query
+// contract the live View serves, so /v1/query?as_of=S composes with
+// live_at, pagination, and epoch pinning unchanged.
 //
 // Retention: chains are bounded by WithVersionRetention. Pruning the
 // oldest entry of a chain raises the catalog-wide version floor; any
@@ -29,6 +31,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"slices"
 	"sort"
 
 	"timedmedia/internal/blob"
@@ -47,28 +50,44 @@ const DefaultVersionRetention = 256
 // that seq can no longer be reconstructed faithfully.
 var ErrVersionGone = errors.New("catalog: version truncated by retention")
 
-// verEntry is one committed version of an object. A nil obj is a
-// tombstone: the object was deleted at seq.
-type verEntry struct {
+// entry is one committed version of a T. A nil val is a tombstone: the
+// T was deleted (or its BLOB collected) at seq.
+type entry[T any] struct {
 	seq uint64
-	obj *core.Object
+	val *T
 }
 
-// verChain is the immutable version history of one object ID, entries
-// in ascending seq order. The name is carried on the chain so shard
+// chain is the immutable version history of one T, entries in
+// ascending seq order. Object chains carry the object's name so shard
 // placement (and tombstone routing during checkpoint apply) never
-// needs a live object.
-type verChain struct {
+// needs a live object; interpretation chains leave it empty.
+type chain[T any] struct {
 	name    string
-	entries []verEntry
+	entries []entry[T]
 }
+
+// The two instantiations: per-object chains live in the owning shard
+// (shardState.vers), interpretation chains in the view-wide table
+// keyed by blob ID (View.interpVers).
+type (
+	verEntry       = entry[core.Object]
+	verChain       = chain[core.Object]
+	interpVerEntry = entry[interp.Interpretation]
+	interpVerChain = chain[interp.Interpretation]
+)
 
 // at resolves the newest entry with entry.seq <= seq. ok is false when
-// the chain has no entry that old (the object did not exist yet).
-func (c *verChain) at(seq uint64) (e verEntry, ok bool) {
-	i := sort.Search(len(c.entries), func(i int) bool { return c.entries[i].seq > seq })
+// the chain has no entry that old (the T did not exist yet). The tail
+// is tried first: most as-of reads ask about the recent past, where
+// the newest version is the answer.
+func (c *chain[T]) at(seq uint64) (e entry[T], ok bool) {
+	n := len(c.entries)
+	if n > 0 && c.entries[n-1].seq <= seq {
+		return c.entries[n-1], true
+	}
+	i := sort.Search(n, func(i int) bool { return c.entries[i].seq > seq })
 	if i == 0 {
-		return verEntry{}, false
+		return entry[T]{}, false
 	}
 	return c.entries[i-1], true
 }
@@ -76,91 +95,61 @@ func (c *verChain) at(seq uint64) (e verEntry, ok bool) {
 // appended returns a chain with e added, keeping ascending seq order.
 // An entry equal in seq to an existing one replaces it (idempotent
 // re-apply during checkpoint-chain replay).
-func (c *verChain) appended(e verEntry) *verChain {
-	n := &verChain{name: c.name}
+func (c *chain[T]) appended(e entry[T]) *chain[T] {
 	i := sort.Search(len(c.entries), func(i int) bool { return c.entries[i].seq >= e.seq })
+	n := &chain[T]{name: c.name, entries: make([]entry[T], 0, len(c.entries)+1)}
+	n.entries = append(append(n.entries, c.entries[:i]...), e)
 	if i < len(c.entries) && c.entries[i].seq == e.seq {
-		n.entries = append(append(append(n.entries, c.entries[:i]...), e), c.entries[i+1:]...)
-		return n
+		i++
 	}
-	n.entries = append(append(append(n.entries, c.entries[:i]...), e), c.entries[i:]...)
+	n.entries = append(n.entries, c.entries[i:]...)
 	return n
 }
 
 // pruned drops the oldest entries beyond keep. floor is the seq of the
 // new oldest entry when anything was dropped (0 otherwise): as-of
 // reads below it can no longer see this chain faithfully.
-func (c *verChain) pruned(keep int) (_ *verChain, floor uint64) {
+func (c *chain[T]) pruned(keep int) (_ *chain[T], floor uint64) {
 	if keep < 1 {
 		keep = 1
 	}
 	if len(c.entries) <= keep {
 		return c, 0
 	}
-	n := &verChain{name: c.name, entries: c.entries[len(c.entries)-keep:]}
+	n := &chain[T]{name: c.name, entries: c.entries[len(c.entries)-keep:]}
 	return n, n.entries[0].seq
 }
 
 // allTombstones reports a chain holding no resurrectable state — every
 // retained entry is a delete. Such chains are dropped: retention has
 // already raised the floor past anything they could answer.
-func (c *verChain) allTombstones() bool {
+func (c *chain[T]) allTombstones() bool {
 	for _, e := range c.entries {
-		if e.obj != nil {
+		if e.val != nil {
 			return false
 		}
 	}
 	return true
 }
 
-// interpVerEntry / interpVerChain mirror verEntry/verChain for the
-// interpretation table (keyed by blob ID, global rather than sharded).
-type interpVerEntry struct {
-	seq uint64
-	it  *interp.Interpretation // nil marks a tombstone (BLOB collected)
-}
+// tail returns the newest entry of a non-empty chain.
+func (c *chain[T]) tail() entry[T] { return c.entries[len(c.entries)-1] }
 
-type interpVerChain struct {
-	entries []interpVerEntry
-}
-
-func (c *interpVerChain) at(seq uint64) (e interpVerEntry, ok bool) {
-	i := sort.Search(len(c.entries), func(i int) bool { return c.entries[i].seq > seq })
-	if i == 0 {
-		return interpVerEntry{}, false
+// check verifies the invariants every stored chain holds: non-empty,
+// at least one live entry, seqs strictly ascending.
+func (c *chain[T]) check() error {
+	if len(c.entries) == 0 {
+		return errors.New("empty version chain")
 	}
-	return c.entries[i-1], true
-}
-
-func (c *interpVerChain) appended(e interpVerEntry) *interpVerChain {
-	n := &interpVerChain{}
-	i := sort.Search(len(c.entries), func(i int) bool { return c.entries[i].seq >= e.seq })
-	if i < len(c.entries) && c.entries[i].seq == e.seq {
-		n.entries = append(append(append(n.entries, c.entries[:i]...), e), c.entries[i+1:]...)
-		return n
+	if c.allTombstones() {
+		return errors.New("all-tombstone chain retained")
 	}
-	n.entries = append(append(append(n.entries, c.entries[:i]...), e), c.entries[i:]...)
-	return n
-}
-
-func (c *interpVerChain) pruned(keep int) (_ *interpVerChain, floor uint64) {
-	if keep < 1 {
-		keep = 1
-	}
-	if len(c.entries) <= keep {
-		return c, 0
-	}
-	n := &interpVerChain{entries: c.entries[len(c.entries)-keep:]}
-	return n, n.entries[0].seq
-}
-
-func (c *interpVerChain) allTombstones() bool {
-	for _, e := range c.entries {
-		if e.it != nil {
-			return false
+	for i := 1; i < len(c.entries); i++ {
+		if prev, cur := c.entries[i-1].seq, c.entries[i].seq; cur <= prev {
+			return fmt.Errorf("seq order violation: %d after %d", cur, prev)
 		}
 	}
-	return true
+	return nil
 }
 
 // --- viewEdit chain maintenance -----------------------------------
@@ -174,40 +163,58 @@ func (e *viewEdit) raiseFloor(seq uint64) {
 }
 
 // setChain stores (or, for all-tombstone chains, drops) a chain in the
-// shard owning name.
+// shard owning its name. It is the one place object chains enter a
+// shard, so it is also where the shard's name → chain-IDs directory
+// (shardState.chainsByName, what AsOfView.Lookup probes) is kept: a
+// chain is listed under its name from its first store to its drop.
 func (e *viewEdit) setChain(id core.ID, c *verChain) {
-	sh := e.shard(e.shardIndexFor(c.name))
 	if c.allTombstones() {
-		sh.vers = sh.vers.del(id)
+		e.dropChain(id, c.name)
 		return
 	}
+	sh := e.shard(e.shardIndexFor(c.name))
 	sh.vers = sh.vers.set(id, c)
+	ids, _ := sh.chainsByName.get(c.name)
+	if i, listed := slices.BinarySearch(ids, id); !listed {
+		sh.chainsByName = sh.chainsByName.set(c.name, slices.Insert(slices.Clone(ids), i, id))
+	}
+}
+
+// dropChain removes id's chain and its directory listing.
+func (e *viewEdit) dropChain(id core.ID, name string) {
+	sh := e.shard(e.shardIndexFor(name))
+	sh.vers = sh.vers.del(id)
+	ids, _ := sh.chainsByName.get(name)
+	i, listed := slices.BinarySearch(ids, id)
+	switch {
+	case !listed:
+	case len(ids) == 1:
+		sh.chainsByName = sh.chainsByName.del(name)
+	default:
+		sh.chainsByName = sh.chainsByName.set(name, slices.Delete(slices.Clone(ids), i, i+1))
+	}
+}
+
+// extendChain appends ent to id's chain (starting one when absent),
+// applies retention and stores the result.
+func (e *viewEdit) extendChain(id core.ID, name string, ent verEntry) {
+	c, ok := e.shards[e.shardIndexFor(name)].vers.get(id)
+	if !ok {
+		c = &verChain{name: name}
+	}
+	c, floor := c.appended(ent).pruned(e.db.verRetention)
+	e.raiseFloor(floor)
+	e.setChain(id, c)
 }
 
 // appendVersion records obj as the committed state at seq.
 func (e *viewEdit) appendVersion(obj *core.Object, seq uint64) {
-	sh := e.shard(e.shardIndexFor(obj.Name))
-	c, ok := sh.vers.get(obj.ID)
-	if !ok {
-		c = &verChain{name: obj.Name}
-	}
-	c = c.appended(verEntry{seq: seq, obj: obj})
-	c, floor := c.pruned(e.db.verRetention)
-	e.raiseFloor(floor)
-	e.setChain(obj.ID, c)
+	e.extendChain(obj.ID, obj.Name, verEntry{seq: seq, val: obj})
 }
 
 // appendTombstone records obj's deletion at seq.
 func (e *viewEdit) appendTombstone(obj *core.Object, seq uint64) {
-	sh := e.shard(e.shardIndexFor(obj.Name))
-	c, ok := sh.vers.get(obj.ID)
-	if !ok {
-		c = &verChain{name: obj.Name}
-	}
-	c = c.appended(verEntry{seq: seq})
-	c, floor := c.pruned(e.db.verRetention)
-	e.raiseFloor(floor)
-	e.setChain(obj.ID, c)
+	e.extendChain(obj.ID, obj.Name, verEntry{seq: seq})
 }
 
 // rollbackSync undoes a sync revision whose journal append failed:
@@ -216,8 +223,7 @@ func (e *viewEdit) appendTombstone(obj *core.Object, seq uint64) {
 // window) is rewritten without the constraint, mirroring what the
 // rollback does to the live object.
 func (e *viewEdit) rollbackSync(obj *core.Object, seq uint64, strip func(*core.Object) *core.Object) {
-	sh := e.shard(e.shardIndexFor(obj.Name))
-	c, ok := sh.vers.get(obj.ID)
+	c, ok := e.shards[e.shardIndexFor(obj.Name)].vers.get(obj.ID)
 	if !ok {
 		return
 	}
@@ -226,8 +232,8 @@ func (e *viewEdit) rollbackSync(obj *core.Object, seq uint64, strip func(*core.O
 		switch {
 		case ent.seq == seq:
 			// the failed revision itself: drop
-		case ent.seq > seq && ent.obj != nil:
-			n.entries = append(n.entries, verEntry{seq: ent.seq, obj: strip(ent.obj)})
+		case ent.seq > seq && ent.val != nil:
+			n.entries = append(n.entries, verEntry{seq: ent.seq, val: strip(ent.val)})
 		default:
 			n.entries = append(n.entries, ent)
 		}
@@ -242,8 +248,7 @@ func (e *viewEdit) appendInterpVersion(it *interp.Interpretation, seq uint64) {
 	if !ok {
 		c = &interpVerChain{}
 	}
-	c = c.appended(interpVerEntry{seq: seq, it: it})
-	c, floor := c.pruned(e.db.verRetention)
+	c, floor := c.appended(interpVerEntry{seq: seq, val: it}).pruned(e.db.verRetention)
 	e.raiseFloor(floor)
 	e.interpVers = e.interpVers.set(it.BlobID(), c)
 }
@@ -257,11 +262,10 @@ func (e *viewEdit) appendInterpTombstone(id blob.ID, seq uint64) {
 		e.raiseFloor(seq)
 		return
 	}
-	c = c.appended(interpVerEntry{seq: seq})
-	c, floor := c.pruned(e.db.verRetention)
+	c, floor := c.appended(interpVerEntry{seq: seq}).pruned(e.db.verRetention)
 	e.raiseFloor(floor)
 	if c.allTombstones() {
-		e.raiseFloor(c.entries[len(c.entries)-1].seq)
+		e.raiseFloor(c.tail().seq)
 		e.interpVers = e.interpVers.del(id)
 		return
 	}
@@ -279,14 +283,15 @@ func (db *DB) reseedVersionsLocked() {
 	for i := range e.shards {
 		sh := e.shard(i)
 		sh.vers = tmap[core.ID, *verChain]{}
+		sh.chainsByName = tmap[string, []core.ID]{}
 		sh.objects.ascend(func(id core.ID, o *core.Object) bool {
-			sh.vers = sh.vers.set(id, &verChain{name: o.Name, entries: []verEntry{{seq: db.seq, obj: o}}})
+			e.setChain(id, &verChain{name: o.Name, entries: []verEntry{{seq: db.seq, val: o}}})
 			return true
 		})
 	}
 	e.interpVers = tmap[blob.ID, *interpVerChain]{}
 	e.interps.ascend(func(id blob.ID, it *interp.Interpretation) bool {
-		e.interpVers = e.interpVers.set(id, &interpVerChain{entries: []interpVerEntry{{seq: db.seq, it: it}}})
+		e.interpVers = e.interpVers.set(id, &interpVerChain{entries: []interpVerEntry{{seq: db.seq, val: it}}})
 		return true
 	})
 	e.verFloor = db.seq
@@ -303,37 +308,27 @@ func (db *DB) reseedVersionsLocked() {
 // with a live tail for an object the delta deleted, and an as-of read
 // would resurrect it. The floor in the delta head already covers the
 // drop seq (it was raised live when the chain was dropped), so
-// removing the chain restores exactly the live structure.
+// removing the chain restores exactly the live structure. (The walks
+// run over the persistent maps as they stood when ascend was called,
+// so dropping inside the callback is safe.)
 func (e *viewEdit) reconcileChains() {
 	for i := range e.shards {
-		sh := e.shard(i)
-		var stale []core.ID
+		sh := e.shards[i]
 		sh.vers.ascend(func(id core.ID, c *verChain) bool {
-			if tail := c.entries[len(c.entries)-1]; tail.obj != nil {
-				if _, ok := sh.objects.get(id); !ok {
-					stale = append(stale, id)
-					e.raiseFloor(tail.seq)
-				}
+			if tail := c.tail(); tail.val != nil && !sh.objects.has(id) {
+				e.raiseFloor(tail.seq)
+				e.dropChain(id, c.name)
 			}
 			return true
 		})
-		for _, id := range stale {
-			sh.vers = sh.vers.del(id)
-		}
 	}
-	var staleInterps []blob.ID
 	e.interpVers.ascend(func(id blob.ID, c *interpVerChain) bool {
-		if tail := c.entries[len(c.entries)-1]; tail.it != nil {
-			if _, ok := e.interps.get(id); !ok {
-				staleInterps = append(staleInterps, id)
-				e.raiseFloor(tail.seq)
-			}
+		if tail := c.tail(); tail.val != nil && !e.interps.has(id) {
+			e.raiseFloor(tail.seq)
+			e.interpVers = e.interpVers.del(id)
 		}
 		return true
 	})
-	for _, id := range staleInterps {
-		e.interpVers = e.interpVers.del(id)
-	}
 }
 
 // --- version frames (persistence) ---------------------------------
@@ -447,198 +442,171 @@ func decodeVersionFrame(data []byte) (kind byte, id, seq uint64, name string, pa
 
 // --- AsOfView ------------------------------------------------------
 
-// AsOfView is the catalog as of one transaction-time seq, materialized
-// from a pinned epoch's version chains. It implements the same read
-// contract the live View serves queries with (SelectIndexed /
-// CountIndexed / SelectPage, name lookup, interpretation lookup), so
-// the query planner and the HTTP layer use it interchangeably: an
-// as-of read is an ordinary lock-free epoch read over reconstructed
-// state. Epoch() reports the pinned base epoch, so ETag/epoch=
-// semantics are unchanged.
+// AsOfView is the catalog as of one transaction-time seq: a pinned
+// epoch plus the seq, nothing else. Every read resolves on demand
+// against the epoch's persistent version chains — a point read is one
+// chain probe, a query one pass over the retained chains — so taking
+// an as-of view costs nothing and no read allocates in proportion to
+// the catalog. It implements the same read contract the live View
+// serves queries with (SelectIndexed / CountIndexed / SelectPage, name
+// lookup, interpretation lookup), so the query planner and the HTTP
+// layer use it interchangeably. Epoch() reports the pinned base epoch,
+// so ETag/epoch= semantics are unchanged.
 type AsOfView struct {
-	base    *View
-	seq     uint64
-	objects map[core.ID]*core.Object
-	byName  map[string]core.ID
-	interps map[blob.ID]*interp.Interpretation
-	ids     []core.ID // ascending: the global result order
-	spans   map[core.ID]Span
-	deps    map[core.ID][]core.ID // referenced ID → referrer IDs
+	base *View
+	seq  uint64
 }
 
-// AsOf reconstructs the catalog as of transaction-time seq from this
-// epoch's version chains. seq below the version floor (retention has
-// pruned history past it) returns ErrVersionGone; seq beyond the
-// newest committed mutation resolves to the epoch's own state.
+// AsOf narrows the view to transaction-time seq. seq below the version
+// floor (retention has pruned history past it) returns ErrVersionGone;
+// seq beyond the newest committed mutation resolves to the epoch's own
+// state.
 func (v *View) AsOf(seq uint64) (*AsOfView, error) {
 	if seq < v.verFloor {
+		if t := v.db.tel.Load(); t != nil {
+			t.versionGone.Inc()
+		}
 		return nil, fmt.Errorf("%w: as_of %d precedes version floor %d", ErrVersionGone, seq, v.verFloor)
 	}
-	a := &AsOfView{
-		base:    v,
-		seq:     seq,
-		objects: map[core.ID]*core.Object{},
-		byName:  map[string]core.ID{},
-		interps: map[blob.ID]*interp.Interpretation{},
-		spans:   map[core.ID]Span{},
-		deps:    map[core.ID][]core.ID{},
-	}
-	for _, sh := range v.shards {
-		sh.vers.ascend(func(id core.ID, c *verChain) bool {
-			if e, ok := c.at(seq); ok && e.obj != nil {
-				a.objects[id] = e.obj
-				a.byName[e.obj.Name] = id
+	return &AsOfView{base: v, seq: seq}, nil
+}
+
+// Epoch returns the pinned base epoch the as-of state is read from.
+func (a *AsOfView) Epoch() uint64 { return a.base.Epoch() }
+
+// Seq returns the transaction-time seq the view reads at.
+func (a *AsOfView) Seq() uint64 { return a.seq }
+
+// live resolves a chain to the object it held as of the seq, nil when
+// the object did not exist yet or was already deleted.
+func (a *AsOfView) live(c *verChain) *core.Object {
+	e, _ := c.at(a.seq)
+	return e.val
+}
+
+// eachLive visits every object live as of the seq: one pass over the
+// chains, shard by shard, ascending by ID within a shard.
+func (a *AsOfView) eachLive(visit func(*core.Object)) {
+	for _, sh := range a.base.shards {
+		sh.vers.ascend(func(_ core.ID, c *verChain) bool {
+			if o := a.live(c); o != nil {
+				visit(o)
 			}
 			return true
 		})
 	}
-	v.interpVers.ascend(func(id blob.ID, c *interpVerChain) bool {
-		if e, ok := c.at(seq); ok && e.it != nil {
-			a.interps[id] = e.it
-		}
-		return true
-	})
-	a.ids = make([]core.ID, 0, len(a.objects))
-	for id := range a.objects {
-		a.ids = append(a.ids, id)
-	}
-	sort.Slice(a.ids, func(i, j int) bool { return a.ids[i] < a.ids[j] })
-	lookup := func(id core.ID) *core.Object { return a.objects[id] }
-	for _, id := range a.ids {
-		o := a.objects[id]
-		if s, ok := timelineSpan(o, lookup); ok {
-			a.spans[id] = s
-		}
-		for _, ref := range directRefs(o) {
-			a.deps[ref] = append(a.deps[ref], id)
-		}
-	}
-	return a, nil
 }
 
-// Epoch returns the pinned base epoch the as-of state was
-// reconstructed from.
-func (a *AsOfView) Epoch() uint64 { return a.base.Epoch() }
+// Len counts the objects live as of the seq.
+func (a *AsOfView) Len() int {
+	n := 0
+	a.eachLive(func(*core.Object) { n++ })
+	return n
+}
 
-// Seq returns the transaction-time seq the view reconstructs.
-func (a *AsOfView) Seq() uint64 { return a.seq }
-
-// Len returns the number of objects as of the seq.
-func (a *AsOfView) Len() int { return len(a.ids) }
+// getByID mirrors View.getByID: there is no global ID directory, so
+// the chain is found by probing each shard.
+func (a *AsOfView) getByID(id core.ID) *core.Object {
+	for _, sh := range a.base.shards {
+		if c, ok := sh.vers.get(id); ok {
+			return a.live(c)
+		}
+	}
+	return nil
+}
 
 // Get returns the object with the given ID as of the seq (shared,
 // read-only — same contract as View.Get).
 func (a *AsOfView) Get(id core.ID) (*core.Object, error) {
-	if o, ok := a.objects[id]; ok {
+	if o := a.getByID(id); o != nil {
 		return o, nil
 	}
 	return nil, fmt.Errorf("%w: %v", ErrNotFound, id)
 }
 
-// Lookup returns the object with the given name as of the seq.
+// Lookup returns the object with the given name as of the seq. A name
+// re-used across a delete lists several chains; at most one of them is
+// live at any seq.
 func (a *AsOfView) Lookup(name string) (*core.Object, error) {
-	if id, ok := a.byName[name]; ok {
-		return a.objects[id], nil
+	sh := a.base.shardFor(name)
+	ids, _ := sh.chainsByName.get(name)
+	for _, id := range ids {
+		if c, ok := sh.vers.get(id); ok {
+			if o := a.live(c); o != nil {
+				return o, nil
+			}
+		}
 	}
 	return nil, fmt.Errorf("%w: %q", ErrNotFound, name)
 }
 
 // Interpretation returns the interpretation of a BLOB as of the seq.
 func (a *AsOfView) Interpretation(id blob.ID) (*interp.Interpretation, error) {
-	if it, ok := a.interps[id]; ok {
-		return it, nil
+	if c, ok := a.base.interpVers.get(id); ok {
+		if e, _ := c.at(a.seq); e.val != nil {
+			return e.val, nil
+		}
 	}
 	return nil, fmt.Errorf("%w: %v", ErrNoInterp, id)
 }
 
-// descendants mirrors View.descendants over the as-of object graph.
-func (a *AsOfView) descendants(src core.ID) idSet {
-	out := idSet{}
-	queue := []core.ID{src}
-	for len(queue) > 0 {
-		cur := queue[0]
-		queue = queue[1:]
-		for _, dep := range a.deps[cur] {
-			if _, seen := out[dep]; !seen {
-				out[dep] = struct{}{}
-				queue = append(queue, dep)
-			}
-		}
+// reachSets materializes the descendant set of each src over the as-of
+// object graph. There is no per-seq provenance index, so the reverse
+// edges are collected in one pass over the chains — paid only by
+// queries that carry a derived_from constraint.
+func (a *AsOfView) reachSets(srcs []core.ID) []idSet {
+	if len(srcs) == 0 {
+		return nil
 	}
-	return out
+	referrers := map[core.ID][]core.ID{}
+	a.eachLive(func(o *core.Object) {
+		for _, ref := range directRefs(o) {
+			referrers[ref] = append(referrers[ref], o.ID)
+		}
+	})
+	sets := make([]idSet, len(srcs))
+	for i, src := range srcs {
+		sets[i] = descendantsOf(src, func(cur core.ID, visit func(core.ID)) {
+			for _, dep := range referrers[cur] {
+				visit(dep)
+			}
+		})
+	}
+	return sets
 }
 
-// runIndexed mirrors (*View).runIndexed's selection and emit-window
-// semantics exactly — same match predicate, same global ID order, same
-// count-versus-window rules — over the reconstructed state. There is
-// no per-seq index to plan against; the walk is a scan of the as-of
-// object set, which retention keeps bounded.
-func (a *AsOfView) runIndexed(sel IndexedQuery, pred func(*core.Object) bool, offset, limit int, needTotal, clone bool) (out []*core.Object, total int) {
-	if offset < 0 {
-		offset = 0
-	}
-	reach := make([]idSet, 0, len(sel.Reach))
-	for _, src := range sel.Reach {
-		reach = append(reach, a.descendants(src))
-	}
-	match := func(o *core.Object) bool {
-		if sel.Kind != nil && o.Kind != *sel.Kind {
-			return false
-		}
-		if sel.Class != nil && o.Class != *sel.Class {
-			return false
-		}
-		for _, at := range sel.Attrs {
-			if o.Attrs[at.Key] != at.Value {
-				return false
+// runIndexed has (*View).runIndexed's selection and window semantics —
+// the constraint checks and the emit window are the same code — over
+// the state as of the seq. There is no per-seq index to plan against:
+// the walk is one streaming pass over the retained chains, with the
+// timeline span (which may resolve components through further chain
+// probes) computed only for objects that passed every cheaper test.
+func (a *AsOfView) runIndexed(sel IndexedQuery, pred func(*core.Object) bool, offset, limit int, needTotal, clone bool) ([]*core.Object, int) {
+	offset = max(offset, 0)
+	reach := a.reachSets(sel.Reach)
+	hardCap := walkCap(offset, limit, needTotal)
+	var matched []*core.Object
+	for _, sh := range a.base.shards {
+		n := 0
+		sh.vers.ascend(func(_ core.ID, c *verChain) bool {
+			o := a.live(c)
+			if o == nil || !sel.matchObject(reach, o) {
+				return true
 			}
-		}
-		for _, set := range reach {
-			if _, ok := set[o.ID]; !ok {
-				return false
-			}
-		}
-		if len(sel.Spans) > 0 {
-			sp, ok := a.spans[o.ID]
-			if !ok {
-				return false
-			}
-			for _, w := range sel.Spans {
-				if !sp.Overlaps(w.Start, w.End) {
-					return false
+			if len(sel.Spans) > 0 {
+				if sp, ok := timelineSpan(o, a.getByID); !ok || !sel.matchSpan(sp) {
+					return true
 				}
 			}
-		}
-		return pred == nil || pred(o)
+			if pred != nil && !pred(o) {
+				return true
+			}
+			matched = append(matched, o)
+			n++
+			return hardCap < 0 || n < hardCap
+		})
 	}
-	hardCap := -1
-	if !needTotal && limit >= 0 {
-		hardCap = offset + limit
-	}
-	var matched []*core.Object
-	for _, id := range a.ids {
-		o := a.objects[id]
-		if !match(o) {
-			continue
-		}
-		matched = append(matched, o)
-		if hardCap >= 0 && len(matched) >= hardCap {
-			break
-		}
-	}
-	for _, o := range matched {
-		if !needTotal && limit >= 0 && total >= offset+limit {
-			break
-		}
-		total++
-		if clone && total > offset && (limit < 0 || len(out) < limit) {
-			out = append(out, o.Clone())
-		}
-		if !(needTotal || limit < 0 || total < offset+limit) {
-			break
-		}
-	}
-	return out, total
+	return emitWindow(matched, offset, limit, needTotal, clone)
 }
 
 // SelectIndexed mirrors (*View).SelectIndexed as of the seq.
@@ -666,41 +634,32 @@ func (v *View) VersionFloor() uint64 { return v.verFloor }
 // VerifyVersions checks the view's version chains against the live
 // state: entries strictly ascending in seq, chains non-empty and
 // shard-placed by name, every live object the non-tombstone tail of
-// its own chain, every chain tail agreeing with liveness, and the
-// interpretation chains likewise. Like VerifyIndexes it runs on an
-// immutable epoch, safe concurrently with writers.
+// its own chain, every chain tail agreeing with liveness, the name
+// directory listing exactly the stored chains, and the interpretation
+// chains likewise. Like VerifyIndexes it runs on an immutable epoch,
+// safe concurrently with writers.
 func (v *View) VerifyVersions() error {
 	liveChains := 0
 	for si, sh := range v.shards {
 		var err error
 		sh.vers.ascend(func(id core.ID, c *verChain) bool {
-			if len(c.entries) == 0 {
-				err = fmt.Errorf("catalog: empty version chain for %v", id)
-				return false
-			}
 			if got := shardOf(c.name, len(v.shards)); got != si {
 				err = fmt.Errorf("catalog: chain %q in shard %d, name hashes to %d", c.name, si, got)
 				return false
 			}
-			if c.allTombstones() {
-				err = fmt.Errorf("catalog: all-tombstone chain retained for %v", id)
+			if cerr := c.check(); cerr != nil {
+				err = fmt.Errorf("catalog: chain %v: %w", id, cerr)
 				return false
 			}
-			var prev uint64
-			for i, ent := range c.entries {
-				if i > 0 && ent.seq <= prev {
-					err = fmt.Errorf("catalog: chain %v seq order violation: %d after %d", id, ent.seq, prev)
-					return false
-				}
-				prev = ent.seq
-				if ent.obj != nil && (ent.obj.ID != id || ent.obj.Name != c.name) {
-					err = fmt.Errorf("catalog: chain %v holds version of %v (%q)", id, ent.obj.ID, ent.obj.Name)
+			for _, ent := range c.entries {
+				if ent.val != nil && (ent.val.ID != id || ent.val.Name != c.name) {
+					err = fmt.Errorf("catalog: chain %v holds version of %v (%q)", id, ent.val.ID, ent.val.Name)
 					return false
 				}
 			}
-			tail := c.entries[len(c.entries)-1]
+			tail := c.tail()
 			live, liveOK := sh.objects.get(id)
-			if tail.obj != nil {
+			if tail.val != nil {
 				liveChains++
 				if !liveOK {
 					err = fmt.Errorf("catalog: chain %v tail is live at seq %d but object is absent", id, tail.seq)
@@ -714,6 +673,10 @@ func (v *View) VerifyVersions() error {
 				err = fmt.Errorf("catalog: chain %v tail is a tombstone at seq %d but object is live", id, tail.seq)
 				return false
 			}
+			if ids, _ := sh.chainsByName.get(c.name); !slices.Contains(ids, id) {
+				err = fmt.Errorf("catalog: chain %v not listed under %q in the name directory", id, c.name)
+				return false
+			}
 			return true
 		})
 		if err != nil {
@@ -725,9 +688,22 @@ func (v *View) VerifyVersions() error {
 				err = fmt.Errorf("catalog: live object %v (%q) has no version chain", id, o.Name)
 				return false
 			}
-			if tail := c.entries[len(c.entries)-1]; tail.obj == nil {
+			if c.tail().val == nil {
 				err = fmt.Errorf("catalog: live object %v behind tombstoned chain", id)
 				return false
+			}
+			return true
+		})
+		if err != nil {
+			return err
+		}
+		// Every chain is listed (checked above); nothing else may be.
+		sh.chainsByName.ascend(func(name string, ids []core.ID) bool {
+			for i, id := range ids {
+				if c, ok := sh.vers.get(id); !ok || c.name != name || (i > 0 && ids[i-1] >= id) {
+					err = fmt.Errorf("catalog: name directory lists %v under %q: no such chain, or listed twice", id, name)
+					return false
+				}
 			}
 			return true
 		})
@@ -740,21 +716,11 @@ func (v *View) VerifyVersions() error {
 	}
 	var err error
 	v.interpVers.ascend(func(id blob.ID, c *interpVerChain) bool {
-		if len(c.entries) == 0 || c.allTombstones() {
-			err = fmt.Errorf("catalog: degenerate interpretation chain for %v", id)
+		if cerr := c.check(); cerr != nil {
+			err = fmt.Errorf("catalog: interp chain %v: %w", id, cerr)
 			return false
 		}
-		var prev uint64
-		for i, ent := range c.entries {
-			if i > 0 && ent.seq <= prev {
-				err = fmt.Errorf("catalog: interp chain %v seq order violation", id)
-				return false
-			}
-			prev = ent.seq
-		}
-		tail := c.entries[len(c.entries)-1]
-		_, liveOK := v.interps.get(id)
-		if (tail.it != nil) != liveOK {
+		if (c.tail().val != nil) != v.interps.has(id) {
 			err = fmt.Errorf("catalog: interp chain %v tail liveness disagrees with table", id)
 			return false
 		}
@@ -763,13 +729,12 @@ func (v *View) VerifyVersions() error {
 	if err != nil {
 		return err
 	}
-	var missing error
 	v.interps.ascend(func(id blob.ID, _ *interp.Interpretation) bool {
-		if _, ok := v.interpVers.get(id); !ok {
-			missing = fmt.Errorf("catalog: live interpretation %v has no version chain", id)
+		if !v.interpVers.has(id) {
+			err = fmt.Errorf("catalog: live interpretation %v has no version chain", id)
 			return false
 		}
 		return true
 	})
-	return missing
+	return err
 }

@@ -2,6 +2,7 @@ package catalog
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -26,8 +27,8 @@ func chainObj(id core.ID, name string) *core.Object {
 func TestVersionChainPrimitives(t *testing.T) {
 	o := chainObj(1, "a")
 	c := &verChain{name: "a"}
-	c = c.appended(verEntry{seq: 5, obj: o})
-	c = c.appended(verEntry{seq: 9, obj: o})
+	c = c.appended(verEntry{seq: 5, val: o})
+	c = c.appended(verEntry{seq: 9, val: o})
 	c = c.appended(verEntry{seq: 7}) // tombstone, arrives out of order
 	seqs := func(c *verChain) []uint64 {
 		var out []uint64
@@ -43,10 +44,10 @@ func TestVersionChainPrimitives(t *testing.T) {
 	if _, ok := c.at(4); ok {
 		t.Error("at(4) before creation should report !ok")
 	}
-	if e, ok := c.at(5); !ok || e.seq != 5 || e.obj == nil {
+	if e, ok := c.at(5); !ok || e.seq != 5 || e.val == nil {
 		t.Errorf("at(5) = %+v, %v", e, ok)
 	}
-	if e, ok := c.at(8); !ok || e.seq != 7 || e.obj != nil {
+	if e, ok := c.at(8); !ok || e.seq != 7 || e.val != nil {
 		t.Errorf("at(8) should be the tombstone at 7, got %+v, %v", e, ok)
 	}
 	if e, ok := c.at(100); !ok || e.seq != 9 {
@@ -54,11 +55,11 @@ func TestVersionChainPrimitives(t *testing.T) {
 	}
 
 	// Equal-seq append replaces, never duplicates.
-	c2 := c.appended(verEntry{seq: 7, obj: o})
+	c2 := c.appended(verEntry{seq: 7, val: o})
 	if got := seqs(c2); len(got) != 3 {
 		t.Fatalf("equal-seq append duplicated: %v", got)
 	}
-	if e, _ := c2.at(7); e.obj == nil {
+	if e, _ := c2.at(7); e.val == nil {
 		t.Error("equal-seq append did not replace the tombstone")
 	}
 
@@ -83,8 +84,8 @@ func TestVersionChainPrimitives(t *testing.T) {
 	}
 }
 
-// TestInterpVersionChainPrimitives mirrors the chain algebra for the
-// interpretation table.
+// TestInterpVersionChainPrimitives runs the chain algebra on the
+// interpretation instantiation of the same generic chain.
 func TestInterpVersionChainPrimitives(t *testing.T) {
 	c := &interpVerChain{}
 	c = c.appended(interpVerEntry{seq: 4})
@@ -425,15 +426,15 @@ func TestVerifyVersionsDetectsCorruption(t *testing.T) {
 		{"seq order violation", func(v *View) {
 			o := chainObj(999, "clip")
 			sh := v.shards[clipShard]
-			sh.vers = sh.vers.set(999, &verChain{name: "clip", entries: []verEntry{{seq: 5, obj: o}, {seq: 5, obj: o}}})
+			sh.vers = sh.vers.set(999, &verChain{name: "clip", entries: []verEntry{{seq: 5, val: o}, {seq: 5, val: o}}})
 		}, "seq order violation"},
 		{"foreign object in chain", func(v *View) {
 			sh := v.shards[clipShard]
-			sh.vers = sh.vers.set(999, &verChain{name: "clip", entries: []verEntry{{seq: 5, obj: chainObj(7, "clip")}}})
+			sh.vers = sh.vers.set(999, &verChain{name: "clip", entries: []verEntry{{seq: 5, val: chainObj(7, "clip")}}})
 		}, "holds version of"},
 		{"live tail without object", func(v *View) {
 			sh := v.shards[clipShard]
-			sh.vers = sh.vers.set(999, &verChain{name: "clip", entries: []verEntry{{seq: 5, obj: chainObj(999, "clip")}}})
+			sh.vers = sh.vers.set(999, &verChain{name: "clip", entries: []verEntry{{seq: 5, val: chainObj(999, "clip")}}})
 		}, "object is absent"},
 		{"tombstone tail over live object", func(v *View) {
 			sh := v.shards[clipShard]
@@ -444,19 +445,27 @@ func TestVerifyVersionsDetectsCorruption(t *testing.T) {
 			sh := v.shards[clipShard]
 			sh.vers = sh.vers.del(clip)
 		}, "has no version chain"},
+		{"chain missing from name directory", func(v *View) {
+			sh := v.shards[clipShard]
+			sh.chainsByName = sh.chainsByName.del("clip")
+		}, "not listed under"},
+		{"dangling name directory entry", func(v *View) {
+			sh := v.shards[otherShard]
+			sh.chainsByName = sh.chainsByName.set(wrongName, []core.ID{999})
+		}, "no such chain"},
 		{"count mismatch", func(v *View) {
 			v.count++
 		}, "live chain tails"},
 		{"degenerate interp chain", func(v *View) {
 			v.interpVers = v.interpVers.set(9999, &interpVerChain{})
-		}, "degenerate interpretation chain"},
+		}, "interp chain"},
 		{"interp seq order violation", func(v *View) {
 			it, _ := v.interps.get(anyInterp)
-			v.interpVers = v.interpVers.set(anyInterp, &interpVerChain{entries: []interpVerEntry{{seq: 3, it: it}, {seq: 3, it: it}}})
+			v.interpVers = v.interpVers.set(anyInterp, &interpVerChain{entries: []interpVerEntry{{seq: 3, val: it}, {seq: 3, val: it}}})
 		}, "interp chain"},
 		{"interp tail liveness mismatch", func(v *View) {
 			it, _ := v.interps.get(anyInterp)
-			v.interpVers = v.interpVers.set(9999, &interpVerChain{entries: []interpVerEntry{{seq: 3, it: it}}})
+			v.interpVers = v.interpVers.set(9999, &interpVerChain{entries: []interpVerEntry{{seq: 3, val: it}}})
 		}, "disagrees with table"},
 		{"live interp without chain", func(v *View) {
 			v.interpVers = v.interpVers.del(anyInterp)
@@ -474,5 +483,132 @@ func TestVerifyVersionsDetectsCorruption(t *testing.T) {
 				t.Fatalf("error %q does not name the violation (%q)", err, tc.want)
 			}
 		})
+	}
+}
+
+// TestAsOfNameReuseAcrossDelete: a name freed by a delete and taken
+// again names two chains. An as-of read before the delete resolves the
+// old object, after the re-add the new one, and in between nothing —
+// through the name directory (Lookup) and through a query alike.
+func TestAsOfNameReuseAcrossDelete(t *testing.T) {
+	db := memDB()
+	clip, err := db.Ingest("clip", genVideo(6, 51), IngestOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	oldID, err := db.SelectDuration(clip, "a", 0, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	addSeq := db.Seq()
+	if err := db.Delete(oldID); err != nil {
+		t.Fatal(err)
+	}
+	delSeq := db.Seq()
+	if _, err := db.SelectDuration(clip, "filler", 0, 1); err != nil {
+		t.Fatal(err)
+	}
+	newID, err := db.SelectDuration(clip, "a", 1, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reAddSeq := db.Seq()
+	if newID == oldID {
+		t.Fatalf("re-added %q kept ID %v", "a", oldID)
+	}
+
+	v := db.CurrentView()
+	if err := v.VerifyVersions(); err != nil {
+		t.Fatal(err)
+	}
+	named := func(o *core.Object) bool { return o.Name == "a" }
+	for _, tc := range []struct {
+		seq  uint64
+		want core.ID // 0: the name resolves to nothing
+	}{
+		{addSeq - 1, 0}, {addSeq, oldID}, {delSeq - 1, oldID},
+		{delSeq, 0}, {reAddSeq - 1, 0},
+		{reAddSeq, newID}, {reAddSeq + 10, newID},
+	} {
+		av, err := v.AsOf(tc.seq)
+		if err != nil {
+			t.Fatalf("AsOf(%d): %v", tc.seq, err)
+		}
+		o, err := av.Lookup("a")
+		rows := av.SelectIndexed(IndexedQuery{}, named, -1)
+		if tc.want == 0 {
+			if !errors.Is(err, ErrNotFound) || len(rows) != 0 {
+				t.Errorf("as of %d: Lookup = %v, %v and %d query rows; want nothing", tc.seq, o, err, len(rows))
+			}
+			continue
+		}
+		if err != nil || o.ID != tc.want {
+			t.Errorf("as of %d: Lookup = %v, %v; want %v", tc.seq, o, err, tc.want)
+		}
+		if len(rows) != 1 || rows[0].ID != tc.want {
+			t.Errorf("as of %d: query rows %v; want exactly %v", tc.seq, rows, tc.want)
+		}
+	}
+}
+
+// historyDB builds a catalog of n version chains over two ingested
+// clips: stored objects sharing a clip's BLOB (so each has a timeline
+// span — every sixteenth the long clip's, the rest the short one's),
+// with every fourth since deleted, its chain ending in a tombstone.
+// Returns a seq at which every one of the n objects was still live.
+func historyDB(tb testing.TB, n int) (db *DB, fullSeq uint64) {
+	tb.Helper()
+	db = New(blob.NewMemStore())
+	var srcs [2]*core.Object
+	for i, frames := range []int{4, 8} {
+		id, err := db.Ingest(fmt.Sprintf("clip%d", i), genVideo(frames, 61), IngestOptions{})
+		if err != nil {
+			tb.Fatal(err)
+		}
+		if srcs[i], err = db.Get(id); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	ids := make([]core.ID, n-len(srcs))
+	for i := range ids {
+		src := srcs[0]
+		if i%16 == 0 {
+			src = srcs[1]
+		}
+		id, err := db.AddNonDerived(fmt.Sprintf("o%05d", i), src.Blob, src.Track, nil)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		ids[i] = id
+	}
+	fullSeq = db.Seq()
+	for i := 0; i < len(ids); i += 4 {
+		if err := db.Delete(ids[i]); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return db, fullSeq
+}
+
+// TestAsOfPointReadCostShape pins the lazy cost model: taking an as-of
+// view and resolving one name allocates a small constant, the same on
+// a 1k-chain and an 8k-chain catalog — nothing is sized by the catalog.
+func TestAsOfPointReadCostShape(t *testing.T) {
+	allocs := func(chains int) float64 {
+		db, seq := historyDB(t, chains)
+		v := db.CurrentView()
+		return testing.AllocsPerRun(50, func() {
+			av, err := v.AsOf(seq)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := av.Lookup("o00000"); err != nil { // deleted since: only the chain knows it
+				t.Fatal(err)
+			}
+		})
+	}
+	small, large := allocs(1000), allocs(8000)
+	if small != large || small > 4 {
+		t.Errorf("AsOf+Lookup allocates %.0f on 1k chains, %.0f on 8k; want equal and at most 4", small, large)
 	}
 }

@@ -67,6 +67,11 @@ type shardState struct {
 	// whose name hashes to this shard, including tombstoned (deleted)
 	// ones still within the retention window (versions.go).
 	vers tmap[core.ID, *verChain]
+	// chainsByName lists, per name, the IDs (ascending) of every chain
+	// in vers carrying that name — more than one once a name has been
+	// re-used across a delete. Maintained by setChain/dropChain; it is
+	// how an as-of read finds a name's history without a live object.
+	chainsByName tmap[string, []core.ID]
 }
 
 // View is one immutable epoch of the catalog. All methods are safe

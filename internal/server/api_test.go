@@ -42,7 +42,7 @@ func TestMetricsContentNegotiation(t *testing.T) {
 				t.Errorf("missing %s", want)
 			}
 		}
-		for _, stage := range []string{"lookup", "expand", "decode", "payload", "journal_append", "expcache_fill", "wal_fsync", "blob_read"} {
+		for _, stage := range []string{"lookup", "expand", "decode", "payload", "journal_append", "expcache_fill", "wal_fsync", "blob_read", "asof_resolve"} {
 			want := fmt.Sprintf(`tbm_stage_duration_seconds_count{stage=%q}`, stage)
 			if !strings.Contains(out, want) {
 				t.Errorf("missing %s", want)
@@ -56,6 +56,8 @@ func TestMetricsContentNegotiation(t *testing.T) {
 			"tbm_recovery_journal_records_replayed",
 			"tbm_http_load_shed_total",
 			"tbm_objects 3",
+			"tbm_version_floor 0",
+			"tbm_version_gone_total 0",
 		} {
 			if !strings.Contains(out, want) {
 				t.Errorf("missing %q", want)

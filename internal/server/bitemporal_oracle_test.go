@@ -67,6 +67,11 @@ func genScript(rng *rand.Rand, steps int) []histOp {
 	return ops
 }
 
+// nameReuses counts, across applyScript calls, the cuts that took a
+// name an earlier delete had freed — the oracle's vacuity guard for
+// the two-chains-one-name case.
+var nameReuses int
+
 // applyScript replays a history script onto a journaled catalog.
 // Deletes target derived and multimedia objects only: deleting the
 // last non-derived reader of a BLOB garbage-collects the BLOB, and a
@@ -77,6 +82,11 @@ func genScript(rng *rand.Rand, steps int) []histOp {
 func applyScript(t *testing.T, db *catalog.DB, prefix string, script []histOp) {
 	t.Helper()
 	var videos, derived, multis []core.ID
+	// freed holds names a delete released; the next cut takes the oldest
+	// one instead of a fresh name, so one name comes to head two version
+	// chains — the old object's and the new one's.
+	var freed []string
+	names := map[core.ID]string{}
 	n := 0
 	for _, op := range script {
 		n++
@@ -93,6 +103,10 @@ func applyScript(t *testing.T, db *catalog.DB, prefix string, script []histOp) {
 			if len(videos) == 0 {
 				continue
 			}
+			if len(freed) > 0 {
+				name, freed = freed[0], freed[1:]
+				nameReuses++
+			}
 			src := videos[int(op.r1)%len(videos)]
 			from := op.r2 % 3
 			id, err := db.SelectDuration(src, name, from, from+1+op.r3%2)
@@ -100,6 +114,7 @@ func applyScript(t *testing.T, db *catalog.DB, prefix string, script []histOp) {
 				t.Fatalf("cut %s: %v", name, err)
 			}
 			derived = append(derived, id)
+			names[id] = name
 		case 2:
 			if len(videos) == 0 {
 				continue
@@ -117,6 +132,7 @@ func applyScript(t *testing.T, db *catalog.DB, prefix string, script []histOp) {
 				t.Fatalf("batch %s: %v", name, err)
 			}
 			derived = append(derived, ids...)
+			names[ids[0]], names[ids[1]] = name+"a", name+"b"
 		case 3:
 			if len(videos) == 0 {
 				continue
@@ -131,6 +147,7 @@ func applyScript(t *testing.T, db *catalog.DB, prefix string, script []histOp) {
 				t.Fatalf("multimedia %s: %v", name, err)
 			}
 			multis = append(multis, id)
+			names[id] = name
 		case 4:
 			if len(multis) == 0 {
 				continue
@@ -148,9 +165,13 @@ func applyScript(t *testing.T, db *catalog.DB, prefix string, script []histOp) {
 			if len(pool) == 0 {
 				continue
 			}
-			err := db.Delete(pool[int(op.r1)%len(pool)])
+			id := pool[int(op.r1)%len(pool)]
+			err := db.Delete(id)
 			if err != nil && !errors.Is(err, catalog.ErrInUse) && !errors.Is(err, catalog.ErrNotFound) {
 				t.Fatalf("delete: %v", err)
+			}
+			if err == nil {
+				freed = append(freed, names[id])
 			}
 		}
 	}
@@ -325,6 +346,7 @@ func TestBitemporalOracle(t *testing.T) {
 	if testing.Short() {
 		histories = 10
 	}
+	nameReuses = 0
 	for h := 0; h < histories; h++ {
 		seed := int64(4000 + h)
 		rng := rand.New(rand.NewSource(seed))
@@ -334,6 +356,10 @@ func TestBitemporalOracle(t *testing.T) {
 			t.Fatalf("bitemporal divergence (seed %d)\n  %s\n  minimal script (%d ops): %+v\n  minimal divergence: %s",
 				seed, d, len(min), min, bitemporalDiff(t, seed, min))
 		}
+	}
+	t.Logf("%d histories, %d names re-used across a delete", histories, nameReuses)
+	if nameReuses == 0 && !testing.Short() {
+		t.Error("no history re-used a name across a delete — the two-chains-one-name case went untested")
 	}
 }
 
@@ -459,6 +485,19 @@ func TestBitemporalRetentionGone(t *testing.T) {
 	if gone == 0 {
 		t.Fatal("no probe landed below the floor — the eviction case went untested")
 	}
+	// The same facts from /metrics: where the floor stands, how many
+	// reads it refused (each gone probe was asked twice), and one
+	// asof_resolve observation per answered as_of read.
+	metrics := fetch(t, ts.URL+"/metrics").body
+	for _, want := range []string{
+		fmt.Sprintf("tbm_version_floor %d\n", floor),
+		fmt.Sprintf("tbm_version_gone_total %d\n", 2*gone),
+		fmt.Sprintf("tbm_stage_duration_seconds_count{stage=\"asof_resolve\"} %d\n", int(db.Seq())-gone),
+	} {
+		if !strings.Contains(metrics, want) {
+			t.Errorf("/metrics lacks %q", want)
+		}
+	}
 }
 
 // TestQueryRejectsUnknownParams locks in the strict parameter
@@ -497,5 +536,53 @@ func TestQueryRejectsUnknownParams(t *testing.T) {
 		"&min_duration=0&max_duration=100&sort=name&limit=5&offset=0&attr.lane=x&as_of=1")
 	if ok.status != http.StatusOK {
 		t.Errorf("whitelisted parameters rejected: %d %s", ok.status, ok.body)
+	}
+}
+
+// TestAsOfRejectedWhereNotHonoured: only /v1/query and
+// /v1/objects/{name} can read the past. Every other read route must
+// refuse as_of= with 400 bad_request naming the parameter — serving
+// live state to a client that asked for history is a silent wrong
+// answer, the same reasoning as the unknown-parameter rule above.
+func TestAsOfRejectedWhereNotHonoured(t *testing.T) {
+	db := oracleDB(t, 0)
+	ts := httptest.NewServer(New(db))
+	defer ts.Close()
+
+	for _, tc := range []struct {
+		path     string
+		honoured bool
+	}{
+		{"/v1/query?kind=video", true},
+		{"/v1/objects/alpha", true},
+		{"/v1/objects", false},
+		{"/v1/objects/alpha/element/0", false},
+		{"/v1/objects/alpha/at/0", false},
+		{"/v1/objects/alpha/stream", false},
+		{"/v1/objects/alpha/expand", false},
+		{"/v1/objects/alpha/timeline", false},
+		{"/v1/objects/alpha/lineage", false},
+		{"/objects/alpha/expand", false}, // the legacy rewrite lands on the same handlers
+	} {
+		r := fetch(t, ts.URL+withParam(tc.path, fmt.Sprintf("as_of=%d", db.Seq())))
+		if tc.honoured {
+			if r.status != http.StatusOK {
+				t.Errorf("%s with as_of: status %d, want 200: %s", tc.path, r.status, r.body)
+			}
+			continue
+		}
+		var env struct {
+			Error struct {
+				Code    string `json:"code"`
+				Message string `json:"message"`
+			} `json:"error"`
+		}
+		if err := json.Unmarshal([]byte(r.body), &env); err != nil {
+			t.Errorf("%s with as_of: status %d, not an error envelope: %s", tc.path, r.status, r.body)
+			continue
+		}
+		if r.status != http.StatusBadRequest || env.Error.Code != "bad_request" || !strings.Contains(env.Error.Message, `"as_of"`) {
+			t.Errorf("%s with as_of: %d %+v, want 400 bad_request naming the parameter", tc.path, r.status, env.Error)
+		}
 	}
 }

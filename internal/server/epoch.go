@@ -44,12 +44,24 @@ type readView interface {
 //     410 epoch_gone; clients drop the pin and restart from the
 //     current epoch.
 
-// pinView resolves the epoch view a read runs against: the epoch=
-// parameter pins a retained epoch, otherwise the current epoch is
-// used (one atomic load, no locks). It sets the ETag header and
+// pinView resolves the epoch view a live-only read runs against: the
+// epoch= parameter pins a retained epoch, otherwise the current epoch
+// is used (one atomic load, no locks). It sets the ETag header and
 // short-circuits If-None-Match with 304. ok=false means the response
-// has already been written.
+// has already been written — which includes 400 bad_request for an
+// as_of= parameter: only the routes that go through pinAsOf can read
+// the past, and serving live state to a client that asked for history
+// would be a silent wrong answer.
 func (s *Server) pinView(w http.ResponseWriter, r *http.Request) (*catalog.View, bool) {
+	if r.URL.Query().Has("as_of") {
+		badRequest(w, `unsupported query parameter "as_of": only /v1/query and /v1/objects/{name} read the past`)
+		return nil, false
+	}
+	return s.pinEpoch(w, r)
+}
+
+// pinEpoch is pinView without the as_of= refusal.
+func (s *Server) pinEpoch(w http.ResponseWriter, r *http.Request) (*catalog.View, bool) {
 	var v *catalog.View
 	if e := r.URL.Query().Get("epoch"); e != "" {
 		n, err := strconv.ParseUint(e, 10, 64)
@@ -89,30 +101,49 @@ func etagMatch(header, etag string) bool {
 	return false
 }
 
-// asOfView narrows a pinned epoch view to the transaction-time
-// snapshot named by as_of= (a journal sequence number). Without the
-// parameter the view passes through unchanged. A sequence below the
-// retention floor answers 410 version_gone; a sequence ahead of the
-// newest commit is simply the latest state — "as of the future" and
-// "now" are the same snapshot. ok=false means the response has been
-// written. Composes with epoch=: the chains are part of the pinned
-// view, so as_of within a pinned epoch reads that epoch's history.
-func asOfView(w http.ResponseWriter, r *http.Request, v *catalog.View) (readView, bool) {
+// pinAsOf pins the epoch like pinView, then narrows the view to the
+// transaction-time snapshot named by as_of= (a journal sequence
+// number). Without the parameter the pinned view passes through
+// unchanged. A sequence below the retention floor answers 410
+// version_gone; a sequence ahead of the newest commit is simply the
+// latest state — "as of the future" and "now" are the same snapshot.
+// ok=false means the response has been written. Composes with epoch=:
+// the chains are part of the pinned view, so as_of within a pinned
+// epoch reads that epoch's history.
+//
+// Narrowing itself is free — the as-of view resolves each read against
+// the version chains on demand — so asOfStart is handed back for the
+// handler to pass to asOfResolved once its first object or page is in
+// hand: that interval is the asof_resolve stage. It is zero for a
+// request without as_of=.
+func (s *Server) pinAsOf(w http.ResponseWriter, r *http.Request) (v readView, asOfStart time.Time, ok bool) {
+	pv, ok := s.pinEpoch(w, r)
+	if !ok {
+		return nil, asOfStart, false
+	}
 	a := r.URL.Query().Get("as_of")
 	if a == "" {
-		return v, true
+		return pv, asOfStart, true
 	}
 	seq, err := strconv.ParseUint(a, 10, 64)
 	if err != nil {
 		badRequest(w, "bad as_of")
-		return nil, false
+		return nil, asOfStart, false
 	}
-	av, err := v.AsOf(seq)
+	start := time.Now()
+	av, err := pv.AsOf(seq)
 	if err != nil {
 		httpError(w, err)
-		return nil, false
+		return nil, asOfStart, false
 	}
-	return av, true
+	return av, start, true
+}
+
+// asOfResolved closes the asof_resolve stage opened by pinAsOf.
+func (s *Server) asOfResolved(asOfStart time.Time) {
+	if !asOfStart.IsZero() {
+		s.asOfHist.Observe(time.Since(asOfStart))
+	}
 }
 
 // lookupPinned resolves {name} against the pinned view, timing the

@@ -52,6 +52,8 @@ func (s *Server) writePromCounters(w io.Writer) {
 	l := s.stats.snapshot()
 
 	promGauge(w, "tbm_objects", "objects in the catalog", int64(s.db.Len()))
+	promGauge(w, "tbm_version_floor", "oldest journal seq as_of can still answer (retention pruned history below it)",
+		int64(s.db.CurrentView().VersionFloor()))
 
 	promCounter(w, "tbm_expcache_hits_total", "expansion cache hits (resident or joined flight)", c.Hits)
 	promCounter(w, "tbm_expcache_misses_total", "expansion cache misses (decodes started)", c.Misses)

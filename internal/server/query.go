@@ -148,12 +148,8 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	// commits cannot tear the result or skew total against the page.
 	// With as_of= the view narrows further, to the transaction-time
 	// snapshot at that journal sequence.
-	pv, okPin := s.pinView(w, r)
+	v, asOfStart, okPin := s.pinAsOf(w, r)
 	if !okPin {
-		return
-	}
-	v, okAs := asOfView(w, r, pv)
-	if !okAs {
 		return
 	}
 	q := query.At(v)
@@ -249,9 +245,12 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	q.Limit(limit)
 
 	if c := params.Get("count"); c == "1" || c == "true" {
-		writeJSON(w, map[string]any{"count": q.Count(), "epoch": v.Epoch()})
+		n := q.Count()
+		s.asOfResolved(asOfStart)
+		writeJSON(w, map[string]any{"count": n, "epoch": v.Epoch()})
 		return
 	}
 	page, total := q.RunPage(offset)
+	s.asOfResolved(asOfStart)
 	writeListPage(w, s, v, page, offset, total)
 }

@@ -173,6 +173,7 @@ type Server struct {
 	legacy      *telemetry.Counter
 	lookupHist  *telemetry.Histogram
 	payloadHist *telemetry.Histogram
+	asOfHist    *telemetry.Histogram
 	accessLog   *slog.Logger
 }
 
@@ -207,6 +208,7 @@ func New(db *catalog.DB, opts ...Option) *Server {
 		legacy:      reg.Counter(telemetry.LegacyCounter, ""),
 		lookupHist:  reg.Histogram(telemetry.StageFamily, telemetry.StageLookup),
 		payloadHist: reg.Histogram(telemetry.StageFamily, telemetry.StagePayload),
+		asOfHist:    reg.Histogram(telemetry.StageFamily, telemetry.StageAsOfResolve),
 		accessLog:   cfg.accessLog,
 		readiness:   cfg.readiness,
 		writeGate:   cfg.writeGate,
@@ -441,17 +443,14 @@ func writeListPage(w http.ResponseWriter, s *Server, v readView, page []*core.Ob
 }
 
 func (s *Server) handleObject(w http.ResponseWriter, r *http.Request) {
-	pv, ok := s.pinView(w, r)
-	if !ok {
-		return
-	}
 	// as_of= reads the object as it stood at that journal sequence —
 	// including names whose object has since been deleted or revised.
-	v, ok := asOfView(w, r, pv)
+	v, asOfStart, ok := s.pinAsOf(w, r)
 	if !ok {
 		return
 	}
 	obj, ok := s.lookupPinned(w, r, v)
+	s.asOfResolved(asOfStart)
 	if !ok {
 		return
 	}

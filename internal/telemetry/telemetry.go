@@ -79,6 +79,9 @@ const (
 	// BlobCorruptionsFamily counts blob payloads that failed their
 	// CRC sidecar check on open and were quarantined.
 	BlobCorruptionsFamily = "tbm_blob_corruptions_total"
+	// VersionGoneFamily counts as_of reads refused because the seq lies
+	// below the version floor (retention pruned history past it).
+	VersionGoneFamily = "tbm_version_gone_total"
 )
 
 // Stage label values used by the instrumented packages.
@@ -93,6 +96,7 @@ const (
 	StageBlobRead      = `stage="blob_read"`
 	StageQueryPlan     = `stage="query_plan"`
 	StageCheckpoint    = `stage="checkpoint"`
+	StageAsOfResolve   = `stage="asof_resolve"`
 )
 
 // Observer receives one latency observation. *Histogram implements
