@@ -648,11 +648,21 @@ func cmdStats(args []string) error {
 		var m struct {
 			Objects        int                    `json:"objects"`
 			ExpansionCache expcache.StatsSnapshot `json:"expansion_cache"`
+			Recovery       catalog.RecoveryInfo   `json:"recovery"`
+			Checkpoints    struct {
+				Full             int64 `json:"full"`
+				Incremental      int64 `json:"incremental"`
+				FullBytes        int64 `json:"full_bytes"`
+				IncrementalBytes int64 `json:"incremental_bytes"`
+			} `json:"checkpoints"`
 		}
 		if err := json.Unmarshal(body, &m); err != nil {
 			return err
 		}
 		fmt.Printf("server %s: %d objects\n", *url, m.Objects)
+		fmt.Printf("opened in %d ms\n", m.Recovery.OpenMs)
+		fmt.Printf("checkpoints: %d full (%d B), %d incremental (%d B)\n",
+			m.Checkpoints.Full, m.Checkpoints.FullBytes, m.Checkpoints.Incremental, m.Checkpoints.IncrementalBytes)
 		printCacheStats(m.ExpansionCache)
 		return nil
 	}
@@ -688,6 +698,7 @@ func cmdStats(args []string) error {
 	}
 	fmt.Printf("catalog %s: %d objects (%d stored, %d derived, %d multimedia)\n",
 		*dir, db.Len(), counts[0], counts[1], counts[2])
+	fmt.Printf("opened in %d ms\n", db.Recovery().OpenMs)
 	printCacheStats(db.CacheStats())
 	return nil
 }

@@ -142,12 +142,14 @@ type DB struct {
 	// Transaction-time versioning (versions.go): verRetention bounds
 	// each object's version chain; stagedSeq remembers the journal seq
 	// assigned to each staged object so publishLocked can stamp its
-	// version entry; versionsIntact records whether the loaded state
-	// carried version chains (legacy snapshots do not — Load reseeds
-	// trivial chains and raises the version floor to the load seq).
-	verRetention   int
-	stagedSeq      map[core.ID]uint64
-	versionsIntact bool
+	// version entry.
+	verRetention int
+	stagedSeq    map[core.ID]uint64
+
+	// lostBlobs holds, while Load runs, the registrations a snapshot
+	// named whose BLOB the store no longer has, with the store's error
+	// (see checkLostBlobs). Nil outside Load.
+	lostBlobs map[blob.ID]error
 
 	// replayCap, when non-zero, stops journal replay past this seq: the
 	// catalog comes back exactly as of transaction-time replayCap. The
@@ -298,7 +300,6 @@ func New(store blob.Store, opts ...Option) *DB {
 		walSegmentRecords: cfg.walSegmentRecords,
 		verRetention:      cfg.versionRetention,
 		stagedSeq:         map[core.ID]uint64{},
-		versionsIntact:    true,
 		replayCap:         cfg.replayCap,
 		cache:             expcache.New[core.ID, *derive.Value](cfg.cacheCapacity),
 	}

@@ -6,10 +6,12 @@ package catalog
 // attached it also rotates the active WAL segment at the capture
 // boundary, records the covered sequence number in the MANIFEST, and
 // compacts the sealed segments. Checkpoint does the same dance but
-// captures only the dirty slice — objects and interpretations touched
-// since the last checkpoint plus tombstones for the ones deleted —
-// into dir/checkpoint.NNNNNN.ckpt and appends the file to the
-// manifest's checkpoint chain. Recovery then reads
+// captures only the dirty slice — the version-chain entries that
+// objects and interpretations gained since the last checkpoint,
+// tombstones included — into dir/checkpoint.NNNNNN.ckpt and appends
+// the file to the manifest's checkpoint chain. Both write the same
+// payload, a stream of version records (see verRecord); the live
+// catalog is not stored, it is the chains' tails. Recovery then reads
 //
 //	MANIFEST → catalog.gob → checkpoint chain → surviving segments
 //
@@ -37,7 +39,7 @@ package catalog
 // the stale chain applies as a no-op over the newer base.
 
 import (
-	"bytes"
+	"bufio"
 	"encoding/gob"
 	"errors"
 	"fmt"
@@ -127,35 +129,52 @@ func removeStaleCheckpoints(dir string, keep map[uint64]bool) error {
 	return nil
 }
 
-// catalogStreamPreamble opens the streaming snapshot payload (format
-// "catalog stream 1"). Files written before this PR hold a single gob
-// of savedCatalog instead; the loader sniffs these 8 bytes to pick.
-var catalogStreamPreamble = [8]byte{'T', 'B', 'M', 'C', 'A', 'T', 'S', '1'}
+// catalogStreamPreamble opens a snapshot or checkpoint payload (format
+// "catalog stream 2"): the preamble, one gob stream holding a
+// streamHead and then head.NumRecords verRecords. Integrity is the
+// container's (per-chunk CRC-32C plus a whole-stream trailer); a
+// payload that opens with anything else is ErrSnapshotFormat.
+var catalogStreamPreamble = [8]byte{'T', 'B', 'M', 'C', 'A', 'T', 'S', '2'}
 
-// streamHead leads a streaming snapshot payload. A full snapshot has
-// Full=true and FromSeq 0; a delta covers mutations in (FromSeq, Seq].
-// Deleted IDs ride in the head (they are tiny); the upserted
-// interpretations and objects follow as individual gob values so
-// neither encoder nor decoder ever materializes the whole catalog.
+// streamHead leads a snapshot payload, which covers mutations in
+// (FromSeq, Seq]: everything up to Seq for a full snapshot (FromSeq
+// 0), the slice since the previous checkpoint for a delta. Deleted
+// IDs ride in the head (they are tiny) and name what a delta removes
+// from the state below it even when retention left no chain to carry
+// the tombstone; VerFloor is the capture-time version floor.
 type streamHead struct {
-	Full       bool
 	FromSeq    uint64
 	Seq        uint64
 	NextID     core.ID
-	NumInterps int
-	NumObjects int
 	DelObjects []core.ID
 	DelInterps []blob.ID
+	VerFloor   uint64
+	NumRecords int
+}
 
-	// Version-chain trailer (versions.go): NumVersions self-checking
-	// frames (one gob []byte each) follow the objects. HasVersions
-	// distinguishes "no versions captured" (legacy stream — Load must
-	// reseed chains and raise the floor) from "zero frames". VerFloor is
-	// the capture-time version floor. Gob ignores fields the writer did
-	// not know, so old streams decode with all three zero.
-	HasVersions bool
-	VerFloor    uint64
-	NumVersions int
+// Record kinds. Object records come first in a file, then
+// interpretation records; within a kind group records are ordered by
+// ID, then seq, so a chain's entries arrive together and in order.
+const (
+	recObj        = 1 + iota // object version; Obj set
+	recObjTomb               // object tombstone
+	recInterp                // interpretation registration; Interp set
+	recInterpTomb            // interpretation tombstone (BLOB collected)
+)
+
+// verRecord is one version-chain entry, the only kind of record a
+// payload holds. Live state is not stored: once a file's records are
+// applied, an object is live exactly when its chain's tail is not a
+// tombstone, and the tail is the live object. Every record goes
+// through the file's one gob encoder, so type descriptors are sent
+// once per file, not once per record.
+type verRecord struct {
+	Kind   byte
+	ID     uint64 // object ID or BLOB ID
+	Seq    uint64
+	Name   string // object tombstones only: a version carries its own
+	Obj    *savedObject
+	Interp *interp.Exported
 }
 
 // snapCapture is the in-memory copy-on-write slice a checkpoint writes
@@ -164,64 +183,33 @@ type streamHead struct {
 // attribute maps and regions are immutable once an object is visible,
 // so they are shared.
 type snapCapture struct {
-	head    streamHead
-	interps []*interp.Exported
-	objs    []savedObject
-	vers    []verCapture
+	head streamHead
+	recs []verRecord
 }
 
-// verCapture is one version-chain entry captured under db.mu; the
-// frame bytes (and the gob payload inside them) are rendered later in
-// writeCapture, with no catalog lock held.
-type verCapture struct {
-	kind byte
-	id   uint64
-	seq  uint64
-	name string
-	obj  *savedObject     // verFrameObj payload
-	exp  *interp.Exported // verFrameInterp payload
-}
-
-// renderFrame encodes the capture as a self-checking version frame.
-func (vc *verCapture) renderFrame() ([]byte, error) {
-	var payload []byte
-	switch {
-	case vc.obj != nil:
-		var buf bytes.Buffer
-		if err := gob.NewEncoder(&buf).Encode(vc.obj); err != nil {
-			return nil, err
-		}
-		payload = buf.Bytes()
-	case vc.exp != nil:
-		var buf bytes.Buffer
-		if err := gob.NewEncoder(&buf).Encode(vc.exp); err != nil {
-			return nil, err
-		}
-		payload = buf.Bytes()
-	}
-	return encodeVersionFrame(vc.kind, vc.id, vc.seq, vc.name, payload), nil
-}
-
-// sortVerCaptures fixes the stream order: object frames before interp
-// frames, then by id, then by seq — so every chain's entries arrive in
-// seq order and a tombstone never precedes the create it closes.
-func sortVerCaptures(vers []verCapture) {
-	sort.Slice(vers, func(a, b int) bool {
-		ga := vers[a].kind >= verFrameInterp
-		gb := vers[b].kind >= verFrameInterp
-		if ga != gb {
+// seal fixes the stream order (see the record kinds) and completes the
+// head.
+func (cap *snapCapture) seal(verFloor uint64) {
+	sort.Slice(cap.recs, func(a, b int) bool {
+		ra, rb := &cap.recs[a], &cap.recs[b]
+		if ga, gb := ra.Kind >= recInterp, rb.Kind >= recInterp; ga != gb {
 			return !ga
 		}
-		if vers[a].id != vers[b].id {
-			return vers[a].id < vers[b].id
+		if ra.ID != rb.ID {
+			return ra.ID < rb.ID
 		}
-		return vers[a].seq < vers[b].seq
+		return ra.Seq < rb.Seq
 	})
+	sort.Slice(cap.head.DelObjects, func(a, b int) bool { return cap.head.DelObjects[a] < cap.head.DelObjects[b] })
+	sort.Slice(cap.head.DelInterps, func(a, b int) bool { return cap.head.DelInterps[a] < cap.head.DelInterps[b] })
+	cap.head.VerFloor = verFloor
+	cap.head.NumRecords = len(cap.recs)
 }
 
 // writeCapture streams cap into path as a v2 chunked container
-// (tmp + fsync + .bak rotation + rename + dir fsync).
-func writeCapture(path string, cap *snapCapture) error {
+// (tmp + fsync + .bak rotation + rename + dir fsync) and returns the
+// container's size.
+func writeCapture(path string, cap *snapCapture) (int64, error) {
 	err := durable.WriteStreamSnapshot(path, func(w io.Writer) error {
 		if _, err := w.Write(catalogStreamPreamble[:]); err != nil {
 			return err
@@ -230,135 +218,142 @@ func writeCapture(path string, cap *snapCapture) error {
 		if err := enc.Encode(&cap.head); err != nil {
 			return err
 		}
-		for _, e := range cap.interps {
-			if err := enc.Encode(e); err != nil {
-				return err
-			}
-		}
-		for i := range cap.objs {
-			if err := enc.Encode(&cap.objs[i]); err != nil {
-				return err
-			}
-		}
-		for i := range cap.vers {
-			frame, err := cap.vers[i].renderFrame()
-			if err != nil {
-				return err
-			}
-			if err := enc.Encode(frame); err != nil {
+		for i := range cap.recs {
+			if err := enc.Encode(&cap.recs[i]); err != nil {
 				return err
 			}
 		}
 		return nil
 	})
 	if err != nil {
-		return fmt.Errorf("catalog: %w", err)
+		return 0, fmt.Errorf("catalog: %w", err)
 	}
-	return nil
+	fi, err := os.Stat(path)
+	if err != nil {
+		return 0, fmt.Errorf("catalog: %w", err)
+	}
+	return fi.Size(), nil
 }
 
-// captureObjChain appends version captures for one object chain's
-// entries newer than fromSeq (fromSeq 0 captures the whole chain).
+// captureObjChain appends records for one object chain's entries newer
+// than fromSeq (fromSeq 0 captures the whole chain).
 func captureObjChain(cap *snapCapture, id core.ID, c *verChain, fromSeq uint64) error {
 	for _, ent := range c.entries {
 		if ent.seq <= fromSeq {
 			continue
 		}
-		if ent.val == nil {
-			cap.vers = append(cap.vers, verCapture{kind: verFrameObjTomb, id: uint64(id), seq: ent.seq, name: c.name})
-			continue
+		rec := verRecord{Kind: recObjTomb, ID: uint64(id), Seq: ent.seq, Name: c.name}
+		if ent.val != nil {
+			so, err := saveObject(ent.val)
+			if err != nil {
+				return err
+			}
+			rec = verRecord{Kind: recObj, ID: uint64(id), Seq: ent.seq, Obj: &so}
 		}
-		so, err := saveObject(ent.val)
-		if err != nil {
-			return err
-		}
-		cap.vers = append(cap.vers, verCapture{kind: verFrameObj, id: uint64(id), seq: ent.seq, name: c.name, obj: &so})
+		cap.recs = append(cap.recs, rec)
 	}
 	return nil
 }
 
-// captureInterpChain appends version captures for one interpretation
-// chain. Only the live tail is exported as a create frame: a
+// captureInterpChain appends records for one interpretation chain.
+// Only the live tail is exported as a registration record: a
 // superseded or tombstoned registration's BLOB may already be
 // collected, so its history cannot be re-imported after a reload — the
-// tombstone frame raises the floor past it instead.
+// tombstone record raises the floor past it instead.
 func captureInterpChain(cap *snapCapture, id blob.ID, c *interpVerChain, fromSeq uint64) error {
-	tailSeq := c.entries[len(c.entries)-1].seq
+	tailSeq := c.tail().seq
 	for _, ent := range c.entries {
 		if ent.seq <= fromSeq {
 			continue
 		}
 		switch {
 		case ent.val == nil:
-			cap.vers = append(cap.vers, verCapture{kind: verFrameInterpTomb, id: uint64(id), seq: ent.seq})
+			cap.recs = append(cap.recs, verRecord{Kind: recInterpTomb, ID: uint64(id), Seq: ent.seq})
 		case ent.seq == tailSeq:
 			exp, err := interp.Export(ent.val)
 			if err != nil {
 				return err
 			}
-			cap.vers = append(cap.vers, verCapture{kind: verFrameInterp, id: uint64(id), seq: ent.seq, exp: exp})
+			cap.recs = append(cap.recs, verRecord{Kind: recInterp, ID: uint64(id), Seq: ent.seq, Interp: exp})
 		}
 	}
 	return nil
 }
 
-// applyVersionFrame decodes one version frame into the edit's chains.
-// Frames whose history cannot be reconstructed (a tombstone over an
-// uncaptured chain, a create whose BLOB is gone) raise the version
-// floor instead of failing the load.
-func (db *DB) applyVersionFrame(e *viewEdit, frame []byte) error {
-	kind, id, seq, name, payload, err := decodeVersionFrame(frame)
+// catalogStream is an opened snapshot or chain file, positioned at its
+// first record.
+type catalogStream struct {
+	io.Closer
+	br   *bufio.Reader
+	dec  *gob.Decoder
+	head streamHead
+}
+
+// openStream opens the file at path and decodes its head. A missing
+// file passes through as fs.ErrNotExist; damage at any layer is
+// ErrCorruptSnapshot; a file whose container verifies but whose
+// payload is not a TBMCATS2 stream is ErrSnapshotFormat.
+func openStream(path string) (*catalogStream, error) {
+	r, err := durable.OpenSnapshotReader(path)
+	if err != nil {
+		switch {
+		case errors.Is(err, fs.ErrNotExist):
+			return nil, err
+		case errors.Is(err, durable.ErrCorrupt):
+			return nil, fmt.Errorf("%w: %v", ErrCorruptSnapshot, err)
+		default:
+			return nil, fmt.Errorf("catalog: %w", err)
+		}
+	}
+	s := &catalogStream{Closer: r, br: bufio.NewReader(r)}
+	var pre [8]byte
+	n, _ := io.ReadFull(s.br, pre[:])
+	if pre != catalogStreamPreamble {
+		err := foreignPayload(path, pre[:n], s.br)
+		r.Close()
+		return nil, err
+	}
+	s.dec = gob.NewDecoder(s.br)
+	if err := s.dec.Decode(&s.head); err != nil {
+		r.Close()
+		return nil, fmt.Errorf("%w: snapshot head: %v", ErrCorruptSnapshot, err)
+	}
+	return s, nil
+}
+
+// foreignPayload classifies a payload that does not open with the
+// preamble: ErrSnapshotFormat when an intact container delivered it — a
+// healthy file some other build wrote — and ErrCorruptSnapshot when
+// the container fails its check or there is none. OpenSnapshotReader
+// hands a file without container magic back unchanged, so a payload as
+// long as its file had no container around it.
+func foreignPayload(path string, pre []byte, rest io.Reader) error {
+	n, err := io.Copy(io.Discard, rest)
 	if err != nil {
 		return fmt.Errorf("%w: %v", ErrCorruptSnapshot, err)
 	}
-	switch kind {
-	case verFrameObj:
-		var so savedObject
-		if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&so); err != nil {
-			return fmt.Errorf("%w: version payload: %v", ErrCorruptSnapshot, err)
-		}
-		obj, err := objectFromSaved(&so)
-		if err != nil {
-			return err
-		}
-		e.appendVersion(obj, seq)
-	case verFrameObjTomb:
-		if !e.shards[e.shardIndexFor(name)].vers.has(core.ID(id)) {
-			// The entries this tombstone closed were not captured (pruned,
-			// or a version-less base): nothing below it is answerable.
-			e.raiseFloor(seq)
-			return nil
-		}
-		e.extendChain(core.ID(id), name, verEntry{seq: seq})
-	case verFrameInterp:
-		var exp interp.Exported
-		if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&exp); err != nil {
-			return fmt.Errorf("%w: version payload: %v", ErrCorruptSnapshot, err)
-		}
-		it, err := db.importInterp(&exp)
-		if err != nil {
-			// The BLOB was collected before the crash: this slice of
-			// history cannot be served again.
-			e.raiseFloor(seq)
-			return nil
-		}
-		e.appendInterpVersion(it, seq)
-	case verFrameInterpTomb:
-		e.appendInterpTombstone(blob.ID(id), seq)
+	if fi, serr := os.Stat(path); serr != nil || fi.Size() == int64(len(pre))+n {
+		return fmt.Errorf("%w: %s: no container, payload opens with %q", ErrCorruptSnapshot, path, pre)
 	}
-	return nil
+	return fmt.Errorf("%w: %s: payload opens with %q, want %q", ErrSnapshotFormat, path, pre, catalogStreamPreamble[:])
 }
 
-// applyStream decodes a streaming snapshot payload over the current
-// state: deletes first (an ID freed by a delete may be re-used by name
-// within the same delta), then interpretation and object upserts — all
-// into one copy-on-write edit, published as one epoch, so a decode
-// failure leaves the loaded state untouched. Decode failures are
-// ErrCorruptSnapshot; semantic failures (missing blob, invalid object)
-// pass through untyped, matching the v1 loader. Assumes db.mu is held
-// or the DB is unshared; does not link indexes (raw inserts —
-// relinkAllLocked runs once the whole base + chain state is present).
-func (db *DB) applyStream(head *streamHead, dec *gob.Decoder) error {
+// applyStream applies an opened payload over the current state. Head
+// deletes go first (they name what the state below loses); then every
+// record extends its chain; then each touched object chain's tail
+// becomes the live object — all into one copy-on-write edit published
+// as one epoch only after the container's trailer has verified, so a
+// failure at any point leaves the DB exactly as it was. Anything wrong
+// with the bytes or what they describe is ErrCorruptSnapshot; store
+// I/O failures pass through untyped so callers don't quarantine a
+// healthy file. A registration whose BLOB the store no longer has is
+// remembered rather than fatal: the delete that collected it may sit
+// in a later delta or in the journal (see checkLostBlobs). Assumes
+// db.mu is held or the DB is unshared; does not link indexes (raw
+// inserts — relinkAllLocked runs once the whole base + chain state is
+// present).
+func (db *DB) applyStream(s *catalogStream) error {
+	head := &s.head
 	e := db.beginEditLocked()
 	for _, id := range head.DelObjects {
 		if old := e.lookupByID(id); old != nil {
@@ -368,50 +363,79 @@ func (db *DB) applyStream(head *streamHead, dec *gob.Decoder) error {
 	for _, bid := range head.DelInterps {
 		e.delInterp(bid)
 	}
-	for i := 0; i < head.NumInterps; i++ {
-		var exp interp.Exported
-		if err := dec.Decode(&exp); err != nil {
-			return fmt.Errorf("%w: interp %d/%d: %v", ErrCorruptSnapshot, i, head.NumInterps, err)
-		}
-		it, err := db.importInterp(&exp)
-		if err != nil {
-			return err
-		}
-		e.setInterp(it)
+	type chainRef struct {
+		id   core.ID
+		name string
 	}
-	for i := 0; i < head.NumObjects; i++ {
-		var so savedObject
-		if err := dec.Decode(&so); err != nil {
-			return fmt.Errorf("%w: object %d/%d: %v", ErrCorruptSnapshot, i, head.NumObjects, err)
+	var touched []chainRef // object chains this file extends, in record order
+	touch := func(id core.ID, name string) {
+		if n := len(touched); n == 0 || touched[n-1].id != id {
+			touched = append(touched, chainRef{id, name})
 		}
-		obj, err := objectFromSaved(&so)
-		if err != nil {
-			return err
-		}
-		if old := e.lookupByID(obj.ID); old != nil {
-			e.removeRaw(old)
-		}
-		e.insertRaw(obj)
 	}
-	for i := 0; i < head.NumVersions; i++ {
-		var frame []byte
-		if err := dec.Decode(&frame); err != nil {
-			return fmt.Errorf("%w: version frame %d/%d: %v", ErrCorruptSnapshot, i, head.NumVersions, err)
+	lost := map[blob.ID]error{}
+	for i := 0; i < head.NumRecords; i++ {
+		var rec verRecord
+		if err := s.dec.Decode(&rec); err != nil {
+			return fmt.Errorf("%w: record %d/%d: %v", ErrCorruptSnapshot, i, head.NumRecords, err)
 		}
-		if err := db.applyVersionFrame(e, frame); err != nil {
-			return err
+		switch {
+		case rec.Kind == recObj && rec.Obj != nil:
+			obj, err := objectFromSaved(rec.Obj)
+			if err != nil {
+				return fmt.Errorf("%w: record %d: %v", ErrCorruptSnapshot, i, err)
+			}
+			e.appendVersion(obj, rec.Seq)
+			touch(obj.ID, obj.Name)
+		case rec.Kind == recObjTomb:
+			id := core.ID(rec.ID)
+			if e.shards[e.shardIndexFor(rec.Name)].vers.has(id) {
+				e.extendChain(id, rec.Name, verEntry{seq: rec.Seq})
+			} else {
+				// The entries this tombstone closed were not captured
+				// (pruned): nothing below it is answerable.
+				e.raiseFloor(rec.Seq)
+			}
+			touch(id, rec.Name)
+		case rec.Kind == recInterp && rec.Interp != nil:
+			b, err := db.openBlob(rec.Interp.BlobID)
+			if errors.Is(err, blob.ErrNotFound) {
+				lost[rec.Interp.BlobID] = err
+				break
+			}
+			if err != nil {
+				return err
+			}
+			it, err := interp.Import(rec.Interp, b)
+			if err != nil {
+				return fmt.Errorf("%w: record %d: %v", ErrCorruptSnapshot, i, err)
+			}
+			e.setInterp(it)
+			e.appendInterpVersion(it, rec.Seq)
+		case rec.Kind == recInterpTomb:
+			e.delInterp(blob.ID(rec.ID))
+			e.appendInterpTombstone(blob.ID(rec.ID), rec.Seq)
+		default:
+			return fmt.Errorf("%w: record %d: kind %d, payload missing or unknown", ErrCorruptSnapshot, i, rec.Kind)
 		}
+	}
+	for _, c := range touched {
+		e.settleLive(c.id, c.name)
 	}
 	e.raiseFloor(head.VerFloor)
-	if head.HasVersions {
-		e.reconcileChains()
-	}
-	if !head.HasVersions {
-		// A pre-versioning snapshot carries no transaction-time history;
-		// the load path reseeds trivial chains once the base is complete.
-		db.versionsIntact = false
+	e.reconcileChains()
+	// Drain to EOF: a v2 container is only proven complete once its
+	// trailer validates.
+	if _, err := io.Copy(io.Discard, s.br); err != nil {
+		return fmt.Errorf("%w: %v", ErrCorruptSnapshot, err)
 	}
 	db.commitEditLocked(e)
+	for bid, err := range lost {
+		if db.lostBlobs == nil {
+			db.lostBlobs = map[blob.ID]error{}
+		}
+		db.lostBlobs[bid] = err
+	}
 	if head.Seq > db.seq {
 		db.seq = head.Seq
 	}
@@ -421,18 +445,47 @@ func (db *DB) applyStream(head *streamHead, dec *gob.Decoder) error {
 	return nil
 }
 
-// importInterp resolves an exported interpretation against the store,
-// retrying transient failures.
-func (db *DB) importInterp(rec *interp.Exported) (*interp.Interpretation, error) {
+// openBlob opens a BLOB an interpretation record names, retrying
+// transient store failures.
+func (db *DB) openBlob(id blob.ID) (blob.BLOB, error) {
 	var b blob.BLOB
 	if err := durable.Retry(storeRetries, storeRetryBase, func() error {
 		var e error
-		b, e = db.store.Open(rec.BlobID)
+		b, e = db.store.Open(id)
 		return e
 	}); err != nil {
-		return nil, fmt.Errorf("catalog: interpretation of missing %v: %w", rec.BlobID, err)
+		return nil, fmt.Errorf("catalog: interpretation of missing %v: %w", id, err)
 	}
-	return interp.Import(rec, b)
+	return b, nil
+}
+
+// checkLostBlobs settles the registrations applyStream could not
+// import because their BLOB is gone. That is what an acknowledged
+// delete leaves behind when it collected the last reader's BLOB after
+// the snapshot naming it was written, and by now — checkpoint chain
+// applied, journal replayed — that delete has been seen. A live object
+// still reading such a BLOB means the payload was lost some other way,
+// and the load fails with the store's error rather than serve a
+// catalog with a hole in it.
+func (db *DB) checkLostBlobs() error {
+	if len(db.lostBlobs) == 0 {
+		return nil // the usual case: no pass over the objects
+	}
+	cur := db.cur.Load()
+	for _, sh := range cur.shards {
+		var err error
+		sh.objects.ascend(func(_ core.ID, o *core.Object) bool {
+			if lost, ok := db.lostBlobs[o.Blob]; ok && !cur.interps.has(o.Blob) {
+				err = lost
+			}
+			return err == nil
+		})
+		if err != nil {
+			return err
+		}
+	}
+	db.lostBlobs = nil
+	return nil
 }
 
 // dirtySets is the swapped-out dirty state of one checkpoint attempt:
@@ -505,104 +558,46 @@ type rotator interface {
 	CompactThrough(through uint64) (int, error)
 }
 
-// captureDeltaLocked captures the dirty slice as a delta over fromSeq,
-// walking each shard's dirty set against the same shard of the current
-// epoch (dirty IDs are recorded in the shard their object's name
-// hashes to, so each lookup is a single-shard probe). Assumes db.mu is
-// held (read side, after the commitGate dance — so no staged objects
-// exist and no append is in flight).
+// captureDeltaLocked captures the dirty slice as a delta over fromSeq.
+// Version chains ride the dirty sets: an object (or BLOB) is dirty
+// exactly when its chain gained entries since fromSeq, and a deleted ID
+// keeps its chain in the shard (tombstone tail) until retention drops
+// it, so both sets are probed — each in the shard its object's name
+// hashes to, where it was recorded. A dirty ID with no chain left was
+// pruned away; the head's delete list and the floor cover it. Assumes
+// db.mu is held (read side, after the commitGate dance — so no staged
+// objects exist and no append is in flight).
 func (db *DB) captureDeltaLocked(fromSeq uint64) (*snapCapture, error) {
 	cur := db.cur.Load()
 	cap := &snapCapture{head: streamHead{FromSeq: fromSeq, Seq: db.seq, NextID: db.nextID}}
 	for si := range db.dirty {
-		sh := cur.shards[si]
-		for id := range db.dirty[si].objs {
-			obj, ok := sh.objects.get(id)
-			if !ok {
-				// Dirty but not visible: deleted after being marked (its
-				// tombstone is in the shard's del set), or a merge artifact
-				// from a failed attempt. Either way the tombstone governs.
-				continue
+		vers := cur.shards[si].vers
+		for _, ids := range []map[core.ID]struct{}{db.dirty[si].objs, db.dirty[si].del} {
+			for id := range ids {
+				if c, ok := vers.get(id); ok {
+					if err := captureObjChain(cap, id, c, fromSeq); err != nil {
+						return nil, err
+					}
+				}
 			}
-			so, err := saveObject(obj)
-			if err != nil {
-				return nil, err
-			}
-			cap.objs = append(cap.objs, so)
 		}
 		for id := range db.dirty[si].del {
 			cap.head.DelObjects = append(cap.head.DelObjects, id)
 		}
 	}
-	sort.Slice(cap.objs, func(a, b int) bool { return cap.objs[a].ID < cap.objs[b].ID })
-	sort.Slice(cap.head.DelObjects, func(a, b int) bool {
-		return cap.head.DelObjects[a] < cap.head.DelObjects[b]
-	})
-	for bid := range db.dirtyInterps {
-		it, ok := cur.interps.get(bid)
-		if !ok {
-			continue
+	for _, bids := range []map[blob.ID]struct{}{db.dirtyInterps, db.dirtyDelInterp} {
+		for bid := range bids {
+			if c, ok := cur.interpVers.get(bid); ok {
+				if err := captureInterpChain(cap, bid, c, fromSeq); err != nil {
+					return nil, err
+				}
+			}
 		}
-		rec, err := interp.Export(it)
-		if err != nil {
-			return nil, err
-		}
-		cap.interps = append(cap.interps, rec)
 	}
-	sort.Slice(cap.interps, func(a, b int) bool { return cap.interps[a].BlobID < cap.interps[b].BlobID })
 	for bid := range db.dirtyDelInterp {
 		cap.head.DelInterps = append(cap.head.DelInterps, bid)
 	}
-	sort.Slice(cap.head.DelInterps, func(a, b int) bool {
-		return cap.head.DelInterps[a] < cap.head.DelInterps[b]
-	})
-	// Version chains ride the same dirty sets: an object (or BLOB) is
-	// dirty exactly when its chain gained entries since fromSeq. Deleted
-	// IDs keep their chain in the shard (tombstone tail), so both sets
-	// are probed.
-	for si := range db.dirty {
-		sh := cur.shards[si]
-		capture := func(id core.ID) error {
-			c, ok := sh.vers.get(id)
-			if !ok {
-				return nil // chain pruned away; the floor covers it
-			}
-			return captureObjChain(cap, id, c, fromSeq)
-		}
-		for id := range db.dirty[si].objs {
-			if err := capture(id); err != nil {
-				return nil, err
-			}
-		}
-		for id := range db.dirty[si].del {
-			if err := capture(id); err != nil {
-				return nil, err
-			}
-		}
-	}
-	captureInterp := func(bid blob.ID) error {
-		c, ok := cur.interpVers.get(bid)
-		if !ok {
-			return nil
-		}
-		return captureInterpChain(cap, bid, c, fromSeq)
-	}
-	for bid := range db.dirtyInterps {
-		if err := captureInterp(bid); err != nil {
-			return nil, err
-		}
-	}
-	for bid := range db.dirtyDelInterp {
-		if err := captureInterp(bid); err != nil {
-			return nil, err
-		}
-	}
-	sortVerCaptures(cap.vers)
-	cap.head.HasVersions = true
-	cap.head.VerFloor = cur.verFloor
-	cap.head.NumVersions = len(cap.vers)
-	cap.head.NumObjects = len(cap.objs)
-	cap.head.NumInterps = len(cap.interps)
+	cap.seal(cur.verFloor)
 	return cap, nil
 }
 
@@ -674,7 +669,8 @@ func (db *DB) checkpointDeltaLocked(dir string, m *wal.Manifest) error {
 	if n := len(m.Checkpoints); n > 0 {
 		next = m.Checkpoints[n-1] + 1
 	}
-	if err := writeCapture(CheckpointFile(dir, next), cap); err != nil {
+	size, err := writeCapture(CheckpointFile(dir, next), cap)
+	if err != nil {
 		db.restoreDirty(dirty)
 		return err
 	}
@@ -699,10 +695,7 @@ func (db *DB) checkpointDeltaLocked(dir string, m *wal.Manifest) error {
 		keep[n] = true
 	}
 	err = db.compactCoveredLocked(dir, rot, sealed, keep)
-	if t := db.tel.Load(); t != nil {
-		t.checkpoint.Observe(time.Since(start))
-		t.ckptIncr.Inc()
-	}
+	db.observeCheckpoint(start, false, size)
 	return err
 }
 

@@ -1,8 +1,6 @@
 package catalog
 
 import (
-	"bytes"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"os"
@@ -11,10 +9,7 @@ import (
 	"time"
 
 	"timedmedia/internal/blob"
-	"timedmedia/internal/core"
-	"timedmedia/internal/durable"
 	"timedmedia/internal/faultfs"
-	"timedmedia/internal/interp"
 	"timedmedia/internal/wal"
 )
 
@@ -59,7 +54,7 @@ func copyTree(t *testing.T, src, dst string) {
 	}
 }
 
-func chainFilesOnDisk(t *testing.T, dir string) []string {
+func chainFilesOnDisk(t testing.TB, dir string) []string {
 	t.Helper()
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -508,62 +503,6 @@ func TestCloseJournalClearsWALDir(t *testing.T) {
 	}
 	db2 := openDB(t, dir)
 	if _, err := db2.Lookup("clip"); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestLoadLegacySnapshotFormat: a v1-framed whole-catalog gob (what
-// Save wrote before streaming snapshots) still loads.
-func TestLoadLegacySnapshotFormat(t *testing.T) {
-	dir := t.TempDir()
-	store, err := blob.OpenFileStore(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	db := New(store)
-	if _, err := db.Ingest("clip", genVideo(5, 9), IngestOptions{}); err != nil {
-		t.Fatal(err)
-	}
-	var snap savedCatalog
-	db.mu.RLock()
-	snap.NextID, snap.Seq = db.nextID, db.seq
-	cur := db.cur.Load()
-	for id := core.ID(1); id < snap.NextID; id++ {
-		obj := cur.getByID(id)
-		if obj == nil {
-			continue
-		}
-		so, err := saveObject(obj)
-		if err != nil {
-			t.Fatal(err)
-		}
-		snap.Objects = append(snap.Objects, so)
-	}
-	cur.interps.ascend(func(_ blob.ID, it *interp.Interpretation) bool {
-		rec, err := interp.Export(it)
-		if err != nil {
-			t.Fatal(err)
-		}
-		snap.Interps = append(snap.Interps, rec)
-		return true
-	})
-	db.mu.RUnlock()
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(&snap); err != nil {
-		t.Fatal(err)
-	}
-	if err := durable.WriteSnapshot(SnapshotFile(dir), buf.Bytes()); err != nil {
-		t.Fatal(err)
-	}
-
-	db2, err := Load(dir, store)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := db2.Lookup("clip"); err != nil {
-		t.Fatal(err)
-	}
-	if err := db2.VerifyIndexes(); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -127,6 +127,8 @@ type RecoveryInfo struct {
 	JournalRecords int    `json:"journal_records_replayed"`
 	JournalSkipped int    `json:"journal_records_skipped"`
 	JournalTorn    bool   `json:"journal_torn_tail"`
+	// OpenMs is the wall time Open took at this start, milliseconds.
+	OpenMs int64 `json:"open_ms"`
 
 	// Bounded-recovery accounting (see checkpoint.go): how many WAL
 	// segments replayed, how the incremental checkpoint chain applied,

@@ -1,15 +1,11 @@
 package catalog
 
 import (
-	"bufio"
-	"encoding/gob"
 	"errors"
 	"fmt"
-	"io"
 	"io/fs"
 	"os"
 	"path/filepath"
-	"sort"
 	"time"
 
 	"timedmedia/internal/blob"
@@ -22,9 +18,10 @@ import (
 	"timedmedia/internal/wal"
 )
 
-// Durable persistence: the object graph is encoded into catalog.gob
-// next to a blob.FileStore directory; interpretations are exported to
-// their serializable form. Payload bytes stay in the BLOBs.
+// Durable persistence: the catalog's version chains are encoded into
+// catalog.gob (payload format in checkpoint.go) next to a
+// blob.FileStore directory; interpretations are exported to their
+// serializable form. Payload bytes stay in the BLOBs.
 //
 // Crash safety (see internal/durable, internal/wal and checkpoint.go):
 //
@@ -51,6 +48,12 @@ func SnapshotFile(dir string) string { return filepath.Join(dir, snapshotName) }
 // verification (container checksum or decode).
 var ErrCorruptSnapshot = errors.New("catalog: corrupt snapshot")
 
+// ErrSnapshotFormat reports a snapshot or checkpoint file that is
+// intact but in a payload format this build does not read. Nothing is
+// wrong with the file, so Load neither quarantines it nor falls back
+// to the backup on its account.
+var ErrSnapshotFormat = errors.New("catalog: unsupported snapshot format")
+
 // savedObject mirrors core.Object with the descriptor boxed for gob.
 type savedObject struct {
 	ID    core.ID
@@ -76,15 +79,6 @@ type savedComponent struct {
 	Object core.ID
 	Start  int64
 	Region *compose.Region
-}
-
-// savedCatalog is the pre-streaming snapshot payload: one gob value
-// holding everything. Still decoded for upgrade; no longer written.
-type savedCatalog struct {
-	NextID  core.ID
-	Seq     uint64
-	Objects []savedObject
-	Interps []*interp.Exported
 }
 
 // saveObject captures one object into its serialized form. The parts
@@ -156,41 +150,16 @@ func objectFromSaved(so *savedObject) (*core.Object, error) {
 	return obj, nil
 }
 
-// captureFullLocked captures the whole object graph — the current
-// epoch's shards, merged back into one ID-ordered stream — as a full
-// streaming snapshot. Assumes db.mu is held (read or write).
+// captureFullLocked captures every retained version chain as a full
+// snapshot — including chains whose object is deleted (tombstone
+// tail), which still answer as-of reads below their tombstone. The
+// live objects and interpretations are the chains' non-tombstone
+// tails, so nothing else needs capturing. Assumes db.mu is held (read
+// or write).
 func (db *DB) captureFullLocked() (*snapCapture, error) {
 	cur := db.cur.Load()
-	cap := &snapCapture{head: streamHead{Full: true, Seq: db.seq, NextID: db.nextID}}
+	cap := &snapCapture{head: streamHead{Seq: db.seq, NextID: db.nextID}}
 	var err error
-	for _, sh := range cur.shards {
-		sh.objects.ascend(func(_ core.ID, obj *core.Object) bool {
-			var so savedObject
-			if so, err = saveObject(obj); err != nil {
-				return false
-			}
-			cap.objs = append(cap.objs, so)
-			return true
-		})
-		if err != nil {
-			return nil, err
-		}
-	}
-	sort.Slice(cap.objs, func(a, b int) bool { return cap.objs[a].ID < cap.objs[b].ID })
-	cur.interps.ascend(func(_ blob.ID, it *interp.Interpretation) bool {
-		var rec *interp.Exported
-		if rec, err = interp.Export(it); err != nil {
-			return false
-		}
-		cap.interps = append(cap.interps, rec)
-		return true
-	})
-	if err != nil {
-		return nil, err
-	}
-	// Full version history: every chain, including chains whose object
-	// is deleted (tombstone tail) — those have no row in the objects
-	// section but still answer as-of reads below their tombstone.
 	for _, sh := range cur.shards {
 		sh.vers.ascend(func(id core.ID, c *verChain) bool {
 			err = captureObjChain(cap, id, c, 0)
@@ -207,12 +176,7 @@ func (db *DB) captureFullLocked() (*snapCapture, error) {
 	if err != nil {
 		return nil, err
 	}
-	sortVerCaptures(cap.vers)
-	cap.head.HasVersions = true
-	cap.head.VerFloor = cur.verFloor
-	cap.head.NumVersions = len(cap.vers)
-	cap.head.NumObjects = len(cap.objs)
-	cap.head.NumInterps = len(cap.interps)
+	cap.seal(cur.verFloor)
 	return cap, nil
 }
 
@@ -261,7 +225,8 @@ func (db *DB) saveLocked(dir string) error {
 		if err != nil {
 			return err
 		}
-		return writeCapture(SnapshotFile(dir), cap)
+		_, err = writeCapture(SnapshotFile(dir), cap)
+		return err
 	}
 
 	if !rotatable {
@@ -273,7 +238,8 @@ func (db *DB) saveLocked(dir string) error {
 		if err != nil {
 			return err
 		}
-		if err := writeCapture(SnapshotFile(dir), cap); err != nil {
+		size, err := writeCapture(SnapshotFile(dir), cap)
+		if err != nil {
 			return err
 		}
 		if err := db.wal.Reset(); err != nil {
@@ -283,7 +249,7 @@ func (db *DB) saveLocked(dir string) error {
 			return fmt.Errorf("%w: %v", ErrJournalTruncate, err)
 		}
 		db.takeDirtyLocked() // the full snapshot covers everything
-		db.observeCheckpoint(start, true)
+		db.observeCheckpoint(start, true, size)
 		return nil
 	}
 
@@ -301,7 +267,8 @@ func (db *DB) saveLocked(dir string) error {
 	db.mu.RUnlock()
 	db.hook("rotated")
 
-	if err := writeCapture(SnapshotFile(dir), cap); err != nil {
+	size, err := writeCapture(SnapshotFile(dir), cap)
+	if err != nil {
 		db.restoreDirty(dirty)
 		return err
 	}
@@ -321,12 +288,13 @@ func (db *DB) saveLocked(dir string) error {
 	db.hook("manifest")
 
 	err = db.compactCoveredLocked(dir, rot, sealed, nil)
-	db.observeCheckpoint(start, true)
+	db.observeCheckpoint(start, true, size)
 	return err
 }
 
-// observeCheckpoint records one completed checkpoint into telemetry.
-func (db *DB) observeCheckpoint(start time.Time, full bool) {
+// observeCheckpoint records one completed checkpoint into telemetry:
+// its duration, its mode, and the container bytes it made durable.
+func (db *DB) observeCheckpoint(start time.Time, full bool, size int64) {
 	t := db.tel.Load()
 	if t == nil {
 		return
@@ -334,82 +302,22 @@ func (db *DB) observeCheckpoint(start time.Time, full bool) {
 	t.checkpoint.Observe(time.Since(start))
 	if full {
 		t.ckptFull.Inc()
+		t.ckptFullBytes.Add(size)
 	} else {
 		t.ckptIncr.Inc()
+		t.ckptIncrBytes.Add(size)
 	}
 }
 
-// readSnapshotInto streams one snapshot or checkpoint file into db,
-// which must not be shared yet. All three payload generations decode:
-// the record-stream format (preamble "TBMCATS1"), and the two
-// whole-catalog gob formats (v1 frame and unframed legacy, which
-// durable.OpenSnapshotReader validates or passes through). Corruption
-// at any layer reports ErrCorruptSnapshot; semantic failures (missing
-// blob, invalid object) pass through untyped so callers don't
-// quarantine a healthy file.
+// readSnapshotInto streams one base snapshot file into db, which must
+// not be shared yet.
 func (db *DB) readSnapshotInto(path string) error {
-	r, err := durable.OpenSnapshotReader(path)
+	s, err := openStream(path)
 	if err != nil {
-		switch {
-		case errors.Is(err, fs.ErrNotExist):
-			return err
-		case errors.Is(err, durable.ErrCorrupt):
-			return fmt.Errorf("%w: %v", ErrCorruptSnapshot, err)
-		default:
-			return fmt.Errorf("catalog: %w", err)
-		}
+		return err
 	}
-	defer r.Close()
-	br := bufio.NewReader(r)
-	pre, err := br.Peek(len(catalogStreamPreamble))
-	if err == nil && [8]byte(pre) == catalogStreamPreamble {
-		br.Discard(len(catalogStreamPreamble))
-		dec := gob.NewDecoder(br)
-		var head streamHead
-		if err := dec.Decode(&head); err != nil {
-			return fmt.Errorf("%w: snapshot head: %v", ErrCorruptSnapshot, err)
-		}
-		if err := db.applyStream(&head, dec); err != nil {
-			return err
-		}
-		// Drain to EOF: a v2 container is only proven complete once its
-		// trailer validates, and gob's buffering may stop short of it.
-		if _, err := io.Copy(io.Discard, br); err != nil {
-			return fmt.Errorf("%w: %v", ErrCorruptSnapshot, err)
-		}
-		return nil
-	}
-	var snap savedCatalog
-	if err := gob.NewDecoder(br).Decode(&snap); err != nil {
-		return fmt.Errorf("%w: %v", ErrCorruptSnapshot, err)
-	}
-	return db.applySavedCatalog(&snap)
-}
-
-// applySavedCatalog applies a legacy whole-catalog snapshot as one
-// published epoch. Does not link indexes (see objectFromSaved).
-func (db *DB) applySavedCatalog(snap *savedCatalog) error {
-	db.nextID = snap.NextID
-	db.seq = snap.Seq
-	// Legacy snapshots predate version chains entirely.
-	db.versionsIntact = false
-	e := db.beginEditLocked()
-	for _, rec := range snap.Interps {
-		it, err := db.importInterp(rec)
-		if err != nil {
-			return err
-		}
-		e.setInterp(it)
-	}
-	for i := range snap.Objects {
-		obj, err := objectFromSaved(&snap.Objects[i])
-		if err != nil {
-			return err
-		}
-		e.insertRaw(obj)
-	}
-	db.commitEditLocked(e)
-	return nil
+	defer s.Close()
+	return db.applyStream(s)
 }
 
 // attemptLoad builds a fresh DB from one snapshot file. Each attempt
@@ -435,38 +343,30 @@ var errCheckpointUnreadable = errors.New("catalog: checkpoint unreadable")
 // applyCheckpointFile loads one incremental checkpoint over the
 // current state. Returns (false, nil) when the delta is already
 // covered (head.Seq <= db.seq — e.g. a stale chain left by a crash
-// between a full Save's snapshot rename and manifest write).
-// Pre-apply problems (missing file, bad header) and gaps come back as
-// the typed sentinels; corruption detected mid-apply is a hard error,
-// because the state is then partially advanced and not safe to patch
-// up with segment replay.
+// between a full Save's snapshot rename and manifest write). A file
+// that cannot be opened or whose head does not decode, and a gap, come
+// back as the typed sentinels; ErrSnapshotFormat and anything
+// applyStream rejects are hard errors — the first because the file is
+// healthy and not ours to set aside, the second because the records
+// the manifest says this file covers are compacted away, so segment
+// replay cannot stand in for it.
 func (db *DB) applyCheckpointFile(path string) (bool, error) {
-	r, err := durable.OpenSnapshotReader(path)
+	s, err := openStream(path)
+	if errors.Is(err, ErrSnapshotFormat) {
+		return false, err
+	}
 	if err != nil {
 		return false, fmt.Errorf("%w: %s: %v", errCheckpointUnreadable, path, err)
 	}
-	defer r.Close()
-	br := bufio.NewReader(r)
-	var pre [8]byte
-	if _, err := io.ReadFull(br, pre[:]); err != nil || pre != catalogStreamPreamble {
-		return false, fmt.Errorf("%w: %s: bad preamble", errCheckpointUnreadable, path)
-	}
-	dec := gob.NewDecoder(br)
-	var head streamHead
-	if err := dec.Decode(&head); err != nil {
-		return false, fmt.Errorf("%w: %s: %v", errCheckpointUnreadable, path, err)
-	}
-	if head.Seq <= db.seq {
+	defer s.Close()
+	if s.head.Seq <= db.seq {
 		return false, nil
 	}
-	if head.FromSeq > db.seq {
-		return false, fmt.Errorf("%w: delta starts at seq %d, state at %d", errCheckpointGap, head.FromSeq, db.seq)
+	if s.head.FromSeq > db.seq {
+		return false, fmt.Errorf("%w: delta starts at seq %d, state at %d", errCheckpointGap, s.head.FromSeq, db.seq)
 	}
-	if err := db.applyStream(&head, dec); err != nil {
+	if err := db.applyStream(s); err != nil {
 		return false, err
-	}
-	if _, err := io.Copy(io.Discard, br); err != nil {
-		return false, fmt.Errorf("%w: %s: %v", ErrCorruptSnapshot, path, err)
 	}
 	return true, nil
 }
@@ -510,11 +410,13 @@ func (db *DB) applyCheckpointChain(dir string, m *wal.Manifest) (bool, error) {
 //
 // Recovery sequence: MANIFEST (corrupt one → quarantined, conservative
 // full replay) → catalog.gob (corrupt → quarantined, catalog.gob.bak
-// used) → incremental checkpoint chain (already-covered deltas skip by
+// used; intact but in another format → ErrSnapshotFormat, file left in
+// place) → incremental checkpoint chain (already-covered deltas skip by
 // sequence; a gap marks the chain broken) → legacy journal.log → WAL
-// segments in index order, with a torn tail truncated. What happened
-// is reported via (*DB).Recovery. Load does not attach the journal for
-// writing — call OpenJournal to log new mutations.
+// segments in index order, with a torn tail truncated → the lost-BLOB
+// check (checkLostBlobs). What happened is reported via
+// (*DB).Recovery. Load does not attach the journal for writing — call
+// OpenJournal to log new mutations.
 func Load(dir string, store blob.Store, opts ...Option) (*DB, error) {
 	var recovery RecoveryInfo
 	man, merr := wal.LoadManifest(dir)
@@ -568,13 +470,10 @@ func Load(dir string, store blob.Store, opts ...Option) (*DB, error) {
 	// may appear anywhere in the stream.
 	db.relinkAllLocked()
 
-	// A version-less base (legacy snapshot) gets trivial chains at the
-	// covered sequence before replay appends real history on top.
-	if !db.versionsIntact {
-		db.reseedVersionsLocked()
-	}
-
 	if err := db.replayAllLocked(dir); err != nil {
+		return nil, err
+	}
+	if err := db.checkLostBlobs(); err != nil {
 		return nil, err
 	}
 	return db, nil
@@ -585,6 +484,18 @@ func Load(dir string, store blob.Store, opts ...Option) (*DB, error) {
 // attaches the mutation journal in both cases. This is the one-call
 // path the CLIs use.
 func Open(dir string, store blob.Store, opts ...Option) (*DB, error) {
+	start := time.Now()
+	db, err := open(dir, store, opts...)
+	if err != nil {
+		return nil, err
+	}
+	db.mu.Lock()
+	db.recovery.OpenMs = time.Since(start).Milliseconds()
+	db.mu.Unlock()
+	return db, nil
+}
+
+func open(dir string, store blob.Store, opts ...Option) (*DB, error) {
 	_, errA := os.Stat(SnapshotFile(dir))
 	_, errB := os.Stat(SnapshotFile(dir) + ".bak")
 	if errA == nil || errB == nil {

@@ -1,0 +1,469 @@
+package catalog
+
+import (
+	"bytes"
+	"encoding/gob"
+	"errors"
+	"fmt"
+	"os"
+	"strings"
+	"sync"
+	"testing"
+
+	"timedmedia/internal/blob"
+	"timedmedia/internal/core"
+	"timedmedia/internal/durable"
+	"timedmedia/internal/faultfs"
+	"timedmedia/internal/interp"
+	"timedmedia/internal/telemetry"
+	"timedmedia/internal/timebase"
+	"timedmedia/internal/wal"
+)
+
+// Tests of the TBMCATS2 snapshot payload: what a reload hands back,
+// what it refuses, and what it survives.
+
+// countingStore counts Open calls per BLOB.
+type countingStore struct {
+	blob.Store
+	mu    sync.Mutex
+	opens map[blob.ID]int
+}
+
+func (s *countingStore) Open(id blob.ID) (blob.BLOB, error) {
+	s.mu.Lock()
+	s.opens[id]++
+	s.mu.Unlock()
+	return s.Store.Open(id)
+}
+
+// savedClip ingests a clip and six cuts of it, then saves: with that
+// much live state, a Checkpoint after a few more mutations stays a
+// delta instead of being promoted to a full save.
+func savedClip(t testing.TB, db *DB, dir, name string, seed int64) core.ID {
+	t.Helper()
+	clip, err := db.Ingest(name, genVideo(4, seed), IngestOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 6; i++ {
+		if _, err := db.SelectDuration(clip, fmt.Sprintf("%s-cut%d", name, i), 0, 2); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := db.Save(dir); err != nil {
+		t.Fatal(err)
+	}
+	return clip
+}
+
+// checkpointDelta checkpoints and insists the result is the chain's
+// first delta file.
+func checkpointDelta(t testing.TB, db *DB, dir string) {
+	t.Helper()
+	if err := db.Checkpoint(dir); err != nil {
+		t.Fatal(err)
+	}
+	if len(chainFilesOnDisk(t, dir)) != 1 {
+		t.Fatal("checkpoint was promoted to a full save; the test wants a delta")
+	}
+}
+
+// checkReloadedOnce asserts what a reload promises beyond equal
+// content: the live state and the chain tails are one set of values,
+// not two decoded copies, and every BLOB was opened exactly once.
+func checkReloadedOnce(t *testing.T, db *DB, store *countingStore) {
+	t.Helper()
+	v := db.CurrentView()
+	if err := v.VerifyIndexes(); err != nil {
+		t.Fatal(err)
+	}
+	if err := v.VerifyVersions(); err != nil {
+		t.Fatal(err)
+	}
+	for _, sh := range v.shards {
+		sh.objects.ascend(func(id core.ID, o *core.Object) bool {
+			if c, _ := sh.vers.get(id); c.tail().val != o {
+				t.Errorf("live object %v (%q) is not its chain tail", id, o.Name)
+			}
+			return true
+		})
+	}
+	v.interps.ascend(func(id blob.ID, it *interp.Interpretation) bool {
+		if c, _ := v.interpVers.get(id); c.tail().val != it {
+			t.Errorf("interpretation of %v is not its chain tail", id)
+		}
+		if n := store.opens[id]; n != 1 {
+			t.Errorf("%v opened %d times during load, want 1", id, n)
+		}
+		return true
+	})
+	if len(store.opens) != v.interps.len() {
+		t.Errorf("load opened %d BLOBs, catalog interprets %d", len(store.opens), v.interps.len())
+	}
+}
+
+// TestReloadSharesLiveStateWithChainTails: after Save → Load, and after
+// Save → mutations → Checkpoint → Load, the live objects and
+// interpretations are the chain tails themselves.
+func TestReloadSharesLiveStateWithChainTails(t *testing.T) {
+	dir := t.TempDir()
+	db := openDB(t, dir)
+	a, err := db.Ingest("a", genVideo(6, 41), IngestOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := db.Ingest("b", genVideo(6, 42), IngestOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mm, err := db.AddMultimedia("mm", timebase.Millis, []core.ComponentRef{{Object: a}, {Object: b, Start: 50}}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 8; i++ {
+		if _, err := db.SelectDuration(a, "cut"+string(rune('0'+i)), 0, 3); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := db.Save(dir); err != nil {
+		t.Fatal(err)
+	}
+	reload := func() {
+		t.Helper()
+		fs, err := blob.OpenFileStore(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer fs.Close()
+		store := &countingStore{Store: fs, opens: map[blob.ID]int{}}
+		got, err := Load(dir, store)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Len() != db.Len() {
+			t.Fatalf("reloaded %d objects, want %d", got.Len(), db.Len())
+		}
+		checkReloadedOnce(t, got, store)
+	}
+	reload()
+
+	// A sync revision, a delete that collects a BLOB, a fresh ingest and
+	// a name re-used across the delete, then an incremental checkpoint.
+	if err := db.AddSync(mm, 0, 1, 10); err != nil {
+		t.Fatal(err)
+	}
+	c, err := db.Ingest("c", genVideo(4, 43), IngestOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Delete(c); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.Ingest("c", genVideo(4, 44), IngestOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	checkpointDelta(t, db, dir)
+	reload()
+	if err := db.CloseJournal(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestReopenAfterLastReaderDeleted: deleting the last reader of a BLOB
+// removes the BLOB from the store at once, while the base snapshot
+// still names its interpretation. The directory must reopen — the
+// delete was acknowledged — whether the delete is still in the journal
+// or already in an incremental checkpoint.
+func TestReopenAfterLastReaderDeleted(t *testing.T) {
+	for _, tc := range []struct {
+		name       string
+		checkpoint bool
+	}{{"journal", false}, {"delta", true}} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			db := openDB(t, dir)
+			clip, err := db.Ingest("clip", genVideo(3, 51), IngestOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			savedClip(t, db, dir, "keep", 52)
+			if err := db.Delete(clip); err != nil {
+				t.Fatal(err)
+			}
+			delSeq := db.Seq()
+			if tc.checkpoint {
+				checkpointDelta(t, db, dir)
+			}
+			if err := db.CloseJournal(); err != nil {
+				t.Fatal(err)
+			}
+
+			db2 := openDB(t, dir)
+			if _, err := db2.Lookup("clip"); !errors.Is(err, ErrNotFound) {
+				t.Errorf("deleted clip after reopen: %v", err)
+			}
+			if _, err := db2.Lookup("keep"); err != nil {
+				t.Errorf("keep lost: %v", err)
+			}
+			if db2.Len() != db.Len() {
+				t.Errorf("reopened %d objects, want %d", db2.Len(), db.Len())
+			}
+			v := db2.CurrentView()
+			if err := v.VerifyVersions(); err != nil {
+				t.Error(err)
+			}
+			if err := v.VerifyIndexes(); err != nil {
+				t.Error(err)
+			}
+			// The clip's payload cannot be served at any earlier seq any
+			// more, so as-of reads below the delete are refused.
+			if got := v.VersionFloor(); got != delSeq {
+				t.Errorf("version floor = %d, want the delete's seq %d", got, delSeq)
+			}
+			if db2.lostBlobs != nil {
+				t.Errorf("lost-BLOB memory outlived Load: %v", db2.lostBlobs)
+			}
+			if err := db2.CloseJournal(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
+// TestCheckpointBytesCounted: tbm_checkpoint_bytes_total carries, per
+// mode, exactly the container bytes each counted checkpoint wrote.
+func TestCheckpointBytesCounted(t *testing.T) {
+	dir := t.TempDir()
+	fs, err := blob.OpenFileStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fs.Close()
+	reg := telemetry.NewRegistry()
+	db, err := Open(dir, fs, WithTelemetry(reg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	clip := savedClip(t, db, dir, "clip", 45)
+	if _, err := db.SelectDuration(clip, "late", 0, 2); err != nil {
+		t.Fatal(err)
+	}
+	checkpointDelta(t, db, dir)
+	for mode, path := range map[string]string{"full": SnapshotFile(dir), "incremental": CheckpointFile(dir, 1)} {
+		fi, err := os.Stat(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		labels := `mode="` + mode + `"`
+		if n := reg.Counter(telemetry.CheckpointFamily, labels).Load(); n != 1 {
+			t.Errorf("%s checkpoints counted = %d, want 1", mode, n)
+		}
+		if n := reg.Counter(telemetry.CheckpointBytesFamily, labels).Load(); n != fi.Size() {
+			t.Errorf("%s checkpoint bytes = %d, file holds %d", mode, n, fi.Size())
+		}
+	}
+	if err := db.CloseJournal(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// writeV2 writes payload into path as a valid v2 chunked container,
+// without the fsyncs of WriteStreamSnapshot.
+func writeV2(t testing.TB, path string, payload []byte) {
+	t.Helper()
+	var buf bytes.Buffer
+	cw := durable.NewChunkWriter(&buf)
+	if _, err := cw.Write(payload); err != nil {
+		t.Fatal(err)
+	}
+	if err := cw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestForeignSnapshotFormatRefused: a healthy file in a format this
+// build does not read is refused as ErrSnapshotFormat and left where
+// it is — not called damage, not quarantined, no backup taken in its
+// place. Bytes with no container at all are damage like any other.
+func TestForeignSnapshotFormatRefused(t *testing.T) {
+	var oldGob bytes.Buffer
+	// The shape of the pre-streaming payload: one gob value.
+	if err := gob.NewEncoder(&oldGob).Encode(struct {
+		NextID  core.ID
+		Seq     uint64
+		Objects []savedObject
+	}{NextID: 2, Seq: 1, Objects: []savedObject{{ID: 1, Name: "clip"}}}); err != nil {
+		t.Fatal(err)
+	}
+	cats1 := append([]byte("TBMCATS1"), oldGob.Bytes()...)
+
+	for _, tc := range []struct {
+		name  string
+		write func(t *testing.T, path string)
+		want  error
+		found string // the payload's first bytes, as the error names them
+	}{
+		{"TBMCATS1 in a v2 container", func(t *testing.T, p string) { writeV2(t, p, cats1) }, ErrSnapshotFormat, "TBMCATS1"},
+		{"whole-catalog gob in a v1 frame", func(t *testing.T, p string) {
+			if err := os.WriteFile(p, durable.EncodeFrame(oldGob.Bytes()), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}, ErrSnapshotFormat, string(oldGob.Bytes()[:8])},
+		{"short payload in a v2 container", func(t *testing.T, p string) { writeV2(t, p, []byte("TBM")) }, ErrSnapshotFormat, "TBM"},
+		{"bare bytes", func(t *testing.T, p string) {
+			if err := os.WriteFile(p, cats1, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}, ErrCorruptSnapshot, ""},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			// As the base snapshot, with a good backup beside it.
+			dir, fs := corruptDBSetup(t)
+			tc.write(t, SnapshotFile(dir))
+			db, err := Load(dir, fs)
+			switch {
+			case tc.want == ErrCorruptSnapshot:
+				if err != nil || !db.Recovery().UsedBackup || db.Recovery().Quarantined == "" {
+					t.Fatalf("garbage base: err %v, want a quarantine and the backup", err)
+				}
+			case !errors.Is(err, ErrSnapshotFormat) || errors.Is(err, ErrCorruptSnapshot):
+				t.Fatalf("Load = %v, want ErrSnapshotFormat", err)
+			default:
+				if !strings.Contains(err.Error(), fmt.Sprintf("%q", tc.found)) {
+					t.Errorf("error does not name the bytes found (%q): %v", tc.found, err)
+				}
+				if _, serr := os.Stat(SnapshotFile(dir)); serr != nil {
+					t.Errorf("refused file not left in place: %v", serr)
+				}
+				if _, serr := os.Stat(SnapshotFile(dir) + ".corrupt"); serr == nil {
+					t.Error("a healthy file was quarantined")
+				}
+			}
+
+			// As a file of the checkpoint chain.
+			dir = t.TempDir()
+			cdb := openDB(t, dir)
+			clip := savedClip(t, cdb, dir, "clip", 61)
+			if _, err := cdb.SelectDuration(clip, "late", 0, 2); err != nil {
+				t.Fatal(err)
+			}
+			checkpointDelta(t, cdb, dir)
+			if err := cdb.CloseJournal(); err != nil {
+				t.Fatal(err)
+			}
+			tc.write(t, CheckpointFile(dir, 1))
+			fs2, err := blob.OpenFileStore(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer fs2.Close()
+			got, err := Load(dir, fs2)
+			if tc.want == ErrCorruptSnapshot {
+				// An unreadable chain file breaks the chain; recovery goes on
+				// with what the segments hold and says so.
+				if err != nil || !got.Recovery().CheckpointChainBroken {
+					t.Fatalf("garbage chain file: err %v, want a broken-chain recovery", err)
+				}
+				return
+			}
+			if !errors.Is(err, ErrSnapshotFormat) {
+				t.Fatalf("Load with a foreign chain file = %v, want ErrSnapshotFormat", err)
+			}
+			if _, serr := os.Stat(CheckpointFile(dir, 1)); serr != nil {
+				t.Errorf("refused chain file not left in place: %v", serr)
+			}
+		})
+	}
+}
+
+// TestRecoverLoadMissingBlobUnderDelta: the lost-BLOB rule forgives
+// only what a delete explains. With the BLOB file of a still-live
+// object removed by hand, Load fails with the store's error even when
+// a checkpoint chain and a journal follow the base.
+func TestRecoverLoadMissingBlobUnderDelta(t *testing.T) {
+	dir := t.TempDir()
+	db := openDB(t, dir)
+	clip := savedClip(t, db, dir, "clip", 71)
+	if _, err := db.SelectDuration(clip, "late", 0, 2); err != nil {
+		t.Fatal(err)
+	}
+	checkpointDelta(t, db, dir)
+	if _, err := db.SelectDuration(clip, "later", 0, 2); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.CloseJournal(); err != nil {
+		t.Fatal(err)
+	}
+	obj, err := db.Get(clip)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Store().Delete(obj.Blob); err != nil {
+		t.Fatal(err)
+	}
+	fs, err := blob.OpenFileStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fs.Close()
+	if _, err := Load(dir, fs); !errors.Is(err, blob.ErrNotFound) || !strings.Contains(err.Error(), "missing") {
+		t.Fatalf("Load over a hand-removed BLOB = %v, want the store's not-found error", err)
+	}
+	if _, serr := os.Stat(SnapshotFile(dir)); serr != nil {
+		t.Errorf("snapshot quarantined on a store error: %v", serr)
+	}
+}
+
+// TestFaultSyncRollbackKeepsChainAtRetentionOne: with retention 1 the
+// failed revision is the only entry its chain retains. Rolling it back
+// must not leave the live object without a chain — the chain tail is
+// what a snapshot persists as the live object.
+func TestFaultSyncRollbackKeepsChainAtRetentionOne(t *testing.T) {
+	dir := t.TempDir()
+	store, err := blob.OpenFileStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	db := New(store, WithVersionRetention(1))
+	a, err := db.Ingest("a", genVideo(4, 81), IngestOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mm, err := db.AddMultimedia("mm", timebase.Millis, []core.ComponentRef{{Object: a}, {Object: a, Start: 50}}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inner, err := wal.Open(JournalFile(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	db.AttachJournal(faultfs.WrapJournal(inner, faultfs.NewInjector(faultfs.Rule{Op: "journal.append", Nth: 1})), dir)
+	if err := db.AddSync(mm, 0, 1, 10); !errors.Is(err, ErrJournal) {
+		t.Fatalf("AddSync with failing journal: %v, want ErrJournal", err)
+	}
+	if err := db.CurrentView().VerifyVersions(); err != nil {
+		t.Fatalf("after rollback: %v", err)
+	}
+	if err := db.CloseJournal(); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Save(dir); err != nil {
+		t.Fatal(err)
+	}
+	got, err := Load(dir, store)
+	if err != nil {
+		t.Fatal(err)
+	}
+	obj, err := got.Lookup("mm")
+	if err != nil {
+		t.Fatalf("object lost across save and load: %v", err)
+	}
+	if len(obj.Multimedia.Syncs) != 0 {
+		t.Errorf("rolled-back sync came back: %+v", obj.Multimedia.Syncs)
+	}
+}

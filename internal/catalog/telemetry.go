@@ -15,10 +15,13 @@ type dbTelemetry struct {
 	journal *telemetry.Histogram
 
 	// checkpoint times Save/Checkpoint end to end; ckptFull/ckptIncr
-	// count completed checkpoints by mode.
-	checkpoint *telemetry.Histogram
-	ckptFull   *telemetry.Counter
-	ckptIncr   *telemetry.Counter
+	// count completed checkpoints by mode and the Bytes pair sums the
+	// container bytes they made durable.
+	checkpoint    *telemetry.Histogram
+	ckptFull      *telemetry.Counter
+	ckptIncr      *telemetry.Counter
+	ckptFullBytes *telemetry.Counter
+	ckptIncrBytes *telemetry.Counter
 
 	// queryPlan times the planner's index selection; probes counts
 	// candidate sourcing per index (plan label → counter), with the
@@ -62,8 +65,11 @@ func newDBTelemetry(reg *telemetry.Registry) *dbTelemetry {
 		checkpoint: reg.Histogram(telemetry.StageFamily, telemetry.StageCheckpoint),
 		ckptFull:   reg.Counter(telemetry.CheckpointFamily, `mode="full"`),
 		ckptIncr:   reg.Counter(telemetry.CheckpointFamily, `mode="incremental"`),
-		queryPlan:  reg.Histogram(telemetry.StageFamily, telemetry.StageQueryPlan),
-		probes:     probes,
+
+		ckptFullBytes: reg.Counter(telemetry.CheckpointBytesFamily, `mode="full"`),
+		ckptIncrBytes: reg.Counter(telemetry.CheckpointBytesFamily, `mode="incremental"`),
+		queryPlan:     reg.Histogram(telemetry.StageFamily, telemetry.StageQueryPlan),
+		probes:        probes,
 
 		versionGone: reg.Counter(telemetry.VersionGoneFamily, ""),
 	}

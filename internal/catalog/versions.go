@@ -27,10 +27,8 @@ package catalog
 // version_gone) rather than a silently incomplete catalog.
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"slices"
 	"sort"
 
@@ -228,11 +226,16 @@ func (e *viewEdit) rollbackSync(obj *core.Object, seq uint64, strip func(*core.O
 		return
 	}
 	n := &verChain{name: c.name}
-	for _, ent := range c.entries {
+	for i, ent := range c.entries {
 		switch {
-		case ent.seq == seq:
-			// the failed revision itself: drop
-		case ent.seq > seq && ent.val != nil:
+		case ent.seq == seq && i > 0:
+			// the failed revision itself: drop, the entry before it
+			// answers again
+		case ent.seq >= seq && ent.val != nil:
+			// Also the failed revision when retention has pruned all that
+			// preceded it: it keeps its slot without the constraint, so
+			// a live object is never left without a chain — the chain
+			// tail is what a checkpoint persists as the live object.
 			n.entries = append(n.entries, verEntry{seq: ent.seq, val: strip(ent.val)})
 		default:
 			n.entries = append(n.entries, ent)
@@ -272,31 +275,18 @@ func (e *viewEdit) appendInterpTombstone(id blob.ID, seq uint64) {
 	e.interpVers = e.interpVers.set(id, c)
 }
 
-// reseedVersionsLocked rebuilds trivial single-entry chains from the
-// live state — the upgrade path for catalogs persisted before version
-// chains existed (legacy snapshots, version-less checkpoint streams).
-// History before the reseed point is unknowable, so the floor rises to
-// the current seq: as-of reads at or after it work, older ones answer
-// ErrVersionGone.
-func (db *DB) reseedVersionsLocked() {
-	e := db.beginEditLocked()
-	for i := range e.shards {
-		sh := e.shard(i)
-		sh.vers = tmap[core.ID, *verChain]{}
-		sh.chainsByName = tmap[string, []core.ID]{}
-		sh.objects.ascend(func(id core.ID, o *core.Object) bool {
-			e.setChain(id, &verChain{name: o.Name, entries: []verEntry{{seq: db.seq, val: o}}})
-			return true
-		})
+// settleLive makes id's live row agree with its chain after a
+// snapshot-stream apply: a non-tombstone tail is the live object — the
+// same pointer, as after a live commit — and anything else means there
+// is none.
+func (e *viewEdit) settleLive(id core.ID, name string) {
+	sh := e.shards[e.shardIndexFor(name)]
+	if old, ok := sh.objects.get(id); ok {
+		e.removeRaw(old)
 	}
-	e.interpVers = tmap[blob.ID, *interpVerChain]{}
-	e.interps.ascend(func(id blob.ID, it *interp.Interpretation) bool {
-		e.interpVers = e.interpVers.set(id, &interpVerChain{entries: []interpVerEntry{{seq: db.seq, val: it}}})
-		return true
-	})
-	e.verFloor = db.seq
-	db.commitEditLocked(e)
-	db.versionsIntact = true
+	if c, ok := sh.vers.get(id); ok && c.tail().val != nil {
+		e.insertRaw(c.tail().val)
+	}
 }
 
 // reconcileChains drops version chains whose live tail contradicts
@@ -329,115 +319,6 @@ func (e *viewEdit) reconcileChains() {
 		}
 		return true
 	})
-}
-
-// --- version frames (persistence) ---------------------------------
-
-// Version-chain frame format — the unit the checkpoint stream carries
-// (one gob []byte per frame) and the fuzz targets attack:
-//
-//	offset  size  field
-//	0       2     magic "TV"
-//	2       1     format version (1)
-//	3       1     kind (frame kinds below)
-//	4       8     id (object ID or blob ID), big endian
-//	12      8     seq, big endian
-//	20      2     name length, big endian
-//	22      n     name (UTF-8; empty for interp frames)
-//	22+n    4     payload length, big endian
-//	26+n    p     payload (gob savedObject / gob interp export; empty
-//	              for tombstones)
-//	26+n+p  4     CRC-32C of everything above, big endian
-//
-// The frame is length-delimited by its container, so decode rejects
-// trailing bytes: a frame is exactly one record.
-const (
-	verFrameObj        = 1 // object version; payload = gob savedObject
-	verFrameObjTomb    = 2 // object tombstone; empty payload
-	verFrameInterp     = 3 // interpretation version; payload = gob export
-	verFrameInterpTomb = 4 // interpretation tombstone; empty payload
-)
-
-const (
-	verFrameVersion   = 1
-	verFrameFixedLen  = 2 + 1 + 1 + 8 + 8 + 2 // through name length
-	verFrameMaxName   = 1 << 12
-	verFramePayLenLen = 4
-	verFrameCRCLen    = 4
-)
-
-var verFrameMagic = [2]byte{'T', 'V'}
-
-// ErrVersionFrame reports a version frame the decoder rejected.
-var ErrVersionFrame = errors.New("catalog: corrupt version frame")
-
-var verCRCTable = crc32.MakeTable(crc32.Castagnoli)
-
-// encodeVersionFrame renders one chain entry as a self-checking frame.
-func encodeVersionFrame(kind byte, id uint64, seq uint64, name string, payload []byte) []byte {
-	buf := make([]byte, 0, verFrameFixedLen+len(name)+verFramePayLenLen+len(payload)+verFrameCRCLen)
-	buf = append(buf, verFrameMagic[0], verFrameMagic[1], verFrameVersion, kind)
-	buf = binary.BigEndian.AppendUint64(buf, id)
-	buf = binary.BigEndian.AppendUint64(buf, seq)
-	buf = binary.BigEndian.AppendUint16(buf, uint16(len(name)))
-	buf = append(buf, name...)
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(payload)))
-	buf = append(buf, payload...)
-	return binary.BigEndian.AppendUint32(buf, crc32.Checksum(buf, verCRCTable))
-}
-
-// decodeVersionFrame parses and verifies one frame. The returned name
-// and payload alias data.
-func decodeVersionFrame(data []byte) (kind byte, id, seq uint64, name string, payload []byte, err error) {
-	fail := func(why string) (byte, uint64, uint64, string, []byte, error) {
-		return 0, 0, 0, "", nil, fmt.Errorf("%w: %s", ErrVersionFrame, why)
-	}
-	if len(data) < verFrameFixedLen+verFramePayLenLen+verFrameCRCLen {
-		return fail("short frame")
-	}
-	if data[0] != verFrameMagic[0] || data[1] != verFrameMagic[1] {
-		return fail("bad magic")
-	}
-	if data[2] != verFrameVersion {
-		return fail(fmt.Sprintf("unknown format version %d", data[2]))
-	}
-	kind = data[3]
-	if kind < verFrameObj || kind > verFrameInterpTomb {
-		return fail(fmt.Sprintf("unknown frame kind %d", kind))
-	}
-	id = binary.BigEndian.Uint64(data[4:12])
-	seq = binary.BigEndian.Uint64(data[12:20])
-	nameLen := int(binary.BigEndian.Uint16(data[20:22]))
-	if nameLen > verFrameMaxName {
-		return fail("name too long")
-	}
-	rest := data[verFrameFixedLen:]
-	if len(rest) < nameLen+verFramePayLenLen+verFrameCRCLen {
-		return fail("truncated name")
-	}
-	name = string(rest[:nameLen])
-	rest = rest[nameLen:]
-	payLen := int(binary.BigEndian.Uint32(rest[:verFramePayLenLen]))
-	rest = rest[verFramePayLenLen:]
-	if payLen != len(rest)-verFrameCRCLen {
-		return fail("payload length does not match frame")
-	}
-	payload = rest[:payLen]
-	want := binary.BigEndian.Uint32(rest[payLen:])
-	if got := crc32.Checksum(data[:len(data)-verFrameCRCLen], verCRCTable); got != want {
-		return fail(fmt.Sprintf("crc mismatch %08x != %08x", got, want))
-	}
-	switch kind {
-	case verFrameObjTomb, verFrameInterpTomb:
-		if payLen != 0 {
-			return fail("tombstone with payload")
-		}
-	case verFrameObj:
-		if nameLen == 0 {
-			return fail("object frame without name")
-		}
-	}
-	return kind, id, seq, name, payload, nil
 }
 
 // --- AsOfView ------------------------------------------------------

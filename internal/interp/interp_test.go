@@ -446,6 +446,55 @@ func TestImportRejectsBadPlacement(t *testing.T) {
 	}
 }
 
+// sizeCounter counts Size calls on a BLOB.
+type sizeCounter struct {
+	blob.BLOB
+	calls int
+}
+
+func (s *sizeCounter) Size() int64 { s.calls++; return s.BLOB.Size() }
+
+// TestImportReadsSizeOnce: Size is an fstat under a mutex on a file
+// BLOB; Import must not pay it per placement.
+func TestImportReadsSizeOnce(t *testing.T) {
+	it, store := buildAV(t, 6)
+	rec, err := Export(it)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, _ := store.Open(it.BlobID())
+	sc := &sizeCounter{BLOB: b}
+	if _, err := Import(rec, sc); err != nil {
+		t.Fatal(err)
+	}
+	if sc.calls != 1 {
+		t.Errorf("Import called Size %d times, want 1", sc.calls)
+	}
+}
+
+// TestImportRejectsMalformedRecord: a record comes back from disk, so
+// what the index builders would otherwise index out of range on is an
+// error, not a panic.
+func TestImportRejectsMalformedRecord(t *testing.T) {
+	it, store := buildAV(t, 3)
+	b, _ := store.Open(it.BlobID())
+	for name, damage := range map[string]func(*Exported){
+		"storage index out of range": func(r *Exported) { r.Tracks[0].Elements[1].StorageIndex = 99 },
+		"negative storage index":     func(r *Exported) { r.Tracks[0].Elements[1].StorageIndex = -1 },
+		"element without placement":  func(r *Exported) { r.Tracks[0].Elements[0].Layers = nil },
+		"order names unknown track":  func(r *Exported) { r.Order = append(r.Order, "ghost") },
+	} {
+		rec, err := Export(it)
+		if err != nil {
+			t.Fatal(err)
+		}
+		damage(rec)
+		if _, err := Import(rec, b); err == nil {
+			t.Errorf("%s: Import accepted the record", name)
+		}
+	}
+}
+
 func TestExportedDescriptorVariants(t *testing.T) {
 	for _, d := range []media.Descriptor{
 		&media.Video{}, &media.Audio{}, &media.Image{}, &media.Music{}, &media.Animation{},

@@ -107,6 +107,9 @@ func Export(it *Interpretation) (*Exported, error) {
 // Import reconstructs an interpretation over the given BLOB.
 func Import(rec *Exported, b blob.BLOB) (*Interpretation, error) {
 	it := &Interpretation{b: b, blobID: rec.BlobID, tracks: map[string]*Track{}, order: append([]string(nil), rec.Order...)}
+	// One Size call per import: on a file BLOB it is an fstat under the
+	// BLOB's mutex, and the loop below checks every placement against it.
+	size := b.Size()
 	for _, et := range rec.Tracks {
 		typ, err := media.FromSpec(et.Type)
 		if err != nil {
@@ -123,8 +126,13 @@ func Import(rec *Exported, b blob.BLOB) (*Interpretation, error) {
 			elems[i] = stream.Element{Start: ee.Start, Dur: ee.Dur, Size: ee.Size, Desc: ee.Desc}
 			layers[i] = append([]Placement(nil), ee.Layers...)
 			storageOf[i] = ee.StorageIndex
+			// A record read back from disk is outside input: the index
+			// builders below trust these two.
+			if len(ee.Layers) == 0 || ee.StorageIndex < 0 || ee.StorageIndex >= len(et.Elements) {
+				return nil, fmt.Errorf("interp: track %q element %d: no placement, or storage index %d out of range", et.Name, i, ee.StorageIndex)
+			}
 			for _, pl := range ee.Layers {
-				if pl.End() > b.Size() {
+				if pl.End() > size {
 					return nil, fmt.Errorf("%w: track %q element %d", ErrBeyondBlob, et.Name, i)
 				}
 			}
@@ -136,6 +144,11 @@ func Import(rec *Exported, b blob.BLOB) (*Interpretation, error) {
 		tr := &Track{name: et.Name, typ: typ, desc: desc, str: str, layers: layers, storageOf: storageOf}
 		tr.buildIndexes()
 		it.tracks[et.Name] = tr
+	}
+	for _, name := range it.order {
+		if it.tracks[name] == nil {
+			return nil, fmt.Errorf("interp: track order names %q, which the record does not hold", name)
+		}
 	}
 	if err := it.checkOverlaps(); err != nil {
 		return nil, err

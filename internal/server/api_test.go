@@ -54,6 +54,9 @@ func TestMetricsContentNegotiation(t *testing.T) {
 			"tbm_expcache_hits_total",
 			"tbm_journal_appends_total",
 			"tbm_recovery_journal_records_replayed",
+			"tbm_recovery_open_ms",
+			`tbm_checkpoint_bytes_total{mode="full"}`,
+			`tbm_checkpoint_bytes_total{mode="incremental"}`,
 			"tbm_http_load_shed_total",
 			"tbm_objects 3",
 			"tbm_version_floor 0",
@@ -81,6 +84,13 @@ func TestMetricsContentNegotiation(t *testing.T) {
 			Lifecycle      struct {
 				StreamsTruncated *int64 `json:"streams_truncated"`
 			} `json:"lifecycle"`
+			Recovery struct {
+				OpenMs *int64 `json:"open_ms"`
+			} `json:"recovery"`
+			Checkpoints struct {
+				FullBytes        *int64 `json:"full_bytes"`
+				IncrementalBytes *int64 `json:"incremental_bytes"`
+			} `json:"checkpoints"`
 		}
 		if err := json.Unmarshal(metricsJSON(t, ts.URL), &m); err != nil {
 			t.Fatal(err)
@@ -90,6 +100,9 @@ func TestMetricsContentNegotiation(t *testing.T) {
 		}
 		if m.LegacyRequests == nil || m.Lifecycle.StreamsTruncated == nil {
 			t.Error("new counters missing from JSON shape")
+		}
+		if m.Recovery.OpenMs == nil || m.Checkpoints.FullBytes == nil || m.Checkpoints.IncrementalBytes == nil {
+			t.Error("open time or checkpoint bytes missing from JSON shape")
 		}
 	})
 }

@@ -24,6 +24,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 			ExpansionCache: s.db.CacheStats(),
 			Journal:        s.db.JournalStats(),
 			Recovery:       s.db.Recovery(),
+			Checkpoints:    s.checkpointStats(),
 			Lifecycle:      s.stats.snapshot(),
 			LegacyRequests: s.legacy.Load(),
 		})
@@ -80,6 +81,7 @@ func (s *Server) writePromCounters(w io.Writer) {
 	promGauge(w, "tbm_recovery_journal_records_replayed", "journal records replayed at last load", int64(rec.JournalRecords))
 	promGauge(w, "tbm_recovery_journal_records_skipped", "journal records skipped at last load", int64(rec.JournalSkipped))
 	promGauge(w, "tbm_recovery_journal_torn", "whether the last load truncated a torn journal tail", int64(b2i(rec.JournalTorn)))
+	promGauge(w, "tbm_recovery_open_ms", "wall time catalog.Open took at this start, milliseconds", rec.OpenMs)
 
 	promCounter(w, "tbm_http_panics_recovered_total", "handler panics converted to 500s", l.PanicsRecovered)
 	promCounter(w, "tbm_http_load_shed_total", "requests shed with 503 at the in-flight bound", l.LoadShed)

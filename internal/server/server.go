@@ -788,8 +788,28 @@ type metricsReply struct {
 	ExpansionCache expcache.StatsSnapshot `json:"expansion_cache"`
 	Journal        wal.StatsSnapshot      `json:"journal"`
 	Recovery       catalog.RecoveryInfo   `json:"recovery"`
+	Checkpoints    checkpointStats        `json:"checkpoints"`
 	Lifecycle      lifecycleSnapshot      `json:"lifecycle"`
 	LegacyRequests int64                  `json:"legacy_requests"`
+}
+
+// checkpointStats is the JSON view of the tbm_checkpoints_total and
+// tbm_checkpoint_bytes_total counters.
+type checkpointStats struct {
+	Full             int64 `json:"full"`
+	Incremental      int64 `json:"incremental"`
+	FullBytes        int64 `json:"full_bytes"`
+	IncrementalBytes int64 `json:"incremental_bytes"`
+}
+
+func (s *Server) checkpointStats() checkpointStats {
+	load := func(family, mode string) int64 { return s.reg.Counter(family, `mode="`+mode+`"`).Load() }
+	return checkpointStats{
+		Full:             load(telemetry.CheckpointFamily, "full"),
+		Incremental:      load(telemetry.CheckpointFamily, "incremental"),
+		FullBytes:        load(telemetry.CheckpointBytesFamily, "full"),
+		IncrementalBytes: load(telemetry.CheckpointBytesFamily, "incremental"),
+	}
 }
 
 // handleTrace serves the bounded ring of recent request traces,

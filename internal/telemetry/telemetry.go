@@ -53,6 +53,10 @@ const (
 	// CheckpointFamily counts completed catalog checkpoints; series
 	// carry a mode="full|incremental" label.
 	CheckpointFamily = "tbm_checkpoints_total"
+	// CheckpointBytesFamily sums the container bytes those checkpoints
+	// made durable, under the same mode label; over CheckpointFamily it
+	// gives bytes per checkpoint.
+	CheckpointBytesFamily = "tbm_checkpoint_bytes_total"
 	// WALBatchFamily is the group-commit batch-size histogram: one
 	// observation per committed WAL batch, with the record count
 	// encoded on the microsecond scale (a batch of n records is
