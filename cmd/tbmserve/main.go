@@ -42,7 +42,7 @@
 // Trace capture: -trace-out records every completed request — shed
 // ones included, flagged — to a framed trace file that tbmload can
 // replay deterministically against a rebuilt catalog and score for
-// policy sweeps (see internal/workload and scripts/policy_sweep.sh).
+// policy sweeps (see internal/workload and `tbmload score`).
 package main
 
 import (

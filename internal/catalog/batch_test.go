@@ -8,7 +8,6 @@ import (
 	"timedmedia/internal/core"
 	"timedmedia/internal/derive"
 	"timedmedia/internal/faultfs"
-	"timedmedia/internal/wal"
 )
 
 func cutParams(from, to int64) []byte {
@@ -94,12 +93,8 @@ func TestAddBatchJournalFaultRollsBack(t *testing.T) {
 		t.Fatal(err)
 	}
 	db := New(fs)
-	inner, err := wal.Open(JournalFile(dir))
-	if err != nil {
-		t.Fatal(err)
-	}
 	inj := faultfs.NewInjector()
-	db.AttachJournal(faultfs.WrapJournal(inner, inj), dir)
+	attachFaultJournal(t, db, dir, inj)
 	clip, err := db.Ingest("clip", genVideo(10, 5), IngestOptions{})
 	if err != nil {
 		t.Fatal(err)

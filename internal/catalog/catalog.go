@@ -146,10 +146,13 @@ type DB struct {
 	verRetention int
 	stagedSeq    map[core.ID]uint64
 
-	// lostBlobs holds, while Load runs, the registrations a snapshot
-	// named whose BLOB the store no longer has, with the store's error
-	// (see checkLostBlobs). Nil outside Load.
+	// lostBlobs holds the registrations a snapshot or journal record
+	// named whose BLOB the store no longer has, with the store's error;
+	// lostObjs the objects replay could not rebuild because they read
+	// one (see applyLostLocked). Recovery settles and empties both
+	// (checkLostBlobs); replicated apply only remembers.
 	lostBlobs map[blob.ID]error
+	lostObjs  map[core.ID]error
 
 	// replayCap, when non-zero, stops journal replay past this seq: the
 	// catalog comes back exactly as of transaction-time replayCap. The
@@ -300,6 +303,8 @@ func New(store blob.Store, opts ...Option) *DB {
 		walSegmentRecords: cfg.walSegmentRecords,
 		verRetention:      cfg.versionRetention,
 		stagedSeq:         map[core.ID]uint64{},
+		lostBlobs:         map[blob.ID]error{},
+		lostObjs:          map[core.ID]error{},
 		replayCap:         cfg.replayCap,
 		cache:             expcache.New[core.ID, *derive.Value](cfg.cacheCapacity),
 	}

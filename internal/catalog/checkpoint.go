@@ -2,8 +2,8 @@ package catalog
 
 // Incremental checkpoints and bounded recovery.
 //
-// A full Save rewrites the whole catalog; with a segmented journal
-// attached it also rotates the active WAL segment at the capture
+// A full Save rewrites the whole catalog; with a journal attached it
+// also rotates the active WAL segment at the capture
 // boundary, records the covered sequence number in the MANIFEST, and
 // compacts the sealed segments. Checkpoint does the same dance but
 // captures only the dirty slice — the version-chain entries that
@@ -59,8 +59,8 @@ import (
 )
 
 // ErrJournalTruncate reports a checkpoint or snapshot whose data is
-// fully durable but whose WAL cleanup (manifest write, segment
-// compaction, legacy journal truncate) failed. The catalog is
+// fully durable but whose WAL cleanup (manifest write, stale
+// checkpoint removal, segment compaction) failed. The catalog is
 // consistent and nothing is lost — superseded records are skipped on
 // replay via their sequence numbers — but the journal will grow until
 // a later checkpoint succeeds, so callers should log and retry with
@@ -206,7 +206,7 @@ func (cap *snapCapture) seal(verFloor uint64) {
 	cap.head.NumRecords = len(cap.recs)
 }
 
-// writeCapture streams cap into path as a v2 chunked container
+// writeCapture streams cap into path as a chunked container
 // (tmp + fsync + .bak rotation + rename + dir fsync) and returns the
 // container's size.
 func writeCapture(path string, cap *snapCapture) (int64, error) {
@@ -309,9 +309,14 @@ func openStream(path string) (*catalogStream, error) {
 	var pre [8]byte
 	n, _ := io.ReadFull(s.br, pre[:])
 	if pre != catalogStreamPreamble {
-		err := foreignPayload(path, pre[:n], s.br)
+		// Whether this is another build's healthy file or damage is the
+		// container's call: drain it so the trailer is checked.
+		_, err := io.Copy(io.Discard, s.br)
 		r.Close()
-		return nil, err
+		if err != nil {
+			return nil, fmt.Errorf("%w: %v", ErrCorruptSnapshot, err)
+		}
+		return nil, fmt.Errorf("%w: %s: payload opens with %q, want %q", ErrSnapshotFormat, path, pre[:n], catalogStreamPreamble[:])
 	}
 	s.dec = gob.NewDecoder(s.br)
 	if err := s.dec.Decode(&s.head); err != nil {
@@ -319,23 +324,6 @@ func openStream(path string) (*catalogStream, error) {
 		return nil, fmt.Errorf("%w: snapshot head: %v", ErrCorruptSnapshot, err)
 	}
 	return s, nil
-}
-
-// foreignPayload classifies a payload that does not open with the
-// preamble: ErrSnapshotFormat when an intact container delivered it — a
-// healthy file some other build wrote — and ErrCorruptSnapshot when
-// the container fails its check or there is none. OpenSnapshotReader
-// hands a file without container magic back unchanged, so a payload as
-// long as its file had no container around it.
-func foreignPayload(path string, pre []byte, rest io.Reader) error {
-	n, err := io.Copy(io.Discard, rest)
-	if err != nil {
-		return fmt.Errorf("%w: %v", ErrCorruptSnapshot, err)
-	}
-	if fi, serr := os.Stat(path); serr != nil || fi.Size() == int64(len(pre))+n {
-		return fmt.Errorf("%w: %s: no container, payload opens with %q", ErrCorruptSnapshot, path, pre)
-	}
-	return fmt.Errorf("%w: %s: payload opens with %q, want %q", ErrSnapshotFormat, path, pre, catalogStreamPreamble[:])
 }
 
 // applyStream applies an opened payload over the current state. Head
@@ -424,16 +412,13 @@ func (db *DB) applyStream(s *catalogStream) error {
 	}
 	e.raiseFloor(head.VerFloor)
 	e.reconcileChains()
-	// Drain to EOF: a v2 container is only proven complete once its
+	// Drain to EOF: a container is only proven complete once its
 	// trailer validates.
 	if _, err := io.Copy(io.Discard, s.br); err != nil {
 		return fmt.Errorf("%w: %v", ErrCorruptSnapshot, err)
 	}
 	db.commitEditLocked(e)
 	for bid, err := range lost {
-		if db.lostBlobs == nil {
-			db.lostBlobs = map[blob.ID]error{}
-		}
 		db.lostBlobs[bid] = err
 	}
 	if head.Seq > db.seq {
@@ -459,17 +444,21 @@ func (db *DB) openBlob(id blob.ID) (blob.BLOB, error) {
 	return b, nil
 }
 
-// checkLostBlobs settles the registrations applyStream could not
-// import because their BLOB is gone. That is what an acknowledged
-// delete leaves behind when it collected the last reader's BLOB after
-// the snapshot naming it was written, and by now — checkpoint chain
-// applied, journal replayed — that delete has been seen. A live object
-// still reading such a BLOB means the payload was lost some other way,
-// and the load fails with the store's error rather than serve a
-// catalog with a hole in it.
+// checkLostBlobs settles the registrations applyStream and journal
+// replay could not import because their BLOB is gone. That is what an
+// acknowledged delete leaves behind when it collected the last reader's
+// BLOB after the record naming it was written, and by now — checkpoint
+// chain applied, journal replayed — that delete has been seen. An
+// object that is still live, or was never deleted (lostObjs), while
+// reading such a BLOB means the payload was lost some other way, and
+// the load fails with the store's error rather than serve a catalog
+// with a hole in it.
 func (db *DB) checkLostBlobs() error {
 	if len(db.lostBlobs) == 0 {
 		return nil // the usual case: no pass over the objects
+	}
+	for _, err := range db.lostObjs {
+		return err
 	}
 	cur := db.cur.Load()
 	for _, sh := range cur.shards {
@@ -484,7 +473,8 @@ func (db *DB) checkLostBlobs() error {
 			return err
 		}
 	}
-	db.lostBlobs = nil
+	clear(db.lostBlobs)
+	clear(db.lostObjs)
 	return nil
 }
 
@@ -549,15 +539,6 @@ func (db *DB) hook(stage string) {
 	}
 }
 
-// rotator is the rotation surface Save and Checkpoint need from the
-// attached journal: the segmented journal implements it; legacy
-// single-file journals (and fault wrappers around them) don't, and
-// fall back to the hold-lock-and-reset protocol.
-type rotator interface {
-	Rotate() (uint64, error)
-	CompactThrough(through uint64) (int, error)
-}
-
 // captureDeltaLocked captures the dirty slice as a delta over fromSeq.
 // Version chains ride the dirty sets: an object (or BLOB) is dirty
 // exactly when its chain gained entries since fromSeq, and a deleted ID
@@ -613,7 +594,6 @@ func (db *DB) Checkpoint(dir string) error {
 
 	db.mu.RLock()
 	attached := db.wal != nil && db.walDir == filepath.Clean(dir)
-	_, rotatable := db.wal.(rotator)
 	cur := db.cur.Load()
 	nLive := cur.count + cur.interps.len()
 	nDirty := dirtySets{db.dirty, db.dirtyInterps, db.dirtyDelInterp}.count()
@@ -621,7 +601,7 @@ func (db *DB) Checkpoint(dir string) error {
 	db.mu.RUnlock()
 
 	m := db.manifest
-	full := !attached || !rotatable ||
+	full := !attached ||
 		m == nil ||
 		len(m.Checkpoints) >= DefaultMaxCheckpointChain ||
 		nDirty*2 >= nLive
@@ -635,7 +615,7 @@ func (db *DB) Checkpoint(dir string) error {
 }
 
 // checkpointDeltaLocked writes one incremental checkpoint. Assumes
-// saveMu is held and a rotating journal is attached for dir.
+// saveMu is held and a journal is attached for dir.
 func (db *DB) checkpointDeltaLocked(dir string, m *wal.Manifest) error {
 	start := time.Now()
 	// Gate dance (see Save): wait out in-flight commits, then capture
@@ -644,8 +624,8 @@ func (db *DB) checkpointDeltaLocked(dir string, m *wal.Manifest) error {
 	db.commitGate.Lock()
 	db.mu.RLock()
 	db.commitGate.Unlock()
-	rot, ok := db.wal.(rotator)
-	if !ok || db.walDir != filepath.Clean(dir) {
+	j := db.wal
+	if j == nil || db.walDir != filepath.Clean(dir) {
 		// The journal changed between the policy check and the gate
 		// (CloseJournal or AttachJournal raced us): fall back.
 		db.mu.RUnlock()
@@ -656,7 +636,7 @@ func (db *DB) checkpointDeltaLocked(dir string, m *wal.Manifest) error {
 		db.mu.RUnlock()
 		return err
 	}
-	sealed, err := rot.Rotate()
+	sealed, err := j.Rotate()
 	if err != nil {
 		db.mu.RUnlock()
 		return fmt.Errorf("catalog: checkpoint rotate: %w", err)
@@ -694,26 +674,22 @@ func (db *DB) checkpointDeltaLocked(dir string, m *wal.Manifest) error {
 	for _, n := range nm.Checkpoints {
 		keep[n] = true
 	}
-	err = db.compactCoveredLocked(dir, rot, sealed, keep)
+	err = db.compactCoveredLocked(dir, j, sealed, keep)
 	db.observeCheckpoint(start, false, size)
 	return err
 }
 
 // compactCoveredLocked removes everything a durable checkpoint
-// supersedes: stale checkpoint files, WAL segments at or below the
-// sealed index, and the pre-segmentation journal.log (whose records
-// predate any checkpoint's sequence floor). Failures are
-// ErrJournalTruncate: the checkpoint itself is durable, only cleanup
-// is pending, and a later checkpoint retries it. Assumes saveMu held.
-func (db *DB) compactCoveredLocked(dir string, rot rotator, sealed uint64, keep map[uint64]bool) error {
+// supersedes: stale checkpoint files and WAL segments at or below the
+// sealed index. Failures are ErrJournalTruncate: the checkpoint itself
+// is durable, only cleanup is pending, and a later checkpoint retries
+// it. Assumes saveMu held.
+func (db *DB) compactCoveredLocked(dir string, j wal.Appender, sealed uint64, keep map[uint64]bool) error {
 	if err := removeStaleCheckpoints(dir, keep); err != nil {
 		return fmt.Errorf("%w: stale checkpoints: %v", ErrJournalTruncate, err)
 	}
-	if _, err := rot.CompactThrough(sealed); err != nil {
+	if _, err := j.CompactThrough(sealed); err != nil {
 		return fmt.Errorf("%w: %v", ErrJournalTruncate, err)
-	}
-	if err := os.Remove(JournalFile(dir)); err != nil && !errors.Is(err, fs.ErrNotExist) {
-		return fmt.Errorf("%w: legacy journal: %v", ErrJournalTruncate, err)
 	}
 	db.hook("compacted")
 	return nil

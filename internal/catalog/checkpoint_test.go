@@ -353,12 +353,8 @@ func TestCheckpointRotateFaultKeepsDirty(t *testing.T) {
 		t.Fatal(err)
 	}
 	db := New(store)
-	seg, err := wal.OpenSegmented(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
 	inj := faultfs.NewInjector()
-	db.AttachJournal(faultfs.WrapSegmentedJournal(seg, inj), dir)
+	attachFaultJournal(t, db, dir, inj)
 
 	clip, err := db.Ingest("clip", genVideo(6, 7), IngestOptions{})
 	if err != nil {
@@ -408,12 +404,8 @@ func TestCheckpointCompactFaultIsTruncateSentinel(t *testing.T) {
 		t.Fatal(err)
 	}
 	db := New(store)
-	seg, err := wal.OpenSegmented(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
 	inj := faultfs.NewInjector()
-	db.AttachJournal(faultfs.WrapSegmentedJournal(seg, inj), dir)
+	attachFaultJournal(t, db, dir, inj)
 
 	clip, err := db.Ingest("clip", genVideo(6, 8), IngestOptions{})
 	if err != nil {
@@ -453,30 +445,32 @@ func TestCheckpointCompactFaultIsTruncateSentinel(t *testing.T) {
 	}
 }
 
-// TestSaveLegacyJournalResetFault: with a legacy single-file journal
-// attached, a truncation failure after a durable snapshot reports the
-// typed ErrJournalTruncate, and a retry succeeds.
-func TestSaveLegacyJournalResetFault(t *testing.T) {
+// TestSaveCompactFaultIsTruncateSentinel: a full Save whose snapshot
+// and manifest are durable but whose segment compaction fails reports
+// the typed ErrJournalTruncate; a retry succeeds and removes what the
+// first attempt left.
+func TestSaveCompactFaultIsTruncateSentinel(t *testing.T) {
 	dir := t.TempDir()
 	store, err := blob.OpenFileStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	db := New(store)
-	j, err := wal.Open(JournalFile(dir), wal.WithBatchWindow(0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	inj := faultfs.NewInjector(faultfs.Rule{Op: "journal.reset", Nth: 1})
-	db.AttachJournal(faultfs.WrapJournal(j, inj), dir)
+	attachFaultJournal(t, db, dir, faultfs.NewInjector(faultfs.Rule{Op: "journal.compact", Nth: 1}))
 	if _, err := db.Ingest("clip", genVideo(4, 6), IngestOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	if err := db.Save(dir); !errors.Is(err, ErrJournalTruncate) {
-		t.Fatalf("reset fault: err = %v, want ErrJournalTruncate", err)
+		t.Fatalf("compact fault: err = %v, want ErrJournalTruncate", err)
+	}
+	if m := db.Manifest(); m == nil || m.CheckpointSeq != db.Seq() {
+		t.Fatalf("manifest after the faulted save = %+v, want seq %d covered", m, db.Seq())
 	}
 	if err := db.Save(dir); err != nil {
 		t.Fatal(err)
+	}
+	if segs, _ := wal.ListSegments(dir); len(segs) != 1 {
+		t.Errorf("segments after the retry = %v, want the active one only", segs)
 	}
 }
 

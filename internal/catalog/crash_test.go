@@ -460,12 +460,7 @@ func TestFaultJournalAppendRollsBack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	inner, err := wal.Open(JournalFile(dir))
-	if err != nil {
-		t.Fatal(err)
-	}
-	inj := faultfs.NewInjector(faultfs.Rule{Op: "journal.append", Nth: 1})
-	db.AttachJournal(faultfs.WrapJournal(inner, inj), dir)
+	attachFaultJournal(t, db, dir, faultfs.NewInjector(faultfs.Rule{Op: "journal.append", Nth: 1}))
 	// Journal-less mutations consume seqs too (they stamp version
 	// chains), so the skip-the-failed-seq check is relative to here.
 	base := db.Seq()
@@ -506,17 +501,9 @@ func TestFaultJournalAppendRollsBack(t *testing.T) {
 	// reused: a record that failed only at fsync can still be on disk
 	// intact, and a duplicate seq would make replay skip the
 	// acknowledged record in favor of the rolled-back one.
-	var recs []*walOp
-	res, err := wal.Replay(JournalFile(dir), func(d []byte) error {
-		rec, derr := decodeOp(d)
-		if derr != nil {
-			return derr
-		}
-		recs = append(recs, rec)
-		return nil
-	})
-	if err != nil || len(recs) != 1 || res.Torn {
-		t.Fatalf("journal: recs=%d res=%+v err=%v", len(recs), res, err)
+	recs := journalRecords(t, dir)
+	if len(recs) != 1 {
+		t.Fatalf("journal holds %d records, want 1", len(recs))
 	}
 	if recs[0].Seq != base+2 {
 		t.Errorf("seq = %d, want %d (failed append's sequence number reused)", recs[0].Seq, base+2)
@@ -535,11 +522,7 @@ func TestFaultDeleteNotJournaledWhenRefused(t *testing.T) {
 	if _, err := db.SelectDuration(clip, "cut", 0, 2); err != nil {
 		t.Fatal(err)
 	}
-	inner, err := wal.Open(JournalFile(dir))
-	if err != nil {
-		t.Fatal(err)
-	}
-	db.AttachJournal(inner, dir)
+	attachFaultJournal(t, db, dir, faultfs.NewInjector())
 
 	if err := db.Delete(clip); !errors.Is(err, ErrInUse) {
 		t.Fatalf("delete referenced: %v", err)
@@ -547,11 +530,39 @@ func TestFaultDeleteNotJournaledWhenRefused(t *testing.T) {
 	if err := db.CloseJournal(); err != nil {
 		t.Fatal(err)
 	}
-	res, err := wal.Replay(JournalFile(dir), func([]byte) error {
-		t.Error("refused delete reached the journal")
-		return nil
-	})
-	if err != nil || res.Records != 0 {
-		t.Fatalf("res=%+v err=%v", res, err)
+	if recs := journalRecords(t, dir); len(recs) != 0 {
+		t.Errorf("refused delete reached the journal: %d records", len(recs))
 	}
+}
+
+// attachFaultJournal attaches dir's segmented journal to db behind a
+// fault injector, without replaying it.
+func attachFaultJournal(t *testing.T, db *DB, dir string, inj *faultfs.Injector) {
+	t.Helper()
+	seg, err := wal.OpenSegmented(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	db.AttachJournal(faultfs.WrapJournal(seg, inj), dir)
+}
+
+// journalRecords decodes every record in dir's WAL segments, failing
+// the test on a torn segment.
+func journalRecords(t *testing.T, dir string) []*walOp {
+	t.Helper()
+	var recs []*walOp
+	results, err := wal.ReplaySegments(dir, func(d []byte) error {
+		rec, err := decodeOp(d)
+		recs = append(recs, rec)
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range results {
+		if r.Torn {
+			t.Fatalf("segment %d is torn at %d", r.Index, r.TornOffset)
+		}
+	}
+	return recs
 }

@@ -10,7 +10,6 @@ import (
 
 	"timedmedia/internal/blob"
 	"timedmedia/internal/core"
-	"timedmedia/internal/durable"
 	"timedmedia/internal/interp"
 	"timedmedia/internal/timebase"
 	"timedmedia/internal/wal"
@@ -35,17 +34,6 @@ import (
 // on. Replay itself stays order-tolerant (one fixed sequence base for
 // the whole log, not a running maximum) so logs written by earlier
 // versions, whose group commits could reorder frames, still recover.
-//
-// Databases written before segmentation keep their single
-// dir/journal.log; it replays first (its records predate every
-// segment) and the first successful checkpoint removes it.
-
-const journalName = "journal.log"
-
-// JournalFile returns the pre-segmentation single-file journal path
-// inside a database directory. Current journals are WAL segments named
-// by wal.SegmentFile.
-func JournalFile(dir string) string { return filepath.Join(dir, journalName) }
 
 // ErrJournal wraps journal append failures: the mutation was rolled
 // back and the catalog is unchanged.
@@ -160,11 +148,10 @@ func (db *DB) JournalStats() wal.StatsSnapshot {
 	return j.Stats()
 }
 
-// OpenJournal replays any existing journal at dir — the legacy
-// single-file journal.log first, then the WAL segments — into the
-// catalog (records already captured by the loaded snapshot are skipped
-// via their sequence numbers) and then attaches the segmented journal
-// so subsequent mutations are logged. Call it after Load or New;
+// OpenJournal replays the WAL segments found at dir into the catalog
+// (records already captured by the loaded snapshot are skipped via
+// their sequence numbers) and then attaches the journal so subsequent
+// mutations are logged. Call it after Load or New;
 // mutations made before OpenJournal are not journaled.
 func (db *DB) OpenJournal(dir string) error {
 	db.mu.Lock()
@@ -195,9 +182,9 @@ func (db *DB) attachJournalLocked(dir string) error {
 }
 
 // AttachJournal attaches a pre-opened journal (fault-injection tests
-// wrap a real journal in faultfs). No replay is performed; dir names
-// the database directory the journal belongs to, so Save(dir) knows
-// to truncate it.
+// wrap the segmented journal in faultfs). No replay is performed; dir
+// names the database directory the journal belongs to, so Save(dir)
+// and Checkpoint(dir) know to rotate and compact it.
 func (db *DB) AttachJournal(j wal.Appender, dir string) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
@@ -287,20 +274,17 @@ func (db *DB) syncBlob(id blob.ID) error {
 	return nil
 }
 
-// replayAllLocked replays every journal generation found at dir: the
-// legacy single-file journal.log first (its records predate every
-// segment), then the WAL segments in index order. One sequence base is
-// fixed up front for the whole log — records already captured by the
-// snapshot/chain are identified against that base, not a running
+// replayAllLocked replays the WAL segments found at dir in index
+// order and then settles what the store turned out not to have
+// (checkLostBlobs) — the last step of every recovery. One sequence
+// base is fixed up front for the whole log — records already captured
+// by the snapshot/chain are identified against that base, not a running
 // maximum: logs written before log order was pinned to sequence order
 // (see enqueueLocked) could hold reordered frames (seq 5 preceding
 // seq 3), and neighboring seqs may land in different segments across
 // a rotation. Assumes db.mu is held (or the DB is not yet shared).
 func (db *DB) replayAllLocked(dir string) error {
 	base := db.seq
-	if err := db.replayFileLocked(JournalFile(dir), base); err != nil {
-		return err
-	}
 	results, err := wal.ReplaySegments(dir, func(data []byte) error {
 		return db.applyWalLocked(base, data)
 	})
@@ -324,25 +308,7 @@ func (db *DB) replayAllLocked(dir string) error {
 			return err
 		}
 	}
-	return nil
-}
-
-// replayFileLocked replays one single-file journal against a fixed
-// sequence base. Assumes db.mu is held (or the DB is not yet shared).
-func (db *DB) replayFileLocked(path string, base uint64) error {
-	res, err := wal.Replay(path, func(data []byte) error {
-		return db.applyWalLocked(base, data)
-	})
-	if err != nil {
-		return err
-	}
-	if res.Torn {
-		db.recovery.JournalTorn = true
-		if err := wal.TruncateAt(path, res.TornOffset); err != nil {
-			return err
-		}
-	}
-	return nil
+	return db.checkLostBlobs()
 }
 
 // applyWalLocked applies one journal record, skipping records the
@@ -381,22 +347,26 @@ func (db *DB) applyWalLocked(base uint64, data []byte) error {
 // applyOpLocked applies one decoded journal record to the in-memory
 // graph — the shared core of crash replay (applyWalLocked) and
 // replication apply (ApplyReplicated). It neither checks sequence
-// numbers nor advances db.seq; callers own both. Assumes db.mu is
-// held.
+// numbers nor advances db.seq; callers own both. A record that cannot
+// apply because the store no longer has a BLOB it needs is remembered,
+// not failed (see applyLostLocked). Assumes db.mu is held.
 func (db *DB) applyOpLocked(rec *walOp) error {
+	if db.applyLostLocked(rec) {
+		return nil
+	}
 	switch rec.Kind {
 	case opInterp:
 		var exp interp.Exported
 		if err := gob.NewDecoder(bytes.NewReader(rec.Interp)).Decode(&exp); err != nil {
 			return fmt.Errorf("%w: interpretation record: %v", ErrReplay, err)
 		}
-		var b blob.BLOB
-		if err := durable.Retry(storeRetries, storeRetryBase, func() error {
-			var e error
-			b, e = db.store.Open(exp.BlobID)
-			return e
-		}); err != nil {
-			return fmt.Errorf("%w: interpretation of missing %v: %v", ErrReplay, exp.BlobID, err)
+		b, err := db.openBlob(exp.BlobID)
+		if errors.Is(err, blob.ErrNotFound) {
+			db.lostBlobs[exp.BlobID] = err
+			return nil
+		}
+		if err != nil {
+			return fmt.Errorf("%w: %v", ErrReplay, err)
 		}
 		it, err := interp.Import(&exp, b)
 		if err != nil {
@@ -439,4 +409,53 @@ func (db *DB) applyOpLocked(rec *walOp) error {
 		return fmt.Errorf("%w: unknown op %q", ErrReplay, rec.Kind)
 	}
 	return nil
+}
+
+// applyLostLocked is the journal's half of the missing-BLOB rule (the
+// snapshot loader's is in applyStream): an acknowledged delete collects
+// its BLOB at once, while records older than the delete still name it.
+// A record that reads something remembered as lost — a non-derived
+// object its BLOB, a derivation an input, a composition a component, a
+// sync its object — cannot be rebuilt and is remembered by ID with the
+// store's error instead of failing the replay; the delete of a
+// remembered ID disposes of it and raises the version floor, as
+// appendInterpTombstone does for history that did not survive. What is
+// still remembered when replay ends fails it (checkLostBlobs). Reports
+// whether rec was dealt with. Assumes db.mu is held.
+func (db *DB) applyLostLocked(rec *walOp) bool {
+	if len(db.lostBlobs) == 0 {
+		return false // the usual case: an object is only ever lost through a BLOB
+	}
+	var cause error
+	reads := rec.Inputs
+	switch rec.Kind {
+	case opNonDerived:
+		cause = db.lostBlobs[rec.Blob]
+	case opMultimedia:
+		for _, c := range rec.Comps {
+			reads = append(reads, c.Object)
+		}
+	case opSync, opDelete:
+		reads = []core.ID{rec.ID}
+	}
+	for _, id := range reads {
+		if err, lost := db.lostObjs[id]; lost {
+			cause = err
+		}
+	}
+	switch {
+	case cause == nil:
+		return false
+	case rec.Kind == opDelete:
+		delete(db.lostObjs, rec.ID)
+		e := db.beginEditLocked()
+		e.raiseFloor(rec.Seq)
+		db.commitEditLocked(e)
+	case rec.Kind != opSync:
+		db.lostObjs[rec.ID] = cause
+		if rec.ID >= db.nextID {
+			db.nextID = rec.ID + 1 // IDs are never re-used, lost ones included
+		}
+	}
+	return true
 }

@@ -25,7 +25,7 @@ import (
 //
 // Crash safety (see internal/durable, internal/wal and checkpoint.go):
 //
-//   - Snapshots are streamed through the chunked v2 container (per-
+//   - Snapshots are streamed through the chunked container (per-
 //     chunk CRC-32C plus a whole-stream trailer), written to a temp
 //     file, fsynced, renamed into place, and the directory is fsynced —
 //     with the previous good snapshot retained as catalog.gob.bak.
@@ -183,8 +183,8 @@ func (db *DB) captureFullLocked() (*snapCapture, error) {
 // Save writes the catalog's object graph and interpretations durably
 // to dir/catalog.gob as a streamed, checksummed container: temp-file
 // write, fsync, atomic rename with the previous snapshot kept as
-// catalog.gob.bak, and a directory fsync. With a segmented journal
-// attached for dir, Save is a full checkpoint: the WAL rotates at the
+// catalog.gob.bak, and a directory fsync. With a journal attached for
+// dir, Save is a full checkpoint: the WAL rotates at the
 // capture boundary, the MANIFEST records the covered sequence (and an
 // empty checkpoint chain), and covered segments are compacted. The
 // catalog lock is released before any encode or fsync — writers only
@@ -214,51 +214,20 @@ func (db *DB) saveLocked(dir string) error {
 	db.commitGate.Lock()
 	db.mu.RLock()
 	db.commitGate.Unlock()
-	attached := db.wal != nil && db.walDir == filepath.Clean(dir)
-	rot, rotatable := db.wal.(rotator)
-
-	if !attached {
-		// No journal for dir: snapshot only, nothing to truncate and no
-		// manifest to maintain.
-		cap, err := db.captureFullLocked()
-		db.mu.RUnlock()
-		if err != nil {
-			return err
-		}
-		_, err = writeCapture(SnapshotFile(dir), cap)
-		return err
-	}
-
-	if !rotatable {
-		// Legacy single-file journal (fault-injection wrappers): the
-		// only safe truncation point is while the lock still excludes
-		// new appends, so hold it through encode and reset.
-		defer db.mu.RUnlock()
-		cap, err := db.captureFullLocked()
-		if err != nil {
-			return err
-		}
-		size, err := writeCapture(SnapshotFile(dir), cap)
-		if err != nil {
-			return err
-		}
-		if err := db.wal.Reset(); err != nil {
-			// The snapshot is durable; stale journal records are
-			// skipped on replay via their sequence numbers. Still
-			// report it — the journal will grow unboundedly.
-			return fmt.Errorf("%w: %v", ErrJournalTruncate, err)
-		}
-		db.takeDirtyLocked() // the full snapshot covers everything
-		db.observeCheckpoint(start, true, size)
-		return nil
-	}
-
 	cap, err := db.captureFullLocked()
 	if err != nil {
 		db.mu.RUnlock()
 		return err
 	}
-	sealed, err := rot.Rotate()
+	j := db.wal
+	if j == nil || db.walDir != filepath.Clean(dir) {
+		// No journal for dir: snapshot only, nothing to compact and no
+		// manifest to maintain.
+		db.mu.RUnlock()
+		_, err = writeCapture(SnapshotFile(dir), cap)
+		return err
+	}
+	sealed, err := j.Rotate()
 	if err != nil {
 		db.mu.RUnlock()
 		return fmt.Errorf("catalog: snapshot rotate: %w", err)
@@ -287,7 +256,7 @@ func (db *DB) saveLocked(dir string) error {
 	db.manifest = nm
 	db.hook("manifest")
 
-	err = db.compactCoveredLocked(dir, rot, sealed, nil)
+	err = db.compactCoveredLocked(dir, j, sealed, nil)
 	db.observeCheckpoint(start, true, size)
 	return err
 }
@@ -412,9 +381,9 @@ func (db *DB) applyCheckpointChain(dir string, m *wal.Manifest) (bool, error) {
 // full replay) → catalog.gob (corrupt → quarantined, catalog.gob.bak
 // used; intact but in another format → ErrSnapshotFormat, file left in
 // place) → incremental checkpoint chain (already-covered deltas skip by
-// sequence; a gap marks the chain broken) → legacy journal.log → WAL
-// segments in index order, with a torn tail truncated → the lost-BLOB
-// check (checkLostBlobs). What happened is reported via
+// sequence; a gap marks the chain broken) → WAL segments in index
+// order, with a torn tail truncated → the lost-BLOB check
+// (checkLostBlobs). What happened is reported via
 // (*DB).Recovery. Load does not attach the journal for writing — call
 // OpenJournal to log new mutations.
 func Load(dir string, store blob.Store, opts ...Option) (*DB, error) {
@@ -471,9 +440,6 @@ func Load(dir string, store blob.Store, opts ...Option) (*DB, error) {
 	db.relinkAllLocked()
 
 	if err := db.replayAllLocked(dir); err != nil {
-		return nil, err
-	}
-	if err := db.checkLostBlobs(); err != nil {
 		return nil, err
 	}
 	return db, nil

@@ -2,10 +2,13 @@ package catalog
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/gob"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -221,13 +224,196 @@ func TestReopenAfterLastReaderDeleted(t *testing.T) {
 			if got := v.VersionFloor(); got != delSeq {
 				t.Errorf("version floor = %d, want the delete's seq %d", got, delSeq)
 			}
-			if db2.lostBlobs != nil {
+			if len(db2.lostBlobs) != 0 {
 				t.Errorf("lost-BLOB memory outlived Load: %v", db2.lostBlobs)
 			}
 			if err := db2.CloseJournal(); err != nil {
 				t.Fatal(err)
 			}
 		})
+	}
+}
+
+// TestReopenAfterJournaledReaderDeleted: the journal's half of the
+// lost-BLOB rule. A delete collects its BLOB at once, and the records
+// older than the delete that name it — the registration, readers, what
+// was built on them — may be in the journal, not in a snapshot. The
+// directory must reopen and go on taking writes and checkpoints, and a
+// follower shipped the same records must apply them (and reopen too).
+func TestReopenAfterJournaledReaderDeleted(t *testing.T) {
+	must := func(err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	for name, history := range map[string]func(db *DB, save func()){
+		// Replay meets the interp record first; a cut, a composition and a
+		// sync hang off the clip.
+		"ingest then delete": func(db *DB, _ func()) {
+			clip, err := db.Ingest("clip", genVideo(3, 53), IngestOptions{})
+			must(err)
+			cut, err := db.SelectDuration(clip, "cut", 0, 2)
+			must(err)
+			mm, err := db.AddMultimedia("mm", timebase.Millis, []core.ComponentRef{{Object: clip}, {Object: cut, Start: 40}}, nil)
+			must(err)
+			must(db.AddSync(mm, 0, 1, 10))
+			must(db.Delete(mm))
+			must(db.Delete(cut))
+			must(db.Delete(clip))
+		},
+		// The snapshot names the registration and its first reader; a
+		// second reader and both deletes follow in the journal.
+		"second reader of a snapshotted BLOB": func(db *DB, save func()) {
+			clip, err := db.Ingest("clip", genVideo(3, 54), IngestOptions{})
+			must(err)
+			save()
+			obj, err := db.Get(clip)
+			must(err)
+			second, err := db.AddNonDerived("second", obj.Blob, obj.Track, nil)
+			must(err)
+			must(db.Delete(clip))
+			must(db.Delete(second))
+		},
+	} {
+		// run plays the history on a fresh primary beside a clip that stays.
+		run := func(save bool) (*DB, string) {
+			dir := t.TempDir()
+			db := openDB(t, dir)
+			_, err := db.Ingest("keep", genVideo(3, 55), IngestOptions{})
+			must(err)
+			history(db, func() {
+				if save {
+					must(db.Save(dir))
+				}
+			})
+			must(db.CloseJournal())
+			return db, dir
+		}
+		check := func(got, want *DB) {
+			t.Helper()
+			v := got.CurrentView()
+			if _, err := got.Lookup("keep"); err != nil || got.Len() != 1 || got.Seq() != want.Seq() || v.VersionFloor() != want.Seq() {
+				t.Errorf("%s: %d objects (keep: %v) at seq %d, floor %d; want 1 at seq and floor %d",
+					name, got.Len(), err, got.Seq(), v.VersionFloor(), want.Seq())
+			}
+			if err := v.VerifyVersions(); err != nil {
+				t.Errorf("%s: %v", name, err)
+			}
+			if err := v.VerifyIndexes(); err != nil {
+				t.Errorf("%s: %v", name, err)
+			}
+			if len(got.lostObjs) != 0 {
+				t.Errorf("%s: deleted objects still remembered as lost: %v", name, got.lostObjs)
+			}
+		}
+
+		primary, dir := run(true)
+		db := openDB(t, dir)
+		check(db, primary)
+		if len(db.lostBlobs) != 0 {
+			t.Errorf("%s: lost-BLOB memory outlived the open: %v", name, db.lostBlobs)
+		}
+		_, err := db.Ingest("clip", genVideo(3, 56), IngestOptions{}) // the deleted name is free again
+		must(err)
+		must(db.Checkpoint(dir))
+		must(db.CloseJournal())
+		if again := openDB(t, dir); again.Len() != 2 {
+			t.Errorf("%s: %d objects after a checkpoint and a second reopen, want 2", name, again.Len())
+		}
+
+		// The replicated-apply twin: no checkpoint, so the whole history
+		// ships; the follower reads the primary's store as it is now, the
+		// deleted clip's BLOB gone.
+		primary, dir = run(false)
+		follower := New(primary.Store())
+		fdir := t.TempDir()
+		must(follower.OpenJournal(fdir))
+		_, err = wal.ReplaySegments(dir, func(rec []byte) error {
+			_, err := follower.ApplyReplicated(rec)
+			return err
+		})
+		must(err)
+		check(follower, primary)
+		must(follower.CloseJournal())
+		reopened, err := Open(fdir, primary.Store())
+		must(err)
+		check(reopened, primary)
+	}
+}
+
+// writeFormatFixtureHistory runs the fixed history behind
+// testdata/format_pr20 in dir: a full snapshot, one delta over it with a
+// delete that collects a BLOB the snapshot names, and a journal tail.
+func writeFormatFixtureHistory(t *testing.T, dir string) {
+	t.Helper()
+	db := openDB(t, dir)
+	gone, err := db.Ingest("gone", genVideo(2, 92), IngestOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	clip := savedClip(t, db, dir, "clip", 91) // with six cuts, then Save
+	if _, err := db.SelectDuration(clip, "late", 1, 2); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Delete(gone); err != nil {
+		t.Fatal(err)
+	}
+	checkpointDelta(t, db, dir)
+	if _, err := db.SelectDuration(clip, "later", 0, 1); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.CloseJournal(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestRecoverFormatFixture pins the on-disk format across the deletion
+// of the older generations: testdata/format_pr20 is what the last commit
+// that still read them wrote for the fixture history. It must open —
+// snapshot, delta chain, MANIFEST, segments, BLOBs — and this tree must
+// write the same bytes for the same history.
+func TestRecoverFormatFixture(t *testing.T) {
+	const fixture = "testdata/format_pr20"
+	dir := t.TempDir()
+	copyTree(t, fixture, dir)
+	db := openDB(t, dir)
+	rec := db.Recovery()
+	if !rec.SnapshotLoaded || rec.UsedBackup || rec.Quarantined != "" || rec.ManifestCorrupt ||
+		rec.CheckpointChainBroken || rec.CheckpointsApplied != 1 || rec.JournalRecords != 1 || rec.JournalTorn {
+		t.Errorf("recovery of the fixture = %+v", rec)
+	}
+	for _, name := range []string{"clip", "clip-cut0", "clip-cut5", "late", "later"} {
+		if _, err := db.Lookup(name); err != nil {
+			t.Errorf("%s: %v", name, err)
+		}
+	}
+	if _, err := db.Lookup("gone"); !errors.Is(err, ErrNotFound) || db.Len() != 9 {
+		t.Errorf("%d objects (deleted one: %v), want 9 and not found", db.Len(), err)
+	}
+	if err := db.VerifyIndexes(); err != nil {
+		t.Error(err)
+	}
+	if err := db.CurrentView().VerifyVersions(); err != nil {
+		t.Error(err)
+	}
+	if err := db.CloseJournal(); err != nil {
+		t.Fatal(err)
+	}
+
+	fresh := t.TempDir()
+	writeFormatFixtureHistory(t, fresh)
+	was, _ := os.ReadDir(fixture)
+	now, _ := os.ReadDir(fresh)
+	if len(now) != len(was) || len(was) == 0 {
+		t.Errorf("the history leaves %d files, the fixture has %d", len(now), len(was))
+	}
+	for _, e := range was {
+		a, _ := os.ReadFile(filepath.Join(fixture, e.Name()))
+		b, err := os.ReadFile(filepath.Join(fresh, e.Name()))
+		if err != nil || !bytes.Equal(a, b) {
+			t.Errorf("%s: %d bytes written now (%v), %d in the fixture, or they differ", e.Name(), len(b), err, len(a))
+		}
 	}
 }
 
@@ -285,10 +471,13 @@ func writeV2(t testing.TB, path string, payload []byte) {
 	}
 }
 
-// TestForeignSnapshotFormatRefused: a healthy file in a format this
-// build does not read is refused as ErrSnapshotFormat and left where
-// it is — not called damage, not quarantined, no backup taken in its
-// place. Bytes with no container at all are damage like any other.
+// TestForeignSnapshotFormatRefused: a healthy container whose payload
+// is in a format this build does not read is refused as
+// ErrSnapshotFormat and left where it is — not called damage, not
+// quarantined, no backup taken in its place. Bytes with no container
+// around them — the retired v1 frame included — are damage like any
+// other: quarantined with the backup used as the base snapshot, a
+// broken chain as a checkpoint file.
 func TestForeignSnapshotFormatRefused(t *testing.T) {
 	var oldGob bytes.Buffer
 	// The shape of the pre-streaming payload: one gob value.
@@ -309,10 +498,15 @@ func TestForeignSnapshotFormatRefused(t *testing.T) {
 	}{
 		{"TBMCATS1 in a v2 container", func(t *testing.T, p string) { writeV2(t, p, cats1) }, ErrSnapshotFormat, "TBMCATS1"},
 		{"whole-catalog gob in a v1 frame", func(t *testing.T, p string) {
-			if err := os.WriteFile(p, durable.EncodeFrame(oldGob.Bytes()), 0o644); err != nil {
+			// magic, version 1, length, payload, CRC-32C over all but the magic
+			frame := append([]byte("TBMSNAP\x31"), 0, 0, 0, 1)
+			frame = binary.BigEndian.AppendUint64(frame, uint64(oldGob.Len()))
+			frame = append(frame, oldGob.Bytes()...)
+			frame = binary.BigEndian.AppendUint32(frame, crc32.Checksum(frame[8:], crc32.MakeTable(crc32.Castagnoli)))
+			if err := os.WriteFile(p, frame, 0o644); err != nil {
 				t.Fatal(err)
 			}
-		}, ErrSnapshotFormat, string(oldGob.Bytes()[:8])},
+		}, ErrCorruptSnapshot, ""},
 		{"short payload in a v2 container", func(t *testing.T, p string) { writeV2(t, p, []byte("TBM")) }, ErrSnapshotFormat, "TBM"},
 		{"bare bytes", func(t *testing.T, p string) {
 			if err := os.WriteFile(p, cats1, 0o644); err != nil {
@@ -382,39 +576,50 @@ func TestForeignSnapshotFormatRefused(t *testing.T) {
 
 // TestRecoverLoadMissingBlobUnderDelta: the lost-BLOB rule forgives
 // only what a delete explains. With the BLOB file of a still-live
-// object removed by hand, Load fails with the store's error even when
-// a checkpoint chain and a journal follow the base.
+// object removed by hand, opening fails with the store's error — when a
+// checkpoint chain and a journal follow the base, and when the clip
+// exists only as journal records.
 func TestRecoverLoadMissingBlobUnderDelta(t *testing.T) {
-	dir := t.TempDir()
-	db := openDB(t, dir)
-	clip := savedClip(t, db, dir, "clip", 71)
-	if _, err := db.SelectDuration(clip, "late", 0, 2); err != nil {
-		t.Fatal(err)
-	}
-	checkpointDelta(t, db, dir)
-	if _, err := db.SelectDuration(clip, "later", 0, 2); err != nil {
-		t.Fatal(err)
-	}
-	if err := db.CloseJournal(); err != nil {
-		t.Fatal(err)
-	}
-	obj, err := db.Get(clip)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := db.Store().Delete(obj.Blob); err != nil {
-		t.Fatal(err)
-	}
-	fs, err := blob.OpenFileStore(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer fs.Close()
-	if _, err := Load(dir, fs); !errors.Is(err, blob.ErrNotFound) || !strings.Contains(err.Error(), "missing") {
-		t.Fatalf("Load over a hand-removed BLOB = %v, want the store's not-found error", err)
-	}
-	if _, serr := os.Stat(SnapshotFile(dir)); serr != nil {
-		t.Errorf("snapshot quarantined on a store error: %v", serr)
+	for _, journalOnly := range []bool{false, true} {
+		dir := t.TempDir()
+		db := openDB(t, dir)
+		var clip core.ID
+		if journalOnly {
+			var err error
+			if clip, err = db.Ingest("clip", genVideo(4, 71), IngestOptions{}); err != nil {
+				t.Fatal(err)
+			}
+		} else {
+			clip = savedClip(t, db, dir, "clip", 71)
+			if _, err := db.SelectDuration(clip, "late", 0, 2); err != nil {
+				t.Fatal(err)
+			}
+			checkpointDelta(t, db, dir)
+		}
+		if _, err := db.SelectDuration(clip, "later", 0, 2); err != nil {
+			t.Fatal(err)
+		}
+		if err := db.CloseJournal(); err != nil {
+			t.Fatal(err)
+		}
+		obj, err := db.Get(clip)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := db.Store().Delete(obj.Blob); err != nil {
+			t.Fatal(err)
+		}
+		fs, err := blob.OpenFileStore(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer fs.Close()
+		if _, err := Open(dir, fs); !errors.Is(err, blob.ErrNotFound) || !strings.Contains(err.Error(), "missing") {
+			t.Fatalf("journal only %v: Open over a hand-removed BLOB = %v, want the store's not-found error", journalOnly, err)
+		}
+		if _, serr := os.Stat(SnapshotFile(dir)); serr != nil && !journalOnly {
+			t.Errorf("snapshot quarantined on a store error: %v", serr)
+		}
 	}
 }
 
@@ -438,11 +643,7 @@ func TestFaultSyncRollbackKeepsChainAtRetentionOne(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	inner, err := wal.Open(JournalFile(dir))
-	if err != nil {
-		t.Fatal(err)
-	}
-	db.AttachJournal(faultfs.WrapJournal(inner, faultfs.NewInjector(faultfs.Rule{Op: "journal.append", Nth: 1})), dir)
+	attachFaultJournal(t, db, dir, faultfs.NewInjector(faultfs.Rule{Op: "journal.append", Nth: 1}))
 	if err := db.AddSync(mm, 0, 1, 10); !errors.Is(err, ErrJournal) {
 		t.Fatalf("AddSync with failing journal: %v, want ErrJournal", err)
 	}

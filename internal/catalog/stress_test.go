@@ -10,7 +10,6 @@ import (
 	"timedmedia/internal/blob"
 	"timedmedia/internal/core"
 	"timedmedia/internal/faultfs"
-	"timedmedia/internal/wal"
 )
 
 // TestCrashStressConcurrentMutators hammers the journaled write path
@@ -43,12 +42,8 @@ func TestCrashStressConcurrentMutators(t *testing.T) {
 			t.Fatal(err)
 		}
 		db := New(fs)
-		inner, err := wal.Open(JournalFile(dir))
-		if err != nil {
-			t.Fatal(err)
-		}
 		inj := faultfs.NewInjector()
-		db.AttachJournal(faultfs.WrapJournal(inner, inj), dir)
+		attachFaultJournal(t, db, dir, inj)
 
 		clip, err := db.Ingest("clip", genVideo(8, int64(it)), IngestOptions{})
 		if err != nil {
@@ -236,7 +231,7 @@ func TestCrashStressConcurrentMutators(t *testing.T) {
 		// iterations stay under the open-file limit.
 		db2.CloseJournal()
 		fs2.Close()
-		inner.Close()
+		db.CloseJournal()
 		fs.Close()
 	}
 }

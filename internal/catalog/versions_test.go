@@ -12,7 +12,6 @@ import (
 	"timedmedia/internal/interp"
 	"timedmedia/internal/media"
 	"timedmedia/internal/timebase"
-	"timedmedia/internal/wal"
 )
 
 // obj is a minimal object literal for chain primitive tests.
@@ -294,12 +293,7 @@ func TestFaultSyncRollbackRewritesVersionChain(t *testing.T) {
 	}
 	mmSeq := db.Seq()
 
-	inner, err := wal.Open(JournalFile(dir))
-	if err != nil {
-		t.Fatal(err)
-	}
-	inj := faultfs.NewInjector(faultfs.Rule{Op: "journal.append", Nth: 1})
-	db.AttachJournal(faultfs.WrapJournal(inner, inj), dir)
+	attachFaultJournal(t, db, dir, faultfs.NewInjector(faultfs.Rule{Op: "journal.append", Nth: 1}))
 
 	if err := db.AddSync(mm, 0, 1, 10); !errors.Is(err, ErrJournal) {
 		t.Fatalf("AddSync with failing journal: %v, want ErrJournal", err)

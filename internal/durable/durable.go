@@ -1,99 +1,39 @@
 // Package durable provides crash-safe file persistence primitives for
-// the catalog: checksummed snapshot framing, atomic-rename writes with
-// file and directory fsync, previous-good backup rotation with
-// quarantine of corrupt files, and retry-with-backoff for transient
-// store errors.
+// the catalog: a checksummed, chunked snapshot container (stream.go),
+// the one atomic file replacement every durable file goes through
+// (ReplaceFile), quarantine of corrupt files, directory locks, and
+// retry-with-backoff for transient store errors. It imports nothing
+// internal, so the journal and the catalog both build on it.
 //
 // The paper argues media belongs in the database rather than in opaque
 // files; a database that loses data on power failure is no database at
 // all. Every write here follows the classic sequence: write tmp,
 // fsync(tmp), rotate previous good file to .bak, rename(tmp, target),
 // fsync(parent dir). A crash at any point leaves either the old
-// snapshot, the new snapshot, or the .bak — never a torn target.
+// file, the new file, or the .bak — never a torn target.
 package durable
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"os"
 	"path/filepath"
 	"time"
 )
 
-// Snapshot frame layout:
-//
-//	magic   [8]byte  "TBMSNAP1"
-//	version uint32   format version (currently 1)
-//	length  uint64   payload length in bytes
-//	payload [length]byte
-//	crc     uint32   CRC-32C over version|length|payload
-//
-// Truncation, bit rot and partially-applied writes all fail the
-// length or CRC check and surface as ErrCorrupt.
-var snapshotMagic = [8]byte{'T', 'B', 'M', 'S', 'N', 'A', 'P', '1'}
-
-// Version is the current snapshot frame format version.
-const Version = 1
-
-const headerLen = 8 + 4 + 8 // magic + version + length
-const trailerLen = 4        // crc
-
 // Errors.
 var (
-	// ErrCorrupt reports a snapshot frame that failed validation:
-	// truncated, bit-flipped, or torn mid-write.
+	// ErrCorrupt reports a snapshot container that failed validation:
+	// truncated, bit-flipped, torn mid-write, or not a container at all.
 	ErrCorrupt = errors.New("durable: corrupt snapshot")
-	// ErrNoMagic reports a file that does not start with the snapshot
-	// magic — typically a legacy (pre-framing) file the caller may
-	// still know how to decode.
-	ErrNoMagic = errors.New("durable: no snapshot magic")
 	// ErrTransient marks an error worth retrying: wrap injected or
 	// environmental failures in it (errors.Is) to opt into Retry.
 	ErrTransient = errors.New("durable: transient error")
 )
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
-
-// EncodeFrame wraps payload in the versioned, checksummed snapshot
-// frame.
-func EncodeFrame(payload []byte) []byte {
-	out := make([]byte, headerLen+len(payload)+trailerLen)
-	copy(out, snapshotMagic[:])
-	binary.BigEndian.PutUint32(out[8:], Version)
-	binary.BigEndian.PutUint64(out[12:], uint64(len(payload)))
-	copy(out[headerLen:], payload)
-	crc := crc32.Checksum(out[8:headerLen+len(payload)], castagnoli)
-	binary.BigEndian.PutUint32(out[headerLen+len(payload):], crc)
-	return out
-}
-
-// DecodeFrame validates a snapshot frame and returns its payload.
-// It returns ErrNoMagic when the magic is absent (legacy file) and
-// ErrCorrupt for any truncation, version, length or checksum failure.
-func DecodeFrame(data []byte) ([]byte, error) {
-	if len(data) < 8 || [8]byte(data[:8]) != snapshotMagic {
-		return nil, ErrNoMagic
-	}
-	if len(data) < headerLen+trailerLen {
-		return nil, fmt.Errorf("%w: truncated header (%d bytes)", ErrCorrupt, len(data))
-	}
-	if v := binary.BigEndian.Uint32(data[8:]); v != Version {
-		return nil, fmt.Errorf("%w: unknown version %d", ErrCorrupt, v)
-	}
-	n := binary.BigEndian.Uint64(data[12:])
-	if uint64(len(data)) != headerLen+n+trailerLen {
-		return nil, fmt.Errorf("%w: length %d, file holds %d payload bytes",
-			ErrCorrupt, n, len(data)-headerLen-trailerLen)
-	}
-	payload := data[headerLen : headerLen+n]
-	want := binary.BigEndian.Uint32(data[headerLen+n:])
-	if got := crc32.Checksum(data[8:headerLen+n], castagnoli); got != want {
-		return nil, fmt.Errorf("%w: checksum %08x, want %08x", ErrCorrupt, got, want)
-	}
-	return payload, nil
-}
 
 // SyncDir fsyncs a directory so a preceding rename inside it is
 // durable. Some filesystems reject directory fsync; those errors are
@@ -111,52 +51,46 @@ func SyncDir(dir string) error {
 	return nil
 }
 
-// WriteSnapshot durably replaces path with a framed copy of payload:
-// write path.tmp, fsync it, rotate any existing path to path.bak,
-// rename the tmp into place, and fsync the parent directory. After a
-// crash at any point, ReadSnapshot(path) or ReadSnapshot(path+".bak")
-// yields a complete previous state.
-func WriteSnapshot(path string, payload []byte) error {
+// ReplaceFile durably replaces path with what write produces: write
+// streams into path.tmp, the tmp is fsynced, an existing path rotates
+// to path.bak when keepBackup is set, the tmp renames into place, and
+// the parent directory is fsynced. After a crash at any point path (or
+// path.bak) holds a complete previous state.
+func ReplaceFile(path string, keepBackup bool, write func(io.Writer) error) error {
 	tmp := path + ".tmp"
 	f, err := os.Create(tmp)
 	if err != nil {
 		return fmt.Errorf("durable: %w", err)
 	}
-	if _, err := f.Write(EncodeFrame(payload)); err != nil {
+	fail := func(err error) error {
 		f.Close()
 		os.Remove(tmp)
-		return fmt.Errorf("durable: %w", err)
+		return err
+	}
+	if err := write(f); err != nil {
+		return fail(err)
 	}
 	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("durable: sync %s: %w", tmp, err)
+		return fail(fmt.Errorf("durable: sync %s: %w", tmp, err))
 	}
 	if err := f.Close(); err != nil {
 		os.Remove(tmp)
 		return fmt.Errorf("durable: %w", err)
 	}
-	// Rotate unconditionally and tolerate only a missing target: any
-	// other rotation failure (e.g. EACCES) must abort the write, or the
-	// rename below would replace the old snapshot with no backup
-	// retained.
-	if err := os.Rename(path, path+".bak"); err != nil && !errors.Is(err, os.ErrNotExist) {
-		os.Remove(tmp)
-		return fmt.Errorf("durable: rotate backup: %w", err)
+	if keepBackup {
+		// Rotate unconditionally and tolerate only a missing target: any
+		// other rotation failure (e.g. EACCES) must abort the write, or
+		// the rename below would replace the old file with no backup
+		// retained.
+		if err := os.Rename(path, path+".bak"); err != nil && !errors.Is(err, os.ErrNotExist) {
+			os.Remove(tmp)
+			return fmt.Errorf("durable: rotate backup: %w", err)
+		}
 	}
 	if err := os.Rename(tmp, path); err != nil {
 		return fmt.Errorf("durable: %w", err)
 	}
 	return SyncDir(filepath.Dir(path))
-}
-
-// ReadSnapshot reads and validates the snapshot at path.
-func ReadSnapshot(path string) ([]byte, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("durable: %w", err)
-	}
-	return DecodeFrame(data)
 }
 
 // Quarantine moves a corrupt file aside (path -> path.corrupt,

@@ -1,7 +1,6 @@
 package durable
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"os"
@@ -9,66 +8,6 @@ import (
 	"testing"
 	"time"
 )
-
-func TestFrameRoundTrip(t *testing.T) {
-	for _, payload := range [][]byte{nil, {}, []byte("x"), bytes.Repeat([]byte{0xAB}, 1<<16)} {
-		got, err := DecodeFrame(EncodeFrame(payload))
-		if err != nil {
-			t.Fatalf("decode(%d bytes): %v", len(payload), err)
-		}
-		if !bytes.Equal(got, payload) {
-			t.Errorf("payload mismatch at %d bytes", len(payload))
-		}
-	}
-}
-
-func TestFrameDetectsCorruption(t *testing.T) {
-	frame := EncodeFrame([]byte("the quick brown fox"))
-
-	// Flip one payload byte.
-	bad := append([]byte(nil), frame...)
-	bad[len(bad)-10] ^= 0x01
-	if _, err := DecodeFrame(bad); !errors.Is(err, ErrCorrupt) {
-		t.Errorf("bit flip: %v", err)
-	}
-	// Truncate.
-	if _, err := DecodeFrame(frame[:len(frame)-3]); !errors.Is(err, ErrCorrupt) {
-		t.Errorf("truncation: %v", err)
-	}
-	// Not a snapshot at all.
-	if _, err := DecodeFrame([]byte("plain old gob bytes")); !errors.Is(err, ErrNoMagic) {
-		t.Errorf("no magic: %v", err)
-	}
-	// Bad version.
-	vbad := append([]byte(nil), frame...)
-	vbad[11] = 99
-	if _, err := DecodeFrame(vbad); !errors.Is(err, ErrCorrupt) {
-		t.Errorf("bad version: %v", err)
-	}
-}
-
-func TestWriteSnapshotRotatesBackup(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "snap")
-	if err := WriteSnapshot(path, []byte("v1")); err != nil {
-		t.Fatal(err)
-	}
-	if err := WriteSnapshot(path, []byte("v2")); err != nil {
-		t.Fatal(err)
-	}
-	cur, err := ReadSnapshot(path)
-	if err != nil || string(cur) != "v2" {
-		t.Fatalf("current = %q, %v", cur, err)
-	}
-	bak, err := ReadSnapshot(path + ".bak")
-	if err != nil || string(bak) != "v1" {
-		t.Fatalf("backup = %q, %v", bak, err)
-	}
-	// No temp file left behind.
-	if _, err := os.Stat(path + ".tmp"); !os.IsNotExist(err) {
-		t.Errorf("tmp file survives: %v", err)
-	}
-}
 
 func TestQuarantine(t *testing.T) {
 	dir := t.TempDir()

@@ -1,13 +1,9 @@
 package durable
 
-// Streaming snapshot container (format v2): the v1 frame requires the
-// whole payload in memory to compute one length and one checksum, so
-// Save had to gob-encode the entire catalog into a bytes.Buffer before
-// the first byte hit disk, and Load had to read the file back whole.
-// The v2 container is a sequence of independently checksummed chunks
-// behind an io.Writer/io.Reader pair: encoders stream straight into
-// the file and decoders stream straight out of it, and memory use is
-// bounded by the chunk size, not the catalog size.
+// The snapshot container: a sequence of independently checksummed
+// chunks behind an io.Writer/io.Reader pair, so encoders stream
+// straight into the file and decoders stream straight out of it, and
+// memory use is bounded by the chunk size, not the catalog size.
 //
 // Container layout:
 //
@@ -31,21 +27,19 @@ package durable
 //	total  uint64   total payload bytes across all chunks
 //
 // A torn write (crash mid-stream) leaves a file without a valid
-// trailer and fails decode with ErrCorrupt, exactly like a torn v1
-// frame; the atomic-rename write path below means readers only ever
-// see complete containers anyway, and the .bak holds the previous
-// generation.
+// trailer and fails decode with ErrCorrupt; the atomic-rename write
+// path (ReplaceFile) means readers only ever see complete containers
+// anyway, and the .bak holds the previous generation. A file that does
+// not open with the magic is ErrCorrupt like any other damage.
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
 	"os"
-	"path/filepath"
 )
 
 var streamMagic = [8]byte{'T', 'B', 'M', 'S', 'N', 'A', 'P', '2'}
@@ -77,7 +71,7 @@ type ChunkWriter struct {
 	err     error
 }
 
-// NewChunkWriter starts a v2 container on w with the default chunk
+// NewChunkWriter starts a container on w with the default chunk
 // size. The header is written lazily on the first Write (or Close), so
 // constructing a writer has no side effects.
 func NewChunkWriter(w io.Writer) *ChunkWriter {
@@ -146,7 +140,7 @@ func (cw *ChunkWriter) flushChunk() error {
 }
 
 // Close flushes buffered data and writes the trailer. The container is
-// not a valid v2 stream until Close returns nil.
+// not a valid stream until Close returns nil.
 func (cw *ChunkWriter) Close() error {
 	if cw.err != nil {
 		return cw.err
@@ -171,7 +165,7 @@ func (cw *ChunkWriter) Close() error {
 	return nil
 }
 
-// ChunkReader decodes a v2 container from an underlying reader,
+// ChunkReader decodes a container from an underlying reader,
 // validating each chunk's checksum as it streams. The caller must read
 // to io.EOF to know the stream was complete: a missing or corrupt
 // trailer surfaces as ErrCorrupt, never as a clean EOF.
@@ -185,25 +179,23 @@ type ChunkReader struct {
 }
 
 // NewChunkReader validates the container header on r and returns a
-// reader over its payload. ErrNoMagic reports a stream that is not a
-// v2 container (the caller may fall back to v1 or legacy decoding) —
-// in that case the bytes consumed from r are returned for replay.
-func NewChunkReader(r io.Reader) (*ChunkReader, []byte, error) {
-	hdr := make([]byte, streamHeaderLen)
-	n, err := io.ReadFull(r, hdr)
-	if err != nil {
+// reader over its payload. A stream that is too short for the header
+// or does not open with the magic is ErrCorrupt.
+func NewChunkReader(r io.Reader) (*ChunkReader, error) {
+	var hdr [streamHeaderLen]byte
+	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		if err == io.EOF || err == io.ErrUnexpectedEOF {
-			return nil, hdr[:n], ErrNoMagic
+			return nil, fmt.Errorf("%w: truncated container header", ErrCorrupt)
 		}
-		return nil, nil, fmt.Errorf("durable: %w", err)
+		return nil, fmt.Errorf("durable: %w", err)
 	}
 	if [8]byte(hdr[:8]) != streamMagic {
-		return nil, hdr, ErrNoMagic
+		return nil, fmt.Errorf("%w: no container magic, file opens with %q", ErrCorrupt, hdr[:8])
 	}
 	if v := binary.BigEndian.Uint32(hdr[8:]); v != StreamVersion {
-		return nil, nil, fmt.Errorf("%w: unknown stream version %d", ErrCorrupt, v)
+		return nil, fmt.Errorf("%w: unknown stream version %d", ErrCorrupt, v)
 	}
-	return &ChunkReader{r: r}, nil, nil
+	return &ChunkReader{r: r}, nil
 }
 
 // Read implements io.Reader.
@@ -263,98 +255,46 @@ func (cr *ChunkReader) nextChunk() error {
 	return nil
 }
 
-// WriteStreamSnapshot durably replaces path with a v2 container whose
-// payload is produced by write: write streams into path.tmp through
-// checksummed chunks, the tmp is fsynced, any existing path rotates to
-// path.bak, the tmp renames into place, and the parent directory is
-// fsynced — the same crash contract as WriteSnapshot, without ever
-// holding the payload in memory.
+// WriteStreamSnapshot durably replaces path with a container whose
+// payload is produced by write, keeping the previous generation as
+// path.bak (see ReplaceFile), without ever holding the payload in
+// memory.
 func WriteStreamSnapshot(path string, write func(io.Writer) error) error {
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return fmt.Errorf("durable: %w", err)
-	}
-	fail := func(err error) error {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	bw := bufio.NewWriterSize(f, 1<<16)
-	cw := NewChunkWriter(bw)
-	if err := write(cw); err != nil {
-		return fail(err)
-	}
-	if err := cw.Close(); err != nil {
-		return fail(fmt.Errorf("durable: %w", err))
-	}
-	if err := bw.Flush(); err != nil {
-		return fail(fmt.Errorf("durable: %w", err))
-	}
-	if err := f.Sync(); err != nil {
-		return fail(fmt.Errorf("durable: sync %s: %w", tmp, err))
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("durable: %w", err)
-	}
-	// Rotate unconditionally and tolerate only a missing target — see
-	// WriteSnapshot.
-	if err := os.Rename(path, path+".bak"); err != nil && !errors.Is(err, os.ErrNotExist) {
-		os.Remove(tmp)
-		return fmt.Errorf("durable: rotate backup: %w", err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		return fmt.Errorf("durable: %w", err)
-	}
-	return SyncDir(filepath.Dir(path))
+	return ReplaceFile(path, true, func(f io.Writer) error {
+		bw := bufio.NewWriterSize(f, 1<<16)
+		cw := NewChunkWriter(bw)
+		if err := write(cw); err != nil {
+			return err
+		}
+		if err := cw.Close(); err != nil {
+			return fmt.Errorf("durable: %w", err)
+		}
+		if err := bw.Flush(); err != nil {
+			return fmt.Errorf("durable: %w", err)
+		}
+		return nil
+	})
 }
 
-// OpenSnapshotReader opens the snapshot at path for streaming decode,
-// accepting all three generations: a v2 chunked container streams
-// directly; a v1 frame is read whole and validated (its single
-// checksum requires the full payload); a legacy unframed file is
-// returned as-is. The caller must Close the returned reader and must
-// reach io.EOF for a v2 stream to be fully validated.
+// OpenSnapshotReader opens the container at path for streaming decode.
+// The caller must Close the returned reader and must reach io.EOF for
+// the stream to be fully validated.
 func OpenSnapshotReader(path string) (io.ReadCloser, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, fmt.Errorf("durable: %w", err)
 	}
-	cr, consumed, err := NewChunkReader(f)
-	switch {
-	case err == nil:
-		return &snapshotReader{r: cr, f: f}, nil
-	case errors.Is(err, ErrNoMagic):
-		// v1 frame or legacy file: both need the whole content anyway.
-		rest, rerr := io.ReadAll(f)
-		f.Close()
-		if rerr != nil {
-			return nil, fmt.Errorf("durable: %w", rerr)
-		}
-		data := append(consumed, rest...)
-		payload, derr := DecodeFrame(data)
-		if derr == nil {
-			return readCloser{bytes.NewReader(payload)}, nil
-		}
-		if errors.Is(derr, ErrNoMagic) {
-			return readCloser{bytes.NewReader(data)}, nil // legacy unframed
-		}
-		return nil, derr
-	default:
+	cr, err := NewChunkReader(f)
+	if err != nil {
 		f.Close()
 		return nil, err
 	}
+	return &snapshotReader{Reader: cr, f: f}, nil
 }
 
 type snapshotReader struct {
-	r io.Reader
+	io.Reader
 	f *os.File
 }
 
-func (s *snapshotReader) Read(p []byte) (int, error) { return s.r.Read(p) }
-func (s *snapshotReader) Close() error               { return s.f.Close() }
-
-type readCloser struct{ io.Reader }
-
-func (readCloser) Close() error { return nil }
+func (s *snapshotReader) Close() error { return s.f.Close() }

@@ -2,7 +2,9 @@ package durable
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"io"
 	"math/rand"
 	"os"
@@ -22,7 +24,7 @@ func roundTrip(t *testing.T, payload []byte) []byte {
 	if err := cw.Close(); err != nil {
 		t.Fatal(err)
 	}
-	cr, _, err := NewChunkReader(&buf)
+	cr, err := NewChunkReader(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +60,7 @@ func TestChunkWriterManySmallWrites(t *testing.T) {
 	if err := cw.Close(); err != nil {
 		t.Fatal(err)
 	}
-	cr, _, err := NewChunkReader(&buf)
+	cr, err := NewChunkReader(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,9 +83,9 @@ func TestChunkTruncationDetected(t *testing.T) {
 	cw.Close()
 	full := buf.Bytes()
 	for _, cut := range []int{len(full) - 1, len(full) - 8, len(full) / 2, streamHeaderLen + 3} {
-		cr, _, err := NewChunkReader(bytes.NewReader(full[:cut]))
+		cr, err := NewChunkReader(bytes.NewReader(full[:cut]))
 		if err != nil {
-			if !errors.Is(err, ErrCorrupt) && !errors.Is(err, ErrNoMagic) {
+			if !errors.Is(err, ErrCorrupt) {
 				t.Errorf("cut=%d: header err = %v", cut, err)
 			}
 			continue
@@ -105,7 +107,7 @@ func TestChunkBitFlipDetected(t *testing.T) {
 	for _, off := range []int{streamHeaderLen + chunkHeaderLen + 100, len(full) - 6, streamHeaderLen + 2} {
 		mut := append([]byte(nil), full...)
 		mut[off] ^= 0x10
-		cr, _, err := NewChunkReader(bytes.NewReader(mut))
+		cr, err := NewChunkReader(bytes.NewReader(mut))
 		if err != nil {
 			continue // header corruption: also detected
 		}
@@ -149,8 +151,8 @@ func TestWriteStreamSnapshotRoundTrip(t *testing.T) {
 	}
 }
 
-// TestWriteStreamSnapshotRotatesBackup mirrors the v1 contract: the
-// previous generation survives as .bak.
+// TestWriteStreamSnapshotRotatesBackup: the previous generation
+// survives as .bak and no tmp file is left behind.
 func TestWriteStreamSnapshotRotatesBackup(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "snap")
@@ -182,51 +184,43 @@ func TestWriteStreamSnapshotRotatesBackup(t *testing.T) {
 	if got := read(path + ".bak"); got != "one" {
 		t.Errorf("backup = %q", got)
 	}
+	if _, err := os.Stat(path + ".tmp"); !os.IsNotExist(err) {
+		t.Errorf("tmp file survives: %v", err)
+	}
 }
 
-// TestOpenSnapshotReaderLegacyFormats: a v1 frame and a bare legacy
-// file both stream back their payload.
+// v1Frame builds the retired first-generation frame around payload —
+// magic, version 1, length, payload, one CRC over the lot — as builds
+// before the chunked container wrote it.
+func v1Frame(payload []byte) []byte {
+	out := append([]byte("TBMSNAP\x31"), 0, 0, 0, 1)
+	out = binary.BigEndian.AppendUint64(out, uint64(len(payload)))
+	out = append(out, payload...)
+	return binary.BigEndian.AppendUint32(out, crc32.Checksum(out[8:], castagnoli))
+}
+
+// TestOpenSnapshotReaderLegacyFormats: the two retired generations — an
+// intact v1 frame and a bare unframed file — are refused as ErrCorrupt
+// like any other file that does not open with the container magic.
 func TestOpenSnapshotReaderLegacyFormats(t *testing.T) {
 	dir := t.TempDir()
-	payload := []byte("v1 payload bytes")
-
-	v1 := filepath.Join(dir, "v1")
-	if err := os.WriteFile(v1, EncodeFrame(payload), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	r, err := OpenSnapshotReader(v1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, _ := io.ReadAll(r)
-	r.Close()
-	if !bytes.Equal(got, payload) {
-		t.Errorf("v1 payload = %q", got)
-	}
-
-	legacy := filepath.Join(dir, "legacy")
-	if err := os.WriteFile(legacy, payload, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	r, err = OpenSnapshotReader(legacy)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, _ = io.ReadAll(r)
-	r.Close()
-	if !bytes.Equal(got, payload) {
-		t.Errorf("legacy payload = %q", got)
-	}
-
-	// A corrupt v1 frame still fails loudly through the reader path.
-	bad := filepath.Join(dir, "bad")
-	frame := EncodeFrame(payload)
-	frame[len(frame)-1] ^= 0xff
-	if err := os.WriteFile(bad, frame, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := OpenSnapshotReader(bad); !errors.Is(err, ErrCorrupt) {
-		t.Errorf("corrupt v1 via reader: %v", err)
+	payload := []byte("payload bytes from an older build")
+	for name, data := range map[string][]byte{
+		"v1":    v1Frame(payload),
+		"bare":  payload,
+		"short": []byte("TBM"),
+		"empty": nil,
+	} {
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if r, err := OpenSnapshotReader(path); !errors.Is(err, ErrCorrupt) {
+			if err == nil {
+				r.Close()
+			}
+			t.Errorf("%s: err = %v, want ErrCorrupt", name, err)
+		}
 	}
 }
 
@@ -242,7 +236,7 @@ func FuzzChunkDecode(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(streamMagic[:])
 	f.Fuzz(func(t *testing.T, data []byte) {
-		cr, _, err := NewChunkReader(bytes.NewReader(data))
+		cr, err := NewChunkReader(bytes.NewReader(data))
 		if err != nil {
 			return
 		}

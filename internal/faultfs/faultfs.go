@@ -7,8 +7,8 @@
 // An Injector holds a schedule of Rules; wrappers consult it before
 // delegating. Ops are counted per name ("create", "open", "append",
 // "readspan", "delete", "ids", "sync", "journal.append",
-// "journal.reset"), so a test can say "fail the 3rd append,
-// transiently" and get exactly that, every run.
+// "journal.rotate", "journal.compact"), so a test can say "fail the
+// 3rd append, transiently" and get exactly that, every run.
 package faultfs
 
 import (
@@ -35,8 +35,8 @@ func Transient() error {
 type Rule struct {
 	// Op names the operation to intercept: "create", "open",
 	// "append", "readspan", "delete", "ids", "sync",
-	// "journal.append", "journal.reset", "journal.rotate",
-	// "journal.compact", "net.request", "net.read".
+	// "journal.append", "journal.rotate", "journal.compact",
+	// "net.request", "net.read".
 	Op string
 	// Nth fires on the Nth matching call, 1-based.
 	Nth int
@@ -234,17 +234,20 @@ func (b *faultBLOB) Append(data []byte) (int64, error) {
 // Size implements blob.BLOB.
 func (b *faultBLOB) Size() int64 { return b.inner.Size() }
 
-// Journal wraps a wal.Appender with fault injection, so tests can
-// fail the journal append that follows a successful in-memory
-// mutation and assert the catalog rolls the mutation back.
+// Journal is the segmented WAL with injection points on its appends
+// ("journal.append"), rotation ("journal.rotate") and compaction
+// ("journal.compact"), so tests can fail the journal append that
+// follows a successful in-memory mutation and assert the catalog rolls
+// the mutation back, or fail a checkpoint's WAL cleanup independently
+// of its appends. Everything else is the embedded journal's.
 type Journal struct {
-	inner wal.Appender
-	inj   *Injector
+	*wal.Segmented
+	inj *Injector
 }
 
 // WrapJournal builds a fault-injecting journal over inner.
-func WrapJournal(inner wal.Appender, inj *Injector) *Journal {
-	return &Journal{inner: inner, inj: inj}
+func WrapJournal(inner *wal.Segmented, inj *Injector) *Journal {
+	return &Journal{Segmented: inner, inj: inj}
 }
 
 // Append implements wal.Appender.
@@ -252,7 +255,7 @@ func (j *Journal) Append(data []byte) error {
 	if err, _ := j.inj.check("journal.append"); err != nil {
 		return err
 	}
-	return j.inner.Append(data)
+	return j.Segmented.Append(data)
 }
 
 // AppendBatch implements wal.Appender. Each record in the batch
@@ -265,7 +268,7 @@ func (j *Journal) AppendBatch(records [][]byte) error {
 			return err
 		}
 	}
-	return j.inner.AppendBatch(records)
+	return j.Segmented.AppendBatch(records)
 }
 
 // Enqueue implements wal.Appender. The injection point is at enqueue
@@ -276,7 +279,7 @@ func (j *Journal) Enqueue(data []byte) *wal.Ticket {
 	if err, _ := j.inj.check("journal.append"); err != nil {
 		return wal.ErrTicket(err)
 	}
-	return j.inner.Enqueue(data)
+	return j.Segmented.Enqueue(data)
 }
 
 // EnqueueBatch implements wal.Appender; per-record injection slots,
@@ -287,66 +290,21 @@ func (j *Journal) EnqueueBatch(records [][]byte) *wal.Ticket {
 			return wal.ErrTicket(err)
 		}
 	}
-	return j.inner.EnqueueBatch(records)
+	return j.Segmented.EnqueueBatch(records)
 }
 
-// Reset implements wal.Appender.
-func (j *Journal) Reset() error {
-	if err, _ := j.inj.check("journal.reset"); err != nil {
-		return err
-	}
-	return j.inner.Reset()
-}
-
-// Sync implements wal.Appender.
-func (j *Journal) Sync() error { return j.inner.Sync() }
-
-// Close implements wal.Appender.
-func (j *Journal) Close() error { return j.inner.Close() }
-
-// Stats implements wal.Appender.
-func (j *Journal) Stats() wal.StatsSnapshot { return j.inner.Stats() }
-
-// SegmentedJournal wraps a wal.Segmented with fault injection,
-// additionally intercepting the rotation/compaction surface
-// ("journal.rotate", "journal.compact") so tests can fail a
-// checkpoint's WAL cleanup independently of its appends. It is a
-// distinct type from Journal on purpose: the catalog detects rotation
-// support by interface assertion, and a plain WrapJournal around a
-// legacy single-file journal must keep taking the legacy snapshot
-// path.
-type SegmentedJournal struct {
-	Journal
-	inner *wal.Segmented
-}
-
-// WrapSegmentedJournal builds a fault-injecting journal over a
-// segmented WAL.
-func WrapSegmentedJournal(inner *wal.Segmented, inj *Injector) *SegmentedJournal {
-	return &SegmentedJournal{Journal: Journal{inner: inner, inj: inj}, inner: inner}
-}
-
-// Rotate forwards wal.Segmented.Rotate with a "journal.rotate"
-// injection point.
-func (j *SegmentedJournal) Rotate() (uint64, error) {
+// Rotate implements wal.Appender.
+func (j *Journal) Rotate() (uint64, error) {
 	if err, _ := j.inj.check("journal.rotate"); err != nil {
 		return 0, err
 	}
-	return j.inner.Rotate()
+	return j.Segmented.Rotate()
 }
 
-// CompactThrough forwards wal.Segmented.CompactThrough with a
-// "journal.compact" injection point.
-func (j *SegmentedJournal) CompactThrough(through uint64) (int, error) {
+// CompactThrough implements wal.Appender.
+func (j *Journal) CompactThrough(through uint64) (int, error) {
 	if err, _ := j.inj.check("journal.compact"); err != nil {
 		return 0, err
 	}
-	return j.inner.CompactThrough(through)
-}
-
-// DurableBoundary forwards wal.Segmented.DurableBoundary, so a
-// replication feed over a fault-injected catalog still sees the real
-// acked boundary.
-func (j *SegmentedJournal) DurableBoundary() (uint64, int64) {
-	return j.inner.DurableBoundary()
+	return j.Segmented.CompactThrough(through)
 }

@@ -2,7 +2,7 @@ package faultfs
 
 import (
 	"errors"
-	"path/filepath"
+	"os"
 	"testing"
 
 	"timedmedia/internal/blob"
@@ -97,13 +97,16 @@ func TestCustomError(t *testing.T) {
 }
 
 func TestJournalWrapper(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "journal.log")
-	inner, err := wal.Open(path)
+	dir := t.TempDir()
+	inner, err := wal.OpenSegmented(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	inj := NewInjector(Rule{Op: "journal.append", Nth: 2})
-	j := WrapJournal(inner, inj)
+	inj := NewInjector(
+		Rule{Op: "journal.append", Nth: 2},
+		Rule{Op: "journal.rotate", Nth: 1},
+		Rule{Op: "journal.compact", Nth: 1})
+	var j wal.Appender = WrapJournal(inner, inj)
 
 	if err := j.Append([]byte("first")); err != nil {
 		t.Fatal(err)
@@ -111,14 +114,29 @@ func TestJournalWrapper(t *testing.T) {
 	if err := j.Append([]byte("second")); !errors.Is(err, ErrInjected) {
 		t.Fatalf("2nd append: %v", err)
 	}
+	// Only the first record reached disk.
+	var got int
+	if _, err := wal.ReplaySegments(dir, func([]byte) error { got++; return nil }); err != nil || got != 1 {
+		t.Fatalf("replayed %d records, %v", got, err)
+	}
+
+	if _, err := j.Rotate(); !errors.Is(err, ErrInjected) {
+		t.Fatalf("1st rotate: %v", err)
+	}
+	sealed, err := j.Rotate()
+	if err != nil || sealed != 1 {
+		t.Fatalf("2nd rotate: sealed %d, %v", sealed, err)
+	}
+	if _, err := j.CompactThrough(sealed); !errors.Is(err, ErrInjected) {
+		t.Fatalf("1st compact: %v", err)
+	}
+	if n, err := j.CompactThrough(sealed); err != nil || n != 1 {
+		t.Fatalf("2nd compact: removed %d, %v", n, err)
+	}
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
 	}
-
-	// Only the first record reached disk.
-	var got int
-	res, err := wal.Replay(path, func([]byte) error { got++; return nil })
-	if err != nil || got != 1 || res.Torn {
-		t.Fatalf("got=%d res=%+v err=%v", got, res, err)
+	if _, err := os.Stat(wal.SegmentFile(dir, 1)); !os.IsNotExist(err) {
+		t.Fatalf("compacted segment still present: %v", err)
 	}
 }

@@ -592,7 +592,7 @@ func wipeCatalogState(dir string) error {
 	}
 	for _, e := range entries {
 		name := e.Name()
-		stale := name == "MANIFEST" || name == "journal.log" ||
+		stale := name == "MANIFEST" ||
 			strings.HasPrefix(name, "catalog.gob") ||
 			strings.HasPrefix(name, "checkpoint.") ||
 			strings.HasPrefix(name, "journal.") && strings.HasSuffix(name, ".log")

@@ -13,7 +13,6 @@ import (
 	"timedmedia/internal/catalog"
 	"timedmedia/internal/faultfs"
 	"timedmedia/internal/fixtures"
-	"timedmedia/internal/telemetry"
 )
 
 // TestMetricsContentNegotiation covers both /metrics formats: the
@@ -50,7 +49,6 @@ func TestMetricsContentNegotiation(t *testing.T) {
 		}
 		for _, want := range []string{
 			"# TYPE tbm_http_request_duration_seconds histogram",
-			"tbm_legacy_requests_total",
 			"tbm_expcache_hits_total",
 			"tbm_journal_appends_total",
 			"tbm_recovery_journal_records_replayed",
@@ -79,9 +77,8 @@ func TestMetricsContentNegotiation(t *testing.T) {
 
 	t.Run("json-on-accept", func(t *testing.T) {
 		var m struct {
-			Objects        int    `json:"objects"`
-			LegacyRequests *int64 `json:"legacy_requests"`
-			Lifecycle      struct {
+			Objects   int `json:"objects"`
+			Lifecycle struct {
 				StreamsTruncated *int64 `json:"streams_truncated"`
 			} `json:"lifecycle"`
 			Recovery struct {
@@ -98,7 +95,7 @@ func TestMetricsContentNegotiation(t *testing.T) {
 		if m.Objects != 3 {
 			t.Errorf("objects = %d", m.Objects)
 		}
-		if m.LegacyRequests == nil || m.Lifecycle.StreamsTruncated == nil {
+		if m.Lifecycle.StreamsTruncated == nil {
 			t.Error("new counters missing from JSON shape")
 		}
 		if m.Recovery.OpenMs == nil || m.Checkpoints.FullBytes == nil || m.Checkpoints.IncrementalBytes == nil {
@@ -151,6 +148,11 @@ func TestErrorEnvelope(t *testing.T) {
 		{"/v1/objects/clip/cut?out=song&from=0&to=1", "POST", 409, "duplicate_name"}, // catalog.ErrDupName
 		{"/v1/objects?limit=-1", "GET", 400, "bad_request"},
 		{"/v1/objects?offset=x", "GET", 400, "bad_request"},
+		// No route: the pre-/v1 paths, an unknown path, a method no route takes.
+		{"/objects", "GET", 404, "not_found"},
+		{"/objects/clip", "GET", 404, "not_found"},
+		{"/nope", "GET", 404, "not_found"},
+		{"/v1/objects/clip", "DELETE", 404, "not_found"},
 	}
 	for _, c := range cases {
 		req, err := http.NewRequest(c.method, ts.URL+c.path, nil)
@@ -238,40 +240,6 @@ func TestListPagination(t *testing.T) {
 	objs, _, _ = page(t, "?attr.language=fr&attr.language=en")
 	if len(objs) != 1 || objs[0]["name"] != "clip" {
 		t.Errorf("repeated attr filter: %v", objs)
-	}
-}
-
-// TestLegacyRouteRewrite asserts unversioned paths still work, keep
-// the bare-array list shape, and are counted.
-func TestLegacyRouteRewrite(t *testing.T) {
-	ts, db := testServer(t)
-
-	var objs []map[string]any
-	if err := json.Unmarshal(get(t, ts.URL+"/objects", 200), &objs); err != nil {
-		t.Fatalf("legacy list is not a bare array: %v", err)
-	}
-	if len(objs) != 3 {
-		t.Errorf("legacy list len = %d", len(objs))
-	}
-	var detail map[string]any
-	if err := json.Unmarshal(get(t, ts.URL+"/objects/clip", 200), &detail); err != nil {
-		t.Fatal(err)
-	}
-	if detail["name"] != "clip" {
-		t.Errorf("legacy detail = %v", detail["name"])
-	}
-
-	if got := db.Telemetry().Counter(telemetry.LegacyCounter, "").Load(); got != 2 {
-		t.Errorf("legacy_requests = %d, want 2", got)
-	}
-	var m struct {
-		LegacyRequests int64 `json:"legacy_requests"`
-	}
-	if err := json.Unmarshal(metricsJSON(t, ts.URL), &m); err != nil {
-		t.Fatal(err)
-	}
-	if m.LegacyRequests != 2 {
-		t.Errorf("metrics legacy_requests = %d, want 2", m.LegacyRequests)
 	}
 }
 

@@ -562,7 +562,6 @@ func TestAsOfRejectedWhereNotHonoured(t *testing.T) {
 		{"/v1/objects/alpha/expand", false},
 		{"/v1/objects/alpha/timeline", false},
 		{"/v1/objects/alpha/lineage", false},
-		{"/objects/alpha/expand", false}, // the legacy rewrite lands on the same handlers
 	} {
 		r := fetch(t, ts.URL+withParam(tc.path, fmt.Sprintf("as_of=%d", db.Seq())))
 		if tc.honoured {

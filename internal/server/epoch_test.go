@@ -225,32 +225,3 @@ func TestAtAliasSharedShape(t *testing.T) {
 		t.Errorf("live_at past end matched %+v", q.Objects)
 	}
 }
-
-// TestLegacyDeprecationHeaders: every rewritten unversioned request
-// advertises its deprecation and its /v1 successor.
-func TestLegacyDeprecationHeaders(t *testing.T) {
-	ts, _ := testServer(t)
-
-	for path, successor := range map[string]string{
-		"/objects":      "/v1/objects",
-		"/objects/clip": "/v1/objects/clip",
-	} {
-		_, hdr := getWithHeaders(t, ts.URL+path, nil, 200)
-		if got := hdr.Get("Deprecation"); got != "true" {
-			t.Errorf("GET %s Deprecation = %q", path, got)
-		}
-		if got := hdr.Get("Sunset"); got != legacySunset {
-			t.Errorf("GET %s Sunset = %q", path, got)
-		}
-		want := "<" + successor + `>; rel="successor-version"`
-		if got := hdr.Get("Link"); got != want {
-			t.Errorf("GET %s Link = %q, want %q", path, got, want)
-		}
-	}
-
-	// Versioned routes are not deprecated.
-	_, hdr := getWithHeaders(t, ts.URL+"/v1/objects", nil, 200)
-	if hdr.Get("Deprecation") != "" || hdr.Get("Sunset") != "" {
-		t.Error("/v1 route carries deprecation headers")
-	}
-}

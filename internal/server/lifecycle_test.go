@@ -5,6 +5,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -12,7 +13,6 @@ import (
 	"timedmedia/internal/blob"
 	"timedmedia/internal/catalog"
 	"timedmedia/internal/fixtures"
-	"timedmedia/internal/media"
 )
 
 // TestRecoverMiddleware: a handler panic becomes a 500 and a counter
@@ -107,51 +107,45 @@ func TestTimeoutMiddleware(t *testing.T) {
 // TestFaultShedVisibleInMetrics drives the full server at max-inflight
 // 1 and checks the shed shows up in /metrics.
 func TestFaultShedVisibleInMetrics(t *testing.T) {
-	db := fixtures.NewMemDB()
-	// Raw RGB and lots of frames: the stream body (~60MB) far exceeds
-	// any auto-tuned socket buffering, so an unread response blocks
-	// the handler and holds the only slot.
-	if _, err := db.Ingest("clip", fixtures.Video(100, 512, 384, 1),
-		catalog.IngestOptions{VideoEncoding: media.EncodingRawRGB}); err != nil {
-		t.Fatal(err)
-	}
-	srv := New(db, WithMaxInFlight(1), WithRequestTimeout(time.Minute))
+	srv := New(fixtures.NewMemDB(), WithMaxInFlight(1), WithRequestTimeout(time.Minute))
+	// Hold the only slot with a request that says when it is inside the
+	// limiter and stays there until released.
+	entered, release := make(chan struct{}), make(chan struct{})
+	srv.route("GET /v1/debug/hold", "hold", func(w http.ResponseWriter, r *http.Request) {
+		close(entered)
+		<-release
+	})
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
-	// Hold the only slot with a streaming request that we leave
-	// half-read. Use a raw client so the body stays open.
-	release := make(chan struct{})
+	held := make(chan error, 1)
 	go func() {
-		resp, err := http.Get(ts.URL + "/objects/clip/stream")
+		resp, err := http.Get(ts.URL + "/v1/debug/hold")
 		if err == nil {
-			<-release
 			resp.Body.Close()
 		}
+		held <- err
 	}()
+	<-entered
 
-	// Wait until the slot is actually held, then expect a shed.
-	deadline := time.Now().Add(5 * time.Second)
-	var shedCode int
-	for time.Now().Before(deadline) {
-		resp, err := http.Get(ts.URL + "/healthz")
-		if err != nil {
-			t.Fatal(err)
-		}
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode == http.StatusServiceUnavailable {
-			shedCode = resp.StatusCode
-			break
-		}
-		time.Sleep(5 * time.Millisecond)
+	resp, err := http.Get(ts.URL + "/healthz")
+	if err != nil {
+		t.Fatal(err)
 	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
 	close(release)
-	if shedCode != http.StatusServiceUnavailable {
-		t.Fatal("never observed load shedding")
+	if err := <-held; err != nil {
+		t.Errorf("holding request: %v", err)
+	}
+	if resp.StatusCode != http.StatusServiceUnavailable {
+		t.Fatalf("GET /healthz with the only slot held = %d, want 503", resp.StatusCode)
 	}
 	if got := srv.stats.snapshot().LoadShed; got < 1 {
 		t.Errorf("load_shed = %d", got)
+	}
+	if !strings.Contains(string(get(t, ts.URL+"/metrics", 200)), "tbm_http_load_shed_total 1\n") {
+		t.Error("the shed is not in /metrics")
 	}
 }
 
@@ -173,7 +167,7 @@ func TestCrashCutSurvivesRestart(t *testing.T) {
 	}
 	ts := httptest.NewServer(New(db))
 
-	resp, err := http.Post(ts.URL+"/objects/clip/cut?out=webcut&from=2&to=6", "", nil)
+	resp, err := http.Post(ts.URL+"/v1/objects/clip/cut?out=webcut&from=2&to=6", "", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,7 +241,7 @@ func TestStreamStopsOnDeadline(t *testing.T) {
 	// 1ns deadline: expired before the handler runs.
 	ts := httptest.NewServer(New(db, WithRequestTimeout(time.Nanosecond)))
 	defer ts.Close()
-	resp, err := http.Get(ts.URL + "/objects/clip/stream")
+	resp, err := http.Get(ts.URL + "/v1/objects/clip/stream")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,7 +250,7 @@ func TestStreamStopsOnDeadline(t *testing.T) {
 
 	tsFull := httptest.NewServer(New(db))
 	defer tsFull.Close()
-	full := get(t, tsFull.URL+"/objects/clip/stream", 200)
+	full := get(t, tsFull.URL+"/v1/objects/clip/stream", 200)
 	if len(body) >= len(full) {
 		t.Errorf("deadline-limited stream = %d bytes, full = %d", len(body), len(full))
 	}

@@ -10,8 +10,8 @@ import (
 // GET /metrics is content-negotiated: Prometheus text exposition by
 // default (the format scrapers expect), the pre-existing JSON shape
 // when the client asks for application/json. The Prometheus view
-// covers the latency histograms and legacy counter from the registry
-// plus every counter the JSON shape already reported (objects,
+// covers the latency histograms and counters from the registry plus
+// every counter the JSON shape already reported (objects,
 // expansion cache, journal, recovery, lifecycle), so nothing is lost
 // by scraping only one format.
 
@@ -26,7 +26,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 			Recovery:       s.db.Recovery(),
 			Checkpoints:    s.checkpointStats(),
 			Lifecycle:      s.stats.snapshot(),
-			LegacyRequests: s.legacy.Load(),
 		})
 		return
 	}
@@ -73,7 +72,6 @@ func (s *Server) writePromCounters(w io.Writer) {
 	promCounter(w, "tbm_journal_bytes_appended_total", "journal bytes appended", j.BytesAppended)
 	promCounter(w, "tbm_journal_syncs_total", "journal fsyncs", j.Syncs)
 	promCounter(w, "tbm_journal_batches_total", "group commits (one write+fsync each)", j.Batches)
-	promCounter(w, "tbm_journal_resets_total", "journal truncations after snapshots", j.Resets)
 	promCounter(w, "tbm_journal_append_errors_total", "failed journal appends", j.AppendErrors)
 
 	promGauge(w, "tbm_recovery_snapshot_loaded", "whether the last load found a snapshot", int64(b2i(rec.SnapshotLoaded)))

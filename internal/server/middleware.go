@@ -6,7 +6,6 @@ import (
 	"log/slog"
 	"net/http"
 	"strconv"
-	"strings"
 	"sync/atomic"
 	"time"
 
@@ -29,9 +28,7 @@ import (
 //     server sheds load with 503 + Retry-After rather than queueing
 //     toward collapse;
 //  5. a per-request deadline — the request context expires after the
-//     configured timeout, and /stream and /expand observe it;
-//  6. a legacy rewrite — unversioned /objects... paths are rewritten
-//     to /v1/... and counted, so deprecation is observable.
+//     configured timeout, and /stream and /expand observe it.
 //
 // Counters for all of it are reported at /metrics.
 
@@ -130,12 +127,11 @@ func timeoutMiddleware(d time.Duration, next http.Handler) http.Handler {
 
 // Server-package context keys: the matched route name (filled in by
 // the registration wrapper — http.Request.Pattern needs Go 1.23, and
-// the module supports 1.22) and the legacy-route flag.
+// the module supports 1.22) and the capture flag.
 type serverCtxKey int
 
 const (
 	routeKey serverCtxKey = iota
-	legacyKey
 	captureKey
 )
 
@@ -146,13 +142,6 @@ type routeHolder struct{ name string }
 func routeFrom(ctx context.Context) *routeHolder {
 	rh, _ := ctx.Value(routeKey).(*routeHolder)
 	return rh
-}
-
-// isLegacy reports whether the request arrived on an unversioned
-// route (handlers keep the pre-/v1 response shapes there).
-func isLegacy(ctx context.Context) bool {
-	v, _ := ctx.Value(legacyKey).(bool)
-	return v
 }
 
 // statusRecorder captures the status and body size of a response, and
@@ -237,36 +226,5 @@ func (s *Server) telemetryMiddleware(next http.Handler) http.Handler {
 		}()
 		next.ServeHTTP(rec, r.WithContext(ctx))
 		rec.completed = true
-	})
-}
-
-// legacySunset is the announced removal date of the unversioned
-// routes, sent as the Sunset header (RFC 8594) on every rewritten
-// request.
-const legacySunset = "Tue, 30 Jun 2027 00:00:00 GMT"
-
-// legacyRewrite keeps the pre-/v1 object routes working: unversioned
-// /objects... paths are rewritten in place to /v1/objects..., counted
-// in tbm_legacy_requests_total, and flagged in the context so list
-// responses keep their legacy bare-array shape.
-//
-// The rewrite is formally deprecated: every rewritten response
-// carries Deprecation (RFC 9745), a Sunset date, and a Link to its
-// /v1 successor, so clients and proxies can discover the migration
-// mechanically instead of reading release notes.
-func (s *Server) legacyRewrite(next http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if p := r.URL.Path; p == "/objects" || strings.HasPrefix(p, "/objects/") {
-			s.legacy.Inc()
-			h := w.Header()
-			h.Set("Deprecation", "true")
-			h.Set("Sunset", legacySunset)
-			h.Set("Link", `</v1`+p+`>; rel="successor-version"`)
-			r2 := r.Clone(context.WithValue(r.Context(), legacyKey, true))
-			r2.URL.Path = "/v1" + p
-			next.ServeHTTP(w, r2)
-			return
-		}
-		next.ServeHTTP(w, r)
 	})
 }

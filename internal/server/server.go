@@ -5,9 +5,8 @@
 // elements by index or time, and stream an object's elements in
 // presentation order.
 //
-// Object routes are versioned under /v1 (the pre-versioning paths
-// still work via an internal rewrite, counted in
-// tbm_legacy_requests_total):
+// Object routes are versioned under /v1; any other path, the
+// pre-versioning /objects... included, is a 404 error envelope:
 //
 //	GET /v1/objects?limit=&offset=          paginated object list (JSON)
 //	GET /v1/query?...                       indexed structural query: kind, class,
@@ -170,7 +169,6 @@ type Server struct {
 
 	reg         *telemetry.Registry
 	tracer      *telemetry.Tracer
-	legacy      *telemetry.Counter
 	lookupHist  *telemetry.Histogram
 	payloadHist *telemetry.Histogram
 	asOfHist    *telemetry.Histogram
@@ -178,9 +176,8 @@ type Server struct {
 }
 
 // New builds a Server over db. The handler chain recovers panics,
-// records request telemetry, sheds load beyond the in-flight bound,
-// deadlines every request, and rewrites legacy unversioned routes
-// (see middleware.go).
+// records request telemetry, sheds load beyond the in-flight bound and
+// deadlines every request (see middleware.go).
 //
 // Registry resolution: an explicit WithTelemetry wins, else a registry
 // already attached to db is shared, else a fresh one is created. The
@@ -205,7 +202,6 @@ func New(db *catalog.DB, opts ...Option) *Server {
 		mux:         http.NewServeMux(),
 		reg:         reg,
 		tracer:      telemetry.NewTracer(cfg.traceCapacity),
-		legacy:      reg.Counter(telemetry.LegacyCounter, ""),
 		lookupHist:  reg.Histogram(telemetry.StageFamily, telemetry.StageLookup),
 		payloadHist: reg.Histogram(telemetry.StageFamily, telemetry.StagePayload),
 		asOfHist:    reg.Histogram(telemetry.StageFamily, telemetry.StageAsOfResolve),
@@ -229,6 +225,7 @@ func New(db *catalog.DB, opts ...Option) *Server {
 	s.route("GET /metrics", "metrics", s.handleMetrics)
 	s.route("GET /healthz", "healthz", s.handleHealthz)
 	s.route("GET /v1/readyz", "readyz", s.handleReadyz)
+	s.route("/", "other", s.handleUnmatched)
 	for _, er := range cfg.extraRoutes {
 		s.route(er.pattern, er.name, er.h)
 	}
@@ -241,8 +238,7 @@ func New(db *catalog.DB, opts ...Option) *Server {
 		s.telemetryMiddleware(
 			s.captureMiddleware(cfg.traceRecorder,
 				limitMiddleware(&s.stats, slots, time.Second,
-					timeoutMiddleware(cfg.requestTimeout,
-						s.legacyRewrite(s.mux))))))
+					timeoutMiddleware(cfg.requestTimeout, s.mux)))))
 	return s
 }
 
@@ -395,20 +391,6 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 	// requested values; single-valued keys go through the attr index.
 	eqs, residual := attrFilters(q)
 	sel.Attrs = eqs
-
-	if isLegacy(r.Context()) {
-		// The pre-/v1 route returned a bare, unpaginated array; keep
-		// that shape for existing clients.
-		out := []objectSummary{}
-		if !impossible {
-			page, _ := v.SelectPage(sel, residual, 0, -1)
-			for _, obj := range page {
-				out = append(out, s.summarize(v, obj))
-			}
-		}
-		writeJSON(w, out)
-		return
-	}
 
 	limit, offset, ok := parsePage(w, q)
 	if !ok {
@@ -790,7 +772,6 @@ type metricsReply struct {
 	Recovery       catalog.RecoveryInfo   `json:"recovery"`
 	Checkpoints    checkpointStats        `json:"checkpoints"`
 	Lifecycle      lifecycleSnapshot      `json:"lifecycle"`
-	LegacyRequests int64                  `json:"legacy_requests"`
 }
 
 // checkpointStats is the JSON view of the tbm_checkpoints_total and
@@ -820,6 +801,12 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 		traces = []telemetry.TraceRecord{}
 	}
 	writeJSON(w, map[string]any{"traces": traces})
+}
+
+// handleUnmatched answers a method and path no route serves with the
+// API's error envelope instead of the mux's plain-text 404.
+func (s *Server) handleUnmatched(w http.ResponseWriter, r *http.Request) {
+	writeError(w, http.StatusNotFound, CodeNotFound, "no such route: "+r.Method+" "+r.URL.Path)
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {

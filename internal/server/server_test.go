@@ -76,29 +76,33 @@ func metricsJSON(t *testing.T, baseURL string) []byte {
 
 func TestListObjects(t *testing.T) {
 	ts, _ := testServer(t)
-	var objs []map[string]any
-	if err := json.Unmarshal(get(t, ts.URL+"/objects", 200), &objs); err != nil {
-		t.Fatal(err)
-	}
-	if len(objs) != 3 {
-		t.Fatalf("objects = %d", len(objs))
-	}
-	// Kind filter.
-	json.Unmarshal(get(t, ts.URL+"/objects?kind=audio", 200), &objs)
-	if len(objs) != 1 || objs[0]["name"] != "song" {
-		t.Errorf("audio filter = %v", objs)
-	}
-	// Attribute filter.
-	json.Unmarshal(get(t, ts.URL+"/objects?attr.language=en", 200), &objs)
-	if len(objs) != 1 || objs[0]["name"] != "clip" {
-		t.Errorf("attr filter = %v", objs)
+	for query, want := range map[string]string{
+		"":                  "clip song show",
+		"?kind=audio":       "song",
+		"?attr.language=en": "clip",
+	} {
+		var reply struct {
+			Objects []struct {
+				Name string `json:"name"`
+			} `json:"objects"`
+		}
+		if err := json.Unmarshal(get(t, ts.URL+"/v1/objects"+query, 200), &reply); err != nil {
+			t.Fatal(err)
+		}
+		got := ""
+		for _, o := range reply.Objects {
+			got += " " + o.Name
+		}
+		if got != " "+want {
+			t.Errorf("GET /v1/objects%s lists%s, want %s", query, got, want)
+		}
 	}
 }
 
 func TestObjectDetail(t *testing.T) {
 	ts, _ := testServer(t)
 	var obj map[string]any
-	if err := json.Unmarshal(get(t, ts.URL+"/objects/clip", 200), &obj); err != nil {
+	if err := json.Unmarshal(get(t, ts.URL+"/v1/objects/clip", 200), &obj); err != nil {
 		t.Fatal(err)
 	}
 	if obj["elements"].(float64) != 10 {
@@ -107,12 +111,12 @@ func TestObjectDetail(t *testing.T) {
 	if !strings.Contains(obj["categories"].(string), "continuous") {
 		t.Errorf("categories = %v", obj["categories"])
 	}
-	get(t, ts.URL+"/objects/ghost", 404)
+	get(t, ts.URL+"/v1/objects/ghost", 404)
 }
 
 func TestElementAndAt(t *testing.T) {
 	ts, db := testServer(t)
-	body := get(t, ts.URL+"/objects/clip/element/3", 200)
+	body := get(t, ts.URL+"/v1/objects/clip/element/3", 200)
 	// Must match the stored payload exactly.
 	clip, _ := db.Lookup("clip")
 	it, _ := db.Interpretation(clip.Blob)
@@ -120,11 +124,11 @@ func TestElementAndAt(t *testing.T) {
 	if string(body) != string(want) {
 		t.Error("element payload mismatch")
 	}
-	get(t, ts.URL+"/objects/clip/element/999", 404)
-	get(t, ts.URL+"/objects/clip/element/x", 400)
+	get(t, ts.URL+"/v1/objects/clip/element/999", 404)
+	get(t, ts.URL+"/v1/objects/clip/element/x", 400)
 
 	// Time-addressed access: tick 3 covers element 3 (PAL frames).
-	resp, err := http.Get(ts.URL + "/objects/clip/at/3")
+	resp, err := http.Get(ts.URL + "/v1/objects/clip/at/3")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,12 +136,12 @@ func TestElementAndAt(t *testing.T) {
 	if resp.Header.Get("X-Element-Index") != "3" {
 		t.Errorf("index header = %q", resp.Header.Get("X-Element-Index"))
 	}
-	get(t, ts.URL+"/objects/clip/at/99999", 404)
+	get(t, ts.URL+"/v1/objects/clip/at/99999", 404)
 }
 
 func TestStream(t *testing.T) {
 	ts, db := testServer(t)
-	body := get(t, ts.URL+"/objects/clip/stream?from=2&to=5", 200)
+	body := get(t, ts.URL+"/v1/objects/clip/stream?from=2&to=5", 200)
 	clip, _ := db.Lookup("clip")
 	it, _ := db.Interpretation(clip.Blob)
 	off := 0
@@ -156,23 +160,23 @@ func TestStream(t *testing.T) {
 	if off != len(body) {
 		t.Errorf("trailing bytes: %d", len(body)-off)
 	}
-	get(t, ts.URL+"/objects/clip/stream?from=5&to=2", 400)
-	get(t, ts.URL+"/objects/clip/stream?from=0&to=99", 400)
+	get(t, ts.URL+"/v1/objects/clip/stream?from=5&to=2", 400)
+	get(t, ts.URL+"/v1/objects/clip/stream?from=0&to=99", 400)
 }
 
 func TestTimelineAndLineage(t *testing.T) {
 	ts, _ := testServer(t)
 	var spans []map[string]any
-	if err := json.Unmarshal(get(t, ts.URL+"/objects/show/timeline", 200), &spans); err != nil {
+	if err := json.Unmarshal(get(t, ts.URL+"/v1/objects/show/timeline", 200), &spans); err != nil {
 		t.Fatal(err)
 	}
 	if len(spans) != 2 {
 		t.Fatalf("spans = %v", spans)
 	}
-	get(t, ts.URL+"/objects/clip/timeline", 400) // not multimedia
+	get(t, ts.URL+"/v1/objects/clip/timeline", 400) // not multimedia
 
 	var nodes []map[string]any
-	if err := json.Unmarshal(get(t, ts.URL+"/objects/show/lineage", 200), &nodes); err != nil {
+	if err := json.Unmarshal(get(t, ts.URL+"/v1/objects/show/lineage", 200), &nodes); err != nil {
 		t.Fatal(err)
 	}
 	if len(nodes) != 5 { // show + clip + song + 2 blobs
@@ -195,13 +199,13 @@ func derivedServer(t *testing.T) (*httptest.Server, *catalog.DB) {
 // elements; element-oriented endpoints must 4xx, not panic.
 func TestDerivedObjectErrorPaths(t *testing.T) {
 	ts, _ := derivedServer(t)
-	get(t, ts.URL+"/objects/cut/element/0", 400)
-	get(t, ts.URL+"/objects/cut/at/0", 400)
-	get(t, ts.URL+"/objects/cut/stream", 400)
+	get(t, ts.URL+"/v1/objects/cut/element/0", 400)
+	get(t, ts.URL+"/v1/objects/cut/at/0", 400)
+	get(t, ts.URL+"/v1/objects/cut/stream", 400)
 	// Multimedia objects likewise.
-	get(t, ts.URL+"/objects/show/element/0", 400)
-	get(t, ts.URL+"/objects/show/at/0", 400)
-	get(t, ts.URL+"/objects/show/stream", 400)
+	get(t, ts.URL+"/v1/objects/show/element/0", 400)
+	get(t, ts.URL+"/v1/objects/show/at/0", 400)
+	get(t, ts.URL+"/v1/objects/show/stream", 400)
 }
 
 // TestEmptyListEncodesArray: no matches must encode as [], not null.
@@ -209,13 +213,13 @@ func TestEmptyListEncodesArray(t *testing.T) {
 	db := catalog.New(blob.NewMemStore())
 	ts := httptest.NewServer(New(db))
 	defer ts.Close()
-	if body := strings.TrimSpace(string(get(t, ts.URL+"/objects", 200))); body != "[]" {
-		t.Errorf("empty list = %q, want []", body)
+	if body := string(get(t, ts.URL+"/v1/objects", 200)); !strings.Contains(body, `"objects":[]`) {
+		t.Errorf("empty list = %s, want an empty objects array", body)
 	}
 	// A filter matching nothing on a populated catalog, too.
 	ts2, _ := testServer(t)
-	if body := strings.TrimSpace(string(get(t, ts2.URL+"/objects?kind=animation", 200))); body != "[]" {
-		t.Errorf("filtered-empty list = %q, want []", body)
+	if body := string(get(t, ts2.URL+"/v1/objects?kind=animation", 200)); !strings.Contains(body, `"objects":[]`) {
+		t.Errorf("filtered-empty list = %s, want an empty objects array", body)
 	}
 }
 
@@ -233,7 +237,7 @@ func TestHealthz(t *testing.T) {
 func TestExpandEndpoint(t *testing.T) {
 	ts, _ := derivedServer(t)
 	var sum map[string]any
-	if err := json.Unmarshal(get(t, ts.URL+"/objects/cut/expand", 200), &sum); err != nil {
+	if err := json.Unmarshal(get(t, ts.URL+"/v1/objects/cut/expand", 200), &sum); err != nil {
 		t.Fatal(err)
 	}
 	if sum["kind"] != "video" || sum["elements"].(float64) != 4 {
@@ -243,8 +247,8 @@ func TestExpandEndpoint(t *testing.T) {
 		t.Errorf("size_bytes = %v", sum["size_bytes"])
 	}
 	// Multimedia objects cannot be expanded (play them instead).
-	get(t, ts.URL+"/objects/show/expand", 400)
-	get(t, ts.URL+"/objects/ghost/expand", 404)
+	get(t, ts.URL+"/v1/objects/show/expand", 400)
+	get(t, ts.URL+"/v1/objects/ghost/expand", 404)
 }
 
 // TestConcurrentExpandSingleflight fires many concurrent /expand
@@ -259,7 +263,7 @@ func TestConcurrentExpandSingleflight(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			resp, err := http.Get(ts.URL + "/objects/cut/expand")
+			resp, err := http.Get(ts.URL + "/v1/objects/cut/expand")
 			if err != nil {
 				errs <- err
 				return
@@ -309,7 +313,7 @@ func TestConcurrentExpandSingleflight(t *testing.T) {
 
 func TestCutEndpoint(t *testing.T) {
 	ts, db := testServer(t)
-	resp, err := http.Post(ts.URL+"/objects/clip/cut?out=webcut&from=2&to=6", "", nil)
+	resp, err := http.Post(ts.URL+"/v1/objects/clip/cut?out=webcut&from=2&to=6", "", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -326,7 +330,7 @@ func TestCutEndpoint(t *testing.T) {
 		t.Fatalf("cut expand: %v", err)
 	}
 	// Bad query.
-	resp2, _ := http.Post(ts.URL+"/objects/clip/cut?out=&from=a", "", nil)
+	resp2, _ := http.Post(ts.URL+"/v1/objects/clip/cut?out=&from=a", "", nil)
 	resp2.Body.Close()
 	if resp2.StatusCode != http.StatusBadRequest {
 		t.Errorf("bad cut = %d", resp2.StatusCode)

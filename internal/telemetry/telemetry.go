@@ -20,7 +20,6 @@
 //	                                                (lookup, expand, decode, payload,
 //	                                                 journal_append, expcache_fill,
 //	                                                 wal_fsync, blob_read)
-//	tbm_legacy_requests_total                       unversioned-route hits
 package telemetry
 
 import (
@@ -40,9 +39,6 @@ const (
 	// StageFamily is the per-stage latency histogram family; series
 	// carry a stage="<name>" label.
 	StageFamily = "tbm_stage_duration_seconds"
-	// LegacyCounter counts requests that arrived on deprecated
-	// unversioned routes and were rewritten to /v1.
-	LegacyCounter = "tbm_legacy_requests_total"
 	// IndexProbeFamily counts query-planner index probes; series carry
 	// an index="<kind|class|attr|provenance|interval>" label naming
 	// the index that sourced the candidates.

@@ -155,7 +155,7 @@ func TestWritePrometheusFormat(t *testing.T) {
 	r := NewRegistry()
 	r.Histogram(RequestFamily, `route="list"`).Observe(3 * time.Microsecond)
 	r.Histogram(RequestFamily, `route="list"`).Observe(20 * time.Second)
-	r.Counter(LegacyCounter, "").Add(2)
+	r.Counter(IndexScanFallbackFamily, "").Add(2)
 
 	var b strings.Builder
 	if err := r.WritePrometheus(&b); err != nil {
@@ -167,8 +167,8 @@ func TestWritePrometheusFormat(t *testing.T) {
 		`tbm_http_request_duration_seconds_bucket{route="list",le="+Inf"} 2`,
 		`tbm_http_request_duration_seconds_bucket{route="list",le="4e-06"} 1`,
 		`tbm_http_request_duration_seconds_count{route="list"} 2`,
-		"# TYPE tbm_legacy_requests_total counter\n",
-		"tbm_legacy_requests_total 2\n",
+		"# TYPE tbm_index_scan_fallback_total counter\n",
+		"tbm_index_scan_fallback_total 2\n",
 	} {
 		if !strings.Contains(out, w) {
 			t.Errorf("output missing %q\n%s", w, out)

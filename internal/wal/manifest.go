@@ -15,13 +15,13 @@ package wal
 //	crc     uint32   CRC-32C over the payload
 //	payload [length]byte
 //
-// The manifest is tiny and rewritten whole on every checkpoint via
-// tmp + fsync + rename + directory fsync, so a crash leaves either the
-// old manifest or the new one, never a torn file. A corrupt or missing
-// manifest is recoverable: replaying every segment over the base
-// snapshot is always safe (sequence numbers dedupe), it just costs
-// time — so decode failures degrade to the conservative path rather
-// than refusing to start.
+// The manifest is tiny and rewritten whole on every checkpoint through
+// durable.ReplaceFile, so a crash leaves either the old manifest or the
+// new one, never a torn file. A corrupt or missing manifest is
+// recoverable: replaying every segment over the base snapshot is always
+// safe (sequence numbers dedupe), it just costs time — so decode
+// failures degrade to the conservative path rather than refusing to
+// start.
 
 import (
 	"encoding/binary"
@@ -29,8 +29,11 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"os"
 	"path/filepath"
+
+	"timedmedia/internal/durable"
 )
 
 const manifestName = "MANIFEST"
@@ -108,37 +111,21 @@ func DecodeManifest(data []byte) (*Manifest, error) {
 	return &m, nil
 }
 
-// WriteManifest durably replaces dir's manifest: tmp write, fsync,
-// rename, directory fsync.
+// WriteManifest durably replaces dir's manifest (no backup is kept: a
+// lost manifest only costs a full replay).
 func WriteManifest(dir string, m *Manifest) error {
 	data, err := EncodeManifest(m)
 	if err != nil {
 		return err
 	}
-	path := ManifestFile(dir)
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
+	err = durable.ReplaceFile(ManifestFile(dir), false, func(w io.Writer) error {
+		_, err := w.Write(data)
+		return err
+	})
 	if err != nil {
 		return fmt.Errorf("wal: %w", err)
 	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("wal: %w", err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("wal: sync %s: %w", tmp, err)
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("wal: %w", err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		return fmt.Errorf("wal: %w", err)
-	}
-	return syncDir(dir)
+	return nil
 }
 
 // LoadManifest reads dir's manifest. A missing file returns (nil, nil):

@@ -1,9 +1,6 @@
 package wal
 
-// Segmented journal: the single-file Journal grows without bound
-// between snapshots, so recovery replays history rather than live
-// state and compaction can only be all-or-nothing truncation. A
-// Segmented journal splits the record stream into rotating segment
+// Segmented journal: the record stream is split into rotating segment
 // files — journal.000017.log — sealed at a size or record-count
 // threshold (or explicitly, by a checkpointer). Sealed segments are
 // immutable; once a durable checkpoint covers every record in a
@@ -28,6 +25,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"timedmedia/internal/durable"
 )
 
 // Segment file naming: journal.NNNNNN.log, NNNNNN a zero-padded
@@ -184,9 +183,6 @@ func OpenSegmented(dir string, opts ...SegmentedOption) (*Segmented, error) {
 	return s, nil
 }
 
-// Dir returns the directory holding the segments.
-func (s *Segmented) Dir() string { return s.dir }
-
 // ActiveIndex returns the index of the segment currently accepting
 // appends.
 func (s *Segmented) ActiveIndex() uint64 {
@@ -310,7 +306,7 @@ func (s *Segmented) rotateLocked() error {
 	// Make the new segment file itself durable before any record lands
 	// in it: a crash right after rotation must still find the file so
 	// recovery's segment scan sees a contiguous sequence.
-	if err := syncDir(s.dir); err != nil {
+	if err := durable.SyncDir(s.dir); err != nil {
 		next.Close()
 		os.Remove(SegmentFile(s.dir, s.idx+1))
 		return err
@@ -325,7 +321,6 @@ func (s *Segmented) rotateLocked() error {
 	s.sealed.Appends += st.Appends
 	s.sealed.BytesAppended += st.BytesAppended
 	s.sealed.Syncs += st.Syncs
-	s.sealed.Resets += st.Resets
 	s.sealed.AppendErrors += st.AppendErrors
 	s.sealed.Batches += st.Batches
 	old.Close()
@@ -363,42 +358,12 @@ func (s *Segmented) CompactThrough(through uint64) (int, error) {
 		removed++
 	}
 	if removed > 0 {
-		if err := syncDir(s.dir); err != nil {
+		if err := durable.SyncDir(s.dir); err != nil {
 			return removed, err
 		}
 		s.compacted.Add(int64(removed))
 	}
 	return removed, nil
-}
-
-// Reset implements Appender: delete every sealed segment and truncate
-// the active one — the segmented equivalent of truncating a single
-// journal after a full snapshot. The caller must ensure no append is
-// in flight.
-func (s *Segmented) Reset() error {
-	s.rot.Lock()
-	defer s.rot.Unlock()
-	if s.closed {
-		return ErrClosed
-	}
-	idxs, err := ListSegments(s.dir)
-	if err != nil {
-		return err
-	}
-	for _, idx := range idxs {
-		if idx >= s.idx {
-			continue
-		}
-		if err := os.Remove(SegmentFile(s.dir, idx)); err != nil {
-			return fmt.Errorf("wal: reset: %w", err)
-		}
-		s.compacted.Add(1)
-	}
-	if err := syncDir(s.dir); err != nil {
-		return err
-	}
-	atomic.StoreInt64(&s.records, 0)
-	return s.active.Reset()
 }
 
 // Sync implements Appender.
@@ -432,7 +397,6 @@ func (s *Segmented) Stats() StatsSnapshot {
 	st.Appends += sealed.Appends
 	st.BytesAppended += sealed.BytesAppended
 	st.Syncs += sealed.Syncs
-	st.Resets += sealed.Resets
 	st.AppendErrors += sealed.AppendErrors
 	st.Batches += sealed.Batches
 	st.Rotations = s.rotations.Load()
@@ -489,18 +453,4 @@ func ReplaySegments(dir string, fn func(data []byte) error) ([]SegmentReplay, er
 		}
 	}
 	return out, nil
-}
-
-// syncDir fsyncs a directory so segment create/remove operations are
-// durable. Kept local so the wal package stays dependency-free.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return fmt.Errorf("wal: %w", err)
-	}
-	defer d.Close()
-	if err := d.Sync(); err != nil {
-		return fmt.Errorf("wal: sync %s: %w", dir, err)
-	}
-	return nil
 }

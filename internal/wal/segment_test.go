@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"sync"
@@ -270,6 +271,64 @@ func TestSegmentedTornTailInLastSegment(t *testing.T) {
 	}
 }
 
+// TestRotateEscapesFailedSegment: a segment whose rollback truncate
+// failed refuses appends (ErrFailed) with a partial frame at its tail;
+// Rotate seals it, appends succeed in the next segment, and replay
+// reports the sealed segment's tear so recovery truncates it.
+func TestRotateEscapesFailedSegment(t *testing.T) {
+	dir := t.TempDir()
+	s, err := OpenSegmented(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if err := s.Append([]byte("acked")); err != nil {
+		t.Fatal(err)
+	}
+	// What a failed append followed by a failed rollback leaves: half a
+	// frame past the acknowledged boundary, and the segment marked.
+	frame := appendFrame(nil, []byte("never acknowledged"))
+	s.active.mu.Lock()
+	_, werr := s.active.f.Write(frame[:len(frame)/2])
+	s.active.failed = errors.New("rollback truncate: injected")
+	s.active.mu.Unlock()
+	if werr != nil {
+		t.Fatal(werr)
+	}
+	if err := s.Append([]byte("refused")); !errors.Is(err, ErrFailed) {
+		t.Fatalf("append to failed segment: %v, want ErrFailed", err)
+	}
+
+	sealed, err := s.Rotate()
+	if err != nil {
+		t.Fatalf("rotate out of the failed segment: %v", err)
+	}
+	if err := s.Append([]byte("after rotate")); err != nil {
+		t.Fatalf("append in the next segment: %v", err)
+	}
+
+	var recs []string
+	results, err := ReplaySegments(dir, func(d []byte) error {
+		recs = append(recs, string(d))
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fmt.Sprint(recs) != "[acked after rotate]" {
+		t.Fatalf("replayed %v", recs)
+	}
+	if len(results) != 2 || results[0].Index != sealed || !results[0].Torn || results[1].Torn {
+		t.Fatalf("replay results = %+v, want a tear in sealed segment %d only", results, sealed)
+	}
+	if err := TruncateAt(SegmentFile(dir, sealed), results[0].TornOffset); err != nil {
+		t.Fatal(err)
+	}
+	if results, _ = ReplaySegments(dir, func([]byte) error { return nil }); results[0].Torn || results[0].Records != 1 {
+		t.Fatalf("after truncating the tear: %+v", results)
+	}
+}
+
 func TestParseSegmentIndex(t *testing.T) {
 	cases := []struct {
 		name string
@@ -279,7 +338,7 @@ func TestParseSegmentIndex(t *testing.T) {
 		{"journal.000001.log", 1, true},
 		{"journal.000017.log", 17, true},
 		{"journal.1000000.log", 1000000, true},
-		{"journal.log", 0, false},
+		{"journal..log", 0, false},       // no index
 		{"journal.000000.log", 0, false}, // index 0 is invalid
 		{"journal.00001.log", 0, false},  // too short
 		{"journal.abc.log", 0, false},
@@ -317,6 +376,10 @@ func TestManifestRoundTrip(t *testing.T) {
 	}
 	if got.CheckpointSeq != 99999 || len(got.Checkpoints) != 0 {
 		t.Fatalf("rewritten manifest = %+v", got)
+	}
+	// The manifest is the only file a rewrite leaves: no tmp, no backup.
+	if entries, _ := os.ReadDir(dir); len(entries) != 1 {
+		t.Errorf("directory holds %d files after a rewrite, want MANIFEST only", len(entries))
 	}
 }
 

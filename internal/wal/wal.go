@@ -1,9 +1,12 @@
 // Package wal implements a write-ahead mutation journal: fsynced,
-// checksummed, length-prefixed records appended to a single log file.
-// The catalog journals every mutation between snapshots, so an HTTP
-// edit made seconds before a kill -9 survives the restart — the
-// journal is replayed over the last snapshot and then truncated at the
-// next successful save.
+// checksummed, length-prefixed records appended to rotating segment
+// files (segment.go), plus the MANIFEST that says where recovery
+// starts (manifest.go). The catalog journals every mutation between
+// checkpoints, so an HTTP edit made seconds before a kill -9 survives
+// the restart — the surviving segments are replayed over the last
+// checkpoint, and each checkpoint rotates the active segment and
+// deletes the ones it covers. Journal is one segment file; Segmented
+// is the rotating journal over a directory of them.
 //
 // Record frame:
 //
@@ -59,10 +62,11 @@ const MaxRecordLen = 64 << 20
 // ErrClosed reports an append to a closed journal.
 var ErrClosed = errors.New("wal: journal closed")
 
-// ErrFailed reports a journal that could not truncate away a failed
+// ErrFailed reports a segment that could not truncate away a failed
 // append: later records would land after the partial frame and be
-// discarded as the torn tail on replay, so the journal refuses writes
-// until a Reset succeeds.
+// discarded as the torn tail on replay, so the segment refuses writes.
+// Segmented.Rotate escapes it — appends resume in the next segment and
+// replay truncates the sealed segment's torn tail.
 var ErrFailed = errors.New("wal: journal failed")
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
@@ -72,7 +76,6 @@ type Stats struct {
 	Appends       atomic.Int64
 	BytesAppended atomic.Int64
 	Syncs         atomic.Int64
-	Resets        atomic.Int64
 	AppendErrors  atomic.Int64
 	Batches       atomic.Int64
 }
@@ -80,13 +83,12 @@ type Stats struct {
 // StatsSnapshot is a plain-value copy of Stats, JSON-friendly for
 // /metrics. Appends counts records; Batches counts group commits
 // (write+fsync cycles), so Appends/Batches is the mean batch size.
-// Rotations and SegmentsCompacted stay zero for a single-file Journal;
-// a Segmented journal fills them in.
+// Rotations and SegmentsCompacted stay zero for a single segment's
+// Journal; a Segmented journal fills them in.
 type StatsSnapshot struct {
 	Appends           int64 `json:"appends"`
 	BytesAppended     int64 `json:"bytes_appended"`
 	Syncs             int64 `json:"syncs"`
-	Resets            int64 `json:"resets"`
 	AppendErrors      int64 `json:"append_errors"`
 	Batches           int64 `json:"batches"`
 	Rotations         int64 `json:"rotations,omitempty"`
@@ -94,7 +96,7 @@ type StatsSnapshot struct {
 }
 
 // Appender is the mutation-journal surface the catalog writes to.
-// *Journal implements it; fault-injection wrappers do too.
+// *Segmented implements it; the fault-injection wrapper does too.
 type Appender interface {
 	// Append durably adds one record (write + fsync, possibly shared
 	// with concurrent appenders via group commit).
@@ -115,8 +117,12 @@ type Appender interface {
 	// EnqueueBatch is Enqueue for an atomic batch: all records take
 	// consecutive log positions and share one commit outcome.
 	EnqueueBatch(records [][]byte) *Ticket
-	// Reset truncates the journal after a successful snapshot.
-	Reset() error
+	// Rotate seals the active segment and opens the next one, returning
+	// the sealed segment's index (see Segmented.Rotate).
+	Rotate() (uint64, error)
+	// CompactThrough deletes every sealed segment with index <= through
+	// and returns how many it removed.
+	CompactThrough(through uint64) (int, error)
 	// Sync flushes without appending (used at shutdown).
 	Sync() error
 	// Close releases the file handle.
@@ -127,9 +133,8 @@ type Appender interface {
 
 // FsyncObserver receives the wall time of each fsync the journal
 // issues. telemetry.*Histogram satisfies it; the local interface keeps
-// this package dependency-free. Callers that only hold an Appender
-// can type-assert for the SetFsyncObserver method, so fault-injection
-// wrappers that don't forward it are simply unobserved.
+// this package from importing telemetry. Callers that only hold an
+// Appender type-assert for the SetFsyncObserver method.
 type FsyncObserver interface {
 	Observe(d time.Duration)
 }
@@ -177,7 +182,6 @@ type Journal struct {
 	// boundary; a failed append truncates back to it.
 	size     int64
 	failed   error
-	path     string
 	stats    Stats
 	fsyncObs FsyncObserver
 	batchObs FsyncObserver
@@ -254,15 +258,12 @@ func Open(path string, opts ...Option) (*Journal, error) {
 		f.Close()
 		return nil, fmt.Errorf("wal: %w", err)
 	}
-	j := &Journal{f: f, path: path, size: fi.Size(), leader: make(chan struct{}, 1)}
+	j := &Journal{f: f, size: fi.Size(), leader: make(chan struct{}, 1)}
 	for _, o := range opts {
 		o(j)
 	}
 	return j, nil
 }
-
-// Path returns the journal's file path.
-func (j *Journal) Path() string { return j.path }
 
 // Size returns the length of the last fully-acknowledged record
 // boundary — the journal's durable size.
@@ -281,26 +282,26 @@ func appendFrame(buf, data []byte) []byte {
 	return append(append(buf, hdr[:]...), data...)
 }
 
-// Append implements Appender. The record is on stable storage when
+// Append durably adds one record: it is on stable storage when
 // Append returns nil.
 func (j *Journal) Append(data []byte) error {
 	return j.Enqueue(data).Wait()
 }
 
-// AppendBatch implements Appender: every record or none. An empty
-// batch is a no-op.
+// AppendBatch durably adds every record or none. An empty batch is a
+// no-op.
 func (j *Journal) AppendBatch(records [][]byte) error {
 	return j.EnqueueBatch(records).Wait()
 }
 
-// Enqueue implements Appender: the record's log position is fixed (in
-// Enqueue-call order) before Enqueue returns; the returned ticket's
-// Wait runs the group-commit protocol.
+// Enqueue fixes the record's log position (in Enqueue-call order)
+// before it returns; the returned ticket's Wait runs the group-commit
+// protocol.
 func (j *Journal) Enqueue(data []byte) *Ticket {
 	return j.enqueue(appendFrame(nil, data), 1)
 }
 
-// EnqueueBatch implements Appender.
+// EnqueueBatch is Enqueue for an atomic batch.
 func (j *Journal) EnqueueBatch(records [][]byte) *Ticket {
 	if len(records) == 0 {
 		return ErrTicket(nil)
@@ -457,30 +458,7 @@ func (j *Journal) rollbackLocked() {
 	}
 }
 
-// Reset implements Appender: truncate to zero after a snapshot has
-// captured everything the journal held. The caller must ensure no
-// append is concurrently in flight (the catalog's Save gates
-// mutations for exactly this reason): a queued-but-uncommitted record
-// would land in the truncated log and replay over the newer snapshot.
-func (j *Journal) Reset() error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.f == nil {
-		return ErrClosed
-	}
-	if err := j.f.Truncate(0); err != nil {
-		return fmt.Errorf("wal: truncate: %w", err)
-	}
-	if err := j.f.Sync(); err != nil {
-		return fmt.Errorf("wal: sync: %w", err)
-	}
-	j.size = 0
-	j.failed = nil // the log is demonstrably clean again
-	j.stats.Resets.Add(1)
-	return nil
-}
-
-// Sync implements Appender.
+// Sync flushes without appending.
 func (j *Journal) Sync() error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -494,7 +472,7 @@ func (j *Journal) Sync() error {
 	return nil
 }
 
-// Close implements Appender.
+// Close releases the file handle.
 func (j *Journal) Close() error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -506,13 +484,12 @@ func (j *Journal) Close() error {
 	return err
 }
 
-// Stats implements Appender.
+// Stats returns a snapshot of the segment's counters.
 func (j *Journal) Stats() StatsSnapshot {
 	return StatsSnapshot{
 		Appends:       j.stats.Appends.Load(),
 		BytesAppended: j.stats.BytesAppended.Load(),
 		Syncs:         j.stats.Syncs.Load(),
-		Resets:        j.stats.Resets.Load(),
 		AppendErrors:  j.stats.AppendErrors.Load(),
 		Batches:       j.stats.Batches.Load(),
 	}

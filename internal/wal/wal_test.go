@@ -4,13 +4,12 @@ import (
 	"bytes"
 	"fmt"
 	"os"
-	"path/filepath"
 	"testing"
 )
 
 func journalPath(t *testing.T) string {
 	t.Helper()
-	return filepath.Join(t.TempDir(), "journal.log")
+	return SegmentFile(t.TempDir(), 1)
 }
 
 func TestAppendReplayRoundTrip(t *testing.T) {
@@ -151,28 +150,6 @@ func TestReplayCorruptRecordStops(t *testing.T) {
 	res, _ := Replay(path, func([]byte) error { got++; return nil })
 	if got != 1 || !res.Torn {
 		t.Fatalf("got=%d res=%+v", got, res)
-	}
-}
-
-func TestResetTruncates(t *testing.T) {
-	path := journalPath(t)
-	j, _ := Open(path)
-	j.Append([]byte("pre-snapshot"))
-	if err := j.Reset(); err != nil {
-		t.Fatal(err)
-	}
-	j.Append([]byte("post-snapshot"))
-	j.Close()
-
-	var got [][]byte
-	Replay(path, func(d []byte) error { got = append(got, append([]byte(nil), d...)); return nil })
-	if len(got) != 1 || string(got[0]) != "post-snapshot" {
-		t.Fatalf("got = %q", got)
-	}
-
-	s := j.Stats()
-	if s.Appends != 2 || s.Resets != 1 {
-		t.Errorf("stats = %+v", s)
 	}
 }
 
