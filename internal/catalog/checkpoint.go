@@ -130,11 +130,14 @@ func removeStaleCheckpoints(dir string, keep map[uint64]bool) error {
 }
 
 // catalogStreamPreamble opens a snapshot or checkpoint payload (format
-// "catalog stream 2"): the preamble, one gob stream holding a
+// "catalog stream 3"): the preamble, one gob stream holding a
 // streamHead and then head.NumRecords verRecords. Integrity is the
 // container's (per-chunk CRC-32C plus a whole-stream trailer); a
-// payload that opens with anything else is ErrSnapshotFormat.
-var catalogStreamPreamble = [8]byte{'T', 'B', 'M', 'C', 'A', 'T', 'S', '2'}
+// payload that opens with anything else is ErrSnapshotFormat — stream 2
+// included, whose interpretation records held one entry per element
+// where this one holds runs (interp.Run) and would decode as empty
+// tracks.
+var catalogStreamPreamble = [8]byte{'T', 'B', 'M', 'C', 'A', 'T', 'S', '3'}
 
 // streamHead leads a snapshot payload, which covers mutations in
 // (FromSeq, Seq]: everything up to Seq for a full snapshot (FromSeq
@@ -292,7 +295,7 @@ type catalogStream struct {
 // openStream opens the file at path and decodes its head. A missing
 // file passes through as fs.ErrNotExist; damage at any layer is
 // ErrCorruptSnapshot; a file whose container verifies but whose
-// payload is not a TBMCATS2 stream is ErrSnapshotFormat.
+// payload is not a TBMCATS3 stream is ErrSnapshotFormat.
 func openStream(path string) (*catalogStream, error) {
 	r, err := durable.OpenSnapshotReader(path)
 	if err != nil {

@@ -50,9 +50,12 @@ const (
 	storeRetryBase = 2 * time.Millisecond
 )
 
-// Journal operation kinds.
+// Journal operation kinds. An interpretation record was "interp" while
+// it held one entry per element; gob would decode that shape into the
+// run record as empty tracks, so the kind changed with the shape and an
+// old record is an unknown op.
 const (
-	opInterp     = "interp"
+	opInterp     = "interpruns"
 	opNonDerived = "nonderived"
 	opDerived    = "derived"
 	opMultimedia = "multimedia"

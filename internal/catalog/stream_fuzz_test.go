@@ -14,6 +14,8 @@ import (
 	"timedmedia/internal/blob"
 	"timedmedia/internal/core"
 	"timedmedia/internal/durable"
+	"timedmedia/internal/interp"
+	"timedmedia/internal/media"
 	"timedmedia/internal/timebase"
 )
 
@@ -27,8 +29,11 @@ import (
 // the record stream carries: catalog.gob is a full snapshot (with an
 // older generation as .bak) and checkpoint.000001.ckpt a delta, and
 // each of the two covers object tombstones, a name re-used across a
-// delete, a sync revision and an interpretation tombstone. The journal
-// is closed; the store stays open for the caller.
+// delete, a sync revision and an interpretation tombstone — and
+// interpretation records of every packing: vjpg frames that are runs
+// of one, raw frames that are one contiguous run, and two uniform
+// tracks interleaved in one BLOB. The journal is closed; the store
+// stays open for the caller.
 func streamFixture(tb testing.TB, dir string) *blob.FileStore {
 	tb.Helper()
 	must := func(err error) {
@@ -44,6 +49,23 @@ func streamFixture(tb testing.TB, dir string) *blob.FileStore {
 	a, err := db.Ingest("a", genVideo(4, 91), IngestOptions{})
 	must(err)
 	b, err := db.Ingest("b", genVideo(4, 92), IngestOptions{})
+	must(err)
+	_, err = db.Ingest("raw", genVideo(4, 95), IngestOptions{VideoEncoding: media.EncodingRawRGB})
+	must(err)
+	avID, avBlob, err := store.Create()
+	must(err)
+	frames, samples := media.RawVideoType(2, 2, timebase.PAL), media.CDAudioType()
+	bu := interp.NewBuilder(avID, avBlob).
+		AddTrack("v", frames, frames.NewDescriptor(6)).AddTrack("a", samples, samples.NewDescriptor(6))
+	for i := int64(0); i < 6; i++ {
+		bu.Append("v", make([]byte, 12), i, 1, media.ElementDescriptor{}).Append("a", make([]byte, 4), i, 1, media.ElementDescriptor{})
+	}
+	av, err := bu.Seal()
+	must(err)
+	must(db.RegisterInterpretation(av))
+	_, err = db.AddNonDerived("av-video", avID, "v", nil)
+	must(err)
+	_, err = db.AddNonDerived("av-audio", avID, "a", nil)
 	must(err)
 	mm, err := db.AddMultimedia("mm", timebase.Millis, []core.ComponentRef{{Object: a}, {Object: b, Start: 40}}, nil)
 	must(err)
@@ -117,7 +139,7 @@ func FuzzCatalogStreamDecode(f *testing.F) {
 		delta[:len(delta)/2],
 		{},
 		catalogStreamPreamble[:],
-		append([]byte("TBMCATS1"), full[8:]...), // the previous format's preamble
+		append([]byte("TBMCATS2"), full[8:]...), // the previous format's preamble
 		[]byte("not a catalog stream"),
 		flipped(full, 9),             // in the head
 		flipped(delta, len(delta)/2), // in a record

@@ -23,7 +23,7 @@ import (
 	"timedmedia/internal/wal"
 )
 
-// Tests of the TBMCATS2 snapshot payload: what a reload hands back,
+// Tests of the TBMCATS3 snapshot payload: what a reload hands back,
 // what it refuses, and what it survives.
 
 // countingStore counts Open calls per BLOB.
@@ -343,7 +343,7 @@ func TestReopenAfterJournaledReaderDeleted(t *testing.T) {
 }
 
 // writeFormatFixtureHistory runs the fixed history behind
-// testdata/format_pr20 in dir: a full snapshot, one delta over it with a
+// testdata/format_pr22 in dir: a full snapshot, one delta over it with a
 // delete that collects a BLOB the snapshot names, and a journal tail.
 func writeFormatFixtureHistory(t *testing.T, dir string) {
 	t.Helper()
@@ -368,13 +368,13 @@ func writeFormatFixtureHistory(t *testing.T, dir string) {
 	}
 }
 
-// TestRecoverFormatFixture pins the on-disk format across the deletion
-// of the older generations: testdata/format_pr20 is what the last commit
-// that still read them wrote for the fixture history. It must open —
-// snapshot, delta chain, MANIFEST, segments, BLOBs — and this tree must
-// write the same bytes for the same history.
+// TestRecoverFormatFixture pins the on-disk format:
+// testdata/format_pr22 is what the commit that introduced the TBMCATS3
+// payload (interpretation tables as runs) wrote for the fixture history.
+// It must open — snapshot, delta chain, MANIFEST, segments, BLOBs — and
+// this tree must write the same bytes for the same history.
 func TestRecoverFormatFixture(t *testing.T) {
-	const fixture = "testdata/format_pr20"
+	const fixture = "testdata/format_pr22"
 	dir := t.TempDir()
 	copyTree(t, fixture, dir)
 	db := openDB(t, dir)
@@ -414,6 +414,42 @@ func TestRecoverFormatFixture(t *testing.T) {
 		if err != nil || !bytes.Equal(a, b) {
 			t.Errorf("%s: %d bytes written now (%v), %d in the fixture, or they differ", e.Name(), len(b), err, len(a))
 		}
+	}
+}
+
+// TestPreviousFormatRefused: what the previous format's last commit
+// wrote (testdata/format_pr20: a TBMCATS2 snapshot, and the journal of a
+// directory that never checkpointed, whose first record is an "interp"
+// with one entry per element) is refused by name, never read as
+// interpretations with empty tracks. The snapshot stays where it is,
+// byte for byte, with nothing quarantined and no backup taken.
+func TestPreviousFormatRefused(t *testing.T) {
+	open := func(file string) (string, error) {
+		dir := t.TempDir()
+		data, err := os.ReadFile(filepath.Join("testdata/format_pr20", file))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, file), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		fs, err := blob.OpenFileStore(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer fs.Close()
+		_, err = Open(dir, fs)
+		after, _ := os.ReadFile(filepath.Join(dir, file))
+		if left, _ := os.ReadDir(dir); len(left) != 1 || !bytes.Equal(after, data) {
+			t.Errorf("%s: refusal left %d files, or changed the one it refused", file, len(left))
+		}
+		return dir, err
+	}
+	if _, err := open(snapshotName); !errors.Is(err, ErrSnapshotFormat) || !strings.Contains(err.Error(), `"TBMCATS2"`) {
+		t.Errorf("TBMCATS2 snapshot: Open = %v, want ErrSnapshotFormat naming the preamble", err)
+	}
+	if _, err := open("journal.000001.log"); !errors.Is(err, ErrReplay) || !strings.Contains(err.Error(), `unknown op "interp"`) {
+		t.Errorf("per-element interpretation record: Open = %v, want ErrReplay naming the kind", err)
 	}
 }
 

@@ -18,8 +18,11 @@
 package interp
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"math"
+	"slices"
 	"sort"
 
 	"timedmedia/internal/blob"
@@ -164,7 +167,11 @@ func (bu *Builder) Seal() (*Interpretation, error) {
 		}
 		it.tracks[name] = tr
 	}
-	if err := it.checkOverlaps(); err != nil {
+	runs := make([]ExportedTrack, 0, len(it.order))
+	for _, name := range it.order {
+		runs = append(runs, ExportedTrack{Name: name, Runs: packRuns(it.tracks[name])})
+	}
+	if err := checkOverlaps(runs); err != nil {
 		return nil, err
 	}
 	return it, nil
@@ -289,29 +296,80 @@ func (it *Interpretation) PayloadLayers(track string, i, maxLayer int) ([][]byte
 	return out, nil
 }
 
+// prog is the arithmetic progression of byte spans one layer of one run
+// claims: n of them, the next [off, off+size) and belonging to element
+// elem of track.
+type prog struct {
+	off, size, stride int64
+	n                 int
+	track             string
+	elem              int
+}
+
 // checkOverlaps verifies that no two element layers across all tracks
-// claim the same bytes.
-func (it *Interpretation) checkOverlaps() error {
-	type span struct {
-		off, end int64
-		who      string
-	}
-	var spans []span
-	for name, tr := range it.tracks {
-		for i, ls := range tr.layers {
-			for _, pl := range ls {
-				if pl.Size == 0 {
-					continue
+// claim the same bytes. It visits the spans in offset order by merging
+// the runs' progressions: a stretch of one run that no other run's
+// extent reaches into is passed in one step, and only where extents
+// interleave (tracks interleaved in one BLOB) does it go element by
+// element. It allocates per run, never per element.
+func checkOverlaps(tracks []ExportedTrack) error {
+	var progs []prog
+	for _, et := range tracks {
+		elem := 0
+		for _, r := range et.Runs {
+			for _, lr := range r.Layers {
+				if lr.Len > 0 {
+					progs = append(progs, prog{lr.Offset, lr.Len, lr.Len + lr.Gap, r.N, et.Name, elem})
 				}
-				spans = append(spans, span{pl.Offset, pl.End(), fmt.Sprintf("%s[%d]", name, i)})
+			}
+			elem += r.N
+		}
+	}
+	slices.SortFunc(progs, func(a, b prog) int { return cmp.Compare(a.off, b.off) })
+	var active []prog // begun and not yet exhausted
+	var lastEnd int64 // where the span visited last ends, and whose it is
+	var lastTrack string
+	var lastElem int
+	for next := 0; next < len(progs) || len(active) > 0; {
+		// m has the first unvisited span among the active; no other
+		// unvisited span begins before limit.
+		m, limit := -1, int64(math.MaxInt64)
+		for i := range active {
+			if m < 0 || active[i].off < active[m].off {
+				m = i
 			}
 		}
-	}
-	sort.Slice(spans, func(a, b int) bool { return spans[a].off < spans[b].off })
-	for i := 1; i < len(spans); i++ {
-		if spans[i].off < spans[i-1].end {
-			return fmt.Errorf("%w: %s and %s", ErrOverlap, spans[i-1].who, spans[i].who)
+		if next < len(progs) {
+			limit = progs[next].off
 		}
+		for i := range active {
+			if i != m {
+				limit = min(limit, active[i].off)
+			}
+		}
+		if m < 0 || limit < active[m].off {
+			active = append(active, progs[next])
+			next++
+			continue
+		}
+		p := &active[m]
+		if p.off < lastEnd {
+			return fmt.Errorf("%w: %s[%d] and %s[%d]", ErrOverlap, lastTrack, lastElem, p.track, p.elem)
+		}
+		// Pass every span of p that begins before limit: within a run
+		// stride >= size keeps them apart.
+		k := 1
+		if p.n > 1 && limit > p.off {
+			k = int(min(int64(p.n), (limit-1-p.off)/p.stride+1))
+		}
+		lastEnd, lastTrack, lastElem = p.off+int64(k-1)*p.stride+p.size, p.track, p.elem+k-1
+		if p.n -= k; p.n == 0 {
+			active[m] = active[len(active)-1]
+			active = active[:len(active)-1]
+			continue
+		}
+		p.off += int64(k) * p.stride
+		p.elem += k
 	}
 	return nil
 }

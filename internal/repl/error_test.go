@@ -5,6 +5,8 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -117,13 +119,29 @@ func TestApplyRecordRejectsGarbage(t *testing.T) {
 	}
 }
 
+// TestEnsureBlobFetchFailure: a primary that cannot serve a BLOB is an
+// error the tail loop retries; a primary that no longer has it (404) is
+// not — the fetch is skipped and nothing is installed.
 func TestEnsureBlobFetchFailure(t *testing.T) {
-	srv := httptest.NewServer(http.NotFoundHandler())
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		http.Error(w, "quarantined", http.StatusInternalServerError)
+	}))
 	defer srv.Close()
 	f := newBareFollower(t, srv.URL, t.TempDir())
 	if err := f.ensureBlob(context.Background(), 7); err == nil ||
-		!strings.Contains(err.Error(), "404") {
-		t.Errorf("missing blob fetch: err = %v", err)
+		!strings.Contains(err.Error(), "500") {
+		t.Errorf("failed blob fetch: err = %v", err)
+	}
+
+	gone := httptest.NewServer(http.NotFoundHandler())
+	defer gone.Close()
+	dir := t.TempDir()
+	f = newBareFollower(t, gone.URL, dir)
+	if err := f.ensureBlob(context.Background(), 7); err != nil {
+		t.Errorf("blob gone from the primary: err = %v, want the fetch skipped", err)
+	}
+	if _, err := os.Stat(filepath.Join(dir, blob.FileName(7))); err == nil {
+		t.Error("a 404 installed a payload file")
 	}
 }
 

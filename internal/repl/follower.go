@@ -388,7 +388,11 @@ func (f *Follower) observeHeartbeat(primarySeq, backlog uint64) {
 // ensureBlob makes the payload file for id present locally, fetching
 // it from the primary when missing. The payload is sealed with a CRC
 // sidecar exactly as a local Sync would, so the store's open-time
-// verification covers replicated payloads too.
+// verification covers replicated payloads too. A 404 means the primary
+// has since deleted the BLOB's last reader and collected it: there is
+// nothing to fetch and no retry will find it, so the record goes to
+// ApplyReplicated without it, which remembers what it cannot rebuild
+// until the delete arrives further down the feed.
 func (f *Follower) ensureBlob(ctx context.Context, id blob.ID) error {
 	path := filepath.Join(f.dir, blob.FileName(id))
 	if _, err := os.Stat(path); err == nil {
@@ -404,6 +408,10 @@ func (f *Follower) ensureBlob(ctx context.Context, id blob.ID) error {
 		return fmt.Errorf("repl: fetch %v: %w", id, err)
 	}
 	defer resp.Body.Close()
+	if resp.StatusCode == http.StatusNotFound {
+		f.logf("repl: %v is gone from the primary; applying without it", id)
+		return nil
+	}
 	if resp.StatusCode != http.StatusOK {
 		return fmt.Errorf("repl: fetch %v: %s", id, resp.Status)
 	}

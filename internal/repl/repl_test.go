@@ -1,6 +1,7 @@
 package repl
 
 import (
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -206,6 +207,83 @@ func TestReplFollowerRestartResume(t *testing.T) {
 	}
 	if err := f2.DB().VerifyIndexes(); err != nil {
 		t.Errorf("replica index divergence: %v", err)
+	}
+}
+
+// TestReplResumeAfterCollectedBlob: while the follower is down the
+// primary ingests a clip, cuts it and deletes both, which collects the
+// BLOB at once. The restarted follower's feed still opens with the
+// clip's interpretation record, whose payload the primary answers 404
+// for; the follower must apply on without it, down to the deletes that
+// explain the loss, rather than retry the fetch forever.
+func TestReplResumeAfterCollectedBlob(t *testing.T) {
+	tp := newTestPrimary(t)
+	keep := tp.ingest(t, "keep", 6, 4)
+
+	dir := t.TempDir()
+	opts := Options{ReconnectBase: 5 * time.Millisecond, ReconnectMax: 50 * time.Millisecond}
+	f, err := Start(tp.srv.URL, dir, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "first catch-up", caughtUp(f, tp.db))
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	gone := tp.ingest(t, "gone", 5, 5)
+	obj, err := tp.db.Get(gone)
+	if err != nil {
+		t.Fatal(err)
+	}
+	goneCut := tp.cut(t, gone, "gone-cut", 1, 4)
+	for _, id := range []core.ID{goneCut, gone} {
+		if err := tp.db.Delete(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := tp.store.Open(obj.Blob); !errors.Is(err, blob.ErrNotFound) {
+		t.Fatalf("primary still has the deleted clip's BLOB: %v", err)
+	}
+	tp.cut(t, keep, "after", 0, 3)
+
+	f2, err := Start(tp.srv.URL, dir, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f2.Close()
+	waitFor(t, "catch-up past the collected BLOB", caughtUp(f2, tp.db))
+	if st := f2.Status(); st.Bootstraps != 0 {
+		t.Errorf("follower re-bootstrapped (%d times); want the feed applied", st.Bootstraps)
+	}
+	if got, want := f2.DB().Len(), tp.db.Len(); got != want {
+		t.Errorf("follower has %d objects, primary %d", got, want)
+	}
+	if _, err := f2.DB().Lookup("after"); err != nil {
+		t.Errorf("write after the delete did not arrive: %v", err)
+	}
+	if _, err := f2.DB().Lookup("gone"); !errors.Is(err, catalog.ErrNotFound) {
+		t.Errorf("deleted clip on the follower: %v", err)
+	}
+	if err := f2.DB().VerifyIndexes(); err != nil {
+		t.Errorf("replica index divergence: %v", err)
+	}
+	// What the follower journaled reopens: the loss is explained on disk too.
+	if err := f2.Close(); err != nil {
+		t.Fatal(err)
+	}
+	store, err := blob.OpenFileStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	reopened, err := catalog.Open(dir, store)
+	if err != nil {
+		t.Fatalf("reopen of the follower's directory: %v", err)
+	}
+	defer reopened.CloseJournal()
+	if reopened.Len() != tp.db.Len() {
+		t.Errorf("reopened follower has %d objects, primary %d", reopened.Len(), tp.db.Len())
 	}
 }
 
