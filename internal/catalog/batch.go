@@ -5,7 +5,6 @@ import (
 
 	"timedmedia/internal/blob"
 	"timedmedia/internal/core"
-	"timedmedia/internal/wal"
 )
 
 // BatchItem describes one object in a DB.AddBatch call. Exactly one
@@ -34,130 +33,45 @@ type BatchItem struct {
 }
 
 // AddBatch registers every item or none of them. The whole batch is
-// validated and staged under one lock acquisition and journaled as
-// one WAL batch — a single write + fsync regardless of batch size —
-// which is what makes bulk ingest amortize both locking and
-// durability (the motivation: the paper's workflow "raw material is
-// created and added to the database, and then successively refined
-// and composed" arrives in bulk). On ack the whole batch is published
-// as ONE new epoch, so no reader can ever observe half a batch. On
-// success the returned IDs are in item order. On any error —
-// validation of any item, or the journal append — no object is added
-// and the catalog is unchanged.
+// one staged commit (commitAdds): validated and staged under one lock
+// acquisition and journaled as one WAL batch — a single write + fsync
+// regardless of batch size — which is what makes bulk ingest amortize
+// both locking and durability (the motivation: the paper's workflow
+// "raw material is created and added to the database, and then
+// successively refined and composed" arrives in bulk). On ack the
+// whole batch is published as ONE new epoch, so no reader can ever
+// observe half a batch. On success the returned IDs are in item order.
+// On any error — validation of any item, reported for the first one
+// that fails, or the journal append — no object is added and the
+// catalog is unchanged.
 func (db *DB) AddBatch(items []BatchItem) ([]core.ID, error) {
 	if len(items) == 0 {
 		return nil, nil
 	}
-	db.commitGate.RLock()
-	defer db.commitGate.RUnlock()
-
-	db.mu.Lock()
-	ids := make([]core.ID, 0, len(items))
-	recs := make([]*walOp, 0, len(items))
-	// Items go straight into the staged set — invisible to the
-	// lock-free readers pinning epochs. Later items' input validation
-	// sees earlier ones through the batch-local scratch maps, never
-	// through another writer's in-flight staging.
-	scratch := make(map[core.ID]*core.Object, len(items))
-	localNames := make(map[string]core.ID, len(items))
-	fail := func(i int, name string, err error) ([]core.ID, error) {
-		for j := len(ids) - 1; j >= 0; j-- {
-			db.unstageLocked(ids[j])
-		}
-		db.mu.Unlock()
-		return nil, fmt.Errorf("catalog: batch item %d (%q): %w", i, name, err)
-	}
-	cur := db.cur.Load()
+	recs := make([]*walOp, len(items))
 	for i := range items {
 		it := &items[i]
-		var obj *core.Object
-		var err error
-		var rec *walOp
+		// An item of neither shape keeps an empty Kind; staging refuses
+		// it when its turn comes, so errors stay in item order.
+		rec := &walOp{Name: it.Name, Attrs: it.Attrs}
 		switch {
 		case it.Op != "":
-			inputs := append([]core.ID(nil), it.Inputs...)
-			for _, nm := range it.InputNames {
-				inID, ok := cur.shardFor(nm).byName.get(nm)
-				if !ok {
-					inID, ok = localNames[nm]
-				}
-				if !ok {
-					return fail(i, it.Name, fmt.Errorf("%w: input %q", ErrNotFound, nm))
-				}
-				inputs = append(inputs, inID)
-			}
-			obj, err = db.buildDerivedLocked(it.Name, it.Op, inputs, it.Params, it.Attrs, scratch)
-			if err != nil {
-				return fail(i, it.Name, err)
-			}
-			rec = &walOp{Kind: opDerived, Name: it.Name, Op: it.Op,
-				Inputs: inputs, Params: it.Params, Attrs: it.Attrs}
+			rec.Kind, rec.Op, rec.Params = opDerived, it.Op, it.Params
+			rec.Inputs, rec.inputNames = it.Inputs, it.InputNames
 		case it.Blob != 0:
-			obj, err = db.buildNonDerivedLocked(it.Name, it.Blob, it.Track, it.Attrs)
-			if err != nil {
-				return fail(i, it.Name, err)
-			}
-			rec = &walOp{Kind: opNonDerived, Name: it.Name,
-				Blob: it.Blob, Track: it.Track, Attrs: it.Attrs}
-		default:
-			return fail(i, it.Name, fmt.Errorf("item defines neither a blob binding nor a derivation"))
+			rec.Kind, rec.Blob, rec.Track = opNonDerived, it.Blob, it.Track
 		}
-		id, err := db.stageLocked(obj, 0)
-		if err != nil {
-			return fail(i, it.Name, err)
-		}
-		rec.ID = id
-		scratch[id] = obj
-		localNames[it.Name] = id
-		ids = append(ids, id)
-		recs = append(recs, rec)
+		recs[i] = rec
 	}
-	var t *wal.Ticket
-	if db.wal == nil {
-		// No journal: the batch is committed by definition. Each item
-		// still gets its own sequence number — its transaction-time
-		// version stamp. One edit, one epoch.
-		for i, rec := range recs {
-			db.seq++
-			rec.Seq = db.seq
-			db.stagedSeq[ids[i]] = rec.Seq
+	if i, err := db.commitAdds(recs); err != nil {
+		if i >= 0 {
+			err = fmt.Errorf("catalog: batch item %d (%q): %w", i, items[i].Name, err)
 		}
-		db.publishLocked(ids...)
-	} else {
-		// Sequence assignment, encode, and the batch's log-position
-		// reservation all happen in this one db.mu section so log order
-		// equals seq order (see enqueueLocked); the fsync wait happens
-		// after the lock is dropped.
-		frames := make([][]byte, 0, len(recs))
-		for i, rec := range recs {
-			db.seq++
-			rec.Seq = db.seq
-			db.stagedSeq[ids[i]] = rec.Seq
-			data, err := encodeOp(rec)
-			if err != nil {
-				return fail(i, rec.Name, err)
-			}
-			frames = append(frames, data)
-		}
-		t = db.wal.EnqueueBatch(frames)
+		return nil, err
 	}
-	db.mu.Unlock()
-	if t == nil {
-		return ids, nil
-	}
-
-	appendErr := db.waitRecord(t)
-	db.mu.Lock()
-	if appendErr != nil {
-		for i := len(ids) - 1; i >= 0; i-- {
-			db.unstageLocked(ids[i])
-		}
-	} else {
-		db.publishLocked(ids...)
-	}
-	db.mu.Unlock()
-	if appendErr != nil {
-		return nil, appendErr
+	ids := make([]core.ID, len(recs))
+	for i, rec := range recs {
+		ids[i] = rec.ID
 	}
 	return ids, nil
 }

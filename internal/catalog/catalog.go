@@ -15,6 +15,7 @@ import (
 	"encoding/gob"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -52,14 +53,19 @@ var (
 // one atomic load and run entirely lock-free; a pinned view stays
 // internally consistent forever.
 //
-// Write side / commit protocol: with a journal attached, a mutation
-// is validated against the current view and staged (invisible to
-// every reader) under db.mu, then journaled *outside* db.mu —
-// concurrent mutators share group commits (see internal/wal) instead
-// of serializing one fsync each. Once the record is durable the
-// object is published: a new copy-on-write epoch containing it is
-// built and swapped in atomically. A failed append unstages it, so
-// readers only ever observe acknowledged mutations. db.mu stays a
+// Write side: every public mutator builds a walOp — the journal record
+// is the edit — and hands it to one of two commit disciplines. Adds
+// (objects alone or as a batch, interpretation registrations) are
+// staged commits (commitAdds): validated against the current view and
+// staged, invisible to every reader, under db.mu, journaled *outside*
+// db.mu — concurrent mutators share group commits (see internal/wal)
+// instead of serializing one fsync each — and published, all of them
+// as one copy-on-write epoch swapped in atomically, once the records
+// are durable; a failed append unstages them. Syncs and deletes are
+// serial commits (commitSerial): validate → journal → apply under
+// db.mu. Either way readers only ever observe acknowledged mutations,
+// and applyLocked is the one place a durable record becomes catalog
+// state — live, in crash replay and in replicated apply. db.mu stays a
 // single global writer lock because the WAL's correctness depends on
 // log order equaling sequence order, which requires one critical
 // section per enqueue — but no read ever takes it.
@@ -74,18 +80,17 @@ type DB struct {
 	cur  atomic.Pointer[View]
 	ring *epochRing
 
-	// staged holds objects whose journal record is not yet durable:
-	// their names are reserved in reservedNames but they are invisible
-	// to every reader until published into a view. stagedInterps is
-	// the same for interpretations.
-	staged        map[core.ID]*core.Object
-	reservedNames map[string]core.ID
+	// staged holds, by name, the objects whose journal record is not yet
+	// durable: the name is reserved, the object invisible to every
+	// reader until published into a view. stagedInterps is the same for
+	// interpretations, by BLOB.
+	staged        map[string]*core.Object
 	stagedInterps map[blob.ID]*interp.Interpretation
 
 	// commitGate serializes snapshots against in-flight commits:
-	// mutators hold the read side from stage to ack/rollback, and
-	// Save briefly takes the write side so a snapshot never captures
-	// (or races the rollback of) a mutation that is not yet durable.
+	// mutators hold the read side from stage to publish or unstage, and
+	// Save briefly takes the write side so a snapshot never captures a
+	// seq whose mutation is not yet durable and published.
 	// Lock order: saveMu → commitGate → mu.
 	commitGate sync.RWMutex
 
@@ -140,11 +145,8 @@ type DB struct {
 	checkpointHook func(stage string)
 
 	// Transaction-time versioning (versions.go): verRetention bounds
-	// each object's version chain; stagedSeq remembers the journal seq
-	// assigned to each staged object so publishLocked can stamp its
-	// version entry.
+	// each object's version chain.
 	verRetention int
-	stagedSeq    map[core.ID]uint64
 
 	// lostBlobs holds the registrations a snapshot or journal record
 	// named whose BLOB the store no longer has, with the store's error;
@@ -292,8 +294,7 @@ func New(store blob.Store, opts ...Option) *DB {
 		nextID:            1,
 		nShards:           cfg.shards,
 		ring:              newEpochRing(cfg.epochRetention),
-		staged:            map[core.ID]*core.Object{},
-		reservedNames:     map[string]core.ID{},
+		staged:            map[string]*core.Object{},
 		stagedInterps:     map[blob.ID]*interp.Interpretation{},
 		dirty:             newDirtyShards(cfg.shards),
 		dirtyInterps:      map[blob.ID]struct{}{},
@@ -302,7 +303,6 @@ func New(store blob.Store, opts ...Option) *DB {
 		walSegmentBytes:   cfg.walSegmentBytes,
 		walSegmentRecords: cfg.walSegmentRecords,
 		verRetention:      cfg.versionRetention,
-		stagedSeq:         map[core.ID]uint64{},
 		lostBlobs:         map[blob.ID]error{},
 		lostObjs:          map[core.ID]error{},
 		replayCap:         cfg.replayCap,
@@ -339,109 +339,37 @@ func (db *DB) markDirtyLocked(name string, id core.ID) {
 // BLOB is fsynced and the interpretation journaled, so the
 // registration survives a crash before the next snapshot.
 func (db *DB) RegisterInterpretation(it *interp.Interpretation) error {
-	db.commitGate.RLock()
-	defer db.commitGate.RUnlock()
-
+	rec := &walOp{Kind: opInterp, Blob: it.BlobID(), it: it}
 	// With a journal attached, export the interpretation and flush the
-	// BLOB before taking db.mu: the record's log position is reserved
-	// under the lock (see enqueueLocked), and its payload bytes must be
-	// durable before the record can be — syncing them first keeps the
+	// BLOB before taking db.mu: the record's payload bytes must be
+	// durable before the record can be, and syncing them first keeps the
 	// fsync out of the critical section. Wasted only when the
 	// registration turns out to be a duplicate.
-	var interpPayload []byte
 	db.mu.RLock()
 	journaled := db.wal != nil
 	db.mu.RUnlock()
 	if journaled {
-		p, err := exportInterp(it)
-		if err != nil {
-			return err
-		}
-		interpPayload = p
-		if err := db.syncBlob(it.BlobID()); err != nil {
+		if err := db.exportInterp(rec); err != nil {
 			return err
 		}
 	}
-
-	db.mu.Lock()
-	if db.cur.Load().interps.has(it.BlobID()) {
-		db.mu.Unlock()
-		return fmt.Errorf("catalog: %v already interpreted", it.BlobID())
-	}
-	if _, dup := db.stagedInterps[it.BlobID()]; dup {
-		db.mu.Unlock()
-		return fmt.Errorf("catalog: %v already interpreted", it.BlobID())
-	}
-	if db.wal == nil {
-		// No journal: still burn a sequence number so the registration
-		// gets a distinct transaction-time stamp in its version chain.
-		rec := &walOp{Kind: opInterp, Blob: it.BlobID()}
-		if _, err := db.enqueueLocked(rec); err != nil {
-			db.mu.Unlock()
-			return err
-		}
-		db.publishInterpLocked(it, rec.Seq)
-		db.mu.Unlock()
-		return nil
-	}
-	if interpPayload == nil {
-		// A journal was attached between the unlocked check and now
-		// (rare: attachment happens at startup). Export and sync under
-		// the lock — slow but correct.
-		p, err := exportInterp(it)
-		if err != nil {
-			db.mu.Unlock()
-			return err
-		}
-		interpPayload = p
-		if err := db.syncBlob(it.BlobID()); err != nil {
-			db.mu.Unlock()
-			return err
-		}
-	}
-	rec := &walOp{Kind: opInterp, Blob: it.BlobID(), Interp: interpPayload}
-	// Stage: the registration is invisible to readers (and to
-	// AddNonDerived's interpretation lookup) until the record is
-	// durable; the blob ID is reserved so a concurrent duplicate
-	// registration fails.
-	db.stagedInterps[it.BlobID()] = it
-	t, err := db.enqueueLocked(rec)
-	db.mu.Unlock()
-	if err == nil {
-		err = db.waitRecord(t)
-	}
-	db.mu.Lock()
-	delete(db.stagedInterps, it.BlobID())
-	if err == nil {
-		db.publishInterpLocked(it, rec.Seq)
-	}
-	db.mu.Unlock()
+	_, err := db.commitAdd(rec)
 	return err
 }
 
-// publishInterpLocked publishes an interpretation as a new epoch,
-// stamps it into its version chain at seq, and marks it dirty for the
-// next checkpoint. Assumes db.mu is held.
-func (db *DB) publishInterpLocked(it *interp.Interpretation, seq uint64) {
-	e := db.beginEditLocked()
-	e.setInterp(it)
-	e.appendInterpVersion(it, seq)
-	db.commitEditLocked(e)
-	db.dirtyInterps[it.BlobID()] = struct{}{}
-	delete(db.dirtyDelInterp, it.BlobID())
-}
-
-// exportInterp gob-encodes an interpretation for an opInterp record.
-func exportInterp(it *interp.Interpretation) ([]byte, error) {
-	exp, err := interp.Export(it)
+// exportInterp fills rec.Interp with the gob-encoded run record of the
+// interpretation rec registers and flushes its BLOB.
+func (db *DB) exportInterp(rec *walOp) error {
+	exp, err := interp.Export(rec.it)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	var buf bytes.Buffer
 	if err := gob.NewEncoder(&buf).Encode(exp); err != nil {
-		return nil, fmt.Errorf("catalog: %w", err)
+		return fmt.Errorf("catalog: %w", err)
 	}
-	return buf.Bytes(), nil
+	rec.Interp = buf.Bytes()
+	return db.syncBlob(rec.Blob)
 }
 
 // Interpretation returns the interpretation of a BLOB at the current
@@ -453,118 +381,262 @@ func (db *DB) Interpretation(id blob.ID) (*interp.Interpretation, error) {
 // AddNonDerived registers a media object bound to an interpretation
 // track. The descriptor is taken from the track.
 func (db *DB) AddNonDerived(name string, blobID blob.ID, track string, attrs map[string]string) (core.ID, error) {
-	db.commitGate.RLock()
-	defer db.commitGate.RUnlock()
-	db.mu.Lock()
-	obj, err := db.buildNonDerivedLocked(name, blobID, track, attrs)
-	if err != nil {
-		db.mu.Unlock()
-		return 0, err
-	}
-	id, err := db.stageLocked(obj, 0)
-	if err != nil {
-		db.mu.Unlock()
-		return 0, err
-	}
-	rec := &walOp{Kind: opNonDerived, ID: id, Name: name, Blob: blobID, Track: track, Attrs: attrs}
-	t, err := db.enqueueStagedLocked(rec, id)
-	db.mu.Unlock()
-	if err != nil {
-		return 0, err
-	}
-	if err := db.commitObject(t, id); err != nil {
-		return 0, err
-	}
-	return id, nil
-}
-
-// buildNonDerivedLocked validates inputs against the current epoch and
-// constructs (but does not stage) the object. Assumes db.mu is held.
-func (db *DB) buildNonDerivedLocked(name string, blobID blob.ID, track string, attrs map[string]string) (*core.Object, error) {
-	it, ok := db.cur.Load().interps.get(blobID)
-	if !ok {
-		return nil, fmt.Errorf("%w: %v", ErrNoInterp, blobID)
-	}
-	tr, err := it.Track(track)
-	if err != nil {
-		return nil, err
-	}
-	return &core.Object{
-		Name:  name,
-		Class: core.ClassNonDerived,
-		Kind:  tr.MediaType().Kind,
-		Desc:  tr.Descriptor(),
-		Attrs: attrs,
-		Blob:  blobID,
-		Track: track,
-	}, nil
-}
-
-// addNonDerivedLocked stages and immediately publishes — the replay /
-// replication-apply path, where the record is already durable. want
-// is the recorded ID, seq its recorded sequence number (the version
-// stamp). Assumes db.mu is held.
-func (db *DB) addNonDerivedLocked(want core.ID, seq uint64, name string, blobID blob.ID, track string, attrs map[string]string) (core.ID, error) {
-	obj, err := db.buildNonDerivedLocked(name, blobID, track, attrs)
-	if err != nil {
-		return 0, err
-	}
-	id, err := db.stageLocked(obj, want)
-	if err != nil {
-		return 0, err
-	}
-	db.stagedSeq[id] = seq
-	db.publishLocked(id)
-	return id, nil
+	return db.commitAdd(&walOp{Kind: opNonDerived, Name: name, Blob: blobID, Track: track, Attrs: attrs})
 }
 
 // AddDerived registers a derived media object. Inputs must already
 // exist (making cycles impossible by construction) and must satisfy
 // the operator's signature kinds.
 func (db *DB) AddDerived(name, op string, inputs []core.ID, params []byte, attrs map[string]string) (core.ID, error) {
+	return db.commitAdd(&walOp{Kind: opDerived, Name: name, Op: op, Inputs: inputs, Params: params, Attrs: attrs})
+}
+
+// AddMultimedia registers a multimedia object composing existing
+// objects on the given time axis.
+func (db *DB) AddMultimedia(name string, axis timebase.System, comps []core.ComponentRef, attrs map[string]string) (core.ID, error) {
+	rec := &walOp{Kind: opMultimedia, Name: name, Attrs: attrs, TimeNum: axis.Num, TimeDen: axis.Den}
+	for _, c := range comps {
+		rec.Comps = append(rec.Comps, savedComponent(c))
+	}
+	return db.commitAdd(rec)
+}
+
+// AddSync records a synchronization constraint on a multimedia object:
+// a copy-on-write revision of the object in a fresh epoch, so readers
+// of older epochs keep seeing the un-revised one.
+func (db *DB) AddSync(id core.ID, a, b int, maxSkew int64) error {
+	return db.commitSerial(&walOp{Kind: opSync, ID: id, A: a, B: b, MaxSkew: maxSkew})
+}
+
+// commitAdd commits one adding record and returns the ID it was given
+// (zero for an interpretation).
+func (db *DB) commitAdd(rec *walOp) (core.ID, error) {
+	one := [1]*walOp{rec}
+	if _, err := db.commitAdds(one[:]); err != nil {
+		return 0, err
+	}
+	return rec.ID, nil
+}
+
+// commitAdds is the staged commit discipline, for records that only
+// add — objects, alone or as a batch, and interpretation
+// registrations. Every record is validated and staged, invisible to
+// every reader, and the seqs are assigned and the log position
+// reserved, in one db.mu section; the fsync is waited for outside the
+// lock, so concurrent mutators share group commits (see internal/wal);
+// then all of it is published as one epoch, or all of it is unstaged.
+// When a record fails validation nothing stays staged and its index is
+// returned; a journal failure returns -1.
+func (db *DB) commitAdds(recs []*walOp) (int, error) {
 	db.commitGate.RLock()
 	defer db.commitGate.RUnlock()
 	db.mu.Lock()
-	obj, err := db.buildDerivedLocked(name, op, inputs, params, attrs, nil)
-	if err != nil {
+	defer db.mu.Unlock()
+	for i, rec := range recs {
+		if err := db.stageOpLocked(rec, recs[:i]); err != nil {
+			db.unstageLocked(recs[:i])
+			return i, err
+		}
+	}
+	t, err := db.enqueueLocked(recs)
+	if t != nil {
 		db.mu.Unlock()
-		return 0, err
+		err = db.waitRecord(t)
+		db.mu.Lock()
 	}
-	id, err := db.stageLocked(obj, 0)
 	if err != nil {
-		db.mu.Unlock()
-		return 0, err
+		db.unstageLocked(recs)
+	} else {
+		db.publishLocked(recs)
 	}
-	rec := &walOp{Kind: opDerived, ID: id, Name: name, Op: op, Inputs: inputs, Params: params, Attrs: attrs}
-	t, err := db.enqueueStagedLocked(rec, id)
-	db.mu.Unlock()
-	if err != nil {
-		return 0, err
-	}
-	if err := db.commitObject(t, id); err != nil {
-		return 0, err
-	}
-	return id, nil
+	return -1, err
 }
 
-// buildDerivedLocked validates and constructs a derived object. aux,
-// when non-nil, resolves IDs beyond the current epoch — AddBatch uses
-// it so later batch items can reference earlier ones before they are
-// published. Assumes db.mu is held.
-func (db *DB) buildDerivedLocked(name, op string, inputs []core.ID, params []byte, attrs map[string]string, aux map[core.ID]*core.Object) (*core.Object, error) {
-	opImpl, err := derive.Lookup(op)
+// commitSerial is the other discipline, for records that revise or
+// remove what readers can already see — a sync, a delete: validate →
+// journal → apply, all under db.mu. Nothing is published before its
+// record is durable, so nothing ever has to be rolled back (a delete's
+// BLOB collection could not be), and no competing mutation slips
+// between the validation and the apply: a derivation staged against an
+// object while its delete record was in flight would diverge live
+// state from replay. The price is an fsync waited for under the lock;
+// both mutators are rare — no served route calls either.
+func (db *DB) commitSerial(rec *walOp) error {
+	db.commitGate.RLock()
+	defer db.commitGate.RUnlock()
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	// Validate before reserving a log position: a record journaled for
+	// a doomed mutation would fail every replay.
+	var err error
+	switch rec.Kind {
+	case opSync:
+		_, err = db.buildSyncLocked(rec)
+	case opDelete:
+		_, err = db.checkDeletable(rec.ID)
+	}
+	if err != nil {
+		return err
+	}
+	one := [1]*walOp{rec}
+	t, err := db.enqueueLocked(one[:])
+	if err == nil {
+		err = db.waitRecord(t)
+	}
+	if err != nil {
+		return err
+	}
+	return db.applyLocked(rec)
+}
+
+// stageOpLocked validates an adding record against the current epoch,
+// builds what it adds and stages it — an object under its name, an
+// interpretation under its BLOB — invisible to readers, the key
+// reserved against concurrent duplicates. prior holds the records
+// staged before rec in the same commit, whose objects a batch item may
+// name as inputs. A zero rec.ID takes the next ID (a live add; it is
+// written back to the record); a non-zero one is forced, because
+// journal replay and replicated apply must reproduce recorded IDs
+// exactly and logs written before log order was pinned to seq order may
+// hold reordered frames, so re-allocation would not. Assumes db.mu is
+// held.
+func (db *DB) stageOpLocked(rec *walOp, prior []*walOp) error {
+	cur := db.cur.Load()
+	var obj *core.Object
+	var err error
+	switch rec.Kind {
+	case opInterp:
+		_, dup := db.stagedInterps[rec.Blob]
+		if dup || cur.interps.has(rec.Blob) {
+			return fmt.Errorf("catalog: %v already interpreted", rec.Blob)
+		}
+		if db.wal != nil && rec.Interp == nil {
+			// A journal was attached between RegisterInterpretation's
+			// unlocked check and now (rare: attachment happens at
+			// startup). Export and sync under the lock — slow but correct.
+			if err := db.exportInterp(rec); err != nil {
+				return err
+			}
+		}
+		db.stagedInterps[rec.Blob] = rec.it
+		return nil
+	case opNonDerived:
+		obj, err = buildNonDerived(cur, rec)
+	case opDerived:
+		obj, err = db.buildDerivedLocked(rec, prior)
+	case opMultimedia:
+		obj, err = buildMultimedia(cur, rec)
+	default:
+		// Only a batch item reaches here: every other record has its kind
+		// from the mutator that built it or from applyLocked's dispatch.
+		err = errors.New("item defines neither a blob binding nor a derivation")
+	}
+	if err != nil {
+		return err
+	}
+	_, dup := db.staged[rec.Name]
+	if dup || cur.shardFor(rec.Name).byName.has(rec.Name) {
+		return fmt.Errorf("%w: %q", ErrDupName, rec.Name)
+	}
+	obj.ID = rec.ID
+	if obj.ID == 0 {
+		obj.ID = db.nextID
+	} else if cur.getByID(obj.ID) != nil || db.stagedID(obj.ID) {
+		return fmt.Errorf("catalog: object %v already exists", obj.ID)
+	}
+	if err := obj.Validate(); err != nil {
+		return err
+	}
+	if obj.ID >= db.nextID {
+		db.nextID = obj.ID + 1
+	}
+	rec.ID = obj.ID
+	db.staged[rec.Name] = obj
+	return nil
+}
+
+// stagedID reports whether a staged object holds id. Assumes db.mu is
+// held.
+func (db *DB) stagedID(id core.ID) bool {
+	for _, o := range db.staged {
+		if o.ID == id {
+			return true
+		}
+	}
+	return false
+}
+
+// stagedIn returns the object that one of prior — the records staged
+// earlier in the same commit — produced under id, or nil. A commit
+// stages in one db.mu section, so its IDs count up from prior[0].ID and
+// everything other writers have in flight lies below. Assumes db.mu is
+// held.
+func (db *DB) stagedIn(prior []*walOp, id core.ID) *core.Object {
+	if len(prior) == 0 || id < prior[0].ID || id-prior[0].ID >= core.ID(len(prior)) {
+		return nil
+	}
+	return db.staged[prior[id-prior[0].ID].Name]
+}
+
+// buildNonDerived validates a non-derived record against cur and
+// constructs (but does not stage) its object; the descriptor is the
+// track's.
+func buildNonDerived(cur *View, rec *walOp) (*core.Object, error) {
+	it, ok := cur.interps.get(rec.Blob)
+	if !ok {
+		return nil, fmt.Errorf("%w: %v", ErrNoInterp, rec.Blob)
+	}
+	tr, err := it.Track(rec.Track)
+	if err != nil {
+		return nil, err
+	}
+	return &core.Object{
+		Name:  rec.Name,
+		Class: core.ClassNonDerived,
+		Kind:  tr.MediaType().Kind,
+		Desc:  tr.Descriptor(),
+		Attrs: rec.Attrs,
+		Blob:  rec.Blob,
+		Track: rec.Track,
+	}, nil
+}
+
+// buildDerivedLocked validates and constructs a derived object. A
+// batch item's by-name inputs are resolved first — against the current
+// epoch, then against prior (see stagedIn), never against another
+// writer's in-flight staging — and appended to the record's inputs in
+// operator argument order, so the journal only ever holds IDs. Assumes
+// db.mu is held.
+func (db *DB) buildDerivedLocked(rec *walOp, prior []*walOp) (*core.Object, error) {
+	cur := db.cur.Load()
+	if len(rec.inputNames) > 0 {
+		inputs := slices.Clip(rec.Inputs) // appending must not reach the caller's array
+		for _, nm := range rec.inputNames {
+			id, ok := cur.shardFor(nm).byName.get(nm)
+			if !ok {
+				if o := db.staged[nm]; o != nil && db.stagedIn(prior, o.ID) == o {
+					id, ok = o.ID, true
+				}
+			}
+			if !ok {
+				return nil, fmt.Errorf("%w: input %q", ErrNotFound, nm)
+			}
+			inputs = append(inputs, id)
+		}
+		rec.Inputs, rec.inputNames = inputs, nil
+	}
+	opImpl, err := derive.Lookup(rec.Op)
 	if err != nil {
 		return nil, err
 	}
 	lo, hi := opImpl.Arity()
-	if len(inputs) < lo || (hi >= 0 && len(inputs) > hi) {
-		return nil, fmt.Errorf("catalog: %s takes %d..%d inputs, got %d", op, lo, hi, len(inputs))
+	if len(rec.Inputs) < lo || (hi >= 0 && len(rec.Inputs) > hi) {
+		return nil, fmt.Errorf("catalog: %s takes %d..%d inputs, got %d", rec.Op, lo, hi, len(rec.Inputs))
 	}
-	cur := db.cur.Load()
-	for i, in := range inputs {
+	for i, in := range rec.Inputs {
 		src := cur.getByID(in)
 		if src == nil {
-			src = aux[in]
+			src = db.stagedIn(prior, in)
 		}
 		if src == nil {
 			return nil, fmt.Errorf("%w: input %v", ErrNotFound, in)
@@ -573,356 +645,143 @@ func (db *DB) buildDerivedLocked(name, op string, inputs []core.ID, params []byt
 			return nil, fmt.Errorf("%w: input %v is a multimedia object", ErrNotMedia, in)
 		}
 		if want := opImpl.ArgKind(i); src.Kind != want {
-			return nil, fmt.Errorf("catalog: %s input %d is %v, want %v", op, i, src.Kind, want)
+			return nil, fmt.Errorf("catalog: %s input %d is %v, want %v", rec.Op, i, src.Kind, want)
 		}
 	}
 	return &core.Object{
-		Name:       name,
+		Name:       rec.Name,
 		Class:      core.ClassDerived,
 		Kind:       opImpl.ResultKind(),
-		Attrs:      attrs,
-		Derivation: &core.Derivation{Op: op, Inputs: append([]core.ID(nil), inputs...), Params: append([]byte(nil), params...)},
+		Attrs:      rec.Attrs,
+		Derivation: &core.Derivation{Op: rec.Op, Inputs: slices.Clone(rec.Inputs), Params: slices.Clone(rec.Params)},
 	}, nil
 }
 
-// addDerivedLocked stages and immediately publishes — the replay
-// path. Assumes db.mu is held.
-func (db *DB) addDerivedLocked(want core.ID, seq uint64, name, op string, inputs []core.ID, params []byte, attrs map[string]string) (core.ID, error) {
-	obj, err := db.buildDerivedLocked(name, op, inputs, params, attrs, nil)
+// buildMultimedia validates a multimedia record against cur and
+// constructs its object.
+func buildMultimedia(cur *View, rec *walOp) (*core.Object, error) {
+	axis, err := timebase.New(rec.TimeNum, rec.TimeDen)
 	if err != nil {
-		return 0, err
+		return nil, err
 	}
-	id, err := db.stageLocked(obj, want)
-	if err != nil {
-		return 0, err
-	}
-	db.stagedSeq[id] = seq
-	db.publishLocked(id)
-	return id, nil
-}
-
-// AddMultimedia registers a multimedia object composing existing
-// objects on the given time axis.
-func (db *DB) AddMultimedia(name string, axis timebase.System, comps []core.ComponentRef, attrs map[string]string) (core.ID, error) {
-	db.commitGate.RLock()
-	defer db.commitGate.RUnlock()
-	db.mu.Lock()
-	obj, err := db.buildMultimediaLocked(name, axis, comps, attrs, nil)
-	if err != nil {
-		db.mu.Unlock()
-		return 0, err
-	}
-	id, err := db.stageLocked(obj, 0)
-	if err != nil {
-		db.mu.Unlock()
-		return 0, err
-	}
-	rec := &walOp{Kind: opMultimedia, ID: id, Name: name, Attrs: attrs, TimeNum: axis.Num, TimeDen: axis.Den}
-	for _, c := range comps {
-		rec.Comps = append(rec.Comps, savedComponent{Object: c.Object, Start: c.Start, Region: c.Region})
-	}
-	t, err := db.enqueueStagedLocked(rec, id)
-	db.mu.Unlock()
-	if err != nil {
-		return 0, err
-	}
-	if err := db.commitObject(t, id); err != nil {
-		return 0, err
-	}
-	return id, nil
-}
-
-// buildMultimediaLocked validates and constructs a multimedia object;
-// aux is as in buildDerivedLocked. Assumes db.mu is held.
-func (db *DB) buildMultimediaLocked(name string, axis timebase.System, comps []core.ComponentRef, attrs map[string]string, aux map[core.ID]*core.Object) (*core.Object, error) {
-	cur := db.cur.Load()
-	for _, c := range comps {
-		if cur.getByID(c.Object) == nil && aux[c.Object] == nil {
+	comps := make([]core.ComponentRef, len(rec.Comps))
+	for i, c := range rec.Comps {
+		if cur.getByID(c.Object) == nil {
 			return nil, fmt.Errorf("%w: component %v", ErrNotFound, c.Object)
 		}
+		comps[i] = core.ComponentRef(c)
 	}
 	return &core.Object{
-		Name:       name,
+		Name:       rec.Name,
 		Class:      core.ClassMultimedia,
-		Attrs:      attrs,
-		Multimedia: &core.MultimediaSpec{Time: axis, Components: append([]core.ComponentRef(nil), comps...)},
+		Attrs:      rec.Attrs,
+		Multimedia: &core.MultimediaSpec{Time: axis, Components: comps},
 	}, nil
 }
 
-// addMultimediaLocked stages and immediately publishes — the replay
-// path. Assumes db.mu is held.
-func (db *DB) addMultimediaLocked(want core.ID, seq uint64, name string, axis timebase.System, comps []core.ComponentRef, attrs map[string]string) (core.ID, error) {
-	obj, err := db.buildMultimediaLocked(name, axis, comps, attrs, nil)
-	if err != nil {
-		return 0, err
-	}
-	id, err := db.stageLocked(obj, want)
-	if err != nil {
-		return 0, err
-	}
-	db.stagedSeq[id] = seq
-	db.publishLocked(id)
-	return id, nil
-}
-
-// AddSync records a synchronization constraint on a multimedia object.
-// The constraint is applied as a copy-on-write revision of the object
-// in a fresh epoch, so concurrent readers of older epochs keep seeing
-// the un-revised object; like before, the revision may be observable
-// during the (rare) window where its journal record is still in
-// flight, and a failed append publishes a reverting revision.
-func (db *DB) AddSync(id core.ID, a, b int, maxSkew int64) error {
-	db.commitGate.RLock()
-	defer db.commitGate.RUnlock()
-	sc := compose.SyncConstraint{A: a, B: b, MaxSkew: maxSkew}
-	db.mu.Lock()
-	// Validate and build the revision before reserving a log position:
-	// a record enqueued for a doomed constraint would replay.
-	rev, err := db.buildSyncLocked(id, a, b, maxSkew)
-	if err != nil {
-		db.mu.Unlock()
-		return err
-	}
-	rec := &walOp{Kind: opSync, ID: id, A: a, B: b, MaxSkew: maxSkew}
-	t, err := db.enqueueLocked(rec)
-	if err != nil {
-		db.mu.Unlock()
-		return err
-	}
-	db.applySyncLocked(rev, rec.Seq)
-	db.mu.Unlock()
-	if t == nil {
-		return nil
-	}
-	if err := db.waitRecord(t); err != nil {
-		db.mu.Lock()
-		db.rollbackSyncLocked(id, sc, rec.Seq)
-		db.mu.Unlock()
-		return err
-	}
-	return nil
-}
-
-// buildSyncLocked validates the constraint against the current epoch
+// buildSyncLocked validates a sync record against the current epoch
 // and returns the revised object without publishing it. Assumes db.mu
 // is held.
-func (db *DB) buildSyncLocked(id core.ID, a, b int, maxSkew int64) (*core.Object, error) {
-	obj := db.cur.Load().getByID(id)
+func (db *DB) buildSyncLocked(rec *walOp) (*core.Object, error) {
+	obj := db.cur.Load().getByID(rec.ID)
 	if obj == nil {
-		return nil, fmt.Errorf("%w: %v", ErrNotFound, id)
+		return nil, fmt.Errorf("%w: %v", ErrNotFound, rec.ID)
 	}
 	if obj.Class != core.ClassMultimedia {
-		return nil, fmt.Errorf("%w: %v", ErrNotComposite, id)
+		return nil, fmt.Errorf("%w: %v", ErrNotComposite, rec.ID)
 	}
-	if a < 0 || a >= len(obj.Multimedia.Components) || b < 0 || b >= len(obj.Multimedia.Components) {
+	if n := len(obj.Multimedia.Components); rec.A < 0 || rec.A >= n || rec.B < 0 || rec.B >= n {
 		return nil, compose.ErrNoComponent
 	}
-	if maxSkew < 0 {
+	if rec.MaxSkew < 0 {
 		return nil, compose.ErrBadSkew
 	}
 	rev := obj.Clone()
-	rev.Multimedia.Syncs = append(rev.Multimedia.Syncs, compose.SyncConstraint{A: a, B: b, MaxSkew: maxSkew})
+	rev.Multimedia.Syncs = append(rev.Multimedia.Syncs, compose.SyncConstraint{A: rec.A, B: rec.B, MaxSkew: rec.MaxSkew})
 	return rev, nil
 }
 
-// applySyncLocked publishes a sync revision as a new epoch and stamps
-// it into the object's version chain at seq. Assumes db.mu is held.
-func (db *DB) applySyncLocked(rev *core.Object, seq uint64) {
-	e := db.beginEditLocked()
-	e.replace(rev)
-	e.appendVersion(rev, seq)
-	db.commitEditLocked(e)
-	// The object was revised; the next incremental checkpoint must
-	// re-capture it. A rolled-back sync leaves a spurious mark, which
-	// only costs a redundant re-capture.
-	db.markDirtyLocked(rev.Name, rev.ID)
-}
-
-// addSyncLocked validates, publishes, and version-stamps a constraint
-// in one step — the replay path, where seq is the record's. Assumes
-// db.mu is held.
-func (db *DB) addSyncLocked(id core.ID, a, b int, maxSkew int64, seq uint64) error {
-	rev, err := db.buildSyncLocked(id, a, b, maxSkew)
-	if err != nil {
-		return err
-	}
-	db.applySyncLocked(rev, seq)
-	return nil
-}
-
-// rollbackSyncLocked rolls back a sync constraint whose journal record
-// failed, by publishing a revision without it. It removes the last
-// constraint equal to sc by value: concurrent AddSyncs may have
-// appended after ours, so slicing off the tail element would drop
-// someone else's acknowledged constraint. The failed revision's
-// version entry at seq is dropped and any later retained versions are
-// rewritten without the constraint. Assumes db.mu is held.
-func (db *DB) rollbackSyncLocked(id core.ID, sc compose.SyncConstraint, seq uint64) {
-	obj := db.cur.Load().getByID(id)
-	if obj == nil || obj.Multimedia == nil {
-		return
-	}
-	strip := func(o *core.Object) *core.Object {
-		syncs := o.Multimedia.Syncs
-		for i := len(syncs) - 1; i >= 0; i-- {
-			if syncs[i] != sc {
-				continue
-			}
-			rev := o.Clone()
-			rev.Multimedia.Syncs = append(rev.Multimedia.Syncs[:i], rev.Multimedia.Syncs[i+1:]...)
-			return rev
-		}
-		return o
-	}
-	rev := strip(obj)
-	if rev == obj {
-		return
-	}
-	e := db.beginEditLocked()
-	e.replace(rev)
-	e.rollbackSync(obj, seq, strip)
-	db.commitEditLocked(e)
-}
-
-// stageLocked validates obj's name and ID against the current epoch
-// plus in-flight reservations and stages it, invisible to readers.
-// want == 0 allocates the next ID (live mutations); a non-zero want
-// forces the recorded ID (journal replay and replication apply must
-// reproduce recorded IDs exactly, and logs written before log order
-// was pinned to seq order may hold reordered frames, so replay cannot
-// rely on re-allocation reproducing them). Assumes db.mu is held.
-func (db *DB) stageLocked(obj *core.Object, want core.ID) (core.ID, error) {
-	cur := db.cur.Load()
-	if _, dup := db.reservedNames[obj.Name]; dup {
-		return 0, fmt.Errorf("%w: %q", ErrDupName, obj.Name)
-	}
-	if cur.shardFor(obj.Name).byName.has(obj.Name) {
-		return 0, fmt.Errorf("%w: %q", ErrDupName, obj.Name)
-	}
-	id := want
-	if id == 0 {
-		id = db.nextID
-	} else if _, taken := db.staged[id]; taken || cur.getByID(id) != nil {
-		return 0, fmt.Errorf("catalog: object %v already exists", id)
-	}
-	obj.ID = id
-	if err := obj.Validate(); err != nil {
-		return 0, err
-	}
-	if id >= db.nextID {
-		db.nextID = id + 1
-	}
-	db.staged[id] = obj
-	db.reservedNames[obj.Name] = id
-	return id, nil
-}
-
-// enqueueLocked assigns the next journal sequence number to rec,
-// encodes it, and reserves its log position — all in one db.mu
+// enqueueLocked assigns the next journal sequence numbers to recs,
+// encodes them, and reserves their log position — all in one db.mu
 // critical section, so the log's frame order provably equals sequence
 // order. Replication depends on that equality: a follower resuming
 // "from seq N" can trust that every frame after N's log position
-// carries a seq > N, with no reordered stragglers behind it.
-// Durability is NOT waited for here (the returned ticket's Wait runs
-// outside db.mu, so concurrent mutators share group commits and
-// readers never block on an fsync). With no journal attached the
-// sequence number still advances — every committed mutation gets a
-// distinct transaction-time stamp for its version chain — but nothing
-// is encoded and the ticket is nil. Sequence numbers are never reused
-// after a failure: a record that failed only at fsync may still be
-// intact on disk, and a later acknowledged record under the same seq
-// would lose to it on replay. Assumes db.mu is held.
-func (db *DB) enqueueLocked(rec *walOp) (*wal.Ticket, error) {
-	db.seq++
-	rec.Seq = db.seq
+// carries a seq > N, with no reordered stragglers behind it. More than
+// one record is an atomic WAL batch: one write, one fsync, one
+// outcome. Durability is NOT waited for here (see waitRecord). With no
+// journal attached the sequence numbers still advance — every committed
+// mutation gets a distinct transaction-time stamp for its version
+// chain — but nothing is encoded and the ticket is nil. Sequence
+// numbers are never reused after a failure: a record that failed only
+// at fsync may still be intact on disk, and a later acknowledged record
+// under the same seq would lose to it on replay; gaps are harmless to
+// the replay skip check. Assumes db.mu is held.
+func (db *DB) enqueueLocked(recs []*walOp) (*wal.Ticket, error) {
+	for _, rec := range recs {
+		db.seq++
+		rec.Seq = db.seq
+	}
 	if db.wal == nil {
 		return nil, nil
 	}
-	data, err := encodeOp(rec)
-	if err != nil {
-		return nil, err
+	if len(recs) == 1 { // a lone record needs no frame list
+		data, err := encodeOp(recs[0])
+		if err != nil {
+			return nil, err
+		}
+		return db.wal.Enqueue(data), nil
 	}
-	return db.wal.Enqueue(data), nil
+	frames := make([][]byte, len(recs))
+	for i, rec := range recs {
+		var err error
+		if frames[i], err = encodeOp(rec); err != nil {
+			return nil, err
+		}
+	}
+	return db.wal.EnqueueBatch(frames), nil
 }
 
-// enqueueStagedLocked reserves the staged object's log position and
-// remembers its seq for the version stamp at publish. With no journal
-// the object is published immediately — it is already committed — and
-// the ticket is nil. Assumes db.mu is held.
-func (db *DB) enqueueStagedLocked(rec *walOp, id core.ID) (*wal.Ticket, error) {
-	t, err := db.enqueueLocked(rec)
-	if err != nil {
-		db.unstageLocked(id)
-		return nil, err
-	}
-	db.stagedSeq[id] = rec.Seq
-	if t == nil {
-		db.publishLocked(id)
-	}
-	return t, nil
-}
-
-// commitObject waits for the staged object's journal record to become
-// durable (nil t means no journal: nothing to do) and then publishes
-// it, or rolls it back when the commit failed. Runs outside db.mu so
-// concurrent mutators share group commits.
-func (db *DB) commitObject(t *wal.Ticket, id core.ID) error {
-	if t == nil {
-		return nil
-	}
-	err := db.waitRecord(t)
-	db.mu.Lock()
-	if err != nil {
-		db.unstageLocked(id)
-	} else {
-		db.publishLocked(id)
-	}
-	db.mu.Unlock()
-	return err
-}
-
-// publishLocked moves staged objects into a new epoch after their
-// journal records were acknowledged: one copy-on-write edit, one
-// atomic view swap — so a multi-object batch lands as one epoch.
-// Assumes db.mu is held.
-func (db *DB) publishLocked(ids ...core.ID) {
+// publishLocked moves what recs staged into one new epoch — one
+// copy-on-write edit, one atomic view swap, so no reader ever sees
+// half a batch — stamps each record's seq into the version chains and
+// marks what it added dirty for the next checkpoint. Assumes db.mu is
+// held.
+func (db *DB) publishLocked(recs []*walOp) {
 	e := db.beginEditLocked()
-	any := false
-	for _, id := range ids {
-		obj, ok := db.staged[id]
-		if !ok {
+	for _, rec := range recs {
+		if rec.Kind == opInterp {
+			it := db.stagedInterps[rec.Blob]
+			delete(db.stagedInterps, rec.Blob)
+			e.setInterp(it)
+			e.appendInterpVersion(it, rec.Seq)
+			db.dirtyInterps[it.BlobID()] = struct{}{}
+			delete(db.dirtyDelInterp, it.BlobID())
 			continue
 		}
-		seq, stamped := db.stagedSeq[id]
-		if !stamped {
-			seq = db.seq
-		}
-		delete(db.stagedSeq, id)
-		delete(db.staged, id)
-		delete(db.reservedNames, obj.Name)
+		obj := db.staged[rec.Name]
+		delete(db.staged, rec.Name)
 		e.link(obj)
-		e.appendVersion(obj, seq)
-		db.markDirtyLocked(obj.Name, id)
-		any = true
+		e.appendVersion(obj, rec.Seq)
+		db.markDirtyLocked(obj.Name, obj.ID)
 	}
-	if any {
-		db.commitEditLocked(e)
-	}
+	db.commitEditLocked(e)
 }
 
-// unstageLocked rolls a staged object back after a failed journal
-// append: the name reservation is released and the ID is returned to
-// the allocator when it is still the newest. Assumes db.mu is held.
-func (db *DB) unstageLocked(id core.ID) {
-	obj, ok := db.staged[id]
-	if !ok {
-		return
-	}
-	delete(db.staged, id)
-	delete(db.stagedSeq, id)
-	delete(db.reservedNames, obj.Name)
-	if id == db.nextID-1 {
-		db.nextID--
+// unstageLocked rolls recs' staging back after a failed validation or
+// journal append: the reservations are released and, newest first, an
+// ID that is still the newest goes back to the allocator. Assumes
+// db.mu is held.
+func (db *DB) unstageLocked(recs []*walOp) {
+	for i := len(recs) - 1; i >= 0; i-- {
+		rec := recs[i]
+		if rec.Kind == opInterp {
+			delete(db.stagedInterps, rec.Blob)
+			continue
+		}
+		delete(db.staged, rec.Name)
+		if rec.ID == db.nextID-1 {
+			db.nextID--
+		}
 	}
 }
 

@@ -16,56 +16,41 @@ var ErrInUse = errors.New("catalog: object is referenced by others")
 // Delete removes an object from the catalog. It refuses while any
 // other object references it (as a derivation input or composition
 // component). When the last object bound to a BLOB disappears, the
-// BLOB and its interpretation are garbage-collected.
-// Delete holds the catalog write lock across its journal append —
-// unlike object adds, which journal outside the lock — because the
-// reference check and the removal must be atomic with respect to
-// every other mutation: a derived object staged against id while its
-// delete record was in flight would diverge live state from replay.
+// BLOB and its interpretation are garbage-collected — destructively,
+// which is why a delete is a serial commit (commitSerial): its record
+// is durable before anything is removed.
 func (db *DB) Delete(id core.ID) error {
-	db.commitGate.RLock()
-	defer db.commitGate.RUnlock()
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if db.cur.Load().getByID(id) == nil {
-		return fmt.Errorf("%w: %v", ErrNotFound, id)
-	}
-	// Journal before applying: the BLOB garbage collection below is
-	// destructive and cannot be rolled back, so the record must be
-	// durable first. Reference validation happens inside deleteLocked
-	// and is re-checked here so a doomed delete is never journaled.
-	if err := db.checkDeletable(id); err != nil {
-		return err
-	}
-	rec := &walOp{Kind: opDelete, ID: id}
-	if err := db.journalOp(rec); err != nil {
-		return err
-	}
-	return db.deleteLocked(id, rec.Seq)
+	return db.commitSerial(&walOp{Kind: opDelete, ID: id})
 }
 
-// checkDeletable reports whether any other object references id.
+// checkDeletable returns the object id names, or why it cannot be
+// deleted: it does not exist, or another object references it.
 // Visible referrers come from the provenance adjacency index; edges
 // live in the referrer's shard, so every shard of the current epoch is
 // probed. Staged objects (applied but not yet durable) count as
 // references too — their commit may ack at any moment, and deleting
 // their input would leave the journal unreplayable — but they are
 // unindexed by design, so they are scanned. Assumes db.mu is held.
-func (db *DB) checkDeletable(id core.ID) error {
-	for _, sh := range db.cur.Load().shards {
+func (db *DB) checkDeletable(id core.ID) (*core.Object, error) {
+	cur := db.cur.Load()
+	obj := cur.getByID(id)
+	if obj == nil {
+		return nil, fmt.Errorf("%w: %v", ErrNotFound, id)
+	}
+	for _, sh := range cur.shards {
 		if set, ok := sh.ix.deps.get(id); ok {
 			var other core.ID
 			set.ascend(func(k core.ID, _ struct{}) bool {
 				other = k
 				return false
 			})
-			return fmt.Errorf("%w: %v ← %v", ErrInUse, id, other)
+			return nil, fmt.Errorf("%w: %v ← %v", ErrInUse, id, other)
 		}
 	}
-	return checkRefs(db.staged, id)
+	return obj, checkRefs(db.staged, id)
 }
 
-func checkRefs(objs map[core.ID]*core.Object, id core.ID) error {
+func checkRefs(objs map[string]*core.Object, id core.ID) error {
 	for _, other := range objs {
 		if other.ID == id {
 			continue
@@ -88,16 +73,13 @@ func checkRefs(objs map[core.ID]*core.Object, id core.ID) error {
 	return nil
 }
 
-// deleteLocked removes an object, re-validating references (journal
-// replay reuses it). The unlink, the version-chain tombstone at seq,
-// and any BLOB interpretation collection land together as one new
-// epoch. Assumes db.mu is held.
+// deleteLocked removes an object, validating references first (replay
+// has no commitSerial before it). The unlink, the version-chain
+// tombstone at seq, and any BLOB interpretation collection land
+// together as one new epoch. Assumes db.mu is held.
 func (db *DB) deleteLocked(id core.ID, seq uint64) error {
-	obj := db.cur.Load().getByID(id)
-	if obj == nil {
-		return fmt.Errorf("%w: %v", ErrNotFound, id)
-	}
-	if err := db.checkDeletable(id); err != nil {
+	obj, err := db.checkDeletable(id)
+	if err != nil {
 		return err
 	}
 	e := db.beginEditLocked()

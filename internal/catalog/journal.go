@@ -11,7 +11,6 @@ import (
 	"timedmedia/internal/blob"
 	"timedmedia/internal/core"
 	"timedmedia/internal/interp"
-	"timedmedia/internal/timebase"
 	"timedmedia/internal/wal"
 )
 
@@ -90,6 +89,12 @@ type walOp struct {
 
 	// Interp is the gob-encoded interp.Exported for opInterp records.
 	Interp []byte
+
+	// Never encoded (gob skips unexported fields), live commits only: a
+	// batch item's by-name inputs until staging resolves them into
+	// Inputs, and the interpretation an opInterp record registers.
+	inputNames []string
+	it         *interp.Interpretation
 }
 
 func encodeOp(rec *walOp) ([]byte, error) {
@@ -228,30 +233,10 @@ func (db *DB) SyncJournal() error {
 	return j.Sync()
 }
 
-// journalOp appends one mutation record synchronously under db.mu —
-// used only by Delete, which must stay fully serialized: its blob
-// garbage collection is destructive, so the record has to be durable
-// before the apply, and no competing mutation may slip between
-// validation and removal. Object adds instead enqueue under the lock
-// and wait for durability outside it (see enqueueLocked). A nil
-// journal is a no-op. On failure the caller must undo the in-memory
-// mutation, but the sequence number is never reused: a record that
-// failed only at fsync may still be on disk intact, and a later
-// acknowledged record written under the same seq would be skipped on
-// replay in favor of the rolled-back one. Gaps are harmless to the
-// replay skip check.
-func (db *DB) journalOp(rec *walOp) error {
-	t, err := db.enqueueLocked(rec)
-	if err != nil || t == nil {
-		return err
-	}
-	return db.waitRecord(t)
-}
-
 // waitRecord blocks until an enqueued record's group commit resolves,
-// recording the journal-append stage latency. Called outside db.mu
-// (group commits from concurrent mutators coalesce in the wal layer);
-// Delete calls it under db.mu via journalOp. nil tickets (no journal)
+// recording the journal-append stage latency. Staged commits call it
+// outside db.mu (group commits from concurrent mutators coalesce in
+// the wal layer), serial commits under it. nil tickets (no journal)
 // are a no-op.
 func (db *DB) waitRecord(t *wal.Ticket) error {
 	if t == nil {
@@ -347,21 +332,36 @@ func (db *DB) applyWalLocked(base uint64, data []byte) error {
 	return nil
 }
 
-// applyOpLocked applies one decoded journal record to the in-memory
-// graph — the shared core of crash replay (applyWalLocked) and
-// replication apply (ApplyReplicated). It neither checks sequence
-// numbers nor advances db.seq; callers own both. A record that cannot
-// apply because the store no longer has a BLOB it needs is remembered,
-// not failed (see applyLostLocked). Assumes db.mu is held.
+// applyOpLocked applies one decoded journal record — the shared core of
+// crash replay (applyWalLocked) and replication apply (ApplyReplicated).
+// It neither checks sequence numbers nor advances db.seq; callers own
+// both. A record that cannot apply because the store no longer has a
+// BLOB it needs is remembered, not failed (see applyLostLocked).
+// Assumes db.mu is held.
 func (db *DB) applyOpLocked(rec *walOp) error {
 	if db.applyLostLocked(rec) {
 		return nil
 	}
+	if err := db.applyLocked(rec); err != nil {
+		return fmt.Errorf("%w: %v", ErrReplay, err)
+	}
+	return nil
+}
+
+// applyLocked makes one durable record catalog state — the only place
+// that happens, for the live serial mutators (commitSerial), crash
+// replay and replicated apply (applyOpLocked) alike. An add is staged
+// and published in one step, at its recorded ID; every kind stamps the
+// record's seq into the version chains and marks what it touched dirty,
+// which keeps a replayed record — it postdates the last checkpoint —
+// dirty until the next one captures it. Assumes db.mu is held.
+func (db *DB) applyLocked(rec *walOp) error {
+	one := [1]*walOp{rec}
 	switch rec.Kind {
 	case opInterp:
 		var exp interp.Exported
 		if err := gob.NewDecoder(bytes.NewReader(rec.Interp)).Decode(&exp); err != nil {
-			return fmt.Errorf("%w: interpretation record: %v", ErrReplay, err)
+			return fmt.Errorf("interpretation record: %v", err)
 		}
 		b, err := db.openBlob(exp.BlobID)
 		if errors.Is(err, blob.ErrNotFound) {
@@ -369,47 +369,33 @@ func (db *DB) applyOpLocked(rec *walOp) error {
 			return nil
 		}
 		if err != nil {
-			return fmt.Errorf("%w: %v", ErrReplay, err)
+			return err
 		}
 		it, err := interp.Import(&exp, b)
 		if err != nil {
-			return fmt.Errorf("%w: %v", ErrReplay, err)
+			return err
 		}
-		// Replayed records postdate the last checkpoint, so
-		// publishInterpLocked's dirty mark keeps the registration dirty
-		// until the next one captures it. Object ops mark through
-		// publishLocked/addSyncLocked/deleteLocked.
-		db.publishInterpLocked(it, rec.Seq)
-	case opNonDerived:
-		if _, err := db.addNonDerivedLocked(rec.ID, rec.Seq, rec.Name, rec.Blob, rec.Track, rec.Attrs); err != nil {
-			return fmt.Errorf("%w: %v", ErrReplay, err)
+		db.stagedInterps[rec.Blob] = it
+		db.publishLocked(one[:])
+	case opNonDerived, opDerived, opMultimedia:
+		if err := db.stageOpLocked(rec, nil); err != nil {
+			return err
 		}
-	case opDerived:
-		if _, err := db.addDerivedLocked(rec.ID, rec.Seq, rec.Name, rec.Op, rec.Inputs, rec.Params, rec.Attrs); err != nil {
-			return fmt.Errorf("%w: %v", ErrReplay, err)
-		}
-	case opMultimedia:
-		axis, err := timebase.New(rec.TimeNum, rec.TimeDen)
-		if err != nil {
-			return fmt.Errorf("%w: %v", ErrReplay, err)
-		}
-		comps := make([]core.ComponentRef, 0, len(rec.Comps))
-		for _, c := range rec.Comps {
-			comps = append(comps, core.ComponentRef{Object: c.Object, Start: c.Start, Region: c.Region})
-		}
-		if _, err := db.addMultimediaLocked(rec.ID, rec.Seq, rec.Name, axis, comps, rec.Attrs); err != nil {
-			return fmt.Errorf("%w: %v", ErrReplay, err)
-		}
+		db.publishLocked(one[:])
 	case opSync:
-		if err := db.addSyncLocked(rec.ID, rec.A, rec.B, rec.MaxSkew, rec.Seq); err != nil {
-			return fmt.Errorf("%w: %v", ErrReplay, err)
+		rev, err := db.buildSyncLocked(rec)
+		if err != nil {
+			return err
 		}
+		e := db.beginEditLocked()
+		e.replace(rev)
+		e.appendVersion(rev, rec.Seq)
+		db.commitEditLocked(e)
+		db.markDirtyLocked(rev.Name, rev.ID)
 	case opDelete:
-		if err := db.deleteLocked(rec.ID, rec.Seq); err != nil {
-			return fmt.Errorf("%w: %v", ErrReplay, err)
-		}
+		return db.deleteLocked(rec.ID, rec.Seq)
 	default:
-		return fmt.Errorf("%w: unknown op %q", ErrReplay, rec.Kind)
+		return fmt.Errorf("unknown op %q", rec.Kind)
 	}
 	return nil
 }

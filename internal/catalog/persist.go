@@ -204,7 +204,7 @@ func (db *DB) saveLocked(dir string) error {
 		return fmt.Errorf("catalog: %w", err)
 	}
 	// Wait out in-flight commits: mutators hold commitGate.RLock from
-	// apply to ack/rollback, so after taking the write side no staged
+	// stage to publish or unstage, so after taking the write side no staged
 	// object remains — the snapshot captures acknowledged mutations
 	// only. The gate is dropped as soon as mu.RLock is held: new
 	// mutations may then pass the gate but block on mu before staging,

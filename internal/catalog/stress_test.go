@@ -4,12 +4,15 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
 	"timedmedia/internal/blob"
+	"timedmedia/internal/compose"
 	"timedmedia/internal/core"
 	"timedmedia/internal/faultfs"
+	"timedmedia/internal/timebase"
 )
 
 // TestCrashStressConcurrentMutators hammers the journaled write path
@@ -21,6 +24,8 @@ import (
 //     acknowledged ID;
 //   - every mutation that failed with ErrJournal is absent — the
 //     rollback must not leak into the replayed image;
+//   - a composition carries exactly its acknowledged sync constraints,
+//     in ack order — a failed AddSync is on no object;
 //   - nothing else exists.
 //
 // Runs 100 iterations (10 under -short), each with a distinct seed, so
@@ -34,6 +39,7 @@ func TestCrashStressConcurrentMutators(t *testing.T) {
 		workers      = 4
 		opsPerWorker = 6
 	)
+	ackedSyncs, failedSyncs := 0, 0
 	for it := 0; it < iterations; it++ {
 		rng := rand.New(rand.NewSource(int64(7919*it + 17)))
 		dir := t.TempDir()
@@ -64,11 +70,14 @@ func TestCrashStressConcurrentMutators(t *testing.T) {
 
 		// Per-worker expectation logs. live maps name → acked ID;
 		// deleted and failed list names that must be absent after
-		// replay.
+		// replay; syncs maps a composition's name to its acked
+		// constraints, failedSyncs counts the refused ones.
 		type workerLog struct {
-			live    map[string]core.ID
-			deleted []string
-			failed  []string
+			live        map[string]core.ID
+			deleted     []string
+			failed      []string
+			syncs       map[string][]compose.SyncConstraint
+			failedSyncs int
 		}
 		logs := make([]workerLog, workers)
 		seeds := make([]int64, workers)
@@ -84,10 +93,12 @@ func TestCrashStressConcurrentMutators(t *testing.T) {
 				wrng := rand.New(rand.NewSource(seeds[w]))
 				lg := &logs[w]
 				lg.live = map[string]core.ID{}
+				lg.syncs = map[string][]compose.SyncConstraint{}
 				var order []string // insertion order, for delete targets
+				comp := ""         // this worker's newest composition
 				for op := 0; op < opsPerWorker; op++ {
 					name := fmt.Sprintf("it%d-w%d-op%d", it, w, op)
-					switch wrng.Intn(10) {
+					switch wrng.Intn(12) {
 					case 0, 1, 2:
 						id, err := db.AddDerived(name, "video-edit", []core.ID{clip}, cutParams(0, 3), nil)
 						switch {
@@ -155,6 +166,37 @@ func TestCrashStressConcurrentMutators(t *testing.T) {
 						if _, err := db.Lookup("clip"); err != nil {
 							t.Errorf("iter %d w%d: Lookup: %v", it, w, err)
 						}
+					case 10, 11:
+						// Compose the clip with itself, or constrain the
+						// composition this worker already has. Each
+						// constraint's skew is unique on its object.
+						id, ok := lg.live[comp]
+						if !ok {
+							var err error
+							id, err = db.AddMultimedia(name, timebase.Millis,
+								[]core.ComponentRef{{Object: clip}, {Object: clip, Start: 40}}, nil)
+							if errors.Is(err, ErrJournal) {
+								lg.failed = append(lg.failed, name)
+								continue
+							}
+							if err != nil {
+								t.Errorf("iter %d w%d: AddMultimedia: %v", it, w, err)
+								continue
+							}
+							comp = name
+							lg.live[name] = id
+							order = append(order, name)
+						}
+						sc := compose.SyncConstraint{A: 0, B: 1, MaxSkew: int64(op)}
+						err := db.AddSync(id, sc.A, sc.B, sc.MaxSkew)
+						switch {
+						case err == nil:
+							lg.syncs[comp] = append(lg.syncs[comp], sc)
+						case errors.Is(err, ErrJournal):
+							lg.failedSyncs++
+						default:
+							t.Errorf("iter %d w%d: AddSync(%v): %v", it, w, id, err)
+						}
 					default:
 						if _, err := db.Get(clip); err != nil {
 							t.Errorf("iter %d w%d: Get: %v", it, w, err)
@@ -194,7 +236,12 @@ func TestCrashStressConcurrentMutators(t *testing.T) {
 				if obj.ID != id {
 					t.Errorf("iter %d: %s replayed as %v, want %v", it, name, obj.ID, id)
 				}
+				if obj.Multimedia != nil && !slices.Equal(obj.Multimedia.Syncs, lg.syncs[name]) {
+					t.Errorf("iter %d: %s replayed with syncs %+v, acked %+v", it, name, obj.Multimedia.Syncs, lg.syncs[name])
+				}
+				ackedSyncs += len(lg.syncs[name])
 			}
+			failedSyncs += lg.failedSyncs
 			for _, name := range lg.deleted {
 				if _, err := db2.Lookup(name); !errors.Is(err, ErrNotFound) {
 					t.Errorf("iter %d: deleted %s resurrected: %v", it, name, err)
@@ -233,5 +280,8 @@ func TestCrashStressConcurrentMutators(t *testing.T) {
 		fs2.Close()
 		db.CloseJournal()
 		fs.Close()
+	}
+	if !testing.Short() && (ackedSyncs == 0 || failedSyncs == 0) {
+		t.Errorf("vacuous: %d acknowledged and %d failed syncs reached the crash check", ackedSyncs, failedSyncs)
 	}
 }

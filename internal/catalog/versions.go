@@ -215,35 +215,6 @@ func (e *viewEdit) appendTombstone(obj *core.Object, seq uint64) {
 	e.extendChain(obj.ID, obj.Name, verEntry{seq: seq})
 }
 
-// rollbackSync undoes a sync revision whose journal append failed:
-// the exact-seq entry is dropped and every later retained version
-// (appended by syncs that overtook this one in the group-commit
-// window) is rewritten without the constraint, mirroring what the
-// rollback does to the live object.
-func (e *viewEdit) rollbackSync(obj *core.Object, seq uint64, strip func(*core.Object) *core.Object) {
-	c, ok := e.shards[e.shardIndexFor(obj.Name)].vers.get(obj.ID)
-	if !ok {
-		return
-	}
-	n := &verChain{name: c.name}
-	for i, ent := range c.entries {
-		switch {
-		case ent.seq == seq && i > 0:
-			// the failed revision itself: drop, the entry before it
-			// answers again
-		case ent.seq >= seq && ent.val != nil:
-			// Also the failed revision when retention has pruned all that
-			// preceded it: it keeps its slot without the constraint, so
-			// a live object is never left without a chain — the chain
-			// tail is what a checkpoint persists as the live object.
-			n.entries = append(n.entries, verEntry{seq: ent.seq, val: strip(ent.val)})
-		default:
-			n.entries = append(n.entries, ent)
-		}
-	}
-	e.setChain(obj.ID, n)
-}
-
 // appendInterpVersion / appendInterpTombstone maintain the
 // interpretation chains.
 func (e *viewEdit) appendInterpVersion(it *interp.Interpretation, seq uint64) {

@@ -357,6 +357,91 @@ func TestFaultSyncRollbackRewritesVersionChain(t *testing.T) {
 	}
 }
 
+// syncFixture is a multimedia object over one ingested clip, with the
+// seq of its AddMultimedia.
+func syncFixture(t *testing.T, db *DB) (mm core.ID, mmSeq uint64) {
+	t.Helper()
+	a, err := db.Ingest("a", genVideo(4, 33), IngestOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mm, err = db.AddMultimedia("mm", timebase.Millis, []core.ComponentRef{{Object: a}, {Object: a, Start: 50}}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return mm, db.Seq()
+}
+
+// TestFaultFailedSyncPublishesNothing: a sync whose journal append
+// fails never reaches a reader — no epoch is published for it, so no
+// epoch= pin can be served the unacknowledged constraint.
+func TestFaultFailedSyncPublishesNothing(t *testing.T) {
+	db := memDB()
+	mm, _ := syncFixture(t, db)
+	attachFaultJournal(t, db, t.TempDir(), faultfs.NewInjector(faultfs.Rule{Op: "journal.append", Nth: 1}))
+
+	before := db.CurrentView().Epoch()
+	if err := db.AddSync(mm, 0, 1, 10); !errors.Is(err, ErrJournal) {
+		t.Fatalf("AddSync with failing journal: %v, want ErrJournal", err)
+	}
+	after := db.CurrentView().Epoch()
+	if after != before {
+		t.Errorf("a failed sync published %d epochs", after-before)
+	}
+	for ep := uint64(0); ep <= after; ep++ {
+		v, err := db.ViewAt(ep)
+		if err != nil {
+			continue
+		}
+		if o, err := v.Get(mm); err == nil && len(o.Multimedia.Syncs) != 0 {
+			t.Errorf("epoch %d of %d..%d serves the unacknowledged constraint: %+v", ep, before, after, o.Multimedia.Syncs)
+		}
+	}
+	if err := db.CloseJournal(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestFaultFailedSyncKeepsVersionFloor: a mutation that never happened
+// prunes nothing. With retention 2 the object's chain is full after one
+// acknowledged sync; a failing second one must leave the version floor,
+// and the as-of read the floor still allows, exactly as they were.
+func TestFaultFailedSyncKeepsVersionFloor(t *testing.T) {
+	db := New(blob.NewMemStore(), WithVersionRetention(2))
+	mm, mmSeq := syncFixture(t, db)
+	inj := faultfs.NewInjector()
+	attachFaultJournal(t, db, t.TempDir(), inj)
+	if err := db.AddSync(mm, 0, 1, 10); err != nil {
+		t.Fatal(err)
+	}
+	floor := db.CurrentView().VersionFloor()
+	if floor > mmSeq {
+		t.Fatalf("floor %d already past the AddMultimedia at %d", floor, mmSeq)
+	}
+
+	inj.Add(faultfs.Rule{Op: "journal.append", Nth: inj.Count("journal.append") + 1})
+	if err := db.AddSync(mm, 0, 1, 20); !errors.Is(err, ErrJournal) {
+		t.Fatalf("AddSync with failing journal: %v, want ErrJournal", err)
+	}
+	v := db.CurrentView()
+	if got := v.VersionFloor(); got != floor {
+		t.Errorf("version floor %d → %d after a failed sync", floor, got)
+	}
+	av, err := v.AsOf(mmSeq)
+	if err != nil {
+		t.Fatalf("AsOf(%d) after a failed sync: %v", mmSeq, err)
+	}
+	if o, err := av.Get(mm); err != nil || len(o.Multimedia.Syncs) != 0 {
+		t.Errorf("AsOf(%d).Get(mm) = %v, %v; want the object as composed", mmSeq, o, err)
+	}
+	if err := v.VerifyVersions(); err != nil {
+		t.Error(err)
+	}
+	if err := db.CloseJournal(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestVerifyVersionsDetectsCorruption hand-corrupts cloned views one
 // invariant at a time and asserts VerifyVersions names each violation.
 // The live catalog never sees these states — the point is that if a
