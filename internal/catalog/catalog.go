@@ -497,9 +497,9 @@ func (db *DB) commitSerial(rec *walOp) error {
 // name as inputs. A zero rec.ID takes the next ID (a live add; it is
 // written back to the record); a non-zero one is forced, because
 // journal replay and replicated apply must reproduce recorded IDs
-// exactly and logs written before log order was pinned to seq order may
-// hold reordered frames, so re-allocation would not. Assumes db.mu is
-// held.
+// exactly and re-allocation would not: a commit that fails after a
+// later one took the next ID leaves a gap (see unstageLocked) that
+// counting up would close. Assumes db.mu is held.
 func (db *DB) stageOpLocked(rec *walOp, prior []*walOp) error {
 	cur := db.cur.Load()
 	var obj *core.Object

@@ -30,9 +30,11 @@ import (
 // log position reserved in one db.mu critical section (enqueueLocked),
 // so log order equals sequence order — the invariant the replication
 // feed's from_seq resume and the follower's local checkpoints rely
-// on. Replay itself stays order-tolerant (one fixed sequence base for
-// the whole log, not a running maximum) so logs written by earlier
-// versions, whose group commits could reorder frames, still recover.
+// on. Replay does not lean on it: it skips against one sequence base
+// fixed for the whole log (see replayAllLocked) and re-creates objects
+// at their recorded IDs (see applyWalLocked).
+//
+// A record's bytes are the fixed layout of record.go.
 
 // ErrJournal wraps journal append failures: the mutation was rolled
 // back and the catalog is unchanged.
@@ -49,10 +51,8 @@ const (
 	storeRetryBase = 2 * time.Millisecond
 )
 
-// Journal operation kinds. An interpretation record was "interp" while
-// it held one entry per element; gob would decode that shape into the
-// run record as empty tracks, so the kind changed with the shape and an
-// old record is an unknown op.
+// Journal operation kinds. A record carries its kind as a one-byte code
+// (see opKinds); the names are what errors and RecordInfo report.
 const (
 	opInterp     = "interpruns"
 	opNonDerived = "nonderived"
@@ -90,27 +90,11 @@ type walOp struct {
 	// Interp is the gob-encoded interp.Exported for opInterp records.
 	Interp []byte
 
-	// Never encoded (gob skips unexported fields), live commits only: a
-	// batch item's by-name inputs until staging resolves them into
-	// Inputs, and the interpretation an opInterp record registers.
+	// Never encoded, live commits only: a batch item's by-name inputs
+	// until staging resolves them into Inputs, and the interpretation an
+	// opInterp record registers.
 	inputNames []string
 	it         *interp.Interpretation
-}
-
-func encodeOp(rec *walOp) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(rec); err != nil {
-		return nil, fmt.Errorf("catalog: encode journal record: %w", err)
-	}
-	return buf.Bytes(), nil
-}
-
-func decodeOp(data []byte) (*walOp, error) {
-	var rec walOp
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&rec); err != nil {
-		return nil, fmt.Errorf("%w: decode: %v", ErrReplay, err)
-	}
-	return &rec, nil
 }
 
 // RecoveryInfo reports what Load / OpenJournal had to do to bring the
@@ -267,10 +251,12 @@ func (db *DB) syncBlob(id blob.ID) error {
 // (checkLostBlobs) — the last step of every recovery. One sequence
 // base is fixed up front for the whole log — records already captured
 // by the snapshot/chain are identified against that base, not a running
-// maximum: logs written before log order was pinned to sequence order
-// (see enqueueLocked) could hold reordered frames (seq 5 preceding
-// seq 3), and neighboring seqs may land in different segments across
-// a rotation. Assumes db.mu is held (or the DB is not yet shared).
+// maximum: a checkpoint's rotation leaves the seqs on either side of
+// the base in different segments, and which of them a replay finds
+// depends on where the crash fell; and a skip decided against a moving
+// maximum would silently drop whatever a damaged log held out of order
+// instead of applying it or failing on it. Assumes db.mu is held (or
+// the DB is not yet shared).
 func (db *DB) replayAllLocked(dir string) error {
 	base := db.seq
 	results, err := wal.ReplaySegments(dir, func(data []byte) error {
@@ -299,28 +285,30 @@ func (db *DB) replayAllLocked(dir string) error {
 	return db.checkLostBlobs()
 }
 
-// applyWalLocked applies one journal record, skipping records the
-// snapshot already captured (rec.Seq <= base). Objects are re-created
-// at their recorded IDs: the append order in the file is not the
-// allocation order under concurrent mutators, so replay must not
-// re-allocate. Dependency order is still safe — an object referencing
-// another was only accepted after its input was acknowledged, hence
-// the input's frame precedes it in the log. Assumes db.mu is held.
+// applyWalLocked applies one journal record, skipping — on the header
+// alone, the body never decoded — records the snapshot already captured
+// (seq <= base). Objects are re-created at their recorded IDs, never
+// re-allocated: the IDs a log holds have gaps wherever a commit failed
+// after taking one (see unstageLocked), and a replay that counted up
+// would hand every later object its neighbour's ID. Dependency order is
+// safe — an object referencing another was only accepted after its
+// input was acknowledged, hence the input's frame precedes it in the
+// log. Assumes db.mu is held.
 func (db *DB) applyWalLocked(base uint64, data []byte) error {
-	rec, err := decodeOp(data)
+	head, _, err := peekOp(data)
 	if err != nil {
 		return err
 	}
-	if rec.Seq <= base {
+	// A capped replay (WithReplayCap) reconstructs the catalog as of a
+	// past transaction time, so later records are skipped too — not
+	// torn-truncated; the log stays intact.
+	if head.Seq <= base || (db.replayCap != 0 && head.Seq > db.replayCap) {
 		db.recovery.JournalSkipped++
 		return nil
 	}
-	if db.replayCap != 0 && rec.Seq > db.replayCap {
-		// Replay is capped (WithReplayCap): the catalog is being
-		// reconstructed as of a past transaction time, so later records
-		// are skipped — not torn-truncated; the log stays intact.
-		db.recovery.JournalSkipped++
-		return nil
+	rec, err := decodeOp(data)
+	if err != nil {
+		return err
 	}
 	if err := db.applyOpLocked(rec); err != nil {
 		return err
@@ -362,6 +350,11 @@ func (db *DB) applyLocked(rec *walOp) error {
 		var exp interp.Exported
 		if err := gob.NewDecoder(bytes.NewReader(rec.Interp)).Decode(&exp); err != nil {
 			return fmt.Errorf("interpretation record: %v", err)
+		}
+		// The envelope's BLOB is what the feed prefetched and what the
+		// registration is staged under; the payload's is what gets opened.
+		if exp.BlobID != rec.Blob {
+			return fmt.Errorf("interpretation record names %v in its envelope and %v in its payload", rec.Blob, exp.BlobID)
 		}
 		b, err := db.openBlob(exp.BlobID)
 		if errors.Is(err, blob.ErrNotFound) {

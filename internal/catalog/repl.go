@@ -42,21 +42,15 @@ func (db *DB) WALDurableBoundary() (seg uint64, off int64, ok bool) {
 	return 0, 0, false
 }
 
-// RecordInfo decodes the routing metadata of one encoded journal
-// record without applying it: its sequence number, operation kind,
-// and — for interpretation records — the BLOB whose payload must be
-// present before the record can apply. The feed server uses the seq
-// to filter frames; the follower uses the blob ID to fetch payloads
-// ahead of apply.
+// RecordInfo reads the routing metadata of one encoded journal record
+// from its header, decoding no body and allocating nothing: its
+// sequence number, operation kind, and — for interpretation records —
+// the BLOB whose payload must be present before the record can apply.
+// The feed server uses the seq to filter frames; the follower uses the
+// blob ID to fetch payloads ahead of apply.
 func RecordInfo(data []byte) (seq uint64, kind string, blobID blob.ID, err error) {
-	rec, err := decodeOp(data)
-	if err != nil {
-		return 0, "", 0, err
-	}
-	if rec.Kind == opInterp {
-		blobID = rec.Blob
-	}
-	return rec.Seq, rec.Kind, blobID, nil
+	head, _, err := peekOp(data)
+	return head.Seq, head.Kind, head.Blob, err
 }
 
 // ApplyReplicated applies one journal record received from a
@@ -77,23 +71,27 @@ func RecordInfo(data []byte) (seq uint64, kind string, blobID blob.ID, err error
 // a crash and reload the catalog from its directory rather than
 // continue applying.
 func (db *DB) ApplyReplicated(data []byte) (uint64, error) {
-	rec, err := decodeOp(data)
+	head, _, err := peekOp(data)
 	if err != nil {
 		return 0, err
 	}
 	db.commitGate.RLock()
 	defer db.commitGate.RUnlock()
 	db.mu.Lock()
-	if rec.Seq <= db.seq {
+	if head.Seq <= db.seq {
 		seq := db.seq
 		db.mu.Unlock()
 		return seq, nil
 	}
-	if err := db.applyOpLocked(rec); err != nil {
-		db.mu.Unlock()
-		return 0, fmt.Errorf("catalog: apply replicated seq %d: %w", rec.Seq, err)
+	rec, err := decodeOp(data)
+	if err == nil {
+		err = db.applyOpLocked(rec)
 	}
-	db.seq = rec.Seq
+	if err != nil {
+		db.mu.Unlock()
+		return 0, fmt.Errorf("catalog: apply replicated seq %d: %w", head.Seq, err)
+	}
+	db.seq = head.Seq
 	var t *wal.Ticket
 	if db.wal != nil {
 		t = db.wal.Enqueue(data)
@@ -102,5 +100,5 @@ func (db *DB) ApplyReplicated(data []byte) (uint64, error) {
 	if err := db.waitRecord(t); err != nil {
 		return 0, err
 	}
-	return rec.Seq, nil
+	return head.Seq, nil
 }

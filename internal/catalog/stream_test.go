@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"maps"
 	"os"
 	"path/filepath"
 	"strings"
@@ -15,6 +16,7 @@ import (
 
 	"timedmedia/internal/blob"
 	"timedmedia/internal/core"
+	"timedmedia/internal/derive"
 	"timedmedia/internal/durable"
 	"timedmedia/internal/faultfs"
 	"timedmedia/internal/interp"
@@ -342,8 +344,13 @@ func TestReopenAfterJournaledReaderDeleted(t *testing.T) {
 	}
 }
 
+// fixtureAttrs are the attributes of the fixture history's last cut: more
+// than one, so the journal bytes the fixture pins depend on the codec
+// writing attributes in key order, not in whatever order a map yields.
+var fixtureAttrs = map[string]string{"language": "fr", "rights": "cleared", "title": "closing shot"}
+
 // writeFormatFixtureHistory runs the fixed history behind
-// testdata/format_pr22 in dir: a full snapshot, one delta over it with a
+// testdata/format_pr24 in dir: a full snapshot, one delta over it with a
 // delete that collects a BLOB the snapshot names, and a journal tail.
 func writeFormatFixtureHistory(t *testing.T, dir string) {
 	t.Helper()
@@ -360,7 +367,8 @@ func writeFormatFixtureHistory(t *testing.T, dir string) {
 		t.Fatal(err)
 	}
 	checkpointDelta(t, db, dir)
-	if _, err := db.SelectDuration(clip, "later", 0, 1); err != nil {
+	params := derive.EncodeParams(derive.EditParams{Entries: []derive.EditEntry{{Input: 0, From: 0, To: 1}}})
+	if _, err := db.AddDerived("later", "video-edit", []core.ID{clip}, params, fixtureAttrs); err != nil {
 		t.Fatal(err)
 	}
 	if err := db.CloseJournal(); err != nil {
@@ -369,12 +377,12 @@ func writeFormatFixtureHistory(t *testing.T, dir string) {
 }
 
 // TestRecoverFormatFixture pins the on-disk format:
-// testdata/format_pr22 is what the commit that introduced the TBMCATS3
-// payload (interpretation tables as runs) wrote for the fixture history.
-// It must open — snapshot, delta chain, MANIFEST, segments, BLOBs — and
-// this tree must write the same bytes for the same history.
+// testdata/format_pr24 is what the commit that gave the journal record
+// its fixed layout wrote for the fixture history. It must open —
+// snapshot, delta chain, MANIFEST, segments, BLOBs — and this tree must
+// write the same bytes for the same history.
 func TestRecoverFormatFixture(t *testing.T) {
-	const fixture = "testdata/format_pr22"
+	const fixture = "testdata/format_pr24"
 	dir := t.TempDir()
 	copyTree(t, fixture, dir)
 	db := openDB(t, dir)
@@ -387,6 +395,9 @@ func TestRecoverFormatFixture(t *testing.T) {
 		if _, err := db.Lookup(name); err != nil {
 			t.Errorf("%s: %v", name, err)
 		}
+	}
+	if later, err := db.Lookup("later"); err == nil && !maps.Equal(later.Attrs, fixtureAttrs) {
+		t.Errorf("the replayed cut's attributes = %v, want %v", later.Attrs, fixtureAttrs)
 	}
 	if _, err := db.Lookup("gone"); !errors.Is(err, ErrNotFound) || db.Len() != 9 {
 		t.Errorf("%d objects (deleted one: %v), want 9 and not found", db.Len(), err)
@@ -415,18 +426,64 @@ func TestRecoverFormatFixture(t *testing.T) {
 			t.Errorf("%s: %d bytes written now (%v), %d in the fixture, or they differ", e.Name(), len(b), err, len(a))
 		}
 	}
+
+	// Against testdata/format_pr22, the same history (its last cut without
+	// attributes) as the last commit to change a snapshot byte wrote it:
+	// the fixed record layout moved the journal segment and nothing else.
+	// MANIFEST and the BLOB files are the same bytes. The snapshot and the
+	// delta are the same length, not the same bytes: gob numbers types
+	// process-wide in order of first encoding, and the six types journal
+	// records no longer encode shift every later id down. What has to hold
+	// for those two is what an upgrade relies on — without its journal
+	// segment, the older directory opens as the same catalog.
+	const older, segment = "testdata/format_pr22", "journal.000003.log"
+	withoutJournal := func(fixture string) string {
+		dir := t.TempDir()
+		copyTree(t, fixture, dir)
+		if err := os.Remove(filepath.Join(dir, segment)); err != nil {
+			t.Fatal(err)
+		}
+		db := openDB(t, dir)
+		defer db.CloseJournal()
+		return catalogDump(db)
+	}
+	if got, want := withoutJournal(older), withoutJournal(fixture); got != want {
+		t.Errorf("the PR 22 snapshot and chain open as\n%s\nwant what this build's open as:\n%s", got, want)
+	}
+	for _, e := range was {
+		name := e.Name()
+		a, _ := os.ReadFile(filepath.Join(fixture, name))
+		b, err := os.ReadFile(filepath.Join(older, name))
+		if err != nil {
+			t.Error(err)
+			continue
+		}
+		switch same := bytes.Equal(a, b); {
+		case name == segment:
+			if same {
+				t.Errorf("%s is what PR 22 wrote; want the fixed record layout", name)
+			}
+		case name == snapshotName || strings.HasSuffix(name, ".ckpt"):
+			if len(a) != len(b) {
+				t.Errorf("%s: %d bytes, PR 22 wrote %d", name, len(a), len(b))
+			}
+		case !same:
+			t.Errorf("%s differs from what PR 22 wrote, and there is no gob in it", name)
+		}
+	}
 }
 
-// TestPreviousFormatRefused: what the previous format's last commit
-// wrote (testdata/format_pr20: a TBMCATS2 snapshot, and the journal of a
-// directory that never checkpointed, whose first record is an "interp"
-// with one entry per element) is refused by name, never read as
-// interpretations with empty tracks. The snapshot stays where it is,
-// byte for byte, with nothing quarantined and no backup taken.
+// TestPreviousFormatRefused: what earlier formats' last commits wrote is
+// refused by name and left where it is, byte for byte, with nothing
+// quarantined and no backup taken — testdata/format_pr20's TBMCATS2
+// snapshot, never read as interpretations with empty tracks, and the
+// journals of gob records: format_pr20's, from a directory that never
+// checkpointed, and format_pr22's, the tail of the fixture history as
+// the last build before the fixed record layout wrote it.
 func TestPreviousFormatRefused(t *testing.T) {
-	open := func(file string) (string, error) {
+	open := func(fixture, file string) error {
 		dir := t.TempDir()
-		data, err := os.ReadFile(filepath.Join("testdata/format_pr20", file))
+		data, err := os.ReadFile(filepath.Join("testdata", fixture, file))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -441,15 +498,17 @@ func TestPreviousFormatRefused(t *testing.T) {
 		_, err = Open(dir, fs)
 		after, _ := os.ReadFile(filepath.Join(dir, file))
 		if left, _ := os.ReadDir(dir); len(left) != 1 || !bytes.Equal(after, data) {
-			t.Errorf("%s: refusal left %d files, or changed the one it refused", file, len(left))
+			t.Errorf("%s/%s: refusal left %d files, or changed the one it refused", fixture, file, len(left))
 		}
-		return dir, err
+		return err
 	}
-	if _, err := open(snapshotName); !errors.Is(err, ErrSnapshotFormat) || !strings.Contains(err.Error(), `"TBMCATS2"`) {
+	if err := open("format_pr20", snapshotName); !errors.Is(err, ErrSnapshotFormat) || !strings.Contains(err.Error(), `"TBMCATS2"`) {
 		t.Errorf("TBMCATS2 snapshot: Open = %v, want ErrSnapshotFormat naming the preamble", err)
 	}
-	if _, err := open("journal.000001.log"); !errors.Is(err, ErrReplay) || !strings.Contains(err.Error(), `unknown op "interp"`) {
-		t.Errorf("per-element interpretation record: Open = %v, want ErrReplay naming the kind", err)
+	for _, j := range [][2]string{{"format_pr20", "journal.000001.log"}, {"format_pr22", "journal.000003.log"}} {
+		if err := open(j[0], j[1]); !errors.Is(err, ErrReplay) || !strings.Contains(err.Error(), "not with record layout version 1") {
+			t.Errorf("%s gob journal: Open = %v, want ErrReplay naming the record layout", j[0], err)
+		}
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"net/http"
 	"net/http/httptest"
 	"sync/atomic"
@@ -41,8 +42,8 @@ func TestShipDetectsCompaction(t *testing.T) {
 	var buf bytes.Buffer
 	cur := cursor{seg: 1}
 	lastSent := uint64(0)
-	if _, gone := tp.p.ship(&buf, &cur, &lastSent, durSeg, durOff); !gone {
-		t.Error("compacted segment below checkpoint: want gone")
+	if _, err := tp.p.ship(&buf, &cur, &lastSent, durSeg, durOff); !errors.Is(err, errGone) {
+		t.Errorf("compacted segment below checkpoint: ship = %v, want errGone", err)
 	}
 
 	// A follower already at the checkpoint seq lost nothing to the
@@ -50,8 +51,8 @@ func TestShipDetectsCompaction(t *testing.T) {
 	// live segment.
 	cur = cursor{seg: 1}
 	lastSent = m.CheckpointSeq
-	if _, gone := tp.p.ship(&buf, &cur, &lastSent, durSeg, durOff); gone {
-		t.Error("caught-up cursor reported gone across compacted segments")
+	if _, err := tp.p.ship(&buf, &cur, &lastSent, durSeg, durOff); err != nil {
+		t.Errorf("caught-up cursor across compacted segments: ship = %v", err)
 	}
 	if cur.seg != durSeg {
 		t.Errorf("cursor stopped at segment %d, want %d", cur.seg, durSeg)

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"log"
 	"net/http"
 	"os"
 	"strconv"
@@ -36,19 +37,21 @@ type Primary struct {
 	poll      time.Duration
 	heartbeat time.Duration
 
-	shipped *telemetry.Counter
+	shipped    *telemetry.Counter
+	feedErrors *telemetry.Counter
 }
 
 // NewPrimary builds the feed server for db, whose journal and payload
 // files live in dir. reg may be nil (metrics are then dropped).
 func NewPrimary(db *catalog.DB, store blob.Store, dir string, reg *telemetry.Registry) *Primary {
 	return &Primary{
-		db:        db,
-		store:     store,
-		dir:       dir,
-		poll:      DefaultPollInterval,
-		heartbeat: DefaultHeartbeatInterval,
-		shipped:   reg.Counter(telemetry.ReplShippedFamily, ""),
+		db:         db,
+		store:      store,
+		dir:        dir,
+		poll:       DefaultPollInterval,
+		heartbeat:  DefaultHeartbeatInterval,
+		shipped:    reg.Counter(telemetry.ReplShippedFamily, ""),
+		feedErrors: reg.Counter(telemetry.ReplFeedErrorsFamily, ""),
 	}
 }
 
@@ -112,9 +115,12 @@ type cursor struct {
 
 // HandleWAL streams journal records with seq > from_seq, then follows
 // the live log. The response is an unbounded RPF1 frame stream; it
-// ends when the client goes away or compaction outruns the cursor
-// (TypeGone). A from_seq already below the checkpoint floor is 410 —
-// the records are only available via a fresh bootstrap.
+// ends when the client goes away, compaction outruns the cursor
+// (TypeGone), or the log holds a durable record the feed cannot read
+// (see ship): that is logged and counted, and answered with a 500 when
+// the response has not begun, as it has not on the follower's every
+// reconnect. A from_seq already below the checkpoint floor is 410 — the
+// records are only available via a fresh bootstrap.
 func (p *Primary) HandleWAL(w http.ResponseWriter, r *http.Request) {
 	fromSeq, err := strconv.ParseUint(r.URL.Query().Get("from_seq"), 10, 64)
 	if err != nil {
@@ -137,17 +143,27 @@ func (p *Primary) HandleWAL(w http.ResponseWriter, r *http.Request) {
 
 	lastSent := fromSeq
 	lastBeat := time.Time{} // zero: first loop iteration heartbeats immediately
+	begun := false          // whether any frame has been written
 	ctx := r.Context()
 	for ctx.Err() == nil {
 		durSeg, durOff, ok := p.db.WALDurableBoundary()
 		if !ok {
 			return
 		}
-		wrote, gone := p.ship(w, &cur, &lastSent, durSeg, durOff)
-		if gone {
+		wrote, err := p.ship(w, &cur, &lastSent, durSeg, durOff)
+		begun = begun || wrote
+		if errors.Is(err, errGone) {
 			WriteFrame(w, Frame{Type: TypeGone, Seq: p.checkpointSeq()})
 			if flusher != nil {
 				flusher.Flush()
+			}
+			return
+		}
+		if err != nil {
+			p.feedErrors.Inc()
+			log.Printf("repl: feed to %s stopped: %v", r.RemoteAddr, err)
+			if !begun {
+				http.Error(w, err.Error(), http.StatusInternalServerError)
 			}
 			return
 		}
@@ -160,7 +176,7 @@ func (p *Primary) HandleWAL(w http.ResponseWriter, r *http.Request) {
 				return
 			}
 			lastBeat = time.Now()
-			wrote = true
+			wrote, begun = true, true
 		}
 		if wrote && flusher != nil {
 			flusher.Flush()
@@ -199,21 +215,27 @@ func (p *Primary) checkpointSeq() uint64 {
 }
 
 // ship writes every durable record past the cursor with seq > lastSent
-// and advances both. gone reports that a segment the cursor still
-// needed was compacted away — the follower must re-bootstrap.
-func (p *Primary) ship(w io.Writer, cur *cursor, lastSent *uint64, durSeg uint64, durOff int64) (wrote, gone bool) {
+// and advances both. errGone reports that a segment the cursor still
+// needed was compacted away — the follower must re-bootstrap. Any other
+// error is a durable, CRC-valid frame whose record header does not
+// parse, named by segment, offset and the seq of the record before it.
+// The feed stops there and lastSent never passes it: the primary's own
+// replay would refuse that log (catalog.ErrReplay), so a feed that
+// skipped the record would leave a follower silently short of its
+// primary at the same seq.
+func (p *Primary) ship(w io.Writer, cur *cursor, lastSent *uint64, durSeg uint64, durOff int64) (wrote bool, _ error) {
+	var lastGood uint64 // newest record this pass parsed, shipped or not
 	for cur.seg <= durSeg {
 		limit := int64(-1) // sealed: read to EOF
 		if cur.seg == durSeg {
 			limit = durOff
 		}
 		consumed, err := readRecords(wal.SegmentFile(p.dir, cur.seg), cur.off, limit, func(rec []byte) error {
-			seq, _, _, infoErr := catalog.RecordInfo(rec)
-			if infoErr != nil {
-				// Undecodable record: skip it rather than wedge the feed —
-				// the follower's own replay would skip it identically.
-				return nil
+			seq, _, _, err := catalog.RecordInfo(rec)
+			if err != nil {
+				return err
 			}
+			lastGood = seq
 			if seq <= *lastSent {
 				return nil
 			}
@@ -226,30 +248,33 @@ func (p *Primary) ship(w io.Writer, cur *cursor, lastSent *uint64, durSeg uint64
 			return nil
 		})
 		if err != nil {
+			if errors.Is(err, catalog.ErrReplay) {
+				return wrote, fmt.Errorf("repl: segment %d, offset %d, after seq %d: %w", cur.seg, cur.off+consumed, lastGood, err)
+			}
 			if errors.Is(err, os.ErrNotExist) {
 				// Compacted under us. Records at or below the checkpoint
 				// floor are covered by snapshots the follower already has
 				// (or must re-fetch); anything above it still lives in a
 				// later segment.
 				if *lastSent < p.checkpointSeq() {
-					return wrote, true
+					return wrote, errGone
 				}
 				cur.seg++
 				cur.off = 0
 				continue
 			}
-			return wrote, false // write error or transient read error: caller's poll retries
+			return wrote, nil // write error or transient read error: caller's poll retries
 		}
 		cur.off += consumed
 		if cur.seg == durSeg {
-			return wrote, false // caught up to the durable boundary
+			return wrote, nil // caught up to the durable boundary
 		}
 		// Sealed segment fully read (a tear in one truncates it for the
 		// feed exactly as it does for local replay); move on.
 		cur.seg++
 		cur.off = 0
 	}
-	return wrote, false
+	return wrote, nil
 }
 
 // readRecords decodes WAL frames from path starting at off, stopping

@@ -1,17 +1,25 @@
 package repl
 
 import (
+	"bytes"
 	"encoding/json"
+	"errors"
+	"fmt"
+	"io"
+	"log"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strconv"
+	"strings"
 	"testing"
 
 	"timedmedia/internal/blob"
 	"timedmedia/internal/catalog"
 	"timedmedia/internal/fixtures"
+	"timedmedia/internal/telemetry"
+	"timedmedia/internal/wal"
 )
 
 // A catalog without a segmented journal (the in-memory test setup) can
@@ -127,5 +135,84 @@ func TestHandleBlobsSkipsUnopenable(t *testing.T) {
 	}
 	if len(infos) == 0 {
 		t.Error("inventory empty, want the intact blob")
+	}
+}
+
+// TestReplFeedStopsAtUnreadableRecord hand-writes a segment with a durable,
+// CRC-valid frame that is not a journal record between real ones. The
+// primary's own replay refuses such a log, so the feed must not ship
+// around the frame: it stops there — error naming segment, offset and
+// the record before, logged and counted, lastSent not past it — on the
+// first response and on every reconnect, with a 500 once there is
+// nothing left to send first.
+func TestReplFeedStopsAtUnreadableRecord(t *testing.T) {
+	tp := newTestPrimary(t)
+	clip := tp.ingest(t, "clip", 4, 31)
+	tp.cut(t, clip, "a", 0, 2)
+	tp.cut(t, clip, "b", 1, 3)
+	var good [][]byte // seqs 1..4
+	if _, err := wal.ReplaySegments(tp.dir, func(rec []byte) error {
+		good = append(good, rec)
+		return nil
+	}); err != nil || len(good) != 4 {
+		t.Fatalf("%d records in the primary's journal (%v), want 4", len(good), err)
+	}
+
+	dir := t.TempDir()
+	j, err := wal.OpenSegmented(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rec := range [][]byte{good[0], good[1], []byte("not a journal record"), good[2], good[3]} {
+		if err := j.Append(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	db := catalog.New(tp.store)
+	db.AttachJournal(j, dir)
+	defer db.CloseJournal()
+	reg := telemetry.NewRegistry()
+	p := NewPrimary(db, tp.store, dir, reg)
+	durSeg, durOff, _ := db.WALDurableBoundary()
+	where := fmt.Sprintf("segment 1, offset %d, after seq 2", 2*12+len(good[0])+len(good[1])) // 12: the WAL1 frame header
+
+	var buf bytes.Buffer
+	cur, lastSent := cursor{seg: 1}, uint64(0)
+	for pass := 0; pass < 2; pass++ {
+		wrote, err := p.ship(&buf, &cur, &lastSent, durSeg, durOff)
+		if !errors.Is(err, catalog.ErrReplay) || !strings.Contains(err.Error(), where) {
+			t.Fatalf("pass %d: ship = %v, want ErrReplay at %s", pass, err, where)
+		}
+		if wrote != (pass == 0) || lastSent != 2 {
+			t.Errorf("pass %d: wrote %v, lastSent %d; want the two records before the frame shipped once", pass, wrote, lastSent)
+		}
+	}
+	for want := uint64(1); want <= 2; want++ {
+		if f, err := ReadFrame(&buf); err != nil || f.Type != TypeRecord || f.Seq != want {
+			t.Errorf("shipped frame = %+v (%v), want record %d", f, err, want)
+		}
+	}
+	if _, err := ReadFrame(&buf); err != io.EOF {
+		t.Errorf("after the two good records: %v, want nothing shipped", err)
+	}
+
+	var logged bytes.Buffer
+	log.SetOutput(&logged)
+	defer log.SetOutput(os.Stderr)
+	first := httptest.NewRecorder()
+	p.HandleWAL(first, httptest.NewRequest("GET", "/v1/repl/wal?from_seq=0", nil))
+	if f, err := ReadFrame(first.Body); first.Code != http.StatusOK || err != nil || f.Seq != 1 {
+		t.Errorf("first response: status %d, first frame %+v (%v); want 200 and record 1", first.Code, f, err)
+	}
+	again := httptest.NewRecorder()
+	p.HandleWAL(again, httptest.NewRequest("GET", "/v1/repl/wal?from_seq=2", nil))
+	if again.Code != http.StatusInternalServerError || !strings.Contains(again.Body.String(), where) {
+		t.Errorf("reconnect at the frame: %d %q, want 500 naming %s", again.Code, again.Body.String(), where)
+	}
+	if n := reg.Counter(telemetry.ReplFeedErrorsFamily, "").Load(); n != 2 {
+		t.Errorf("feed errors counted = %d, want 2", n)
+	}
+	if n := strings.Count(logged.String(), where); n != 2 {
+		t.Errorf("%d log lines name %s, want 2:\n%s", n, where, logged.String())
 	}
 }

@@ -70,6 +70,9 @@ const (
 	// followers; ReplAppliedFamily counts records a follower applied.
 	ReplShippedFamily = "tbm_repl_records_shipped_total"
 	ReplAppliedFamily = "tbm_repl_records_applied_total"
+	// ReplFeedErrorsFamily counts feed responses a primary ended because
+	// its journal holds a durable record whose header does not parse.
+	ReplFeedErrorsFamily = "tbm_repl_feed_errors_total"
 	// ReplReconnectsFamily counts feed reconnect attempts after a
 	// stream drop; ReplBootstrapsFamily counts snapshot bootstraps
 	// (initial plus forced re-bootstraps after compaction outran the
