@@ -1,137 +1,153 @@
-// Command tbmload is the workload harness: a closed-loop benchmark
-// driver (the original mode), a spec-driven open-loop simulator, a
-// deterministic trace replayer, and a policy scorer.
+// Command tbmload records and replays request histories. Load for
+// measurement is bench/run.sh; tbmload exists for the
+// transaction-time check that a recorded history, replayed against
+// the same starting state, gives the same answers.
 //
-//	tbmload [flags]              closed-loop mixed workload (below)
-//	tbmload run -spec f ...      open-loop simulation from a workload spec
-//	tbmload replay -trace f ...  deterministic replay of a captured trace
-//	tbmload score ...            weighted multi-objective policy scoring
-//	tbmload schedule -spec f ... print the materialized request schedule
+//	tbmload run -url U -seed N [-wait-ready D]
+//	tbmload replay -trace F [-url U] [-out R] [-wait-ready D]
 //
-// Every JSON report embeds the seed, the canonical spec hash, and the
-// git revision of the build, so a BENCH artifact is self-describing:
-// the run that produced it can be reproduced from the artifact alone.
+// run discovers the server's objects (GET /v1/objects), draws a
+// seeded 64-op list from a fixed mix and sends it one request at a
+// time, in order:
 //
-// # Closed-loop mode
-//
-// The workload is seeded: the same -seed, -clients, -duration and -mix
-// produce the same operation sequence per client, so runs are
-// comparable across builds. Each client is an independent goroutine
-// with its own RNG drawing operations from the weighted mix:
-//
-//	object   GET  /v1/objects/{name}            catalog point read
-//	expand   GET  /v1/objects/{name}/expand     derivation expansion (cached)
+//	object   GET  /v1/objects/{name}             catalog point read
+//	expand   GET  /v1/objects/{name}/expand      derivation expansion
 //	element  GET  /v1/objects/{name}/element/{i} payload read
-//	cut      POST /v1/objects/{name}/cut        single journaled mutation
-//	batch    POST /v1/objects:batch             atomic multi-object mutation
-//	query    GET  /v1/query                     indexed structural query
-//	                                            (kind / attr / time-range mix)
-//	asof     GET  /v1/query?as_of=N             transaction-time read at a drawn
-//	         GET  /v1/objects/{name}?as_of=N    journal sequence (410/404 below
-//	                                            the retention floor are outcomes,
-//	                                            not errors)
+//	cut      POST /v1/objects/{name}/cut         single journaled mutation
+//	batch    POST /v1/objects:batch              atomic multi-object mutation
+//	query    GET  /v1/query                      indexed structural query
+//	pquery   GET  /v1/query?...&epoch=E          epoch-pinned pagination
 //
-// Targets for reads and cut inputs are discovered from GET /v1/objects
-// at startup; mutation names are namespaced per run (-run-id, default
-// derived from the seed) so repeated runs against one server don't
-// collide.
+// The server's own capture (tbmserve -trace-out) is the recording. run
+// exits non-zero at the first answer a healthy server would not give,
+// so a recording of failures never reaches replay.
 //
-// Usage:
-//
-//	tbmload -url http://127.0.0.1:8080 [-clients 8] [-duration 10s]
-//	        [-mix object=25,expand=15,element=30,cut=15,batch=5,query=10]
-//	        [-seed 1] [-run-id r1] [-out bench.json] [-wait-ready 30s]
+// replay re-issues a captured trace in record order against a catalog
+// rebuilt from the same starting point and writes the deterministic
+// equivalence report (stdout or -out); it exits non-zero if the
+// replay diverged.
 package main
 
 import (
-	"bytes"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"log"
-	"math/rand"
 	"net/http"
 	"os"
-	"sort"
 	"strings"
-	"sync"
 	"time"
 
 	"timedmedia/internal/workload"
 )
 
-type opStats struct {
-	lat    []time.Duration
-	errors int
-}
-
-type client struct {
-	id      int
-	rng     *rand.Rand
-	base    string
-	http    *http.Client
-	media   []target // non-derived objects with stored elements
-	names   []string // every object name (for point reads)
-	seq     uint64   // committed journal sequence at startup (asof bound)
-	runID   string
-	mutSeq  int
-	stats   map[string]*opStats
-	verbose bool
-}
-
-type target struct {
-	Name     string
-	Elements int
-}
-
-// listShape mirrors the subset of GET /v1/objects the driver needs.
-type listShape struct {
-	Objects []struct {
-		Name     string `json:"name"`
-		Class    string `json:"class"`
-		Kind     string `json:"kind"`
-		Elements int    `json:"elements"`
-	} `json:"objects"`
-}
+var errUsage = errors.New("usage: tbmload run -url U -seed N [-wait-ready D] | " +
+	"tbmload replay -trace F [-url U] [-out R] [-wait-ready D]")
 
 func main() {
-	if len(os.Args) > 1 {
-		if cmd, ok := subcommands[os.Args[1]]; ok {
-			if err := cmd(os.Args[2:]); err != nil {
-				log.Fatal(err)
-			}
-			return
-		}
-	}
-	url := flag.String("url", "http://127.0.0.1:8080", "server base URL")
-	clients := flag.Int("clients", 8, "concurrent workload clients")
-	duration := flag.Duration("duration", 10*time.Second, "how long to run")
-	mixSpec := flag.String("mix", "object=25,expand=15,element=30,cut=15,batch=5,query=10",
-		"weighted operation mix (op=weight,...)")
-	seed := flag.Int64("seed", 1, "workload RNG seed")
-	runID := flag.String("run-id", "", "mutation name namespace (default load<seed>)")
-	out := flag.String("out", "", "write the JSON report to this file (default stdout)")
-	waitReady := flag.Duration("wait-ready", 0,
-		"poll GET /v1/readyz for up to this long before starting (0 skips; use against replicas still catching up)")
-	verbose := flag.Bool("v", false, "log individual operation errors")
-	flag.Parse()
-	if *runID == "" {
-		*runID = fmt.Sprintf("load%d", *seed)
-	}
-	if *waitReady > 0 {
-		if err := awaitReady(*url, *waitReady); err != nil {
-			log.Fatal(err)
-		}
-	}
-	if err := run(*url, *clients, *duration, *mixSpec, *seed, *runID, *out, *verbose); err != nil {
+	if err := dispatch(os.Args[1:]); err != nil {
 		log.Fatal(err)
 	}
 }
 
+// dispatch runs the subcommand args name.
+func dispatch(args []string) error {
+	if len(args) > 0 {
+		switch args[0] {
+		case "run":
+			return cmdRun(args[1:])
+		case "replay":
+			return cmdReplay(args[1:])
+		}
+	}
+	return errUsage
+}
+
+// cmdRun sends the seeded op list to a live server.
+func cmdRun(args []string) error {
+	fs := flag.NewFlagSet("tbmload run", flag.ExitOnError)
+	url := fs.String("url", "http://127.0.0.1:8080", "server base URL")
+	seed := fs.Int64("seed", 1, "op-list RNG seed")
+	waitReady := fs.Duration("wait-ready", 0, "poll GET /v1/readyz for up to this long before starting")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	if *waitReady > 0 {
+		if err := awaitReady(*url, *waitReady); err != nil {
+			return err
+		}
+	}
+	inv, err := discover(*url)
+	if err != nil {
+		return err
+	}
+	items, err := workload.Generate(*seed, inv)
+	if err != nil {
+		return err
+	}
+	requests, err := workload.Execute(*url, items)
+	if err != nil {
+		return fmt.Errorf("tbmload run: after %d requests: %w", requests, err)
+	}
+	fmt.Printf("sent %d ops in %d requests, every answer as expected\n", len(items), requests)
+	return nil
+}
+
+// cmdReplay re-issues a captured trace in record order and writes the
+// deterministic equivalence report: two replays of one trace against
+// identically seeded catalogs produce byte-identical reports.
+func cmdReplay(args []string) error {
+	fs := flag.NewFlagSet("tbmload replay", flag.ExitOnError)
+	tracePath := fs.String("trace", "", "captured trace file (required)")
+	url := fs.String("url", "http://127.0.0.1:8080", "server base URL")
+	out := fs.String("out", "", "write the deterministic replay report here (default stdout)")
+	waitReady := fs.Duration("wait-ready", 0, "poll GET /v1/readyz for up to this long before starting")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	if *tracePath == "" {
+		return fmt.Errorf("tbmload replay: -trace is required")
+	}
+	meta, records, err := workload.ReadTrace(*tracePath)
+	if err != nil {
+		return err
+	}
+	digest, err := workload.TraceFileDigest(*tracePath)
+	if err != nil {
+		return err
+	}
+	if *waitReady > 0 {
+		if err := awaitReady(*url, *waitReady); err != nil {
+			return err
+		}
+	}
+	rep, err := workload.Replay(*url, meta, records, digest)
+	if err != nil {
+		return err
+	}
+	if *out == "" {
+		if _, err := os.Stdout.Write(workload.EncodeReport(rep)); err != nil {
+			return err
+		}
+	} else {
+		if err := os.WriteFile(*out, workload.EncodeReport(rep), 0o644); err != nil {
+			return err
+		}
+		fmt.Printf("replayed %d/%d: %d matches, %d mismatches, %d epoch_gone, %d recorded_shed, equivalent=%v\n",
+			rep.Replayed, rep.Records, rep.Matches, rep.Mismatches, rep.EpochGone, rep.RecordedShed, rep.Equivalent)
+	}
+	if !rep.Equivalent {
+		return fmt.Errorf("tbmload replay: trace diverged (%d mismatches, initial_match=%v)",
+			rep.Mismatches, rep.InitialMatch)
+	}
+	return nil
+}
+
 // awaitReady polls the readiness probe until it answers 200 or the
-// budget runs out, so a benchmark against a freshly started replica
-// measures steady-state serving rather than catch-up.
+// budget runs out, so a run against a freshly started server does not
+// race its recovery.
 func awaitReady(base string, budget time.Duration) error {
 	deadline := time.Now().Add(budget)
 	var last string
@@ -152,375 +168,41 @@ func awaitReady(base string, budget time.Duration) error {
 	return fmt.Errorf("server not ready after %v: %s", budget, last)
 }
 
-func run(base string, nClients int, duration time.Duration, mixSpec string, seed int64, runID, out string, verbose bool) error {
-	mix, err := parseMix(mixSpec)
-	if err != nil {
-		return err
-	}
-	media, names, err := discover(base)
-	if err != nil {
-		return err
-	}
-	if len(names) == 0 {
-		return fmt.Errorf("server has no objects; seed it first (tbmctl ingest -dir <dir> -n 16)")
-	}
-	seqBound := discoverSeq(base)
-	needMedia := mix["element"] > 0 || mix["cut"] > 0 || mix["batch"] > 0 || mix["expand"] > 0 || mix["query"] > 0
-	if needMedia && len(media) == 0 {
-		return fmt.Errorf("workload needs stored media objects but the server has none")
-	}
-
-	deadline := time.Now().Add(duration)
-	var wg sync.WaitGroup
-	workers := make([]*client, nClients)
-	start := time.Now()
-	for i := 0; i < nClients; i++ {
-		c := &client{
-			id:    i,
-			rng:   rand.New(rand.NewSource(seed*1_000_003 + int64(i))),
-			base:  base,
-			http:  &http.Client{Timeout: 30 * time.Second},
-			media: media, names: names, seq: seqBound,
-			runID:   runID,
-			stats:   map[string]*opStats{},
-			verbose: verbose,
-		}
-		workers[i] = c
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for time.Now().Before(deadline) {
-				c.step(mix)
-			}
-		}()
-	}
-	wg.Wait()
-	elapsed := time.Since(start)
-
-	report := buildReport(base, nClients, duration, mixSpec, seed, elapsed, workers)
-	data, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		return err
-	}
-	data = append(data, '\n')
-	if out == "" {
-		os.Stdout.Write(data)
-		return nil
-	}
-	if err := os.WriteFile(out, data, 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %s: %d ops, %.0f ops/s, %d errors\n",
-		out, report.TotalOps, report.ThroughputOps, report.TotalErrors)
-	return nil
-}
-
-// parseMix parses "op=weight,..." into a weight table.
-func parseMix(spec string) (map[string]int, error) {
-	known := map[string]bool{"object": true, "expand": true, "element": true, "cut": true, "batch": true, "query": true, "asof": true}
-	mix := map[string]int{}
-	for _, part := range strings.Split(spec, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		op, val, ok := strings.Cut(part, "=")
-		var w int
-		if ok {
-			_, err := fmt.Sscanf(val, "%d", &w)
-			ok = err == nil
-		}
-		if !ok || !known[op] || w < 0 {
-			return nil, fmt.Errorf("bad mix entry %q (want op=weight with op in object|expand|element|cut|batch|query|asof)", part)
-		}
-		mix[op] = w
-	}
-	total := 0
-	for _, w := range mix {
-		total += w
-	}
-	if total == 0 {
-		return nil, fmt.Errorf("mix has zero total weight")
-	}
-	return mix, nil
-}
-
-// discover lists the server's objects and classifies them into
-// workload targets.
-func discover(base string) (media []target, names []string, err error) {
+// discover lists the server's objects into the op list's inventory:
+// every name for point reads, and the stored videos of more than one
+// element as media targets.
+func discover(base string) (*workload.Inventory, error) {
 	resp, err := http.Get(base + "/v1/objects")
 	if err != nil {
-		return nil, nil, fmt.Errorf("discover: %w", err)
+		return nil, fmt.Errorf("discover: %w", err)
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		body, _ := io.ReadAll(resp.Body)
-		return nil, nil, fmt.Errorf("discover: %s: %s", resp.Status, body)
+		return nil, fmt.Errorf("discover: %s: %s", resp.Status, body)
 	}
-	var list listShape
+	var list struct {
+		Objects []struct {
+			Name     string `json:"name"`
+			Class    string `json:"class"`
+			Kind     string `json:"kind"`
+			Elements int    `json:"elements"`
+		} `json:"objects"`
+	}
 	if err := json.NewDecoder(resp.Body).Decode(&list); err != nil {
-		return nil, nil, fmt.Errorf("discover: %w", err)
+		return nil, fmt.Errorf("discover: %w", err)
 	}
+	var names []string
+	var media []workload.Target
 	for _, o := range list.Objects {
 		names = append(names, o.Name)
 		if o.Class == "media object (non-derived)" && o.Kind == "video" && o.Elements > 1 {
-			media = append(media, target{Name: o.Name, Elements: o.Elements})
+			media = append(media, workload.Target{Name: o.Name, Elements: o.Elements})
 		}
 	}
-	return media, names, nil
-}
-
-// pick draws an operation from the weighted mix.
-func pick(rng *rand.Rand, mix map[string]int) string {
-	total := 0
-	for _, w := range mix {
-		total += w
-	}
-	n := rng.Intn(total)
-	// Iterate in fixed order so the draw is deterministic.
-	for _, op := range []string{"object", "expand", "element", "cut", "batch", "query", "asof"} {
-		n -= mix[op]
-		if n < 0 {
-			return op
-		}
-	}
-	return "object"
-}
-
-func (c *client) step(mix map[string]int) {
-	op := pick(c.rng, mix)
-	start := time.Now()
-	err := c.do(op)
-	lat := time.Since(start)
-	s := c.stats[op]
-	if s == nil {
-		s = &opStats{}
-		c.stats[op] = s
-	}
-	s.lat = append(s.lat, lat)
+	inv, err := workload.NewInventory(names, media)
 	if err != nil {
-		s.errors++
-		if c.verbose {
-			log.Printf("client %d %s: %v", c.id, op, err)
-		}
+		return nil, fmt.Errorf("discover: %w; seed the server first (tbmctl ingest -dir <dir> -n 16)", err)
 	}
-}
-
-func (c *client) do(op string) error {
-	switch op {
-	case "object":
-		name := c.names[c.rng.Intn(len(c.names))]
-		return c.get("/v1/objects/" + name)
-	case "expand":
-		t := c.media[c.rng.Intn(len(c.media))]
-		return c.get("/v1/objects/" + t.Name + "/expand")
-	case "element":
-		t := c.media[c.rng.Intn(len(c.media))]
-		return c.get(fmt.Sprintf("/v1/objects/%s/element/%d", t.Name, c.rng.Intn(t.Elements)))
-	case "cut":
-		t := c.media[c.rng.Intn(len(c.media))]
-		from := c.rng.Intn(t.Elements - 1)
-		to := from + 1 + c.rng.Intn(t.Elements-from-1)
-		c.mutSeq++
-		out := fmt.Sprintf("%s-c%d-%d", c.runID, c.id, c.mutSeq)
-		return c.post(fmt.Sprintf("/v1/objects/%s/cut?out=%s&from=%d&to=%d", t.Name, out, from, to),
-			"", nil, http.StatusCreated)
-	case "batch":
-		t := c.media[c.rng.Intn(len(c.media))]
-		type item struct {
-			Name       string          `json:"name"`
-			Op         string          `json:"op"`
-			InputNames []string        `json:"input_names"`
-			Params     json.RawMessage `json:"params"`
-		}
-		n := 2 + c.rng.Intn(3)
-		items := make([]item, n)
-		for k := range items {
-			c.mutSeq++
-			from := c.rng.Intn(t.Elements - 1)
-			items[k] = item{
-				Name:       fmt.Sprintf("%s-b%d-%d", c.runID, c.id, c.mutSeq),
-				Op:         "video-edit",
-				InputNames: []string{t.Name},
-				Params: json.RawMessage(fmt.Sprintf(
-					`{"entries":[{"input":0,"from":%d,"to":%d}]}`, from, from+1)),
-			}
-		}
-		body, _ := json.Marshal(map[string]any{"items": items})
-		return c.post("/v1/objects:batch", "application/json", body, http.StatusCreated)
-	case "query":
-		// Rotate through the indexed query shapes: kind probe,
-		// provenance reach, timeline point and window lookups.
-		switch c.rng.Intn(4) {
-		case 0:
-			return c.get("/v1/query?kind=video&limit=50")
-		case 1:
-			t := c.media[c.rng.Intn(len(c.media))]
-			return c.get("/v1/query?derived_from=" + t.Name + "&limit=50")
-		case 2:
-			return c.get(fmt.Sprintf("/v1/query?live_at=%.3f&limit=50", c.rng.Float64()*10))
-		default:
-			t1 := c.rng.Float64() * 8
-			return c.get(fmt.Sprintf("/v1/query?overlaps=%.3f,%.3f&limit=50", t1, t1+2))
-		}
-	case "asof":
-		// Transaction-time reads at a drawn journal sequence. Below the
-		// version retention floor the server answers 410 version_gone;
-		// a name not yet present at that sequence answers 404. Both are
-		// deterministic outcomes of the draw, accepted alongside 200.
-		maxSeq := c.seq
-		if maxSeq == 0 {
-			maxSeq = 1
-		}
-		at := 1 + uint64(c.rng.Int63n(int64(maxSeq)))
-		switch c.rng.Intn(3) {
-		case 0:
-			return c.getAny(fmt.Sprintf("/v1/query?kind=video&as_of=%d&limit=50", at),
-				http.StatusOK, http.StatusGone)
-		case 1:
-			return c.getAny(fmt.Sprintf("/v1/query?live_at=%.3f&as_of=%d&limit=50", c.rng.Float64()*10, at),
-				http.StatusOK, http.StatusGone)
-		default:
-			name := c.names[c.rng.Intn(len(c.names))]
-			return c.getAny(fmt.Sprintf("/v1/objects/%s?as_of=%d", name, at),
-				http.StatusOK, http.StatusGone, http.StatusNotFound)
-		}
-	}
-	return fmt.Errorf("unknown op %q", op)
-}
-
-// discoverSeq reads the committed journal sequence from the readiness
-// probe — the upper bound asof draws use. 0 when the probe is
-// unavailable or predates the field.
-func discoverSeq(base string) uint64 {
-	resp, err := http.Get(base + "/v1/readyz")
-	if err != nil {
-		return 0
-	}
-	defer resp.Body.Close()
-	var body struct {
-		Seq uint64 `json:"seq"`
-	}
-	if json.NewDecoder(resp.Body).Decode(&body) != nil {
-		return 0
-	}
-	return body.Seq
-}
-
-func (c *client) get(path string) error {
-	return c.getAny(path, http.StatusOK)
-}
-
-// getAny issues a GET accepting any of the listed statuses.
-func (c *client) getAny(path string, want ...int) error {
-	resp, err := c.http.Get(c.base + path)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	io.Copy(io.Discard, resp.Body)
-	for _, w := range want {
-		if resp.StatusCode == w {
-			return nil
-		}
-	}
-	return fmt.Errorf("GET %s: %s", path, resp.Status)
-}
-
-func (c *client) post(path, contentType string, body []byte, want int) error {
-	resp, err := c.http.Post(c.base+path, contentType, bytes.NewReader(body))
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	msg, _ := io.ReadAll(resp.Body)
-	if resp.StatusCode != want {
-		return fmt.Errorf("POST %s: %s: %s", path, resp.Status, msg)
-	}
-	return nil
-}
-
-// Report is the JSON artifact: throughput and per-operation latency
-// percentiles for one workload run. SpecHash and GitRevision make it
-// self-describing: the hash fingerprints the effective workload spec
-// (even closed-loop flags canonicalize into one — workload.MixSpec)
-// and the revision names the build, so any BENCH number can be traced
-// back to the exact workload and code that produced it.
-type Report struct {
-	Tool          string             `json:"tool"`
-	URL           string             `json:"url"`
-	Clients       int                `json:"clients"`
-	Duration      string             `json:"duration"`
-	Mix           string             `json:"mix"`
-	Seed          int64              `json:"seed"`
-	SpecHash      string             `json:"spec_hash"`
-	GitRevision   string             `json:"git_revision"`
-	ElapsedSec    float64            `json:"elapsed_seconds"`
-	TotalOps      int                `json:"total_ops"`
-	TotalErrors   int                `json:"total_errors"`
-	ThroughputOps float64            `json:"throughput_ops_per_sec"`
-	Ops           map[string]OpStats `json:"ops"`
-}
-
-// OpStats summarizes one operation type's latency distribution.
-type OpStats struct {
-	Count  int     `json:"count"`
-	Errors int     `json:"errors"`
-	MeanMs float64 `json:"mean_ms"`
-	P50Ms  float64 `json:"p50_ms"`
-	P95Ms  float64 `json:"p95_ms"`
-	P99Ms  float64 `json:"p99_ms"`
-	MaxMs  float64 `json:"max_ms"`
-}
-
-func buildReport(base string, nClients int, duration time.Duration, mix string, seed int64, elapsed time.Duration, workers []*client) Report {
-	merged := map[string]*opStats{}
-	for _, c := range workers {
-		for op, s := range c.stats {
-			m := merged[op]
-			if m == nil {
-				m = &opStats{}
-				merged[op] = m
-			}
-			m.lat = append(m.lat, s.lat...)
-			m.errors += s.errors
-		}
-	}
-	rep := Report{
-		Tool: "tbmload", URL: base, Clients: nClients,
-		Duration: duration.String(), Mix: mix, Seed: seed,
-		ElapsedSec: elapsed.Seconds(), Ops: map[string]OpStats{},
-	}
-	if m, err := parseMix(mix); err == nil {
-		rep.SpecHash = workload.MixSpec("closed-loop", nClients, duration, m).Hash()
-	}
-	rep.GitRevision = gitRevision()
-	for op, s := range merged {
-		sort.Slice(s.lat, func(a, b int) bool { return s.lat[a] < s.lat[b] })
-		var sum time.Duration
-		for _, d := range s.lat {
-			sum += d
-		}
-		ms := func(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
-		pct := func(p float64) float64 {
-			if len(s.lat) == 0 {
-				return 0
-			}
-			i := int(p * float64(len(s.lat)-1))
-			return ms(s.lat[i])
-		}
-		st := OpStats{Count: len(s.lat), Errors: s.errors,
-			P50Ms: pct(0.50), P95Ms: pct(0.95), P99Ms: pct(0.99)}
-		if len(s.lat) > 0 {
-			st.MeanMs = ms(sum / time.Duration(len(s.lat)))
-			st.MaxMs = ms(s.lat[len(s.lat)-1])
-		}
-		rep.Ops[op] = st
-		rep.TotalOps += st.Count
-		rep.TotalErrors += st.Errors
-	}
-	if elapsed > 0 {
-		rep.ThroughputOps = float64(rep.TotalOps) / elapsed.Seconds()
-	}
-	return rep
+	return inv, nil
 }

@@ -40,9 +40,8 @@
 //	         [-trace-out capture.trc]
 //
 // Trace capture: -trace-out records every completed request — shed
-// ones included, flagged — to a framed trace file that tbmload can
-// replay deterministically against a rebuilt catalog and score for
-// policy sweeps (see internal/workload and `tbmload score`).
+// ones included, flagged — to a framed trace file that `tbmload
+// replay` re-issues against a rebuilt catalog (see internal/workload).
 package main
 
 import (
@@ -111,7 +110,7 @@ func main() {
 	flag.StringVar(&cfg.replListen, "repl-listen", "",
 		"serve the replication feed on a dedicated address instead of the main listener (primary only)")
 	flag.StringVar(&cfg.traceOut, "trace-out", "",
-		"record every request (including shed ones) to this trace file for deterministic replay (tbmload replay) and policy scoring (tbmload score)")
+		"record every request (including shed ones) to this trace file for deterministic replay (tbmload replay)")
 	flag.Parse()
 
 	if err := run(cfg); err != nil {

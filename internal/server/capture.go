@@ -20,15 +20,14 @@ import (
 // path, request body (mutations), response status, normalized body
 // digest, the epoch the response was served from, and the service
 // time — into a workload.Recorder (tbmserve -trace-out). The trace is
-// the input to deterministic replay (tbmload replay) and policy
-// scoring (tbmload score).
+// the input to deterministic replay (tbmload replay).
 //
 // Placement in the middleware chain matters and is a recorded
 // guarantee: capture sits OUTSIDE the load-shedding limiter, so a
 // request rejected with 503 by the shed path is still recorded — shed
-// requests are part of the workload truth a policy sweep scores on —
-// but flagged Shed so replay knows the request never reached a
-// handler and must not be re-issued. The limiter reports the shed
+// requests are part of the workload truth — but flagged Shed so
+// replay knows the request never reached a handler and must not be
+// re-issued. The limiter reports the shed
 // through the captureState it finds in the request context.
 
 // captureBodyCap bounds how much request body capture will buffer; a

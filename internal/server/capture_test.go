@@ -77,8 +77,8 @@ func TestCaptureRecordsRequests(t *testing.T) {
 
 // TestCaptureRecordsShedRequests is the middleware-ordering
 // regression test: a request rejected by the load-shedding 503 path
-// must still appear in the trace — it is part of the workload truth a
-// policy sweep scores on — flagged Shed so replay skips it. If
+// must still appear in the trace — it is part of the workload truth —
+// flagged Shed so replay skips it. If
 // capture were ever moved inside the limiter, the shed request would
 // vanish from the trace and this test fails.
 func TestCaptureRecordsShedRequests(t *testing.T) {

@@ -111,7 +111,7 @@ func TestReplayOracleEquivalent(t *testing.T) {
 	var encodings [2][]byte
 	for i := range encodings {
 		ts := httptest.NewServer(New(oracleDB(t, 0)))
-		rep, _, err := workload.Replay(ts.URL, meta, records, digest, workload.ReplayOptions{})
+		rep, err := workload.Replay(ts.URL, meta, records, digest)
 		ts.Close()
 		if err != nil {
 			t.Fatal(err)
@@ -153,7 +153,7 @@ func TestReplayOracleRetentionEviction(t *testing.T) {
 	var encodings [2][]byte
 	for i := range encodings {
 		ts := httptest.NewServer(New(oracleDB(t, 1)))
-		rep, _, err := workload.Replay(ts.URL, meta, records, digest, workload.ReplayOptions{})
+		rep, err := workload.Replay(ts.URL, meta, records, digest)
 		ts.Close()
 		if err != nil {
 			t.Fatal(err)

@@ -141,7 +141,7 @@ func WithReplStatus(status func() any) Option {
 }
 
 // WithTraceRecorder captures every completed request into rec for
-// deterministic replay and policy scoring (tbmserve -trace-out). The
+// deterministic replay (tbmserve -trace-out). The
 // capture layer sits outside the load-shedding limiter, so shed
 // requests are recorded (flagged Shed) rather than lost.
 func WithTraceRecorder(rec *workload.Recorder) Option {

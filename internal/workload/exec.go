@@ -3,213 +3,84 @@ package workload
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
-	"sort"
 	"strings"
-	"sync"
 	"time"
 )
 
-// Execute drives a generated schedule against a live server, open
-// loop: each (group, client) pair runs its own goroutine and
-// dispatches its items at their scheduled offsets, regardless of how
-// long earlier requests took. Open-loop load is what makes latency
-// comparisons honest — a closed loop slows its own arrival rate when
-// the server slows down, hiding exactly the degradation a policy
-// sweep is trying to measure.
+// httpClient is what Execute and Replay send with.
+var httpClient = &http.Client{Timeout: 30 * time.Second}
 
-// ExecOptions tune an Execute run.
-type ExecOptions struct {
-	// Client is the HTTP client (default 30s timeout).
-	Client *http.Client
-	// TimeScale divides scheduled offsets: 2 replays the schedule at
-	// double speed. 0 means 1 (real time).
-	TimeScale float64
-}
-
-// OpSummary is one operation's outcome distribution.
-type OpSummary struct {
-	Count  int     `json:"count"`
-	Errors int     `json:"errors"`
-	Shed   int     `json:"shed"`
-	MeanMs float64 `json:"mean_ms"`
-	P50Ms  float64 `json:"p50_ms"`
-	P95Ms  float64 `json:"p95_ms"`
-	P99Ms  float64 `json:"p99_ms"`
-	MaxMs  float64 `json:"max_ms"`
-}
-
-// RunResult is what Execute measured.
-type RunResult struct {
-	ScheduleHash  string                `json:"schedule_hash"`
-	Items         int                   `json:"items"`
-	ElapsedSec    float64               `json:"elapsed_sec"`
-	TotalOps      int                   `json:"total_ops"`
-	TotalErrors   int                   `json:"total_errors"`
-	TotalShed     int                   `json:"total_shed"`
-	ThroughputOps float64               `json:"throughput_ops_per_sec"`
-	Overall       OpSummary             `json:"overall"`
-	Ops           map[string]*OpSummary `json:"ops"`
-}
-
-// opAgg accumulates one op's raw outcomes inside a single client
-// goroutine (no locking needed until the merge).
-type opAgg struct {
-	lat    []time.Duration
-	errors int
-	shed   int
-}
-
-// Execute runs the schedule and aggregates outcomes. Per-request
-// failures are counted, not returned: an overloaded server erroring
-// on half the workload is a measurement, not an execution failure.
-func Execute(base string, sched *Schedule, opts ExecOptions) (*RunResult, error) {
-	if len(sched.Items) == 0 {
-		return nil, fmt.Errorf("workload: empty schedule")
-	}
-	client := opts.Client
-	if client == nil {
-		client = &http.Client{Timeout: 30 * time.Second}
-	}
-	scale := opts.TimeScale
-	if scale <= 0 {
-		scale = 1
-	}
-	// Split the global schedule into per-client programs.
-	type key struct{ g, c int }
-	programs := map[key][]Item{}
-	for _, it := range sched.Items {
-		k := key{it.Group, it.Client}
-		programs[k] = append(programs[k], it)
-	}
-	var mu sync.Mutex
-	merged := map[string]*opAgg{}
-	var wg sync.WaitGroup
-	start := time.Now()
-	for _, prog := range programs {
-		wg.Add(1)
-		go func(items []Item) {
-			defer wg.Done()
-			local := map[string]*opAgg{}
-			for _, it := range items {
-				due := start.Add(time.Duration(float64(it.AtNs) / scale))
-				if d := time.Until(due); d > 0 {
-					time.Sleep(d)
-				}
-				agg := local[it.Op]
-				if agg == nil {
-					agg = &opAgg{}
-					local[it.Op] = agg
-				}
-				runItem(client, base, it, agg)
-			}
-			mu.Lock()
-			for op, a := range local {
-				m := merged[op]
-				if m == nil {
-					m = &opAgg{}
-					merged[op] = m
-				}
-				m.lat = append(m.lat, a.lat...)
-				m.errors += a.errors
-				m.shed += a.shed
-			}
-			mu.Unlock()
-		}(prog)
-	}
-	wg.Wait()
-	elapsed := time.Since(start)
-
-	res := &RunResult{
-		ScheduleHash: sched.Hash(),
-		Items:        len(sched.Items),
-		ElapsedSec:   elapsed.Seconds(),
-		Ops:          map[string]*OpSummary{},
-	}
-	var all []time.Duration
-	for op, a := range merged {
-		s := summarize(a)
-		res.Ops[op] = s
-		res.TotalOps += s.Count
-		res.TotalErrors += s.Errors
-		res.TotalShed += s.Shed
-		all = append(all, a.lat...)
-	}
-	res.Overall = *summarize(&opAgg{lat: all, errors: res.TotalErrors, shed: res.TotalShed})
-	if elapsed > 0 {
-		res.ThroughputOps = float64(res.TotalOps) / elapsed.Seconds()
-	}
-	return res, nil
-}
-
-// runItem issues one scheduled request (plus the pinned follow-up
-// pages of a pquery) into agg.
-func runItem(client *http.Client, base string, it Item, agg *opAgg) {
-	status, body, d, err := send(client, base, it.Method, it.Path, it.Body)
-	agg.lat = append(agg.lat, d)
-	switch {
-	case err != nil:
-		agg.errors++
-		return
-	case status == http.StatusServiceUnavailable:
-		agg.shed++
-		agg.errors++
-		return
-	case it.Op == "asof" && (status == http.StatusGone || status == http.StatusNotFound):
-		// A drawn sequence below the version retention floor (410
-		// version_gone) or a name that did not exist yet at that
-		// sequence (404) is a deterministic outcome of the draw, not a
-		// server failure.
-		return
-	case status >= 400 && !(it.Method == http.MethodPost && status == http.StatusCreated):
-		agg.errors++
-		return
-	}
-	if it.Op != "pquery" {
-		return
-	}
-	// Epoch-pinned pagination: walk the remaining pages pinned to the
-	// first page's epoch so they are mutually consistent. A 410 means
-	// the retention ring evicted the pin mid-walk — the client-side
-	// protocol is to drop the pin and restart from the current epoch,
-	// which is what real paginating clients do.
-	var page struct {
-		Epoch      uint64 `json:"epoch"`
-		NextOffset *int   `json:"next_offset"`
-	}
-	pins := 0
-	for json.Unmarshal(body, &page) == nil && page.NextOffset != nil && pins < 8 {
-		pins++
-		path := fmt.Sprintf("%s&offset=%d&epoch=%d",
-			stripParams(it.Path, "offset", "epoch"), *page.NextOffset, page.Epoch)
-		st, b, d2, err := send(client, base, http.MethodGet, path, nil)
-		agg.lat = append(agg.lat, d2)
-		page.NextOffset = nil
-		switch {
-		case err != nil:
-			agg.errors++
-			return
-		case st == http.StatusGone:
-			// Pin evicted: restart unpinned at the same offset.
-			st2, b2, d3, err2 := send(client, base, http.MethodGet,
-				fmt.Sprintf("%s&offset=0", stripParams(it.Path, "offset", "epoch")), nil)
-			agg.lat = append(agg.lat, d3)
-			if err2 != nil || st2 != http.StatusOK {
-				agg.errors++
-				return
-			}
-			body = b2
-			_ = json.Unmarshal(body, &page)
-		case st != http.StatusOK:
-			agg.errors++
-			return
-		default:
-			body = b
-			_ = json.Unmarshal(body, &page)
+// Execute sends items to base one request at a time, in order, and
+// returns how many requests it sent. Each answer must be the one a
+// healthy server gives — 201 for a cut or batch, 200 for everything
+// else — because the server-side capture of this run is the recorded
+// history replay checks against: a recording of failures would replay
+// its failures "equivalently". The first other outcome, a transport
+// error included, stops the run with an error naming op, path and
+// status.
+func Execute(base string, items []Item) (requests int, err error) {
+	for _, it := range items {
+		n, err := runItem(base, it)
+		requests += n
+		if err != nil {
+			return requests, err
 		}
 	}
+	return requests, nil
+}
+
+// runItem sends one item, plus the pinned follow-up pages of a
+// pquery, and returns how many requests that took.
+func runItem(base string, it Item) (int, error) {
+	want := http.StatusOK
+	if it.Method == http.MethodPost {
+		want = http.StatusCreated
+	}
+	body, err := expect(base, it.Op, it.Method, it.Path, it.Body, want)
+	if err != nil || it.Op != "pquery" {
+		return 1, err
+	}
+	// Walk the remaining pages pinned to the first page's epoch so they
+	// are mutually consistent. One sequential client makes no mutation
+	// between a page and its follow-ups, so the pin cannot be evicted:
+	// a 410 here is a failure like any other.
+	requests := 1
+	for pins := 0; pins < 8; pins++ {
+		var page struct {
+			Epoch      uint64 `json:"epoch"`
+			NextOffset *int   `json:"next_offset"`
+		}
+		if json.Unmarshal(body, &page) != nil || page.NextOffset == nil {
+			break
+		}
+		path := fmt.Sprintf("%s&offset=%d&epoch=%d",
+			stripParams(it.Path, "offset", "epoch"), *page.NextOffset, page.Epoch)
+		requests++
+		if body, err = expect(base, it.Op, http.MethodGet, path, nil, http.StatusOK); err != nil {
+			return requests, err
+		}
+	}
+	return requests, nil
+}
+
+// expect sends one request and returns its body if it answered want.
+func expect(base, op, method, path string, reqBody []byte, want int) ([]byte, error) {
+	status, _, body, err := send(base, method, path, reqBody)
+	if err != nil {
+		return nil, fmt.Errorf("workload: %s %s %s: %w", op, method, path, err)
+	}
+	if status != want {
+		msg := fmt.Sprintf("workload: %s %s %s: status %d, want %d", op, method, path, status, want)
+		if code := ErrCodeFromBody(body); code != "" {
+			msg += " (" + code + ")"
+		}
+		return nil, errors.New(msg)
+	}
+	return body, nil
 }
 
 // stripParams removes the named query parameters from a path so a
@@ -234,8 +105,9 @@ func stripParams(path string, names ...string) string {
 	return base + "?" + strings.Join(kept, "&")
 }
 
-// send issues one request, draining the body.
-func send(client *http.Client, base, method, path string, reqBody []byte) (status int, body []byte, d time.Duration, err error) {
+// send issues one request and reads the whole answer. A non-empty
+// reqBody is sent as JSON.
+func send(base, method, path string, reqBody []byte) (status int, contentType string, body []byte, err error) {
 	var req *http.Request
 	if len(reqBody) > 0 {
 		req, err = http.NewRequest(method, base+path, bytes.NewReader(reqBody))
@@ -246,39 +118,15 @@ func send(client *http.Client, base, method, path string, reqBody []byte) (statu
 		req, err = http.NewRequest(method, base+path, nil)
 	}
 	if err != nil {
-		return 0, nil, 0, err
+		return 0, "", nil, err
 	}
-	start := time.Now()
-	resp, err := client.Do(req)
+	resp, err := httpClient.Do(req)
 	if err != nil {
-		return 0, nil, time.Since(start), err
+		return 0, "", nil, err
 	}
-	body, err = io.ReadAll(resp.Body)
-	resp.Body.Close()
-	d = time.Since(start)
-	if err != nil {
-		return 0, nil, d, err
+	defer resp.Body.Close()
+	if body, err = io.ReadAll(resp.Body); err != nil {
+		return 0, "", nil, err
 	}
-	return resp.StatusCode, body, d, nil
-}
-
-// summarize turns raw latencies into an OpSummary.
-func summarize(a *opAgg) *OpSummary {
-	s := &OpSummary{Count: len(a.lat), Errors: a.errors, Shed: a.shed}
-	if len(a.lat) == 0 {
-		return s
-	}
-	sort.Slice(a.lat, func(i, j int) bool { return a.lat[i] < a.lat[j] })
-	var sum time.Duration
-	for _, d := range a.lat {
-		sum += d
-	}
-	ms := func(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
-	pct := func(p float64) float64 { return ms(a.lat[int(p*float64(len(a.lat)-1))]) }
-	s.MeanMs = ms(sum / time.Duration(len(a.lat)))
-	s.P50Ms = pct(0.50)
-	s.P95Ms = pct(0.95)
-	s.P99Ms = pct(0.99)
-	s.MaxMs = ms(a.lat[len(a.lat)-1])
-	return s
+	return resp.StatusCode, resp.Header.Get("Content-Type"), body, nil
 }

@@ -5,6 +5,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -78,73 +79,67 @@ func newFakeMedia(objects int, epoch uint64, pinnedFails int) *httptest.Server {
 }
 
 func TestExecuteDrivesSchedule(t *testing.T) {
-	ts := newFakeMedia(3, 5, 1)
+	ts := newFakeMedia(3, 5, 0)
 	defer ts.Close()
-	spec, inv := allOpsSpec(), testInventory(t)
-	spec.DurationSec = 0.5
-	sched, err := Generate(spec, 21, inv)
+	items, err := Generate(21, testInventory(t))
 	if err != nil {
 		t.Fatal(err)
 	}
-	// TimeScale 50 compresses the half-second horizon to ~10ms of wall
-	// clock; the open loop semantics are unchanged.
-	res, err := Execute(ts.URL, sched, ExecOptions{TimeScale: 50})
+	requests, err := Execute(ts.URL, items)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("healthy stub failed the run: %v", err)
 	}
-	if res.ScheduleHash != sched.Hash() {
-		t.Error("result does not carry the schedule hash")
-	}
-	if res.Items != len(sched.Items) {
-		t.Errorf("items = %d, want %d", res.Items, len(sched.Items))
-	}
-	// pquery walks follow-up pages, so ops >= scheduled items.
-	if res.TotalOps < len(sched.Items) {
-		t.Errorf("total ops = %d < %d items", res.TotalOps, len(sched.Items))
-	}
-	if res.TotalErrors != 0 {
-		t.Errorf("errors = %d against a fully healthy stub", res.TotalErrors)
-	}
-	if res.ThroughputOps <= 0 || res.Overall.Count != res.TotalOps || res.Overall.P99Ms <= 0 {
-		t.Errorf("overall summary = %+v", res.Overall)
-	}
-	for op, s := range res.Ops {
-		if s.Count == 0 {
-			t.Errorf("op %q summarized with zero count", op)
-		}
+	// pquery walks a follow-up page, so requests > items.
+	if requests <= len(items) {
+		t.Errorf("requests = %d, want more than the %d items", requests, len(items))
 	}
 }
 
+// TestExecuteCountsFailures: any answer but the expected one stops the
+// run with an error naming op, path and status — a shed, a pinned
+// page that lost its pin, and a server that is not there at all.
 func TestExecuteCountsFailures(t *testing.T) {
-	// A server shedding everything: every op is an error, POSTs and
-	// GETs alike, and sheds are counted separately.
 	mux := http.NewServeMux()
 	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
 		w.WriteHeader(http.StatusServiceUnavailable)
 		io.WriteString(w, `{"error":{"code":"overloaded","message":"shed"}}`)
 	})
-	ts := httptest.NewServer(mux)
-	defer ts.Close()
+	shedding := httptest.NewServer(mux)
+	defer shedding.Close()
+	evicting := newFakeMedia(3, 5, 1)
+	defer evicting.Close()
+	down := httptest.NewServer(mux)
+	down.Close()
 
-	spec := validSpec()
-	spec.DurationSec = 0.2
-	spec.Groups[0].Arrival = Arrival{Process: "uniform", Rate: 50}
-	inv, _ := NewInventory([]string{"a"}, nil)
-	sched, err := Generate(spec, 3, inv)
-	if err != nil {
-		t.Fatal(err)
+	cut := Item{Op: "cut", Method: "POST", Path: "/v1/objects/clipA/cut?out=c1&from=0&to=2"}
+	pquery := Item{Op: "pquery", Method: "GET", Path: "/v1/query?kind=video&limit=2&offset=0"}
+	read := Item{Op: "object", Method: "GET", Path: "/v1/objects/clipA"}
+	cases := []struct {
+		name     string
+		base     string
+		items    []Item
+		requests int
+		want     []string
+	}{
+		{"shed cut", shedding.URL, []Item{cut, read}, 1, []string{"cut", cut.Path, "status 503", "want 201", "overloaded"}},
+		{"evicted pin", evicting.URL, []Item{read, pquery, read}, 3, []string{"pquery", "epoch=5", "status 410", "want 200"}},
+		{"transport", down.URL, []Item{read}, 1, []string{"object", read.Path}},
 	}
-	res, err := Execute(ts.URL, sched, ExecOptions{TimeScale: 100})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.TotalErrors != res.TotalOps || res.TotalShed != res.TotalOps {
-		t.Errorf("errors = %d, shed = %d, want both = %d ops", res.TotalErrors, res.TotalShed, res.TotalOps)
-	}
-
-	if _, err := Execute(ts.URL, &Schedule{}, ExecOptions{}); err == nil {
-		t.Error("empty schedule accepted")
+	for _, tc := range cases {
+		requests, err := Execute(tc.base, tc.items)
+		if err == nil {
+			t.Errorf("%s: run succeeded", tc.name)
+			continue
+		}
+		for _, w := range tc.want {
+			if !strings.Contains(err.Error(), w) {
+				t.Errorf("%s: error %q does not name %q", tc.name, err, w)
+			}
+		}
+		if requests != tc.requests {
+			t.Errorf("%s: %d requests sent, want %d (stop at the first failure)", tc.name, requests, tc.requests)
+		}
 	}
 }
 

@@ -1,16 +1,12 @@
 package workload
 
 import (
-	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"os"
-	"sort"
-	"time"
 )
 
 // Replay re-issues a recorded trace, in record order, against a
@@ -34,16 +30,10 @@ import (
 //
 // The report contains no wall-clock data: two replays of one trace
 // against identically seeded catalogs must produce byte-identical
-// reports (diffed in CI). Timing lives in the separate ReplayTiming.
+// reports (diffed in CI).
 
-// ReplayOptions tune a replay run.
-type ReplayOptions struct {
-	// Client is the HTTP client to use (default: 30s timeout).
-	Client *http.Client
-	// MaxMismatchSamples bounds the per-class sample lists in the
-	// report (default 16).
-	MaxMismatchSamples int
-}
+// maxMismatchSamples bounds the sample list in the report.
+const maxMismatchSamples = 16
 
 // MismatchSample pinpoints one diverging record.
 type MismatchSample struct {
@@ -92,15 +82,6 @@ type ReplayReport struct {
 	Equivalent      bool                    `json:"equivalent"`
 }
 
-// ReplayTiming is the wall-clock sidecar: useful for eyeballing a
-// replay, deliberately excluded from the deterministic report.
-type ReplayTiming struct {
-	ElapsedSec    float64 `json:"elapsed_sec"`
-	ThroughputOps float64 `json:"throughput_ops_per_sec"`
-	P50Ms         float64 `json:"p50_ms"`
-	P99Ms         float64 `json:"p99_ms"`
-}
-
 // TraceFileDigest is the hex SHA-256 of the raw trace file, embedded
 // in the report so a report unambiguously names its input.
 func TraceFileDigest(path string) (string, error) {
@@ -113,15 +94,7 @@ func TraceFileDigest(path string) (string, error) {
 }
 
 // Replay runs the trace against base and builds the report.
-func Replay(base string, meta TraceMeta, records []TraceRecord, traceDigest string, opts ReplayOptions) (*ReplayReport, *ReplayTiming, error) {
-	client := opts.Client
-	if client == nil {
-		client = &http.Client{Timeout: 30 * time.Second}
-	}
-	maxSamples := opts.MaxMismatchSamples
-	if maxSamples == 0 {
-		maxSamples = 16
-	}
+func Replay(base string, meta TraceMeta, records []TraceRecord, traceDigest string) (*ReplayReport, error) {
 	rep := &ReplayReport{
 		Tool:        "tbmload replay",
 		TraceDigest: traceDigest,
@@ -131,11 +104,9 @@ func Replay(base string, meta TraceMeta, records []TraceRecord, traceDigest stri
 	}
 	// Verify the rebuilt catalog matches the recorded starting point:
 	// same object count before any record is replayed.
-	rep.InitialObjects = countObjects(client, base)
+	rep.InitialObjects = countObjects(base)
 	rep.InitialMatch = rep.InitialObjects == meta.Objects
 
-	var lat []time.Duration
-	start := time.Now()
 	for _, rec := range records {
 		rc := rep.Routes[rec.Route()]
 		if rc == nil {
@@ -149,12 +120,12 @@ func Replay(base string, meta TraceMeta, records []TraceRecord, traceDigest stri
 		}
 		rep.Replayed++
 		rc.Replayed++
-		status, code, digest, d, err := issue(client, base, rec)
+		status, ct, body, err := send(base, rec.Method, rec.Path, rec.Body)
 		if err != nil {
 			rep.TransportErrors++
 			rep.Mismatches++
 			rc.Mismatches++
-			if len(rep.MismatchSamples) < maxSamples {
+			if len(rep.MismatchSamples) < maxMismatchSamples {
 				rep.MismatchSamples = append(rep.MismatchSamples, MismatchSample{
 					Seq: rec.Seq, Method: rec.Method, Path: rec.Path,
 					RecordedStatus: rec.Status, RecordedDigest: rec.Digest,
@@ -163,7 +134,7 @@ func Replay(base string, meta TraceMeta, records []TraceRecord, traceDigest stri
 			}
 			continue
 		}
-		lat = append(lat, d)
+		code, digest := ErrCodeFromBody(body), BodyDigest(ct, body)
 		switch {
 		case status == rec.Status && digest == rec.Digest:
 			rep.Matches++
@@ -177,7 +148,7 @@ func Replay(base string, meta TraceMeta, records []TraceRecord, traceDigest stri
 		default:
 			rep.Mismatches++
 			rc.Mismatches++
-			if len(rep.MismatchSamples) < maxSamples {
+			if len(rep.MismatchSamples) < maxMismatchSamples {
 				rep.MismatchSamples = append(rep.MismatchSamples, MismatchSample{
 					Seq: rec.Seq, Method: rec.Method, Path: rec.Path,
 					RecordedStatus: rec.Status, ReplayedStatus: status,
@@ -188,18 +159,7 @@ func Replay(base string, meta TraceMeta, records []TraceRecord, traceDigest stri
 		}
 	}
 	rep.Equivalent = rep.Mismatches == 0 && rep.InitialMatch
-
-	elapsed := time.Since(start)
-	timing := &ReplayTiming{ElapsedSec: elapsed.Seconds()}
-	if elapsed > 0 {
-		timing.ThroughputOps = float64(rep.Replayed) / elapsed.Seconds()
-	}
-	if len(lat) > 0 {
-		sort.Slice(lat, func(i, j int) bool { return lat[i] < lat[j] })
-		timing.P50Ms = float64(lat[len(lat)/2]) / float64(time.Millisecond)
-		timing.P99Ms = float64(lat[int(0.99*float64(len(lat)-1))]) / float64(time.Millisecond)
-	}
-	return rep, timing, nil
+	return rep, nil
 }
 
 // Route buckets a record for per-route counts. Shed requests never
@@ -214,39 +174,10 @@ func (r TraceRecord) Route() string {
 	return "other"
 }
 
-// issue re-sends one recorded request and summarizes the response.
-func issue(client *http.Client, base string, rec TraceRecord) (status int, code, digest string, d time.Duration, err error) {
-	var req *http.Request
-	if len(rec.Body) > 0 {
-		req, err = http.NewRequest(rec.Method, base+rec.Path, bytes.NewReader(rec.Body))
-		if err == nil {
-			req.Header.Set("Content-Type", "application/json")
-		}
-	} else {
-		req, err = http.NewRequest(rec.Method, base+rec.Path, nil)
-	}
-	if err != nil {
-		return 0, "", "", 0, err
-	}
-	start := time.Now()
-	resp, err := client.Do(req)
-	if err != nil {
-		return 0, "", "", 0, err
-	}
-	body, err := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	d = time.Since(start)
-	if err != nil {
-		return 0, "", "", 0, err
-	}
-	ct := resp.Header.Get("Content-Type")
-	return resp.StatusCode, ErrCodeFromBody(body), BodyDigest(ct, body), d, nil
-}
-
 // countObjects asks the server how many objects it holds (the
 // paginated list's total), or -1 when the probe fails.
-func countObjects(client *http.Client, base string) int {
-	resp, err := client.Get(base + "/v1/objects?limit=1")
+func countObjects(base string) int {
+	resp, err := httpClient.Get(base + "/v1/objects?limit=1")
 	if err != nil {
 		return -1
 	}

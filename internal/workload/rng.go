@@ -1,22 +1,18 @@
-// Package workload is the deterministic simulation-and-replay layer:
-// seeded workload specifications with realistic arrival processes,
-// byte-stable request schedules, a framed capture-trace format, a
-// replay engine that asserts response equivalence against a rebuilt
-// catalog, and multi-objective policy scoring.
+// Package workload is the record/replay layer: a seeded op list to
+// send at a live server, a framed capture-trace format, and a replay
+// engine that asserts response equivalence against a rebuilt catalog.
 //
-// Everything downstream of a (spec, seed) pair is a pure function of
-// it: the same pair yields a byte-identical request schedule, and the
-// same trace replayed against an identically seeded catalog yields a
-// byte-identical replay report. That property is what turns
-// performance comparisons between policies (WAL batch window, cache
-// admission, shed thresholds) into reproducible numbers instead of
-// anecdotes, and it is asserted in CI (see scripts/replay_determinism.sh).
+// Everything downstream of a seed is a pure function of it: the same
+// seed and inventory yield the same op list, and the same trace
+// replayed against an identically seeded catalog yields a
+// byte-identical replay report. That is the transaction-time promise
+// the replay-determinism lane asserts (see scripts/replay_determinism.sh):
+// a recorded history, replayed against the same starting state, gives
+// the same answers.
 package workload
 
-import "math"
-
 // RNG is a small, explicit PRNG (splitmix64) owned by this package so
-// schedule generation never depends on math/rand's cross-version
+// op-list generation never depends on math/rand's cross-version
 // stability. splitmix64 passes BigCrush, is trivially seekable, and —
 // most importantly here — its output for a given seed is fixed by
 // this file alone.
@@ -49,54 +45,4 @@ func (r *RNG) Intn(n int) int {
 	// avoiding it would cost a rejection loop whose draw count depends
 	// on n, complicating cross-run stream alignment.
 	return int(r.Uint64() % uint64(n))
-}
-
-// Exp returns an exponential draw with the given rate (mean 1/rate) —
-// the inter-arrival law of a Poisson process.
-func (r *RNG) Exp(rate float64) float64 {
-	// 1-U keeps the argument in (0, 1] so Log never sees zero.
-	return -math.Log(1-r.Float64()) / rate
-}
-
-// Norm returns a standard normal draw via Box-Muller. Unlike
-// ziggurat-style samplers it consumes a fixed two uniforms per call,
-// which keeps the stream alignment of everything drawn after it
-// independent of the values drawn.
-func (r *RNG) Norm() float64 {
-	u := 1 - r.Float64() // (0, 1]
-	v := r.Float64()
-	return math.Sqrt(-2*math.Log(u)) * math.Cos(2*math.Pi*v)
-}
-
-// Gamma returns a draw from Gamma(shape, scale) using
-// Marsaglia-Tsang squeeze for shape >= 1 and the Ahrens-Dieter style
-// boost for shape < 1. Rejection loops consume a variable number of
-// draws, but the consumption is itself a deterministic function of
-// the stream, so reproducibility holds.
-func (r *RNG) Gamma(shape, scale float64) float64 {
-	if shape <= 0 || scale <= 0 {
-		panic("workload: Gamma with non-positive parameter")
-	}
-	if shape < 1 {
-		// Gamma(a) = Gamma(a+1) * U^{1/a}
-		u := 1 - r.Float64()
-		return r.Gamma(shape+1, scale) * math.Pow(u, 1/shape)
-	}
-	d := shape - 1.0/3.0
-	c := 1 / math.Sqrt(9*d)
-	for {
-		x := r.Norm()
-		v := 1 + c*x
-		if v <= 0 {
-			continue
-		}
-		v = v * v * v
-		u := 1 - r.Float64()
-		if u < 1-0.0331*x*x*x*x {
-			return d * v * scale
-		}
-		if math.Log(u) < 0.5*x*x+d*(1-v+math.Log(v)) {
-			return d * v * scale
-		}
-	}
 }

@@ -1,9 +1,6 @@
 package workload
 
-import (
-	"math"
-	"testing"
-)
+import "testing"
 
 func TestRNGDeterministic(t *testing.T) {
 	a, b := NewRNG(42), NewRNG(42)
@@ -46,62 +43,5 @@ func TestRNGIntnBounds(t *testing.T) {
 	}
 	if len(seen) != 7 {
 		t.Errorf("Intn(7) hit only %d of 7 values", len(seen))
-	}
-}
-
-func TestRNGExpMean(t *testing.T) {
-	r := NewRNG(11)
-	const n, rate = 200000, 4.0
-	var sum float64
-	for i := 0; i < n; i++ {
-		x := r.Exp(rate)
-		if x < 0 {
-			t.Fatalf("Exp() = %v negative", x)
-		}
-		sum += x
-	}
-	mean := sum / n
-	if math.Abs(mean-1/rate) > 0.01 {
-		t.Errorf("Exp(%v) mean = %v, want ~%v", rate, mean, 1/rate)
-	}
-}
-
-func TestRNGNormMoments(t *testing.T) {
-	r := NewRNG(13)
-	const n = 200000
-	var sum, sumSq float64
-	for i := 0; i < n; i++ {
-		x := r.Norm()
-		sum += x
-		sumSq += x * x
-	}
-	mean := sum / n
-	variance := sumSq/n - mean*mean
-	if math.Abs(mean) > 0.02 {
-		t.Errorf("Norm mean = %v, want ~0", mean)
-	}
-	if math.Abs(variance-1) > 0.05 {
-		t.Errorf("Norm variance = %v, want ~1", variance)
-	}
-}
-
-func TestRNGGammaMean(t *testing.T) {
-	// E[Gamma(shape, scale)] = shape*scale; check a bursty shape (<1,
-	// exercising the boost path) and a smooth one (>1).
-	for _, tc := range []struct{ shape, scale float64 }{{0.5, 2}, {3, 0.5}} {
-		r := NewRNG(17)
-		const n = 200000
-		var sum float64
-		for i := 0; i < n; i++ {
-			x := r.Gamma(tc.shape, tc.scale)
-			if x < 0 {
-				t.Fatalf("Gamma(%v,%v) = %v negative", tc.shape, tc.scale, x)
-			}
-			sum += x
-		}
-		mean, want := sum/n, tc.shape*tc.scale
-		if math.Abs(mean-want)/want > 0.03 {
-			t.Errorf("Gamma(%v,%v) mean = %v, want ~%v", tc.shape, tc.scale, mean, want)
-		}
 	}
 }

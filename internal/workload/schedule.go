@@ -1,35 +1,27 @@
 package workload
 
 import (
-	"bytes"
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"net/http"
 	"sort"
-	"time"
 )
 
-// Target is one stored media object a schedule can read from or
+// Target is one stored media object an op list can read from or
 // derive against.
 type Target struct {
-	Name     string `json:"name"`
-	Elements int    `json:"elements"`
+	Name     string
+	Elements int
 }
 
-// Inventory is the deterministic view of the catalog a schedule is
-// generated against: every object name (point reads) and the media
+// Inventory is the deterministic view of the catalog an op list is
+// drawn against: every object name (point reads) and the media
 // targets with at least two elements (payload reads, cuts, batches).
 // Both slices are sorted so the same catalog always yields the same
 // inventory regardless of listing order.
 type Inventory struct {
-	Names []string `json:"names"`
-	Media []Target `json:"media"`
-	// Seq is the newest committed journal sequence at inventory time —
-	// the upper bound asof ops draw their as_of= targets from. Zero
-	// means "unknown": asof ops then pin sequence 1.
-	Seq uint64 `json:"seq,omitempty"`
+	Names []string
+	Media []Target
 }
 
 // NewInventory sorts and validates the raw listing into an Inventory.
@@ -43,102 +35,67 @@ func NewInventory(names []string, media []Target) (*Inventory, error) {
 	return inv, nil
 }
 
-// Item is one scheduled request. Path carries the full request target
-// including query parameters; Body is non-nil only for POSTs.
+// Item is one request of an op list. Path carries the full request
+// target including query parameters; Body is non-nil only for batches.
 type Item struct {
-	AtNs   int64  `json:"at_ns"`
-	Group  int    `json:"group"`
-	Client int    `json:"client"`
-	Op     string `json:"op"`
-	Method string `json:"method"`
-	Path   string `json:"path"`
-	Body   []byte `json:"body,omitempty"`
+	Op     string
+	Method string
+	Path   string
+	Body   []byte
 }
 
-// Schedule is the fully materialized request program of one
-// (spec, seed, inventory) triple, sorted by dispatch time.
-type Schedule struct {
-	SpecHash string `json:"spec_hash"`
-	Seed     int64  `json:"seed"`
-	Items    []Item `json:"items"`
+// runOps is the length of every op list: long enough to draw each op
+// of the mix several times, short enough to record and replay in a
+// second.
+const runOps = 64
+
+// mix is the weighted op mix every op list draws from, in the fixed
+// order weighted draws iterate (the order is part of the
+// deterministic contract). pquery is an epoch-pinned paginated query:
+// Execute walks its follow-up pages.
+var mix = [...]struct {
+	op     string
+	weight int
+}{
+	{"object", 3}, {"expand", 1}, {"element", 2}, {"cut", 2},
+	{"batch", 1}, {"query", 2}, {"pquery", 1},
 }
 
-// clientSeed derives an independent PRNG stream per (group, client)
-// from the run seed, so adding a client to one group never perturbs
-// another group's draws.
-func clientSeed(seed int64, group, client int) int64 {
-	r := NewRNG(seed ^ int64(group+1)<<32 ^ int64(client+1))
-	return int64(r.Uint64())
+// Generate draws the op list for seed against inv. The result is a
+// pure function of (seed, inv).
+func Generate(seed int64, inv *Inventory) ([]Item, error) {
+	if len(inv.Media) == 0 {
+		return nil, fmt.Errorf("workload: the op mix needs media targets but the inventory has none")
+	}
+	rng := NewRNG(seed)
+	mutSeq := 0
+	items := make([]Item, runOps)
+	for i := range items {
+		items[i].Op = pickOp(rng)
+		buildRequest(rng, &items[i], inv, seed, &mutSeq)
+	}
+	return items, nil
 }
 
-// Generate materializes the request schedule for spec under seed
-// against inv. The result is byte-identical across runs: same
-// (spec, seed, inventory) → same Encode() bytes.
-func Generate(spec *Spec, seed int64, inv *Inventory) (*Schedule, error) {
-	if err := spec.Validate(); err != nil {
-		return nil, err
-	}
-	needsMedia := false
-	for _, g := range spec.Groups {
-		for _, op := range knownOps {
-			if op != "object" && op != "asof" && g.Mix[op] > 0 {
-				needsMedia = true
-			}
-		}
-	}
-	if needsMedia && len(inv.Media) == 0 {
-		return nil, fmt.Errorf("workload: spec %q needs media targets but the inventory has none", spec.Name)
-	}
-	horizon := time.Duration(spec.DurationSec * float64(time.Second))
-	sched := &Schedule{SpecHash: spec.Hash(), Seed: seed}
-	for gi, g := range spec.Groups {
-		for ci := 0; ci < g.Clients; ci++ {
-			rng := NewRNG(clientSeed(seed, gi, ci))
-			mutSeq := 0
-			for _, at := range arrivals(rng, g.Arrival, g.Diurnal, horizon) {
-				op := pickOp(rng, g.Mix)
-				item := Item{AtNs: int64(at), Group: gi, Client: ci, Op: op}
-				buildRequest(rng, &item, inv, seed, &mutSeq)
-				sched.Items = append(sched.Items, item)
-			}
-		}
-	}
-	// One global dispatch order; ties broken by (group, client) so the
-	// sort is total and the encoding stable.
-	sort.SliceStable(sched.Items, func(i, j int) bool {
-		a, b := sched.Items[i], sched.Items[j]
-		if a.AtNs != b.AtNs {
-			return a.AtNs < b.AtNs
-		}
-		if a.Group != b.Group {
-			return a.Group < b.Group
-		}
-		return a.Client < b.Client
-	})
-	return sched, nil
-}
-
-// pickOp draws from the weighted mix, iterating ops in the fixed
-// knownOps order so the draw is deterministic.
-func pickOp(rng *RNG, mix map[string]int) string {
+// pickOp draws from the weighted mix.
+func pickOp(rng *RNG) string {
 	total := 0
-	for _, w := range mix {
-		total += w
+	for _, m := range mix {
+		total += m.weight
 	}
 	n := rng.Intn(total)
-	for _, op := range knownOps {
-		n -= mix[op]
+	for _, m := range mix {
+		n -= m.weight
 		if n < 0 {
-			return op
+			return m.op
 		}
 	}
-	return knownOps[0]
+	return mix[0].op
 }
 
 // buildRequest fills the HTTP request of one drawn operation.
-// Mutation names embed (seed, group, client, seq) so concurrent
-// clients and repeated runs never collide, yet the names are fully
-// deterministic.
+// Mutation names embed (seed, seq) so repeated runs with different
+// seeds never collide, yet the names are fully deterministic.
 func buildRequest(rng *RNG, item *Item, inv *Inventory, seed int64, mutSeq *int) {
 	item.Method = http.MethodGet
 	switch item.Op {
@@ -154,7 +111,7 @@ func buildRequest(rng *RNG, item *Item, inv *Inventory, seed int64, mutSeq *int)
 		from := rng.Intn(t.Elements - 1)
 		to := from + 1 + rng.Intn(t.Elements-from-1)
 		*mutSeq++
-		out := fmt.Sprintf("w%d-g%dc%d-%d", seed, item.Group, item.Client, *mutSeq)
+		out := fmt.Sprintf("w%d-%d", seed, *mutSeq)
 		item.Method = http.MethodPost
 		item.Path = fmt.Sprintf("/v1/objects/%s/cut?out=%s&from=%d&to=%d", t.Name, out, from, to)
 	case "batch":
@@ -171,7 +128,7 @@ func buildRequest(rng *RNG, item *Item, inv *Inventory, seed int64, mutSeq *int)
 			*mutSeq++
 			from := rng.Intn(t.Elements - 1)
 			items[k] = batchItem{
-				Name:       fmt.Sprintf("w%d-g%dc%d-%d", seed, item.Group, item.Client, *mutSeq),
+				Name:       fmt.Sprintf("w%d-%d", seed, *mutSeq),
 				Op:         "video-edit",
 				InputNames: []string{t.Name},
 				Params: json.RawMessage(fmt.Sprintf(
@@ -195,57 +152,8 @@ func buildRequest(rng *RNG, item *Item, inv *Inventory, seed int64, mutSeq *int)
 			item.Path = fmt.Sprintf("/v1/query?overlaps=%.3f,%.3f&limit=50", t1, t1+2)
 		}
 	case "pquery":
-		// Epoch-pinned pagination: the executor fetches this first page,
-		// reads the epoch from the response, and walks the remaining
-		// pages with an epoch= pin — exercising the retention ring under
-		// a mutating workload.
+		// Execute fetches this first page, reads the epoch from the
+		// response, and walks the remaining pages with an epoch= pin.
 		item.Path = fmt.Sprintf("/v1/query?kind=video&limit=%d&offset=0", 2+rng.Intn(6))
-	case "asof":
-		// Transaction-time reads at a sequence drawn in [1, inv.Seq].
-		// A sequence below the retention floor answers 410 version_gone
-		// and a name absent at that sequence answers 404 — both are
-		// deterministic policy outcomes of the draw, not failures (the
-		// executor counts them as successes for asof ops).
-		maxSeq := inv.Seq
-		if maxSeq == 0 {
-			maxSeq = 1
-		}
-		at := 1 + uint64(rng.Intn(int(maxSeq)))
-		switch rng.Intn(3) {
-		case 0:
-			item.Path = fmt.Sprintf("/v1/query?kind=video&as_of=%d&limit=50", at)
-		case 1:
-			item.Path = fmt.Sprintf("/v1/query?live_at=%.3f&as_of=%d&limit=50", rng.Float64()*10, at)
-		default:
-			item.Path = fmt.Sprintf("/v1/objects/%s?as_of=%d", inv.Names[rng.Intn(len(inv.Names))], at)
-		}
 	}
-}
-
-// Encode renders the schedule as canonical JSON lines: one header
-// line (spec hash, seed), then one line per item. Byte-identical
-// encodes mean identical schedules; the determinism lane diffs these
-// bytes directly.
-func (s *Schedule) Encode() []byte {
-	var buf bytes.Buffer
-	hdr, _ := json.Marshal(struct {
-		SpecHash string `json:"spec_hash"`
-		Seed     int64  `json:"seed"`
-		Items    int    `json:"items"`
-	}{s.SpecHash, s.Seed, len(s.Items)})
-	buf.Write(hdr)
-	buf.WriteByte('\n')
-	for i := range s.Items {
-		line, _ := json.Marshal(&s.Items[i])
-		buf.Write(line)
-		buf.WriteByte('\n')
-	}
-	return buf.Bytes()
-}
-
-// Hash is the hex SHA-256 of Encode — the schedule fingerprint
-// reports embed next to the spec hash.
-func (s *Schedule) Hash() string {
-	sum := sha256.Sum256(s.Encode())
-	return hex.EncodeToString(sum[:])
 }

@@ -1,10 +1,8 @@
 package workload
 
 import (
-	"bytes"
-	"math"
+	"reflect"
 	"testing"
-	"time"
 )
 
 func testInventory(t *testing.T) *Inventory {
@@ -16,82 +14,48 @@ func testInventory(t *testing.T) *Inventory {
 	if err != nil {
 		t.Fatal(err)
 	}
-	inv.Seq = 9
 	return inv
 }
 
-// allOpsSpec draws every schedulable op, across two groups with
-// different arrival processes and a diurnal curve, so Generate's whole
-// surface is exercised.
-func allOpsSpec() *Spec {
-	return &Spec{
-		Name:        "all-ops",
-		DurationSec: 3,
-		Groups: []Group{
-			{
-				Name: "readers", Clients: 3,
-				Arrival: Arrival{Process: "poisson", Rate: 30},
-				Diurnal: &Diurnal{Amplitude: 0.6, PeriodSec: 3},
-				Mix:     map[string]int{"object": 3, "expand": 2, "element": 3, "query": 2, "pquery": 1, "asof": 2},
-			},
-			{
-				Name: "editors", Clients: 2,
-				Arrival: Arrival{Process: "gamma", Rate: 10, Shape: 0.5},
-				Mix:     map[string]int{"cut": 2, "batch": 1},
-			},
-		},
-	}
-}
-
 // TestScheduleDeterminism is the determinism property the whole
-// harness rests on: the same (spec, seed, inventory) triple must
-// materialize to byte-identical schedules, and a different seed must
-// not.
+// harness rests on: the same (seed, inventory) pair must draw the
+// identical op list, and a different seed must not.
 func TestScheduleDeterminism(t *testing.T) {
-	spec, inv := allOpsSpec(), testInventory(t)
-	s1, err := Generate(spec, 42, inv)
+	inv := testInventory(t)
+	s1, err := Generate(42, inv)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s2, err := Generate(spec, 42, inv)
+	s2, err := Generate(42, inv)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(s1.Encode(), s2.Encode()) {
-		t.Fatal("same (spec, seed, inventory) produced different schedule bytes")
+	if !reflect.DeepEqual(s1, s2) {
+		t.Fatal("same (seed, inventory) produced different op lists")
 	}
-	if s1.Hash() != s2.Hash() {
-		t.Fatal("same schedule, different hash")
-	}
-	s3, err := Generate(spec, 43, inv)
+	s3, err := Generate(43, inv)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if bytes.Equal(s1.Encode(), s3.Encode()) {
-		t.Fatal("different seeds produced identical schedules")
+	if reflect.DeepEqual(s1, s3) {
+		t.Fatal("different seeds produced identical op lists")
 	}
-	if len(s1.Items) == 0 {
-		t.Fatal("empty schedule")
+	if len(s1) != runOps {
+		t.Fatalf("op list has %d items, want %d", len(s1), runOps)
 	}
 }
 
+// TestScheduleShape checks that every op of the mix is drawn, each
+// with the method and body its route needs, and that mutation names
+// never repeat.
 func TestScheduleShape(t *testing.T) {
-	spec, inv := allOpsSpec(), testInventory(t)
-	sched, err := Generate(spec, 7, inv)
+	items, err := Generate(7, testInventory(t))
 	if err != nil {
 		t.Fatal(err)
 	}
-	horizon := int64(spec.DurationSec * float64(time.Second))
 	ops := map[string]int{}
-	var prev int64 = -1
-	for _, it := range sched.Items {
-		if it.AtNs < prev {
-			t.Fatal("schedule not sorted by dispatch time")
-		}
-		prev = it.AtNs
-		if it.AtNs < 0 || it.AtNs >= horizon {
-			t.Errorf("item at %dns outside [0, %d)", it.AtNs, horizon)
-		}
+	names := map[string]bool{}
+	for _, it := range items {
 		ops[it.Op]++
 		switch it.Op {
 		case "cut", "batch":
@@ -106,31 +70,27 @@ func TestScheduleShape(t *testing.T) {
 		if it.Op == "batch" && len(it.Body) == 0 {
 			t.Error("batch item has no body")
 		}
-	}
-	for _, op := range knownOps {
-		if ops[op] == 0 {
-			t.Errorf("op %q never scheduled (got %v)", op, ops)
+		if it.Op == "cut" {
+			if names[it.Path] {
+				t.Errorf("cut %s drawn twice", it.Path)
+			}
+			names[it.Path] = true
 		}
 	}
-	if sched.SpecHash != spec.Hash() {
-		t.Error("schedule does not carry the spec hash")
+	for _, m := range mix {
+		if ops[m.op] == 0 {
+			t.Errorf("op %q never drawn (got %v)", m.op, ops)
+		}
 	}
 }
 
 func TestGenerateNeedsMedia(t *testing.T) {
-	spec := validSpec()
-	spec.Groups[0].Mix = map[string]int{"cut": 1}
 	inv, err := NewInventory([]string{"a"}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Generate(spec, 1, inv); err == nil {
-		t.Error("media-needing spec accepted against empty media inventory")
-	}
-	bad := validSpec()
-	bad.DurationSec = 0
-	if _, err := Generate(bad, 1, inv); err == nil {
-		t.Error("invalid spec accepted")
+	if _, err := Generate(1, inv); err == nil {
+		t.Error("op list drawn against an inventory with no media")
 	}
 }
 
@@ -144,55 +104,5 @@ func TestNewInventoryEmpty(t *testing.T) {
 	}
 	if inv.Names[0] != "a" || inv.Media[0].Name != "a" {
 		t.Errorf("inventory not sorted: %+v", inv)
-	}
-}
-
-func TestArrivalProcesses(t *testing.T) {
-	horizon := 10 * time.Second
-	// Uniform is a metronome: exact 1/rate spacing, last tick before
-	// the horizon (t = 10s itself is excluded).
-	u := arrivals(NewRNG(1), Arrival{Process: "uniform", Rate: 4}, nil, horizon)
-	if len(u) != 39 {
-		t.Errorf("uniform arrivals = %d, want 39", len(u))
-	}
-	for i := 1; i < len(u); i++ {
-		if gap := u[i] - u[i-1]; gap != 250*time.Millisecond {
-			t.Fatalf("uniform gap = %v", gap)
-		}
-	}
-	// Poisson: count within a few standard deviations of rate*horizon.
-	p := arrivals(NewRNG(2), Arrival{Process: "poisson", Rate: 50}, nil, horizon)
-	if n := float64(len(p)); math.Abs(n-500) > 5*math.Sqrt(500) {
-		t.Errorf("poisson arrivals = %d, want ~500", len(p))
-	}
-	// Gamma at the same mean rate keeps roughly the same count but
-	// with heavier clustering.
-	g := arrivals(NewRNG(3), Arrival{Process: "gamma", Rate: 50, Shape: 0.5}, nil, horizon)
-	if n := float64(len(g)); math.Abs(n-500) > 150 {
-		t.Errorf("gamma arrivals = %d, want ~500", len(g))
-	}
-	// Diurnal thinning: candidates generated at peak rate, kept with
-	// probability rate(t)/peak — the mean over a full period is the
-	// base rate, the draws stay a pure function of the seed, and every
-	// arrival stays inside the horizon.
-	shaped := Arrival{Process: "poisson", Rate: 50}
-	curve := &Diurnal{Amplitude: 1, PeriodSec: 10}
-	d := arrivals(NewRNG(2), shaped, curve, horizon)
-	if n := float64(len(d)); math.Abs(n-500) > 150 {
-		t.Errorf("diurnal arrivals = %d, want ~500", len(d))
-	}
-	for _, at := range d {
-		if at < 0 || at >= horizon {
-			t.Fatalf("arrival %v outside horizon", at)
-		}
-	}
-	d2 := arrivals(NewRNG(2), shaped, curve, horizon)
-	if len(d) != len(d2) {
-		t.Error("diurnal thinning broke arrival determinism")
-	}
-	for i := range d {
-		if d[i] != d2[i] {
-			t.Fatal("diurnal thinning broke arrival determinism")
-		}
 	}
 }

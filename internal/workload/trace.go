@@ -51,7 +51,7 @@ type TraceRecord struct {
 	// 1-based).
 	Seq uint64 `json:"seq"`
 	// AtNs is the request's start offset from the beginning of
-	// recording — scoring derives throughput from it.
+	// recording.
 	AtNs int64 `json:"at_ns"`
 	// Method and Path (including the query string) identify the
 	// request; Body is the request body for non-GET methods.
@@ -74,9 +74,8 @@ type TraceRecord struct {
 	// part of the workload truth, but it never reached a handler, so
 	// replay re-issues nothing for it.
 	Shed bool `json:"shed,omitempty"`
-	// LatencyNs is the recorded service time. It feeds policy scoring
-	// only — replay reports never include it, keeping them
-	// byte-deterministic.
+	// LatencyNs is the recorded service time. Replay reports never
+	// include it, keeping them byte-deterministic.
 	LatencyNs int64 `json:"latency_ns"`
 }
 

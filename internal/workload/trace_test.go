@@ -2,8 +2,12 @@ package workload
 
 import (
 	"bytes"
+	"encoding/binary"
+	"math"
 	"os"
 	"path/filepath"
+	"reflect"
+	"runtime"
 	"testing"
 )
 
@@ -142,4 +146,89 @@ func TestCreateTraceBadPath(t *testing.T) {
 	if _, err := CreateTrace(filepath.Join(t.TempDir(), "no", "such", "dir", "t.trc"), TraceMeta{}); err == nil {
 		t.Error("create into missing directory succeeded")
 	}
+}
+
+// parseAllocBytes reports the fewest bytes parseTrace allocated on
+// data over up to three tries (a background allocation can land in any
+// one window; it will not land in all three).
+func parseAllocBytes(data []byte, bound uint64) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	least := uint64(math.MaxUint64)
+	for try := 0; try < 3 && least > bound; try++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		parseTrace(data)
+		runtime.ReadMemStats(&after)
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+	}
+	return least
+}
+
+// encodeTrace renders meta and recs through a Recorder, as capture
+// writes them.
+func encodeTrace(tb testing.TB, meta TraceMeta, recs []TraceRecord) []byte {
+	tb.Helper()
+	var buf bytes.Buffer
+	rec, err := NewRecorder(&buf, meta)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	for _, r := range recs {
+		if err := rec.Record(r); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	if err := rec.Close(); err != nil {
+		tb.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// FuzzTraceDecode feeds parseTrace — what tbmload replay reads off
+// disk — arbitrary bytes. It must never panic; what it allocates is
+// bounded by the input's length, whatever length a frame header
+// claims; and a trace it accepts re-encodes through Recorder to one
+// that parses to the same meta and records (Recorder renumbers Seq in
+// completion order, and an empty body is written as none).
+func FuzzTraceDecode(f *testing.F) {
+	real := encodeTrace(f, TraceMeta{Objects: 5, Seq: 9, Epoch: 4}, []TraceRecord{
+		{Method: "GET", Path: "/v1/objects/a", RouteName: "object", Status: 200, Digest: "d1", Epoch: 3, LatencyNs: 1000},
+		{Method: "POST", Path: "/v1/objects:batch", RouteName: "batch", Body: []byte(`{"items":[]}`), Status: 201, Digest: "d2", LatencyNs: 2000},
+		{Method: "GET", Path: "/v1/objects/x", Status: 503, ErrCode: "overloaded", Shed: true, LatencyNs: 10},
+	})
+	f.Add(real)
+	f.Add(real[:len(real)-7]) // torn tail
+	bad := bytes.Clone(real)
+	bad[len(bad)/2] ^= 0xff // bad CRC in a middle frame
+	f.Add(bad)
+	var hostile [8]byte
+	binary.BigEndian.PutUint32(hostile[:4], maxTraceFrame)
+	f.Add(append([]byte(traceMagic), hostile[:]...)) // a 64 MiB frame that is not there
+	binary.BigEndian.PutUint32(hostile[:4], math.MaxUint32)
+	f.Add(append(bytes.Clone(real), hostile[:]...)) // past the bound, after good frames
+	f.Fuzz(func(t *testing.T, data []byte) {
+		// A frame's records cost a few hundred bytes each against the 8
+		// header bytes a frame must occupy; a length field costs nothing.
+		bound := 4096 + 256*uint64(len(data))
+		if n := parseAllocBytes(data, bound); n > bound {
+			t.Fatalf("parsing %d bytes allocated %d", len(data), n)
+		}
+		meta, recs, err := parseTrace(data)
+		if err != nil {
+			return
+		}
+		for i := range recs {
+			recs[i].Seq = uint64(i + 1)
+			if len(recs[i].Body) == 0 {
+				recs[i].Body = nil
+			}
+		}
+		meta2, recs2, err := parseTrace(encodeTrace(t, meta, recs))
+		if err != nil {
+			t.Fatalf("re-encoded trace refused: %v", err)
+		}
+		if meta2 != meta || !reflect.DeepEqual(recs2, recs) {
+			t.Fatalf("re-encoded trace parsed to\n%+v %+v\nwant\n%+v %+v", meta2, recs2, meta, recs)
+		}
+	})
 }

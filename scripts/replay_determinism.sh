@@ -10,15 +10,16 @@
 #      replay exits non-zero on any mismatch), and
 #   2. the two deterministic replay reports are byte-identical.
 #
-# The smoke spec runs a single client so the recorded completion order
-# is a serialization of the workload: replaying it sequentially
-# reproduces every intermediate catalog state exactly.
+# tbmload run is a single sequential client, so the recorded completion
+# order is a serialization of the workload: replaying it sequentially
+# reproduces every intermediate catalog state exactly. It exits non-zero
+# if the server answers any request wrongly, so a recording of failures
+# never reaches the replays.
 #
 # Usage: scripts/replay_determinism.sh
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-SPEC="scripts/specs/replay_smoke.json"
 SEED="${TBM_REPLAY_SEED:-7}"
 ADDR="127.0.0.1:18091"
 URL="http://$ADDR"
@@ -53,8 +54,7 @@ stop_server() {
 echo "== record: seeded workload with trace capture"
 seed_db "$WORK/db_rec"
 start_server "$WORK/db_rec" -trace-out "$WORK/trace.trc"
-"$WORK/tbmload" run -url "$URL" -spec "$SPEC" -seed "$SEED" \
-  -wait-ready 30s -time-scale 4 -out "$WORK/run.json"
+"$WORK/tbmload" run -url "$URL" -seed "$SEED" -wait-ready 30s
 stop_server # graceful shutdown flushes the trace
 
 for i in 1 2; do
