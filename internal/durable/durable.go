@@ -1,5 +1,7 @@
 // Package durable provides crash-safe file persistence primitives for
-// the catalog: a checksummed, chunked snapshot container (stream.go),
+// the catalog: the one length + CRC-32C frame codec every checksummed
+// format is a prefix over (frame.go), a chunked snapshot container
+// built on it (stream.go),
 // the one atomic file replacement every durable file goes through
 // (ReplaceFile), quarantine of corrupt files, directory locks, and
 // retry-with-backoff for transient store errors. It imports nothing
@@ -16,7 +18,6 @@ package durable
 import (
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
@@ -32,8 +33,6 @@ var (
 	// environmental failures in it (errors.Is) to opt into Retry.
 	ErrTransient = errors.New("durable: transient error")
 )
-
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // SyncDir fsyncs a directory so a preceding rename inside it is
 // durable. Some filesystems reject directory fsync; those errors are

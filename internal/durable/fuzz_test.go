@@ -29,7 +29,7 @@ func FuzzSnapshotDecode(f *testing.F) {
 	f.Add(valid[:streamHeaderLen-3])                // truncated header
 	f.Add([]byte("gob-era snapshot without framing"))
 	flipped := append([]byte(nil), valid...)
-	flipped[streamHeaderLen+chunkHeaderLen+1] ^= 0x10 // bit-flipped payload
+	flipped[streamHeaderLen+FrameHeaderLen+1] ^= 0x10 // bit-flipped payload
 	f.Add(flipped)
 
 	f.Fuzz(func(t *testing.T, data []byte) {

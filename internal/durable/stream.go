@@ -12,7 +12,7 @@ package durable
 //	chunk*             data chunks
 //	trailer            end-of-stream marker
 //
-// Data chunk:
+// Data chunk: one frame of the frame codec (frame.go) with no prefix:
 //
 //	length uint32   payload length (1..MaxChunkLen)
 //	crc    uint32   CRC-32C over the payload
@@ -57,7 +57,9 @@ const DefaultChunkLen = 1 << 20
 const MaxChunkLen = 64 << 20
 
 const streamHeaderLen = 8 + 4 // magic + version
-const chunkHeaderLen = 4 + 4  // length + crc
+
+// streamHeader is the container header: the magic, then StreamVersion.
+var streamHeader = binary.BigEndian.AppendUint32(streamMagic[:8:8], StreamVersion)
 
 // ChunkWriter frames a byte stream into checksummed chunks on an
 // underlying writer. Close flushes the final partial chunk and writes
@@ -78,18 +80,15 @@ func NewChunkWriter(w io.Writer) *ChunkWriter {
 	return &ChunkWriter{w: w, buf: make([]byte, 0, DefaultChunkLen)}
 }
 
-func (cw *ChunkWriter) start() error {
+// header returns the container header once and nothing after: it goes
+// out as the first chunk's prefix, or, for an empty payload, before the
+// trailer.
+func (cw *ChunkWriter) header() []byte {
 	if cw.started {
 		return nil
 	}
-	var hdr [streamHeaderLen]byte
-	copy(hdr[:], streamMagic[:])
-	binary.BigEndian.PutUint32(hdr[8:], StreamVersion)
-	if _, err := cw.w.Write(hdr[:]); err != nil {
-		return err
-	}
 	cw.started = true
-	return nil
+	return streamHeader
 }
 
 // Write implements io.Writer.
@@ -120,17 +119,8 @@ func (cw *ChunkWriter) flushChunk() error {
 	if len(cw.buf) == 0 {
 		return nil
 	}
-	if err := cw.start(); err != nil {
-		return err
-	}
-	var hdr [chunkHeaderLen]byte
-	crc := crc32.Checksum(cw.buf, castagnoli)
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(cw.buf)))
-	binary.BigEndian.PutUint32(hdr[4:], crc)
-	if _, err := cw.w.Write(hdr[:]); err != nil {
-		return err
-	}
-	if _, err := cw.w.Write(cw.buf); err != nil {
+	crc, err := WriteFrame(cw.w, cw.header(), cw.buf)
+	if err != nil {
 		return err
 	}
 	cw.crcs = binary.BigEndian.AppendUint32(cw.crcs, crc)
@@ -149,15 +139,11 @@ func (cw *ChunkWriter) Close() error {
 		cw.err = err
 		return err
 	}
-	if err := cw.start(); err != nil { // empty payload: header + trailer only
-		cw.err = err
-		return err
-	}
-	var tr [chunkHeaderLen + 8]byte
-	binary.BigEndian.PutUint32(tr[:], 0)
-	binary.BigEndian.PutUint32(tr[4:], crc32.Checksum(cw.crcs, castagnoli))
-	binary.BigEndian.PutUint64(tr[8:], cw.total)
-	if _, err := cw.w.Write(tr[:]); err != nil {
+	tr := append(make([]byte, 0, streamHeaderLen+FrameHeaderLen+8), cw.header()...)
+	tr = binary.BigEndian.AppendUint32(tr, 0)
+	tr = binary.BigEndian.AppendUint32(tr, crc32.Checksum(cw.crcs, castagnoli))
+	tr = binary.BigEndian.AppendUint64(tr, cw.total)
+	if _, err := cw.w.Write(tr); err != nil {
 		cw.err = err
 		return err
 	}
@@ -171,11 +157,12 @@ func (cw *ChunkWriter) Close() error {
 // trailer surfaces as ErrCorrupt, never as a clean EOF.
 type ChunkReader struct {
 	r     io.Reader
+	hdr   [FrameHeaderLen]byte
+	buf   []byte // the last chunk read, reused for the next
 	chunk []byte // current chunk, unread remainder
 	crcs  []byte
 	total uint64
-	done  bool
-	err   error
+	err   error // sticky: io.EOF once the trailer has validated
 }
 
 // NewChunkReader validates the container header on r and returns a
@@ -204,9 +191,6 @@ func (cr *ChunkReader) Read(p []byte) (int, error) {
 		return 0, cr.err
 	}
 	for len(cr.chunk) == 0 {
-		if cr.done {
-			return 0, io.EOF
-		}
 		if err := cr.nextChunk(); err != nil {
 			cr.err = err
 			return 0, err
@@ -218,12 +202,11 @@ func (cr *ChunkReader) Read(p []byte) (int, error) {
 }
 
 func (cr *ChunkReader) nextChunk() error {
-	var hdr [chunkHeaderLen]byte
-	if _, err := io.ReadFull(cr.r, hdr[:]); err != nil {
-		return fmt.Errorf("%w: truncated chunk header: %v", ErrCorrupt, err)
+	// A clean EOF is damage too: the stream must end with its trailer.
+	if err := ReadFrameHeader(cr.r, cr.hdr[:]); err != nil {
+		return fmt.Errorf("%w: chunk header: %v", ErrCorrupt, err)
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
-	crc := binary.BigEndian.Uint32(hdr[4:])
+	n, crc := frameFields(cr.hdr[:])
 	if n == 0 {
 		// Trailer: validate the crc-of-crcs and the total length.
 		var rest [8]byte
@@ -236,20 +219,13 @@ func (cr *ChunkReader) nextChunk() error {
 		if total := binary.BigEndian.Uint64(rest[:]); total != cr.total {
 			return fmt.Errorf("%w: stream length %d, trailer says %d", ErrCorrupt, cr.total, total)
 		}
-		cr.done = true
-		return nil
+		return io.EOF
 	}
-	if n > MaxChunkLen {
-		return fmt.Errorf("%w: chunk length %d exceeds limit", ErrCorrupt, n)
+	data, err := ReadFramePayload(cr.r, cr.hdr[:], MaxChunkLen, cr.buf)
+	if err != nil {
+		return fmt.Errorf("%w: chunk: %v", ErrCorrupt, err)
 	}
-	data := make([]byte, n)
-	if _, err := io.ReadFull(cr.r, data); err != nil {
-		return fmt.Errorf("%w: truncated chunk: %v", ErrCorrupt, err)
-	}
-	if got := crc32.Checksum(data, castagnoli); got != crc {
-		return fmt.Errorf("%w: chunk checksum %08x, want %08x", ErrCorrupt, got, crc)
-	}
-	cr.chunk = data
+	cr.buf, cr.chunk = data, data
 	cr.crcs = binary.BigEndian.AppendUint32(cr.crcs, crc)
 	cr.total += uint64(n)
 	return nil
@@ -289,12 +265,8 @@ func OpenSnapshotReader(path string) (io.ReadCloser, error) {
 		f.Close()
 		return nil, err
 	}
-	return &snapshotReader{Reader: cr, f: f}, nil
+	return struct {
+		io.Reader
+		io.Closer
+	}{cr, f}, nil
 }
-
-type snapshotReader struct {
-	io.Reader
-	f *os.File
-}
-
-func (s *snapshotReader) Close() error { return s.f.Close() }

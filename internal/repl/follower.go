@@ -17,6 +17,7 @@ import (
 
 	"timedmedia/internal/blob"
 	"timedmedia/internal/catalog"
+	"timedmedia/internal/durable"
 	"timedmedia/internal/telemetry"
 )
 
@@ -172,10 +173,7 @@ func (f *Follower) DB() *catalog.DB {
 func (f *Follower) Ready() (bool, string) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if f.promoted {
-		return true, ""
-	}
-	if f.ready {
+	if f.promoted || f.ready {
 		return true, ""
 	}
 	return false, fmt.Sprintf("replica catching up: applied seq %d, primary at %d",
@@ -418,41 +416,23 @@ func (f *Follower) ensureBlob(ctx context.Context, id blob.ID) error {
 	return f.installBlob(id, resp.Body, resp.ContentLength)
 }
 
-// installBlob streams a fetched payload into place: tmp file, CRC
-// computed on the way through, size check against the declared length,
-// fsync, sidecar, rename.
+// installBlob streams a fetched payload into place through
+// durable.ReplaceFile, checksumming it and checking the declared length
+// on the way. The sidecar lands before the payload's rename: a crash
+// between leaves a sidecar with no payload, which the next fetch redoes.
 func (f *Follower) installBlob(id blob.ID, r io.Reader, want int64) error {
 	path := filepath.Join(f.dir, blob.FileName(id))
-	tmp := path + ".fetch"
-	out, err := os.Create(tmp)
+	err := durable.ReplaceFile(path, false, func(w io.Writer) error {
+		crc, n, err := blob.ChecksumReader(io.TeeReader(r, w), -1)
+		if err == nil && want >= 0 && n != want {
+			err = fmt.Errorf("got %d of %d bytes", n, want)
+		}
+		if err != nil {
+			return err
+		}
+		return blob.WriteSidecar(path, crc, n)
+	})
 	if err != nil {
-		return fmt.Errorf("repl: install %v: %w", id, err)
-	}
-	crc, n, err := blob.ChecksumReader(io.TeeReader(r, out), -1)
-	if err == nil && want >= 0 && n != want {
-		err = fmt.Errorf("got %d of %d bytes", n, want)
-	}
-	if err == nil {
-		err = out.Sync()
-	}
-	if cerr := out.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("repl: install %v: %w", id, err)
-	}
-	if err := blob.WriteSidecar(tmp, crc, n); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if err := os.Rename(blob.SidecarFile(tmp), blob.SidecarFile(path)); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("repl: install %v: %w", id, err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		os.Remove(blob.SidecarFile(path))
 		return fmt.Errorf("repl: install %v: %w", id, err)
 	}
 	f.mu.Lock()
@@ -499,25 +479,11 @@ func (f *Follower) bootstrap(ctx context.Context) error {
 	if resp.StatusCode != http.StatusOK {
 		return fmt.Errorf("repl: bootstrap: %s", resp.Status)
 	}
-	snap := catalog.SnapshotFile(f.dir)
-	tmp := snap + ".fetch"
-	out, err := os.Create(tmp)
+	err = durable.ReplaceFile(catalog.SnapshotFile(f.dir), false, func(w io.Writer) error {
+		_, err := io.Copy(w, resp.Body)
+		return err
+	})
 	if err != nil {
-		return fmt.Errorf("repl: bootstrap: %w", err)
-	}
-	_, err = io.Copy(out, resp.Body)
-	if err == nil {
-		err = out.Sync()
-	}
-	if cerr := out.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("repl: bootstrap: %w", err)
-	}
-	if err := os.Rename(tmp, snap); err != nil {
-		os.Remove(tmp)
 		return fmt.Errorf("repl: bootstrap: %w", err)
 	}
 	// The snapshot container's own checksums gate the load; corruption
@@ -672,15 +638,4 @@ func (f *Follower) Close() error {
 		first = err
 	}
 	return first
-}
-
-// writeJSON is the package's minimal JSON responder.
-func writeJSON(w http.ResponseWriter, v any) {
-	var buf bytes.Buffer
-	if err := json.NewEncoder(&buf).Encode(v); err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Write(buf.Bytes())
 }

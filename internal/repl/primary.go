@@ -1,10 +1,12 @@
 package repl
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"log"
+	"math"
 	"net/http"
 	"os"
 	"strconv"
@@ -286,23 +288,12 @@ func readRecords(path string, off, limit int64, fn func([]byte) error) (int64, e
 		return 0, err
 	}
 	defer f.Close()
-	var src io.Reader
-	if limit >= 0 {
-		if limit <= off {
-			return 0, nil
-		}
-		src = io.NewSectionReader(f, off, limit-off)
-	} else {
-		if _, err := f.Seek(off, io.SeekStart); err != nil {
-			return 0, err
-		}
-		src = f
+	n := limit - off
+	if limit < 0 {
+		n = math.MaxInt64 - off
 	}
-	res, err := wal.ReplayFrames(src, fn)
-	if err != nil {
-		return res.Consumed, err
-	}
-	return res.Consumed, nil
+	res, err := wal.ReplayFrames(io.NewSectionReader(f, off, max(n, 0)), fn)
+	return res.Consumed, err
 }
 
 // backlog estimates the durable WAL bytes the cursor has not shipped
@@ -348,7 +339,8 @@ func (p *Primary) HandleBlobs(w http.ResponseWriter, r *http.Request) {
 		}
 		out = append(out, blobInfo{ID: uint64(id), Size: b.Size()})
 	}
-	writeJSON(w, out)
+	w.Header().Set("Content-Type", "application/json")
+	json.NewEncoder(w).Encode(out)
 }
 
 // HandleBlob streams one payload's bytes. Reads go through the store,

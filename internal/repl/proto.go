@@ -18,7 +18,8 @@
 //	GET /v1/repl/blobs          JSON list of payload files
 //	GET /v1/repl/blob/{id}      one payload's bytes
 //
-// Frame format ("RPF1"):
+// Frame format ("RPF1"): durable's length + CRC-32C frame behind a
+// 21-byte prefix.
 //
 //	magic   [4]byte  "RPF1"
 //	type    byte     'R' record / 'H' heartbeat / 'E' gone
@@ -27,15 +28,21 @@
 //	length  uint32   payload length ('R' only; 0 otherwise)
 //	crc     uint32   CRC-32C over the payload
 //	payload [length]byte
+//
+// The CRC covers the payload only: type, seq and backlog are not
+// checked. An unknown type is refused, but one valid type damaged into
+// another is not, and a damaged seq or backlog is read as sent. (A
+// follower applies the seq inside a record's payload, not the prefix's
+// copy.) Covering the prefix would move wire bytes.
 package repl
 
 import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 
+	"timedmedia/internal/durable"
 	"timedmedia/internal/wal"
 )
 
@@ -48,7 +55,9 @@ const (
 
 var frameMagic = [4]byte{'R', 'P', 'F', '1'}
 
-const frameHeaderLen = 4 + 1 + 8 + 8 + 4 + 4
+const framePrefixLen = 4 + 1 + 8 + 8 // magic + type + seq + backlog
+
+const frameHeaderLen = framePrefixLen + durable.FrameHeaderLen
 
 // MaxFramePayload bounds a record payload; journal records are bounded
 // the same way, so anything larger is corruption, not data.
@@ -57,8 +66,6 @@ const MaxFramePayload = wal.MaxRecordLen
 // ErrBadFrame reports a feed frame that failed framing or checksum
 // validation — the reader must drop the connection and resume.
 var ErrBadFrame = errors.New("repl: bad feed frame")
-
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // Frame is one feed message.
 type Frame struct {
@@ -70,60 +77,41 @@ type Frame struct {
 
 // WriteFrame writes one frame to w.
 func WriteFrame(w io.Writer, f Frame) error {
-	var hdr [frameHeaderLen]byte
-	copy(hdr[:4], frameMagic[:])
-	hdr[4] = f.Type
-	binary.BigEndian.PutUint64(hdr[5:], f.Seq)
-	binary.BigEndian.PutUint64(hdr[13:], f.Backlog)
-	binary.BigEndian.PutUint32(hdr[21:], uint32(len(f.Payload)))
-	binary.BigEndian.PutUint32(hdr[25:], crc32.Checksum(f.Payload, castagnoli))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	if len(f.Payload) > 0 {
-		if _, err := w.Write(f.Payload); err != nil {
-			return err
-		}
-	}
-	return nil
+	var prefix [framePrefixLen]byte
+	copy(prefix[:], frameMagic[:])
+	prefix[4] = f.Type
+	binary.BigEndian.PutUint64(prefix[5:], f.Seq)
+	binary.BigEndian.PutUint64(prefix[13:], f.Backlog)
+	_, err := durable.WriteFrame(w, prefix[:], f.Payload)
+	return err
 }
 
 // ReadFrame reads and validates one frame from r. io.EOF at a frame
-// boundary passes through unchanged (the stream ended); a tear inside
-// a frame or a checksum mismatch is ErrBadFrame.
+// boundary passes through unchanged (the stream ended); anything else
+// — a tear inside a frame, a bad magic or type, a length over
+// MaxFramePayload, a checksum mismatch — is ErrBadFrame.
 func ReadFrame(r io.Reader) (Frame, error) {
 	var hdr [frameHeaderLen]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		if err == io.EOF {
-			return Frame{}, io.EOF
-		}
-		return Frame{}, fmt.Errorf("%w: torn header: %v", ErrBadFrame, err)
-	}
-	if [4]byte(hdr[:4]) != frameMagic {
-		return Frame{}, fmt.Errorf("%w: bad magic", ErrBadFrame)
+	err := durable.ReadFrameHeader(r, hdr[:])
+	if err == io.EOF {
+		return Frame{}, io.EOF
 	}
 	f := Frame{
 		Type:    hdr[4],
 		Seq:     binary.BigEndian.Uint64(hdr[5:]),
 		Backlog: binary.BigEndian.Uint64(hdr[13:]),
 	}
-	switch f.Type {
-	case TypeRecord, TypeHeartbeat, TypeGone:
+	switch {
+	case err != nil:
+	case [4]byte(hdr[:4]) != frameMagic:
+		err = errors.New("bad magic")
+	case f.Type != TypeRecord && f.Type != TypeHeartbeat && f.Type != TypeGone:
+		err = fmt.Errorf("unknown type %q", f.Type)
 	default:
-		return Frame{}, fmt.Errorf("%w: unknown type %q", ErrBadFrame, f.Type)
+		f.Payload, err = durable.ReadFramePayload(r, hdr[:], MaxFramePayload, nil)
 	}
-	n := binary.BigEndian.Uint32(hdr[21:])
-	if n > MaxFramePayload {
-		return Frame{}, fmt.Errorf("%w: payload length %d", ErrBadFrame, n)
-	}
-	if n > 0 {
-		f.Payload = make([]byte, n)
-		if _, err := io.ReadFull(r, f.Payload); err != nil {
-			return Frame{}, fmt.Errorf("%w: torn payload: %v", ErrBadFrame, err)
-		}
-	}
-	if crc32.Checksum(f.Payload, castagnoli) != binary.BigEndian.Uint32(hdr[25:]) {
-		return Frame{}, fmt.Errorf("%w: payload checksum mismatch", ErrBadFrame)
+	if err != nil {
+		return Frame{}, fmt.Errorf("%w: %v", ErrBadFrame, err)
 	}
 	return f, nil
 }

@@ -35,7 +35,7 @@ func FuzzFrameDecode(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var decoded [][]byte
-		res, err := replayReader(bytes.NewReader(data), func(d []byte) error {
+		res, err := ReplayFrames(bytes.NewReader(data), func(d []byte) error {
 			decoded = append(decoded, append([]byte(nil), d...))
 			return nil
 		})
@@ -81,7 +81,7 @@ func FuzzFrameCorruption(f *testing.F) {
 		img[pos] ^= mask
 
 		var decoded [][]byte
-		res, _ := replayReader(bytes.NewReader(img), func(d []byte) error {
+		res, _ := ReplayFrames(bytes.NewReader(img), func(d []byte) error {
 			decoded = append(decoded, append([]byte(nil), d...))
 			return nil
 		})

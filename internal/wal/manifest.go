@@ -8,7 +8,9 @@ package wal
 // chain, then replays surviving segments — so startup cost is bounded
 // by live state plus the uncheckpointed tail, not by mutation history.
 //
-// File layout (everything after the header is one JSON document):
+// File layout: one frame of durable's length + CRC-32C frame codec
+// behind an 8-byte prefix, filling the file exactly; the payload is one
+// JSON document.
 //
 //	magic   [8]byte  "TBMMANI1"
 //	length  uint32   JSON payload length
@@ -24,11 +26,9 @@ package wal
 // start.
 
 import (
-	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
@@ -39,8 +39,6 @@ import (
 const manifestName = "MANIFEST"
 
 var manifestMagic = [8]byte{'T', 'B', 'M', 'M', 'A', 'N', 'I', '1'}
-
-const manifestHeaderLen = 8 + 4 + 4 // magic + length + crc
 
 // MaxManifestLen bounds the JSON payload so a corrupt length field
 // cannot drive an unbounded allocation.
@@ -77,27 +75,20 @@ func EncodeManifest(m *Manifest) ([]byte, error) {
 	if err != nil {
 		return nil, fmt.Errorf("wal: encode manifest: %w", err)
 	}
-	out := make([]byte, manifestHeaderLen+len(payload))
-	copy(out, manifestMagic[:])
-	binary.BigEndian.PutUint32(out[8:], uint32(len(payload)))
-	binary.BigEndian.PutUint32(out[12:], crc32.Checksum(payload, castagnoli))
-	copy(out[manifestHeaderLen:], payload)
-	return out, nil
+	return durable.AppendFrame(nil, manifestMagic[:], payload), nil
 }
 
 // DecodeManifest validates a manifest frame and returns the manifest.
 func DecodeManifest(data []byte) (*Manifest, error) {
-	if len(data) < manifestHeaderLen || [8]byte(data[:8]) != manifestMagic {
+	if len(data) < len(manifestMagic) || [8]byte(data) != manifestMagic {
 		return nil, fmt.Errorf("%w: bad magic", ErrManifestCorrupt)
 	}
-	n := binary.BigEndian.Uint32(data[8:])
-	if n > MaxManifestLen || uint64(len(data)) != uint64(manifestHeaderLen)+uint64(n) {
-		return nil, fmt.Errorf("%w: length %d, file holds %d payload bytes",
-			ErrManifestCorrupt, n, len(data)-manifestHeaderLen)
+	payload, rest, err := durable.DecodeFrame(data[len(manifestMagic):], MaxManifestLen)
+	if err == nil && len(rest) > 0 {
+		err = fmt.Errorf("%d bytes after the frame", len(rest))
 	}
-	payload := data[manifestHeaderLen:]
-	if got, want := crc32.Checksum(payload, castagnoli), binary.BigEndian.Uint32(data[12:]); got != want {
-		return nil, fmt.Errorf("%w: checksum %08x, want %08x", ErrManifestCorrupt, got, want)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrManifestCorrupt, err)
 	}
 	var m Manifest
 	if err := json.Unmarshal(payload, &m); err != nil {

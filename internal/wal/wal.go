@@ -8,7 +8,8 @@
 // deletes the ones it covers. Journal is one segment file; Segmented
 // is the rotating journal over a directory of them.
 //
-// Record frame:
+// Record frame: durable's length + CRC-32C frame behind a 4-byte
+// prefix.
 //
 //	magic  uint32  0x57414C31 ("WAL1")
 //	length uint32  payload length in bytes
@@ -40,20 +41,20 @@
 package wal
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"os"
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"timedmedia/internal/durable"
 )
 
-const recordMagic = 0x57414C31 // "WAL1"
+var recordMagic = [4]byte{'W', 'A', 'L', '1'}
 
-const frameHeaderLen = 12 // magic + length + crc
+const frameHeaderLen = len(recordMagic) + durable.FrameHeaderLen
 
 // MaxRecordLen bounds a single record so a corrupt length field cannot
 // drive a multi-gigabyte allocation during replay.
@@ -68,8 +69,6 @@ var ErrClosed = errors.New("wal: journal closed")
 // Segmented.Rotate escapes it — appends resume in the next segment and
 // replay truncates the sealed segment's torn tail.
 var ErrFailed = errors.New("wal: journal failed")
-
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // Stats holds the journal's monotonic counters.
 type Stats struct {
@@ -275,11 +274,7 @@ func (j *Journal) Size() int64 {
 
 // appendFrame appends one framed record to buf.
 func appendFrame(buf, data []byte) []byte {
-	var hdr [frameHeaderLen]byte
-	binary.BigEndian.PutUint32(hdr[:], recordMagic)
-	binary.BigEndian.PutUint32(hdr[4:], uint32(len(data)))
-	binary.BigEndian.PutUint32(hdr[8:], crc32.Checksum(data, castagnoli))
-	return append(append(buf, hdr[:]...), data...)
+	return durable.AppendFrame(buf, recordMagic[:], data)
 }
 
 // Append durably adds one record: it is on stable storage when
@@ -524,56 +519,37 @@ func Replay(path string, fn func(data []byte) error) (ReplayResult, error) {
 		return ReplayResult{}, fmt.Errorf("wal: %w", err)
 	}
 	defer f.Close()
-	return replayReader(f, fn)
+	return ReplayFrames(f, fn)
 }
 
-// ReplayFrames decodes frames from r — exactly Replay, but over any
-// reader, so a replication feed can resume a segment from a byte
-// offset (position the reader, then add ReplayResult.Consumed).
+// ReplayFrames is Replay over any reader, so a replication feed can
+// resume a segment from a byte offset (position the reader, then add
+// ReplayResult.Consumed). Every frame failure — a torn header or
+// payload, the wrong magic, a length over MaxRecordLen, a CRC
+// mismatch — is a tear at that frame's offset.
 func ReplayFrames(r io.Reader, fn func(data []byte) error) (ReplayResult, error) {
-	return replayReader(r, fn)
-}
-
-// replayReader decodes frames from r until a clean EOF, a tear, or an
-// fn error. Factored out of Replay so the frame decoder can be fuzzed
-// without a file.
-func replayReader(r io.Reader, fn func(data []byte) error) (ReplayResult, error) {
 	var res ReplayResult
-	var off int64
 	hdr := make([]byte, frameHeaderLen)
 	for {
-		res.Consumed = off
-		if _, err := io.ReadFull(r, hdr); err != nil {
-			if err == io.EOF {
-				return res, nil // clean end
-			}
-			res.Torn, res.TornOffset = true, off
-			return res, nil // torn header
+		err := durable.ReadFrameHeader(r, hdr)
+		if err == io.EOF {
+			return res, nil // clean end
 		}
-		if binary.BigEndian.Uint32(hdr) != recordMagic {
-			res.Torn, res.TornOffset = true, off
+		ok := err == nil && [4]byte(hdr) == recordMagic
+		var data []byte
+		if ok {
+			data, err = durable.ReadFramePayload(r, hdr, MaxRecordLen, nil)
+			ok = err == nil
+		}
+		if !ok {
+			res.Torn, res.TornOffset = true, res.Consumed
 			return res, nil
-		}
-		n := binary.BigEndian.Uint32(hdr[4:])
-		if n > MaxRecordLen {
-			res.Torn, res.TornOffset = true, off
-			return res, nil
-		}
-		data := make([]byte, n)
-		if _, err := io.ReadFull(r, data); err != nil {
-			res.Torn, res.TornOffset = true, off
-			return res, nil // torn payload
-		}
-		if crc32.Checksum(data, castagnoli) != binary.BigEndian.Uint32(hdr[8:]) {
-			res.Torn, res.TornOffset = true, off
-			return res, nil // corrupt payload
 		}
 		if err := fn(data); err != nil {
 			return res, err
 		}
 		res.Records++
-		off += int64(frameHeaderLen) + int64(n)
-		res.Consumed = off
+		res.Consumed += int64(frameHeaderLen + len(data))
 	}
 }
 

@@ -2,21 +2,21 @@ package workload
 
 import (
 	"bufio"
-	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"os"
 	"sync"
+
+	"timedmedia/internal/durable"
 )
 
 // The capture trace is the recorded truth of one live run: every
 // request the server saw — including the ones it shed — in completion
 // order, with enough detail to re-issue the mutations and check the
-// reads. The format is framed and checksummed like the repo's other
-// on-disk formats (durable, wal):
+// reads. Each frame is durable's length + CRC-32C frame with no
+// prefix, behind a file magic:
 //
 //	"TBMTRC1\n"                              8-byte magic
 //	frame := u32 length | u32 crc32c(json) | json
@@ -27,8 +27,6 @@ import (
 // the WAL's torn-tail tolerance.
 
 const traceMagic = "TBMTRC1\n"
-
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // maxTraceFrame bounds a single frame so a corrupt length field
 // cannot balloon an allocation.
@@ -126,13 +124,7 @@ func (r *Recorder) writeFrame(v any) error {
 	if err != nil {
 		return fmt.Errorf("workload: trace encode: %w", err)
 	}
-	var hdr [8]byte
-	binary.BigEndian.PutUint32(hdr[:4], uint32(len(body)))
-	binary.BigEndian.PutUint32(hdr[4:], crc32.Checksum(body, castagnoli))
-	if _, err := r.w.Write(hdr[:]); err != nil {
-		return fmt.Errorf("workload: trace write: %w", err)
-	}
-	if _, err := r.w.Write(body); err != nil {
+	if _, err := durable.WriteFrame(r.w, nil, body); err != nil {
 		return fmt.Errorf("workload: trace write: %w", err)
 	}
 	return nil
@@ -192,25 +184,14 @@ func parseTrace(data []byte) (TraceMeta, []TraceRecord, error) {
 	data = data[len(traceMagic):]
 	var records []TraceRecord
 	first := true
-	for len(data) > 0 {
-		if len(data) < 8 {
-			break // torn tail
+	for {
+		body, rest, err := durable.DecodeFrame(data, maxTraceFrame)
+		if err == io.EOF || errors.Is(err, durable.ErrFrameTorn) ||
+			errors.Is(err, durable.ErrFrameCRC) && len(rest) == 0 {
+			break // the end, or a torn tail: a partial or corrupt final frame
 		}
-		n := binary.BigEndian.Uint32(data[:4])
-		want := binary.BigEndian.Uint32(data[4:8])
-		if n > maxTraceFrame {
-			return meta, nil, fmt.Errorf("workload: trace frame length %d exceeds bound", n)
-		}
-		if len(data) < 8+int(n) {
-			break // torn tail
-		}
-		body := data[8 : 8+n]
-		rest := data[8+int(n):]
-		if crc32.Checksum(body, castagnoli) != want {
-			if len(rest) == 0 {
-				break // torn tail: final frame corrupt
-			}
-			return meta, nil, fmt.Errorf("workload: trace frame %d: CRC mismatch", len(records)+1)
+		if err != nil {
+			return meta, nil, fmt.Errorf("workload: trace frame %d: %w", len(records)+1, err)
 		}
 		if first {
 			if err := json.Unmarshal(body, &meta); err != nil {

@@ -3,6 +3,7 @@ package workload
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/hex"
 	"math"
 	"os"
 	"path/filepath"
@@ -182,6 +183,23 @@ func encodeTrace(tb testing.TB, meta TraceMeta, recs []TraceRecord) []byte {
 		tb.Fatal(err)
 	}
 	return buf.Bytes()
+}
+
+// TestTraceGoldenBytes pins TBMTRC1 on disk: a meta frame and one
+// record through Recorder must encode to these bytes, so a change that
+// moved them on both the writer and the reader alike cannot pass as a
+// round trip.
+func TestTraceGoldenBytes(t *testing.T) {
+	got := encodeTrace(t, TraceMeta{Objects: 5, Seq: 9, Epoch: 4}, []TraceRecord{
+		{Method: "GET", Path: "/v1/objects/a", RouteName: "object", Status: 200, Digest: "d1", Epoch: 3, LatencyNs: 1000},
+	})
+	js := func(s string) string { return hex.EncodeToString([]byte(s)) }
+	want := "54424d545243310a" + // "TBMTRC1\n"
+		"0000001f" + "0619c610" + js(`{"objects":5,"seq":9,"epoch":4}`) +
+		"00000081" + "5473420e" + js(`{"seq":1,"at_ns":0,"method":"GET","path":"/v1/objects/a","route":"object","status":200,"digest":"d1","epoch":3,"latency_ns":1000}`)
+	if h := hex.EncodeToString(got); h != want {
+		t.Errorf("trace bytes:\n got %s\nwant %s", h, want)
+	}
 }
 
 // FuzzTraceDecode feeds parseTrace — what tbmload replay reads off
