@@ -202,18 +202,31 @@ func (db *DB) decodeTrack(obj *core.Object) (*derive.Value, error) {
 	}
 }
 
+// decodeVJPGTrack decodes every frame of a vjpg track through one
+// decoder, so the frames share its YUV scratch; each still owns its
+// pixels, because a cut shares frames with its source and the cache
+// accounts for each value on its own.
 func decodeVJPGTrack(it *interp.Interpretation, tr *interp.Track) (*derive.Value, error) {
+	w, h := tr.MediaType().Dimensions()
 	frames := make([]*frame.Frame, tr.Len())
+	var dec codec.VJPGDecoder
 	for i := range frames {
 		layers, err := it.PayloadLayers(tr.Name(), i, -1)
 		if err != nil {
 			return nil, err
 		}
+		layered := len(layers) >= 2
+		bw, bh := w, h
+		if layered { // the base layer is half size, as downsample2 makes it
+			bw, bh = (w+1)/2, (h+1)/2
+		}
 		var f *frame.Frame
-		if len(layers) >= 2 {
-			f, err = codec.VJPGDecodeLayered(layers[0], layers[1])
-		} else {
-			f, err = codec.VJPGDecode(layers[0])
+		if err = checkVJPGDims(layers[0], bw, bh); err == nil {
+			if layered {
+				f, err = codec.VJPGDecodeLayered(layers[0], layers[1])
+			} else {
+				f, err = dec.Decode(layers[0])
+			}
 		}
 		if err != nil {
 			return nil, fmt.Errorf("catalog: %s[%d]: %w", tr.Name(), i, err)
@@ -223,14 +236,37 @@ func decodeVJPGTrack(it *interp.Interpretation, tr *interp.Track) (*derive.Value
 	return derive.VideoValue(frames, tr.MediaType().Time), nil
 }
 
+// checkVJPGDims refuses a vjpg frame whose header claims another size
+// than its track's, before anything of the claimed size is allocated:
+// three zero runs validly encode a frame of any size in a few bytes, so
+// only the track can say how big a frame may be.
+func checkVJPGDims(data []byte, w, h int) error {
+	fw, fh, err := codec.VJPGDims(data)
+	if err != nil {
+		return err
+	}
+	if fw != w || fh != h {
+		return fmt.Errorf("%w: frame is %dx%d, track is %dx%d", codec.ErrCorrupt, fw, fh, w, h)
+	}
+	return nil
+}
+
 func decodeVMPGTrack(it *interp.Interpretation, tr *interp.Track) (*derive.Value, error) {
+	w, h := tr.MediaType().Dimensions()
 	packets := make([]codec.VMPGPacket, tr.Len())
 	for i := range packets {
 		data, err := it.Payload(tr.Name(), i)
 		if err != nil {
 			return nil, err
 		}
-		packets[i] = codec.VMPGPacket{Data: data, Index: i, Key: tr.Stream().At(i).Desc.Key}
+		key := tr.Stream().At(i).Desc.Key
+		// Keys are vjpg frames; intermediates are checked against them.
+		if key {
+			if err := checkVJPGDims(data, w, h); err != nil {
+				return nil, fmt.Errorf("catalog: %s[%d]: %w", tr.Name(), i, err)
+			}
+		}
+		packets[i] = codec.VMPGPacket{Data: data, Index: i, Key: key}
 	}
 	frames, err := codec.VMPGDecode(packets)
 	if err != nil {

@@ -6,7 +6,7 @@
 //     with per-block varying parameters — the paper's example of a
 //     heterogeneous stream.
 //   - vjpg: an intraframe transform-free image codec (quantize +
-//     horizontal prediction + RLE/varint entropy). Every frame is a
+//     2-D DPCM prediction + RLE/varint entropy). Every frame is a
 //     key frame, so rearrangement/reverse play is easy — the
 //     structural property the paper attributes to (M)JPEG.
 //   - vmpg: an interframe codec with key frames and interpolated

@@ -53,24 +53,80 @@ func YUV422ToRGB(f *frame.Frame) (*frame.Frame, error) {
 	if f.Model != media.ColorYUV422 {
 		return nil, fmt.Errorf("%w: YUV422ToRGB requires YUV input, got %v", ErrBadGeometry, f.Model)
 	}
-	w, h := f.Width, f.Height
+	out := frame.New(f.Width, f.Height, media.ColorRGB)
+	yuv422ToRGB(out.Pix, f.Pix, f.Width, f.Height)
+	return out, nil
+}
+
+// The BT.601-style inverse transform, per pixel:
+//
+//	r = (298(Y-16) + 409(V-128) + 128) >> 8
+//	g = (298(Y-16) - 100(U-128) - 208(V-128) + 128) >> 8
+//	b = (298(Y-16) + 516(U-128) + 128) >> 8
+//
+// each clamped to a byte. The tables hold every product by the stored
+// byte. The luma term also carries the rounding constant and a bias of
+// clampBias<<8, so each shifted sum lands in clampTab already offset:
+// over all inputs it spans [-277, 534] + clampBias, inside the table.
+const clampBias = 384
+
+var (
+	lumaTerm, redV, greenU, greenV, blueU [256]int32
+	clampTab                              [1024]byte
+)
+
+func init() {
+	for i := range 256 {
+		c := int32(i) - 128
+		lumaTerm[i] = 298*(int32(i)-16) + 128 + clampBias<<8
+		redV[i], greenU[i], greenV[i], blueU[i] = 409*c, -100*c, -208*c, 516*c
+	}
+	for i := range clampTab {
+		clampTab[i] = clamp8(i - clampBias)
+	}
+}
+
+// chromaTerms returns the red, green and blue chroma products of one
+// chroma sample, shared by the two pixels it covers.
+func chromaTerms(u, v byte) (rv, guv, bu int32) {
+	return redV[v], greenU[u] + greenV[v], blueU[u]
+}
+
+// rgbPixel writes one pixel from its luma byte and its chroma terms.
+// The index mask never changes a value (see clampBias); it lets the
+// compiler drop the bounds check.
+func rgbPixel(o []byte, y byte, rv, guv, bu int32) {
+	_ = o[2]
+	luma := lumaTerm[y]
+	o[0] = clampTab[(luma+rv)>>8&1023]
+	o[1] = clampTab[(luma+guv)>>8&1023]
+	o[2] = clampTab[(luma+bu)>>8&1023]
+}
+
+// yuv422ToRGB converts the planar YUV 8:2:2 buffer src of w×h into the
+// interleaved RGB buffer dst, a row at a time and two pixels per chroma
+// sample.
+func yuv422ToRGB(dst, src []byte, w, h int) {
 	cw := (w + 1) / 2
-	yPlane := f.Pix[:w*h]
-	uPlane := f.Pix[w*h : w*h+cw*h]
-	vPlane := f.Pix[w*h+cw*h:]
-	out := frame.New(w, h, media.ColorRGB)
+	yPlane := src[:w*h]
+	uPlane := src[w*h : w*h+cw*h]
+	vPlane := src[w*h+cw*h:]
 	for y := 0; y < h; y++ {
-		for x := 0; x < w; x++ {
-			yy := int(yPlane[y*w+x]) - 16
-			u := int(uPlane[y*cw+x/2]) - 128
-			v := int(vPlane[y*cw+x/2]) - 128
-			r := (298*yy + 409*v + 128) >> 8
-			g := (298*yy - 100*u - 208*v + 128) >> 8
-			b := (298*yy + 516*u + 128) >> 8
-			out.SetRGB(x, y, clamp8(r), clamp8(g), clamp8(b))
+		ys := yPlane[y*w : y*w+w]
+		us := uPlane[y*cw : y*cw+cw]
+		vs := vPlane[y*cw : y*cw+cw]
+		out := dst[3*y*w : 3*y*w+3*w]
+		for cx := range w / 2 {
+			rv, guv, bu := chromaTerms(us[cx], vs[cx])
+			o, yy := out[6*cx:6*cx+6], ys[2*cx:2*cx+2]
+			rgbPixel(o[:3], yy[0], rv, guv, bu)
+			rgbPixel(o[3:], yy[1], rv, guv, bu)
+		}
+		if w%2 == 1 { // the last chroma sample covers one pixel
+			rv, guv, bu := chromaTerms(us[cw-1], vs[cw-1])
+			rgbPixel(out[3*w-3:], ys[w-1], rv, guv, bu)
 		}
 	}
-	return out, nil
 }
 
 // SeparationTable parameterizes RGB→CMYK color separation — the

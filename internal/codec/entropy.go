@@ -56,7 +56,9 @@ func entropyDecode(src []byte, n int) ([]int32, int, error) {
 		off += sz
 		if k == 0 {
 			run, sz2 := binary.Uvarint(src[off:])
-			if sz2 <= 0 || run == 0 || len(out)+int(run) > n {
+			// Compared unsigned: a run of 2^63 or more would wrap
+			// negative as an int and pass a signed bound.
+			if sz2 <= 0 || run == 0 || run > uint64(n-len(out)) {
 				return nil, 0, ErrCorrupt
 			}
 			off += sz2

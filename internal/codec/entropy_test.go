@@ -1,6 +1,7 @@
 package codec
 
 import (
+	"encoding/binary"
 	"testing"
 	"testing/quick"
 )
@@ -66,6 +67,17 @@ func TestEntropyZeroRunsCompress(t *testing.T) {
 	enc := entropyEncode(nil, vals)
 	if len(enc) > 4 {
 		t.Errorf("10000 zeros encoded to %d bytes", len(enc))
+	}
+}
+
+// TestEntropyDecodeHugeRun: a run of 2^63 or more is past the end of
+// any n, and must be refused rather than wrap to a negative length.
+func TestEntropyDecodeHugeRun(t *testing.T) {
+	for _, run := range []uint64{1 << 63, 1<<64 - 1} {
+		src := binary.AppendUvarint([]byte{0}, run)
+		if _, _, err := entropyDecode(src, 4); err != ErrCorrupt {
+			t.Errorf("run of %d: %v, want ErrCorrupt", run, err)
+		}
 	}
 }
 

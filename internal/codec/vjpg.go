@@ -9,8 +9,8 @@ import (
 )
 
 // vjpg: the intraframe codec. Pipeline (per the paper's Figure 2
-// recipe): RGB → YUV 8:2:2 → per-plane quantization → horizontal
-// prediction → RLE/varint entropy coding. Every frame decodes
+// recipe): RGB → YUV 8:2:2 → per-plane quantization inside a 2-D DPCM
+// prediction loop → RLE/varint entropy coding. Every frame decodes
 // independently, which is why vjpg streams support frame reordering
 // and reverse play cheaply — the property the paper attributes to
 // JPEG-compressed video.
@@ -57,11 +57,36 @@ func planeQuantizer(q, plane int) int {
 
 // VJPGDecode decompresses a vjpg frame back to RGB.
 func VJPGDecode(data []byte) (*frame.Frame, error) {
-	yuv, err := VJPGDecodeYUV(data)
+	var d VJPGDecoder
+	return d.Decode(data)
+}
+
+// VJPGDecoder decodes vjpg frames to RGB and keeps the YUV planes of one
+// frame as scratch for the next, so a track's frames share one planar
+// buffer instead of allocating one each. The zero value is ready to use.
+// A decoder is not safe for concurrent use.
+type VJPGDecoder struct {
+	yuv []byte
+}
+
+// Decode decompresses a vjpg frame to RGB. The frame it returns owns its
+// pixels; nothing of it stays with the decoder.
+func (d *VJPGDecoder) Decode(data []byte) (*frame.Frame, error) {
+	q, w, h, body, err := vjpgHeader(data)
 	if err != nil {
 		return nil, err
 	}
-	return YUV422ToRGB(yuv)
+	n := w*h + 2*((w+1)/2)*h
+	if cap(d.yuv) < n {
+		d.yuv = make([]byte, n)
+	}
+	yuv := d.yuv[:n]
+	if err := decodePlanes(body, yuv, w, h, q); err != nil {
+		return nil, err
+	}
+	out := frame.New(w, h, media.ColorRGB)
+	yuv422ToRGB(out.Pix, yuv, w, h)
+	return out, nil
 }
 
 // VJPGDecodeYUV decompresses a vjpg frame to the internal planar
@@ -73,15 +98,24 @@ func VJPGDecodeYUV(data []byte) (*frame.Frame, error) {
 		return nil, err
 	}
 	yuv := frame.New(w, h, media.ColorYUV422)
+	if err := decodePlanes(body, yuv.Pix, w, h, q); err != nil {
+		return nil, err
+	}
+	return yuv, nil
+}
+
+// decodePlanes decodes the Y, U and V planes of a vjpg body into pix,
+// a planar YUV 8:2:2 buffer of w×h.
+func decodePlanes(body, pix []byte, w, h, q int) error {
 	off := 0
-	for pi, p := range yuvPlanes(yuv) {
+	for pi, p := range planesOf(pix, w, h) {
 		n, err := decodePlane(body[off:], p.pix, p.w, planeQuantizer(q, pi))
 		if err != nil {
-			return nil, err
+			return err
 		}
 		off += n
 	}
-	return yuv, nil
+	return nil
 }
 
 // VJPGDims returns the dimensions recorded in a vjpg bitstream without
@@ -110,13 +144,15 @@ type plane struct {
 }
 
 // yuvPlanes exposes the three planes of a planar YUV422 frame.
-func yuvPlanes(f *frame.Frame) [3]plane {
-	w, h := f.Width, f.Height
+func yuvPlanes(f *frame.Frame) [3]plane { return planesOf(f.Pix, f.Width, f.Height) }
+
+// planesOf splits a planar YUV422 buffer of w×h into its three planes.
+func planesOf(pix []byte, w, h int) [3]plane {
 	cw := (w + 1) / 2
 	return [3]plane{
-		{pix: f.Pix[:w*h], w: w},
-		{pix: f.Pix[w*h : w*h+cw*h], w: cw},
-		{pix: f.Pix[w*h+cw*h:], w: cw},
+		{pix: pix[:w*h], w: w},
+		{pix: pix[w*h : w*h+cw*h], w: cw},
+		{pix: pix[w*h+cw*h:], w: cw},
 	}
 }
 
@@ -131,14 +167,40 @@ func yuvPlanes(f *frame.Frame) [3]plane {
 func encodePlane(dst []byte, pix []byte, width, q int) []byte {
 	vals := make([]int32, len(pix))
 	recon := make([]byte, len(pix))
-	for i, v := range pix {
-		pred := predict2D(recon, i, width)
-		r := int(v) - pred
-		rq := roundDiv(r, q)
-		vals[i] = int32(rq)
-		recon[i] = byte(reconStep(pred, rq, q))
+	for y0 := 0; y0 < len(pix); y0 += width {
+		above, left := rowStart(recon, y0, width)
+		for x, v := range pix[y0 : y0+width] {
+			pred := predict(left, above, x)
+			rq := roundDiv(int(v)-pred, q)
+			vals[y0+x] = int32(rq)
+			left = reconStep(pred, rq, q)
+			recon[y0+x] = byte(left)
+		}
 	}
 	return entropyEncode(dst, vals)
+}
+
+// rowStart returns what the 2-D predictor sees at the start of the row
+// at offset y0 of a reconstructed plane: the row above (nil on the
+// first row), and a left neighbour that makes the row's first
+// prediction come out right — 128 on the first row, the pixel above on
+// the others, since (above + above + 1) / 2 = above.
+func rowStart(recon []byte, y0, width int) (above []byte, left int) {
+	if y0 == 0 {
+		return nil, 128
+	}
+	above = recon[y0-width : y0]
+	return above, int(above[0])
+}
+
+// predict is the 2-D DPCM predictor for pixel x of a row: the
+// reconstructed left neighbour on the first row, and elsewhere the
+// rounded mean of the left and above neighbours.
+func predict(left int, above []byte, x int) int {
+	if above == nil {
+		return left
+	}
+	return (left + int(above[x]) + 1) >> 1
 }
 
 // roundDiv quantizes with a mild dead zone (rounding offset q/3
@@ -152,40 +214,82 @@ func roundDiv(r, q int) int {
 	return -((-r + q/3) / q)
 }
 
-// decodePlane reverses encodePlane, filling pix and returning the
-// number of bytes consumed.
+// decodePlane reverses encodePlane: it reads the plane's entropy tokens
+// (see entropy.go) straight into pix, row by row, and returns the
+// number of bytes consumed. It refuses what entropyDecode refuses, as
+// ErrCorrupt: a truncated or overlong varint, a zero run of length 0,
+// and a run past the plane's end.
 func decodePlane(src []byte, pix []byte, width, q int) (int, error) {
-	vals, n, err := entropyDecode(src, len(pix))
-	if err != nil {
-		return 0, err
+	off, zeros := 0, 0 // zeros: what is left of the current zero run
+	for y0 := 0; y0 < len(pix); y0 += width {
+		row := pix[y0 : y0+width]
+		above, left := rowStart(pix, y0, width)
+		for x := 0; x < width; {
+			if zeros > 0 {
+				// A zero residual reconstructs the prediction itself,
+				// which needs no clamp.
+				end := min(width, x+zeros)
+				zeros -= end - x
+				if above == nil {
+					for ; x < end; x++ {
+						row[x] = byte(left)
+					}
+					continue
+				}
+				left = predictRun(row[x:end], above[x:end], left)
+				x = end
+				continue
+			}
+			k, n := binary.Uvarint(src[off:])
+			if n <= 0 {
+				return 0, ErrCorrupt
+			}
+			off += n
+			if k == 0 {
+				run, n := binary.Uvarint(src[off:])
+				if n <= 0 || run == 0 || run > uint64(len(pix)-y0-x) {
+					return 0, ErrCorrupt
+				}
+				off += n
+				zeros = int(run)
+				continue
+			}
+			left = reconStep(predict(left, above, x), int(unzigzag(k)), q)
+			row[x] = byte(left)
+			x++
+		}
 	}
-	for i, d := range vals {
-		pred := predict2D(pix, i, width)
-		pix[i] = byte(reconStep(pred, int(d), q))
-	}
-	return n, nil
+	return off, nil
 }
 
-// predict2D averages the reconstructed left and above neighbors (128
-// where missing).
-func predict2D(recon []byte, i, width int) int {
-	left, above := -1, -1
-	if i%width != 0 {
-		left = int(recon[i-1])
+// predictRun reconstructs a run of zero residuals below the first row:
+// each pixel is its 2-D prediction, p = (left + above + 1) >> 1, and
+// becomes the next pixel's left. It returns the last. That chain is one
+// long serial dependency, so it is taken four pixels at a time: nested
+// halvings fold into one, ⌊(⌊n/2⌋ + m) / 2⌋ = ⌊(n + 2m) / 4⌋, which puts
+// pixel j of a block at (left + Σ_{i≤j} 2^i (above_i + 1)) >> (j+1). The
+// sums do not depend on left, so only one add and one shift per block
+// wait for the block before.
+func predictRun(out, above []byte, left int) int {
+	out = out[:len(above)]
+	for len(above) >= 4 {
+		t0 := int(above[0]) + 1
+		t1 := t0 + 2*int(above[1]) + 2
+		t2 := t1 + 4*int(above[2]) + 4
+		t3 := t2 + 8*int(above[3]) + 8
+		_ = out[3]
+		out[0] = byte((left + t0) >> 1)
+		out[1] = byte((left + t1) >> 2)
+		out[2] = byte((left + t2) >> 3)
+		left = (left + t3) >> 4
+		out[3] = byte(left)
+		out, above = out[4:], above[4:]
 	}
-	if i >= width {
-		above = int(recon[i-width])
+	for i, a := range above {
+		left = (left + int(a) + 1) >> 1
+		out[i] = byte(left)
 	}
-	switch {
-	case left >= 0 && above >= 0:
-		return (left + above + 1) / 2
-	case left >= 0:
-		return left
-	case above >= 0:
-		return above
-	default:
-		return 128
-	}
+	return left
 }
 
 // reconStep applies a dequantized residual to the prediction, clamping
@@ -265,6 +369,11 @@ func VJPGDecodeLayered(base, enh []byte) (*frame.Frame, error) {
 	h := int(binary.BigEndian.Uint16(enh[5:]))
 	if q < 1 || w == 0 || h == 0 {
 		return nil, fmt.Errorf("%w: enhancement header fields", ErrCorrupt)
+	}
+	// The base is the enhancement's size halved (see downsample2); a
+	// header claiming more would size the upsampled frame on its word.
+	if (w+1)/2 != baseRec.Width || (h+1)/2 != baseRec.Height {
+		return nil, fmt.Errorf("%w: %dx%d enhancement layer over a %dx%d base", ErrCorrupt, w, h, baseRec.Width, baseRec.Height)
 	}
 	up := upsample2(baseRec, w, h)
 	vals, _, err := entropyDecode(enh[7:], len(up.Pix))
