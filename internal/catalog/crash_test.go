@@ -291,6 +291,42 @@ func TestCrashCorruptSnapshotRecoversFromBackup(t *testing.T) {
 	}
 }
 
+// TestCrashSnapshotVersionFlipRecoversFromBackup: one flipped bit turns
+// the container's version 3 into version 2, whose chunk frames all
+// still verify. That is damage, not another build's healthy file — the
+// version 3 trailer checksum covers the header — so Open quarantines
+// the snapshot and loads the backup.
+func TestCrashSnapshotVersionFlipRecoversFromBackup(t *testing.T) {
+	dir, fs := corruptDBSetup(t)
+	path := SnapshotFile(dir)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if data[11] != 3 {
+		t.Fatalf("snapshot header %q, want container version 3", data[:12])
+	}
+	data[11] ^= 0x01
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	db, err := Open(dir, fs)
+	if err != nil {
+		t.Fatalf("Open = %v, want a quarantine and the backup", err)
+	}
+	defer db.CloseJournal()
+	if rec := db.Recovery(); !rec.UsedBackup || rec.Quarantined == "" {
+		t.Fatalf("recovery = %+v", rec)
+	}
+	if _, err := db.Lookup("clip"); err != nil {
+		t.Errorf("clip lost: %v", err)
+	}
+	if _, err := db.Lookup("cut"); !errors.Is(err, ErrNotFound) {
+		t.Errorf("cut = %v, want ErrNotFound (backup predates it)", err)
+	}
+}
+
 func TestCrashTruncatedSnapshotRecoversFromBackup(t *testing.T) {
 	dir, fs := corruptDBSetup(t)
 	path := SnapshotFile(dir)

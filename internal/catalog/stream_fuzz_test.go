@@ -157,7 +157,7 @@ func FuzzCatalogStreamDecode(f *testing.F) {
 			t.Fatal(err)
 		}
 		view, seq, nextID := db.cur.Load(), db.seq, db.nextID
-		writeV2(t, path, payload)
+		writeContainer(t, path, payload)
 		err := db.readSnapshotInto(path)
 		if err == nil {
 			return

@@ -350,8 +350,9 @@ func TestReopenAfterJournaledReaderDeleted(t *testing.T) {
 var fixtureAttrs = map[string]string{"language": "fr", "rights": "cleared", "title": "closing shot"}
 
 // writeFormatFixtureHistory runs the fixed history behind
-// testdata/format_pr24 in dir: a full snapshot, one delta over it with a
-// delete that collects a BLOB the snapshot names, and a journal tail.
+// testdata/format_pr30 (and format_pr24 before it) in dir: a full
+// snapshot, one delta over it with a delete that collects a BLOB the
+// snapshot names, and a journal tail.
 func writeFormatFixtureHistory(t *testing.T, dir string) {
 	t.Helper()
 	db := openDB(t, dir)
@@ -376,13 +377,48 @@ func writeFormatFixtureHistory(t *testing.T, dir string) {
 	}
 }
 
+// isContainer reports whether a database file is a snapshot container.
+func isContainer(name string) bool {
+	return name == snapshotName || strings.HasSuffix(name, ".ckpt")
+}
+
+// containerView is what pins a snapshot or chain file: its 12-byte
+// container header and the payload inside, byte for byte — not the
+// DEFLATE bytes one toolchain's compress/flate chose for it.
+func containerView(t *testing.T, path string) string {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(data[:12]) + string(payloadOf(t, path))
+}
+
+// openDump opens a copy of a fixture directory, without the named
+// file if drop is not empty, and renders what queries can return.
+func openDump(t *testing.T, fixture, drop string) string {
+	t.Helper()
+	dir := t.TempDir()
+	copyTree(t, fixture, dir)
+	if drop != "" {
+		if err := os.Remove(filepath.Join(dir, drop)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	db := openDB(t, dir)
+	defer db.CloseJournal()
+	return catalogDump(db)
+}
+
 // TestRecoverFormatFixture pins the on-disk format:
-// testdata/format_pr24 is what the commit that gave the journal record
-// its fixed layout wrote for the fixture history. It must open —
-// snapshot, delta chain, MANIFEST, segments, BLOBs — and this tree must
-// write the same bytes for the same history.
+// testdata/format_pr30 is what the commit that DEFLATE-packed the
+// snapshot container's chunks wrote for the fixture history. It must
+// open — snapshot, delta chain, MANIFEST, segments, BLOBs — and this
+// tree must write the same bytes for the same history: MANIFEST,
+// journal and BLOB files byte for byte, and each container's header
+// and inflated payload byte for byte.
 func TestRecoverFormatFixture(t *testing.T) {
-	const fixture = "testdata/format_pr24"
+	const fixture = "testdata/format_pr30"
 	dir := t.TempDir()
 	copyTree(t, fixture, dir)
 	db := openDB(t, dir)
@@ -420,39 +456,63 @@ func TestRecoverFormatFixture(t *testing.T) {
 		t.Errorf("the history leaves %d files, the fixture has %d", len(now), len(was))
 	}
 	for _, e := range was {
-		a, _ := os.ReadFile(filepath.Join(fixture, e.Name()))
-		b, err := os.ReadFile(filepath.Join(fresh, e.Name()))
-		if err != nil || !bytes.Equal(a, b) {
-			t.Errorf("%s: %d bytes written now (%v), %d in the fixture, or they differ", e.Name(), len(b), err, len(a))
+		name := e.Name()
+		a, _ := os.ReadFile(filepath.Join(fixture, name))
+		b, err := os.ReadFile(filepath.Join(fresh, name))
+		switch {
+		case err != nil:
+			t.Error(err)
+		case isContainer(name):
+			if containerView(t, filepath.Join(fixture, name)) != containerView(t, filepath.Join(fresh, name)) {
+				t.Errorf("%s: header or payload differs from the fixture's", name)
+			}
+		case !bytes.Equal(a, b):
+			t.Errorf("%s: %d bytes written now, %d in the fixture, or they differ", name, len(b), len(a))
 		}
 	}
 
-	// Against testdata/format_pr22, the same history (its last cut without
-	// attributes) as the last commit to change a snapshot byte wrote it:
-	// the fixed record layout moved the journal segment and nothing else.
-	// MANIFEST and the BLOB files are the same bytes. The snapshot and the
-	// delta are the same length, not the same bytes: gob numbers types
-	// process-wide in order of first encoding, and the six types journal
-	// records no longer encode shift every later id down. What has to hold
-	// for those two is what an upgrade relies on — without its journal
-	// segment, the older directory opens as the same catalog.
-	const older, segment = "testdata/format_pr22", "journal.000003.log"
-	withoutJournal := func(fixture string) string {
-		dir := t.TempDir()
-		copyTree(t, fixture, dir)
-		if err := os.Remove(filepath.Join(dir, segment)); err != nil {
-			t.Fatal(err)
-		}
-		db := openDB(t, dir)
-		defer db.CloseJournal()
-		return catalogDump(db)
-	}
-	if got, want := withoutJournal(older), withoutJournal(fixture); got != want {
-		t.Errorf("the PR 22 snapshot and chain open as\n%s\nwant what this build's open as:\n%s", got, want)
-	}
+	// Against testdata/format_pr24, the same history as the last commit
+	// before packed chunks wrote it: version 2 containers, which store the
+	// payload as it is. Each of its containers is exactly what version 2
+	// wrote around this build's payload, every other file is the same
+	// bytes, and the directory opens as the same catalog.
+	const v2 = "testdata/format_pr24"
 	for _, e := range was {
 		name := e.Name()
 		a, _ := os.ReadFile(filepath.Join(fixture, name))
+		b, err := os.ReadFile(filepath.Join(v2, name))
+		switch {
+		case err != nil:
+			t.Error(err)
+		case isContainer(name):
+			if !bytes.Equal(b, v2Container(payloadOf(t, filepath.Join(fixture, name)))) {
+				t.Errorf("%s: format_pr24 holds other than a version 2 container around this build's payload", name)
+			}
+		case !bytes.Equal(a, b):
+			t.Errorf("%s differs from format_pr24's", name)
+		}
+	}
+	if got, want := openDump(t, v2, ""), openDump(t, fixture, ""); got != want {
+		t.Errorf("format_pr24 opens as\n%s\nwant what this build's opens as:\n%s", got, want)
+	}
+
+	// Against testdata/format_pr22, the same history (its last cut without
+	// attributes) as the last commit before the journal record's fixed
+	// layout wrote it: that layout moved the journal segment and nothing
+	// else. MANIFEST and the BLOB files are the same bytes. The snapshot
+	// and the delta are the same length as format_pr24's, not the same bytes:
+	// gob numbers types process-wide in order of first encoding, and the
+	// six types journal records no longer encode shift every later id
+	// down. What has to hold for those two is what an upgrade relies on —
+	// without its journal segment, the older directory opens as the same
+	// catalog.
+	const older, segment = "testdata/format_pr22", "journal.000003.log"
+	if got, want := openDump(t, older, segment), openDump(t, v2, segment); got != want {
+		t.Errorf("format_pr22's snapshot and chain open as\n%s\nwant what format_pr24's open as:\n%s", got, want)
+	}
+	for _, e := range was {
+		name := e.Name()
+		a, _ := os.ReadFile(filepath.Join(v2, name))
 		b, err := os.ReadFile(filepath.Join(older, name))
 		if err != nil {
 			t.Error(err)
@@ -463,7 +523,7 @@ func TestRecoverFormatFixture(t *testing.T) {
 			if same {
 				t.Errorf("%s is what PR 22 wrote; want the fixed record layout", name)
 			}
-		case name == snapshotName || strings.HasSuffix(name, ".ckpt"):
+		case isContainer(name):
 			if len(a) != len(b) {
 				t.Errorf("%s: %d bytes, PR 22 wrote %d", name, len(a), len(b))
 			}
@@ -549,9 +609,36 @@ func TestCheckpointBytesCounted(t *testing.T) {
 	}
 }
 
-// writeV2 writes payload into path as a valid v2 chunked container,
-// without the fsyncs of WriteStreamSnapshot.
+// v2Container frames payload as version 2 of the snapshot container
+// wrote it, before chunks were DEFLATE-packed: magic, version 2, the
+// payload as it is in chunks of up to DefaultChunkLen, and a trailer
+// whose CRC covers the chunk CRCs alone.
+func v2Container(payload []byte) []byte {
+	out := []byte("TBMSNAP2\x00\x00\x00\x02")
+	var crcs []byte
+	total := uint64(len(payload))
+	for len(payload) > 0 {
+		k := min(len(payload), durable.DefaultChunkLen)
+		out = durable.AppendFrame(out, nil, payload[:k])
+		crcs = append(crcs, out[len(out)-k-4:len(out)-k]...)
+		payload = payload[k:]
+	}
+	out = binary.BigEndian.AppendUint32(out, 0)
+	out = binary.BigEndian.AppendUint32(out, crc32.Checksum(crcs, crc32.MakeTable(crc32.Castagnoli)))
+	return binary.BigEndian.AppendUint64(out, total)
+}
+
+// writeV2 writes payload into path as a valid version 2 container.
 func writeV2(t testing.TB, path string, payload []byte) {
+	t.Helper()
+	if err := os.WriteFile(path, v2Container(payload), 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// writeContainer writes payload into path as this build writes a
+// container, without the fsyncs of WriteStreamSnapshot.
+func writeContainer(t testing.TB, path string, payload []byte) {
 	t.Helper()
 	var buf bytes.Buffer
 	cw := durable.NewChunkWriter(&buf)
@@ -592,6 +679,7 @@ func TestForeignSnapshotFormatRefused(t *testing.T) {
 		found string // the payload's first bytes, as the error names them
 	}{
 		{"TBMCATS1 in a v2 container", func(t *testing.T, p string) { writeV2(t, p, cats1) }, ErrSnapshotFormat, "TBMCATS1"},
+		{"TBMCATS1 in a v3 container", func(t *testing.T, p string) { writeContainer(t, p, cats1) }, ErrSnapshotFormat, "TBMCATS1"},
 		{"whole-catalog gob in a v1 frame", func(t *testing.T, p string) {
 			// magic, version 1, length, payload, CRC-32C over all but the magic
 			frame := append([]byte("TBMSNAP\x31"), 0, 0, 0, 1)

@@ -1,7 +1,7 @@
 // Package durable provides crash-safe file persistence primitives for
 // the catalog: the one length + CRC-32C frame codec every checksummed
-// format is a prefix over (frame.go), a chunked snapshot container
-// built on it (stream.go),
+// format is a prefix over (frame.go), a chunked, DEFLATE-packed
+// snapshot container built on it (stream.go),
 // the one atomic file replacement every durable file goes through
 // (ReplaceFile), quarantine of corrupt files, directory locks, and
 // retry-with-backoff for transient store errors. It imports nothing
@@ -54,7 +54,8 @@ func SyncDir(dir string) error {
 // streams into path.tmp, the tmp is fsynced, an existing path rotates
 // to path.bak when keepBackup is set, the tmp renames into place, and
 // the parent directory is fsynced. After a crash at any point path (or
-// path.bak) holds a complete previous state.
+// path.bak) holds a complete previous state; after a failure at any
+// step no path.tmp is left behind.
 func ReplaceFile(path string, keepBackup bool, write func(io.Writer) error) error {
 	tmp := path + ".tmp"
 	f, err := os.Create(tmp)
@@ -87,6 +88,7 @@ func ReplaceFile(path string, keepBackup bool, write func(io.Writer) error) erro
 		}
 	}
 	if err := os.Rename(tmp, path); err != nil {
+		os.Remove(tmp)
 		return fmt.Errorf("durable: %w", err)
 	}
 	return SyncDir(filepath.Dir(path))

@@ -3,6 +3,7 @@ package durable
 import (
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"testing"
@@ -63,5 +64,25 @@ func TestRetryTransient(t *testing.T) {
 		return ErrTransient
 	}); !IsTransient(err) || calls != 3 {
 		t.Errorf("exhaustion: err=%v calls=%d", err, calls)
+	}
+}
+
+// TestReplaceFileRenameFailureLeavesNoTmp: when the final rename fails
+// — path is a non-empty directory — ReplaceFile returns the error and
+// removes path.tmp, as every earlier failure branch does.
+func TestReplaceFileRenameFailureLeavesNoTmp(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "snap")
+	if err := os.MkdirAll(filepath.Join(path, "child"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	err := ReplaceFile(path, false, func(w io.Writer) error {
+		_, err := w.Write([]byte("new generation"))
+		return err
+	})
+	if err == nil {
+		t.Fatal("a file renamed over a non-empty directory")
+	}
+	if _, err := os.Stat(path + ".tmp"); !os.IsNotExist(err) {
+		t.Errorf("tmp file survives a failed rename: %v", err)
 	}
 }
