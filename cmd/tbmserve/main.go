@@ -154,11 +154,11 @@ func catalogOptions(cfg config, reg *telemetry.Registry) []catalog.Option {
 
 func logRecovery(db *catalog.DB) {
 	if rec := db.Recovery(); rec.UsedBackup || rec.JournalRecords > 0 || rec.JournalTorn ||
-		rec.CheckpointChainBroken || rec.ManifestCorrupt {
-		log.Printf("recovery: backup=%v quarantined=%q checkpoints: %d applied, %d skipped, broken=%v manifest_corrupt=%v journal: %d records over %d segments, %d skipped, torn=%v",
+		rec.CheckpointChainBroken || rec.ManifestCorrupt || rec.BlobsSwept > 0 {
+		log.Printf("recovery: backup=%v quarantined=%q checkpoints: %d applied, %d skipped, broken=%v manifest_corrupt=%v journal: %d records over %d segments, %d skipped, torn=%v blobs_swept=%d",
 			rec.UsedBackup, rec.Quarantined, rec.CheckpointsApplied, rec.CheckpointsSkipped,
 			rec.CheckpointChainBroken, rec.ManifestCorrupt,
-			rec.JournalRecords, rec.SegmentsReplayed, rec.JournalSkipped, rec.JournalTorn)
+			rec.JournalRecords, rec.SegmentsReplayed, rec.JournalSkipped, rec.JournalTorn, rec.BlobsSwept)
 	}
 }
 

@@ -77,6 +77,9 @@ type Store interface {
 	Open(id ID) (BLOB, error)
 	// Delete removes a BLOB.
 	Delete(id ID) error
+	// Reserve makes every later Create return an ID of at least next:
+	// IDs below it were handed out where the store cannot see.
+	Reserve(next ID)
 	// IDs lists existing BLOBs in ascending order.
 	IDs() ([]ID, error)
 	// Stats exposes the store-wide I/O counters.
@@ -128,6 +131,13 @@ func (s *MemStore) Delete(id ID) error {
 	}
 	delete(s.blobs, id)
 	return nil
+}
+
+// Reserve implements Store.
+func (s *MemStore) Reserve(next ID) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.next = max(s.next, next)
 }
 
 // IDs implements Store.

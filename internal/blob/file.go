@@ -108,16 +108,11 @@ func (s *FileStore) Open(id ID) (BLOB, error) {
 	return b, nil
 }
 
-// Reserve advances the ID allocator past id. Replication installs a
-// primary's payload files directly into the directory after the store
-// was opened; without reserving their IDs a later Create (on a
-// promoted follower) would collide with an installed file.
-func (s *FileStore) Reserve(id ID) {
+// Reserve implements Store.
+func (s *FileStore) Reserve(next ID) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if id >= s.next {
-		s.next = id + 1
-	}
+	s.next = max(s.next, next)
 }
 
 // Delete implements Store.

@@ -46,6 +46,9 @@ func (s *observedStore) Open(id ID) (BLOB, error) {
 // Delete implements Store.
 func (s *observedStore) Delete(id ID) error { return s.inner.Delete(id) }
 
+// Reserve implements Store.
+func (s *observedStore) Reserve(next ID) { s.inner.Reserve(next) }
+
 // IDs implements Store.
 func (s *observedStore) IDs() ([]ID, error) { return s.inner.IDs() }
 

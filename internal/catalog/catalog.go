@@ -75,6 +75,11 @@ type DB struct {
 	nextID  core.ID
 	nShards int
 
+	// nextBlob is one past the newest BLOB an applied interpretation
+	// record named; recovery reserves it in the store, so no BLOB ID is
+	// handed out twice.
+	nextBlob blob.ID
+
 	// cur is the published epoch; ring retains recent predecessors for
 	// epoch-pinned reads (ViewAt).
 	cur  atomic.Pointer[View]
@@ -147,14 +152,6 @@ type DB struct {
 	// Transaction-time versioning (versions.go): verRetention bounds
 	// each object's version chain.
 	verRetention int
-
-	// lostBlobs holds the registrations a snapshot or journal record
-	// named whose BLOB the store no longer has, with the store's error;
-	// lostObjs the objects replay could not rebuild because they read
-	// one (see applyLostLocked). Recovery settles and empties both
-	// (checkLostBlobs); replicated apply only remembers.
-	lostBlobs map[blob.ID]error
-	lostObjs  map[core.ID]error
 
 	// replayCap, when non-zero, stops journal replay past this seq: the
 	// catalog comes back exactly as of transaction-time replayCap. The
@@ -303,8 +300,6 @@ func New(store blob.Store, opts ...Option) *DB {
 		walSegmentBytes:   cfg.walSegmentBytes,
 		walSegmentRecords: cfg.walSegmentRecords,
 		verRetention:      cfg.versionRetention,
-		lostBlobs:         map[blob.ID]error{},
-		lostObjs:          map[core.ID]error{},
 		replayCap:         cfg.replayCap,
 		cache:             expcache.New[core.ID, *derive.Value](cfg.cacheCapacity),
 	}
@@ -455,12 +450,12 @@ func (db *DB) commitAdds(recs []*walOp) (int, error) {
 // commitSerial is the other discipline, for records that revise or
 // remove what readers can already see — a sync, a delete: validate →
 // journal → apply, all under db.mu. Nothing is published before its
-// record is durable, so nothing ever has to be rolled back (a delete's
-// BLOB collection could not be), and no competing mutation slips
-// between the validation and the apply: a derivation staged against an
-// object while its delete record was in flight would diverge live
-// state from replay. The price is an fsync waited for under the lock;
-// both mutators are rare — no served route calls either.
+// record is durable, so nothing ever has to be rolled back, and no
+// competing mutation slips between the validation and the apply: a
+// derivation staged against an object while its delete record was in
+// flight would diverge live state from replay. The price is an fsync
+// waited for under the lock; both mutators are rare — no served route
+// calls either.
 func (db *DB) commitSerial(rec *walOp) error {
 	db.commitGate.RLock()
 	defer db.commitGate.RUnlock()
@@ -509,6 +504,10 @@ func (db *DB) stageOpLocked(rec *walOp, prior []*walOp) error {
 		_, dup := db.stagedInterps[rec.Blob]
 		if dup || cur.interps.has(rec.Blob) {
 			return fmt.Errorf("catalog: %v already interpreted", rec.Blob)
+		}
+		// A tombstone ends a BLOB's history: the next checkpoint unlinks it.
+		if c, ok := cur.interpVers.get(rec.Blob); ok && c.tail().val == nil {
+			return fmt.Errorf("catalog: %v was collected: %w", rec.Blob, blob.ErrNotFound)
 		}
 		if db.wal != nil && rec.Interp == nil {
 			// A journal was attached between RegisterInterpretation's
@@ -756,6 +755,7 @@ func (db *DB) publishLocked(recs []*walOp) {
 			e.appendInterpVersion(it, rec.Seq)
 			db.dirtyInterps[it.BlobID()] = struct{}{}
 			delete(db.dirtyDelInterp, it.BlobID())
+			db.nextBlob = max(db.nextBlob, it.BlobID()+1)
 			continue
 		}
 		obj := db.staged[rec.Name]

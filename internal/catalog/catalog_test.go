@@ -699,6 +699,9 @@ func TestDeleteRefusesWhileReferenced(t *testing.T) {
 	}
 }
 
+// TestDeleteCollectsBlob: the delete of a BLOB's last reader collects
+// its interpretation at once and its bytes at the next snapshot — with
+// no journal, the first durable record of the delete.
 func TestDeleteCollectsBlob(t *testing.T) {
 	db := memDB()
 	id, _ := db.Ingest("clip", genVideo(2, 1), IngestOptions{})
@@ -709,6 +712,12 @@ func TestDeleteCollectsBlob(t *testing.T) {
 	}
 	if _, err := db.Interpretation(blobID); !errors.Is(err, ErrNoInterp) {
 		t.Error("interpretation not collected")
+	}
+	if _, err := db.Store().Open(blobID); err != nil {
+		t.Errorf("blob collected before anything durable recorded the delete: %v", err)
+	}
+	if err := db.Save(t.TempDir()); err != nil {
+		t.Fatal(err)
 	}
 	if _, err := db.Store().Open(blobID); err == nil {
 		t.Error("blob not collected")

@@ -31,7 +31,8 @@ package catalog
 //	after the file, before the manifest           → the new file is an
 //	  orphan the manifest never references; replay covers the records.
 //	after the manifest, before compaction         → superseded segments
-//	  linger; replay skips their records via sequence numbers.
+//	  linger; replay skips their records via sequence numbers. Open
+//	  sweeps the BLOBs the checkpoint collected but did not unlink.
 //
 // The delta-skip rule at load (a chain file whose Seq <= the state's
 // current sequence adds nothing and is skipped) additionally covers a
@@ -144,11 +145,13 @@ var catalogStreamPreamble = [8]byte{'T', 'B', 'M', 'C', 'A', 'T', 'S', '3'}
 // 0), the slice since the previous checkpoint for a delta. Deleted
 // IDs ride in the head (they are tiny) and name what a delta removes
 // from the state below it even when retention left no chain to carry
-// the tombstone; VerFloor is the capture-time version floor.
+// the tombstone; VerFloor is the capture-time version floor. NextBlob
+// (DB.nextBlob) is 0 in a file written before it.
 type streamHead struct {
 	FromSeq    uint64
 	Seq        uint64
 	NextID     core.ID
+	NextBlob   blob.ID
 	DelObjects []core.ID
 	DelInterps []blob.ID
 	VerFloor   uint64
@@ -337,9 +340,8 @@ func openStream(path string) (*catalogStream, error) {
 // failure at any point leaves the DB exactly as it was. Anything wrong
 // with the bytes or what they describe is ErrCorruptSnapshot; store
 // I/O failures pass through untyped so callers don't quarantine a
-// healthy file. A registration whose BLOB the store no longer has is
-// remembered rather than fatal: the delete that collected it may sit
-// in a later delta or in the journal (see checkLostBlobs). Assumes
+// healthy file. A registration whose BLOB is gone is skipped: a later
+// file holds its tombstone, or relinkAllLocked fails the load. Assumes
 // db.mu is held or the DB is unshared; does not link indexes (raw
 // inserts — relinkAllLocked runs once the whole base + chain state is
 // present).
@@ -364,7 +366,6 @@ func (db *DB) applyStream(s *catalogStream) error {
 			touched = append(touched, chainRef{id, name})
 		}
 	}
-	lost := map[blob.ID]error{}
 	for i := 0; i < head.NumRecords; i++ {
 		var rec verRecord
 		if err := s.dec.Decode(&rec); err != nil {
@@ -391,7 +392,6 @@ func (db *DB) applyStream(s *catalogStream) error {
 		case rec.Kind == recInterp && rec.Interp != nil:
 			b, err := db.openBlob(rec.Interp.BlobID)
 			if errors.Is(err, blob.ErrNotFound) {
-				lost[rec.Interp.BlobID] = err
 				break
 			}
 			if err != nil {
@@ -421,15 +421,9 @@ func (db *DB) applyStream(s *catalogStream) error {
 		return fmt.Errorf("%w: %v", ErrCorruptSnapshot, err)
 	}
 	db.commitEditLocked(e)
-	for bid, err := range lost {
-		db.lostBlobs[bid] = err
-	}
-	if head.Seq > db.seq {
-		db.seq = head.Seq
-	}
-	if head.NextID > db.nextID {
-		db.nextID = head.NextID
-	}
+	db.seq = max(db.seq, head.Seq)
+	db.nextID = max(db.nextID, head.NextID)
+	db.nextBlob = max(db.nextBlob, head.NextBlob)
 	return nil
 }
 
@@ -445,40 +439,6 @@ func (db *DB) openBlob(id blob.ID) (blob.BLOB, error) {
 		return nil, fmt.Errorf("catalog: interpretation of missing %v: %w", id, err)
 	}
 	return b, nil
-}
-
-// checkLostBlobs settles the registrations applyStream and journal
-// replay could not import because their BLOB is gone. That is what an
-// acknowledged delete leaves behind when it collected the last reader's
-// BLOB after the record naming it was written, and by now — checkpoint
-// chain applied, journal replayed — that delete has been seen. An
-// object that is still live, or was never deleted (lostObjs), while
-// reading such a BLOB means the payload was lost some other way, and
-// the load fails with the store's error rather than serve a catalog
-// with a hole in it.
-func (db *DB) checkLostBlobs() error {
-	if len(db.lostBlobs) == 0 {
-		return nil // the usual case: no pass over the objects
-	}
-	for _, err := range db.lostObjs {
-		return err
-	}
-	cur := db.cur.Load()
-	for _, sh := range cur.shards {
-		var err error
-		sh.objects.ascend(func(_ core.ID, o *core.Object) bool {
-			if lost, ok := db.lostBlobs[o.Blob]; ok && !cur.interps.has(o.Blob) {
-				err = lost
-			}
-			return err == nil
-		})
-		if err != nil {
-			return err
-		}
-	}
-	clear(db.lostBlobs)
-	clear(db.lostObjs)
-	return nil
 }
 
 // dirtySets is the swapped-out dirty state of one checkpoint attempt:
@@ -553,7 +513,7 @@ func (db *DB) hook(stage string) {
 // objects exist and no append is in flight).
 func (db *DB) captureDeltaLocked(fromSeq uint64) (*snapCapture, error) {
 	cur := db.cur.Load()
-	cap := &snapCapture{head: streamHead{FromSeq: fromSeq, Seq: db.seq, NextID: db.nextID}}
+	cap := &snapCapture{head: streamHead{FromSeq: fromSeq, Seq: db.seq, NextID: db.nextID, NextBlob: db.nextBlob}}
 	for si := range db.dirty {
 		vers := cur.shards[si].vers
 		for _, ids := range []map[core.ID]struct{}{db.dirty[si].objs, db.dirty[si].del} {
@@ -672,6 +632,7 @@ func (db *DB) checkpointDeltaLocked(dir string, m *wal.Manifest) error {
 	}
 	db.manifest = nm
 	db.hook("manifest")
+	db.unlinkCollected(dirty.delInterps)
 
 	keep := make(map[uint64]bool, len(nm.Checkpoints))
 	for _, n := range nm.Checkpoints {

@@ -16,9 +16,8 @@ var ErrInUse = errors.New("catalog: object is referenced by others")
 // Delete removes an object from the catalog. It refuses while any
 // other object references it (as a derivation input or composition
 // component). When the last object bound to a BLOB disappears, the
-// BLOB and its interpretation are garbage-collected — destructively,
-// which is why a delete is a serial commit (commitSerial): its record
-// is durable before anything is removed.
+// BLOB's interpretation is tombstoned; its file goes only once a
+// checkpoint covers the tombstone (see unlinkCollected).
 func (db *DB) Delete(id core.ID) error {
 	return db.commitSerial(&walOp{Kind: opDelete, ID: id})
 }
@@ -97,12 +96,12 @@ func (db *DB) deleteLocked(id core.ID, seq uint64) error {
 	return nil
 }
 
-// maybeCollectBlob drops the BLOB's interpretation from the edit and
-// deletes its payload when no object in the edit's working state (nor
-// any staged object) still reads it. Staged objects keep their BLOB
-// alive like visible ones do. The collection is recorded as an
-// interpretation tombstone at seq so as-of reads know the history
-// ends there. Assumes db.mu is held.
+// maybeCollectBlob drops the BLOB's interpretation from the edit when
+// no object in the edit's working state (nor any staged object) still
+// reads it. Staged objects keep their BLOB alive like visible ones do.
+// The collection is recorded as an interpretation tombstone at seq, so
+// as-of reads know the history ends there, and the BLOB is marked for
+// the next checkpoint to unlink. Assumes db.mu is held.
 func (db *DB) maybeCollectBlob(e *viewEdit, id blob.ID, seq uint64) {
 	for _, sh := range e.shards {
 		inUse := false
@@ -126,6 +125,34 @@ func (db *DB) maybeCollectBlob(e *viewEdit, id blob.ID, seq uint64) {
 	e.appendInterpTombstone(id, seq)
 	delete(db.dirtyInterps, id)
 	db.dirtyDelInterp[id] = struct{}{}
-	// Best effort: a missing blob is already collected.
-	_ = db.store.Delete(id)
+}
+
+// unlinkCollected removes the files of the BLOBs whose tombstones a
+// checkpoint just made durable. Replay and the feed only hand over
+// records above CheckpointSeq, so none of them names a file gone this
+// way. Best effort: the next Open sweeps what this misses.
+func (db *DB) unlinkCollected(ids map[blob.ID]struct{}) {
+	for id := range ids {
+		_ = db.store.Delete(id)
+	}
+}
+
+// sweepBlobsLocked removes the BLOB files that no live interpretation
+// reads and no pending collection (dirtyDelInterp) owns: a crash left
+// them between a checkpoint and its unlinks, or mid-ingest. Best
+// effort. Assumes db.mu is held.
+func (db *DB) sweepBlobsLocked() {
+	ids, err := db.store.IDs()
+	if err != nil {
+		return
+	}
+	cur := db.cur.Load()
+	for _, id := range ids {
+		if _, pending := db.dirtyDelInterp[id]; pending || cur.interps.has(id) {
+			continue
+		}
+		if db.store.Delete(id) == nil {
+			db.recovery.BlobsSwept++
+		}
+	}
 }

@@ -109,6 +109,9 @@ type RecoveryInfo struct {
 	JournalTorn    bool   `json:"journal_torn_tail"`
 	// OpenMs is the wall time Open took at this start, milliseconds.
 	OpenMs int64 `json:"open_ms"`
+	// BlobsSwept counts the BLOB files Open removed because nothing
+	// interprets them (see sweepBlobsLocked).
+	BlobsSwept int `json:"blobs_swept"`
 
 	// Bounded-recovery accounting (see checkpoint.go): how many WAL
 	// segments replayed, how the incremental checkpoint chain applied,
@@ -247,8 +250,8 @@ func (db *DB) syncBlob(id blob.ID) error {
 }
 
 // replayAllLocked replays the WAL segments found at dir in index
-// order and then settles what the store turned out not to have
-// (checkLostBlobs) — the last step of every recovery. One sequence
+// order and then reserves the BLOB high-water mark in the store — the
+// last step of every recovery. One sequence
 // base is fixed up front for the whole log — records already captured
 // by the snapshot/chain are identified against that base, not a running
 // maximum: a checkpoint's rotation leaves the seqs on either side of
@@ -282,7 +285,8 @@ func (db *DB) replayAllLocked(dir string) error {
 			return err
 		}
 	}
-	return db.checkLostBlobs()
+	db.store.Reserve(db.nextBlob)
+	return nil
 }
 
 // applyWalLocked applies one journal record, skipping — on the header
@@ -323,15 +327,10 @@ func (db *DB) applyWalLocked(base uint64, data []byte) error {
 // applyOpLocked applies one decoded journal record — the shared core of
 // crash replay (applyWalLocked) and replication apply (ApplyReplicated).
 // It neither checks sequence numbers nor advances db.seq; callers own
-// both. A record that cannot apply because the store no longer has a
-// BLOB it needs is remembered, not failed (see applyLostLocked).
-// Assumes db.mu is held.
+// both. Assumes db.mu is held.
 func (db *DB) applyOpLocked(rec *walOp) error {
-	if db.applyLostLocked(rec) {
-		return nil
-	}
 	if err := db.applyLocked(rec); err != nil {
-		return fmt.Errorf("%w: %v", ErrReplay, err)
+		return fmt.Errorf("%w: %w", ErrReplay, err)
 	}
 	return nil
 }
@@ -356,11 +355,7 @@ func (db *DB) applyLocked(rec *walOp) error {
 		if exp.BlobID != rec.Blob {
 			return fmt.Errorf("interpretation record names %v in its envelope and %v in its payload", rec.Blob, exp.BlobID)
 		}
-		b, err := db.openBlob(exp.BlobID)
-		if errors.Is(err, blob.ErrNotFound) {
-			db.lostBlobs[exp.BlobID] = err
-			return nil
-		}
+		b, err := db.openBlob(exp.BlobID) // never collected: see unlinkCollected
 		if err != nil {
 			return err
 		}
@@ -391,53 +386,4 @@ func (db *DB) applyLocked(rec *walOp) error {
 		return fmt.Errorf("unknown op %q", rec.Kind)
 	}
 	return nil
-}
-
-// applyLostLocked is the journal's half of the missing-BLOB rule (the
-// snapshot loader's is in applyStream): an acknowledged delete collects
-// its BLOB at once, while records older than the delete still name it.
-// A record that reads something remembered as lost — a non-derived
-// object its BLOB, a derivation an input, a composition a component, a
-// sync its object — cannot be rebuilt and is remembered by ID with the
-// store's error instead of failing the replay; the delete of a
-// remembered ID disposes of it and raises the version floor, as
-// appendInterpTombstone does for history that did not survive. What is
-// still remembered when replay ends fails it (checkLostBlobs). Reports
-// whether rec was dealt with. Assumes db.mu is held.
-func (db *DB) applyLostLocked(rec *walOp) bool {
-	if len(db.lostBlobs) == 0 {
-		return false // the usual case: an object is only ever lost through a BLOB
-	}
-	var cause error
-	reads := rec.Inputs
-	switch rec.Kind {
-	case opNonDerived:
-		cause = db.lostBlobs[rec.Blob]
-	case opMultimedia:
-		for _, c := range rec.Comps {
-			reads = append(reads, c.Object)
-		}
-	case opSync, opDelete:
-		reads = []core.ID{rec.ID}
-	}
-	for _, id := range reads {
-		if err, lost := db.lostObjs[id]; lost {
-			cause = err
-		}
-	}
-	switch {
-	case cause == nil:
-		return false
-	case rec.Kind == opDelete:
-		delete(db.lostObjs, rec.ID)
-		e := db.beginEditLocked()
-		e.raiseFloor(rec.Seq)
-		db.commitEditLocked(e)
-	case rec.Kind != opSync:
-		db.lostObjs[rec.ID] = cause
-		if rec.ID >= db.nextID {
-			db.nextID = rec.ID + 1 // IDs are never re-used, lost ones included
-		}
-	}
-	return true
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"io/fs"
+	"maps"
 	"os"
 	"path/filepath"
 	"time"
@@ -158,7 +159,7 @@ func objectFromSaved(so *savedObject) (*core.Object, error) {
 // or write).
 func (db *DB) captureFullLocked() (*snapCapture, error) {
 	cur := db.cur.Load()
-	cap := &snapCapture{head: streamHead{Seq: db.seq, NextID: db.nextID}}
+	cap := &snapCapture{head: streamHead{Seq: db.seq, NextID: db.nextID, NextBlob: db.nextBlob}}
 	var err error
 	for _, sh := range cur.shards {
 		sh.vers.ascend(func(id core.ID, c *verChain) bool {
@@ -222,10 +223,18 @@ func (db *DB) saveLocked(dir string) error {
 	j := db.wal
 	if j == nil || db.walDir != filepath.Clean(dir) {
 		// No journal for dir: snapshot only, nothing to compact and no
-		// manifest to maintain.
+		// manifest to maintain. With no journal at all, it is the only
+		// durable record of the collections.
+		var collected map[blob.ID]struct{}
+		if j == nil {
+			collected = maps.Clone(db.dirtyDelInterp)
+		}
 		db.mu.RUnlock()
-		_, err = writeCapture(SnapshotFile(dir), cap)
-		return err
+		if _, err = writeCapture(SnapshotFile(dir), cap); err != nil {
+			return err
+		}
+		db.unlinkCollected(collected)
+		return nil
 	}
 	sealed, err := j.Rotate()
 	if err != nil {
@@ -255,6 +264,7 @@ func (db *DB) saveLocked(dir string) error {
 	}
 	db.manifest = nm
 	db.hook("manifest")
+	db.unlinkCollected(dirty.delInterps)
 
 	err = db.compactCoveredLocked(dir, j, sealed, nil)
 	db.observeCheckpoint(start, true, size)
@@ -381,9 +391,10 @@ func (db *DB) applyCheckpointChain(dir string, m *wal.Manifest) (bool, error) {
 // full replay) → catalog.gob (corrupt → quarantined, catalog.gob.bak
 // used; intact but in another format → ErrSnapshotFormat, file left in
 // place) → incremental checkpoint chain (already-covered deltas skip by
-// sequence; a gap marks the chain broken) → WAL segments in index
-// order, with a torn tail truncated → the lost-BLOB check
-// (checkLostBlobs). What happened is reported via
+// sequence; a gap marks the chain broken) → the index pass, which fails
+// on a live object whose BLOB is missing (relinkAllLocked) → WAL
+// segments in index order, with a torn tail truncated → the BLOB
+// high-water mark reserved in the store. What happened is reported via
 // (*DB).Recovery. Load does not attach the journal for writing — call
 // OpenJournal to log new mutations.
 func Load(dir string, store blob.Store, opts ...Option) (*DB, error) {
@@ -429,6 +440,15 @@ func Load(dir string, store blob.Store, opts ...Option) (*DB, error) {
 		if err != nil {
 			return nil, err
 		}
+		if ok && db.seq > man.CheckpointSeq {
+			// A full Save crashed between its snapshot and its MANIFEST.
+			// The snapshot holds tombstones no MANIFEST covers, and Open's
+			// sweep unlinks their BLOBs, so the feed must refuse resume
+			// points below the snapshot's seq, as that MANIFEST would.
+			m := *man
+			m.CheckpointSeq = db.seq
+			man = &m
+		}
 		if ok {
 			db.manifest = man
 		}
@@ -437,8 +457,9 @@ func Load(dir string, store blob.Store, opts ...Option) (*DB, error) {
 	// Rebuild the secondary indexes once the whole base + chain state
 	// is present — multimedia spans resolve component objects, which
 	// may appear anywhere in the stream.
-	db.relinkAllLocked()
-
+	if err := db.relinkAllLocked(); err != nil {
+		return nil, err
+	}
 	if err := db.replayAllLocked(dir); err != nil {
 		return nil, err
 	}
@@ -448,7 +469,11 @@ func Load(dir string, store blob.Store, opts ...Option) (*DB, error) {
 // Open loads the catalog at dir when any persistent state exists
 // (snapshot, backup or journal), creates a fresh one otherwise, and
 // attaches the mutation journal in both cases. This is the one-call
-// path the CLIs use.
+// path the CLIs use. It then sweeps the store (sweepBlobsLocked) —
+// unless registrations may be missing rather than gone: under
+// WithReplayCap, or after a fallback past lost state (the backup
+// snapshot, a corrupt MANIFEST, a broken checkpoint chain), whose
+// BLOBs may be all that is left of it.
 func Open(dir string, store blob.Store, opts ...Option) (*DB, error) {
 	start := time.Now()
 	db, err := open(dir, store, opts...)
@@ -456,6 +481,9 @@ func Open(dir string, store blob.Store, opts ...Option) (*DB, error) {
 		return nil, err
 	}
 	db.mu.Lock()
+	if rec := db.recovery; db.replayCap == 0 && !rec.UsedBackup && !rec.ManifestCorrupt && !rec.CheckpointChainBroken {
+		db.sweepBlobsLocked()
+	}
 	db.recovery.OpenMs = time.Since(start).Milliseconds()
 	db.mu.Unlock()
 	return db, nil

@@ -176,9 +176,16 @@ func FuzzCatalogStreamDecode(f *testing.F) {
 // objects with their sync constraints, and how many objects every
 // answerable as_of sees.
 func catalogDump(db *DB) string {
+	floor := db.CurrentView().VersionFloor()
+	return fmt.Sprintf("floor %d\n", floor) + catalogDumpFrom(db, floor)
+}
+
+// catalogDumpFrom is catalogDump with the as_of counts from seq from
+// on: what two catalogs keeping different amounts of history agree on.
+func catalogDumpFrom(db *DB, from uint64) string {
 	var sb strings.Builder
 	v := db.CurrentView()
-	fmt.Fprintf(&sb, "seq %d floor %d\n", db.Seq(), v.VersionFloor())
+	fmt.Fprintf(&sb, "seq %d\n", db.Seq())
 	for _, o := range v.Select(func(*core.Object) bool { return true }) {
 		fmt.Fprintf(&sb, "%v %v", o, o.Attrs)
 		if o.Multimedia != nil {
@@ -186,7 +193,7 @@ func catalogDump(db *DB) string {
 		}
 		sb.WriteByte('\n')
 	}
-	for seq := v.VersionFloor(); seq <= db.Seq(); seq++ {
+	for seq := from; seq <= db.Seq(); seq++ {
 		if av, err := v.AsOf(seq); err == nil {
 			fmt.Fprintf(&sb, "as_of %d: %d\n", seq, av.Len())
 		}

@@ -9,6 +9,7 @@ import (
 	"hash/crc32"
 	"maps"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"strings"
 	"sync"
@@ -176,10 +177,12 @@ func TestReloadSharesLiveStateWithChainTails(t *testing.T) {
 }
 
 // TestReopenAfterLastReaderDeleted: deleting the last reader of a BLOB
-// removes the BLOB from the store at once, while the base snapshot
-// still names its interpretation. The directory must reopen — the
-// delete was acknowledged — whether the delete is still in the journal
-// or already in an incremental checkpoint.
+// the base snapshot registers keeps the BLOB's file until a checkpoint
+// covers the delete. The directory reopens to the same catalogDump
+// whether the delete is still in the journal — file and history intact
+// — or already in an incremental checkpoint, which unlinked the file:
+// there the history that read it is gone, so as-of reads below the
+// delete are refused and the dumps agree from the delete on.
 func TestReopenAfterLastReaderDeleted(t *testing.T) {
 	for _, tc := range []struct {
 		name       string
@@ -192,42 +195,39 @@ func TestReopenAfterLastReaderDeleted(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			obj, err := db.Get(clip)
+			if err != nil {
+				t.Fatal(err)
+			}
 			savedClip(t, db, dir, "keep", 52)
 			if err := db.Delete(clip); err != nil {
 				t.Fatal(err)
 			}
-			delSeq := db.Seq()
+			floor := db.CurrentView().VersionFloor()
 			if tc.checkpoint {
 				checkpointDelta(t, db, dir)
+				floor = db.Seq()
 			}
 			if err := db.CloseJournal(); err != nil {
 				t.Fatal(err)
 			}
+			if _, err := os.Stat(blobFile(dir, obj.Blob)); (err == nil) == tc.checkpoint {
+				t.Errorf("clip's BLOB file after a checkpoint %v: %v", tc.checkpoint, err)
+			}
 
 			db2 := openDB(t, dir)
-			if _, err := db2.Lookup("clip"); !errors.Is(err, ErrNotFound) {
-				t.Errorf("deleted clip after reopen: %v", err)
-			}
-			if _, err := db2.Lookup("keep"); err != nil {
-				t.Errorf("keep lost: %v", err)
-			}
-			if db2.Len() != db.Len() {
-				t.Errorf("reopened %d objects, want %d", db2.Len(), db.Len())
-			}
 			v := db2.CurrentView()
+			if got := v.VersionFloor(); got != floor {
+				t.Errorf("version floor = %d, want %d", got, floor)
+			}
+			if got, want := catalogDumpFrom(db2, floor), catalogDumpFrom(db, floor); got != want {
+				t.Errorf("reopened as\n%s\nwant\n%s", got, want)
+			}
 			if err := v.VerifyVersions(); err != nil {
 				t.Error(err)
 			}
 			if err := v.VerifyIndexes(); err != nil {
 				t.Error(err)
-			}
-			// The clip's payload cannot be served at any earlier seq any
-			// more, so as-of reads below the delete are refused.
-			if got := v.VersionFloor(); got != delSeq {
-				t.Errorf("version floor = %d, want the delete's seq %d", got, delSeq)
-			}
-			if len(db2.lostBlobs) != 0 {
-				t.Errorf("lost-BLOB memory outlived Load: %v", db2.lostBlobs)
 			}
 			if err := db2.CloseJournal(); err != nil {
 				t.Fatal(err)
@@ -236,12 +236,12 @@ func TestReopenAfterLastReaderDeleted(t *testing.T) {
 	}
 }
 
-// TestReopenAfterJournaledReaderDeleted: the journal's half of the
-// lost-BLOB rule. A delete collects its BLOB at once, and the records
-// older than the delete that name it — the registration, readers, what
-// was built on them — may be in the journal, not in a snapshot. The
-// directory must reopen and go on taking writes and checkpoints, and a
-// follower shipped the same records must apply them (and reopen too).
+// TestReopenAfterJournaledReaderDeleted: a delete of a BLOB's last
+// reader whose records — the registration, readers, what was built on
+// them — are in the journal, not in a snapshot. The directory reopens
+// to the same catalogDump and goes on taking writes and checkpoints,
+// the checkpoint unlinking the collected BLOB; a follower shipped the
+// same records applies them to the same catalogDump, and reopens to it.
 func TestReopenAfterJournaledReaderDeleted(t *testing.T) {
 	must := func(err error) {
 		t.Helper()
@@ -294,39 +294,40 @@ func TestReopenAfterJournaledReaderDeleted(t *testing.T) {
 		}
 		check := func(got, want *DB) {
 			t.Helper()
-			v := got.CurrentView()
-			if _, err := got.Lookup("keep"); err != nil || got.Len() != 1 || got.Seq() != want.Seq() || v.VersionFloor() != want.Seq() {
-				t.Errorf("%s: %d objects (keep: %v) at seq %d, floor %d; want 1 at seq and floor %d",
-					name, got.Len(), err, got.Seq(), v.VersionFloor(), want.Seq())
+			if g, w := catalogDump(got), catalogDump(want); g != w {
+				t.Errorf("%s: opens as\n%s\nwant\n%s", name, g, w)
 			}
+			v := got.CurrentView()
 			if err := v.VerifyVersions(); err != nil {
 				t.Errorf("%s: %v", name, err)
 			}
 			if err := v.VerifyIndexes(); err != nil {
 				t.Errorf("%s: %v", name, err)
 			}
-			if len(got.lostObjs) != 0 {
-				t.Errorf("%s: deleted objects still remembered as lost: %v", name, got.lostObjs)
-			}
 		}
 
 		primary, dir := run(true)
 		db := openDB(t, dir)
 		check(db, primary)
-		if len(db.lostBlobs) != 0 {
-			t.Errorf("%s: lost-BLOB memory outlived the open: %v", name, db.lostBlobs)
+		if got := db.Recovery().BlobsSwept; got != 0 {
+			t.Errorf("%s: Open swept %d BLOBs the journal still names", name, got)
 		}
 		_, err := db.Ingest("clip", genVideo(3, 56), IngestOptions{}) // the deleted name is free again
 		must(err)
 		must(db.Checkpoint(dir))
 		must(db.CloseJournal())
-		if again := openDB(t, dir); again.Len() != 2 {
+		again := openDB(t, dir)
+		if again.Len() != 2 {
 			t.Errorf("%s: %d objects after a checkpoint and a second reopen, want 2", name, again.Len())
 		}
+		if stray := strayBlobs(t, again, dir); len(stray) != 0 {
+			t.Errorf("%s: the checkpoint left uninterpreted BLOB files %v", name, stray)
+		}
+		must(again.CloseJournal())
 
 		// The replicated-apply twin: no checkpoint, so the whole history
-		// ships; the follower reads the primary's store as it is now, the
-		// deleted clip's BLOB gone.
+		// ships, and the follower reads the primary's store, where the
+		// deleted clip's BLOB waits for a checkpoint.
 		primary, dir = run(false)
 		follower := New(primary.Store())
 		fdir := t.TempDir()
@@ -350,9 +351,9 @@ func TestReopenAfterJournaledReaderDeleted(t *testing.T) {
 var fixtureAttrs = map[string]string{"language": "fr", "rights": "cleared", "title": "closing shot"}
 
 // writeFormatFixtureHistory runs the fixed history behind
-// testdata/format_pr30 (and format_pr24 before it) in dir: a full
-// snapshot, one delta over it with a delete that collects a BLOB the
-// snapshot names, and a journal tail.
+// testdata/format_pr31 (and format_pr30 and format_pr24 before it) in
+// dir: a full snapshot, one delta over it with a delete that collects
+// a BLOB the snapshot names, and a journal tail.
 func writeFormatFixtureHistory(t *testing.T, dir string) {
 	t.Helper()
 	db := openDB(t, dir)
@@ -410,21 +411,51 @@ func openDump(t *testing.T, fixture, drop string) string {
 	return catalogDump(db)
 }
 
+// fixtureDirEnv names the directory TestFormatFixtureChild writes the
+// fixture history into. Only writeFixtureInChild sets it.
+const fixtureDirEnv = "TBM_FORMAT_FIXTURE_DIR"
+
+// writeFixtureInChild runs the fixture history in dir inside a fresh
+// process — this test binary, re-run on TestFormatFixtureChild alone.
+// Gob numbers types process-wide in order of first encoding, so in this
+// process whichever tests ran first would decide the payload's bytes.
+func writeFixtureInChild(t *testing.T, dir string) {
+	t.Helper()
+	cmd := exec.Command(os.Args[0], "-test.run=^TestFormatFixtureChild$", "-test.count=1")
+	cmd.Env = append(os.Environ(), fixtureDirEnv+"="+dir)
+	if out, err := cmd.CombinedOutput(); err != nil {
+		t.Fatalf("fixture history in a child process: %v\n%s", err, out)
+	}
+}
+
+// TestFormatFixtureChild is the child process of writeFixtureInChild,
+// and skips anywhere else. To write a fixture directory by hand:
+//
+//	TBM_FORMAT_FIXTURE_DIR=$PWD/testdata/NAME go test -run '^TestFormatFixtureChild$' .
+func TestFormatFixtureChild(t *testing.T) {
+	dir := os.Getenv(fixtureDirEnv)
+	if dir == "" {
+		t.Skip("runs as the child process of TestRecoverFormatFixture")
+	}
+	writeFormatFixtureHistory(t, dir)
+}
+
 // TestRecoverFormatFixture pins the on-disk format:
-// testdata/format_pr30 is what the commit that DEFLATE-packed the
-// snapshot container's chunks wrote for the fixture history. It must
-// open — snapshot, delta chain, MANIFEST, segments, BLOBs — and this
-// tree must write the same bytes for the same history: MANIFEST,
-// journal and BLOB files byte for byte, and each container's header
-// and inflated payload byte for byte.
+// testdata/format_pr31 is what the commit that put the BLOB high-water
+// mark in the stream head wrote for the fixture history. It must open
+// — snapshot, delta chain, MANIFEST, segments, BLOBs — and this tree
+// must write the same bytes for the same history: MANIFEST, journal and
+// BLOB files byte for byte, and each container's header and inflated
+// payload byte for byte.
 func TestRecoverFormatFixture(t *testing.T) {
-	const fixture = "testdata/format_pr30"
+	const fixture = "testdata/format_pr31"
 	dir := t.TempDir()
 	copyTree(t, fixture, dir)
 	db := openDB(t, dir)
 	rec := db.Recovery()
 	if !rec.SnapshotLoaded || rec.UsedBackup || rec.Quarantined != "" || rec.ManifestCorrupt ||
-		rec.CheckpointChainBroken || rec.CheckpointsApplied != 1 || rec.JournalRecords != 1 || rec.JournalTorn {
+		rec.CheckpointChainBroken || rec.CheckpointsApplied != 1 || rec.JournalRecords != 1 || rec.JournalTorn ||
+		rec.BlobsSwept != 0 {
 		t.Errorf("recovery of the fixture = %+v", rec)
 	}
 	for _, name := range []string{"clip", "clip-cut0", "clip-cut5", "late", "later"} {
@@ -449,7 +480,7 @@ func TestRecoverFormatFixture(t *testing.T) {
 	}
 
 	fresh := t.TempDir()
-	writeFormatFixtureHistory(t, fresh)
+	writeFixtureInChild(t, fresh)
 	was, _ := os.ReadDir(fixture)
 	now, _ := os.ReadDir(fresh)
 	if len(now) != len(was) || len(was) == 0 {
@@ -471,22 +502,43 @@ func TestRecoverFormatFixture(t *testing.T) {
 		}
 	}
 
+	// Against testdata/format_pr30, the same history as the last commit
+	// before the high-water mark wrote it: the delete unlinked its BLOB at
+	// once then, and the stream head had no NextBlob. Every file but the
+	// two containers is the same bytes, and the directory opens as the
+	// same catalog.
+	const noMark = "testdata/format_pr30"
+	for _, e := range was {
+		name := e.Name()
+		a, _ := os.ReadFile(filepath.Join(fixture, name))
+		b, err := os.ReadFile(filepath.Join(noMark, name))
+		switch {
+		case err != nil:
+			t.Error(err)
+		case !isContainer(name) && !bytes.Equal(a, b):
+			t.Errorf("%s differs from format_pr30's", name)
+		}
+	}
+	if got, want := openDump(t, noMark, ""), openDump(t, fixture, ""); got != want {
+		t.Errorf("format_pr30 opens as\n%s\nwant what this build's opens as:\n%s", got, want)
+	}
+
 	// Against testdata/format_pr24, the same history as the last commit
 	// before packed chunks wrote it: version 2 containers, which store the
 	// payload as it is. Each of its containers is exactly what version 2
-	// wrote around this build's payload, every other file is the same
+	// wrote around format_pr30's payload, every other file is the same
 	// bytes, and the directory opens as the same catalog.
 	const v2 = "testdata/format_pr24"
 	for _, e := range was {
 		name := e.Name()
-		a, _ := os.ReadFile(filepath.Join(fixture, name))
+		a, _ := os.ReadFile(filepath.Join(noMark, name))
 		b, err := os.ReadFile(filepath.Join(v2, name))
 		switch {
 		case err != nil:
 			t.Error(err)
 		case isContainer(name):
-			if !bytes.Equal(b, v2Container(payloadOf(t, filepath.Join(fixture, name)))) {
-				t.Errorf("%s: format_pr24 holds other than a version 2 container around this build's payload", name)
+			if !bytes.Equal(b, v2Container(payloadOf(t, filepath.Join(noMark, name)))) {
+				t.Errorf("%s: format_pr24 holds other than a version 2 container around format_pr30's payload", name)
 			}
 		case !bytes.Equal(a, b):
 			t.Errorf("%s differs from format_pr24's", name)
@@ -757,11 +809,11 @@ func TestForeignSnapshotFormatRefused(t *testing.T) {
 	}
 }
 
-// TestRecoverLoadMissingBlobUnderDelta: the lost-BLOB rule forgives
-// only what a delete explains. With the BLOB file of a still-live
-// object removed by hand, opening fails with the store's error — when a
-// checkpoint chain and a journal follow the base, and when the clip
-// exists only as journal records.
+// TestRecoverLoadMissingBlobUnderDelta: only a checkpoint unlinks a
+// BLOB, and only once it covers the delete. With the BLOB file of a
+// still-live object removed by hand, opening fails with the store's
+// error — when a checkpoint chain and a journal follow the base, and
+// when the clip exists only as journal records.
 func TestRecoverLoadMissingBlobUnderDelta(t *testing.T) {
 	for _, journalOnly := range []bool{false, true} {
 		dir := t.TempDir()

@@ -381,19 +381,33 @@ func (db *DB) commitEditLocked(e *viewEdit) {
 
 // relinkAllLocked rebuilds every shard's indexes from its objects —
 // the one-pass index construction after bulk load, when all objects
-// (including forward-referenced components) are present. Assumes the
-// DB is not yet shared.
-func (db *DB) relinkAllLocked() {
+// (including forward-referenced components) are present. A live
+// non-derived object without a live interpretation fails it with the
+// store's error: applyStream skipped a registration whose BLOB is gone,
+// and no tombstone followed. Assumes the DB is not yet shared.
+func (db *DB) relinkAllLocked() error {
 	cur := db.cur.Load()
 	e := db.beginEditLocked()
 	for i := range e.shards {
 		sh := e.shard(i)
 		ix := pIndexes{}
+		var err error
 		sh.objects.ascend(func(_ core.ID, o *core.Object) bool {
+			if o.Class == core.ClassNonDerived && !cur.interps.has(o.Blob) {
+				if _, err = db.openBlob(o.Blob); err == nil {
+					err = fmt.Errorf("%w: %v", ErrNoInterp, o.Blob)
+				}
+				err = fmt.Errorf("catalog: object %v (%q): %w", o.ID, o.Name, err)
+				return false
+			}
 			ix = ix.link(o, cur.getByID)
 			return true
 		})
+		if err != nil {
+			return err
+		}
 		sh.ix = ix
 	}
 	db.commitEditLocked(e)
+	return nil
 }

@@ -183,6 +183,9 @@ func (s *Store) Delete(id blob.ID) error {
 	return s.inner.Delete(id)
 }
 
+// Reserve implements blob.Store.
+func (s *Store) Reserve(next blob.ID) { s.inner.Reserve(next) }
+
 // IDs implements blob.Store.
 func (s *Store) IDs() ([]blob.ID, error) {
 	if err, _ := s.inj.check("ids"); err != nil {

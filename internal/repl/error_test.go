@@ -120,8 +120,8 @@ func TestApplyRecordRejectsGarbage(t *testing.T) {
 }
 
 // TestEnsureBlobFetchFailure: a primary that cannot serve a BLOB is an
-// error the tail loop retries; a primary that no longer has it (404) is
-// not — the fetch is skipped and nothing is installed.
+// error the tail loop retries, and so is a primary that no longer has
+// it (404, typed blob.ErrNotFound) — nothing is installed.
 func TestEnsureBlobFetchFailure(t *testing.T) {
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "quarantined", http.StatusInternalServerError)
@@ -137,8 +137,8 @@ func TestEnsureBlobFetchFailure(t *testing.T) {
 	defer gone.Close()
 	dir := t.TempDir()
 	f = newBareFollower(t, gone.URL, dir)
-	if err := f.ensureBlob(context.Background(), 7); err != nil {
-		t.Errorf("blob gone from the primary: err = %v, want the fetch skipped", err)
+	if err := f.ensureBlob(context.Background(), 7); !errors.Is(err, blob.ErrNotFound) {
+		t.Errorf("blob gone from the primary: err = %v, want blob.ErrNotFound", err)
 	}
 	if _, err := os.Stat(filepath.Join(dir, blob.FileName(7))); err == nil {
 		t.Error("a 404 installed a payload file")

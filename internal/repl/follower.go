@@ -386,11 +386,9 @@ func (f *Follower) observeHeartbeat(primarySeq, backlog uint64) {
 // ensureBlob makes the payload file for id present locally, fetching
 // it from the primary when missing. The payload is sealed with a CRC
 // sidecar exactly as a local Sync would, so the store's open-time
-// verification covers replicated payloads too. A 404 means the primary
-// has since deleted the BLOB's last reader and collected it: there is
-// nothing to fetch and no retry will find it, so the record goes to
-// ApplyReplicated without it, which remembers what it cannot rebuild
-// until the delete arrives further down the feed.
+// verification covers replicated payloads too. A 404 is an error: the
+// primary unlinks a BLOB only past its checkpoint, so the reconnect is
+// answered 410 and re-bootstraps.
 func (f *Follower) ensureBlob(ctx context.Context, id blob.ID) error {
 	path := filepath.Join(f.dir, blob.FileName(id))
 	if _, err := os.Stat(path); err == nil {
@@ -406,14 +404,13 @@ func (f *Follower) ensureBlob(ctx context.Context, id blob.ID) error {
 		return fmt.Errorf("repl: fetch %v: %w", id, err)
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode == http.StatusNotFound {
-		f.logf("repl: %v is gone from the primary; applying without it", id)
-		return nil
+	switch resp.StatusCode {
+	case http.StatusOK:
+		return f.installBlob(id, resp.Body, resp.ContentLength)
+	case http.StatusNotFound:
+		return fmt.Errorf("repl: fetch %v: %w", id, blob.ErrNotFound)
 	}
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("repl: fetch %v: %s", id, resp.Status)
-	}
-	return f.installBlob(id, resp.Body, resp.ContentLength)
+	return fmt.Errorf("repl: fetch %v: %s", id, resp.Status)
 }
 
 // installBlob streams a fetched payload into place through
@@ -438,7 +435,7 @@ func (f *Follower) installBlob(id blob.ID, r io.Reader, want int64) error {
 	f.mu.Lock()
 	store := f.store
 	f.mu.Unlock()
-	store.Reserve(id)
+	store.Reserve(id + 1)
 	return nil
 }
 
@@ -513,7 +510,8 @@ func (f *Follower) swapDB(db *catalog.DB) {
 }
 
 // fetchBlobs fetches every payload file the primary has that the
-// replica is missing.
+// replica is missing, except those collected since the listing: the
+// snapshot fetched next does not name them.
 func (f *Follower) fetchBlobs(ctx context.Context) error {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, f.primary+"/v1/repl/blobs", nil)
 	if err != nil {
@@ -532,7 +530,7 @@ func (f *Follower) fetchBlobs(ctx context.Context) error {
 		return fmt.Errorf("repl: list blobs: %w", err)
 	}
 	for _, info := range list {
-		if err := f.ensureBlob(ctx, blob.ID(info.ID)); err != nil {
+		if err := f.ensureBlob(ctx, blob.ID(info.ID)); err != nil && !errors.Is(err, blob.ErrNotFound) {
 			return err
 		}
 	}

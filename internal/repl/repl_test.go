@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -210,80 +211,111 @@ func TestReplFollowerRestartResume(t *testing.T) {
 	}
 }
 
-// TestReplResumeAfterCollectedBlob: while the follower is down the
-// primary ingests a clip, cuts it and deletes both, which collects the
-// BLOB at once. The restarted follower's feed still opens with the
-// clip's interpretation record, whose payload the primary answers 404
-// for; the follower must apply on without it, down to the deletes that
-// explain the loss, rather than retry the fetch forever.
-func TestReplResumeAfterCollectedBlob(t *testing.T) {
-	tp := newTestPrimary(t)
-	keep := tp.ingest(t, "keep", 6, 4)
-
-	dir := t.TempDir()
-	opts := Options{ReconnectBase: 5 * time.Millisecond, ReconnectMax: 50 * time.Millisecond}
-	f, err := Start(tp.srv.URL, dir, opts)
-	if err != nil {
-		t.Fatal(err)
+// dumpFrom renders what queries over db return: the seq, the live
+// objects with their sync constraints, and how many objects every
+// as_of from seq from on sees. A follower that bootstrapped from a
+// snapshot keeps less history than its primary, so the two agree from
+// the follower's version floor on.
+func dumpFrom(db *catalog.DB, from uint64) string {
+	var sb strings.Builder
+	v := db.CurrentView()
+	fmt.Fprintf(&sb, "seq %d\n", db.Seq())
+	for _, o := range v.Select(func(*core.Object) bool { return true }) {
+		fmt.Fprintf(&sb, "%v %v", o, o.Attrs)
+		if o.Multimedia != nil {
+			fmt.Fprintf(&sb, " %v", o.Multimedia.Syncs)
+		}
+		sb.WriteByte('\n')
 	}
-	waitFor(t, "first catch-up", caughtUp(f, tp.db))
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	gone := tp.ingest(t, "gone", 5, 5)
-	obj, err := tp.db.Get(gone)
-	if err != nil {
-		t.Fatal(err)
-	}
-	goneCut := tp.cut(t, gone, "gone-cut", 1, 4)
-	for _, id := range []core.ID{goneCut, gone} {
-		if err := tp.db.Delete(id); err != nil {
-			t.Fatal(err)
+	for seq := from; seq <= db.Seq(); seq++ {
+		if av, err := v.AsOf(seq); err == nil {
+			fmt.Fprintf(&sb, "as_of %d: %d\n", seq, av.Len())
 		}
 	}
-	if _, err := tp.store.Open(obj.Blob); !errors.Is(err, blob.ErrNotFound) {
-		t.Fatalf("primary still has the deleted clip's BLOB: %v", err)
-	}
-	tp.cut(t, keep, "after", 0, 3)
+	return sb.String()
+}
 
-	f2, err := Start(tp.srv.URL, dir, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f2.Close()
-	waitFor(t, "catch-up past the collected BLOB", caughtUp(f2, tp.db))
-	if st := f2.Status(); st.Bootstraps != 0 {
-		t.Errorf("follower re-bootstrapped (%d times); want the feed applied", st.Bootstraps)
-	}
-	if got, want := f2.DB().Len(), tp.db.Len(); got != want {
-		t.Errorf("follower has %d objects, primary %d", got, want)
-	}
-	if _, err := f2.DB().Lookup("after"); err != nil {
-		t.Errorf("write after the delete did not arrive: %v", err)
-	}
-	if _, err := f2.DB().Lookup("gone"); !errors.Is(err, catalog.ErrNotFound) {
-		t.Errorf("deleted clip on the follower: %v", err)
-	}
-	if err := f2.DB().VerifyIndexes(); err != nil {
-		t.Errorf("replica index divergence: %v", err)
-	}
-	// What the follower journaled reopens: the loss is explained on disk too.
-	if err := f2.Close(); err != nil {
-		t.Fatal(err)
-	}
-	store, err := blob.OpenFileStore(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer store.Close()
-	reopened, err := catalog.Open(dir, store)
-	if err != nil {
-		t.Fatalf("reopen of the follower's directory: %v", err)
-	}
-	defer reopened.CloseJournal()
-	if reopened.Len() != tp.db.Len() {
-		t.Errorf("reopened follower has %d objects, primary %d", reopened.Len(), tp.db.Len())
+// TestReplResumeAfterCollectedBlob: while the follower is down the
+// primary ingests a clip, cuts it and deletes both. With no checkpoint
+// on the primary the clip's BLOB is still there, and the restarted
+// follower applies the whole history, fetching it on the way. With one,
+// the BLOB is unlinked — and the checkpoint has passed the follower's
+// resume point, so the feed answers 410 and the follower re-bootstraps.
+// Either way it ends at the primary's dump, and its directory reopens
+// to it.
+func TestReplResumeAfterCollectedBlob(t *testing.T) {
+	for _, checkpoint := range []bool{false, true} {
+		t.Run(fmt.Sprintf("checkpoint=%v", checkpoint), func(t *testing.T) {
+			tp := newTestPrimary(t)
+			keep := tp.ingest(t, "keep", 6, 4)
+
+			dir := t.TempDir()
+			opts := Options{ReconnectBase: 5 * time.Millisecond, ReconnectMax: 50 * time.Millisecond}
+			f, err := Start(tp.srv.URL, dir, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			waitFor(t, "first catch-up", caughtUp(f, tp.db))
+			if err := f.Close(); err != nil {
+				t.Fatal(err)
+			}
+
+			gone := tp.ingest(t, "gone", 5, 5)
+			obj, err := tp.db.Get(gone)
+			if err != nil {
+				t.Fatal(err)
+			}
+			goneCut := tp.cut(t, gone, "gone-cut", 1, 4)
+			for _, id := range []core.ID{goneCut, gone} {
+				if err := tp.db.Delete(id); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if checkpoint {
+				if err := tp.db.Checkpoint(tp.dir); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if _, err := tp.store.Open(obj.Blob); errors.Is(err, blob.ErrNotFound) != checkpoint {
+				t.Fatalf("primary's copy of the deleted clip's BLOB: %v", err)
+			}
+			tp.cut(t, keep, "after", 0, 3)
+
+			f2, err := Start(tp.srv.URL, dir, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer f2.Close()
+			waitFor(t, "catch-up past the collected BLOB", caughtUp(f2, tp.db))
+			if st := f2.Status(); (st.Bootstraps > 0) != checkpoint {
+				t.Errorf("follower re-bootstrapped %d times", st.Bootstraps)
+			}
+			floor := f2.DB().CurrentView().VersionFloor()
+			want := dumpFrom(tp.db, floor)
+			if got := dumpFrom(f2.DB(), floor); got != want {
+				t.Errorf("follower at\n%s\nprimary at\n%s", got, want)
+			}
+			if err := f2.DB().VerifyIndexes(); err != nil {
+				t.Errorf("replica index divergence: %v", err)
+			}
+			// What the follower made durable reopens to the same catalog.
+			if err := f2.Close(); err != nil {
+				t.Fatal(err)
+			}
+			store, err := blob.OpenFileStore(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer store.Close()
+			reopened, err := catalog.Open(dir, store)
+			if err != nil {
+				t.Fatalf("reopen of the follower's directory: %v", err)
+			}
+			defer reopened.CloseJournal()
+			if got := dumpFrom(reopened, floor); got != want {
+				t.Errorf("reopened follower at\n%s\nprimary at\n%s", got, want)
+			}
+		})
 	}
 }
 

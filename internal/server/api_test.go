@@ -53,6 +53,7 @@ func TestMetricsContentNegotiation(t *testing.T) {
 			"tbm_journal_appends_total",
 			"tbm_recovery_journal_records_replayed",
 			"tbm_recovery_open_ms",
+			"tbm_recovery_blobs_swept 0",
 			`tbm_checkpoint_bytes_total{mode="full"}`,
 			`tbm_checkpoint_bytes_total{mode="incremental"}`,
 			"tbm_http_load_shed_total",

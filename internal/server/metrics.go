@@ -80,6 +80,7 @@ func (s *Server) writePromCounters(w io.Writer) {
 	promGauge(w, "tbm_recovery_journal_records_skipped", "journal records skipped at last load", int64(rec.JournalSkipped))
 	promGauge(w, "tbm_recovery_journal_torn", "whether the last load truncated a torn journal tail", int64(b2i(rec.JournalTorn)))
 	promGauge(w, "tbm_recovery_open_ms", "wall time catalog.Open took at this start, milliseconds", rec.OpenMs)
+	promGauge(w, "tbm_recovery_blobs_swept", "BLOB files catalog.Open removed because nothing interprets them", int64(rec.BlobsSwept))
 
 	promCounter(w, "tbm_http_panics_recovered_total", "handler panics converted to 500s", l.PanicsRecovered)
 	promCounter(w, "tbm_http_load_shed_total", "requests shed with 503 at the in-flight bound", l.LoadShed)
