@@ -6,10 +6,10 @@
 // journaled to the active WAL segment (<dir>/journal.NNNNNN.log)
 // before the response returns; segments rotate at -wal-segment-mb /
 // -wal-segment-records. A background checkpointer (-save-every) keeps
-// recovery bounded: it snapshots only the state dirtied since the last
+// recovery bounded: it snapshots only the state changed since the last
 // checkpoint, records coverage in <dir>/MANIFEST, and compacts covered
 // segments — promoting to a full snapshot when the incremental chain
-// or the dirty fraction grows too large. A corrupt snapshot recovers
+// or the changed fraction grows too large. A corrupt snapshot recovers
 // from its retained backup at startup. SIGINT/SIGTERM triggers a
 // graceful drain: stop accepting, finish in-flight requests, sync the
 // journal, write a final full snapshot. The data directory is guarded
@@ -52,6 +52,7 @@ import (
 	"fmt"
 	"log"
 	"log/slog"
+	"net"
 	"net/http"
 	"net/http/pprof"
 	"os"
@@ -202,12 +203,19 @@ func runPrimary(ctx context.Context, cfg config, reg *telemetry.Registry, access
 	}
 	logRecovery(db)
 
+	// Bind before announcing: the line names the bound address, so
+	// -addr 127.0.0.1:0 serves on a free port and says which.
+	ln, err := net.Listen("tcp", cfg.addr)
+	if err != nil {
+		return err
+	}
+	defer ln.Close()
 	cacheDesc := fmt.Sprintf("%d MiB", cfg.cacheMB)
 	if cfg.cacheMB <= 0 {
 		cacheDesc = "unbounded"
 	}
 	fmt.Printf("serving %d objects from %s on %s (expansion cache %s, snapshot every %v)\n",
-		db.Len(), cfg.dir, cfg.addr, cacheDesc, cfg.saveEvery)
+		db.Len(), cfg.dir, ln.Addr(), cacheDesc, cfg.saveEvery)
 
 	// The replication feed rides the main listener unless -repl-listen
 	// moves it to a dedicated one (e.g. an internal-only port).
@@ -252,7 +260,6 @@ func runPrimary(ctx context.Context, cfg config, reg *telemetry.Registry, access
 	}
 
 	srv := &http.Server{
-		Addr:              cfg.addr,
 		Handler:           server.New(db, srvOpts...),
 		ReadHeaderTimeout: 10 * time.Second,
 		IdleTimeout:       2 * time.Minute,
@@ -278,7 +285,7 @@ func runPrimary(ctx context.Context, cfg config, reg *telemetry.Registry, access
 
 	errc := make(chan error, 1)
 	go func() {
-		if err := srv.ListenAndServe(); !errors.Is(err, http.ErrServerClosed) {
+		if err := srv.Serve(ln); !errors.Is(err, http.ErrServerClosed) {
 			errc <- err
 		}
 	}()

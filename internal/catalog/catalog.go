@@ -70,10 +70,9 @@ var (
 // log order equaling sequence order, which requires one critical
 // section per enqueue — but no read ever takes it.
 type DB struct {
-	mu      sync.RWMutex
-	store   blob.Store
-	nextID  core.ID
-	nShards int
+	mu     sync.RWMutex
+	store  blob.Store
+	nextID core.ID
 
 	// nextBlob is one past the newest BLOB an applied interpretation
 	// record named; recovery reserves it in the store, so no BLOB ID is
@@ -92,10 +91,13 @@ type DB struct {
 	staged        map[string]*core.Object
 	stagedInterps map[blob.ID]*interp.Interpretation
 
-	// commitGate serializes snapshots against in-flight commits:
+	// commitGate serializes checkpoints against in-flight commits:
 	// mutators hold the read side from stage to publish or unstage, and
-	// Save briefly takes the write side so a snapshot never captures a
-	// seq whose mutation is not yet durable and published.
+	// Save/Checkpoint briefly take the write side so a capture never
+	// holds a seq whose mutation is not yet durable and published. It
+	// stays because a published view is not yet an exact seq prefix:
+	// group-commit waiters publish out of order, and commitSerial waits
+	// for its fsync while holding mu.
 	// Lock order: saveMu → commitGate → mu.
 	commitGate sync.RWMutex
 
@@ -116,27 +118,24 @@ type DB struct {
 	seq            uint64
 	recovery       RecoveryInfo
 
-	// saveMu serializes Save calls: Save only takes mu.RLock, and two
-	// concurrent snapshots (autosave racing shutdown) would collide on
-	// the same .tmp/.bak files.
+	// saveMu serializes Save and Checkpoint: they only take mu.RLock,
+	// and two concurrent snapshots (autosave racing shutdown) would
+	// collide on the same .tmp/.bak files.
 	saveMu sync.Mutex
-
-	// Dirty-state tracking for incremental checkpoints (checkpoint.go),
-	// partitioned by shard like the views themselves: per shard, the
-	// objects touched since the last durable checkpoint and the ones
-	// deleted since; interpretation dirt stays global (interps are not
-	// sharded). Mutated only under mu's write lock; Save/Checkpoint
-	// swap the sets out while holding mu.RLock after the commitGate
-	// dance — safe, because every mutator must take the write lock to
-	// stage before it can touch them.
-	dirty          []dirtyShard
-	dirtyInterps   map[blob.ID]struct{}
-	dirtyDelInterp map[blob.ID]struct{}
 
 	// manifest mirrors the last durable MANIFEST for walDir (nil before
 	// the first checkpoint this process, or when the directory has
-	// none). Guarded by saveMu.
+	// none). ckptView is the view that checkpoint captured, the base the
+	// next delta is diffed against (checkpoint.go); nil when there is
+	// none to trust — no checkpoint yet, or a degraded recovery — which
+	// makes the next checkpoint full. Both guarded by saveMu.
 	manifest *wal.Manifest
+	ckptView *View
+
+	// replayKeep, set by journal replay and dropped by Open's sweep, is
+	// what a reopen opens again: the BLOBs interpreted in the state
+	// replay started from, and those the replayed records registered.
+	replayKeep tmap[blob.ID, *interp.Interpretation]
 
 	// walSegmentBytes/Records configure segment rotation thresholds for
 	// journals the catalog opens itself; <= 0 keeps the wal defaults.
@@ -158,20 +157,6 @@ type DB struct {
 	// bitemporal oracle uses it as the ground truth an as_of query must
 	// match.
 	replayCap uint64
-}
-
-// dirtyShard tracks one shard's uncheckpointed churn.
-type dirtyShard struct {
-	objs map[core.ID]struct{}
-	del  map[core.ID]struct{}
-}
-
-func newDirtyShards(n int) []dirtyShard {
-	out := make([]dirtyShard, n)
-	for i := range out {
-		out[i] = dirtyShard{objs: map[core.ID]struct{}{}, del: map[core.ID]struct{}{}}
-	}
-	return out
 }
 
 // DefaultWALBatchWindow is the group-commit straggler window applied
@@ -232,7 +217,7 @@ func WithWALSegmentRecords(n int64) Option {
 
 // WithShards partitions the catalog state into n hash-by-name shards.
 // n <= 0 keeps DefaultShards. More shards mean smaller copy-on-write
-// units per commit and finer checkpoint dirty tracking.
+// units per commit and a cheaper checkpoint diff.
 func WithShards(n int) Option {
 	return func(c *config) { c.shards = n }
 }
@@ -289,13 +274,9 @@ func New(store blob.Store, opts ...Option) *DB {
 	db := &DB{
 		store:             store,
 		nextID:            1,
-		nShards:           cfg.shards,
 		ring:              newEpochRing(cfg.epochRetention),
 		staged:            map[string]*core.Object{},
 		stagedInterps:     map[blob.ID]*interp.Interpretation{},
-		dirty:             newDirtyShards(cfg.shards),
-		dirtyInterps:      map[blob.ID]struct{}{},
-		dirtyDelInterp:    map[blob.ID]struct{}{},
 		walBatchWindow:    cfg.walBatchWindow,
 		walSegmentBytes:   cfg.walSegmentBytes,
 		walSegmentRecords: cfg.walSegmentRecords,
@@ -319,14 +300,6 @@ func (db *DB) Store() blob.Store { return db.store }
 // BlobCorruptions reports how many payload files the store has
 // quarantined after a checksum mismatch.
 func (db *DB) BlobCorruptions() int64 { return db.store.Stats().Corruptions.Load() }
-
-// markDirtyLocked records an object's shard-local churn for the next
-// incremental checkpoint. Assumes db.mu is held.
-func (db *DB) markDirtyLocked(name string, id core.ID) {
-	d := &db.dirty[shardOf(name, db.nShards)]
-	d.objs[id] = struct{}{}
-	delete(d.del, id)
-}
 
 // RegisterInterpretation permanently associates a sealed
 // interpretation with its BLOB (Section 4.1: one complete
@@ -742,9 +715,8 @@ func (db *DB) enqueueLocked(recs []*walOp) (*wal.Ticket, error) {
 
 // publishLocked moves what recs staged into one new epoch — one
 // copy-on-write edit, one atomic view swap, so no reader ever sees
-// half a batch — stamps each record's seq into the version chains and
-// marks what it added dirty for the next checkpoint. Assumes db.mu is
-// held.
+// half a batch — and stamps each record's seq into the version chains.
+// Assumes db.mu is held.
 func (db *DB) publishLocked(recs []*walOp) {
 	e := db.beginEditLocked()
 	for _, rec := range recs {
@@ -753,8 +725,6 @@ func (db *DB) publishLocked(recs []*walOp) {
 			delete(db.stagedInterps, rec.Blob)
 			e.setInterp(it)
 			e.appendInterpVersion(it, rec.Seq)
-			db.dirtyInterps[it.BlobID()] = struct{}{}
-			delete(db.dirtyDelInterp, it.BlobID())
 			db.nextBlob = max(db.nextBlob, it.BlobID()+1)
 			continue
 		}
@@ -762,7 +732,6 @@ func (db *DB) publishLocked(recs []*walOp) {
 		delete(db.staged, rec.Name)
 		e.link(obj)
 		e.appendVersion(obj, rec.Seq)
-		db.markDirtyLocked(obj.Name, obj.ID)
 	}
 	db.commitEditLocked(e)
 }

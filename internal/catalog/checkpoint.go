@@ -2,26 +2,25 @@ package catalog
 
 // Incremental checkpoints and bounded recovery.
 //
-// A full Save rewrites the whole catalog; with a journal attached it
-// also rotates the active WAL segment at the capture
-// boundary, records the covered sequence number in the MANIFEST, and
-// compacts the sealed segments. Checkpoint does the same dance but
-// captures only the dirty slice — the version-chain entries that
-// objects and interpretations gained since the last checkpoint,
-// tombstones included — into dir/checkpoint.NNNNNN.ckpt and appends
-// the file to the manifest's checkpoint chain. Both write the same
-// payload, a stream of version records (see verRecord); the live
-// catalog is not stored, it is the chains' tails. Recovery then reads
+// A checkpoint is the diff of two pinned views: the one the last
+// durable checkpoint captured (DB.ckptView) and the current one. The
+// treaps share every subtree nothing touched since, so the diff
+// (pmap.go) costs O(changes · log n). A delta holds the entries newer
+// than the manifest's CheckpointSeq of every chain that differs, its
+// head what was deleted or collected since, and joins the manifest's
+// chain as dir/checkpoint.NNNNNN.ckpt; a full snapshot (Save, or a
+// promoted Checkpoint) is the same capture against the empty catalog,
+// into catalog.gob. Both run one write sequence (checkpointLocked) and
+// write one payload, a stream of version records (see verRecord): the
+// live catalog is the chains' tails. A failed attempt leaves ckptView
+// and the manifest as they were, so the next one covers its slice.
+// Recovery reads
 //
 //	MANIFEST → catalog.gob → checkpoint chain → surviving segments
 //
 // so startup cost is bounded by live state plus the uncheckpointed
-// tail, not by mutation history.
-//
-// Locking: Save and Checkpoint hold db.mu only while capturing the
-// in-memory slice (copy-on-write of the mutable parts) and rotating
-// the WAL; the gob encode and every fsync happen with no catalog lock
-// held, so writers make progress while a checkpoint streams to disk.
+// tail, not by mutation history. db.mu is held only to diff, capture
+// (copy-on-write) and rotate the WAL; encode and fsyncs run unlocked.
 //
 // Crash windows (each boundary has a checkpointHook stage, exercised
 // by crash tests):
@@ -41,6 +40,7 @@ package catalog
 
 import (
 	"bufio"
+	"cmp"
 	"encoding/gob"
 	"errors"
 	"fmt"
@@ -48,6 +48,7 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -110,7 +111,7 @@ func parseCheckpointIndex(name string) (uint64, bool) {
 // number is not in keep (nil keep deletes them all). Orphans appear
 // when a crash lands between writing a delta and the manifest that
 // would reference it; a later full Save retires them.
-func removeStaleCheckpoints(dir string, keep map[uint64]bool) error {
+func removeStaleCheckpoints(dir string, keep []uint64) error {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		if os.IsNotExist(err) {
@@ -120,7 +121,7 @@ func removeStaleCheckpoints(dir string, keep map[uint64]bool) error {
 	}
 	for _, e := range entries {
 		n, ok := parseCheckpointIndex(e.Name())
-		if !ok || keep[n] {
+		if !ok || slices.Contains(keep, n) {
 			continue
 		}
 		if err := os.Remove(filepath.Join(dir, e.Name())); err != nil && !errors.Is(err, fs.ErrNotExist) {
@@ -184,10 +185,10 @@ type verRecord struct {
 }
 
 // snapCapture is the in-memory copy-on-write slice a checkpoint writes
-// out: captured under db.mu, encoded with no lock held. savedObject
-// deep-copies the parts mutable after publish (sync constraints);
-// attribute maps and regions are immutable once an object is visible,
-// so they are shared.
+// out: captured under db.mu (capture), encoded with no lock held.
+// savedObject deep-copies the parts mutable after publish (sync
+// constraints); attribute maps and regions are immutable once an
+// object is visible, so they are shared.
 type snapCapture struct {
 	head streamHead
 	recs []verRecord
@@ -334,7 +335,7 @@ func openStream(path string) (*catalogStream, error) {
 
 // applyStream applies an opened payload over the current state. Head
 // deletes go first (they name what the state below loses); then every
-// record extends its chain; then each touched object chain's tail
+// record extends its chain; then each changed object chain's tail
 // becomes the live object — all into one copy-on-write edit published
 // as one epoch only after the container's trailer has verified, so a
 // failure at any point leaves the DB exactly as it was. Anything wrong
@@ -348,23 +349,15 @@ func openStream(path string) (*catalogStream, error) {
 func (db *DB) applyStream(s *catalogStream) error {
 	head := &s.head
 	e := db.beginEditLocked()
+	var deleted []*core.Object // live below this file, deleted in it
 	for _, id := range head.DelObjects {
 		if old := e.lookupByID(id); old != nil {
 			e.removeRaw(old)
+			deleted = append(deleted, old)
 		}
 	}
 	for _, bid := range head.DelInterps {
 		e.delInterp(bid)
-	}
-	type chainRef struct {
-		id   core.ID
-		name string
-	}
-	var touched []chainRef // object chains this file extends, in record order
-	touch := func(id core.ID, name string) {
-		if n := len(touched); n == 0 || touched[n-1].id != id {
-			touched = append(touched, chainRef{id, name})
-		}
 	}
 	for i := 0; i < head.NumRecords; i++ {
 		var rec verRecord
@@ -378,7 +371,6 @@ func (db *DB) applyStream(s *catalogStream) error {
 				return fmt.Errorf("%w: record %d: %v", ErrCorruptSnapshot, i, err)
 			}
 			e.appendVersion(obj, rec.Seq)
-			touch(obj.ID, obj.Name)
 		case rec.Kind == recObjTomb:
 			id := core.ID(rec.ID)
 			if e.shards[e.shardIndexFor(rec.Name)].vers.has(id) {
@@ -388,7 +380,6 @@ func (db *DB) applyStream(s *catalogStream) error {
 				// (pruned): nothing below it is answerable.
 				e.raiseFloor(rec.Seq)
 			}
-			touch(id, rec.Name)
 		case rec.Kind == recInterp && rec.Interp != nil:
 			b, err := db.openBlob(rec.Interp.BlobID)
 			if errors.Is(err, blob.ErrNotFound) {
@@ -410,11 +401,27 @@ func (db *DB) applyStream(s *catalogStream) error {
 			return fmt.Errorf("%w: record %d: kind %d, payload missing or unknown", ErrCorruptSnapshot, i, rec.Kind)
 		}
 	}
-	for _, c := range touched {
-		e.settleLive(c.id, c.name)
+	// Every chain the records changed or dropped settles its live row.
+	for si := range e.shards {
+		diff(e.base.shards[si].vers, e.shards[si].vers, func(id core.ID, old, c *verChain) {
+			e.settleLive(id, cmp.Or(c, old).name)
+		})
+	}
+	// A delete whose chain retention dropped carries no tombstone record:
+	// the chain below, still ending in the live version, goes too (the
+	// head's floor already covers the drop), or an as-of read would
+	// resurrect it.
+	for _, old := range deleted {
+		if c, ok := e.shards[e.shardIndexFor(old.Name)].vers.get(old.ID); ok && c.tail().val != nil {
+			e.dropChain(old.ID, old.Name)
+		}
+	}
+	for _, bid := range head.DelInterps {
+		if c, ok := e.interpVers.get(bid); ok && c.tail().val != nil {
+			e.interpVers = e.interpVers.del(bid)
+		}
 	}
 	e.raiseFloor(head.VerFloor)
-	e.reconcileChains()
 	// Drain to EOF: a container is only proven complete once its
 	// trailer validates.
 	if _, err := io.Copy(io.Discard, s.br); err != nil {
@@ -441,59 +448,6 @@ func (db *DB) openBlob(id blob.ID) (blob.BLOB, error) {
 	return b, nil
 }
 
-// dirtySets is the swapped-out dirty state of one checkpoint attempt:
-// one dirtyShard per hash shard plus the global interpretation dirt.
-type dirtySets struct {
-	shards     []dirtyShard
-	interps    map[blob.ID]struct{}
-	delInterps map[blob.ID]struct{}
-}
-
-func (ds dirtySets) count() int {
-	n := len(ds.interps) + len(ds.delInterps)
-	for i := range ds.shards {
-		n += len(ds.shards[i].objs) + len(ds.shards[i].del)
-	}
-	return n
-}
-
-// takeDirtyLocked swaps the dirty sets for fresh ones and returns the
-// captured state. Called under mu.RLock after the commitGate dance:
-// no mutator can hold mu's write side, and nothing else touches the
-// sets, so the swap is exclusive in practice.
-func (db *DB) takeDirtyLocked() dirtySets {
-	ds := dirtySets{db.dirty, db.dirtyInterps, db.dirtyDelInterp}
-	db.dirty = newDirtyShards(db.nShards)
-	db.dirtyInterps = map[blob.ID]struct{}{}
-	db.dirtyDelInterp = map[blob.ID]struct{}{}
-	return ds
-}
-
-// restoreDirty merges a captured dirty state back after a failed
-// checkpoint, so the next attempt re-captures it. Union is safe: IDs
-// are never re-used, so an entry can't have changed meaning while the
-// attempt ran — at worst an ID appears both dirty and deleted, and
-// capture resolves that by treating a dirty ID with no visible object
-// as covered by its tombstone.
-func (db *DB) restoreDirty(ds dirtySets) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	for i := range ds.shards {
-		for id := range ds.shards[i].objs {
-			db.dirty[i].objs[id] = struct{}{}
-		}
-		for id := range ds.shards[i].del {
-			db.dirty[i].del[id] = struct{}{}
-		}
-	}
-	for id := range ds.interps {
-		db.dirtyInterps[id] = struct{}{}
-	}
-	for id := range ds.delInterps {
-		db.dirtyDelInterp[id] = struct{}{}
-	}
-}
-
 // hook fires the checkpoint test hook. Must be called with no locks
 // held.
 func (db *DB) hook(stage string) {
@@ -502,154 +456,225 @@ func (db *DB) hook(stage string) {
 	}
 }
 
-// captureDeltaLocked captures the dirty slice as a delta over fromSeq.
-// Version chains ride the dirty sets: an object (or BLOB) is dirty
-// exactly when its chain gained entries since fromSeq, and a deleted ID
-// keeps its chain in the shard (tombstone tail) until retention drops
-// it, so both sets are probed — each in the shard its object's name
-// hashes to, where it was recorded. A dirty ID with no chain left was
-// pruned away; the head's delete list and the floor cover it. Assumes
+// Reasons a Checkpoint is promoted to a full snapshot, exported as
+// tbm_checkpoint_promotions_total{reason="..."}.
+const (
+	promoteNoJournal  = "no_journal"  // no journal attached for dir
+	promoteNoBase     = "no_base"     // no manifest, or no retained view to diff
+	promoteChainBound = "chain_bound" // DefaultMaxCheckpointChain deltas already
+	promoteMajority   = "majority"    // half the live set or more changed
+)
+
+var promotionReasons = []string{promoteNoJournal, promoteNoBase, promoteChainBound, promoteMajority}
+
+// chainChanges lists the chains two views bind differently, each as
+// the newer view's chain: nil where retention dropped it.
+type chainChanges struct {
+	objs    []change[core.ID, *verChain]
+	interps []change[blob.ID, *interpVerChain]
+}
+
+type change[K, C any] struct {
+	id K
+	c  C
+}
+
+// diffViews walks base against cur once. A nil base is the empty
+// catalog: every retained chain is listed.
+func diffViews(base, cur *View) *chainChanges {
+	ch := &chainChanges{}
+	empty, fromInterps := &shardState{}, tmap[blob.ID, *interpVerChain]{}
+	if base != nil {
+		fromInterps = base.interpVers
+	} else {
+		ch.objs, ch.interps = make([]change[core.ID, *verChain], 0, cur.count), make([]change[blob.ID, *interpVerChain], 0, cur.interpVers.len())
+	}
+	for si, sh := range cur.shards {
+		from := empty
+		if base != nil {
+			from = base.shards[si]
+		}
+		diff(from.vers, sh.vers, func(id core.ID, _, c *verChain) {
+			ch.objs = append(ch.objs, change[core.ID, *verChain]{id, c})
+		})
+	}
+	diff(fromInterps, cur.interpVers, func(id blob.ID, _, c *interpVerChain) {
+		ch.interps = append(ch.interps, change[blob.ID, *interpVerChain]{id, c})
+	})
+	return ch
+}
+
+// collected lists the BLOBs whose interpretation chain now ends in a
+// tombstone or is gone, dropped by retention.
+func (ch *chainChanges) collected() []blob.ID {
+	var out []blob.ID
+	for _, x := range ch.interps {
+		if x.c == nil || x.c.tail().val == nil {
+			out = append(out, x.id)
+		}
+	}
+	return out
+}
+
+// capture records the entries newer than fromSeq of every chain in ch.
+// With ch taken against the empty catalog that is every retained chain
+// whole: a full snapshot (FromSeq 0, no delete lists). With ch taken
+// against the last checkpoint's view it is a delta, whose head also
+// names the objects deleted and the BLOBs collected since, whether a
+// tombstone still closes their chain or retention dropped it. Assumes
 // db.mu is held (read side, after the commitGate dance — so no staged
 // objects exist and no append is in flight).
-func (db *DB) captureDeltaLocked(fromSeq uint64) (*snapCapture, error) {
-	cur := db.cur.Load()
+func (db *DB) capture(ch *chainChanges, cur *View, fromSeq uint64, delta bool) (*snapCapture, error) {
 	cap := &snapCapture{head: streamHead{FromSeq: fromSeq, Seq: db.seq, NextID: db.nextID, NextBlob: db.nextBlob}}
-	for si := range db.dirty {
-		vers := cur.shards[si].vers
-		for _, ids := range []map[core.ID]struct{}{db.dirty[si].objs, db.dirty[si].del} {
-			for id := range ids {
-				if c, ok := vers.get(id); ok {
-					if err := captureObjChain(cap, id, c, fromSeq); err != nil {
-						return nil, err
-					}
-				}
+	for _, x := range ch.objs {
+		if x.c != nil {
+			if err := captureObjChain(cap, x.id, x.c, fromSeq); err != nil {
+				return nil, err
 			}
 		}
-		for id := range db.dirty[si].del {
-			cap.head.DelObjects = append(cap.head.DelObjects, id)
+		if delta && (x.c == nil || x.c.tail().val == nil) {
+			cap.head.DelObjects = append(cap.head.DelObjects, x.id)
 		}
 	}
-	for _, bids := range []map[blob.ID]struct{}{db.dirtyInterps, db.dirtyDelInterp} {
-		for bid := range bids {
-			if c, ok := cur.interpVers.get(bid); ok {
-				if err := captureInterpChain(cap, bid, c, fromSeq); err != nil {
-					return nil, err
-				}
+	for _, x := range ch.interps {
+		if x.c != nil {
+			if err := captureInterpChain(cap, x.id, x.c, fromSeq); err != nil {
+				return nil, err
 			}
 		}
 	}
-	for bid := range db.dirtyDelInterp {
-		cap.head.DelInterps = append(cap.head.DelInterps, bid)
+	if delta {
+		cap.head.DelInterps = ch.collected()
 	}
 	cap.seal(cur.verFloor)
 	return cap, nil
 }
 
 // Checkpoint makes the catalog's durable state current with bounded
-// work: an incremental delta of the dirty slice when one pays off, a
-// full Save otherwise (no manifest yet, chain at its bound, or most of
-// the catalog dirty anyway). A quiescent catalog checkpoints to a
-// no-op. Requires the same preconditions as Save; safe to call
-// concurrently with mutations and with Save (saveMu serializes).
+// work: an incremental delta when one pays off, a full snapshot
+// otherwise (no journal for dir, no manifest or checkpoint view to
+// diff against, chain at its bound, or most of the catalog changed
+// anyway — counted in tbm_checkpoint_promotions_total by reason). A
+// quiescent catalog checkpoints to a no-op. Requires the same
+// preconditions as Save; safe to call concurrently with mutations and
+// with Save (saveMu serializes).
 func (db *DB) Checkpoint(dir string) error {
 	db.saveMu.Lock()
 	defer db.saveMu.Unlock()
-
-	db.mu.RLock()
-	attached := db.wal != nil && db.walDir == filepath.Clean(dir)
-	cur := db.cur.Load()
-	nLive := cur.count + cur.interps.len()
-	nDirty := dirtySets{db.dirty, db.dirtyInterps, db.dirtyDelInterp}.count()
-	seq := db.seq
-	db.mu.RUnlock()
-
-	m := db.manifest
-	full := !attached ||
-		m == nil ||
-		len(m.Checkpoints) >= DefaultMaxCheckpointChain ||
-		nDirty*2 >= nLive
-	if full {
-		return db.saveLocked(dir)
-	}
-	if nDirty == 0 && seq == m.CheckpointSeq {
-		return nil // nothing since the last checkpoint
-	}
-	return db.checkpointDeltaLocked(dir, m)
+	return db.checkpointLocked(dir, false)
 }
 
-// checkpointDeltaLocked writes one incremental checkpoint. Assumes
-// saveMu is held and a journal is attached for dir.
-func (db *DB) checkpointDeltaLocked(dir string, m *wal.Manifest) error {
+// checkpointLocked is the one write sequence behind Save (full) and
+// Checkpoint: capture → rotate → write → MANIFEST → unlink → compact,
+// each boundary a checkpointHook stage. Assumes saveMu is held.
+func (db *DB) checkpointLocked(dir string, full bool) error {
 	start := time.Now()
-	// Gate dance (see Save): wait out in-flight commits, then capture
-	// under the read lock — no append can start while we hold it, so
-	// the WAL rotation below lands exactly at the capture boundary.
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return fmt.Errorf("catalog: %w", err)
+	}
+	// Wait out in-flight commits: mutators hold commitGate.RLock from
+	// stage to publish or unstage, so after taking the write side no
+	// staged object remains — the capture holds acknowledged mutations
+	// only. The gate is dropped as soon as mu.RLock is held: new
+	// mutations may then pass the gate but block on mu before staging,
+	// so no journal append is in flight while we hold the read lock —
+	// which makes the rotation below land exactly at the capture
+	// boundary.
 	db.commitGate.Lock()
 	db.mu.RLock()
 	db.commitGate.Unlock()
-	j := db.wal
-	if j == nil || db.walDir != filepath.Clean(dir) {
-		// The journal changed between the policy check and the gate
-		// (CloseJournal or AttachJournal raced us): fall back.
-		db.mu.RUnlock()
-		return db.saveLocked(dir)
+	cur, base, m, j := db.cur.Load(), db.ckptView, db.manifest, db.wal
+	attached := j != nil && db.walDir == filepath.Clean(dir)
+	since := diffViews(base, cur)
+	if !full {
+		var reason string
+		switch {
+		case !attached:
+			reason = promoteNoJournal
+		case m == nil || base == nil:
+			reason = promoteNoBase
+		case len(m.Checkpoints) >= DefaultMaxCheckpointChain:
+			reason = promoteChainBound
+		default:
+			n := len(since.objs) + len(since.interps)
+			if n*2 >= cur.count+cur.interps.len() {
+				reason = promoteMajority
+			} else if n == 0 && db.seq == m.CheckpointSeq {
+				db.mu.RUnlock()
+				return nil // nothing since the last checkpoint
+			}
+		}
+		if t := db.tel.Load(); t != nil && reason != "" {
+			t.promotions[reason].Inc()
+		}
+		full = reason != ""
 	}
-	cap, err := db.captureDeltaLocked(m.CheckpointSeq)
+	// A full snapshot walks again, against the empty catalog, unless
+	// there was no base to begin with.
+	all, fromSeq := since, uint64(0)
+	if !full {
+		fromSeq = m.CheckpointSeq
+	} else if base != nil {
+		all = diffViews(nil, cur)
+	}
+	cap, err := db.capture(all, cur, fromSeq, !full)
 	if err != nil {
 		db.mu.RUnlock()
 		return err
 	}
-	sealed, err := j.Rotate()
-	if err != nil {
+	gone := since.collected()
+	if !attached {
+		// No journal for dir: snapshot only, nothing to compact and no
+		// manifest to maintain. With no journal at all, it is the only
+		// durable record of the collections.
 		db.mu.RUnlock()
+		if _, err := writeCapture(SnapshotFile(dir), cap); err != nil {
+			return err
+		}
+		if j == nil {
+			db.unlinkCollected(gone)
+		}
+		return nil
+	}
+	sealed, err := j.Rotate()
+	db.mu.RUnlock()
+	if err != nil {
 		return fmt.Errorf("catalog: checkpoint rotate: %w", err)
 	}
-	dirty := db.takeDirtyLocked()
-	db.mu.RUnlock()
 	db.hook("rotated")
 
-	next := uint64(1)
-	if n := len(m.Checkpoints); n > 0 {
-		next = m.Checkpoints[n-1] + 1
+	path, chain := SnapshotFile(dir), []uint64(nil)
+	if !full {
+		next := uint64(1)
+		if n := len(m.Checkpoints); n > 0 {
+			next = m.Checkpoints[n-1] + 1
+		}
+		path, chain = CheckpointFile(dir, next), append(slices.Clone(m.Checkpoints), next)
 	}
-	size, err := writeCapture(CheckpointFile(dir, next), cap)
+	size, err := writeCapture(path, cap)
 	if err != nil {
-		db.restoreDirty(dirty)
 		return err
 	}
 	db.hook("written")
 
-	nm := &wal.Manifest{
-		CheckpointSeq: cap.head.Seq,
-		Checkpoints:   append(append([]uint64(nil), m.Checkpoints...), next),
-		OldestSegment: sealed + 1,
-	}
+	nm := &wal.Manifest{CheckpointSeq: cap.head.Seq, Checkpoints: chain, OldestSegment: sealed + 1}
 	if err := wal.WriteManifest(dir, nm); err != nil {
-		// The delta file exists but nothing references it: an orphan the
-		// next attempt overwrites. Restore the dirty slice so it does.
-		db.restoreDirty(dirty)
+		// The old manifest still holds: a new delta is an orphan the next
+		// attempt overwrites, a new snapshot loads under it (its chain
+		// applies as no-ops over the newer base, stale segment records
+		// are skipped by sequence). ckptView stays too, so the next
+		// attempt diffs from the same base and covers this one's slice.
 		return fmt.Errorf("%w: manifest: %v", ErrJournalTruncate, err)
 	}
-	db.manifest = nm
+	db.manifest, db.ckptView = nm, cur
+	defer db.observeCheckpoint(start, full, size)
 	db.hook("manifest")
-	db.unlinkCollected(dirty.delInterps)
+	db.unlinkCollected(gone)
 
-	keep := make(map[uint64]bool, len(nm.Checkpoints))
-	for _, n := range nm.Checkpoints {
-		keep[n] = true
-	}
-	err = db.compactCoveredLocked(dir, j, sealed, keep)
-	db.observeCheckpoint(start, false, size)
-	return err
-}
-
-// compactCoveredLocked removes everything a durable checkpoint
-// supersedes: stale checkpoint files and WAL segments at or below the
-// sealed index. Failures are ErrJournalTruncate: the checkpoint itself
-// is durable, only cleanup is pending, and a later checkpoint retries
-// it. Assumes saveMu held.
-func (db *DB) compactCoveredLocked(dir string, j wal.Appender, sealed uint64, keep map[uint64]bool) error {
-	if err := removeStaleCheckpoints(dir, keep); err != nil {
+	// Compact what the checkpoint supersedes: checkpoint files off the
+	// chain, segments at or below the sealed one. A failure leaves only
+	// cleanup pending, which a later checkpoint retries.
+	if err := removeStaleCheckpoints(dir, chain); err != nil {
 		return fmt.Errorf("%w: stale checkpoints: %v", ErrJournalTruncate, err)
 	}
 	if _, err := j.CompactThrough(sealed); err != nil {

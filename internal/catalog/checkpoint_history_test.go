@@ -1,0 +1,233 @@
+package catalog
+
+import (
+	"errors"
+	"fmt"
+	"math/rand"
+	"testing"
+
+	"timedmedia/internal/blob"
+	"timedmedia/internal/core"
+	"timedmedia/internal/timebase"
+)
+
+// TestCheckpointRandomHistories runs seeded random histories — clips
+// ingested, cut and composed, syncs, deletes down to a BLOB's last
+// reader — under version retention 1, 2 and the default, with
+// Checkpoint and Save at random points. After every checkpoint a
+// reopened copy of the directory equals the live catalog, and so does a
+// crash image taken between checkpoints and reopened twice. At
+// retention 1 a delete drops its chain outright; the vacuity guard
+// insists some delta had to carry such a drop in its head.
+func TestCheckpointRandomHistories(t *testing.T) {
+	for _, retention := range []int{1, 2, DefaultVersionRetention} {
+		t.Run(fmt.Sprintf("retention=%d", retention), func(t *testing.T) {
+			drops, deltas := 0, 0
+			for seed := int64(1); seed <= 4; seed++ {
+				d, n := randomCheckpointHistory(t, seed, retention)
+				drops += d
+				deltas += n
+			}
+			t.Logf("%d deltas carried %d dropped chains", deltas, drops)
+			if deltas == 0 {
+				t.Error("no checkpoint was a delta")
+			}
+			if retention == 1 && drops == 0 {
+				t.Error("no delta carried a chain retention dropped")
+			}
+		})
+	}
+}
+
+// randomCheckpointHistory runs one seeded history and returns how many
+// dropped chains its deltas carried and how many deltas it wrote.
+func randomCheckpointHistory(t *testing.T, seed int64, retention int) (drops, deltas int) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	dir := t.TempDir()
+	store, err := blob.OpenFileStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	db, err := Open(dir, store, WithVersionRetention(retention))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.CloseJournal()
+
+	n := 0
+	name := func(prefix string) string { n++; return fmt.Sprintf("%s%03d", prefix, n) }
+	pick := func(pred func(*core.Object) bool) *core.Object {
+		objs := db.Select(pred)
+		if len(objs) == 0 {
+			return nil
+		}
+		return objs[rng.Intn(len(objs))]
+	}
+	// fresh holds the BLOBs registered since the last checkpoint: the
+	// only files a reopen may keep that nothing interprets, because its
+	// replay registers them again.
+	fresh := map[blob.ID]bool{}
+	ingest := func() {
+		id, err := db.Ingest(name("clip"), genVideo(2, seed*1000+int64(n)), IngestOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		obj, err := db.Get(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fresh[obj.Blob] = true
+	}
+	for i := 0; i < 6; i++ {
+		ingest()
+	}
+	for step := 0; step < 90; step++ {
+		switch r := rng.Intn(20); {
+		case r < 3:
+			ingest()
+		case r < 4:
+			// A clip deleted before any checkpoint saw it: at retention 1
+			// neither view holds its interpretation chain.
+			ingest()
+			last, err := db.Lookup(fmt.Sprintf("clip%03d", n))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := db.Delete(last.ID); err != nil {
+				t.Fatal(err)
+			}
+		case r < 8:
+			if src := pick(func(o *core.Object) bool { return o.Class == core.ClassNonDerived }); src != nil {
+				if _, err := db.SelectDuration(src.ID, name("cut"), 0, 1); err != nil {
+					t.Fatal(err)
+				}
+			}
+		case r < 9:
+			a, b := pick(func(*core.Object) bool { return true }), pick(func(*core.Object) bool { return true })
+			if a != nil && b != nil {
+				comps := []core.ComponentRef{{Object: a.ID}, {Object: b.ID, Start: 40}}
+				if _, err := db.AddMultimedia(name("mix"), timebase.Millis, comps, nil); err != nil {
+					t.Fatal(err)
+				}
+			}
+		case r < 10:
+			if mm := pick(func(o *core.Object) bool { return o.Class == core.ClassMultimedia }); mm != nil {
+				if err := db.AddSync(mm.ID, 0, 1, int64(rng.Intn(50))); err != nil {
+					t.Fatal(err)
+				}
+			}
+		case r < 14:
+			if o := pick(func(*core.Object) bool { return true }); o != nil {
+				if err := db.Delete(o.ID); err != nil && !errors.Is(err, ErrInUse) {
+					t.Fatal(err)
+				}
+			}
+		case r < 16:
+			// A crash image, reopened twice: the first Open's sweep must
+			// leave every BLOB the second one's replay still needs.
+			reopenEquals(t, db, dir, retention, 2, fresh)
+		case r < 19:
+			before := chainLen(db)
+			dropped := droppedSinceCheckpoint(db)
+			if err := db.Checkpoint(dir); err != nil {
+				t.Fatal(err)
+			}
+			if chainLen(db) > before {
+				deltas++
+				drops += dropped
+			}
+			clear(fresh)
+			reopenEquals(t, db, dir, retention, 1, fresh)
+		default:
+			if err := db.Save(dir); err != nil {
+				t.Fatal(err)
+			}
+			clear(fresh)
+			reopenEquals(t, db, dir, retention, 1, fresh)
+		}
+	}
+	return drops, deltas
+}
+
+// chainLen is the length of db's checkpoint chain (0 without a
+// manifest).
+func chainLen(db *DB) int {
+	if m := db.Manifest(); m != nil {
+		return len(m.Checkpoints)
+	}
+	return 0
+}
+
+// droppedSinceCheckpoint counts the chains the last checkpoint's view
+// holds and the current one does not: retention dropped them, and only
+// a delta's head can say so.
+func droppedSinceCheckpoint(db *DB) int {
+	base, cur := db.ckptView, db.CurrentView()
+	if base == nil {
+		return 0
+	}
+	k := 0
+	for si, sh := range cur.shards {
+		diff(base.shards[si].vers, sh.vers, func(_ core.ID, _, c *verChain) {
+			if c == nil {
+				k++
+			}
+		})
+	}
+	diff(base.interpVers, cur.interpVers, func(_ blob.ID, _, c *interpVerChain) {
+		if c == nil {
+			k++
+		}
+	})
+	return k
+}
+
+// reopenEquals opens a copy of dir times times in a row, closing the
+// journal in between, and checks the last reopen against db: the same
+// live objects and syncs and the same as_of counts from the higher of
+// the two version floors (a reload raises its floor past history whose
+// BLOB a checkpoint unlinked), with indexes and chains intact. No BLOB
+// file may be left that the next reopen would not open again: one the
+// reopened catalog, or the last checkpoint, interprets, or one
+// registered since that checkpoint (fresh).
+func reopenEquals(t *testing.T, db *DB, dir string, retention, times int, fresh map[blob.ID]bool) {
+	t.Helper()
+	img := t.TempDir()
+	copyTree(t, dir, img)
+	base := db.ckptView
+	var got *DB
+	for i := 0; i < times; i++ {
+		store, err := blob.OpenFileStore(img)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, err = Open(img, store, WithVersionRetention(retention)); err != nil {
+			t.Fatalf("reopen %d at seq %d: %v", i+1, db.Seq(), err)
+		}
+		ids, err := store.IDs()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, id := range ids {
+			if !got.CurrentView().interps.has(id) && !fresh[id] && !(base != nil && base.interps.has(id)) {
+				t.Fatalf("reopen %d at seq %d left %v, which nothing interprets", i+1, db.Seq(), id)
+			}
+		}
+		if err := got.CloseJournal(); err != nil {
+			t.Fatal(err)
+		}
+		store.Close()
+	}
+	floor := max(db.CurrentView().VersionFloor(), got.CurrentView().VersionFloor())
+	if g, w := catalogDumpFrom(got, floor), catalogDumpFrom(db, floor); g != w {
+		t.Fatalf("reopen at seq %d:\n%s\nwant:\n%s", db.Seq(), g, w)
+	}
+	if err := got.VerifyIndexes(); err != nil {
+		t.Fatal(err)
+	}
+	if err := got.CurrentView().VerifyVersions(); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -5,11 +5,16 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"timedmedia/internal/blob"
+	"timedmedia/internal/core"
 	"timedmedia/internal/faultfs"
+	"timedmedia/internal/telemetry"
 	"timedmedia/internal/wal"
 )
 
@@ -70,7 +75,7 @@ func chainFilesOnDisk(t testing.TB, dir string) []string {
 }
 
 // TestCheckpointIncrementalBasics: after a full Save, Checkpoint
-// writes deltas (dirty slice only) into a growing manifest chain; a
+// writes deltas (what changed only) into a growing manifest chain; a
 // quiescent catalog checkpoints to a no-op; and a reload applies the
 // chain instead of replaying the journal.
 func TestCheckpointIncrementalBasics(t *testing.T) {
@@ -168,7 +173,7 @@ func TestCheckpointChainPromotesToFull(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Enough live objects that single-object deltas stay incremental
-	// under the dirty-fraction promotion rule.
+	// under the majority promotion rule.
 	for i := 0; i < 30; i++ {
 		if _, err := db.SelectDuration(clip, fmt.Sprintf("base%02d", i), 0, 2); err != nil {
 			t.Fatal(err)
@@ -498,5 +503,240 @@ func TestCloseJournalClearsWALDir(t *testing.T) {
 	db2 := openDB(t, dir)
 	if _, err := db2.Lookup("clip"); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// baseCatalog ingests a clip and n cuts of it into a journaled catalog
+// at dir and saves it, so single-object checkpoints stay deltas.
+func baseCatalog(t *testing.T, db *DB, dir string, n int, seed int64) core.ID {
+	t.Helper()
+	clip, err := db.Ingest("clip", genVideo(4, seed), IngestOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < n; i++ {
+		if _, err := db.SelectDuration(clip, fmt.Sprintf("base%02d", i), 0, 2); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := db.Save(dir); err != nil {
+		t.Fatal(err)
+	}
+	return clip
+}
+
+// TestCheckpointFailedDeltaIsRecaptured fails a delta after its capture
+// — its file's write, or its MANIFEST's, blocked by a directory where
+// the temp file goes — over a slice holding a cut, a delete and a BLOB
+// collection. The durable state must stay where it was, the next clean
+// Checkpoint must cover the same mutations, and a reopen must equal
+// the live catalog without replaying a record.
+func TestCheckpointFailedDeltaIsRecaptured(t *testing.T) {
+	for _, blocked := range []string{"delta", "manifest"} {
+		t.Run(blocked, func(t *testing.T) {
+			dir := t.TempDir()
+			db := openDB(t, dir)
+			clip := baseCatalog(t, db, dir, 20, 181)
+			saved := db.Manifest()
+			if _, err := db.SelectDuration(clip, "cut", 1, 3); err != nil {
+				t.Fatal(err)
+			}
+			base0, err := db.Lookup("base00")
+			if err != nil {
+				t.Fatal(err)
+			}
+			gone, err := db.Ingest("gone", genVideo(2, 182), IngestOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, id := range []core.ID{base0.ID, gone} {
+				if err := db.Delete(id); err != nil {
+					t.Fatal(err)
+				}
+			}
+
+			tmp := CheckpointFile(dir, 1) + ".tmp"
+			if blocked == "manifest" {
+				tmp = wal.ManifestFile(dir) + ".tmp"
+			}
+			if err := os.MkdirAll(filepath.Join(tmp, "child"), 0o755); err != nil {
+				t.Fatal(err)
+			}
+			err = db.Checkpoint(dir)
+			if err == nil || blocked == "manifest" && !errors.Is(err, ErrJournalTruncate) {
+				t.Fatalf("blocked %s write: err = %v", blocked, err)
+			}
+			if m := db.Manifest(); m.CheckpointSeq != saved.CheckpointSeq || len(m.Checkpoints) != 0 {
+				t.Fatalf("failed checkpoint moved the manifest: %+v", m)
+			}
+			if err := os.RemoveAll(tmp); err != nil {
+				t.Fatal(err)
+			}
+
+			if err := db.Checkpoint(dir); err != nil {
+				t.Fatal(err)
+			}
+			if m := db.Manifest(); len(m.Checkpoints) != 1 || m.CheckpointSeq != db.Seq() {
+				t.Fatalf("retry manifest = %+v, want one delta covering seq %d", m, db.Seq())
+			}
+			img := t.TempDir()
+			copyTree(t, dir, img)
+			db2 := openDB(t, img)
+			defer db2.CloseJournal()
+			if rec := db2.Recovery(); rec.JournalRecords != 0 || rec.CheckpointsApplied != 1 {
+				t.Errorf("recovery = %+v, want the delta applied and nothing replayed", rec)
+			}
+			floor := max(db.CurrentView().VersionFloor(), db2.CurrentView().VersionFloor())
+			if got, want := catalogDumpFrom(db2, floor), catalogDumpFrom(db, floor); got != want {
+				t.Errorf("reopen after the retry:\n%s\nwant:\n%s", got, want)
+			}
+			if err := db2.VerifyIndexes(); err != nil {
+				t.Error(err)
+			}
+		})
+	}
+}
+
+// TestStartCheckpointerBacksOffOnTruncate: a checkpoint whose cleanup
+// fails (ErrJournalTruncate) doubles the checkpointer's delay up to 8×
+// the interval, and a success resets it. Every checkpoint leaves a
+// mutation behind (the "manifest" hook), so no tick is a quiescent
+// no-op.
+func TestStartCheckpointerBacksOffOnTruncate(t *testing.T) {
+	dir := t.TempDir()
+	store, err := blob.OpenFileStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	db := New(store)
+	inj := faultfs.NewInjector()
+	attachFaultJournal(t, db, dir, inj)
+	clip := baseCatalog(t, db, dir, 12, 183) // compaction #1
+	// Compactions 2–5 fail, 6 succeeds, 7 fails.
+	inj.Add(faultfs.Rule{Op: "journal.compact", Nth: 2, Times: 3})
+	inj.Add(faultfs.Rule{Op: "journal.compact", Nth: 7})
+
+	n := 0
+	if _, err := db.SelectDuration(clip, "tick00", 0, 2); err != nil {
+		t.Fatal(err)
+	}
+	db.checkpointHook = func(stage string) {
+		if stage != "manifest" {
+			return
+		}
+		n++
+		if _, err := db.SelectDuration(clip, fmt.Sprintf("tick%02d", n), 0, 2); err != nil {
+			t.Error(err)
+		}
+	}
+	errs := make(chan error, 16)
+	stop := db.StartCheckpointer(dir, time.Millisecond, func(err error) { errs <- err })
+	var got []string
+	for len(got) < 5 {
+		select {
+		case err := <-errs:
+			if !errors.Is(err, ErrJournalTruncate) {
+				t.Fatalf("checkpointer error %v, want ErrJournalTruncate", err)
+			}
+			msg := err.Error()
+			got = append(got, msg[strings.LastIndex(msg, "(")+1:])
+		case <-time.After(10 * time.Second):
+			t.Fatalf("checkpointer reported %v, then nothing", got)
+		}
+	}
+	stop()
+	want := []string{"retrying in 2ms)", "retrying in 4ms)", "retrying in 8ms)", "retrying in 8ms)", "retrying in 2ms)"}
+	if !slices.Equal(got, want) {
+		t.Errorf("backoff = %q, want %q", got, want)
+	}
+}
+
+// TestStartCheckpointerStopWaitsForInFlight: stop must not return while
+// a checkpoint is between its stages, and the checkpoint it waited for
+// is complete when it does.
+func TestStartCheckpointerStopWaitsForInFlight(t *testing.T) {
+	dir := t.TempDir()
+	db := openDB(t, dir)
+	clip := baseCatalog(t, db, dir, 8, 184)
+	if _, err := db.SelectDuration(clip, "pending", 0, 2); err != nil {
+		t.Fatal(err)
+	}
+	entered, release := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	db.checkpointHook = func(stage string) {
+		if stage == "written" {
+			once.Do(func() { close(entered) })
+			<-release
+		}
+	}
+	stop := db.StartCheckpointer(dir, time.Millisecond, func(err error) { t.Error(err) })
+	<-entered
+	stopped := make(chan struct{})
+	go func() {
+		stop()
+		close(stopped)
+	}()
+	select {
+	case <-stopped:
+		t.Fatal("stop returned while a checkpoint was in flight")
+	case <-time.After(50 * time.Millisecond):
+	}
+	close(release)
+	select {
+	case <-stopped:
+	case <-time.After(10 * time.Second):
+		t.Fatal("stop did not return after the checkpoint finished")
+	}
+	if m := db.Manifest(); len(m.Checkpoints) != 1 || m.CheckpointSeq != db.Seq() {
+		t.Errorf("manifest after stop = %+v, want the in-flight delta at seq %d", m, db.Seq())
+	}
+	if err := db.CloseJournal(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestCheckpointPromotionReasons: each way a Checkpoint goes full is
+// counted once under its reason.
+func TestCheckpointPromotionReasons(t *testing.T) {
+	dir := t.TempDir()
+	fs, err := blob.OpenFileStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fs.Close()
+	reg := telemetry.NewRegistry()
+	db, err := Open(dir, fs, WithTelemetry(reg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.CloseJournal()
+	clip, err := db.Ingest("clip", genVideo(4, 185), IngestOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cut := func(name string) {
+		if _, err := db.SelectDuration(clip, name, 0, 2); err != nil {
+			t.Fatal(err)
+		}
+	}
+	checkpoint := func(dir string) {
+		if err := db.Checkpoint(dir); err != nil {
+			t.Fatal(err)
+		}
+	}
+	checkpoint(dir) // no manifest yet: no_base
+	for i := 0; i < 10; i++ {
+		cut(fmt.Sprintf("base%02d", i))
+	}
+	checkpoint(dir) // 10 of 12 live entries changed: majority
+	for i := 0; i <= DefaultMaxCheckpointChain; i++ {
+		cut(fmt.Sprintf("inc%02d", i))
+		checkpoint(dir) // the last one: chain_bound
+	}
+	checkpoint(t.TempDir()) // not the journal's directory: no_journal
+	for _, reason := range promotionReasons {
+		if n := reg.Counter(telemetry.CheckpointPromotionFamily, `reason="`+reason+`"`).Load(); n != 1 {
+			t.Errorf("promotions{reason=%q} = %d, want 1", reason, n)
+		}
 	}
 }

@@ -3,6 +3,7 @@ package catalog
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"timedmedia/internal/blob"
 	"timedmedia/internal/core"
@@ -51,22 +52,8 @@ func (db *DB) checkDeletable(id core.ID) (*core.Object, error) {
 
 func checkRefs(objs map[string]*core.Object, id core.ID) error {
 	for _, other := range objs {
-		if other.ID == id {
-			continue
-		}
-		if other.Derivation != nil {
-			for _, in := range other.Derivation.Inputs {
-				if in == id {
-					return fmt.Errorf("%w: %v ← %v", ErrInUse, id, other.ID)
-				}
-			}
-		}
-		if other.Multimedia != nil {
-			for _, c := range other.Multimedia.Components {
-				if c.Object == id {
-					return fmt.Errorf("%w: %v ← %v", ErrInUse, id, other.ID)
-				}
-			}
+		if other.ID != id && slices.Contains(directRefs(other), id) {
+			return fmt.Errorf("%w: %v ← %v", ErrInUse, id, other.ID)
 		}
 	}
 	return nil
@@ -89,30 +76,20 @@ func (db *DB) deleteLocked(id core.ID, seq uint64) error {
 		db.maybeCollectBlob(e, obj.Blob, seq)
 	}
 	db.commitEditLocked(e)
-	d := &db.dirty[shardOf(obj.Name, db.nShards)]
-	delete(d.objs, id)
-	d.del[id] = struct{}{}
 	db.cache.Invalidate(id)
 	return nil
 }
 
 // maybeCollectBlob drops the BLOB's interpretation from the edit when
-// no object in the edit's working state (nor any staged object) still
-// reads it. Staged objects keep their BLOB alive like visible ones do.
-// The collection is recorded as an interpretation tombstone at seq, so
-// as-of reads know the history ends there, and the BLOB is marked for
-// the next checkpoint to unlink. Assumes db.mu is held.
+// no object in the edit's working state (one probe of each shard's
+// reader index) nor any staged object still reads it. Staged objects
+// keep their BLOB alive like visible ones do. The collection is
+// recorded as an interpretation tombstone at seq, so as-of reads know
+// the history ends there; the checkpoint that covers it unlinks the
+// file. Assumes db.mu is held.
 func (db *DB) maybeCollectBlob(e *viewEdit, id blob.ID, seq uint64) {
 	for _, sh := range e.shards {
-		inUse := false
-		sh.objects.ascend(func(_ core.ID, other *core.Object) bool {
-			if other.Blob == id {
-				inUse = true
-				return false
-			}
-			return true
-		})
-		if inUse {
+		if sh.ix.blob.has(id) {
 			return
 		}
 	}
@@ -123,36 +100,14 @@ func (db *DB) maybeCollectBlob(e *viewEdit, id blob.ID, seq uint64) {
 	}
 	e.delInterp(id)
 	e.appendInterpTombstone(id, seq)
-	delete(db.dirtyInterps, id)
-	db.dirtyDelInterp[id] = struct{}{}
 }
 
 // unlinkCollected removes the files of the BLOBs whose tombstones a
 // checkpoint just made durable. Replay and the feed only hand over
 // records above CheckpointSeq, so none of them names a file gone this
 // way. Best effort: the next Open sweeps what this misses.
-func (db *DB) unlinkCollected(ids map[blob.ID]struct{}) {
-	for id := range ids {
-		_ = db.store.Delete(id)
-	}
-}
-
-// sweepBlobsLocked removes the BLOB files that no live interpretation
-// reads and no pending collection (dirtyDelInterp) owns: a crash left
-// them between a checkpoint and its unlinks, or mid-ingest. Best
-// effort. Assumes db.mu is held.
-func (db *DB) sweepBlobsLocked() {
-	ids, err := db.store.IDs()
-	if err != nil {
-		return
-	}
-	cur := db.cur.Load()
+func (db *DB) unlinkCollected(ids []blob.ID) {
 	for _, id := range ids {
-		if _, pending := db.dirtyDelInterp[id]; pending || cur.interps.has(id) {
-			continue
-		}
-		if db.store.Delete(id) == nil {
-			db.recovery.BlobsSwept++
-		}
+		_ = db.store.Delete(id)
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"sort"
 	"time"
 
+	"timedmedia/internal/blob"
 	"timedmedia/internal/core"
 	"timedmedia/internal/media"
 )
@@ -28,6 +29,8 @@ import (
 //	                     a pure function of the shard's own objects)
 //	spans                interval index over presentation timelines
 //	                     ("what is live at t / overlaps [t1,t2]")
+//	blob                 readers: BLOB → the non-derived objects bound to
+//	                     one of its tracks (what keeps a BLOB alive)
 type idSet map[core.ID]struct{}
 
 // pIndexes is the immutable index bundle of one shard.
@@ -37,6 +40,7 @@ type pIndexes struct {
 	attr  tmap[string, tmap[string, idset]] // key → value → ids
 	deps  tmap[core.ID, idset]
 	spans spanIndex
+	blob  tmap[blob.ID, idset]
 }
 
 // setAdd / setDrop maintain a posting list inside a persistent index
@@ -137,6 +141,9 @@ func (ix pIndexes) link(obj *core.Object, lookup func(core.ID) *core.Object) pIn
 	if s, ok := timelineSpan(obj, lookup); ok {
 		ix.spans = ix.spans.add(obj.ID, s)
 	}
+	if obj.Class == core.ClassNonDerived {
+		ix.blob = setAdd(ix.blob, obj.Blob, obj.ID)
+	}
 	return ix
 }
 
@@ -161,6 +168,9 @@ func (ix pIndexes) unlink(obj *core.Object) pIndexes {
 		ix.deps = setDrop(ix.deps, ref, obj.ID)
 	}
 	ix.spans = ix.spans.remove(obj.ID)
+	if obj.Class == core.ClassNonDerived {
+		ix.blob = setDrop(ix.blob, obj.Blob, obj.ID)
+	}
 	return ix
 }
 
@@ -615,6 +625,9 @@ func (v *View) VerifyIndexes() error {
 			return err
 		}
 		if err := diffSets(fmt.Sprintf("shard %d provenance", si), setsToMap(sh.ix.deps), setsToMap(want.deps)); err != nil {
+			return err
+		}
+		if err := diffSets(fmt.Sprintf("shard %d blob reader", si), setsToMap(sh.ix.blob), setsToMap(want.blob)); err != nil {
 			return err
 		}
 		if err := sh.ix.spans.check(); err != nil {

@@ -134,6 +134,12 @@ func TestVerifyIndexesDetectsCorruption(t *testing.T) {
 				sh.ix.attr = sh.ix.attr.set("ghost", tmap[string, idset]{})
 			})
 		}, "empty key"},
+		{"stale blob reader", func(db *DB, ids map[string]core.ID) {
+			b, _ := db.Get(ids["b"])
+			corruptShard(db, "a", func(sh *shardState) {
+				sh.ix.blob = setAdd(sh.ix.blob, b.Blob, ids["a"])
+			})
+		}, "blob reader"},
 		{"treap byID divergence", func(db *DB, ids map[string]core.ID) {
 			corruptShard(db, "b", func(sh *shardState) {
 				sh.ix.spans.byID = sh.ix.spans.byID.set(core.ID(9999), Span{Start: 1, End: 2})

@@ -110,7 +110,7 @@ type RecoveryInfo struct {
 	// OpenMs is the wall time Open took at this start, milliseconds.
 	OpenMs int64 `json:"open_ms"`
 	// BlobsSwept counts the BLOB files Open removed because nothing
-	// interprets them (see sweepBlobsLocked).
+	// interprets them (see Open).
 	BlobsSwept int `json:"blobs_swept"`
 
 	// Bounded-recovery accounting (see checkpoint.go): how many WAL
@@ -262,6 +262,7 @@ func (db *DB) syncBlob(id blob.ID) error {
 // the DB is not yet shared).
 func (db *DB) replayAllLocked(dir string) error {
 	base := db.seq
+	db.replayKeep = db.cur.Load().interps
 	results, err := wal.ReplaySegments(dir, func(data []byte) error {
 		return db.applyWalLocked(base, data)
 	})
@@ -317,6 +318,9 @@ func (db *DB) applyWalLocked(base uint64, data []byte) error {
 	if err := db.applyOpLocked(rec); err != nil {
 		return err
 	}
+	if rec.Kind == opInterp {
+		db.replayKeep = db.replayKeep.set(rec.Blob, nil) // a set: only keys are read
+	}
 	if rec.Seq > db.seq {
 		db.seq = rec.Seq
 	}
@@ -339,9 +343,8 @@ func (db *DB) applyOpLocked(rec *walOp) error {
 // that happens, for the live serial mutators (commitSerial), crash
 // replay and replicated apply (applyOpLocked) alike. An add is staged
 // and published in one step, at its recorded ID; every kind stamps the
-// record's seq into the version chains and marks what it touched dirty,
-// which keeps a replayed record — it postdates the last checkpoint —
-// dirty until the next one captures it. Assumes db.mu is held.
+// record's seq into the version chains, where the next checkpoint's
+// diff finds it. Assumes db.mu is held.
 func (db *DB) applyLocked(rec *walOp) error {
 	one := [1]*walOp{rec}
 	switch rec.Kind {
@@ -379,7 +382,6 @@ func (db *DB) applyLocked(rec *walOp) error {
 		e.replace(rev)
 		e.appendVersion(rev, rec.Seq)
 		db.commitEditLocked(e)
-		db.markDirtyLocked(rev.Name, rev.ID)
 	case opDelete:
 		return db.deleteLocked(rec.ID, rec.Seq)
 	default:

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"io/fs"
-	"maps"
 	"os"
 	"path/filepath"
 	"time"
@@ -151,124 +150,20 @@ func objectFromSaved(so *savedObject) (*core.Object, error) {
 	return obj, nil
 }
 
-// captureFullLocked captures every retained version chain as a full
-// snapshot — including chains whose object is deleted (tombstone
-// tail), which still answer as-of reads below their tombstone. The
-// live objects and interpretations are the chains' non-tombstone
-// tails, so nothing else needs capturing. Assumes db.mu is held (read
-// or write).
-func (db *DB) captureFullLocked() (*snapCapture, error) {
-	cur := db.cur.Load()
-	cap := &snapCapture{head: streamHead{Seq: db.seq, NextID: db.nextID, NextBlob: db.nextBlob}}
-	var err error
-	for _, sh := range cur.shards {
-		sh.vers.ascend(func(id core.ID, c *verChain) bool {
-			err = captureObjChain(cap, id, c, 0)
-			return err == nil
-		})
-		if err != nil {
-			return nil, err
-		}
-	}
-	cur.interpVers.ascend(func(bid blob.ID, c *interpVerChain) bool {
-		err = captureInterpChain(cap, bid, c, 0)
-		return err == nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	cap.seal(cur.verFloor)
-	return cap, nil
-}
-
 // Save writes the catalog's object graph and interpretations durably
 // to dir/catalog.gob as a streamed, checksummed container: temp-file
 // write, fsync, atomic rename with the previous snapshot kept as
 // catalog.gob.bak, and a directory fsync. With a journal attached for
-// dir, Save is a full checkpoint: the WAL rotates at the
-// capture boundary, the MANIFEST records the covered sequence (and an
-// empty checkpoint chain), and covered segments are compacted. The
+// dir, Save is a full checkpoint (checkpointLocked): the WAL rotates at
+// the capture boundary, the MANIFEST records the covered sequence (and
+// an empty checkpoint chain), and covered segments are compacted. The
 // catalog lock is released before any encode or fsync — writers only
 // wait for the in-memory capture. The BLOB store persists
 // independently (use a FileStore in the same dir).
 func (db *DB) Save(dir string) error {
 	db.saveMu.Lock()
 	defer db.saveMu.Unlock()
-	return db.saveLocked(dir)
-}
-
-// saveLocked is Save with saveMu already held (Checkpoint promotes to
-// it when an incremental delta doesn't pay off).
-func (db *DB) saveLocked(dir string) error {
-	start := time.Now()
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return fmt.Errorf("catalog: %w", err)
-	}
-	// Wait out in-flight commits: mutators hold commitGate.RLock from
-	// stage to publish or unstage, so after taking the write side no staged
-	// object remains — the snapshot captures acknowledged mutations
-	// only. The gate is dropped as soon as mu.RLock is held: new
-	// mutations may then pass the gate but block on mu before staging,
-	// so no journal append is in flight while we hold the read lock —
-	// which makes the rotation below land exactly at the capture
-	// boundary.
-	db.commitGate.Lock()
-	db.mu.RLock()
-	db.commitGate.Unlock()
-	cap, err := db.captureFullLocked()
-	if err != nil {
-		db.mu.RUnlock()
-		return err
-	}
-	j := db.wal
-	if j == nil || db.walDir != filepath.Clean(dir) {
-		// No journal for dir: snapshot only, nothing to compact and no
-		// manifest to maintain. With no journal at all, it is the only
-		// durable record of the collections.
-		var collected map[blob.ID]struct{}
-		if j == nil {
-			collected = maps.Clone(db.dirtyDelInterp)
-		}
-		db.mu.RUnlock()
-		if _, err = writeCapture(SnapshotFile(dir), cap); err != nil {
-			return err
-		}
-		db.unlinkCollected(collected)
-		return nil
-	}
-	sealed, err := j.Rotate()
-	if err != nil {
-		db.mu.RUnlock()
-		return fmt.Errorf("catalog: snapshot rotate: %w", err)
-	}
-	dirty := db.takeDirtyLocked()
-	db.mu.RUnlock()
-	db.hook("rotated")
-
-	size, err := writeCapture(SnapshotFile(dir), cap)
-	if err != nil {
-		db.restoreDirty(dirty)
-		return err
-	}
-	db.hook("written")
-
-	nm := &wal.Manifest{CheckpointSeq: cap.head.Seq, OldestSegment: sealed + 1}
-	if err := wal.WriteManifest(dir, nm); err != nil {
-		// The snapshot is durable and loads fine under the old
-		// manifest: its chain entries apply as no-ops over the newer
-		// base (delta-skip rule) and stale segment records are skipped
-		// by sequence. Restore the dirty slice so the next incremental
-		// checkpoint still covers everything past the old manifest.
-		db.restoreDirty(dirty)
-		return fmt.Errorf("%w: manifest: %v", ErrJournalTruncate, err)
-	}
-	db.manifest = nm
-	db.hook("manifest")
-	db.unlinkCollected(dirty.delInterps)
-
-	err = db.compactCoveredLocked(dir, j, sealed, nil)
-	db.observeCheckpoint(start, true, size)
-	return err
+	return db.checkpointLocked(dir, true)
 }
 
 // observeCheckpoint records one completed checkpoint into telemetry:
@@ -460,6 +355,13 @@ func Load(dir string, store blob.Store, opts ...Option) (*DB, error) {
 	if err := db.relinkAllLocked(); err != nil {
 		return nil, err
 	}
+	// The loaded state is exactly the manifest's checkpoint: the next
+	// delta diffs against it, so what replay applies is in the diff. A
+	// fallback, or a state short of the manifest's seq, leaves no base
+	// and makes the next checkpoint full.
+	if m := db.manifest; m != nil && !recovery.UsedBackup && db.seq == m.CheckpointSeq {
+		db.ckptView = db.cur.Load()
+	}
 	if err := db.replayAllLocked(dir); err != nil {
 		return nil, err
 	}
@@ -469,11 +371,14 @@ func Load(dir string, store blob.Store, opts ...Option) (*DB, error) {
 // Open loads the catalog at dir when any persistent state exists
 // (snapshot, backup or journal), creates a fresh one otherwise, and
 // attaches the mutation journal in both cases. This is the one-call
-// path the CLIs use. It then sweeps the store (sweepBlobsLocked) —
-// unless registrations may be missing rather than gone: under
-// WithReplayCap, or after a fallback past lost state (the backup
-// snapshot, a corrupt MANIFEST, a broken checkpoint chain), whose
-// BLOBs may be all that is left of it.
+// path the CLIs use. It then sweeps the BLOB files a reopen would not
+// open again (replayKeep): a crash left them between a checkpoint and
+// its unlinks, or mid-ingest; or, at version retention 1, a BLOB
+// registered and collected between two checkpoints reached no
+// checkpoint's diff. Best effort, and skipped where registrations may
+// be missing rather than gone: under WithReplayCap, or after a fallback
+// past lost state (the backup snapshot, a corrupt MANIFEST, a broken
+// checkpoint chain), whose BLOBs may be all that is left of it.
 func Open(dir string, store blob.Store, opts ...Option) (*DB, error) {
 	start := time.Now()
 	db, err := open(dir, store, opts...)
@@ -482,8 +387,14 @@ func Open(dir string, store blob.Store, opts ...Option) (*DB, error) {
 	}
 	db.mu.Lock()
 	if rec := db.recovery; db.replayCap == 0 && !rec.UsedBackup && !rec.ManifestCorrupt && !rec.CheckpointChainBroken {
-		db.sweepBlobsLocked()
+		ids, _ := db.store.IDs() // best effort: a failed listing sweeps nothing
+		for _, id := range ids {
+			if !db.replayKeep.has(id) && db.store.Delete(id) == nil {
+				db.recovery.BlobsSwept++
+			}
+		}
 	}
+	db.replayKeep = tmap[blob.ID, *interp.Interpretation]{}
 	db.recovery.OpenMs = time.Since(start).Milliseconds()
 	db.mu.Unlock()
 	return db, nil

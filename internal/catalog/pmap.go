@@ -252,6 +252,55 @@ func tascend[K cmp.Ordered, V any](n *tnode[K, V], f func(K, V) bool) bool {
 	return tascend(n.r, f)
 }
 
+// diff calls f, in ascending key order, for every key a and b bind
+// differently, with V's zero value for a side that lacks it (the
+// catalog's maps hold pointers, never nil). Shared subtrees are skipped
+// by pointer: path copying shares every subtree an edit did not touch,
+// so maps k edits apart cost O(k log n) to diff. Ascending order keeps
+// a caller that inserts the keys into another treap on its right spine.
+func diff[K cmp.Ordered, V comparable](a, b tmap[K, V], f func(k K, av, bv V)) {
+	tdiff(a.root, b.root, nil, nil, f)
+}
+
+// tdiff is diff over the keys strictly between lo and hi (nil: open).
+// It splits both trees on the in-range root of higher priority — the
+// root of both when both hold its key, as priority is the key's hash.
+func tdiff[K cmp.Ordered, V comparable](a, b *tnode[K, V], lo, hi *K, f func(K, V, V)) {
+	a, b = tclip(a, lo, hi), tclip(b, lo, hi)
+	if a == b {
+		return
+	}
+	if a == nil || (b != nil && b.prio > a.prio) {
+		tdiff(a, b.l, lo, &b.k, f)
+		if av, _ := (tmap[K, V]{root: a}).get(b.k); av != b.v {
+			f(b.k, av, b.v)
+		}
+		tdiff(a, b.r, &b.k, hi, f)
+		return
+	}
+	tdiff(a.l, b, lo, &a.k, f)
+	if bv, _ := (tmap[K, V]{root: b}).get(a.k); bv != a.v {
+		f(a.k, a.v, bv)
+	}
+	tdiff(a.r, b, &a.k, hi, f)
+}
+
+// tclip descends to the highest node of n strictly between lo and hi,
+// whose subtree holds every in-range key of n.
+func tclip[K cmp.Ordered, V any](n *tnode[K, V], lo, hi *K) *tnode[K, V] {
+	for n != nil {
+		switch {
+		case lo != nil && n.k <= *lo:
+			n = n.r
+		case hi != nil && n.k >= *hi:
+			n = n.l
+		default:
+			return n
+		}
+	}
+	return nil
+}
+
 // idset is a persistent set of object IDs — the posting-list type for
 // every secondary index family.
 type idset = tmap[core.ID, struct{}]

@@ -16,12 +16,14 @@ type dbTelemetry struct {
 
 	// checkpoint times Save/Checkpoint end to end; ckptFull/ckptIncr
 	// count completed checkpoints by mode and the Bytes pair sums the
-	// container bytes they made durable.
+	// container bytes they made durable; promotions counts Checkpoint
+	// calls that went full, by reason.
 	checkpoint    *telemetry.Histogram
 	ckptFull      *telemetry.Counter
 	ckptIncr      *telemetry.Counter
 	ckptFullBytes *telemetry.Counter
 	ckptIncrBytes *telemetry.Counter
+	promotions    map[string]*telemetry.Counter
 
 	// queryPlan times the planner's index selection; probes counts
 	// candidate sourcing per index (plan label → counter), with the
@@ -57,6 +59,10 @@ func newDBTelemetry(reg *telemetry.Registry) *dbTelemetry {
 		probes[idx] = reg.Counter(telemetry.IndexProbeFamily, `index="`+idx+`"`)
 	}
 	probes[planScan] = reg.Counter(telemetry.IndexScanFallbackFamily, "")
+	promotions := make(map[string]*telemetry.Counter, len(promotionReasons))
+	for _, reason := range promotionReasons {
+		promotions[reason] = reg.Counter(telemetry.CheckpointPromotionFamily, `reason="`+reason+`"`)
+	}
 	return &dbTelemetry{
 		reg:        reg,
 		expand:     reg.Histogram(telemetry.StageFamily, telemetry.StageExpand),
@@ -68,6 +74,7 @@ func newDBTelemetry(reg *telemetry.Registry) *dbTelemetry {
 
 		ckptFullBytes: reg.Counter(telemetry.CheckpointBytesFamily, `mode="full"`),
 		ckptIncrBytes: reg.Counter(telemetry.CheckpointBytesFamily, `mode="incremental"`),
+		promotions:    promotions,
 		queryPlan:     reg.Histogram(telemetry.StageFamily, telemetry.StageQueryPlan),
 		probes:        probes,
 

@@ -260,38 +260,6 @@ func (e *viewEdit) settleLive(id core.ID, name string) {
 	}
 }
 
-// reconcileChains drops version chains whose live tail contradicts
-// object liveness after a snapshot-stream apply. A chain that
-// retention pruned down to tombstones is dropped from the live
-// catalog the moment it happens, so a checkpoint delta carries no
-// frames for it — only the raised floor. Applying that delta over a
-// base snapshot would otherwise leave the base's stale chain behind,
-// with a live tail for an object the delta deleted, and an as-of read
-// would resurrect it. The floor in the delta head already covers the
-// drop seq (it was raised live when the chain was dropped), so
-// removing the chain restores exactly the live structure. (The walks
-// run over the persistent maps as they stood when ascend was called,
-// so dropping inside the callback is safe.)
-func (e *viewEdit) reconcileChains() {
-	for i := range e.shards {
-		sh := e.shards[i]
-		sh.vers.ascend(func(id core.ID, c *verChain) bool {
-			if tail := c.tail(); tail.val != nil && !sh.objects.has(id) {
-				e.raiseFloor(tail.seq)
-				e.dropChain(id, c.name)
-			}
-			return true
-		})
-	}
-	e.interpVers.ascend(func(id blob.ID, c *interpVerChain) bool {
-		if tail := c.tail(); tail.val != nil && !e.interps.has(id) {
-			e.raiseFloor(tail.seq)
-			e.interpVers = e.interpVers.del(id)
-		}
-		return true
-	})
-}
-
 // --- AsOfView ------------------------------------------------------
 
 // AsOfView is the catalog as of one transaction-time seq: a pinned

@@ -19,9 +19,13 @@ import (
 // default Prometheus text exposition and the JSON shape under
 // Accept: application/json.
 func TestMetricsContentNegotiation(t *testing.T) {
-	ts, _ := testServer(t)
+	ts, db := testServer(t)
 	// Generate one request so the route histograms have samples.
 	get(t, ts.URL+"/v1/objects", 200)
+	// A checkpoint with no journal attached goes full, and says why.
+	if err := db.Checkpoint(t.TempDir()); err != nil {
+		t.Fatal(err)
+	}
 
 	t.Run("prometheus-default", func(t *testing.T) {
 		resp, err := http.Get(ts.URL + "/metrics")
@@ -56,6 +60,10 @@ func TestMetricsContentNegotiation(t *testing.T) {
 			"tbm_recovery_blobs_swept 0",
 			`tbm_checkpoint_bytes_total{mode="full"}`,
 			`tbm_checkpoint_bytes_total{mode="incremental"}`,
+			`tbm_checkpoint_promotions_total{reason="no_journal"} 1`,
+			`tbm_checkpoint_promotions_total{reason="no_base"} 0`,
+			`tbm_checkpoint_promotions_total{reason="chain_bound"} 0`,
+			`tbm_checkpoint_promotions_total{reason="majority"} 0`,
 			"tbm_http_load_shed_total",
 			"tbm_objects 3",
 			"tbm_version_floor 0",

@@ -53,6 +53,10 @@ const (
 	// made durable, under the same mode label; over CheckpointFamily it
 	// gives bytes per checkpoint.
 	CheckpointBytesFamily = "tbm_checkpoint_bytes_total"
+	// CheckpointPromotionFamily counts Checkpoint calls that wrote a full
+	// snapshot instead of a delta; series carry a
+	// reason="no_journal|no_base|chain_bound|majority" label.
+	CheckpointPromotionFamily = "tbm_checkpoint_promotions_total"
 	// WALBatchFamily is the group-commit batch-size histogram: one
 	// observation per committed WAL batch, with the record count
 	// encoded on the microsecond scale (a batch of n records is
