@@ -59,16 +59,16 @@ var (
 // staged commits (commitAdds): validated against the current view and
 // staged, invisible to every reader, under db.mu, journaled *outside*
 // db.mu — concurrent mutators share group commits (see internal/wal)
-// instead of serializing one fsync each — and published, all of them
-// as one copy-on-write epoch swapped in atomically, once the records
-// are durable; a failed append unstages them. Syncs and deletes are
-// serial commits (commitSerial): validate → journal → apply under
-// db.mu. Either way readers only ever observe acknowledged mutations,
-// and applyLocked is the one place a durable record becomes catalog
-// state — live, in crash replay and in replicated apply. db.mu stays a
-// single global writer lock because the WAL's correctness depends on
-// log order equaling sequence order, which requires one critical
-// section per enqueue — but no read ever takes it.
+// instead of serializing one fsync each — and settled in seq order:
+// published as one copy-on-write view swapped in atomically, or
+// unstaged if the append failed. Syncs and deletes are serial commits
+// (commitSerial): settle → validate → journal → apply under db.mu. So
+// every view is exactly the acknowledged records up to its Epoch, and
+// applyLocked is the one place a durable record becomes catalog state
+// — live, in crash replay and in replicated apply. db.mu is the one
+// writer lock because the WAL's correctness depends on log order
+// equaling sequence order, which requires one critical section per
+// enqueue — but no read ever takes it.
 type DB struct {
 	mu     sync.RWMutex
 	store  blob.Store
@@ -79,7 +79,7 @@ type DB struct {
 	// handed out twice.
 	nextBlob blob.ID
 
-	// cur is the published epoch; ring retains recent predecessors for
+	// cur is the published view; ring retains recent predecessors for
 	// epoch-pinned reads (ViewAt).
 	cur  atomic.Pointer[View]
 	ring *epochRing
@@ -87,19 +87,10 @@ type DB struct {
 	// staged holds, by name, the objects whose journal record is not yet
 	// durable: the name is reserved, the object invisible to every
 	// reader until published into a view. stagedInterps is the same for
-	// interpretations, by BLOB.
+	// interpretations, by BLOB; commits queues their commits in seq order.
 	staged        map[string]*core.Object
 	stagedInterps map[blob.ID]*interp.Interpretation
-
-	// commitGate serializes checkpoints against in-flight commits:
-	// mutators hold the read side from stage to publish or unstage, and
-	// Save/Checkpoint briefly take the write side so a capture never
-	// holds a seq whose mutation is not yet durable and published. It
-	// stays because a published view is not yet an exact seq prefix:
-	// group-commit waiters publish out of order, and commitSerial waits
-	// for its fsync while holding mu.
-	// Lock order: saveMu → commitGate → mu.
-	commitGate sync.RWMutex
+	commits       []*stagedCommit
 
 	cache *expcache.Cache[core.ID, *derive.Value]
 
@@ -118,9 +109,9 @@ type DB struct {
 	seq            uint64
 	recovery       RecoveryInfo
 
-	// saveMu serializes Save and Checkpoint: they only take mu.RLock,
-	// and two concurrent snapshots (autosave racing shutdown) would
-	// collide on the same .tmp/.bak files.
+	// saveMu serializes Save and Checkpoint: they take mu only to
+	// settle, pin and rotate, and two concurrent snapshots (autosave
+	// racing shutdown) would collide on the same .tmp/.bak files.
 	saveMu sync.Mutex
 
 	// manifest mirrors the last durable MANIFEST for walDir (nil before
@@ -143,7 +134,7 @@ type DB struct {
 	walSegmentRecords int64
 
 	// checkpointHook, when non-nil, is called with a stage name at each
-	// durability boundary inside Save/Checkpoint — "rotated", "written",
+	// boundary inside Save/Checkpoint — "rotated", "capture", "written",
 	// "manifest", "compacted" — with no locks held. Crash tests use it
 	// to capture the on-disk image between boundaries.
 	checkpointHook func(stage string)
@@ -386,18 +377,23 @@ func (db *DB) commitAdd(rec *walOp) (core.ID, error) {
 	return rec.ID, nil
 }
 
+// stagedCommit is a queued staged commit and, once settled, its outcome.
+type stagedCommit struct {
+	recs []*walOp
+	t    *wal.Ticket
+	err  error
+}
+
 // commitAdds is the staged commit discipline, for records that only
 // add — objects, alone or as a batch, and interpretation
 // registrations. Every record is validated and staged, invisible to
-// every reader, and the seqs are assigned and the log position
-// reserved, in one db.mu section; the fsync is waited for outside the
-// lock, so concurrent mutators share group commits (see internal/wal);
-// then all of it is published as one epoch, or all of it is unstaged.
-// When a record fails validation nothing stays staged and its index is
+// every reader, and the seqs are assigned, the log position reserved
+// and the commit queued, in one db.mu section; the fsync is waited for
+// outside the lock, so concurrent mutators share group commits (see
+// internal/wal); then the FIFO is settled through the commit. When a
+// record fails validation nothing stays staged and its index is
 // returned; a journal failure returns -1.
 func (db *DB) commitAdds(recs []*walOp) (int, error) {
-	db.commitGate.RLock()
-	defer db.commitGate.RUnlock()
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	for i, rec := range recs {
@@ -407,33 +403,51 @@ func (db *DB) commitAdds(recs []*walOp) (int, error) {
 		}
 	}
 	t, err := db.enqueueLocked(recs)
+	c := &stagedCommit{recs: recs, t: t, err: err}
+	db.commits = append(db.commits, c)
 	if t != nil {
 		db.mu.Unlock()
-		err = db.waitRecord(t)
+		db.waitRecord(t) // timed here; settleLocked reads the outcome
 		db.mu.Lock()
 	}
-	if err != nil {
-		db.unstageLocked(recs)
-	} else {
-		db.publishLocked(recs)
+	db.settleLocked(c)
+	return -1, c.err
+}
+
+// settleLocked publishes or unstages the queued commits in seq order,
+// through c or all of them when c is nil. The WAL commits in log order,
+// so once c's ticket has resolved the lower ones have too. Assumes
+// db.mu is held.
+func (db *DB) settleLocked(c *stagedCommit) {
+	for len(db.commits) > 0 && (c == nil || db.commits[0].recs[0].Seq <= c.recs[0].Seq) {
+		h := db.commits[0]
+		db.commits = slices.Delete(db.commits, 0, 1)
+		if h.t != nil {
+			if err := h.t.Wait(); err != nil {
+				h.err = fmt.Errorf("%w: %v", ErrJournal, err)
+			}
+		}
+		if h.err != nil {
+			db.unstageLocked(h.recs)
+		} else {
+			db.publishLocked(h.recs)
+		}
 	}
-	return -1, err
 }
 
 // commitSerial is the other discipline, for records that revise or
-// remove what readers can already see — a sync, a delete: validate →
-// journal → apply, all under db.mu. Nothing is published before its
-// record is durable, so nothing ever has to be rolled back, and no
-// competing mutation slips between the validation and the apply: a
-// derivation staged against an object while its delete record was in
-// flight would diverge live state from replay. The price is an fsync
-// waited for under the lock; both mutators are rare — no served route
-// calls either.
+// remove what readers can already see — a sync, a delete: settle (so
+// nothing is staged) → validate → journal → apply, all under db.mu.
+// Nothing is published before its record is durable, so nothing ever
+// has to be rolled back, and no competing mutation slips between the
+// validation and the apply: a derivation staged against an object
+// while its delete record was in flight would diverge live state from
+// replay. The price is an fsync waited for under the lock; both
+// mutators are rare — no served route calls either.
 func (db *DB) commitSerial(rec *walOp) error {
-	db.commitGate.RLock()
-	defer db.commitGate.RUnlock()
 	db.mu.Lock()
 	defer db.mu.Unlock()
+	db.settleLocked(nil)
 	// Validate before reserving a log position: a record journaled for
 	// a doomed mutation would fail every replay.
 	var err error
@@ -467,7 +481,8 @@ func (db *DB) commitSerial(rec *walOp) error {
 // journal replay and replicated apply must reproduce recorded IDs
 // exactly and re-allocation would not: a commit that fails after a
 // later one took the next ID leaves a gap (see unstageLocked) that
-// counting up would close. Assumes db.mu is held.
+// counting up would close. Assumes db.mu is held, and for a forced ID
+// that nothing is staged (see applyLocked).
 func (db *DB) stageOpLocked(rec *walOp, prior []*walOp) error {
 	cur := db.cur.Load()
 	var obj *core.Object
@@ -513,7 +528,7 @@ func (db *DB) stageOpLocked(rec *walOp, prior []*walOp) error {
 	obj.ID = rec.ID
 	if obj.ID == 0 {
 		obj.ID = db.nextID
-	} else if cur.getByID(obj.ID) != nil || db.stagedID(obj.ID) {
+	} else if cur.getByID(obj.ID) != nil {
 		return fmt.Errorf("catalog: object %v already exists", obj.ID)
 	}
 	if err := obj.Validate(); err != nil {
@@ -525,17 +540,6 @@ func (db *DB) stageOpLocked(rec *walOp, prior []*walOp) error {
 	rec.ID = obj.ID
 	db.staged[rec.Name] = obj
 	return nil
-}
-
-// stagedID reports whether a staged object holds id. Assumes db.mu is
-// held.
-func (db *DB) stagedID(id core.ID) bool {
-	for _, o := range db.staged {
-		if o.ID == id {
-			return true
-		}
-	}
-	return false
 }
 
 // stagedIn returns the object that one of prior — the records staged
@@ -713,10 +717,10 @@ func (db *DB) enqueueLocked(recs []*walOp) (*wal.Ticket, error) {
 	return db.wal.EnqueueBatch(frames), nil
 }
 
-// publishLocked moves what recs staged into one new epoch — one
+// publishLocked moves what recs staged into one new view — one
 // copy-on-write edit, one atomic view swap, so no reader ever sees
-// half a batch — and stamps each record's seq into the version chains.
-// Assumes db.mu is held.
+// half a batch — at the seq of its last record, and stamps each
+// record's seq into the version chains. Assumes db.mu is held.
 func (db *DB) publishLocked(recs []*walOp) {
 	e := db.beginEditLocked()
 	for _, rec := range recs {
@@ -733,7 +737,7 @@ func (db *DB) publishLocked(recs []*walOp) {
 		e.link(obj)
 		e.appendVersion(obj, rec.Seq)
 	}
-	db.commitEditLocked(e)
+	db.commitEditLocked(e, recs[len(recs)-1].Seq)
 }
 
 // unstageLocked rolls recs' staging back after a failed validation or

@@ -19,8 +19,8 @@ package catalog
 //	MANIFEST → catalog.gob → checkpoint chain → surviving segments
 //
 // so startup cost is bounded by live state plus the uncheckpointed
-// tail, not by mutation history. db.mu is held only to diff, capture
-// (copy-on-write) and rotate the WAL; encode and fsyncs run unlocked.
+// tail, not by mutation history. db.mu is held only to pin a view
+// and rotate the WAL; diff, capture, encode and fsyncs run unlocked.
 //
 // Crash windows (each boundary has a checkpointHook stage, exercised
 // by crash tests):
@@ -184,8 +184,8 @@ type verRecord struct {
 	Interp *interp.Exported
 }
 
-// snapCapture is the in-memory copy-on-write slice a checkpoint writes
-// out: captured under db.mu (capture), encoded with no lock held.
+// snapCapture is the in-memory slice of a pinned view a checkpoint
+// writes out (capture).
 // savedObject deep-copies the parts mutable after publish (sync
 // constraints); attribute maps and regions are immutable once an
 // object is visible, so they are shared.
@@ -427,7 +427,7 @@ func (db *DB) applyStream(s *catalogStream) error {
 	if _, err := io.Copy(io.Discard, s.br); err != nil {
 		return fmt.Errorf("%w: %v", ErrCorruptSnapshot, err)
 	}
-	db.commitEditLocked(e)
+	db.commitEditLocked(e, head.Seq)
 	db.seq = max(db.seq, head.Seq)
 	db.nextID = max(db.nextID, head.NextID)
 	db.nextBlob = max(db.nextBlob, head.NextBlob)
@@ -516,19 +516,18 @@ func (ch *chainChanges) collected() []blob.ID {
 	return out
 }
 
-// capture records the entries newer than fromSeq of every chain in ch.
-// With ch taken against the empty catalog that is every retained chain
-// whole: a full snapshot (FromSeq 0, no delete lists). With ch taken
-// against the last checkpoint's view it is a delta, whose head also
-// names the objects deleted and the BLOBs collected since, whether a
-// tombstone still closes their chain or retention dropped it. Assumes
-// db.mu is held (read side, after the commitGate dance — so no staged
-// objects exist and no append is in flight).
-func (db *DB) capture(ch *chainChanges, cur *View, fromSeq uint64, delta bool) (*snapCapture, error) {
-	cap := &snapCapture{head: streamHead{FromSeq: fromSeq, Seq: db.seq, NextID: db.nextID, NextBlob: db.nextBlob}}
+// capture records the entries newer than head.FromSeq of every chain
+// in ch under head. With ch taken against the empty catalog that is
+// every retained chain whole: a full snapshot (FromSeq 0, no delete
+// lists). With ch taken against the last checkpoint's view it is a
+// delta, whose head also names the objects deleted and the BLOBs
+// collected since, whether a tombstone still closes their chain or
+// retention dropped it.
+func capture(ch *chainChanges, cur *View, head streamHead, delta bool) (*snapCapture, error) {
+	cap := &snapCapture{head: head}
 	for _, x := range ch.objs {
 		if x.c != nil {
-			if err := captureObjChain(cap, x.id, x.c, fromSeq); err != nil {
+			if err := captureObjChain(cap, x.id, x.c, head.FromSeq); err != nil {
 				return nil, err
 			}
 		}
@@ -538,7 +537,7 @@ func (db *DB) capture(ch *chainChanges, cur *View, fromSeq uint64, delta bool) (
 	}
 	for _, x := range ch.interps {
 		if x.c != nil {
-			if err := captureInterpChain(cap, x.id, x.c, fromSeq); err != nil {
+			if err := captureInterpChain(cap, x.id, x.c, head.FromSeq); err != nil {
 				return nil, err
 			}
 		}
@@ -565,26 +564,38 @@ func (db *DB) Checkpoint(dir string) error {
 }
 
 // checkpointLocked is the one write sequence behind Save (full) and
-// Checkpoint: capture → rotate → write → MANIFEST → unlink → compact,
-// each boundary a checkpointHook stage. Assumes saveMu is held.
+// Checkpoint: pin → rotate → capture → write → MANIFEST → unlink →
+// compact, each boundary a checkpointHook stage. Once the commits are
+// settled the view is every record up to db.seq, so the rotation lands
+// there; the view is immutable, so writers commit while it is diffed
+// and captured. Assumes saveMu is held.
 func (db *DB) checkpointLocked(dir string, full bool) error {
 	start := time.Now()
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("catalog: %w", err)
 	}
-	// Wait out in-flight commits: mutators hold commitGate.RLock from
-	// stage to publish or unstage, so after taking the write side no
-	// staged object remains — the capture holds acknowledged mutations
-	// only. The gate is dropped as soon as mu.RLock is held: new
-	// mutations may then pass the gate but block on mu before staging,
-	// so no journal append is in flight while we hold the read lock —
-	// which makes the rotation below land exactly at the capture
-	// boundary.
-	db.commitGate.Lock()
-	db.mu.RLock()
-	db.commitGate.Unlock()
+	db.mu.Lock()
+	db.settleLocked(nil)
 	cur, base, m, j := db.cur.Load(), db.ckptView, db.manifest, db.wal
+	head := streamHead{Seq: db.seq, NextID: db.nextID, NextBlob: db.nextBlob}
 	attached := j != nil && db.walDir == filepath.Clean(dir)
+	if !full && attached && m != nil && base != nil && head.Seq == m.CheckpointSeq {
+		db.mu.Unlock()
+		return nil // nothing since the last checkpoint
+	}
+	var sealed uint64
+	var err error
+	if attached {
+		sealed, err = j.Rotate()
+	}
+	db.mu.Unlock()
+	if err != nil {
+		return fmt.Errorf("catalog: checkpoint rotate: %w", err)
+	}
+	if attached {
+		db.hook("rotated")
+	}
+
 	since := diffViews(base, cur)
 	if !full {
 		var reason string
@@ -595,14 +606,8 @@ func (db *DB) checkpointLocked(dir string, full bool) error {
 			reason = promoteNoBase
 		case len(m.Checkpoints) >= DefaultMaxCheckpointChain:
 			reason = promoteChainBound
-		default:
-			n := len(since.objs) + len(since.interps)
-			if n*2 >= cur.count+cur.interps.len() {
-				reason = promoteMajority
-			} else if n == 0 && db.seq == m.CheckpointSeq {
-				db.mu.RUnlock()
-				return nil // nothing since the last checkpoint
-			}
+		case (len(since.objs)+len(since.interps))*2 >= cur.count+cur.interps.len():
+			reason = promoteMajority
 		}
 		if t := db.tel.Load(); t != nil && reason != "" {
 			t.promotions[reason].Inc()
@@ -611,15 +616,15 @@ func (db *DB) checkpointLocked(dir string, full bool) error {
 	}
 	// A full snapshot walks again, against the empty catalog, unless
 	// there was no base to begin with.
-	all, fromSeq := since, uint64(0)
+	all := since
 	if !full {
-		fromSeq = m.CheckpointSeq
+		head.FromSeq = m.CheckpointSeq
 	} else if base != nil {
 		all = diffViews(nil, cur)
 	}
-	cap, err := db.capture(all, cur, fromSeq, !full)
+	db.hook("capture")
+	cap, err := capture(all, cur, head, !full)
 	if err != nil {
-		db.mu.RUnlock()
 		return err
 	}
 	gone := since.collected()
@@ -627,7 +632,6 @@ func (db *DB) checkpointLocked(dir string, full bool) error {
 		// No journal for dir: snapshot only, nothing to compact and no
 		// manifest to maintain. With no journal at all, it is the only
 		// durable record of the collections.
-		db.mu.RUnlock()
 		if _, err := writeCapture(SnapshotFile(dir), cap); err != nil {
 			return err
 		}
@@ -636,12 +640,6 @@ func (db *DB) checkpointLocked(dir string, full bool) error {
 		}
 		return nil
 	}
-	sealed, err := j.Rotate()
-	db.mu.RUnlock()
-	if err != nil {
-		return fmt.Errorf("catalog: checkpoint rotate: %w", err)
-	}
-	db.hook("rotated")
 
 	path, chain := SnapshotFile(dir), []uint64(nil)
 	if !full {

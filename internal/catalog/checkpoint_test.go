@@ -284,6 +284,67 @@ func TestCheckpointWriterProgressDuringInFlight(t *testing.T) {
 	}
 }
 
+// TestCheckpointWriterCompletesMidCapture: a checkpoint holds no lock
+// while it diffs and captures its pinned view, so a writer commits in
+// the middle of it. The checkpoint stops short of that commit, and the
+// commit is durable in the segment the checkpoint rotated to: a crash
+// image taken once the MANIFEST is written reopens to the live catalog.
+func TestCheckpointWriterCompletesMidCapture(t *testing.T) {
+	dir := t.TempDir()
+	db := openDB(t, dir)
+	clip := baseCatalog(t, db, dir, 6, 187)
+	if _, err := db.SelectDuration(clip, "pending", 0, 2); err != nil {
+		t.Fatal(err)
+	}
+
+	var midSeq uint64
+	crash := t.TempDir()
+	db.checkpointHook = func(stage string) {
+		switch stage {
+		case "capture":
+			done := make(chan error, 1)
+			go func() {
+				_, err := db.SelectDuration(clip, "mid", 1, 3)
+				done <- err
+			}()
+			select {
+			case err := <-done:
+				if err != nil {
+					t.Errorf("mid-capture commit: %v", err)
+				}
+				midSeq = db.Seq()
+			case <-time.After(5 * time.Second):
+				t.Fatal("writer blocked while the checkpoint captured")
+			}
+		case "manifest":
+			copyTree(t, dir, crash)
+		}
+	}
+	if err := db.Checkpoint(dir); err != nil {
+		t.Fatal(err)
+	}
+	db.checkpointHook = nil
+	if midSeq == 0 {
+		t.Fatal(`the "capture" stage never fired`)
+	}
+	if m := db.Manifest(); m.CheckpointSeq >= midSeq {
+		t.Errorf("checkpoint at seq %d covers the commit at seq %d made while it captured", m.CheckpointSeq, midSeq)
+	}
+
+	want := catalogDump(db)
+	if err := db.CloseJournal(); err != nil {
+		t.Fatal(err)
+	}
+	db2 := openDB(t, crash)
+	defer db2.CloseJournal()
+	if got := catalogDump(db2); got != want {
+		t.Errorf("crash image at manifest reopens to\n%s\nwant\n%s", got, want)
+	}
+	if rec := db2.Recovery(); rec.JournalRecords != 1 {
+		t.Errorf("reopen replayed %d records, want the mid-capture commit alone", rec.JournalRecords)
+	}
+}
+
 // TestCrashDuringCheckpointStages kills the process (by capturing the
 // directory image) at each durability boundary inside an incremental
 // checkpoint. Whatever the stage, a reload of the image must recover

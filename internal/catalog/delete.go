@@ -3,7 +3,6 @@ package catalog
 import (
 	"errors"
 	"fmt"
-	"slices"
 
 	"timedmedia/internal/blob"
 	"timedmedia/internal/core"
@@ -25,12 +24,10 @@ func (db *DB) Delete(id core.ID) error {
 
 // checkDeletable returns the object id names, or why it cannot be
 // deleted: it does not exist, or another object references it.
-// Visible referrers come from the provenance adjacency index; edges
-// live in the referrer's shard, so every shard of the current epoch is
-// probed. Staged objects (applied but not yet durable) count as
-// references too — their commit may ack at any moment, and deleting
-// their input would leave the journal unreplayable — but they are
-// unindexed by design, so they are scanned. Assumes db.mu is held.
+// Referrers come from the provenance adjacency index; edges live in
+// the referrer's shard, so every shard of the current view is probed.
+// Nothing is staged (see applyLocked), so the view holds every
+// referrer. Assumes db.mu is held.
 func (db *DB) checkDeletable(id core.ID) (*core.Object, error) {
 	cur := db.cur.Load()
 	obj := cur.getByID(id)
@@ -47,22 +44,13 @@ func (db *DB) checkDeletable(id core.ID) (*core.Object, error) {
 			return nil, fmt.Errorf("%w: %v ← %v", ErrInUse, id, other)
 		}
 	}
-	return obj, checkRefs(db.staged, id)
-}
-
-func checkRefs(objs map[string]*core.Object, id core.ID) error {
-	for _, other := range objs {
-		if other.ID != id && slices.Contains(directRefs(other), id) {
-			return fmt.Errorf("%w: %v ← %v", ErrInUse, id, other.ID)
-		}
-	}
-	return nil
+	return obj, nil
 }
 
 // deleteLocked removes an object, validating references first (replay
 // has no commitSerial before it). The unlink, the version-chain
 // tombstone at seq, and any BLOB interpretation collection land
-// together as one new epoch. Assumes db.mu is held.
+// together as the view at seq. Assumes db.mu is held.
 func (db *DB) deleteLocked(id core.ID, seq uint64) error {
 	obj, err := db.checkDeletable(id)
 	if err != nil {
@@ -75,26 +63,20 @@ func (db *DB) deleteLocked(id core.ID, seq uint64) error {
 	if obj.Class == core.ClassNonDerived {
 		db.maybeCollectBlob(e, obj.Blob, seq)
 	}
-	db.commitEditLocked(e)
+	db.commitEditLocked(e, seq)
 	db.cache.Invalidate(id)
 	return nil
 }
 
 // maybeCollectBlob drops the BLOB's interpretation from the edit when
 // no object in the edit's working state (one probe of each shard's
-// reader index) nor any staged object still reads it. Staged objects
-// keep their BLOB alive like visible ones do. The collection is
-// recorded as an interpretation tombstone at seq, so as-of reads know
-// the history ends there; the checkpoint that covers it unlinks the
-// file. Assumes db.mu is held.
+// reader index) still reads it; nothing is staged (see applyLocked).
+// The collection is recorded as an interpretation tombstone at seq, so
+// as-of reads know the history ends there; the checkpoint that covers
+// it unlinks the file. Assumes db.mu is held.
 func (db *DB) maybeCollectBlob(e *viewEdit, id blob.ID, seq uint64) {
 	for _, sh := range e.shards {
 		if sh.ix.blob.has(id) {
-			return
-		}
-	}
-	for _, other := range db.staged {
-		if other.Blob == id {
 			return
 		}
 	}

@@ -37,16 +37,17 @@ var (
 // object share one decode and resident bytes stay under the
 // configured capacity (see internal/expcache).
 func (db *DB) Expand(id core.ID) (*derive.Value, error) {
-	return db.expand(context.Background(), id)
+	return db.CurrentView().expand(context.Background(), id)
 }
 
-// expand is the shared implementation. ctx carries the caller's trace
-// (if any); it is consulted only on the miss path, keeping the warm
-// cache hit free of telemetry work.
-func (db *DB) expand(ctx context.Context, id core.ID) (*derive.Value, error) {
+// expand is the shared implementation, resolving in v; the cache is
+// keyed by ID alone, as only multimedia objects are ever revised. ctx
+// carries the caller's trace (if any); it is consulted only on the miss
+// path, keeping the warm cache hit free of telemetry work.
+func (v *View) expand(ctx context.Context, id core.ID) (*derive.Value, error) {
 	// Object resolution stays outside the cached computation so a
 	// missing ID fails fast without occupying a flight slot.
-	obj, err := db.Get(id)
+	obj, err := v.Get(id)
 	if err != nil {
 		return nil, err
 	}
@@ -57,28 +58,28 @@ func (db *DB) expand(ctx context.Context, id core.ID) (*derive.Value, error) {
 	// a warm hit costs the same as before telemetry existed. Misses
 	// (and joins of an in-flight decode) fall through to Do, which
 	// re-checks under the same lock.
-	if v, ok := db.cache.Get(id); ok {
-		return v, nil
+	if val, ok := v.db.cache.Get(id); ok {
+		return val, nil
 	}
-	return db.cache.Do(id, func() (*derive.Value, int64, error) {
-		var v *derive.Value
+	return v.db.cache.Do(id, func() (*derive.Value, int64, error) {
+		var val *derive.Value
 		var err error
 		switch obj.Class {
 		case core.ClassNonDerived:
 			done := telemetry.StartSpan(ctx, "decode")
 			start := time.Now()
-			v, err = db.decodeTrack(obj)
-			if t := db.tel.Load(); t != nil {
+			val, err = v.decodeTrack(obj)
+			if t := v.db.tel.Load(); t != nil {
 				t.decode.Observe(time.Since(start))
 			}
 			done()
 		case core.ClassDerived:
-			v, err = db.expandDerived(ctx, obj)
+			val, err = v.expandDerived(ctx, obj)
 		}
 		if err != nil {
 			return nil, 0, err
 		}
-		return v, v.SizeBytes(), nil
+		return val, val.SizeBytes(), nil
 	})
 }
 
@@ -92,13 +93,18 @@ func (db *DB) expand(ctx context.Context, id core.ID) (*derive.Value, error) {
 // The whole expansion (cache hit or miss) is recorded as an "expand"
 // span on the request trace and in the expand stage histogram.
 func (db *DB) ExpandContext(ctx context.Context, id core.ID) (*derive.Value, error) {
+	return db.CurrentView().ExpandContext(ctx, id)
+}
+
+// ExpandContext is DB.ExpandContext resolving in this view.
+func (v *View) ExpandContext(ctx context.Context, id core.ID) (*derive.Value, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	done := telemetry.StartSpan(ctx, "expand")
 	start := time.Now()
-	v, err := db.expand(ctx, id)
-	if t := db.tel.Load(); t != nil {
+	val, err := v.expand(ctx, id)
+	if t := v.db.tel.Load(); t != nil {
 		t.expand.Observe(time.Since(start))
 	}
 	done()
@@ -108,7 +114,7 @@ func (db *DB) ExpandContext(ctx context.Context, id core.ID) (*derive.Value, err
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	return v, nil
+	return val, nil
 }
 
 // InvalidateCache drops all cached expansions (benchmarks use this to
@@ -129,16 +135,16 @@ func expandWorkers(n int) int {
 // tracks — then applies the operator. Input order is preserved and
 // the error of the lowest-index failing input is returned, matching
 // the sequential semantics.
-func (db *DB) expandDerived(ctx context.Context, obj *core.Object) (*derive.Value, error) {
+func (v *View) expandDerived(ctx context.Context, obj *core.Object) (*derive.Value, error) {
 	d := obj.Derivation
 	inputs := make([]*derive.Value, len(d.Inputs))
 	if len(d.Inputs) <= 1 {
 		for i, in := range d.Inputs {
-			v, err := db.expand(ctx, in)
+			val, err := v.expand(ctx, in)
 			if err != nil {
 				return nil, fmt.Errorf("catalog: expanding %v input %v: %w", obj.ID, in, err)
 			}
-			inputs[i] = v
+			inputs[i] = val
 		}
 		return derive.Apply(d.Op, inputs, d.Params)
 	}
@@ -151,12 +157,12 @@ func (db *DB) expandDerived(ctx context.Context, obj *core.Object) (*derive.Valu
 			defer wg.Done()
 			sem <- struct{}{}
 			defer func() { <-sem }()
-			v, err := db.expand(ctx, in)
+			val, err := v.expand(ctx, in)
 			if err != nil {
 				errs[i] = fmt.Errorf("catalog: expanding %v input %v: %w", obj.ID, in, err)
 				return
 			}
-			inputs[i] = v
+			inputs[i] = val
 		}(i, in)
 	}
 	wg.Wait()
@@ -170,8 +176,8 @@ func (db *DB) expandDerived(ctx context.Context, obj *core.Object) (*derive.Valu
 
 // decodeTrack decodes a non-derived object's elements from its
 // interpretation, dispatching on the track encoding.
-func (db *DB) decodeTrack(obj *core.Object) (*derive.Value, error) {
-	it, err := db.Interpretation(obj.Blob)
+func (v *View) decodeTrack(obj *core.Object) (*derive.Value, error) {
+	it, err := v.Interpretation(obj.Blob)
 	if err != nil {
 		return nil, err
 	}

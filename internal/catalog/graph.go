@@ -1,6 +1,7 @@
 package catalog
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"strings"
@@ -14,7 +15,12 @@ import (
 // a compose.Multimedia with real component durations, enabling
 // timeline queries (Figure 4b).
 func (db *DB) BuildMultimedia(id core.ID) (*compose.Multimedia, error) {
-	obj, err := db.Get(id)
+	return db.CurrentView().BuildMultimedia(id)
+}
+
+// BuildMultimedia is DB.BuildMultimedia resolving in this view.
+func (v *View) BuildMultimedia(id core.ID) (*compose.Multimedia, error) {
+	obj, err := v.Get(id)
 	if err != nil {
 		return nil, err
 	}
@@ -23,11 +29,11 @@ func (db *DB) BuildMultimedia(id core.ID) (*compose.Multimedia, error) {
 	}
 	m := compose.New(obj.Name, obj.Multimedia.Time)
 	for _, cref := range obj.Multimedia.Components {
-		comp, err := db.Get(cref.Object)
+		comp, err := v.Get(cref.Object)
 		if err != nil {
 			return nil, err
 		}
-		c, err := db.componentOf(comp)
+		c, err := v.componentOf(comp)
 		if err != nil {
 			return nil, err
 		}
@@ -45,7 +51,7 @@ func (db *DB) BuildMultimedia(id core.ID) (*compose.Multimedia, error) {
 
 // componentOf derives the compose.Component of a media object: from
 // its descriptor when available, otherwise by expanding it.
-func (db *DB) componentOf(obj *core.Object) (compose.Component, error) {
+func (v *View) componentOf(obj *core.Object) (compose.Component, error) {
 	if obj.Class == core.ClassMultimedia {
 		return compose.Component{}, fmt.Errorf("%w: nested multimedia objects are not supported", ErrNotMedia)
 	}
@@ -57,11 +63,11 @@ func (db *DB) componentOf(obj *core.Object) (compose.Component, error) {
 			Duration: obj.Desc.Duration(),
 		}, nil
 	}
-	v, err := db.Expand(obj.ID)
+	val, err := v.expand(context.Background(), obj.ID)
 	if err != nil {
 		return compose.Component{}, err
 	}
-	return compose.Component{Name: obj.Name, Kind: obj.Kind, Rate: v.Rate, Duration: v.DurationTicks()}, nil
+	return compose.Component{Name: obj.Name, Kind: obj.Kind, Rate: val.Rate, Duration: val.DurationTicks()}, nil
 }
 
 // LineageNode is one entry of a Figure 5 layer walk.
@@ -81,10 +87,15 @@ type LineageNode struct {
 // aggregates." Nodes are reported top-down, deduplicated, ordered by
 // layer then label.
 func (db *DB) Lineage(id core.ID) ([]LineageNode, error) {
+	return db.CurrentView().Lineage(id)
+}
+
+// Lineage is DB.Lineage resolving in this view.
+func (v *View) Lineage(id core.ID) ([]LineageNode, error) {
 	seen := map[string]LineageNode{}
 	var visit func(id core.ID) error
 	visit = func(id core.ID) error {
-		obj, err := db.Get(id)
+		obj, err := v.Get(id)
 		if err != nil {
 			return err
 		}

@@ -250,16 +250,16 @@ func (db *DB) syncBlob(id blob.ID) error {
 }
 
 // replayAllLocked replays the WAL segments found at dir in index
-// order and then reserves the BLOB high-water mark in the store — the
-// last step of every recovery. One sequence
-// base is fixed up front for the whole log — records already captured
-// by the snapshot/chain are identified against that base, not a running
-// maximum: a checkpoint's rotation leaves the seqs on either side of
-// the base in different segments, and which of them a replay finds
-// depends on where the crash fell; and a skip decided against a moving
-// maximum would silently drop whatever a damaged log held out of order
-// instead of applying it or failing on it. Assumes db.mu is held (or
-// the DB is not yet shared).
+// order, reserves the BLOB high-water mark and unpins the views
+// recovery published (some lack indexes) — the last step of every
+// recovery. One sequence base is fixed up front for the whole log —
+// records already captured by the snapshot/chain are identified
+// against that base, not a running maximum: a checkpoint's rotation
+// leaves the seqs on either side of the base in different segments,
+// and which of them a replay finds depends on where the crash fell;
+// and a skip decided against a moving maximum would silently drop
+// whatever a damaged log held out of order instead of applying it or
+// failing on it. Assumes db.mu is held (or the DB is not yet shared).
 func (db *DB) replayAllLocked(dir string) error {
 	base := db.seq
 	db.replayKeep = db.cur.Load().interps
@@ -287,6 +287,9 @@ func (db *DB) replayAllLocked(dir string) error {
 		}
 	}
 	db.store.Reserve(db.nextBlob)
+	db.ring.mu.Lock()
+	clear(db.ring.buf)
+	db.ring.mu.Unlock()
 	return nil
 }
 
@@ -344,7 +347,8 @@ func (db *DB) applyOpLocked(rec *walOp) error {
 // replay and replicated apply (applyOpLocked) alike. An add is staged
 // and published in one step, at its recorded ID; every kind stamps the
 // record's seq into the version chains, where the next checkpoint's
-// diff finds it. Assumes db.mu is held.
+// diff finds it. Assumes db.mu is held and nothing is staged (a serial
+// commit settles first; replay and replicated apply have no writers).
 func (db *DB) applyLocked(rec *walOp) error {
 	one := [1]*walOp{rec}
 	switch rec.Kind {
@@ -381,7 +385,7 @@ func (db *DB) applyLocked(rec *walOp) error {
 		e := db.beginEditLocked()
 		e.replace(rev)
 		e.appendVersion(rev, rec.Seq)
-		db.commitEditLocked(e)
+		db.commitEditLocked(e, rec.Seq)
 	case opDelete:
 		return db.deleteLocked(rec.ID, rec.Seq)
 	default:

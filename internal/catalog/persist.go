@@ -83,7 +83,7 @@ type savedComponent struct {
 
 // saveObject captures one object into its serialized form. The parts
 // an object can grow after publication (sync constraints) are deep-
-// copied so the capture stays stable once db.mu is released; attribute
+// copied so the capture stays stable while writers commit; attribute
 // maps, regions, derivation inputs and components are immutable after
 // publish and are shared.
 func saveObject(obj *core.Object) (savedObject, error) {

@@ -75,8 +75,6 @@ func (db *DB) ApplyReplicated(data []byte) (uint64, error) {
 	if err != nil {
 		return 0, err
 	}
-	db.commitGate.RLock()
-	defer db.commitGate.RUnlock()
 	db.mu.Lock()
 	if head.Seq <= db.seq {
 		seq := db.seq

@@ -12,16 +12,16 @@ package catalog
 // and shares everything else with the previous epoch.
 //
 // Readers pin a View with one atomic load and never take a lock: a
-// pinned epoch is internally consistent forever — a paginated walk,
+// pinned view is internally consistent forever — a paginated walk,
 // a planner probe and the match step all see the same committed
 // prefix, no matter how many writers commit concurrently. Writers
 // still serialize on db.mu (the WAL requires that log order equals
 // sequence order, which needs one global critical section per
 // enqueue), but they no longer contend with readers at all.
 //
-// Recent epochs are retained in a bounded ring so HTTP clients can
+// Recent views are retained in a bounded ring so HTTP clients can
 // re-pin the epoch of their first page (epoch= parameter) and read
-// mutually consistent pages. A retired epoch returns ErrEpochGone.
+// mutually consistent pages. Any other epoch returns ErrEpochGone.
 
 import (
 	"errors"
@@ -78,7 +78,7 @@ type shardState struct {
 // for unsynchronized concurrent use; none of them lock.
 type View struct {
 	db      *DB
-	epoch   uint64
+	seq     uint64
 	shards  []*shardState
 	interps tmap[blob.ID, *interp.Interpretation]
 	count   int
@@ -97,9 +97,9 @@ func newView(db *DB, nShards int) *View {
 	return v
 }
 
-// Epoch returns the view's epoch number. Epochs increase by one per
-// published commit; the zero epoch is the empty catalog.
-func (v *View) Epoch() uint64 { return v.epoch }
+// Epoch returns the journal seq the view holds every acknowledged
+// record up to (see settleLocked); a batch takes several seqs.
+func (v *View) Epoch() uint64 { return v.seq }
 
 // Len returns the number of objects in the view.
 func (v *View) Len() int { return v.count }
@@ -191,11 +191,11 @@ func (db *DB) CurrentView() *View {
 // been retired — or never published — return ErrEpochGone.
 func (db *DB) ViewAt(epoch uint64) (*View, error) {
 	cur := db.cur.Load()
-	if epoch == cur.epoch {
+	if epoch == cur.seq {
 		return cur, nil
 	}
-	if epoch > cur.epoch {
-		return nil, fmt.Errorf("%w: %d (current is %d)", ErrEpochGone, epoch, cur.epoch)
+	if epoch > cur.seq {
+		return nil, fmt.Errorf("%w: %d (current is %d)", ErrEpochGone, epoch, cur.seq)
 	}
 	if v := db.ring.at(epoch); v != nil {
 		return v, nil
@@ -214,9 +214,6 @@ type epochRing struct {
 }
 
 func newEpochRing(n int) *epochRing {
-	if n < 1 {
-		n = 1
-	}
 	return &epochRing{buf: make([]*View, n)}
 }
 
@@ -231,7 +228,7 @@ func (r *epochRing) at(epoch uint64) *View {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	for _, v := range r.buf {
-		if v != nil && v.epoch == epoch {
+		if v != nil && v.seq == epoch {
 			return v
 		}
 	}
@@ -361,14 +358,14 @@ func (e *viewEdit) delInterp(id blob.ID) {
 	e.interps = e.interps.del(id)
 }
 
-// commitEditLocked publishes the edit as the next epoch: the previous
+// commitEditLocked publishes the edit as the view at seq: the previous
 // view goes into the retention ring, the new one becomes current.
 // Assumes db.mu is held (or the DB is not yet shared, during load).
-func (db *DB) commitEditLocked(e *viewEdit) {
+func (db *DB) commitEditLocked(e *viewEdit, seq uint64) {
 	prev := db.cur.Load()
 	v := &View{
 		db:         db,
-		epoch:      prev.epoch + 1,
+		seq:        seq,
 		shards:     e.shards,
 		interps:    e.interps,
 		count:      e.count,
@@ -408,6 +405,6 @@ func (db *DB) relinkAllLocked() error {
 		}
 		sh.ix = ix
 	}
-	db.commitEditLocked(e)
+	db.commitEditLocked(e, cur.seq)
 	return nil
 }

@@ -27,9 +27,11 @@ type readView interface {
 }
 
 // Epochs are a first-class API concept on every read route: a read
-// resolves the catalog to one immutable epoch view up front and runs
-// the whole request — lookup, planner, match, pagination — against
-// it, so concurrent commits never tear a response.
+// resolves the catalog to one immutable view up front and runs the
+// whole request — lookup, planner, match, pagination, expansion —
+// against it, so concurrent commits never tear a response. A view's
+// epoch is the journal seq it holds every acknowledged record up to,
+// so epochs are sparse: a batch takes several seqs.
 //
 // The resolved epoch is exposed two ways:
 //
@@ -38,11 +40,11 @@ type readView interface {
 //     answers 304 Not Modified without running the handler body — a
 //     cheap "has anything changed?" poll.
 //   - epoch= pin: a read may pass ?epoch=N to run against a retained
-//     earlier epoch. Paginated clients pin the epoch of their first
+//     earlier view. Paginated clients pin the epoch of their first
 //     page so later pages are mutually consistent with it instead of
-//     racing writers page to page. A retired epoch answers
-//     410 epoch_gone; clients drop the pin and restart from the
-//     current epoch.
+//     racing writers page to page. A retired epoch, or a seq no view
+//     was published at, answers 410 epoch_gone; clients drop the pin
+//     and restart from the current epoch.
 
 // pinView resolves the epoch view a live-only read runs against: the
 // epoch= parameter pins a retained epoch, otherwise the current epoch
@@ -60,7 +62,9 @@ func (s *Server) pinView(w http.ResponseWriter, r *http.Request) (*catalog.View,
 	return s.pinEpoch(w, r)
 }
 
-// pinEpoch is pinView without the as_of= refusal.
+// pinEpoch is pinView without the as_of= refusal. The ETag is the
+// view's seq, so a follower caught up to its primary tags the same
+// read the same way.
 func (s *Server) pinEpoch(w http.ResponseWriter, r *http.Request) (*catalog.View, bool) {
 	var v *catalog.View
 	if e := r.URL.Query().Get("epoch"); e != "" {

@@ -5,6 +5,8 @@ import (
 	"io"
 	"net/http"
 	"testing"
+
+	"timedmedia/internal/core"
 )
 
 // getWithHeaders is get plus the response headers.
@@ -177,6 +179,42 @@ func TestEpochPinErrors(t *testing.T) {
 	json.Unmarshal(body, &env)
 	if env.Error.Code != CodeEpochGone {
 		t.Errorf("retired epoch code = %q", env.Error.Code)
+	}
+}
+
+// TestEpochPinResolvesGraphRoutes: expand, timeline and lineage run
+// wholly against the pinned view — the object and everything it
+// derives from or composes — so objects deleted since the pin still
+// answer under the pinned ETag.
+func TestEpochPinResolvesGraphRoutes(t *testing.T) {
+	ts, db := testServer(t) // clip, song, show = clip + song
+	clip, _ := db.Lookup("clip")
+	cut, err := db.SelectDuration(clip.ID, "cut", 0, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, hdr := getWithHeaders(t, ts.URL+"/v1/objects", nil, 200)
+	etag := hdr.Get("ETag")
+	pin := "?epoch=" + etag[1:len(etag)-1]
+	show, _ := db.Lookup("show")
+	for _, id := range []core.ID{show.ID, cut} {
+		if err := db.Delete(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	for _, path := range []string{"/v1/objects/cut/expand", "/v1/objects/show/timeline", "/v1/objects/cut/lineage"} {
+		body, h := getWithHeaders(t, ts.URL+path+pin, nil, 200)
+		if h.Get("ETag") != etag {
+			t.Errorf("GET %s%s ETag = %q, want %q", path, pin, h.Get("ETag"), etag)
+		}
+		if path == "/v1/objects/cut/expand" {
+			var out expandSummary
+			if err := json.Unmarshal(body, &out); err != nil || out.Elements != 5 {
+				t.Errorf("pinned expand = %s (%v), want 5 elements", body, err)
+			}
+		}
+		get(t, ts.URL+path, 404) // the current view has neither
 	}
 }
 

@@ -361,8 +361,9 @@ func writeJSONStatus(w http.ResponseWriter, code int, v any) {
 }
 
 // listReply is the paginated shape of GET /v1/objects and /v1/query.
-// Epoch names the epoch the page was computed against — pass it back
-// as ?epoch= to make the next page mutually consistent with this one.
+// Epoch is the journal seq of the view the page was computed against —
+// pass it back as ?epoch= to make the next page mutually consistent
+// with this one.
 // NextOffset is present only when more objects follow the returned
 // page.
 type listReply struct {
@@ -649,12 +650,7 @@ func (s *Server) handleTimeline(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	// Graph assembly resolves components against the current epoch;
-	// only the root lookup is pinned. Composition edges are immutable
-	// once committed, so the view can only differ on deletions — and a
-	// deleted component fails the build with not_found, never a torn
-	// timeline.
-	mm, err := s.db.BuildMultimedia(obj.ID)
+	mm, err := v.BuildMultimedia(obj.ID)
 	if err != nil {
 		httpError(w, err)
 		return
@@ -676,7 +672,7 @@ func (s *Server) handleLineage(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	nodes, err := s.db.Lineage(obj.ID)
+	nodes, err := v.Lineage(obj.ID)
 	if err != nil {
 		httpError(w, err)
 		return
@@ -745,7 +741,7 @@ func (s *Server) handleExpand(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	v, err := s.db.ExpandContext(r.Context(), obj.ID)
+	v, err := pv.ExpandContext(r.Context(), obj.ID)
 	if err != nil {
 		httpError(w, err)
 		return
