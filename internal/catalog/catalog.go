@@ -48,8 +48,9 @@ var (
 // DB is the multimedia database. Safe for concurrent use.
 //
 // Read side: the visible catalog state lives in an immutable epoch
-// View (view.go) — sharded persistent treaps over objects, names,
-// interpretations and every index. Readers pin the current view with
+// View (view.go) — sharded persistent treaps over the version chains
+// of objects and interpretations, the name directory and every index;
+// a live object is its chain's tail. Readers pin the current view with
 // one atomic load and run entirely lock-free; a pinned view stays
 // internally consistent forever.
 //
@@ -126,7 +127,7 @@ type DB struct {
 	// replayKeep, set by journal replay and dropped by Open's sweep, is
 	// what a reopen opens again: the BLOBs interpreted in the state
 	// replay started from, and those the replayed records registered.
-	replayKeep tmap[blob.ID, *interp.Interpretation]
+	replayKeep map[blob.ID]bool
 
 	// walSegmentBytes/Records configure segment rotation thresholds for
 	// journals the catalog opens itself; <= 0 keeps the wal defaults.
@@ -213,10 +214,10 @@ func WithShards(n int) Option {
 	return func(c *config) { c.shards = n }
 }
 
-// WithEpochRetention keeps the last n published epochs pinnable via
-// ViewAt (the HTTP epoch= parameter). n <= 0 keeps
-// DefaultEpochRetention; n == 1 effectively disables pinning past the
-// current epoch.
+// WithEpochRetention keeps the last n epochs before the current one
+// pinnable via ViewAt (the HTTP epoch= parameter). n <= 0 keeps
+// DefaultEpochRetention; n == 1 still answers the current epoch and
+// its one predecessor.
 func WithEpochRetention(n int) Option {
 	return func(c *config) { c.epochRetention = n }
 }
@@ -490,11 +491,12 @@ func (db *DB) stageOpLocked(rec *walOp, prior []*walOp) error {
 	switch rec.Kind {
 	case opInterp:
 		_, dup := db.stagedInterps[rec.Blob]
-		if dup || cur.interps.has(rec.Blob) {
+		c, known := cur.interpVers.get(rec.Blob)
+		if dup || c.live() {
 			return fmt.Errorf("catalog: %v already interpreted", rec.Blob)
 		}
 		// A tombstone ends a BLOB's history: the next checkpoint unlinks it.
-		if c, ok := cur.interpVers.get(rec.Blob); ok && c.tail().val == nil {
+		if known {
 			return fmt.Errorf("catalog: %v was collected: %w", rec.Blob, blob.ErrNotFound)
 		}
 		if db.wal != nil && rec.Interp == nil {
@@ -522,7 +524,7 @@ func (db *DB) stageOpLocked(rec *walOp, prior []*walOp) error {
 		return err
 	}
 	_, dup := db.staged[rec.Name]
-	if dup || cur.shardFor(rec.Name).byName.has(rec.Name) {
+	if dup || cur.shardFor(rec.Name).lookup(rec.Name, seqNow) != nil {
 		return fmt.Errorf("%w: %q", ErrDupName, rec.Name)
 	}
 	obj.ID = rec.ID
@@ -558,9 +560,9 @@ func (db *DB) stagedIn(prior []*walOp, id core.ID) *core.Object {
 // constructs (but does not stage) its object; the descriptor is the
 // track's.
 func buildNonDerived(cur *View, rec *walOp) (*core.Object, error) {
-	it, ok := cur.interps.get(rec.Blob)
-	if !ok {
-		return nil, fmt.Errorf("%w: %v", ErrNoInterp, rec.Blob)
+	it, err := cur.Interpretation(rec.Blob)
+	if err != nil {
+		return nil, err
 	}
 	tr, err := it.Track(rec.Track)
 	if err != nil {
@@ -588,16 +590,16 @@ func (db *DB) buildDerivedLocked(rec *walOp, prior []*walOp) (*core.Object, erro
 	if len(rec.inputNames) > 0 {
 		inputs := slices.Clip(rec.Inputs) // appending must not reach the caller's array
 		for _, nm := range rec.inputNames {
-			id, ok := cur.shardFor(nm).byName.get(nm)
-			if !ok {
+			in := cur.shardFor(nm).lookup(nm, seqNow)
+			if in == nil {
 				if o := db.staged[nm]; o != nil && db.stagedIn(prior, o.ID) == o {
-					id, ok = o.ID, true
+					in = o
 				}
 			}
-			if !ok {
+			if in == nil {
 				return nil, fmt.Errorf("%w: input %q", ErrNotFound, nm)
 			}
-			inputs = append(inputs, id)
+			inputs = append(inputs, in.ID)
 		}
 		rec.Inputs, rec.inputNames = inputs, nil
 	}
@@ -727,7 +729,6 @@ func (db *DB) publishLocked(recs []*walOp) {
 		if rec.Kind == opInterp {
 			it := db.stagedInterps[rec.Blob]
 			delete(db.stagedInterps, rec.Blob)
-			e.setInterp(it)
 			e.appendInterpVersion(it, rec.Seq)
 			db.nextBlob = max(db.nextBlob, it.BlobID()+1)
 			continue

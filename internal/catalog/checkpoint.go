@@ -40,7 +40,6 @@ package catalog
 
 import (
 	"bufio"
-	"cmp"
 	"encoding/gob"
 	"errors"
 	"fmt"
@@ -333,32 +332,21 @@ func openStream(path string) (*catalogStream, error) {
 	return s, nil
 }
 
-// applyStream applies an opened payload over the current state. Head
-// deletes go first (they name what the state below loses); then every
-// record extends its chain; then each changed object chain's tail
-// becomes the live object — all into one copy-on-write edit published
-// as one epoch only after the container's trailer has verified, so a
-// failure at any point leaves the DB exactly as it was. Anything wrong
-// with the bytes or what they describe is ErrCorruptSnapshot; store
-// I/O failures pass through untyped so callers don't quarantine a
-// healthy file. A registration whose BLOB is gone is skipped: a later
-// file holds its tombstone, or relinkAllLocked fails the load. Assumes
-// db.mu is held or the DB is unshared; does not link indexes (raw
-// inserts — relinkAllLocked runs once the whole base + chain state is
-// present).
+// applyStream applies an opened payload over the current state: every
+// record extends its chain, then the head's deletes drop what no record
+// closed — all into one copy-on-write edit published as one epoch only
+// after the container's trailer has verified, so a failure at any
+// point leaves the DB exactly as it was. The live catalog is the
+// chains' tails, so nothing else is settled. Anything wrong with the
+// bytes or what they describe is ErrCorruptSnapshot; store I/O
+// failures pass through untyped so callers don't quarantine a healthy
+// file. A registration whose BLOB is gone is skipped: a later file
+// holds its tombstone, or relinkAllLocked fails the load. Assumes
+// db.mu is held or the DB is unshared; does not link indexes
+// (relinkAllLocked runs once the whole base + chain state is present).
 func (db *DB) applyStream(s *catalogStream) error {
 	head := &s.head
 	e := db.beginEditLocked()
-	var deleted []*core.Object // live below this file, deleted in it
-	for _, id := range head.DelObjects {
-		if old := e.lookupByID(id); old != nil {
-			e.removeRaw(old)
-			deleted = append(deleted, old)
-		}
-	}
-	for _, bid := range head.DelInterps {
-		e.delInterp(bid)
-	}
 	for i := 0; i < head.NumRecords; i++ {
 		var rec verRecord
 		if err := s.dec.Decode(&rec); err != nil {
@@ -392,33 +380,25 @@ func (db *DB) applyStream(s *catalogStream) error {
 			if err != nil {
 				return fmt.Errorf("%w: record %d: %v", ErrCorruptSnapshot, i, err)
 			}
-			e.setInterp(it)
 			e.appendInterpVersion(it, rec.Seq)
 		case rec.Kind == recInterpTomb:
-			e.delInterp(blob.ID(rec.ID))
 			e.appendInterpTombstone(blob.ID(rec.ID), rec.Seq)
 		default:
 			return fmt.Errorf("%w: record %d: kind %d, payload missing or unknown", ErrCorruptSnapshot, i, rec.Kind)
 		}
 	}
-	// Every chain the records changed or dropped settles its live row.
-	for si := range e.shards {
-		diff(e.base.shards[si].vers, e.shards[si].vers, func(id core.ID, old, c *verChain) {
-			e.settleLive(id, cmp.Or(c, old).name)
-		})
-	}
-	// A delete whose chain retention dropped carries no tombstone record:
-	// the chain below, still ending in the live version, goes too (the
-	// head's floor already covers the drop), or an as-of read would
-	// resurrect it.
-	for _, old := range deleted {
-		if c, ok := e.shards[e.shardIndexFor(old.Name)].vers.get(old.ID); ok && c.tail().val != nil {
-			e.dropChain(old.ID, old.Name)
+	// A delete or collection whose chain retention dropped carries no
+	// tombstone record: the chain below, still ending live, goes (the
+	// head's floor already covers the drop), or it would stay live and
+	// an as-of read would resurrect it.
+	for _, id := range head.DelObjects {
+		if o := e.lookupByID(id); o != nil {
+			e.dropChain(id, o.Name)
 		}
 	}
 	for _, bid := range head.DelInterps {
-		if c, ok := e.interpVers.get(bid); ok && c.tail().val != nil {
-			e.interpVers = e.interpVers.del(bid)
+		if c, _ := e.interpVers.get(bid); c.live() {
+			e.setInterpChain(bid, nil)
 		}
 	}
 	e.raiseFloor(head.VerFloor)
@@ -606,7 +586,7 @@ func (db *DB) checkpointLocked(dir string, full bool) error {
 			reason = promoteNoBase
 		case len(m.Checkpoints) >= DefaultMaxCheckpointChain:
 			reason = promoteChainBound
-		case (len(since.objs)+len(since.interps))*2 >= cur.count+cur.interps.len():
+		case (len(since.objs)+len(since.interps))*2 >= cur.count+cur.interpCount:
 			reason = promoteMajority
 		}
 		if t := db.tel.Load(); t != nil && reason != "" {

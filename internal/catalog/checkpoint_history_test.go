@@ -211,7 +211,7 @@ func reopenEquals(t *testing.T, db *DB, dir string, retention, times int, fresh 
 			t.Fatal(err)
 		}
 		for _, id := range ids {
-			if !got.CurrentView().interps.has(id) && !fresh[id] && !(base != nil && base.interps.has(id)) {
+			if interpAt(got.CurrentView().interpVers, id, seqNow) == nil && !fresh[id] && !(base != nil && interpAt(base.interpVers, id, seqNow) != nil) {
 				t.Fatalf("reopen %d at seq %d left %v, which nothing interprets", i+1, db.Seq(), id)
 			}
 		}

@@ -68,7 +68,7 @@ func (db *DB) deleteLocked(id core.ID, seq uint64) error {
 	return nil
 }
 
-// maybeCollectBlob drops the BLOB's interpretation from the edit when
+// maybeCollectBlob tombstones the BLOB's interpretation in the edit when
 // no object in the edit's working state (one probe of each shard's
 // reader index) still reads it; nothing is staged (see applyLocked).
 // The collection is recorded as an interpretation tombstone at seq, so
@@ -80,7 +80,6 @@ func (db *DB) maybeCollectBlob(e *viewEdit, id blob.ID, seq uint64) {
 			return
 		}
 	}
-	e.delInterp(id)
 	e.appendInterpTombstone(id, seq)
 }
 

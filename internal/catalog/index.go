@@ -434,7 +434,7 @@ func (v *View) runIndexed(sel IndexedQuery, pred func(*core.Object) bool, offset
 		sh := v.shards[si]
 		n := 0
 		walk(func(id core.ID) bool {
-			if o, ok := sh.objects.get(id); ok && match(sh, o) {
+			if o := sh.object(id, seqNow); o != nil && match(sh, o) {
 				matched = append(matched, o)
 				n++
 				if hardCap >= 0 && n >= hardCap {
@@ -487,11 +487,11 @@ func (v *View) runIndexed(sel IndexedQuery, pred func(*core.Object) bool, offset
 				}
 			}
 		}
-	default: // scan
+	default: // scan: every retained chain, tombstoned ones included
 		for si, sh := range v.shards {
 			sh := sh
 			perShard(si, func(yield func(core.ID) bool) {
-				sh.objects.ascend(func(id core.ID, _ *core.Object) bool { return yield(id) })
+				sh.vers.ascend(func(id core.ID, _ *verChain) bool { return yield(id) })
 			})
 		}
 	}
@@ -580,41 +580,23 @@ func (v *View) IndexStats() IndexStats {
 func (db *DB) IndexStats() IndexStats { return db.CurrentView().IndexStats() }
 
 // VerifyIndexes rebuilds every shard's indexes from scratch over the
-// shard's objects and diffs the rebuild against the view's live
+// shard's live chain tails and diffs the rebuild against the view's
 // incrementally maintained indexes, including the interval treap's
-// structural invariants, shard placement (every object lives in the
-// shard its name hashes to) and the name directory. Any divergence —
-// a stale entry leaked by a rollback or delete, a missing entry, an
-// unpruned empty set — is returned as an error. Works per shard, on
-// an immutable epoch: safe to run concurrently with writers.
+// structural invariants, and checks the live count against the tails.
+// Any divergence — a stale entry leaked by a rollback or delete, a
+// missing entry, an unpruned empty set — is returned as an error.
+// Chain placement and the name directory are VerifyVersions' to check.
+// Works per shard, on an immutable epoch: safe to run concurrently
+// with writers.
 func (v *View) VerifyIndexes() error {
 	count := 0
 	for si, sh := range v.shards {
 		want := pIndexes{}
-		var err error
-		sh.objects.ascend(func(id core.ID, o *core.Object) bool {
-			if o.ID != id {
-				err = fmt.Errorf("catalog: shard %d stores %v under key %v", si, o.ID, id)
-				return false
-			}
-			if got := shardOf(o.Name, len(v.shards)); got != si {
-				err = fmt.Errorf("catalog: object %q in shard %d, name hashes to %d", o.Name, si, got)
-				return false
-			}
-			if nid, ok := sh.byName.get(o.Name); !ok || nid != id {
-				err = fmt.Errorf("catalog: shard %d name directory maps %q to %v, object is %v", si, o.Name, nid, id)
-				return false
-			}
+		sh.eachAt(seqNow, func(o *core.Object) bool {
 			want = want.link(o, v.getByID)
 			count++
 			return true
 		})
-		if err != nil {
-			return err
-		}
-		if got, wantN := sh.byName.len(), sh.objects.len(); got != wantN {
-			return fmt.Errorf("catalog: shard %d has %d names for %d objects", si, got, wantN)
-		}
 		if err := diffSets(fmt.Sprintf("shard %d kind", si), setsToMap(sh.ix.kind), setsToMap(want.kind)); err != nil {
 			return err
 		}

@@ -262,7 +262,13 @@ func (db *DB) syncBlob(id blob.ID) error {
 // failing on it. Assumes db.mu is held (or the DB is not yet shared).
 func (db *DB) replayAllLocked(dir string) error {
 	base := db.seq
-	db.replayKeep = db.cur.Load().interps
+	db.replayKeep = map[blob.ID]bool{}
+	db.cur.Load().interpVers.ascend(func(id blob.ID, c *interpVerChain) bool {
+		if c.live() {
+			db.replayKeep[id] = true
+		}
+		return true
+	})
 	results, err := wal.ReplaySegments(dir, func(data []byte) error {
 		return db.applyWalLocked(base, data)
 	})
@@ -322,7 +328,7 @@ func (db *DB) applyWalLocked(base uint64, data []byte) error {
 		return err
 	}
 	if rec.Kind == opInterp {
-		db.replayKeep = db.replayKeep.set(rec.Blob, nil) // a set: only keys are read
+		db.replayKeep[rec.Blob] = true
 	}
 	if rec.Seq > db.seq {
 		db.seq = rec.Seq
@@ -383,7 +389,6 @@ func (db *DB) applyLocked(rec *walOp) error {
 			return err
 		}
 		e := db.beginEditLocked()
-		e.replace(rev)
 		e.appendVersion(rev, rec.Seq)
 		db.commitEditLocked(e, rec.Seq)
 	case opDelete:

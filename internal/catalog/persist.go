@@ -389,12 +389,12 @@ func Open(dir string, store blob.Store, opts ...Option) (*DB, error) {
 	if rec := db.recovery; db.replayCap == 0 && !rec.UsedBackup && !rec.ManifestCorrupt && !rec.CheckpointChainBroken {
 		ids, _ := db.store.IDs() // best effort: a failed listing sweeps nothing
 		for _, id := range ids {
-			if !db.replayKeep.has(id) && db.store.Delete(id) == nil {
+			if !db.replayKeep[id] && db.store.Delete(id) == nil {
 				db.recovery.BlobsSwept++
 			}
 		}
 	}
-	db.replayKeep = tmap[blob.ID, *interp.Interpretation]{}
+	db.replayKeep = nil
 	db.recovery.OpenMs = time.Since(start).Milliseconds()
 	db.mu.Unlock()
 	return db, nil

@@ -56,12 +56,56 @@ func newestSeq(v *View) uint64 {
 	return top
 }
 
+// asOfDiff reports how v differs from its own as-of view,
+// v.AsOf(v.Epoch()), or "" when it does not: every name in the
+// directory resolves to the same object, and a kind page and an attr
+// query to the same IDs — the indexes against one pass over the chains
+// at the view's seq.
+func asOfDiff(v *View) string {
+	a, err := v.AsOf(v.Epoch())
+	if err != nil {
+		return err.Error()
+	}
+	msg := ""
+	for _, sh := range v.shards {
+		sh.chainsByName.ascend(func(name string, _ []core.ID) bool {
+			lo, _ := v.Lookup(name)
+			if ao, _ := a.Lookup(name); ao != lo {
+				msg = fmt.Sprintf("Lookup(%q) = %p, as of its epoch %p", name, lo, ao)
+			}
+			return msg == ""
+		})
+		if msg != "" {
+			return msg
+		}
+	}
+	video := media.KindVideo
+	for _, sel := range []IndexedQuery{{Kind: &video}, {Attrs: []AttrEq{{Key: "batch", Value: "a"}}}} {
+		lp, lt := v.SelectPage(sel, nil, 8, 16)
+		ap, at := a.SelectPage(sel, nil, 8, 16)
+		if l, r := pageIDs(lp, lt), pageIDs(ap, at); l != r {
+			return fmt.Sprintf("page %+v: %s, as of its epoch %s", sel, l, r)
+		}
+	}
+	return ""
+}
+
+// pageIDs renders a page as its total and its IDs.
+func pageIDs(objs []*core.Object, total int) string {
+	s := fmt.Sprint(total, ":")
+	for _, o := range objs {
+		s += fmt.Sprint(" ", o.ID)
+	}
+	return s
+}
+
 // TestViewsArePrefixes: with a journal attached, eight writers adding
 // cuts and batches, one writer deleting and syncing (serial commits), a
 // checkpointer and pinning readers, every pinned view is exactly the
 // acknowledged records up to its Epoch: it holds no record above it,
 // every commit acknowledged by the end of the run at or below it, and
-// ViewAt of its Epoch is the view itself.
+// ViewAt of its Epoch is the view itself. Each is also its own as-of
+// view at that Epoch (asOfDiff).
 func TestViewsArePrefixes(t *testing.T) {
 	const (
 		writers = 8
@@ -106,7 +150,7 @@ func TestViewsArePrefixes(t *testing.T) {
 				name := fmt.Sprintf("w%d-%02d", w, i)
 				if i%4 == 3 {
 					items := []BatchItem{
-						{Name: name + "a", Op: "video-edit", Inputs: []core.ID{clip}, Params: cutParams(0, 2)},
+						{Name: name + "a", Op: "video-edit", Inputs: []core.ID{clip}, Params: cutParams(0, 2), Attrs: map[string]string{"batch": "a"}},
 						{Name: name + "b", Op: "video-edit", InputNames: []string{name + "a"}, Params: cutParams(0, 1)},
 					}
 					ids, err := db.AddBatch(items)
@@ -191,15 +235,16 @@ func TestViewsArePrefixes(t *testing.T) {
 				missing++
 			}
 		}
-		if got, err := db.ViewAt(v.Epoch()); top > v.Epoch() || missing > 0 || err != nil || got != v {
+		asOf := asOfDiff(v)
+		if got, err := db.ViewAt(v.Epoch()); top > v.Epoch() || missing > 0 || err != nil || got != v || asOf != "" {
 			if bad++; bad <= 5 {
-				t.Errorf("view %d: newest record %d, %d acknowledged commits at or below it missing; ViewAt: %p, %v (want %p)",
-					v.Epoch(), top, missing, got, err, v)
+				t.Errorf("view %d: newest record %d, %d acknowledged commits at or below it missing; ViewAt: %p, %v (want %p); as-of view: %q",
+					v.Epoch(), top, missing, got, err, v, asOf)
 			}
 		}
 	}
 	if bad > 0 {
-		t.Errorf("%d of %d pinned views are not exact seq prefixes", bad, len(views))
+		t.Errorf("%d of %d pinned views are not exact seq prefixes and their own as-of views", bad, len(views))
 	}
 	t.Logf("%d pinned views, %d acknowledged commits", len(views), len(acks))
 }

@@ -133,6 +133,30 @@ func (c *chain[T]) allTombstones() bool {
 // tail returns the newest entry of a non-empty chain.
 func (c *chain[T]) tail() entry[T] { return c.entries[len(c.entries)-1] }
 
+// valAt resolves the T as of seq: nil when it did not exist yet or was
+// already deleted.
+func (c *chain[T]) valAt(seq uint64) *T {
+	e, _ := c.at(seq)
+	return e.val
+}
+
+// live reports whether the chain ends in a version, not a tombstone:
+// the T exists now. A nil chain is not live.
+func (c *chain[T]) live() bool { return c != nil && len(c.entries) > 0 && c.tail().val != nil }
+
+// liveDelta is how replacing chain old with c (nil: none) moves a
+// count of live Ts.
+func liveDelta[T any](old, c *chain[T]) int {
+	d := 0
+	if old.live() {
+		d--
+	}
+	if c.live() {
+		d++
+	}
+	return d
+}
+
 // check verifies the invariants every stored chain holds: non-empty,
 // at least one live entry, seqs strictly ascending.
 func (c *chain[T]) check() error {
@@ -163,14 +187,17 @@ func (e *viewEdit) raiseFloor(seq uint64) {
 // setChain stores (or, for all-tombstone chains, drops) a chain in the
 // shard owning its name. It is the one place object chains enter a
 // shard, so it is also where the shard's name → chain-IDs directory
-// (shardState.chainsByName, what AsOfView.Lookup probes) is kept: a
-// chain is listed under its name from its first store to its drop.
+// (shardState.chainsByName, what shardState.lookup probes) and the
+// live count are kept: a chain is listed under its name from its first
+// store to its drop, and counted while its tail is live.
 func (e *viewEdit) setChain(id core.ID, c *verChain) {
 	if c.allTombstones() {
 		e.dropChain(id, c.name)
 		return
 	}
 	sh := e.shard(e.shardIndexFor(c.name))
+	old, _ := sh.vers.get(id)
+	e.count += liveDelta(old, c)
 	sh.vers = sh.vers.set(id, c)
 	ids, _ := sh.chainsByName.get(c.name)
 	if i, listed := slices.BinarySearch(ids, id); !listed {
@@ -178,9 +205,12 @@ func (e *viewEdit) setChain(id core.ID, c *verChain) {
 	}
 }
 
-// dropChain removes id's chain and its directory listing.
+// dropChain removes id's chain, its directory listing and its share of
+// the live count.
 func (e *viewEdit) dropChain(id core.ID, name string) {
 	sh := e.shard(e.shardIndexFor(name))
+	old, _ := sh.vers.get(id)
+	e.count += liveDelta(old, nil)
 	sh.vers = sh.vers.del(id)
 	ids, _ := sh.chainsByName.get(name)
 	i, listed := slices.BinarySearch(ids, id)
@@ -215,6 +245,18 @@ func (e *viewEdit) appendTombstone(obj *core.Object, seq uint64) {
 	e.extendChain(obj.ID, obj.Name, verEntry{seq: seq})
 }
 
+// setInterpChain stores id's interpretation chain, or drops it when c
+// is nil, keeping the live interpretation count.
+func (e *viewEdit) setInterpChain(id blob.ID, c *interpVerChain) {
+	old, _ := e.interpVers.get(id)
+	e.interpCount += liveDelta(old, c)
+	if c == nil {
+		e.interpVers = e.interpVers.del(id)
+		return
+	}
+	e.interpVers = e.interpVers.set(id, c)
+}
+
 // appendInterpVersion / appendInterpTombstone maintain the
 // interpretation chains.
 func (e *viewEdit) appendInterpVersion(it *interp.Interpretation, seq uint64) {
@@ -224,7 +266,7 @@ func (e *viewEdit) appendInterpVersion(it *interp.Interpretation, seq uint64) {
 	}
 	c, floor := c.appended(interpVerEntry{seq: seq, val: it}).pruned(e.db.verRetention)
 	e.raiseFloor(floor)
-	e.interpVers = e.interpVers.set(it.BlobID(), c)
+	e.setInterpChain(it.BlobID(), c)
 }
 
 func (e *viewEdit) appendInterpTombstone(id blob.ID, seq uint64) {
@@ -240,24 +282,9 @@ func (e *viewEdit) appendInterpTombstone(id blob.ID, seq uint64) {
 	e.raiseFloor(floor)
 	if c.allTombstones() {
 		e.raiseFloor(c.tail().seq)
-		e.interpVers = e.interpVers.del(id)
-		return
+		c = nil
 	}
-	e.interpVers = e.interpVers.set(id, c)
-}
-
-// settleLive makes id's live row agree with its chain after a
-// snapshot-stream apply: a non-tombstone tail is the live object — the
-// same pointer, as after a live commit — and anything else means there
-// is none.
-func (e *viewEdit) settleLive(id core.ID, name string) {
-	sh := e.shards[e.shardIndexFor(name)]
-	if old, ok := sh.objects.get(id); ok {
-		e.removeRaw(old)
-	}
-	if c, ok := sh.vers.get(id); ok && c.tail().val != nil {
-		e.insertRaw(c.tail().val)
-	}
+	e.setInterpChain(id, c)
 }
 
 // --- AsOfView ------------------------------------------------------
@@ -297,21 +324,12 @@ func (a *AsOfView) Epoch() uint64 { return a.base.Epoch() }
 // Seq returns the transaction-time seq the view reads at.
 func (a *AsOfView) Seq() uint64 { return a.seq }
 
-// live resolves a chain to the object it held as of the seq, nil when
-// the object did not exist yet or was already deleted.
-func (a *AsOfView) live(c *verChain) *core.Object {
-	e, _ := c.at(a.seq)
-	return e.val
-}
-
 // eachLive visits every object live as of the seq: one pass over the
 // chains, shard by shard, ascending by ID within a shard.
 func (a *AsOfView) eachLive(visit func(*core.Object)) {
 	for _, sh := range a.base.shards {
-		sh.vers.ascend(func(_ core.ID, c *verChain) bool {
-			if o := a.live(c); o != nil {
-				visit(o)
-			}
+		sh.eachAt(a.seq, func(o *core.Object) bool {
+			visit(o)
 			return true
 		})
 	}
@@ -324,50 +342,22 @@ func (a *AsOfView) Len() int {
 	return n
 }
 
-// getByID mirrors View.getByID: there is no global ID directory, so
-// the chain is found by probing each shard.
+// getByID resolves an object by ID as of the seq, nil when it was not
+// live then.
 func (a *AsOfView) getByID(id core.ID) *core.Object {
-	for _, sh := range a.base.shards {
-		if c, ok := sh.vers.get(id); ok {
-			return a.live(c)
-		}
-	}
-	return nil
+	return objectAt(a.base.shards, id, a.seq)
 }
 
 // Get returns the object with the given ID as of the seq (shared,
 // read-only — same contract as View.Get).
-func (a *AsOfView) Get(id core.ID) (*core.Object, error) {
-	if o := a.getByID(id); o != nil {
-		return o, nil
-	}
-	return nil, fmt.Errorf("%w: %v", ErrNotFound, id)
-}
+func (a *AsOfView) Get(id core.ID) (*core.Object, error) { return a.base.getAt(id, a.seq) }
 
-// Lookup returns the object with the given name as of the seq. A name
-// re-used across a delete lists several chains; at most one of them is
-// live at any seq.
-func (a *AsOfView) Lookup(name string) (*core.Object, error) {
-	sh := a.base.shardFor(name)
-	ids, _ := sh.chainsByName.get(name)
-	for _, id := range ids {
-		if c, ok := sh.vers.get(id); ok {
-			if o := a.live(c); o != nil {
-				return o, nil
-			}
-		}
-	}
-	return nil, fmt.Errorf("%w: %q", ErrNotFound, name)
-}
+// Lookup returns the object with the given name as of the seq.
+func (a *AsOfView) Lookup(name string) (*core.Object, error) { return a.base.lookupAt(name, a.seq) }
 
 // Interpretation returns the interpretation of a BLOB as of the seq.
 func (a *AsOfView) Interpretation(id blob.ID) (*interp.Interpretation, error) {
-	if c, ok := a.base.interpVers.get(id); ok {
-		if e, _ := c.at(a.seq); e.val != nil {
-			return e.val, nil
-		}
-	}
-	return nil, fmt.Errorf("%w: %v", ErrNoInterp, id)
+	return a.base.interpretationAt(id, a.seq)
 }
 
 // reachSets materializes the descendant set of each src over the as-of
@@ -408,9 +398,8 @@ func (a *AsOfView) runIndexed(sel IndexedQuery, pred func(*core.Object) bool, of
 	var matched []*core.Object
 	for _, sh := range a.base.shards {
 		n := 0
-		sh.vers.ascend(func(_ core.ID, c *verChain) bool {
-			o := a.live(c)
-			if o == nil || !sel.matchObject(reach, o) {
+		sh.eachAt(a.seq, func(o *core.Object) bool {
+			if !sel.matchObject(reach, o) {
 				return true
 			}
 			if len(sel.Spans) > 0 {
@@ -451,15 +440,15 @@ func (a *AsOfView) SelectPage(sel IndexedQuery, pred func(*core.Object) bool, of
 // VersionFloor returns the oldest as_of seq this view can answer.
 func (v *View) VersionFloor() uint64 { return v.verFloor }
 
-// VerifyVersions checks the view's version chains against the live
-// state: entries strictly ascending in seq, chains non-empty and
-// shard-placed by name, every live object the non-tombstone tail of
-// its own chain, every chain tail agreeing with liveness, the name
-// directory listing exactly the stored chains, and the interpretation
-// chains likewise. Like VerifyIndexes it runs on an immutable epoch,
-// safe concurrently with writers.
+// VerifyVersions checks the view's version chains: entries strictly
+// ascending in seq, chains non-empty and shard-placed by name, each
+// holding versions of its own object only, the name directory listing
+// exactly the stored chains with at most one live chain per name, and
+// the live counts equal to the live chain tails, for objects and
+// interpretations alike. Like VerifyIndexes it runs on an immutable
+// epoch, safe concurrently with writers.
 func (v *View) VerifyVersions() error {
-	liveChains := 0
+	live := 0
 	for si, sh := range v.shards {
 		var err error
 		sh.vers.ascend(func(id core.ID, c *verChain) bool {
@@ -477,21 +466,8 @@ func (v *View) VerifyVersions() error {
 					return false
 				}
 			}
-			tail := c.tail()
-			live, liveOK := sh.objects.get(id)
-			if tail.val != nil {
-				liveChains++
-				if !liveOK {
-					err = fmt.Errorf("catalog: chain %v tail is live at seq %d but object is absent", id, tail.seq)
-					return false
-				}
-				if live.Name != c.name {
-					err = fmt.Errorf("catalog: chain %v name %q, live object named %q", id, c.name, live.Name)
-					return false
-				}
-			} else if liveOK {
-				err = fmt.Errorf("catalog: chain %v tail is a tombstone at seq %d but object is live", id, tail.seq)
-				return false
+			if c.live() {
+				live++
 			}
 			if ids, _ := sh.chainsByName.get(c.name); !slices.Contains(ids, id) {
 				err = fmt.Errorf("catalog: chain %v not listed under %q in the name directory", id, c.name)
@@ -502,28 +478,23 @@ func (v *View) VerifyVersions() error {
 		if err != nil {
 			return err
 		}
-		sh.objects.ascend(func(id core.ID, o *core.Object) bool {
-			c, ok := sh.vers.get(id)
-			if !ok {
-				err = fmt.Errorf("catalog: live object %v (%q) has no version chain", id, o.Name)
-				return false
-			}
-			if c.tail().val == nil {
-				err = fmt.Errorf("catalog: live object %v behind tombstoned chain", id)
-				return false
-			}
-			return true
-		})
-		if err != nil {
-			return err
-		}
-		// Every chain is listed (checked above); nothing else may be.
+		// Every chain is listed (checked above); nothing else may be, and
+		// a name has one live object at most.
 		sh.chainsByName.ascend(func(name string, ids []core.ID) bool {
+			lives := 0
 			for i, id := range ids {
-				if c, ok := sh.vers.get(id); !ok || c.name != name || (i > 0 && ids[i-1] >= id) {
+				c, ok := sh.vers.get(id)
+				if !ok || c.name != name || (i > 0 && ids[i-1] >= id) {
 					err = fmt.Errorf("catalog: name directory lists %v under %q: no such chain, or listed twice", id, name)
 					return false
 				}
+				if c.live() {
+					lives++
+				}
+			}
+			if lives > 1 {
+				err = fmt.Errorf("catalog: %d live chains under %q", lives, name)
+				return false
 			}
 			return true
 		})
@@ -531,30 +502,26 @@ func (v *View) VerifyVersions() error {
 			return err
 		}
 	}
-	if liveChains != v.count {
-		return fmt.Errorf("catalog: %d live chain tails, view holds %d objects", liveChains, v.count)
+	if live != v.count {
+		return fmt.Errorf("catalog: %d live chain tails, view holds %d objects", live, v.count)
 	}
+	live = 0
 	var err error
 	v.interpVers.ascend(func(id blob.ID, c *interpVerChain) bool {
 		if cerr := c.check(); cerr != nil {
 			err = fmt.Errorf("catalog: interp chain %v: %w", id, cerr)
 			return false
 		}
-		if (c.tail().val != nil) != v.interps.has(id) {
-			err = fmt.Errorf("catalog: interp chain %v tail liveness disagrees with table", id)
-			return false
+		if c.live() {
+			live++
 		}
 		return true
 	})
 	if err != nil {
 		return err
 	}
-	v.interps.ascend(func(id blob.ID, _ *interp.Interpretation) bool {
-		if !v.interpVers.has(id) {
-			err = fmt.Errorf("catalog: live interpretation %v has no version chain", id)
-			return false
-		}
-		return true
-	})
-	return err
+	if live != v.interpCount {
+		return fmt.Errorf("catalog: %d live interp chain tails, view holds %d interpretations", live, v.interpCount)
+	}
+	return nil
 }

@@ -3,13 +3,13 @@ package catalog
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
 	"timedmedia/internal/blob"
 	"timedmedia/internal/core"
 	"timedmedia/internal/faultfs"
-	"timedmedia/internal/interp"
 	"timedmedia/internal/media"
 	"timedmedia/internal/timebase"
 )
@@ -471,7 +471,7 @@ func TestVerifyVersionsDetectsCorruption(t *testing.T) {
 		t.Fatal("no candidate name hashes to the other shard")
 	}
 	var anyInterp blob.ID
-	base.interps.ascend(func(id blob.ID, _ *interp.Interpretation) bool {
+	base.interpVers.ascend(func(id blob.ID, _ *interpVerChain) bool {
 		anyInterp = id
 		return false
 	})
@@ -514,16 +514,22 @@ func TestVerifyVersionsDetectsCorruption(t *testing.T) {
 		{"live tail without object", func(v *View) {
 			sh := v.shards[clipShard]
 			sh.vers = sh.vers.set(999, &verChain{name: "clip", entries: []verEntry{{seq: 5, val: chainObj(999, "clip")}}})
-		}, "object is absent"},
+		}, "not listed under"},
 		{"tombstone tail over live object", func(v *View) {
 			sh := v.shards[clipShard]
 			c, _ := sh.vers.get(clip)
 			sh.vers = sh.vers.set(clip, c.appended(verEntry{seq: 99}))
-		}, "object is live"},
+		}, "live chain tails"},
 		{"live object without chain", func(v *View) {
 			sh := v.shards[clipShard]
 			sh.vers = sh.vers.del(clip)
-		}, "has no version chain"},
+		}, "no such chain"},
+		{"two live objects under one name", func(v *View) {
+			sh := v.shards[clipShard]
+			sh.vers = sh.vers.set(999, &verChain{name: "clip", entries: []verEntry{{seq: 5, val: chainObj(999, "clip")}}})
+			ids, _ := sh.chainsByName.get("clip")
+			sh.chainsByName = sh.chainsByName.set("clip", append(slices.Clone(ids), 999))
+		}, "live chains under"},
 		{"chain missing from name directory", func(v *View) {
 			sh := v.shards[clipShard]
 			sh.chainsByName = sh.chainsByName.del("clip")
@@ -539,16 +545,19 @@ func TestVerifyVersionsDetectsCorruption(t *testing.T) {
 			v.interpVers = v.interpVers.set(9999, &interpVerChain{})
 		}, "interp chain"},
 		{"interp seq order violation", func(v *View) {
-			it, _ := v.interps.get(anyInterp)
+			it := interpAt(v.interpVers, anyInterp, seqNow)
 			v.interpVers = v.interpVers.set(anyInterp, &interpVerChain{entries: []interpVerEntry{{seq: 3, val: it}, {seq: 3, val: it}}})
 		}, "interp chain"},
 		{"interp tail liveness mismatch", func(v *View) {
-			it, _ := v.interps.get(anyInterp)
+			it := interpAt(v.interpVers, anyInterp, seqNow)
 			v.interpVers = v.interpVers.set(9999, &interpVerChain{entries: []interpVerEntry{{seq: 3, val: it}}})
-		}, "disagrees with table"},
+		}, "live interp chain tails"},
 		{"live interp without chain", func(v *View) {
 			v.interpVers = v.interpVers.del(anyInterp)
-		}, "has no version chain"},
+		}, "live interp chain tails"},
+		{"interp count mismatch", func(v *View) {
+			v.interpCount++
+		}, "live interp chain tails"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -2,14 +2,19 @@ package catalog
 
 // Epoch-snapshot reads over a sharded catalog.
 //
-// The visible state of the catalog — objects, the name directory, the
-// interpretation table, and every secondary index — lives in an
-// immutable View, published with a single atomic pointer store. The
-// object map and indexes are partitioned into N hash-by-name shards;
-// each shard's state is built from persistent treaps (pmap.go,
-// interval.go), so publishing a new epoch after a commit copies only
-// the O(log n) spines the mutation touched in the shards it touched
-// and shares everything else with the previous epoch.
+// The visible state of the catalog lives in an immutable View,
+// published with a single atomic pointer store, and there is one copy
+// of it: the version chains of objects and interpretations
+// (versions.go), the name directory over the object chains, and every
+// secondary index. A live object is the non-tombstone tail of its
+// chain, so a live read is an as-of read at seqNow and goes through
+// the same point-read helpers an AsOfView uses (objectAt,
+// shardState.lookup, interpAt). Chains and indexes are partitioned
+// into N hash-by-name shards; each shard's state is built from
+// persistent treaps (pmap.go, interval.go), so publishing a new epoch
+// after a commit copies only the O(log n) spines the mutation touched
+// in the shards it touched and shares everything else with the
+// previous epoch.
 //
 // Readers pin a View with one atomic load and never take a lock: a
 // pinned view is internally consistent forever — a paginated walk,
@@ -26,6 +31,7 @@ package catalog
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 	"sync"
 
@@ -48,40 +54,98 @@ const DefaultEpochRetention = 64
 // retention ring (or never existed).
 var ErrEpochGone = errors.New("catalog: epoch no longer retained")
 
+// seqNow is the seq a live read resolves chains at: past every commit,
+// so each chain answers with its tail.
+const seqNow = math.MaxUint64
+
 // shardOf maps an object name to its shard (FNV-1a of the name).
 func shardOf(name string, n int) int {
 	return int(fnv64(name) % uint64(n))
 }
 
 // shardState is the immutable per-shard slice of one epoch: the
-// objects whose names hash to the shard, the shard's name directory,
-// and the shard's secondary indexes. Provenance edges live in the
-// referrer's shard (the shard that owns the referencing object), so a
-// shard's indexes are always exactly a function of the shard's own
-// objects — which keeps VerifyIndexes shard-local.
+// version chains of the objects whose names hash to the shard, the
+// name directory over them, and the shard's secondary indexes over the
+// live ones. Provenance edges live in the referrer's shard (the shard
+// that owns the referencing object), so a shard's indexes are always
+// exactly a function of the shard's own objects — which keeps
+// VerifyIndexes shard-local.
 type shardState struct {
-	objects tmap[core.ID, *core.Object]
-	byName  tmap[string, core.ID]
-	ix      pIndexes
 	// vers holds the transaction-time version chain of every object
 	// whose name hashes to this shard, including tombstoned (deleted)
 	// ones still within the retention window (versions.go).
 	vers tmap[core.ID, *verChain]
 	// chainsByName lists, per name, the IDs (ascending) of every chain
 	// in vers carrying that name — more than one once a name has been
-	// re-used across a delete. Maintained by setChain/dropChain; it is
-	// how an as-of read finds a name's history without a live object.
+	// re-used across a delete, of which at most one is live at any seq.
+	// Maintained by setChain/dropChain.
 	chainsByName tmap[string, []core.ID]
+	ix           pIndexes
+}
+
+// object resolves id's chain in this shard at seq: nil when the shard
+// holds no such chain, or the object did not exist yet or was already
+// deleted at seq.
+func (sh *shardState) object(id core.ID, seq uint64) *core.Object {
+	if c, ok := sh.vers.get(id); ok {
+		return c.valAt(seq)
+	}
+	return nil
+}
+
+// lookup resolves name at seq. The newest chain listed under the name
+// is tried first: it is the only one that can be live at seqNow.
+func (sh *shardState) lookup(name string, seq uint64) *core.Object {
+	ids, _ := sh.chainsByName.get(name)
+	for i := len(ids) - 1; i >= 0; i-- {
+		if o := sh.object(ids[i], seq); o != nil {
+			return o
+		}
+	}
+	return nil
+}
+
+// eachAt visits the shard's objects live at seq in ascending ID order
+// until visit returns false.
+func (sh *shardState) eachAt(seq uint64, visit func(*core.Object) bool) {
+	sh.vers.ascend(func(_ core.ID, c *verChain) bool {
+		if o := c.valAt(seq); o != nil {
+			return visit(o)
+		}
+		return true
+	})
+}
+
+// objectAt resolves an object by ID at seq. There is no global ID
+// directory, so the shards are probed in turn (with N shards, N
+// O(log n) lookups); an ID's chain lives in one shard only.
+func objectAt(shards []*shardState, id core.ID, seq uint64) *core.Object {
+	for _, sh := range shards {
+		if c, ok := sh.vers.get(id); ok {
+			return c.valAt(seq)
+		}
+	}
+	return nil
+}
+
+// interpAt resolves a BLOB's interpretation at seq: nil when it was
+// not registered yet or already collected.
+func interpAt(vers tmap[blob.ID, *interpVerChain], id blob.ID, seq uint64) *interp.Interpretation {
+	if c, ok := vers.get(id); ok {
+		return c.valAt(seq)
+	}
+	return nil
 }
 
 // View is one immutable epoch of the catalog. All methods are safe
 // for unsynchronized concurrent use; none of them lock.
 type View struct {
-	db      *DB
-	seq     uint64
-	shards  []*shardState
-	interps tmap[blob.ID, *interp.Interpretation]
-	count   int
+	db     *DB
+	seq    uint64
+	shards []*shardState
+	// count and interpCount are the live objects and interpretations:
+	// the chains whose tail is not a tombstone (setChain, setInterpChain).
+	count, interpCount int
 	// interpVers is the interpretation table's version-chain analog of
 	// shardState.vers; verFloor is the oldest as_of seq this epoch can
 	// answer (versions.go).
@@ -101,8 +165,19 @@ func newView(db *DB, nShards int) *View {
 // record up to (see settleLocked); a batch takes several seqs.
 func (v *View) Epoch() uint64 { return v.seq }
 
-// Len returns the number of objects in the view.
+// Len returns the number of live objects in the view.
 func (v *View) Len() int { return v.count }
+
+// VersionChains returns the number of object version chains the view
+// retains, live or tombstoned: VersionChains - Len is the deleted
+// history retention still holds.
+func (v *View) VersionChains() int {
+	n := 0
+	for _, sh := range v.shards {
+		n += sh.vers.len()
+	}
+	return n
+}
 
 // Shards returns the number of hash shards the view is partitioned
 // into.
@@ -112,47 +187,48 @@ func (v *View) shardFor(name string) *shardState {
 	return v.shards[shardOf(name, len(v.shards))]
 }
 
-// getByID resolves an object by ID, probing each shard's object treap
-// (there is no global id directory; with N shards that is N O(log n)
-// lookups). Returns the shared immutable object or nil.
+// getByID resolves a live object by ID: the shared immutable object or
+// nil.
 func (v *View) getByID(id core.ID) *core.Object {
-	for _, sh := range v.shards {
-		if o, ok := sh.objects.get(id); ok {
-			return o
-		}
-	}
-	return nil
+	return objectAt(v.shards, id, seqNow)
 }
 
-// Get returns the object with the given ID. The returned object is
-// shared with the view and must be treated as read-only; use
-// (*core.Object).Clone for a mutable copy.
-func (v *View) Get(id core.ID) (*core.Object, error) {
-	if o := v.getByID(id); o != nil {
+// getAt, lookupAt and interpretationAt are the one point-read path: a
+// View reads at seqNow, an AsOfView at its seq.
+func (v *View) getAt(id core.ID, seq uint64) (*core.Object, error) {
+	if o := objectAt(v.shards, id, seq); o != nil {
 		return o, nil
 	}
 	return nil, fmt.Errorf("%w: %v", ErrNotFound, id)
 }
 
-// Lookup returns the object with the given name. The returned object
-// is shared with the view and must be treated as read-only.
-func (v *View) Lookup(name string) (*core.Object, error) {
-	sh := v.shardFor(name)
-	if id, ok := sh.byName.get(name); ok {
-		if o, ok := sh.objects.get(id); ok {
-			return o, nil
-		}
+func (v *View) lookupAt(name string, seq uint64) (*core.Object, error) {
+	if o := v.shardFor(name).lookup(name, seq); o != nil {
+		return o, nil
 	}
 	return nil, fmt.Errorf("%w: %q", ErrNotFound, name)
 }
 
-// Interpretation returns the interpretation of a BLOB as of this
-// epoch.
-func (v *View) Interpretation(id blob.ID) (*interp.Interpretation, error) {
-	if it, ok := v.interps.get(id); ok {
+func (v *View) interpretationAt(id blob.ID, seq uint64) (*interp.Interpretation, error) {
+	if it := interpAt(v.interpVers, id, seq); it != nil {
 		return it, nil
 	}
 	return nil, fmt.Errorf("%w: %v", ErrNoInterp, id)
+}
+
+// Get returns the object with the given ID. The returned object is
+// shared with the view and must be treated as read-only; use
+// (*core.Object).Clone for a mutable copy.
+func (v *View) Get(id core.ID) (*core.Object, error) { return v.getAt(id, seqNow) }
+
+// Lookup returns the object with the given name. The returned object
+// is shared with the view and must be treated as read-only.
+func (v *View) Lookup(name string) (*core.Object, error) { return v.lookupAt(name, seqNow) }
+
+// Interpretation returns the interpretation of a BLOB as of this
+// epoch.
+func (v *View) Interpretation(id blob.ID) (*interp.Interpretation, error) {
+	return v.interpretationAt(id, seqNow)
 }
 
 // Select returns deep copies of the objects satisfying pred, ordered
@@ -161,7 +237,7 @@ func (v *View) Interpretation(id blob.ID) (*interp.Interpretation, error) {
 func (v *View) Select(pred func(*core.Object) bool) []*core.Object {
 	var out []*core.Object
 	for _, sh := range v.shards {
-		sh.objects.ascend(func(_ core.ID, o *core.Object) bool {
+		sh.eachAt(seqNow, func(o *core.Object) bool {
 			if pred(o) {
 				out = append(out, o.Clone())
 			}
@@ -241,14 +317,13 @@ func (r *epochRing) at(epoch uint64) *View {
 // cloned lazily: an edit that touches 1 of N shards copies one
 // shardState header and the treap spines of that shard only.
 type viewEdit struct {
-	db         *DB
-	base       *View
-	shards     []*shardState
-	touched    []bool
-	interps    tmap[blob.ID, *interp.Interpretation]
-	count      int
-	interpVers tmap[blob.ID, *interpVerChain]
-	verFloor   uint64
+	db                 *DB
+	base               *View
+	shards             []*shardState
+	touched            []bool
+	count, interpCount int
+	interpVers         tmap[blob.ID, *interpVerChain]
+	verFloor           uint64
 }
 
 // beginEditLocked starts an edit over the current view. Assumes db.mu
@@ -256,14 +331,14 @@ type viewEdit struct {
 func (db *DB) beginEditLocked() *viewEdit {
 	base := db.cur.Load()
 	e := &viewEdit{
-		db:         db,
-		base:       base,
-		shards:     make([]*shardState, len(base.shards)),
-		touched:    make([]bool, len(base.shards)),
-		interps:    base.interps,
-		count:      base.count,
-		interpVers: base.interpVers,
-		verFloor:   base.verFloor,
+		db:          db,
+		base:        base,
+		shards:      make([]*shardState, len(base.shards)),
+		touched:     make([]bool, len(base.shards)),
+		count:       base.count,
+		interpCount: base.interpCount,
+		interpVers:  base.interpVers,
+		verFloor:    base.verFloor,
 	}
 	copy(e.shards, base.shards)
 	return e
@@ -283,79 +358,24 @@ func (e *viewEdit) shardIndexFor(name string) int {
 	return shardOf(name, len(e.shards))
 }
 
-// lookupByID resolves an object by ID against the edit's working
+// lookupByID resolves a live object by ID against the edit's working
 // state.
 func (e *viewEdit) lookupByID(id core.ID) *core.Object {
-	for _, sh := range e.shards {
-		if o, ok := sh.objects.get(id); ok {
-			return o
-		}
-	}
-	return nil
+	return objectAt(e.shards, id, seqNow)
 }
 
-// link inserts obj into its shard and all of that shard's indexes.
-// Component spans resolve against the edit's working state, so
-// multi-object batches see their own earlier members.
+// link adds obj to its shard's indexes. Component spans resolve
+// against the edit's working state, so multi-object batches see their
+// own earlier members.
 func (e *viewEdit) link(obj *core.Object) {
 	sh := e.shard(e.shardIndexFor(obj.Name))
-	if _, existed := sh.objects.get(obj.ID); !existed {
-		e.count++
-	}
-	sh.objects = sh.objects.set(obj.ID, obj)
-	sh.byName = sh.byName.set(obj.Name, obj.ID)
 	sh.ix = sh.ix.link(obj, e.lookupByID)
 }
 
-// unlink removes obj from its shard and indexes.
+// unlink removes obj from its shard's indexes.
 func (e *viewEdit) unlink(obj *core.Object) {
-	si := e.shardIndexFor(obj.Name)
-	sh := e.shard(si)
-	if _, existed := sh.objects.get(obj.ID); existed {
-		e.count--
-	}
-	sh.objects = sh.objects.del(obj.ID)
-	sh.byName = sh.byName.del(obj.Name)
+	sh := e.shard(e.shardIndexFor(obj.Name))
 	sh.ix = sh.ix.unlink(obj)
-}
-
-// replace swaps an object for a same-ID, same-name, same-index-key
-// revision (AddSync's copy-on-write update). No index maintenance:
-// sync constraints are not indexed.
-func (e *viewEdit) replace(obj *core.Object) {
-	sh := e.shard(e.shardIndexFor(obj.Name))
-	sh.objects = sh.objects.set(obj.ID, obj)
-}
-
-// insertRaw / removeRaw maintain objects and byName without touching
-// the indexes — the bulk-load path (snapshot + checkpoint chain
-// apply), which defers index construction to one relinkAllLocked pass
-// because component spans may reference objects later in the stream.
-func (e *viewEdit) insertRaw(obj *core.Object) {
-	sh := e.shard(e.shardIndexFor(obj.Name))
-	if _, existed := sh.objects.get(obj.ID); !existed {
-		e.count++
-	}
-	sh.objects = sh.objects.set(obj.ID, obj)
-	sh.byName = sh.byName.set(obj.Name, obj.ID)
-}
-
-func (e *viewEdit) removeRaw(obj *core.Object) {
-	si := e.shardIndexFor(obj.Name)
-	sh := e.shard(si)
-	if _, existed := sh.objects.get(obj.ID); existed {
-		e.count--
-	}
-	sh.objects = sh.objects.del(obj.ID)
-	sh.byName = sh.byName.del(obj.Name)
-}
-
-func (e *viewEdit) setInterp(it *interp.Interpretation) {
-	e.interps = e.interps.set(it.BlobID(), it)
-}
-
-func (e *viewEdit) delInterp(id blob.ID) {
-	e.interps = e.interps.del(id)
 }
 
 // commitEditLocked publishes the edit as the view at seq: the previous
@@ -364,33 +384,32 @@ func (e *viewEdit) delInterp(id blob.ID) {
 func (db *DB) commitEditLocked(e *viewEdit, seq uint64) {
 	prev := db.cur.Load()
 	v := &View{
-		db:         db,
-		seq:        seq,
-		shards:     e.shards,
-		interps:    e.interps,
-		count:      e.count,
-		interpVers: e.interpVers,
-		verFloor:   e.verFloor,
+		db:          db,
+		seq:         seq,
+		shards:      e.shards,
+		count:       e.count,
+		interpCount: e.interpCount,
+		interpVers:  e.interpVers,
+		verFloor:    e.verFloor,
 	}
 	db.ring.add(prev)
 	db.cur.Store(v)
 }
 
-// relinkAllLocked rebuilds every shard's indexes from its objects —
-// the one-pass index construction after bulk load, when all objects
-// (including forward-referenced components) are present. A live
-// non-derived object without a live interpretation fails it with the
-// store's error: applyStream skipped a registration whose BLOB is gone,
-// and no tombstone followed. Assumes the DB is not yet shared.
+// relinkAllLocked rebuilds every shard's indexes from its live chain
+// tails — the one-pass index construction after bulk load, when all
+// objects (including forward-referenced components) are present. A
+// live non-derived object without a live interpretation fails it with
+// the store's error: applyStream skipped a registration whose BLOB is
+// gone, and no tombstone followed. Assumes the DB is not yet shared.
 func (db *DB) relinkAllLocked() error {
 	cur := db.cur.Load()
 	e := db.beginEditLocked()
-	for i := range e.shards {
-		sh := e.shard(i)
+	for i, sh := range cur.shards {
 		ix := pIndexes{}
 		var err error
-		sh.objects.ascend(func(_ core.ID, o *core.Object) bool {
-			if o.Class == core.ClassNonDerived && !cur.interps.has(o.Blob) {
+		sh.eachAt(seqNow, func(o *core.Object) bool {
+			if o.Class == core.ClassNonDerived && interpAt(cur.interpVers, o.Blob, seqNow) == nil {
 				if _, err = db.openBlob(o.Blob); err == nil {
 					err = fmt.Errorf("%w: %v", ErrNoInterp, o.Blob)
 				}
@@ -403,7 +422,7 @@ func (db *DB) relinkAllLocked() error {
 		if err != nil {
 			return err
 		}
-		sh.ix = ix
+		e.shard(i).ix = ix
 	}
 	db.commitEditLocked(e, cur.seq)
 	return nil

@@ -66,6 +66,7 @@ func TestMetricsContentNegotiation(t *testing.T) {
 			`tbm_checkpoint_promotions_total{reason="majority"} 0`,
 			"tbm_http_load_shed_total",
 			"tbm_objects 3",
+			"tbm_version_chains 3",
 			"tbm_version_floor 0",
 			"tbm_version_gone_total 0",
 		} {
@@ -238,10 +239,17 @@ func TestListPagination(t *testing.T) {
 		t.Errorf("offset past end: len=%d total=%d next=%v", len(objs), total, next)
 	}
 
-	// limit=0: an empty page that still reports the total.
-	objs, total, next = page(t, "?limit=0")
-	if len(objs) != 0 || total != 3 || next == nil || *next != 0 {
-		t.Errorf("limit=0: len=%d total=%d next=%v", len(objs), total, next)
+	// limit=0: an empty page that still reports the total, and links no
+	// next page — following it would fetch the same page forever — on
+	// either list route.
+	for _, q := range []string{"?limit=0", "?limit=0&offset=1"} {
+		objs, total, next = page(t, q)
+		if len(objs) != 0 || total != 3 || next != nil {
+			t.Errorf("/v1/objects%s: len=%d total=%d next=%v", q, len(objs), total, next)
+		}
+		if r := runQuery(t, ts.URL, q[1:]); len(r.Objects) != 0 || r.Total != 3 || r.NextOffset != nil {
+			t.Errorf("/v1/query%s: len=%d total=%d next=%v", q, len(r.Objects), r.Total, r.NextOffset)
+		}
 	}
 
 	// Repeated attr values: attr.language=en OR fr must match clip

@@ -52,6 +52,8 @@ func (s *Server) writePromCounters(w io.Writer) {
 	l := s.stats.snapshot()
 
 	promGauge(w, "tbm_objects", "objects in the catalog", int64(s.db.Len()))
+	promGauge(w, "tbm_version_chains", "object version chains retained, live or tombstoned (less tbm_objects: deleted history still held)",
+		int64(s.db.CurrentView().VersionChains()))
 	promGauge(w, "tbm_version_floor", "oldest journal seq as_of can still answer (retention pruned history below it)",
 		int64(s.db.CurrentView().VersionFloor()))
 

@@ -365,7 +365,8 @@ func writeJSONStatus(w http.ResponseWriter, code int, v any) {
 // pass it back as ?epoch= to make the next page mutually consistent
 // with this one.
 // NextOffset is present only when more objects follow the returned
-// page.
+// page and the page advanced: a limit=0 page links nowhere, as
+// following it would fetch the same page forever.
 type listReply struct {
 	Objects    []objectSummary `json:"objects"`
 	Total      int             `json:"total"`
@@ -418,7 +419,7 @@ func writeListPage(w http.ResponseWriter, s *Server, v readView, page []*core.Ob
 		out = append(out, s.summarize(v, obj))
 	}
 	reply := listReply{Objects: out, Total: total, Epoch: v.Epoch()}
-	if end := offset + len(page); end < total {
+	if end := offset + len(page); len(page) > 0 && end < total {
 		next := end
 		reply.NextOffset = &next
 	}
