@@ -11,8 +11,6 @@
 package catalog
 
 import (
-	"bytes"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"slices"
@@ -317,18 +315,13 @@ func (db *DB) RegisterInterpretation(it *interp.Interpretation) error {
 	return err
 }
 
-// exportInterp fills rec.Interp with the gob-encoded run record of the
+// exportInterp fills rec.Interp with the run record of the
 // interpretation rec registers and flushes its BLOB.
 func (db *DB) exportInterp(rec *walOp) error {
-	exp, err := interp.Export(rec.it)
-	if err != nil {
-		return err
-	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(exp); err != nil {
+	var err error
+	if rec.Interp, err = interp.AppendExported(nil, interp.Export(rec.it)); err != nil {
 		return fmt.Errorf("catalog: %w", err)
 	}
-	rec.Interp = buf.Bytes()
 	return db.syncBlob(rec.Blob)
 }
 
@@ -354,11 +347,7 @@ func (db *DB) AddDerived(name, op string, inputs []core.ID, params []byte, attrs
 // AddMultimedia registers a multimedia object composing existing
 // objects on the given time axis.
 func (db *DB) AddMultimedia(name string, axis timebase.System, comps []core.ComponentRef, attrs map[string]string) (core.ID, error) {
-	rec := &walOp{Kind: opMultimedia, Name: name, Attrs: attrs, TimeNum: axis.Num, TimeDen: axis.Den}
-	for _, c := range comps {
-		rec.Comps = append(rec.Comps, savedComponent(c))
-	}
-	return db.commitAdd(rec)
+	return db.commitAdd(&walOp{Kind: opMultimedia, Name: name, Attrs: attrs, TimeNum: axis.Num, TimeDen: axis.Den, Comps: comps})
 }
 
 // AddSync records a synchronization constraint on a multimedia object:
@@ -642,13 +631,12 @@ func buildMultimedia(cur *View, rec *walOp) (*core.Object, error) {
 	if err != nil {
 		return nil, err
 	}
-	comps := make([]core.ComponentRef, len(rec.Comps))
-	for i, c := range rec.Comps {
+	for _, c := range rec.Comps {
 		if cur.getByID(c.Object) == nil {
 			return nil, fmt.Errorf("%w: component %v", ErrNotFound, c.Object)
 		}
-		comps[i] = core.ComponentRef(c)
 	}
+	comps := slices.Clone(rec.Comps)
 	return &core.Object{
 		Name:       rec.Name,
 		Class:      core.ClassMultimedia,

@@ -11,7 +11,7 @@ package catalog
 // chain as dir/checkpoint.NNNNNN.ckpt; a full snapshot (Save, or a
 // promoted Checkpoint) is the same capture against the empty catalog,
 // into catalog.gob. Both run one write sequence (checkpointLocked) and
-// write one payload, a stream of version records (see verRecord): the
+// write one payload, a stream of version records (record.go): the
 // live catalog is the chains' tails. A failed attempt leaves ckptView
 // and the manifest as they were, so the next one covers its slice.
 // Recovery reads
@@ -40,7 +40,8 @@ package catalog
 
 import (
 	"bufio"
-	"encoding/gob"
+	"cmp"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -48,7 +49,6 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
-	"sort"
 	"sync"
 	"time"
 
@@ -131,22 +131,21 @@ func removeStaleCheckpoints(dir string, keep []uint64) error {
 }
 
 // catalogStreamPreamble opens a snapshot or checkpoint payload (format
-// "catalog stream 3"): the preamble, one gob stream holding a
-// streamHead and then head.NumRecords verRecords. Integrity is the
-// container's (per-chunk CRC-32C plus a whole-stream trailer); a
-// payload that opens with anything else is ErrSnapshotFormat — stream 2
-// included, whose interpretation records held one entry per element
-// where this one holds runs (interp.Run) and would decode as empty
-// tracks.
-var catalogStreamPreamble = [8]byte{'T', 'B', 'M', 'C', 'A', 'T', 'S', '3'}
+// "catalog stream 4"): the preamble, then a streamHead and
+// head.NumRecords records, each a uvarint length and that many bytes in
+// the record layout (record.go). Integrity is the container's (per-chunk
+// CRC-32C plus a whole-stream trailer); a payload that opens with
+// anything else is ErrSnapshotFormat — stream 3 included, whose records
+// were gob.
+var catalogStreamPreamble = [8]byte{'T', 'B', 'M', 'C', 'A', 'T', 'S', '4'}
 
 // streamHead leads a snapshot payload, which covers mutations in
 // (FromSeq, Seq]: everything up to Seq for a full snapshot (FromSeq
 // 0), the slice since the previous checkpoint for a delta. Deleted
 // IDs ride in the head (they are tiny) and name what a delta removes
 // from the state below it even when retention left no chain to carry
-// the tombstone; VerFloor is the capture-time version floor. NextBlob
-// (DB.nextBlob) is 0 in a file written before it.
+// the tombstone; VerFloor is the capture-time version floor and
+// NextBlob is DB.nextBlob.
 type streamHead struct {
 	FromSeq    uint64
 	Seq        uint64
@@ -158,74 +157,81 @@ type streamHead struct {
 	NumRecords int
 }
 
-// Record kinds. Object records come first in a file, then
-// interpretation records; within a kind group records are ordered by
-// ID, then seq, so a chain's entries arrive together and in order.
-const (
-	recObj        = 1 + iota // object version; Obj set
-	recObjTomb               // object tombstone
-	recInterp                // interpretation registration; Interp set
-	recInterpTomb            // interpretation tombstone (BLOB collected)
-)
-
-// verRecord is one version-chain entry, the only kind of record a
-// payload holds. Live state is not stored: once a file's records are
+// capEntry is one version-chain entry a capture writes: an object
+// version (obj) or tombstone, or an interpretation registration (it) or
+// tombstone. Live state is not stored: once a file's records are
 // applied, an object is live exactly when its chain's tail is not a
-// tombstone, and the tail is the live object. Every record goes
-// through the file's one gob encoder, so type descriptors are sent
-// once per file, not once per record.
-type verRecord struct {
-	Kind   byte
-	ID     uint64 // object ID or BLOB ID
-	Seq    uint64
-	Name   string // object tombstones only: a version carries its own
-	Obj    *savedObject
-	Interp *interp.Exported
+// tombstone, and the tail is the live object. Chains are immutable, so
+// an entry is encoded only when the file is written.
+type capEntry struct {
+	ofInterp bool
+	id       uint64 // object ID or BLOB ID
+	seq      uint64
+	name     string // object chains: a tombstone carries the chain's name
+	obj      *core.Object
+	it       *interp.Interpretation
 }
 
-// snapCapture is the in-memory slice of a pinned view a checkpoint
-// writes out (capture).
-// savedObject deep-copies the parts mutable after publish (sync
-// constraints); attribute maps and regions are immutable once an
-// object is visible, so they are shared.
+// snapCapture is the slice of a pinned view a checkpoint writes out
+// (capture).
 type snapCapture struct {
-	head streamHead
-	recs []verRecord
+	head    streamHead
+	entries []capEntry
 }
 
-// seal fixes the stream order (see the record kinds) and completes the
-// head.
+// seal fixes the stream order — object records first, then
+// interpretation records, each group by ID and then seq, so a chain's
+// entries arrive together and in order — and completes the head.
 func (cap *snapCapture) seal(verFloor uint64) {
-	sort.Slice(cap.recs, func(a, b int) bool {
-		ra, rb := &cap.recs[a], &cap.recs[b]
-		if ga, gb := ra.Kind >= recInterp, rb.Kind >= recInterp; ga != gb {
-			return !ga
+	slices.SortFunc(cap.entries, func(a, b capEntry) int {
+		if a.ofInterp != b.ofInterp {
+			if a.ofInterp {
+				return 1
+			}
+			return -1
 		}
-		if ra.ID != rb.ID {
-			return ra.ID < rb.ID
-		}
-		return ra.Seq < rb.Seq
+		return cmp.Or(cmp.Compare(a.id, b.id), cmp.Compare(a.seq, b.seq))
 	})
-	sort.Slice(cap.head.DelObjects, func(a, b int) bool { return cap.head.DelObjects[a] < cap.head.DelObjects[b] })
-	sort.Slice(cap.head.DelInterps, func(a, b int) bool { return cap.head.DelInterps[a] < cap.head.DelInterps[b] })
+	slices.Sort(cap.head.DelObjects)
+	slices.Sort(cap.head.DelInterps)
 	cap.head.VerFloor = verFloor
-	cap.head.NumRecords = len(cap.recs)
+	cap.head.NumRecords = len(cap.entries)
 }
 
 // writeCapture streams cap into path as a chunked container
 // (tmp + fsync + .bak rotation + rename + dir fsync) and returns the
-// container's size.
+// container's size. Every record is laid out in one buffer, reused.
 func writeCapture(path string, cap *snapCapture) (int64, error) {
 	err := durable.WriteStreamSnapshot(path, func(w io.Writer) error {
+		var n [binary.MaxVarintLen64]byte
+		put := func(rec []byte) error {
+			if _, err := w.Write(n[:binary.PutUvarint(n[:], uint64(len(rec)))]); err != nil {
+				return err
+			}
+			_, err := w.Write(rec)
+			return err
+		}
 		if _, err := w.Write(catalogStreamPreamble[:]); err != nil {
 			return err
 		}
-		enc := gob.NewEncoder(w)
-		if err := enc.Encode(&cap.head); err != nil {
+		head := interp.Coder{Buf: make([]byte, 0, 4<<10)}
+		codeHead(&head, &cap.head)
+		buf := head.Buf
+		if err := put(buf); err != nil {
 			return err
 		}
-		for i := range cap.recs {
-			if err := enc.Encode(&cap.recs[i]); err != nil {
+		for i := range cap.entries {
+			var err error
+			switch x := &cap.entries[i]; {
+			case x.ofInterp:
+				buf, err = appendInterpVersion(buf[:0], blob.ID(x.id), x.seq, x.it)
+			default:
+				buf, err = appendVersion(buf[:0], core.ID(x.id), x.name, x.seq, x.obj)
+			}
+			if err == nil {
+				err = put(buf)
+			}
+			if err != nil {
 				return err
 			}
 		}
@@ -241,64 +247,43 @@ func writeCapture(path string, cap *snapCapture) (int64, error) {
 	return fi.Size(), nil
 }
 
-// captureObjChain appends records for one object chain's entries newer
-// than fromSeq (fromSeq 0 captures the whole chain).
-func captureObjChain(cap *snapCapture, id core.ID, c *verChain, fromSeq uint64) error {
+// captureObjChain records one object chain's entries newer than fromSeq
+// (fromSeq 0 captures the whole chain).
+func captureObjChain(cap *snapCapture, id core.ID, c *verChain, fromSeq uint64) {
 	for _, ent := range c.entries {
-		if ent.seq <= fromSeq {
-			continue
+		if ent.seq > fromSeq {
+			cap.entries = append(cap.entries, capEntry{id: uint64(id), seq: ent.seq, name: c.name, obj: ent.val})
 		}
-		rec := verRecord{Kind: recObjTomb, ID: uint64(id), Seq: ent.seq, Name: c.name}
-		if ent.val != nil {
-			so, err := saveObject(ent.val)
-			if err != nil {
-				return err
-			}
-			rec = verRecord{Kind: recObj, ID: uint64(id), Seq: ent.seq, Obj: &so}
-		}
-		cap.recs = append(cap.recs, rec)
 	}
-	return nil
 }
 
-// captureInterpChain appends records for one interpretation chain.
-// Only the live tail is exported as a registration record: a
+// captureInterpChain records one interpretation chain's entries newer
+// than fromSeq. Only the live tail is written as a registration: a
 // superseded or tombstoned registration's BLOB may already be
 // collected, so its history cannot be re-imported after a reload — the
 // tombstone record raises the floor past it instead.
-func captureInterpChain(cap *snapCapture, id blob.ID, c *interpVerChain, fromSeq uint64) error {
+func captureInterpChain(cap *snapCapture, id blob.ID, c *interpVerChain, fromSeq uint64) {
 	tailSeq := c.tail().seq
 	for _, ent := range c.entries {
-		if ent.seq <= fromSeq {
-			continue
-		}
-		switch {
-		case ent.val == nil:
-			cap.recs = append(cap.recs, verRecord{Kind: recInterpTomb, ID: uint64(id), Seq: ent.seq})
-		case ent.seq == tailSeq:
-			exp, err := interp.Export(ent.val)
-			if err != nil {
-				return err
-			}
-			cap.recs = append(cap.recs, verRecord{Kind: recInterp, ID: uint64(id), Seq: ent.seq, Interp: exp})
+		if ent.seq > fromSeq && (ent.val == nil || ent.seq == tailSeq) {
+			cap.entries = append(cap.entries, capEntry{ofInterp: true, id: uint64(id), seq: ent.seq, it: ent.val})
 		}
 	}
-	return nil
 }
 
 // catalogStream is an opened snapshot or chain file, positioned at its
-// first record.
+// first record. buf holds the record next read, and is reused.
 type catalogStream struct {
 	io.Closer
 	br   *bufio.Reader
-	dec  *gob.Decoder
+	buf  []byte
 	head streamHead
 }
 
 // openStream opens the file at path and decodes its head. A missing
 // file passes through as fs.ErrNotExist; damage at any layer is
 // ErrCorruptSnapshot; a file whose container verifies but whose
-// payload is not a TBMCATS3 stream is ErrSnapshotFormat.
+// payload is not a TBMCATS4 stream is ErrSnapshotFormat.
 func openStream(path string) (*catalogStream, error) {
 	r, err := durable.OpenSnapshotReader(path)
 	if err != nil {
@@ -324,12 +309,35 @@ func openStream(path string) (*catalogStream, error) {
 		}
 		return nil, fmt.Errorf("%w: %s: payload opens with %q, want %q", ErrSnapshotFormat, path, pre[:n], catalogStreamPreamble[:])
 	}
-	s.dec = gob.NewDecoder(s.br)
-	if err := s.dec.Decode(&s.head); err != nil {
+	data, err := s.next()
+	if err == nil {
+		s.head, err = decodeHead(data)
+	}
+	if err != nil {
 		r.Close()
 		return nil, fmt.Errorf("%w: snapshot head: %v", ErrCorruptSnapshot, err)
 	}
 	return s, nil
+}
+
+// next reads the next record: a uvarint length and that many bytes,
+// into s.buf. The buffer grows with the bytes that arrive, not with
+// the length a damaged file may claim.
+func (s *catalogStream) next() ([]byte, error) {
+	n, err := binary.ReadUvarint(s.br)
+	if err != nil {
+		return nil, err
+	}
+	s.buf = s.buf[:0]
+	for n > 0 {
+		k := int(min(n, 64<<10))
+		s.buf = slices.Grow(s.buf, k)
+		if _, err := io.ReadFull(s.br, s.buf[len(s.buf):len(s.buf)+k]); err != nil {
+			return nil, err
+		}
+		s.buf, n = s.buf[:len(s.buf)+k], n-uint64(k)
+	}
+	return s.buf, nil
 }
 
 // applyStream applies an opened payload over the current state: every
@@ -348,43 +356,43 @@ func (db *DB) applyStream(s *catalogStream) error {
 	head := &s.head
 	e := db.beginEditLocked()
 	for i := 0; i < head.NumRecords; i++ {
-		var rec verRecord
-		if err := s.dec.Decode(&rec); err != nil {
+		data, err := s.next()
+		if err != nil {
 			return fmt.Errorf("%w: record %d/%d: %v", ErrCorruptSnapshot, i, head.NumRecords, err)
 		}
-		switch {
-		case rec.Kind == recObj && rec.Obj != nil:
-			obj, err := objectFromSaved(rec.Obj)
-			if err != nil {
-				return fmt.Errorf("%w: record %d: %v", ErrCorruptSnapshot, i, err)
-			}
-			e.appendVersion(obj, rec.Seq)
-		case rec.Kind == recObjTomb:
-			id := core.ID(rec.ID)
-			if e.shards[e.shardIndexFor(rec.Name)].vers.has(id) {
-				e.extendChain(id, rec.Name, verEntry{seq: rec.Seq})
+		v, err := decodeVersion(data)
+		if err == nil && v.obj != nil {
+			err = v.obj.Validate()
+		}
+		if err != nil {
+			return fmt.Errorf("%w: record %d: %v", ErrCorruptSnapshot, i, err)
+		}
+		switch v.Kind {
+		case opNonDerived, opDerived, opMultimedia:
+			e.appendVersion(v.obj, v.Seq)
+		case opDelete:
+			if e.shards[e.shardIndexFor(v.Name)].vers.has(v.ID) {
+				e.extendChain(v.ID, v.Name, verEntry{seq: v.Seq})
 			} else {
 				// The entries this tombstone closed were not captured
 				// (pruned): nothing below it is answerable.
-				e.raiseFloor(rec.Seq)
+				e.raiseFloor(v.Seq)
 			}
-		case rec.Kind == recInterp && rec.Interp != nil:
-			b, err := db.openBlob(rec.Interp.BlobID)
+		case opInterp:
+			b, err := db.openBlob(v.Blob)
 			if errors.Is(err, blob.ErrNotFound) {
 				break
 			}
 			if err != nil {
 				return err
 			}
-			it, err := interp.Import(rec.Interp, b)
+			it, err := interp.Import(v.exp, b)
 			if err != nil {
 				return fmt.Errorf("%w: record %d: %v", ErrCorruptSnapshot, i, err)
 			}
-			e.appendInterpVersion(it, rec.Seq)
-		case rec.Kind == recInterpTomb:
-			e.appendInterpTombstone(blob.ID(rec.ID), rec.Seq)
-		default:
-			return fmt.Errorf("%w: record %d: kind %d, payload missing or unknown", ErrCorruptSnapshot, i, rec.Kind)
+			e.appendInterpVersion(it, v.Seq)
+		case opCollected:
+			e.appendInterpTombstone(blob.ID(v.ID), v.Seq)
 		}
 	}
 	// A delete or collection whose chain retention dropped carries no
@@ -403,9 +411,9 @@ func (db *DB) applyStream(s *catalogStream) error {
 	}
 	e.raiseFloor(head.VerFloor)
 	// Drain to EOF: a container is only proven complete once its
-	// trailer validates.
-	if _, err := io.Copy(io.Discard, s.br); err != nil {
-		return fmt.Errorf("%w: %v", ErrCorruptSnapshot, err)
+	// trailer validates, and a payload ends with its last record.
+	if n, err := io.Copy(io.Discard, s.br); err != nil || n != 0 {
+		return fmt.Errorf("%w: %d bytes after the last record (%v)", ErrCorruptSnapshot, n, err)
 	}
 	db.commitEditLocked(e, head.Seq)
 	db.seq = max(db.seq, head.Seq)
@@ -503,13 +511,11 @@ func (ch *chainChanges) collected() []blob.ID {
 // delta, whose head also names the objects deleted and the BLOBs
 // collected since, whether a tombstone still closes their chain or
 // retention dropped it.
-func capture(ch *chainChanges, cur *View, head streamHead, delta bool) (*snapCapture, error) {
+func capture(ch *chainChanges, cur *View, head streamHead, delta bool) *snapCapture {
 	cap := &snapCapture{head: head}
 	for _, x := range ch.objs {
 		if x.c != nil {
-			if err := captureObjChain(cap, x.id, x.c, head.FromSeq); err != nil {
-				return nil, err
-			}
+			captureObjChain(cap, x.id, x.c, head.FromSeq)
 		}
 		if delta && (x.c == nil || x.c.tail().val == nil) {
 			cap.head.DelObjects = append(cap.head.DelObjects, x.id)
@@ -517,16 +523,14 @@ func capture(ch *chainChanges, cur *View, head streamHead, delta bool) (*snapCap
 	}
 	for _, x := range ch.interps {
 		if x.c != nil {
-			if err := captureInterpChain(cap, x.id, x.c, head.FromSeq); err != nil {
-				return nil, err
-			}
+			captureInterpChain(cap, x.id, x.c, head.FromSeq)
 		}
 	}
 	if delta {
 		cap.head.DelInterps = ch.collected()
 	}
 	cap.seal(cur.verFloor)
-	return cap, nil
+	return cap
 }
 
 // Checkpoint makes the catalog's durable state current with bounded
@@ -603,10 +607,7 @@ func (db *DB) checkpointLocked(dir string, full bool) error {
 		all = diffViews(nil, cur)
 	}
 	db.hook("capture")
-	cap, err := capture(all, cur, head, !full)
-	if err != nil {
-		return err
-	}
+	cap := capture(all, cur, head, !full)
 	gone := since.collected()
 	if !attached {
 		// No journal for dir: snapshot only, nothing to compact and no

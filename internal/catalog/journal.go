@@ -1,8 +1,6 @@
 package catalog
 
 import (
-	"bytes"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"path/filepath"
@@ -53,6 +51,8 @@ const (
 
 // Journal operation kinds. A record carries its kind as a one-byte code
 // (see opKinds); the names are what errors and RecordInfo report.
+// opCollected, an interpretation tombstone, is a snapshot record only:
+// a BLOB is collected by a checkpoint, not by a journaled mutation.
 const (
 	opInterp     = "interpruns"
 	opNonDerived = "nonderived"
@@ -60,6 +60,7 @@ const (
 	opMultimedia = "multimedia"
 	opSync       = "sync"
 	opDelete     = "delete"
+	opCollected  = "collected"
 )
 
 // walOp is one journaled mutation. One struct covers every kind; only
@@ -82,12 +83,13 @@ type walOp struct {
 	Params []byte
 
 	TimeNum, TimeDen int64
-	Comps            []savedComponent
+	Comps            []core.ComponentRef
 
 	A, B    int
 	MaxSkew int64
 
-	// Interp is the gob-encoded interp.Exported for opInterp records.
+	// Interp is the interp.Exported of an opInterp record, in interp's
+	// layout (interp.AppendExported).
 	Interp []byte
 
 	// Never encoded, live commits only: a batch item's by-name inputs
@@ -359,20 +361,15 @@ func (db *DB) applyLocked(rec *walOp) error {
 	one := [1]*walOp{rec}
 	switch rec.Kind {
 	case opInterp:
-		var exp interp.Exported
-		if err := gob.NewDecoder(bytes.NewReader(rec.Interp)).Decode(&exp); err != nil {
+		exp, err := interp.DecodeExported(rec.Interp, rec.Blob)
+		if err != nil {
 			return fmt.Errorf("interpretation record: %v", err)
 		}
-		// The envelope's BLOB is what the feed prefetched and what the
-		// registration is staged under; the payload's is what gets opened.
-		if exp.BlobID != rec.Blob {
-			return fmt.Errorf("interpretation record names %v in its envelope and %v in its payload", rec.Blob, exp.BlobID)
-		}
-		b, err := db.openBlob(exp.BlobID) // never collected: see unlinkCollected
+		b, err := db.openBlob(rec.Blob) // never collected: see unlinkCollected
 		if err != nil {
 			return err
 		}
-		it, err := interp.Import(&exp, b)
+		it, err := interp.Import(exp, b)
 		if err != nil {
 			return err
 		}

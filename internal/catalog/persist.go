@@ -9,19 +9,13 @@ import (
 	"time"
 
 	"timedmedia/internal/blob"
-	"timedmedia/internal/compose"
-	"timedmedia/internal/core"
 	"timedmedia/internal/durable"
-	"timedmedia/internal/interp"
-	"timedmedia/internal/media"
-	"timedmedia/internal/timebase"
 	"timedmedia/internal/wal"
 )
 
 // Durable persistence: the catalog's version chains are encoded into
-// catalog.gob (payload format in checkpoint.go) next to a
-// blob.FileStore directory; interpretations are exported to their
-// serializable form. Payload bytes stay in the BLOBs.
+// catalog.gob (payload format in checkpoint.go and record.go) next to a
+// blob.FileStore directory. Payload bytes stay in the BLOBs.
 //
 // Crash safety (see internal/durable, internal/wal and checkpoint.go):
 //
@@ -53,102 +47,6 @@ var ErrCorruptSnapshot = errors.New("catalog: corrupt snapshot")
 // wrong with the file, so Load neither quarantines it nor falls back
 // to the backup on its account.
 var ErrSnapshotFormat = errors.New("catalog: unsupported snapshot format")
-
-// savedObject mirrors core.Object with the descriptor boxed for gob.
-type savedObject struct {
-	ID    core.ID
-	Name  string
-	Class core.Class
-	Kind  int
-	Desc  *interp.ExportedDescriptor
-	Attrs map[string]string
-
-	Blob  blob.ID
-	Track string
-
-	DerivOp     string
-	DerivInputs []core.ID
-	DerivParams []byte
-
-	MMTimeNum, MMTimeDen int64
-	MMComponents         []savedComponent
-	MMSyncs              []compose.SyncConstraint
-}
-
-type savedComponent struct {
-	Object core.ID
-	Start  int64
-	Region *compose.Region
-}
-
-// saveObject captures one object into its serialized form. The parts
-// an object can grow after publication (sync constraints) are deep-
-// copied so the capture stays stable while writers commit; attribute
-// maps, regions, derivation inputs and components are immutable after
-// publish and are shared.
-func saveObject(obj *core.Object) (savedObject, error) {
-	so := savedObject{
-		ID: obj.ID, Name: obj.Name, Class: obj.Class, Kind: int(obj.Kind),
-		Attrs: obj.Attrs, Blob: obj.Blob, Track: obj.Track,
-	}
-	if obj.Desc != nil {
-		boxed, err := interp.WrapDescriptor(obj.Desc)
-		if err != nil {
-			return savedObject{}, err
-		}
-		so.Desc = &boxed
-	}
-	if obj.Derivation != nil {
-		so.DerivOp = obj.Derivation.Op
-		so.DerivInputs = obj.Derivation.Inputs
-		so.DerivParams = obj.Derivation.Params
-	}
-	if obj.Multimedia != nil {
-		so.MMTimeNum = obj.Multimedia.Time.Num
-		so.MMTimeDen = obj.Multimedia.Time.Den
-		for _, c := range obj.Multimedia.Components {
-			so.MMComponents = append(so.MMComponents, savedComponent{Object: c.Object, Start: c.Start, Region: c.Region})
-		}
-		so.MMSyncs = append([]compose.SyncConstraint(nil), obj.Multimedia.Syncs...)
-	}
-	return so, nil
-}
-
-// objectFromSaved reconstructs and validates one object. It does not
-// link the object into the secondary indexes — loading runs one link
-// pass once the whole graph is present, because multimedia spans
-// resolve component objects that may appear later in the stream.
-func objectFromSaved(so *savedObject) (*core.Object, error) {
-	obj := &core.Object{
-		ID: so.ID, Name: so.Name, Class: so.Class, Kind: kindFromInt(so.Kind),
-		Attrs: so.Attrs, Blob: so.Blob, Track: so.Track,
-	}
-	if so.Desc != nil {
-		d, err := so.Desc.Unwrap()
-		if err != nil {
-			return nil, err
-		}
-		obj.Desc = d
-	}
-	if so.DerivOp != "" {
-		obj.Derivation = &core.Derivation{Op: so.DerivOp, Inputs: so.DerivInputs, Params: so.DerivParams}
-	}
-	if len(so.MMComponents) != 0 {
-		axis, err := timebase.New(so.MMTimeNum, so.MMTimeDen)
-		if err != nil {
-			return nil, fmt.Errorf("catalog: object %v: %w", so.ID, err)
-		}
-		spec := &core.MultimediaSpec{Time: axis, Syncs: so.MMSyncs}
-		for _, c := range so.MMComponents {
-			spec.Components = append(spec.Components, core.ComponentRef{Object: c.Object, Start: c.Start, Region: c.Region})
-		}
-		obj.Multimedia = spec
-	}
-	if err := obj.Validate(); err != nil {
-		return nil, fmt.Errorf("catalog: loaded object %v invalid: %w", so.ID, err)
-	}
-	return obj, nil
-}
 
 // Save writes the catalog's object graph and interpretations durably
 // to dir/catalog.gob as a streamed, checksummed container: temp-file
@@ -426,5 +324,3 @@ func open(dir string, store blob.Store, opts ...Option) (*DB, error) {
 	}
 	return db, nil
 }
-
-func kindFromInt(k int) (out media.Kind) { return media.Kind(k) }

@@ -8,293 +8,310 @@ import (
 	"timedmedia/internal/blob"
 	"timedmedia/internal/compose"
 	"timedmedia/internal/core"
+	"timedmedia/internal/interp"
+	"timedmedia/internal/timebase"
 )
 
-// The journal record's byte layout; encodeOp, decodeOp and peekOp are
-// the only functions that know it, and DESIGN.md ("Journal record
-// layout") has the table. Every record opens with the header
+// The record layout of journal, snapshot and checkpoint records alike;
+// only this file knows it, and DESIGN.md ("Journal record layout") has
+// the table. A record is the header
 //
 //	[recordLayout] [kind code] [uvarint Seq] [uvarint ID]
 //
-// and continues with its kind's fields (a delete has none) in the order
-// of encodeOp's switch: a string or byte field behind its uvarint
-// length, unsigned integers as uvarints, signed ones as zig-zag varints,
-// attributes as a count and then key/value pairs in strictly ascending
-// key order — so the bytes are a pure function of the record, whatever
-// order a map iterates in. An interpretation's payload stays the gob
-// interp.Exported that checkpoints carry (one per ingest); nothing else
-// in a record is gob.
+// then its kind's fields as codeOp walks them with interp's Coder,
+// attributes in strictly ascending key order, so the bytes are a pure
+// function of the record whatever order a map iterates in.
 
 // recordLayout is the layout version, the first byte of every record.
-// A record that opens with anything else — every record a build from
-// before this layout wrote is a gob stream, which cannot open with a
-// one-byte message — is refused by name, never guessed at.
-const recordLayout byte = 1
+// Anything else — layout 1, whose interpretation payload was gob, or
+// the gob records before it — is refused by name, never guessed at.
+const recordLayout byte = 2
 
 // opKinds maps a record's kind code, its second byte, to the kind.
-// Code zero is never written.
-var opKinds = [...]string{1: opInterp, 2: opNonDerived, 3: opDerived, 4: opMultimedia, 5: opSync, 6: opDelete}
+// Code zero is never written; opCollected is written only in snapshots.
+var opKinds = [...]string{1: opInterp, 2: opNonDerived, 3: opDerived, 4: opMultimedia, 5: opSync, 6: opDelete, 7: opCollected}
 
-// encodeOp lays rec out as journal bytes: one allocation for the
-// record, one more for the sorted keys when it has attributes.
+// encodeOp lays rec out as journal bytes in one allocation.
 func encodeOp(rec *walOp) ([]byte, error) {
-	code := slices.Index(opKinds[:], rec.Kind)
-	if code <= 0 {
-		return nil, fmt.Errorf("catalog: encode journal record: unknown op %q", rec.Kind)
-	}
-	// An upper bound, so the appends below never grow b: every byte
-	// field, and ten bytes for each integer — at most seven a record, one
-	// an input, under eight a component, two an attribute.
+	// An upper bound: the byte fields, and ten bytes an integer — at most
+	// seven a record, one an input, under eight a component, two a pair.
 	size := 2 + len(rec.Name) + len(rec.Track) + len(rec.Op) + len(rec.Params) + len(rec.Interp) +
 		binary.MaxVarintLen64*(7+len(rec.Inputs)+8*len(rec.Comps)+2*len(rec.Attrs))
 	for k, v := range rec.Attrs {
 		size += len(k) + len(v)
 	}
-	b := append(make([]byte, 0, size), recordLayout, byte(code))
-	b = binary.AppendUvarint(b, rec.Seq)
-	b = binary.AppendUvarint(b, uint64(rec.ID))
+	return appendOp(make([]byte, 0, size), rec)
+}
+
+// appendOp appends rec's bytes to b.
+func appendOp(b []byte, rec *walOp) ([]byte, error) {
+	code := slices.Index(opKinds[:], rec.Kind)
+	if code <= 0 {
+		return nil, fmt.Errorf("catalog: encode journal record: unknown op %q", rec.Kind)
+	}
+	c := interp.Coder{Buf: append(b, recordLayout, byte(code))}
+	codeHeader(&c, rec)
+	codeOp(&c, rec)
+	return c.Buf, c.Err
+}
+
+// codeHeader codes Seq, ID and, for an interpretation, the BLOB.
+func codeHeader(c *interp.Coder, rec *walOp) {
+	interp.Uint(c, &rec.Seq)
+	interp.Uint(c, &rec.ID)
+	if rec.Kind == opInterp {
+		interp.Uint(c, &rec.Blob)
+	}
+}
+
+// codeOp codes the fields of rec's kind that follow the header.
+func codeOp(c *interp.Coder, rec *walOp) {
 	switch rec.Kind {
 	case opInterp:
-		b = binary.AppendUvarint(b, uint64(rec.Blob))
-		b = appendBytes(b, rec.Interp)
+		c.Bytes(&rec.Interp)
 	case opNonDerived:
-		b = appendNameAttrs(b, rec)
-		b = binary.AppendUvarint(b, uint64(rec.Blob))
-		b = appendBytes(b, rec.Track)
+		codeNameAttrs(c, rec)
+		interp.Uint(c, &rec.Blob)
+		c.Str(&rec.Track)
 	case opDerived:
-		b = appendNameAttrs(b, rec)
-		b = appendBytes(b, rec.Op)
-		b = binary.AppendUvarint(b, uint64(len(rec.Inputs)))
-		for _, in := range rec.Inputs {
-			b = binary.AppendUvarint(b, uint64(in))
-		}
-		b = appendBytes(b, rec.Params)
+		codeNameAttrs(c, rec)
+		c.Str(&rec.Op)
+		interp.Slice(c, &rec.Inputs, 1, func(id *core.ID) { interp.Uint(c, id) })
+		c.Bytes(&rec.Params)
 	case opMultimedia:
-		b = appendNameAttrs(b, rec)
-		b = binary.AppendVarint(b, rec.TimeNum)
-		b = binary.AppendVarint(b, rec.TimeDen)
-		b = binary.AppendUvarint(b, uint64(len(rec.Comps)))
-		for _, c := range rec.Comps {
-			b = binary.AppendUvarint(b, uint64(c.Object))
-			b = binary.AppendVarint(b, c.Start)
-			if c.Region == nil {
-				b = append(b, 0)
-				continue
+		codeNameAttrs(c, rec)
+		interp.Int(c, &rec.TimeNum, &rec.TimeDen)
+		interp.Slice(c, &rec.Comps, 3, func(comp *core.ComponentRef) { // an ID, a start and the region flag at least
+			interp.Uint(c, &comp.Object)
+			interp.Int(c, &comp.Start)
+			placed := comp.Region != nil
+			if c.Flags(&placed); placed {
+				if c.Dec {
+					comp.Region = &compose.Region{}
+				}
+				rg := comp.Region
+				interp.Int(c, &rg.X, &rg.Y, &rg.W, &rg.H, &rg.Z)
 			}
-			b = append(b, 1)
-			for _, v := range [...]int{c.Region.X, c.Region.Y, c.Region.W, c.Region.H, c.Region.Z} {
-				b = binary.AppendVarint(b, int64(v))
-			}
-		}
+		})
 	case opSync:
-		b = binary.AppendVarint(b, int64(rec.A))
-		b = binary.AppendVarint(b, int64(rec.B))
-		b = binary.AppendVarint(b, rec.MaxSkew)
+		interp.Int(c, &rec.A, &rec.B)
+		interp.Int(c, &rec.MaxSkew)
 	}
-	return b, nil
 }
 
-func appendBytes[T string | []byte](b []byte, s T) []byte {
-	return append(binary.AppendUvarint(b, uint64(len(s))), s...)
+// codeNameAttrs codes what every adding kind of object record opens its
+// body with: the name, then the attributes in ascending key order.
+func codeNameAttrs(c *interp.Coder, rec *walOp) {
+	c.Str(&rec.Name)
+	n := c.Count(len(rec.Attrs), 2) // a pair is two lengths at least
+	if n == 0 {
+		return
+	}
+	if !c.Dec {
+		var few [8]string
+		keys := few[:0]
+		for k := range rec.Attrs {
+			keys = append(keys, k)
+		}
+		slices.Sort(keys)
+		for _, k := range keys {
+			v := rec.Attrs[k]
+			c.Str(&k)
+			c.Str(&v)
+		}
+		return
+	}
+	rec.Attrs = make(map[string]string, n)
+	for i, prev := 0, ""; i < n && c.Err == nil; i++ {
+		var k, v string
+		c.Str(&k)
+		c.Str(&v)
+		if i > 0 && k <= prev {
+			c.Fail("attribute keys out of order: %q after %q", k, prev)
+		}
+		rec.Attrs[k], prev = v, k
+	}
 }
 
-// appendNameAttrs writes what every adding kind of object record opens
-// its body with: the name, then the attributes sorted by key.
-func appendNameAttrs(b []byte, rec *walOp) []byte {
-	b = appendBytes(b, rec.Name)
-	b = binary.AppendUvarint(b, uint64(len(rec.Attrs)))
-	if len(rec.Attrs) == 0 {
-		return b
-	}
-	keys := make([]string, 0, len(rec.Attrs))
-	for k := range rec.Attrs {
-		keys = append(keys, k)
-	}
-	slices.Sort(keys)
-	for _, k := range keys {
-		b = appendBytes(appendBytes(b, k), rec.Attrs[k])
-	}
-	return b
-}
-
-// peekOp reads a record's header and nothing else, allocating nothing:
-// the returned record holds Seq, Kind and ID — and Blob for an
-// interpretation record, whose body opens with it — and body is what
-// decodeOp would go on to read. It is all that routing a record needs:
-// the replication feed's seq filter and BLOB prefetch (RecordInfo),
-// replay's already-captured and beyond-the-cap skips, a follower's
-// duplicate skip.
+// peekOp reads a record's header, allocating nothing, and returns it
+// with the body after it: all that routing a record needs — the feed's
+// seq filter and BLOB prefetch (RecordInfo), replay's skips, a
+// follower's duplicate skip.
 func peekOp(data []byte) (head walOp, body []byte, err error) {
 	if len(data) == 0 || data[0] != recordLayout {
 		return walOp{}, nil, fmt.Errorf("%w: record of %d bytes opens with [% x], not with record layout version %d: "+
-			"another build wrote this journal and only that build replays it — open the directory with it once more and shut it down cleanly, which leaves no record behind",
+			"another build wrote it, and this build reads no other layout",
 			ErrReplay, len(data), data[:min(len(data), 4)], recordLayout)
 	}
-	r := opReader{b: data[1:]}
-	code := r.byte()
-	head.Seq, head.ID = r.uvarint(), core.ID(r.uvarint())
-	if int(code) < len(opKinds) {
-		head.Kind = opKinds[code]
+	if len(data) > 1 && int(data[1]) < len(opKinds) {
+		head.Kind = opKinds[data[1]]
 	}
-	switch head.Kind {
-	case "":
-		r.fail("unknown kind code %d", code)
-	case opInterp:
-		head.Blob = blob.ID(r.uvarint())
+	c := interp.Coder{Buf: data[min(len(data), 2):], Dec: true}
+	if head.Kind == "" {
+		c.Fail("unknown kind code %v", data[1:min(len(data), 2)])
 	}
-	if r.err != nil {
-		return walOp{}, nil, r.err
+	codeHeader(&c, &head)
+	if c.Err != nil {
+		return walOp{}, nil, fmt.Errorf("%w: record: %v", ErrReplay, c.Err)
 	}
-	return head, r.b, nil
+	return head, c.Buf, nil
 }
 
-// decodeOp is encodeOp's inverse. Nothing it returns aliases data; an
-// empty attribute set, input list or byte field decodes as nil. Every
-// count is checked against the bytes that remain before anything is
-// sized by it, and bytes left over after the kind's last field are an
-// error: a record either is exactly what encodeOp writes or is refused.
+// decodeOp is encodeOp's inverse. Nothing it returns aliases data, an
+// empty attribute set, input list or byte field decodes as nil, and a
+// record is exactly what encodeOp writes or is refused.
 func decodeOp(data []byte) (*walOp, error) {
 	head, body, err := peekOp(data)
 	if err != nil {
 		return nil, err
 	}
-	rec, r := &head, opReader{b: body}
-	switch rec.Kind {
+	c := interp.Coder{Buf: body, Dec: true}
+	codeOp(&c, &head)
+	return &head, end(&c, &head)
+}
+
+// end refuses bytes after the last field and names the record (nil: a
+// payload head) in a decoding failure.
+func end(c *interp.Coder, rec *walOp) error {
+	if c.Err == nil && len(c.Buf) != 0 {
+		c.Fail("%d bytes after the last field", len(c.Buf))
+	}
+	switch {
+	case c.Err == nil:
+		return nil
+	case rec == nil:
+		return fmt.Errorf("%w: payload head: %v", ErrReplay, c.Err)
+	}
+	return fmt.Errorf("%w: record: %v (%s record, seq %d)", ErrReplay, c.Err, rec.Kind, rec.Seq)
+}
+
+// A snapshot or checkpoint payload is a head and one record per
+// version-chain entry (checkpoint.go frames them), each a journal
+// record: an object version is the adding record that made it plus
+// what apply derives and a retained version must carry (its BLOB's
+// interpretation may be gone); a tombstone is a delete record plus the
+// chain's name; a registration is its interpruns record; a collected
+// BLOB is an opCollected header, the BLOB in the ID field.
+
+// appendVersion appends the record of one entry of an object's version
+// chain: obj at seq, or the tombstone of chain id, name when obj is nil.
+// It writes nothing to obj, which readers share.
+func appendVersion(b []byte, id core.ID, name string, seq uint64, obj *core.Object) ([]byte, error) {
+	if obj == nil {
+		b, err := appendOp(b, &walOp{Kind: opDelete, Seq: seq, ID: id})
+		c := interp.Coder{Buf: b, Err: err}
+		c.Str(&name)
+		return c.Buf, c.Err
+	}
+	op := walOp{Seq: seq, ID: obj.ID, Name: obj.Name, Attrs: obj.Attrs}
+	switch obj.Class {
+	case core.ClassNonDerived:
+		op.Kind, op.Blob, op.Track = opNonDerived, obj.Blob, obj.Track
+	case core.ClassDerived:
+		op.Kind, op.Op, op.Inputs, op.Params = opDerived, obj.Derivation.Op, obj.Derivation.Inputs, obj.Derivation.Params
+	case core.ClassMultimedia:
+		mm := obj.Multimedia
+		op.Kind, op.TimeNum, op.TimeDen, op.Comps = opMultimedia, mm.Time.Num, mm.Time.Den, mm.Components
+	}
+	b, err := appendOp(b, &op)
+	c := interp.Coder{Buf: b, Err: err}
+	codeCarried(&c, obj)
+	return c.Buf, c.Err
+}
+
+// codeCarried codes what a version carries after its adding record.
+func codeCarried(c *interp.Coder, obj *core.Object) {
+	interp.Int(c, &obj.Kind)
+	interp.CodeDescriptor(c, &obj.Desc)
+	if obj.Class == core.ClassMultimedia {
+		interp.Slice(c, &obj.Multimedia.Syncs, 3, func(s *compose.SyncConstraint) {
+			interp.Int(c, &s.A, &s.B)
+			interp.Int(c, &s.MaxSkew)
+		})
+	}
+}
+
+// appendInterpVersion appends the record of BLOB id's interpretation
+// chain entry at seq: it, or a tombstone when it is nil.
+func appendInterpVersion(b []byte, id blob.ID, seq uint64, it *interp.Interpretation) ([]byte, error) {
+	rec := walOp{Kind: opCollected, Seq: seq, ID: core.ID(id)}
+	if it != nil {
+		runs, err := interp.AppendExported(nil, interp.Export(it))
+		if err != nil {
+			return nil, err
+		}
+		rec = walOp{Kind: opInterp, Seq: seq, Blob: id, Interp: runs}
+	}
+	return appendOp(b, &rec)
+}
+
+// version is one decoded payload record: the header, the chain's name
+// for a tombstone, and the object or interpretation a version carries.
+type version struct {
+	walOp
+	obj *core.Object
+	exp *interp.Exported
+}
+
+// decodeVersion is appendVersion's and appendInterpVersion's inverse,
+// with decodeOp's rules. The object it returns is not yet validated.
+func decodeVersion(data []byte) (version, error) {
+	head, body, err := peekOp(data)
+	if err != nil {
+		return version{}, err
+	}
+	v, c := version{walOp: head}, interp.Coder{Buf: body, Dec: true}
+	switch op := &v.walOp; op.Kind {
+	case opNonDerived, opDerived, opMultimedia:
+		codeOp(&c, op)
+		v.obj = &core.Object{ID: op.ID, Name: op.Name, Attrs: op.Attrs}
+		switch op.Kind {
+		case opNonDerived:
+			v.obj.Class, v.obj.Blob, v.obj.Track = core.ClassNonDerived, op.Blob, op.Track
+		case opDerived:
+			v.obj.Class, v.obj.Derivation = core.ClassDerived, &core.Derivation{Op: op.Op, Inputs: op.Inputs, Params: op.Params}
+		case opMultimedia:
+			axis, err := timebase.New(op.TimeNum, op.TimeDen)
+			if err != nil {
+				c.Fail("%v", err)
+			}
+			v.obj.Class, v.obj.Multimedia = core.ClassMultimedia, &core.MultimediaSpec{Time: axis, Components: op.Comps}
+		}
+		codeCarried(&c, v.obj)
+	case opDelete:
+		c.Str(&v.Name)
 	case opInterp:
-		rec.Interp = r.bytes()
-	case opNonDerived:
-		r.nameAttrs(rec)
-		rec.Blob = blob.ID(r.uvarint())
-		rec.Track = string(r.span())
-	case opDerived:
-		r.nameAttrs(rec)
-		rec.Op = string(r.span())
-		if n := r.count(1); n > 0 { // an input is a byte at least
-			rec.Inputs = make([]core.ID, n)
-			for i := range rec.Inputs {
-				rec.Inputs[i] = core.ID(r.uvarint())
+		if c.Bytes(&v.Interp); c.Err == nil {
+			if v.exp, err = interp.DecodeExported(v.Interp, v.Blob); err != nil {
+				c.Fail("%v", err)
 			}
 		}
-		rec.Params = r.bytes()
-	case opMultimedia:
-		r.nameAttrs(rec)
-		rec.TimeNum, rec.TimeDen = r.varint(), r.varint()
-		if n := r.count(3); n > 0 { // a component is an ID, a start and the region flag at least
-			rec.Comps = make([]savedComponent, n)
-			for i := range rec.Comps {
-				c := &rec.Comps[i]
-				c.Object, c.Start = core.ID(r.uvarint()), r.varint()
-				switch flag := r.byte(); {
-				case flag == 1:
-					c.Region = &compose.Region{X: r.int(), Y: r.int(), W: r.int(), H: r.int(), Z: r.int()}
-				case flag != 0:
-					r.fail("component %d: region flag %d", i, flag)
-				}
-			}
-		}
-	case opSync:
-		rec.A, rec.B, rec.MaxSkew = r.int(), r.int(), r.varint()
+	case opCollected:
+	default:
+		c.Fail("a %s record is not a version", op.Kind)
 	}
-	if r.err == nil && len(r.b) != 0 {
-		r.fail("%d bytes after the last field", len(r.b))
-	}
-	if r.err != nil {
-		return nil, fmt.Errorf("%w (%s record, seq %d)", r.err, rec.Kind, rec.Seq)
-	}
-	return rec, nil
+	return v, end(&c, &v.walOp)
 }
 
-// opReader consumes a record's bytes front to back. The first failure
-// sticks: every later read returns zero and the caller checks err once.
-type opReader struct {
-	b   []byte
-	err error
-}
-
-func (r *opReader) fail(format string, args ...any) {
-	if r.err == nil {
-		r.err = fmt.Errorf("%w: record: %s", ErrReplay, fmt.Sprintf(format, args...))
+// codeHead codes a payload's head: FromSeq, Seq, NextID, NextBlob, the
+// deleted objects and the collected BLOBs (each a count and the IDs),
+// VerFloor and NumRecords.
+func codeHead(c *interp.Coder, h *streamHead) {
+	interp.Uint(c, &h.FromSeq, &h.Seq)
+	interp.Uint(c, &h.NextID)
+	interp.Uint(c, &h.NextBlob)
+	interp.Slice(c, &h.DelObjects, 1, func(id *core.ID) { interp.Uint(c, id) })
+	interp.Slice(c, &h.DelInterps, 1, func(id *blob.ID) { interp.Uint(c, id) })
+	interp.Uint(c, &h.VerFloor)
+	if interp.Int(c, &h.NumRecords); h.NumRecords < 0 {
+		c.Fail("%d records", h.NumRecords)
 	}
-	r.b = nil
 }
 
-func (r *opReader) byte() byte {
-	if len(r.b) == 0 {
-		r.fail("truncated")
-		return 0
-	}
-	c := r.b[0]
-	r.b = r.b[1:]
-	return c
-}
-
-func (r *opReader) uvarint() uint64 {
-	v, n := binary.Uvarint(r.b)
-	if n <= 0 {
-		r.fail("truncated or overlong integer")
-		return 0
-	}
-	r.b = r.b[n:]
-	return v
-}
-
-func (r *opReader) varint() int64 {
-	v, n := binary.Varint(r.b)
-	if n <= 0 {
-		r.fail("truncated or overlong integer")
-		return 0
-	}
-	r.b = r.b[n:]
-	return v
-}
-
-// int reads a varint that must fit the platform's int.
-func (r *opReader) int() int {
-	v := r.varint()
-	if int64(int(v)) != v {
-		r.fail("integer %d overflows int", v)
-		return 0
-	}
-	return int(v)
-}
-
-// count reads an item count and refuses one the remaining bytes cannot
-// hold at minBytes an item — before the caller sizes anything by it.
-func (r *opReader) count(minBytes int) int {
-	n := r.uvarint()
-	if n > uint64(len(r.b)/minBytes) {
-		r.fail("length or count %d exceeds the %d bytes that remain", n, len(r.b))
-		return 0
-	}
-	return int(n)
-}
-
-// span reads a length-prefixed field and returns it as a view of the
-// record, for the caller to copy.
-func (r *opReader) span() []byte {
-	n := r.count(1)
-	s := r.b[:n:n]
-	r.b = r.b[n:]
-	return s
-}
-
-// bytes reads a length-prefixed byte field as a copy, nil when empty.
-func (r *opReader) bytes() []byte {
-	return append([]byte(nil), r.span()...)
-}
-
-func (r *opReader) nameAttrs(rec *walOp) {
-	rec.Name = string(r.span())
-	n := r.count(2) // a pair is two lengths at least
-	if n == 0 {
-		return
-	}
-	rec.Attrs = make(map[string]string, n)
-	for i, prev := 0, ""; i < n && r.err == nil; i++ {
-		k, v := string(r.span()), string(r.span())
-		if i > 0 && k <= prev {
-			r.fail("attribute keys out of order: %q after %q", k, prev)
-		}
-		rec.Attrs[k], prev = v, k
-	}
+// decodeHead reads a head codeHead wrote, with decodeOp's rules.
+func decodeHead(data []byte) (streamHead, error) {
+	var h streamHead
+	c := interp.Coder{Buf: data, Dec: true}
+	codeHead(&c, &h)
+	return h, end(&c, nil)
 }

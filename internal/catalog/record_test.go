@@ -7,13 +7,13 @@ import (
 	"os"
 	"reflect"
 	"runtime"
-	"strings"
 	"testing"
 
 	"timedmedia/internal/blob"
 	"timedmedia/internal/compose"
 	"timedmedia/internal/core"
-	"timedmedia/internal/wal"
+	"timedmedia/internal/interp"
+	"timedmedia/internal/timebase"
 )
 
 // Tests of the journal record's fixed layout (record.go).
@@ -31,19 +31,19 @@ func cutOp() *walOp {
 // populated, the integers at their extremes.
 func sampleOps() map[string]*walOp {
 	return map[string]*walOp{
-		"interp":     {Seq: 1, Kind: opInterp, Blob: 3, Interp: []byte("stands in for a gob interp.Exported")},
+		"interp":     {Seq: 1, Kind: opInterp, Blob: 3, Interp: []byte("stands in for an interp.Exported")},
 		"nonderived": {Seq: 2, Kind: opNonDerived, ID: 1, Name: "clip", Attrs: sixAttrs, Blob: math.MaxUint64, Track: "video"},
 		"cut":        cutOp(),
 		"derived": {Seq: math.MaxUint64, Kind: opDerived, ID: math.MaxUint64, Name: "mix", Attrs: sixAttrs, Op: "audio-mix",
 			Inputs: []core.ID{1, 2, math.MaxUint64}, Params: []byte{0, 0xff, 0x80}},
 		"multimedia": {Seq: 300, Kind: opMultimedia, ID: 129, Name: "show", Attrs: sixAttrs, TimeNum: 1, TimeDen: 90000,
-			Comps: []savedComponent{
+			Comps: []core.ComponentRef{
 				{Object: 1, Start: math.MinInt64},
 				{Object: 128, Start: math.MaxInt64, Region: &compose.Region{X: -1, Y: 2, W: 640, H: 480, Z: math.MinInt32}},
 				{Object: 2, Region: &compose.Region{}},
 			}},
 		"multimedia, no region": {Seq: 5, Kind: opMultimedia, ID: 6, Name: "m", TimeNum: -25, TimeDen: 1,
-			Comps: []savedComponent{{Object: 1, Start: -40}}},
+			Comps: []core.ComponentRef{{Object: 1, Start: -40}}},
 		"sync":   {Seq: 6, Kind: opSync, ID: 129, A: 2, B: -1, MaxSkew: math.MinInt64},
 		"delete": {Seq: 7, Kind: opDelete, ID: 129},
 	}
@@ -94,7 +94,7 @@ func TestRecordRoundTrip(t *testing.T) {
 func TestRecordEmptyIsAbsent(t *testing.T) {
 	for _, kind := range []string{opInterp, opNonDerived, opDerived, opMultimedia} {
 		empty := &walOp{Seq: 1, Kind: kind, Attrs: map[string]string{}, Inputs: []core.ID{}, Params: []byte{},
-			Comps: []savedComponent{}, Interp: []byte{}}
+			Comps: []core.ComponentRef{}, Interp: []byte{}}
 		absent := &walOp{Seq: 1, Kind: kind}
 		data := mustEncode(t, empty)
 		if !bytes.Equal(data, mustEncode(t, absent)) {
@@ -124,7 +124,7 @@ func TestRecordRefusesDamage(t *testing.T) {
 	}
 	header := []byte{recordLayout, 3, 1, 1} // a derived record: seq 1, ID 1
 	for what, damage := range map[string][]byte{
-		"an unknown kind code":         {recordLayout, 7, 1, 1},
+		"an unknown kind code":         {recordLayout, 8, 1, 1},
 		"kind code zero":               {recordLayout, 0, 1, 1},
 		"another layout version":       {recordLayout + 1, 6, 1, 1},
 		"an eleven-byte integer":       append([]byte{recordLayout, 6}, bytes.Repeat([]byte{0x80}, 11)...),
@@ -164,16 +164,22 @@ func TestRecordBytesCanonical(t *testing.T) {
 }
 
 // TestRecordCost pins what the layout is for where tier-1 sees it: a
-// cut's record is its content plus a dozen bytes, encodes in two
-// allocations and decodes in ten, and routing one allocates nothing.
+// cut's record is its content plus a dozen bytes, encodes in one
+// allocation, attributes or not, and decodes in ten, and routing one
+// allocates nothing.
 func TestRecordCost(t *testing.T) {
 	rec := cutOp()
 	data := mustEncode(t, rec)
 	if extra := len(data) - len(rec.Name) - len(rec.Op) - len(rec.Params); extra > 12 {
 		t.Errorf("a cut's record is %d bytes, %d more than its name, operator and parameters; want at most 12", len(data), extra)
 	}
-	if n := testing.AllocsPerRun(100, func() { encodeOp(rec) }); n > 2 {
-		t.Errorf("encoding a cut allocates %v times, want at most 2", n)
+	if n := testing.AllocsPerRun(100, func() { encodeOp(rec) }); n > 1 {
+		t.Errorf("encoding a cut allocates %v times, want 1", n)
+	}
+	withAttrs := *rec
+	withAttrs.Attrs = sixAttrs
+	if n := testing.AllocsPerRun(100, func() { encodeOp(&withAttrs) }); n > 1 {
+		t.Errorf("encoding a cut with six attributes allocates %v times, want 1", n)
 	}
 	if n := testing.AllocsPerRun(100, func() { decodeOp(data) }); n > 10 {
 		t.Errorf("decoding a cut allocates %v times, want at most 10", n)
@@ -216,64 +222,16 @@ func TestRecordRoutedByHeaderAlone(t *testing.T) {
 	}
 }
 
-// TestReplayRefusesInterpBlobMismatch: an interpretation record names its
-// BLOB in the envelope — what the feed prefetches and the registration
-// is staged under — and again in the payload — what is opened. A record
-// where the two differ is refused, by replicated apply and by replay,
-// before any BLOB is opened.
-func TestReplayRefusesInterpBlobMismatch(t *testing.T) {
-	dir := t.TempDir()
-	db := openDB(t, dir)
-	if _, err := db.Ingest("clip", genVideo(3, 77), IngestOptions{}); err != nil {
-		t.Fatal(err)
-	}
-	if err := db.CloseJournal(); err != nil {
-		t.Fatal(err)
-	}
-	rec := journalRecords(t, dir)[0]
-	if rec.Kind != opInterp {
-		t.Fatalf("first record is %s", rec.Kind)
-	}
-	payloadBlob := rec.Blob
-	rec.Blob += 40
-	crafted := mustEncode(t, rec)
-	wantBoth := func(err error) bool {
-		return errors.Is(err, ErrReplay) && strings.Contains(err.Error(), rec.Blob.String()) &&
-			strings.Contains(err.Error(), payloadBlob.String())
-	}
-
-	store := &countingStore{Store: db.Store(), opens: map[blob.ID]int{}}
-	follower := New(store)
-	if _, err := follower.ApplyReplicated(crafted); !wantBoth(err) {
-		t.Errorf("ApplyReplicated = %v, want ErrReplay naming %v and %v", err, rec.Blob, payloadBlob)
-	}
-
-	rdir := t.TempDir()
-	j, err := wal.OpenSegmented(rdir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := errors.Join(j.Append(crafted), j.Close()); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Open(rdir, store); !wantBoth(err) {
-		t.Errorf("Open = %v, want ErrReplay naming %v and %v", err, rec.Blob, payloadBlob)
-	}
-	if len(store.opens) != 0 || follower.Len() != 0 || follower.Seq() != 0 {
-		t.Errorf("BLOBs opened: %v; follower at seq %d with %d objects; want nothing touched", store.opens, follower.Seq(), follower.Len())
-	}
-}
-
-// decodeAllocBytes reports the bytes decodeOp(data) allocates: the least
-// of up to three runs, retried while over bound, so that a background
-// goroutine's allocation in one of them does not count.
-func decodeAllocBytes(data []byte, bound uint64) uint64 {
+// allocBytes reports the bytes f allocates: the least of up to three
+// runs, retried while over bound, so that a background goroutine's
+// allocation in one of them does not count.
+func allocBytes(f func(), bound uint64) uint64 {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	least := uint64(math.MaxUint64)
 	for try := 0; try < 3 && least > bound; try++ {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		decodeOp(data)
+		f()
 		runtime.ReadMemStats(&after)
 		least = min(least, after.TotalAlloc-before.TotalAlloc)
 	}
@@ -297,7 +255,7 @@ func FuzzJournalRecordDecode(f *testing.F) {
 		// A map sized for n attributes is the dearest thing a count buys:
 		// some 80 bytes an entry, against the two a pair must occupy.
 		bound := 1024 + 64*uint64(len(data))
-		if n := decodeAllocBytes(data, bound); n > bound {
+		if n := allocBytes(func() { decodeOp(data) }, bound); n > bound {
 			t.Fatalf("decoding %d bytes allocated %d", len(data), n)
 		}
 		rec, err := decodeOp(data)
@@ -313,6 +271,165 @@ func FuzzJournalRecordDecode(f *testing.F) {
 		again, err := decodeOp(mustEncode(t, rec))
 		if err != nil || !reflect.DeepEqual(again, rec) {
 			t.Fatalf("re-encoded and decoded:\n%+v (%v)\nwant\n%+v", again, err, rec)
+		}
+	})
+}
+
+// sampleVersions is one payload record or more of every kind a snapshot
+// holds, from a small catalog: a non-derived object with its
+// descriptor, a cut, a composition with attributes and two sync
+// constraints, an object tombstone, an interpretation registration of
+// variable-size frames and an interpretation tombstone.
+func sampleVersions(tb testing.TB) [][]byte {
+	tb.Helper()
+	db := memDB()
+	clip, err := db.Ingest("clip", genVideo(3, 7), IngestOptions{})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	cut, err := db.SelectDuration(clip, "cut", 0, 2)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	mm, err := db.AddMultimedia("mm", timebase.Millis, []core.ComponentRef{{Object: clip, Region: &compose.Region{W: 4, H: 3}}, {Object: cut, Start: 40}}, sixAttrs)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if err := errors.Join(db.AddSync(mm, 0, 1, 10), db.AddSync(mm, 1, 0, 20)); err != nil {
+		tb.Fatal(err)
+	}
+	var out [][]byte
+	add := func(data []byte, err error) {
+		tb.Helper()
+		if err != nil {
+			tb.Fatal(err)
+		}
+		out = append(out, data)
+	}
+	for _, id := range []core.ID{clip, cut, mm} {
+		obj, err := db.Get(id)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		add(appendVersion(nil, id, obj.Name, 9, obj))
+	}
+	add(appendVersion(nil, cut, "cut", 10, nil))
+	obj, _ := db.Get(clip)
+	it, err := db.Interpretation(obj.Blob)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	add(appendInterpVersion(nil, obj.Blob, 1, it))
+	add(appendInterpVersion(nil, obj.Blob, 11, nil))
+	return out
+}
+
+// reencodeVersion lays a decoded payload record out again.
+func reencodeVersion(t *testing.T, v version) []byte {
+	t.Helper()
+	var data []byte
+	var err error
+	switch v.Kind {
+	case opInterp:
+		if v.Interp, err = interp.AppendExported(nil, v.exp); err == nil {
+			data, err = appendOp(nil, &v.walOp)
+		}
+	case opCollected:
+		data, err = appendOp(nil, &v.walOp)
+	default:
+		data, err = appendVersion(nil, v.ID, v.Name, v.Seq, v.obj)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
+// TestVersionRoundTrip: every kind of payload record decodes to what was
+// encoded, and re-encodes to the same bytes.
+func TestVersionRoundTrip(t *testing.T) {
+	db := memDB()
+	clip, err := db.Ingest("clip", genVideo(3, 7), IngestOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, _ := db.Get(clip)
+	v, err := decodeVersion(sampleVersions(t)[0])
+	if err != nil || !reflect.DeepEqual(v.obj, want) || v.Seq != 9 {
+		t.Errorf("decoded %+v at seq %d (%v), want %+v", v.obj, v.Seq, err, want)
+	}
+	for i, data := range sampleVersions(t) {
+		v, err := decodeVersion(data)
+		if err != nil {
+			t.Fatalf("record %d: %v", i, err)
+		}
+		if again := reencodeVersion(t, v); !bytes.Equal(again, data) {
+			t.Errorf("record %d (%s): re-encoded\n% x\nwant\n% x", i, v.Kind, again, data)
+		}
+	}
+	if _, err := decodeVersion(mustEncode(t, sampleOps()["sync"])); !errors.Is(err, ErrReplay) {
+		t.Errorf("a sync record decoded as a version: %v", err)
+	}
+}
+
+// FuzzVersionRecordDecode feeds decodeVersion arbitrary bytes. It must
+// never panic; what it refuses it refuses as ErrReplay; what it
+// allocates is bounded by the input's length; and what it accepts
+// re-encodes to bytes that decode and re-encode to themselves.
+func FuzzVersionRecordDecode(f *testing.F) {
+	for _, data := range sampleVersions(f) {
+		f.Add(data)
+	}
+	f.Add(mustEncode(f, cutOp()))
+	f.Add([]byte{recordLayout, 7, 1, 1})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		bound := 4096 + 64*uint64(len(data))
+		if n := allocBytes(func() { decodeVersion(data) }, bound); n > bound {
+			t.Fatalf("decoding %d bytes allocated %d", len(data), n)
+		}
+		v, err := decodeVersion(data)
+		if err != nil {
+			if !errors.Is(err, ErrReplay) {
+				t.Fatalf("refused with %v, want ErrReplay", err)
+			}
+			return
+		}
+		canon := reencodeVersion(t, v)
+		again, err := decodeVersion(canon)
+		if err != nil || !bytes.Equal(reencodeVersion(t, again), canon) {
+			t.Fatalf("re-encoded record does not decode to itself (%v)", err)
+		}
+	})
+}
+
+func headBytes(h *streamHead) []byte {
+	c := interp.Coder{}
+	codeHead(&c, h)
+	return c.Buf
+}
+
+// FuzzStreamHeadDecode feeds decodeHead arbitrary bytes: no panic, an
+// ErrReplay refusal, allocation bounded by the input's length, and
+// what it accepts survives a re-encode.
+func FuzzStreamHeadDecode(f *testing.F) {
+	f.Add(headBytes(&streamHead{}))
+	f.Add(headBytes(&streamHead{FromSeq: 7, Seq: 1 << 40, NextID: 12, NextBlob: 3,
+		DelObjects: []core.ID{1, 5, 9}, DelInterps: []blob.ID{2}, VerFloor: 6, NumRecords: 1 << 20}))
+	f.Add([]byte{0, 0, 0, 0, 0xff, 0xff, 0xff, 0x7f})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		bound := 1024 + 16*uint64(len(data))
+		if n := allocBytes(func() { decodeHead(data) }, bound); n > bound {
+			t.Fatalf("decoding %d bytes allocated %d", len(data), n)
+		}
+		h, err := decodeHead(data)
+		if err != nil {
+			if !errors.Is(err, ErrReplay) {
+				t.Fatalf("refused with %v, want ErrReplay", err)
+			}
+			return
+		}
+		if again, err := decodeHead(headBytes(&h)); err != nil || !reflect.DeepEqual(again, h) {
+			t.Fatalf("re-encoded head decodes to %+v (%v), want %+v", again, err, h)
 		}
 	})
 }

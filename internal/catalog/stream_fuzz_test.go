@@ -1,8 +1,7 @@
 package catalog
 
 import (
-	"bytes"
-	"encoding/gob"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -125,11 +124,8 @@ func FuzzCatalogStreamDecode(f *testing.F) {
 		q[at] ^= 0x10
 		return q
 	}
-	var headOnly bytes.Buffer
-	headOnly.Write(catalogStreamPreamble[:])
-	if err := gob.NewEncoder(&headOnly).Encode(&streamHead{Seq: 9, NextID: 4, NumRecords: 5}); err != nil {
-		f.Fatal(err)
-	}
+	head := headBytes(&streamHead{Seq: 9, NextID: 4, NumRecords: 5})
+	headOnly := append(binary.AppendUvarint(catalogStreamPreamble[:], uint64(len(head))), head...)
 	for _, seed := range [][]byte{
 		full,
 		delta,
@@ -139,12 +135,12 @@ func FuzzCatalogStreamDecode(f *testing.F) {
 		delta[:len(delta)/2],
 		{},
 		catalogStreamPreamble[:],
-		append([]byte("TBMCATS2"), full[8:]...), // the previous format's preamble
+		append([]byte("TBMCATS3"), full[8:]...), // the previous format's preamble
 		[]byte("not a catalog stream"),
 		flipped(full, 9),             // in the head
 		flipped(delta, len(delta)/2), // in a record
 		flipped(full, len(full)-1),   // in the last record
-		headOnly.Bytes(),             // records promised, none delivered
+		headOnly,                     // records promised, none delivered
 		append(full[:len(full):len(full)], delta[8:]...), // trailing bytes after the last record
 	} {
 		f.Add(seed)

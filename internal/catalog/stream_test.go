@@ -5,11 +5,12 @@ import (
 	"encoding/binary"
 	"encoding/gob"
 	"errors"
+	"flag"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"maps"
 	"os"
-	"os/exec"
 	"path/filepath"
 	"strings"
 	"sync"
@@ -25,7 +26,7 @@ import (
 	"timedmedia/internal/wal"
 )
 
-// Tests of the TBMCATS3 snapshot payload: what a reload hands back,
+// Tests of the TBMCATS4 snapshot payload: what a reload hands back,
 // what it refuses, and what it survives.
 
 // countingStore counts Open calls per BLOB.
@@ -337,11 +338,18 @@ func TestReopenAfterJournaledReaderDeleted(t *testing.T) {
 // writing attributes in key order, not in whatever order a map yields.
 var fixtureAttrs = map[string]string{"language": "fr", "rights": "cleared", "title": "closing shot"}
 
+// writeFixture, when set, makes TestRecoverFormatFixture write the
+// fixture history into that directory instead of testing:
+//
+//	go test -run '^TestRecoverFormatFixture$' ./internal/catalog -args -write-fixture=$PWD/internal/catalog/testdata/NAME
+var writeFixture = flag.String("write-fixture", "", "write the format fixture history into this directory")
+
 // writeFormatFixtureHistory runs the fixed history behind
-// testdata/format_pr31 (and format_pr30 and format_pr24 before it) in
-// dir: a full snapshot, one delta over it with a delete that collects
-// a BLOB the snapshot names, and a journal tail.
-func writeFormatFixtureHistory(t *testing.T, dir string) {
+// testdata/format_pr36 (and format_pr31 before it) in dir: a full
+// snapshot, one delta over it with a delete that collects a BLOB the
+// snapshot names, and a journal tail. It returns the catalog, its
+// journal closed.
+func writeFormatFixtureHistory(t *testing.T, dir string) *DB {
 	t.Helper()
 	db := openDB(t, dir)
 	gone, err := db.Ingest("gone", genVideo(2, 92), IngestOptions{})
@@ -363,6 +371,7 @@ func writeFormatFixtureHistory(t *testing.T, dir string) {
 	if err := db.CloseJournal(); err != nil {
 		t.Fatal(err)
 	}
+	return db
 }
 
 // isContainer reports whether a database file is a snapshot container.
@@ -382,60 +391,21 @@ func containerView(t *testing.T, path string) string {
 	return string(data[:12]) + string(payloadOf(t, path))
 }
 
-// openDump opens a copy of a fixture directory, without the named
-// file if drop is not empty, and renders what queries can return.
-func openDump(t *testing.T, fixture, drop string) string {
-	t.Helper()
-	dir := t.TempDir()
-	copyTree(t, fixture, dir)
-	if drop != "" {
-		if err := os.Remove(filepath.Join(dir, drop)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	db := openDB(t, dir)
-	defer db.CloseJournal()
-	return catalogDump(db)
-}
-
-// fixtureDirEnv names the directory TestFormatFixtureChild writes the
-// fixture history into. Only writeFixtureInChild sets it.
-const fixtureDirEnv = "TBM_FORMAT_FIXTURE_DIR"
-
-// writeFixtureInChild runs the fixture history in dir inside a fresh
-// process — this test binary, re-run on TestFormatFixtureChild alone.
-// Gob numbers types process-wide in order of first encoding, so in this
-// process whichever tests ran first would decide the payload's bytes.
-func writeFixtureInChild(t *testing.T, dir string) {
-	t.Helper()
-	cmd := exec.Command(os.Args[0], "-test.run=^TestFormatFixtureChild$", "-test.count=1")
-	cmd.Env = append(os.Environ(), fixtureDirEnv+"="+dir)
-	if out, err := cmd.CombinedOutput(); err != nil {
-		t.Fatalf("fixture history in a child process: %v\n%s", err, out)
-	}
-}
-
-// TestFormatFixtureChild is the child process of writeFixtureInChild,
-// and skips anywhere else. To write a fixture directory by hand:
-//
-//	TBM_FORMAT_FIXTURE_DIR=$PWD/testdata/NAME go test -run '^TestFormatFixtureChild$' .
-func TestFormatFixtureChild(t *testing.T) {
-	dir := os.Getenv(fixtureDirEnv)
-	if dir == "" {
-		t.Skip("runs as the child process of TestRecoverFormatFixture")
-	}
-	writeFormatFixtureHistory(t, dir)
-}
-
 // TestRecoverFormatFixture pins the on-disk format:
-// testdata/format_pr31 is what the commit that put the BLOB high-water
-// mark in the stream head wrote for the fixture history. It must open
-// — snapshot, delta chain, MANIFEST, segments, BLOBs — and this tree
-// must write the same bytes for the same history: MANIFEST, journal and
-// BLOB files byte for byte, and each container's header and inflated
-// payload byte for byte.
+// testdata/format_pr36 is what the commit that gave snapshot records
+// the journal's layout wrote for the fixture history. It must open —
+// snapshot, delta chain, MANIFEST, segments, BLOBs — as the catalog the
+// history built, and the bytes are a function of the history: written
+// again in this process, once as it is and once after gob has numbered
+// types the catalog never encodes, the MANIFEST, journal and BLOB files
+// are the fixture's byte for byte, and so are each container's header
+// and inflated payload.
 func TestRecoverFormatFixture(t *testing.T) {
-	const fixture = "testdata/format_pr31"
+	if *writeFixture != "" {
+		writeFormatFixtureHistory(t, *writeFixture)
+		return
+	}
+	const fixture = "testdata/format_pr36"
 	dir := t.TempDir()
 	copyTree(t, fixture, dir)
 	db := openDB(t, dir)
@@ -465,109 +435,47 @@ func TestRecoverFormatFixture(t *testing.T) {
 	if err := db.CloseJournal(); err != nil {
 		t.Fatal(err)
 	}
+	// The delta unlinked the collected BLOB, so the history below its
+	// delete is gone from the reopened catalog; from there on the two
+	// agree.
+	floor := db.CurrentView().VersionFloor()
+	opened := catalogDumpFrom(db, floor)
 
-	fresh := t.TempDir()
-	writeFixtureInChild(t, fresh)
 	was, _ := os.ReadDir(fixture)
-	now, _ := os.ReadDir(fresh)
-	if len(now) != len(was) || len(was) == 0 {
-		t.Errorf("the history leaves %d files, the fixture has %d", len(now), len(was))
-	}
-	for _, e := range was {
-		name := e.Name()
-		a, _ := os.ReadFile(filepath.Join(fixture, name))
-		b, err := os.ReadFile(filepath.Join(fresh, name))
-		switch {
-		case err != nil:
-			t.Error(err)
-		case isContainer(name):
-			if containerView(t, filepath.Join(fixture, name)) != containerView(t, filepath.Join(fresh, name)) {
-				t.Errorf("%s: header or payload differs from the fixture's", name)
+	for _, warm := range []bool{false, true} {
+		if warm {
+			// Gob numbers types process-wide in order of first encoding.
+			type unrelated struct {
+				A map[string][]int
+				B *struct{ C float64 }
 			}
-		case !bytes.Equal(a, b):
-			t.Errorf("%s: %d bytes written now, %d in the fixture, or they differ", name, len(b), len(a))
-		}
-	}
-
-	// Against testdata/format_pr30, the same history as the last commit
-	// before the high-water mark wrote it: the delete unlinked its BLOB at
-	// once then, and the stream head had no NextBlob. Every file but the
-	// two containers is the same bytes, and the directory opens as the
-	// same catalog.
-	const noMark = "testdata/format_pr30"
-	for _, e := range was {
-		name := e.Name()
-		a, _ := os.ReadFile(filepath.Join(fixture, name))
-		b, err := os.ReadFile(filepath.Join(noMark, name))
-		switch {
-		case err != nil:
-			t.Error(err)
-		case !isContainer(name) && !bytes.Equal(a, b):
-			t.Errorf("%s differs from format_pr30's", name)
-		}
-	}
-	if got, want := openDump(t, noMark, ""), openDump(t, fixture, ""); got != want {
-		t.Errorf("format_pr30 opens as\n%s\nwant what this build's opens as:\n%s", got, want)
-	}
-
-	// Against testdata/format_pr24, the same history as the last commit
-	// before packed chunks wrote it: version 2 containers, which store the
-	// payload as it is. Each of its containers is exactly what version 2
-	// wrote around format_pr30's payload, every other file is the same
-	// bytes, and the directory opens as the same catalog.
-	const v2 = "testdata/format_pr24"
-	for _, e := range was {
-		name := e.Name()
-		a, _ := os.ReadFile(filepath.Join(noMark, name))
-		b, err := os.ReadFile(filepath.Join(v2, name))
-		switch {
-		case err != nil:
-			t.Error(err)
-		case isContainer(name):
-			if !bytes.Equal(b, v2Container(payloadOf(t, filepath.Join(noMark, name)))) {
-				t.Errorf("%s: format_pr24 holds other than a version 2 container around format_pr30's payload", name)
+			if err := gob.NewEncoder(io.Discard).Encode(unrelated{A: map[string][]int{"x": {1}}, B: &struct{ C float64 }{2}}); err != nil {
+				t.Fatal(err)
 			}
-		case !bytes.Equal(a, b):
-			t.Errorf("%s differs from format_pr24's", name)
 		}
-	}
-	if got, want := openDump(t, v2, ""), openDump(t, fixture, ""); got != want {
-		t.Errorf("format_pr24 opens as\n%s\nwant what this build's opens as:\n%s", got, want)
-	}
-
-	// Against testdata/format_pr22, the same history (its last cut without
-	// attributes) as the last commit before the journal record's fixed
-	// layout wrote it: that layout moved the journal segment and nothing
-	// else. MANIFEST and the BLOB files are the same bytes. The snapshot
-	// and the delta are the same length as format_pr24's, not the same bytes:
-	// gob numbers types process-wide in order of first encoding, and the
-	// six types journal records no longer encode shift every later id
-	// down. What has to hold for those two is what an upgrade relies on —
-	// without its journal segment, the older directory opens as the same
-	// catalog.
-	const older, segment = "testdata/format_pr22", "journal.000003.log"
-	if got, want := openDump(t, older, segment), openDump(t, v2, segment); got != want {
-		t.Errorf("format_pr22's snapshot and chain open as\n%s\nwant what format_pr24's open as:\n%s", got, want)
-	}
-	for _, e := range was {
-		name := e.Name()
-		a, _ := os.ReadFile(filepath.Join(v2, name))
-		b, err := os.ReadFile(filepath.Join(older, name))
-		if err != nil {
-			t.Error(err)
-			continue
+		fresh := t.TempDir()
+		writer := writeFormatFixtureHistory(t, fresh)
+		if want := catalogDumpFrom(writer, floor); opened != want {
+			t.Errorf("gob warmed %v: the fixture opens as\n%s\nwant what the history built:\n%s", warm, opened, want)
 		}
-		switch same := bytes.Equal(a, b); {
-		case name == segment:
-			if same {
-				t.Errorf("%s is what PR 22 wrote; want the fixed record layout", name)
+		now, _ := os.ReadDir(fresh)
+		if len(now) != len(was) || len(was) == 0 {
+			t.Errorf("gob warmed %v: the history leaves %d files, the fixture has %d", warm, len(now), len(was))
+		}
+		for _, e := range was {
+			name := e.Name()
+			a, _ := os.ReadFile(filepath.Join(fixture, name))
+			b, err := os.ReadFile(filepath.Join(fresh, name))
+			switch {
+			case err != nil:
+				t.Error(err)
+			case isContainer(name):
+				if containerView(t, filepath.Join(fixture, name)) != containerView(t, filepath.Join(fresh, name)) {
+					t.Errorf("gob warmed %v: %s: header or payload differs from the fixture's", warm, name)
+				}
+			case !bytes.Equal(a, b):
+				t.Errorf("gob warmed %v: %s: %d bytes written now, %d in the fixture, or they differ", warm, name, len(b), len(a))
 			}
-		case isContainer(name):
-			if len(a) != len(b) {
-				t.Errorf("%s: %d bytes, PR 22 wrote %d", name, len(a), len(b))
-			}
-		case !same:
-			t.Errorf("%s differs from what PR 22 wrote, and there is no gob in it", name)
 		}
 	}
 }
@@ -575,19 +483,36 @@ func TestRecoverFormatFixture(t *testing.T) {
 // TestPreviousFormatRefused: what earlier formats' last commits wrote is
 // refused by name and left where it is, byte for byte, with nothing
 // quarantined and no backup taken — testdata/format_pr20's TBMCATS2
-// snapshot, never read as interpretations with empty tracks, and the
-// journals of gob records: format_pr20's, from a directory that never
-// checkpointed, and format_pr22's, the tail of the fixture history as
-// the last build before the fixed record layout wrote it.
+// snapshot, never read as interpretations with empty tracks;
+// format_pr31, the fixture history as the last build of TBMCATS3 and
+// record layout 1 wrote it, whose records were gob; and the journals of
+// record layout 1 (format_pr31's tail) and of gob records (format_pr20's,
+// from a directory that never checkpointed, and format_pr22's).
 func TestPreviousFormatRefused(t *testing.T) {
-	open := func(fixture, file string) error {
-		dir := t.TempDir()
-		data, err := os.ReadFile(filepath.Join("testdata", fixture, file))
-		if err != nil {
-			t.Fatal(err)
+	// open copies the named files of a fixture — all of them when none is
+	// named — into a fresh directory and opens it.
+	open := func(fixture string, files ...string) error {
+		src := filepath.Join("testdata", fixture)
+		if len(files) == 0 {
+			entries, err := os.ReadDir(src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, e := range entries {
+				files = append(files, e.Name())
+			}
 		}
-		if err := os.WriteFile(filepath.Join(dir, file), data, 0o644); err != nil {
-			t.Fatal(err)
+		dir := t.TempDir()
+		was := map[string][]byte{}
+		for _, file := range files {
+			data, err := os.ReadFile(filepath.Join(src, file))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(filepath.Join(dir, file), data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			was[file] = data
 		}
 		fs, err := blob.OpenFileStore(dir)
 		if err != nil {
@@ -595,19 +520,86 @@ func TestPreviousFormatRefused(t *testing.T) {
 		}
 		defer fs.Close()
 		_, err = Open(dir, fs)
-		after, _ := os.ReadFile(filepath.Join(dir, file))
-		if left, _ := os.ReadDir(dir); len(left) != 1 || !bytes.Equal(after, data) {
-			t.Errorf("%s/%s: refusal left %d files, or changed the one it refused", fixture, file, len(left))
+		left, _ := os.ReadDir(dir)
+		if len(left) != len(was) {
+			t.Errorf("%s %v: refusal left %d files, want %d", fixture, files, len(left), len(was))
+		}
+		for file, data := range was {
+			if after, _ := os.ReadFile(filepath.Join(dir, file)); !bytes.Equal(after, data) {
+				t.Errorf("%s: refusal changed %s", fixture, file)
+			}
 		}
 		return err
 	}
-	if err := open("format_pr20", snapshotName); !errors.Is(err, ErrSnapshotFormat) || !strings.Contains(err.Error(), `"TBMCATS2"`) {
-		t.Errorf("TBMCATS2 snapshot: Open = %v, want ErrSnapshotFormat naming the preamble", err)
-	}
-	for _, j := range [][2]string{{"format_pr20", "journal.000001.log"}, {"format_pr22", "journal.000003.log"}} {
-		if err := open(j[0], j[1]); !errors.Is(err, ErrReplay) || !strings.Contains(err.Error(), "not with record layout version 1") {
-			t.Errorf("%s gob journal: Open = %v, want ErrReplay naming the record layout", j[0], err)
+	for fixture, preamble := range map[string]string{"format_pr20": "TBMCATS2", "format_pr31": "TBMCATS3"} {
+		err := open(fixture)
+		if !errors.Is(err, ErrSnapshotFormat) || errors.Is(err, ErrCorruptSnapshot) || !strings.Contains(err.Error(), `"`+preamble+`"`) {
+			t.Errorf("%s snapshot: Open = %v, want ErrSnapshotFormat naming the preamble", preamble, err)
 		}
+	}
+	for fixture, segment := range map[string]string{"format_pr20": "journal.000001.log", "format_pr22": "journal.000003.log", "format_pr31": "journal.000003.log"} {
+		if err := open(fixture, segment); !errors.Is(err, ErrReplay) || !strings.Contains(err.Error(), "not with record layout version 2") {
+			t.Errorf("%s journal: Open = %v, want ErrReplay naming the record layout", fixture, err)
+		}
+	}
+}
+
+// TestFollowerCheckpointDeterministic: a snapshot is a function of the
+// history it covers, not of the process that wrote it. A follower caught
+// up to the primary's seq S by replicated apply, and the primary itself,
+// both saved at S, write the same inflated payload byte for byte — head
+// included, deleted and collected state, floor and high-water marks too.
+func TestFollowerCheckpointDeterministic(t *testing.T) {
+	must := func(err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	pdir, fdir := t.TempDir(), t.TempDir()
+	store, err := blob.OpenFileStore(pdir)
+	must(err)
+	defer store.Close()
+	opts := []Option{WithVersionRetention(2)}
+	primary, err := Open(pdir, store, opts...)
+	must(err)
+	a, err := primary.Ingest("a", genVideo(4, 101), IngestOptions{})
+	must(err)
+	b, err := primary.Ingest("b", genVideo(3, 102), IngestOptions{})
+	must(err)
+	cut, err := primary.SelectDuration(a, "cut", 1, 3)
+	must(err)
+	mm, err := primary.AddMultimedia("mm", timebase.Millis, []core.ComponentRef{{Object: a}, {Object: cut, Start: 40}}, fixtureAttrs)
+	must(err)
+	must(primary.AddSync(mm, 0, 1, 10))
+	must(primary.AddSync(mm, 1, 0, 20)) // the first sync's version falls to retention
+	must(primary.Delete(b))             // collects b's BLOB
+	_, err = primary.AddBatch([]BatchItem{
+		{Name: "b1", Op: "video-edit", Inputs: []core.ID{a}, Params: derive.EncodeParams(derive.EditParams{Entries: []derive.EditEntry{{Input: 0, From: 0, To: 2}}})},
+		{Name: "b2", Op: "video-edit", InputNames: []string{"b1"}, Params: derive.EncodeParams(derive.EditParams{Entries: []derive.EditEntry{{Input: 0, From: 0, To: 1}}})},
+	})
+	must(err)
+	must(primary.CloseJournal())
+
+	follower := New(store, opts...)
+	must(follower.OpenJournal(fdir))
+	_, err = wal.ReplaySegments(pdir, func(rec []byte) error {
+		_, err := follower.ApplyReplicated(rec)
+		return err
+	})
+	must(err)
+	if follower.Seq() != primary.Seq() {
+		t.Fatalf("follower at seq %d, primary at %d", follower.Seq(), primary.Seq())
+	}
+	must(primary.Save(pdir))
+	must(follower.Save(fdir))
+	must(follower.CloseJournal())
+	p, f := payloadOf(t, SnapshotFile(pdir)), payloadOf(t, SnapshotFile(fdir))
+	if !bytes.Equal(p, f) {
+		t.Errorf("at seq %d the follower's snapshot payload (%d B) differs from the primary's (%d B)", primary.Seq(), len(f), len(p))
+	}
+	if got, want := catalogDump(follower), catalogDump(primary); got != want {
+		t.Errorf("follower\n%s\nprimary\n%s", got, want)
 	}
 }
 
@@ -702,11 +694,15 @@ func writeContainer(t testing.TB, path string, payload []byte) {
 func TestForeignSnapshotFormatRefused(t *testing.T) {
 	var oldGob bytes.Buffer
 	// The shape of the pre-streaming payload: one gob value.
+	type object struct {
+		ID   core.ID
+		Name string
+	}
 	if err := gob.NewEncoder(&oldGob).Encode(struct {
 		NextID  core.ID
 		Seq     uint64
-		Objects []savedObject
-	}{NextID: 2, Seq: 1, Objects: []savedObject{{ID: 1, Name: "clip"}}}); err != nil {
+		Objects []object
+	}{NextID: 2, Seq: 1, Objects: []object{{ID: 1, Name: "clip"}}}); err != nil {
 		t.Fatal(err)
 	}
 	cats1 := append([]byte("TBMCATS1"), oldGob.Bytes()...)

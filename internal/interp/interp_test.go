@@ -3,13 +3,16 @@ package interp
 import (
 	"bytes"
 	"errors"
+	"math"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
 
 	"timedmedia/internal/blob"
 	"timedmedia/internal/media"
+	"timedmedia/internal/timebase"
 )
 
 // buildAV constructs a small interleaved audio/video interpretation in
@@ -386,10 +389,7 @@ func TestInterpretationString(t *testing.T) {
 
 func TestExportImportRoundTrip(t *testing.T) {
 	it, store := buildAV(t, 6)
-	rec, err := Export(it)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rec := Export(it)
 	b, err := store.Open(it.BlobID())
 	if err != nil {
 		t.Fatal(err)
@@ -445,10 +445,7 @@ func (s *sizeCounter) Size() int64 { s.calls++; return s.BLOB.Size() }
 // BLOB; Import must not pay it per placement.
 func TestImportReadsSizeOnce(t *testing.T) {
 	it, store := buildAV(t, 6)
-	rec, err := Export(it)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rec := Export(it)
 	b, _ := store.Open(it.BlobID())
 	sc := &sizeCounter{BLOB: b}
 	if _, err := Import(rec, sc); err != nil {
@@ -459,27 +456,51 @@ func TestImportReadsSizeOnce(t *testing.T) {
 	}
 }
 
+// TestExportedDescriptorVariants: each of the five descriptor types,
+// every field set, and no descriptor at all, come back from their
+// layout as they went in, with the bytes after them untouched; a type
+// or kind code the layout does not know is refused.
 func TestExportedDescriptorVariants(t *testing.T) {
+	pal := timebase.PAL
 	for _, d := range []media.Descriptor{
-		&media.Video{}, &media.Audio{}, &media.Image{}, &media.Music{}, &media.Animation{},
+		&media.Video{Quality: media.QualityVHS, FrameRate: pal, DurationTicks: 250, Width: 352, Height: 288, Depth: 16,
+			Color: media.ColorYUV422, Encoding: media.EncodingVJPG, AvgDataRate: 1.5e6, PeakDataRate: math.Inf(1)},
+		&media.Audio{Quality: media.QualityCD, SampleRate: timebase.CDAudio, DurationTicks: -1, SampleBits: 16, Channels: 2,
+			Encoding: media.EncodingPCM, AvgDataRate: 176400},
+		&media.Image{Quality: 3, Width: 1 << 40, Height: -7, Depth: 32, Color: media.ColorCMYK, Encoding: media.EncodingCMYKSep},
+		&media.Music{Division: timebase.MustNew(480, 1), DurationTicks: math.MaxInt64, Channels: 16, TempoBPM: 0.1},
+		&media.Animation{FrameRate: pal, DurationTicks: math.MinInt64, Width: 640, Height: 480},
+		nil,
 	} {
-		boxed, err := WrapDescriptor(d)
-		if err != nil {
-			t.Fatal(err)
+		enc := Coder{Buf: []byte{0xAA}}
+		CodeDescriptor(&enc, &d)
+		if enc.Err != nil {
+			t.Fatalf("%T: %v", d, enc.Err)
 		}
-		back, err := boxed.Unwrap()
-		if err != nil || back != d {
-			t.Errorf("%T: back=%v err=%v", d, back, err)
+		var back media.Descriptor
+		dec := Coder{Buf: append(enc.Buf[1:], 0xBB), Dec: true}
+		CodeDescriptor(&dec, &back)
+		if dec.Err != nil || !reflect.DeepEqual(back, d) || !bytes.Equal(dec.Buf, []byte{0xBB}) {
+			t.Errorf("%T: read back %+v, %x left (%v)", d, back, dec.Buf, dec.Err)
 		}
 	}
-	var empty ExportedDescriptor
-	if _, err := empty.Unwrap(); err == nil {
-		t.Error("empty descriptor must fail to unwrap")
+	var other media.Descriptor = otherDescriptor{}
+	enc := Coder{}
+	if CodeDescriptor(&enc, &other); enc.Err == nil {
+		t.Error("a descriptor type without a layout was encoded")
 	}
-	if _, err := WrapDescriptor(nil); err == nil {
-		t.Error("nil descriptor must fail to wrap")
+	var back media.Descriptor
+	dec := Coder{Buf: []byte{2 * (byte(media.KindAnimation) + 1)}, Dec: true} // zig-zag
+	if CodeDescriptor(&dec, &back); dec.Err == nil {
+		t.Error("an unknown kind code was read")
 	}
 }
+
+// otherDescriptor is a video descriptor of a type the layout does not
+// know.
+type otherDescriptor struct{ media.Descriptor }
+
+func (otherDescriptor) Kind() media.Kind { return media.KindVideo }
 
 // TestIndexConsistencyProperty builds random single-track layouts and
 // verifies that every index answers consistently with the element

@@ -9,7 +9,7 @@ import (
 	"timedmedia/internal/stream"
 )
 
-// Serializable forms for persistence (gob-encoded by the catalog).
+// Serializable forms for persistence, laid out in bytes by layout.go.
 // Exporting and re-importing an interpretation preserves element
 // timing, descriptors, placements, layers and decode order exactly.
 
@@ -43,75 +43,25 @@ type Run struct {
 type ExportedTrack struct {
 	Name string
 	Type media.TypeSpec
-	Desc ExportedDescriptor
+	Desc media.Descriptor
 	Runs []Run
 }
 
-// ExportedDescriptor carries any concrete media descriptor through
-// gob without interface registration headaches.
-type ExportedDescriptor struct {
-	Video     *media.Video
-	Audio     *media.Audio
-	Image     *media.Image
-	Music     *media.Music
-	Animation *media.Animation
-}
-
-// WrapDescriptor boxes a descriptor.
-func WrapDescriptor(d media.Descriptor) (ExportedDescriptor, error) {
-	switch v := d.(type) {
-	case *media.Video:
-		return ExportedDescriptor{Video: v}, nil
-	case *media.Audio:
-		return ExportedDescriptor{Audio: v}, nil
-	case *media.Image:
-		return ExportedDescriptor{Image: v}, nil
-	case *media.Music:
-		return ExportedDescriptor{Music: v}, nil
-	case *media.Animation:
-		return ExportedDescriptor{Animation: v}, nil
-	default:
-		return ExportedDescriptor{}, fmt.Errorf("interp: unserializable descriptor %T", d)
-	}
-}
-
-// Unwrap returns the boxed descriptor.
-func (e ExportedDescriptor) Unwrap() (media.Descriptor, error) {
-	switch {
-	case e.Video != nil:
-		return e.Video, nil
-	case e.Audio != nil:
-		return e.Audio, nil
-	case e.Image != nil:
-		return e.Image, nil
-	case e.Music != nil:
-		return e.Music, nil
-	case e.Animation != nil:
-		return e.Animation, nil
-	default:
-		return nil, fmt.Errorf("interp: empty exported descriptor")
-	}
-}
-
-// Exported is the serializable form of an interpretation.
+// Exported is the serializable form of an interpretation: its tracks
+// in the order they were added.
 type Exported struct {
 	BlobID blob.ID
-	Order  []string
 	Tracks []ExportedTrack
 }
 
 // Export converts a sealed interpretation to its serializable form.
-func Export(it *Interpretation) (*Exported, error) {
-	out := &Exported{BlobID: it.blobID, Order: append([]string(nil), it.order...)}
-	for _, name := range it.order {
+func Export(it *Interpretation) *Exported {
+	out := &Exported{BlobID: it.blobID, Tracks: make([]ExportedTrack, len(it.order))}
+	for i, name := range it.order {
 		tr := it.tracks[name]
-		desc, err := WrapDescriptor(tr.desc)
-		if err != nil {
-			return nil, err
-		}
-		out.Tracks = append(out.Tracks, ExportedTrack{Name: name, Type: tr.typ.Spec(), Desc: desc, Runs: packRuns(tr)})
+		out.Tracks[i] = ExportedTrack{Name: name, Type: tr.typ.Spec(), Desc: tr.desc, Runs: packRuns(tr)}
 	}
-	return out, nil
+	return out
 }
 
 // packRuns packs a track's tables into runs, greedily and in one pass.
@@ -194,7 +144,7 @@ func (et *ExportedTrack) check(size int64) error {
 
 // Import reconstructs an interpretation over the given BLOB.
 func Import(rec *Exported, b blob.BLOB) (*Interpretation, error) {
-	it := &Interpretation{b: b, blobID: rec.BlobID, tracks: map[string]*Track{}, order: append([]string(nil), rec.Order...)}
+	it := &Interpretation{b: b, blobID: rec.BlobID, tracks: make(map[string]*Track, len(rec.Tracks)), order: make([]string, len(rec.Tracks))}
 	// One Size call per import: on a file BLOB it is an fstat under the
 	// BLOB's mutex.
 	size := b.Size()
@@ -206,12 +156,14 @@ func Import(rec *Exported, b blob.BLOB) (*Interpretation, error) {
 	if err := checkOverlaps(rec.Tracks); err != nil {
 		return nil, err
 	}
-	for _, et := range rec.Tracks {
-		typ, err := media.FromSpec(et.Type)
-		if err != nil {
-			return nil, fmt.Errorf("interp: track %q: %w", et.Name, err)
+	for i, et := range rec.Tracks {
+		if it.tracks[et.Name] != nil {
+			return nil, fmt.Errorf("interp: the record holds track %q twice", et.Name)
 		}
-		desc, err := et.Desc.Unwrap()
+		if et.Desc == nil {
+			return nil, fmt.Errorf("interp: track %q has no descriptor", et.Name)
+		}
+		typ, err := media.FromSpec(et.Type)
 		if err != nil {
 			return nil, fmt.Errorf("interp: track %q: %w", et.Name, err)
 		}
@@ -245,14 +197,9 @@ func Import(rec *Exported, b blob.BLOB) (*Interpretation, error) {
 		if err != nil {
 			return nil, fmt.Errorf("interp: track %q: %w", et.Name, err)
 		}
-		tr := &Track{name: et.Name, typ: typ, desc: desc, str: str, layers: layers, storageOf: storageOf}
+		tr := &Track{name: et.Name, typ: typ, desc: et.Desc, str: str, layers: layers, storageOf: storageOf}
 		tr.buildIndexes()
-		it.tracks[et.Name] = tr
-	}
-	for _, name := range it.order {
-		if it.tracks[name] == nil {
-			return nil, fmt.Errorf("interp: track order names %q, which the record does not hold", name)
-		}
+		it.tracks[et.Name], it.order[i] = tr, et.Name
 	}
 	return it, nil
 }

@@ -2,7 +2,6 @@ package interp
 
 import (
 	"bytes"
-	"encoding/gob"
 	"errors"
 	"math"
 	"reflect"
@@ -154,13 +153,13 @@ func sameTables(t testing.TB, name string, got, want *Interpretation) {
 	}
 }
 
-func gobBytes(t testing.TB, rec *Exported) []byte {
+func layoutBytes(t testing.TB, rec *Exported) []byte {
 	t.Helper()
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(rec); err != nil {
+	data, err := AppendExported(nil, rec)
+	if err != nil {
 		t.Fatal(err)
 	}
-	return buf.Bytes()
+	return data
 }
 
 // TestRunRoundTripProperty: over every stream shape the builders make,
@@ -170,20 +169,14 @@ func gobBytes(t testing.TB, rec *Exported) []byte {
 // as regular as the timing).
 func TestRunRoundTripProperty(t *testing.T) {
 	for _, tc := range runCases(t) {
-		rec, err := Export(tc.it)
-		if err != nil {
-			t.Fatal(err)
-		}
+		rec := Export(tc.it)
 		got, err := Import(rec, tc.b)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
 		sameTables(t, tc.name, got, tc.it)
-		again, err := Export(got)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(gobBytes(t, again), gobBytes(t, rec)) {
+		again := Export(got)
+		if !bytes.Equal(layoutBytes(t, again), layoutBytes(t, rec)) {
 			t.Errorf("%s: re-export differs:\n%+v\nwant\n%+v", tc.name, again, rec)
 		}
 
@@ -213,10 +206,7 @@ func TestRunRoundTripProperty(t *testing.T) {
 func TestRunGaps(t *testing.T) {
 	runsOf := map[string][]Run{}
 	for _, tc := range runCases(t) {
-		rec, err := Export(tc.it)
-		if err != nil {
-			t.Fatal(err)
-		}
+		rec := Export(tc.it)
 		runsOf[tc.name] = rec.Tracks[0].Runs
 	}
 	for name, want := range map[string]Run{
@@ -279,10 +269,7 @@ func TestImportRejectsBadPlacement(t *testing.T) {
 		"offset stride near MaxInt64":     func(r *Run) { r.Layers[0].Gap = math.MaxInt64 - 12 },
 		"offset and length near MaxInt64": func(r *Run) { r.Layers[0] = LayerRun{Offset: math.MaxInt64 - 3, Len: math.MaxInt64} },
 	} {
-		rec, err := Export(it)
-		if err != nil {
-			t.Fatal(err)
-		}
+		rec := Export(it)
 		damage(&rec.Tracks[0].Runs[0])
 		var ierr error
 		if n := allocated(func() { _, ierr = Import(rec, b) }); !errors.Is(ierr, ErrBeyondBlob) || n > 16<<10 {
@@ -301,7 +288,8 @@ func TestImportRejectsMalformedRecord(t *testing.T) {
 		"storage index out of range": func(r *Exported) { r.Tracks[0].Runs[0].StorageIndex = 1 },
 		"negative storage index":     func(r *Exported) { r.Tracks[0].Runs[0].StorageIndex = -1 },
 		"element without placement":  func(r *Exported) { r.Tracks[0].Runs[0].Layers = nil },
-		"order names unknown track":  func(r *Exported) { r.Order = append(r.Order, "ghost") },
+		"a track twice":              func(r *Exported) { r.Tracks = append(r.Tracks, r.Tracks[1]) },
+		"a track without descriptor": func(r *Exported) { r.Tracks[1].Desc = nil },
 		"empty run":                  func(r *Exported) { r.Tracks[0].Runs[0].N = 0 },
 		"negative N":                 func(r *Exported) { r.Tracks[0].Runs[0].N = -5 },
 		"element count overflows": func(r *Exported) {
@@ -322,10 +310,7 @@ func TestImportRejectsMalformedRecord(t *testing.T) {
 			r.Tracks[0].Runs[0].N, r.Tracks[0].Runs[0].Layers[0] = 1<<20, LayerRun{Offset: 0, Len: 1}
 		},
 	} {
-		rec, err := Export(it)
-		if err != nil {
-			t.Fatal(err)
-		}
+		rec := Export(it)
 		damage(rec)
 		var ierr error
 		if n := allocated(func() { _, ierr = Import(rec, b) }); ierr == nil || n > 16<<10 {
@@ -357,12 +342,9 @@ func TestImportRejectsOverlap(t *testing.T) {
 			a.Runs[0].Layers[0] = LayerRun{Offset: 12, Len: 1, Gap: 16} // 12, 29, 46, 63 sit in the gaps; 80 is v[5]'s first byte
 		}, []string{"v[5]", "a[4]"}},
 	} {
-		rec, err := Export(it)
-		if err != nil {
-			t.Fatal(err)
-		}
+		rec := Export(it)
 		tc.damage(&rec.Tracks[0], &rec.Tracks[1])
-		_, err = Import(rec, b)
+		_, err := Import(rec, b)
 		if !errors.Is(err, ErrOverlap) {
 			t.Errorf("%s: err = %v, want ErrOverlap", name, err)
 			continue
@@ -375,23 +357,20 @@ func TestImportRejectsOverlap(t *testing.T) {
 	}
 }
 
-// FuzzInterpImport decodes arbitrary bytes as a gob Exported and
-// imports it over a fixed 4 KiB BLOB. Import must never panic and never
-// allocate past a budget set by the BLOB and the record's own length;
-// what it accepts must survive export and import unchanged, and that
-// export must be a fixed point.
+// FuzzInterpImport decodes arbitrary bytes as an interpretation record
+// (DecodeExported) and imports what decodes over a fixed 4 KiB BLOB.
+// Neither may panic, and neither may allocate past a budget set by the
+// record's own length (and, for Import, the BLOB's); a record that
+// decodes re-encodes to bytes that decode and re-encode to themselves,
+// and what Import accepts must survive export and import unchanged.
 func FuzzInterpImport(f *testing.F) {
 	for _, tc := range runCases(f) {
-		rec, err := Export(tc.it)
-		if err != nil {
-			f.Fatal(err)
-		}
-		f.Add(gobBytes(f, rec))
+		f.Add(layoutBytes(f, Export(tc.it)))
 	}
 	hostile, _ := hostileFixture(f)
-	rec, _ := Export(hostile)
+	rec := Export(hostile)
 	rec.Tracks[0].Runs[0].N = 1 << 40
-	f.Add(gobBytes(f, rec))
+	f.Add(layoutBytes(f, rec))
 
 	id, b, err := blob.NewMemStore().Create()
 	if err != nil {
@@ -401,31 +380,34 @@ func FuzzInterpImport(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		var rec Exported
-		if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&rec); err != nil {
+		var rec *Exported
+		var err error
+		if n := allocated(func() { rec, err = DecodeExported(data, id) }); n > 4<<10+64*uint64(len(data)) {
+			t.Fatalf("DecodeExported allocated %d B for a %d B record (err %v)", n, len(data), err)
+		}
+		if err != nil {
 			return
 		}
-		rec.BlobID = id
+		canon := layoutBytes(t, rec)
+		again, err := DecodeExported(canon, id)
+		if err != nil || !bytes.Equal(layoutBytes(t, again), canon) {
+			t.Fatalf("re-encoded record does not decode to itself (%v)", err)
+		}
 		var it *Interpretation
-		var err error
-		if n := allocated(func() { it, err = Import(&rec, b) }); n > 4<<20+256*uint64(len(data)) {
+		if n := allocated(func() { it, err = Import(rec, b) }); n > 4<<20+256*uint64(len(data)) {
 			t.Fatalf("Import allocated %d B for a %d B record (err %v)", n, len(data), err)
 		}
 		if err != nil {
 			return
 		}
-		packed, err := Export(it)
-		if err != nil {
-			t.Fatal(err)
-		}
-		again, err := Import(packed, b)
+		packed := Export(it)
+		back, err := Import(packed, b)
 		if err != nil {
 			t.Fatalf("re-import of an accepted record: %v", err)
 		}
-		sameTables(t, "re-import", again, it)
-		repacked, err := Export(again)
-		if err != nil || !bytes.Equal(gobBytes(t, repacked), gobBytes(t, packed)) {
-			t.Fatalf("export is not a fixed point (%v):\n%+v\nthen\n%+v", err, packed, repacked)
+		sameTables(t, "re-import", back, it)
+		if repacked := Export(back); !bytes.Equal(layoutBytes(t, repacked), layoutBytes(t, packed)) {
+			t.Fatalf("export is not a fixed point:\n%+v\nthen\n%+v", packed, repacked)
 		}
 	})
 }

@@ -1,10 +1,15 @@
 package server
 
 import (
+	"bytes"
+	"context"
 	"encoding/json"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
+	"net/http/httptrace"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -13,6 +18,7 @@ import (
 	"timedmedia/internal/blob"
 	"timedmedia/internal/catalog"
 	"timedmedia/internal/fixtures"
+	"timedmedia/internal/media"
 )
 
 // TestRecoverMiddleware: a handler panic becomes a 500 and a counter
@@ -253,5 +259,100 @@ func TestStreamStopsOnDeadline(t *testing.T) {
 	full := get(t, tsFull.URL+"/v1/objects/clip/stream", 200)
 	if len(body) >= len(full) {
 		t.Errorf("deadline-limited stream = %d bytes, full = %d", len(body), len(full))
+	}
+}
+
+// smallBufferListener gives every accepted connection a small kernel
+// send buffer, so a client that stops reading blocks the server's
+// writes after kilobytes, not after the megabytes loopback autotuning
+// allows.
+type smallBufferListener struct{ net.Listener }
+
+func (l smallBufferListener) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if tc, ok := c.(*net.TCPConn); ok {
+		tc.SetWriteBuffer(4 << 10)
+	}
+	return c, err
+}
+
+// rawClipDB holds one raw-RGB clip, "clip": 40 frames of 57,600 bytes.
+func rawClipDB(t *testing.T) *catalog.DB {
+	t.Helper()
+	db := fixtures.NewMemDB()
+	if _, err := db.Ingest("clip", fixtures.Video(40, 160, 120, 3), catalog.IngestOptions{VideoEncoding: media.EncodingRawRGB}); err != nil {
+		t.Fatal(err)
+	}
+	return db
+}
+
+// TestStreamStalledReaderReleased: a client that requests a stream and
+// never reads holds the handler, and the server's one in-flight slot,
+// until the request's deadline and at most a second more — not for as
+// long as it keeps the connection open.
+func TestStreamStalledReaderReleased(t *testing.T) {
+	const timeout = 200 * time.Millisecond
+	srv := New(rawClipDB(t), WithRequestTimeout(timeout), WithMaxInFlight(1))
+	ts := httptest.NewUnstartedServer(srv)
+	ts.Listener = smallBufferListener{ts.Listener}
+	ts.Start()
+	defer ts.Close()
+	conn, err := net.Dial("tcp", ts.Listener.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close() // runs before ts.Close, which waits for the handler
+	conn.(*net.TCPConn).SetReadBuffer(4 << 10)
+	if _, err := io.WriteString(conn, "GET /v1/objects/clip/stream HTTP/1.1\r\nHost: tbm\r\n\r\n"); err != nil {
+		t.Fatal(err)
+	}
+	for srv.stats.inFlight.Load() == 0 {
+		time.Sleep(time.Millisecond)
+	}
+	start := time.Now()
+	for srv.stats.inFlight.Load() != 0 {
+		if time.Since(start) > timeout+time.Second {
+			t.Fatalf("the handler of a stream nobody reads still runs %v after it started", time.Since(start))
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	get(t, ts.URL+"/healthz", http.StatusOK) // the slot is free again
+}
+
+// TestStreamKeepAliveAfterDeadline: the write deadline a stream sets
+// ends with the stream. Two streams in a row, and then a point read
+// after the second stream's deadline has passed, all complete on one
+// keep-alive connection.
+func TestStreamKeepAliveAfterDeadline(t *testing.T) {
+	const timeout = time.Second
+	ts := httptest.NewServer(New(rawClipDB(t), WithRequestTimeout(timeout)))
+	defer ts.Close()
+	var reused []bool
+	trace := &httptrace.ClientTrace{GotConn: func(i httptrace.GotConnInfo) { reused = append(reused, i.Reused) }}
+	do := func(path string) []byte {
+		t.Helper()
+		req, err := http.NewRequestWithContext(httptrace.WithClientTrace(context.Background(), trace), "GET", ts.URL+path, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := ts.Client().Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusOK || resp.Trailer.Get("X-Stream-Error") != "" {
+			t.Fatalf("GET %s = %d, %d bytes, %v, trailer %q", path, resp.StatusCode, len(body), err, resp.Trailer.Get("X-Stream-Error"))
+		}
+		return body
+	}
+	first, second := do("/v1/objects/clip/stream"), do("/v1/objects/clip/stream")
+	if len(first) < 40*57600 || !bytes.Equal(first, second) {
+		t.Errorf("streams of %d and %d bytes, want the same 40 frames twice", len(first), len(second))
+	}
+	time.Sleep(timeout + 100*time.Millisecond)
+	do("/v1/objects/clip")
+	if !slices.Equal(reused, []bool{false, true, true}) {
+		t.Errorf("connection reused %v, want one keep-alive connection throughout", reused)
 	}
 }

@@ -586,6 +586,18 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	// HTTP trailer on the chunked response.
 	w.Header().Set("Trailer", "X-Stream-Error")
 	w.Header().Set("Content-Type", "application/octet-stream")
+	// A client that stops reading blocks a Write, and the request's
+	// deadline does not unblock it: the handler, and its in-flight slot,
+	// would wait forever. So the deadline bounds the writes too. It is
+	// cleared on the way out, so that the next request on a keep-alive
+	// connection does not inherit it whatever the net/http version (the
+	// server sets no WriteTimeout of its own).
+	if dl, ok := r.Context().Deadline(); ok {
+		rc := http.NewResponseController(w)
+		if rc.SetWriteDeadline(dl) == nil {
+			defer rc.SetWriteDeadline(time.Time{})
+		}
+	}
 	defer telemetry.StartSpan(r.Context(), "payload")()
 	wrote := false
 	var hdr [8]byte
