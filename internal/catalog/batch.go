@@ -33,8 +33,9 @@ type BatchItem struct {
 }
 
 // AddBatch registers every item or none of them. The whole batch is
-// one staged commit (commitAdds): validated and staged under one lock
-// acquisition and journaled as one WAL batch — a single write + fsync
+// one commit (commitLocked): validated and applied into one pending
+// view under one lock acquisition, each item seeing the items before
+// it, and journaled as one WAL batch — a single write + fsync
 // regardless of batch size — which is what makes bulk ingest amortize
 // both locking and durability (the motivation: the paper's workflow
 // "raw material is created and added to the database, and then
@@ -51,8 +52,8 @@ func (db *DB) AddBatch(items []BatchItem) ([]core.ID, error) {
 	recs := make([]*walOp, len(items))
 	for i := range items {
 		it := &items[i]
-		// An item of neither shape keeps an empty Kind; staging refuses
-		// it when its turn comes, so errors stay in item order.
+		// An item of neither shape keeps an empty Kind; applyLocked
+		// refuses it when its turn comes, so errors stay in item order.
 		rec := &walOp{Name: it.Name, Attrs: it.Attrs}
 		switch {
 		case it.Op != "":
@@ -63,7 +64,7 @@ func (db *DB) AddBatch(items []BatchItem) ([]core.ID, error) {
 		}
 		recs[i] = rec
 	}
-	if i, err := db.commitAdds(recs); err != nil {
+	if i, err := db.commit(recs...); err != nil {
 		if i >= 0 {
 			err = fmt.Errorf("catalog: batch item %d (%q): %w", i, items[i].Name, err)
 		}

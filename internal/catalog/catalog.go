@@ -52,22 +52,23 @@ var (
 // one atomic load and run entirely lock-free; a pinned view stays
 // internally consistent forever.
 //
-// Write side: every public mutator builds a walOp — the journal record
-// is the edit — and hands it to one of two commit disciplines. Adds
-// (objects alone or as a batch, interpretation registrations) are
-// staged commits (commitAdds): validated against the current view and
-// staged, invisible to every reader, under db.mu, journaled *outside*
-// db.mu — concurrent mutators share group commits (see internal/wal)
-// instead of serializing one fsync each — and settled in seq order:
-// published as one copy-on-write view swapped in atomically, or
-// unstaged if the append failed. Syncs and deletes are serial commits
-// (commitSerial): settle → validate → journal → apply under db.mu. So
-// every view is exactly the acknowledged records up to its Epoch, and
-// applyLocked is the one place a durable record becomes catalog state
-// — live, in crash replay and in replicated apply. db.mu is the one
-// writer lock because the WAL's correctness depends on log order
-// equaling sequence order, which requires one critical section per
-// enqueue — but no read ever takes it.
+// Write side: every mutation — live, replayed or replicated — is a
+// walOp (the journal record is the edit) committed by one function,
+// commitLocked. Under db.mu it validates the records against the newest
+// pending view — the view of the last queued commit, or the published
+// one when none is queued — and applies them into a copy-on-write edit
+// of it, takes their seqs, reserves their log position and queues the
+// commit with the view it makes. It waits for the fsync with db.mu
+// dropped — concurrent mutators share group commits (see internal/wal)
+// — and then settles the queue in seq order: a commit whose append
+// landed has its view published, one atomic swap; one whose append
+// failed is discarded with every commit queued behind it, since each
+// was built on its view. So every view is exactly the acknowledged
+// records up to its Epoch, on a primary and on a follower alike, and
+// nothing ever has to be rolled back. db.mu is the one writer lock
+// because the WAL's correctness depends on log order equaling sequence
+// order, which requires one critical section per enqueue — but no read
+// ever takes it.
 type DB struct {
 	mu     sync.RWMutex
 	store  blob.Store
@@ -83,13 +84,10 @@ type DB struct {
 	cur  atomic.Pointer[View]
 	ring *epochRing
 
-	// staged holds, by name, the objects whose journal record is not yet
-	// durable: the name is reserved, the object invisible to every
-	// reader until published into a view. stagedInterps is the same for
-	// interpretations, by BLOB; commits queues their commits in seq order.
-	staged        map[string]*core.Object
-	stagedInterps map[blob.ID]*interp.Interpretation
-	commits       []*stagedCommit
+	// commits queues, in seq order, the commits whose journal append has
+	// not been settled yet; the last one's view is the pending view the
+	// next commit builds on.
+	commits []*pendingCommit
 
 	cache *expcache.Cache[core.ID, *derive.Value]
 
@@ -265,8 +263,6 @@ func New(store blob.Store, opts ...Option) *DB {
 		store:             store,
 		nextID:            1,
 		ring:              newEpochRing(cfg.epochRetention),
-		staged:            map[string]*core.Object{},
-		stagedInterps:     map[blob.ID]*interp.Interpretation{},
 		walBatchWindow:    cfg.walBatchWindow,
 		walSegmentBytes:   cfg.walSegmentBytes,
 		walSegmentRecords: cfg.walSegmentRecords,
@@ -354,204 +350,265 @@ func (db *DB) AddMultimedia(name string, axis timebase.System, comps []core.Comp
 // a copy-on-write revision of the object in a fresh epoch, so readers
 // of older epochs keep seeing the un-revised one.
 func (db *DB) AddSync(id core.ID, a, b int, maxSkew int64) error {
-	return db.commitSerial(&walOp{Kind: opSync, ID: id, A: a, B: b, MaxSkew: maxSkew})
+	_, err := db.commit(&walOp{Kind: opSync, ID: id, A: a, B: b, MaxSkew: maxSkew})
+	return err
 }
 
 // commitAdd commits one adding record and returns the ID it was given
 // (zero for an interpretation).
 func (db *DB) commitAdd(rec *walOp) (core.ID, error) {
-	one := [1]*walOp{rec}
-	if _, err := db.commitAdds(one[:]); err != nil {
+	if _, err := db.commit(rec); err != nil {
 		return 0, err
 	}
 	return rec.ID, nil
 }
 
-// stagedCommit is a queued staged commit and, once settled, its outcome.
-type stagedCommit struct {
-	recs []*walOp
-	t    *wal.Ticket
-	err  error
+// pendingCommit is a queued commit: its records, the ticket of their
+// journal append, the view they make, the allocators as the commit
+// found them, and, once settled, its outcome.
+type pendingCommit struct {
+	recs     []*walOp
+	t        *wal.Ticket
+	view     *View
+	prevSeq  uint64
+	prevID   core.ID
+	recorded bool // the records carried their seqs (replay, replicated apply)
+	err      error
 }
 
-// commitAdds is the staged commit discipline, for records that only
-// add — objects, alone or as a batch, and interpretation
-// registrations. Every record is validated and staged, invisible to
-// every reader, and the seqs are assigned, the log position reserved
-// and the commit queued, in one db.mu section; the fsync is waited for
-// outside the lock, so concurrent mutators share group commits (see
-// internal/wal); then the FIFO is settled through the commit. When a
-// record fails validation nothing stays staged and its index is
-// returned; a journal failure returns -1.
-func (db *DB) commitAdds(recs []*walOp) (int, error) {
+// commit takes db.mu and commits recs (see commitLocked).
+func (db *DB) commit(recs ...*walOp) (int, error) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	for i, rec := range recs {
-		if err := db.stageOpLocked(rec, recs[:i]); err != nil {
-			db.unstageLocked(recs[:i])
-			return i, err
-		}
+	return db.commitLocked(recs)
+}
+
+// commitLocked is the one commit path, for live mutators, journal
+// replay and replicated apply alike: it queues recs (see queueLocked),
+// waits for their append with db.mu dropped, so concurrent mutators
+// share group commits (see internal/wal), and settles the queue through
+// the commit. When a record fails validation nothing changes and its
+// index is returned; a journal failure returns -1. Assumes db.mu is
+// held; it is released while waiting.
+func (db *DB) commitLocked(recs []*walOp) (int, error) {
+	c, i, err := db.queueLocked(recs)
+	if c == nil {
+		return i, err
 	}
-	t, err := db.enqueueLocked(recs)
-	c := &stagedCommit{recs: recs, t: t, err: err}
-	db.commits = append(db.commits, c)
-	if t != nil {
+	if c.t != nil {
 		db.mu.Unlock()
-		db.waitRecord(t) // timed here; settleLocked reads the outcome
+		db.waitRecord(c.t) // timed here; settleLocked reads the outcome
 		db.mu.Lock()
 	}
 	db.settleLocked(c)
 	return -1, c.err
 }
 
-// settleLocked publishes or unstages the queued commits in seq order,
-// through c or all of them when c is nil. The WAL commits in log order,
-// so once c's ticket has resolved the lower ones have too. Assumes
-// db.mu is held.
-func (db *DB) settleLocked(c *stagedCommit) {
-	for len(db.commits) > 0 && (c == nil || db.commits[0].recs[0].Seq <= c.recs[0].Seq) {
+// queueLocked applies recs in order into an edit of the newest pending
+// view (see applyLocked), so each record is validated against
+// everything committed or queued before it, earlier items of the same
+// batch included; encodes them and reserves their log position (see
+// enqueueLocked); and queues the commit with the view it makes. A zero
+// rec.Seq takes the next seq — seqs are assigned and the log position
+// reserved in one db.mu section, so the log's frame order provably
+// equals sequence order, which a follower resuming "from seq N" relies
+// on; a non-zero one is a recorded seq and is kept. With no journal and
+// nothing queued the view is published at once and no commit is
+// returned; neither is one when a record fails validation (its index is
+// returned) or encoding (-1). Assumes db.mu is held.
+func (db *DB) queueLocked(recs []*walOp) (*pendingCommit, int, error) {
+	c := pendingCommit{recs: recs, prevSeq: db.seq, prevID: db.nextID, recorded: recs[0].Seq != 0}
+	e := db.beginEditLocked()
+	for i, rec := range recs {
+		if rec.Seq == 0 {
+			rec.Seq = db.seq + 1
+		}
+		db.seq = max(db.seq, rec.Seq)
+		if err := db.applyLocked(e, rec); err != nil {
+			db.seq, db.nextID = c.prevSeq, c.prevID
+			return nil, i, err
+		}
+	}
+	c.view = e.view(recs[len(recs)-1].Seq)
+	var err error
+	if c.t, err = db.enqueueLocked(recs); err != nil {
+		db.seq, db.nextID = c.prevSeq, c.prevID // nothing reached the log
+		return nil, -1, err
+	}
+	if c.t == nil && len(db.commits) == 0 { // nothing to wait for
+		db.publishLocked(&c)
+		return nil, -1, nil
+	}
+	q := new(pendingCommit) // on the heap only when queued
+	*q = c
+	db.commits = append(db.commits, q)
+	return q, -1, nil
+}
+
+// settleLocked settles the queued commits in seq order, through c or
+// all of them when c is nil: it waits for each one's append — the WAL
+// commits in log order, so once c's ticket has resolved the lower ones
+// have too — and publishes its view, or, when the append failed,
+// discards it and every commit behind it. Assumes db.mu is held.
+func (db *DB) settleLocked(c *pendingCommit) {
+	for len(db.commits) > 0 && (c == nil || db.commits[0].view.seq <= c.view.seq) {
 		h := db.commits[0]
 		db.commits = slices.Delete(db.commits, 0, 1)
 		if h.t != nil {
 			if err := h.t.Wait(); err != nil {
-				h.err = fmt.Errorf("%w: %v", ErrJournal, err)
+				db.discardLocked(h, err)
+				return
 			}
 		}
-		if h.err != nil {
-			db.unstageLocked(h.recs)
-		} else {
-			db.publishLocked(h.recs)
+		db.publishLocked(h)
+	}
+}
+
+// discardLocked fails h, whose append failed, and every commit queued
+// behind it: each was built on h's view, and none of their records can
+// land, because a failed batch fences the journal (see
+// wal.Journal.Unfence). Once all of them have resolved, h's IDs are
+// handed out again, and so are its seqs when they were recorded ones —
+// re-applying the same replicated bytes is then no duplicate; a live
+// commit's seqs are never reused, since a record that failed only at
+// fsync may still be intact on disk and would beat a later one under
+// the same seq on replay. Then the journal is unfenced. Assumes db.mu
+// is held.
+func (db *DB) discardLocked(h *pendingCommit, err error) {
+	h.err = fmt.Errorf("%w: %v", ErrJournal, err)
+	for _, c := range db.commits {
+		if c.t != nil {
+			_ = c.t.Wait() // refused by the fence; c fails with h's error
+		}
+		c.err = h.err
+	}
+	db.commits = nil
+	db.nextID = h.prevID
+	if h.recorded {
+		db.seq = h.prevSeq
+	}
+	if db.wal != nil {
+		db.wal.Unfence()
+	}
+}
+
+// publishLocked makes c's view the current one — one atomic swap, so
+// no reader ever sees half a batch — and runs the side effects a commit
+// has only once it is acknowledged: the BLOB high-water mark, and a
+// deleted object's cache entries. Assumes db.mu is held.
+func (db *DB) publishLocked(c *pendingCommit) {
+	db.ring.add(db.cur.Load())
+	db.cur.Store(c.view)
+	for _, rec := range c.recs {
+		switch rec.Kind {
+		case opInterp:
+			db.nextBlob = max(db.nextBlob, rec.Blob+1)
+		case opDelete:
+			db.cache.Invalidate(rec.ID)
 		}
 	}
 }
 
-// commitSerial is the other discipline, for records that revise or
-// remove what readers can already see — a sync, a delete: settle (so
-// nothing is staged) → validate → journal → apply, all under db.mu.
-// Nothing is published before its record is durable, so nothing ever
-// has to be rolled back, and no competing mutation slips between the
-// validation and the apply: a derivation staged against an object
-// while its delete record was in flight would diverge live state from
-// replay. The price is an fsync waited for under the lock; both
-// mutators are rare — no served route calls either.
-func (db *DB) commitSerial(rec *walOp) error {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	db.settleLocked(nil)
-	// Validate before reserving a log position: a record journaled for
-	// a doomed mutation would fail every replay.
-	var err error
-	switch rec.Kind {
-	case opSync:
-		_, err = db.buildSyncLocked(rec)
-	case opDelete:
-		_, err = db.checkDeletable(rec.ID)
-	}
-	if err != nil {
-		return err
-	}
-	one := [1]*walOp{rec}
-	t, err := db.enqueueLocked(one[:])
-	if err == nil {
-		err = db.waitRecord(t)
-	}
-	if err != nil {
-		return err
-	}
-	return db.applyLocked(rec)
-}
-
-// stageOpLocked validates an adding record against the current epoch,
-// builds what it adds and stages it — an object under its name, an
-// interpretation under its BLOB — invisible to readers, the key
-// reserved against concurrent duplicates. prior holds the records
-// staged before rec in the same commit, whose objects a batch item may
-// name as inputs. A zero rec.ID takes the next ID (a live add; it is
-// written back to the record); a non-zero one is forced, because
-// journal replay and replicated apply must reproduce recorded IDs
-// exactly and re-allocation would not: a commit that fails after a
-// later one took the next ID leaves a gap (see unstageLocked) that
-// counting up would close. Assumes db.mu is held, and for a forced ID
-// that nothing is staged (see applyLocked).
-func (db *DB) stageOpLocked(rec *walOp, prior []*walOp) error {
-	cur := db.cur.Load()
+// applyLocked validates one record against the edit's working state —
+// the pending view plus the records before it in the same commit — and
+// applies it there, stamping rec.Seq into the version chains, where
+// the next checkpoint's diff finds it. An add takes the next ID when
+// rec.ID is zero (a live add; the ID is written back to the record),
+// else its recorded one: replay and replicated apply must reproduce IDs
+// exactly, and a log's IDs have gaps wherever a commit failed after
+// taking one (see discardLocked). Assumes db.mu is held.
+func (db *DB) applyLocked(e *viewEdit, rec *walOp) error {
 	var obj *core.Object
 	var err error
 	switch rec.Kind {
 	case opInterp:
-		_, dup := db.stagedInterps[rec.Blob]
-		c, known := cur.interpVers.get(rec.Blob)
-		if dup || c.live() {
-			return fmt.Errorf("catalog: %v already interpreted", rec.Blob)
+		return db.applyInterpLocked(e, rec)
+	case opSync:
+		if obj, err = buildSync(e, rec); err == nil {
+			e.appendVersion(obj, rec.Seq)
 		}
-		// A tombstone ends a BLOB's history: the next checkpoint unlinks it.
-		if known {
-			return fmt.Errorf("catalog: %v was collected: %w", rec.Blob, blob.ErrNotFound)
-		}
-		if db.wal != nil && rec.Interp == nil {
-			// A journal was attached between RegisterInterpretation's
-			// unlocked check and now (rare: attachment happens at
-			// startup). Export and sync under the lock — slow but correct.
-			if err := db.exportInterp(rec); err != nil {
-				return err
-			}
-		}
-		db.stagedInterps[rec.Blob] = rec.it
-		return nil
+		return err
+	case opDelete:
+		return e.applyDelete(rec.ID, rec.Seq)
 	case opNonDerived:
-		obj, err = buildNonDerived(cur, rec)
+		obj, err = buildNonDerived(e, rec)
 	case opDerived:
-		obj, err = db.buildDerivedLocked(rec, prior)
+		obj, err = buildDerived(e, rec)
 	case opMultimedia:
-		obj, err = buildMultimedia(cur, rec)
-	default:
+		obj, err = buildMultimedia(e, rec)
+	case "":
 		// Only a batch item reaches here: every other record has its kind
-		// from the mutator that built it or from applyLocked's dispatch.
+		// from the mutator that built it or from the journal.
 		err = errors.New("item defines neither a blob binding nor a derivation")
+	default:
+		err = fmt.Errorf("unknown op %q", rec.Kind)
 	}
 	if err != nil {
 		return err
 	}
-	_, dup := db.staged[rec.Name]
-	if dup || cur.shardFor(rec.Name).lookup(rec.Name, seqNow) != nil {
+	if e.lookupName(rec.Name) != nil {
 		return fmt.Errorf("%w: %q", ErrDupName, rec.Name)
 	}
 	obj.ID = rec.ID
 	if obj.ID == 0 {
 		obj.ID = db.nextID
-	} else if cur.getByID(obj.ID) != nil {
+	} else if e.lookupByID(obj.ID) != nil {
 		return fmt.Errorf("catalog: object %v already exists", obj.ID)
 	}
 	if err := obj.Validate(); err != nil {
 		return err
 	}
-	if obj.ID >= db.nextID {
-		db.nextID = obj.ID + 1
-	}
+	db.nextID = max(db.nextID, obj.ID+1)
 	rec.ID = obj.ID
-	db.staged[rec.Name] = obj
+	e.link(obj)
+	e.appendVersion(obj, rec.Seq)
 	return nil
 }
 
-// stagedIn returns the object that one of prior — the records staged
-// earlier in the same commit — produced under id, or nil. A commit
-// stages in one db.mu section, so its IDs count up from prior[0].ID and
-// everything other writers have in flight lies below. Assumes db.mu is
-// held.
-func (db *DB) stagedIn(prior []*walOp, id core.ID) *core.Object {
-	if len(prior) == 0 || id < prior[0].ID || id-prior[0].ID >= core.ID(len(prior)) {
-		return nil
+// applyInterpLocked applies an interpretation registration: a live one
+// carries its interpretation, a recorded one is rebuilt over its BLOB
+// from the record's run layout. Assumes db.mu is held.
+func (db *DB) applyInterpLocked(e *viewEdit, rec *walOp) error {
+	c, known := e.interpVers.get(rec.Blob)
+	if c.live() {
+		return fmt.Errorf("catalog: %v already interpreted", rec.Blob)
 	}
-	return db.staged[prior[id-prior[0].ID].Name]
+	// A tombstone ends a BLOB's history: the next checkpoint unlinks it.
+	if known {
+		return fmt.Errorf("catalog: %v was collected: %w", rec.Blob, blob.ErrNotFound)
+	}
+	it := rec.it
+	switch {
+	case it == nil:
+		exp, err := interp.DecodeExported(rec.Interp, rec.Blob)
+		if err != nil {
+			return fmt.Errorf("interpretation record: %v", err)
+		}
+		b, err := db.openBlob(rec.Blob) // never collected: see unlinkCollected
+		if err != nil {
+			return err
+		}
+		if it, err = interp.Import(exp, b); err != nil {
+			return err
+		}
+	case db.wal != nil && rec.Interp == nil:
+		// A journal was attached between RegisterInterpretation's
+		// unlocked check and now (rare: attachment happens at startup).
+		// Export and sync under the lock — slow but correct.
+		if err := db.exportInterp(rec); err != nil {
+			return err
+		}
+	}
+	e.appendInterpVersion(it, rec.Seq)
+	return nil
 }
 
-// buildNonDerived validates a non-derived record against cur and
-// constructs (but does not stage) its object; the descriptor is the
-// track's.
-func buildNonDerived(cur *View, rec *walOp) (*core.Object, error) {
-	it, err := cur.Interpretation(rec.Blob)
-	if err != nil {
-		return nil, err
+// buildNonDerived validates a non-derived record against the edit and
+// constructs its object; the descriptor is the track's.
+func buildNonDerived(e *viewEdit, rec *walOp) (*core.Object, error) {
+	it := interpAt(e.interpVers, rec.Blob, seqNow)
+	if it == nil {
+		return nil, fmt.Errorf("%w: %v", ErrNoInterp, rec.Blob)
 	}
 	tr, err := it.Track(rec.Track)
 	if err != nil {
@@ -568,23 +625,16 @@ func buildNonDerived(cur *View, rec *walOp) (*core.Object, error) {
 	}, nil
 }
 
-// buildDerivedLocked validates and constructs a derived object. A
-// batch item's by-name inputs are resolved first — against the current
-// epoch, then against prior (see stagedIn), never against another
-// writer's in-flight staging — and appended to the record's inputs in
-// operator argument order, so the journal only ever holds IDs. Assumes
-// db.mu is held.
-func (db *DB) buildDerivedLocked(rec *walOp, prior []*walOp) (*core.Object, error) {
-	cur := db.cur.Load()
+// buildDerived validates and constructs a derived object. A batch
+// item's by-name inputs are resolved first, against the edit — so
+// against earlier items of the same batch too — and appended to the
+// record's inputs in operator argument order, so the journal only ever
+// holds IDs.
+func buildDerived(e *viewEdit, rec *walOp) (*core.Object, error) {
 	if len(rec.inputNames) > 0 {
 		inputs := slices.Clip(rec.Inputs) // appending must not reach the caller's array
 		for _, nm := range rec.inputNames {
-			in := cur.shardFor(nm).lookup(nm, seqNow)
-			if in == nil {
-				if o := db.staged[nm]; o != nil && db.stagedIn(prior, o.ID) == o {
-					in = o
-				}
-			}
+			in := e.lookupName(nm)
 			if in == nil {
 				return nil, fmt.Errorf("%w: input %q", ErrNotFound, nm)
 			}
@@ -601,10 +651,7 @@ func (db *DB) buildDerivedLocked(rec *walOp, prior []*walOp) (*core.Object, erro
 		return nil, fmt.Errorf("catalog: %s takes %d..%d inputs, got %d", rec.Op, lo, hi, len(rec.Inputs))
 	}
 	for i, in := range rec.Inputs {
-		src := cur.getByID(in)
-		if src == nil {
-			src = db.stagedIn(prior, in)
-		}
+		src := e.lookupByID(in)
 		if src == nil {
 			return nil, fmt.Errorf("%w: input %v", ErrNotFound, in)
 		}
@@ -624,15 +671,15 @@ func (db *DB) buildDerivedLocked(rec *walOp, prior []*walOp) (*core.Object, erro
 	}, nil
 }
 
-// buildMultimedia validates a multimedia record against cur and
+// buildMultimedia validates a multimedia record against the edit and
 // constructs its object.
-func buildMultimedia(cur *View, rec *walOp) (*core.Object, error) {
+func buildMultimedia(e *viewEdit, rec *walOp) (*core.Object, error) {
 	axis, err := timebase.New(rec.TimeNum, rec.TimeDen)
 	if err != nil {
 		return nil, err
 	}
 	for _, c := range rec.Comps {
-		if cur.getByID(c.Object) == nil {
+		if e.lookupByID(c.Object) == nil {
 			return nil, fmt.Errorf("%w: component %v", ErrNotFound, c.Object)
 		}
 	}
@@ -645,11 +692,10 @@ func buildMultimedia(cur *View, rec *walOp) (*core.Object, error) {
 	}, nil
 }
 
-// buildSyncLocked validates a sync record against the current epoch
-// and returns the revised object without publishing it. Assumes db.mu
-// is held.
-func (db *DB) buildSyncLocked(rec *walOp) (*core.Object, error) {
-	obj := db.cur.Load().getByID(rec.ID)
+// buildSync validates a sync record against the edit and returns the
+// revised object.
+func buildSync(e *viewEdit, rec *walOp) (*core.Object, error) {
+	obj := e.lookupByID(rec.ID)
 	if obj == nil {
 		return nil, fmt.Errorf("%w: %v", ErrNotFound, rec.ID)
 	}
@@ -667,31 +713,21 @@ func (db *DB) buildSyncLocked(rec *walOp) (*core.Object, error) {
 	return rev, nil
 }
 
-// enqueueLocked assigns the next journal sequence numbers to recs,
-// encodes them, and reserves their log position — all in one db.mu
-// critical section, so the log's frame order provably equals sequence
-// order. Replication depends on that equality: a follower resuming
-// "from seq N" can trust that every frame after N's log position
-// carries a seq > N, with no reordered stragglers behind it. More than
-// one record is an atomic WAL batch: one write, one fsync, one
-// outcome. Durability is NOT waited for here (see waitRecord). With no
-// journal attached the sequence numbers still advance — every committed
-// mutation gets a distinct transaction-time stamp for its version
-// chain — but nothing is encoded and the ticket is nil. Sequence
-// numbers are never reused after a failure: a record that failed only
-// at fsync may still be intact on disk, and a later acknowledged record
-// under the same seq would lose to it on replay; gaps are harmless to
-// the replay skip check. Assumes db.mu is held.
+// enqueueLocked encodes recs and reserves their log position without
+// waiting for durability (see waitRecord). More than one record is an
+// atomic WAL batch: one write, one fsync, one outcome. A replicated
+// record is re-journaled as the bytes it arrived as. With no journal
+// attached nothing is encoded and the ticket is nil. Assumes db.mu is
+// held.
 func (db *DB) enqueueLocked(recs []*walOp) (*wal.Ticket, error) {
-	for _, rec := range recs {
-		db.seq++
-		rec.Seq = db.seq
-	}
 	if db.wal == nil {
 		return nil, nil
 	}
 	if len(recs) == 1 { // a lone record needs no frame list
-		data, err := encodeOp(recs[0])
+		data, err := recs[0].raw, error(nil)
+		if data == nil {
+			data, err = encodeOp(recs[0])
+		}
 		if err != nil {
 			return nil, err
 		}
@@ -705,46 +741,6 @@ func (db *DB) enqueueLocked(recs []*walOp) (*wal.Ticket, error) {
 		}
 	}
 	return db.wal.EnqueueBatch(frames), nil
-}
-
-// publishLocked moves what recs staged into one new view — one
-// copy-on-write edit, one atomic view swap, so no reader ever sees
-// half a batch — at the seq of its last record, and stamps each
-// record's seq into the version chains. Assumes db.mu is held.
-func (db *DB) publishLocked(recs []*walOp) {
-	e := db.beginEditLocked()
-	for _, rec := range recs {
-		if rec.Kind == opInterp {
-			it := db.stagedInterps[rec.Blob]
-			delete(db.stagedInterps, rec.Blob)
-			e.appendInterpVersion(it, rec.Seq)
-			db.nextBlob = max(db.nextBlob, it.BlobID()+1)
-			continue
-		}
-		obj := db.staged[rec.Name]
-		delete(db.staged, rec.Name)
-		e.link(obj)
-		e.appendVersion(obj, rec.Seq)
-	}
-	db.commitEditLocked(e, recs[len(recs)-1].Seq)
-}
-
-// unstageLocked rolls recs' staging back after a failed validation or
-// journal append: the reservations are released and, newest first, an
-// ID that is still the newest goes back to the allocator. Assumes
-// db.mu is held.
-func (db *DB) unstageLocked(recs []*walOp) {
-	for i := len(recs) - 1; i >= 0; i-- {
-		rec := recs[i]
-		if rec.Kind == opInterp {
-			delete(db.stagedInterps, rec.Blob)
-			continue
-		}
-		delete(db.staged, rec.Name)
-		if rec.ID == db.nextID-1 {
-			db.nextID--
-		}
-	}
 }
 
 // Get returns the object with the given ID at the current epoch. The

@@ -19,62 +19,45 @@ var ErrInUse = errors.New("catalog: object is referenced by others")
 // BLOB's interpretation is tombstoned; its file goes only once a
 // checkpoint covers the tombstone (see unlinkCollected).
 func (db *DB) Delete(id core.ID) error {
-	return db.commitSerial(&walOp{Kind: opDelete, ID: id})
+	_, err := db.commit(&walOp{Kind: opDelete, ID: id})
+	return err
 }
 
-// checkDeletable returns the object id names, or why it cannot be
-// deleted: it does not exist, or another object references it.
-// Referrers come from the provenance adjacency index; edges live in
-// the referrer's shard, so every shard of the current view is probed.
-// Nothing is staged (see applyLocked), so the view holds every
-// referrer. Assumes db.mu is held.
-func (db *DB) checkDeletable(id core.ID) (*core.Object, error) {
-	cur := db.cur.Load()
-	obj := cur.getByID(id)
+// applyDelete validates a delete against the edit's working state and
+// applies it there: it refuses an object that does not exist, or that
+// another object references — referrers come from the provenance
+// adjacency index, whose edges live in the referrer's shard, so every
+// shard is probed. The unlink, the version-chain tombstone at seq and
+// any BLOB interpretation collection land in the edit together.
+func (e *viewEdit) applyDelete(id core.ID, seq uint64) error {
+	obj := e.lookupByID(id)
 	if obj == nil {
-		return nil, fmt.Errorf("%w: %v", ErrNotFound, id)
+		return fmt.Errorf("%w: %v", ErrNotFound, id)
 	}
-	for _, sh := range cur.shards {
+	for _, sh := range e.shards {
 		if set, ok := sh.ix.deps.get(id); ok {
 			var other core.ID
 			set.ascend(func(k core.ID, _ struct{}) bool {
 				other = k
 				return false
 			})
-			return nil, fmt.Errorf("%w: %v ← %v", ErrInUse, id, other)
+			return fmt.Errorf("%w: %v ← %v", ErrInUse, id, other)
 		}
 	}
-	return obj, nil
-}
-
-// deleteLocked removes an object, validating references first (replay
-// has no commitSerial before it). The unlink, the version-chain
-// tombstone at seq, and any BLOB interpretation collection land
-// together as the view at seq. Assumes db.mu is held.
-func (db *DB) deleteLocked(id core.ID, seq uint64) error {
-	obj, err := db.checkDeletable(id)
-	if err != nil {
-		return err
-	}
-	e := db.beginEditLocked()
 	e.unlink(obj)
 	e.appendTombstone(obj, seq)
-	// GC the BLOB if no remaining object reads it.
 	if obj.Class == core.ClassNonDerived {
-		db.maybeCollectBlob(e, obj.Blob, seq)
+		e.maybeCollectBlob(obj.Blob, seq)
 	}
-	db.commitEditLocked(e, seq)
-	db.cache.Invalidate(id)
 	return nil
 }
 
 // maybeCollectBlob tombstones the BLOB's interpretation in the edit when
 // no object in the edit's working state (one probe of each shard's
-// reader index) still reads it; nothing is staged (see applyLocked).
-// The collection is recorded as an interpretation tombstone at seq, so
-// as-of reads know the history ends there; the checkpoint that covers
-// it unlinks the file. Assumes db.mu is held.
-func (db *DB) maybeCollectBlob(e *viewEdit, id blob.ID, seq uint64) {
+// reader index) still reads it. The collection is recorded as an
+// interpretation tombstone at seq, so as-of reads know the history ends
+// there; the checkpoint that covers it unlinks the file.
+func (e *viewEdit) maybeCollectBlob(id blob.ID, seq uint64) {
 	for _, sh := range e.shards {
 		if sh.ix.blob.has(id) {
 			return

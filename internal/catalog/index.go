@@ -16,8 +16,9 @@ import (
 // shard of an immutable epoch View: linking an object into a shard
 // produces a new pIndexes value sharing structure with the old one,
 // so every published epoch carries exactly the index of its own
-// object set. Staged objects are never indexed, so the planner can
-// only ever surface acknowledged mutations — the same guarantee
+// object set. An in-flight commit is indexed only in its pending
+// view, published once acknowledged, so the planner can only ever
+// surface acknowledged mutations — the same guarantee
 // Select gives — and a pinned epoch's plan, match and pagination all
 // read the same committed prefix without taking any lock.
 //

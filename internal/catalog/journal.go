@@ -25,12 +25,12 @@ import (
 // the last applied one, so replay is idempotent: a crash between a
 // checkpoint's file rename and its compaction merely leaves records
 // that replay skips. Sequence numbers are assigned and the frame's
-// log position reserved in one db.mu critical section (enqueueLocked),
+// log position reserved in one db.mu critical section (commitLocked),
 // so log order equals sequence order — the invariant the replication
 // feed's from_seq resume and the follower's local checkpoints rely
 // on. Replay does not lean on it: it skips against one sequence base
 // fixed for the whole log (see replayAllLocked) and re-creates objects
-// at their recorded IDs (see applyWalLocked).
+// at their recorded IDs (see applyLocked).
 //
 // A record's bytes are the fixed layout of record.go.
 
@@ -92,11 +92,13 @@ type walOp struct {
 	// layout (interp.AppendExported).
 	Interp []byte
 
-	// Never encoded, live commits only: a batch item's by-name inputs
-	// until staging resolves them into Inputs, and the interpretation an
-	// opInterp record registers.
+	// Never encoded. Live commits only: a batch item's by-name inputs
+	// until applyLocked resolves them into Inputs, and the interpretation
+	// an opInterp record registers. Replicated apply only: the record's
+	// bytes as they arrived, re-journaled as they are.
 	inputNames []string
 	it         *interp.Interpretation
+	raw        []byte
 }
 
 // RecoveryInfo reports what Load / OpenJournal had to do to bring the
@@ -223,10 +225,9 @@ func (db *DB) SyncJournal() error {
 }
 
 // waitRecord blocks until an enqueued record's group commit resolves,
-// recording the journal-append stage latency. Staged commits call it
-// outside db.mu (group commits from concurrent mutators coalesce in
-// the wal layer), serial commits under it. nil tickets (no journal)
-// are a no-op.
+// recording the journal-append stage latency. Commits call it outside
+// db.mu, so group commits from concurrent mutators coalesce in the wal
+// layer. nil tickets (no journal) are a no-op.
 func (db *DB) waitRecord(t *wal.Ticket) error {
 	if t == nil {
 		return nil
@@ -301,15 +302,13 @@ func (db *DB) replayAllLocked(dir string) error {
 	return nil
 }
 
-// applyWalLocked applies one journal record, skipping — on the header
+// applyWalLocked commits one journal record, skipping — on the header
 // alone, the body never decoded — records the snapshot already captured
-// (seq <= base). Objects are re-created at their recorded IDs, never
-// re-allocated: the IDs a log holds have gaps wherever a commit failed
-// after taking one (see unstageLocked), and a replay that counted up
-// would hand every later object its neighbour's ID. Dependency order is
-// safe — an object referencing another was only accepted after its
-// input was acknowledged, hence the input's frame precedes it in the
-// log. Assumes db.mu is held.
+// (seq <= base). It keeps the record's seq and IDs (see applyLocked).
+// Dependency order is safe — an object referencing another was only
+// accepted after its input was acknowledged, hence the input's frame
+// precedes it in the log. Assumes db.mu is held and no journal is
+// attached, so nothing is waited for.
 func (db *DB) applyWalLocked(base uint64, data []byte) error {
 	head, _, err := peekOp(data)
 	if err != nil {
@@ -326,72 +325,12 @@ func (db *DB) applyWalLocked(base uint64, data []byte) error {
 	if err != nil {
 		return err
 	}
-	if err := db.applyOpLocked(rec); err != nil {
-		return err
+	if _, err := db.commitLocked([]*walOp{rec}); err != nil {
+		return fmt.Errorf("%w: %w", ErrReplay, err)
 	}
 	if rec.Kind == opInterp {
 		db.replayKeep[rec.Blob] = true
 	}
-	if rec.Seq > db.seq {
-		db.seq = rec.Seq
-	}
 	db.recovery.JournalRecords++
-	return nil
-}
-
-// applyOpLocked applies one decoded journal record — the shared core of
-// crash replay (applyWalLocked) and replication apply (ApplyReplicated).
-// It neither checks sequence numbers nor advances db.seq; callers own
-// both. Assumes db.mu is held.
-func (db *DB) applyOpLocked(rec *walOp) error {
-	if err := db.applyLocked(rec); err != nil {
-		return fmt.Errorf("%w: %w", ErrReplay, err)
-	}
-	return nil
-}
-
-// applyLocked makes one durable record catalog state — the only place
-// that happens, for the live serial mutators (commitSerial), crash
-// replay and replicated apply (applyOpLocked) alike. An add is staged
-// and published in one step, at its recorded ID; every kind stamps the
-// record's seq into the version chains, where the next checkpoint's
-// diff finds it. Assumes db.mu is held and nothing is staged (a serial
-// commit settles first; replay and replicated apply have no writers).
-func (db *DB) applyLocked(rec *walOp) error {
-	one := [1]*walOp{rec}
-	switch rec.Kind {
-	case opInterp:
-		exp, err := interp.DecodeExported(rec.Interp, rec.Blob)
-		if err != nil {
-			return fmt.Errorf("interpretation record: %v", err)
-		}
-		b, err := db.openBlob(rec.Blob) // never collected: see unlinkCollected
-		if err != nil {
-			return err
-		}
-		it, err := interp.Import(exp, b)
-		if err != nil {
-			return err
-		}
-		db.stagedInterps[rec.Blob] = it
-		db.publishLocked(one[:])
-	case opNonDerived, opDerived, opMultimedia:
-		if err := db.stageOpLocked(rec, nil); err != nil {
-			return err
-		}
-		db.publishLocked(one[:])
-	case opSync:
-		rev, err := db.buildSyncLocked(rec)
-		if err != nil {
-			return err
-		}
-		e := db.beginEditLocked()
-		e.appendVersion(rev, rec.Seq)
-		db.commitEditLocked(e, rec.Seq)
-	case opDelete:
-		return db.deleteLocked(rec.ID, rec.Seq)
-	default:
-		return fmt.Errorf("unknown op %q", rec.Kind)
-	}
 	return nil
 }

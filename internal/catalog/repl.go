@@ -2,17 +2,15 @@ package catalog
 
 // Replication surface: the small set of catalog hooks internal/repl
 // builds on. A primary ships its journal frames verbatim (they are
-// already idempotent, seq-stamped, and — since enqueueLocked — laid
-// out in sequence order); a follower applies them through the same
-// code path crash replay uses and re-journals the identical bytes
-// locally, so a promoted follower's log is byte-compatible with the
-// primary's acked prefix.
+// already idempotent, seq-stamped, and laid out in sequence order); a
+// follower commits them through the same code path every commit takes
+// and re-journals the identical bytes locally, so a promoted
+// follower's log is byte-compatible with the primary's acked prefix.
 
 import (
 	"fmt"
 
 	"timedmedia/internal/blob"
-	"timedmedia/internal/wal"
 )
 
 // Seq returns the sequence number of the newest mutation this catalog
@@ -53,50 +51,42 @@ func RecordInfo(data []byte) (seq uint64, kind string, blobID blob.ID, err error
 	return head.Seq, head.Kind, head.Blob, err
 }
 
-// ApplyReplicated applies one journal record received from a
-// replication feed: the mutation is applied to the in-memory graph at
-// its recorded IDs, db.seq advances to the record's seq, and the
-// identical bytes are re-journaled locally so the follower's own WAL
-// stays a faithful copy of the primary's acked prefix. Records at or
-// below the current seq are skipped (the feed replays from a resume
-// point, so duplicates are expected and harmless). Returns the
+// ApplyReplicated commits one journal record received from a
+// replication feed: a record at or below the current seq is skipped
+// (the feed replays from a resume point, so duplicates are expected and
+// harmless); any other is applied at its recorded seq and IDs, the
+// identical bytes are re-journaled locally — so the follower's own WAL
+// stays a faithful copy of the primary's acked prefix — and the view
+// at its seq is published only once they are durable. Returns the
 // catalog's seq after the call.
 //
 // The feed delivers records in sequence order; ApplyReplicated must
 // not be called concurrently with itself or with local mutations —
 // a follower has exactly one tailer and rejects writes.
 //
-// An error after the in-memory apply (the local journal append
-// failing) leaves memory ahead of disk; the caller must treat it like
-// a crash and reload the catalog from its directory rather than
-// continue applying.
+// When the local append fails nothing was published: the view and
+// Seq stay at the last durable record, and applying the same bytes
+// again is no duplicate.
 func (db *DB) ApplyReplicated(data []byte) (uint64, error) {
 	head, _, err := peekOp(data)
 	if err != nil {
 		return 0, err
 	}
 	db.mu.Lock()
+	defer db.mu.Unlock()
 	if head.Seq <= db.seq {
-		seq := db.seq
-		db.mu.Unlock()
-		return seq, nil
+		return db.seq, nil
 	}
 	rec, err := decodeOp(data)
 	if err == nil {
-		err = db.applyOpLocked(rec)
+		rec.raw = data
+		var i int
+		if i, err = db.commitLocked([]*walOp{rec}); i >= 0 {
+			err = fmt.Errorf("%w: %w", ErrReplay, err)
+		}
 	}
 	if err != nil {
-		db.mu.Unlock()
 		return 0, fmt.Errorf("catalog: apply replicated seq %d: %w", head.Seq, err)
-	}
-	db.seq = head.Seq
-	var t *wal.Ticket
-	if db.wal != nil {
-		t = db.wal.Enqueue(data)
-	}
-	db.mu.Unlock()
-	if err := db.waitRecord(t); err != nil {
-		return 0, err
 	}
 	return head.Seq, nil
 }

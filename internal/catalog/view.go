@@ -311,14 +311,14 @@ func (r *epochRing) at(epoch uint64) *View {
 	return nil
 }
 
-// viewEdit is a copy-on-write editing session over the current view.
-// Writers build one under db.mu and publish it atomically with
-// commitEditLocked, so a whole batch lands as one epoch. Shards are
-// cloned lazily: an edit that touches 1 of N shards copies one
-// shardState header and the treap spines of that shard only.
+// viewEdit is a copy-on-write editing session over a view. A commit
+// builds one under db.mu over the newest pending view and freezes it
+// into the view it publishes (see commitLocked), so a whole batch lands
+// as one epoch. Shards are cloned lazily: an edit that touches 1 of N
+// shards copies one shardState header and the treap spines of that
+// shard only.
 type viewEdit struct {
 	db                 *DB
-	base               *View
 	shards             []*shardState
 	touched            []bool
 	count, interpCount int
@@ -326,13 +326,16 @@ type viewEdit struct {
 	verFloor           uint64
 }
 
-// beginEditLocked starts an edit over the current view. Assumes db.mu
-// is held (or the DB is not yet shared, during load).
+// beginEditLocked starts an edit over the newest pending view: the last
+// queued commit's, or the published one when none is queued. Assumes
+// db.mu is held (or the DB is not yet shared, during load).
 func (db *DB) beginEditLocked() *viewEdit {
 	base := db.cur.Load()
+	if n := len(db.commits); n > 0 {
+		base = db.commits[n-1].view
+	}
 	e := &viewEdit{
 		db:          db,
-		base:        base,
 		shards:      make([]*shardState, len(base.shards)),
 		touched:     make([]bool, len(base.shards)),
 		count:       base.count,
@@ -364,6 +367,12 @@ func (e *viewEdit) lookupByID(id core.ID) *core.Object {
 	return objectAt(e.shards, id, seqNow)
 }
 
+// lookupName resolves a live object by name against the edit's working
+// state.
+func (e *viewEdit) lookupName(name string) *core.Object {
+	return e.shards[e.shardIndexFor(name)].lookup(name, seqNow)
+}
+
 // link adds obj to its shard's indexes. Component spans resolve
 // against the edit's working state, so multi-object batches see their
 // own earlier members.
@@ -378,13 +387,10 @@ func (e *viewEdit) unlink(obj *core.Object) {
 	sh.ix = sh.ix.unlink(obj)
 }
 
-// commitEditLocked publishes the edit as the view at seq: the previous
-// view goes into the retention ring, the new one becomes current.
-// Assumes db.mu is held (or the DB is not yet shared, during load).
-func (db *DB) commitEditLocked(e *viewEdit, seq uint64) {
-	prev := db.cur.Load()
-	v := &View{
-		db:          db,
+// view freezes the edit as the view at seq.
+func (e *viewEdit) view(seq uint64) *View {
+	return &View{
+		db:          e.db,
 		seq:         seq,
 		shards:      e.shards,
 		count:       e.count,
@@ -392,8 +398,14 @@ func (db *DB) commitEditLocked(e *viewEdit, seq uint64) {
 		interpVers:  e.interpVers,
 		verFloor:    e.verFloor,
 	}
-	db.ring.add(prev)
-	db.cur.Store(v)
+}
+
+// commitEditLocked publishes the edit as the view at seq: the previous
+// view goes into the retention ring, the new one becomes current. Load
+// uses it; commits publish through settleLocked. Assumes the DB is not
+// yet shared.
+func (db *DB) commitEditLocked(e *viewEdit, seq uint64) {
+	db.publishLocked(&pendingCommit{view: e.view(seq)})
 }
 
 // relinkAllLocked rebuilds every shard's indexes from its live chain

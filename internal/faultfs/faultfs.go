@@ -254,43 +254,32 @@ func WrapJournal(inner *wal.Segmented, inj *Injector) *Journal {
 }
 
 // Append implements wal.Appender.
-func (j *Journal) Append(data []byte) error {
-	if err, _ := j.inj.check("journal.append"); err != nil {
-		return err
-	}
-	return j.Segmented.Append(data)
-}
+func (j *Journal) Append(data []byte) error { return j.Enqueue(data).Wait() }
 
-// AppendBatch implements wal.Appender. Each record in the batch
-// consumes one "journal.append" injection slot, so an Nth-append rule
-// can fire mid-batch; when it does the whole batch fails before
-// reaching the inner journal, matching the all-or-nothing contract.
-func (j *Journal) AppendBatch(records [][]byte) error {
-	for range records {
-		if err, _ := j.inj.check("journal.append"); err != nil {
-			return err
-		}
-	}
-	return j.Segmented.AppendBatch(records)
-}
+// AppendBatch implements wal.Appender.
+func (j *Journal) AppendBatch(records [][]byte) error { return j.EnqueueBatch(records).Wait() }
 
 // Enqueue implements wal.Appender. The injection point is at enqueue
-// time — the same place a real enqueue reserves its log position — so
-// a scheduled fault resolves the ticket immediately without touching
-// the inner journal.
+// time — the same place a real enqueue reserves its log position. A
+// scheduled fault fences the inner journal, as a failed write would:
+// the record's batch and every later one fail until the journal is
+// unfenced.
 func (j *Journal) Enqueue(data []byte) *wal.Ticket {
 	if err, _ := j.inj.check("journal.append"); err != nil {
-		return wal.ErrTicket(err)
+		j.Fence(err)
 	}
 	return j.Segmented.Enqueue(data)
 }
 
-// EnqueueBatch implements wal.Appender; per-record injection slots,
-// like AppendBatch.
+// EnqueueBatch implements wal.Appender. Each record in the batch
+// consumes one "journal.append" injection slot, so an Nth-append rule
+// can fire mid-batch; the whole batch then fails, matching the
+// all-or-nothing contract.
 func (j *Journal) EnqueueBatch(records [][]byte) *wal.Ticket {
 	for range records {
 		if err, _ := j.inj.check("journal.append"); err != nil {
-			return wal.ErrTicket(err)
+			j.Fence(err)
+			break
 		}
 	}
 	return j.Segmented.EnqueueBatch(records)

@@ -343,9 +343,10 @@ func (f *Follower) applyRecord(ctx context.Context, rec []byte) error {
 	db := f.DB()
 	seq, err := db.ApplyReplicated(rec)
 	if err != nil {
-		// Memory may now be ahead of the local journal (the apply
-		// landed, the re-journal failed): treat it like a crash and
-		// reload from disk before continuing.
+		// Nothing of the record was published, but a journal that
+		// could not roll the failed append back refuses every later one
+		// (wal.ErrFailed): reopen the replica from disk — replay cuts the
+		// partial frame off — before continuing.
 		f.logf("repl: apply failed, reloading replica: %v", err)
 		if rerr := f.reloadLocal(); rerr != nil {
 			return errors.Join(err, rerr)
@@ -440,8 +441,9 @@ func (f *Follower) installBlob(id blob.ID, r io.Reader, want int64) error {
 }
 
 // reloadLocal rebuilds the catalog from the replica directory after a
-// local apply/journal failure, discarding any in-memory state that
-// outran the disk.
+// local apply/journal failure. Memory never outruns the disk — a
+// record is published only once journaled — but the reopen replaces a
+// journal that wal.ErrFailed has closed for good.
 func (f *Follower) reloadLocal() error {
 	f.mu.Lock()
 	old := f.db

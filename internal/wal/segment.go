@@ -317,6 +317,9 @@ func (s *Segmented) rotateLocked() error {
 		os.Remove(SegmentFile(s.dir, s.idx+1))
 		return err
 	}
+	// A fence outlives the segment: a batch refused for following a
+	// failed one must stay refused in the next segment too.
+	next.fence = old.fence
 	st := old.Stats()
 	s.sealed.Appends += st.Appends
 	s.sealed.BytesAppended += st.BytesAppended
@@ -365,6 +368,17 @@ func (s *Segmented) CompactThrough(through uint64) (int, error) {
 	}
 	return removed, nil
 }
+
+// Fence fences the active segment (see Journal.Fence); Rotate carries
+// the fence into the next one.
+func (s *Segmented) Fence(err error) {
+	s.rot.RLock()
+	defer s.rot.RUnlock()
+	s.active.Fence(err)
+}
+
+// Unfence implements Appender.
+func (s *Segmented) Unfence() { s.Fence(nil) }
 
 // Sync implements Appender.
 func (s *Segmented) Sync() error {

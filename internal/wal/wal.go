@@ -37,7 +37,11 @@
 // it never delays a solitary appender. Batches keep the per-record
 // durability contract: a batch either wholly acks (every record is on
 // stable storage) or wholly rolls back (the file is truncated to the
-// last acknowledged boundary and every caller gets the error).
+// last acknowledged boundary and every caller gets the error). A
+// failed batch also fences the journal: every later batch fails too,
+// until Unfence. So a record enqueued in the expectation that an
+// earlier one lands never lands without it; the caller unfences once
+// it has waited out everything it enqueued.
 package wal
 
 import (
@@ -69,6 +73,10 @@ var ErrClosed = errors.New("wal: journal closed")
 // Segmented.Rotate escapes it — appends resume in the next segment and
 // replay truncates the sealed segment's torn tail.
 var ErrFailed = errors.New("wal: journal failed")
+
+// ErrFenced reports a batch refused because an earlier one failed and
+// the journal has not been unfenced since (see Journal.Unfence).
+var ErrFenced = errors.New("wal: journal fenced after a failed batch")
 
 // Stats holds the journal's monotonic counters.
 type Stats struct {
@@ -122,6 +130,9 @@ type Appender interface {
 	// CompactThrough deletes every sealed segment with index <= through
 	// and returns how many it removed.
 	CompactThrough(through uint64) (int, error)
+	// Unfence lets batches commit again after a failed one fenced the
+	// journal (see Journal.Unfence).
+	Unfence()
 	// Sync flushes without appending (used at shutdown).
 	Sync() error
 	// Close releases the file handle.
@@ -173,14 +184,26 @@ func ErrTicket(err error) *Ticket {
 	return &Ticket{wait: func() error { return err }}
 }
 
+// segmentFile is what a Journal appends to: an *os.File, or in tests
+// a wrapper that fails on demand.
+type segmentFile interface {
+	io.Writer
+	Sync() error
+	Truncate(size int64) error
+	Close() error
+}
+
 // Journal is an append-only record log. Safe for concurrent use.
 type Journal struct {
 	mu sync.Mutex
-	f  *os.File
+	f  segmentFile
 	// size is the length of the last fully-acknowledged record
 	// boundary; a failed append truncates back to it.
-	size     int64
-	failed   error
+	size   int64
+	failed error
+	// fence, set by a failed batch (or Fence), refuses every later batch
+	// until Unfence.
+	fence    error
 	stats    Stats
 	fsyncObs FsyncObserver
 	batchObs FsyncObserver
@@ -411,23 +434,28 @@ func (j *Journal) commitBatchLocked(batch []*pending) error {
 			buf = append(buf, p.frames...)
 		}
 	}
-	if j.f == nil {
-		j.stats.AppendErrors.Add(records)
-		return ErrClosed
+	var err error
+	switch {
+	case j.f == nil:
+		err = ErrClosed
+	case j.failed != nil:
+		err = fmt.Errorf("%w: %v", ErrFailed, j.failed)
+	case j.fence != nil:
+		err = fmt.Errorf("%w: %w", ErrFenced, j.fence)
+	default:
+		if _, err = j.f.Write(buf); err != nil {
+			err = fmt.Errorf("wal: %w", err)
+		} else if err = j.syncLocked(); err != nil {
+			err = fmt.Errorf("wal: sync: %w", err)
+		}
+		if err != nil {
+			j.rollbackLocked()
+			j.fence = err
+		}
 	}
-	if j.failed != nil {
+	if err != nil {
 		j.stats.AppendErrors.Add(records)
-		return fmt.Errorf("%w: %v", ErrFailed, j.failed)
-	}
-	if _, err := j.f.Write(buf); err != nil {
-		j.stats.AppendErrors.Add(records)
-		j.rollbackLocked()
-		return fmt.Errorf("wal: %w", err)
-	}
-	if err := j.syncLocked(); err != nil {
-		j.stats.AppendErrors.Add(records)
-		j.rollbackLocked()
-		return fmt.Errorf("wal: sync: %w", err)
+		return err
 	}
 	j.size += int64(len(buf))
 	j.stats.Appends.Add(records)
@@ -452,6 +480,20 @@ func (j *Journal) rollbackLocked() {
 		j.failed = fmt.Errorf("rollback truncate: %v", err)
 	}
 }
+
+// Fence refuses every batch not yet committed, with err as the cause,
+// until Unfence: what a failed batch does. Fault injection fences to
+// fail a record at enqueue the way a failed write would.
+func (j *Journal) Fence(err error) {
+	j.mu.Lock()
+	j.fence = err
+	j.mu.Unlock()
+}
+
+// Unfence lets batches commit again after a failed one. The caller
+// must first have waited out every batch enqueued before the call:
+// all of them were refused.
+func (j *Journal) Unfence() { j.Fence(nil) }
 
 // Sync flushes without appending.
 func (j *Journal) Sync() error {
