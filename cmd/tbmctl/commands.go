@@ -470,7 +470,7 @@ func cmdQuery(args []string) error {
 		q.DerivedFrom(src.ID)
 	}
 	if *liveAt != "" {
-		t, err := strconv.ParseFloat(*liveAt, 64)
+		t, err := query.ParseSeconds(*liveAt)
 		if err != nil {
 			return fmt.Errorf("-live-at wants seconds: %v", err)
 		}
@@ -478,8 +478,8 @@ func cmdQuery(args []string) error {
 	}
 	if *overlaps != "" {
 		lo, hi, ok := strings.Cut(*overlaps, ",")
-		t1, err1 := strconv.ParseFloat(lo, 64)
-		t2, err2 := strconv.ParseFloat(hi, 64)
+		t1, err1 := query.ParseSeconds(lo)
+		t2, err2 := query.ParseSeconds(hi)
 		if !ok || err1 != nil || err2 != nil {
 			return fmt.Errorf("-overlaps wants t1,t2 in seconds")
 		}
@@ -488,12 +488,12 @@ func cmdQuery(args []string) error {
 	if *minDur != "" || *maxDur != "" {
 		lo, hi := 0.0, 1e18
 		if *minDur != "" {
-			if lo, err = strconv.ParseFloat(*minDur, 64); err != nil {
+			if lo, err = query.ParseSeconds(*minDur); err != nil {
 				return fmt.Errorf("-min-dur wants seconds: %v", err)
 			}
 		}
 		if *maxDur != "" {
-			if hi, err = strconv.ParseFloat(*maxDur, 64); err != nil {
+			if hi, err = query.ParseSeconds(*maxDur); err != nil {
 				return fmt.Errorf("-max-dur wants seconds: %v", err)
 			}
 		}

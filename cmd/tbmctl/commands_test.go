@@ -61,6 +61,14 @@ func TestCLIErrors(t *testing.T) {
 	if err := cmdQuery([]string{"-dir", dir, "-attr", "noequals"}); err == nil {
 		t.Error("bad attr filter must fail")
 	}
+	for _, flags := range [][]string{
+		{"-live-at", "NaN"}, {"-overlaps", "NaN,1"}, {"-overlaps", "NaN,NaN"},
+		{"-min-dur", "NaN"}, {"-max-dur", "NaN"},
+	} {
+		if err := cmdQuery(append([]string{"-dir", dir}, flags...)); err == nil {
+			t.Errorf("query %v must fail", flags)
+		}
+	}
 }
 
 func TestCLIPersistenceAcrossCommands(t *testing.T) {

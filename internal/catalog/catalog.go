@@ -46,7 +46,7 @@ var (
 // DB is the multimedia database. Safe for concurrent use.
 //
 // Read side: the visible catalog state lives in an immutable epoch
-// View (view.go) — sharded persistent treaps over the version chains
+// View (view.go) — one state of persistent treaps: the version chains
 // of objects and interpretations, the name directory and every index;
 // a live object is its chain's tail. Readers pin the current view with
 // one atomic load and run entirely lock-free; a pinned view stays
@@ -162,7 +162,6 @@ type config struct {
 	walBatchWindow    time.Duration
 	walSegmentBytes   int64
 	walSegmentRecords int64
-	shards            int
 	epochRetention    int
 	versionRetention  int
 	replayCap         uint64
@@ -203,13 +202,6 @@ func WithWALSegmentRecords(n int64) Option {
 	return func(c *config) { c.walSegmentRecords = n }
 }
 
-// WithShards partitions the catalog state into n hash-by-name shards.
-// n <= 0 keeps DefaultShards. More shards mean smaller copy-on-write
-// units per commit and a cheaper checkpoint diff.
-func WithShards(n int) Option {
-	return func(c *config) { c.shards = n }
-}
-
 // WithEpochRetention keeps the last n epochs before the current one
 // pinnable via ViewAt (the HTTP epoch= parameter). n <= 0 keeps
 // DefaultEpochRetention; n == 1 still answers the current epoch and
@@ -240,15 +232,11 @@ func New(store blob.Store, opts ...Option) *DB {
 	cfg := config{
 		cacheCapacity:    DefaultCacheCapacity,
 		walBatchWindow:   DefaultWALBatchWindow,
-		shards:           DefaultShards,
 		epochRetention:   DefaultEpochRetention,
 		versionRetention: DefaultVersionRetention,
 	}
 	for _, o := range opts {
 		o(&cfg)
-	}
-	if cfg.shards <= 0 {
-		cfg.shards = DefaultShards
 	}
 	if cfg.epochRetention <= 0 {
 		cfg.epochRetention = DefaultEpochRetention
@@ -270,7 +258,7 @@ func New(store blob.Store, opts ...Option) *DB {
 		replayCap:         cfg.replayCap,
 		cache:             expcache.New[core.ID, *derive.Value](cfg.cacheCapacity),
 	}
-	db.cur.Store(newView(db, cfg.shards))
+	db.cur.Store(&View{db: db})
 	if cfg.telemetry != nil {
 		db.SetTelemetry(cfg.telemetry)
 	}
@@ -552,7 +540,7 @@ func (db *DB) applyLocked(e *viewEdit, rec *walOp) error {
 	obj.ID = rec.ID
 	if obj.ID == 0 {
 		obj.ID = db.nextID
-	} else if e.lookupByID(obj.ID) != nil {
+	} else if e.getByID(obj.ID) != nil {
 		return fmt.Errorf("catalog: object %v already exists", obj.ID)
 	}
 	if err := obj.Validate(); err != nil {
@@ -651,7 +639,7 @@ func buildDerived(e *viewEdit, rec *walOp) (*core.Object, error) {
 		return nil, fmt.Errorf("catalog: %s takes %d..%d inputs, got %d", rec.Op, lo, hi, len(rec.Inputs))
 	}
 	for i, in := range rec.Inputs {
-		src := e.lookupByID(in)
+		src := e.getByID(in)
 		if src == nil {
 			return nil, fmt.Errorf("%w: input %v", ErrNotFound, in)
 		}
@@ -679,7 +667,7 @@ func buildMultimedia(e *viewEdit, rec *walOp) (*core.Object, error) {
 		return nil, err
 	}
 	for _, c := range rec.Comps {
-		if e.lookupByID(c.Object) == nil {
+		if e.getByID(c.Object) == nil {
 			return nil, fmt.Errorf("%w: component %v", ErrNotFound, c.Object)
 		}
 	}
@@ -695,7 +683,7 @@ func buildMultimedia(e *viewEdit, rec *walOp) (*core.Object, error) {
 // buildSync validates a sync record against the edit and returns the
 // revised object.
 func buildSync(e *viewEdit, rec *walOp) (*core.Object, error) {
-	obj := e.lookupByID(rec.ID)
+	obj := e.getByID(rec.ID)
 	if obj == nil {
 		return nil, fmt.Errorf("%w: %v", ErrNotFound, rec.ID)
 	}

@@ -371,7 +371,7 @@ func (db *DB) applyStream(s *catalogStream) error {
 		case opNonDerived, opDerived, opMultimedia:
 			e.appendVersion(v.obj, v.Seq)
 		case opDelete:
-			if e.shards[e.shardIndexFor(v.Name)].vers.has(v.ID) {
+			if e.vers.has(v.ID) {
 				e.extendChain(v.ID, v.Name, verEntry{seq: v.Seq})
 			} else {
 				// The entries this tombstone closed were not captured
@@ -400,7 +400,7 @@ func (db *DB) applyStream(s *catalogStream) error {
 	// head's floor already covers the drop), or it would stay live and
 	// an as-of read would resurrect it.
 	for _, id := range head.DelObjects {
-		if o := e.lookupByID(id); o != nil {
+		if o := e.getByID(id); o != nil {
 			e.dropChain(id, o.Name)
 		}
 	}
@@ -471,22 +471,16 @@ type change[K, C any] struct {
 // catalog: every retained chain is listed.
 func diffViews(base, cur *View) *chainChanges {
 	ch := &chainChanges{}
-	empty, fromInterps := &shardState{}, tmap[blob.ID, *interpVerChain]{}
+	from := &state{}
 	if base != nil {
-		fromInterps = base.interpVers
+		from = &base.state
 	} else {
 		ch.objs, ch.interps = make([]change[core.ID, *verChain], 0, cur.count), make([]change[blob.ID, *interpVerChain], 0, cur.interpVers.len())
 	}
-	for si, sh := range cur.shards {
-		from := empty
-		if base != nil {
-			from = base.shards[si]
-		}
-		diff(from.vers, sh.vers, func(id core.ID, _, c *verChain) {
-			ch.objs = append(ch.objs, change[core.ID, *verChain]{id, c})
-		})
-	}
-	diff(fromInterps, cur.interpVers, func(id blob.ID, _, c *interpVerChain) {
+	diff(from.vers, cur.vers, func(id core.ID, _, c *verChain) {
+		ch.objs = append(ch.objs, change[core.ID, *verChain]{id, c})
+	})
+	diff(from.interpVers, cur.interpVers, func(id blob.ID, _, c *interpVerChain) {
 		ch.interps = append(ch.interps, change[blob.ID, *interpVerChain]{id, c})
 	})
 	return ch

@@ -169,13 +169,11 @@ func droppedSinceCheckpoint(db *DB) int {
 		return 0
 	}
 	k := 0
-	for si, sh := range cur.shards {
-		diff(base.shards[si].vers, sh.vers, func(_ core.ID, _, c *verChain) {
-			if c == nil {
-				k++
-			}
-		})
-	}
+	diff(base.vers, cur.vers, func(_ core.ID, _, c *verChain) {
+		if c == nil {
+			k++
+		}
+	})
 	diff(base.interpVers, cur.interpVers, func(_ blob.ID, _, c *interpVerChain) {
 		if c == nil {
 			k++

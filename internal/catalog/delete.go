@@ -26,23 +26,20 @@ func (db *DB) Delete(id core.ID) error {
 // applyDelete validates a delete against the edit's working state and
 // applies it there: it refuses an object that does not exist, or that
 // another object references — referrers come from the provenance
-// adjacency index, whose edges live in the referrer's shard, so every
-// shard is probed. The unlink, the version-chain tombstone at seq and
+// adjacency index. The unlink, the version-chain tombstone at seq and
 // any BLOB interpretation collection land in the edit together.
 func (e *viewEdit) applyDelete(id core.ID, seq uint64) error {
-	obj := e.lookupByID(id)
+	obj := e.getByID(id)
 	if obj == nil {
 		return fmt.Errorf("%w: %v", ErrNotFound, id)
 	}
-	for _, sh := range e.shards {
-		if set, ok := sh.ix.deps.get(id); ok {
-			var other core.ID
-			set.ascend(func(k core.ID, _ struct{}) bool {
-				other = k
-				return false
-			})
-			return fmt.Errorf("%w: %v ← %v", ErrInUse, id, other)
-		}
+	if set, ok := e.ix.deps.get(id); ok {
+		var other core.ID
+		set.ascend(func(k core.ID, _ struct{}) bool {
+			other = k
+			return false
+		})
+		return fmt.Errorf("%w: %v ← %v", ErrInUse, id, other)
 	}
 	e.unlink(obj)
 	e.appendTombstone(obj, seq)
@@ -53,15 +50,13 @@ func (e *viewEdit) applyDelete(id core.ID, seq uint64) error {
 }
 
 // maybeCollectBlob tombstones the BLOB's interpretation in the edit when
-// no object in the edit's working state (one probe of each shard's
-// reader index) still reads it. The collection is recorded as an
+// no object in the edit's working state (one probe of the reader
+// index) still reads it. The collection is recorded as an
 // interpretation tombstone at seq, so as-of reads know the history ends
 // there; the checkpoint that covers it unlinks the file.
 func (e *viewEdit) maybeCollectBlob(id blob.ID, seq uint64) {
-	for _, sh := range e.shards {
-		if sh.ix.blob.has(id) {
-			return
-		}
+	if e.ix.blob.has(id) {
+		return
 	}
 	e.appendInterpTombstone(id, seq)
 }

@@ -45,8 +45,8 @@ func deleteLastReader(tb testing.TB, db *DB, name string) time.Duration {
 }
 
 // TestDeleteCostFlatInCatalogSize pins the cost shape of collecting a
-// BLOB: finding out whether anything still reads it probes each
-// shard's reader index, so deleting a last reader costs about the same
+// BLOB: finding out whether anything still reads it probes the
+// reader index, so deleting a last reader costs about the same
 // beside 1k and 8k other objects. A walk over every object makes the
 // 8k delete several times dearer. Best of 40 interleaved trials per
 // size, so scheduler noise does not decide the ratio.

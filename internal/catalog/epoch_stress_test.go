@@ -18,8 +18,8 @@ import (
 //
 //   - its object count, enumeration and indexed scan agree with each
 //     other, no matter how many epochs have been published since;
-//   - VerifyIndexes is clean on the pinned view — each shard's
-//     indexes are exactly a rebuild of that shard's objects;
+//   - VerifyIndexes is clean on the pinned view — its indexes are
+//     exactly a rebuild of its objects;
 //   - a paginated walk over the pinned view returns every object
 //     exactly once with a stable total, even though the walk spans
 //     many concurrent commits;
@@ -40,7 +40,7 @@ func TestEpochRaceStress(t *testing.T) {
 		readers      = 3
 		asofReaders  = 2
 	)
-	db := New(blob.NewMemStore(), WithShards(8), WithEpochRetention(16))
+	db := New(blob.NewMemStore(), WithEpochRetention(16))
 	clip, err := db.Ingest("clip", genVideo(8, 42), IngestOptions{})
 	if err != nil {
 		t.Fatal(err)

@@ -3,7 +3,7 @@ package catalog
 import (
 	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"timedmedia/internal/blob"
@@ -12,9 +12,9 @@ import (
 )
 
 // Secondary indexes over the visible object graph. Every index is
-// persistent (path-copying treaps, see pmap.go) and lives inside a
-// shard of an immutable epoch View: linking an object into a shard
-// produces a new pIndexes value sharing structure with the old one,
+// persistent (path-copying treaps, see pmap.go) and lives inside the
+// state of an immutable epoch View: linking an object produces a new
+// pIndexes value sharing structure with the old one,
 // so every published epoch carries exactly the index of its own
 // object set. An in-flight commit is indexed only in its pending
 // view, published once acknowledged, so the planner can only ever
@@ -23,18 +23,18 @@ import (
 // read the same committed prefix without taking any lock.
 //
 //	kind / class / attr  equality indexes
-//	deps                 provenance adjacency: id → objects in THIS
-//	                     shard that list it as a derivation input or
-//	                     composition component (edges live in the
-//	                     referrer's shard, so each shard's indexes are
-//	                     a pure function of the shard's own objects)
+//	deps                 provenance adjacency: id → objects that list
+//	                     it as a derivation input or composition
+//	                     component
 //	spans                interval index over presentation timelines
 //	                     ("what is live at t / overlaps [t1,t2]")
 //	blob                 readers: BLOB → the non-derived objects bound to
 //	                     one of its tracks (what keeps a BLOB alive)
 type idSet map[core.ID]struct{}
 
-// pIndexes is the immutable index bundle of one shard.
+// pIndexes is the immutable index bundle of one epoch. Every posting
+// list and ID key is a treap ascending by ID, so each candidate source
+// yields objects in result order.
 type pIndexes struct {
 	kind  tmap[media.Kind, idset]
 	class tmap[core.Class, idset]
@@ -242,71 +242,70 @@ func descendantsOf(src core.ID, referrers func(cur core.ID, visit func(core.ID))
 	return out
 }
 
-// descendants is descendantsOf over this view's adjacency index. Edges
-// live in the referrer's shard, so each hop unions the adjacency of
-// every shard.
+// descendants is descendantsOf over this view's adjacency index.
 func (v *View) descendants(src core.ID) idSet {
 	return descendantsOf(src, func(cur core.ID, visit func(core.ID)) {
-		for _, sh := range v.shards {
-			if set, ok := sh.ix.deps.get(cur); ok {
-				set.ascend(func(dep core.ID, _ struct{}) bool { visit(dep); return true })
-			}
+		if set, ok := v.ix.deps.get(cur); ok {
+			set.ascend(func(dep core.ID, _ struct{}) bool { visit(dep); return true })
 		}
 	})
 }
 
+// idWalk yields candidate IDs in ascending order until yield returns
+// false.
+type idWalk func(yield func(core.ID) bool)
+
+func setWalk(set idset) idWalk {
+	return func(yield func(core.ID) bool) {
+		set.ascend(func(id core.ID, _ struct{}) bool { return yield(id) })
+	}
+}
+
+func sliceWalk(ids []core.ID) idWalk {
+	return func(yield func(core.ID) bool) {
+		for _, id := range ids {
+			if !yield(id) {
+				return
+			}
+		}
+	}
+}
+
 // planResult is the outcome of candidate sourcing: which family won,
-// and its per-shard (or global, for provenance) candidates.
+// and its candidates in ID order.
 type planResult struct {
 	label string
-	sets  []idset     // per shard: posting lists (kind/class/attr)
-	ids   [][]core.ID // per shard: interval probe results
-	prov  []core.ID   // global, ID-sorted (provenance)
-	reach []idSet     // materialized Reach sets, for match
+	walk  idWalk
+	reach []idSet // materialized Reach sets, for match
 }
 
 // plan picks the most selective candidate source for sel against this
-// view. A scan fallback leaves all candidate fields nil.
+// view. A scan falls back to every retained chain, tombstoned ones
+// included.
 func (v *View) plan(sel *IndexedQuery) planResult {
-	res := planResult{label: planScan}
+	res := planResult{label: planScan, walk: func(yield func(core.ID) bool) {
+		v.vers.ascend(func(id core.ID, _ *verChain) bool { return yield(id) })
+	}}
 	bestSize := -1
-	consider := func(label string, size int, commit func(*planResult)) {
+	consider := func(label string, size int, walk idWalk) {
 		if bestSize < 0 || size < bestSize {
 			bestSize = size
-			res.label = label
-			res.sets, res.ids, res.prov = nil, nil, nil
-			commit(&res)
+			res.label, res.walk = label, walk
 		}
 	}
-	shardSets := func(family func(sh *shardState) (idset, bool)) ([]idset, int) {
-		sets := make([]idset, len(v.shards))
-		size := 0
-		for i, sh := range v.shards {
-			if set, ok := family(sh); ok {
-				sets[i] = set
-				size += set.len()
-			}
-		}
-		return sets, size
-	}
+	// A posting list that does not exist is the empty candidate set.
 	if sel.Kind != nil {
-		sets, size := shardSets(func(sh *shardState) (idset, bool) { return sh.ix.kind.get(*sel.Kind) })
-		consider(planKind, size, func(r *planResult) { r.sets = sets })
+		set, _ := v.ix.kind.get(*sel.Kind)
+		consider(planKind, set.len(), setWalk(set))
 	}
 	if sel.Class != nil {
-		sets, size := shardSets(func(sh *shardState) (idset, bool) { return sh.ix.class.get(*sel.Class) })
-		consider(planClass, size, func(r *planResult) { r.sets = sets })
+		set, _ := v.ix.class.get(*sel.Class)
+		consider(planClass, set.len(), setWalk(set))
 	}
 	for _, a := range sel.Attrs {
-		a := a
-		sets, size := shardSets(func(sh *shardState) (idset, bool) {
-			vals, ok := sh.ix.attr.get(a.Key)
-			if !ok {
-				return idset{}, false
-			}
-			return vals.get(a.Value)
-		})
-		consider(planAttr, size, func(r *planResult) { r.sets = sets })
+		vals, _ := v.ix.attr.get(a.Key)
+		set, _ := vals.get(a.Value)
+		consider(planAttr, set.len(), setWalk(set))
 	}
 	for _, src := range sel.Reach {
 		set := v.descendants(src)
@@ -315,20 +314,17 @@ func (v *View) plan(sel *IndexedQuery) planResult {
 		for id := range set {
 			ids = append(ids, id)
 		}
-		sort.Slice(ids, func(a, b int) bool { return ids[a] < ids[b] })
-		consider(planProvenance, len(ids), func(r *planResult) { r.prov = ids })
+		slices.Sort(ids)
+		consider(planProvenance, len(ids), sliceWalk(ids))
 	}
 	if len(sel.Spans) > 0 {
 		// The interval index's selectivity is only known by running the
 		// window query; its O(log n + k) cost is bounded by its own
-		// candidate count, so probing it to compare is safe.
-		ids := make([][]core.ID, len(v.shards))
-		size := 0
-		for i, sh := range v.shards {
-			ids[i] = sh.ix.spans.overlapping(sel.Spans[0].Start, sel.Spans[0].End, nil)
-			size += len(ids[i])
-		}
-		consider(planInterval, size, func(r *planResult) { r.ids = ids })
+		// candidate count, so probing it to compare is safe. overlapping
+		// returns (Start, ID) order; the walk wants IDs.
+		ids := v.ix.spans.overlapping(sel.Spans[0].Start, sel.Spans[0].End, nil)
+		slices.Sort(ids)
+		consider(planInterval, len(ids), sliceWalk(ids))
 	}
 	return res
 }
@@ -368,136 +364,75 @@ func (sel *IndexedQuery) matchSpan(sp Span) bool {
 }
 
 // match applies every sel constraint to o. reach must be the
-// descendant sets plan materialized for sel.Reach; sh must be o's
-// shard (it holds o's span).
-func (v *View) match(sel *IndexedQuery, reach []idSet, sh *shardState, o *core.Object) bool {
+// descendant sets plan materialized for sel.Reach.
+func (v *View) match(sel *IndexedQuery, reach []idSet, o *core.Object) bool {
 	if !sel.matchObject(reach, o) {
 		return false
 	}
 	if len(sel.Spans) > 0 {
-		sp, ok := sh.ix.spans.spanOf(o.ID)
+		sp, ok := v.ix.spans.spanOf(o.ID)
 		return ok && sel.matchSpan(sp)
 	}
 	return true
 }
 
-// walkCap bounds how many matches any single ID-ordered candidate walk
-// needs: when the caller doesn't need the total, nothing past
-// offset+limit can influence the result. -1 means unbounded.
-func walkCap(offset, limit int, needTotal bool) int {
-	if !needTotal && limit >= 0 {
-		return offset + limit
-	}
-	return -1
+// window is the one emitter behind every query executor: it receives
+// the matches of an ID-ordered walk, counts them and clones the ones
+// inside [offset, offset+limit). When the caller doesn't need the
+// total, the window is full at offset+limit and the walk stops there —
+// Count(limit) returns min(matches, limit).
+type window struct {
+	offset, limit    int
+	needTotal, clone bool
+	out              []*core.Object
+	total            int
 }
 
-// emitWindow puts matched into the global ID order, counts the matches
-// and clones the ones inside [offset, offset+limit). When the caller
-// doesn't need the total, matches past the window are not even counted
-// — Count(limit) returns min(matches, limit).
-func emitWindow(matched []*core.Object, offset, limit int, needTotal, clone bool) (out []*core.Object, total int) {
-	sortByID(matched)
-	for _, o := range matched {
-		if !needTotal && limit >= 0 && total >= offset+limit {
-			break
-		}
-		total++
-		if clone && total > offset && (limit < 0 || len(out) < limit) {
-			out = append(out, o.Clone())
-		}
+func newWindow(offset, limit int, needTotal, clone bool) *window {
+	return &window{offset: max(offset, 0), limit: limit, needTotal: needTotal, clone: clone}
+}
+
+// full reports whether no further match can change the result.
+func (w *window) full() bool {
+	return !w.needTotal && w.limit >= 0 && w.total >= w.offset+w.limit
+}
+
+// add takes the next match in ID order and reports whether the walk
+// should go on.
+func (w *window) add(o *core.Object) bool {
+	if w.full() {
+		return false
 	}
-	return out, total
+	w.total++
+	if w.clone && w.total > w.offset && (w.limit < 0 || len(w.out) < w.limit) {
+		w.out = append(w.out, o.Clone())
+	}
+	return !w.full()
 }
 
 // runIndexed is the shared executor behind SelectIndexed /
 // CountIndexed / SelectPage: plan, walk candidates in ID order, apply
-// sel + pred, and clone only the objects inside the requested window.
-// When the caller does not need the total (needTotal false) the walk
-// stops as soon as the window is full, so matches past the cap are
-// neither cloned nor visited. The entire run executes against this
-// immutable view — no locks, no interaction with concurrent writers.
+// sel + pred, and hand the matches to the window. When the caller does
+// not need the total (needTotal false) the walk stops as soon as the
+// window is full, so matches past the cap are neither cloned nor
+// visited. The entire run executes against this immutable view — no
+// locks, no interaction with concurrent writers.
 func (v *View) runIndexed(sel IndexedQuery, pred func(*core.Object) bool, offset, limit int, needTotal, clone bool) ([]*core.Object, int) {
-	offset = max(offset, 0)
 	planStart := time.Now()
 	pr := v.plan(&sel)
 	if t := v.db.tel.Load(); t != nil {
 		t.queryPlan.Observe(time.Since(planStart))
 		t.probes[pr.label].Inc()
 	}
-
-	match := func(sh *shardState, o *core.Object) bool {
-		return v.match(&sel, pr.reach, sh, o) && (pred == nil || pred(o))
-	}
-	hardCap := walkCap(offset, limit, needTotal)
-
-	var matched []*core.Object
-	perShard := func(si int, walk func(yield func(id core.ID) bool)) {
-		sh := v.shards[si]
-		n := 0
-		walk(func(id core.ID) bool {
-			if o := sh.object(id, seqNow); o != nil && match(sh, o) {
-				matched = append(matched, o)
-				n++
-				if hardCap >= 0 && n >= hardCap {
-					return false
-				}
-			}
+	w := newWindow(offset, limit, needTotal, clone)
+	pr.walk(func(id core.ID) bool {
+		o := v.object(id, seqNow)
+		if o == nil || !v.match(&sel, pr.reach, o) || (pred != nil && !pred(o)) {
 			return true
-		})
-	}
-
-	switch {
-	case pr.sets != nil:
-		for si, set := range pr.sets {
-			if set.len() == 0 {
-				continue
-			}
-			perShard(si, func(yield func(core.ID) bool) {
-				set.ascend(func(id core.ID, _ struct{}) bool { return yield(id) })
-			})
 		}
-	case pr.ids != nil:
-		for si, ids := range pr.ids {
-			if len(ids) == 0 {
-				continue
-			}
-			// overlapping returns (Start, ID) order; the walk wants IDs.
-			sort.Slice(ids, func(a, b int) bool { return ids[a] < ids[b] })
-			ids := ids
-			perShard(si, func(yield func(core.ID) bool) {
-				for _, id := range ids {
-					if !yield(id) {
-						return
-					}
-				}
-			})
-		}
-	case pr.prov != nil:
-		n := 0
-		for _, id := range pr.prov {
-			o := v.getByID(id)
-			if o == nil {
-				continue
-			}
-			sh := v.shardFor(o.Name)
-			if match(sh, o) {
-				matched = append(matched, o)
-				n++
-				if hardCap >= 0 && n >= hardCap {
-					break
-				}
-			}
-		}
-	default: // scan: every retained chain, tombstoned ones included
-		for si, sh := range v.shards {
-			sh := sh
-			perShard(si, func(yield func(core.ID) bool) {
-				sh.vers.ascend(func(id core.ID, _ *verChain) bool { return yield(id) })
-			})
-		}
-	}
-
-	return emitWindow(matched, offset, limit, needTotal, clone)
+		return w.add(o)
+	})
+	return w.out, w.total
 }
 
 // SelectIndexed returns the objects matching sel and pred, ordered by
@@ -552,87 +487,72 @@ type IndexStats struct {
 	Spans           int `json:"spans"`            // objects with a timeline span
 }
 
-// IndexStats reports the view's index sizes, aggregated across shards.
+// IndexStats reports the view's index sizes.
 func (v *View) IndexStats() IndexStats {
-	st := IndexStats{}
-	kinds := map[media.Kind]struct{}{}
-	classes := map[core.Class]struct{}{}
-	attrKeys := map[string]struct{}{}
-	attrVals := map[[2]string]struct{}{}
-	for _, sh := range v.shards {
-		sh.ix.kind.ascend(func(k media.Kind, _ idset) bool { kinds[k] = struct{}{}; return true })
-		sh.ix.class.ascend(func(c core.Class, _ idset) bool { classes[c] = struct{}{}; return true })
-		sh.ix.attr.ascend(func(k string, vals tmap[string, idset]) bool {
-			attrKeys[k] = struct{}{}
-			vals.ascend(func(val string, _ idset) bool { attrVals[[2]string{k, val}] = struct{}{}; return true })
-			return true
-		})
-		sh.ix.deps.ascend(func(_ core.ID, set idset) bool { st.ProvenanceEdges += set.len(); return true })
-		st.Spans += sh.ix.spans.len()
+	st := IndexStats{
+		Kinds:    v.ix.kind.len(),
+		Classes:  v.ix.class.len(),
+		AttrKeys: v.ix.attr.len(),
+		Spans:    v.ix.spans.len(),
 	}
-	st.Kinds = len(kinds)
-	st.Classes = len(classes)
-	st.AttrKeys = len(attrKeys)
-	st.AttrValues = len(attrVals)
+	v.ix.attr.ascend(func(_ string, vals tmap[string, idset]) bool { st.AttrValues += vals.len(); return true })
+	v.ix.deps.ascend(func(_ core.ID, set idset) bool { st.ProvenanceEdges += set.len(); return true })
 	return st
 }
 
 // IndexStats reports the current epoch's index sizes.
 func (db *DB) IndexStats() IndexStats { return db.CurrentView().IndexStats() }
 
-// VerifyIndexes rebuilds every shard's indexes from scratch over the
-// shard's live chain tails and diffs the rebuild against the view's
-// incrementally maintained indexes, including the interval treap's
-// structural invariants, and checks the live count against the tails.
-// Any divergence — a stale entry leaked by a rollback or delete, a
-// missing entry, an unpruned empty set — is returned as an error.
-// Chain placement and the name directory are VerifyVersions' to check.
-// Works per shard, on an immutable epoch: safe to run concurrently
-// with writers.
+// VerifyIndexes rebuilds the indexes from scratch over the live chain
+// tails and diffs the rebuild against the view's incrementally
+// maintained indexes, including the interval treap's structural
+// invariants, and checks the live count against the tails. Any
+// divergence — a stale entry leaked by a rollback or delete, a missing
+// entry, an unpruned empty set — is returned as an error. The chains
+// and the name directory are VerifyVersions' to check. Works on an
+// immutable epoch: safe to run concurrently with writers.
 func (v *View) VerifyIndexes() error {
 	count := 0
-	for si, sh := range v.shards {
-		want := pIndexes{}
-		sh.eachAt(seqNow, func(o *core.Object) bool {
-			want = want.link(o, v.getByID)
-			count++
-			return true
-		})
-		if err := diffSets(fmt.Sprintf("shard %d kind", si), setsToMap(sh.ix.kind), setsToMap(want.kind)); err != nil {
-			return err
+	want := pIndexes{}
+	v.eachAt(seqNow, func(o *core.Object) bool {
+		want = want.link(o, v.getByID)
+		count++
+		return true
+	})
+	if err := diffSets("kind", setsToMap(v.ix.kind), setsToMap(want.kind)); err != nil {
+		return err
+	}
+	if err := diffSets("class", setsToMap(v.ix.class), setsToMap(want.class)); err != nil {
+		return err
+	}
+	if err := diffAttr(attrToMap(v.ix.attr), attrToMap(want.attr)); err != nil {
+		return err
+	}
+	if err := diffSets("provenance", setsToMap(v.ix.deps), setsToMap(want.deps)); err != nil {
+		return err
+	}
+	if err := diffSets("blob reader", setsToMap(v.ix.blob), setsToMap(want.blob)); err != nil {
+		return err
+	}
+	if err := v.ix.spans.check(); err != nil {
+		return err
+	}
+	if got, wantN := v.ix.spans.len(), want.spans.len(); got != wantN {
+		return fmt.Errorf("catalog: interval index holds %d spans, rebuild holds %d", got, wantN)
+	}
+	var spanErr error
+	want.spans.byID.ascend(func(id core.ID, ws Span) bool {
+		if gs, ok := v.ix.spans.spanOf(id); !ok || gs != ws {
+			spanErr = fmt.Errorf("catalog: interval index span for %v is %v, rebuild says %v", id, gs, ws)
+			return false
 		}
-		if err := diffSets(fmt.Sprintf("shard %d class", si), setsToMap(sh.ix.class), setsToMap(want.class)); err != nil {
-			return err
-		}
-		if err := diffAttr(attrToMap(sh.ix.attr), attrToMap(want.attr)); err != nil {
-			return err
-		}
-		if err := diffSets(fmt.Sprintf("shard %d provenance", si), setsToMap(sh.ix.deps), setsToMap(want.deps)); err != nil {
-			return err
-		}
-		if err := diffSets(fmt.Sprintf("shard %d blob reader", si), setsToMap(sh.ix.blob), setsToMap(want.blob)); err != nil {
-			return err
-		}
-		if err := sh.ix.spans.check(); err != nil {
-			return err
-		}
-		if got, wantN := sh.ix.spans.len(), want.spans.len(); got != wantN {
-			return fmt.Errorf("catalog: shard %d interval index holds %d spans, rebuild holds %d", si, got, wantN)
-		}
-		var spanErr error
-		want.spans.byID.ascend(func(id core.ID, ws Span) bool {
-			if gs, ok := sh.ix.spans.spanOf(id); !ok || gs != ws {
-				spanErr = fmt.Errorf("catalog: interval index span for %v is %v, rebuild says %v", id, gs, ws)
-				return false
-			}
-			return true
-		})
-		if spanErr != nil {
-			return spanErr
-		}
+		return true
+	})
+	if spanErr != nil {
+		return spanErr
 	}
 	if count != v.count {
-		return fmt.Errorf("catalog: view count %d, shards hold %d objects", v.count, count)
+		return fmt.Errorf("catalog: view count %d, chains hold %d live objects", v.count, count)
 	}
 	return nil
 }

@@ -1,6 +1,7 @@
 package catalog
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -57,17 +58,12 @@ func TestIndexStats(t *testing.T) {
 	}
 }
 
-// corruptShard republishes the current view with f applied to a copy
-// of the shard owning name — planting an inconsistency inside an epoch
-// the way a buggy edit would.
-func corruptShard(db *DB, name string, f func(sh *shardState)) {
-	cur := db.cur.Load()
-	v := *cur
-	v.shards = append([]*shardState(nil), cur.shards...)
-	si := shardOf(name, len(v.shards))
-	c := *v.shards[si]
-	f(&c)
-	v.shards[si] = &c
+// corruptView republishes the current view with f applied to a copy
+// of its state — planting an inconsistency inside an epoch the way a
+// buggy edit would.
+func corruptView(db *DB, f func(st *state)) {
+	v := *db.cur.Load()
+	f(&v.state)
 	db.cur.Store(&v)
 }
 
@@ -83,66 +79,66 @@ func TestVerifyIndexesDetectsCorruption(t *testing.T) {
 	}{
 		{"clean", func(db *DB, ids map[string]core.ID) {}, ""},
 		{"stale kind entry", func(db *DB, ids map[string]core.ID) {
-			corruptShard(db, "a", func(sh *shardState) {
-				sh.ix.kind = setAdd(sh.ix.kind, media.KindVideo, core.ID(9999))
+			corruptView(db, func(st *state) {
+				st.ix.kind = setAdd(st.ix.kind, media.KindVideo, core.ID(9999))
 			})
 		}, "kind index"},
 		{"missing kind entry", func(db *DB, ids map[string]core.ID) {
-			corruptShard(db, "a", func(sh *shardState) {
-				sh.ix.kind = setDrop(sh.ix.kind, media.KindVideo, ids["a"])
+			corruptView(db, func(st *state) {
+				st.ix.kind = setDrop(st.ix.kind, media.KindVideo, ids["a"])
 			})
 		}, "kind index missing"},
 		{"unpruned empty class set", func(db *DB, ids map[string]core.ID) {
-			corruptShard(db, "a", func(sh *shardState) {
-				sh.ix.class = sh.ix.class.set(core.Class(77), idset{})
+			corruptView(db, func(st *state) {
+				st.ix.class = st.ix.class.set(core.Class(77), idset{})
 			})
 		}, "empty set"},
 		{"stale attr key", func(db *DB, ids map[string]core.ID) {
-			corruptShard(db, "a", func(sh *shardState) {
+			corruptView(db, func(st *state) {
 				vals := tmap[string, idset]{}.set("x", idset{}.set(ids["a"], struct{}{}))
-				sh.ix.attr = sh.ix.attr.set("ghost", vals)
+				st.ix.attr = st.ix.attr.set("ghost", vals)
 			})
 		}, "attr"},
 		{"stale provenance edge", func(db *DB, ids map[string]core.ID) {
-			corruptShard(db, "a", func(sh *shardState) {
-				sh.ix.deps = setAdd(sh.ix.deps, ids["b"], ids["a"])
+			corruptView(db, func(st *state) {
+				st.ix.deps = setAdd(st.ix.deps, ids["b"], ids["a"])
 			})
 		}, "provenance"},
 		{"dropped span", func(db *DB, ids map[string]core.ID) {
-			corruptShard(db, "b", func(sh *shardState) {
-				sh.ix.spans = sh.ix.spans.remove(ids["b"])
+			corruptView(db, func(st *state) {
+				st.ix.spans = st.ix.spans.remove(ids["b"])
 			})
 		}, "interval index"},
 		{"wrong span", func(db *DB, ids map[string]core.ID) {
-			corruptShard(db, "b", func(sh *shardState) {
-				sh.ix.spans = sh.ix.spans.add(ids["b"], Span{Start: 40, End: 41})
+			corruptView(db, func(st *state) {
+				st.ix.spans = st.ix.spans.add(ids["b"], Span{Start: 40, End: 41})
 			})
 		}, "interval index span"},
 		{"stale class key", func(db *DB, ids map[string]core.ID) {
-			corruptShard(db, "a", func(sh *shardState) {
-				sh.ix.class = sh.ix.class.set(core.Class(77), idset{}.set(ids["a"], struct{}{}))
+			corruptView(db, func(st *state) {
+				st.ix.class = st.ix.class.set(core.Class(77), idset{}.set(ids["a"], struct{}{}))
 			})
 		}, "stale key"},
 		{"missing attr entry", func(db *DB, ids map[string]core.ID) {
-			corruptShard(db, "a", func(sh *shardState) {
-				vals, _ := sh.ix.attr.get("language")
-				sh.ix.attr = sh.ix.attr.set("language", setDrop(vals, "en", ids["a"]))
+			corruptView(db, func(st *state) {
+				vals, _ := st.ix.attr.get("language")
+				st.ix.attr = st.ix.attr.set("language", setDrop(vals, "en", ids["a"]))
 			})
 		}, "attr[language]"},
 		{"unpruned empty attr key", func(db *DB, ids map[string]core.ID) {
-			corruptShard(db, "a", func(sh *shardState) {
-				sh.ix.attr = sh.ix.attr.set("ghost", tmap[string, idset]{})
+			corruptView(db, func(st *state) {
+				st.ix.attr = st.ix.attr.set("ghost", tmap[string, idset]{})
 			})
 		}, "empty key"},
 		{"stale blob reader", func(db *DB, ids map[string]core.ID) {
 			b, _ := db.Get(ids["b"])
-			corruptShard(db, "a", func(sh *shardState) {
-				sh.ix.blob = setAdd(sh.ix.blob, b.Blob, ids["a"])
+			corruptView(db, func(st *state) {
+				st.ix.blob = setAdd(st.ix.blob, b.Blob, ids["a"])
 			})
 		}, "blob reader"},
 		{"treap byID divergence", func(db *DB, ids map[string]core.ID) {
-			corruptShard(db, "b", func(sh *shardState) {
-				sh.ix.spans.byID = sh.ix.spans.byID.set(core.ID(9999), Span{Start: 1, End: 2})
+			corruptView(db, func(st *state) {
+				st.ix.spans.byID = st.ix.spans.byID.set(core.ID(9999), Span{Start: 1, End: 2})
 			})
 		}, "interval index"},
 	}
@@ -229,6 +225,66 @@ func TestSelectIndexedLimitAndPage(t *testing.T) {
 	}
 	if got := db.SelectIndexed(IndexedQuery{}, nil, 2); len(got) != 2 {
 		t.Errorf("scan with limit = %d", len(got))
+	}
+}
+
+// TestLimitedQueryVisitsOnlyItsWindow: every candidate source yields
+// IDs in ascending order, so a limited select or count that needs no
+// total runs pred on exactly its window and stops — on the live view
+// and as of its own epoch alike. A page still visits every match for
+// its total.
+func TestLimitedQueryVisitsOnlyItsWindow(t *testing.T) {
+	const cuts, limit = 400, 10
+	db := memDB()
+	clip, err := db.Ingest("clip", genVideo(8, 3), IngestOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []core.ID
+	for i := 0; i < cuts; i++ {
+		id, err := db.SelectDuration(clip, fmt.Sprintf("cut%03d", i), 0, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, id)
+	}
+	v := db.CurrentView()
+	a, err := v.AsOf(v.Epoch())
+	if err != nil {
+		t.Fatal(err)
+	}
+	derived := core.ClassDerived
+	sel := IndexedQuery{Class: &derived}
+	calls := 0
+	pred := func(*core.Object) bool { calls++; return true }
+	for _, q := range []struct {
+		name string
+		src  interface {
+			SelectIndexed(IndexedQuery, func(*core.Object) bool, int) []*core.Object
+			CountIndexed(IndexedQuery, func(*core.Object) bool, int) int
+			SelectPage(IndexedQuery, func(*core.Object) bool, int, int) ([]*core.Object, int)
+		}
+	}{{"live", v}, {"as of", a}} {
+		calls = 0
+		got := q.src.SelectIndexed(sel, pred, limit)
+		if calls != limit || len(got) != limit {
+			t.Errorf("%s: SelectIndexed(limit %d) ran pred %d times, returned %d", q.name, limit, calls, len(got))
+		}
+		for i, o := range got {
+			if o.ID != want[i] {
+				t.Errorf("%s: SelectIndexed[%d] = %v, want %v", q.name, i, o.ID, want[i])
+				break
+			}
+		}
+		calls = 0
+		if n := q.src.CountIndexed(sel, pred, limit); calls != limit || n != limit {
+			t.Errorf("%s: CountIndexed(limit %d) ran pred %d times, counted %d", q.name, limit, calls, n)
+		}
+		calls = 0
+		page, total := q.src.SelectPage(sel, pred, 20, limit)
+		if calls != cuts || total != cuts || len(page) != limit || page[0].ID != want[20] {
+			t.Errorf("%s: SelectPage ran pred %d times, total %d, %d rows", q.name, calls, total, len(page))
+		}
 	}
 }
 

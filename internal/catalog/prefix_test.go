@@ -26,7 +26,7 @@ type ack struct {
 // chainSeq returns the seq of the newest entry of id's chain in v.
 func chainSeq(t *testing.T, v *View, id core.ID, name string) uint64 {
 	t.Helper()
-	c, ok := v.shardFor(name).vers.get(id)
+	c, ok := v.vers.get(id)
 	if !ok {
 		t.Errorf("no version chain for %v (%q)", id, name)
 		return 0
@@ -34,21 +34,20 @@ func chainSeq(t *testing.T, v *View, id core.ID, name string) uint64 {
 	return c.tail().seq
 }
 
-// heldBy reports whether v's chain of a.id has an entry at a.seq.
+// heldBy reports whether v's chain of a.id, under a.name, has an entry
+// at a.seq.
 func (a ack) heldBy(v *View) bool {
-	c, ok := v.shardFor(a.name).vers.get(a.id)
-	return ok && slices.ContainsFunc(c.entries, func(e verEntry) bool { return e.seq == a.seq })
+	c, ok := v.vers.get(a.id)
+	return ok && c.name == a.name && slices.ContainsFunc(c.entries, func(e verEntry) bool { return e.seq == a.seq })
 }
 
 // newestSeq returns the highest seq any chain in v holds.
 func newestSeq(v *View) uint64 {
 	var top uint64
-	for _, sh := range v.shards {
-		sh.vers.ascend(func(_ core.ID, c *verChain) bool {
-			top = max(top, c.tail().seq)
-			return true
-		})
-	}
+	v.vers.ascend(func(_ core.ID, c *verChain) bool {
+		top = max(top, c.tail().seq)
+		return true
+	})
 	v.interpVers.ascend(func(_ blob.ID, c *interpVerChain) bool {
 		top = max(top, c.tail().seq)
 		return true
@@ -67,17 +66,15 @@ func asOfDiff(v *View) string {
 		return err.Error()
 	}
 	msg := ""
-	for _, sh := range v.shards {
-		sh.chainsByName.ascend(func(name string, _ []core.ID) bool {
-			lo, _ := v.Lookup(name)
-			if ao, _ := a.Lookup(name); ao != lo {
-				msg = fmt.Sprintf("Lookup(%q) = %p, as of its epoch %p", name, lo, ao)
-			}
-			return msg == ""
-		})
-		if msg != "" {
-			return msg
+	v.chainsByName.ascend(func(name string, _ []core.ID) bool {
+		lo, _ := v.Lookup(name)
+		if ao, _ := a.Lookup(name); ao != lo {
+			msg = fmt.Sprintf("Lookup(%q) = %p, as of its epoch %p", name, lo, ao)
 		}
+		return msg == ""
+	})
+	if msg != "" {
+		return msg
 	}
 	video := media.KindVideo
 	for _, sel := range []IndexedQuery{{Kind: &video}, {Attrs: []AttrEq{{Key: "batch", Value: "a"}}}} {

@@ -5,8 +5,8 @@ package catalog
 //
 // Every committed mutation appends an immutable version — the object
 // as published, stamped with the journal sequence number that
-// committed it — to a per-object chain stored next to the object in
-// its epoch shard. Deletes append a tombstone. Chains are persistent
+// committed it — to a per-object chain stored in the epoch's state.
+// Deletes append a tombstone. Chains are persistent
 // values like everything else in a View: appending copies the chain
 // header and shares the entry storage, so every published epoch
 // carries exactly the history its committed prefix implies, and as-of
@@ -56,17 +56,17 @@ type entry[T any] struct {
 }
 
 // chain is the immutable version history of one T, entries in
-// ascending seq order. Object chains carry the object's name so shard
-// placement (and tombstone routing during checkpoint apply) never
-// needs a live object; interpretation chains leave it empty.
+// ascending seq order. Object chains carry the object's name so the
+// name directory can drop a chain's listing without a live object;
+// interpretation chains leave it empty.
 type chain[T any] struct {
 	name    string
 	entries []entry[T]
 }
 
-// The two instantiations: per-object chains live in the owning shard
-// (shardState.vers), interpretation chains in the view-wide table
-// keyed by blob ID (View.interpVers).
+// The two instantiations: per-object chains live in state.vers keyed
+// by object ID, interpretation chains in state.interpVers keyed by
+// blob ID.
 type (
 	verEntry       = entry[core.Object]
 	verChain       = chain[core.Object]
@@ -184,49 +184,47 @@ func (e *viewEdit) raiseFloor(seq uint64) {
 	}
 }
 
-// setChain stores (or, for all-tombstone chains, drops) a chain in the
-// shard owning its name. It is the one place object chains enter a
-// shard, so it is also where the shard's name → chain-IDs directory
-// (shardState.chainsByName, what shardState.lookup probes) and the
-// live count are kept: a chain is listed under its name from its first
-// store to its drop, and counted while its tail is live.
+// setChain stores (or, for all-tombstone chains, drops) a chain. It is
+// the one place object chains enter the state, so it is also where the
+// name → chain-IDs directory (state.chainsByName, what state.lookup
+// probes) and the live count are kept: a chain is listed under its
+// name from its first store to its drop, and counted while its tail is
+// live.
 func (e *viewEdit) setChain(id core.ID, c *verChain) {
 	if c.allTombstones() {
 		e.dropChain(id, c.name)
 		return
 	}
-	sh := e.shard(e.shardIndexFor(c.name))
-	old, _ := sh.vers.get(id)
+	old, _ := e.vers.get(id)
 	e.count += liveDelta(old, c)
-	sh.vers = sh.vers.set(id, c)
-	ids, _ := sh.chainsByName.get(c.name)
+	e.vers = e.vers.set(id, c)
+	ids, _ := e.chainsByName.get(c.name)
 	if i, listed := slices.BinarySearch(ids, id); !listed {
-		sh.chainsByName = sh.chainsByName.set(c.name, slices.Insert(slices.Clone(ids), i, id))
+		e.chainsByName = e.chainsByName.set(c.name, slices.Insert(slices.Clone(ids), i, id))
 	}
 }
 
 // dropChain removes id's chain, its directory listing and its share of
 // the live count.
 func (e *viewEdit) dropChain(id core.ID, name string) {
-	sh := e.shard(e.shardIndexFor(name))
-	old, _ := sh.vers.get(id)
+	old, _ := e.vers.get(id)
 	e.count += liveDelta(old, nil)
-	sh.vers = sh.vers.del(id)
-	ids, _ := sh.chainsByName.get(name)
+	e.vers = e.vers.del(id)
+	ids, _ := e.chainsByName.get(name)
 	i, listed := slices.BinarySearch(ids, id)
 	switch {
 	case !listed:
 	case len(ids) == 1:
-		sh.chainsByName = sh.chainsByName.del(name)
+		e.chainsByName = e.chainsByName.del(name)
 	default:
-		sh.chainsByName = sh.chainsByName.set(name, slices.Delete(slices.Clone(ids), i, i+1))
+		e.chainsByName = e.chainsByName.set(name, slices.Delete(slices.Clone(ids), i, i+1))
 	}
 }
 
 // extendChain appends ent to id's chain (starting one when absent),
 // applies retention and stores the result.
 func (e *viewEdit) extendChain(id core.ID, name string, ent verEntry) {
-	c, ok := e.shards[e.shardIndexFor(name)].vers.get(id)
+	c, ok := e.vers.get(id)
 	if !ok {
 		c = &verChain{name: name}
 	}
@@ -325,14 +323,12 @@ func (a *AsOfView) Epoch() uint64 { return a.base.Epoch() }
 func (a *AsOfView) Seq() uint64 { return a.seq }
 
 // eachLive visits every object live as of the seq: one pass over the
-// chains, shard by shard, ascending by ID within a shard.
+// chains, ascending by ID.
 func (a *AsOfView) eachLive(visit func(*core.Object)) {
-	for _, sh := range a.base.shards {
-		sh.eachAt(a.seq, func(o *core.Object) bool {
-			visit(o)
-			return true
-		})
-	}
+	a.base.eachAt(a.seq, func(o *core.Object) bool {
+		visit(o)
+		return true
+	})
 }
 
 // Len counts the objects live as of the seq.
@@ -344,9 +340,7 @@ func (a *AsOfView) Len() int {
 
 // getByID resolves an object by ID as of the seq, nil when it was not
 // live then.
-func (a *AsOfView) getByID(id core.ID) *core.Object {
-	return objectAt(a.base.shards, id, a.seq)
-}
+func (a *AsOfView) getByID(id core.ID) *core.Object { return a.base.object(id, a.seq) }
 
 // Get returns the object with the given ID as of the seq (shared,
 // read-only — same contract as View.Get).
@@ -386,36 +380,30 @@ func (a *AsOfView) reachSets(srcs []core.ID) []idSet {
 }
 
 // runIndexed has (*View).runIndexed's selection and window semantics —
-// the constraint checks and the emit window are the same code — over
-// the state as of the seq. There is no per-seq index to plan against:
-// the walk is one streaming pass over the retained chains, with the
-// timeline span (which may resolve components through further chain
-// probes) computed only for objects that passed every cheaper test.
+// the constraint checks and the window are the same code — over the
+// state as of the seq. There is no per-seq index to plan against: the
+// walk is one streaming pass over the retained chains in ID order,
+// with the timeline span (which may resolve components through further
+// chain probes) computed only for objects that passed every cheaper
+// test.
 func (a *AsOfView) runIndexed(sel IndexedQuery, pred func(*core.Object) bool, offset, limit int, needTotal, clone bool) ([]*core.Object, int) {
-	offset = max(offset, 0)
 	reach := a.reachSets(sel.Reach)
-	hardCap := walkCap(offset, limit, needTotal)
-	var matched []*core.Object
-	for _, sh := range a.base.shards {
-		n := 0
-		sh.eachAt(a.seq, func(o *core.Object) bool {
-			if !sel.matchObject(reach, o) {
+	w := newWindow(offset, limit, needTotal, clone)
+	a.base.eachAt(a.seq, func(o *core.Object) bool {
+		if !sel.matchObject(reach, o) {
+			return true
+		}
+		if len(sel.Spans) > 0 {
+			if sp, ok := timelineSpan(o, a.getByID); !ok || !sel.matchSpan(sp) {
 				return true
 			}
-			if len(sel.Spans) > 0 {
-				if sp, ok := timelineSpan(o, a.getByID); !ok || !sel.matchSpan(sp) {
-					return true
-				}
-			}
-			if pred != nil && !pred(o) {
-				return true
-			}
-			matched = append(matched, o)
-			n++
-			return hardCap < 0 || n < hardCap
-		})
-	}
-	return emitWindow(matched, offset, limit, needTotal, clone)
+		}
+		if pred != nil && !pred(o) {
+			return true
+		}
+		return w.add(o)
+	})
+	return w.out, w.total
 }
 
 // SelectIndexed mirrors (*View).SelectIndexed as of the seq.
@@ -441,7 +429,7 @@ func (a *AsOfView) SelectPage(sel IndexedQuery, pred func(*core.Object) bool, of
 func (v *View) VersionFloor() uint64 { return v.verFloor }
 
 // VerifyVersions checks the view's version chains: entries strictly
-// ascending in seq, chains non-empty and shard-placed by name, each
+// ascending in seq, chains non-empty, each
 // holding versions of its own object only, the name directory listing
 // exactly the stored chains with at most one live chain per name, and
 // the live counts equal to the live chain tails, for objects and
@@ -449,64 +437,57 @@ func (v *View) VersionFloor() uint64 { return v.verFloor }
 // epoch, safe concurrently with writers.
 func (v *View) VerifyVersions() error {
 	live := 0
-	for si, sh := range v.shards {
-		var err error
-		sh.vers.ascend(func(id core.ID, c *verChain) bool {
-			if got := shardOf(c.name, len(v.shards)); got != si {
-				err = fmt.Errorf("catalog: chain %q in shard %d, name hashes to %d", c.name, si, got)
+	var err error
+	v.vers.ascend(func(id core.ID, c *verChain) bool {
+		if cerr := c.check(); cerr != nil {
+			err = fmt.Errorf("catalog: chain %v: %w", id, cerr)
+			return false
+		}
+		for _, ent := range c.entries {
+			if ent.val != nil && (ent.val.ID != id || ent.val.Name != c.name) {
+				err = fmt.Errorf("catalog: chain %v holds version of %v (%q)", id, ent.val.ID, ent.val.Name)
 				return false
 			}
-			if cerr := c.check(); cerr != nil {
-				err = fmt.Errorf("catalog: chain %v: %w", id, cerr)
+		}
+		if c.live() {
+			live++
+		}
+		if ids, _ := v.chainsByName.get(c.name); !slices.Contains(ids, id) {
+			err = fmt.Errorf("catalog: chain %v not listed under %q in the name directory", id, c.name)
+			return false
+		}
+		return true
+	})
+	if err != nil {
+		return err
+	}
+	// Every chain is listed (checked above); nothing else may be, and a
+	// name has one live object at most.
+	v.chainsByName.ascend(func(name string, ids []core.ID) bool {
+		lives := 0
+		for i, id := range ids {
+			c, ok := v.vers.get(id)
+			if !ok || c.name != name || (i > 0 && ids[i-1] >= id) {
+				err = fmt.Errorf("catalog: name directory lists %v under %q: no such chain, or listed twice", id, name)
 				return false
-			}
-			for _, ent := range c.entries {
-				if ent.val != nil && (ent.val.ID != id || ent.val.Name != c.name) {
-					err = fmt.Errorf("catalog: chain %v holds version of %v (%q)", id, ent.val.ID, ent.val.Name)
-					return false
-				}
 			}
 			if c.live() {
-				live++
+				lives++
 			}
-			if ids, _ := sh.chainsByName.get(c.name); !slices.Contains(ids, id) {
-				err = fmt.Errorf("catalog: chain %v not listed under %q in the name directory", id, c.name)
-				return false
-			}
-			return true
-		})
-		if err != nil {
-			return err
 		}
-		// Every chain is listed (checked above); nothing else may be, and
-		// a name has one live object at most.
-		sh.chainsByName.ascend(func(name string, ids []core.ID) bool {
-			lives := 0
-			for i, id := range ids {
-				c, ok := sh.vers.get(id)
-				if !ok || c.name != name || (i > 0 && ids[i-1] >= id) {
-					err = fmt.Errorf("catalog: name directory lists %v under %q: no such chain, or listed twice", id, name)
-					return false
-				}
-				if c.live() {
-					lives++
-				}
-			}
-			if lives > 1 {
-				err = fmt.Errorf("catalog: %d live chains under %q", lives, name)
-				return false
-			}
-			return true
-		})
-		if err != nil {
-			return err
+		if lives > 1 {
+			err = fmt.Errorf("catalog: %d live chains under %q", lives, name)
+			return false
 		}
+		return true
+	})
+	if err != nil {
+		return err
 	}
 	if live != v.count {
 		return fmt.Errorf("catalog: %d live chain tails, view holds %d objects", live, v.count)
 	}
 	live = 0
-	var err error
 	v.interpVers.ascend(func(id blob.ID, c *interpVerChain) bool {
 		if cerr := c.check(); cerr != nil {
 			err = fmt.Errorf("catalog: interp chain %v: %w", id, cerr)

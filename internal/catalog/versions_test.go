@@ -448,7 +448,7 @@ func TestFaultFailedSyncKeepsVersionFloor(t *testing.T) {
 // bug ever produced one, the verifier (and with it the stress and
 // crash batteries that call it) would not stay silent.
 func TestVerifyVersionsDetectsCorruption(t *testing.T) {
-	db := New(blob.NewMemStore(), WithShards(2))
+	db := New(blob.NewMemStore())
 	clip, err := db.Ingest("clip", genVideo(6, 41), IngestOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -456,19 +456,6 @@ func TestVerifyVersionsDetectsCorruption(t *testing.T) {
 	base := db.CurrentView()
 	if err := base.VerifyVersions(); err != nil {
 		t.Fatalf("healthy view does not verify: %v", err)
-	}
-	clipShard := shardOf("clip", 2)
-	otherShard := 1 - clipShard
-	// A name that hashes to the other shard, for misplacement cases.
-	wrongName := ""
-	for _, cand := range []string{"x", "y", "z", "w", "q", "m"} {
-		if shardOf(cand, 2) == otherShard {
-			wrongName = cand
-			break
-		}
-	}
-	if wrongName == "" {
-		t.Fatal("no candidate name hashes to the other shard")
 	}
 	var anyInterp blob.ID
 	base.interpVers.ascend(func(id blob.ID, _ *interpVerChain) bool {
@@ -478,11 +465,6 @@ func TestVerifyVersionsDetectsCorruption(t *testing.T) {
 
 	clone := func() *View {
 		n := *base
-		n.shards = make([]*shardState, len(base.shards))
-		for i, sh := range base.shards {
-			c := *sh
-			n.shards[i] = &c
-		}
 		return &n
 	}
 	cases := []struct {
@@ -491,52 +473,38 @@ func TestVerifyVersionsDetectsCorruption(t *testing.T) {
 		want    string
 	}{
 		{"empty chain", func(v *View) {
-			sh := v.shards[clipShard]
-			sh.vers = sh.vers.set(999, &verChain{name: "clip"})
+			v.vers = v.vers.set(999, &verChain{name: "clip"})
 		}, "empty version chain"},
-		{"wrong shard", func(v *View) {
-			sh := v.shards[clipShard]
-			sh.vers = sh.vers.set(999, &verChain{name: wrongName, entries: []verEntry{{seq: 1}}})
-		}, "name hashes to"},
 		{"all tombstones retained", func(v *View) {
-			sh := v.shards[clipShard]
-			sh.vers = sh.vers.set(999, &verChain{name: "clip", entries: []verEntry{{seq: 1}}})
+			v.vers = v.vers.set(999, &verChain{name: "clip", entries: []verEntry{{seq: 1}}})
 		}, "all-tombstone chain"},
 		{"seq order violation", func(v *View) {
 			o := chainObj(999, "clip")
-			sh := v.shards[clipShard]
-			sh.vers = sh.vers.set(999, &verChain{name: "clip", entries: []verEntry{{seq: 5, val: o}, {seq: 5, val: o}}})
+			v.vers = v.vers.set(999, &verChain{name: "clip", entries: []verEntry{{seq: 5, val: o}, {seq: 5, val: o}}})
 		}, "seq order violation"},
 		{"foreign object in chain", func(v *View) {
-			sh := v.shards[clipShard]
-			sh.vers = sh.vers.set(999, &verChain{name: "clip", entries: []verEntry{{seq: 5, val: chainObj(7, "clip")}}})
+			v.vers = v.vers.set(999, &verChain{name: "clip", entries: []verEntry{{seq: 5, val: chainObj(7, "clip")}}})
 		}, "holds version of"},
 		{"live tail without object", func(v *View) {
-			sh := v.shards[clipShard]
-			sh.vers = sh.vers.set(999, &verChain{name: "clip", entries: []verEntry{{seq: 5, val: chainObj(999, "clip")}}})
+			v.vers = v.vers.set(999, &verChain{name: "clip", entries: []verEntry{{seq: 5, val: chainObj(999, "clip")}}})
 		}, "not listed under"},
 		{"tombstone tail over live object", func(v *View) {
-			sh := v.shards[clipShard]
-			c, _ := sh.vers.get(clip)
-			sh.vers = sh.vers.set(clip, c.appended(verEntry{seq: 99}))
+			c, _ := v.vers.get(clip)
+			v.vers = v.vers.set(clip, c.appended(verEntry{seq: 99}))
 		}, "live chain tails"},
 		{"live object without chain", func(v *View) {
-			sh := v.shards[clipShard]
-			sh.vers = sh.vers.del(clip)
+			v.vers = v.vers.del(clip)
 		}, "no such chain"},
 		{"two live objects under one name", func(v *View) {
-			sh := v.shards[clipShard]
-			sh.vers = sh.vers.set(999, &verChain{name: "clip", entries: []verEntry{{seq: 5, val: chainObj(999, "clip")}}})
-			ids, _ := sh.chainsByName.get("clip")
-			sh.chainsByName = sh.chainsByName.set("clip", append(slices.Clone(ids), 999))
+			v.vers = v.vers.set(999, &verChain{name: "clip", entries: []verEntry{{seq: 5, val: chainObj(999, "clip")}}})
+			ids, _ := v.chainsByName.get("clip")
+			v.chainsByName = v.chainsByName.set("clip", append(slices.Clone(ids), 999))
 		}, "live chains under"},
 		{"chain missing from name directory", func(v *View) {
-			sh := v.shards[clipShard]
-			sh.chainsByName = sh.chainsByName.del("clip")
+			v.chainsByName = v.chainsByName.del("clip")
 		}, "not listed under"},
 		{"dangling name directory entry", func(v *View) {
-			sh := v.shards[otherShard]
-			sh.chainsByName = sh.chainsByName.set(wrongName, []core.ID{999})
+			v.chainsByName = v.chainsByName.set("x", []core.ID{999})
 		}, "no such chain"},
 		{"count mismatch", func(v *View) {
 			v.count++

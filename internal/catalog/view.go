@@ -1,6 +1,6 @@
 package catalog
 
-// Epoch-snapshot reads over a sharded catalog.
+// Epoch-snapshot reads over one catalog state.
 //
 // The visible state of the catalog lives in an immutable View,
 // published with a single atomic pointer store, and there is one copy
@@ -8,13 +8,12 @@ package catalog
 // (versions.go), the name directory over the object chains, and every
 // secondary index. A live object is the non-tombstone tail of its
 // chain, so a live read is an as-of read at seqNow and goes through
-// the same point-read helpers an AsOfView uses (objectAt,
-// shardState.lookup, interpAt). Chains and indexes are partitioned
-// into N hash-by-name shards; each shard's state is built from
-// persistent treaps (pmap.go, interval.go), so publishing a new epoch
-// after a commit copies only the O(log n) spines the mutation touched
-// in the shards it touched and shares everything else with the
-// previous epoch.
+// the same point-read helpers an AsOfView uses (state.object,
+// state.lookup, interpAt). The state is built from persistent treaps
+// (pmap.go, interval.go), so publishing a new epoch after a commit
+// copies only the O(log n) spines the mutation touched and shares
+// everything else with the previous epoch. Every ID-keyed treap walks
+// in ID order, so a query's candidate walk is already in result order.
 //
 // Readers pin a View with one atomic load and never take a lock: a
 // pinned view is internally consistent forever — a paginated walk,
@@ -32,17 +31,12 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 	"sync"
 
 	"timedmedia/internal/blob"
 	"timedmedia/internal/core"
 	"timedmedia/internal/interp"
 )
-
-// DefaultShards is the number of hash-by-name shards the catalog
-// state is partitioned into when no WithShards option is given.
-const DefaultShards = 16
 
 // DefaultEpochRetention is how many published epochs past the current
 // one remain pinnable via ViewAt when no WithEpochRetention option is
@@ -58,36 +52,33 @@ var ErrEpochGone = errors.New("catalog: epoch no longer retained")
 // so each chain answers with its tail.
 const seqNow = math.MaxUint64
 
-// shardOf maps an object name to its shard (FNV-1a of the name).
-func shardOf(name string, n int) int {
-	return int(fnv64(name) % uint64(n))
-}
-
-// shardState is the immutable per-shard slice of one epoch: the
-// version chains of the objects whose names hash to the shard, the
-// name directory over them, and the shard's secondary indexes over the
-// live ones. Provenance edges live in the referrer's shard (the shard
-// that owns the referencing object), so a shard's indexes are always
-// exactly a function of the shard's own objects — which keeps
-// VerifyIndexes shard-local.
-type shardState struct {
-	// vers holds the transaction-time version chain of every object
-	// whose name hashes to this shard, including tombstoned (deleted)
-	// ones still within the retention window (versions.go).
+// state is the catalog content of one epoch, shared by a View and the
+// viewEdit a commit builds it from.
+type state struct {
+	// vers holds the transaction-time version chain of every object,
+	// including tombstoned (deleted) ones still within the retention
+	// window (versions.go).
 	vers tmap[core.ID, *verChain]
 	// chainsByName lists, per name, the IDs (ascending) of every chain
 	// in vers carrying that name — more than one once a name has been
 	// re-used across a delete, of which at most one is live at any seq.
 	// Maintained by setChain/dropChain.
 	chainsByName tmap[string, []core.ID]
-	ix           pIndexes
+	// ix holds the secondary indexes over the live objects (index.go).
+	ix pIndexes
+	// count and interpCount are the live objects and interpretations:
+	// the chains whose tail is not a tombstone (setChain, setInterpChain).
+	count, interpCount int
+	// interpVers is the interpretation table's analog of vers; verFloor
+	// is the oldest as_of seq this epoch can answer (versions.go).
+	interpVers tmap[blob.ID, *interpVerChain]
+	verFloor   uint64
 }
 
-// object resolves id's chain in this shard at seq: nil when the shard
-// holds no such chain, or the object did not exist yet or was already
-// deleted at seq.
-func (sh *shardState) object(id core.ID, seq uint64) *core.Object {
-	if c, ok := sh.vers.get(id); ok {
+// object resolves id's chain at seq: nil when there is no such chain,
+// or the object did not exist yet or was already deleted at seq.
+func (s *state) object(id core.ID, seq uint64) *core.Object {
+	if c, ok := s.vers.get(id); ok {
 		return c.valAt(seq)
 	}
 	return nil
@@ -95,37 +86,30 @@ func (sh *shardState) object(id core.ID, seq uint64) *core.Object {
 
 // lookup resolves name at seq. The newest chain listed under the name
 // is tried first: it is the only one that can be live at seqNow.
-func (sh *shardState) lookup(name string, seq uint64) *core.Object {
-	ids, _ := sh.chainsByName.get(name)
+func (s *state) lookup(name string, seq uint64) *core.Object {
+	ids, _ := s.chainsByName.get(name)
 	for i := len(ids) - 1; i >= 0; i-- {
-		if o := sh.object(ids[i], seq); o != nil {
+		if o := s.object(ids[i], seq); o != nil {
 			return o
 		}
 	}
 	return nil
 }
 
-// eachAt visits the shard's objects live at seq in ascending ID order
-// until visit returns false.
-func (sh *shardState) eachAt(seq uint64, visit func(*core.Object) bool) {
-	sh.vers.ascend(func(_ core.ID, c *verChain) bool {
+// getByID and lookupName resolve a live object — the shared immutable
+// object, or nil — in a view's epoch or an edit's working state.
+func (s *state) getByID(id core.ID) *core.Object     { return s.object(id, seqNow) }
+func (s *state) lookupName(name string) *core.Object { return s.lookup(name, seqNow) }
+
+// eachAt visits the objects live at seq in ascending ID order until
+// visit returns false.
+func (s *state) eachAt(seq uint64, visit func(*core.Object) bool) {
+	s.vers.ascend(func(_ core.ID, c *verChain) bool {
 		if o := c.valAt(seq); o != nil {
 			return visit(o)
 		}
 		return true
 	})
-}
-
-// objectAt resolves an object by ID at seq. There is no global ID
-// directory, so the shards are probed in turn (with N shards, N
-// O(log n) lookups); an ID's chain lives in one shard only.
-func objectAt(shards []*shardState, id core.ID, seq uint64) *core.Object {
-	for _, sh := range shards {
-		if c, ok := sh.vers.get(id); ok {
-			return c.valAt(seq)
-		}
-	}
-	return nil
 }
 
 // interpAt resolves a BLOB's interpretation at seq: nil when it was
@@ -140,25 +124,9 @@ func interpAt(vers tmap[blob.ID, *interpVerChain], id blob.ID, seq uint64) *inte
 // View is one immutable epoch of the catalog. All methods are safe
 // for unsynchronized concurrent use; none of them lock.
 type View struct {
-	db     *DB
-	seq    uint64
-	shards []*shardState
-	// count and interpCount are the live objects and interpretations:
-	// the chains whose tail is not a tombstone (setChain, setInterpChain).
-	count, interpCount int
-	// interpVers is the interpretation table's version-chain analog of
-	// shardState.vers; verFloor is the oldest as_of seq this epoch can
-	// answer (versions.go).
-	interpVers tmap[blob.ID, *interpVerChain]
-	verFloor   uint64
-}
-
-func newView(db *DB, nShards int) *View {
-	v := &View{db: db, shards: make([]*shardState, nShards)}
-	for i := range v.shards {
-		v.shards[i] = &shardState{}
-	}
-	return v
+	db  *DB
+	seq uint64
+	state
 }
 
 // Epoch returns the journal seq the view holds every acknowledged
@@ -171,39 +139,19 @@ func (v *View) Len() int { return v.count }
 // VersionChains returns the number of object version chains the view
 // retains, live or tombstoned: VersionChains - Len is the deleted
 // history retention still holds.
-func (v *View) VersionChains() int {
-	n := 0
-	for _, sh := range v.shards {
-		n += sh.vers.len()
-	}
-	return n
-}
-
-// Shards returns the number of hash shards the view is partitioned
-// into.
-func (v *View) Shards() int { return len(v.shards) }
-
-func (v *View) shardFor(name string) *shardState {
-	return v.shards[shardOf(name, len(v.shards))]
-}
-
-// getByID resolves a live object by ID: the shared immutable object or
-// nil.
-func (v *View) getByID(id core.ID) *core.Object {
-	return objectAt(v.shards, id, seqNow)
-}
+func (v *View) VersionChains() int { return v.vers.len() }
 
 // getAt, lookupAt and interpretationAt are the one point-read path: a
 // View reads at seqNow, an AsOfView at its seq.
 func (v *View) getAt(id core.ID, seq uint64) (*core.Object, error) {
-	if o := objectAt(v.shards, id, seq); o != nil {
+	if o := v.object(id, seq); o != nil {
 		return o, nil
 	}
 	return nil, fmt.Errorf("%w: %v", ErrNotFound, id)
 }
 
 func (v *View) lookupAt(name string, seq uint64) (*core.Object, error) {
-	if o := v.shardFor(name).lookup(name, seq); o != nil {
+	if o := v.lookup(name, seq); o != nil {
 		return o, nil
 	}
 	return nil, fmt.Errorf("%w: %q", ErrNotFound, name)
@@ -236,23 +184,13 @@ func (v *View) Interpretation(id blob.ID) (*interp.Interpretation, error) {
 // or modify them.
 func (v *View) Select(pred func(*core.Object) bool) []*core.Object {
 	var out []*core.Object
-	for _, sh := range v.shards {
-		sh.eachAt(seqNow, func(o *core.Object) bool {
-			if pred(o) {
-				out = append(out, o.Clone())
-			}
-			return true
-		})
-	}
-	sortByID(out)
+	v.eachAt(seqNow, func(o *core.Object) bool {
+		if pred(o) {
+			out = append(out, o.Clone())
+		}
+		return true
+	})
 	return out
-}
-
-// sortByID merges the per-shard ID-ordered runs into one global ID
-// order. Shards partition by name hash, so a plain sort is simplest;
-// the cost is bounded by the result size.
-func sortByID(objs []*core.Object) {
-	sort.Slice(objs, func(a, b int) bool { return objs[a].ID < objs[b].ID })
 }
 
 // CurrentView returns the most recently published epoch: one atomic
@@ -314,16 +252,12 @@ func (r *epochRing) at(epoch uint64) *View {
 // viewEdit is a copy-on-write editing session over a view. A commit
 // builds one under db.mu over the newest pending view and freezes it
 // into the view it publishes (see commitLocked), so a whole batch lands
-// as one epoch. Shards are cloned lazily: an edit that touches 1 of N
-// shards copies one shardState header and the treap spines of that
-// shard only.
+// as one epoch. The edit starts as a copy of the view's state; every
+// mutation path-copies the O(log n) treap spines it touches and shares
+// the rest.
 type viewEdit struct {
-	db                 *DB
-	shards             []*shardState
-	touched            []bool
-	count, interpCount int
-	interpVers         tmap[blob.ID, *interpVerChain]
-	verFloor           uint64
+	db *DB
+	state
 }
 
 // beginEditLocked starts an edit over the newest pending view: the last
@@ -334,70 +268,20 @@ func (db *DB) beginEditLocked() *viewEdit {
 	if n := len(db.commits); n > 0 {
 		base = db.commits[n-1].view
 	}
-	e := &viewEdit{
-		db:          db,
-		shards:      make([]*shardState, len(base.shards)),
-		touched:     make([]bool, len(base.shards)),
-		count:       base.count,
-		interpCount: base.interpCount,
-		interpVers:  base.interpVers,
-		verFloor:    base.verFloor,
-	}
-	copy(e.shards, base.shards)
-	return e
+	return &viewEdit{db: db, state: base.state}
 }
 
-// shard returns shard i's mutable copy, cloning it on first touch.
-func (e *viewEdit) shard(i int) *shardState {
-	if !e.touched[i] {
-		c := *e.shards[i]
-		e.shards[i] = &c
-		e.touched[i] = true
-	}
-	return e.shards[i]
-}
+// link adds obj to the indexes. Component spans resolve against the
+// edit's working state, so multi-object batches see their own earlier
+// members.
+func (e *viewEdit) link(obj *core.Object) { e.ix = e.ix.link(obj, e.getByID) }
 
-func (e *viewEdit) shardIndexFor(name string) int {
-	return shardOf(name, len(e.shards))
-}
-
-// lookupByID resolves a live object by ID against the edit's working
-// state.
-func (e *viewEdit) lookupByID(id core.ID) *core.Object {
-	return objectAt(e.shards, id, seqNow)
-}
-
-// lookupName resolves a live object by name against the edit's working
-// state.
-func (e *viewEdit) lookupName(name string) *core.Object {
-	return e.shards[e.shardIndexFor(name)].lookup(name, seqNow)
-}
-
-// link adds obj to its shard's indexes. Component spans resolve
-// against the edit's working state, so multi-object batches see their
-// own earlier members.
-func (e *viewEdit) link(obj *core.Object) {
-	sh := e.shard(e.shardIndexFor(obj.Name))
-	sh.ix = sh.ix.link(obj, e.lookupByID)
-}
-
-// unlink removes obj from its shard's indexes.
-func (e *viewEdit) unlink(obj *core.Object) {
-	sh := e.shard(e.shardIndexFor(obj.Name))
-	sh.ix = sh.ix.unlink(obj)
-}
+// unlink removes obj from the indexes.
+func (e *viewEdit) unlink(obj *core.Object) { e.ix = e.ix.unlink(obj) }
 
 // view freezes the edit as the view at seq.
 func (e *viewEdit) view(seq uint64) *View {
-	return &View{
-		db:          e.db,
-		seq:         seq,
-		shards:      e.shards,
-		count:       e.count,
-		interpCount: e.interpCount,
-		interpVers:  e.interpVers,
-		verFloor:    e.verFloor,
-	}
+	return &View{db: e.db, seq: seq, state: e.state}
 }
 
 // commitEditLocked publishes the edit as the view at seq: the previous
@@ -408,34 +292,32 @@ func (db *DB) commitEditLocked(e *viewEdit, seq uint64) {
 	db.publishLocked(&pendingCommit{view: e.view(seq)})
 }
 
-// relinkAllLocked rebuilds every shard's indexes from its live chain
-// tails — the one-pass index construction after bulk load, when all
-// objects (including forward-referenced components) are present. A
-// live non-derived object without a live interpretation fails it with
-// the store's error: applyStream skipped a registration whose BLOB is
+// relinkAllLocked rebuilds the indexes from the live chain tails — the
+// one-pass index construction after bulk load, when all objects
+// (including forward-referenced components) are present. A live
+// non-derived object without a live interpretation fails it with the
+// store's error: applyStream skipped a registration whose BLOB is
 // gone, and no tombstone followed. Assumes the DB is not yet shared.
 func (db *DB) relinkAllLocked() error {
 	cur := db.cur.Load()
-	e := db.beginEditLocked()
-	for i, sh := range cur.shards {
-		ix := pIndexes{}
-		var err error
-		sh.eachAt(seqNow, func(o *core.Object) bool {
-			if o.Class == core.ClassNonDerived && interpAt(cur.interpVers, o.Blob, seqNow) == nil {
-				if _, err = db.openBlob(o.Blob); err == nil {
-					err = fmt.Errorf("%w: %v", ErrNoInterp, o.Blob)
-				}
-				err = fmt.Errorf("catalog: object %v (%q): %w", o.ID, o.Name, err)
-				return false
+	ix := pIndexes{}
+	var err error
+	cur.eachAt(seqNow, func(o *core.Object) bool {
+		if o.Class == core.ClassNonDerived && interpAt(cur.interpVers, o.Blob, seqNow) == nil {
+			if _, err = db.openBlob(o.Blob); err == nil {
+				err = fmt.Errorf("%w: %v", ErrNoInterp, o.Blob)
 			}
-			ix = ix.link(o, cur.getByID)
-			return true
-		})
-		if err != nil {
-			return err
+			err = fmt.Errorf("catalog: object %v (%q): %w", o.ID, o.Name, err)
+			return false
 		}
-		e.shard(i).ix = ix
+		ix = ix.link(o, cur.getByID)
+		return true
+	})
+	if err != nil {
+		return err
 	}
+	e := db.beginEditLocked()
+	e.ix = ix
 	db.commitEditLocked(e, cur.seq)
 	return nil
 }

@@ -23,7 +23,10 @@
 package query
 
 import (
+	"fmt"
+	"math"
 	"sort"
+	"strconv"
 	"strings"
 
 	"timedmedia/internal/catalog"
@@ -143,6 +146,18 @@ func (q *Q) LiveAt(sec float64) *Q {
 func (q *Q) Overlapping(t1, t2 float64) *Q {
 	q.sel.Spans = append(q.sel.Spans, catalog.Span{Start: t1, End: t2})
 	return q
+}
+
+// ParseSeconds parses a time bound given as text, for LiveAt,
+// Overlapping and DurationBetween. NaN is refused: it compares false
+// against every bound, so a filter on it would silently match nothing.
+// ±Inf is an open bound and stays accepted.
+func ParseSeconds(s string) (float64, error) {
+	f, err := strconv.ParseFloat(s, 64)
+	if err == nil && math.IsNaN(f) {
+		err = fmt.Errorf("%q is not a number", s)
+	}
+	return f, err
 }
 
 // Where adds an arbitrary predicate.

@@ -189,7 +189,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		q.DerivedFrom(src.ID)
 	}
 	if v := params.Get("live_at"); v != "" {
-		t, err := strconv.ParseFloat(v, 64)
+		t, err := query.ParseSeconds(v)
 		if err != nil {
 			badRequest(w, "bad live_at")
 			return
@@ -198,11 +198,11 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	if v := params.Get("overlaps"); v != "" {
 		lo, hi, ok := strings.Cut(v, ",")
-		t1, err1 := strconv.ParseFloat(lo, 64)
+		t1, err1 := query.ParseSeconds(lo)
 		var t2 float64
 		var err2 error
 		if ok {
-			t2, err2 = strconv.ParseFloat(hi, 64)
+			t2, err2 = query.ParseSeconds(hi)
 		}
 		if !ok || err1 != nil || err2 != nil || t2 < t1 {
 			badRequest(w, "bad overlaps (want T1,T2 with T1 <= T2)")
@@ -215,13 +215,13 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		lo, hi := 0.0, 1e18
 		var err error
 		if minD != "" {
-			if lo, err = strconv.ParseFloat(minD, 64); err != nil {
+			if lo, err = query.ParseSeconds(minD); err != nil {
 				badRequest(w, "bad min_duration")
 				return
 			}
 		}
 		if maxD != "" {
-			if hi, err = strconv.ParseFloat(maxD, 64); err != nil {
+			if hi, err = query.ParseSeconds(maxD); err != nil {
 				badRequest(w, "bad max_duration")
 				return
 			}

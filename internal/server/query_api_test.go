@@ -119,6 +119,11 @@ func TestQueryEndpointBadRequests(t *testing.T) {
 		"kind=hologram",
 		"class=imaginary",
 		"live_at=noon",
+		"live_at=NaN",
+		"overlaps=NaN,1",
+		"overlaps=NaN,NaN",
+		"min_duration=NaN",
+		"max_duration=NaN",
 		"overlaps=5",
 		"overlaps=5,2",
 		"overlaps=a,b",
@@ -134,6 +139,8 @@ func TestQueryEndpointBadRequests(t *testing.T) {
 			t.Errorf("%s: no error envelope: %s", params, body)
 		}
 	}
+	// ±Inf is an open bound, not a bad number.
+	get(t, ts.URL+"/v1/query?overlaps=-Inf,Inf", 200)
 	// Unknown derivation source is a 404, not a 400.
 	get(t, ts.URL+"/v1/query?derived_from=ghost", 404)
 }
