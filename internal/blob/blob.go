@@ -39,7 +39,7 @@ type BLOB interface {
 	// if the span extends past the end.
 	ReadSpan(off, n int64) ([]byte, error)
 	// Append adds data at the end and returns the offset at which it
-	// was placed.
+	// was placed. It must not retain data: callers reuse the buffer.
 	Append(data []byte) (off int64, err error)
 	// Size returns the current length in bytes.
 	Size() int64
@@ -162,15 +162,22 @@ type memBLOB struct {
 	stats *Stats
 }
 
+// checkSpan reports whether [off, off+n) lies within a BLOB of size
+// bytes. It compares n with size-off, so no off+n can wrap past the
+// check.
+func checkSpan(off, n, size int64) error {
+	if off < 0 || n < 0 || off > size || n > size-off {
+		return fmt.Errorf("%w: %d bytes at %d of %d", ErrOutOfRange, n, off, size)
+	}
+	return nil
+}
+
 // ReadSpan implements BLOB.
 func (b *memBLOB) ReadSpan(off, n int64) ([]byte, error) {
-	if off < 0 || n < 0 {
-		return nil, ErrOutOfRange
-	}
 	b.mu.RLock()
 	defer b.mu.RUnlock()
-	if off+n > int64(len(b.data)) {
-		return nil, fmt.Errorf("%w: [%d,%d) of %d", ErrOutOfRange, off, off+n, len(b.data))
+	if err := checkSpan(off, n, int64(len(b.data))); err != nil {
+		return nil, err
 	}
 	out := make([]byte, n)
 	copy(out, b.data[off:off+n])

@@ -3,6 +3,7 @@ package blob
 import (
 	"bytes"
 	"errors"
+	"math"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -57,6 +58,24 @@ func TestReadSpanOutOfRange(t *testing.T) {
 		}
 		if _, err := b.ReadSpan(0, -2); !errors.Is(err, ErrOutOfRange) {
 			t.Errorf("negative n: %v", err)
+		}
+	})
+}
+
+// TestReadSpanOverflowIsOutOfRange reads spans whose end does not fit
+// in an int64: off+n wraps negative, and a check of off+n against the
+// size would pass them on to make([]byte, n).
+func TestReadSpanOverflowIsOutOfRange(t *testing.T) {
+	storeImpls(t, func(t *testing.T, s Store) {
+		_, b, _ := s.Create()
+		b.Append(make([]byte, 16))
+		for _, sp := range [][2]int64{{10, math.MaxInt64}, {1, math.MaxInt64}, {math.MaxInt64, 1}, {17, 0}} {
+			if _, err := b.ReadSpan(sp[0], sp[1]); !errors.Is(err, ErrOutOfRange) {
+				t.Errorf("ReadSpan(%d, %d): err = %v, want ErrOutOfRange", sp[0], sp[1], err)
+			}
+		}
+		if got, err := b.ReadSpan(16, 0); err != nil || len(got) != 0 {
+			t.Errorf("empty span at the end: %q, %v", got, err)
 		}
 	})
 }

@@ -71,8 +71,10 @@ func (s *FileStore) Create() (ID, BLOB, error) {
 	if err != nil {
 		return 0, nil, fmt.Errorf("blob: %w", err)
 	}
-	b := &fileBLOB{f: f, stats: &s.stats}
-	s.open[id] = b
+	b, err := s.adopt(id, f)
+	if err != nil {
+		return 0, nil, err
+	}
 	return id, b, nil
 }
 
@@ -103,7 +105,19 @@ func (s *FileStore) Open(id ID) (BLOB, error) {
 		}
 		return nil, fmt.Errorf("blob: %w", err)
 	}
-	b := &fileBLOB{f: f, stats: &s.stats}
+	return s.adopt(id, f)
+}
+
+// adopt caches an opened file as id's handle, reading its size once:
+// from here on the handle is the file's only writer and tracks its
+// size itself. Assumes s.mu is held.
+func (s *FileStore) adopt(id ID, f *os.File) (*fileBLOB, error) {
+	fi, err := f.Stat()
+	if err != nil {
+		f.Close()
+		return nil, fmt.Errorf("blob: %w", err)
+	}
+	b := &fileBLOB{f: f, size: fi.Size(), stats: &s.stats}
 	s.open[id] = b
 	return b, nil
 }
@@ -202,28 +216,24 @@ func (s *FileStore) Close() error {
 	return first
 }
 
+// fileBLOB is one open BLOB file. size is the file's length: read once
+// when the handle is made, then advanced by every byte Append writes.
 type fileBLOB struct {
 	mu    sync.Mutex
 	f     *os.File
+	size  int64
 	stats *Stats
 }
 
 // ReadSpan implements BLOB.
 func (b *fileBLOB) ReadSpan(off, n int64) ([]byte, error) {
-	if off < 0 || n < 0 {
-		return nil, ErrOutOfRange
-	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if b.f == nil {
 		return nil, ErrClosed
 	}
-	fi, err := b.f.Stat()
-	if err != nil {
-		return nil, fmt.Errorf("blob: %w", err)
-	}
-	if off+n > fi.Size() {
-		return nil, fmt.Errorf("%w: [%d,%d) of %d", ErrOutOfRange, off, off+n, fi.Size())
+	if err := checkSpan(off, n, b.size); err != nil {
+		return nil, err
 	}
 	out := make([]byte, n)
 	if _, err := b.f.ReadAt(out, off); err != nil {
@@ -241,13 +251,18 @@ func (b *fileBLOB) Append(data []byte) (int64, error) {
 	if b.f == nil {
 		return 0, ErrClosed
 	}
-	off, err := b.f.Seek(0, 2)
+	off := b.size
+	n, err := b.f.WriteAt(data, off)
 	if err != nil {
+		// A write that failed part way may still have lengthened the
+		// file, and os.File.WriteAt does not count those bytes: ask the
+		// file, so the next append lands at its real end.
+		if fi, serr := b.f.Stat(); serr == nil {
+			b.size = fi.Size()
+		}
 		return 0, fmt.Errorf("blob: %w", err)
 	}
-	if _, err := b.f.Write(data); err != nil {
-		return 0, fmt.Errorf("blob: %w", err)
-	}
+	b.size += int64(n)
 	b.stats.Appends.Add(1)
 	b.stats.BytesAppended.Add(int64(len(data)))
 	return off, nil
@@ -260,11 +275,7 @@ func (b *fileBLOB) Size() int64 {
 	if b.f == nil {
 		return 0
 	}
-	fi, err := b.f.Stat()
-	if err != nil {
-		return 0
-	}
-	return fi.Size()
+	return b.size
 }
 
 // checksumLocked computes the CRC32C and size of the whole file.

@@ -88,6 +88,9 @@ type DB struct {
 	// not been settled yet; the last one's view is the pending view the
 	// next commit builds on.
 	commits []*pendingCommit
+	// editOwner is the owner token the next edit takes (0: issue a
+	// fresh one); viewEdit.view retires it. Guarded by mu.
+	editOwner uint64
 
 	cache *expcache.Cache[core.ID, *derive.Value]
 

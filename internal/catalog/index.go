@@ -12,7 +12,7 @@ import (
 )
 
 // Secondary indexes over the visible object graph. Every index is
-// persistent (path-copying treaps, see pmap.go) and lives inside the
+// persistent (owned-path treaps, see pmap.go) and lives inside the
 // state of an immutable epoch View: linking an object produces a new
 // pIndexes value sharing structure with the old one,
 // so every published epoch carries exactly the index of its own
@@ -45,23 +45,23 @@ type pIndexes struct {
 }
 
 // setAdd / setDrop maintain a posting list inside a persistent index
-// family, pruning emptied sets so a rebuilt index and a long-lived
-// one compare equal key for key.
-func setAdd[K cmp.Ordered](m tmap[K, idset], k K, id core.ID) tmap[K, idset] {
+// family under owner token own (see pmap.go), pruning emptied sets so
+// a rebuilt index and a long-lived one compare equal key for key.
+func setAdd[K cmp.Ordered](own uint64, m tmap[K, idset], k K, id core.ID) tmap[K, idset] {
 	set, _ := m.get(k)
-	return m.set(k, set.set(id, struct{}{}))
+	return m.set(own, k, set.set(own, id, struct{}{}))
 }
 
-func setDrop[K cmp.Ordered](m tmap[K, idset], k K, id core.ID) tmap[K, idset] {
+func setDrop[K cmp.Ordered](own uint64, m tmap[K, idset], k K, id core.ID) tmap[K, idset] {
 	set, ok := m.get(k)
 	if !ok {
 		return m
 	}
-	set = set.del(id)
+	set = set.del(own, id)
 	if set.len() == 0 {
-		return m.del(k)
+		return m.del(own, k)
 	}
-	return m.set(k, set)
+	return m.set(own, k, set)
 }
 
 // directRefs returns the objects obj directly references: derivation
@@ -126,51 +126,52 @@ func timelineSpan(obj *core.Object, lookup func(core.ID) *core.Object) (Span, bo
 	return s, found
 }
 
-// link returns the indexes with obj added to every family. lookup
-// resolves component objects for the timeline span and must see the
-// same visibility the object itself is entering.
-func (ix pIndexes) link(obj *core.Object, lookup func(core.ID) *core.Object) pIndexes {
-	ix.kind = setAdd(ix.kind, obj.Kind, obj.ID)
-	ix.class = setAdd(ix.class, obj.Class, obj.ID)
+// link returns the indexes with obj added to every family, owning
+// what it changes under own. lookup resolves component objects for the
+// timeline span and must see the same visibility the object itself is
+// entering.
+func (ix pIndexes) link(own uint64, obj *core.Object, lookup func(core.ID) *core.Object) pIndexes {
+	ix.kind = setAdd(own, ix.kind, obj.Kind, obj.ID)
+	ix.class = setAdd(own, ix.class, obj.Class, obj.ID)
 	for k, v := range obj.Attrs {
 		vals, _ := ix.attr.get(k)
-		ix.attr = ix.attr.set(k, setAdd(vals, v, obj.ID))
+		ix.attr = ix.attr.set(own, k, setAdd(own, vals, v, obj.ID))
 	}
 	for _, ref := range directRefs(obj) {
-		ix.deps = setAdd(ix.deps, ref, obj.ID)
+		ix.deps = setAdd(own, ix.deps, ref, obj.ID)
 	}
 	if s, ok := timelineSpan(obj, lookup); ok {
-		ix.spans = ix.spans.add(obj.ID, s)
+		ix.spans = ix.spans.add(own, obj.ID, s)
 	}
 	if obj.Class == core.ClassNonDerived {
-		ix.blob = setAdd(ix.blob, obj.Blob, obj.ID)
+		ix.blob = setAdd(own, ix.blob, obj.Blob, obj.ID)
 	}
 	return ix
 }
 
 // unlink returns the indexes with obj removed from every family,
 // pruning emptied sets.
-func (ix pIndexes) unlink(obj *core.Object) pIndexes {
-	ix.kind = setDrop(ix.kind, obj.Kind, obj.ID)
-	ix.class = setDrop(ix.class, obj.Class, obj.ID)
+func (ix pIndexes) unlink(own uint64, obj *core.Object) pIndexes {
+	ix.kind = setDrop(own, ix.kind, obj.Kind, obj.ID)
+	ix.class = setDrop(own, ix.class, obj.Class, obj.ID)
 	for k, v := range obj.Attrs {
 		vals, ok := ix.attr.get(k)
 		if !ok {
 			continue
 		}
-		vals = setDrop(vals, v, obj.ID)
+		vals = setDrop(own, vals, v, obj.ID)
 		if vals.len() == 0 {
-			ix.attr = ix.attr.del(k)
+			ix.attr = ix.attr.del(own, k)
 		} else {
-			ix.attr = ix.attr.set(k, vals)
+			ix.attr = ix.attr.set(own, k, vals)
 		}
 	}
 	for _, ref := range directRefs(obj) {
-		ix.deps = setDrop(ix.deps, ref, obj.ID)
+		ix.deps = setDrop(own, ix.deps, ref, obj.ID)
 	}
-	ix.spans = ix.spans.remove(obj.ID)
+	ix.spans = ix.spans.remove(own, obj.ID)
 	if obj.Class == core.ClassNonDerived {
-		ix.blob = setDrop(ix.blob, obj.Blob, obj.ID)
+		ix.blob = setDrop(own, ix.blob, obj.Blob, obj.ID)
 	}
 	return ix
 }
@@ -513,9 +514,9 @@ func (db *DB) IndexStats() IndexStats { return db.CurrentView().IndexStats() }
 // immutable epoch: safe to run concurrently with writers.
 func (v *View) VerifyIndexes() error {
 	count := 0
-	want := pIndexes{}
+	want, own := pIndexes{}, newOwner()
 	v.eachAt(seqNow, func(o *core.Object) bool {
-		want = want.link(o, v.getByID)
+		want = want.link(own, o, v.getByID)
 		count++
 		return true
 	})

@@ -80,65 +80,65 @@ func TestVerifyIndexesDetectsCorruption(t *testing.T) {
 		{"clean", func(db *DB, ids map[string]core.ID) {}, ""},
 		{"stale kind entry", func(db *DB, ids map[string]core.ID) {
 			corruptView(db, func(st *state) {
-				st.ix.kind = setAdd(st.ix.kind, media.KindVideo, core.ID(9999))
+				st.ix.kind = setAdd(0, st.ix.kind, media.KindVideo, core.ID(9999))
 			})
 		}, "kind index"},
 		{"missing kind entry", func(db *DB, ids map[string]core.ID) {
 			corruptView(db, func(st *state) {
-				st.ix.kind = setDrop(st.ix.kind, media.KindVideo, ids["a"])
+				st.ix.kind = setDrop(0, st.ix.kind, media.KindVideo, ids["a"])
 			})
 		}, "kind index missing"},
 		{"unpruned empty class set", func(db *DB, ids map[string]core.ID) {
 			corruptView(db, func(st *state) {
-				st.ix.class = st.ix.class.set(core.Class(77), idset{})
+				st.ix.class = st.ix.class.set(0, core.Class(77), idset{})
 			})
 		}, "empty set"},
 		{"stale attr key", func(db *DB, ids map[string]core.ID) {
 			corruptView(db, func(st *state) {
-				vals := tmap[string, idset]{}.set("x", idset{}.set(ids["a"], struct{}{}))
-				st.ix.attr = st.ix.attr.set("ghost", vals)
+				vals := tmap[string, idset]{}.set(0, "x", idset{}.set(0, ids["a"], struct{}{}))
+				st.ix.attr = st.ix.attr.set(0, "ghost", vals)
 			})
 		}, "attr"},
 		{"stale provenance edge", func(db *DB, ids map[string]core.ID) {
 			corruptView(db, func(st *state) {
-				st.ix.deps = setAdd(st.ix.deps, ids["b"], ids["a"])
+				st.ix.deps = setAdd(0, st.ix.deps, ids["b"], ids["a"])
 			})
 		}, "provenance"},
 		{"dropped span", func(db *DB, ids map[string]core.ID) {
 			corruptView(db, func(st *state) {
-				st.ix.spans = st.ix.spans.remove(ids["b"])
+				st.ix.spans = st.ix.spans.remove(0, ids["b"])
 			})
 		}, "interval index"},
 		{"wrong span", func(db *DB, ids map[string]core.ID) {
 			corruptView(db, func(st *state) {
-				st.ix.spans = st.ix.spans.add(ids["b"], Span{Start: 40, End: 41})
+				st.ix.spans = st.ix.spans.add(0, ids["b"], Span{Start: 40, End: 41})
 			})
 		}, "interval index span"},
 		{"stale class key", func(db *DB, ids map[string]core.ID) {
 			corruptView(db, func(st *state) {
-				st.ix.class = st.ix.class.set(core.Class(77), idset{}.set(ids["a"], struct{}{}))
+				st.ix.class = st.ix.class.set(0, core.Class(77), idset{}.set(0, ids["a"], struct{}{}))
 			})
 		}, "stale key"},
 		{"missing attr entry", func(db *DB, ids map[string]core.ID) {
 			corruptView(db, func(st *state) {
 				vals, _ := st.ix.attr.get("language")
-				st.ix.attr = st.ix.attr.set("language", setDrop(vals, "en", ids["a"]))
+				st.ix.attr = st.ix.attr.set(0, "language", setDrop(0, vals, "en", ids["a"]))
 			})
 		}, "attr[language]"},
 		{"unpruned empty attr key", func(db *DB, ids map[string]core.ID) {
 			corruptView(db, func(st *state) {
-				st.ix.attr = st.ix.attr.set("ghost", tmap[string, idset]{})
+				st.ix.attr = st.ix.attr.set(0, "ghost", tmap[string, idset]{})
 			})
 		}, "empty key"},
 		{"stale blob reader", func(db *DB, ids map[string]core.ID) {
 			b, _ := db.Get(ids["b"])
 			corruptView(db, func(st *state) {
-				st.ix.blob = setAdd(st.ix.blob, b.Blob, ids["a"])
+				st.ix.blob = setAdd(0, st.ix.blob, b.Blob, ids["a"])
 			})
 		}, "blob reader"},
 		{"treap byID divergence", func(db *DB, ids map[string]core.ID) {
 			corruptView(db, func(st *state) {
-				st.ix.spans.byID = st.ix.spans.byID.set(core.ID(9999), Span{Start: 1, End: 2})
+				st.ix.spans.byID = st.ix.spans.byID.set(0, core.ID(9999), Span{Start: 1, End: 2})
 			})
 		}, "interval index"},
 	}
@@ -429,12 +429,12 @@ func TestTimelineSpanEdgeCases(t *testing.T) {
 // lists are pruned from the persistent family.
 func TestSetDropMissingKey(t *testing.T) {
 	var m tmap[string, idset]
-	m = setDrop(m, "ghost", core.ID(1))
+	m = setDrop(0, m, "ghost", core.ID(1))
 	if m.len() != 0 {
 		t.Errorf("map has %d keys", m.len())
 	}
-	m = setAdd(m, "k", core.ID(1))
-	m = setDrop(m, "k", core.ID(1))
+	m = setAdd(0, m, "k", core.ID(1))
+	m = setDrop(0, m, "k", core.ID(1))
 	if m.has("k") {
 		t.Error("emptied set not pruned")
 	}

@@ -27,12 +27,14 @@ func (s Span) Overlaps(lo, hi float64) bool {
 // spanIndex stores object spans in a persistent treap keyed by
 // (Start, ID) with subtree-max End augmentation, so a window query
 // visits only subtrees that can still overlap: O(log n + k) for k
-// results. Like tmap, mutation is by path copying: add and remove
-// return a new index sharing all untouched nodes with the old one, so
-// every published epoch carries its own immutable interval index.
-// Node priorities are hashed from the object ID, making the shape a
-// pure function of the stored set — identical across live maintenance
-// and rebuild-from-scratch, which VerifyIndexes exploits.
+// results. Like tmap, nodes are owned by the edit that made them: add
+// and remove change in place the nodes their owner token made, copy
+// the others on the split and merge spines, and share every untouched
+// node with the old index, so every published epoch carries its own
+// immutable interval index. Node priorities are hashed from the
+// object ID, making the shape a pure function of the stored set —
+// identical across live maintenance and rebuild-from-scratch, which
+// VerifyIndexes exploits.
 type spanIndex struct {
 	root *spanNode
 	byID tmap[core.ID, Span]
@@ -42,12 +44,19 @@ type spanNode struct {
 	id          core.ID
 	span        Span
 	prio        uint64
+	own         uint64 // token of the edit that made the node (see tnode)
 	maxEnd      float64
 	left, right *spanNode
 }
 
-func (n *spanNode) copy() *spanNode {
+// owned returns n itself when own made it, else a copy of n that own
+// owns.
+func (n *spanNode) owned(own uint64) *spanNode {
+	if own != 0 && n.own == own {
+		return n
+	}
 	c := *n
+	c.own = own
 	return &c
 }
 
@@ -73,75 +82,76 @@ func (n *spanNode) pull() *spanNode {
 }
 
 // spanSplit partitions n into keys < (start, id) and keys >=
-// (start, id), copying every node on the split spine. Subtrees that
+// (start, id), owning every node on the split spine. Subtrees that
 // land wholly on one side are shared, not copied.
-func spanSplit(n *spanNode, start float64, id core.ID) (l, r *spanNode) {
+func spanSplit(own uint64, n *spanNode, start float64, id core.ID) (l, r *spanNode) {
 	if n == nil {
 		return nil, nil
 	}
-	c := n.copy()
+	c := n.owned(own)
 	if c.keyLess(start, id) {
-		sl, sr := spanSplit(c.right, start, id)
+		sl, sr := spanSplit(own, c.right, start, id)
 		c.right = sl
 		return c.pull(), sr
 	}
-	sl, sr := spanSplit(c.left, start, id)
+	sl, sr := spanSplit(own, c.left, start, id)
 	c.left = sr
 	return sl, c.pull()
 }
 
 // spanMerge joins two treaps where every key in l precedes every key
-// in r, copying the merge spine.
-func spanMerge(l, r *spanNode) *spanNode {
+// in r, owning the merge spine.
+func spanMerge(own uint64, l, r *spanNode) *spanNode {
 	switch {
 	case l == nil:
 		return r
 	case r == nil:
 		return l
 	case l.prio >= r.prio:
-		c := l.copy()
-		c.right = spanMerge(c.right, r)
+		c := l.owned(own)
+		c.right = spanMerge(own, c.right, r)
 		return c.pull()
 	default:
-		c := r.copy()
-		c.left = spanMerge(l, c.left)
+		c := r.owned(own)
+		c.left = spanMerge(own, l, c.left)
 		return c.pull()
 	}
 }
 
-// add returns an index with the span for id inserted (or replaced).
-func (ix spanIndex) add(id core.ID, s Span) spanIndex {
+// add returns an index with the span for id inserted (or replaced),
+// owning what it changes under own (see tmap.set).
+func (ix spanIndex) add(own uint64, id core.ID, s Span) spanIndex {
 	if old, ok := ix.byID.get(id); ok {
-		ix = ix.removeKey(old.Start, id)
+		ix = ix.removeKey(own, old.Start, id)
 	}
-	ix.byID = ix.byID.set(id, s)
-	n := &spanNode{id: id, span: s, prio: spanPrio(id)}
+	ix.byID = ix.byID.set(own, id, s)
+	n := &spanNode{id: id, span: s, prio: spanPrio(id), own: own}
 	n.pull()
-	l, r := spanSplit(ix.root, s.Start, id)
-	ix.root = spanMerge(spanMerge(l, n), r)
+	l, r := spanSplit(own, ix.root, s.Start, id)
+	ix.root = spanMerge(own, spanMerge(own, l, n), r)
 	return ix
 }
 
 // remove returns an index without id's span; unknown IDs return the
 // index unchanged.
-func (ix spanIndex) remove(id core.ID) spanIndex {
+func (ix spanIndex) remove(own uint64, id core.ID) spanIndex {
 	s, ok := ix.byID.get(id)
 	if !ok {
 		return ix
 	}
-	ix.byID = ix.byID.del(id)
-	return ix.removeKey(s.Start, id)
+	ix.byID = ix.byID.del(own, id)
+	return ix.removeKey(own, s.Start, id)
 }
 
 // removeKey detaches the single node with key (start, id) by splitting
 // out the one-key range [(start,id), (start,id+1)).
-func (ix spanIndex) removeKey(start float64, id core.ID) spanIndex {
-	l, rest := spanSplit(ix.root, start, id)
-	mid, r := spanSplit(rest, start, id+1)
+func (ix spanIndex) removeKey(own uint64, start float64, id core.ID) spanIndex {
+	l, rest := spanSplit(own, ix.root, start, id)
+	mid, r := spanSplit(own, rest, start, id+1)
 	if mid != nil {
-		mid = spanMerge(mid.left, mid.right)
+		mid = spanMerge(own, mid.left, mid.right)
 	}
-	ix.root = spanMerge(spanMerge(l, mid), r)
+	ix.root = spanMerge(own, spanMerge(own, l, mid), r)
 	return ix
 }
 

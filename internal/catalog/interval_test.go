@@ -33,13 +33,13 @@ func TestIntervalRandomOpsAgainstMapOracle(t *testing.T) {
 		switch rng.Intn(10) {
 		case 0, 1: // remove (often a no-op on a missing id)
 			id := core.ID(rng.Intn(200))
-			ix = ix.remove(id)
+			ix = ix.remove(0, id)
 			delete(oracle, id)
 		default: // add or replace; duplicate starts are common on purpose
 			id := core.ID(rng.Intn(200))
 			start := float64(rng.Intn(40)) / 4
 			s := Span{Start: start, End: start + 0.25 + rng.Float64()*5}
-			ix = ix.add(id, s)
+			ix = ix.add(0, id, s)
 			oracle[id] = s
 		}
 		if err := ix.check(); err != nil {
@@ -69,7 +69,7 @@ func TestIntervalRandomOpsAgainstMapOracle(t *testing.T) {
 
 	// Drain completely; the tree must empty out cleanly.
 	for id := range oracle {
-		ix = ix.remove(id)
+		ix = ix.remove(0, id)
 	}
 	if ix.len() != 0 || ix.root != nil {
 		t.Errorf("after drain: len=%d root=%v", ix.len(), ix.root)
@@ -83,9 +83,9 @@ func TestIntervalRandomOpsAgainstMapOracle(t *testing.T) {
 // add: re-adding an id moves its span, never duplicates it.
 func TestIntervalSpanOfAndReplace(t *testing.T) {
 	var ix spanIndex
-	ix = ix.add(1, Span{Start: 0, End: 2})
-	ix = ix.add(2, Span{Start: 1, End: 3})
-	ix = ix.add(1, Span{Start: 10, End: 12}) // replace
+	ix = ix.add(0, 1, Span{Start: 0, End: 2})
+	ix = ix.add(0, 2, Span{Start: 1, End: 3})
+	ix = ix.add(0, 1, Span{Start: 10, End: 12}) // replace
 
 	if s, ok := ix.spanOf(1); !ok || s.Start != 10 || s.End != 12 {
 		t.Errorf("spanOf(1) = %v %v", s, ok)

@@ -1,24 +1,36 @@
 package catalog
 
-// Persistent ordered map: a path-copying treap with deterministic
-// priorities and size augmentation. This is the building block for the
-// epoch-snapshot catalog: every mutation copies the O(log n) spine it
-// touches and shares the rest of the tree with the previous epoch, so
-// publishing a new immutable view after a commit costs log-time and a
-// handful of allocations instead of a full map clone.
+// Persistent ordered map: a treap with deterministic priorities and
+// size augmentation, edited by path ownership. This is the building
+// block for the epoch-snapshot catalog: a mutation copies the O(log n)
+// spine it touches and shares the rest of the tree with the previous
+// epoch, so publishing a new immutable view after a commit costs
+// log-time and a handful of allocations instead of a full map clone.
 //
-// Priorities are a hash of the key, so the shape of a treap is a pure
-// function of its key set — two independently built maps over the same
-// keys are structurally identical. VerifyIndexes leans on a weaker
-// form of this (set equality), but determinism also keeps replay and
-// rebuild paths reproducible under -race and in crash tests.
+// Every node records the owner token of the edit that made it (see
+// newOwner). A mutation under token own changes a node in place when
+// own made it, and copies it (stamping the copy with own) otherwise:
+// an edit that touches one path k times copies it once, not k times.
+// An edit's token is retired before anything reads the edit's result
+// (viewEdit.view), so a node any view can reach never changes again.
+// Token 0 owns nothing: a mutation under it copies every node it
+// touches, the plain persistent update.
 //
-// The zero value is an empty, ready-to-use map. All methods are
-// value receivers returning new maps; a tmap is safe to read from any
-// number of goroutines once published.
+// Priorities are a hash of the key (prioOf), recomputed where the
+// treap needs them rather than stored, so the owner token takes the
+// word a stored priority would. The shape of a treap is a pure
+// function of its key set — two independently built maps over the
+// same keys are structurally identical. VerifyIndexes leans on a
+// weaker form of this (set equality), but determinism also keeps
+// replay and rebuild paths reproducible under -race and in crash tests.
+//
+// The zero value is an empty, ready-to-use map. All methods are value
+// receivers returning new maps; a tmap is safe to read from any number
+// of goroutines once published.
 
 import (
 	"cmp"
+	"sync/atomic"
 
 	"timedmedia/internal/blob"
 	"timedmedia/internal/core"
@@ -28,7 +40,7 @@ import (
 type tnode[K cmp.Ordered, V any] struct {
 	k    K
 	v    V
-	prio uint64
+	own  uint64 // token of the edit that made the node; 0: none
 	size int
 	l, r *tnode[K, V]
 }
@@ -37,6 +49,12 @@ type tnode[K cmp.Ordered, V any] struct {
 type tmap[K cmp.Ordered, V any] struct {
 	root *tnode[K, V]
 }
+
+// lastOwner is the most recently issued owner token.
+var lastOwner atomic.Uint64
+
+// newOwner returns an owner token no edit has held before.
+func newOwner() uint64 { return lastOwner.Add(1) }
 
 func tsize[K cmp.Ordered, V any](n *tnode[K, V]) int {
 	if n == nil {
@@ -49,8 +67,14 @@ func (n *tnode[K, V]) pull() {
 	n.size = tsize(n.l) + tsize(n.r) + 1
 }
 
-func (n *tnode[K, V]) copy() *tnode[K, V] {
+// owned returns n itself when own made it, else a copy of n that own
+// owns.
+func (n *tnode[K, V]) owned(own uint64) *tnode[K, V] {
+	if own != 0 && n.own == own {
+		return n
+	}
 	c := *n
+	c.own = own
 	return &c
 }
 
@@ -122,27 +146,32 @@ func (m tmap[K, V]) has(k K) bool {
 	return ok
 }
 
-// set returns a map with k bound to v, sharing structure with m.
-func (m tmap[K, V]) set(k K, v V) tmap[K, V] {
-	return tmap[K, V]{root: tset(m.root, k, v, prioOf(k))}
+// set returns a map with k bound to v: the nodes on k's path that own
+// made change in place, the others are copied, and everything else is
+// shared with m.
+func (m tmap[K, V]) set(own uint64, k K, v V) tmap[K, V] {
+	return tmap[K, V]{root: tset(own, m.root, k, v, prioOf(k))}
 }
 
-func tset[K cmp.Ordered, V any](n *tnode[K, V], k K, v V, prio uint64) *tnode[K, V] {
+// tset inserts or rebinds k below n; prio is prioOf(k). Only the node
+// holding k can rise above its parent, and only when it is new, so a
+// rotation is tested only where the child's root holds k.
+func tset[K cmp.Ordered, V any](own uint64, n *tnode[K, V], k K, v V, prio uint64) *tnode[K, V] {
 	if n == nil {
-		return &tnode[K, V]{k: k, v: v, prio: prio, size: 1}
+		return &tnode[K, V]{k: k, v: v, own: own, size: 1}
 	}
-	c := n.copy()
+	c := n.owned(own)
 	switch {
-	case k < n.k:
-		c.l = tset(n.l, k, v, prio)
+	case k < c.k:
+		c.l = tset(own, c.l, k, v, prio)
 		c.pull()
-		if c.l.prio > c.prio {
+		if c.l.k == k && prio > prioOf(c.k) {
 			c = rotRight(c)
 		}
-	case k > n.k:
-		c.r = tset(n.r, k, v, prio)
+	case k > c.k:
+		c.r = tset(own, c.r, k, v, prio)
 		c.pull()
-		if c.r.prio > c.prio {
+		if c.r.k == k && prio > prioOf(c.k) {
 			c = rotLeft(c)
 		}
 	default:
@@ -151,10 +180,10 @@ func tset[K cmp.Ordered, V any](n *tnode[K, V], k K, v V, prio uint64) *tnode[K,
 	return c
 }
 
-// rotRight and rotLeft operate on freshly copied nodes only: the
-// parent is a copy made by tset, and the promoted child is the node
-// tset just returned, so in-place pointer surgery never mutates a
-// published epoch.
+// rotRight and rotLeft operate on owned nodes only: the parent is the
+// node tset owns, and the promoted child is the node tset just
+// returned, which it owns too, so in-place pointer surgery never
+// mutates a published epoch.
 func rotRight[K cmp.Ordered, V any](n *tnode[K, V]) *tnode[K, V] {
 	l := n.l
 	n.l = l.r
@@ -173,62 +202,64 @@ func rotLeft[K cmp.Ordered, V any](n *tnode[K, V]) *tnode[K, V] {
 	return r
 }
 
-// del returns a map without k, sharing structure with m. Deleting an
-// absent key returns m unchanged.
-func (m tmap[K, V]) del(k K) tmap[K, V] {
-	root, ok := tdel(m.root, k)
+// del returns a map without k, changing in place the nodes own made
+// on k's path and sharing the rest with m. Deleting an absent key
+// returns m unchanged.
+func (m tmap[K, V]) del(own uint64, k K) tmap[K, V] {
+	root, ok := tdel(own, m.root, k)
 	if !ok {
 		return m
 	}
 	return tmap[K, V]{root: root}
 }
 
-func tdel[K cmp.Ordered, V any](n *tnode[K, V], k K) (*tnode[K, V], bool) {
+func tdel[K cmp.Ordered, V any](own uint64, n *tnode[K, V], k K) (*tnode[K, V], bool) {
 	if n == nil {
 		return nil, false
 	}
 	switch {
 	case k < n.k:
-		nl, ok := tdel(n.l, k)
+		nl, ok := tdel(own, n.l, k)
 		if !ok {
 			return n, false
 		}
-		c := n.copy()
+		c := n.owned(own)
 		c.l = nl
 		c.pull()
 		return c, true
 	case k > n.k:
-		nr, ok := tdel(n.r, k)
+		nr, ok := tdel(own, n.r, k)
 		if !ok {
 			return n, false
 		}
-		c := n.copy()
+		c := n.owned(own)
 		c.r = nr
 		c.pull()
 		return c, true
 	default:
-		return tmerge(n.l, n.r), true
+		return tmerge(own, n.l, n.r), true
 	}
 }
 
 // tmerge joins two treaps where every key in l precedes every key in
 // r. Nodes returned untouched (the nil cases) stay shared; every node
-// on the merge spine is copied.
-func tmerge[K cmp.Ordered, V any](l, r *tnode[K, V]) *tnode[K, V] {
+// on the merge spine is owned: changed in place when own made it,
+// copied otherwise.
+func tmerge[K cmp.Ordered, V any](own uint64, l, r *tnode[K, V]) *tnode[K, V] {
 	if l == nil {
 		return r
 	}
 	if r == nil {
 		return l
 	}
-	if l.prio >= r.prio {
-		c := l.copy()
-		c.r = tmerge(l.r, r)
+	if prioOf(l.k) >= prioOf(r.k) {
+		c := l.owned(own)
+		c.r = tmerge(own, c.r, r)
 		c.pull()
 		return c
 	}
-	c := r.copy()
-	c.l = tmerge(l, r.l)
+	c := r.owned(own)
+	c.l = tmerge(own, l, c.l)
 	c.pull()
 	return c
 }
@@ -255,7 +286,7 @@ func tascend[K cmp.Ordered, V any](n *tnode[K, V], f func(K, V) bool) bool {
 // diff calls f, in ascending key order, for every key a and b bind
 // differently, with V's zero value for a side that lacks it (the
 // catalog's maps hold pointers, never nil). Shared subtrees are skipped
-// by pointer: path copying shares every subtree an edit did not touch,
+// by pointer: an edit shares every subtree it did not touch,
 // so maps k edits apart cost O(k log n) to diff. Ascending order keeps
 // a caller that inserts the keys into another treap on its right spine.
 func diff[K cmp.Ordered, V comparable](a, b tmap[K, V], f func(k K, av, bv V)) {
@@ -270,7 +301,7 @@ func tdiff[K cmp.Ordered, V comparable](a, b *tnode[K, V], lo, hi *K, f func(K, 
 	if a == b {
 		return
 	}
-	if a == nil || (b != nil && b.prio > a.prio) {
+	if a == nil || (b != nil && prioOf(b.k) > prioOf(a.k)) {
 		tdiff(a, b.l, lo, &b.k, f)
 		if av, _ := (tmap[K, V]{root: a}).get(b.k); av != b.v {
 			f(b.k, av, b.v)

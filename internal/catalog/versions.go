@@ -197,10 +197,10 @@ func (e *viewEdit) setChain(id core.ID, c *verChain) {
 	}
 	old, _ := e.vers.get(id)
 	e.count += liveDelta(old, c)
-	e.vers = e.vers.set(id, c)
+	e.vers = e.vers.set(e.own, id, c)
 	ids, _ := e.chainsByName.get(c.name)
 	if i, listed := slices.BinarySearch(ids, id); !listed {
-		e.chainsByName = e.chainsByName.set(c.name, slices.Insert(slices.Clone(ids), i, id))
+		e.chainsByName = e.chainsByName.set(e.own, c.name, slices.Insert(slices.Clone(ids), i, id))
 	}
 }
 
@@ -209,15 +209,15 @@ func (e *viewEdit) setChain(id core.ID, c *verChain) {
 func (e *viewEdit) dropChain(id core.ID, name string) {
 	old, _ := e.vers.get(id)
 	e.count += liveDelta(old, nil)
-	e.vers = e.vers.del(id)
+	e.vers = e.vers.del(e.own, id)
 	ids, _ := e.chainsByName.get(name)
 	i, listed := slices.BinarySearch(ids, id)
 	switch {
 	case !listed:
 	case len(ids) == 1:
-		e.chainsByName = e.chainsByName.del(name)
+		e.chainsByName = e.chainsByName.del(e.own, name)
 	default:
-		e.chainsByName = e.chainsByName.set(name, slices.Delete(slices.Clone(ids), i, i+1))
+		e.chainsByName = e.chainsByName.set(e.own, name, slices.Delete(slices.Clone(ids), i, i+1))
 	}
 }
 
@@ -249,10 +249,10 @@ func (e *viewEdit) setInterpChain(id blob.ID, c *interpVerChain) {
 	old, _ := e.interpVers.get(id)
 	e.interpCount += liveDelta(old, c)
 	if c == nil {
-		e.interpVers = e.interpVers.del(id)
+		e.interpVers = e.interpVers.del(e.own, id)
 		return
 	}
-	e.interpVers = e.interpVers.set(id, c)
+	e.interpVers = e.interpVers.set(e.own, id, c)
 }
 
 // appendInterpVersion / appendInterpTombstone maintain the

@@ -473,55 +473,55 @@ func TestVerifyVersionsDetectsCorruption(t *testing.T) {
 		want    string
 	}{
 		{"empty chain", func(v *View) {
-			v.vers = v.vers.set(999, &verChain{name: "clip"})
+			v.vers = v.vers.set(0, 999, &verChain{name: "clip"})
 		}, "empty version chain"},
 		{"all tombstones retained", func(v *View) {
-			v.vers = v.vers.set(999, &verChain{name: "clip", entries: []verEntry{{seq: 1}}})
+			v.vers = v.vers.set(0, 999, &verChain{name: "clip", entries: []verEntry{{seq: 1}}})
 		}, "all-tombstone chain"},
 		{"seq order violation", func(v *View) {
 			o := chainObj(999, "clip")
-			v.vers = v.vers.set(999, &verChain{name: "clip", entries: []verEntry{{seq: 5, val: o}, {seq: 5, val: o}}})
+			v.vers = v.vers.set(0, 999, &verChain{name: "clip", entries: []verEntry{{seq: 5, val: o}, {seq: 5, val: o}}})
 		}, "seq order violation"},
 		{"foreign object in chain", func(v *View) {
-			v.vers = v.vers.set(999, &verChain{name: "clip", entries: []verEntry{{seq: 5, val: chainObj(7, "clip")}}})
+			v.vers = v.vers.set(0, 999, &verChain{name: "clip", entries: []verEntry{{seq: 5, val: chainObj(7, "clip")}}})
 		}, "holds version of"},
 		{"live tail without object", func(v *View) {
-			v.vers = v.vers.set(999, &verChain{name: "clip", entries: []verEntry{{seq: 5, val: chainObj(999, "clip")}}})
+			v.vers = v.vers.set(0, 999, &verChain{name: "clip", entries: []verEntry{{seq: 5, val: chainObj(999, "clip")}}})
 		}, "not listed under"},
 		{"tombstone tail over live object", func(v *View) {
 			c, _ := v.vers.get(clip)
-			v.vers = v.vers.set(clip, c.appended(verEntry{seq: 99}))
+			v.vers = v.vers.set(0, clip, c.appended(verEntry{seq: 99}))
 		}, "live chain tails"},
 		{"live object without chain", func(v *View) {
-			v.vers = v.vers.del(clip)
+			v.vers = v.vers.del(0, clip)
 		}, "no such chain"},
 		{"two live objects under one name", func(v *View) {
-			v.vers = v.vers.set(999, &verChain{name: "clip", entries: []verEntry{{seq: 5, val: chainObj(999, "clip")}}})
+			v.vers = v.vers.set(0, 999, &verChain{name: "clip", entries: []verEntry{{seq: 5, val: chainObj(999, "clip")}}})
 			ids, _ := v.chainsByName.get("clip")
-			v.chainsByName = v.chainsByName.set("clip", append(slices.Clone(ids), 999))
+			v.chainsByName = v.chainsByName.set(0, "clip", append(slices.Clone(ids), 999))
 		}, "live chains under"},
 		{"chain missing from name directory", func(v *View) {
-			v.chainsByName = v.chainsByName.del("clip")
+			v.chainsByName = v.chainsByName.del(0, "clip")
 		}, "not listed under"},
 		{"dangling name directory entry", func(v *View) {
-			v.chainsByName = v.chainsByName.set("x", []core.ID{999})
+			v.chainsByName = v.chainsByName.set(0, "x", []core.ID{999})
 		}, "no such chain"},
 		{"count mismatch", func(v *View) {
 			v.count++
 		}, "live chain tails"},
 		{"degenerate interp chain", func(v *View) {
-			v.interpVers = v.interpVers.set(9999, &interpVerChain{})
+			v.interpVers = v.interpVers.set(0, 9999, &interpVerChain{})
 		}, "interp chain"},
 		{"interp seq order violation", func(v *View) {
 			it := interpAt(v.interpVers, anyInterp, seqNow)
-			v.interpVers = v.interpVers.set(anyInterp, &interpVerChain{entries: []interpVerEntry{{seq: 3, val: it}, {seq: 3, val: it}}})
+			v.interpVers = v.interpVers.set(0, anyInterp, &interpVerChain{entries: []interpVerEntry{{seq: 3, val: it}, {seq: 3, val: it}}})
 		}, "interp chain"},
 		{"interp tail liveness mismatch", func(v *View) {
 			it := interpAt(v.interpVers, anyInterp, seqNow)
-			v.interpVers = v.interpVers.set(9999, &interpVerChain{entries: []interpVerEntry{{seq: 3, val: it}}})
+			v.interpVers = v.interpVers.set(0, 9999, &interpVerChain{entries: []interpVerEntry{{seq: 3, val: it}}})
 		}, "live interp chain tails"},
 		{"live interp without chain", func(v *View) {
-			v.interpVers = v.interpVers.del(anyInterp)
+			v.interpVers = v.interpVers.del(0, anyInterp)
 		}, "live interp chain tails"},
 		{"interp count mismatch", func(v *View) {
 			v.interpCount++

@@ -11,8 +11,9 @@ package catalog
 // the same point-read helpers an AsOfView uses (state.object,
 // state.lookup, interpAt). The state is built from persistent treaps
 // (pmap.go, interval.go), so publishing a new epoch after a commit
-// copies only the O(log n) spines the mutation touched and shares
-// everything else with the previous epoch. Every ID-keyed treap walks
+// copies only the O(log n) spines the commit touched, once each however
+// many records touched them, and shares everything else with the
+// previous epoch. Every ID-keyed treap walks
 // in ID order, so a query's candidate walk is already in result order.
 //
 // Readers pin a View with one atomic load and never take a lock: a
@@ -252,35 +253,48 @@ func (r *epochRing) at(epoch uint64) *View {
 // viewEdit is a copy-on-write editing session over a view. A commit
 // builds one under db.mu over the newest pending view and freezes it
 // into the view it publishes (see commitLocked), so a whole batch lands
-// as one epoch. The edit starts as a copy of the view's state; every
-// mutation path-copies the O(log n) treap spines it touches and shares
-// the rest.
+// as one epoch. The edit starts as a copy of the view's state and holds
+// an owner token (see pmap.go): a mutation copies the treap nodes on
+// its path that the edit did not make, changes the ones it made in
+// place, and shares the rest. A 4-object batch or a snapshot load of n
+// records thus copies each path once, not once per record. view
+// retires the token, so no node a pending or published view can reach
+// ever changes again.
 type viewEdit struct {
-	db *DB
+	db  *DB
+	own uint64
 	state
 }
 
 // beginEditLocked starts an edit over the newest pending view: the last
-// queued commit's, or the published one when none is queued. Assumes
-// db.mu is held (or the DB is not yet shared, during load).
+// queued commit's, or the published one when none is queued. The edit
+// takes db.editOwner, issuing one when the last was retired: an edit
+// dropped without a view (a record failed validation) leaves its token
+// to the next one, as no view reaches the nodes it made. Assumes db.mu
+// is held (or the DB is not yet shared, during load).
 func (db *DB) beginEditLocked() *viewEdit {
 	base := db.cur.Load()
 	if n := len(db.commits); n > 0 {
 		base = db.commits[n-1].view
 	}
-	return &viewEdit{db: db, state: base.state}
+	if db.editOwner == 0 {
+		db.editOwner = newOwner()
+	}
+	return &viewEdit{db: db, own: db.editOwner, state: base.state}
 }
 
 // link adds obj to the indexes. Component spans resolve against the
 // edit's working state, so multi-object batches see their own earlier
 // members.
-func (e *viewEdit) link(obj *core.Object) { e.ix = e.ix.link(obj, e.getByID) }
+func (e *viewEdit) link(obj *core.Object) { e.ix = e.ix.link(e.own, obj, e.getByID) }
 
 // unlink removes obj from the indexes.
-func (e *viewEdit) unlink(obj *core.Object) { e.ix = e.ix.unlink(obj) }
+func (e *viewEdit) unlink(obj *core.Object) { e.ix = e.ix.unlink(e.own, obj) }
 
-// view freezes the edit as the view at seq.
+// view freezes the edit as the view at seq and retires its token, so
+// no later edit changes a node the view reaches.
 func (e *viewEdit) view(seq uint64) *View {
+	e.db.editOwner, e.own = 0, 0
 	return &View{db: e.db, seq: seq, state: e.state}
 }
 
@@ -300,7 +314,7 @@ func (db *DB) commitEditLocked(e *viewEdit, seq uint64) {
 // gone, and no tombstone followed. Assumes the DB is not yet shared.
 func (db *DB) relinkAllLocked() error {
 	cur := db.cur.Load()
-	ix := pIndexes{}
+	ix, own := pIndexes{}, newOwner()
 	var err error
 	cur.eachAt(seqNow, func(o *core.Object) bool {
 		if o.Class == core.ClassNonDerived && interpAt(cur.interpVers, o.Blob, seqNow) == nil {
@@ -310,7 +324,7 @@ func (db *DB) relinkAllLocked() error {
 			err = fmt.Errorf("catalog: object %v (%q): %w", o.ID, o.Name, err)
 			return false
 		}
-		ix = ix.link(o, cur.getByID)
+		ix = ix.link(own, o, cur.getByID)
 		return true
 	})
 	if err != nil {

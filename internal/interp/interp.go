@@ -24,6 +24,7 @@ import (
 	"math"
 	"slices"
 	"sort"
+	"sync"
 
 	"timedmedia/internal/blob"
 	"timedmedia/internal/media"
@@ -40,6 +41,7 @@ var (
 	ErrNoLayer       = errors.New("interp: no such layer")
 	ErrOverlap       = errors.New("interp: element placements overlap")
 	ErrBeyondBlob    = errors.New("interp: placement extends beyond BLOB")
+	ErrMisplaced     = errors.New("interp: BLOB placed appended bytes elsewhere")
 	ErrBadDescriptor = errors.New("interp: invalid media descriptor")
 )
 
@@ -61,15 +63,31 @@ type elemRec struct {
 }
 
 // Builder constructs an interpretation while media is captured into a
-// BLOB. Append methods write payloads to the BLOB and record
-// placements; Seal validates everything and freezes the result.
+// BLOB. Append methods place payloads at the BLOB's logical end (Size)
+// and record their placements. The bytes are held until Seal, or until
+// maxHeld of them have gathered, and reach the BLOB in one append; a
+// payload of maxHeld bytes or more goes straight through. So a capture
+// costs one BLOB append per MiB, not one per element. Every write
+// checks that the BLOB put the bytes where the placements say
+// (ErrMisplaced otherwise), so nothing else may append to the BLOB
+// while the builder is open. Seal then validates everything and
+// freezes the result.
 type Builder struct {
 	b      blob.BLOB
 	id     blob.ID
 	tracks map[string]*trackBuilder
 	order  []string
+	held   []byte // placed bytes not yet written: the last len(held) before end
+	end    int64  // the logical end: the BLOB's size plus len(held)
 	err    error
 }
+
+// maxHeld bounds the bytes a Builder holds between writes.
+const maxHeld = 1 << 20
+
+// heldBufs recycles the buffers Builders hold bytes in: growing one
+// per capture by append would copy a clip's bytes many times over.
+var heldBufs = sync.Pool{New: func() any { b := make([]byte, 0, maxHeld); return &b }}
 
 type trackBuilder struct {
 	typ   *media.Type
@@ -79,7 +97,51 @@ type trackBuilder struct {
 
 // NewBuilder starts an interpretation of the given BLOB.
 func NewBuilder(id blob.ID, b blob.BLOB) *Builder {
-	return &Builder{b: b, id: id, tracks: map[string]*trackBuilder{}}
+	return &Builder{b: b, id: id, end: b.Size(), tracks: map[string]*trackBuilder{}}
+}
+
+// Size returns the BLOB's logical end: its length once every byte
+// appended so far has been written.
+func (bu *Builder) Size() int64 { return bu.end }
+
+// place puts data at the logical end and returns its offset.
+func (bu *Builder) place(data []byte) int64 {
+	off := bu.end
+	if len(bu.held)+len(data) > maxHeld {
+		bu.flush()
+	}
+	if len(data) >= maxHeld {
+		bu.write(data, off)
+	} else {
+		if bu.held == nil {
+			bu.held = (*heldBufs.Get().(*[]byte))[:0]
+		}
+		bu.held = append(bu.held, data...)
+	}
+	bu.end += int64(len(data))
+	return off
+}
+
+// flush writes the held bytes.
+func (bu *Builder) flush() {
+	if len(bu.held) > 0 {
+		bu.write(bu.held, bu.end-int64(len(bu.held)))
+		bu.held = bu.held[:0]
+	}
+}
+
+// write appends data to the BLOB, which must put it at want.
+func (bu *Builder) write(data []byte, want int64) {
+	if bu.err != nil {
+		return
+	}
+	off, err := bu.b.Append(data)
+	switch {
+	case err != nil:
+		bu.err = err
+	case off != want:
+		bu.err = fmt.Errorf("%w: %d bytes at %d, placed at %d", ErrMisplaced, len(data), off, want)
+	}
 }
 
 // AddTrack declares a media object within the BLOB. The descriptor's
@@ -101,7 +163,7 @@ func (bu *Builder) AddTrack(name string, typ *media.Type, desc media.Descriptor)
 	return bu
 }
 
-// Append writes payload to the BLOB as the next element of track,
+// Append places payload in the BLOB as the next element of track,
 // with the given presentation start and duration. Elements may be
 // appended in storage order that differs from presentation order
 // (vmpg); Seal sorts the logical view by start time while the
@@ -110,7 +172,7 @@ func (bu *Builder) Append(track string, payload []byte, start, dur int64, desc m
 	return bu.AppendLayered(track, [][]byte{payload}, start, dur, desc)
 }
 
-// AppendLayered writes a multi-layer element (layer 0 = base, then
+// AppendLayered places a multi-layer element (layer 0 = base, then
 // enhancements). Scaled playback reads a prefix of the layers.
 func (bu *Builder) AppendLayered(track string, layers [][]byte, start, dur int64, desc media.ElementDescriptor) *Builder {
 	if bu.err != nil {
@@ -127,11 +189,7 @@ func (bu *Builder) AppendLayered(track string, layers [][]byte, start, dur int64
 	}
 	rec := elemRec{el: stream.Element{Start: start, Dur: dur, Desc: desc}}
 	for _, data := range layers {
-		off, err := bu.b.Append(data)
-		if err != nil {
-			bu.err = err
-			return bu
-		}
+		off := bu.place(data)
 		rec.layers = append(rec.layers, Placement{Offset: off, Size: int64(len(data))})
 		rec.el.Size += int64(len(data))
 	}
@@ -139,23 +197,25 @@ func (bu *Builder) AppendLayered(track string, layers [][]byte, start, dur int64
 	return bu
 }
 
-// Pad writes n zero bytes to the BLOB without recording any element —
+// Pad places n zero bytes in the BLOB without recording any element —
 // the padding used "to match storage transfer rates to media data
 // rates" (CD-I). Interpretations simply skip padded regions.
 func (bu *Builder) Pad(n int) *Builder {
-	if bu.err != nil {
-		return bu
-	}
-	if n > 0 {
-		if _, err := bu.b.Append(make([]byte, n)); err != nil {
-			bu.err = err
-		}
+	if bu.err == nil && n > 0 {
+		bu.place(make([]byte, n))
 	}
 	return bu
 }
 
-// Seal validates and freezes the interpretation.
+// Seal writes the held bytes, then validates and freezes the
+// interpretation.
 func (bu *Builder) Seal() (*Interpretation, error) {
+	bu.flush()
+	if bu.held != nil {
+		buf := bu.held[:0]
+		heldBufs.Put(&buf)
+		bu.held = nil
+	}
 	if bu.err != nil {
 		return nil, bu.err
 	}

@@ -264,6 +264,76 @@ func TestPadding(t *testing.T) {
 	}
 }
 
+// TestBuilderHoldsAppends: appended bytes reach the BLOB in large
+// appends, not one per element. Small payloads are held (the BLOB does
+// not grow, Size does) until Seal writes them in one append; a payload
+// of maxHeld bytes or more goes straight through after what is held;
+// the BLOB never lags Size by more than maxHeld; and every placement
+// reads back its own payload.
+func TestBuilderHoldsAppends(t *testing.T) {
+	store := blob.NewMemStore()
+	id, b, _ := store.Create()
+	ty := media.PALVideoType(64, 48, media.QualityVHS, media.EncodingVJPG)
+	bu := NewBuilder(id, b).AddTrack("a", ty, ty.NewDescriptor(0))
+	var want [][]byte
+	add := func(p []byte) {
+		t.Helper()
+		bu.Append("a", p, int64(len(want)), 1, media.ElementDescriptor{})
+		want = append(want, p)
+	}
+	appends := func() int64 { _, _, n, _ := store.Stats().Snapshot(); return n }
+
+	for i := 0; i < 100; i++ {
+		add(bytes.Repeat([]byte{byte(i)}, 10))
+	}
+	bu.Pad(24)
+	if b.Size() != 0 || bu.Size() != 1024 || appends() != 0 {
+		t.Fatalf("after 1000 B of elements and 24 of padding: BLOB %d B, Size %d, %d appends", b.Size(), bu.Size(), appends())
+	}
+	add(bytes.Repeat([]byte{0xBB}, maxHeld)) // straight through, after the held bytes
+	if b.Size() != 1024+maxHeld || appends() != 2 {
+		t.Fatalf("after a %d B payload: BLOB %d B, %d appends", maxHeld, b.Size(), appends())
+	}
+	for i := 0; i < 7; i++ {
+		add(bytes.Repeat([]byte{byte(i)}, maxHeld/3+1))
+		if lag := bu.Size() - b.Size(); lag < 0 || lag > maxHeld {
+			t.Fatalf("BLOB lags Size by %d B", lag)
+		}
+	}
+	it, err := bu.Seal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b.Size() != bu.Size() || it.BlobSize() != bu.Size() {
+		t.Fatalf("sealed: BLOB %d B, Size %d", b.Size(), bu.Size())
+	}
+	if appends() > 6 {
+		t.Errorf("%d appends for %d elements", appends(), len(want))
+	}
+	for i, w := range want {
+		got, err := it.Payload("a", i)
+		if err != nil || !bytes.Equal(got, w) {
+			t.Fatalf("element %d: read %d B, want %d (%v)", i, len(got), len(w), err)
+		}
+	}
+}
+
+// TestBuilderChecksPlacement: a BLOB that puts held bytes somewhere
+// other than where the placements say — here another writer appended
+// first — fails Seal with ErrMisplaced rather than sealing placements
+// over the wrong bytes.
+func TestBuilderChecksPlacement(t *testing.T) {
+	store := blob.NewMemStore()
+	id, b, _ := store.Create()
+	ty := media.CDAudioType()
+	bu := NewBuilder(id, b).AddTrack("a", ty, ty.NewDescriptor(0)).
+		Append("a", []byte{1, 2, 3, 4}, 0, 1, media.ElementDescriptor{})
+	b.Append([]byte("intruder"))
+	if _, err := bu.Seal(); !errors.Is(err, ErrMisplaced) {
+		t.Fatalf("Seal after a foreign append: %v, want ErrMisplaced", err)
+	}
+}
+
 func TestLayeredPayloads(t *testing.T) {
 	store := blob.NewMemStore()
 	id, b, _ := store.Create()

@@ -71,7 +71,7 @@ func CaptureAV(store blob.Store, frames []*frame.Frame, rate timebase.System, bu
 	q := codec.QuantizerFor(opts.Quality)
 	written := int64(0)
 	for i, f := range frames {
-		unitStart := b.Size()
+		unitStart := bu.Size()
 		if opts.Layered {
 			base, enh, err := codec.VJPGEncodeLayered(f, q)
 			if err != nil {
@@ -97,7 +97,7 @@ func CaptureAV(store blob.Store, frames []*frame.Frame, rate timebase.System, bu
 		pcm := codec.PCMEncode16(buf.Slice(int(from), int(to)))
 		bu.Append(opts.AudioTrack, pcm, from, to-from, media.ElementDescriptor{})
 		if opts.PadTo > 0 {
-			unit := b.Size() - unitStart
+			unit := bu.Size() - unitStart
 			if rem := int(unit) % opts.PadTo; rem != 0 {
 				bu.Pad(opts.PadTo - rem)
 			}
