@@ -28,9 +28,10 @@ import (
 )
 
 // openDB loads (or initializes) the database in dir. catalog.Open
-// recovers from a corrupt snapshot via the retained backup, replays
-// the mutation journal, and attaches it, so every mutation this CLI
-// makes is durable even if the process dies before saveDB.
+// recovers from a corrupt checkpoint file via the rest of the chain or
+// the backup base, replays the mutation journal, and attaches it, so
+// every mutation this CLI makes is durable even if the process dies
+// before saveDB.
 func openDB(dir string) (*catalog.DB, *blob.FileStore, error) {
 	store, err := blob.OpenFileStore(dir)
 	if err != nil {
@@ -41,9 +42,9 @@ func openDB(dir string) (*catalog.DB, *blob.FileStore, error) {
 		store.Close()
 		return nil, nil, err
 	}
-	if rec := db.Recovery(); rec.UsedBackup || rec.JournalTorn {
-		fmt.Fprintf(os.Stderr, "tbmctl: recovered catalog (backup=%v quarantined=%q torn journal=%v)\n",
-			rec.UsedBackup, rec.Quarantined, rec.JournalTorn)
+	if rec := db.Recovery(); rec.Eventful() {
+		fmt.Fprintf(os.Stderr, "tbmctl: recovered catalog (backup=%v quarantined=%q broken chain=%v corrupt manifest=%v journal records=%d torn journal=%v blobs swept=%d)\n",
+			rec.UsedBackup, rec.Quarantined, rec.CheckpointChainBroken, rec.ManifestCorrupt, rec.JournalRecords, rec.JournalTorn, rec.BlobsSwept)
 	}
 	return db, store, nil
 }

@@ -3,8 +3,9 @@
 // derivations, composes multimedia objects, queries the catalog and
 // plays objects against a virtual clock.
 //
-// A database lives in a directory: BLOBs as <n>.blob files plus
-// catalog.gob for the object graph.
+// A database lives in a directory: BLOBs as <n>.blob files, the object
+// graph as a chain of checkpoint.NNNNNN.ckpt files the MANIFEST names,
+// and the journal segments written since.
 //
 // Usage:
 //

@@ -154,10 +154,9 @@ func catalogOptions(cfg config, reg *telemetry.Registry) []catalog.Option {
 }
 
 func logRecovery(db *catalog.DB) {
-	if rec := db.Recovery(); rec.UsedBackup || rec.JournalRecords > 0 || rec.JournalTorn ||
-		rec.CheckpointChainBroken || rec.ManifestCorrupt || rec.BlobsSwept > 0 {
-		log.Printf("recovery: backup=%v quarantined=%q checkpoints: %d applied, %d skipped, broken=%v manifest_corrupt=%v journal: %d records over %d segments, %d skipped, torn=%v blobs_swept=%d",
-			rec.UsedBackup, rec.Quarantined, rec.CheckpointsApplied, rec.CheckpointsSkipped,
+	if rec := db.Recovery(); rec.Eventful() {
+		log.Printf("recovery: backup=%v quarantined=%q checkpoints: %d applied, broken=%v manifest_corrupt=%v journal: %d records over %d segments, %d skipped, torn=%v blobs_swept=%d",
+			rec.UsedBackup, rec.Quarantined, rec.CheckpointsApplied,
 			rec.CheckpointChainBroken, rec.ManifestCorrupt,
 			rec.JournalRecords, rec.SegmentsReplayed, rec.JournalSkipped, rec.JournalTorn, rec.BlobsSwept)
 	}
@@ -194,9 +193,9 @@ func runPrimary(ctx context.Context, cfg config, reg *telemetry.Registry, access
 	}
 	defer store.Close()
 
-	// Open loads the snapshot (falling back to the .bak on
-	// corruption), replays the mutation journal, and attaches it for
-	// writing.
+	// Open loads the checkpoint chain the MANIFEST names (rebuilding
+	// it from the file heads, down to the backup base, on corruption),
+	// replays the mutation journal, and attaches it for writing.
 	db, err := catalog.Open(cfg.dir, store, catalogOptions(cfg, reg)...)
 	if err != nil {
 		return err

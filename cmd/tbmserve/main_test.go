@@ -200,7 +200,7 @@ func TestSIGTERMCheckpointsEveryAckedWrite(t *testing.T) {
 	if err != nil || m == nil {
 		t.Fatalf("MANIFEST after shutdown: %+v, %v", m, err)
 	}
-	if m.CheckpointSeq != ready.Seq || len(m.Checkpoints) != 0 {
+	if m.CheckpointSeq != ready.Seq || len(m.Checkpoints) != 1 {
 		t.Errorf("MANIFEST = %+v, want a full checkpoint at the last acked seq %d", m, ready.Seq)
 	}
 	store, err = blob.OpenFileStore(dir)

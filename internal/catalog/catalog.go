@@ -110,16 +110,17 @@ type DB struct {
 	recovery       RecoveryInfo
 
 	// saveMu serializes Save and Checkpoint: they take mu only to
-	// settle, pin and rotate, and two concurrent snapshots (autosave
-	// racing shutdown) would collide on the same .tmp/.bak files.
+	// settle, pin and rotate, and two concurrent checkpoints (autosave
+	// racing shutdown) would take the same file number.
 	saveMu sync.Mutex
 
-	// manifest mirrors the last durable MANIFEST for walDir (nil before
-	// the first checkpoint this process, or when the directory has
-	// none). ckptView is the view that checkpoint captured, the base the
-	// next delta is diffed against (checkpoint.go); nil when there is
-	// none to trust — no checkpoint yet, or a degraded recovery — which
-	// makes the next checkpoint full. Both guarded by saveMu.
+	// manifest is the chain the state stands on in walDir: the last
+	// MANIFEST a checkpoint wrote, or the chain Load read (nil when the
+	// directory had none and nothing has checkpointed yet). ckptView is
+	// the view that chain captured, the base the next delta is diffed
+	// against (checkpoint.go); nil when there is none to trust — no
+	// checkpoint yet, or a fallback past lost state — which makes the
+	// next checkpoint full. Both guarded by saveMu.
 	manifest *wal.Manifest
 	ckptView *View
 

@@ -7,36 +7,37 @@ package catalog
 // treaps share every subtree nothing touched since, so the diff
 // (pmap.go) costs O(changes · log n). A delta holds the entries newer
 // than the manifest's CheckpointSeq of every chain that differs, its
-// head what was deleted or collected since, and joins the manifest's
-// chain as dir/checkpoint.NNNNNN.ckpt; a full snapshot (Save, or a
-// promoted Checkpoint) is the same capture against the empty catalog,
-// into catalog.gob. Both run one write sequence (checkpointLocked) and
-// write one payload, a stream of version records (record.go): the
-// live catalog is the chains' tails. A failed attempt leaves ckptView
-// and the manifest as they were, so the next one covers its slice.
-// Recovery reads
+// head what was deleted or collected since, and extends the manifest's
+// chain; a base (Save, or a promoted Checkpoint) is the same capture
+// against the empty catalog, with FromSeq 0, and starts a new chain.
+// Both are dir/checkpoint.NNNNNN.ckpt under the next file number, both
+// run one write sequence (checkpointLocked) and write one payload, a
+// stream of version records (record.go): the live catalog is the
+// chains' tails. A failed attempt leaves ckptView and the manifest as
+// they were, so the next one covers its slice. Recovery reads
 //
-//	MANIFEST → catalog.gob → checkpoint chain → surviving segments
+//	MANIFEST → base → deltas → surviving segments
 //
 // so startup cost is bounded by live state plus the uncheckpointed
 // tail, not by mutation history. db.mu is held only to pin a view
 // and rotate the WAL; diff, capture, encode and fsyncs run unlocked.
 //
 // Crash windows (each boundary has a checkpointHook stage, exercised
-// by crash tests):
+// by crash tests, for a delta and a base alike):
 //
-//	after rotate, before the snapshot/delta file  → old manifest, all
-//	  segments survive; full conservative replay.
-//	after the file, before the manifest           → the new file is an
-//	  orphan the manifest never references; replay covers the records.
-//	after the manifest, before compaction         → superseded segments
-//	  linger; replay skips their records via sequence numbers. Open
-//	  sweeps the BLOBs the checkpoint collected but did not unlink.
+//	after rotate, before the file   → old manifest, all segments
+//	  survive; replay covers the records.
+//	after the file, before the manifest → the new file is an orphan
+//	  the manifest never names; replay covers the records, and the
+//	  next checkpoint, numbered above it, deletes it.
+//	after the manifest, before cleanup → superseded chain files and
+//	  segments linger; the chain skips the first, replay skips the
+//	  second's records via sequence numbers. Open sweeps the BLOBs the
+//	  checkpoint collected but did not unlink.
 //
-// The delta-skip rule at load (a chain file whose Seq <= the state's
-// current sequence adds nothing and is skipped) additionally covers a
-// crash between a full Save's snapshot rename and its manifest write:
-// the stale chain applies as a no-op over the newer base.
+// Without a MANIFEST, or with its base damaged, Load rebuilds the chain
+// from the file heads (persist.go): the orphan of the second window,
+// when it reads clean, is then simply part of the chain.
 
 import (
 	"bufio"
@@ -49,6 +50,8 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
+	"strconv"
+	"strings"
 	"sync"
 	"time"
 
@@ -69,65 +72,44 @@ import (
 var ErrJournalTruncate = errors.New("catalog: snapshot saved, journal truncate failed")
 
 // DefaultMaxCheckpointChain bounds the incremental chain: once this
-// many delta files accumulate, the next checkpoint is promoted to a
-// full snapshot, collapsing the chain.
+// many delta files extend the base, the next checkpoint is promoted to
+// a new base, starting a new chain.
 const DefaultMaxCheckpointChain = 8
 
 const checkpointPrefix = "checkpoint."
 const checkpointSuffix = ".ckpt"
 
-// CheckpointFile returns the path of incremental checkpoint n inside a
-// database directory.
+// CheckpointFile returns the path of checkpoint file n, a base or a
+// delta, inside a database directory.
 func CheckpointFile(dir string, n uint64) string {
 	return filepath.Join(dir, fmt.Sprintf("%s%06d%s", checkpointPrefix, n, checkpointSuffix))
 }
 
 // parseCheckpointIndex extracts n from a checkpoint file name.
 func parseCheckpointIndex(name string) (uint64, bool) {
-	if len(name) < len(checkpointPrefix)+len(checkpointSuffix) ||
-		name[:len(checkpointPrefix)] != checkpointPrefix ||
-		name[len(name)-len(checkpointSuffix):] != checkpointSuffix {
-		return 0, false
+	mid, ok := strings.CutPrefix(name, checkpointPrefix)
+	if mid, ok2 := strings.CutSuffix(mid, checkpointSuffix); ok && ok2 && len(mid) >= 6 {
+		n, err := strconv.ParseUint(mid, 10, 64)
+		return n, err == nil && n > 0
 	}
-	var n uint64
-	mid := name[len(checkpointPrefix) : len(name)-len(checkpointSuffix)]
-	if len(mid) < 6 {
-		return 0, false
-	}
-	for _, c := range mid {
-		if c < '0' || c > '9' {
-			return 0, false
-		}
-		n = n*10 + uint64(c-'0')
-	}
-	if n == 0 {
-		return 0, false
-	}
-	return n, true
+	return 0, false
 }
 
-// removeStaleCheckpoints deletes every checkpoint file in dir whose
-// number is not in keep (nil keep deletes them all). Orphans appear
-// when a crash lands between writing a delta and the manifest that
-// would reference it; a later full Save retires them.
-func removeStaleCheckpoints(dir string, keep []uint64) error {
+// listCheckpoints returns the numbers of dir's checkpoint files in
+// ascending order (none when dir does not exist).
+func listCheckpoints(dir string) ([]uint64, error) {
 	entries, err := os.ReadDir(dir)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil
-		}
-		return err
+	if err != nil && !errors.Is(err, fs.ErrNotExist) {
+		return nil, fmt.Errorf("catalog: %w", err)
 	}
+	var nums []uint64
 	for _, e := range entries {
-		n, ok := parseCheckpointIndex(e.Name())
-		if !ok || slices.Contains(keep, n) {
-			continue
-		}
-		if err := os.Remove(filepath.Join(dir, e.Name())); err != nil && !errors.Is(err, fs.ErrNotExist) {
-			return err
+		if n, ok := parseCheckpointIndex(e.Name()); ok {
+			nums = append(nums, n)
 		}
 	}
-	return nil
+	slices.Sort(nums)
+	return nums, nil
 }
 
 // catalogStreamPreamble opens a snapshot or checkpoint payload (format
@@ -199,8 +181,8 @@ func (cap *snapCapture) seal(verFloor uint64) {
 }
 
 // writeCapture streams cap into path as a chunked container
-// (tmp + fsync + .bak rotation + rename + dir fsync) and returns the
-// container's size. Every record is laid out in one buffer, reused.
+// (tmp + fsync + rename + dir fsync) and returns the container's size.
+// Every record is laid out in one buffer, reused.
 func writeCapture(path string, cap *snapCapture) (int64, error) {
 	err := durable.WriteStreamSnapshot(path, func(w io.Writer) error {
 		var n [binary.MaxVarintLen64]byte
@@ -271,8 +253,8 @@ func captureInterpChain(cap *snapCapture, id blob.ID, c *interpVerChain, fromSeq
 	}
 }
 
-// catalogStream is an opened snapshot or chain file, positioned at its
-// first record. buf holds the record next read, and is reused.
+// catalogStream is an opened chain file, positioned at its first
+// record. buf holds the record next read, and is reused.
 type catalogStream struct {
 	io.Closer
 	br   *bufio.Reader
@@ -528,8 +510,8 @@ func capture(ch *chainChanges, cur *View, head streamHead, delta bool) *snapCapt
 }
 
 // Checkpoint makes the catalog's durable state current with bounded
-// work: an incremental delta when one pays off, a full snapshot
-// otherwise (no journal for dir, no manifest or checkpoint view to
+// work: an incremental delta when one pays off, a new base otherwise
+// (no journal for dir, no manifest or checkpoint view to
 // diff against, chain at its bound, or most of the catalog changed
 // anyway — counted in tbm_checkpoint_promotions_total by reason). A
 // quiescent catalog checkpoints to a no-op. Requires the same
@@ -582,7 +564,7 @@ func (db *DB) checkpointLocked(dir string, full bool) error {
 			reason = promoteNoJournal
 		case m == nil || base == nil:
 			reason = promoteNoBase
-		case len(m.Checkpoints) >= DefaultMaxCheckpointChain:
+		case len(m.Checkpoints) > DefaultMaxCheckpointChain:
 			reason = promoteChainBound
 		case (len(since.objs)+len(since.interps))*2 >= cur.count+cur.interpCount:
 			reason = promoteMajority
@@ -603,28 +585,35 @@ func (db *DB) checkpointLocked(dir string, full bool) error {
 	db.hook("capture")
 	cap := capture(all, cur, head, !full)
 	gone := since.collected()
-	if !attached {
-		// No journal for dir: snapshot only, nothing to compact and no
-		// manifest to maintain. With no journal at all, it is the only
-		// durable record of the collections.
-		if _, err := writeCapture(SnapshotFile(dir), cap); err != nil {
-			return err
-		}
-		if j == nil {
-			db.unlinkCollected(gone)
-		}
-		return nil
-	}
 
-	path, chain := SnapshotFile(dir), []uint64(nil)
-	if !full {
-		next := uint64(1)
-		if n := len(m.Checkpoints); n > 0 {
-			next = m.Checkpoints[n-1] + 1
+	// A new base keeps the previous chain's base as the backup: db's
+	// chain, or for a directory without the journal the one its MANIFEST
+	// names (best effort: a corrupt one keeps no backup).
+	var backup uint64
+	if prev := m; full {
+		if !attached {
+			prev, _ = wal.LoadManifest(dir)
 		}
-		path, chain = CheckpointFile(dir, next), append(slices.Clone(m.Checkpoints), next)
+		if prev != nil && len(prev.Checkpoints) > 0 {
+			backup = prev.Checkpoints[0]
+		}
 	}
-	size, err := writeCapture(path, cap)
+	// The file goes under the next number, above every file in dir: a
+	// chain rebuilt from the file heads then never takes an orphan or an
+	// abandoned chain's delta for part of this one.
+	nums, err := listCheckpoints(dir)
+	if err != nil {
+		return err
+	}
+	next := uint64(1)
+	if len(nums) > 0 {
+		next = nums[len(nums)-1] + 1
+	}
+	chain := []uint64{next}
+	if !full {
+		chain = append(slices.Clone(m.Checkpoints), next)
+	}
+	size, err := writeCapture(CheckpointFile(dir, next), cap)
 	if err != nil {
 		return err
 	}
@@ -632,34 +621,52 @@ func (db *DB) checkpointLocked(dir string, full bool) error {
 
 	nm := &wal.Manifest{CheckpointSeq: cap.head.Seq, Checkpoints: chain, OldestSegment: sealed + 1}
 	if err := wal.WriteManifest(dir, nm); err != nil {
-		// The old manifest still holds: a new delta is an orphan the next
-		// attempt overwrites, a new snapshot loads under it (its chain
-		// applies as no-ops over the newer base, stale segment records
-		// are skipped by sequence). ckptView stays too, so the next
-		// attempt diffs from the same base and covers this one's slice.
+		if !attached {
+			return err
+		}
+		// The old manifest still holds, and the journal every record
+		// since: the new file is an orphan the next attempt numbers
+		// past. ckptView stays too, so the next attempt diffs from the
+		// same base and covers this one's slice.
 		return fmt.Errorf("%w: manifest: %v", ErrJournalTruncate, err)
 	}
-	db.manifest, db.ckptView = nm, cur
+	if attached {
+		db.manifest, db.ckptView = nm, cur
+	}
 	defer db.observeCheckpoint(start, full, size)
 	db.hook("manifest")
-	db.unlinkCollected(gone)
-
-	// Compact what the checkpoint supersedes: checkpoint files off the
-	// chain, segments at or below the sealed one. A failure leaves only
-	// cleanup pending, which a later checkpoint retries.
-	if err := removeStaleCheckpoints(dir, chain); err != nil {
-		return fmt.Errorf("%w: stale checkpoints: %v", ErrJournalTruncate, err)
+	if attached || j == nil {
+		// With no journal at all, the chain is the only durable record
+		// of the collections.
+		db.unlinkCollected(gone)
 	}
-	if _, err := j.CompactThrough(sealed); err != nil {
-		return fmt.Errorf("%w: %v", ErrJournalTruncate, err)
+
+	// Compact what the checkpoint supersedes: the files off the new
+	// chain — after a new base all but the backup; after a delta those
+	// above the base — and the segments at or below the sealed one. A
+	// failure leaves only cleanup pending, which a later checkpoint
+	// retries.
+	for _, n := range nums {
+		if slices.Contains(chain, n) || n == backup || !full && n < chain[0] {
+			continue
+		}
+		if err := os.Remove(CheckpointFile(dir, n)); err != nil && !errors.Is(err, fs.ErrNotExist) {
+			return fmt.Errorf("%w: stale checkpoints: %v", ErrJournalTruncate, err)
+		}
+	}
+	if attached {
+		if _, err := j.CompactThrough(sealed); err != nil {
+			return fmt.Errorf("%w: %v", ErrJournalTruncate, err)
+		}
 	}
 	db.hook("compacted")
 	return nil
 }
 
-// Manifest returns the last durable manifest Save/Checkpoint/Load
-// established for the attached directory (nil before the first
-// checkpoint).
+// Manifest returns the chain the catalog's state stands on in the
+// attached directory: the last MANIFEST a checkpoint wrote, or the
+// chain Load read (nil before the first checkpoint of a directory that
+// had none).
 func (db *DB) Manifest() *wal.Manifest {
 	db.saveMu.Lock()
 	defer db.saveMu.Unlock()

@@ -4,19 +4,23 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"os"
 	"testing"
 
 	"timedmedia/internal/blob"
 	"timedmedia/internal/core"
 	"timedmedia/internal/timebase"
+	"timedmedia/internal/wal"
 )
 
 // TestCheckpointRandomHistories runs seeded random histories — clips
 // ingested, cut and composed, syncs, deletes down to a BLOB's last
 // reader — under version retention 1, 2 and the default, with
-// Checkpoint and Save at random points. After every checkpoint a
-// reopened copy of the directory equals the live catalog, and so does a
-// crash image taken between checkpoints and reopened twice. At
+// Checkpoint and Save at random points. After every checkpoint the
+// directory holds at most two base files, and a reopened copy of it
+// equals the live catalog, with its MANIFEST and with the MANIFEST
+// removed (the chain rebuilt from the file heads); so does a crash
+// image taken between checkpoints and reopened twice. At
 // retention 1 a delete drops its chain outright; the vacuity guard
 // insists some delta had to carry such a drop in its head.
 func TestCheckpointRandomHistories(t *testing.T) {
@@ -127,7 +131,7 @@ func randomCheckpointHistory(t *testing.T, seed int64, retention int) (drops, de
 		case r < 16:
 			// A crash image, reopened twice: the first Open's sweep must
 			// leave every BLOB the second one's replay still needs.
-			reopenEquals(t, db, dir, retention, 2, fresh)
+			reopenEquals(t, db, dir, retention, 2, fresh, false)
 		case r < 19:
 			before := chainLen(db)
 			dropped := droppedSinceCheckpoint(db)
@@ -139,13 +143,13 @@ func randomCheckpointHistory(t *testing.T, seed int64, retention int) (drops, de
 				drops += dropped
 			}
 			clear(fresh)
-			reopenEquals(t, db, dir, retention, 1, fresh)
+			checkCheckpointed(t, db, dir, retention, fresh)
 		default:
 			if err := db.Save(dir); err != nil {
 				t.Fatal(err)
 			}
 			clear(fresh)
-			reopenEquals(t, db, dir, retention, 1, fresh)
+			checkCheckpointed(t, db, dir, retention, fresh)
 		}
 	}
 	return drops, deltas
@@ -182,18 +186,51 @@ func droppedSinceCheckpoint(db *DB) int {
 	return k
 }
 
-// reopenEquals opens a copy of dir times times in a row, closing the
-// journal in between, and checks the last reopen against db: the same
+// checkCheckpointed checks what a checkpoint left in dir: at most two
+// base files — the chain's and the backup — and a copy that reopens to
+// db with the MANIFEST and without it.
+func checkCheckpointed(t *testing.T, db *DB, dir string, retention int, fresh map[blob.ID]bool) {
+	t.Helper()
+	nums, err := listCheckpoints(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var bases []uint64
+	for _, n := range nums {
+		s, err := openStream(CheckpointFile(dir, n))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s.head.FromSeq == 0 {
+			bases = append(bases, n)
+		}
+		s.Close()
+	}
+	if len(bases) > 2 {
+		t.Fatalf("at seq %d the directory holds bases %v, want at most two", db.Seq(), bases)
+	}
+	reopenEquals(t, db, dir, retention, 1, fresh, false)
+	reopenEquals(t, db, dir, retention, 1, fresh, true)
+}
+
+// reopenEquals opens a copy of dir — without its MANIFEST when
+// noManifest is set — times times in a row, closing the journal in
+// between, and checks the last reopen against db: the same
 // live objects and syncs and the same as_of counts from the higher of
 // the two version floors (a reload raises its floor past history whose
 // BLOB a checkpoint unlinked), with indexes and chains intact. No BLOB
 // file may be left that the next reopen would not open again: one the
 // reopened catalog, or the last checkpoint, interprets, or one
 // registered since that checkpoint (fresh).
-func reopenEquals(t *testing.T, db *DB, dir string, retention, times int, fresh map[blob.ID]bool) {
+func reopenEquals(t *testing.T, db *DB, dir string, retention, times int, fresh map[blob.ID]bool, noManifest bool) {
 	t.Helper()
 	img := t.TempDir()
 	copyTree(t, dir, img)
+	if noManifest {
+		if err := os.Remove(wal.ManifestFile(img)); err != nil {
+			t.Fatal(err)
+		}
+	}
 	base := db.ckptView
 	var got *DB
 	for i := 0; i < times; i++ {
@@ -203,6 +240,9 @@ func reopenEquals(t *testing.T, db *DB, dir string, retention, times int, fresh 
 		}
 		if got, err = Open(img, store, WithVersionRetention(retention)); err != nil {
 			t.Fatalf("reopen %d at seq %d: %v", i+1, db.Seq(), err)
+		}
+		if rec := got.Recovery(); rec.FellBack() || len(rec.Quarantined) != 0 {
+			t.Fatalf("reopen %d at seq %d (MANIFEST removed: %v) fell back: %+v", i+1, db.Seq(), noManifest, rec)
 		}
 		ids, err := store.IDs()
 		if err != nil {
@@ -220,7 +260,7 @@ func reopenEquals(t *testing.T, db *DB, dir string, retention, times int, fresh 
 	}
 	floor := max(db.CurrentView().VersionFloor(), got.CurrentView().VersionFloor())
 	if g, w := catalogDumpFrom(got, floor), catalogDumpFrom(db, floor); g != w {
-		t.Fatalf("reopen at seq %d:\n%s\nwant:\n%s", db.Seq(), g, w)
+		t.Fatalf("reopen at seq %d (MANIFEST removed: %v):\n%s\nwant:\n%s", db.Seq(), noManifest, g, w)
 	}
 	if err := got.VerifyIndexes(); err != nil {
 		t.Fatal(err)

@@ -74,6 +74,17 @@ func chainFilesOnDisk(t testing.TB, dir string) []string {
 	return out
 }
 
+// chainFile is the path of file i of the chain dir's MANIFEST names:
+// file 0 is the base.
+func chainFile(tb testing.TB, dir string, i int) string {
+	tb.Helper()
+	m, err := wal.LoadManifest(dir)
+	if err != nil || m == nil || i >= len(m.Checkpoints) {
+		tb.Fatalf("MANIFEST %+v (%v) names no file %d", m, err, i)
+	}
+	return CheckpointFile(dir, m.Checkpoints[i])
+}
+
 // TestCheckpointIncrementalBasics: after a full Save, Checkpoint
 // writes deltas (what changed only) into a growing manifest chain; a
 // quiescent catalog checkpoints to a no-op; and a reload applies the
@@ -94,7 +105,7 @@ func TestCheckpointIncrementalBasics(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := db.Manifest()
-	if m == nil || len(m.Checkpoints) != 0 {
+	if m == nil || len(m.Checkpoints) != 1 {
 		t.Fatalf("manifest after full save = %+v", m)
 	}
 	baseSeq := m.CheckpointSeq
@@ -107,10 +118,10 @@ func TestCheckpointIncrementalBasics(t *testing.T) {
 		t.Fatal(err)
 	}
 	m = db.Manifest()
-	if len(m.Checkpoints) != 1 || m.CheckpointSeq <= baseSeq {
+	if len(m.Checkpoints) != 2 || m.CheckpointSeq <= baseSeq {
 		t.Fatalf("manifest after incremental = %+v (base seq %d)", m, baseSeq)
 	}
-	if _, err := os.Stat(CheckpointFile(dir, m.Checkpoints[0])); err != nil {
+	if _, err := os.Stat(CheckpointFile(dir, m.Checkpoints[1])); err != nil {
 		t.Fatal(err)
 	}
 
@@ -132,8 +143,8 @@ func TestCheckpointIncrementalBasics(t *testing.T) {
 	if err := db.Checkpoint(dir); err != nil {
 		t.Fatal(err)
 	}
-	if m = db.Manifest(); len(m.Checkpoints) != 2 {
-		t.Fatalf("manifest chain = %v, want 2 entries", m.Checkpoints)
+	if m = db.Manifest(); len(m.Checkpoints) != 3 {
+		t.Fatalf("manifest chain = %v, want the base and 2 deltas", m.Checkpoints)
 	}
 	want := db.Len()
 	if err := db.CloseJournal(); err != nil {
@@ -163,8 +174,8 @@ func TestCheckpointIncrementalBasics(t *testing.T) {
 }
 
 // TestCheckpointChainPromotesToFull: once the chain reaches its bound
-// the next checkpoint collapses it into a full snapshot and retires
-// the delta files.
+// the next checkpoint collapses it into a new base and retires the
+// delta files, keeping the previous base as the backup.
 func TestCheckpointChainPromotesToFull(t *testing.T) {
 	dir := t.TempDir()
 	db := openDB(t, dir)
@@ -189,7 +200,7 @@ func TestCheckpointChainPromotesToFull(t *testing.T) {
 		if err := db.Checkpoint(dir); err != nil {
 			t.Fatal(err)
 		}
-		if got := len(db.Manifest().Checkpoints); got != i+1 {
+		if got := len(db.Manifest().Checkpoints); got != i+2 {
 			t.Fatalf("chain length %d after %d checkpoints", got, i+1)
 		}
 	}
@@ -199,11 +210,11 @@ func TestCheckpointChainPromotesToFull(t *testing.T) {
 	if err := db.Checkpoint(dir); err != nil {
 		t.Fatal(err)
 	}
-	if m := db.Manifest(); len(m.Checkpoints) != 0 {
+	if m := db.Manifest(); len(m.Checkpoints) != 1 {
 		t.Fatalf("chain not collapsed by full promotion: %v", m.Checkpoints)
 	}
-	if files := chainFilesOnDisk(t, dir); len(files) != 0 {
-		t.Fatalf("stale delta files survive full promotion: %v", files)
+	if files := chainFilesOnDisk(t, dir); len(files) != 2 {
+		t.Fatalf("files beside the new base and the backup survive full promotion: %v", files)
 	}
 	want := db.Len()
 	db.CloseJournal()
@@ -347,66 +358,81 @@ func TestCheckpointWriterCompletesMidCapture(t *testing.T) {
 
 // TestCrashDuringCheckpointStages kills the process (by capturing the
 // directory image) at each durability boundary inside an incremental
-// checkpoint. Whatever the stage, a reload of the image must recover
-// every acknowledged mutation and pass index verification.
+// checkpoint and inside a full Save. Whatever the stage, a reload of
+// the image must recover every acknowledged mutation and pass index
+// verification.
 func TestCrashDuringCheckpointStages(t *testing.T) {
-	for _, stage := range []string{"rotated", "written", "manifest", "compacted"} {
-		t.Run(stage, func(t *testing.T) {
-			dir := t.TempDir()
-			db := openDB(t, dir)
-			clip, err := db.Ingest("clip", genVideo(6, 3), IngestOptions{})
-			if err != nil {
-				t.Fatal(err)
+	for _, full := range []bool{false, true} {
+		for _, stage := range []string{"rotated", "written", "manifest", "compacted"} {
+			name := stage
+			if full {
+				name = "save-" + stage
 			}
-			for i := 0; i < 6; i++ {
-				if _, err := db.SelectDuration(clip, fmt.Sprintf("base%d", i), 0, 2); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if err := db.Save(dir); err != nil {
-				t.Fatal(err)
-			}
-			acked1, err := db.SelectDuration(clip, "acked1", 0, 2)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := db.SelectDuration(clip, "acked2", 1, 3); err != nil {
-				t.Fatal(err)
-			}
-			if err := db.Delete(acked1); err != nil {
-				t.Fatal(err)
-			}
-
-			crash := t.TempDir()
-			captured := false
-			db.checkpointHook = func(s string) {
-				if s == stage && !captured {
-					captured = true
-					copyTree(t, dir, crash)
-				}
-			}
-			if err := db.Checkpoint(dir); err != nil {
-				t.Fatal(err)
-			}
-			if !captured {
-				t.Fatalf("stage %s never fired", stage)
-			}
-
-			db2 := openDB(t, crash)
-			if _, err := db2.Lookup("acked2"); err != nil {
-				t.Errorf("acknowledged mutation lost: %v", err)
-			}
-			if _, err := db2.Lookup("acked1"); !errors.Is(err, ErrNotFound) {
-				t.Errorf("deleted object resurrected: %v", err)
-			}
-			if db2.Len() != db.Len() {
-				t.Errorf("recovered %d objects, want %d", db2.Len(), db.Len())
-			}
-			if err := db2.VerifyIndexes(); err != nil {
-				t.Error(err)
-			}
-		})
+			crashDuringCheckpointStage(t, name, stage, full)
+		}
 	}
+}
+
+func crashDuringCheckpointStage(t *testing.T, name, stage string, full bool) {
+	t.Run(name, func(t *testing.T) {
+		dir := t.TempDir()
+		db := openDB(t, dir)
+		clip, err := db.Ingest("clip", genVideo(6, 3), IngestOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 6; i++ {
+			if _, err := db.SelectDuration(clip, fmt.Sprintf("base%d", i), 0, 2); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := db.Save(dir); err != nil {
+			t.Fatal(err)
+		}
+		acked1, err := db.SelectDuration(clip, "acked1", 0, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := db.SelectDuration(clip, "acked2", 1, 3); err != nil {
+			t.Fatal(err)
+		}
+		if err := db.Delete(acked1); err != nil {
+			t.Fatal(err)
+		}
+
+		crash := t.TempDir()
+		captured := false
+		db.checkpointHook = func(s string) {
+			if s == stage && !captured {
+				captured = true
+				copyTree(t, dir, crash)
+			}
+		}
+		checkpoint := db.Checkpoint
+		if full {
+			checkpoint = db.Save
+		}
+		if err := checkpoint(dir); err != nil {
+			t.Fatal(err)
+		}
+		if !captured {
+			t.Fatalf("stage %s never fired", stage)
+		}
+
+		db2 := openDB(t, crash)
+		if _, err := db2.Lookup("acked2"); err != nil {
+			t.Errorf("acknowledged mutation lost: %v", err)
+		}
+		if _, err := db2.Lookup("acked1"); !errors.Is(err, ErrNotFound) {
+			t.Errorf("deleted object resurrected: %v", err)
+		}
+		if db2.Len() != db.Len() {
+			t.Errorf("recovered %d objects, want %d", db2.Len(), db.Len())
+		}
+		if err := db2.VerifyIndexes(); err != nil {
+			t.Error(err)
+		}
+	})
 }
 
 // TestCheckpointRotateFaultKeepsDirty: a rotation failure aborts the
@@ -441,13 +467,13 @@ func TestCheckpointRotateFaultKeepsDirty(t *testing.T) {
 	if err := db.Checkpoint(dir); err == nil {
 		t.Fatal("rotate fault not surfaced")
 	}
-	if m := db.Manifest(); len(m.Checkpoints) != 0 {
+	if m := db.Manifest(); len(m.Checkpoints) != 1 {
 		t.Fatalf("failed checkpoint advanced the manifest: %+v", m)
 	}
 	if err := db.Checkpoint(dir); err != nil { // rotation #3, clean
 		t.Fatal(err)
 	}
-	if m := db.Manifest(); len(m.Checkpoints) != 1 {
+	if m := db.Manifest(); len(m.Checkpoints) != 2 {
 		t.Fatalf("retry did not checkpoint the dirty slice: %+v", m)
 	}
 	db.CloseJournal()
@@ -495,7 +521,7 @@ func TestCheckpointCompactFaultIsTruncateSentinel(t *testing.T) {
 	}
 	// The checkpoint itself is durable: the manifest advanced and a
 	// reload sees everything without replaying the stale segments.
-	if m := db.Manifest(); len(m.Checkpoints) != 1 {
+	if m := db.Manifest(); len(m.Checkpoints) != 2 {
 		t.Fatalf("manifest = %+v", m)
 	}
 	db.CloseJournal()
@@ -616,7 +642,7 @@ func TestCheckpointFailedDeltaIsRecaptured(t *testing.T) {
 				}
 			}
 
-			tmp := CheckpointFile(dir, 1) + ".tmp"
+			tmp := CheckpointFile(dir, 2) + ".tmp"
 			if blocked == "manifest" {
 				tmp = wal.ManifestFile(dir) + ".tmp"
 			}
@@ -627,7 +653,7 @@ func TestCheckpointFailedDeltaIsRecaptured(t *testing.T) {
 			if err == nil || blocked == "manifest" && !errors.Is(err, ErrJournalTruncate) {
 				t.Fatalf("blocked %s write: err = %v", blocked, err)
 			}
-			if m := db.Manifest(); m.CheckpointSeq != saved.CheckpointSeq || len(m.Checkpoints) != 0 {
+			if m := db.Manifest(); m.CheckpointSeq != saved.CheckpointSeq || len(m.Checkpoints) != 1 {
 				t.Fatalf("failed checkpoint moved the manifest: %+v", m)
 			}
 			if err := os.RemoveAll(tmp); err != nil {
@@ -637,7 +663,7 @@ func TestCheckpointFailedDeltaIsRecaptured(t *testing.T) {
 			if err := db.Checkpoint(dir); err != nil {
 				t.Fatal(err)
 			}
-			if m := db.Manifest(); len(m.Checkpoints) != 1 || m.CheckpointSeq != db.Seq() {
+			if m := db.Manifest(); len(m.Checkpoints) != 2 || m.CheckpointSeq != db.Seq() {
 				t.Fatalf("retry manifest = %+v, want one delta covering seq %d", m, db.Seq())
 			}
 			img := t.TempDir()
@@ -748,7 +774,7 @@ func TestStartCheckpointerStopWaitsForInFlight(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Fatal("stop did not return after the checkpoint finished")
 	}
-	if m := db.Manifest(); len(m.Checkpoints) != 1 || m.CheckpointSeq != db.Seq() {
+	if m := db.Manifest(); len(m.Checkpoints) != 2 || m.CheckpointSeq != db.Seq() {
 		t.Errorf("manifest after stop = %+v, want the in-flight delta at seq %d", m, db.Seq())
 	}
 	if err := db.CloseJournal(); err != nil {

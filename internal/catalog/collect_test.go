@@ -9,6 +9,7 @@ import (
 
 	"timedmedia/internal/blob"
 	"timedmedia/internal/core"
+	"timedmedia/internal/wal"
 )
 
 // Tests of BLOB collection: a delete tombstones the interpretation, a
@@ -63,8 +64,8 @@ func checkJournalBlobsExist(t *testing.T, db *DB, dir string) {
 // delete of a BLOB's last reader waits for it. Every image reopens to
 // the catalog that was checkpointed, with no journal record above the
 // manifest naming a missing BLOB. Until the image's durable state
-// covers the delete — a full Save's renamed snapshot, a delta's
-// MANIFEST — the collection is still pending and the file stays; from
+// covers the delete — the MANIFEST naming the new base or delta — the
+// collection is still pending and the file stays; from
 // then on, the image's Open sweeps the file if the checkpoint had not
 // unlinked it yet; and once the reopened catalog checkpoints, no BLOB
 // file is left that nothing interprets.
@@ -120,7 +121,7 @@ func TestCrashCheckpointStagesWithCollectionPending(t *testing.T) {
 
 				db2 := openDB(t, crash)
 				checkJournalBlobsExist(t, db2, crash)
-				covered := stage == "manifest" || stage == "compacted" || full && stage == "written"
+				covered := stage == "manifest" || stage == "compacted"
 				if m := db2.Manifest(); covered && (m == nil || m.CheckpointSeq < delSeq) {
 					t.Errorf("manifest %+v: the feed would ship records below the checkpoint that collected", m)
 				}
@@ -332,12 +333,13 @@ func TestRecoverFromBackupSweepsNothing(t *testing.T) {
 	if err := db.CloseJournal(); err != nil {
 		t.Fatal(err)
 	}
-	data, err := os.ReadFile(SnapshotFile(dir))
+	base := chainFile(t, dir, 0)
+	data, err := os.ReadFile(base)
 	if err != nil {
 		t.Fatal(err)
 	}
 	data[len(data)/2] ^= 0x40
-	if err := os.WriteFile(SnapshotFile(dir), data, 0o644); err != nil {
+	if err := os.WriteFile(base, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
 
@@ -353,12 +355,13 @@ func TestRecoverFromBackupSweepsNothing(t *testing.T) {
 	}
 }
 
-// TestRecoverCorruptManifestSweepsNothing: a corrupt MANIFEST sends
-// Open past the checkpoint chain, so a registration that only a delta
-// holds — its journal records compacted under that delta — is not
-// loaded. Its BLOB is then not interpreted, but it is what is left of
-// the lost state: Open must not sweep it.
-func TestRecoverCorruptManifestSweepsNothing(t *testing.T) {
+// TestRecoverCorruptManifestRebuildsChain: a corrupt MANIFEST is set
+// aside and the chain rebuilt from the file heads, so a registration
+// that only a delta holds — its journal records compacted under that
+// delta — is loaded all the same. The rebuild reached the newest base,
+// so Open sweeps: the orphan planted beside the chain goes, and nothing
+// else does.
+func TestRecoverCorruptManifestRebuildsChain(t *testing.T) {
 	dir := t.TempDir()
 	db := openDB(t, dir)
 	savedClip(t, db, dir, "keep", 161)
@@ -371,10 +374,15 @@ func TestRecoverCorruptManifestSweepsNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkpointDelta(t, db, dir)
+	orphan, _, err := db.Store().Create()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := catalogDump(db)
 	if err := db.CloseJournal(); err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(dir, "MANIFEST")
+	path := wal.ManifestFile(dir)
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -385,17 +393,20 @@ func TestRecoverCorruptManifestSweepsNothing(t *testing.T) {
 	}
 
 	db2 := openDB(t, dir)
-	if rec := db2.Recovery(); !rec.ManifestCorrupt || rec.BlobsSwept != 0 {
-		t.Errorf("recovery = %+v, want the manifest corrupt and nothing swept", rec)
+	defer db2.CloseJournal()
+	rec := db2.Recovery()
+	if !rec.ManifestCorrupt || rec.FellBack() || rec.CheckpointsApplied != 1 || rec.BlobsSwept != 1 ||
+		len(rec.Quarantined) != 1 || rec.Quarantined[0] != path+".corrupt" {
+		t.Errorf("recovery = %+v, want the manifest set aside, the delta applied and the orphan swept", rec)
 	}
-	if _, err := db2.Lookup("clip"); !errors.Is(err, ErrNotFound) {
-		t.Errorf("clip without its delta: %v; the test needs the registration lost", err)
+	if got := catalogDump(db2); got != want {
+		t.Errorf("rebuilt chain opens as\n%s\nwant\n%s", got, want)
 	}
 	if _, err := os.Stat(blobFile(dir, obj.Blob)); err != nil {
-		t.Errorf("the BLOB of the registration the corrupt manifest lost: %v", err)
+		t.Errorf("the BLOB of the registration only the delta holds: %v", err)
 	}
-	if err := db2.CloseJournal(); err != nil {
-		t.Fatal(err)
+	if _, err := os.Stat(blobFile(dir, orphan)); err == nil {
+		t.Error("the orphan survived the rebuild's sweep")
 	}
 }
 

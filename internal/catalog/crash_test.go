@@ -4,6 +4,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -96,7 +97,7 @@ func TestCrashIngestSurvivesWithoutSnapshot(t *testing.T) {
 	if _, err := db.Ingest("clip", genVideo(4, 1), IngestOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	// Crash before any Save: no catalog.gob exists at all.
+	// Crash before any Save: no checkpoint file exists at all.
 
 	fs2, _ := blob.OpenFileStore(dir)
 	db2, err := Open(dir, fs2)
@@ -193,7 +194,7 @@ func TestCrashTornTailTruncatedOnRecovery(t *testing.T) {
 
 // TestSaveConcurrentSerialized: Save only takes mu.RLock, so an
 // autosave racing the shutdown snapshot used to collide on the same
-// .tmp/.bak files. saveMu must serialize them; every call succeeds and
+// .tmp files. saveMu must serialize them; every call succeeds and
 // the result stays loadable. Run with -race.
 func TestSaveConcurrentSerialized(t *testing.T) {
 	dir := t.TempDir()
@@ -226,8 +227,8 @@ func TestSaveConcurrentSerialized(t *testing.T) {
 	}
 }
 
-// corruptDB saves two generations of a catalog (so a .bak exists) and
-// returns the dir plus the names present in each generation.
+// corruptDBSetup saves two generations of a catalog (so a backup base
+// exists beside the MANIFEST's) and returns the dir and the store.
 func corruptDBSetup(t *testing.T) (string, *blob.FileStore) {
 	t.Helper()
 	dir := t.TempDir()
@@ -240,13 +241,13 @@ func corruptDBSetup(t *testing.T) (string, *blob.FileStore) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := db.Save(dir); err != nil { // generation 1 → becomes .bak
+	if err := db.Save(dir); err != nil { // generation 1 → becomes the backup
 		t.Fatal(err)
 	}
 	if _, err := db.SelectDuration(clip, "cut", 0, 3); err != nil {
 		t.Fatal(err)
 	}
-	if err := db.Save(dir); err != nil { // generation 2 → catalog.gob
+	if err := db.Save(dir); err != nil { // generation 2 → the MANIFEST's base
 		t.Fatal(err)
 	}
 	return dir, fs
@@ -254,7 +255,7 @@ func corruptDBSetup(t *testing.T) (string, *blob.FileStore) {
 
 func TestCrashCorruptSnapshotRecoversFromBackup(t *testing.T) {
 	dir, fs := corruptDBSetup(t)
-	path := SnapshotFile(dir)
+	path := chainFile(t, dir, 0)
 
 	// Flip a payload byte: the CRC must catch it.
 	data, err := os.ReadFile(path)
@@ -271,7 +272,7 @@ func TestCrashCorruptSnapshotRecoversFromBackup(t *testing.T) {
 		t.Fatal(err)
 	}
 	rec := db.Recovery()
-	if !rec.UsedBackup || rec.Quarantined == "" {
+	if !rec.UsedBackup || len(rec.Quarantined) == 0 {
 		t.Fatalf("recovery = %+v", rec)
 	}
 	// The backup predates the cut: only the clip survives. Never a
@@ -286,7 +287,7 @@ func TestCrashCorruptSnapshotRecoversFromBackup(t *testing.T) {
 	if _, err := os.Stat(path); !os.IsNotExist(err) {
 		t.Error("corrupt snapshot still in place")
 	}
-	if _, err := os.Stat(rec.Quarantined); err != nil {
+	if _, err := os.Stat(rec.Quarantined[0]); err != nil {
 		t.Errorf("quarantine file: %v", err)
 	}
 }
@@ -298,7 +299,7 @@ func TestCrashCorruptSnapshotRecoversFromBackup(t *testing.T) {
 // the snapshot and loads the backup.
 func TestCrashSnapshotVersionFlipRecoversFromBackup(t *testing.T) {
 	dir, fs := corruptDBSetup(t)
-	path := SnapshotFile(dir)
+	path := chainFile(t, dir, 0)
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -316,7 +317,7 @@ func TestCrashSnapshotVersionFlipRecoversFromBackup(t *testing.T) {
 		t.Fatalf("Open = %v, want a quarantine and the backup", err)
 	}
 	defer db.CloseJournal()
-	if rec := db.Recovery(); !rec.UsedBackup || rec.Quarantined == "" {
+	if rec := db.Recovery(); !rec.UsedBackup || len(rec.Quarantined) == 0 {
 		t.Fatalf("recovery = %+v", rec)
 	}
 	if _, err := db.Lookup("clip"); err != nil {
@@ -329,7 +330,7 @@ func TestCrashSnapshotVersionFlipRecoversFromBackup(t *testing.T) {
 
 func TestCrashTruncatedSnapshotRecoversFromBackup(t *testing.T) {
 	dir, fs := corruptDBSetup(t)
-	path := SnapshotFile(dir)
+	path := chainFile(t, dir, 0)
 	fi, err := os.Stat(path)
 	if err != nil {
 		t.Fatal(err)
@@ -343,7 +344,7 @@ func TestCrashTruncatedSnapshotRecoversFromBackup(t *testing.T) {
 		t.Fatal(err)
 	}
 	rec := db.Recovery()
-	if !rec.UsedBackup || rec.Quarantined == "" {
+	if !rec.UsedBackup || len(rec.Quarantined) == 0 {
 		t.Fatalf("recovery = %+v", rec)
 	}
 	if _, err := db.Lookup("clip"); err != nil {
@@ -351,12 +352,11 @@ func TestCrashTruncatedSnapshotRecoversFromBackup(t *testing.T) {
 	}
 }
 
-// TestCrashSnapshotLostBetweenRenames covers the narrow window inside
-// WriteSnapshot where the old snapshot has been rotated to .bak but
-// the new one has not been renamed into place yet.
+// TestCrashSnapshotLostBetweenRenames: the base the MANIFEST names is
+// gone; the chain rebuilt from the file heads starts at the backup.
 func TestCrashSnapshotLostBetweenRenames(t *testing.T) {
 	dir, fs := corruptDBSetup(t)
-	if err := os.Remove(SnapshotFile(dir)); err != nil {
+	if err := os.Remove(chainFile(t, dir, 0)); err != nil {
 		t.Fatal(err)
 	}
 	db, err := Load(dir, fs)
@@ -421,6 +421,106 @@ func TestCrashStaleJournalSkipped(t *testing.T) {
 	}
 }
 
+// TestRecoverReportsEveryQuarantine: a flipped byte in the delta and
+// one in the MANIFEST set both files aside, and Recovery names both.
+func TestRecoverReportsEveryQuarantine(t *testing.T) {
+	dir := t.TempDir()
+	db := openDB(t, dir)
+	clip := savedClip(t, db, dir, "clip", 171)
+	if _, err := db.SelectDuration(clip, "late", 0, 2); err != nil {
+		t.Fatal(err)
+	}
+	checkpointDelta(t, db, dir)
+	if err := db.CloseJournal(); err != nil {
+		t.Fatal(err)
+	}
+	delta, manifest := chainFile(t, dir, 1), wal.ManifestFile(dir)
+	for _, path := range []string{delta, manifest} {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		data[len(data)/2] ^= 0x08
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	db2 := openDB(t, dir)
+	defer db2.CloseJournal()
+	rec := db2.Recovery()
+	for _, path := range []string{delta, manifest} {
+		if !slices.Contains(rec.Quarantined, path+".corrupt") {
+			t.Errorf("Recovery().Quarantined = %q, want %s.corrupt among them", rec.Quarantined, path)
+		}
+		if _, err := os.Stat(path + ".corrupt"); err != nil {
+			t.Error(err)
+		}
+	}
+	if !rec.ManifestCorrupt || !rec.FellBack() || !rec.Eventful() {
+		t.Errorf("recovery = %+v, want the MANIFEST corrupt and a fallback past the delta", rec)
+	}
+}
+
+// TestRecoverNoCleanBaseFails: with the one base damaged and no backup
+// beside it, Load sets the base aside and fails, naming the damage.
+func TestRecoverNoCleanBaseFails(t *testing.T) {
+	dir := t.TempDir()
+	db := openDB(t, dir)
+	savedClip(t, db, dir, "clip", 172)
+	if err := db.CloseJournal(); err != nil {
+		t.Fatal(err)
+	}
+	base := chainFile(t, dir, 0)
+	if err := os.WriteFile(base, []byte("not a container"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Load(dir, db.Store()); !errors.Is(err, ErrCorruptSnapshot) || !strings.Contains(err.Error(), "no other base") {
+		t.Errorf("Load = %v, want ErrCorruptSnapshot with no other base", err)
+	}
+	if _, err := os.Stat(base + ".corrupt"); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestExistsAndOpenBase: Exists tells a directory with catalog state
+// from one without, and OpenBase opens the base the MANIFEST names with
+// the seq its head covers — not the seq a later delta reached.
+func TestExistsAndOpenBase(t *testing.T) {
+	dir := t.TempDir()
+	if Exists(dir) {
+		t.Error("an empty directory exists as a catalog")
+	}
+	if _, _, err := OpenBase(dir); err == nil {
+		t.Error("OpenBase of an empty directory succeeded")
+	}
+	db := openDB(t, dir)
+	clip := savedClip(t, db, dir, "clip", 173)
+	seq := db.Seq()
+	if _, err := db.SelectDuration(clip, "late", 0, 2); err != nil {
+		t.Fatal(err)
+	}
+	checkpointDelta(t, db, dir)
+	if err := db.CloseJournal(); err != nil {
+		t.Fatal(err)
+	}
+	if !Exists(dir) {
+		t.Error("a checkpointed directory does not exist as a catalog")
+	}
+	f, got, err := OpenBase(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	if got != seq || f.Name() != chainFile(t, dir, 0) {
+		t.Errorf("OpenBase = %s at seq %d, want %s at %d", f.Name(), got, chainFile(t, dir, 0), seq)
+	}
+	db2 := openDB(t, dir)
+	defer db2.CloseJournal()
+	if rec := db2.Recovery(); rec.Eventful() {
+		t.Errorf("a clean reopen is eventful: %+v", rec)
+	}
+}
+
 // TestRecoverLoadMissingBlob: a snapshot referencing a BLOB the store
 // no longer has must fail loudly, naming the blob — and must NOT
 // quarantine the (perfectly good) snapshot.
@@ -450,8 +550,8 @@ func TestRecoverLoadMissingBlob(t *testing.T) {
 	if !errors.Is(err, blob.ErrNotFound) || !strings.Contains(err.Error(), "missing") {
 		t.Errorf("err = %v", err)
 	}
-	// The snapshot itself is fine; it must still be in place.
-	if _, serr := os.Stat(SnapshotFile(dir)); serr != nil {
+	// The base itself is fine; it must still be in place.
+	if _, serr := os.Stat(CheckpointFile(dir, 1)); serr != nil {
 		t.Errorf("snapshot quarantined on store error: %v", serr)
 	}
 }

@@ -105,12 +105,14 @@ type walOp struct {
 // catalog back. Exposed at /metrics so operators can see that a
 // restart recovered rather than silently lost data.
 type RecoveryInfo struct {
-	SnapshotLoaded bool   `json:"snapshot_loaded"`
-	UsedBackup     bool   `json:"used_backup"`
-	Quarantined    string `json:"quarantined,omitempty"`
-	JournalRecords int    `json:"journal_records_replayed"`
-	JournalSkipped int    `json:"journal_records_skipped"`
-	JournalTorn    bool   `json:"journal_torn_tail"`
+	SnapshotLoaded bool `json:"snapshot_loaded"`
+	UsedBackup     bool `json:"used_backup"`
+	// Quarantined lists every file Load set aside (path.corrupt): the
+	// MANIFEST, a base, a delta.
+	Quarantined    []string `json:"quarantined,omitempty"`
+	JournalRecords int      `json:"journal_records_replayed"`
+	JournalSkipped int      `json:"journal_records_skipped"`
+	JournalTorn    bool     `json:"journal_torn_tail"`
 	// OpenMs is the wall time Open took at this start, milliseconds.
 	OpenMs int64 `json:"open_ms"`
 	// BlobsSwept counts the BLOB files Open removed because nothing
@@ -118,14 +120,27 @@ type RecoveryInfo struct {
 	BlobsSwept int `json:"blobs_swept"`
 
 	// Bounded-recovery accounting (see checkpoint.go): how many WAL
-	// segments replayed, how the incremental checkpoint chain applied,
-	// and whether the MANIFEST or its chain had to be abandoned for a
-	// conservative full replay.
+	// segments replayed, how many deltas applied over the base, and
+	// whether the chain broke short of its end or the MANIFEST was set
+	// aside for a chain rebuilt from the file heads.
 	SegmentsReplayed      int  `json:"segments_replayed"`
 	CheckpointsApplied    int  `json:"checkpoints_applied"`
-	CheckpointsSkipped    int  `json:"checkpoints_skipped"`
 	CheckpointChainBroken bool `json:"checkpoint_chain_broken,omitempty"`
 	ManifestCorrupt       bool `json:"manifest_corrupt,omitempty"`
+}
+
+// FellBack reports whether the load fell back past state the directory
+// may have held — to the backup base, or short of a broken chain — so
+// a BLOB nothing interprets may be all that is left of it.
+func (r RecoveryInfo) FellBack() bool { return r.UsedBackup || r.CheckpointChainBroken }
+
+// Eventful reports whether the load did more than read a clean chain:
+// it fell back, set a file aside, met a corrupt MANIFEST, replayed or
+// cut the journal, or swept BLOBs. tbmserve and tbmctl print a recovery
+// line when it did.
+func (r RecoveryInfo) Eventful() bool {
+	return r.FellBack() || r.ManifestCorrupt || len(r.Quarantined) > 0 ||
+		r.JournalRecords > 0 || r.JournalTorn || r.BlobsSwept > 0
 }
 
 // Recovery returns what the last Load / OpenJournal recovered.

@@ -1,6 +1,7 @@
 package catalog
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"io/fs"
@@ -13,51 +14,84 @@ import (
 	"timedmedia/internal/wal"
 )
 
-// Durable persistence: the catalog's version chains are encoded into
-// catalog.gob (payload format in checkpoint.go and record.go) next to a
-// blob.FileStore directory. Payload bytes stay in the BLOBs.
+// Durable persistence: the catalog's version chains are encoded
+// (payload format in checkpoint.go and record.go) into one kind of
+// file, dir/checkpoint.NNNNNN.ckpt, next to a blob.FileStore directory;
+// payload bytes stay in the BLOBs. A file covers the mutations in
+// (FromSeq, Seq]: a base (FromSeq 0) is a full capture and starts a
+// chain, a delta extends the one before it. The MANIFEST names the
+// chain, base first, and is the one root recovery starts from.
 //
 // Crash safety (see internal/durable, internal/wal and checkpoint.go):
 //
-//   - Snapshots are streamed through the chunked container (per-
-//     chunk CRC-32C plus a whole-stream trailer), written to a temp
-//     file, fsynced, renamed into place, and the directory is fsynced —
-//     with the previous good snapshot retained as catalog.gob.bak.
-//     Neither Save nor Load ever holds the whole catalog in a buffer.
-//   - Load verifies the container; a truncated or corrupt snapshot is
-//     quarantined (catalog.gob.corrupt) and the backup is used
-//     instead — never a silent partial load.
-//   - Mutations between snapshots live in rotating WAL segments
-//     (journal.NNNNNN.log); the MANIFEST records which sequence prefix
-//     the snapshot and its incremental checkpoint chain already cover.
-//     Recovery loads MANIFEST → catalog.gob → checkpoint chain →
-//     surviving segments; Save rotates and compacts covered segments.
+//   - Files stream through the chunked container (per-chunk CRC-32C
+//     plus a whole-stream trailer) into a temp file, which is fsynced
+//     and renamed into place, and the directory fsynced; the MANIFEST
+//     naming a file is written after it. Nothing holds the whole
+//     catalog in a buffer.
+//   - Once a new base's MANIFEST is durable, the previous chain's base
+//     stays as the backup and every other file off the chain goes: a
+//     directory holds at most two full captures.
+//   - Load verifies every file and quarantines a damaged one
+//     (path.corrupt) — never a silent partial load. A damaged or
+//     missing MANIFEST, or a damaged base, sends Load to the chain
+//     rebuilt from the file heads; a damaged delta ends the chain, and
+//     the WAL segments (journal.NNNNNN.log) replay what they can.
 
-const snapshotName = "catalog.gob"
-
-// SnapshotFile returns the snapshot path inside a database directory.
-func SnapshotFile(dir string) string { return filepath.Join(dir, snapshotName) }
-
-// ErrCorruptSnapshot reports a snapshot that failed integrity
+// ErrCorruptSnapshot reports a checkpoint file that failed integrity
 // verification (container checksum or decode).
 var ErrCorruptSnapshot = errors.New("catalog: corrupt snapshot")
 
-// ErrSnapshotFormat reports a snapshot or checkpoint file that is
-// intact but in a payload format this build does not read. Nothing is
-// wrong with the file, so Load neither quarantines it nor falls back
-// to the backup on its account.
+// ErrSnapshotFormat reports a directory or checkpoint file that is
+// intact but in a format this build does not read. Nothing is wrong
+// with the file, so Load neither quarantines it nor falls back past it.
 var ErrSnapshotFormat = errors.New("catalog: unsupported snapshot format")
 
-// Save writes the catalog's object graph and interpretations durably
-// to dir/catalog.gob as a streamed, checksummed container: temp-file
-// write, fsync, atomic rename with the previous snapshot kept as
-// catalog.gob.bak, and a directory fsync. With a journal attached for
-// dir, Save is a full checkpoint (checkpointLocked): the WAL rotates at
-// the capture boundary, the MANIFEST records the covered sequence (and
-// an empty checkpoint chain), and covered segments are compacted. The
-// catalog lock is released before any encode or fsync — writers only
-// wait for the in-memory capture. The BLOB store persists
-// independently (use a FileStore in the same dir).
+// refuseEarlierLayout fails with ErrSnapshotFormat when dir holds the
+// snapshot file of an earlier build, or its backup: there is no
+// in-place upgrade.
+func refuseEarlierLayout(dir string) error {
+	for _, name := range []string{"catalog.gob", "catalog.gob.bak"} {
+		if _, err := os.Lstat(filepath.Join(dir, name)); err == nil {
+			return fmt.Errorf("%w: %s is an earlier build's snapshot; this build reads checkpoint chains only", ErrSnapshotFormat, filepath.Join(dir, name))
+		}
+	}
+	return nil
+}
+
+// Exists reports whether dir holds catalog state for Open to load: a
+// MANIFEST, a checkpoint file, or an earlier build's snapshot (which
+// Open refuses).
+func Exists(dir string) bool {
+	nums, _ := listCheckpoints(dir)
+	_, err := os.Lstat(wal.ManifestFile(dir))
+	return len(nums) > 0 || err == nil || refuseEarlierLayout(dir) != nil
+}
+
+// OpenBase opens the base of the chain dir's MANIFEST names, and
+// returns it with the last seq it covers, read from its head.
+func OpenBase(dir string) (*os.File, uint64, error) {
+	m, err := wal.LoadManifest(dir)
+	if err != nil || m == nil || len(m.Checkpoints) == 0 {
+		return nil, 0, fmt.Errorf("catalog: no chain named in %s (%v)", dir, err)
+	}
+	path := CheckpointFile(dir, m.Checkpoints[0])
+	s, err := openStream(path)
+	if err != nil {
+		return nil, 0, err
+	}
+	s.Close()
+	f, err := os.Open(path)
+	return f, s.head.Seq, err
+}
+
+// Save writes the catalog durably as a new base — a full capture under
+// the next checkpoint file number — and a MANIFEST naming it as a chain
+// of its own (checkpointLocked). With a journal attached for dir, the
+// WAL rotates at the capture boundary and covered segments are
+// compacted. Writers only wait for the in-memory capture, never for an
+// encode or fsync. The BLOB store persists independently (use a
+// FileStore in the same dir).
 func (db *DB) Save(dir string) error {
 	db.saveMu.Lock()
 	defer db.saveMu.Unlock()
@@ -81,171 +115,149 @@ func (db *DB) observeCheckpoint(start time.Time, full bool, size int64) {
 	}
 }
 
-// readSnapshotInto streams one base snapshot file into db, which must
-// not be shared yet.
-func (db *DB) readSnapshotInto(path string) error {
+// setAside quarantines a file that failed verification and records
+// where it went.
+func (r *RecoveryInfo) setAside(path string) {
+	if q, _ := durable.Quarantine(path); q != "" {
+		r.Quarantined = append(r.Quarantined, q)
+	}
+}
+
+// applyFile applies the chain file at path when it starts at the
+// state's seq — a fresh DB's is 0, so only a base applies to it — and
+// reports whether it did.
+func (db *DB) applyFile(path string) (bool, error) {
 	s, err := openStream(path)
 	if err != nil {
-		return err
-	}
-	defer s.Close()
-	return db.applyStream(s)
-}
-
-// attemptLoad builds a fresh DB from one snapshot file. Each attempt
-// starts from a clean DB so a decode failure cannot leave a partially
-// applied primary polluting the backup's load.
-func attemptLoad(path string, store blob.Store, opts ...Option) (*DB, error) {
-	db := New(store, opts...)
-	if err := db.readSnapshotInto(path); err != nil {
-		return nil, err
-	}
-	return db, nil
-}
-
-// errCheckpointGap reports a checkpoint chain entry that cannot apply:
-// its base sequence is ahead of the loaded state (the covering records
-// were compacted under a snapshot generation we no longer have).
-var errCheckpointGap = errors.New("catalog: checkpoint chain gap")
-
-// errCheckpointUnreadable reports a chain entry that could not be
-// opened or whose header failed before anything was applied.
-var errCheckpointUnreadable = errors.New("catalog: checkpoint unreadable")
-
-// applyCheckpointFile loads one incremental checkpoint over the
-// current state. Returns (false, nil) when the delta is already
-// covered (head.Seq <= db.seq — e.g. a stale chain left by a crash
-// between a full Save's snapshot rename and manifest write). A file
-// that cannot be opened or whose head does not decode, and a gap, come
-// back as the typed sentinels; ErrSnapshotFormat and anything
-// applyStream rejects are hard errors — the first because the file is
-// healthy and not ours to set aside, the second because the records
-// the manifest says this file covers are compacted away, so segment
-// replay cannot stand in for it.
-func (db *DB) applyCheckpointFile(path string) (bool, error) {
-	s, err := openStream(path)
-	if errors.Is(err, ErrSnapshotFormat) {
 		return false, err
 	}
-	if err != nil {
-		return false, fmt.Errorf("%w: %s: %v", errCheckpointUnreadable, path, err)
-	}
 	defer s.Close()
-	if s.head.Seq <= db.seq {
+	if s.head.FromSeq != db.seq {
 		return false, nil
 	}
-	if s.head.FromSeq > db.seq {
-		return false, fmt.Errorf("%w: delta starts at seq %d, state at %d", errCheckpointGap, s.head.FromSeq, db.seq)
-	}
-	if err := db.applyStream(s); err != nil {
-		return false, err
-	}
-	return true, nil
+	return true, db.applyStream(s)
 }
 
-// applyCheckpointChain applies the manifest's checkpoint chain in
-// order. Returns whether the chain (and therefore the manifest's
-// coverage claim) held: a missing, unreadable or gapped entry marks
-// the chain broken — recovery then falls back to whatever the
-// surviving segments can replay, and the manifest is discarded so the
-// next checkpoint is a full Save.
-func (db *DB) applyCheckpointChain(dir string, m *wal.Manifest) (bool, error) {
-	for _, n := range m.Checkpoints {
+// loadFrom loads the chain files nums into a fresh DB: nums[0] must be
+// a base, and each later file applies from the state's seq. In the
+// MANIFEST's chain (strict) a delta that does not start there breaks
+// the chain; in one rebuilt from the file heads it belongs to another
+// chain and is passed over. A missing or damaged delta (quarantined)
+// breaks the chain too, and recovery goes on with what the segments
+// hold. No DB comes back when nums[0] is not a base that reads clean:
+// a damaged one is set aside and its error returned. ErrSnapshotFormat
+// and store failures are hard errors: the file is healthy and not ours
+// to set aside.
+func loadFrom(dir string, nums []uint64, strict bool, store blob.Store, opts []Option, rec *RecoveryInfo) (*DB, []uint64, error) {
+	db := New(store, opts...)
+	var chain []uint64
+	for i, n := range nums {
 		path := CheckpointFile(dir, n)
-		applied, err := db.applyCheckpointFile(path)
+		ok, err := db.applyFile(path)
 		switch {
-		case err == nil:
-			if applied {
-				db.recovery.CheckpointsApplied++
-			} else {
-				db.recovery.CheckpointsSkipped++
-			}
-		case errors.Is(err, errCheckpointGap), errors.Is(err, errCheckpointUnreadable):
-			if !errors.Is(err, fs.ErrNotExist) {
-				if q, qerr := durable.Quarantine(path); qerr == nil {
-					_ = q
-				}
-			}
-			db.recovery.CheckpointChainBroken = true
-			return false, nil
+		case ok && err == nil:
+			chain = append(chain, n)
+			continue
+		case err == nil && i > 0 && !strict:
+			continue
+		case err == nil, errors.Is(err, fs.ErrNotExist):
+			err = nil
+		case errors.Is(err, ErrCorruptSnapshot):
+			rec.setAside(path)
 		default:
-			return false, err
+			return nil, nil, err
 		}
+		if i == 0 {
+			return nil, nil, err
+		}
+		rec.CheckpointChainBroken = true
+		break
 	}
-	return true, nil
+	rec.CheckpointsApplied = len(chain) - 1
+	return db, chain, nil
 }
 
-// Load reads a catalog saved with Save/Checkpoint, resolving
-// interpretations against the given store, and replays any WAL found
-// next to the snapshot. Options configure the reloaded DB the same
-// way they configure New (e.g. WithCacheCapacity).
-//
-// Recovery sequence: MANIFEST (corrupt one → quarantined, conservative
-// full replay) → catalog.gob (corrupt → quarantined, catalog.gob.bak
-// used; intact but in another format → ErrSnapshotFormat, file left in
-// place) → incremental checkpoint chain (already-covered deltas skip by
-// sequence; a gap marks the chain broken) → the index pass, which fails
-// on a live object whose BLOB is missing (relinkAllLocked) → WAL
-// segments in index order, with a torn tail truncated → the BLOB
-// high-water mark reserved in the store. What happened is reported via
-// (*DB).Recovery. Load does not attach the journal for writing — call
-// OpenJournal to log new mutations.
-func Load(dir string, store blob.Store, opts ...Option) (*DB, error) {
-	var recovery RecoveryInfo
-	man, merr := wal.LoadManifest(dir)
-	if merr != nil {
-		if q, qerr := durable.Quarantine(wal.ManifestFile(dir)); qerr == nil {
-			_ = q
+// loadChain loads the chain man names or, when there is no MANIFEST or
+// its base does not read clean, the chain rebuilt from the file heads:
+// the newest base that reads clean, then the files numbered above it.
+// The number rule keeps a delta of a chain an earlier fallback
+// abandoned, whose seqs may have been reused since, from applying. A
+// base older than the MANIFEST's, or than a file set aside on the way,
+// is the backup (UsedBackup). With no chain at all, the DB is empty.
+func loadChain(dir string, man *wal.Manifest, store blob.Store, opts []Option, rec *RecoveryInfo) (*DB, []uint64, error) {
+	var named uint64
+	var cause error // why the first base was set aside
+	// done reports whether an attempt settles the load — a DB, or a
+	// hard error; past a damaged base the search goes on.
+	done := func(db *DB, err error) bool {
+		if errors.Is(err, ErrCorruptSnapshot) {
+			cause = cmp.Or(cause, err)
+			return false
 		}
-		recovery.ManifestCorrupt = true
-		man = nil
+		return db != nil || err != nil
 	}
+	if man != nil && len(man.Checkpoints) > 0 {
+		named = man.Checkpoints[0]
+		if db, chain, err := loadFrom(dir, man.Checkpoints, true, store, opts, rec); done(db, err) {
+			return db, chain, err
+		}
+	}
+	nums, err := listCheckpoints(dir)
+	if err != nil {
+		return nil, nil, err
+	}
+	lost := false
+	for i := len(nums) - 1; i >= 0; i-- {
+		db, chain, err := loadFrom(dir, nums[i:], false, store, opts, rec)
+		if done(db, err) {
+			rec.UsedBackup = nums[i] < named || lost
+			return db, chain, err
+		}
+		lost = lost || err != nil
+	}
+	if named == 0 && len(nums) == 0 {
+		return New(store, opts...), nil, nil
+	}
+	if cause == nil {
+		cause = fmt.Errorf("%w: no base checkpoint", ErrCorruptSnapshot)
+	}
+	return nil, nil, fmt.Errorf("%w; no other base in %s reads clean", cause, dir)
+}
 
-	primary := SnapshotFile(dir)
-	db, err := attemptLoad(primary, store, opts...)
-	switch {
-	case err == nil:
-	case errors.Is(err, fs.ErrNotExist):
-		// Crash between backup rotation and rename: the previous
-		// snapshot lives on as .bak.
-		bak, bakErr := attemptLoad(primary+".bak", store, opts...)
-		if bakErr != nil {
-			return nil, err
-		}
-		db, recovery.UsedBackup = bak, true
-	case errors.Is(err, ErrCorruptSnapshot):
-		if q, qerr := durable.Quarantine(primary); qerr == nil {
-			recovery.Quarantined = q
-		}
-		bak, bakErr := attemptLoad(primary+".bak", store, opts...)
-		if bakErr != nil {
-			return nil, fmt.Errorf("%w (backup: %v)", err, bakErr)
-		}
-		db, recovery.UsedBackup = bak, true
-	default:
+// Load reads the catalog a directory's checkpoint chain holds,
+// resolving interpretations against the given store, and replays the
+// WAL found next to it; a directory with no chain loads as the empty
+// catalog plus its journal. Options configure the reloaded DB as they
+// configure New. The sequence: an earlier build's snapshot file →
+// ErrSnapshotFormat, nothing touched; MANIFEST → base → deltas
+// (loadChain; a file intact but in another format is ErrSnapshotFormat,
+// left in place) → the index pass, which fails on a live object whose
+// BLOB is missing (relinkAllLocked) → WAL segments in index order, a
+// torn tail truncated → the BLOB high-water mark reserved in the store.
+// (*DB).Recovery reports what happened. Load does not attach the
+// journal for writing — call OpenJournal to log new mutations.
+func Load(dir string, store blob.Store, opts ...Option) (*DB, error) {
+	if err := refuseEarlierLayout(dir); err != nil {
 		return nil, err
 	}
-	recovery.SnapshotLoaded = true
-	db.recovery = recovery
-
-	if man != nil {
-		ok, err := db.applyCheckpointChain(dir, man)
-		if err != nil {
-			return nil, err
-		}
-		if ok && db.seq > man.CheckpointSeq {
-			// A full Save crashed between its snapshot and its MANIFEST.
-			// The snapshot holds tombstones no MANIFEST covers, and Open's
-			// sweep unlinks their BLOBs, so the feed must refuse resume
-			// points below the snapshot's seq, as that MANIFEST would.
-			m := *man
-			m.CheckpointSeq = db.seq
-			man = &m
-		}
-		if ok {
-			db.manifest = man
-		}
+	var rec RecoveryInfo
+	man, err := wal.LoadManifest(dir)
+	if err != nil {
+		rec.setAside(wal.ManifestFile(dir))
+		rec.ManifestCorrupt = true
 	}
+	db, chain, err := loadChain(dir, man, store, opts, &rec)
+	if err != nil {
+		return nil, err
+	}
+	if chain != nil {
+		// The chain loaded is the one the next checkpoint extends, and
+		// its seq the floor below which the feed refuses to resume: Open's
+		// sweep unlinks the BLOBs of the tombstones it holds.
+		rec.SnapshotLoaded = true
+		db.manifest = &wal.Manifest{CheckpointSeq: db.seq, Checkpoints: chain}
+	}
+	db.recovery = rec
 
 	// Rebuild the secondary indexes once the whole base + chain state
 	// is present — multimedia spans resolve component objects, which
@@ -253,11 +265,10 @@ func Load(dir string, store blob.Store, opts ...Option) (*DB, error) {
 	if err := db.relinkAllLocked(); err != nil {
 		return nil, err
 	}
-	// The loaded state is exactly the manifest's checkpoint: the next
-	// delta diffs against it, so what replay applies is in the diff. A
-	// fallback, or a state short of the manifest's seq, leaves no base
-	// and makes the next checkpoint full.
-	if m := db.manifest; m != nil && !recovery.UsedBackup && db.seq == m.CheckpointSeq {
+	// The loaded state is exactly the chain's: the next delta diffs
+	// against it, so what replay applies is in the diff. A fallback past
+	// lost state leaves no base and makes the next checkpoint full.
+	if db.manifest != nil && !rec.FellBack() {
 		db.ckptView = db.cur.Load()
 	}
 	if err := db.replayAllLocked(dir); err != nil {
@@ -266,25 +277,31 @@ func Load(dir string, store blob.Store, opts ...Option) (*DB, error) {
 	return db, nil
 }
 
-// Open loads the catalog at dir when any persistent state exists
-// (snapshot, backup or journal), creates a fresh one otherwise, and
-// attaches the mutation journal in both cases. This is the one-call
-// path the CLIs use. It then sweeps the BLOB files a reopen would not
-// open again (replayKeep): a crash left them between a checkpoint and
-// its unlinks, or mid-ingest; or, at version retention 1, a BLOB
-// registered and collected between two checkpoints reached no
+// Open loads the catalog at dir (Load: an empty one when dir holds no
+// state), creating dir if need be, and attaches the mutation journal.
+// This is the one-call path the CLIs use. It then sweeps the BLOB files
+// a reopen would not open again (replayKeep): a crash left them between
+// a checkpoint and its unlinks, or mid-ingest; or, at version retention
+// 1, a BLOB registered and collected between two checkpoints reached no
 // checkpoint's diff. Best effort, and skipped where registrations may
 // be missing rather than gone: under WithReplayCap, or after a fallback
-// past lost state (the backup snapshot, a corrupt MANIFEST, a broken
-// checkpoint chain), whose BLOBs may be all that is left of it.
+// past lost state (the backup base, a broken checkpoint chain), whose
+// BLOBs may be all that is left of it.
 func Open(dir string, store blob.Store, opts ...Option) (*DB, error) {
 	start := time.Now()
-	db, err := open(dir, store, opts...)
+	db, err := Load(dir, store, opts...)
 	if err != nil {
 		return nil, err
 	}
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return nil, fmt.Errorf("catalog: %w", err)
+	}
 	db.mu.Lock()
-	if rec := db.recovery; db.replayCap == 0 && !rec.UsedBackup && !rec.ManifestCorrupt && !rec.CheckpointChainBroken {
+	defer db.mu.Unlock()
+	if err := db.attachJournalLocked(dir); err != nil {
+		return nil, err
+	}
+	if db.replayCap == 0 && !db.recovery.FellBack() {
 		ids, _ := db.store.IDs() // best effort: a failed listing sweeps nothing
 		for _, id := range ids {
 			if !db.replayKeep[id] && db.store.Delete(id) == nil {
@@ -294,33 +311,5 @@ func Open(dir string, store blob.Store, opts ...Option) (*DB, error) {
 	}
 	db.replayKeep = nil
 	db.recovery.OpenMs = time.Since(start).Milliseconds()
-	db.mu.Unlock()
-	return db, nil
-}
-
-func open(dir string, store blob.Store, opts ...Option) (*DB, error) {
-	_, errA := os.Stat(SnapshotFile(dir))
-	_, errB := os.Stat(SnapshotFile(dir) + ".bak")
-	if errA == nil || errB == nil {
-		db, err := Load(dir, store, opts...)
-		if err != nil {
-			return nil, err
-		}
-		// Load already replayed the journal; just attach it.
-		db.mu.Lock()
-		err = db.attachJournalLocked(dir)
-		db.mu.Unlock()
-		if err != nil {
-			return nil, err
-		}
-		return db, nil
-	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("catalog: %w", err)
-	}
-	db := New(store, opts...)
-	if err := db.OpenJournal(dir); err != nil {
-		return nil, err
-	}
 	return db, nil
 }

@@ -25,8 +25,8 @@ import (
 // file.
 
 // streamFixture builds, in dir, a catalog whose files hold every shape
-// the record stream carries: catalog.gob is a full snapshot (with an
-// older generation as .bak) and checkpoint.000001.ckpt a delta, and
+// the record stream carries: the MANIFEST's chain is a base (with an
+// older generation beside it as the backup) and a delta over it, and
 // each of the two covers object tombstones, a name re-used across a
 // delete, a sync revision and an interpretation tombstone — and
 // interpretation records of every packing: vjpg frames that are runs
@@ -72,7 +72,7 @@ func streamFixture(tb testing.TB, dir string) *blob.FileStore {
 		_, err := db.SelectDuration(a, fmt.Sprintf("cut%d", i), 0, 2)
 		must(err)
 	}
-	must(db.Save(dir)) // becomes .bak
+	must(db.Save(dir)) // becomes the backup
 
 	// churn deletes the last reader of a BLOB (object and interpretation
 	// tombstones), re-uses its name, and revises mm.
@@ -90,6 +90,17 @@ func streamFixture(tb testing.TB, dir string) *blob.FileStore {
 	checkpointDelta(tb, db, dir)
 	must(db.CloseJournal())
 	return store
+}
+
+// readSnapshotInto streams one chain file into db, which must not be
+// shared yet.
+func (db *DB) readSnapshotInto(path string) error {
+	s, err := openStream(path)
+	if err != nil {
+		return err
+	}
+	defer s.Close()
+	return db.applyStream(s)
 }
 
 // payloadOf returns the payload inside the container at path.
@@ -117,8 +128,9 @@ func FuzzCatalogStreamDecode(f *testing.F) {
 	dir := f.TempDir()
 	store := streamFixture(f, dir)
 	defer store.Close()
-	full := payloadOf(f, SnapshotFile(dir))
-	delta := payloadOf(f, CheckpointFile(dir, 1))
+	base := chainFile(f, dir, 0)
+	full := payloadOf(f, base)
+	delta := payloadOf(f, chainFile(f, dir, 1))
 	flipped := func(p []byte, at int) []byte {
 		q := append([]byte(nil), p...)
 		q[at] ^= 0x10
@@ -149,7 +161,7 @@ func FuzzCatalogStreamDecode(f *testing.F) {
 	path := filepath.Join(dir, "fuzzed.ckpt")
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		db := New(store)
-		if err := db.readSnapshotInto(SnapshotFile(dir)); err != nil {
+		if err := db.readSnapshotInto(base); err != nil {
 			t.Fatal(err)
 		}
 		view, seq, nextID := db.cur.Load(), db.seq, db.nextID
@@ -197,11 +209,12 @@ func catalogDumpFrom(db *DB, from uint64) string {
 	return sb.String()
 }
 
-// FuzzCatalogStreamCorruption flips one byte anywhere in a written
-// snapshot or chain file. Load must then fail, or say what it fell
-// back to (the backup snapshot; a broken checkpoint chain) — it must
+// FuzzCatalogStreamCorruption flips one byte anywhere in the chain's
+// base, its delta or the MANIFEST. Load must then fail, or say what it
+// fell back to (the backup base; a broken checkpoint chain) — it must
 // never report a clean recovery of a catalog whose query output
-// differs from the one that was saved.
+// differs from the one that was saved. A corrupt MANIFEST alone is no
+// fallback: the chain rebuilt from the file heads is the saved one.
 func FuzzCatalogStreamCorruption(f *testing.F) {
 	src := f.TempDir()
 	store := streamFixture(f, src)
@@ -211,7 +224,7 @@ func FuzzCatalogStreamCorruption(f *testing.F) {
 		f.Fatal(err)
 	}
 	want := catalogDump(clean)
-	targets := []string{snapshotName, filepath.Base(CheckpointFile(src, 1))}
+	targets := []string{filepath.Base(chainFile(f, src, 0)), filepath.Base(chainFile(f, src, 1)), "MANIFEST"}
 
 	f.Add(0, 0, byte(0x01))   // container magic
 	f.Add(0, 21, byte(0x80))  // payload preamble
@@ -219,6 +232,7 @@ func FuzzCatalogStreamCorruption(f *testing.F) {
 	f.Add(0, -5, byte(0x20))  // stream trailer
 	f.Add(1, 14, byte(0xFF))  // first chunk's length
 	f.Add(1, 200, byte(0x01)) // a delta record
+	f.Add(2, 30, byte(0x02))  // the MANIFEST's payload
 	f.Fuzz(func(t *testing.T, which, pos int, mask byte) {
 		if mask == 0 {
 			return // not a mutation

@@ -70,7 +70,7 @@ func checkpointDelta(t testing.TB, db *DB, dir string) {
 	if err := db.Checkpoint(dir); err != nil {
 		t.Fatal(err)
 	}
-	if len(chainFilesOnDisk(t, dir)) != 1 {
+	if m := db.Manifest(); len(m.Checkpoints) != 2 {
 		t.Fatal("checkpoint was promoted to a full save; the test wants a delta")
 	}
 }
@@ -345,8 +345,8 @@ var fixtureAttrs = map[string]string{"language": "fr", "rights": "cleared", "tit
 var writeFixture = flag.String("write-fixture", "", "write the format fixture history into this directory")
 
 // writeFormatFixtureHistory runs the fixed history behind
-// testdata/format_pr36 (and format_pr31 before it) in dir: a full
-// snapshot, one delta over it with a delete that collects a BLOB the
+// testdata/format_pr44 (and format_pr36 and format_pr31 before it) in
+// dir: a base, one delta over it with a delete that collects a BLOB the
 // snapshot names, and a journal tail. It returns the catalog, its
 // journal closed.
 func writeFormatFixtureHistory(t *testing.T, dir string) *DB {
@@ -376,7 +376,7 @@ func writeFormatFixtureHistory(t *testing.T, dir string) *DB {
 
 // isContainer reports whether a database file is a snapshot container.
 func isContainer(name string) bool {
-	return name == snapshotName || strings.HasSuffix(name, ".ckpt")
+	return strings.HasSuffix(name, ".ckpt")
 }
 
 // containerView is what pins a snapshot or chain file: its 12-byte
@@ -392,9 +392,9 @@ func containerView(t *testing.T, path string) string {
 }
 
 // TestRecoverFormatFixture pins the on-disk format:
-// testdata/format_pr36 is what the commit that gave snapshot records
-// the journal's layout wrote for the fixture history. It must open —
-// snapshot, delta chain, MANIFEST, segments, BLOBs — as the catalog the
+// testdata/format_pr44 is what the commit that made the MANIFEST's
+// chain the only root wrote for the fixture history. It must open —
+// MANIFEST, base, delta, segments, BLOBs — as the catalog the
 // history built, and the bytes are a function of the history: written
 // again in this process, once as it is and once after gob has numbered
 // types the catalog never encodes, the MANIFEST, journal and BLOB files
@@ -405,12 +405,12 @@ func TestRecoverFormatFixture(t *testing.T) {
 		writeFormatFixtureHistory(t, *writeFixture)
 		return
 	}
-	const fixture = "testdata/format_pr36"
+	const fixture = "testdata/format_pr44"
 	dir := t.TempDir()
 	copyTree(t, fixture, dir)
 	db := openDB(t, dir)
 	rec := db.Recovery()
-	if !rec.SnapshotLoaded || rec.UsedBackup || rec.Quarantined != "" || rec.ManifestCorrupt ||
+	if !rec.SnapshotLoaded || rec.UsedBackup || len(rec.Quarantined) != 0 || rec.ManifestCorrupt ||
 		rec.CheckpointChainBroken || rec.CheckpointsApplied != 1 || rec.JournalRecords != 1 || rec.JournalTorn ||
 		rec.BlobsSwept != 0 {
 		t.Errorf("recovery of the fixture = %+v", rec)
@@ -481,13 +481,14 @@ func TestRecoverFormatFixture(t *testing.T) {
 }
 
 // TestPreviousFormatRefused: what earlier formats' last commits wrote is
-// refused by name and left where it is, byte for byte, with nothing
-// quarantined and no backup taken — testdata/format_pr20's TBMCATS2
-// snapshot, never read as interpretations with empty tracks;
-// format_pr31, the fixture history as the last build of TBMCATS3 and
-// record layout 1 wrote it, whose records were gob; and the journals of
-// record layout 1 (format_pr31's tail) and of gob records (format_pr20's,
-// from a directory that never checkpointed, and format_pr22's).
+// refused by name and left where it is, byte for byte, BLOBs included,
+// with nothing created, quarantined or swept — every directory that
+// holds an earlier build's catalog.gob or catalog.gob.bak (format_pr20's
+// TBMCATS2 snapshot, format_pr22's, format_pr31's TBMCATS3 with gob
+// records, format_pr36's TBMCATS4 beside its checkpoint chain); and the
+// journals of record layout 1 (format_pr31's tail) and of gob records
+// (format_pr20's, from a directory that never checkpointed, and
+// format_pr22's).
 func TestPreviousFormatRefused(t *testing.T) {
 	// open copies the named files of a fixture — all of them when none is
 	// named — into a fresh directory and opens it.
@@ -531,11 +532,26 @@ func TestPreviousFormatRefused(t *testing.T) {
 		}
 		return err
 	}
-	for fixture, preamble := range map[string]string{"format_pr20": "TBMCATS2", "format_pr31": "TBMCATS3"} {
+	for _, fixture := range []string{"format_pr20", "format_pr22", "format_pr31", "format_pr36"} {
 		err := open(fixture)
-		if !errors.Is(err, ErrSnapshotFormat) || errors.Is(err, ErrCorruptSnapshot) || !strings.Contains(err.Error(), `"`+preamble+`"`) {
-			t.Errorf("%s snapshot: Open = %v, want ErrSnapshotFormat naming the preamble", preamble, err)
+		if !errors.Is(err, ErrSnapshotFormat) || errors.Is(err, ErrCorruptSnapshot) || !strings.Contains(err.Error(), "catalog.gob ") {
+			t.Errorf("%s: Open = %v, want ErrSnapshotFormat naming catalog.gob", fixture, err)
 		}
+	}
+	// The backup alone is refused by its own name.
+	dir := t.TempDir()
+	data, err := os.ReadFile("testdata/format_pr36/catalog.gob")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "catalog.gob.bak"), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Open(dir, blob.NewMemStore()); !errors.Is(err, ErrSnapshotFormat) || !strings.Contains(err.Error(), "catalog.gob.bak") {
+		t.Errorf("a lone catalog.gob.bak: Open = %v, want ErrSnapshotFormat naming it", err)
+	}
+	if left, _ := os.ReadDir(dir); len(left) != 1 {
+		t.Errorf("refusing a lone catalog.gob.bak left %d files, want 1", len(left))
 	}
 	for fixture, segment := range map[string]string{"format_pr20": "journal.000001.log", "format_pr22": "journal.000003.log", "format_pr31": "journal.000003.log"} {
 		if err := open(fixture, segment); !errors.Is(err, ErrReplay) || !strings.Contains(err.Error(), "not with record layout version 2") {
@@ -594,7 +610,7 @@ func TestFollowerCheckpointDeterministic(t *testing.T) {
 	must(primary.Save(pdir))
 	must(follower.Save(fdir))
 	must(follower.CloseJournal())
-	p, f := payloadOf(t, SnapshotFile(pdir)), payloadOf(t, SnapshotFile(fdir))
+	p, f := payloadOf(t, chainFile(t, pdir, 0)), payloadOf(t, chainFile(t, fdir, 0))
 	if !bytes.Equal(p, f) {
 		t.Errorf("at seq %d the follower's snapshot payload (%d B) differs from the primary's (%d B)", primary.Seq(), len(f), len(p))
 	}
@@ -622,7 +638,7 @@ func TestCheckpointBytesCounted(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkpointDelta(t, db, dir)
-	for mode, path := range map[string]string{"full": SnapshotFile(dir), "incremental": CheckpointFile(dir, 1)} {
+	for mode, path := range map[string]string{"full": chainFile(t, dir, 0), "incremental": chainFile(t, dir, 1)} {
 		fi, err := os.Stat(path)
 		if err != nil {
 			t.Fatal(err)
@@ -689,8 +705,8 @@ func writeContainer(t testing.TB, path string, payload []byte) {
 // ErrSnapshotFormat and left where it is — not called damage, not
 // quarantined, no backup taken in its place. Bytes with no container
 // around them — the retired v1 frame included — are damage like any
-// other: quarantined with the backup used as the base snapshot, a
-// broken chain as a checkpoint file.
+// other: quarantined with the backup used as the MANIFEST's base, a
+// broken chain as its delta.
 func TestForeignSnapshotFormatRefused(t *testing.T) {
 	var oldGob bytes.Buffer
 	// The shape of the pre-streaming payload: one gob value.
@@ -733,13 +749,14 @@ func TestForeignSnapshotFormatRefused(t *testing.T) {
 		}, ErrCorruptSnapshot, ""},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			// As the base snapshot, with a good backup beside it.
+			// As the MANIFEST's base, with a good backup beside it.
 			dir, fs := corruptDBSetup(t)
-			tc.write(t, SnapshotFile(dir))
+			base := chainFile(t, dir, 0)
+			tc.write(t, base)
 			db, err := Load(dir, fs)
 			switch {
 			case tc.want == ErrCorruptSnapshot:
-				if err != nil || !db.Recovery().UsedBackup || db.Recovery().Quarantined == "" {
+				if err != nil || !db.Recovery().UsedBackup || len(db.Recovery().Quarantined) == 0 {
 					t.Fatalf("garbage base: err %v, want a quarantine and the backup", err)
 				}
 			case !errors.Is(err, ErrSnapshotFormat) || errors.Is(err, ErrCorruptSnapshot):
@@ -748,10 +765,10 @@ func TestForeignSnapshotFormatRefused(t *testing.T) {
 				if !strings.Contains(err.Error(), fmt.Sprintf("%q", tc.found)) {
 					t.Errorf("error does not name the bytes found (%q): %v", tc.found, err)
 				}
-				if _, serr := os.Stat(SnapshotFile(dir)); serr != nil {
+				if _, serr := os.Stat(base); serr != nil {
 					t.Errorf("refused file not left in place: %v", serr)
 				}
-				if _, serr := os.Stat(SnapshotFile(dir) + ".corrupt"); serr == nil {
+				if _, serr := os.Stat(base + ".corrupt"); serr == nil {
 					t.Error("a healthy file was quarantined")
 				}
 			}
@@ -767,7 +784,8 @@ func TestForeignSnapshotFormatRefused(t *testing.T) {
 			if err := cdb.CloseJournal(); err != nil {
 				t.Fatal(err)
 			}
-			tc.write(t, CheckpointFile(dir, 1))
+			delta := chainFile(t, dir, 1)
+			tc.write(t, delta)
 			fs2, err := blob.OpenFileStore(dir)
 			if err != nil {
 				t.Fatal(err)
@@ -785,7 +803,7 @@ func TestForeignSnapshotFormatRefused(t *testing.T) {
 			if !errors.Is(err, ErrSnapshotFormat) {
 				t.Fatalf("Load with a foreign chain file = %v, want ErrSnapshotFormat", err)
 			}
-			if _, serr := os.Stat(CheckpointFile(dir, 1)); serr != nil {
+			if _, serr := os.Stat(delta); serr != nil {
 				t.Errorf("refused chain file not left in place: %v", serr)
 			}
 		})
@@ -835,7 +853,7 @@ func TestRecoverLoadMissingBlobUnderDelta(t *testing.T) {
 		if _, err := Open(dir, fs); !errors.Is(err, blob.ErrNotFound) || !strings.Contains(err.Error(), "missing") {
 			t.Fatalf("journal only %v: Open over a hand-removed BLOB = %v, want the store's not-found error", journalOnly, err)
 		}
-		if _, serr := os.Stat(SnapshotFile(dir)); serr != nil && !journalOnly {
+		if _, serr := os.Stat(CheckpointFile(dir, 1)); serr != nil && !journalOnly {
 			t.Errorf("snapshot quarantined on a store error: %v", serr)
 		}
 	}

@@ -10,9 +10,10 @@
 // The paper argues media belongs in the database rather than in opaque
 // files; a database that loses data on power failure is no database at
 // all. Every write here follows the classic sequence: write tmp,
-// fsync(tmp), rotate previous good file to .bak, rename(tmp, target),
-// fsync(parent dir). A crash at any point leaves either the old
-// file, the new file, or the .bak — never a torn target.
+// fsync(tmp), rename(tmp, target), fsync(parent dir). A crash at any
+// point leaves either the old file or the new one — never a torn
+// target. Keeping an older generation is the caller's business: the
+// catalog keeps the previous full capture as a file of its own.
 package durable
 
 import (
@@ -51,12 +52,11 @@ func SyncDir(dir string) error {
 }
 
 // ReplaceFile durably replaces path with what write produces: write
-// streams into path.tmp, the tmp is fsynced, an existing path rotates
-// to path.bak when keepBackup is set, the tmp renames into place, and
-// the parent directory is fsynced. After a crash at any point path (or
-// path.bak) holds a complete previous state; after a failure at any
-// step no path.tmp is left behind.
-func ReplaceFile(path string, keepBackup bool, write func(io.Writer) error) error {
+// streams into path.tmp, the tmp is fsynced and renamed into place, and
+// the parent directory is fsynced. After a crash at any point path
+// holds a complete state, the previous one or the new one; after a
+// failure at any step no path.tmp is left behind.
+func ReplaceFile(path string, write func(io.Writer) error) error {
 	tmp := path + ".tmp"
 	f, err := os.Create(tmp)
 	if err != nil {
@@ -76,16 +76,6 @@ func ReplaceFile(path string, keepBackup bool, write func(io.Writer) error) erro
 	if err := f.Close(); err != nil {
 		os.Remove(tmp)
 		return fmt.Errorf("durable: %w", err)
-	}
-	if keepBackup {
-		// Rotate unconditionally and tolerate only a missing target: any
-		// other rotation failure (e.g. EACCES) must abort the write, or
-		// the rename below would replace the old file with no backup
-		// retained.
-		if err := os.Rename(path, path+".bak"); err != nil && !errors.Is(err, os.ErrNotExist) {
-			os.Remove(tmp)
-			return fmt.Errorf("durable: rotate backup: %w", err)
-		}
 	}
 	if err := os.Rename(tmp, path); err != nil {
 		os.Remove(tmp)

@@ -75,7 +75,7 @@ func TestReplaceFileRenameFailureLeavesNoTmp(t *testing.T) {
 	if err := os.MkdirAll(filepath.Join(path, "child"), 0o755); err != nil {
 		t.Fatal(err)
 	}
-	err := ReplaceFile(path, false, func(w io.Writer) error {
+	err := ReplaceFile(path, func(w io.Writer) error {
 		_, err := w.Write([]byte("new generation"))
 		return err
 	})

@@ -40,8 +40,8 @@ package durable
 // A torn write (crash mid-stream) leaves a file without a valid
 // trailer and fails decode with ErrCorrupt; the atomic-rename write
 // path (ReplaceFile) means readers only ever see complete containers
-// anyway, and the .bak holds the previous generation. A file that does
-// not open with the magic is ErrCorrupt like any other damage.
+// anyway. A file that does not open with the magic is ErrCorrupt like
+// any other damage.
 
 import (
 	"bufio"
@@ -338,11 +338,10 @@ func (cr *ChunkReader) inflate(stored []byte) ([]byte, error) {
 }
 
 // WriteStreamSnapshot durably replaces path with a container whose
-// payload is produced by write, keeping the previous generation as
-// path.bak (see ReplaceFile), without ever holding the payload in
-// memory.
+// payload is produced by write (see ReplaceFile), without ever holding
+// the payload in memory.
 func WriteStreamSnapshot(path string, write func(io.Writer) error) error {
-	return ReplaceFile(path, true, func(f io.Writer) error {
+	return ReplaceFile(path, func(f io.Writer) error {
 		bw := bufio.NewWriterSize(f, 1<<16)
 		cw := NewChunkWriter(bw)
 		if err := write(cw); err != nil {

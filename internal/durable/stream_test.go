@@ -159,9 +159,9 @@ func TestWriteStreamSnapshotRoundTrip(t *testing.T) {
 	}
 }
 
-// TestWriteStreamSnapshotRotatesBackup: the previous generation
-// survives as .bak and no tmp file is left behind.
-func TestWriteStreamSnapshotRotatesBackup(t *testing.T) {
+// TestWriteStreamSnapshotReplaces: the new generation replaces the
+// previous one whole, and neither a .bak nor a tmp file is left behind.
+func TestWriteStreamSnapshotReplaces(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "snap")
 	gen := func(tag string) {
@@ -189,11 +189,10 @@ func TestWriteStreamSnapshotRotatesBackup(t *testing.T) {
 	if got := read(path); got != "two" {
 		t.Errorf("primary = %q", got)
 	}
-	if got := read(path + ".bak"); got != "one" {
-		t.Errorf("backup = %q", got)
-	}
-	if _, err := os.Stat(path + ".tmp"); !os.IsNotExist(err) {
-		t.Errorf("tmp file survives: %v", err)
+	for _, left := range []string{".bak", ".tmp"} {
+		if _, err := os.Stat(path + left); !os.IsNotExist(err) {
+			t.Errorf("%s file beside the snapshot: %v", left, err)
+		}
 	}
 }
 

@@ -249,7 +249,8 @@ func TestCorruptPayloadFailsDecode(t *testing.T) {
 	}
 }
 
-// TestCorruptCatalogFailsLoad damages catalog.gob.
+// TestCorruptCatalogFailsLoad damages the one base checkpoint: with no
+// backup beside it, the load must fail.
 func TestCorruptCatalogFailsLoad(t *testing.T) {
 	dir := t.TempDir()
 	store, err := blob.OpenFileStore(dir)
@@ -264,7 +265,7 @@ func TestCorruptCatalogFailsLoad(t *testing.T) {
 		t.Fatal(err)
 	}
 	store.Close()
-	if err := os.WriteFile(filepath.Join(dir, "catalog.gob"), []byte("garbage"), 0o644); err != nil {
+	if err := os.WriteFile(catalog.CheckpointFile(dir, 1), []byte("garbage"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	store2, _ := blob.OpenFileStore(dir)

@@ -133,7 +133,7 @@ func Start(primaryURL, dir string, opts Options) (*Follower, error) {
 	}
 	f.store = store
 
-	if _, statErr := os.Stat(catalog.SnapshotFile(dir)); statErr == nil {
+	if catalog.Exists(dir) {
 		db, err := catalog.Open(dir, store, opts.CatalogOptions...)
 		if err != nil {
 			return nil, fmt.Errorf("repl: reopen replica: %w", err)
@@ -420,7 +420,7 @@ func (f *Follower) ensureBlob(ctx context.Context, id blob.ID) error {
 // between leaves a sidecar with no payload, which the next fetch redoes.
 func (f *Follower) installBlob(id blob.ID, r io.Reader, want int64) error {
 	path := filepath.Join(f.dir, blob.FileName(id))
-	err := durable.ReplaceFile(path, false, func(w io.Writer) error {
+	err := durable.ReplaceFile(path, func(w io.Writer) error {
 		crc, n, err := blob.ChecksumReader(io.TeeReader(r, w), -1)
 		if err == nil && want >= 0 && n != want {
 			err = fmt.Errorf("got %d of %d bytes", n, want)
@@ -478,7 +478,9 @@ func (f *Follower) bootstrap(ctx context.Context) error {
 	if resp.StatusCode != http.StatusOK {
 		return fmt.Errorf("repl: bootstrap: %s", resp.Status)
 	}
-	err = durable.ReplaceFile(catalog.SnapshotFile(f.dir), false, func(w io.Writer) error {
+	// The base lands as the directory's one chain file, with no
+	// MANIFEST: Open rebuilds the chain from the file heads.
+	err = durable.ReplaceFile(catalog.CheckpointFile(f.dir, 1), func(w io.Writer) error {
 		_, err := io.Copy(w, resp.Body)
 		return err
 	})
@@ -557,8 +559,8 @@ func (f *Follower) rebootstrap(ctx context.Context) error {
 	return f.bootstrap(ctx)
 }
 
-// wipeCatalogState removes snapshot, manifest, checkpoint and journal
-// files from dir, leaving payload files in place.
+// wipeCatalogState removes manifest, checkpoint and journal files
+// from dir, leaving payload files in place.
 func wipeCatalogState(dir string) error {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -567,7 +569,6 @@ func wipeCatalogState(dir string) error {
 	for _, e := range entries {
 		name := e.Name()
 		stale := name == "MANIFEST" ||
-			strings.HasPrefix(name, "catalog.gob") ||
 			strings.HasPrefix(name, "checkpoint.") ||
 			strings.HasPrefix(name, "journal.") && strings.HasSuffix(name, ".log")
 		if !stale {

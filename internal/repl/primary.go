@@ -78,35 +78,28 @@ func (p *Primary) Register(add func(pattern, name string, h http.HandlerFunc)) {
 	add("GET /v1/repl/blob/{id}", "repl_blob", p.HandleBlob)
 }
 
-// HandleSnapshot streams a fresh full snapshot. Save pins the catalog
-// at a rotation boundary and records the covered seq in the manifest,
-// so the snapshot plus the feed from X-Repl-Seq is gapless — a stale
-// on-disk snapshot would instead leave the follower forever behind a
-// feed that 410s it.
+// HandleSnapshot streams a fresh base: Save pins the catalog at a
+// rotation boundary and writes it as the base of a new chain, so the
+// base plus the feed from X-Repl-Seq is gapless — a stale base would
+// instead leave the follower forever behind a feed that 410s it. What
+// ships is the base the MANIFEST then names, with the seq in its head:
+// a checkpoint landing after Save may have named a newer base, never
+// an older one.
 func (p *Primary) HandleSnapshot(w http.ResponseWriter, r *http.Request) {
-	if err := p.db.Save(p.dir); err != nil {
-		http.Error(w, fmt.Sprintf("snapshot: %v", err), http.StatusInternalServerError)
-		return
+	err := p.db.Save(p.dir)
+	var f *os.File
+	var seq uint64
+	if err == nil {
+		f, seq, err = catalog.OpenBase(p.dir)
 	}
-	seq := p.db.Seq()
-	if m := p.db.Manifest(); m != nil {
-		seq = m.CheckpointSeq
-	}
-	f, err := os.Open(catalog.SnapshotFile(p.dir))
 	if err != nil {
 		http.Error(w, fmt.Sprintf("snapshot: %v", err), http.StatusInternalServerError)
 		return
 	}
 	defer f.Close()
-	fi, err := f.Stat()
-	if err != nil {
-		http.Error(w, fmt.Sprintf("snapshot: %v", err), http.StatusInternalServerError)
-		return
-	}
 	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Header().Set("Content-Length", strconv.FormatInt(fi.Size(), 10))
 	w.Header().Set("X-Repl-Seq", strconv.FormatUint(seq, 10))
-	io.Copy(w, f)
+	http.ServeContent(w, r, "", time.Time{}, f)
 }
 
 // cursor is a feed connection's position in the segment files.

@@ -13,7 +13,9 @@ import (
 	"path/filepath"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"timedmedia/internal/blob"
 	"timedmedia/internal/catalog"
@@ -41,8 +43,8 @@ func TestPrimaryWithoutSegmentedJournal(t *testing.T) {
 		t.Error("startCursor ok without a segmented journal")
 	}
 
-	// Snapshot still works, with X-Repl-Seq from the live sequence
-	// number since there is no manifest to pin it.
+	// Snapshot still works, with X-Repl-Seq the live sequence number
+	// the base shipped covers.
 	rec = httptest.NewRecorder()
 	p.HandleSnapshot(rec, httptest.NewRequest("GET", "/v1/repl/snapshot", nil))
 	if rec.Code != http.StatusOK {
@@ -51,8 +53,66 @@ func TestPrimaryWithoutSegmentedJournal(t *testing.T) {
 	if got := rec.Header().Get("X-Repl-Seq"); got != strconv.FormatUint(db.Seq(), 10) {
 		t.Errorf("X-Repl-Seq = %q, want %d", got, db.Seq())
 	}
-	if rec.Body.Len() == 0 {
-		t.Error("snapshot body empty")
+	if seq := shippedSeq(t, rec.Body.Bytes(), db.Store()); seq != db.Seq() {
+		t.Errorf("the body covers seq %d, want %d", seq, db.Seq())
+	}
+}
+
+// shippedSeq loads a served base as the one file of a fresh directory
+// and returns the seq it covers.
+func shippedSeq(t *testing.T, body []byte, store blob.Store) uint64 {
+	t.Helper()
+	dir := t.TempDir()
+	if err := os.WriteFile(catalog.CheckpointFile(dir, 1), body, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	db, err := catalog.Load(dir, store)
+	if err != nil {
+		t.Fatalf("the served base does not load: %v", err)
+	}
+	return db.Seq()
+}
+
+// TestSnapshotSeqNamesShippedBytes: X-Repl-Seq is the seq in the head of
+// the base shipped, while writes and a background checkpointer race
+// the snapshot's Save — a delta landing between Save and the header
+// must not advance the header past the bytes.
+func TestSnapshotSeqNamesShippedBytes(t *testing.T) {
+	tp := newTestPrimary(t)
+	clip := tp.ingest(t, "clip", 6, 31)
+	for i := 0; i < 20; i++ { // enough live state that checkpoints stay deltas
+		tp.cut(t, clip, fmt.Sprintf("base%02d", i), 0, 2)
+	}
+	stop := tp.db.StartCheckpointer(tp.dir, time.Millisecond, nil)
+	defer stop()
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; ; i++ {
+			select {
+			case <-done:
+				return
+			default:
+			}
+			tp.db.SelectDuration(clip, fmt.Sprintf("race%04d", i), 0, 2)
+		}
+	}()
+	defer func() {
+		close(done)
+		wg.Wait()
+	}()
+	for i := 0; i < 10; i++ {
+		rec := httptest.NewRecorder()
+		tp.p.HandleSnapshot(rec, httptest.NewRequest("GET", "/v1/repl/snapshot", nil))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("snapshot = %d (%s)", rec.Code, rec.Body.String())
+		}
+		seq := shippedSeq(t, rec.Body.Bytes(), tp.store)
+		if got := rec.Header().Get("X-Repl-Seq"); got != strconv.FormatUint(seq, 10) {
+			t.Fatalf("snapshot %d: X-Repl-Seq = %s, the shipped base covers seq %d", i, got, seq)
+		}
 	}
 }
 

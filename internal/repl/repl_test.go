@@ -93,9 +93,11 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 	t.Fatalf("timed out waiting for %s", what)
 }
 
-// caughtUp reports the follower applied everything the primary acked.
+// caughtUp reports the follower applied and published everything the
+// primary acked: its seq advances when a record is staged, its view
+// once the record's journal append resolves.
 func caughtUp(f *Follower, db *catalog.DB) func() bool {
-	return func() bool { return f.DB().Seq() == db.Seq() }
+	return func() bool { return f.DB().CurrentView().Epoch() == db.Seq() }
 }
 
 func TestReplBootstrapTailCatchup(t *testing.T) {

@@ -58,6 +58,9 @@ func TestMetricsContentNegotiation(t *testing.T) {
 			"tbm_recovery_journal_records_replayed",
 			"tbm_recovery_open_ms",
 			"tbm_recovery_blobs_swept 0",
+			"tbm_recovery_used_backup 0",
+			"tbm_recovery_checkpoint_chain_broken 0",
+			"tbm_recovery_manifest_corrupt 0",
 			`tbm_checkpoint_bytes_total{mode="full"}`,
 			`tbm_checkpoint_bytes_total{mode="incremental"}`,
 			`tbm_checkpoint_promotions_total{reason="no_journal"} 1`,

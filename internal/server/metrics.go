@@ -76,8 +76,10 @@ func (s *Server) writePromCounters(w io.Writer) {
 	promCounter(w, "tbm_journal_batches_total", "group commits (one write+fsync each)", j.Batches)
 	promCounter(w, "tbm_journal_append_errors_total", "failed journal appends", j.AppendErrors)
 
-	promGauge(w, "tbm_recovery_snapshot_loaded", "whether the last load found a snapshot", int64(b2i(rec.SnapshotLoaded)))
-	promGauge(w, "tbm_recovery_used_backup", "whether the last load fell back to the backup snapshot", int64(b2i(rec.UsedBackup)))
+	promGauge(w, "tbm_recovery_snapshot_loaded", "whether the last load found a base checkpoint", int64(b2i(rec.SnapshotLoaded)))
+	promGauge(w, "tbm_recovery_used_backup", "whether the last load fell back to the backup base", int64(b2i(rec.UsedBackup)))
+	promGauge(w, "tbm_recovery_checkpoint_chain_broken", "whether the last load's checkpoint chain broke short of its end", int64(b2i(rec.CheckpointChainBroken)))
+	promGauge(w, "tbm_recovery_manifest_corrupt", "whether the last load set a corrupt MANIFEST aside and rebuilt the chain from the file heads", int64(b2i(rec.ManifestCorrupt)))
 	promGauge(w, "tbm_recovery_journal_records_replayed", "journal records replayed at last load", int64(rec.JournalRecords))
 	promGauge(w, "tbm_recovery_journal_records_skipped", "journal records skipped at last load", int64(rec.JournalSkipped))
 	promGauge(w, "tbm_recovery_journal_torn", "whether the last load truncated a torn journal tail", int64(b2i(rec.JournalTorn)))

@@ -1,11 +1,11 @@
 package wal
 
-// The MANIFEST file records where recovery starts: which sequence
-// number the last durable checkpoint covers, which incremental
-// checkpoint files extend the base snapshot, and the oldest WAL
-// segment that may still hold uncheckpointed records. Recovery reads
-// the manifest first, then the base snapshot, then the checkpoint
-// chain, then replays surviving segments — so startup cost is bounded
+// The MANIFEST file is the root recovery starts from: which sequence
+// number the last durable checkpoint covers, which checkpoint files
+// make up the chain — a base (a full capture) and the deltas over it —
+// and the oldest WAL segment that may still hold uncheckpointed
+// records. Recovery reads the manifest first, then the base, then the
+// deltas, then replays surviving segments — so startup cost is bounded
 // by live state plus the uncheckpointed tail, not by mutation history.
 //
 // File layout: one frame of durable's length + CRC-32C frame codec
@@ -20,10 +20,10 @@ package wal
 // The manifest is tiny and rewritten whole on every checkpoint through
 // durable.ReplaceFile, so a crash leaves either the old manifest or the
 // new one, never a torn file. A corrupt or missing manifest is
-// recoverable: replaying every segment over the base snapshot is always
-// safe (sequence numbers dedupe), it just costs time — so decode
-// failures degrade to the conservative path rather than refusing to
-// start.
+// recoverable: the catalog rebuilds the chain from the checkpoint
+// files' own heads, and replaying every segment over it is always safe
+// (sequence numbers dedupe) — so decode failures degrade to that path
+// rather than refusing to start.
 
 import (
 	"encoding/json"
@@ -52,12 +52,12 @@ var ErrManifestCorrupt = errors.New("wal: corrupt manifest")
 // directory.
 type Manifest struct {
 	// CheckpointSeq is the last mutation sequence number covered by the
-	// base snapshot plus the checkpoint chain. Journal records with
-	// Seq <= CheckpointSeq are superseded.
+	// checkpoint chain. Journal records with Seq <= CheckpointSeq are
+	// superseded.
 	CheckpointSeq uint64 `json:"checkpoint_seq"`
-	// Checkpoints lists the incremental checkpoint file numbers to
-	// apply over the base snapshot, in order. Empty after a full
-	// snapshot.
+	// Checkpoints lists the chain's checkpoint file numbers in the
+	// order they apply: the base first, then its deltas. A full
+	// checkpoint leaves the base alone.
 	Checkpoints []uint64 `json:"checkpoints,omitempty"`
 	// OldestSegment is the lowest WAL segment index that may still hold
 	// records newer than CheckpointSeq. Segments below it are fully
@@ -103,13 +103,13 @@ func DecodeManifest(data []byte) (*Manifest, error) {
 }
 
 // WriteManifest durably replaces dir's manifest (no backup is kept: a
-// lost manifest only costs a full replay).
+// lost manifest only costs rebuilding the chain from the file heads).
 func WriteManifest(dir string, m *Manifest) error {
 	data, err := EncodeManifest(m)
 	if err != nil {
 		return err
 	}
-	err = durable.ReplaceFile(ManifestFile(dir), false, func(w io.Writer) error {
+	err = durable.ReplaceFile(ManifestFile(dir), func(w io.Writer) error {
 		_, err := w.Write(data)
 		return err
 	})
@@ -120,9 +120,9 @@ func WriteManifest(dir string, m *Manifest) error {
 }
 
 // LoadManifest reads dir's manifest. A missing file returns (nil, nil):
-// the caller takes the conservative full-replay path. A corrupt file
-// returns ErrManifestCorrupt; callers may likewise degrade to full
-// replay after quarantining it.
+// the caller rebuilds the chain from the file heads. A corrupt file
+// returns ErrManifestCorrupt; callers may likewise rebuild after
+// quarantining it.
 func LoadManifest(dir string) (*Manifest, error) {
 	data, err := os.ReadFile(ManifestFile(dir))
 	if err != nil {
