@@ -10,7 +10,9 @@
 // checkpoint, records coverage in <dir>/MANIFEST, and compacts covered
 // segments — promoting to a full snapshot when the incremental chain
 // or the changed fraction grows too large. A corrupt snapshot recovers
-// from its retained backup at startup. SIGINT/SIGTERM triggers a
+// from its retained backup at startup, and a start that replayed
+// journal records checkpoints them before it listens, so each record
+// is replayed at most once. SIGINT/SIGTERM triggers a
 // graceful drain: stop accepting, finish in-flight requests, sync the
 // journal, write a final full snapshot. The data directory is guarded
 // by a flock'd <dir>/LOCK so two servers cannot corrupt one catalog.
@@ -91,7 +93,7 @@ func main() {
 	flag.Int64Var(&cfg.cacheMB, "cache-mb", catalog.DefaultCacheCapacity>>20,
 		"expansion cache capacity in MiB (0 = unbounded)")
 	flag.DurationVar(&cfg.saveEvery, "save-every", 5*time.Minute,
-		"snapshot interval (0 disables periodic snapshots; the journal still persists every mutation)")
+		"snapshot interval (0 disables periodic snapshots; the journal still persists every mutation, and a restart that replayed journal records checkpoints them before serving)")
 	flag.DurationVar(&cfg.requestTimeout, "request-timeout", server.DefaultRequestTimeout,
 		"per-request deadline (0 disables)")
 	flag.IntVar(&cfg.maxInFlight, "max-inflight", server.DefaultMaxInFlight,
@@ -201,6 +203,24 @@ func runPrimary(ctx context.Context, cfg config, reg *telemetry.Registry, access
 		return err
 	}
 	logRecovery(db)
+	// A restart that replayed journal records checkpoints them before it
+	// serves, whatever -save-every says — the crash path's counterpart of
+	// SIGTERM's final snapshot — so the next restart does not replay them
+	// again. The usual rules pick a delta or a new base. On failure the
+	// journal still holds every acked write, so serve from it. A load
+	// that fell back to the backup base skips it: a new base would delete
+	// the abandoned chain's files and compact the segments before anyone
+	// has read the "recovery:" line, so that evidence stays until the
+	// timer or SIGTERM checkpoints.
+	if n := db.Recovery().JournalRecords; n > 0 && db.Recovery().FellBack() {
+		log.Printf("recovery: fell back to the backup base; %d replayed records stay in the journal until the next checkpoint", n)
+	} else if n > 0 {
+		if err := db.Checkpoint(cfg.dir); err != nil {
+			log.Printf("recovery checkpoint failed: %v", err)
+		} else {
+			log.Printf("recovery: checkpointed %d replayed records", n)
+		}
+	}
 
 	// Bind before announcing: the line names the bound address, so
 	// -addr 127.0.0.1:0 serves on a free port and says which.

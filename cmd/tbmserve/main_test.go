@@ -49,8 +49,8 @@ func servedAddr(t *testing.T, serveLog func() string) string {
 	}
 }
 
-// checkpoints reads one mode's tbm_checkpoints_total from /metrics.
-func checkpoints(t *testing.T, base, mode string) int {
+// metric reads one series' value from /metrics (0 when absent).
+func metric(t *testing.T, base, series string) int {
 	t.Helper()
 	resp, err := http.Get(base + "/metrics")
 	if err != nil {
@@ -59,17 +59,22 @@ func checkpoints(t *testing.T, base, mode string) int {
 	defer resp.Body.Close()
 	var text bytes.Buffer
 	text.ReadFrom(resp.Body)
-	series := fmt.Sprintf("tbm_checkpoints_total{mode=%q} ", mode)
 	for _, line := range strings.Split(text.String(), "\n") {
-		if v, ok := strings.CutPrefix(line, series); ok {
+		if v, ok := strings.CutPrefix(line, series+" "); ok {
 			n, err := strconv.Atoi(v)
 			if err != nil {
-				t.Fatalf("%s%s: %v", series, v, err)
+				t.Fatalf("%s %s: %v", series, v, err)
 			}
 			return n
 		}
 	}
 	return 0
+}
+
+// checkpoints reads one mode's tbm_checkpoints_total from /metrics.
+func checkpoints(t *testing.T, base, mode string) int {
+	t.Helper()
+	return metric(t, base, fmt.Sprintf("tbm_checkpoints_total{mode=%q}", mode))
 }
 
 // waitCheckpoint polls /metrics until mode's checkpoint count reaches n.
@@ -220,5 +225,208 @@ func TestSIGTERMCheckpointsEveryAckedWrite(t *testing.T) {
 		if _, err := db.Lookup(name); err != nil {
 			t.Errorf("acked %s: %v", name, err)
 		}
+	}
+}
+
+// serve starts tbmserve on dir with a free port and extra flags, and
+// returns its base URL, its log, and a kill -9.
+func serve(t *testing.T, dir string, flags ...string) (base string, serveLog func() string, kill func()) {
+	t.Helper()
+	logPath := filepath.Join(t.TempDir(), "serve.log")
+	logFile, err := os.Create(logPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	serveLog = func() string {
+		data, _ := os.ReadFile(logPath)
+		return string(data)
+	}
+	cmd := exec.Command(os.Args[0], append([]string{"-dir", dir, "-addr", "127.0.0.1:0"}, flags...)...)
+	cmd.Env = append(os.Environ(), serverEnv+"=1")
+	cmd.Stdout, cmd.Stderr = logFile, logFile
+	if err := cmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	killed := false
+	kill = func() {
+		if !killed {
+			killed = true
+			cmd.Process.Kill()
+			cmd.Wait()
+			logFile.Close()
+		}
+	}
+	t.Cleanup(kill)
+	return "http://" + servedAddr(t, serveLog), serveLog, kill
+}
+
+// segmentRecords counts the records dir's journal segments hold.
+func segmentRecords(t *testing.T, dir string) int {
+	t.Helper()
+	n := 0
+	if _, err := wal.ReplaySegments(dir, func([]byte) error { n++; return nil }); err != nil {
+		t.Fatal(err)
+	}
+	return n
+}
+
+// TestRestartCheckpointsReplayedRecords: a server run with -save-every
+// 0 acks N cuts and is killed with -9. The restarted server replays the
+// N records and checkpoints them before it serves: at its first answer
+// one checkpoint is counted and the journal segments hold no record.
+// Killed with -9 again, the next start replays nothing and still reads
+// back every acked cut.
+func TestRestartCheckpointsReplayedRecords(t *testing.T) {
+	dir := t.TempDir()
+	store, err := blob.OpenFileStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	db, err := catalog.Open(dir, store)
+	if err != nil {
+		t.Fatal(err)
+	}
+	clip, err := db.Ingest("clip", fixtures.Video(8, 32, 24, 1), catalog.IngestOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 16; i++ {
+		if _, err := db.SelectDuration(clip, fmt.Sprintf("seed%d", i), 0, 2); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := db.Save(dir); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.CloseJournal(); err != nil {
+		t.Fatal(err)
+	}
+	store.Close()
+
+	const n = 5
+	base, serveLog, kill := serve(t, dir, "-save-every", "0")
+	if got := metric(t, base, "tbm_recovery_journal_records_replayed"); got != 0 {
+		t.Fatalf("first start replayed %d records, want 0:\n%s", got, serveLog())
+	}
+	var acked []string
+	for i := 0; i < n; i++ {
+		name := fmt.Sprintf("cut%d", i)
+		post(t, fmt.Sprintf("%s/v1/objects/clip/cut?out=%s&from=%d&to=%d", base, name, i, i+3), "", http.StatusCreated)
+		acked = append(acked, name)
+	}
+	kill()
+	if got := segmentRecords(t, dir); got != n {
+		t.Fatalf("the killed server's journal holds %d records, want %d", got, n)
+	}
+
+	base, serveLog, kill = serve(t, dir, "-save-every", "0")
+	if got := metric(t, base, "tbm_recovery_journal_records_replayed"); got != n {
+		t.Errorf("restart replayed %d records, want %d:\n%s", got, n, serveLog())
+	}
+	if got := checkpoints(t, base, "full") + checkpoints(t, base, "incremental"); got != 1 {
+		t.Errorf("restart counted %d checkpoints before serving, want 1:\n%s", got, serveLog())
+	}
+	if got := segmentRecords(t, dir); got != 0 {
+		t.Errorf("after the restart checkpoint the segments hold %d records, want none", got)
+	}
+	kill()
+
+	base, serveLog, _ = serve(t, dir, "-save-every", "0")
+	if got := metric(t, base, "tbm_recovery_journal_records_replayed"); got != 0 {
+		t.Errorf("second restart replayed %d records, want 0:\n%s", got, serveLog())
+	}
+	if got := checkpoints(t, base, "full") + checkpoints(t, base, "incremental"); got != 0 {
+		t.Errorf("second restart counted %d checkpoints, want none", got)
+	}
+	for _, name := range acked {
+		resp, err := http.Get(base + "/v1/objects/" + name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Errorf("acked %s after two kills: status %d", name, resp.StatusCode)
+		}
+	}
+}
+
+// TestRestartAfterFallbackKeepsOldChain: a start that falls back to the
+// backup base and replays a journal tail does not checkpoint before it
+// serves. The abandoned chain's delta and the journal stay on disk for
+// an operator to read, where a restart checkpoint would have written a
+// new base and deleted them.
+func TestRestartAfterFallbackKeepsOldChain(t *testing.T) {
+	dir := t.TempDir()
+	store, err := blob.OpenFileStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	db, err := catalog.Open(dir, store)
+	if err != nil {
+		t.Fatal(err)
+	}
+	clip, err := db.Ingest("clip", fixtures.Video(8, 32, 24, 1), catalog.IngestOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cut := func(name string) {
+		t.Helper()
+		if _, err := db.SelectDuration(clip, name, 0, 2); err != nil {
+			t.Fatal(err)
+		}
+	}
+	step := func(what string, err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+	}
+	for i := 0; i < 16; i++ {
+		cut(fmt.Sprintf("seed%d", i))
+	}
+	step("save the backup base", db.Save(dir))
+	cut("second")
+	step("save the newest base", db.Save(dir))
+	cut("delta")
+	step("checkpoint a delta", db.Checkpoint(dir))
+	const tail = 3
+	for i := 0; i < tail; i++ {
+		cut(fmt.Sprintf("tail%d", i))
+	}
+	step("close the journal", db.CloseJournal())
+	store.Close()
+
+	m, err := wal.LoadManifest(dir)
+	if err != nil || len(m.Checkpoints) != 2 {
+		t.Fatalf("MANIFEST %+v, %v; want a base and one delta", m, err)
+	}
+	newest, delta := catalog.CheckpointFile(dir, m.Checkpoints[0]), catalog.CheckpointFile(dir, m.Checkpoints[1])
+	data, err := os.ReadFile(newest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[len(data)/2] ^= 0xff
+	if err := os.WriteFile(newest, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	base, serveLog, _ := serve(t, dir, "-save-every", "0")
+	if got := metric(t, base, "tbm_recovery_used_backup"); got != 1 {
+		t.Fatalf("start with a corrupt newest base: used_backup %d, want 1:\n%s", got, serveLog())
+	}
+	if got := metric(t, base, "tbm_recovery_journal_records_replayed"); got != tail {
+		t.Errorf("start replayed %d records, want %d:\n%s", got, tail, serveLog())
+	}
+	if got := checkpoints(t, base, "full") + checkpoints(t, base, "incremental"); got != 0 {
+		t.Errorf("a start that fell back counted %d checkpoints, want none:\n%s", got, serveLog())
+	}
+	if _, err := os.Stat(delta); err != nil {
+		t.Errorf("the abandoned chain's delta is gone: %v", err)
+	}
+	if got := segmentRecords(t, dir); got != tail {
+		t.Errorf("the segments hold %d records, want the %d replayed", got, tail)
+	}
+	if !strings.Contains(serveLog(), "fell back to the backup base") {
+		t.Errorf("the log does not say why the start did not checkpoint:\n%s", serveLog())
 	}
 }

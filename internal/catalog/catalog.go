@@ -708,18 +708,15 @@ func buildSync(e *viewEdit, rec *walOp) (*core.Object, error) {
 // enqueueLocked encodes recs and reserves their log position without
 // waiting for durability (see waitRecord). More than one record is an
 // atomic WAL batch: one write, one fsync, one outcome. A replicated
-// record is re-journaled as the bytes it arrived as. With no journal
-// attached nothing is encoded and the ticket is nil. Assumes db.mu is
-// held.
+// record is re-journaled as the bytes it arrived as, alone or in a
+// run. With no journal attached nothing is encoded and the ticket is
+// nil. Assumes db.mu is held.
 func (db *DB) enqueueLocked(recs []*walOp) (*wal.Ticket, error) {
 	if db.wal == nil {
 		return nil, nil
 	}
 	if len(recs) == 1 { // a lone record needs no frame list
-		data, err := recs[0].raw, error(nil)
-		if data == nil {
-			data, err = encodeOp(recs[0])
-		}
+		data, err := recordBytes(recs[0])
 		if err != nil {
 			return nil, err
 		}
@@ -728,11 +725,20 @@ func (db *DB) enqueueLocked(recs []*walOp) (*wal.Ticket, error) {
 	frames := make([][]byte, len(recs))
 	for i, rec := range recs {
 		var err error
-		if frames[i], err = encodeOp(rec); err != nil {
+		if frames[i], err = recordBytes(rec); err != nil {
 			return nil, err
 		}
 	}
 	return db.wal.EnqueueBatch(frames), nil
+}
+
+// recordBytes is what rec is journaled as: the bytes a replicated
+// record arrived as, else its encoding.
+func recordBytes(rec *walOp) ([]byte, error) {
+	if rec.raw != nil {
+		return rec.raw, nil
+	}
+	return encodeOp(rec)
 }
 
 // Get returns the object with the given ID at the current epoch. The

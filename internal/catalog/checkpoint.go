@@ -19,8 +19,11 @@ package catalog
 //	MANIFEST → base → deltas → surviving segments
 //
 // so startup cost is bounded by live state plus the uncheckpointed
-// tail, not by mutation history. db.mu is held only to pin a view
-// and rotate the WAL; diff, capture, encode and fsyncs run unlocked.
+// tail, not by mutation history, and that tail is replayed at most
+// once: a server checkpoints what a restart replayed before it serves
+// (cmd/tbmserve; not after a fallback to the backup base). db.mu is
+// held only to pin a view and rotate the WAL; diff, capture, encode
+// and fsyncs run unlocked.
 //
 // Crash windows (each boundary has a checkpointHook stage, exercised
 // by crash tests, for a delta and a base alike):

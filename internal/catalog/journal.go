@@ -267,11 +267,20 @@ func (db *DB) syncBlob(id blob.ID) error {
 	return nil
 }
 
+// replayRun caps the records journal replay commits as one run: one
+// edit of the catalog state and one published view. An edit owns the
+// treap nodes it made, so a run copies each treap path once, not once
+// per record.
+const replayRun = 1024
+
 // replayAllLocked replays the WAL segments found at dir in index
-// order, reserves the BLOB high-water mark and unpins the views
-// recovery published (some lack indexes) — the last step of every
-// recovery. One sequence base is fixed up front for the whole log —
-// records already captured by the snapshot/chain are identified
+// order, committing their records in runs of up to replayRun records,
+// then reserves the BLOB high-water mark and unpins the views recovery
+// published (some lack indexes): the last step of every recovery. Each
+// record is replayed once: a server checkpoints what a restart
+// replayed before it serves, unless the load fell back (see
+// cmd/tbmserve). One sequence base is fixed up front for the whole log
+// — records already captured by the snapshot/chain are identified
 // against that base, not a running maximum: a checkpoint's rotation
 // leaves the seqs on either side of the base in different segments,
 // and which of them a replay finds depends on where the crash fell;
@@ -287,9 +296,20 @@ func (db *DB) replayAllLocked(dir string) error {
 		}
 		return true
 	})
+	var run []*walOp
 	results, err := wal.ReplaySegments(dir, func(data []byte) error {
-		return db.applyWalLocked(base, data)
+		rec, err := db.replayRecordLocked(base, data)
+		if rec == nil || err != nil {
+			return err
+		}
+		if run = append(run, rec); len(run) == replayRun {
+			err, run = db.commitRunLocked(run), nil
+		}
+		return err
 	})
+	if err == nil && len(run) > 0 {
+		err = db.commitRunLocked(run)
+	}
 	if err != nil {
 		return err
 	}
@@ -317,35 +337,41 @@ func (db *DB) replayAllLocked(dir string) error {
 	return nil
 }
 
-// applyWalLocked commits one journal record, skipping — on the header
-// alone, the body never decoded — records the snapshot already captured
-// (seq <= base). It keeps the record's seq and IDs (see applyLocked).
-// Dependency order is safe — an object referencing another was only
-// accepted after its input was acknowledged, hence the input's frame
-// precedes it in the log. Assumes db.mu is held and no journal is
-// attached, so nothing is waited for.
-func (db *DB) applyWalLocked(base uint64, data []byte) error {
+// replayRecordLocked decodes one journal record for replay, or returns
+// nil for a record replay skips — on the header alone, the body never
+// decoded: one the snapshot already captured (seq <= base), or one past
+// WithReplayCap. Assumes db.mu is held.
+func (db *DB) replayRecordLocked(base uint64, data []byte) (*walOp, error) {
 	head, _, err := peekOp(data)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	// A capped replay (WithReplayCap) reconstructs the catalog as of a
 	// past transaction time, so later records are skipped too — not
 	// torn-truncated; the log stays intact.
 	if head.Seq <= base || (db.replayCap != 0 && head.Seq > db.replayCap) {
 		db.recovery.JournalSkipped++
-		return nil
+		return nil, nil
 	}
-	rec, err := decodeOp(data)
-	if err != nil {
-		return err
-	}
-	if _, err := db.commitLocked([]*walOp{rec}); err != nil {
+	return decodeOp(data)
+}
+
+// commitRunLocked commits a run of replayed records as one edit at
+// their recorded seqs and IDs (see applyLocked). Dependency order is
+// safe — an object referencing another was only accepted after its
+// input was acknowledged, hence the input's frame precedes it in the
+// log, and a run validates each record against the ones before it.
+// Assumes db.mu is held and no journal is attached, so nothing is
+// waited for.
+func (db *DB) commitRunLocked(run []*walOp) error {
+	if _, err := db.commitLocked(run); err != nil {
 		return fmt.Errorf("%w: %w", ErrReplay, err)
 	}
-	if rec.Kind == opInterp {
-		db.replayKeep[rec.Blob] = true
+	for _, rec := range run {
+		if rec.Kind == opInterp {
+			db.replayKeep[rec.Blob] = true
+		}
 	}
-	db.recovery.JournalRecords++
+	db.recovery.JournalRecords += len(run)
 	return nil
 }

@@ -214,10 +214,10 @@ func TestRecordRoutedByHeaderAlone(t *testing.T) {
 	if seq, err := db.ApplyReplicated(damaged); err != nil || seq != 9000 {
 		t.Errorf("ApplyReplicated of a duplicate = %d, %v; want it skipped at seq 9000", seq, err)
 	}
-	if err := db.applyWalLocked(9000, damaged); err != nil || db.recovery.JournalSkipped != 1 {
+	if rec, err := db.replayRecordLocked(9000, damaged); rec != nil || err != nil || db.recovery.JournalSkipped != 1 {
 		t.Errorf("replay of a captured record: %v, %d skipped; want it skipped", err, db.recovery.JournalSkipped)
 	}
-	if err := db.applyWalLocked(0, damaged); !errors.Is(err, ErrReplay) {
+	if _, err := db.replayRecordLocked(0, damaged); !errors.Is(err, ErrReplay) {
 		t.Errorf("replay of the damaged record past the base: %v, want ErrReplay", err)
 	}
 }

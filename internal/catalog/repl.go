@@ -15,8 +15,10 @@ import (
 
 // Seq returns the sequence number of the newest mutation this catalog
 // has accepted. On a primary that includes records whose group commit
-// is still in flight; on a follower it is exactly the last applied
-// replicated record, which is what a feed resume sends as from_seq.
+// is still in flight; on a follower it is the last replicated record
+// applied — or, while a run's append is in flight, the run's last one,
+// ahead of the published view — which is what a feed resume sends as
+// from_seq.
 func (db *DB) Seq() uint64 {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
@@ -51,42 +53,54 @@ func RecordInfo(data []byte) (seq uint64, kind string, blobID blob.ID, err error
 	return head.Seq, head.Kind, head.Blob, err
 }
 
-// ApplyReplicated commits one journal record received from a
-// replication feed: a record at or below the current seq is skipped
-// (the feed replays from a resume point, so duplicates are expected and
-// harmless); any other is applied at its recorded seq and IDs, the
-// identical bytes are re-journaled locally — so the follower's own WAL
-// stays a faithful copy of the primary's acked prefix — and the view
-// at its seq is published only once they are durable. Returns the
-// catalog's seq after the call.
+// ApplyReplicated commits a run of journal records received from a
+// replication feed, in feed order: a record at or below the seq before
+// it is skipped (the feed replays from a resume point, so duplicates
+// are expected and harmless); the rest are applied at their recorded
+// seqs and IDs as one commit — the identical bytes are re-journaled
+// locally as one WAL batch with one fsync, so the follower's own WAL
+// stays a faithful copy of the primary's acked prefix — and the view at
+// the run's last seq is published once, only when they are durable.
+// Returns the catalog's seq after the call. One frame is a run of one.
 //
 // The feed delivers records in sequence order; ApplyReplicated must
 // not be called concurrently with itself or with local mutations —
 // a follower has exactly one tailer and rejects writes.
 //
-// When the local append fails nothing was published: the view and
+// A run is atomic. When a record does not parse or apply, or the
+// local append fails, nothing of the run was published: the view and
 // Seq stay at the last durable record, and applying the same bytes
 // again is no duplicate.
-func (db *DB) ApplyReplicated(data []byte) (uint64, error) {
-	head, _, err := peekOp(data)
-	if err != nil {
-		return 0, err
-	}
+func (db *DB) ApplyReplicated(frames ...[]byte) (uint64, error) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	if head.Seq <= db.seq {
-		return db.seq, nil
-	}
-	rec, err := decodeOp(data)
-	if err == nil {
-		rec.raw = data
-		var i int
-		if i, err = db.commitLocked([]*walOp{rec}); i >= 0 {
-			err = fmt.Errorf("%w: %w", ErrReplay, err)
+	run := make([]*walOp, 0, len(frames))
+	last := db.seq
+	for _, data := range frames {
+		head, _, err := peekOp(data)
+		if err != nil {
+			return 0, err
 		}
+		if head.Seq <= last {
+			continue
+		}
+		rec, err := decodeOp(data)
+		if err != nil {
+			return 0, fmt.Errorf("catalog: apply replicated seq %d: %w", head.Seq, err)
+		}
+		rec.raw = data
+		run = append(run, rec)
+		last = head.Seq
 	}
-	if err != nil {
-		return 0, fmt.Errorf("catalog: apply replicated seq %d: %w", head.Seq, err)
+	if len(run) == 0 {
+		return last, nil
 	}
-	return head.Seq, nil
+	if i, err := db.commitLocked(run); err != nil {
+		seq := run[0].Seq
+		if i >= 0 {
+			seq, err = run[i].Seq, fmt.Errorf("%w: %w", ErrReplay, err)
+		}
+		return 0, fmt.Errorf("catalog: apply replicated seq %d: %w", seq, err)
+	}
+	return last, nil
 }

@@ -225,10 +225,12 @@ func (e *viewEdit) dropChain(id core.ID, name string) {
 // applies retention and stores the result.
 func (e *viewEdit) extendChain(id core.ID, name string, ent verEntry) {
 	c, ok := e.vers.get(id)
-	if !ok {
-		c = &verChain{name: name}
+	if ok {
+		c = c.appended(ent)
+	} else {
+		c = &verChain{name: name, entries: []verEntry{ent}}
 	}
-	c, floor := c.appended(ent).pruned(e.db.verRetention)
+	c, floor := c.pruned(e.db.verRetention)
 	e.raiseFloor(floor)
 	e.setChain(id, c)
 }
@@ -258,11 +260,14 @@ func (e *viewEdit) setInterpChain(id blob.ID, c *interpVerChain) {
 // appendInterpVersion / appendInterpTombstone maintain the
 // interpretation chains.
 func (e *viewEdit) appendInterpVersion(it *interp.Interpretation, seq uint64) {
+	ent := interpVerEntry{seq: seq, val: it}
 	c, ok := e.interpVers.get(it.BlobID())
-	if !ok {
-		c = &interpVerChain{}
+	if ok {
+		c = c.appended(ent)
+	} else {
+		c = &interpVerChain{entries: []interpVerEntry{ent}}
 	}
-	c, floor := c.appended(interpVerEntry{seq: seq, val: it}).pruned(e.db.verRetention)
+	c, floor := c.pruned(e.db.verRetention)
 	e.raiseFloor(floor)
 	e.setInterpChain(it.BlobID(), c)
 }

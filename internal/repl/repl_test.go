@@ -409,7 +409,7 @@ func TestReplTornFeedReconnect(t *testing.T) {
 
 	tp.cut(t, clip, "after-cut", 1, 9)
 	waitFor(t, "post-tear catch-up", func() bool {
-		return f2.DB().Seq() == tp.db.Seq() && inj.Fired() > 0
+		return caughtUp(f2, tp.db)() && inj.Fired() > 0
 	})
 	if st := f2.Status(); st.Reconnects == 0 {
 		t.Errorf("status records no reconnect after a torn stream: %+v", st)

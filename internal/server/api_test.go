@@ -72,6 +72,10 @@ func TestMetricsContentNegotiation(t *testing.T) {
 			"tbm_version_chains 3",
 			"tbm_version_floor 0",
 			"tbm_version_gone_total 0",
+			"# TYPE tbm_go_goroutines gauge",
+			"# TYPE tbm_go_heap_bytes gauge",
+			"# TYPE tbm_go_gc_cycles_total counter",
+			"# TYPE tbm_go_gc_pause_cpu_seconds_total counter",
 		} {
 			if !strings.Contains(out, want) {
 				t.Errorf("missing %q", want)

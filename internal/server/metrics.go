@@ -5,15 +5,17 @@ import (
 	"io"
 	"net/http"
 	"strings"
+
+	"timedmedia/internal/telemetry"
 )
 
 // GET /metrics is content-negotiated: Prometheus text exposition by
 // default (the format scrapers expect), the pre-existing JSON shape
 // when the client asks for application/json. The Prometheus view
-// covers the latency histograms and counters from the registry plus
-// every counter the JSON shape already reported (objects,
-// expansion cache, journal, recovery, lifecycle), so nothing is lost
-// by scraping only one format.
+// covers the latency histograms and counters from the registry, the Go
+// runtime's health (goroutines, heap, GC), plus every counter the JSON
+// shape already reported (objects, expansion cache, journal, recovery,
+// lifecycle), so nothing is lost by scraping only one format.
 
 const prometheusContentType = "text/plain; version=0.0.4; charset=utf-8"
 
@@ -31,6 +33,9 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", prometheusContentType)
 	if err := s.reg.WritePrometheus(w); err != nil {
+		return
+	}
+	if err := telemetry.WriteRuntime(w); err != nil {
 		return
 	}
 	s.writePromCounters(w)

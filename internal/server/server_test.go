@@ -17,7 +17,7 @@ import (
 	"timedmedia/internal/timebase"
 )
 
-func testServer(t *testing.T) (*httptest.Server, *catalog.DB) {
+func testServer(t testing.TB) (*httptest.Server, *catalog.DB) {
 	t.Helper()
 	db := fixtures.NewMemDB()
 	if _, err := db.Ingest("clip", fixtures.Video(10, 32, 24, 1),

@@ -2,6 +2,8 @@ package telemetry
 
 import (
 	"context"
+	"runtime"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -181,5 +183,46 @@ func TestWritePrometheusFormat(t *testing.T) {
 	}
 	if !strings.Contains(out, "tbm_http_request_duration_seconds_sum{route=\"list\"} 20.000003") {
 		t.Errorf("sum line missing or wrong\n%s", out)
+	}
+}
+
+// TestWriteRuntime: the runtime families render one sample each, the
+// gauges read as a running program's — at least this goroutine, some
+// heap — and the counters never fall: across a GC the cycle count
+// rises and the pause time does not drop.
+func TestWriteRuntime(t *testing.T) {
+	read := func() map[string]float64 {
+		t.Helper()
+		var sb strings.Builder
+		if err := WriteRuntime(&sb); err != nil {
+			t.Fatal(err)
+		}
+		got := map[string]float64{}
+		for _, line := range strings.Split(strings.TrimSpace(sb.String()), "\n") {
+			if strings.HasPrefix(line, "#") {
+				continue
+			}
+			name, v, ok := strings.Cut(line, " ")
+			f, err := strconv.ParseFloat(v, 64)
+			if !ok || err != nil {
+				t.Fatalf("malformed line %q", line)
+			}
+			got[name] = f
+		}
+		return got
+	}
+	runtime.GC()
+	before := read()
+	if len(before) != 4 || before["tbm_go_goroutines"] < 1 || before["tbm_go_heap_bytes"] <= 0 ||
+		before["tbm_go_gc_cycles_total"] < 1 || before["tbm_go_gc_pause_cpu_seconds_total"] < 0 {
+		t.Errorf("runtime samples %v", before)
+	}
+	runtime.GC()
+	after := read()
+	if after["tbm_go_gc_cycles_total"] <= before["tbm_go_gc_cycles_total"] {
+		t.Errorf("GC cycles %v after a GC, %v before", after["tbm_go_gc_cycles_total"], before["tbm_go_gc_cycles_total"])
+	}
+	if after["tbm_go_gc_pause_cpu_seconds_total"] < before["tbm_go_gc_pause_cpu_seconds_total"] {
+		t.Errorf("GC pause CPU seconds fell from %v to %v", before["tbm_go_gc_pause_cpu_seconds_total"], after["tbm_go_gc_pause_cpu_seconds_total"])
 	}
 }
