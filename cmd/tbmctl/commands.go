@@ -49,9 +49,10 @@ func openDB(dir string) (*catalog.DB, *blob.FileStore, error) {
 	return db, store, nil
 }
 
-// saveDB persists and closes.
+// saveDB checkpoints what the command changed — a delta unless the
+// directory has no chain to extend yet — and closes.
 func saveDB(db *catalog.DB, store *blob.FileStore, dir string) error {
-	if err := db.Save(dir); err != nil {
+	if err := db.Checkpoint(dir); err != nil {
 		db.CloseJournal()
 		store.Close()
 		return err

@@ -6,21 +6,22 @@
 // journaled to the active WAL segment (<dir>/journal.NNNNNN.log)
 // before the response returns; segments rotate at -wal-segment-mb /
 // -wal-segment-records. A background checkpointer (-save-every) keeps
-// recovery bounded: it snapshots only the state changed since the last
-// checkpoint, records coverage in <dir>/MANIFEST, and compacts covered
-// segments — promoting to a full snapshot when the incremental chain
-// or the changed fraction grows too large. A corrupt snapshot recovers
-// from its retained backup at startup, and a start that replayed
-// journal records checkpoints them before it listens, so each record
-// is replayed at most once. SIGINT/SIGTERM triggers a
-// graceful drain: stop accepting, finish in-flight requests, sync the
-// journal, write a final full snapshot. The data directory is guarded
-// by a flock'd <dir>/LOCK so two servers cannot corrupt one catalog.
+// recovery bounded: it writes only the state changed since the last
+// checkpoint as a delta, records the chain in <dir>/MANIFEST, and
+// compacts covered segments — starting a new chain with a full base
+// only when the chain reaches its bound. A corrupt base recovers from
+// its retained backup at startup, and a start that replayed journal
+// records checkpoints them before it listens, so each record is
+// replayed at most once. SIGINT/SIGTERM triggers a graceful drain:
+// stop accepting, finish in-flight requests, sync the journal, write a
+// final checkpoint of what changed since the last one. The data
+// directory is guarded by a flock'd <dir>/LOCK so two servers cannot
+// corrupt one catalog.
 //
 // Replication: a primary serves its WAL as a streaming feed under
 // /v1/repl/ (on the main listener, or a dedicated one via
 // -repl-listen). A follower started with -replicate-from URL
-// bootstraps from the primary's snapshot, tails the feed, serves
+// bootstraps from the primary's checkpoint chain, tails the feed, serves
 // reads (rejecting writes with 409 toward the primary), reports
 // catch-up at /v1/readyz, and can be promoted to a primary with
 // POST /v1/repl/promote (see cmd/tbmctl).
@@ -93,7 +94,7 @@ func main() {
 	flag.Int64Var(&cfg.cacheMB, "cache-mb", catalog.DefaultCacheCapacity>>20,
 		"expansion cache capacity in MiB (0 = unbounded)")
 	flag.DurationVar(&cfg.saveEvery, "save-every", 5*time.Minute,
-		"snapshot interval (0 disables periodic snapshots; the journal still persists every mutation, and a restart that replayed journal records checkpoints them before serving)")
+		"checkpoint interval: each checkpoint writes what changed since the last as a delta (0 disables periodic checkpoints; the journal still persists every mutation, a restart that replayed journal records checkpoints them before serving, and SIGTERM writes a final checkpoint)")
 	flag.DurationVar(&cfg.requestTimeout, "request-timeout", server.DefaultRequestTimeout,
 		"per-request deadline (0 disables)")
 	flag.IntVar(&cfg.maxInFlight, "max-inflight", server.DefaultMaxInFlight,
@@ -205,7 +206,7 @@ func runPrimary(ctx context.Context, cfg config, reg *telemetry.Registry, access
 	logRecovery(db)
 	// A restart that replayed journal records checkpoints them before it
 	// serves, whatever -save-every says — the crash path's counterpart of
-	// SIGTERM's final snapshot — so the next restart does not replay them
+	// SIGTERM's final checkpoint — so the next restart does not replay them
 	// again. The usual rules pick a delta or a new base. On failure the
 	// journal still holds every acked write, so serve from it. A load
 	// that fell back to the backup base skips it: a new base would delete
@@ -300,7 +301,6 @@ func runPrimary(ctx context.Context, cfg config, reg *telemetry.Registry, access
 		}
 		log.Printf("checkpoint failed: %v", err)
 	})
-	defer stopCheckpointer()
 
 	errc := make(chan error, 1)
 	go func() {
@@ -311,12 +311,14 @@ func runPrimary(ctx context.Context, cfg config, reg *telemetry.Registry, access
 
 	select {
 	case err := <-errc:
+		stopCheckpointer()
 		return err
 	case <-ctx.Done():
 	}
 
 	// Graceful shutdown: drain in-flight requests, sync the journal,
-	// take a final snapshot (which truncates the journal).
+	// take a final checkpoint: what changed since the last one, as a
+	// delta unless the chain must start, and nothing when nothing did.
 	log.Printf("shutdown: draining (grace %v)", cfg.shutdownGrace)
 	drainCtx, cancel := context.WithTimeout(context.Background(), cfg.shutdownGrace)
 	defer cancel()
@@ -331,21 +333,24 @@ func runPrimary(ctx context.Context, cfg config, reg *telemetry.Registry, access
 	}
 	if traceRec != nil {
 		// In-flight requests have drained, so the trace is complete;
-		// flush it before the final snapshot.
+		// flush it before the final checkpoint.
 		if err := traceRec.Close(); err != nil {
 			log.Printf("shutdown: trace close: %v", err)
 		}
 	}
+	// The final checkpoint is the last: a timer one after CloseJournal
+	// would find no journal and write a full base.
+	stopCheckpointer()
 	if err := db.SyncJournal(); err != nil {
 		log.Printf("shutdown: journal sync: %v", err)
 	}
-	if err := db.Save(cfg.dir); err != nil {
-		return fmt.Errorf("shutdown: final snapshot: %w", err)
+	if err := db.Checkpoint(cfg.dir); err != nil {
+		return fmt.Errorf("shutdown: final checkpoint: %w", err)
 	}
 	if err := db.CloseJournal(); err != nil {
 		log.Printf("shutdown: journal close: %v", err)
 	}
-	log.Printf("shutdown: complete (%d objects saved)", db.Len())
+	log.Printf("shutdown: complete (final checkpoint at seq %d, %d objects)", db.Seq(), db.Len())
 	return nil
 }
 

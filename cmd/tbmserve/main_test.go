@@ -8,6 +8,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"syscall"
@@ -107,8 +108,10 @@ func post(t *testing.T, url, body string, want int) {
 // background checkpointer's first (full) checkpoint, posts a batch and
 // cuts over HTTP, waits for an incremental checkpoint, and sends
 // SIGTERM. The server must drain and exit 0, leaving a MANIFEST whose
-// CheckpointSeq is the last acknowledged seq and a directory that
-// reopens with every acknowledged object and nothing left to replay.
+// CheckpointSeq is the last acknowledged seq on the checkpointer's
+// chain — the final checkpoint extends it, it starts no new one — and
+// a directory that reopens with every acknowledged object and nothing
+// left to replay.
 func TestSIGTERMCheckpointsEveryAckedWrite(t *testing.T) {
 	dir := t.TempDir()
 	store, err := blob.OpenFileStore(dir)
@@ -123,8 +126,6 @@ func TestSIGTERMCheckpointsEveryAckedWrite(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Enough objects that the writes below are a minority: the
-	// checkpoint covering them is then a delta, not a promoted full one.
 	for i := 0; i < 16; i++ {
 		if _, err := db.SelectDuration(clip, fmt.Sprintf("seed%d", i), 0, 2); err != nil {
 			t.Fatal(err)
@@ -205,8 +206,8 @@ func TestSIGTERMCheckpointsEveryAckedWrite(t *testing.T) {
 	if err != nil || m == nil {
 		t.Fatalf("MANIFEST after shutdown: %+v, %v", m, err)
 	}
-	if m.CheckpointSeq != ready.Seq || len(m.Checkpoints) != 1 {
-		t.Errorf("MANIFEST = %+v, want a full checkpoint at the last acked seq %d", m, ready.Seq)
+	if m.CheckpointSeq != ready.Seq || len(m.Checkpoints) < 2 {
+		t.Errorf("MANIFEST = %+v, want the checkpointer's chain of deltas at the last acked seq %d", m, ready.Seq)
 	}
 	store, err = blob.OpenFileStore(dir)
 	if err != nil {
@@ -225,6 +226,78 @@ func TestSIGTERMCheckpointsEveryAckedWrite(t *testing.T) {
 		if _, err := db.Lookup(name); err != nil {
 			t.Errorf("acked %s: %v", name, err)
 		}
+	}
+}
+
+// TestSIGTERMAfterCheckpointWritesNothing: a server whose checkpointer
+// has covered every acked write and is then sent SIGTERM exits 0
+// without writing a checkpoint file: its final checkpoint finds nothing
+// changed, so the MANIFEST and the checkpoint files stay as they were.
+func TestSIGTERMAfterCheckpointWritesNothing(t *testing.T) {
+	dir := t.TempDir()
+	store, err := blob.OpenFileStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	db, err := catalog.Open(dir, store)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.Ingest("clip", fixtures.Video(8, 32, 24, 1), catalog.IngestOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	db.CloseJournal()
+	store.Close()
+
+	logPath := filepath.Join(t.TempDir(), "serve.log")
+	logFile, err := os.Create(logPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer logFile.Close()
+	serveLog := func() string {
+		data, _ := os.ReadFile(logPath)
+		return string(data)
+	}
+	cmd := exec.Command(os.Args[0], "-dir", dir, "-addr", "127.0.0.1:0", "-save-every", "20ms")
+	cmd.Env = append(os.Environ(), serverEnv+"=1")
+	cmd.Stdout, cmd.Stderr = logFile, logFile
+	if err := cmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	waitErr := make(chan error, 1)
+	go func() { waitErr <- cmd.Wait() }()
+	defer cmd.Process.Kill()
+	base := "http://" + servedAddr(t, serveLog)
+	waitCheckpoint(t, base, "full", 1, serveLog)
+	post(t, base+"/v1/objects/clip/cut?out=late&from=0&to=3", "", http.StatusCreated)
+	waitCheckpoint(t, base, "incremental", 1, serveLog)
+
+	manifest, err := os.ReadFile(wal.ManifestFile(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	files, _ := filepath.Glob(filepath.Join(dir, "checkpoint.*"))
+	if err := cmd.Process.Signal(syscall.SIGTERM); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case err := <-waitErr:
+		if err != nil {
+			t.Fatalf("tbmserve exited with %v:\n%s", err, serveLog())
+		}
+	case <-time.After(20 * time.Second):
+		t.Fatalf("tbmserve did not exit after SIGTERM:\n%s", serveLog())
+	}
+	if !strings.Contains(serveLog(), "shutdown: complete") {
+		t.Errorf("no completed shutdown in the log:\n%s", serveLog())
+	}
+	after, err := os.ReadFile(wal.ManifestFile(dir))
+	if err != nil || !bytes.Equal(after, manifest) {
+		t.Errorf("SIGTERM rewrote the MANIFEST (%v)", err)
+	}
+	if got, _ := filepath.Glob(filepath.Join(dir, "checkpoint.*")); !slices.Equal(got, files) {
+		t.Errorf("SIGTERM changed the checkpoint files: %v, then %v", files, got)
 	}
 }
 

@@ -41,6 +41,7 @@ var (
 	ErrNoInterp     = errors.New("catalog: blob has no interpretation")
 	ErrNotMedia     = errors.New("catalog: not a media object")
 	ErrNotComposite = errors.New("catalog: not a multimedia object")
+	ErrInvalid      = errors.New("catalog: invalid record") // malformed on its own terms
 )
 
 // DB is the multimedia database. Safe for concurrent use.
@@ -531,9 +532,9 @@ func (db *DB) applyLocked(e *viewEdit, rec *walOp) error {
 	case "":
 		// Only a batch item reaches here: every other record has its kind
 		// from the mutator that built it or from the journal.
-		err = errors.New("item defines neither a blob binding nor a derivation")
+		err = fmt.Errorf("%w: item defines neither a blob binding nor a derivation", ErrInvalid)
 	default:
-		err = fmt.Errorf("unknown op %q", rec.Kind)
+		err = fmt.Errorf("%w: unknown op %q", ErrInvalid, rec.Kind)
 	}
 	if err != nil {
 		return err
@@ -545,10 +546,10 @@ func (db *DB) applyLocked(e *viewEdit, rec *walOp) error {
 	if obj.ID == 0 {
 		obj.ID = db.nextID
 	} else if e.getByID(obj.ID) != nil {
-		return fmt.Errorf("catalog: object %v already exists", obj.ID)
+		return fmt.Errorf("%w: object %v already exists", ErrInvalid, obj.ID)
 	}
 	if err := obj.Validate(); err != nil {
-		return err
+		return fmt.Errorf("%w: %w", ErrInvalid, err)
 	}
 	db.nextID = max(db.nextID, obj.ID+1)
 	rec.ID = obj.ID
@@ -636,11 +637,11 @@ func buildDerived(e *viewEdit, rec *walOp) (*core.Object, error) {
 	}
 	opImpl, err := derive.Lookup(rec.Op)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("%w: %w", ErrInvalid, err)
 	}
 	lo, hi := opImpl.Arity()
 	if len(rec.Inputs) < lo || (hi >= 0 && len(rec.Inputs) > hi) {
-		return nil, fmt.Errorf("catalog: %s takes %d..%d inputs, got %d", rec.Op, lo, hi, len(rec.Inputs))
+		return nil, fmt.Errorf("%w: %s takes %d..%d inputs, got %d", ErrInvalid, rec.Op, lo, hi, len(rec.Inputs))
 	}
 	for i, in := range rec.Inputs {
 		src := e.getByID(in)
@@ -651,7 +652,7 @@ func buildDerived(e *viewEdit, rec *walOp) (*core.Object, error) {
 			return nil, fmt.Errorf("%w: input %v is a multimedia object", ErrNotMedia, in)
 		}
 		if want := opImpl.ArgKind(i); src.Kind != want {
-			return nil, fmt.Errorf("catalog: %s input %d is %v, want %v", rec.Op, i, src.Kind, want)
+			return nil, fmt.Errorf("%w: %s input %d is %v, want %v", ErrInvalid, rec.Op, i, src.Kind, want)
 		}
 	}
 	return &core.Object{
@@ -668,7 +669,7 @@ func buildDerived(e *viewEdit, rec *walOp) (*core.Object, error) {
 func buildMultimedia(e *viewEdit, rec *walOp) (*core.Object, error) {
 	axis, err := timebase.New(rec.TimeNum, rec.TimeDen)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("%w: %w", ErrInvalid, err)
 	}
 	for _, c := range rec.Comps {
 		if e.getByID(c.Object) == nil {
@@ -695,10 +696,10 @@ func buildSync(e *viewEdit, rec *walOp) (*core.Object, error) {
 		return nil, fmt.Errorf("%w: %v", ErrNotComposite, rec.ID)
 	}
 	if n := len(obj.Multimedia.Components); rec.A < 0 || rec.A >= n || rec.B < 0 || rec.B >= n {
-		return nil, compose.ErrNoComponent
+		return nil, fmt.Errorf("%w: %w", ErrInvalid, compose.ErrNoComponent)
 	}
 	if rec.MaxSkew < 0 {
-		return nil, compose.ErrBadSkew
+		return nil, fmt.Errorf("%w: %w", ErrInvalid, compose.ErrBadSkew)
 	}
 	rev := obj.Clone()
 	rev.Multimedia.Syncs = append(rev.Multimedia.Syncs, compose.SyncConstraint{A: rec.A, B: rec.B, MaxSkew: rec.MaxSkew})

@@ -435,10 +435,9 @@ const (
 	promoteNoJournal  = "no_journal"  // no journal attached for dir
 	promoteNoBase     = "no_base"     // no manifest, or no retained view to diff
 	promoteChainBound = "chain_bound" // DefaultMaxCheckpointChain deltas already
-	promoteMajority   = "majority"    // half the live set or more changed
 )
 
-var promotionReasons = []string{promoteNoJournal, promoteNoBase, promoteChainBound, promoteMajority}
+var promotionReasons = []string{promoteNoJournal, promoteNoBase, promoteChainBound}
 
 // chainChanges lists the chains two views bind differently, each as
 // the newer view's chain: nil where retention dropped it.
@@ -513,10 +512,9 @@ func capture(ch *chainChanges, cur *View, head streamHead, delta bool) *snapCapt
 }
 
 // Checkpoint makes the catalog's durable state current with bounded
-// work: an incremental delta when one pays off, a new base otherwise
-// (no journal for dir, no manifest or checkpoint view to
-// diff against, chain at its bound, or most of the catalog changed
-// anyway — counted in tbm_checkpoint_promotions_total by reason). A
+// work: a delta unless the chain must start — no journal for dir, no
+// manifest or checkpoint view to diff against, or the chain at its
+// bound; each counted in tbm_checkpoint_promotions_total by reason. A
 // quiescent catalog checkpoints to a no-op. Requires the same
 // preconditions as Save; safe to call concurrently with mutations and
 // with Save (saveMu serializes).
@@ -527,11 +525,11 @@ func (db *DB) Checkpoint(dir string) error {
 }
 
 // checkpointLocked is the one write sequence behind Save (full) and
-// Checkpoint: pin → rotate → capture → write → MANIFEST → unlink →
-// compact, each boundary a checkpointHook stage. Once the commits are
-// settled the view is every record up to db.seq, so the rotation lands
-// there; the view is immutable, so writers commit while it is diffed
-// and captured. Assumes saveMu is held.
+// Checkpoint (a delta unless the chain must start): pin → rotate →
+// capture → write → MANIFEST → unlink → compact, each boundary a
+// checkpointHook stage. Once the commits are settled the view is every
+// record up to db.seq, so the rotation lands there; it is immutable, so
+// writers commit while it is diffed and captured. Assumes saveMu held.
 func (db *DB) checkpointLocked(dir string, full bool) error {
 	start := time.Now()
 	if err := os.MkdirAll(dir, 0o755); err != nil {
@@ -569,8 +567,6 @@ func (db *DB) checkpointLocked(dir string, full bool) error {
 			reason = promoteNoBase
 		case len(m.Checkpoints) > DefaultMaxCheckpointChain:
 			reason = promoteChainBound
-		case (len(since.objs)+len(since.interps))*2 >= cur.count+cur.interpCount:
-			reason = promoteMajority
 		}
 		if t := db.tel.Load(); t != nil && reason != "" {
 			t.promotions[reason].Inc()
@@ -635,6 +631,9 @@ func (db *DB) checkpointLocked(dir string, full bool) error {
 	}
 	if attached {
 		db.manifest, db.ckptView = nm, cur
+		if t := db.tel.Load(); t != nil {
+			t.chainFiles.Set(int64(len(chain)))
+		}
 	}
 	defer db.observeCheckpoint(start, full, size)
 	db.hook("manifest")

@@ -3,6 +3,7 @@ package catalog
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"os"
 	"path/filepath"
 	"slices"
@@ -183,8 +184,8 @@ func TestCheckpointChainPromotesToFull(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Enough live objects that single-object deltas stay incremental
-	// under the majority promotion rule.
+	// Live objects beside the deltas, so the collapsed base holds more
+	// than the chain's last writes.
 	for i := 0; i < 30; i++ {
 		if _, err := db.SelectDuration(clip, fmt.Sprintf("base%02d", i), 0, 2); err != nil {
 			t.Fatal(err)
@@ -594,7 +595,7 @@ func TestCloseJournalClearsWALDir(t *testing.T) {
 }
 
 // baseCatalog ingests a clip and n cuts of it into a journaled catalog
-// at dir and saves it, so single-object checkpoints stay deltas.
+// at dir and saves it as the base later checkpoints extend.
 func baseCatalog(t *testing.T, db *DB, dir string, n int, seed int64) core.ID {
 	t.Helper()
 	clip, err := db.Ingest("clip", genVideo(4, seed), IngestOptions{})
@@ -782,6 +783,100 @@ func TestStartCheckpointerStopWaitsForInFlight(t *testing.T) {
 	}
 }
 
+// TestWriteStormStaysDeltaChain: cuts and deletes ten times the base's
+// object count, over as many checkpoints as the chain bound allows, are
+// every one a delta — whatever share of the catalog each changed — and
+// leave the directory with one base and no backup. The chain reopens to
+// the live catalog through the MANIFEST and through the file heads
+// alike; the next checkpoint promotes as chain_bound and nothing else.
+func TestWriteStormStaysDeltaChain(t *testing.T) {
+	dir := t.TempDir()
+	fs, err := blob.OpenFileStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fs.Close()
+	reg := telemetry.NewRegistry()
+	db, err := Open(dir, fs, WithTelemetry(reg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.CloseJournal()
+	const baseObjects = 4
+	clip := baseCatalog(t, db, dir, baseObjects-1, 61)
+	promotions := func() map[string]int64 {
+		out := map[string]int64{}
+		for _, reason := range promotionReasons {
+			out[reason] = reg.Counter(telemetry.CheckpointPromotionFamily, `reason="`+reason+`"`).Load()
+		}
+		return out
+	}
+	chainFiles := reg.Gauge(telemetry.CheckpointChainFilesFamily, "")
+	const writes = 10 * baseObjects
+	for i := 0; i < writes; i++ {
+		id, err := db.SelectDuration(clip, fmt.Sprintf("storm%02d", i), 0, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i%3 == 2 {
+			if err := db.Delete(id); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if (i+1)%(writes/DefaultMaxCheckpointChain) == 0 {
+			if err := db.Checkpoint(dir); err != nil {
+				t.Fatal(err)
+			}
+			want := (i+1)/(writes/DefaultMaxCheckpointChain) + 1
+			if got := len(db.Manifest().Checkpoints); got != want || chainFiles.Load() != int64(want) {
+				t.Fatalf("after write %d: chain of %d files (gauge %d), want %d deltas on the base", i, got, chainFiles.Load(), want-1)
+			}
+		}
+	}
+	for reason, n := range promotions() {
+		if n != 0 {
+			t.Errorf("a write storm promoted %d checkpoints as %s", n, reason)
+		}
+	}
+	if got, want := len(chainFilesOnDisk(t, dir)), DefaultMaxCheckpointChain+1; got != want {
+		t.Errorf("%d checkpoint files on disk, want the base and %d deltas, no backup: %v", got, want-1, chainFilesOnDisk(t, dir))
+	}
+	live := catalogDump(db)
+	bare := t.TempDir()
+	copyTree(t, dir, bare)
+	if err := os.Remove(wal.ManifestFile(bare)); err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range []string{dir, bare} {
+		fs2, err := blob.OpenFileStore(d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		db2, err := Load(d, fs2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rec := db2.Recovery(); rec.CheckpointsApplied != DefaultMaxCheckpointChain || rec.JournalRecords != 0 {
+			t.Errorf("%s: reopen applied %d deltas and replayed %d records, want %d and none", d, rec.CheckpointsApplied, rec.JournalRecords, DefaultMaxCheckpointChain)
+		}
+		if got := catalogDump(db2); got != live {
+			t.Errorf("%s reopens to\n%s\nwant the live catalog\n%s", d, got, live)
+		}
+		fs2.Close()
+	}
+
+	if _, err := db.SelectDuration(clip, "overflow", 0, 2); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Checkpoint(dir); err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]int64{promoteNoJournal: 0, promoteNoBase: 0, promoteChainBound: 1}
+	if got := promotions(); !maps.Equal(got, want) || chainFiles.Load() != 1 {
+		t.Errorf("past the bound: promotions %v and a chain of %d, want %v and 1", got, chainFiles.Load(), want)
+	}
+}
+
 // TestCheckpointPromotionReasons: each way a Checkpoint goes full is
 // counted once under its reason.
 func TestCheckpointPromotionReasons(t *testing.T) {
@@ -812,10 +907,6 @@ func TestCheckpointPromotionReasons(t *testing.T) {
 		}
 	}
 	checkpoint(dir) // no manifest yet: no_base
-	for i := 0; i < 10; i++ {
-		cut(fmt.Sprintf("base%02d", i))
-	}
-	checkpoint(dir) // 10 of 12 live entries changed: majority
 	for i := 0; i <= DefaultMaxCheckpointChain; i++ {
 		cut(fmt.Sprintf("inc%02d", i))
 		checkpoint(dir) // the last one: chain_bound

@@ -482,42 +482,67 @@ func TestRecoverNoCleanBaseFails(t *testing.T) {
 	}
 }
 
-// TestExistsAndOpenBase: Exists tells a directory with catalog state
-// from one without, and OpenBase opens the base the MANIFEST names with
-// the seq its head covers — not the seq a later delta reached.
-func TestExistsAndOpenBase(t *testing.T) {
+// TestExistsAndOpenChain: Exists tells a directory with catalog state
+// from one without, and OpenChain opens every file of the chain the
+// MANIFEST names, base first, with the seq the last delta covers —
+// writing nothing. A catalog with no chain in the directory yet
+// checkpoints a base first.
+func TestExistsAndOpenChain(t *testing.T) {
 	dir := t.TempDir()
 	if Exists(dir) {
 		t.Error("an empty directory exists as a catalog")
 	}
-	if _, _, err := OpenBase(dir); err == nil {
-		t.Error("OpenBase of an empty directory succeeded")
-	}
 	db := openDB(t, dir)
-	clip := savedClip(t, db, dir, "clip", 173)
-	seq := db.Seq()
+	if _, err := db.Ingest("clip", genVideo(4, 173), IngestOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	files, seq, err := db.OpenChain(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	closeFiles(files)
+	if len(files) != 1 || seq != db.Seq() || files[0].Name() != chainFile(t, dir, 0) {
+		t.Fatalf("OpenChain without a chain = %d files at seq %d, want the new base at %d", len(files), seq, db.Seq())
+	}
+	clip := savedClip(t, db, dir, "clip2", 173)
 	if _, err := db.SelectDuration(clip, "late", 0, 2); err != nil {
 		t.Fatal(err)
 	}
 	checkpointDelta(t, db, dir)
+	before := chainFilesOnDisk(t, dir)
+	files, seq, err = db.OpenChain(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer closeFiles(files)
+	if len(files) != 2 || seq != db.Seq() {
+		t.Fatalf("OpenChain = %d files at seq %d, want a base and a delta at %d", len(files), seq, db.Seq())
+	}
+	for i, f := range files {
+		if f.Name() != chainFile(t, dir, i) {
+			t.Errorf("file %d = %s, want %s", i, f.Name(), chainFile(t, dir, i))
+		}
+	}
+	if after := chainFilesOnDisk(t, dir); !slices.Equal(before, after) {
+		t.Errorf("OpenChain of a chain wrote files: %v, then %v", before, after)
+	}
 	if err := db.CloseJournal(); err != nil {
 		t.Fatal(err)
 	}
 	if !Exists(dir) {
 		t.Error("a checkpointed directory does not exist as a catalog")
 	}
-	f, got, err := OpenBase(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	if got != seq || f.Name() != chainFile(t, dir, 0) {
-		t.Errorf("OpenBase = %s at seq %d, want %s at %d", f.Name(), got, chainFile(t, dir, 0), seq)
-	}
 	db2 := openDB(t, dir)
 	defer db2.CloseJournal()
 	if rec := db2.Recovery(); rec.Eventful() {
 		t.Errorf("a clean reopen is eventful: %+v", rec)
+	}
+}
+
+// closeFiles closes the files OpenChain opened.
+func closeFiles(files []*os.File) {
+	for _, f := range files {
+		f.Close()
 	}
 }
 

@@ -68,21 +68,36 @@ func Exists(dir string) bool {
 	return len(nums) > 0 || err == nil || refuseEarlierLayout(dir) != nil
 }
 
-// OpenBase opens the base of the chain dir's MANIFEST names, and
-// returns it with the last seq it covers, read from its head.
-func OpenBase(dir string) (*os.File, uint64, error) {
-	m, err := wal.LoadManifest(dir)
-	if err != nil || m == nil || len(m.Checkpoints) == 0 {
-		return nil, 0, fmt.Errorf("catalog: no chain named in %s (%v)", dir, err)
+// OpenChain opens the files of the chain the catalog's state stands on
+// in dir, base first, and returns them with the seq the chain ends at.
+// It holds saveMu while it opens them: a checkpoint that unlinks one
+// later leaves it readable. Only a catalog with no chain in dir yet
+// checkpoints first. The caller closes the files.
+func (db *DB) OpenChain(dir string) ([]*os.File, uint64, error) {
+	db.saveMu.Lock()
+	defer db.saveMu.Unlock()
+	m := db.manifest
+	if m == nil {
+		err := db.checkpointLocked(dir, false)
+		if err == nil || errors.Is(err, ErrJournalTruncate) {
+			m, err = wal.LoadManifest(dir)
+		}
+		if m == nil {
+			return nil, 0, fmt.Errorf("catalog: no chain in %s (%v)", dir, err)
+		}
 	}
-	path := CheckpointFile(dir, m.Checkpoints[0])
-	s, err := openStream(path)
-	if err != nil {
-		return nil, 0, err
+	files := make([]*os.File, 0, len(m.Checkpoints))
+	for _, n := range m.Checkpoints {
+		f, err := os.Open(CheckpointFile(dir, n))
+		if err != nil {
+			for _, f := range files {
+				f.Close()
+			}
+			return nil, 0, fmt.Errorf("catalog: %w", err)
+		}
+		files = append(files, f)
 	}
-	s.Close()
-	f, err := os.Open(path)
-	return f, s.head.Seq, err
+	return files, m.CheckpointSeq, nil
 }
 
 // Save writes the catalog durably as a new base — a full capture under
@@ -256,6 +271,9 @@ func Load(dir string, store blob.Store, opts ...Option) (*DB, error) {
 		// sweep unlinks the BLOBs of the tombstones it holds.
 		rec.SnapshotLoaded = true
 		db.manifest = &wal.Manifest{CheckpointSeq: db.seq, Checkpoints: chain}
+		if t := db.tel.Load(); t != nil {
+			t.chainFiles.Set(int64(len(chain)))
+		}
 	}
 	db.recovery = rec
 

@@ -17,13 +17,16 @@ type dbTelemetry struct {
 	// checkpoint times Save/Checkpoint end to end; ckptFull/ckptIncr
 	// count completed checkpoints by mode and the Bytes pair sums the
 	// container bytes they made durable; promotions counts Checkpoint
-	// calls that went full, by reason.
+	// calls that went full, by reason; chainFiles is the length of the
+	// chain the current MANIFEST names, set where one is written or
+	// loaded so a scrape never waits on saveMu.
 	checkpoint    *telemetry.Histogram
 	ckptFull      *telemetry.Counter
 	ckptIncr      *telemetry.Counter
 	ckptFullBytes *telemetry.Counter
 	ckptIncrBytes *telemetry.Counter
 	promotions    map[string]*telemetry.Counter
+	chainFiles    *telemetry.Gauge
 
 	// queryPlan times the planner's index selection; probes counts
 	// candidate sourcing per index (plan label → counter), with the
@@ -75,6 +78,7 @@ func newDBTelemetry(reg *telemetry.Registry) *dbTelemetry {
 		ckptFullBytes: reg.Counter(telemetry.CheckpointBytesFamily, `mode="full"`),
 		ckptIncrBytes: reg.Counter(telemetry.CheckpointBytesFamily, `mode="incremental"`),
 		promotions:    promotions,
+		chainFiles:    reg.Gauge(telemetry.CheckpointChainFilesFamily, ""),
 		queryPlan:     reg.Histogram(telemetry.StageFamily, telemetry.StageQueryPlan),
 		probes:        probes,
 

@@ -461,7 +461,7 @@ func (f *Follower) reloadLocal() error {
 }
 
 // bootstrap builds the replica from scratch: fetch payload files, then
-// a pinned snapshot, then open the catalog over them.
+// the primary's checkpoint chain, then open the catalog over them.
 func (f *Follower) bootstrap(ctx context.Context) error {
 	if err := f.fetchBlobs(ctx); err != nil {
 		return err
@@ -478,17 +478,11 @@ func (f *Follower) bootstrap(ctx context.Context) error {
 	if resp.StatusCode != http.StatusOK {
 		return fmt.Errorf("repl: bootstrap: %s", resp.Status)
 	}
-	// The base lands as the directory's one chain file, with no
-	// MANIFEST: Open rebuilds the chain from the file heads.
-	err = durable.ReplaceFile(catalog.CheckpointFile(f.dir, 1), func(w io.Writer) error {
-		_, err := io.Copy(w, resp.Body)
-		return err
-	})
-	if err != nil {
+	if err := f.installChain(resp.Body); err != nil {
 		return fmt.Errorf("repl: bootstrap: %w", err)
 	}
-	// The snapshot container's own checksums gate the load; corruption
-	// in transit surfaces here, not as a silently wrong replica.
+	// Each file's container checksums gate the load; corruption in
+	// transit surfaces here, not as a silently wrong replica.
 	db, err := catalog.Open(f.dir, f.store, f.opts.CatalogOptions...)
 	if err != nil {
 		return fmt.Errorf("repl: bootstrap load: %w", err)
@@ -500,6 +494,30 @@ func (f *Follower) bootstrap(ctx context.Context) error {
 	f.swapDB(db)
 	f.logf("repl: bootstrapped from %s at seq %d", f.primary, db.Seq())
 	return nil
+}
+
+// installChain writes each file of a HandleSnapshot stream under its
+// own name, with no MANIFEST: Open rebuilds the chain from the file
+// heads.
+func (f *Follower) installChain(r io.Reader) error {
+	for {
+		fr, err := ReadFrame(r)
+		if err == io.EOF {
+			return nil
+		} else if err != nil {
+			return err
+		}
+		name := string(fr.Payload)
+		if ok, _ := filepath.Match("checkpoint.*.ckpt", name); fr.Type != TypeFile || !ok {
+			return fmt.Errorf("want a chain file, got frame %q naming %q", fr.Type, name)
+		}
+		if err := durable.ReplaceFile(filepath.Join(f.dir, name), func(w io.Writer) error {
+			_, err := io.CopyN(w, r, int64(fr.Backlog))
+			return err
+		}); err != nil {
+			return err
+		}
+	}
 }
 
 // swapDB publishes db as the follower's catalog and tells the serving

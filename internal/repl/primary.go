@@ -9,6 +9,7 @@ import (
 	"math"
 	"net/http"
 	"os"
+	"path/filepath"
 	"strconv"
 	"time"
 
@@ -78,28 +79,31 @@ func (p *Primary) Register(add func(pattern, name string, h http.HandlerFunc)) {
 	add("GET /v1/repl/blob/{id}", "repl_blob", p.HandleBlob)
 }
 
-// HandleSnapshot streams a fresh base: Save pins the catalog at a
-// rotation boundary and writes it as the base of a new chain, so the
-// base plus the feed from X-Repl-Seq is gapless — a stale base would
-// instead leave the follower forever behind a feed that 410s it. What
-// ships is the base the MANIFEST then names, with the seq in its head:
-// a checkpoint landing after Save may have named a newer base, never
-// an older one.
+// HandleSnapshot streams the chain the catalog's state stands on, as it
+// is (catalog.OpenChain): per file, a TypeFile frame, then its bytes.
+// X-Repl-Seq is the seq the chain ends at, where the feed resumes. The
+// files were opened under the checkpoint lock: one a checkpoint unlinks
+// mid-stream stays readable.
 func (p *Primary) HandleSnapshot(w http.ResponseWriter, r *http.Request) {
-	err := p.db.Save(p.dir)
-	var f *os.File
-	var seq uint64
-	if err == nil {
-		f, seq, err = catalog.OpenBase(p.dir)
-	}
+	files, seq, err := p.db.OpenChain(p.dir)
 	if err != nil {
 		http.Error(w, fmt.Sprintf("snapshot: %v", err), http.StatusInternalServerError)
 		return
 	}
-	defer f.Close()
 	w.Header().Set("Content-Type", "application/octet-stream")
 	w.Header().Set("X-Repl-Seq", strconv.FormatUint(seq, 10))
-	http.ServeContent(w, r, "", time.Time{}, f)
+	for _, f := range files {
+		defer f.Close()
+		// A stream cut short leaves the follower below the chain's seq,
+		// where the feed answers 410 and it bootstraps again.
+		fi, err := f.Stat()
+		if err != nil || WriteFrame(w, Frame{Type: TypeFile, Backlog: uint64(fi.Size()), Payload: []byte(filepath.Base(f.Name()))}) != nil {
+			return
+		}
+		if _, err := io.CopyN(w, f, fi.Size()); err != nil {
+			return
+		}
+	}
 }
 
 // cursor is a feed connection's position in the segment files.

@@ -58,17 +58,17 @@ func TestPrimaryWithoutSegmentedJournal(t *testing.T) {
 	}
 }
 
-// shippedSeq loads a served base as the one file of a fresh directory
-// and returns the seq it covers.
+// shippedSeq installs a served chain in a fresh directory, as a
+// bootstrapping follower does, and returns the seq it loads at.
 func shippedSeq(t *testing.T, body []byte, store blob.Store) uint64 {
 	t.Helper()
 	dir := t.TempDir()
-	if err := os.WriteFile(catalog.CheckpointFile(dir, 1), body, 0o644); err != nil {
+	if err := (&Follower{dir: dir}).installChain(bytes.NewReader(body)); err != nil {
 		t.Fatal(err)
 	}
 	db, err := catalog.Load(dir, store)
 	if err != nil {
-		t.Fatalf("the served base does not load: %v", err)
+		t.Fatalf("the served chain does not load: %v", err)
 	}
 	return db.Seq()
 }

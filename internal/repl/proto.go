@@ -1,14 +1,16 @@
 // Package repl implements WAL-shipping replication for the catalog: a
 // primary serves its journal as an HTTP feed, followers bootstrap from
-// a streamed snapshot and tail the feed through the catalog's
+// the primary's checkpoint chain and tail the feed through the catalog's
 // idempotent replay path, re-journaling the identical bytes locally so
 // a promoted follower's log is byte-compatible with the primary's
 // acked prefix.
 //
 // Feed endpoints (mounted by the primary):
 //
-//	GET /v1/repl/snapshot       fresh full snapshot (a TBMSNAP2
-//	                            container); X-Repl-Seq names its seq
+//	GET /v1/repl/snapshot       the checkpoint chain as it is: per
+//	                            file an 'F' frame, then the file's
+//	                            bytes; X-Repl-Seq names the seq the
+//	                            chain ends at
 //	GET /v1/repl/wal?from_seq=N long-poll stream of RPF1 frames:
 //	                            journal records with seq > N, heartbeats
 //	                            carrying the primary's seq and byte
@@ -22,10 +24,11 @@
 // 21-byte prefix.
 //
 //	magic   [4]byte  "RPF1"
-//	type    byte     'R' record / 'H' heartbeat / 'E' gone
+//	type    byte     'R' record / 'H' heartbeat / 'E' gone / 'F' file
 //	seq     uint64   record seq; primary seq on 'H'; checkpoint seq on 'E'
-//	backlog uint64   'H' only: durable WAL bytes not yet shipped
-//	length  uint32   payload length ('R' only; 0 otherwise)
+//	backlog uint64   'H': durable WAL bytes not yet shipped; 'F': the
+//	                 file bytes that follow the frame
+//	length  uint32   payload length ('R'; the file name on 'F'; 0 otherwise)
 //	crc     uint32   CRC-32C over the payload
 //	payload [length]byte
 //
@@ -51,6 +54,7 @@ const (
 	TypeRecord    byte = 'R' // one journal record payload
 	TypeHeartbeat byte = 'H' // primary's current seq + byte backlog
 	TypeGone      byte = 'E' // compaction outran the follower: re-bootstrap
+	TypeFile      byte = 'F' // a snapshot's chain file: its name, then its bytes
 )
 
 var frameMagic = [4]byte{'R', 'P', 'F', '1'}
@@ -105,7 +109,7 @@ func ReadFrame(r io.Reader) (Frame, error) {
 	case err != nil:
 	case [4]byte(hdr[:4]) != frameMagic:
 		err = errors.New("bad magic")
-	case f.Type != TypeRecord && f.Type != TypeHeartbeat && f.Type != TypeGone:
+	case f.Type != TypeRecord && f.Type != TypeHeartbeat && f.Type != TypeGone && f.Type != TypeFile:
 		err = fmt.Errorf("unknown type %q", f.Type)
 	default:
 		f.Payload, err = durable.ReadFramePayload(r, hdr[:], MaxFramePayload, nil)

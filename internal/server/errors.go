@@ -73,6 +73,8 @@ func classify(err error) (status int, code string) {
 		// fell below the version retention floor. Deterministic and
 		// stable — replaying the same history yields the same 410.
 		return http.StatusGone, CodeVersionGone
+	case errors.Is(err, catalog.ErrInvalid):
+		return http.StatusBadRequest, CodeBadRequest
 	case errors.Is(err, catalog.ErrDupName):
 		return http.StatusConflict, CodeDupName
 	case errors.Is(err, catalog.ErrJournal):

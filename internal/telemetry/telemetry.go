@@ -54,9 +54,12 @@ const (
 	// gives bytes per checkpoint.
 	CheckpointBytesFamily = "tbm_checkpoint_bytes_total"
 	// CheckpointPromotionFamily counts Checkpoint calls that wrote a full
-	// snapshot instead of a delta; series carry a
-	// reason="no_journal|no_base|chain_bound|majority" label.
+	// snapshot instead of a delta, each where a chain had to start;
+	// series carry a reason="no_journal|no_base|chain_bound" label.
 	CheckpointPromotionFamily = "tbm_checkpoint_promotions_total"
+	// CheckpointChainFilesFamily is a gauge: how many files the current
+	// MANIFEST names, the chain recovery reads (1 is a lone base).
+	CheckpointChainFilesFamily = "tbm_checkpoint_chain_files"
 	// WALBatchFamily is the group-commit batch-size histogram: one
 	// observation per committed WAL batch, with the record count
 	// encoded on the microsecond scale (a batch of n records is
