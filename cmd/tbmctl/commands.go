@@ -2,6 +2,7 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -17,6 +18,7 @@ import (
 	"timedmedia/internal/catalog"
 	"timedmedia/internal/core"
 	"timedmedia/internal/derive"
+	"timedmedia/internal/durable"
 	"timedmedia/internal/edl"
 	"timedmedia/internal/expcache"
 	"timedmedia/internal/export"
@@ -31,7 +33,8 @@ import (
 // recovers from a corrupt checkpoint file via the rest of the chain or
 // the backup base, replays the mutation journal, and attaches it, so
 // every mutation this CLI makes is durable even if the process dies
-// before saveDB.
+// before saveDB. It also locks dir, so a command run against a live
+// server's directory fails and changes nothing there.
 func openDB(dir string) (*catalog.DB, *blob.FileStore, error) {
 	store, err := blob.OpenFileStore(dir)
 	if err != nil {
@@ -40,6 +43,9 @@ func openDB(dir string) (*catalog.DB, *blob.FileStore, error) {
 	db, err := catalog.Open(dir, store)
 	if err != nil {
 		store.Close()
+		if errors.Is(err, durable.ErrLocked) {
+			err = fmt.Errorf("%w (server running? use -url)", err)
+		}
 		return nil, nil, err
 	}
 	if rec := db.Recovery(); rec.Eventful() {
@@ -47,6 +53,13 @@ func openDB(dir string) (*catalog.DB, *blob.FileStore, error) {
 			rec.UsedBackup, rec.Quarantined, rec.CheckpointChainBroken, rec.ManifestCorrupt, rec.JournalRecords, rec.JournalTorn, rec.BlobsSwept)
 	}
 	return db, store, nil
+}
+
+// closeDB closes a database a command only read, releasing its
+// directory lock.
+func closeDB(db *catalog.DB, store *blob.FileStore) {
+	db.CloseJournal()
+	store.Close()
 }
 
 // saveDB checkpoints what the command changed — a delta unless the
@@ -111,7 +124,7 @@ func cmdLs(args []string) error {
 	if err != nil {
 		return err
 	}
-	defer store.Close()
+	defer closeDB(db, store)
 	for _, obj := range db.Select(func(*core.Object) bool { return true }) {
 		fmt.Println(obj)
 	}
@@ -127,7 +140,7 @@ func cmdInspect(args []string) error {
 	if err != nil {
 		return err
 	}
-	defer store.Close()
+	defer closeDB(db, store)
 	obj, err := db.Lookup(*name)
 	if err != nil {
 		return err
@@ -282,7 +295,7 @@ func cmdTimeline(args []string) error {
 	if err != nil {
 		return err
 	}
-	defer store.Close()
+	defer closeDB(db, store)
 	obj, err := db.Lookup(*name)
 	if err != nil {
 		return err
@@ -308,7 +321,7 @@ func cmdLineage(args []string) error {
 	if err != nil {
 		return err
 	}
-	defer store.Close()
+	defer closeDB(db, store)
 	obj, err := db.Lookup(*name)
 	if err != nil {
 		return err
@@ -332,7 +345,7 @@ func cmdPlay(args []string) error {
 	if err != nil {
 		return err
 	}
-	defer store.Close()
+	defer closeDB(db, store)
 	obj, err := db.Lookup(*name)
 	if err != nil {
 		return err
@@ -434,7 +447,7 @@ func cmdQuery(args []string) error {
 	if err != nil {
 		return err
 	}
-	defer store.Close()
+	defer closeDB(db, store)
 	// -as-of narrows the query to the catalog as it stood at that
 	// journal sequence; lookups (derived-from) resolve against the same
 	// snapshot so the whole query is internally consistent.
@@ -673,7 +686,7 @@ func cmdStats(args []string) error {
 	if err != nil {
 		return err
 	}
-	defer store.Close()
+	defer closeDB(db, store)
 	for _, n := range strings.Split(*expand, ",") {
 		n = strings.TrimSpace(n)
 		if n == "" {
@@ -793,7 +806,7 @@ func cmdExport(args []string) error {
 	if err != nil {
 		return err
 	}
-	defer store.Close()
+	defer closeDB(db, store)
 	obj, err := db.Lookup(*name)
 	if err != nil {
 		return err
@@ -937,7 +950,7 @@ func cmdRender(args []string) error {
 	if err != nil {
 		return err
 	}
-	defer store.Close()
+	defer closeDB(db, store)
 	obj, err := db.Lookup(*name)
 	if err != nil {
 		return err

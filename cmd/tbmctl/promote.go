@@ -2,6 +2,7 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -55,20 +56,17 @@ func promoteOnline(base string, timeout time.Duration) error {
 }
 
 func promoteOffline(dir string) error {
-	// The lock proves no server still owns the directory: promoting
-	// under a live follower would race its tail loop.
-	lock, err := durable.LockDir(dir)
-	if err != nil {
-		return fmt.Errorf("replica still running? %w", err)
-	}
-	defer lock.Unlock()
-
 	store, err := blob.OpenFileStore(dir)
 	if err != nil {
 		return err
 	}
 	defer store.Close()
+	// Open's lock proves no server still owns the directory: promoting
+	// under a live follower would race its tail loop.
 	db, err := catalog.Open(dir, store)
+	if errors.Is(err, durable.ErrLocked) {
+		return fmt.Errorf("replica still running? %w", err)
+	}
 	if err != nil {
 		return err
 	}

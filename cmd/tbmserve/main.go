@@ -40,11 +40,6 @@
 //	         [-debug-addr 127.0.0.1:6060] [-wal-batch-window 2ms]
 //	         [-wal-segment-mb 64] [-wal-segment-records 1048576]
 //	         [-repl-listen :8090 | -replicate-from http://primary:8080]
-//	         [-trace-out capture.trc]
-//
-// Trace capture: -trace-out records every completed request — shed
-// ones included, flagged — to a framed trace file that `tbmload
-// replay` re-issues against a rebuilt catalog (see internal/workload).
 package main
 
 import (
@@ -66,18 +61,15 @@ import (
 
 	"timedmedia/internal/blob"
 	"timedmedia/internal/catalog"
-	"timedmedia/internal/durable"
 	"timedmedia/internal/repl"
 	"timedmedia/internal/server"
 	"timedmedia/internal/telemetry"
-	"timedmedia/internal/workload"
 )
 
 // config carries the parsed flags through run.
 type config struct {
 	dir, addr, debugAddr        string
 	replicateFrom, replListen   string
-	traceOut                    string
 	cacheMB                     int64
 	saveEvery                   time.Duration
 	requestTimeout              time.Duration
@@ -113,8 +105,6 @@ func main() {
 		"run as a read replica of the primary at this base URL (e.g. http://primary:8080)")
 	flag.StringVar(&cfg.replListen, "repl-listen", "",
 		"serve the replication feed on a dedicated address instead of the main listener (primary only)")
-	flag.StringVar(&cfg.traceOut, "trace-out", "",
-		"record every request (including shed ones) to this trace file for deterministic replay (tbmload replay)")
 	flag.Parse()
 
 	if err := run(cfg); err != nil {
@@ -123,14 +113,6 @@ func main() {
 }
 
 func run(cfg config) error {
-	// The flock dies with the process, so a crashed server never
-	// leaves a stale lock behind.
-	lock, err := durable.LockDir(cfg.dir)
-	if err != nil {
-		return err
-	}
-	defer lock.Unlock()
-
 	// One registry spans the catalog, the HTTP layer, and replication,
 	// so a single /metrics scrape covers stage latencies, per-route
 	// request histograms, and replication lag alike.
@@ -246,22 +228,6 @@ func runPrimary(ctx context.Context, cfg config, reg *telemetry.Registry, access
 		server.WithTelemetry(reg),
 		server.WithAccessLog(accessLog),
 	}
-	// Trace capture: the meta frame pins the catalog state recording
-	// started from, so replay can verify it rebuilt the same starting
-	// point before re-issuing a single request.
-	var traceRec *workload.Recorder
-	if cfg.traceOut != "" {
-		traceRec, err = workload.CreateTrace(cfg.traceOut, workload.TraceMeta{
-			Objects: db.Len(),
-			Seq:     db.Seq(),
-			Epoch:   db.CurrentView().Epoch(),
-		})
-		if err != nil {
-			return err
-		}
-		log.Printf("recording trace to %s", cfg.traceOut)
-		srvOpts = append(srvOpts, server.WithTraceRecorder(traceRec))
-	}
 	var feedSrv *http.Server
 	if cfg.replListen == "" {
 		feed.Register(func(pattern, name string, h http.HandlerFunc) {
@@ -331,13 +297,6 @@ func runPrimary(ctx context.Context, cfg config, reg *telemetry.Registry, access
 	if debugSrv != nil {
 		debugSrv.Shutdown(drainCtx)
 	}
-	if traceRec != nil {
-		// In-flight requests have drained, so the trace is complete;
-		// flush it before the final checkpoint.
-		if err := traceRec.Close(); err != nil {
-			log.Printf("shutdown: trace close: %v", err)
-		}
-	}
 	// The final checkpoint is the last: a timer one after CloseJournal
 	// would find no journal and write a full base.
 	stopCheckpointer()
@@ -390,17 +349,23 @@ func runFollower(ctx context.Context, cfg config, reg *telemetry.Registry, acces
 		Registry:       reg,
 		OnSwap:         func(db *catalog.DB) { cur.Store(build(db)) },
 		Logf:           log.Printf,
+		SaveEvery:      cfg.saveEvery,
 	})
 	if err != nil {
 		return err
 	}
 	cur.Store(build(f.DB()))
 
+	ln, err := net.Listen("tcp", cfg.addr)
+	if err != nil {
+		f.Close()
+		return err
+	}
+	defer ln.Close()
 	fmt.Printf("replicating %s into %s, serving reads on %s (%d objects at start)\n",
-		cfg.replicateFrom, cfg.dir, cfg.addr, f.DB().Len())
+		cfg.replicateFrom, cfg.dir, ln.Addr(), f.DB().Len())
 
 	srv := &http.Server{
-		Addr: cfg.addr,
 		Handler: http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 			cur.Load().ServeHTTP(w, r)
 		}),
@@ -411,7 +376,7 @@ func runFollower(ctx context.Context, cfg config, reg *telemetry.Registry, acces
 
 	errc := make(chan error, 1)
 	go func() {
-		if err := srv.ListenAndServe(); !errors.Is(err, http.ErrServerClosed) {
+		if err := srv.Serve(ln); !errors.Is(err, http.ErrServerClosed) {
 			errc <- err
 		}
 	}()

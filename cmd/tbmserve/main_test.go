@@ -503,3 +503,89 @@ func TestRestartAfterFallbackKeepsOldChain(t *testing.T) {
 		t.Errorf("the log does not say why the start did not checkpoint:\n%s", serveLog())
 	}
 }
+
+// startServe runs tbmserve with args, logging to logPath, and returns
+// the process, its base URL and a reader of its log. The process is
+// killed when the test ends unless the test has already reaped it.
+func startServe(t *testing.T, logPath string, args ...string) (*exec.Cmd, string, func() string) {
+	t.Helper()
+	logFile, err := os.Create(logPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { logFile.Close() })
+	serveLog := func() string {
+		data, _ := os.ReadFile(logPath)
+		return string(data)
+	}
+	cmd := exec.Command(os.Args[0], append([]string{"-addr", "127.0.0.1:0"}, args...)...)
+	cmd.Env = append(os.Environ(), serverEnv+"=1")
+	cmd.Stdout, cmd.Stderr = logFile, logFile
+	if err := cmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		if cmd.ProcessState == nil {
+			cmd.Process.Kill()
+			cmd.Wait()
+		}
+	})
+	return cmd, "http://" + servedAddr(t, serveLog), serveLog
+}
+
+// TestFollowerCheckpoints: a follower honours -save-every. It is fed
+// five cuts, checkpoints them, and is killed with -9; its restart
+// replays fewer records than it was fed, not the whole journal since
+// bootstrap.
+func TestFollowerCheckpoints(t *testing.T) {
+	pdir, fdir, logs := t.TempDir(), t.TempDir(), t.TempDir()
+	store, err := blob.OpenFileStore(pdir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	db, err := catalog.Open(pdir, store)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.Ingest("clip", fixtures.Video(8, 32, 24, 1), catalog.IngestOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.CloseJournal(); err != nil {
+		t.Fatal(err)
+	}
+	store.Close()
+
+	_, primary, _ := startServe(t, filepath.Join(logs, "primary.log"), "-dir", pdir, "-save-every", "1h")
+	follow := []string{"-dir", fdir, "-replicate-from", primary, "-save-every", "50ms"}
+	follower, base, followLog := startServe(t, filepath.Join(logs, "follower.log"), follow...)
+	const cuts = 5
+	for i := 0; i < cuts; i++ {
+		post(t, fmt.Sprintf("%s/v1/objects/clip/cut?out=cut%d&from=0&to=2", primary, i), "", http.StatusCreated)
+	}
+	// Caught up: the last cut reads on the follower.
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(10 * time.Millisecond) {
+		resp, err := http.Get(fmt.Sprintf("%s/v1/objects/cut%d", base, cuts-1))
+		if err == nil {
+			resp.Body.Close()
+			if resp.StatusCode == http.StatusOK {
+				break
+			}
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("the follower never applied cut%d:\n%s", cuts-1, followLog())
+		}
+	}
+	total := func() int { return checkpoints(t, base, "full") + checkpoints(t, base, "incremental") }
+	for deadline := time.Now().Add(10 * time.Second); total() < 1; time.Sleep(10 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("the follower never checkpointed:\n%s", followLog())
+		}
+	}
+	follower.Process.Kill()
+	follower.Wait()
+
+	_, base, followLog = startServe(t, filepath.Join(logs, "follower2.log"), follow...)
+	if n := metric(t, base, "tbm_recovery_journal_records_replayed"); n >= cuts {
+		t.Fatalf("the restart replayed %d records, want fewer than the %d fed:\n%s", n, cuts, followLog())
+	}
+}

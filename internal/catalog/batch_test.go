@@ -184,6 +184,7 @@ func TestAddBatchCrashReplayKeepsIDs(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Crash without Save.
+	crash(db)
 	fs2, err := blob.OpenFileStore(dir)
 	if err != nil {
 		t.Fatal(err)

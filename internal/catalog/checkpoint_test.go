@@ -32,6 +32,11 @@ func openDB(t *testing.T, dir string) *DB {
 	return db
 }
 
+// crash abandons db the way a killed process leaves it: journal
+// handles open, nothing synced or closed. The directory lock is
+// released, as the kernel releases a dead process's flock.
+func crash(db *DB) { db.dirLock.Unlock() }
+
 // copyTree snapshots a database directory byte-for-byte — the crash
 // image a kill -9 at that instant would leave (checkpoint hooks fire
 // between file operations, never mid-write).

@@ -19,7 +19,6 @@ import (
 	"timedmedia/internal/derive"
 	"timedmedia/internal/fixtures"
 	"timedmedia/internal/timebase"
-	"timedmedia/internal/workload"
 )
 
 // The bitemporal oracle: a transaction-time read MUST equal a replay.
@@ -28,7 +27,7 @@ import (
 //	query(live catalog, as_of=S)  ≡  query(fresh catalog replayed to S)
 //
 // after volatile-field normalization (epoch numbers and request IDs
-// differ by construction; workload.BodyDigest strips exactly those).
+// differ by construction; BodyDigest strips exactly those).
 // The left side reads version chains inside one pinned epoch view; the
 // right side rebuilds state record by record with a replay cap — two
 // independent implementations of "the catalog at S", which is what
@@ -67,112 +66,168 @@ func genScript(rng *rand.Rand, steps int) []histOp {
 	return ops
 }
 
-// nameReuses counts, across applyScript calls, the cuts that took a
-// name an earlier delete had freed — the oracle's vacuity guard for
-// the two-chains-one-name case.
-var nameReuses int
+// scriptWriter creates a script's cuts and batches. The bitemporal
+// oracle calls the catalog (libWriter); TestSameHistorySameAnswers
+// sends them over HTTP. Ingest, multimedia, sync and delete have no
+// route, so a script applies them through the catalog either way.
+type scriptWriter interface {
+	cut(t *testing.T, src, name string, from, to int64) core.ID
+	batch(t *testing.T, src string, names [2]string, from [2]int64) []core.ID
+}
 
-// applyScript replays a history script onto a journaled catalog.
+// libWriter is scriptWriter over the catalog's own mutators.
+type libWriter struct{ db *catalog.DB }
+
+func (w libWriter) cut(t *testing.T, src, name string, from, to int64) core.ID {
+	t.Helper()
+	obj, err := w.db.Lookup(src)
+	if err != nil {
+		t.Fatalf("cut %s: %v", name, err)
+	}
+	id, err := w.db.SelectDuration(obj.ID, name, from, to)
+	if err != nil {
+		t.Fatalf("cut %s: %v", name, err)
+	}
+	return id
+}
+
+func (w libWriter) batch(t *testing.T, src string, names [2]string, from [2]int64) []core.ID {
+	t.Helper()
+	obj, err := w.db.Lookup(src)
+	if err != nil {
+		t.Fatalf("batch %s: %v", names[0], err)
+	}
+	cut := func(from int64) []byte {
+		return derive.EncodeParams(derive.EditParams{
+			Entries: []derive.EditEntry{{Input: 0, From: from, To: from + 1}}})
+	}
+	ids, err := w.db.AddBatch([]catalog.BatchItem{
+		{Name: names[0], Op: "video-edit", Inputs: []core.ID{obj.ID}, Params: cut(from[0])},
+		{Name: names[1], Op: "video-edit", Inputs: []core.ID{obj.ID}, Params: cut(from[1])},
+	})
+	if err != nil {
+		t.Fatalf("batch %s: %v", names[0], err)
+	}
+	return ids
+}
+
+// scriptRun applies a history script one op at a time and remembers
+// what the ops so far created, for later ops to draw targets from.
 // Deletes target derived and multimedia objects only: deleting the
 // last non-derived reader of a BLOB garbage-collects the BLOB, and a
 // from-scratch replay of the interpretation record would then have
 // nothing to open. Structural refusals (delete of a referenced object,
 // sync on an already-deleted composition) are outcomes of the script,
 // not failures.
+type scriptRun struct {
+	db     *catalog.DB
+	w      scriptWriter
+	prefix string
+	n      int
+	// videos, derived and multis are the objects the script created,
+	// by class; names names each of them.
+	videos, derived, multis []core.ID
+	names                   map[core.ID]string
+	// freed holds names a delete released; the next cut takes the
+	// oldest one instead of a fresh name, so one name comes to head two
+	// version chains — the old object's and the new one's.
+	freed []string
+}
+
+func newScriptRun(db *catalog.DB, w scriptWriter, prefix string) *scriptRun {
+	return &scriptRun{db: db, w: w, prefix: prefix, names: map[core.ID]string{}}
+}
+
+// nameReuses counts, across script runs, the cuts that took a name an
+// earlier delete had freed — the oracle's vacuity guard for the
+// two-chains-one-name case.
+var nameReuses int
+
+// applyScript replays a history script onto a catalog.
 func applyScript(t *testing.T, db *catalog.DB, prefix string, script []histOp) {
 	t.Helper()
-	var videos, derived, multis []core.ID
-	// freed holds names a delete released; the next cut takes the oldest
-	// one instead of a fresh name, so one name comes to head two version
-	// chains — the old object's and the new one's.
-	var freed []string
-	names := map[core.ID]string{}
-	n := 0
+	run := newScriptRun(db, libWriter{db}, prefix)
 	for _, op := range script {
-		n++
-		name := fmt.Sprintf("%s-%03d", prefix, n)
-		switch op.kind {
-		case 0:
-			id, err := db.Ingest(name, fixtures.Video(4+int(op.r1%6), 16, 12, op.r2),
-				catalog.IngestOptions{Attrs: map[string]string{"lane": fmt.Sprintf("l%d", op.r3%3)}})
-			if err != nil {
-				t.Fatalf("ingest %s: %v", name, err)
-			}
-			videos = append(videos, id)
-		case 1:
-			if len(videos) == 0 {
-				continue
-			}
-			if len(freed) > 0 {
-				name, freed = freed[0], freed[1:]
-				nameReuses++
-			}
-			src := videos[int(op.r1)%len(videos)]
-			from := op.r2 % 3
-			id, err := db.SelectDuration(src, name, from, from+1+op.r3%2)
-			if err != nil {
-				t.Fatalf("cut %s: %v", name, err)
-			}
-			derived = append(derived, id)
-			names[id] = name
-		case 2:
-			if len(videos) == 0 {
-				continue
-			}
-			src := videos[int(op.r1)%len(videos)]
-			cut := func(from int64) []byte {
-				return derive.EncodeParams(derive.EditParams{
-					Entries: []derive.EditEntry{{Input: 0, From: from, To: from + 1}}})
-			}
-			ids, err := db.AddBatch([]catalog.BatchItem{
-				{Name: name + "a", Op: "video-edit", Inputs: []core.ID{src}, Params: cut(op.r2 % 3)},
-				{Name: name + "b", Op: "video-edit", Inputs: []core.ID{src}, Params: cut(op.r3 % 3)},
-			})
-			if err != nil {
-				t.Fatalf("batch %s: %v", name, err)
-			}
-			derived = append(derived, ids...)
-			names[ids[0]], names[ids[1]] = name+"a", name+"b"
-		case 3:
-			if len(videos) == 0 {
-				continue
-			}
-			a := videos[int(op.r1)%len(videos)]
-			b := videos[int(op.r2)%len(videos)]
-			id, err := db.AddMultimedia(name, timebase.Millis, []core.ComponentRef{
-				{Object: a, Start: op.r3 % 2000},
-				{Object: b, Start: 500},
-			}, nil)
-			if err != nil {
-				t.Fatalf("multimedia %s: %v", name, err)
-			}
-			multis = append(multis, id)
-			names[id] = name
-		case 4:
-			if len(multis) == 0 {
-				continue
-			}
-			m := multis[int(op.r1)%len(multis)]
-			err := db.AddSync(m, 0, 1, 5+op.r2%20)
-			if err != nil && !errors.Is(err, catalog.ErrNotFound) {
-				t.Fatalf("sync: %v", err)
-			}
-		case 5:
-			pool := derived
-			if op.r3%2 == 0 && len(multis) > 0 {
-				pool = multis
-			}
-			if len(pool) == 0 {
-				continue
-			}
-			id := pool[int(op.r1)%len(pool)]
-			err := db.Delete(id)
-			if err != nil && !errors.Is(err, catalog.ErrInUse) && !errors.Is(err, catalog.ErrNotFound) {
-				t.Fatalf("delete: %v", err)
-			}
-			if err == nil {
-				freed = append(freed, names[id])
-			}
+		run.step(t, op)
+	}
+}
+
+// step applies one scripted op.
+func (r *scriptRun) step(t *testing.T, op histOp) {
+	t.Helper()
+	db := r.db
+	r.n++
+	name := fmt.Sprintf("%s-%03d", r.prefix, r.n)
+	switch op.kind {
+	case 0:
+		id, err := db.Ingest(name, fixtures.Video(4+int(op.r1%6), 16, 12, op.r2),
+			catalog.IngestOptions{Attrs: map[string]string{"lane": fmt.Sprintf("l%d", op.r3%3)}})
+		if err != nil {
+			t.Fatalf("ingest %s: %v", name, err)
+		}
+		r.videos = append(r.videos, id)
+		r.names[id] = name
+	case 1:
+		if len(r.videos) == 0 {
+			return
+		}
+		if len(r.freed) > 0 {
+			name, r.freed = r.freed[0], r.freed[1:]
+			nameReuses++
+		}
+		src := r.names[r.videos[int(op.r1)%len(r.videos)]]
+		from := op.r2 % 3
+		id := r.w.cut(t, src, name, from, from+1+op.r3%2)
+		r.derived = append(r.derived, id)
+		r.names[id] = name
+	case 2:
+		if len(r.videos) == 0 {
+			return
+		}
+		src := r.names[r.videos[int(op.r1)%len(r.videos)]]
+		names := [2]string{name + "a", name + "b"}
+		ids := r.w.batch(t, src, names, [2]int64{op.r2 % 3, op.r3 % 3})
+		r.derived = append(r.derived, ids...)
+		r.names[ids[0]], r.names[ids[1]] = names[0], names[1]
+	case 3:
+		if len(r.videos) == 0 {
+			return
+		}
+		a := r.videos[int(op.r1)%len(r.videos)]
+		b := r.videos[int(op.r2)%len(r.videos)]
+		id, err := db.AddMultimedia(name, timebase.Millis, []core.ComponentRef{
+			{Object: a, Start: op.r3 % 2000},
+			{Object: b, Start: 500},
+		}, nil)
+		if err != nil {
+			t.Fatalf("multimedia %s: %v", name, err)
+		}
+		r.multis = append(r.multis, id)
+		r.names[id] = name
+	case 4:
+		if len(r.multis) == 0 {
+			return
+		}
+		m := r.multis[int(op.r1)%len(r.multis)]
+		err := db.AddSync(m, 0, 1, 5+op.r2%20)
+		if err != nil && !errors.Is(err, catalog.ErrNotFound) {
+			t.Fatalf("sync: %v", err)
+		}
+	case 5:
+		pool := r.derived
+		if op.r3%2 == 0 && len(r.multis) > 0 {
+			pool = r.multis
+		}
+		if len(pool) == 0 {
+			return
+		}
+		id := pool[int(op.r1)%len(pool)]
+		err := db.Delete(id)
+		if err != nil && !errors.Is(err, catalog.ErrInUse) && !errors.Is(err, catalog.ErrNotFound) {
+			t.Fatalf("delete: %v", err)
+		}
+		if err == nil {
+			r.freed = append(r.freed, r.names[id])
 		}
 	}
 }
@@ -220,7 +275,7 @@ func fetch(t *testing.T, url string) probeResp {
 		t.Fatal(err)
 	}
 	return probeResp{resp.StatusCode,
-		workload.BodyDigest(resp.Header.Get("Content-Type"), body), string(body)}
+		BodyDigest(resp.Header.Get("Content-Type"), body), string(body)}
 }
 
 // withParam appends one key=value to a path that may or may not carry
@@ -319,9 +374,8 @@ func bitemporalDiff(t *testing.T, seed int64, script []histOp) string {
 }
 
 // shrinkScript greedily minimizes a failing history, dropping one op
-// at a time while the divergence persists.
-func shrinkScript(t *testing.T, seed int64, script []histOp) []histOp {
-	t.Helper()
+// at a time while fails still holds.
+func shrinkScript(script []histOp, fails func([]histOp) bool) []histOp {
 	for changed := true; changed; {
 		changed = false
 		for i := range script {
@@ -329,7 +383,7 @@ func shrinkScript(t *testing.T, seed int64, script []histOp) []histOp {
 			if len(trial) == 0 {
 				continue
 			}
-			if bitemporalDiff(t, seed, trial) != "" {
+			if fails(trial) {
 				script, changed = trial, true
 				break
 			}
@@ -352,7 +406,7 @@ func TestBitemporalOracle(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		script := genScript(rng, 8+rng.Intn(5))
 		if d := bitemporalDiff(t, seed, script); d != "" {
-			min := shrinkScript(t, seed, script)
+			min := shrinkScript(script, func(s []histOp) bool { return bitemporalDiff(t, seed, s) != "" })
 			t.Fatalf("bitemporal divergence (seed %d)\n  %s\n  minimal script (%d ops): %+v\n  minimal divergence: %s",
 				seed, d, len(min), min, bitemporalDiff(t, seed, min))
 		}
@@ -504,7 +558,7 @@ func TestBitemporalRetentionGone(t *testing.T) {
 // whitelist: a typo'd parameter (as_off=) must answer 400 bad_request
 // rather than silently matching everything.
 func TestQueryRejectsUnknownParams(t *testing.T) {
-	db := oracleDB(t, 0)
+	db := oracleDB(t)
 	ts := httptest.NewServer(New(db))
 	defer ts.Close()
 
@@ -545,7 +599,7 @@ func TestQueryRejectsUnknownParams(t *testing.T) {
 // live state to a client that asked for history is a silent wrong
 // answer, the same reasoning as the unknown-parameter rule above.
 func TestAsOfRejectedWhereNotHonoured(t *testing.T) {
-	db := oracleDB(t, 0)
+	db := oracleDB(t)
 	ts := httptest.NewServer(New(db))
 	defer ts.Close()
 

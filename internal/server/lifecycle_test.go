@@ -189,7 +189,10 @@ func TestCrashCutSurvivesRestart(t *testing.T) {
 	}
 	ts.Close()
 	// Crash: no Save, no CloseJournal. The journal append that backed
-	// the 201 response was fsynced before it was sent.
+	// the 201 response was fsynced before it was sent. The restart opens
+	// a copy of the files as the crash left them: the abandoned catalog
+	// still holds the directory lock a dead process would have lost.
+	dir = copyDir(t, dir)
 
 	fs2, err := blob.OpenFileStore(dir)
 	if err != nil {

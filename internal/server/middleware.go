@@ -21,13 +21,10 @@ import (
 //     X-Request-ID and propagated via context; the response status,
 //     bytes and duration feed the per-route latency histogram, the
 //     trace ring and the access log;
-//  3. trace capture (when configured) — completed requests are
-//     recorded for deterministic replay; it wraps the limiter so shed
-//     requests are captured too, flagged rather than lost (capture.go);
-//  4. an in-flight limiter — beyond the configured concurrency the
+//  3. an in-flight limiter — beyond the configured concurrency the
 //     server sheds load with 503 + Retry-After rather than queueing
 //     toward collapse;
-//  5. a per-request deadline — the request context expires after the
+//  4. a per-request deadline — the request context expires after the
 //     configured timeout, and /stream and /expand observe it.
 //
 // Counters for all of it are reported at /metrics.
@@ -97,13 +94,6 @@ func limitMiddleware(stats *lifecycleStats, slots chan struct{}, retryAfter time
 			next.ServeHTTP(w, r)
 		default:
 			stats.shed.Add(1)
-			// Tell the capture middleware (which sits outside this
-			// limiter precisely so it can see sheds) that this request
-			// was rejected before any handler ran: the trace records it
-			// as workload truth, flagged so replay skips it.
-			if cs := captureFrom(r.Context()); cs != nil {
-				cs.shed = true
-			}
 			w.Header().Set("Retry-After", strconv.Itoa(int(retryAfter/time.Second)))
 			writeError(w, http.StatusServiceUnavailable, CodeOverloaded, "server overloaded")
 		}
@@ -125,15 +115,12 @@ func timeoutMiddleware(d time.Duration, next http.Handler) http.Handler {
 	})
 }
 
-// Server-package context keys: the matched route name (filled in by
-// the registration wrapper — http.Request.Pattern needs Go 1.23, and
-// the module supports 1.22) and the capture flag.
+// routeKey is the context key of the matched route name, filled in by
+// the registration wrapper (http.Request.Pattern needs Go 1.23, and
+// the module supports 1.22).
 type serverCtxKey int
 
-const (
-	routeKey serverCtxKey = iota
-	captureKey
-)
+const routeKey serverCtxKey = 0
 
 // routeHolder lets the routing layer report the matched route name
 // back to the telemetry middleware that wrapped it.

@@ -55,7 +55,6 @@ import (
 	"timedmedia/internal/query"
 	"timedmedia/internal/telemetry"
 	"timedmedia/internal/wal"
-	"timedmedia/internal/workload"
 )
 
 // DefaultMaxInFlight bounds concurrent requests when no option is
@@ -79,7 +78,6 @@ type serverConfig struct {
 	writeGate      func() (bool, string)
 	replStatus     func() any
 	extraRoutes    []extraRoute
-	traceRecorder  *workload.Recorder
 }
 
 type extraRoute struct {
@@ -138,14 +136,6 @@ func WithWriteGate(allowed func() (ok bool, primary string)) Option {
 // "replication", surfacing role, seq, and lag next to liveness.
 func WithReplStatus(status func() any) Option {
 	return func(c *serverConfig) { c.replStatus = status }
-}
-
-// WithTraceRecorder captures every completed request into rec for
-// deterministic replay (tbmserve -trace-out). The
-// capture layer sits outside the load-shedding limiter, so shed
-// requests are recorded (flagged Shed) rather than lost.
-func WithTraceRecorder(rec *workload.Recorder) Option {
-	return func(c *serverConfig) { c.traceRecorder = rec }
 }
 
 // WithRoute mounts an extra handler (e.g. the replication feed or the
@@ -236,9 +226,8 @@ func New(db *catalog.DB, opts ...Option) *Server {
 	}
 	s.handler = recoverMiddleware(&s.stats,
 		s.telemetryMiddleware(
-			s.captureMiddleware(cfg.traceRecorder,
-				limitMiddleware(&s.stats, slots, time.Second,
-					timeoutMiddleware(cfg.requestTimeout, s.mux)))))
+			limitMiddleware(&s.stats, slots, time.Second,
+				timeoutMiddleware(cfg.requestTimeout, s.mux))))
 	return s
 }
 
