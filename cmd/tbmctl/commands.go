@@ -34,8 +34,9 @@ import (
 // the backup base, replays the mutation journal, and attaches it, so
 // every mutation this CLI makes is durable even if the process dies
 // before saveDB. It also locks dir, so a command run against a live
-// server's directory fails and changes nothing there.
-func openDB(dir string) (*catalog.DB, *blob.FileStore, error) {
+// server's directory fails and changes nothing there; the error points
+// at -url only when the command's flag set fs (nil: none) has it.
+func openDB(fs *flag.FlagSet, dir string) (*catalog.DB, *blob.FileStore, error) {
 	store, err := blob.OpenFileStore(dir)
 	if err != nil {
 		return nil, nil, err
@@ -44,7 +45,11 @@ func openDB(dir string) (*catalog.DB, *blob.FileStore, error) {
 	if err != nil {
 		store.Close()
 		if errors.Is(err, durable.ErrLocked) {
-			err = fmt.Errorf("%w (server running? use -url)", err)
+			hint := "server running? stop it, or use its HTTP API"
+			if fs != nil && fs.Lookup("url") != nil {
+				hint = "server running? use -url"
+			}
+			err = fmt.Errorf("%w (%s)", err, hint)
 		}
 		return nil, nil, err
 	}
@@ -91,7 +96,7 @@ func cmdCapture(args []string) error {
 	if *name == "" {
 		return fmt.Errorf("-name is required")
 	}
-	db, store, err := openDB(*dir)
+	db, store, err := openDB(fs, *dir)
 	if err != nil {
 		return err
 	}
@@ -120,7 +125,7 @@ func cmdLs(args []string) error {
 	fs := flag.NewFlagSet("ls", flag.ExitOnError)
 	dir := dirFlag(fs)
 	fs.Parse(args)
-	db, store, err := openDB(*dir)
+	db, store, err := openDB(fs, *dir)
 	if err != nil {
 		return err
 	}
@@ -136,7 +141,7 @@ func cmdInspect(args []string) error {
 	dir := dirFlag(fs)
 	name := fs.String("name", "", "object name (required)")
 	fs.Parse(args)
-	db, store, err := openDB(*dir)
+	db, store, err := openDB(fs, *dir)
 	if err != nil {
 		return err
 	}
@@ -189,7 +194,7 @@ func cmdCut(args []string) error {
 	from := fs.Int64("from", 0, "first frame (inclusive)")
 	to := fs.Int64("to", 0, "last frame (exclusive)")
 	fs.Parse(args)
-	db, store, err := openDB(*dir)
+	db, store, err := openDB(fs, *dir)
 	if err != nil {
 		return err
 	}
@@ -216,7 +221,7 @@ func cmdDerive(args []string) error {
 	inputs := fs.String("inputs", "", "comma-separated input object names")
 	params := fs.String("params", "", "JSON operator parameters")
 	fs.Parse(args)
-	db, store, err := openDB(*dir)
+	db, store, err := openDB(fs, *dir)
 	if err != nil {
 		return err
 	}
@@ -249,7 +254,7 @@ func cmdCompose(args []string) error {
 	name := fs.String("name", "", "new multimedia object name (required)")
 	comps := fs.String("components", "", `comma-separated "objectName@startMs"`)
 	fs.Parse(args)
-	db, store, err := openDB(*dir)
+	db, store, err := openDB(fs, *dir)
 	if err != nil {
 		return err
 	}
@@ -291,7 +296,7 @@ func cmdTimeline(args []string) error {
 	dir := dirFlag(fs)
 	name := fs.String("name", "", "multimedia object name (required)")
 	fs.Parse(args)
-	db, store, err := openDB(*dir)
+	db, store, err := openDB(fs, *dir)
 	if err != nil {
 		return err
 	}
@@ -317,7 +322,7 @@ func cmdLineage(args []string) error {
 	dir := dirFlag(fs)
 	name := fs.String("name", "", "object name (required)")
 	fs.Parse(args)
-	db, store, err := openDB(*dir)
+	db, store, err := openDB(fs, *dir)
 	if err != nil {
 		return err
 	}
@@ -341,7 +346,7 @@ func cmdPlay(args []string) error {
 	fidelity := fs.String("fidelity", "full", `"full" or "base" (scaled playback)`)
 	work := fs.Duration("work", 0, "simulated processing cost per byte (e.g. 1µs)")
 	fs.Parse(args)
-	db, store, err := openDB(*dir)
+	db, store, err := openDB(fs, *dir)
 	if err != nil {
 		return err
 	}
@@ -443,7 +448,7 @@ func cmdQuery(args []string) error {
 		return remoteQuery(*serverURL, params, *countOnly)
 	}
 
-	db, store, err := openDB(*dir)
+	db, store, err := openDB(fs, *dir)
 	if err != nil {
 		return err
 	}
@@ -682,7 +687,7 @@ func cmdStats(args []string) error {
 		return nil
 	}
 
-	db, store, err := openDB(*dir)
+	db, store, err := openDB(fs, *dir)
 	if err != nil {
 		return err
 	}
@@ -765,7 +770,7 @@ func cmdEDL(args []string) error {
 	if err != nil {
 		return err
 	}
-	db, store, err := openDB(*dir)
+	db, store, err := openDB(fs, *dir)
 	if err != nil {
 		return err
 	}
@@ -802,7 +807,7 @@ func cmdExport(args []string) error {
 	out := fs.String("out", ".", "output directory")
 	limit := fs.Int("frames", 25, "max video frames to export")
 	fs.Parse(args)
-	db, store, err := openDB(*dir)
+	db, store, err := openDB(fs, *dir)
 	if err != nil {
 		return err
 	}
@@ -889,7 +894,7 @@ func cmdImport(args []string) error {
 		return err
 	}
 	defer f.Close()
-	db, store, err := openDB(*dir)
+	db, store, err := openDB(fs, *dir)
 	if err != nil {
 		return err
 	}
@@ -946,7 +951,7 @@ func cmdRender(args []string) error {
 	height := fs.Int("height", 240, "canvas height")
 	out := fs.String("out", "composition.ppm", "output PPM path")
 	fs.Parse(args)
-	db, store, err := openDB(*dir)
+	db, store, err := openDB(fs, *dir)
 	if err != nil {
 		return err
 	}

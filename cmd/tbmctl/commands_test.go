@@ -75,7 +75,7 @@ func TestCLIPersistenceAcrossCommands(t *testing.T) {
 	dir := t.TempDir()
 	run(t, cmdCapture, "-dir", dir, "-name", "a", "-seconds", "0.5", "-width", "32", "-height", "24")
 	// A second process (new openDB) sees the objects.
-	db, store, err := openDB(dir)
+	db, store, err := openDB(nil, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +105,7 @@ func TestCLIImportRoundTrip(t *testing.T) {
 	run(t, cmdCapture, "-dir", dir, "-name", "x", "-seconds", "0.5", "-width", "32", "-height", "24")
 	run(t, cmdExport, "-dir", dir, "-name", "x-audio", "-out", out)
 	run(t, cmdImport, "-dir", dir, "-name", "reimported", "-file", filepath.Join(out, "x-audio.wav"))
-	db, store, err := openDB(dir)
+	db, store, err := openDB(nil, dir)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -33,7 +33,7 @@ func cmdIngest(args []string) error {
 	if *n <= 0 || *workers <= 0 {
 		return fmt.Errorf("-n and -j must be positive")
 	}
-	db, store, err := openDB(*dir)
+	db, store, err := openDB(fs, *dir)
 	if err != nil {
 		return err
 	}

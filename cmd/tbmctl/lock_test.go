@@ -77,8 +77,15 @@ func TestCLIRefusesLiveServerDir(t *testing.T) {
 	if err == nil {
 		t.Fatalf("tbmctl cut on a live server's directory exited 0:\n%s", out)
 	}
-	if !strings.Contains(string(out), "server running? use -url") {
-		t.Errorf("tbmctl cut failed without pointing at -url:\n%s", out)
+	// cut has no -url flag: the hint must not name one.
+	if !strings.Contains(string(out), "server running? stop it, or use its HTTP API") || strings.Contains(string(out), "-url") {
+		t.Errorf("tbmctl cut failed without pointing at the server's API, or named a flag it lacks:\n%s", out)
+	}
+	// query has -url: its hint names it.
+	cmd = exec.Command(os.Args[0], "query", "-dir", dir, "-kind", "video")
+	cmd.Env = append(os.Environ(), cliEnv+"=1")
+	if out, err := cmd.CombinedOutput(); err == nil || !strings.Contains(string(out), "server running? use -url") {
+		t.Errorf("tbmctl query on a live server's directory: %v, without pointing at -url:\n%s", err, out)
 	}
 	if after := readDir(t, dir); !maps.Equal(before, after) {
 		t.Errorf("tbmctl cut changed the directory: %d files before, %d after", len(before), len(after))

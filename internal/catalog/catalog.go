@@ -81,10 +81,9 @@ type DB struct {
 	// handed out twice.
 	nextBlob blob.ID
 
-	// cur is the published view; ring retains recent predecessors for
-	// epoch-pinned reads (ViewAt).
-	cur  atomic.Pointer[View]
-	ring *epochRing
+	// cur is the published view; an older epoch is read from its
+	// version chains (ViewAt).
+	cur atomic.Pointer[View]
 
 	// commits queues, in seq order, the commits whose journal append has
 	// not been settled yet; the last one's view is the pending view the
@@ -169,7 +168,6 @@ type config struct {
 	walBatchWindow    time.Duration
 	walSegmentBytes   int64
 	walSegmentRecords int64
-	epochRetention    int
 	versionRetention  int
 	replayCap         uint64
 	dirLock           *durable.DirLock
@@ -210,14 +208,6 @@ func WithWALSegmentRecords(n int64) Option {
 	return func(c *config) { c.walSegmentRecords = n }
 }
 
-// WithEpochRetention keeps the last n epochs before the current one
-// pinnable via ViewAt (the HTTP epoch= parameter). n <= 0 keeps
-// DefaultEpochRetention; n == 1 still answers the current epoch and
-// its one predecessor.
-func WithEpochRetention(n int) Option {
-	return func(c *config) { c.epochRetention = n }
-}
-
 // WithVersionRetention bounds each object's transaction-time version
 // chain to its newest n entries. Pruning raises the catalog-wide
 // version floor: as_of seqs below the floor answer ErrVersionGone
@@ -248,14 +238,10 @@ func New(store blob.Store, opts ...Option) *DB {
 	cfg := config{
 		cacheCapacity:    DefaultCacheCapacity,
 		walBatchWindow:   DefaultWALBatchWindow,
-		epochRetention:   DefaultEpochRetention,
 		versionRetention: DefaultVersionRetention,
 	}
 	for _, o := range opts {
 		o(&cfg)
-	}
-	if cfg.epochRetention <= 0 {
-		cfg.epochRetention = DefaultEpochRetention
 	}
 	if cfg.versionRetention <= 0 {
 		cfg.versionRetention = DefaultVersionRetention
@@ -266,7 +252,6 @@ func New(store blob.Store, opts ...Option) *DB {
 	db := &DB{
 		store:             store,
 		nextID:            1,
-		ring:              newEpochRing(cfg.epochRetention),
 		walBatchWindow:    cfg.walBatchWindow,
 		walSegmentBytes:   cfg.walSegmentBytes,
 		walSegmentRecords: cfg.walSegmentRecords,
@@ -274,7 +259,7 @@ func New(store blob.Store, opts ...Option) *DB {
 		replayCap:         cfg.replayCap,
 		cache:             expcache.New[core.ID, *derive.Value](cfg.cacheCapacity),
 	}
-	db.cur.Store(&View{db: db})
+	db.cur.Store(&View{db: db, at: seqNow})
 	if cfg.telemetry != nil {
 		db.SetTelemetry(cfg.telemetry)
 	}
@@ -501,7 +486,6 @@ func (db *DB) discardLocked(h *pendingCommit, err error) {
 // has only once it is acknowledged: the BLOB high-water mark, and a
 // deleted object's cache entries. Assumes db.mu is held.
 func (db *DB) publishLocked(c *pendingCommit) {
-	db.ring.add(db.cur.Load())
 	db.cur.Store(c.view)
 	for _, rec := range c.recs {
 		switch rec.Kind {
@@ -788,14 +772,14 @@ func (db *DB) Select(pred func(*core.Object) bool) []*core.Object {
 // ByKind selects media objects of a kind via the kind index. The
 // result is deep-copied; see Select.
 func (db *DB) ByKind(k media.Kind) []*core.Object {
-	return db.SelectIndexed(IndexedQuery{Kind: &k}, nil, -1)
+	return db.CurrentView().SelectIndexed(IndexedQuery{Kind: &k}, nil, -1)
 }
 
 // ByAttr selects objects with attribute key = value (e.g.
 // language = "fr") via the attribute index. The result is
 // deep-copied; see Select.
 func (db *DB) ByAttr(key, value string) []*core.Object {
-	return db.SelectIndexed(IndexedQuery{Attrs: []AttrEq{{Key: key, Value: value}}}, nil, -1)
+	return db.CurrentView().SelectIndexed(IndexedQuery{Attrs: []AttrEq{{Key: key, Value: value}}}, nil, -1)
 }
 
 // ByQuality selects media objects whose descriptor carries the given

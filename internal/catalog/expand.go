@@ -40,10 +40,12 @@ func (db *DB) Expand(id core.ID) (*derive.Value, error) {
 	return db.CurrentView().expand(context.Background(), id)
 }
 
-// expand is the shared implementation, resolving in v; the cache is
-// keyed by ID alone, as only multimedia objects are ever revised. ctx
-// carries the caller's trace (if any); it is consulted only on the miss
-// path, keeping the warm cache hit free of telemetry work.
+// expand is the shared implementation, resolving in v at its seq; the
+// cache is keyed by ID alone, as only multimedia objects are ever
+// revised and an ID's derivation and its BLOB's one interpretation
+// never change. ctx carries the caller's trace (if any); it is
+// consulted only on the miss path, keeping the warm cache hit free of
+// telemetry work.
 func (v *View) expand(ctx context.Context, id core.ID) (*derive.Value, error) {
 	// Object resolution stays outside the cached computation so a
 	// missing ID fails fast without occupying a flight slot.
@@ -51,8 +53,15 @@ func (v *View) expand(ctx context.Context, id core.ID) (*derive.Value, error) {
 	if err != nil {
 		return nil, err
 	}
-	if obj.Class == core.ClassMultimedia {
+	switch obj.Class {
+	case core.ClassMultimedia:
 		return nil, fmt.Errorf("%w: %v is a multimedia object (play it instead)", ErrCannotExpand, id)
+	case core.ClassNonDerived:
+		// Before the cache: a value cached before the collection must
+		// not outlive the BLOB's bytes for a read of the past.
+		if err := v.collected(obj.Blob); err != nil {
+			return nil, err
+		}
 	}
 	// Resident-value fast path: skips building the compute closure, so
 	// a warm hit costs the same as before telemetry existed. Misses

@@ -216,9 +216,12 @@ func TestFaultFenceDependentCommitFails(t *testing.T) {
 				if ids[0] != want || (idB != 0 && idB != want) {
 					t.Errorf("retried B got %v, the failed one %v; want %v", ids[0], idB, want)
 				}
-				for _, s := range failed {
-					if _, err := db.ViewAt(s); !errors.Is(err, ErrEpochGone) {
-						t.Errorf("ViewAt(%d), a failed commit's seq: %v, want ErrEpochGone", s, err)
+				for _, s := range failed { // the acked prefix below s: no trace of the failure
+					v, err := db.ViewAt(s)
+					if err != nil {
+						t.Errorf("ViewAt(%d), a failed commit's seq: %v", s, err)
+					} else if d := asOfDiff(before, v); d != "" {
+						t.Errorf("ViewAt(%d), a failed commit's seq, is not the view before it: %s", s, d)
 					}
 				}
 				if err := db.CloseJournal(); err != nil {

@@ -417,15 +417,20 @@ func (w *window) add(o *core.Object) bool {
 // not need the total (needTotal false) the walk stops as soon as the
 // window is full, so matches past the cap are neither cloned nor
 // visited. The entire run executes against this immutable view — no
-// locks, no interaction with concurrent writers.
+// locks, no interaction with concurrent writers. A view that reads the
+// past has no index of its seq to plan against: it runs runAt.
 func (v *View) runIndexed(sel IndexedQuery, pred func(*core.Object) bool, offset, limit int, needTotal, clone bool) ([]*core.Object, int) {
+	w := newWindow(offset, limit, needTotal, clone)
+	if v.past() {
+		v.runAt(&sel, pred, w)
+		return w.out, w.total
+	}
 	planStart := time.Now()
 	pr := v.plan(&sel)
 	if t := v.db.tel.Load(); t != nil {
 		t.queryPlan.Observe(time.Since(planStart))
 		t.probes[pr.label].Inc()
 	}
-	w := newWindow(offset, limit, needTotal, clone)
 	pr.walk(func(id core.ID) bool {
 		o := v.object(id, seqNow)
 		if o == nil || !v.match(&sel, pr.reach, o) || (pred != nil && !pred(o)) {
@@ -434,6 +439,56 @@ func (v *View) runIndexed(sel IndexedQuery, pred func(*core.Object) bool, offset
 		return w.add(o)
 	})
 	return w.out, w.total
+}
+
+// runAt is runIndexed's walk at a past seq — the constraint checks and
+// the window are the same code — as one streaming pass over the
+// retained chains in ID order, with the timeline span (which may
+// resolve components through further chain probes) computed only for
+// objects that passed every cheaper test.
+func (v *View) runAt(sel *IndexedQuery, pred func(*core.Object) bool, w *window) {
+	getByID := func(id core.ID) *core.Object { return v.object(id, v.at) }
+	reach := v.reachSetsAt(sel.Reach)
+	v.eachAt(v.at, func(o *core.Object) bool {
+		if !sel.matchObject(reach, o) {
+			return true
+		}
+		if len(sel.Spans) > 0 {
+			if sp, ok := timelineSpan(o, getByID); !ok || !sel.matchSpan(sp) {
+				return true
+			}
+		}
+		if pred != nil && !pred(o) {
+			return true
+		}
+		return w.add(o)
+	})
+}
+
+// reachSetsAt materializes the descendant set of each src over the
+// object graph at the view's seq. There is no per-seq provenance index,
+// so the reverse edges are collected in one pass over the chains —
+// paid only by queries that carry a derived_from constraint.
+func (v *View) reachSetsAt(srcs []core.ID) []idSet {
+	if len(srcs) == 0 {
+		return nil
+	}
+	referrers := map[core.ID][]core.ID{}
+	v.eachAt(v.at, func(o *core.Object) bool {
+		for _, ref := range directRefs(o) {
+			referrers[ref] = append(referrers[ref], o.ID)
+		}
+		return true
+	})
+	sets := make([]idSet, len(srcs))
+	for i, src := range srcs {
+		sets[i] = descendantsOf(src, func(cur core.ID, visit func(core.ID)) {
+			for _, dep := range referrers[cur] {
+				visit(dep)
+			}
+		})
+	}
+	return sets
 }
 
 // SelectIndexed returns the objects matching sel and pred, ordered by
@@ -461,21 +516,6 @@ func (v *View) CountIndexed(sel IndexedQuery, pred func(*core.Object) bool, limi
 // returns everything from offset on.
 func (v *View) SelectPage(sel IndexedQuery, pred func(*core.Object) bool, offset, limit int) ([]*core.Object, int) {
 	return v.runIndexed(sel, pred, offset, limit, true, true)
-}
-
-// SelectIndexed runs against the current epoch; see (*View).SelectIndexed.
-func (db *DB) SelectIndexed(sel IndexedQuery, pred func(*core.Object) bool, limit int) []*core.Object {
-	return db.CurrentView().SelectIndexed(sel, pred, limit)
-}
-
-// CountIndexed runs against the current epoch; see (*View).CountIndexed.
-func (db *DB) CountIndexed(sel IndexedQuery, pred func(*core.Object) bool, limit int) int {
-	return db.CurrentView().CountIndexed(sel, pred, limit)
-}
-
-// SelectPage runs against the current epoch; see (*View).SelectPage.
-func (db *DB) SelectPage(sel IndexedQuery, pred func(*core.Object) bool, offset, limit int) ([]*core.Object, int) {
-	return db.CurrentView().SelectPage(sel, pred, offset, limit)
 }
 
 // IndexStats is a size snapshot of every index family.

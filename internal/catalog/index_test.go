@@ -186,44 +186,45 @@ func TestIndexesFollowDelete(t *testing.T) {
 // shared executor from the catalog side.
 func TestSelectIndexedLimitAndPage(t *testing.T) {
 	db, _ := indexDB(t)
+	v := db.CurrentView()
 	k := media.KindVideo
-	all := db.SelectIndexed(IndexedQuery{Kind: &k}, nil, -1)
+	all := v.SelectIndexed(IndexedQuery{Kind: &k}, nil, -1)
 	if len(all) != 3 { // a, b, cut
 		t.Fatalf("videos = %d", len(all))
 	}
-	if got := db.SelectIndexed(IndexedQuery{Kind: &k}, nil, 2); len(got) != 2 {
+	if got := v.SelectIndexed(IndexedQuery{Kind: &k}, nil, 2); len(got) != 2 {
 		t.Errorf("limit 2 = %d", len(got))
 	}
-	if n := db.CountIndexed(IndexedQuery{Kind: &k}, nil, -1); n != 3 {
+	if n := v.CountIndexed(IndexedQuery{Kind: &k}, nil, -1); n != 3 {
 		t.Errorf("count = %d", n)
 	}
-	if n := db.CountIndexed(IndexedQuery{Kind: &k}, nil, 1); n != 1 {
+	if n := v.CountIndexed(IndexedQuery{Kind: &k}, nil, 1); n != 1 {
 		t.Errorf("capped count = %d", n)
 	}
-	page, total := db.SelectPage(IndexedQuery{Kind: &k}, nil, 1, 1)
+	page, total := v.SelectPage(IndexedQuery{Kind: &k}, nil, 1, 1)
 	if total != 3 || len(page) != 1 || page[0].ID != all[1].ID {
 		t.Errorf("page = %v total %d", page, total)
 	}
 	// Offset past the end: empty page, true total.
-	page, total = db.SelectPage(IndexedQuery{}, nil, 50, 2)
+	page, total = v.SelectPage(IndexedQuery{}, nil, 50, 2)
 	if total != 4 || len(page) != 0 {
 		t.Errorf("past-end page = %v total %d", page, total)
 	}
 	// Residual predicate composes with the indexed constraints.
 	pred := func(o *core.Object) bool { return o.Name != "cut" }
-	if n := db.CountIndexed(IndexedQuery{Kind: &k}, pred, -1); n != 2 {
+	if n := v.CountIndexed(IndexedQuery{Kind: &k}, pred, -1); n != 2 {
 		t.Errorf("count with pred = %d", n)
 	}
 	// limit 0 counts nothing; a negative offset clamps to 0; the scan
 	// plan (zero query) stops walking once the cap is reached.
-	if n := db.CountIndexed(IndexedQuery{Kind: &k}, nil, 0); n != 0 {
+	if n := v.CountIndexed(IndexedQuery{Kind: &k}, nil, 0); n != 0 {
 		t.Errorf("count limit 0 = %d", n)
 	}
-	page, total = db.SelectPage(IndexedQuery{Kind: &k}, nil, -7, 2)
+	page, total = v.SelectPage(IndexedQuery{Kind: &k}, nil, -7, 2)
 	if total != 3 || len(page) != 2 {
 		t.Errorf("negative offset page = %d/%d", len(page), total)
 	}
-	if got := db.SelectIndexed(IndexedQuery{}, nil, 2); len(got) != 2 {
+	if got := v.SelectIndexed(IndexedQuery{}, nil, 2); len(got) != 2 {
 		t.Errorf("scan with limit = %d", len(got))
 	}
 }
@@ -300,63 +301,63 @@ func TestPlannerPicksEachIndex(t *testing.T) {
 	multi := core.ClassMultimedia
 
 	// Class alone.
-	if got := db.SelectIndexed(IndexedQuery{Class: &derived}, nil, -1); len(got) != 1 || got[0].Name != "cut" {
+	if got := db.CurrentView().SelectIndexed(IndexedQuery{Class: &derived}, nil, -1); len(got) != 1 || got[0].Name != "cut" {
 		t.Errorf("class=derived = %v", got)
 	}
 	// Provenance: everything downstream of a (cut directly, mix via cut).
-	got := db.SelectIndexed(IndexedQuery{Reach: []core.ID{ids["a"]}}, nil, -1)
+	got := db.CurrentView().SelectIndexed(IndexedQuery{Reach: []core.ID{ids["a"]}}, nil, -1)
 	if len(got) != 2 {
 		t.Errorf("reach a = %v", got)
 	}
 	// Reach + Kind: mix is KindUnknown → kind constraint rejects it.
-	got = db.SelectIndexed(IndexedQuery{Kind: &k, Reach: []core.ID{ids["a"]}}, nil, -1)
+	got = db.CurrentView().SelectIndexed(IndexedQuery{Kind: &k, Reach: []core.ID{ids["a"]}}, nil, -1)
 	if len(got) != 1 || got[0].Name != "cut" {
 		t.Errorf("reach a ∧ video = %v", got)
 	}
 	// Reach + Class: cut is not multimedia → class constraint rejects it.
-	got = db.SelectIndexed(IndexedQuery{Class: &multi, Reach: []core.ID{ids["a"]}}, nil, -1)
+	got = db.CurrentView().SelectIndexed(IndexedQuery{Class: &multi, Reach: []core.ID{ids["a"]}}, nil, -1)
 	if len(got) != 1 || got[0].Name != "mix" {
 		t.Errorf("reach a ∧ multimedia = %v", got)
 	}
 	// Class candidates failing an attr constraint: mix has no language.
-	got = db.SelectIndexed(IndexedQuery{Class: &multi, Attrs: []AttrEq{{Key: "language", Value: "en"}}}, nil, -1)
+	got = db.CurrentView().SelectIndexed(IndexedQuery{Class: &multi, Attrs: []AttrEq{{Key: "language", Value: "en"}}}, nil, -1)
 	if len(got) != 0 {
 		t.Errorf("multimedia ∧ language=en = %v", got)
 	}
 	// Attr candidates failing a reach constraint: a is not its own
 	// descendant.
-	got = db.SelectIndexed(IndexedQuery{
+	got = db.CurrentView().SelectIndexed(IndexedQuery{
 		Attrs: []AttrEq{{Key: "language", Value: "en"}}, Reach: []core.ID{ids["a"]}}, nil, -1)
 	if len(got) != 0 {
 		t.Errorf("language=en ∧ reach a = %v", got)
 	}
 	// Interval alone: a [0,0.4), b [0,0.2), mix [0.5,0.7) (cut has no
 	// extent; b placed at 500 ms).
-	got = db.SelectIndexed(IndexedQuery{Spans: []Span{{Start: 0.3, End: 0.3}}}, nil, -1)
+	got = db.CurrentView().SelectIndexed(IndexedQuery{Spans: []Span{{Start: 0.3, End: 0.3}}}, nil, -1)
 	if len(got) != 1 || got[0].Name != "a" {
 		t.Errorf("live at 0.3 = %v", got)
 	}
-	got = db.SelectIndexed(IndexedQuery{Spans: []Span{{Start: 0.3, End: 0.6}}}, nil, -1)
+	got = db.CurrentView().SelectIndexed(IndexedQuery{Spans: []Span{{Start: 0.3, End: 0.6}}}, nil, -1)
 	if len(got) != 2 { // a and mix
 		t.Errorf("overlapping [0.3,0.6] = %v", got)
 	}
 	// Kind candidates under a span constraint: cut has no span → the
 	// span check rejects it without an interval probe.
-	got = db.SelectIndexed(IndexedQuery{Kind: &k, Spans: []Span{{Start: 0, End: 10}}}, nil, -1)
+	got = db.CurrentView().SelectIndexed(IndexedQuery{Kind: &k, Spans: []Span{{Start: 0, End: 10}}}, nil, -1)
 	if len(got) != 2 { // a and b; cut is spanless
 		t.Errorf("video ∧ [0,10] = %v", got)
 	}
 	// Two windows must BOTH overlap: nothing lives at 39s.
-	got = db.SelectIndexed(IndexedQuery{Spans: []Span{{Start: 0, End: 1}, {Start: 39, End: 40}}}, nil, -1)
+	got = db.CurrentView().SelectIndexed(IndexedQuery{Spans: []Span{{Start: 0, End: 1}, {Start: 39, End: 40}}}, nil, -1)
 	if len(got) != 0 {
 		t.Errorf("conjunction of disjoint windows = %v", got)
 	}
 	// KindUnknown is a real indexed key (multimedia objects).
-	if got := db.SelectIndexed(IndexedQuery{Kind: &ku}, nil, -1); len(got) != 1 || got[0].Name != "mix" {
+	if got := db.CurrentView().SelectIndexed(IndexedQuery{Kind: &ku}, nil, -1); len(got) != 1 || got[0].Name != "mix" {
 		t.Errorf("kind=unknown = %v", got)
 	}
 	// Reach from a leaf with no dependents.
-	if got := db.SelectIndexed(IndexedQuery{Reach: []core.ID{ids["mix"]}}, nil, -1); len(got) != 0 {
+	if got := db.CurrentView().SelectIndexed(IndexedQuery{Reach: []core.ID{ids["mix"]}}, nil, -1); len(got) != 0 {
 		t.Errorf("reach mix = %v", got)
 	}
 }
@@ -368,10 +369,10 @@ func TestIndexTelemetryCounters(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	db.SetTelemetry(reg)
 	k := media.KindVideo
-	db.SelectIndexed(IndexedQuery{Kind: &k}, nil, -1)
-	db.SelectIndexed(IndexedQuery{Spans: []Span{{Start: 0, End: 1}}}, nil, -1)
-	db.SelectIndexed(IndexedQuery{Reach: []core.ID{ids["a"]}}, nil, -1)
-	db.SelectIndexed(IndexedQuery{}, nil, -1) // scan fallback
+	db.CurrentView().SelectIndexed(IndexedQuery{Kind: &k}, nil, -1)
+	db.CurrentView().SelectIndexed(IndexedQuery{Spans: []Span{{Start: 0, End: 1}}}, nil, -1)
+	db.CurrentView().SelectIndexed(IndexedQuery{Reach: []core.ID{ids["a"]}}, nil, -1)
+	db.CurrentView().SelectIndexed(IndexedQuery{}, nil, -1) // scan fallback
 	var sb strings.Builder
 	if err := reg.WritePrometheus(&sb); err != nil {
 		t.Fatal(err)

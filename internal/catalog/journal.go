@@ -278,8 +278,8 @@ const replayRun = 1024
 
 // replayAllLocked replays the WAL segments found at dir in index
 // order, committing their records in runs of up to replayRun records,
-// then reserves the BLOB high-water mark and unpins the views recovery
-// published (some lack indexes): the last step of every recovery. Each
+// then reserves the BLOB high-water mark: the last step of every
+// recovery. Each
 // record is replayed once: a server checkpoints what a restart
 // replayed before it serves, unless the load fell back (see
 // cmd/tbmserve). One sequence base is fixed up front for the whole log
@@ -334,9 +334,6 @@ func (db *DB) replayAllLocked(dir string) error {
 		}
 	}
 	db.store.Reserve(db.nextBlob)
-	db.ring.mu.Lock()
-	clear(db.ring.buf)
-	db.ring.mu.Unlock()
 	return nil
 }
 

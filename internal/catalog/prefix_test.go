@@ -1,7 +1,6 @@
 package catalog
 
 import (
-	"errors"
 	"fmt"
 	"slices"
 	"sync"
@@ -55,21 +54,20 @@ func newestSeq(v *View) uint64 {
 	return top
 }
 
-// asOfDiff reports how v differs from its own as-of view,
-// v.AsOf(v.Epoch()), or "" when it does not: every name in the
-// directory resolves to the same object, and a kind page and an attr
-// query to the same IDs — the indexes against one pass over the chains
-// at the view's seq.
-func asOfDiff(v *View) string {
-	a, err := v.AsOf(v.Epoch())
-	if err != nil {
-		return err.Error()
+// asOfDiff reports how a, a view of v's epoch read from another
+// state's chains (ViewAt), differs from v, or "" when it does not: the
+// same live count, every name in v's directory resolving to the same
+// object, and a kind page and an attr query giving the same IDs — v's
+// indexes against one pass over a's chains at the epoch's seq.
+func asOfDiff(v, a *View) string {
+	if v.Len() != a.Len() {
+		return fmt.Sprintf("%d objects, read from the chains %d", v.Len(), a.Len())
 	}
 	msg := ""
 	v.chainsByName.ascend(func(name string, _ []core.ID) bool {
 		lo, _ := v.Lookup(name)
 		if ao, _ := a.Lookup(name); ao != lo {
-			msg = fmt.Sprintf("Lookup(%q) = %p, as of its epoch %p", name, lo, ao)
+			msg = fmt.Sprintf("Lookup(%q) = %p, read from the chains %p", name, lo, ao)
 		}
 		return msg == ""
 	})
@@ -81,7 +79,7 @@ func asOfDiff(v *View) string {
 		lp, lt := v.SelectPage(sel, nil, 8, 16)
 		ap, at := a.SelectPage(sel, nil, 8, 16)
 		if l, r := pageIDs(lp, lt), pageIDs(ap, at); l != r {
-			return fmt.Sprintf("page %+v: %s, as of its epoch %s", sel, l, r)
+			return fmt.Sprintf("page %+v: %s, read from the chains %s", sel, l, r)
 		}
 	}
 	return ""
@@ -101,8 +99,8 @@ func pageIDs(objs []*core.Object, total int) string {
 // checkpointer and pinning readers, every pinned view is exactly the
 // acknowledged records up to its Epoch: it holds no record above it,
 // every commit acknowledged by the end of the run at or below it, and
-// ViewAt of its Epoch is the view itself. Each is also its own as-of
-// view at that Epoch (asOfDiff).
+// ViewAt of its Epoch, read from the final state's chains, holds what
+// it holds (asOfDiff).
 func TestViewsArePrefixes(t *testing.T) {
 	const (
 		writers = 8
@@ -114,7 +112,7 @@ func TestViewsArePrefixes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	db, err := Open(dir, fs, WithEpochRetention(4096))
+	db, err := Open(dir, fs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,24 +230,29 @@ func TestViewsArePrefixes(t *testing.T) {
 				missing++
 			}
 		}
-		asOf := asOfDiff(v)
-		if got, err := db.ViewAt(v.Epoch()); top > v.Epoch() || missing > 0 || err != nil || got != v || asOf != "" {
+		asOf := "ViewAt failed"
+		got, err := db.ViewAt(v.Epoch())
+		if err == nil {
+			asOf = asOfDiff(v, got)
+		}
+		if top > v.Epoch() || missing > 0 || err != nil || got.Epoch() != v.Epoch() || asOf != "" {
 			if bad++; bad <= 5 {
-				t.Errorf("view %d: newest record %d, %d acknowledged commits at or below it missing; ViewAt: %p, %v (want %p); as-of view: %q",
-					v.Epoch(), top, missing, got, err, v, asOf)
+				t.Errorf("view %d: newest record %d, %d acknowledged commits at or below it missing; ViewAt: %v; read from the chains: %q",
+					v.Epoch(), top, missing, err, asOf)
 			}
 		}
 	}
 	if bad > 0 {
-		t.Errorf("%d of %d pinned views are not exact seq prefixes and their own as-of views", bad, len(views))
+		t.Errorf("%d of %d pinned views are not exact seq prefixes equal to ViewAt of their epoch", bad, len(views))
 	}
 	t.Logf("%d pinned views, %d acknowledged commits", len(views), len(acks))
 }
 
-// TestFollowerEpochsMatchPrimary: a seq inside a batch names no view,
-// and a follower applying the primary's journal record by record is,
-// whenever it reaches a seq the primary published a view at, at a view
-// with the same Epoch — the ETag a read answers — and the same objects.
+// TestFollowerEpochsMatchPrimary: the view at a seq inside a batch is
+// the batch's prefix up to that seq, and a follower applying the
+// primary's journal record by record is, whenever it reaches a seq the
+// primary published a view at, at a view with the same Epoch — the
+// ETag a read answers — and the same objects as ViewAt of that seq.
 func TestFollowerEpochsMatchPrimary(t *testing.T) {
 	dir := t.TempDir()
 	fs, err := blob.OpenFileStore(dir)
@@ -278,12 +281,6 @@ func TestFollowerEpochsMatchPrimary(t *testing.T) {
 		{Name: "b3", Op: "video-edit", InputNames: []string{"b2"}, Params: cutParams(0, 1)},
 	})
 	step(err)
-	for _, s := range []uint64{epochs[2] - 2, epochs[2] - 1} { // inside the batch
-		if _, err := primary.ViewAt(s); !errors.Is(err, ErrEpochGone) {
-			t.Errorf("ViewAt(%d), a seq inside a batch: %v, want ErrEpochGone", s, err)
-		}
-	}
-	step(primary.Delete(cut))
 	names := func(v *View) []string {
 		var out []string
 		for _, o := range v.Select(func(*core.Object) bool { return true }) {
@@ -291,6 +288,13 @@ func TestFollowerEpochsMatchPrimary(t *testing.T) {
 		}
 		return out
 	}
+	for i, s := range []uint64{epochs[2] - 2, epochs[2] - 1} { // inside the batch
+		want := append([]string{"clip", "cut"}, []string{"b1", "b2"}[:i+1]...)
+		if v, err := primary.ViewAt(s); err != nil || v.Epoch() != s || !slices.Equal(names(v), want) {
+			t.Errorf("ViewAt(%d), a seq inside a batch: %v; want epoch %d holding %v", s, err, s, want)
+		}
+	}
+	step(primary.Delete(cut))
 
 	follower := New(primary.Store())
 	fdir := t.TempDir()
@@ -325,51 +329,5 @@ func TestFollowerEpochsMatchPrimary(t *testing.T) {
 	}
 	if err := primary.CloseJournal(); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestReopenPinsOnlyTheOpenedView: the views recovery publishes on the
-// way — the snapshot's, the delta's, the one before the index pass and
-// each replayed record's — are not pinnable after Open. Every epoch
-// ViewAt accepts answers a kind query like the current view.
-func TestReopenPinsOnlyTheOpenedView(t *testing.T) {
-	dir := t.TempDir()
-	db := openDB(t, dir)
-	clip := baseCatalog(t, db, dir, 4, 73) // a base snapshot
-	for i := 0; i < 3; i++ {
-		if _, err := db.SelectDuration(clip, fmt.Sprintf("delta%d", i), 0, 2); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := db.Checkpoint(dir); err != nil { // a delta
-		t.Fatal(err)
-	}
-	if _, err := db.SelectDuration(clip, "tail", 0, 2); err != nil { // a journal tail
-		t.Fatal(err)
-	}
-	if err := db.CloseJournal(); err != nil {
-		t.Fatal(err)
-	}
-
-	db2 := openDB(t, dir)
-	defer db2.CloseJournal()
-	if rec := db2.Recovery(); rec.CheckpointsApplied != 1 || rec.JournalRecords != 1 {
-		t.Fatalf("recovery = %+v, want a delta and one replayed record", rec)
-	}
-	video := media.KindVideo
-	cur := db2.CurrentView()
-	want := len(cur.SelectIndexed(IndexedQuery{Kind: &video}, nil, -1))
-	if want != cur.Len() {
-		t.Fatalf("current view: %d video objects of %d", want, cur.Len())
-	}
-	for e := uint64(0); e <= cur.Epoch(); e++ {
-		v, err := db2.ViewAt(e)
-		if err != nil {
-			continue
-		}
-		if got := len(v.SelectIndexed(IndexedQuery{Kind: &video}, nil, -1)); got != want || v.Len() != cur.Len() {
-			t.Errorf("ViewAt(%d): kind=video returns %d of %d objects; the current view (epoch %d) %d of %d",
-				e, got, v.Len(), cur.Epoch(), want, cur.Len())
-		}
 	}
 }

@@ -14,12 +14,12 @@ package catalog
 //
 // A chain answers "what did this object look like as of seq S" by
 // resolving the newest entry with seq <= S. The catalog as of S is
-// the union of those answers, and View.AsOf never builds it: an
-// AsOfView is the pinned epoch plus S, and each read resolves against
-// the chains on demand — a name or ID lookup is one chain probe, a
-// query one pass over the chains — behind the same indexed-query
-// contract the live View serves, so /v1/query?as_of=S composes with
-// live_at, pagination, and epoch pinning unchanged.
+// the union of those answers, and View.AsOf never builds it: the view
+// it returns is the same state read at S, and each read resolves
+// against the chains on demand — a name or ID lookup is one chain
+// probe, a query one pass over the chains (runIndexed) — so every read
+// route, and /v1/query?as_of=S with live_at, pagination and epoch
+// pinning, reads the past through the same View methods.
 //
 // Retention: chains are bounded by WithVersionRetention. Pruning the
 // oldest entry of a chain raises the catalog-wide version floor; any
@@ -288,144 +288,6 @@ func (e *viewEdit) appendInterpTombstone(id blob.ID, seq uint64) {
 		c = nil
 	}
 	e.setInterpChain(id, c)
-}
-
-// --- AsOfView ------------------------------------------------------
-
-// AsOfView is the catalog as of one transaction-time seq: a pinned
-// epoch plus the seq, nothing else. Every read resolves on demand
-// against the epoch's persistent version chains — a point read is one
-// chain probe, a query one pass over the retained chains — so taking
-// an as-of view costs nothing and no read allocates in proportion to
-// the catalog. It implements the same read contract the live View
-// serves queries with (SelectIndexed / CountIndexed / SelectPage, name
-// lookup, interpretation lookup), so the query planner and the HTTP
-// layer use it interchangeably. Epoch() reports the pinned base epoch,
-// so ETag/epoch= semantics are unchanged.
-type AsOfView struct {
-	base *View
-	seq  uint64
-}
-
-// AsOf narrows the view to transaction-time seq. seq below the version
-// floor (retention has pruned history past it) returns ErrVersionGone;
-// seq beyond the newest committed mutation resolves to the epoch's own
-// state.
-func (v *View) AsOf(seq uint64) (*AsOfView, error) {
-	if seq < v.verFloor {
-		if t := v.db.tel.Load(); t != nil {
-			t.versionGone.Inc()
-		}
-		return nil, fmt.Errorf("%w: as_of %d precedes version floor %d", ErrVersionGone, seq, v.verFloor)
-	}
-	return &AsOfView{base: v, seq: seq}, nil
-}
-
-// Epoch returns the pinned base epoch the as-of state is read from.
-func (a *AsOfView) Epoch() uint64 { return a.base.Epoch() }
-
-// Seq returns the transaction-time seq the view reads at.
-func (a *AsOfView) Seq() uint64 { return a.seq }
-
-// eachLive visits every object live as of the seq: one pass over the
-// chains, ascending by ID.
-func (a *AsOfView) eachLive(visit func(*core.Object)) {
-	a.base.eachAt(a.seq, func(o *core.Object) bool {
-		visit(o)
-		return true
-	})
-}
-
-// Len counts the objects live as of the seq.
-func (a *AsOfView) Len() int {
-	n := 0
-	a.eachLive(func(*core.Object) { n++ })
-	return n
-}
-
-// getByID resolves an object by ID as of the seq, nil when it was not
-// live then.
-func (a *AsOfView) getByID(id core.ID) *core.Object { return a.base.object(id, a.seq) }
-
-// Get returns the object with the given ID as of the seq (shared,
-// read-only — same contract as View.Get).
-func (a *AsOfView) Get(id core.ID) (*core.Object, error) { return a.base.getAt(id, a.seq) }
-
-// Lookup returns the object with the given name as of the seq.
-func (a *AsOfView) Lookup(name string) (*core.Object, error) { return a.base.lookupAt(name, a.seq) }
-
-// Interpretation returns the interpretation of a BLOB as of the seq.
-func (a *AsOfView) Interpretation(id blob.ID) (*interp.Interpretation, error) {
-	return a.base.interpretationAt(id, a.seq)
-}
-
-// reachSets materializes the descendant set of each src over the as-of
-// object graph. There is no per-seq provenance index, so the reverse
-// edges are collected in one pass over the chains — paid only by
-// queries that carry a derived_from constraint.
-func (a *AsOfView) reachSets(srcs []core.ID) []idSet {
-	if len(srcs) == 0 {
-		return nil
-	}
-	referrers := map[core.ID][]core.ID{}
-	a.eachLive(func(o *core.Object) {
-		for _, ref := range directRefs(o) {
-			referrers[ref] = append(referrers[ref], o.ID)
-		}
-	})
-	sets := make([]idSet, len(srcs))
-	for i, src := range srcs {
-		sets[i] = descendantsOf(src, func(cur core.ID, visit func(core.ID)) {
-			for _, dep := range referrers[cur] {
-				visit(dep)
-			}
-		})
-	}
-	return sets
-}
-
-// runIndexed has (*View).runIndexed's selection and window semantics —
-// the constraint checks and the window are the same code — over the
-// state as of the seq. There is no per-seq index to plan against: the
-// walk is one streaming pass over the retained chains in ID order,
-// with the timeline span (which may resolve components through further
-// chain probes) computed only for objects that passed every cheaper
-// test.
-func (a *AsOfView) runIndexed(sel IndexedQuery, pred func(*core.Object) bool, offset, limit int, needTotal, clone bool) ([]*core.Object, int) {
-	reach := a.reachSets(sel.Reach)
-	w := newWindow(offset, limit, needTotal, clone)
-	a.base.eachAt(a.seq, func(o *core.Object) bool {
-		if !sel.matchObject(reach, o) {
-			return true
-		}
-		if len(sel.Spans) > 0 {
-			if sp, ok := timelineSpan(o, a.getByID); !ok || !sel.matchSpan(sp) {
-				return true
-			}
-		}
-		if pred != nil && !pred(o) {
-			return true
-		}
-		return w.add(o)
-	})
-	return w.out, w.total
-}
-
-// SelectIndexed mirrors (*View).SelectIndexed as of the seq.
-func (a *AsOfView) SelectIndexed(sel IndexedQuery, pred func(*core.Object) bool, limit int) []*core.Object {
-	out, _ := a.runIndexed(sel, pred, 0, limit, false, true)
-	return out
-}
-
-// CountIndexed mirrors (*View).CountIndexed as of the seq.
-func (a *AsOfView) CountIndexed(sel IndexedQuery, pred func(*core.Object) bool, limit int) int {
-	_, total := a.runIndexed(sel, pred, 0, limit, false, false)
-	return total
-}
-
-// SelectPage mirrors (*View).SelectPage as of the seq.
-func (a *AsOfView) SelectPage(sel IndexedQuery, pred func(*core.Object) bool, offset, limit int) ([]*core.Object, int) {
-	return a.runIndexed(sel, pred, offset, limit, true, true)
 }
 
 // --- invariants ----------------------------------------------------

@@ -111,7 +111,7 @@ func TestInterpVersionChainPrimitives(t *testing.T) {
 	}
 }
 
-// TestAsOfViewReads drives the AsOfView read surface directly across a
+// TestAsOfViewReads drives the read surface of View.AsOf directly across a
 // scripted history: point lookups by ID and name, interpretation
 // resolution, indexed selection with every constraint family, counts,
 // pagination, and the boundary seqs (0 = before anything, past-the-end
@@ -144,7 +144,7 @@ func TestAsOfViewReads(t *testing.T) {
 	}
 
 	v := db.CurrentView()
-	asOf := func(seq uint64) *AsOfView {
+	asOf := func(seq uint64) *View {
 		t.Helper()
 		av, err := v.AsOf(seq)
 		if err != nil {

@@ -8,7 +8,7 @@ package catalog
 // (versions.go), the name directory over the object chains, and every
 // secondary index. A live object is the non-tombstone tail of its
 // chain, so a live read is an as-of read at seqNow and goes through
-// the same point-read helpers an AsOfView uses (state.object,
+// the same point-read helpers a read of the past does (state.object,
 // state.lookup, interpAt). The state is built from persistent treaps
 // (pmap.go, interval.go), so publishing a new epoch after a commit
 // copies only the O(log n) spines the commit touched, once each however
@@ -24,30 +24,26 @@ package catalog
 // sequence order, which needs one global critical section per
 // enqueue), but they no longer contend with readers at all.
 //
-// Recent views are retained in a bounded ring so HTTP clients can
-// re-pin the epoch of their first page (epoch= parameter) and read
-// mutually consistent pages. Any other epoch returns ErrEpochGone.
+// A View is also the one read type for the past: it knows the seq its
+// reads resolve at. A published view reads at seqNow and plans queries
+// over its indexes; View.AsOf and DB.ViewAt return a copy of a state
+// that reads at an older seq, where every point read resolves the
+// chains at that seq and a query walks them (runIndexed). So an HTTP
+// client can re-pin the epoch of its first page (epoch=) for as long as
+// version retention keeps the chains that far back.
 
 import (
 	"errors"
 	"fmt"
 	"math"
-	"sync"
 
 	"timedmedia/internal/blob"
 	"timedmedia/internal/core"
 	"timedmedia/internal/interp"
 )
 
-// DefaultEpochRetention is how many published epochs past the current
-// one remain pinnable via ViewAt when no WithEpochRetention option is
-// given. Retained epochs share structure with their neighbours, so
-// the memory bound is O(retention x writes-per-epoch), not O(catalog).
-const DefaultEpochRetention = 64
-
-// ErrEpochGone reports a pinned epoch that has been retired from the
-// retention ring (or never existed).
-var ErrEpochGone = errors.New("catalog: epoch no longer retained")
+// ErrEpochGone reports a pinned epoch past the newest published one.
+var ErrEpochGone = errors.New("catalog: epoch not published")
 
 // seqNow is the seq a live read resolves chains at: past every commit,
 // so each chain answers with its tail.
@@ -122,62 +118,91 @@ func interpAt(vers tmap[blob.ID, *interpVerChain], id blob.ID, seq uint64) *inte
 	return nil
 }
 
-// View is one immutable epoch of the catalog. All methods are safe
-// for unsynchronized concurrent use; none of them lock.
+// View is one immutable epoch of the catalog, read at a seq: seqNow
+// for a published view, an older seq for one AsOf or ViewAt made. All
+// methods are safe for unsynchronized concurrent use; none of them
+// lock.
 type View struct {
 	db  *DB
 	seq uint64
+	at  uint64
 	state
 }
 
 // Epoch returns the journal seq the view holds every acknowledged
-// record up to (see settleLocked); a batch takes several seqs.
+// record up to (see settleLocked); a batch takes several seqs. A view
+// ViewAt(N) made reports N; AsOf keeps the epoch it narrowed.
 func (v *View) Epoch() uint64 { return v.seq }
 
+// past reports whether the view reads at an older seq than its
+// state's: its indexes describe the newest state, not the one it
+// reads, so queries walk the chains instead.
+func (v *View) past() bool { return v.at != seqNow }
+
 // Len returns the number of live objects in the view.
-func (v *View) Len() int { return v.count }
+func (v *View) Len() int {
+	if !v.past() {
+		return v.count
+	}
+	n := 0
+	v.eachAt(v.at, func(*core.Object) bool { n++; return true })
+	return n
+}
 
 // VersionChains returns the number of object version chains the view
 // retains, live or tombstoned: VersionChains - Len is the deleted
 // history retention still holds.
 func (v *View) VersionChains() int { return v.vers.len() }
 
-// getAt, lookupAt and interpretationAt are the one point-read path: a
-// View reads at seqNow, an AsOfView at its seq.
-func (v *View) getAt(id core.ID, seq uint64) (*core.Object, error) {
-	if o := v.object(id, seq); o != nil {
+// Get returns the object with the given ID. The returned object is
+// shared with the view and must be treated as read-only; use
+// (*core.Object).Clone for a mutable copy.
+func (v *View) Get(id core.ID) (*core.Object, error) {
+	if o := v.object(id, v.at); o != nil {
 		return o, nil
 	}
 	return nil, fmt.Errorf("%w: %v", ErrNotFound, id)
 }
 
-func (v *View) lookupAt(name string, seq uint64) (*core.Object, error) {
-	if o := v.lookup(name, seq); o != nil {
+// Lookup returns the object with the given name. The returned object
+// is shared with the view and must be treated as read-only.
+func (v *View) Lookup(name string) (*core.Object, error) {
+	if o := v.lookup(name, v.at); o != nil {
 		return o, nil
 	}
 	return nil, fmt.Errorf("%w: %q", ErrNotFound, name)
 }
 
-func (v *View) interpretationAt(id blob.ID, seq uint64) (*interp.Interpretation, error) {
-	if it := interpAt(v.interpVers, id, seq); it != nil {
+// Interpretation returns the interpretation of a BLOB as of the view's
+// seq.
+func (v *View) Interpretation(id blob.ID) (*interp.Interpretation, error) {
+	if it := interpAt(v.interpVers, id, v.at); it != nil {
 		return it, nil
 	}
 	return nil, fmt.Errorf("%w: %v", ErrNoInterp, id)
 }
 
-// Get returns the object with the given ID. The returned object is
-// shared with the view and must be treated as read-only; use
-// (*core.Object).Clone for a mutable copy.
-func (v *View) Get(id core.ID) (*core.Object, error) { return v.getAt(id, seqNow) }
+// Payloads is Interpretation for reading a BLOB's element bytes. At a
+// past seq, a BLOB collected since has no bytes to read: its file goes
+// with the checkpoint that covers the collection, so Payloads answers
+// ErrVersionGone whether or not that checkpoint has run yet.
+func (v *View) Payloads(id blob.ID) (*interp.Interpretation, error) {
+	if err := v.collected(id); err != nil {
+		return nil, err
+	}
+	return v.Interpretation(id)
+}
 
-// Lookup returns the object with the given name. The returned object
-// is shared with the view and must be treated as read-only.
-func (v *View) Lookup(name string) (*core.Object, error) { return v.lookupAt(name, seqNow) }
-
-// Interpretation returns the interpretation of a BLOB as of this
-// epoch.
-func (v *View) Interpretation(id blob.ID) (*interp.Interpretation, error) {
-	return v.interpretationAt(id, seqNow)
+// collected is Payloads' refusal: ErrVersionGone when the view reads
+// the past and id's interpretation chain ends in a collection.
+func (v *View) collected(id blob.ID) error {
+	if !v.past() {
+		return nil
+	}
+	if c, ok := v.interpVers.get(id); ok && !c.live() {
+		return fmt.Errorf("%w: BLOB %v was collected at seq %d", ErrVersionGone, id, c.tail().seq)
+	}
+	return nil
 }
 
 // Select returns deep copies of the objects satisfying pred, ordered
@@ -185,7 +210,7 @@ func (v *View) Interpretation(id blob.ID) (*interp.Interpretation, error) {
 // or modify them.
 func (v *View) Select(pred func(*core.Object) bool) []*core.Object {
 	var out []*core.Object
-	v.eachAt(seqNow, func(o *core.Object) bool {
+	v.eachAt(v.at, func(o *core.Object) bool {
 		if pred(o) {
 			out = append(out, o.Clone())
 		}
@@ -201,53 +226,41 @@ func (db *DB) CurrentView() *View {
 	return db.cur.Load()
 }
 
-// ViewAt returns the view pinned to the given epoch: the current one,
-// or a retained recent one from the retention ring. Epochs that have
-// been retired — or never published — return ErrEpochGone.
+// ViewAt returns the view of the given epoch: the current view itself,
+// or the current state read at that older seq. A seq inside a batch,
+// which no published view was at, reads the batch's prefix. An epoch
+// past the current one returns ErrEpochGone, one below the version
+// floor ErrVersionGone.
 func (db *DB) ViewAt(epoch uint64) (*View, error) {
 	cur := db.cur.Load()
-	if epoch == cur.seq {
-		return cur, nil
-	}
 	if epoch > cur.seq {
 		return nil, fmt.Errorf("%w: %d (current is %d)", ErrEpochGone, epoch, cur.seq)
 	}
-	if v := db.ring.at(epoch); v != nil {
+	v, err := cur.AsOf(epoch)
+	if err != nil || v == cur {
+		return v, err
+	}
+	v.seq = epoch
+	return v, nil
+}
+
+// AsOf narrows the view to transaction-time seq: a copy that reads at
+// seq and keeps the view's Epoch. seq below the version floor
+// (retention has pruned history past it) returns ErrVersionGone; seq at
+// or beyond the view's own returns the view itself.
+func (v *View) AsOf(seq uint64) (*View, error) {
+	if seq < v.verFloor {
+		if t := v.db.tel.Load(); t != nil {
+			t.versionGone.Inc()
+		}
+		return nil, fmt.Errorf("%w: as_of %d precedes version floor %d", ErrVersionGone, seq, v.verFloor)
+	}
+	if seq >= min(v.seq, v.at) {
 		return v, nil
 	}
-	return nil, fmt.Errorf("%w: %d", ErrEpochGone, epoch)
-}
-
-// epochRing retains the last N published views so epoch-pinned reads
-// can outlive a handful of concurrent commits. Only publication and
-// explicit epoch= pins touch the lock; the default read path is the
-// single atomic load in CurrentView.
-type epochRing struct {
-	mu   sync.RWMutex
-	buf  []*View
-	next int
-}
-
-func newEpochRing(n int) *epochRing {
-	return &epochRing{buf: make([]*View, n)}
-}
-
-func (r *epochRing) add(v *View) {
-	r.mu.Lock()
-	r.buf[r.next] = v
-	r.next = (r.next + 1) % len(r.buf)
-	r.mu.Unlock()
-}
-
-func (r *epochRing) at(epoch uint64) *View {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	for _, v := range r.buf {
-		if v != nil && v.seq == epoch {
-			return v
-		}
-	}
-	return nil
+	a := *v
+	a.at = seq
+	return &a, nil
 }
 
 // viewEdit is a copy-on-write editing session over a view. A commit
@@ -295,13 +308,12 @@ func (e *viewEdit) unlink(obj *core.Object) { e.ix = e.ix.unlink(e.own, obj) }
 // no later edit changes a node the view reaches.
 func (e *viewEdit) view(seq uint64) *View {
 	e.db.editOwner, e.own = 0, 0
-	return &View{db: e.db, seq: seq, state: e.state}
+	return &View{db: e.db, seq: seq, at: seqNow, state: e.state}
 }
 
-// commitEditLocked publishes the edit as the view at seq: the previous
-// view goes into the retention ring, the new one becomes current. Load
-// uses it; commits publish through settleLocked. Assumes the DB is not
-// yet shared.
+// commitEditLocked publishes the edit as the view at seq. Load uses
+// it; commits publish through settleLocked. Assumes the DB is not yet
+// shared.
 func (db *DB) commitEditLocked(e *viewEdit, seq uint64) {
 	db.publishLocked(&pendingCommit{view: e.view(seq)})
 }

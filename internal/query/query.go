@@ -34,37 +34,27 @@ import (
 	"timedmedia/internal/media"
 )
 
-// Source is what a query executes against: the live catalog (which
-// resolves to its current epoch at execution time) or one pinned
-// epoch View. Both *catalog.DB and *catalog.View implement it.
-type Source interface {
-	SelectIndexed(sel catalog.IndexedQuery, pred func(*core.Object) bool, limit int) []*core.Object
-	CountIndexed(sel catalog.IndexedQuery, pred func(*core.Object) bool, limit int) int
-	SelectPage(sel catalog.IndexedQuery, pred func(*core.Object) bool, offset, limit int) ([]*core.Object, int)
-}
-
 // Q is a query under construction. Build with New or At, chain
 // filters, then Run. A Q is single-use.
 type Q struct {
-	src   Source
+	v     *catalog.View
 	sel   catalog.IndexedQuery
 	resid []func(*core.Object) bool
 	order func(a, b *core.Object) bool
 	limit int
 }
 
-// New starts a query against db's current epoch (resolved when the
-// query runs).
+// New starts a query against db's current epoch.
 func New(db *catalog.DB) *Q {
-	return At(db)
+	return At(db.CurrentView())
 }
 
-// At starts a query pinned to src — pass a *catalog.View so plan,
-// match and pagination all read one immutable epoch regardless of
-// concurrent writers (the HTTP layer's epoch= parameter does exactly
-// this).
-func At(src Source) *Q {
-	return &Q{src: src, limit: -1}
+// At starts a query pinned to v, so plan, match and pagination all
+// read one immutable epoch regardless of concurrent writers (the HTTP
+// layer's epoch= parameter does exactly this). A view that reads the
+// past (View.AsOf, DB.ViewAt) answers as of its seq.
+func At(v *catalog.View) *Q {
+	return &Q{v: v, limit: -1}
 }
 
 // Kind keeps media objects of the given kind.
@@ -222,9 +212,9 @@ func (q *Q) pred() func(*core.Object) bool {
 // are never cloned.
 func (q *Q) Run() []*core.Object {
 	if q.order == nil {
-		return q.src.SelectIndexed(q.sel, q.pred(), q.limit)
+		return q.v.SelectIndexed(q.sel, q.pred(), q.limit)
 	}
-	out := q.src.SelectIndexed(q.sel, q.pred(), -1)
+	out := q.v.SelectIndexed(q.sel, q.pred(), -1)
 	sort.SliceStable(out, func(a, b int) bool { return q.order(out[a], out[b]) })
 	if q.limit >= 0 && len(out) > q.limit {
 		out = out[:q.limit]
@@ -242,9 +232,9 @@ func (q *Q) RunPage(offset int) ([]*core.Object, int) {
 		offset = 0
 	}
 	if q.order == nil {
-		return q.src.SelectPage(q.sel, q.pred(), offset, q.limit)
+		return q.v.SelectPage(q.sel, q.pred(), offset, q.limit)
 	}
-	all := q.src.SelectIndexed(q.sel, q.pred(), -1)
+	all := q.v.SelectIndexed(q.sel, q.pred(), -1)
 	sort.SliceStable(all, func(a, b int) bool { return q.order(all[a], all[b]) })
 	total := len(all)
 	if offset >= total {
@@ -260,7 +250,7 @@ func (q *Q) RunPage(offset int) ([]*core.Object, int) {
 // Count executes the query and returns the number of matches without
 // cloning a single object. Like Run, the count respects Limit.
 func (q *Q) Count() int {
-	return q.src.CountIndexed(q.sel, q.pred(), q.limit)
+	return q.v.CountIndexed(q.sel, q.pred(), q.limit)
 }
 
 // UsedBy returns every object whose derivation inputs or composition

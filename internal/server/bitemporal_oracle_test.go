@@ -288,8 +288,9 @@ func withParam(path, kv string) string {
 }
 
 // queryShapes draws the probe set for one sequence: planner filters,
-// pagination, a count, and a point read of a scripted name (which may
-// well 404 on both sides — also an equivalence).
+// pagination, a count, and every named read route on a scripted name
+// (which may well 404, or refuse the route for its class, on both
+// sides — also an equivalence).
 func queryShapes(prng *rand.Rand, nOps int) []string {
 	shapes := []string{
 		"/v1/query?kind=video&limit=50",
@@ -302,7 +303,10 @@ func queryShapes(prng *rand.Rand, nOps int) []string {
 	if prng.Intn(2) == 0 {
 		name += "a" // a batch item name
 	}
-	return append(shapes, "/v1/objects/"+name)
+	for _, route := range []string{"", "/element/0", "/at/0", "/stream", "/expand", "/timeline", "/lineage"} {
+		shapes = append(shapes, "/v1/objects/"+name+route)
+	}
+	return shapes
 }
 
 // bitemporalDiff builds the scripted history in a journaled catalog,
@@ -593,49 +597,106 @@ func TestQueryRejectsUnknownParams(t *testing.T) {
 	}
 }
 
-// TestAsOfRejectedWhereNotHonoured: only /v1/query and
-// /v1/objects/{name} can read the past. Every other read route must
-// refuse as_of= with 400 bad_request naming the parameter — serving
-// live state to a client that asked for history is a silent wrong
-// answer, the same reasoning as the unknown-parameter rule above.
-func TestAsOfRejectedWhereNotHonoured(t *testing.T) {
+// TestAsOfHonouredOnEveryReadRoute: every read route reads the past,
+// the graph routes all the way down. The composition, a cut of a cut
+// and the cut under both are deleted after S, so a live read of any is
+// 404, and with as_of=S every route answers 200 from the version
+// chains: expand resolves its input, timeline its components and
+// lineage its ancestry at S.
+func TestAsOfHonouredOnEveryReadRoute(t *testing.T) {
 	db := oracleDB(t)
+	alpha, _ := db.Lookup("alpha")
+	cut, err := db.SelectDuration(alpha.ID, "cut", 0, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cut2, err := db.SelectDuration(cut, "cut2", 1, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mm, err := db.AddMultimedia("mm", timebase.Millis, []core.ComponentRef{{Object: alpha.ID}, {Object: cut, Start: 40}}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	S := db.Seq()
+	for _, id := range []core.ID{mm, cut2, cut} {
+		if err := db.Delete(id); err != nil {
+			t.Fatal(err)
+		}
+	}
 	ts := httptest.NewServer(New(db))
 	defer ts.Close()
 
 	for _, tc := range []struct {
-		path     string
-		honoured bool
+		path    string
+		deleted bool // names an object deleted after S
 	}{
-		{"/v1/query?kind=video", true},
-		{"/v1/objects/alpha", true},
+		{"/v1/query?kind=video", false},
 		{"/v1/objects", false},
+		{"/v1/objects/cut", true},
 		{"/v1/objects/alpha/element/0", false},
 		{"/v1/objects/alpha/at/0", false},
 		{"/v1/objects/alpha/stream", false},
-		{"/v1/objects/alpha/expand", false},
-		{"/v1/objects/alpha/timeline", false},
-		{"/v1/objects/alpha/lineage", false},
+		{"/v1/objects/cut2/expand", true},
+		{"/v1/objects/mm/timeline", true},
+		{"/v1/objects/cut2/lineage", true},
 	} {
-		r := fetch(t, ts.URL+withParam(tc.path, fmt.Sprintf("as_of=%d", db.Seq())))
-		if tc.honoured {
-			if r.status != http.StatusOK {
-				t.Errorf("%s with as_of: status %d, want 200: %s", tc.path, r.status, r.body)
-			}
-			continue
+		if r := fetch(t, ts.URL+withParam(tc.path, fmt.Sprintf("as_of=%d", S))); r.status != http.StatusOK {
+			t.Errorf("%s with as_of=%d: status %d, want 200: %s", tc.path, S, r.status, r.body)
 		}
-		var env struct {
-			Error struct {
-				Code    string `json:"code"`
-				Message string `json:"message"`
-			} `json:"error"`
+		if r := fetch(t, ts.URL+tc.path); tc.deleted && r.status != http.StatusNotFound {
+			t.Errorf("%s live: status %d, want 404: %s", tc.path, r.status, r.body)
 		}
-		if err := json.Unmarshal([]byte(r.body), &env); err != nil {
-			t.Errorf("%s with as_of: status %d, not an error envelope: %s", tc.path, r.status, r.body)
-			continue
-		}
-		if r.status != http.StatusBadRequest || env.Error.Code != "bad_request" || !strings.Contains(env.Error.Message, `"as_of"`) {
-			t.Errorf("%s with as_of: %d %+v, want 400 bad_request naming the parameter", tc.path, r.status, env.Error)
+	}
+}
+
+// TestAsOfCollectedBlobIsVersionGone: a BLOB deleted and collected by
+// a checkpoint has no bytes left for a read of the past. Its object
+// still answers as of before the delete — metadata is catalog state —
+// but element, at, stream and expand answer 410 version_gone, never
+// 500, even with the expansion warm from before the delete.
+func TestAsOfCollectedBlobIsVersionGone(t *testing.T) {
+	dir := t.TempDir()
+	store, err := blob.OpenFileStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	db, err := catalog.Open(dir, store)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.CloseJournal()
+	id, err := db.Ingest("clip", fixtures.Video(4, 16, 12, 5), catalog.IngestOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	clip, _ := db.Get(id)
+	S := db.Seq()
+	ts := httptest.NewServer(New(db))
+	defer ts.Close()
+	if r := fetch(t, ts.URL+"/v1/objects/clip/expand"); r.status != http.StatusOK {
+		t.Fatalf("expand before the delete: %d %s", r.status, r.body)
+	}
+	if err := db.Delete(id); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Checkpoint(dir); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(filepath.Join(dir, blob.FileName(clip.Blob))); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("the checkpoint left the collected BLOB's file: %v", err)
+	}
+
+	asOf := fmt.Sprintf("as_of=%d", S)
+	if r := fetch(t, ts.URL+"/v1/objects/clip?"+asOf); r.status != http.StatusOK {
+		t.Errorf("object as of %d: %d %s", S, r.status, r.body)
+	}
+	for _, route := range []string{"/element/0", "/at/0", "/stream", "/expand"} {
+		r := fetch(t, ts.URL+"/v1/objects/clip"+route+"?"+asOf)
+		var env errorEnvelope
+		if err := json.Unmarshal([]byte(r.body), &env); r.status != http.StatusGone || err != nil || env.Error.Code != CodeVersionGone {
+			t.Errorf("%s as of %d: %d %s, want 410 version_gone", route, S, r.status, r.body)
 		}
 	}
 }

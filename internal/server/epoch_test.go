@@ -90,10 +90,20 @@ func TestEpochPinnedPagination(t *testing.T) {
 	}
 	pin := "&epoch=" + jsonUint(t, page1.Epoch)
 
-	// A writer commits between the pages.
+	// Writers commit between the pages: one cut that stays, then more
+	// epochs than any bounded ring of recent views would hold.
 	clip, _ := db.Lookup("clip")
 	if _, err := db.SelectDuration(clip.ID, "latecomer", 0, 5); err != nil {
 		t.Fatal(err)
+	}
+	for i := 0; i < 40; i++ {
+		id, err := db.SelectDuration(clip.ID, "churn", 0, 5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := db.Delete(id); err != nil {
+			t.Fatal(err)
+		}
 	}
 
 	// Pinned page 2: still sees 3 objects total, exactly the one
@@ -141,8 +151,10 @@ func jsonUint(t *testing.T, n uint64) string {
 	return string(b)
 }
 
-// TestEpochPinErrors: an unparsable epoch is 400; a future or retired
-// epoch is 410 epoch_gone.
+// TestEpochPinErrors: an unparsable epoch is 400; a future epoch is
+// 410 epoch_gone; an old epoch is served from the version chains until
+// retention raises the version floor past it, and then it is 410
+// version_gone.
 func TestEpochPinErrors(t *testing.T) {
 	ts, db := testServer(t)
 
@@ -161,8 +173,8 @@ func TestEpochPinErrors(t *testing.T) {
 		t.Errorf("future epoch code = %q", env.Error.Code)
 	}
 
-	// Retired epoch: pin the current one, then publish enough epochs
-	// to push it out of the retention ring.
+	// An old epoch: pin the current one, then publish a hundred more.
+	// The pin still reads its own three objects, under its own ETag.
 	cur := db.CurrentView().Epoch()
 	clip, _ := db.Lookup("clip")
 	for db.CurrentView().Epoch() < cur+100 {
@@ -174,12 +186,28 @@ func TestEpochPinErrors(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	var old listReply
+	body, hdr := getWithHeaders(t, ts.URL+"/v1/objects?epoch="+jsonUint(t, cur), nil, 200)
+	if err := json.Unmarshal(body, &old); err != nil || old.Total != 3 || old.Epoch != cur || hdr.Get("ETag") != `"`+jsonUint(t, cur)+`"` {
+		t.Errorf("old epoch %d: %s (%v), ETag %s", cur, body, err, hdr.Get("ETag"))
+	}
+
+	// Below the version floor: revise show until retention prunes its
+	// chain past the pin.
+	show, _ := db.Lookup("show")
+	for i := int64(0); db.CurrentView().VersionFloor() <= cur; i++ {
+		if err := db.AddSync(show.ID, 0, 1, i); err != nil {
+			t.Fatal(err)
+		}
+	}
 	body, _ = getWithHeaders(t, ts.URL+"/v1/objects?epoch="+jsonUint(t, cur), nil, 410)
 	env = errorEnvelope{}
 	json.Unmarshal(body, &env)
-	if env.Error.Code != CodeEpochGone {
-		t.Errorf("retired epoch code = %q", env.Error.Code)
+	if env.Error.Code != CodeVersionGone {
+		t.Errorf("epoch below the version floor: code %q", env.Error.Code)
 	}
+	floor := db.CurrentView().VersionFloor()
+	getWithHeaders(t, ts.URL+"/v1/objects?epoch="+jsonUint(t, floor), nil, 200)
 }
 
 // TestEpochPinResolvesGraphRoutes: expand, timeline and lineage run

@@ -148,7 +148,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	// commits cannot tear the result or skew total against the page.
 	// With as_of= the view narrows further, to the transaction-time
 	// snapshot at that journal sequence.
-	v, asOfStart, okPin := s.pinAsOf(w, r)
+	v, asOfStart, okPin := s.pin(w, r)
 	if !okPin {
 		return
 	}

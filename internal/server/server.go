@@ -266,7 +266,7 @@ type objectSummary struct {
 // summarize renders an object against the epoch view it was read
 // from — the interpretation table is part of the epoch, so descriptor
 // and element counts stay consistent with the pinned object.
-func (s *Server) summarize(v readView, obj *core.Object) objectSummary {
+func (s *Server) summarize(v *catalog.View, obj *core.Object) objectSummary {
 	out := objectSummary{
 		ID:    uint64(obj.ID),
 		Name:  obj.Name,
@@ -276,11 +276,13 @@ func (s *Server) summarize(v readView, obj *core.Object) objectSummary {
 	}
 	switch obj.Class {
 	case core.ClassNonDerived:
-		if tr, err := s.track(v, obj); err == nil {
-			out.Descriptor = tr.Descriptor().String()
-			out.Categories = tr.Stream().Classify().String()
-			out.Elements = tr.Len()
-			out.Bytes = tr.TotalBytes()
+		if it, err := v.Interpretation(obj.Blob); err == nil {
+			if tr, err := it.Track(obj.Track); err == nil {
+				out.Descriptor = tr.Descriptor().String()
+				out.Categories = tr.Stream().Classify().String()
+				out.Elements = tr.Len()
+				out.Bytes = tr.TotalBytes()
+			}
 		}
 	case core.ClassDerived:
 		out.Derivation = fmt.Sprintf("%s%v", obj.Derivation.Op, obj.Derivation.Inputs)
@@ -288,21 +290,16 @@ func (s *Server) summarize(v readView, obj *core.Object) objectSummary {
 	return out
 }
 
-func (s *Server) track(v readView, obj *core.Object) (*interp.Track, error) {
-	_, tr, err := s.source(v, obj)
-	return tr, err
-}
-
-// source resolves a stored object to its interpretation and track, as
-// of the epoch view the object was read from. Derived and multimedia
-// objects have no stored elements — they must be expanded/played
-// instead — so they fail with ErrNotMedia rather than a
-// nil-interpretation panic.
-func (s *Server) source(v readView, obj *core.Object) (*interp.Interpretation, *interp.Track, error) {
+// source resolves a stored object to its interpretation and track for
+// reading its element bytes, as of the epoch view the object was read
+// from (see View.Payloads). Derived and multimedia objects have no
+// stored elements — they must be expanded/played instead — so they
+// fail with ErrNotMedia rather than a nil-interpretation panic.
+func (s *Server) source(v *catalog.View, obj *core.Object) (*interp.Interpretation, *interp.Track, error) {
 	if obj.Class != core.ClassNonDerived {
 		return nil, nil, fmt.Errorf("%w: %s has no stored elements", catalog.ErrNotMedia, obj.Name)
 	}
-	it, err := v.Interpretation(obj.Blob)
+	it, err := v.Payloads(obj.Blob)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -364,7 +361,7 @@ type listReply struct {
 }
 
 func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
-	v, ok := s.pinView(w, r)
+	v, asOfStart, ok := s.pin(w, r)
 	if !ok {
 		return
 	}
@@ -395,13 +392,14 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 		// return — and with an epoch= pin, neither can racing writers.
 		page, total = v.SelectPage(sel, residual, offset, limit)
 	}
+	s.asOfResolved(asOfStart)
 	writeListPage(w, s, v, page, offset, total)
 }
 
 // writeListPage renders the paginated listReply envelope for page
 // starting at offset out of total matches, all computed against the
 // pinned view v.
-func writeListPage(w http.ResponseWriter, s *Server, v readView, page []*core.Object, offset, total int) {
+func writeListPage(w http.ResponseWriter, s *Server, v *catalog.View, page []*core.Object, offset, total int) {
 	// Non-nil so an empty page encodes as [] rather than null.
 	out := []objectSummary{}
 	for _, obj := range page {
@@ -418,12 +416,11 @@ func writeListPage(w http.ResponseWriter, s *Server, v readView, page []*core.Ob
 func (s *Server) handleObject(w http.ResponseWriter, r *http.Request) {
 	// as_of= reads the object as it stood at that journal sequence —
 	// including names whose object has since been deleted or revised.
-	v, asOfStart, ok := s.pinAsOf(w, r)
+	v, asOfStart, ok := s.pin(w, r)
 	if !ok {
 		return
 	}
-	obj, ok := s.lookupPinned(w, r, v)
-	s.asOfResolved(asOfStart)
+	obj, ok := s.lookupPinned(w, r, v, asOfStart)
 	if !ok {
 		return
 	}
@@ -431,11 +428,11 @@ func (s *Server) handleObject(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleElement(w http.ResponseWriter, r *http.Request) {
-	v, ok := s.pinView(w, r)
+	v, asOfStart, ok := s.pin(w, r)
 	if !ok {
 		return
 	}
-	obj, ok := s.lookupPinned(w, r, v)
+	obj, ok := s.lookupPinned(w, r, v, asOfStart)
 	if !ok {
 		return
 	}
@@ -478,11 +475,11 @@ type atReply struct {
 // (the pre-epoch shape); ?format=json returns the shared
 // objectSummary envelope instead. See README for the mapping table.
 func (s *Server) handleAt(w http.ResponseWriter, r *http.Request) {
-	v, ok := s.pinView(w, r)
+	v, asOfStart, ok := s.pin(w, r)
 	if !ok {
 		return
 	}
-	obj, ok := s.lookupPinned(w, r, v)
+	obj, ok := s.lookupPinned(w, r, v, asOfStart)
 	if !ok {
 		return
 	}
@@ -541,11 +538,11 @@ func (s *Server) handleAt(w http.ResponseWriter, r *http.Request) {
 // truncation — counted in lifecycle stats, and logged with the request
 // ID.
 func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
-	v, ok := s.pinView(w, r)
+	v, asOfStart, ok := s.pin(w, r)
 	if !ok {
 		return
 	}
-	obj, ok := s.lookupPinned(w, r, v)
+	obj, ok := s.lookupPinned(w, r, v, asOfStart)
 	if !ok {
 		return
 	}
@@ -644,11 +641,11 @@ func (s *Server) logStreamError(r *http.Request, name string, elem int, err erro
 }
 
 func (s *Server) handleTimeline(w http.ResponseWriter, r *http.Request) {
-	v, ok := s.pinView(w, r)
+	v, asOfStart, ok := s.pin(w, r)
 	if !ok {
 		return
 	}
-	obj, ok := s.lookupPinned(w, r, v)
+	obj, ok := s.lookupPinned(w, r, v, asOfStart)
 	if !ok {
 		return
 	}
@@ -666,11 +663,11 @@ func (s *Server) handleTimeline(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleLineage(w http.ResponseWriter, r *http.Request) {
-	v, ok := s.pinView(w, r)
+	v, asOfStart, ok := s.pin(w, r)
 	if !ok {
 		return
 	}
-	obj, ok := s.lookupPinned(w, r, v)
+	obj, ok := s.lookupPinned(w, r, v, asOfStart)
 	if !ok {
 		return
 	}
@@ -688,7 +685,7 @@ func (s *Server) handleCut(w http.ResponseWriter, r *http.Request) {
 	}
 	// A mutation resolves its input against the current epoch — no
 	// pin, no ETag: the write's effect lands in a future epoch anyway.
-	obj, ok := s.lookupPinned(w, r, s.db.CurrentView())
+	obj, ok := s.lookupPinned(w, r, s.db.CurrentView(), time.Time{})
 	if !ok {
 		return
 	}
@@ -735,11 +732,11 @@ type expandSummary struct {
 // produced. Repeated requests hit the cache; concurrent requests for
 // the same object share one decode.
 func (s *Server) handleExpand(w http.ResponseWriter, r *http.Request) {
-	pv, ok := s.pinView(w, r)
+	pv, asOfStart, ok := s.pin(w, r)
 	if !ok {
 		return
 	}
-	obj, ok := s.lookupPinned(w, r, pv)
+	obj, ok := s.lookupPinned(w, r, pv, asOfStart)
 	if !ok {
 		return
 	}
