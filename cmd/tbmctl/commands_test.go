@@ -1,9 +1,13 @@
 package main
 
 import (
+	"maps"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
+
+	"timedmedia/internal/durable"
 )
 
 // run executes a tbmctl command function against a temp database.
@@ -134,5 +138,61 @@ func TestCLIRender(t *testing.T) {
 	run(t, cmdRender, "-dir", dir, "-name", "show", "-tick", "40", "-width", "64", "-height", "48", "-out", out)
 	if fi, err := os.Stat(out); err != nil || fi.Size() == 0 {
 		t.Errorf("render output: %v", err)
+	}
+}
+
+// dirFiles reads every file of a database directory but its lock.
+func dirFiles(t *testing.T, dir string) map[string]string {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	files := map[string]string{}
+	for _, e := range entries {
+		if e.Name() == durable.LockFileName {
+			continue
+		}
+		data, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		files[e.Name()] = string(data)
+	}
+	return files
+}
+
+// TestCLIPlayLeavesCatalogAlone: playing a composition whose component
+// is derived expands that component privately. The same composition
+// plays twice with the same report, no file of the directory changes —
+// no journal record, no BLOB — and ls lists no object the plays made.
+func TestCLIPlayLeavesCatalogAlone(t *testing.T) {
+	dir := t.TempDir()
+	d := func(extra ...string) []string { return append([]string{"-dir", dir}, extra...) }
+	run(t, cmdCapture, d("-name", "clip", "-seconds", "1", "-width", "64", "-height", "48")...)
+	run(t, cmdCut, d("-name", "cut1", "-input", "clip-video", "-from", "5", "-to", "20")...)
+	run(t, cmdCompose, d("-name", "show", "-components", "cut1@0,clip-audio@0")...)
+	before := dirFiles(t, dir)
+	lsBefore, _, ok := cli(t, "ls", "-dir", dir)
+	if !ok {
+		t.Fatal("ls failed")
+	}
+	var reports []string
+	for i := 0; i < 2; i++ {
+		out, errOut, ok := cli(t, "play", "-dir", dir, "-name", "show")
+		if !ok || errOut != "" || !strings.Contains(out, `played "show"`) {
+			t.Fatalf("play %d: exit ok %v, stdout %q, stderr %q", i+1, ok, out, errOut)
+		}
+		reports = append(reports, out)
+	}
+	if reports[0] != reports[1] {
+		t.Errorf("the two plays report\n%s\nand\n%s", reports[0], reports[1])
+	}
+	if after := dirFiles(t, dir); !maps.Equal(before, after) {
+		t.Errorf("play changed the directory: %d files before, %d after, or their bytes differ", len(before), len(after))
+	}
+	lsAfter, _, _ := cli(t, "ls", "-dir", dir)
+	if lsAfter != lsBefore || strings.Contains(lsAfter, "@play") {
+		t.Errorf("ls after the plays:\n%s\nbefore:\n%s", lsAfter, lsBefore)
 	}
 }

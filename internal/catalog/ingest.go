@@ -61,8 +61,24 @@ func (o *IngestOptions) defaults(kind media.Kind) {
 // interpretation, registers it, and adds a non-derived media object —
 // the capture path of the paper's workflow.
 func (db *DB) Ingest(name string, v *derive.Value, opts IngestOptions) (core.ID, error) {
-	if err := v.Validate(); err != nil {
+	it, track, err := Encode(db.store, v, opts)
+	if err != nil {
 		return 0, err
+	}
+	if err := db.RegisterInterpretation(it); err != nil {
+		return 0, err
+	}
+	return db.AddNonDerived(name, it.BlobID(), track, opts.Attrs)
+}
+
+// Encode encodes a materialized value into a fresh BLOB of store with
+// Ingest's encoders and returns its sealed interpretation and the name
+// of its one track. It touches no catalog: with a private store it
+// gives a value the placements of stored media without making it an
+// object.
+func Encode(store blob.Store, v *derive.Value, opts IngestOptions) (*interp.Interpretation, string, error) {
+	if err := v.Validate(); err != nil {
+		return nil, "", err
 	}
 	opts.defaults(v.Kind)
 	// Transient store failures (see durable.ErrTransient) are retried
@@ -71,10 +87,10 @@ func (db *DB) Ingest(name string, v *derive.Value, opts IngestOptions) (core.ID,
 	var b blob.BLOB
 	if err := durable.Retry(storeRetries, storeRetryBase, func() error {
 		var e error
-		id, b, e = db.store.Create()
+		id, b, e = store.Create()
 		return e
 	}); err != nil {
-		return 0, err
+		return nil, "", err
 	}
 	bu := interp.NewBuilder(id, b)
 	var err error
@@ -93,16 +109,13 @@ func (db *DB) Ingest(name string, v *derive.Value, opts IngestOptions) (core.ID,
 		err = fmt.Errorf("catalog: cannot ingest kind %v", v.Kind)
 	}
 	if err != nil {
-		return 0, err
+		return nil, "", err
 	}
 	it, err := bu.Seal()
 	if err != nil {
-		return 0, err
+		return nil, "", err
 	}
-	if err := db.RegisterInterpretation(it); err != nil {
-		return 0, err
-	}
-	return db.AddNonDerived(name, id, opts.TrackName, opts.Attrs)
+	return it, opts.TrackName, nil
 }
 
 // Materialize expands a derived object and stores the result as a new

@@ -6,9 +6,9 @@
 //     with per-block varying parameters — the paper's example of a
 //     heterogeneous stream.
 //   - vjpg: an intraframe transform-free image codec (quantize +
-//     2-D DPCM prediction + RLE/varint entropy). Every frame is a
-//     key frame, so rearrangement/reverse play is easy — the
-//     structural property the paper attributes to (M)JPEG.
+//     2-D DPCM prediction + zero-run tokens, Golomb-Rice coded). Every
+//     frame is a key frame, so rearrangement/reverse play is easy —
+//     the structural property the paper attributes to (M)JPEG.
 //   - vmpg: an interframe codec with key frames and interpolated
 //     intermediate frames stored out of presentation order ("with a
 //     sequence of four elements where the first and last are keys, the

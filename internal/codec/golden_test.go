@@ -82,7 +82,10 @@ func checkGolden(t *testing.T, name, got string, want map[string]string) {
 }
 
 // TestVJPGEncodeGolden pins what the encoders write: vjpg frames at every
-// golden quantizer and size, one layered frame and one vmpg GOP.
+// golden quantizer and size, one layered frame and one vmpg GOP. Each
+// bitstream recoded to the varint layer (recode) must be, byte for byte,
+// what earlier builds wrote for the same frames (varintEncodeGolden):
+// the Rice layer codes the same tokens.
 func TestVJPGEncodeGolden(t *testing.T) {
 	for _, c := range goldenCases() {
 		data, err := VJPGEncode(c.f, c.q)
@@ -90,58 +93,80 @@ func TestVJPGEncodeGolden(t *testing.T) {
 			t.Fatalf("%s: %v", c.name, err)
 		}
 		checkGolden(t, c.name, digest(data), encodeGolden)
+		checkGolden(t, c.name, digest(recode(t, data)), varintEncodeGolden)
 	}
 	base, enh := layeredGolden(t)
 	checkGolden(t, "layered", digest(base, enh), encodeGolden)
-	var parts [][]byte
+	checkGolden(t, "layered", digest(recode(t, base), recode(t, enh)), varintEncodeGolden)
+	var parts, varint [][]byte
 	for _, p := range vmpgGolden(t) {
-		parts = append(parts, binary.BigEndian.AppendUint32(nil, uint32(p.Index)), p.Data)
+		index := binary.BigEndian.AppendUint32(nil, uint32(p.Index))
+		parts = append(parts, index, p.Data)
+		varint = append(varint, index, recode(t, p.Data))
 	}
 	checkGolden(t, "vmpg", digest(parts...), encodeGolden)
+	checkGolden(t, "vmpg", digest(varint...), varintEncodeGolden)
 }
 
 // TestVJPGDecodeGolden pins what the decoders return for the same
 // fixtures: the RGB and the YUV reconstruction of every vjpg frame, the
 // base and full reconstruction of the layered frame, and every frame of
-// the vmpg GOP.
+// the vmpg GOP — from the bitstreams the encoders write and from the
+// same bitstreams in the varint layer earlier builds wrote.
 func TestVJPGDecodeGolden(t *testing.T) {
-	for _, c := range goldenCases() {
-		data, err := VJPGEncode(c.f, c.q)
-		if err != nil {
-			t.Fatalf("%s: %v", c.name, err)
+	for _, varint := range []bool{false, true} {
+		in := func(data []byte) []byte {
+			if varint {
+				return recode(t, data)
+			}
+			return data
 		}
-		rgb, err := VJPGDecode(data)
-		if err != nil {
-			t.Fatalf("%s: %v", c.name, err)
+		for _, c := range goldenCases() {
+			data, err := VJPGEncode(c.f, c.q)
+			if err != nil {
+				t.Fatalf("%s: %v", c.name, err)
+			}
+			data = in(data)
+			rgb, err := VJPGDecode(data)
+			if err != nil {
+				t.Fatalf("%s: %v", c.name, err)
+			}
+			yuv, err := VJPGDecodeYUV(data)
+			if err != nil {
+				t.Fatalf("%s: %v", c.name, err)
+			}
+			checkGolden(t, c.name, digest(rgb.Pix, yuv.Pix), decodeGolden)
 		}
-		yuv, err := VJPGDecodeYUV(data)
+		base, enh := layeredGolden(t)
+		base, enh = in(base), in(enh)
+		low, err := VJPGDecodeBase(base)
 		if err != nil {
-			t.Fatalf("%s: %v", c.name, err)
+			t.Fatal(err)
 		}
-		checkGolden(t, c.name, digest(rgb.Pix, yuv.Pix), decodeGolden)
+		full, err := VJPGDecodeLayered(base, enh)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkGolden(t, "layered", digest(low.Pix, full.Pix), decodeGolden)
+		packets := vmpgGolden(t)
+		for i := range packets {
+			packets[i].Data = in(packets[i].Data)
+		}
+		frames, err := VMPGDecode(packets)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var parts [][]byte
+		for _, f := range frames {
+			parts = append(parts, f.Pix)
+		}
+		checkGolden(t, "vmpg", digest(parts...), decodeGolden)
 	}
-	base, enh := layeredGolden(t)
-	low, err := VJPGDecodeBase(base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	full, err := VJPGDecodeLayered(base, enh)
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkGolden(t, "layered", digest(low.Pix, full.Pix), decodeGolden)
-	frames, err := VMPGDecode(vmpgGolden(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var parts [][]byte
-	for _, f := range frames {
-		parts = append(parts, f.Pix)
-	}
-	checkGolden(t, "vmpg", digest(parts...), decodeGolden)
 }
 
-var encodeGolden = map[string]string{
+// varintEncodeGolden is what the encoders wrote before the Rice layer:
+// the varint layer's "VJ", "VE" and "VC" bitstreams.
+var varintEncodeGolden = map[string]string{
 	"q1/160x120":   "96463ca314b1b960ad02bc98451edcfd8abd88f0e5873b0261b11f1125be97ce",
 	"q4/160x120":   "e1ca454598b129681f8aaca098871b877f9d3702cd7ed2c7df0b259b1dcd33b0",
 	"q12/160x120":  "767043a676f9c35386cc998382a25d1c926fbe4300ee385039f79e690b9a1249",
@@ -164,6 +189,31 @@ var encodeGolden = map[string]string{
 	"q128/1x1":     "a8454290516d5dd8c285fe20244c09070c775ea8533d05caadde8a9baf33624a",
 	"layered":      "c8b872afc0071046f9c77787ba78e502b716583beab38b3bbf655db74325245e",
 	"vmpg":         "8c22db053fc63df3dbdba0c52382f3a818e2ccffa46765eeaf2bd96a15e7301b",
+}
+
+var encodeGolden = map[string]string{
+	"q1/160x120":   "6b152a243a067cab7ce51fa32298e632779e14d441e77503a1135d4cf75bf998",
+	"q4/160x120":   "1a3f2c2da1dc22a443599ebf516523cf43e05de9b125d6429cb85d8c70648048",
+	"q12/160x120":  "35d606e67dfd6ad285ee5878f5f5f41fc63ef896ace81b40ff58f1eb5ecd73b1",
+	"q20/160x120":  "2ce76cb6cacce81e29c0c8b9ba5eea46d264130db76519ab08940c8646a52284",
+	"q128/160x120": "db7d151d4339a6c655b947e6d4aa067a5e1780c3f7c3dafdc53b38485926a9d0",
+	"q1/33x17":     "77bf2f1ef9ea7cd98e30f38d3b091bf3b3da5cf849317ef8e1544fc4af76a508",
+	"q4/33x17":     "2cbbc565b4fabeda9f7183d1be2c74a54b3e02bd30a056cb3070273bd15b2456",
+	"q12/33x17":    "0e401c9021af8b8b6f944daef856a22433404cea271e40a20d6964ba7f56e7a8",
+	"q20/33x17":    "87d6a6d08d06f53ed6d6eb47e123c7f7b7d9dd1b24198c1949e6cd9cad301ccd",
+	"q128/33x17":   "6c77aa6d6cf86538d4bcd3fc6f77fc788857fe2a649395db1c453c8b0b298b73",
+	"q1/7x3":       "9b2b396b0b78f249f0019b2d260cfc800e27d478deb7075be288041b6844c39a",
+	"q4/7x3":       "dfcac7d68193410aaf10f98116501ebcf221c4f5c4ccb3e663f5b535544a98ff",
+	"q12/7x3":      "7f02139672a6e33a73fc67803e07e83e878cb100c05da39c0574016c67b28bbe",
+	"q20/7x3":      "0f7882253f2a5eca2112824822e1b6f88c04047b3cd3c6f2f68ef07cb1c00f08",
+	"q128/7x3":     "593a128fbcd721cd56764bd064135ed4f2e0b8286a22e700afeb343675eedcbe",
+	"q1/1x1":       "1672b34aae2e4db188d528de6e58cb3e30430cf024769a11b12d6389bf29a638",
+	"q4/1x1":       "227df390ba7d8e1c095bd1fba234fcc1f4aebce46ca02d76e1885c05b691858b",
+	"q12/1x1":      "9a8dea37e85387cc93cdc52264326d47235c587592d7d92b871c3bc8d2999e79",
+	"q20/1x1":      "5878d0ddd341e6b574bd3f3f068ac161d99b166fa1910fc0efeb09215d93dd99",
+	"q128/1x1":     "55032f088c773965dba82ee461f6f456dbab2010347f6f4191c0f4abdbd617b0",
+	"layered":      "566a97701cf9b997753d33506a528284a1067ca1d1ca0eaa26a0e878e7eb9323",
+	"vmpg":         "5ced64a07788658c32c1d33a616eaf76b88732d8ef17b6466628c1f3a3a2c26c",
 }
 
 var decodeGolden = map[string]string{

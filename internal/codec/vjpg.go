@@ -10,15 +10,22 @@ import (
 
 // vjpg: the intraframe codec. Pipeline (per the paper's Figure 2
 // recipe): RGB → YUV 8:2:2 → per-plane quantization inside a 2-D DPCM
-// prediction loop → RLE/varint entropy coding. Every frame decodes
-// independently, which is why vjpg streams support frame reordering
-// and reverse play cheaply — the property the paper attributes to
-// JPEG-compressed video.
+// prediction loop → run-length tokens, Golomb-Rice coded. Every frame
+// decodes independently, which is why vjpg streams support frame
+// reordering and reverse play cheaply — the property the paper
+// attributes to JPEG-compressed video.
 //
-// Bitstream: "VJ" | u8 quantizer | u16 width | u16 height |
-// entropy-coded Y plane | U plane | V plane.
+// Bitstream: "VK" | u8 quantizer | u16 width | u16 height | Y plane |
+// U plane | V plane, each plane a Rice-coded segment (see entropy.go):
+// its parameter byte, then its codes, padded to a whole byte.
+//
+// Frames earlier builds stored open with "VJ" and code each plane's
+// tokens as uvarints; they are decoded, never written.
 
-const vjpgMagic = "VJ"
+const (
+	vjpgMagic       = "VK"
+	vjpgVarintMagic = "VJ"
+)
 
 // VJPGEncode compresses an RGB frame at the given quantizer (see
 // QuantizerFor to derive one from a quality factor).
@@ -72,7 +79,7 @@ type VJPGDecoder struct {
 // Decode decompresses a vjpg frame to RGB. The frame it returns owns its
 // pixels; nothing of it stays with the decoder.
 func (d *VJPGDecoder) Decode(data []byte) (*frame.Frame, error) {
-	q, w, h, body, err := vjpgHeader(data)
+	q, w, h, body, decode, err := vjpgHeader(data)
 	if err != nil {
 		return nil, err
 	}
@@ -81,7 +88,7 @@ func (d *VJPGDecoder) Decode(data []byte) (*frame.Frame, error) {
 		d.yuv = make([]byte, n)
 	}
 	yuv := d.yuv[:n]
-	if err := decodePlanes(body, yuv, w, h, q); err != nil {
+	if err := decodePlanes(body, yuv, w, h, q, decode); err != nil {
 		return nil, err
 	}
 	out := frame.New(w, h, media.ColorRGB)
@@ -93,23 +100,27 @@ func (d *VJPGDecoder) Decode(data []byte) (*frame.Frame, error) {
 // YUV 8:2:2 representation, skipping the RGB conversion. Interframe
 // coding (vmpg) predicts in this domain.
 func VJPGDecodeYUV(data []byte) (*frame.Frame, error) {
-	q, w, h, body, err := vjpgHeader(data)
+	q, w, h, body, decode, err := vjpgHeader(data)
 	if err != nil {
 		return nil, err
 	}
 	yuv := frame.New(w, h, media.ColorYUV422)
-	if err := decodePlanes(body, yuv.Pix, w, h, q); err != nil {
+	if err := decodePlanes(body, yuv.Pix, w, h, q, decode); err != nil {
 		return nil, err
 	}
 	return yuv, nil
 }
 
+// planeDecoder decodes one plane's tokens into pix and returns the
+// bytes it consumed: decodePlane, or decodePlaneVarint for "VJ" frames.
+type planeDecoder func(src, pix []byte, width, q int) (int, error)
+
 // decodePlanes decodes the Y, U and V planes of a vjpg body into pix,
 // a planar YUV 8:2:2 buffer of w×h.
-func decodePlanes(body, pix []byte, w, h, q int) error {
+func decodePlanes(body, pix []byte, w, h, q int, decode planeDecoder) error {
 	off := 0
 	for pi, p := range planesOf(pix, w, h) {
-		n, err := decodePlane(body[off:], p.pix, p.w, planeQuantizer(q, pi))
+		n, err := decode(body[off:], p.pix, p.w, planeQuantizer(q, pi))
 		if err != nil {
 			return err
 		}
@@ -121,21 +132,31 @@ func decodePlanes(body, pix []byte, w, h, q int) error {
 // VJPGDims returns the dimensions recorded in a vjpg bitstream without
 // decoding it.
 func VJPGDims(data []byte) (w, h int, err error) {
-	_, w, h, _, err = vjpgHeader(data)
+	_, w, h, _, _, err = vjpgHeader(data)
 	return w, h, err
 }
 
-func vjpgHeader(data []byte) (q, w, h int, body []byte, err error) {
-	if len(data) < 7 || string(data[:2]) != vjpgMagic {
-		return 0, 0, 0, nil, fmt.Errorf("%w: vjpg header", ErrCorrupt)
+// vjpgHeader parses a vjpg frame's header, of either layer, and returns
+// the decoder of the layer its magic names.
+func vjpgHeader(data []byte) (q, w, h int, body []byte, decode planeDecoder, err error) {
+	if len(data) >= 2 {
+		switch string(data[:2]) {
+		case vjpgMagic:
+			decode = decodePlane
+		case vjpgVarintMagic:
+			decode = decodePlaneVarint
+		}
+	}
+	if len(data) < 7 || decode == nil {
+		return 0, 0, 0, nil, nil, fmt.Errorf("%w: vjpg header", ErrCorrupt)
 	}
 	q = int(data[2])
 	w = int(binary.BigEndian.Uint16(data[3:]))
 	h = int(binary.BigEndian.Uint16(data[5:]))
 	if q < 1 || q > 128 || w == 0 || h == 0 {
-		return 0, 0, 0, nil, fmt.Errorf("%w: vjpg header fields", ErrCorrupt)
+		return 0, 0, 0, nil, nil, fmt.Errorf("%w: vjpg header fields", ErrCorrupt)
 	}
-	return q, w, h, data[7:], nil
+	return q, w, h, data[7:], decode, nil
 }
 
 type plane struct {
@@ -177,7 +198,7 @@ func encodePlane(dst []byte, pix []byte, width, q int) []byte {
 			recon[y0+x] = byte(left)
 		}
 	}
-	return entropyEncode(dst, vals)
+	return riceEncode(dst, vals)
 }
 
 // rowStart returns what the 2-D predictor sees at the start of the row
@@ -214,29 +235,87 @@ func roundDiv(r, q int) int {
 	return -((-r + q/3) / q)
 }
 
-// decodePlane reverses encodePlane: it reads the plane's entropy tokens
-// (see entropy.go) straight into pix, row by row, and returns the
-// number of bytes consumed. It refuses what entropyDecode refuses, as
-// ErrCorrupt: a truncated or overlong varint, a zero run of length 0,
-// and a run past the plane's end.
+// decodePlane reverses encodePlane: it reads the plane's Rice-coded
+// tokens (see entropy.go) straight into pix, row by row, and returns
+// the number of bytes consumed. It refuses, as ErrCorrupt, a parameter
+// out of range, a truncated stream, an overlong unary part and a run
+// past the plane's end.
 func decodePlane(src []byte, pix []byte, width, q int) (int, error) {
-	off, zeros := 0, 0 // zeros: what is left of the current zero run
+	r, kl, kr, err := newRiceReader(src)
+	if err != nil {
+		return 0, err
+	}
+	var (
+		w     window
+		k     uint64
+		u     uint
+		ok    bool
+		zeros int // what is left of the current zero run
+	)
 	for y0 := 0; y0 < len(pix); y0 += width {
 		row := pix[y0 : y0+width]
 		above, left := rowStart(pix, y0, width)
 		for x := 0; x < width; {
 			if zeros > 0 {
-				// A zero residual reconstructs the prediction itself,
-				// which needs no clamp.
 				end := min(width, x+zeros)
 				zeros -= end - x
-				if above == nil {
-					for ; x < end; x++ {
-						row[x] = byte(left)
-					}
-					continue
+				left = zeroResiduals(row[x:end], above, x, left)
+				x = end
+				continue
+			}
+			// r.rice, by hand so that it inlines: the plane's codes
+			// are most of its cost.
+			if w.n < riceMaxCode {
+				if w, ok = r.refill(w); !ok {
+					return 0, ErrCorrupt
 				}
-				left = predictRun(row[x:end], above[x:end], left)
+			}
+			w, k, u = w.short(kl)
+			if u >= riceCap {
+				if w, k, ok = r.escape(w, u); !ok {
+					return 0, ErrCorrupt
+				}
+			}
+			if k == 0 {
+				if w.n < riceMaxCode {
+					if w, ok = r.refill(w); !ok {
+						return 0, ErrCorrupt
+					}
+				}
+				w, k, u = w.short(kr)
+				if u >= riceCap {
+					if w, k, ok = r.escape(w, u); !ok {
+						return 0, ErrCorrupt
+					}
+				}
+				if k >= uint64(len(pix)-y0-x) {
+					return 0, ErrCorrupt
+				}
+				zeros = int(k) + 1
+				continue
+			}
+			left = reconStep(predict(left, above, x), int(unzigzag(k)), q)
+			row[x] = byte(left)
+			x++
+		}
+	}
+	return r.end(w)
+}
+
+// decodePlaneVarint is decodePlane for the varint tokens of a "VJ"
+// frame. It refuses what entropyDecode refuses, as ErrCorrupt: a
+// truncated or overlong varint, a zero run of length 0, and a run past
+// the plane's end.
+func decodePlaneVarint(src []byte, pix []byte, width, q int) (int, error) {
+	off, zeros := 0, 0
+	for y0 := 0; y0 < len(pix); y0 += width {
+		row := pix[y0 : y0+width]
+		above, left := rowStart(pix, y0, width)
+		for x := 0; x < width; {
+			if zeros > 0 {
+				end := min(width, x+zeros)
+				zeros -= end - x
+				left = zeroResiduals(row[x:end], above, x, left)
 				x = end
 				continue
 			}
@@ -260,6 +339,19 @@ func decodePlane(src []byte, pix []byte, width, q int) (int, error) {
 		}
 	}
 	return off, nil
+}
+
+// zeroResiduals reconstructs out, the pixels of a row from x on, from
+// zero residuals — each is its prediction, which needs no clamp — and
+// returns the last as the next left.
+func zeroResiduals(out, above []byte, x, left int) int {
+	if above == nil {
+		for i := range out {
+			out[i] = byte(left)
+		}
+		return left
+	}
+	return predictRun(out, above[x:x+len(out)], left)
 }
 
 // predictRun reconstructs a run of zero residuals below the first row:
@@ -317,6 +409,15 @@ func reconStep(pred, rq, q int) int {
 // an enhancement layer (full-resolution residual against the upsampled
 // base). Reading only the base layer yields a usable low-fidelity
 // frame at a fraction of the bytes.
+//
+// Enhancement bitstream: "VF" | u8 quantizer | u16 width | u16 height |
+// one Rice-coded segment of the quantized RGB residuals. Layers earlier
+// builds stored open with "VE" and code the segment as uvarints.
+
+const (
+	enhMagic       = "VF"
+	enhVarintMagic = "VE"
+)
 
 // VJPGEncodeLayered compresses f into base and enhancement layers.
 func VJPGEncodeLayered(f *frame.Frame, quantizer int) (base, enh []byte, err error) {
@@ -343,10 +444,11 @@ func VJPGEncodeLayered(f *frame.Frame, quantizer int) (base, enh []byte, err err
 		qvals[i] = quantInt32(v, int32(quantizer))
 	}
 	enh = make([]byte, 0, len(f.Pix)/8)
-	enh = append(enh, 'V', 'E', byte(quantizer))
+	enh = append(enh, enhMagic...)
+	enh = append(enh, byte(quantizer))
 	enh = binary.BigEndian.AppendUint16(enh, uint16(f.Width))
 	enh = binary.BigEndian.AppendUint16(enh, uint16(f.Height))
-	enh = entropyEncode(enh, qvals)
+	enh = riceEncode(enh, qvals)
 	return base, enh, nil
 }
 
@@ -361,7 +463,8 @@ func VJPGDecodeLayered(base, enh []byte) (*frame.Frame, error) {
 	if err != nil {
 		return nil, err
 	}
-	if len(enh) < 7 || enh[0] != 'V' || enh[1] != 'E' {
+	decode := layerDecoder(enh, enhMagic, enhVarintMagic)
+	if len(enh) < 7 || decode == nil {
 		return nil, fmt.Errorf("%w: enhancement header", ErrCorrupt)
 	}
 	q := int32(enh[2])
@@ -376,7 +479,7 @@ func VJPGDecodeLayered(base, enh []byte) (*frame.Frame, error) {
 		return nil, fmt.Errorf("%w: %dx%d enhancement layer over a %dx%d base", ErrCorrupt, w, h, baseRec.Width, baseRec.Height)
 	}
 	up := upsample2(baseRec, w, h)
-	vals, _, err := entropyDecode(enh[7:], len(up.Pix))
+	vals, _, err := decode(enh[7:], len(up.Pix))
 	if err != nil {
 		return nil, err
 	}

@@ -6,6 +6,8 @@ import (
 	"errors"
 	"math"
 	"runtime"
+	"slices"
+	"strings"
 	"testing"
 
 	"timedmedia/internal/frame"
@@ -14,26 +16,25 @@ import (
 
 // refVJPGDecode is the straightforward vjpg decoder the one-pass kernel
 // replaced, kept as the fuzz oracle: every plane's residuals are entropy
-// decoded into a slice first, then reconstructed pixel by pixel with a
-// predictor that finds its neighbours by index arithmetic, and the
-// result is converted to RGB with per-pixel stores. It returns the YUV
-// reconstruction and the RGB frame.
+// decoded into a slice first by the reference readers (refSegments),
+// then reconstructed pixel by pixel with a predictor that finds its
+// neighbours by index arithmetic, and the result is converted to RGB
+// with per-pixel stores. It returns the YUV reconstruction and the RGB
+// frame.
 func refVJPGDecode(data []byte) (yuv, rgb *frame.Frame, err error) {
-	q, w, h, body, err := vjpgHeader(data)
+	q, w, h, _, _, err := vjpgHeader(data)
+	if err != nil {
+		return nil, nil, err
+	}
+	segs, err := refSegments(data)
 	if err != nil {
 		return nil, nil, err
 	}
 	yuv = frame.New(w, h, media.ColorYUV422)
-	off := 0
 	for pi, p := range yuvPlanes(yuv) {
-		vals, n, err := entropyDecode(body[off:], len(p.pix))
-		if err != nil {
-			return nil, nil, err
-		}
-		for i, d := range vals {
+		for i, d := range segs[pi] {
 			p.pix[i] = byte(reconStep(refPredict2D(p.pix, i, p.w), int(d), planeQuantizer(q, pi)))
 		}
-		off += n
 	}
 	cw := (w + 1) / 2
 	rgb = frame.New(w, h, media.ColorRGB)
@@ -73,9 +74,10 @@ func refPredict2D(recon []byte, i, width int) int {
 	}
 }
 
-// vjpgFrame builds a vjpg bitstream by hand: a header and a body.
-func vjpgFrame(q, w, h int, body ...byte) []byte {
-	out := append([]byte(vjpgMagic), byte(q))
+// vjpgFrame builds a vjpg bitstream by hand: a header with the given
+// magic and a body.
+func vjpgFrame(magic string, q, w, h int, body ...byte) []byte {
+	out := append([]byte(magic), byte(q))
 	out = binary.BigEndian.AppendUint16(out, uint16(w))
 	out = binary.BigEndian.AppendUint16(out, uint16(h))
 	return append(out, body...)
@@ -108,19 +110,40 @@ func FuzzVJPGDecode(f *testing.F) {
 		if err != nil {
 			f.Fatal(err)
 		}
-		f.Add(data)
-		f.Add(data[:len(data)/2])
-		f.Add(data[:len(data)-1])
+		for _, d := range [][]byte{data, recode(f, data)} {
+			f.Add(d)
+			f.Add(d[:len(d)/2])
+			f.Add(d[:len(d)-1])
+		}
 	}
 	one, _ := VJPGEncode(frame.Flat(1, 1, 9, 200, 31), 4)
 	f.Add(one)
-	// A zero run of length 0, a run past the plane's end, runs that
-	// span rows, a residual past 32 bits, and a run of 2^63.
-	f.Add(vjpgFrame(12, 2, 2, 0, 0))
-	f.Add(vjpgFrame(12, 2, 2, 0, 5))
-	f.Add(vjpgFrame(12, 3, 2, 0, 6, 0, 4, 0, 4))
-	f.Add(vjpgFrame(1, 3, 1, 0xff, 0xff, 0xff, 0xff, 0x7f, 1, 2, 0, 2, 0, 2))
-	f.Add(vjpgFrame(12, 2, 2, 0, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01))
+	f.Add(recode(f, one))
+	// Varint frames: a zero run of length 0, a run past the plane's
+	// end, runs that span rows, a residual past 32 bits, and a run of
+	// 2^63.
+	f.Add(vjpgFrame(vjpgVarintMagic, 12, 2, 2, 0, 0))
+	f.Add(vjpgFrame(vjpgVarintMagic, 12, 2, 2, 0, 5))
+	f.Add(vjpgFrame(vjpgVarintMagic, 12, 3, 2, 0, 6, 0, 4, 0, 4))
+	f.Add(vjpgFrame(vjpgVarintMagic, 1, 3, 1, 0xff, 0xff, 0xff, 0xff, 0x7f, 1, 2, 0, 2, 0, 2))
+	f.Add(vjpgFrame(vjpgVarintMagic, 12, 2, 2, 0, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01))
+	// Rice frames: a unary part past the cap, a parameter byte out of
+	// range, a code cut mid-token, a zero run past the plane's end, an
+	// escaped literal, and runs that span rows (each plane a parameter
+	// byte and its codes).
+	// Each is followed by whole chroma planes, so that only the flaw
+	// can refuse the frame.
+	ones := func(n int) string { return strings.Repeat("1", n) }
+	chroma1 := slices.Concat([]byte{0x00}, bitBytes("0 0"), []byte{0x00}, bitBytes("0 0"))   // 1 px each
+	chroma2 := slices.Concat([]byte{0x00}, bitBytes("0 10"), []byte{0x00}, bitBytes("0 10")) // 2 px each
+	pastCap := bitBytes(ones(riceCap+1) + strings.Repeat("0", riceEscapeBits-1) + "1")
+	f.Add(vjpgFrame(vjpgMagic, 12, 1, 1, slices.Concat([]byte{0x00}, pastCap, chroma1)...))
+	f.Add(vjpgFrame(vjpgMagic, 12, 1, 1, slices.Concat([]byte{0xf0}, bitBytes("0 000000000000001"), chroma1)...))
+	f.Add(vjpgFrame(vjpgMagic, 12, 1, 1, slices.Concat([]byte{0x80}, bitBytes("1111 1111"))...))
+	f.Add(vjpgFrame(vjpgMagic, 12, 2, 2, slices.Concat([]byte{0x00}, bitBytes("0 11110"), chroma2)...))
+	esc := bitBytes(ones(riceCap) + "0" + ones(riceEscapeBits))
+	f.Add(vjpgFrame(vjpgMagic, 1, 1, 1, slices.Concat([]byte{0x00}, esc, chroma1)...))
+	f.Add(vjpgFrame(vjpgMagic, 12, 3, 2, slices.Concat([]byte{0x00}, bitBytes("0 11110"), []byte{0x01}, bitBytes("0 111"), []byte{0x00}, bitBytes("0 1110"))...))
 	var dec VJPGDecoder
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if w, h, err := VJPGDims(data); err == nil && w*h > 256*256 {
@@ -148,6 +171,85 @@ func FuzzVJPGDecode(f *testing.F) {
 		if n := decodeAllocBytes(data, bound); n > bound {
 			t.Fatalf("decoding a %dx%d frame allocated %d bytes", rgb.Width, rgb.Height, n)
 		}
+	})
+}
+
+// FuzzLayerDecode holds the enhancement-layer and vmpg-intermediate
+// decoders to the reference readers on arbitrary bytes, under the
+// headers of either entropy layer: they must never panic, must refuse
+// only with ErrCorrupt, must accept exactly what has a sound header and
+// segments the reference reads (refSegments), and must then return the
+// same pixels as the same tokens recoded in the other layer.
+func FuzzLayerDecode(f *testing.F) {
+	const w, h = 33, 17
+	frames := genFrames(3, w, h, 8)
+	base, enh, err := VJPGEncodeLayered(frames[1], 8)
+	if err != nil {
+		f.Fatal(err)
+	}
+	packets, err := VMPGEncode(frames, 8, 2) // keys 0 and 2, then 1
+	if err != nil {
+		f.Fatal(err)
+	}
+	recA, errA := VJPGDecodeYUV(packets[0].Data)
+	recB, errB := VJPGDecodeYUV(packets[1].Data)
+	if errA != nil || errB != nil || packets[2].Key {
+		f.Fatal(errA, errB)
+	}
+	inter := packets[2].Data
+	for _, d := range [][]byte{enh, recode(f, enh), inter, recode(f, inter)} {
+		f.Add(d)
+		f.Add(d[:len(d)-1])
+		f.Add(d[:len(d)/2])
+	}
+	// Rice segments behind each header: a parameter byte out of range,
+	// a unary part past the cap, a code cut mid-token, a zero run past
+	// the end.
+	for _, seg := range [][]byte{
+		{0xf0, 0x00},
+		append([]byte{0x00}, bitBytes(strings.Repeat("1", riceCap+1))...),
+		{0x80, 0xff},
+		append([]byte{0x00}, bitBytes("0 "+strings.Repeat("1", riceCap)+"0 0000 0000 0000 0000 0000 0000 0000 1111")...),
+	} {
+		f.Add(append(slices.Clone(enh[:7]), seg...))
+		f.Add(append(slices.Clone(inter[:7]), seg...))
+	}
+	dims := func(data []byte) (int, int) {
+		return int(binary.BigEndian.Uint16(data[3:])), int(binary.BigEndian.Uint16(data[5:]))
+	}
+	bw, bh := dims(base)
+	check := func(t *testing.T, what string, data []byte, sound bool, decode func([]byte) (*frame.Frame, error)) {
+		got, err := decode(data)
+		var segErr error
+		if sound {
+			_, segErr = refSegments(data)
+		}
+		if (err == nil) != (sound && segErr == nil) {
+			t.Fatalf("%s: %v, header sound %v, reference %v", what, err, sound, segErr)
+		}
+		if err != nil {
+			if !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("%s: refused with %v, want ErrCorrupt", what, err)
+			}
+			return
+		}
+		other, err := decode(recode(t, data))
+		if err != nil || !bytes.Equal(got.Pix, other.Pix) {
+			t.Fatalf("%s: recoded in the other layer: %v, or the pixels differ", what, err)
+		}
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 7 {
+			check(t, "enhancement", data, false, func(d []byte) (*frame.Frame, error) { return VJPGDecodeLayered(base, d) })
+			check(t, "intermediate", data, false, func(d []byte) (*frame.Frame, error) { return decodeIntermediate(d, recA, recB, 1, 2) })
+			return
+		}
+		fw, fh := dims(data)
+		magic := string(data[:2])
+		check(t, "enhancement", data, (magic == enhMagic || magic == enhVarintMagic) && data[2] >= 1 && (fw+1)/2 == bw && (fh+1)/2 == bh,
+			func(d []byte) (*frame.Frame, error) { return VJPGDecodeLayered(base, d) })
+		check(t, "intermediate", data, (magic == interMagic || magic == interVarintMagic) && data[2] >= 1 && fw == w && fh == h,
+			func(d []byte) (*frame.Frame, error) { return decodeIntermediate(d, recA, recB, 1, 2) })
 	})
 }
 
@@ -226,6 +328,20 @@ func BenchmarkVJPGDecode(b *testing.B) {
 	b.SetBytes(int64(len(data)))
 	for i := 0; i < b.N; i++ {
 		if _, err := dec.Decode(data); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkVJPGEncode encodes one frame of the benchmark's clip size and
+// quality.
+func BenchmarkVJPGEncode(b *testing.B) {
+	f := frame.Generator{W: 160, H: 120, Seed: 1}.Frame(0)
+	q := QuantizerFor(media.QualityVHS)
+	b.ReportAllocs()
+	b.SetBytes(int64(len(f.Pix)))
+	for i := 0; i < b.N; i++ {
+		if _, err := VJPGEncode(f, q); err != nil {
 			b.Fatal(err)
 		}
 	}

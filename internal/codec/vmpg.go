@@ -103,9 +103,12 @@ func VMPGEncode(frames []*frame.Frame, quantizer, gop int) ([]VMPGPacket, error)
 	return packets, nil
 }
 
-// intermediate bitstream: "VC" | u8 quantizer | u16 w | u16 h |
-// entropy-coded per-block motion field | entropy-coded YUV-domain
-// residual against the motion-compensated prediction.
+// intermediate bitstream: "VD" | u8 quantizer | u16 w | u16 h |
+// per-block motion field | YUV-domain residual against the
+// motion-compensated prediction, each a Rice-coded segment (see
+// entropy.go) ending on a byte boundary. Intermediates earlier builds
+// stored open with "VC" and code both segments as uvarints; they are
+// decoded, never written.
 //
 // Prediction is per 16×16 block (within each YUV plane): the temporal
 // interpolation of the bracketing keys, or a motion-shifted block from
@@ -118,6 +121,11 @@ func VMPGEncode(frames []*frame.Frame, quantizer, gop int) ([]VMPGPacket, error)
 // key reconstructions carry quantization noise up to ±q/2, and a
 // dead-zone quantizer sends that noise to zero instead of spending a
 // token on every pixel.
+
+const (
+	interMagic       = "VD"
+	interVarintMagic = "VC"
+)
 
 const (
 	mcBlock = 16 // block side in plane pixels
@@ -146,11 +154,12 @@ func encodeIntermediate(f, recA, recB *frame.Frame, offset, span, quantizer int)
 		vals[i] = int32(int(yuv.Pix[i])-int(pred.Pix[i])) / q // dead zone
 	}
 	out := make([]byte, 0, len(yuv.Pix)/16)
-	out = append(out, 'V', 'C', byte(quantizer))
+	out = append(out, interMagic...)
+	out = append(out, byte(quantizer))
 	out = binary.BigEndian.AppendUint16(out, uint16(f.Width))
 	out = binary.BigEndian.AppendUint16(out, uint16(f.Height))
-	out = entropyEncode(out, motion)
-	return entropyEncode(out, vals), nil
+	out = riceEncode(out, motion)
+	return riceEncode(out, vals), nil
 }
 
 // mvCount is the number of distinct vectors per reference.
@@ -268,7 +277,8 @@ func blocksInPlane(p plane) int {
 // decodeIntermediate reconstructs an intermediate frame in the YUV
 // domain.
 func decodeIntermediate(data []byte, recA, recB *frame.Frame, offset, span int) (*frame.Frame, error) {
-	if len(data) < 7 || data[0] != 'V' || data[1] != 'C' {
+	decode := layerDecoder(data, interMagic, interVarintMagic)
+	if len(data) < 7 || decode == nil {
 		return nil, fmt.Errorf("%w: vmpg intermediate header", ErrCorrupt)
 	}
 	q := int32(data[2])
@@ -283,7 +293,7 @@ func decodeIntermediate(data []byte, recA, recB *frame.Frame, offset, span int) 
 	for _, p := range yuvPlanes(pred) {
 		nBlocks += blocksInPlane(p)
 	}
-	motion, n, err := entropyDecode(data[7:], nBlocks)
+	motion, n, err := decode(data[7:], nBlocks)
 	if err != nil {
 		return nil, err
 	}
@@ -300,7 +310,7 @@ func decodeIntermediate(data []byte, recA, recB *frame.Frame, offset, span int) 
 			}
 		}
 	}
-	vals, _, err := entropyDecode(data[7+n:], len(pred.Pix))
+	vals, _, err := decode(data[7+n:], len(pred.Pix))
 	if err != nil {
 		return nil, err
 	}

@@ -5,6 +5,7 @@ import (
 	"sort"
 	"time"
 
+	"timedmedia/internal/blob"
 	"timedmedia/internal/catalog"
 	"timedmedia/internal/core"
 	"timedmedia/internal/interp"
@@ -42,33 +43,35 @@ func PlayComposition(db *catalog.DB, id core.ID, clock Clock, sink Sink, opts Op
 		if err != nil {
 			return Report{}, err
 		}
-		stored := comp
-		if comp.Class == core.ClassDerived {
-			// Expansion on demand: materialize into a scratch object so
-			// playback reads real placements. (The paper: store the
-			// derivation if expansion is real-time; here we expand
-			// eagerly and keep the materialization private.)
-			matID, err := db.Materialize(comp.ID, fmt.Sprintf("%s@play-%d-%d", comp.Name, id, ci), catalog.IngestOptions{})
+		var it *interp.Interpretation
+		track := comp.Track
+		switch comp.Class {
+		case core.ClassNonDerived:
+			if it, err = db.Interpretation(comp.Blob); err != nil {
+				return Report{}, err
+			}
+		case core.ClassDerived:
+			// Expansion on demand: the expanded value is encoded with
+			// Ingest's encoders into a private in-memory BLOB, so
+			// playback reads real placements while the catalog stays
+			// untouched. (The paper: store the derivation if expansion
+			// is real-time; here we expand eagerly and keep the
+			// encoding private.)
+			v, err := db.Expand(comp.ID)
+			if err == nil {
+				it, track, err = catalog.Encode(blob.NewMemStore(), v, catalog.IngestOptions{})
+			}
 			if err != nil {
 				return Report{}, fmt.Errorf("player: expanding component %q: %w", comp.Name, err)
 			}
-			stored, err = db.Get(matID)
-			if err != nil {
-				return Report{}, err
-			}
-		}
-		if stored.Class != core.ClassNonDerived {
+		default:
 			return Report{}, fmt.Errorf("player: component %q is not playable media", comp.Name)
 		}
-		it, err := db.Interpretation(stored.Blob)
+		tr, err := it.Track(track)
 		if err != nil {
 			return Report{}, err
 		}
-		tr, err := it.Track(stored.Track)
-		if err != nil {
-			return Report{}, err
-		}
-		sources[ci] = source{it: it, track: stored.Track}
+		sources[ci] = source{it: it, track: track}
 		reports[ci] = TrackReport{Track: comp.Name}
 		offsetSec := spec.Time.Seconds(cref.Start)
 		tsys := tr.MediaType().Time
@@ -79,7 +82,7 @@ func PlayComposition(db *catalog.DB, id core.ID, clock Clock, sink Sink, opts Op
 				continue
 			}
 			sched = append(sched, scheduled{
-				track:    stored.Track,
+				track:    track,
 				trackIdx: ci,
 				index:    i,
 				deadline: time.Duration(sec / opts.speed() * float64(time.Second)),

@@ -268,6 +268,43 @@ func TestPlayCompositionWithDerivedComponent(t *testing.T) {
 	}
 }
 
+// TestPlayCompositionWritesNothing: a derived component is expanded
+// into a private BLOB, so playing commits nothing and creates no BLOB
+// in the catalog's store, and a second play reports what the first did.
+func TestPlayCompositionWritesNothing(t *testing.T) {
+	store := blob.NewMemStore()
+	db := catalog.New(store)
+	g := frame.Generator{W: 16, H: 12, Seed: 3}
+	vid, err := db.Ingest("v", derive.VideoValue([]*frame.Frame{g.Frame(0), g.Frame(1), g.Frame(2)}, timebase.PAL), catalog.IngestOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cut, err := db.SelectDuration(vid, "cut", 1, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mm, err := db.AddMultimedia("show", timebase.Millis, []core.ComponentRef{{Object: cut, Start: 0}}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seq, n := db.Seq(), db.Len()
+	var reports []Report
+	for i := 0; i < 2; i++ {
+		rep, err := PlayComposition(db, mm, &VirtualClock{}, &Discard{}, Options{})
+		if err != nil {
+			t.Fatalf("play %d: %v", i+1, err)
+		}
+		reports = append(reports, rep)
+	}
+	ids, _ := store.IDs()
+	if db.Seq() != seq || db.Len() != n || len(ids) != 1 {
+		t.Errorf("after two plays: seq %d → %d, %d → %d objects, %d BLOBs", seq, db.Seq(), n, db.Len(), len(ids))
+	}
+	if reports[0].Tracks[0] != reports[1].Tracks[0] || reports[0].Tracks[0].Events != 2 {
+		t.Errorf("reports %+v and %+v", reports[0].Tracks, reports[1].Tracks)
+	}
+}
+
 func TestPlayCompositionNotMultimedia(t *testing.T) {
 	db := catalog.New(blob.NewMemStore())
 	g := frame.Generator{W: 8, H: 8, Seed: 1}
