@@ -116,13 +116,84 @@ func listCheckpoints(dir string) ([]uint64, error) {
 }
 
 // catalogStreamPreamble opens a snapshot or checkpoint payload (format
-// "catalog stream 4"): the preamble, then a streamHead and
-// head.NumRecords records, each a uvarint length and that many bytes in
-// the record layout (record.go). Integrity is the container's (per-chunk
+// "catalog stream 5"): the preamble, then a streamHead as a uvarint
+// length and that many bytes, then head.NumRecords records in the
+// record layout (record.go), each framed as its difference from the
+// one before (recordFrames). Integrity is the container's (per-chunk
 // CRC-32C plus a whole-stream trailer); a payload that opens with
 // anything else is ErrSnapshotFormat — stream 3 included, whose records
 // were gob.
-var catalogStreamPreamble = [8]byte{'T', 'B', 'M', 'C', 'A', 'T', 'S', '4'}
+var catalogStreamPreamble = [8]byte{'T', 'B', 'M', 'C', 'A', 'T', 'S', '5'}
+
+// plainStreamPreamble opens a "catalog stream 4" payload: the same
+// head, then each record as a uvarint length and its bytes. It is read,
+// never written, so a directory an earlier build wrote opens, and its
+// next checkpoint extends the chain in stream 5.
+var plainStreamPreamble = [8]byte{'T', 'B', 'M', 'C', 'A', 'T', 'S', '4'}
+
+// recordFrames frames the records of a stream 5 payload. A record is
+//
+//	[layout] [kind] [uvarint Seq] [uvarint ID] rest
+//
+// and its frame, against the record before it (the first one's is all
+// zero, with no rest),
+//
+//	[layout] [kind] [varint ΔSeq] [varint ΔID] [uvarint shared] [uvarint n] suffix
+//
+// where rest is the previous rest's first shared bytes and then the n
+// bytes of suffix. A payload lists entries by chain and then seq
+// (snapCapture.seal), so neighbours differ by small deltas and a short
+// suffix — a cut repeats the one before's op, params template and most
+// of its name. The writer and the reader each hold one record back: the
+// writer's rest is the tail of its caller's previous record, which must
+// stay as it is until the next write; the reader's is its own buffer.
+type recordFrames struct {
+	seq, id uint64
+	rest    []byte
+	hdr     [2 + 4*binary.MaxVarintLen64]byte
+}
+
+// write frames rec, one record as appendOp and its kin lay it out.
+func (f *recordFrames) write(w io.Writer, rec []byte) error {
+	seq, n1 := binary.Uvarint(rec[min(len(rec), 2):])
+	id, n2 := binary.Uvarint(rec[min(len(rec), 2+max(n1, 0)):])
+	dseq, ok1 := delta(f.seq, seq)
+	did, ok2 := delta(f.id, id)
+	if n1 <= 0 || n2 <= 0 || !ok1 || !ok2 {
+		return fmt.Errorf("catalog: frame record: header [% x] is not a record header against seq %d, ID %d",
+			rec[:min(len(rec), 2+binary.MaxVarintLen64)], f.seq, f.id)
+	}
+	rest := rec[2+n1+n2:]
+	shared := 0
+	for shared < min(len(rest), len(f.rest)) && rest[shared] == f.rest[shared] {
+		shared++
+	}
+	h := append(f.hdr[:0], rec[0], rec[1])
+	h = binary.AppendVarint(h, dseq)
+	h = binary.AppendVarint(h, did)
+	h = binary.AppendUvarint(h, uint64(shared))
+	h = binary.AppendUvarint(h, uint64(len(rest)-shared))
+	if _, err := w.Write(h); err != nil {
+		return err
+	}
+	if _, err := w.Write(rest[shared:]); err != nil {
+		return err
+	}
+	f.seq, f.id, f.rest = seq, id, rest
+	return nil
+}
+
+// delta is to − from when it fits an int64.
+func delta(from, to uint64) (int64, bool) {
+	d := int64(to - from)
+	return d, (d >= 0) == (to >= from)
+}
+
+// addDelta is from + d when it fits a uint64.
+func addDelta(from uint64, d int64) (uint64, bool) {
+	to := from + uint64(d)
+	return to, (d >= 0) == (to >= from)
+}
 
 // streamHead leads a snapshot payload, which covers mutations in
 // (FromSeq, Seq]: everything up to Seq for a full snapshot (FromSeq
@@ -185,24 +256,23 @@ func (cap *snapCapture) seal(verFloor uint64) {
 
 // writeCapture streams cap into path as a chunked container
 // (tmp + fsync + rename + dir fsync) and returns the container's size.
-// Every record is laid out in one buffer, reused.
+// Every record is laid out in one of two buffers, reused, and written
+// as its frame against the record before it.
 func writeCapture(path string, cap *snapCapture) (int64, error) {
 	err := durable.WriteStreamSnapshot(path, func(w io.Writer) error {
-		var n [binary.MaxVarintLen64]byte
-		put := func(rec []byte) error {
-			if _, err := w.Write(n[:binary.PutUvarint(n[:], uint64(len(rec)))]); err != nil {
-				return err
-			}
-			_, err := w.Write(rec)
-			return err
-		}
 		if _, err := w.Write(catalogStreamPreamble[:]); err != nil {
 			return err
 		}
-		head := interp.Coder{Buf: make([]byte, 0, 4<<10)}
+		// Two record buffers, the previous record kept in one while the
+		// next is laid out in the other, carved from one allocation.
+		f, bufs := &recordFrames{}, make([]byte, 0, 8<<10)
+		head := interp.Coder{Buf: bufs[: 0 : 4<<10]}
 		codeHead(&head, &cap.head)
-		buf := head.Buf
-		if err := put(buf); err != nil {
+		buf, prev := head.Buf, bufs[4<<10:4<<10]
+		if _, err := w.Write(binary.AppendUvarint(f.hdr[:0], uint64(len(buf)))); err != nil {
+			return err
+		}
+		if _, err := w.Write(buf); err != nil {
 			return err
 		}
 		for i := range cap.entries {
@@ -214,11 +284,12 @@ func writeCapture(path string, cap *snapCapture) (int64, error) {
 				buf, err = appendVersion(buf[:0], core.ID(x.id), x.name, x.seq, x.obj)
 			}
 			if err == nil {
-				err = put(buf)
+				err = f.write(w, buf)
 			}
 			if err != nil {
 				return err
 			}
+			buf, prev = prev, buf
 		}
 		return nil
 	})
@@ -257,18 +328,22 @@ func captureInterpChain(cap *snapCapture, id blob.ID, c *interpVerChain, fromSeq
 }
 
 // catalogStream is an opened chain file, positioned at its first
-// record. buf holds the record next read, and is reused.
+// record. buf holds the record next read, and is reused; in a stream 5
+// payload (framed) frames holds the record before it.
 type catalogStream struct {
 	io.Closer
-	br   *bufio.Reader
-	buf  []byte
-	head streamHead
+	br     *bufio.Reader
+	buf    []byte
+	head   streamHead
+	framed bool
+	frames recordFrames
 }
 
 // openStream opens the file at path and decodes its head. A missing
 // file passes through as fs.ErrNotExist; damage at any layer is
 // ErrCorruptSnapshot; a file whose container verifies but whose
-// payload is not a TBMCATS4 stream is ErrSnapshotFormat.
+// payload is neither a TBMCATS5 nor a TBMCATS4 stream is
+// ErrSnapshotFormat.
 func openStream(path string) (*catalogStream, error) {
 	r, err := durable.OpenSnapshotReader(path)
 	if err != nil {
@@ -281,10 +356,18 @@ func openStream(path string) (*catalogStream, error) {
 			return nil, fmt.Errorf("catalog: %w", err)
 		}
 	}
-	s := &catalogStream{Closer: r, br: bufio.NewReader(r)}
+	// The record and the one before it share an allocation until either
+	// outgrows its half.
+	bufs := make([]byte, 0, 8<<10)
+	s := &catalogStream{Closer: r, br: bufio.NewReader(r), buf: bufs[: 0 : 4<<10]}
+	s.frames.rest = bufs[4<<10 : 4<<10]
 	var pre [8]byte
 	n, _ := io.ReadFull(s.br, pre[:])
-	if pre != catalogStreamPreamble {
+	switch pre {
+	case catalogStreamPreamble:
+		s.framed = true
+	case plainStreamPreamble:
+	default:
 		// Whether this is another build's healthy file or damage is the
 		// container's call: drain it so the trailer is checked.
 		_, err := io.Copy(io.Discard, s.br)
@@ -292,7 +375,8 @@ func openStream(path string) (*catalogStream, error) {
 		if err != nil {
 			return nil, fmt.Errorf("%w: %v", ErrCorruptSnapshot, err)
 		}
-		return nil, fmt.Errorf("%w: %s: payload opens with %q, want %q", ErrSnapshotFormat, path, pre[:n], catalogStreamPreamble[:])
+		return nil, fmt.Errorf("%w: %s: payload opens with %q, want %q or %q", ErrSnapshotFormat, path, pre[:n],
+			catalogStreamPreamble[:], plainStreamPreamble[:])
 	}
 	data, err := s.next()
 	if err == nil {
@@ -305,23 +389,75 @@ func openStream(path string) (*catalogStream, error) {
 	return s, nil
 }
 
-// next reads the next record: a uvarint length and that many bytes,
-// into s.buf. The buffer grows with the bytes that arrive, not with
-// the length a damaged file may claim.
+// next reads a length-framed record, a uvarint length and that many
+// bytes, into s.buf.
 func (s *catalogStream) next() ([]byte, error) {
 	n, err := binary.ReadUvarint(s.br)
 	if err != nil {
 		return nil, err
 	}
-	s.buf = s.buf[:0]
+	s.buf, err = s.read(s.buf[:0], n)
+	return s.buf, err
+}
+
+// read appends the next n bytes to b. It grows b with the bytes that
+// arrive, not with the length a damaged file may claim.
+func (s *catalogStream) read(b []byte, n uint64) ([]byte, error) {
 	for n > 0 {
 		k := int(min(n, 64<<10))
-		s.buf = slices.Grow(s.buf, k)
-		if _, err := io.ReadFull(s.br, s.buf[len(s.buf):len(s.buf)+k]); err != nil {
+		b = slices.Grow(b, k)
+		if _, err := io.ReadFull(s.br, b[len(b):len(b)+k]); err != nil {
+			return b, err
+		}
+		b, n = b[:len(b)+k], n-uint64(k)
+	}
+	return b, nil
+}
+
+// record reads the next record into s.buf: in stream 5 the record its
+// frame rebuilds against the one before, byte for byte what the writer
+// framed; in stream 4 the record as it is. A frame whose shared prefix
+// outruns the previous record or whose deltas wrap is refused.
+func (s *catalogStream) record() ([]byte, error) {
+	if !s.framed {
+		return s.next()
+	}
+	f := &s.frames
+	layout, err := s.br.ReadByte()
+	if err != nil {
+		return nil, err
+	}
+	kind, err := s.br.ReadByte()
+	if err != nil {
+		return nil, err
+	}
+	var d [2]int64
+	var shared, n uint64
+	for i := range d {
+		if d[i], err = binary.ReadVarint(s.br); err != nil {
 			return nil, err
 		}
-		s.buf, n = s.buf[:len(s.buf)+k], n-uint64(k)
 	}
+	if shared, err = binary.ReadUvarint(s.br); err == nil {
+		n, err = binary.ReadUvarint(s.br)
+	}
+	if err != nil {
+		return nil, err
+	}
+	seq, ok1 := addDelta(f.seq, d[0])
+	id, ok2 := addDelta(f.id, d[1])
+	switch {
+	case !ok1 || !ok2:
+		return nil, fmt.Errorf("frame deltas %+d, %+d wrap seq %d or ID %d", d[0], d[1], f.seq, f.id)
+	case shared > uint64(len(f.rest)):
+		return nil, fmt.Errorf("frame shares %d bytes with a record whose body is %d", shared, len(f.rest))
+	}
+	if f.rest, err = s.read(f.rest[:shared], n); err != nil {
+		return nil, err
+	}
+	f.seq, f.id = seq, id
+	b := binary.AppendUvarint(append(s.buf[:0], layout, kind), seq)
+	s.buf = append(binary.AppendUvarint(b, id), f.rest...)
 	return s.buf, nil
 }
 
@@ -341,7 +477,7 @@ func (db *DB) applyStream(s *catalogStream) error {
 	head := &s.head
 	e := db.beginEditLocked()
 	for i := 0; i < head.NumRecords; i++ {
-		data, err := s.next()
+		data, err := s.record()
 		if err != nil {
 			return fmt.Errorf("%w: record %d/%d: %v", ErrCorruptSnapshot, i, head.NumRecords, err)
 		}

@@ -131,31 +131,53 @@ func FuzzCatalogStreamDecode(f *testing.F) {
 	base := chainFile(f, dir, 0)
 	full := payloadOf(f, base)
 	delta := payloadOf(f, chainFile(f, dir, 1))
+	// The same files as an earlier build framed them (TBMCATS4).
+	plainFull := plainPayload(f, base)
+	plainDelta := plainPayload(f, chainFile(f, dir, 1))
 	flipped := func(p []byte, at int) []byte {
 		q := append([]byte(nil), p...)
 		q[at] ^= 0x10
 		return q
 	}
 	head := headBytes(&streamHead{Seq: 9, NextID: 4, NumRecords: 5})
-	headOnly := append(binary.AppendUvarint(catalogStreamPreamble[:], uint64(len(head))), head...)
+	headOnly := append(binary.AppendUvarint(plainStreamPreamble[:], uint64(len(head))), head...)
 	for _, seed := range [][]byte{
+		plainFull,
+		plainDelta,
+		plainFull[:len(plainFull)-3], // torn tails
+		plainDelta[:len(plainDelta)-3],
+		plainFull[:len(plainFull)/2],
+		plainDelta[:len(plainDelta)/2],
+		{},
+		plainStreamPreamble[:],
+		append([]byte("TBMCATS3"), plainFull[8:]...), // an older format's preamble
+		[]byte("not a catalog stream"),
+		flipped(plainFull, 9),                  // in the head
+		flipped(plainDelta, len(plainDelta)/2), // in a record
+		flipped(plainFull, len(plainFull)-1),   // in the last record
+		headOnly,                               // records promised, none delivered
+		append(plainFull[:len(plainFull):len(plainFull)], plainDelta[8:]...), // trailing bytes after the last record
+		// The framing written now (TBMCATS5), and the same damage.
 		full,
 		delta,
-		full[:len(full)-3], // torn tails
-		delta[:len(delta)-3],
-		full[:len(full)/2],
+		full[:len(full)-3],
 		delta[:len(delta)/2],
-		{},
 		catalogStreamPreamble[:],
-		append([]byte("TBMCATS3"), full[8:]...), // the previous format's preamble
-		[]byte("not a catalog stream"),
-		flipped(full, 9),             // in the head
-		flipped(delta, len(delta)/2), // in a record
-		flipped(full, len(full)-1),   // in the last record
-		headOnly,                     // records promised, none delivered
-		append(full[:len(full):len(full)], delta[8:]...), // trailing bytes after the last record
+		append([]byte("TBMCATS5"), plainFull[8:]...), // length framing behind the new preamble
+		append([]byte("TBMCATS4"), full[8:]...),      // frames behind the old one
+		flipped(full, 9),
+		flipped(delta, len(delta)/2),
+		flipped(full, len(full)-1),
+		append(binary.AppendUvarint(catalogStreamPreamble[:], uint64(len(head))), head...),
+		append(full[:len(full):len(full)], delta[8:]...),
 	} {
 		f.Add(seed)
+	}
+	// Frames that describe no record: a shared prefix longer than the
+	// previous record, a suffix longer than the payload, deltas that wrap
+	// a seq or an ID, frames cut mid-field.
+	for _, h := range hostileFrames() {
+		f.Add(h.payload(streamHead{Seq: 40, NextID: 40}))
 	}
 
 	path := filepath.Join(dir, "fuzzed.ckpt")
@@ -233,6 +255,12 @@ func FuzzCatalogStreamCorruption(f *testing.F) {
 	f.Add(1, 14, byte(0xFF))  // first chunk's length
 	f.Add(1, 200, byte(0x01)) // a delta record
 	f.Add(2, 30, byte(0x02))  // the MANIFEST's payload
+	// The record frames sit inside the chunks' DEFLATE data, so the chunk
+	// CRC refuses their damage before the framing is read (hostile
+	// frames inside a valid container: TestHostileFramesRefused).
+	f.Add(0, 24, byte(0x40))  // the base's first frames
+	f.Add(1, 22, byte(0x01))  // the delta's first frame
+	f.Add(1, -12, byte(0x08)) // the delta's last frames
 	f.Fuzz(func(t *testing.T, which, pos int, mask byte) {
 		if mask == 0 {
 			return // not a mutation

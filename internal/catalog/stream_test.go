@@ -348,9 +348,8 @@ var fixtureAttrs = map[string]string{"language": "fr", "rights": "cleared", "tit
 var writeFixture = flag.String("write-fixture", "", "write the format fixture history into this directory")
 
 // writeFormatFixtureHistory runs the fixed history behind
-// testdata/format_pr53 (and format_pr44, format_pr36 and format_pr31
-// before it) in
-// dir: a base, one delta over it with a delete that collects a BLOB the
+// testdata/format_pr54 (and format_pr53, format_pr44, format_pr36 and
+// format_pr31 before it) in dir: a base, one delta over it with a delete that collects a BLOB the
 // snapshot names, and a journal tail. It returns the catalog, its
 // journal closed.
 func writeFormatFixtureHistory(t *testing.T, dir string) *DB {
@@ -396,9 +395,9 @@ func containerView(t *testing.T, path string) string {
 }
 
 // TestRecoverFormatFixture pins the on-disk format:
-// testdata/format_pr53 is the fixture history as written once the
-// encoders wrote only the Rice entropy layer (its BLOB holds "VK"
-// frames). It must open —
+// testdata/format_pr54 is the fixture history as written once chain
+// files framed each record as its difference from the one before
+// (TBMCATS5); its BLOB holds Rice-coded "VK" frames. It must open —
 // MANIFEST, base, delta, segments, BLOBs — as the catalog the
 // history built, and the bytes are a function of the history: written
 // again in this process, once as it is and once after gob has numbered
@@ -410,7 +409,7 @@ func TestRecoverFormatFixture(t *testing.T) {
 		writeFormatFixtureHistory(t, *writeFixture)
 		return
 	}
-	const fixture = "testdata/format_pr53"
+	const fixture = "testdata/format_pr54"
 	dir := t.TempDir()
 	copyTree(t, fixture, dir)
 	db := openDB(t, dir)

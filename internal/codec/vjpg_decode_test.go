@@ -214,6 +214,13 @@ func FuzzLayerDecode(f *testing.F) {
 		f.Add(append(slices.Clone(enh[:7]), seg...))
 		f.Add(append(slices.Clone(inter[:7]), seg...))
 	}
+	// Every block's motion code out of range, in both layers: sound
+	// segments the decoder must refuse all the same.
+	for _, code := range []int32{5000, -1, 2*mvCount + 1} {
+		bad := withMotion(f, inter, code)
+		f.Add(bad)
+		f.Add(recode(f, bad))
+	}
 	dims := func(data []byte) (int, int) {
 		return int(binary.BigEndian.Uint16(data[3:])), int(binary.BigEndian.Uint16(data[5:]))
 	}
@@ -248,9 +255,75 @@ func FuzzLayerDecode(f *testing.F) {
 		magic := string(data[:2])
 		check(t, "enhancement", data, (magic == enhMagic || magic == enhVarintMagic) && data[2] >= 1 && (fw+1)/2 == bw && (fh+1)/2 == bh,
 			func(d []byte) (*frame.Frame, error) { return VJPGDecodeLayered(base, d) })
-		check(t, "intermediate", data, (magic == interMagic || magic == interVarintMagic) && data[2] >= 1 && fw == w && fh == h,
+		check(t, "intermediate", data, (magic == interMagic || magic == interVarintMagic) && data[2] >= 1 && fw == w && fh == h &&
+			motionInRange(data),
 			func(d []byte) (*frame.Frame, error) { return decodeIntermediate(d, recA, recB, 1, 2) })
 	})
+}
+
+// withMotion returns the vmpg intermediate data with every block's
+// motion code set to code, in the same entropy layer.
+func withMotion(t testing.TB, data []byte, code int32) []byte {
+	t.Helper()
+	segs, err := refSegments(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range segs[0] {
+		segs[0][i] = code
+	}
+	out := slices.Clone(data[:7])
+	for _, vals := range segs {
+		if isVarint[string(data[:2])] {
+			out = entropyEncode(out, vals)
+		} else {
+			out = riceEncode(out, vals)
+		}
+	}
+	return out
+}
+
+// motionInRange reports whether the motion codes of an intermediate
+// whose segments the reference reads are all codes mvCode writes, 0
+// (interpolate) to 2·mvCount; data the reference refuses passes, its
+// refusal being the oracle's other half.
+func motionInRange(data []byte) bool {
+	segs, err := refSegments(data)
+	if err != nil {
+		return true
+	}
+	return !slices.ContainsFunc(segs[0], func(c int32) bool { return c < 0 || c > 2*mvCount })
+}
+
+// TestIntermediateRefusesMotionOutOfRange: a motion code below 0 or
+// above 2·mvCount names no vector, so an intermediate that holds one is
+// ErrCorrupt in either entropy layer, never a frame decoded through a
+// wrapped vector; the highest code, key B's last vector, decodes.
+func TestIntermediateRefusesMotionOutOfRange(t *testing.T) {
+	frames := genFrames(3, 33, 17, 8)
+	packets, err := VMPGEncode(frames, 8, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recA, errA := VJPGDecodeYUV(packets[0].Data)
+	recB, errB := VJPGDecodeYUV(packets[1].Data)
+	if errA != nil || errB != nil || packets[2].Key {
+		t.Fatal(errA, errB)
+	}
+	inter := packets[2].Data
+	for _, data := range [][]byte{inter, recode(t, inter)} {
+		layer := string(data[:2])
+		for _, code := range []int32{5000, -1, 2*mvCount + 1, math.MinInt32, math.MaxInt32} {
+			if _, err := decodeIntermediate(withMotion(t, data, code), recA, recB, 1, 2); !errors.Is(err, ErrCorrupt) {
+				t.Errorf("%s with every motion code %d: %v, want ErrCorrupt", layer, code, err)
+			}
+		}
+		for _, code := range []int32{0, 1, mvCount, 2 * mvCount} {
+			if _, err := decodeIntermediate(withMotion(t, data, code), recA, recB, 1, 2); err != nil {
+				t.Errorf("%s with every motion code %d: %v", layer, code, err)
+			}
+		}
+	}
 }
 
 // TestVJPGDecodeCost pins what one 160×120 frame costs a decoder whose
@@ -325,7 +398,7 @@ func BenchmarkVJPGDecode(b *testing.B) {
 	}
 	var dec VJPGDecoder
 	b.ReportAllocs()
-	b.SetBytes(int64(len(data)))
+	b.SetBytes(160 * 120 * 3) // the decoded RGB frame, as in BenchmarkVJPGEncode
 	for i := 0; i < b.N; i++ {
 		if _, err := dec.Decode(data); err != nil {
 			b.Fatal(err)

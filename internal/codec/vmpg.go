@@ -297,6 +297,12 @@ func decodeIntermediate(data []byte, recA, recB *frame.Frame, offset, span int) 
 	if err != nil {
 		return nil, err
 	}
+	// 0 is the interpolation; 1..2·mvCount a vector into key A or B.
+	for _, code := range motion {
+		if code < 0 || code > 2*mvCount {
+			return nil, fmt.Errorf("%w: vmpg motion code %d outside [0, %d]", ErrCorrupt, code, 2*mvCount)
+		}
+	}
 	mi := 0
 	for pi, p := range yuvPlanes(pred) {
 		ip := yuvPlanes(interp)[pi]
