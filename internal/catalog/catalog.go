@@ -107,6 +107,7 @@ type DB struct {
 	wal            wal.Appender
 	walDir         string
 	dirLock        *durable.DirLock // the lock Open took on walDir, released by CloseJournal
+	heldDir        string           // the directory Open holds locked (its own lock or WithDirLock's) until CloseJournal
 	walBatchWindow time.Duration
 	seq            uint64
 	recovery       RecoveryInfo
@@ -130,6 +131,10 @@ type DB struct {
 	// what a reopen opens again: the BLOBs interpreted in the state
 	// replay started from, and those the replayed records registered.
 	replayKeep map[blob.ID]bool
+	// tornTails, set by journal replay and cut by Open, are the torn
+	// segment tails replay read up to and left in place: Load takes no
+	// lock, so only Open, under the directory lock, may truncate.
+	tornTails []wal.SegmentReplay
 
 	// walSegmentBytes/Records configure segment rotation thresholds for
 	// journals the catalog opens itself; <= 0 keeps the wal defaults.

@@ -663,11 +663,24 @@ func (db *DB) Checkpoint(dir string) error {
 // checkpointLocked is the one write sequence behind Save (full) and
 // Checkpoint (a delta unless the chain must start): pin → rotate →
 // capture → write → MANIFEST → unlink → compact, each boundary a
-// checkpointHook stage. Once the commits are settled the view is every
-// record up to db.seq, so the rotation lands there; it is immutable, so
-// writers commit while it is diffed and captured. Assumes saveMu held.
+// checkpointHook stage, all under the directory lock (see Save). Once
+// the commits are settled the view is every record up to db.seq, so
+// the rotation lands there; it is immutable, so writers commit while
+// it is diffed and captured. Assumes saveMu held.
 func (db *DB) checkpointLocked(dir string, full bool) error {
 	start := time.Now()
+	db.mu.RLock()
+	held := db.heldDir == filepath.Clean(dir)
+	db.mu.RUnlock()
+	if !held {
+		// Not the directory this DB opened: another process may own it,
+		// and its chain is not ours to re-point.
+		_, release, err := lockDir(dir)
+		if err != nil {
+			return fmt.Errorf("catalog: checkpoint: %w", err)
+		}
+		defer release()
+	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("catalog: %w", err)
 	}

@@ -101,7 +101,7 @@ type walOp struct {
 	raw        []byte
 }
 
-// RecoveryInfo reports what Load / OpenJournal had to do to bring the
+// RecoveryInfo reports what Load / Open had to do to bring the
 // catalog back. Exposed at /metrics so operators can see that a
 // restart recovered rather than silently lost data.
 type RecoveryInfo struct {
@@ -112,7 +112,9 @@ type RecoveryInfo struct {
 	Quarantined    []string `json:"quarantined,omitempty"`
 	JournalRecords int      `json:"journal_records_replayed"`
 	JournalSkipped int      `json:"journal_records_skipped"`
-	JournalTorn    bool     `json:"journal_torn_tail"`
+	// JournalTorn reports a torn journal tail: Load reads up to it and
+	// leaves it, and Open cuts it off before it attaches the journal.
+	JournalTorn bool `json:"journal_torn_tail"`
 	// OpenMs is the wall time Open took at this start, milliseconds.
 	OpenMs int64 `json:"open_ms"`
 	// BlobsSwept counts the BLOB files Open removed because nothing
@@ -143,7 +145,7 @@ func (r RecoveryInfo) Eventful() bool {
 		r.JournalRecords > 0 || r.JournalTorn || r.BlobsSwept > 0
 }
 
-// Recovery returns what the last Load / OpenJournal recovered.
+// Recovery returns what the last Load / Open recovered.
 func (db *DB) Recovery() RecoveryInfo {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
@@ -160,23 +162,6 @@ func (db *DB) JournalStats() wal.StatsSnapshot {
 		return wal.StatsSnapshot{}
 	}
 	return j.Stats()
-}
-
-// OpenJournal replays the WAL segments found at dir into the catalog
-// (records already captured by the loaded snapshot are skipped via
-// their sequence numbers) and then attaches the journal so subsequent
-// mutations are logged. Call it after Load or New;
-// mutations made before OpenJournal are not journaled.
-func (db *DB) OpenJournal(dir string) error {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if db.wal != nil {
-		return errors.New("catalog: journal already attached")
-	}
-	if err := db.replayAllLocked(dir); err != nil {
-		return err
-	}
-	return db.attachJournalLocked(dir)
 }
 
 // attachJournalLocked opens dir's segmented journal for appending
@@ -214,7 +199,7 @@ func (db *DB) CloseJournal() error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	defer db.dirLock.Unlock()
-	db.dirLock = nil
+	db.dirLock, db.heldDir = nil, ""
 	if db.wal == nil {
 		return nil
 	}
@@ -317,23 +302,32 @@ func (db *DB) replayAllLocked(dir string) error {
 		return err
 	}
 	db.recovery.SegmentsReplayed = len(results)
+	db.tornTails = nil
 	for _, r := range results {
-		if !r.Torn {
-			continue
+		if r.Torn {
+			db.recovery.JournalTorn = true
+			db.tornTails = append(db.tornTails, r)
 		}
-		db.recovery.JournalTorn = true
-		// Cut the corrupt tail off now, before any journal is attached
-		// for appending: the active segment is opened with O_APPEND, so
-		// new acknowledged records would otherwise land after the
-		// garbage and be dropped at the next replay. A tear in a sealed
-		// (non-last) segment can only hold unacknowledged frames — a
-		// crash during rotation, before the old segment's final sync —
-		// so truncating it loses nothing acknowledged either.
+	}
+	db.store.Reserve(db.nextBlob)
+	return nil
+}
+
+// cutTornTailsLocked truncates the torn tails replay left, before a
+// journal is attached for appending: the active segment is opened with
+// O_APPEND, so new acknowledged records would otherwise land after the
+// garbage and be dropped at the next replay. A tear in a sealed
+// (non-last) segment can only hold unacknowledged frames — a crash
+// during rotation, before the old segment's final sync — so truncating
+// it loses nothing acknowledged either. Only Open calls it, under the
+// directory lock. Assumes db.mu is held.
+func (db *DB) cutTornTailsLocked(dir string) error {
+	for _, r := range db.tornTails {
 		if err := wal.TruncateAt(wal.SegmentFile(dir, r.Index), r.TornOffset); err != nil {
 			return err
 		}
 	}
-	db.store.Reserve(db.nextBlob)
+	db.tornTails = nil
 	return nil
 }
 

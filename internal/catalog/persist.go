@@ -106,7 +106,9 @@ func (db *DB) OpenChain(dir string) ([]*os.File, uint64, error) {
 // WAL rotates at the capture boundary and covered segments are
 // compacted. Writers only wait for the in-memory capture, never for an
 // encode or fsync. The BLOB store persists independently (use a
-// FileStore in the same dir).
+// FileStore in the same dir). Into a directory this DB's Open does not
+// hold, the write takes the directory lock for its duration, and fails
+// with durable.ErrLocked when another holder has it.
 func (db *DB) Save(dir string) error {
 	db.saveMu.Lock()
 	defer db.saveMu.Unlock()
@@ -295,6 +297,22 @@ func Load(dir string, store blob.Store, opts ...Option) (*DB, error) {
 	return db, nil
 }
 
+// lockDir takes dir's lock (durable.LockDir) and returns it with its
+// release, which also removes the lock file when this call made it.
+func lockDir(dir string) (*durable.DirLock, func(), error) {
+	_, noLockFile := os.Lstat(filepath.Join(dir, durable.LockFileName))
+	l, err := durable.LockDir(dir)
+	if err != nil {
+		return nil, nil, err
+	}
+	return l, func() {
+		if errors.Is(noLockFile, fs.ErrNotExist) {
+			os.Remove(l.Path()) // still held: no other process can have it
+		}
+		l.Unlock()
+	}, nil
+}
+
 // Open loads the catalog at dir (Load: an empty one when dir holds no
 // state), creating dir if need be, and attaches the mutation journal.
 // This is the one-call path the CLIs use. It then sweeps the BLOB files
@@ -325,17 +343,11 @@ func Open(dir string, store blob.Store, opts ...Option) (*DB, error) {
 	}
 	lock, release := cfg.dirLock, func() {}
 	if lock == nil {
-		_, noLockFile := os.Lstat(filepath.Join(dir, durable.LockFileName))
-		l, err := durable.LockDir(dir)
+		l, rel, err := lockDir(dir)
 		if err != nil {
 			return nil, err
 		}
-		lock, release = l, func() {
-			if errors.Is(noLockFile, fs.ErrNotExist) {
-				os.Remove(l.Path()) // still held: no other Open can have it
-			}
-			l.Unlock()
-		}
+		lock, release = l, rel
 	} else if lock.Path() != filepath.Join(dir, durable.LockFileName) {
 		return nil, fmt.Errorf("catalog: open %s under the lock %s", dir, lock.Path())
 	}
@@ -349,12 +361,16 @@ func Open(dir string, store blob.Store, opts ...Option) (*DB, error) {
 	}
 	db.mu.Lock()
 	defer db.mu.Unlock()
+	if err := db.cutTornTailsLocked(dir); err != nil {
+		return fail(err)
+	}
 	if err := db.attachJournalLocked(dir); err != nil {
 		return fail(err)
 	}
 	if cfg.dirLock == nil {
 		db.dirLock = lock
 	}
+	db.heldDir = filepath.Clean(dir)
 	if db.replayCap == 0 && !db.recovery.FellBack() {
 		ids, _ := db.store.IDs() // best effort: a failed listing sweeps nothing
 		for _, id := range ids {

@@ -298,9 +298,7 @@ func TestFollowerEpochsMatchPrimary(t *testing.T) {
 
 	follower := New(primary.Store())
 	fdir := t.TempDir()
-	if err := follower.OpenJournal(fdir); err != nil {
-		t.Fatal(err)
-	}
+	attachJournal(t, follower, fdir)
 	defer follower.CloseJournal()
 	matched := 0
 	if _, err := wal.ReplaySegments(dir, func(rec []byte) error {

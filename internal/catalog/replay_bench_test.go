@@ -91,9 +91,7 @@ func BenchmarkApplyReplicatedRun(b *testing.B) {
 			b.Fatal(err)
 		}
 		db := New(store)
-		if err := db.OpenJournal(dir); err != nil {
-			b.Fatal(err)
-		}
+		attachJournal(b, db, dir)
 		b.StartTimer()
 		for lo := 0; lo < len(frames); lo += replayRun {
 			if _, err := db.ApplyReplicated(frames[lo:min(lo+replayRun, len(frames))]...); err != nil {

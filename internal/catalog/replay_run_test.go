@@ -295,9 +295,7 @@ func TestApplyReplicatedRun(t *testing.T) {
 	}
 	defer store.Close()
 	db := New(store)
-	if err := db.OpenJournal(t.TempDir()); err != nil {
-		t.Fatal(err)
-	}
+	attachJournal(t, db, t.TempDir())
 	defer db.CloseJournal()
 	half := len(frames) / 2
 	for _, f := range frames[:half] {

@@ -322,7 +322,7 @@ func TestReopenAfterJournaledReaderDeleted(t *testing.T) {
 		primary, dir = run(false)
 		follower := New(primary.Store())
 		fdir := t.TempDir()
-		must(follower.OpenJournal(fdir))
+		attachJournal(t, follower, fdir)
 		_, err = wal.ReplaySegments(dir, func(rec []byte) error {
 			_, err := follower.ApplyReplicated(rec)
 			return err
@@ -655,7 +655,7 @@ func TestFollowerCheckpointDeterministic(t *testing.T) {
 	must(primary.CloseJournal())
 
 	follower := New(store, opts...)
-	must(follower.OpenJournal(fdir))
+	attachJournal(t, follower, fdir)
 	_, err = wal.ReplaySegments(pdir, func(rec []byte) error {
 		_, err := follower.ApplyReplicated(rec)
 		return err

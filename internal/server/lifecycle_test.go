@@ -5,11 +5,13 @@ import (
 	"context"
 	"encoding/json"
 	"io"
+	"log/slog"
 	"net"
 	"net/http"
 	"net/http/httptest"
 	"net/http/httptrace"
 	"slices"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -19,94 +21,212 @@ import (
 	"timedmedia/internal/catalog"
 	"timedmedia/internal/fixtures"
 	"timedmedia/internal/media"
+	"timedmedia/internal/telemetry"
 )
 
-// TestRecoverMiddleware: a handler panic becomes a 500 and a counter
-// increment; the process stays up.
-func TestRecoverMiddleware(t *testing.T) {
-	var stats lifecycleStats
-	h := recoverMiddleware(&stats, http.HandlerFunc(func(http.ResponseWriter, *http.Request) {
-		panic("boom")
-	}))
+// serve runs one request through srv's handler in process.
+func serve(srv *Server, req *http.Request) *httptest.ResponseRecorder {
 	rec := httptest.NewRecorder()
-	h.ServeHTTP(rec, httptest.NewRequest("GET", "/x", nil))
-	if rec.Code != http.StatusInternalServerError {
+	srv.ServeHTTP(rec, req)
+	return rec
+}
+
+// TestRecoverMiddleware: a handler panic becomes a 500 and a counter
+// increment; the process stays up, and a request that does not panic
+// passes through untouched.
+func TestRecoverMiddleware(t *testing.T) {
+	srv := New(fixtures.NewMemDB(),
+		WithRoute("GET /boom", "boom", func(http.ResponseWriter, *http.Request) { panic("boom") }),
+		WithRoute("GET /tea", "tea", func(w http.ResponseWriter, _ *http.Request) { w.WriteHeader(http.StatusTeapot) }))
+	if rec := serve(srv, httptest.NewRequest("GET", "/boom", nil)); rec.Code != http.StatusInternalServerError {
 		t.Errorf("code = %d", rec.Code)
 	}
-	if stats.snapshot().PanicsRecovered != 1 {
-		t.Errorf("panics = %d", stats.snapshot().PanicsRecovered)
+	if srv.stats.snapshot().PanicsRecovered != 1 {
+		t.Errorf("panics = %d", srv.stats.snapshot().PanicsRecovered)
 	}
-	// And an un-panicked request passes through untouched.
-	rec2 := httptest.NewRecorder()
-	recoverMiddleware(&stats, http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
-		w.WriteHeader(http.StatusTeapot)
-	})).ServeHTTP(rec2, httptest.NewRequest("GET", "/x", nil))
-	if rec2.Code != http.StatusTeapot {
-		t.Errorf("passthrough code = %d", rec2.Code)
+	if rec := serve(srv, httptest.NewRequest("GET", "/tea", nil)); rec.Code != http.StatusTeapot {
+		t.Errorf("passthrough code = %d", rec.Code)
+	}
+	if srv.stats.snapshot().PanicsRecovered != 1 {
+		t.Errorf("panics after a clean request = %d", srv.stats.snapshot().PanicsRecovered)
 	}
 }
 
-// TestFaultLimiterSheds: at capacity the limiter answers 503 with a
-// Retry-After hint instead of queueing.
-func TestFaultLimiterSheds(t *testing.T) {
-	var stats lifecycleStats
-	release := make(chan struct{})
-	entered := make(chan struct{})
-	slots := make(chan struct{}, 1)
-	h := limitMiddleware(&stats, slots, 7*time.Second, http.HandlerFunc(func(http.ResponseWriter, *http.Request) {
-		entered <- struct{}{}
+// holdServer is a server whose GET /hold handler says when it is inside
+// the in-flight bound and stays there until release is closed.
+func holdServer(opts ...Option) (srv *Server, entered, release chan struct{}) {
+	entered, release = make(chan struct{}), make(chan struct{})
+	srv = New(fixtures.NewMemDB(), append(opts, WithRoute("GET /hold", "hold", func(http.ResponseWriter, *http.Request) {
+		close(entered)
 		<-release
-	}))
+	}))...)
+	return srv, entered, release
+}
 
+// TestFaultLimiterSheds: at capacity the server answers 503 with a
+// Retry-After hint instead of queueing, and the in-flight count drains
+// back to zero.
+func TestFaultLimiterSheds(t *testing.T) {
+	srv, entered, release := holdServer(WithMaxInFlight(1))
+	srv.retryAfter = 7 * time.Second
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		h.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest("GET", "/slow", nil))
+		serve(srv, httptest.NewRequest("GET", "/hold", nil))
 	}()
 	<-entered // the slot is now held
+	if got := srv.stats.snapshot().InFlight; got != 1 {
+		t.Errorf("in-flight while held = %d", got)
+	}
 
-	rec := httptest.NewRecorder()
-	h.ServeHTTP(rec, httptest.NewRequest("GET", "/shed", nil))
+	rec := serve(srv, httptest.NewRequest("GET", "/shed", nil))
 	if rec.Code != http.StatusServiceUnavailable {
 		t.Errorf("code = %d", rec.Code)
 	}
 	if got := rec.Header().Get("Retry-After"); got != "7" {
 		t.Errorf("Retry-After = %q", got)
 	}
-	if stats.snapshot().LoadShed != 1 {
-		t.Errorf("shed = %d", stats.snapshot().LoadShed)
+	if srv.stats.snapshot().LoadShed != 1 {
+		t.Errorf("shed = %d", srv.stats.snapshot().LoadShed)
 	}
 	close(release)
 	wg.Wait()
-	if got := stats.snapshot().InFlight; got != 0 {
+	if got := srv.stats.snapshot().InFlight; got != 0 {
 		t.Errorf("in-flight after drain = %d", got)
 	}
 
-	// A nil slots channel disables the limiter entirely.
-	if got := limitMiddleware(&stats, nil, time.Second, http.NotFoundHandler()); got == nil {
-		t.Fatal("nil limiter")
+	// Without a bound nothing is shed.
+	free := New(fixtures.NewMemDB(), WithMaxInFlight(0))
+	if rec := serve(free, httptest.NewRequest("GET", "/healthz", nil)); rec.Code != http.StatusOK {
+		t.Errorf("unbounded server: code = %d", rec.Code)
 	}
 }
 
 // TestTimeoutMiddleware: handlers observe the configured deadline via
-// the request context; d <= 0 leaves the context alone.
+// the request context; a timeout of 0 leaves the context alone.
 func TestTimeoutMiddleware(t *testing.T) {
-	var sawDeadline bool
-	h := timeoutMiddleware(time.Minute, http.HandlerFunc(func(_ http.ResponseWriter, r *http.Request) {
-		_, sawDeadline = r.Context().Deadline()
-	}))
-	h.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest("GET", "/x", nil))
-	if !sawDeadline {
-		t.Error("no deadline on request context")
+	for _, tc := range []struct {
+		timeout time.Duration
+		want    bool
+	}{{time.Minute, true}, {0, false}} {
+		var sawDeadline bool
+		srv := New(fixtures.NewMemDB(), WithRequestTimeout(tc.timeout),
+			WithRoute("GET /x", "x", func(_ http.ResponseWriter, r *http.Request) { _, sawDeadline = r.Context().Deadline() }))
+		serve(srv, httptest.NewRequest("GET", "/x", nil))
+		if sawDeadline != tc.want {
+			t.Errorf("timeout %v: deadline on the request context = %v, want %v", tc.timeout, sawDeadline, tc.want)
+		}
 	}
+}
 
-	h0 := timeoutMiddleware(0, http.HandlerFunc(func(_ http.ResponseWriter, r *http.Request) {
-		_, sawDeadline = r.Context().Deadline()
+// TestRequestFlushes: a handler's ResponseController reaches the
+// connection's Flush through the request record.
+func TestRequestFlushes(t *testing.T) {
+	srv := New(fixtures.NewMemDB(), WithRoute("GET /flush", "flush", func(w http.ResponseWriter, _ *http.Request) {
+		if err := http.NewResponseController(w).Flush(); err != nil {
+			t.Error(err)
+		}
 	}))
-	h0.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest("GET", "/x", nil))
-	if sawDeadline {
-		t.Error("deadline attached despite d=0")
+	if rec := serve(srv, httptest.NewRequest("GET", "/flush", nil)); !rec.Flushed {
+		t.Error("the flush did not reach the ResponseWriter")
+	}
+}
+
+// TestOneRecordPerRequest: whatever a request's outcome, it leaves
+// exactly one sample in its route's latency series and one trace-ring
+// record with that route and status, and X-Request-ID names that
+// record.
+func TestOneRecordPerRequest(t *testing.T) {
+	clipDB := func() *catalog.DB {
+		db := fixtures.NewMemDB()
+		if _, err := db.Ingest("clip", fixtures.Video(20, 32, 24, 1), catalog.IngestOptions{}); err != nil {
+			t.Fatal(err)
+		}
+		return db
+	}
+	newReq := func(path string) *http.Request { return httptest.NewRequest("GET", path, nil) }
+	boom := WithRoute("GET /boom", "boom", func(http.ResponseWriter, *http.Request) { panic("boom") })
+	for _, tc := range []struct {
+		name   string
+		route  string
+		status int
+		// do sends the request under test to a fresh server.
+		do func(t *testing.T) (*Server, *httptest.ResponseRecorder)
+	}{
+		{"ok", "object", http.StatusOK, func(t *testing.T) (*Server, *httptest.ResponseRecorder) {
+			var log bytes.Buffer
+			srv := New(clipDB(), WithAccessLog(slog.New(slog.NewJSONHandler(&log, nil))))
+			rec := serve(srv, newReq("/v1/objects/clip"))
+			var line struct {
+				RequestID string `json:"request_id"`
+				Route     string `json:"route"`
+				Status    int    `json:"status"`
+			}
+			if err := json.Unmarshal(log.Bytes(), &line); err != nil || line.RequestID != rec.Header().Get("X-Request-ID") || line.Route != "object" || line.Status != 200 {
+				t.Errorf("access log line %q: %v", log.String(), err)
+			}
+			return srv, rec
+		}},
+		{"not modified", "object", http.StatusNotModified, func(t *testing.T) (*Server, *httptest.ResponseRecorder) {
+			db := clipDB()
+			req := newReq("/v1/objects/clip")
+			req.Header.Set("If-None-Match", `"`+strconv.FormatUint(db.Seq(), 10)+`"`)
+			srv := New(db)
+			return srv, serve(srv, req)
+		}},
+		{"unmatched", "other", http.StatusNotFound, func(t *testing.T) (*Server, *httptest.ResponseRecorder) {
+			srv := New(clipDB())
+			return srv, serve(srv, newReq("/no/such/route"))
+		}},
+		{"shed", "other", http.StatusServiceUnavailable, func(t *testing.T) (*Server, *httptest.ResponseRecorder) {
+			srv, entered, release := holdServer(WithMaxInFlight(1))
+			done := make(chan struct{})
+			go func() {
+				defer close(done)
+				serve(srv, newReq("/hold"))
+			}()
+			<-entered
+			rec := serve(srv, newReq("/v1/objects/clip"))
+			close(release)
+			<-done
+			return srv, rec
+		}},
+		{"panic", "boom", http.StatusInternalServerError, func(t *testing.T) (*Server, *httptest.ResponseRecorder) {
+			srv := New(clipDB(), boom)
+			return srv, serve(srv, newReq("/boom"))
+		}},
+		{"stream past its deadline", "stream", http.StatusOK, func(t *testing.T) (*Server, *httptest.ResponseRecorder) {
+			srv := New(clipDB(), WithRequestTimeout(time.Nanosecond))
+			rec := serve(srv, newReq("/v1/objects/clip/stream"))
+			if rec.Header().Get("X-Stream-Error") == "" {
+				t.Error("the stream carries no X-Stream-Error")
+			}
+			return srv, rec
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			srv, rec := tc.do(t)
+			if rec.Code != tc.status {
+				t.Fatalf("status = %d, want %d", rec.Code, tc.status)
+			}
+			rid := rec.Header().Get("X-Request-ID")
+			var mine []telemetry.TraceRecord
+			for _, tr := range srv.tracer.Snapshot() {
+				if tr.RequestID == rid {
+					mine = append(mine, tr)
+				}
+			}
+			if rid == "" || len(mine) != 1 {
+				t.Fatalf("X-Request-ID %q names %d trace records, want 1", rid, len(mine))
+			}
+			if mine[0].Route != tc.route || mine[0].Status != tc.status || mine[0].Bytes != int64(rec.Body.Len()) {
+				t.Errorf("trace record = %+v, want route %q, status %d, %d bytes", mine[0], tc.route, tc.status, rec.Body.Len())
+			}
+			if n := srv.reg.Histogram(telemetry.RequestFamily, `route="`+tc.route+`"`).Snapshot().Count; n != 1 {
+				t.Errorf("route %q latency samples = %d, want 1", tc.route, n)
+			}
+		})
 	}
 }
 

@@ -145,7 +145,10 @@ func WithRoute(pattern, name string, h http.HandlerFunc) Option {
 type Server struct {
 	db         *catalog.DB
 	mux        *http.ServeMux
-	handler    http.Handler
+	other      *routeEntry   // the route of unmatched and shed requests
+	slots      chan struct{} // in-flight bound; nil: none
+	retryAfter time.Duration // the Retry-After hint a shed request carries
+	timeout    time.Duration // per-request deadline; 0: none
 	stats      lifecycleStats
 	readiness  func() (bool, string)
 	writeGate  func() (bool, string)
@@ -159,9 +162,9 @@ type Server struct {
 	accessLog   *slog.Logger
 }
 
-// New builds a Server over db. The handler chain recovers panics,
-// records request telemetry, sheds load beyond the in-flight bound and
-// deadlines every request (see middleware.go).
+// New builds a Server over db. Its handler sheds load beyond the
+// in-flight bound, deadlines every request, recovers panics and
+// records request telemetry (see middleware.go).
 //
 // Registry resolution: an explicit WithTelemetry wins, else a registry
 // already attached to db is shared, else a fresh one is created. The
@@ -184,6 +187,8 @@ func New(db *catalog.DB, opts ...Option) *Server {
 	s := &Server{
 		db:          db,
 		mux:         http.NewServeMux(),
+		retryAfter:  time.Second,
+		timeout:     cfg.requestTimeout,
 		reg:         reg,
 		tracer:      telemetry.NewTracer(telemetry.DefaultTraceCapacity),
 		lookupHist:  reg.Histogram(telemetry.StageFamily, telemetry.StageLookup),
@@ -211,39 +216,30 @@ func New(db *catalog.DB, opts ...Option) *Server {
 	s.route("GET /metrics", "metrics", s.handleMetrics)
 	s.route("GET /healthz", "healthz", s.handleHealthz)
 	s.route("GET /v1/readyz", "readyz", s.handleReadyz)
-	s.route("/", "other", s.handleUnmatched)
+	s.other = s.route("/", "other", s.handleUnmatched)
 	for _, er := range cfg.extraRoutes {
 		s.route(er.pattern, er.name, er.h)
 	}
-
-	var slots chan struct{}
 	if cfg.maxInFlight > 0 {
-		slots = make(chan struct{}, cfg.maxInFlight)
+		s.slots = make(chan struct{}, cfg.maxInFlight)
 	}
-	s.handler = recoverMiddleware(&s.stats,
-		s.telemetryMiddleware(
-			limitMiddleware(&s.stats, slots, time.Second,
-				timeoutMiddleware(cfg.requestTimeout, s.mux))))
 	return s
 }
 
 // route registers a handler under a stable route name. The name labels
-// the per-route latency series (created eagerly so /metrics lists
-// every endpoint from the start) and is reported back to the telemetry
-// middleware and onto the request trace.
-func (s *Server) route(pattern, name string, h http.HandlerFunc) {
-	s.reg.Histogram(telemetry.RequestFamily, `route="`+name+`"`)
+// the per-route latency series, created here so /metrics lists every
+// endpoint from the start, and the handler names the route on the
+// request record ServeHTTP keeps.
+func (s *Server) route(pattern, name string, h http.HandlerFunc) *routeEntry {
+	e := &routeEntry{name: name, hist: s.reg.Histogram(telemetry.RequestFamily, `route="`+name+`"`)}
 	s.mux.HandleFunc(pattern, func(w http.ResponseWriter, r *http.Request) {
-		if rh := routeFrom(r.Context()); rh != nil {
-			rh.name = name
+		if rq, ok := w.(*request); ok {
+			rq.route = e
 		}
-		telemetry.TraceFrom(r.Context()).SetRoute(name)
 		h(w, r)
 	})
+	return e
 }
-
-// ServeHTTP implements http.Handler.
-func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.handler.ServeHTTP(w, r) }
 
 // objectSummary is the list/detail JSON shape.
 type objectSummary struct {
@@ -587,7 +583,7 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 // logStreamError records a mid-stream truncation with enough context
 // to find the request again.
 func (s *Server) logStreamError(r *http.Request, name string, elem int, err error) {
-	rid := telemetry.RequestIDFrom(r.Context())
+	rid := telemetry.TraceFrom(r.Context()).RequestID()
 	if s.accessLog != nil {
 		s.accessLog.Error("stream truncated",
 			slog.String("request_id", rid),

@@ -1,8 +1,8 @@
 // Package telemetry is the server's dependency-free observability
-// layer: request IDs propagated through context, per-stage spans
-// collected into bounded request traces, lock-cheap fixed-bucket
-// latency histograms, and a registry that renders everything in
-// Prometheus text exposition format.
+// layer: per-stage spans collected into bounded request traces, each
+// carrying its request ID and propagated through context, lock-cheap
+// fixed-bucket latency histograms, and a registry that renders
+// everything in Prometheus text exposition format.
 //
 // The package deliberately depends on nothing but the standard
 // library and knows nothing about HTTP or the catalog; the server,
@@ -27,6 +27,7 @@ import (
 	"crypto/rand"
 	"encoding/binary"
 	"fmt"
+	"strconv"
 	"sync/atomic"
 	"time"
 )
@@ -119,48 +120,35 @@ type Observer interface {
 // Unique across restarts (with overwhelming probability), cheap to
 // generate, and greppable in logs.
 var (
-	ridPrefix uint64
+	ridPrefix string // 12 hex digits and the dash
 	ridSeq    atomic.Uint64
 )
 
 func init() {
 	var b [8]byte
+	p := uint64(time.Now().UnixNano())
 	if _, err := rand.Read(b[:]); err == nil {
-		ridPrefix = binary.BigEndian.Uint64(b[:])
-	} else {
-		// No entropy source: fall back to the clock. IDs are for
-		// correlation, not security.
-		ridPrefix = uint64(time.Now().UnixNano())
+		p = binary.BigEndian.Uint64(b[:])
 	}
+	// Without an entropy source the clock stands in: IDs are for
+	// correlation, not security.
+	ridPrefix = fmt.Sprintf("%012x-", p&0xffffffffffff)
 }
 
 // NewRequestID returns a fresh request identifier, e.g.
 // "9f86d081cafe-42".
 func NewRequestID() string {
-	return fmt.Sprintf("%012x-%d", ridPrefix&0xffffffffffff, ridSeq.Add(1))
+	var b [40]byte
+	return string(strconv.AppendUint(append(b[:0], ridPrefix...), ridSeq.Add(1), 10))
 }
 
-// Context plumbing. Request IDs and traces ride the request context
-// so any layer below the middleware can stamp spans without new
-// parameters on every call.
+// Context plumbing. The trace rides the request context so any layer
+// below the server's handler can stamp spans without new parameters on
+// every call; the trace carries the request ID.
 
 type ctxKey int
 
-const (
-	ridKey ctxKey = iota
-	traceKey
-)
-
-// WithRequestID returns ctx carrying the request ID.
-func WithRequestID(ctx context.Context, id string) context.Context {
-	return context.WithValue(ctx, ridKey, id)
-}
-
-// RequestIDFrom returns the request ID carried by ctx ("" if none).
-func RequestIDFrom(ctx context.Context) string {
-	id, _ := ctx.Value(ridKey).(string)
-	return id
-}
+const traceKey ctxKey = 0
 
 // WithTrace returns ctx carrying the request trace.
 func WithTrace(ctx context.Context, tr *Trace) context.Context {

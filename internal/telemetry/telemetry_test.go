@@ -109,26 +109,29 @@ func TestRequestIDsUnique(t *testing.T) {
 
 func TestContextPlumbing(t *testing.T) {
 	ctx := context.Background()
-	if RequestIDFrom(ctx) != "" || TraceFrom(ctx) != nil {
+	if TraceFrom(ctx) != nil || TraceFrom(ctx).RequestID() != "" {
 		t.Fatal("empty context should carry nothing")
 	}
 	tr := NewTrace("rid-1", "GET", "/v1/objects")
-	ctx = WithTrace(WithRequestID(ctx, "rid-1"), tr)
-	if RequestIDFrom(ctx) != "rid-1" {
-		t.Fatalf("request ID = %q", RequestIDFrom(ctx))
+	ctx = WithTrace(ctx, tr)
+	if got := TraceFrom(ctx).RequestID(); got != "rid-1" {
+		t.Fatalf("request ID = %q", got)
 	}
 	if TraceFrom(ctx) != tr {
 		t.Fatal("trace not carried")
 	}
 	done := StartSpan(ctx, "lookup")
 	done()
-	rec := tr.Finish(200, 10, time.Millisecond)
+	rec, d := tr.Finish("list", 200, 10)
 	if len(rec.Spans) != 1 || rec.Spans[0].Name != "lookup" {
 		t.Fatalf("spans = %+v", rec.Spans)
 	}
+	if rec.Route != "list" || rec.Status != 200 || rec.Bytes != 10 || d <= 0 || rec.DurationMicros != d.Microseconds() {
+		t.Fatalf("record = %+v after %v", rec, d)
+	}
 	// Spans after Finish are dropped.
 	tr.AddSpanAt("late", time.Now(), time.Second)
-	if got := tr.Finish(200, 10, time.Millisecond); len(got.Spans) != 1 {
+	if got, _ := tr.Finish("list", 200, 10); len(got.Spans) != 1 {
 		t.Fatalf("late span recorded: %+v", got.Spans)
 	}
 	// StartSpan without a trace is a no-op closure.

@@ -49,14 +49,13 @@ func NewTrace(id, method, path string) *Trace {
 	}
 }
 
-// SetRoute records the matched route name once routing has happened.
-func (t *Trace) SetRoute(route string) {
+// RequestID returns the ID of the request the trace records ("" for
+// nil). It is fixed at NewTrace, so reading it takes no lock.
+func (t *Trace) RequestID() string {
 	if t == nil {
-		return
+		return ""
 	}
-	t.mu.Lock()
-	t.rec.Route = route
-	t.mu.Unlock()
+	return t.rec.RequestID
 }
 
 // AddSpanAt appends a completed span that began at start and ran for
@@ -78,16 +77,19 @@ func (t *Trace) AddSpanAt(name string, start time.Time, d time.Duration) {
 	})
 }
 
-// Finish seals the trace with the response outcome and returns the
-// immutable record. Further AddSpanAt calls are ignored.
-func (t *Trace) Finish(status int, bytes int64, d time.Duration) TraceRecord {
+// Finish seals the trace with the route that served the request and the
+// response outcome, and returns the immutable record and the time since
+// NewTrace. Further AddSpanAt calls are ignored.
+func (t *Trace) Finish(route string, status int, bytes int64) (TraceRecord, time.Duration) {
+	d := time.Since(t.start)
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.closed = true
+	t.rec.Route = route
 	t.rec.Status = status
 	t.rec.Bytes = bytes
 	t.rec.DurationMicros = d.Microseconds()
-	return t.rec
+	return t.rec, d
 }
 
 // Tracer is a bounded ring of recent request traces. Adding never
