@@ -2,9 +2,11 @@ package main
 
 import (
 	"bytes"
+	"net/http"
 	"net/http/httptest"
 	"os"
 	"os/exec"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"testing"
@@ -36,12 +38,13 @@ func cli(t *testing.T, args ...string) (stdout, stderr string, ok bool) {
 func TestCLIQuerySameBothWays(t *testing.T) {
 	dir := t.TempDir()
 	run(t, cmdCapture, "-dir", dir, "-name", "clip", "-seconds", "1", "-width", "64", "-height", "48", "-language", "en")
-	db, store, err := openDB(nil, dir)
-	if err != nil {
+	var S string // the seq before the cut
+	if err := withDB(nil, dir, func(db *catalog.DB) error {
+		S = strconv.FormatUint(db.Seq(), 10)
+		return nil
+	}); err != nil {
 		t.Fatal(err)
 	}
-	S := strconv.FormatUint(db.Seq(), 10) // before the cut
-	closeDB(db, store)
 	run(t, cmdCut, "-dir", dir, "-name", "cut1", "-input", "clip-video", "-from", "0", "-to", "10")
 
 	good := [][]string{
@@ -129,6 +132,96 @@ func TestCLIQuerySameBothWays(t *testing.T) {
 	mustCLI(t, "stats", "-url", ts.URL, "-expand", "clip-video")
 	if got := sdb.CacheStats().Misses; got != before+1 {
 		t.Errorf("stats -url -expand clip-video: server cache misses %d → %d, want one more", before, got)
+	}
+}
+
+// TestCLIRoutesSameBothWays: timeline, lineage, cut, derive and edl
+// send the server's requests too. Two copies of one directory take the
+// same commands, one under -dir and one through a server over -url:
+// each prints the same bytes both ways, a refused write fails both
+// ways with the server's message, and ls, a process of its own, lists
+// the same catalog after the writes.
+func TestCLIRoutesSameBothWays(t *testing.T) {
+	dir := t.TempDir()
+	run(t, cmdCapture, "-dir", dir, "-name", "clip", "-seconds", "1", "-width", "64", "-height", "48")
+	run(t, cmdCompose, "-dir", dir, "-name", "show", "-components", "clip-video@0,clip-audio@0")
+	copied := t.TempDir()
+	for name, data := range dirFiles(t, dir) {
+		if err := os.WriteFile(filepath.Join(copied, name), []byte(data), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	edlPath := filepath.Join(t.TempDir(), "x.edl")
+	if err := os.WriteFile(edlPath, []byte("TITLE: t\n001 input=0 from=1 to=9\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	type step struct {
+		args []string
+		want string // in stdout, or, for a refused step, in stderr
+		fail bool
+	}
+	steps := []step{
+		{[]string{"timeline", "-name", "show"}, "clip-video", false},
+		{[]string{"lineage", "-name", "show"}, "[multimedia object]", false},
+		{[]string{"cut", "-name", "cut1", "-input", "clip-video", "-from", "2", "-to", "8"}, `created #4 "cut1" media object (derived): video-edit[obj-1]`, false},
+		{[]string{"derive", "-name", "fade", "-op", "video-transition", "-inputs", "clip-video,cut1", "-params", `{"type":"fade","dur":5}`},
+			`created #5 "fade" media object (derived): video-transition[obj-1 obj-4]`, false},
+		{[]string{"edl", "-name", "edlcut", "-file", edlPath, "-inputs", "clip-video"}, `from EDL "t" (1 events)`, false},
+		{[]string{"lineage", "-name", "edlcut"}, "(clip-video)  [media object]", false},
+		{[]string{"cut", "-name", "cut1", "-input", "clip-video", "-from", "0", "-to", "4"}, "(duplicate_name)", true},
+		{[]string{"derive", "-name", "x", "-op", "video-edit", "-inputs", "ghost", "-params", `{"entries":[{"input":0,"from":0,"to":1}]}`}, "(not_found)", true},
+		{[]string{"edl", "-name", "edlcut", "-file", edlPath, "-inputs", "clip-video"}, "(duplicate_name)", true},
+		{[]string{"edl", "-name", "y", "-file", edlPath, "-inputs", "ghost"}, "(not_found)", true},
+		{[]string{"timeline", "-name", "clip-video"}, "(not_composite)", true},
+		{[]string{"lineage", "-name", "ghost"}, "(not_found)", true},
+		{[]string{"ls"}, `"edlcut"`, false},
+	}
+	runAll := func(flag, val string) (outs []string) {
+		for _, st := range steps {
+			out, stderr, ok := cli(t, append(append([]string{}, st.args...), flag, val)...)
+			got := out
+			if st.fail {
+				got = stderr
+			}
+			if ok == st.fail || !strings.Contains(got, st.want) {
+				t.Errorf("%v %s: exit 0 = %v, stdout %q, stderr %q; want %q", st.args, flag, ok, out, stderr, st.want)
+			}
+			outs = append(outs, out+stderr)
+		}
+		return outs
+	}
+	local := runAll("-dir", dir)
+
+	store, err := blob.OpenFileStore(copied)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	db, err := catalog.Open(copied, store)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.CloseJournal()
+	ts := httptest.NewServer(server.New(db))
+	defer ts.Close()
+	for i, out := range runAll("-url", ts.URL) {
+		if out != local[i] {
+			t.Errorf("%v: -url printed %q, -dir %q", steps[i].args, out, local[i])
+		}
+	}
+}
+
+// TestCLIDeriveChecksReply: a 201 from the batch route that does not
+// carry the one created object fails the command instead of panicking.
+func TestCLIDeriveChecksReply(t *testing.T) {
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.WriteHeader(http.StatusCreated)
+		w.Write([]byte(`{"ids":[],"objects":[]}`))
+	}))
+	defer ts.Close()
+	err := cmdDerive([]string{"-url", ts.URL, "-name", "x", "-op", "video-edit", "-inputs", "clip"})
+	if err == nil || !strings.Contains(err.Error(), "0 objects") {
+		t.Errorf("derive against a reply with no object = %v, want an error", err)
 	}
 }
 

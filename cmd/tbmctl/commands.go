@@ -15,7 +15,6 @@ import (
 	"timedmedia/internal/core"
 	"timedmedia/internal/derive"
 	"timedmedia/internal/durable"
-	"timedmedia/internal/edl"
 	"timedmedia/internal/export"
 	"timedmedia/internal/fixtures"
 	"timedmedia/internal/media"
@@ -27,9 +26,10 @@ import (
 // recovers from a corrupt checkpoint file via the rest of the chain or
 // the backup base, replays the mutation journal, and attaches it, so
 // every mutation this CLI makes is durable even if the process dies
-// before saveDB. It also locks dir, so a command run against a live
-// server's directory fails and changes nothing there; the error points
-// at -url only when the command's flag set fs (nil: none) has it.
+// before its checkpoint. It also locks dir, so a command run against a
+// live server's directory fails and changes nothing there; the error
+// points at -url only when the command's flag set fs (nil: none) has
+// it.
 func openDB(fs *flag.FlagSet, dir string) (*catalog.DB, *blob.FileStore, error) {
 	store, err := blob.OpenFileStore(dir)
 	if err != nil {
@@ -54,26 +54,20 @@ func openDB(fs *flag.FlagSet, dir string) (*catalog.DB, *blob.FileStore, error) 
 	return db, store, nil
 }
 
-// closeDB closes a database a command only read, releasing its
-// directory lock.
-func closeDB(db *catalog.DB, store *blob.FileStore) {
-	db.CloseJournal()
-	store.Close()
-}
-
-// saveDB checkpoints what the command changed — a delta unless the
-// directory has no chain to extend yet — and closes.
-func saveDB(db *catalog.DB, store *blob.FileStore, dir string) error {
-	if err := db.Checkpoint(dir); err != nil {
-		db.CloseJournal()
-		store.Close()
+// withDB runs fn on the database in dir, which stays open and locked
+// until fn returns. What fn changed is checkpointed on the way out — a
+// delta unless the directory has no chain to extend yet.
+func withDB(fs *flag.FlagSet, dir string, fn func(*catalog.DB) error) error {
+	db, store, err := openDB(fs, dir)
+	if err != nil {
 		return err
 	}
-	if err := db.CloseJournal(); err != nil {
-		store.Close()
-		return err
+	seq := db.Seq()
+	err = fn(db)
+	if db.Seq() != seq {
+		err = errors.Join(err, db.Checkpoint(dir))
 	}
-	return store.Close()
+	return errors.Join(err, db.CloseJournal(), store.Close())
 }
 
 func cmdCapture(args []string) error {
@@ -90,29 +84,25 @@ func cmdCapture(args []string) error {
 	if *name == "" {
 		return fmt.Errorf("-name is required")
 	}
-	db, store, err := openDB(fs, *dir)
-	if err != nil {
-		return err
-	}
-	nFrames := int(*seconds * 25)
-	video := fixtures.Video(nFrames, *width, *height, *seed)
-	audio := fixtures.Tone(*seconds, 220+110*float64(*seed%5))
-	vid, err := db.Ingest(*name+"-video", video, catalog.IngestOptions{Layered: *layered})
-	if err != nil {
-		store.Close()
-		return err
-	}
-	var attrs map[string]string
-	if *lang != "" {
-		attrs = map[string]string{"language": *lang}
-	}
-	aud, err := db.Ingest(*name+"-audio", audio, catalog.IngestOptions{Attrs: attrs})
-	if err != nil {
-		store.Close()
-		return err
-	}
-	fmt.Printf("captured %v (%d frames) and %v (%.1f s audio)\n", vid, nFrames, aud, *seconds)
-	return saveDB(db, store, *dir)
+	return withDB(fs, *dir, func(db *catalog.DB) error {
+		nFrames := int(*seconds * 25)
+		video := fixtures.Video(nFrames, *width, *height, *seed)
+		audio := fixtures.Tone(*seconds, 220+110*float64(*seed%5))
+		vid, err := db.Ingest(*name+"-video", video, catalog.IngestOptions{Layered: *layered})
+		if err != nil {
+			return err
+		}
+		var attrs map[string]string
+		if *lang != "" {
+			attrs = map[string]string{"language": *lang}
+		}
+		aud, err := db.Ingest(*name+"-audio", audio, catalog.IngestOptions{Attrs: attrs})
+		if err != nil {
+			return err
+		}
+		fmt.Printf("captured %v (%d frames) and %v (%.1f s audio)\n", vid, nFrames, aud, *seconds)
+		return nil
+	})
 }
 
 func cmdInspect(args []string) error {
@@ -120,111 +110,46 @@ func cmdInspect(args []string) error {
 	dir := dirFlag(fs)
 	name := fs.String("name", "", "object name (required)")
 	fs.Parse(args)
-	db, store, err := openDB(fs, *dir)
-	if err != nil {
-		return err
-	}
-	defer closeDB(db, store)
-	obj, err := db.Lookup(*name)
-	if err != nil {
-		return err
-	}
-	fmt.Println(obj)
-	for k, v := range obj.Attrs {
-		fmt.Printf("  attr %s = %q\n", k, v)
-	}
-	switch obj.Class {
-	case core.ClassNonDerived:
-		it, err := db.Interpretation(obj.Blob)
+	return withDB(fs, *dir, func(db *catalog.DB) error {
+		obj, err := db.Lookup(*name)
 		if err != nil {
 			return err
 		}
-		tr, err := it.Track(obj.Track)
-		if err != nil {
-			return err
+		fmt.Println(obj)
+		for k, v := range obj.Attrs {
+			fmt.Printf("  attr %s = %q\n", k, v)
 		}
-		fmt.Printf("  descriptor: %v\n", tr.Descriptor())
-		fmt.Printf("  categories: %v\n", tr.Stream().Classify())
-		fmt.Printf("  table:      %v\n", tr)
-		fmt.Printf("  bytes:      %d in %v (%d B)\n", tr.TotalBytes(), obj.Blob, it.BlobSize())
-		fmt.Printf("  chunks:     %d, key elements: %d\n", len(tr.Chunks()), len(tr.KeyElements()))
-	case core.ClassDerived:
-		fmt.Printf("  derivation: %s inputs=%v params=%s (%d B)\n",
-			obj.Derivation.Op, obj.Derivation.Inputs, obj.Derivation.Params, obj.Derivation.SizeBytes())
-	case core.ClassMultimedia:
-		mm, err := db.BuildMultimedia(obj.ID)
-		if err != nil {
-			return err
+		switch obj.Class {
+		case core.ClassNonDerived:
+			it, err := db.Interpretation(obj.Blob)
+			if err != nil {
+				return err
+			}
+			tr, err := it.Track(obj.Track)
+			if err != nil {
+				return err
+			}
+			fmt.Printf("  descriptor: %v\n", tr.Descriptor())
+			fmt.Printf("  categories: %v\n", tr.Stream().Classify())
+			fmt.Printf("  table:      %v\n", tr)
+			fmt.Printf("  bytes:      %d in %v (%d B)\n", tr.TotalBytes(), obj.Blob, it.BlobSize())
+			fmt.Printf("  chunks:     %d, key elements: %d\n", len(tr.Chunks()), len(tr.KeyElements()))
+		case core.ClassDerived:
+			fmt.Printf("  derivation: %s inputs=%v params=%s (%d B)\n",
+				obj.Derivation.Op, obj.Derivation.Inputs, obj.Derivation.Params, obj.Derivation.SizeBytes())
+		case core.ClassMultimedia:
+			mm, err := db.BuildMultimedia(obj.ID)
+			if err != nil {
+				return err
+			}
+			d, err := mm.Duration()
+			if err != nil {
+				return err
+			}
+			fmt.Printf("  components: %d, duration %d ticks of %v\n", mm.Len(), d, obj.Multimedia.Time)
 		}
-		d, err := mm.Duration()
-		if err != nil {
-			return err
-		}
-		fmt.Printf("  components: %d, duration %d ticks of %v\n", mm.Len(), d, obj.Multimedia.Time)
-	}
-	return nil
-}
-
-func cmdCut(args []string) error {
-	fs := flag.NewFlagSet("cut", flag.ExitOnError)
-	dir := dirFlag(fs)
-	name := fs.String("name", "", "new object name (required)")
-	input := fs.String("input", "", "source video object (required)")
-	from := fs.Int64("from", 0, "first frame (inclusive)")
-	to := fs.Int64("to", 0, "last frame (exclusive)")
-	fs.Parse(args)
-	db, store, err := openDB(fs, *dir)
-	if err != nil {
-		return err
-	}
-	src, err := db.Lookup(*input)
-	if err != nil {
-		store.Close()
-		return err
-	}
-	id, err := db.SelectDuration(src.ID, *name, *from, *to)
-	if err != nil {
-		store.Close()
-		return err
-	}
-	obj, _ := db.Get(id)
-	fmt.Printf("created %v (derivation object: %d B)\n", obj, obj.Derivation.SizeBytes())
-	return saveDB(db, store, *dir)
-}
-
-func cmdDerive(args []string) error {
-	fs := flag.NewFlagSet("derive", flag.ExitOnError)
-	dir := dirFlag(fs)
-	name := fs.String("name", "", "new object name (required)")
-	op := fs.String("op", "", "operator (see `tbmctl ops`)")
-	inputs := fs.String("inputs", "", "comma-separated input object names")
-	params := fs.String("params", "", "JSON operator parameters")
-	fs.Parse(args)
-	db, store, err := openDB(fs, *dir)
-	if err != nil {
-		return err
-	}
-	var ids []core.ID
-	for _, n := range strings.Split(*inputs, ",") {
-		n = strings.TrimSpace(n)
-		if n == "" {
-			continue
-		}
-		obj, err := db.Lookup(n)
-		if err != nil {
-			store.Close()
-			return err
-		}
-		ids = append(ids, obj.ID)
-	}
-	id, err := db.AddDerived(*name, *op, ids, []byte(*params), nil)
-	if err != nil {
-		store.Close()
-		return err
-	}
-	obj, _ := db.Get(id)
-	fmt.Printf("created %v\n", obj)
-	return saveDB(db, store, *dir)
+		return nil
+	})
 }
 
 func cmdCompose(args []string) error {
@@ -233,89 +158,35 @@ func cmdCompose(args []string) error {
 	name := fs.String("name", "", "new multimedia object name (required)")
 	comps := fs.String("components", "", `comma-separated "objectName@startMs"`)
 	fs.Parse(args)
-	db, store, err := openDB(fs, *dir)
-	if err != nil {
-		return err
-	}
-	var refs []core.ComponentRef
-	for _, part := range strings.Split(*comps, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
+	return withDB(fs, *dir, func(db *catalog.DB) error {
+		var refs []core.ComponentRef
+		for _, part := range strings.Split(*comps, ",") {
+			part = strings.TrimSpace(part)
+			if part == "" {
+				continue
+			}
+			objName, startStr, ok := strings.Cut(part, "@")
+			if !ok {
+				return fmt.Errorf("component %q: want name@startMs", part)
+			}
+			obj, err := db.Lookup(objName)
+			if err != nil {
+				return err
+			}
+			start, err := strconv.ParseInt(startStr, 10, 64)
+			if err != nil {
+				return fmt.Errorf("component %q: %v", part, err)
+			}
+			refs = append(refs, core.ComponentRef{Object: obj.ID, Start: start})
 		}
-		objName, startStr, ok := strings.Cut(part, "@")
-		if !ok {
-			store.Close()
-			return fmt.Errorf("component %q: want name@startMs", part)
-		}
-		obj, err := db.Lookup(objName)
+		id, err := db.AddMultimedia(*name, timebase.Millis, refs, nil)
 		if err != nil {
-			store.Close()
 			return err
 		}
-		start, err := strconv.ParseInt(startStr, 10, 64)
-		if err != nil {
-			store.Close()
-			return fmt.Errorf("component %q: %v", part, err)
-		}
-		refs = append(refs, core.ComponentRef{Object: obj.ID, Start: start})
-	}
-	id, err := db.AddMultimedia(*name, timebase.Millis, refs, nil)
-	if err != nil {
-		store.Close()
-		return err
-	}
-	obj, _ := db.Get(id)
-	fmt.Printf("created %v\n", obj)
-	return saveDB(db, store, *dir)
-}
-
-func cmdTimeline(args []string) error {
-	fs := flag.NewFlagSet("timeline", flag.ExitOnError)
-	dir := dirFlag(fs)
-	name := fs.String("name", "", "multimedia object name (required)")
-	fs.Parse(args)
-	db, store, err := openDB(fs, *dir)
-	if err != nil {
-		return err
-	}
-	defer closeDB(db, store)
-	obj, err := db.Lookup(*name)
-	if err != nil {
-		return err
-	}
-	mm, err := db.BuildMultimedia(obj.ID)
-	if err != nil {
-		return err
-	}
-	tl, err := mm.RenderTimeline(64)
-	if err != nil {
-		return err
-	}
-	fmt.Print(tl)
-	return nil
-}
-
-func cmdLineage(args []string) error {
-	fs := flag.NewFlagSet("lineage", flag.ExitOnError)
-	dir := dirFlag(fs)
-	name := fs.String("name", "", "object name (required)")
-	fs.Parse(args)
-	db, store, err := openDB(fs, *dir)
-	if err != nil {
-		return err
-	}
-	defer closeDB(db, store)
-	obj, err := db.Lookup(*name)
-	if err != nil {
-		return err
-	}
-	diagram, err := db.InstanceDiagram(obj.ID)
-	if err != nil {
-		return err
-	}
-	fmt.Print(diagram)
-	return nil
+		obj, _ := db.Get(id)
+		fmt.Printf("created %v\n", obj)
+		return nil
+	})
 }
 
 func cmdPlay(args []string) error {
@@ -325,45 +196,42 @@ func cmdPlay(args []string) error {
 	fidelity := fs.String("fidelity", "full", `"full" or "base" (scaled playback)`)
 	work := fs.Duration("work", 0, "simulated processing cost per byte (e.g. 1µs)")
 	fs.Parse(args)
-	db, store, err := openDB(fs, *dir)
-	if err != nil {
-		return err
-	}
-	defer closeDB(db, store)
-	obj, err := db.Lookup(*name)
-	if err != nil {
-		return err
-	}
-	opts := player.Options{MaxLayer: -1, WorkPerByte: *work}
-	if *fidelity == "base" {
-		opts.MaxLayer = 0
-	}
-	clock := &player.VirtualClock{}
-	var sink player.Discard
-	var rep player.Report
-	switch obj.Class {
-	case core.ClassMultimedia:
-		rep, err = player.PlayComposition(db, obj.ID, clock, &sink, opts)
-	case core.ClassNonDerived:
-		it, ierr := db.Interpretation(obj.Blob)
-		if ierr != nil {
-			return ierr
+	return withDB(fs, *dir, func(db *catalog.DB) error {
+		obj, err := db.Lookup(*name)
+		if err != nil {
+			return err
 		}
-		rep, err = player.Play(it, []string{obj.Track}, clock, &sink, opts)
-	default:
-		return fmt.Errorf("play a stored or multimedia object (materialize derived objects first)")
-	}
-	if err != nil {
-		return err
-	}
-	fmt.Printf("played %q: %d events, %d B, ran %v\n", *name, sink.Events, sink.Bytes, rep.Duration.Round(time.Millisecond))
-	for _, tr := range rep.Tracks {
-		fmt.Printf("  %-12s %5d events %9d B  max jitter %v\n", tr.Track, tr.Events, tr.Bytes, tr.MaxJitter)
-	}
-	if rep.MaxSkew > 0 {
-		fmt.Printf("  max sync skew %v\n", rep.MaxSkew)
-	}
-	return nil
+		opts := player.Options{MaxLayer: -1, WorkPerByte: *work}
+		if *fidelity == "base" {
+			opts.MaxLayer = 0
+		}
+		clock := &player.VirtualClock{}
+		var sink player.Discard
+		var rep player.Report
+		switch obj.Class {
+		case core.ClassMultimedia:
+			rep, err = player.PlayComposition(db, obj.ID, clock, &sink, opts)
+		case core.ClassNonDerived:
+			it, ierr := db.Interpretation(obj.Blob)
+			if ierr != nil {
+				return ierr
+			}
+			rep, err = player.Play(it, []string{obj.Track}, clock, &sink, opts)
+		default:
+			return fmt.Errorf("play a stored or multimedia object (materialize derived objects first)")
+		}
+		if err != nil {
+			return err
+		}
+		fmt.Printf("played %q: %d events, %d B, ran %v\n", *name, sink.Events, sink.Bytes, rep.Duration.Round(time.Millisecond))
+		for _, tr := range rep.Tracks {
+			fmt.Printf("  %-12s %5d events %9d B  max jitter %v\n", tr.Track, tr.Events, tr.Bytes, tr.MaxJitter)
+		}
+		if rep.MaxSkew > 0 {
+			fmt.Printf("  max sync skew %v\n", rep.MaxSkew)
+		}
+		return nil
+	})
 }
 
 func cmdOps(args []string) error {
@@ -382,48 +250,6 @@ func cmdOps(args []string) error {
 	return nil
 }
 
-func cmdEDL(args []string) error {
-	fs := flag.NewFlagSet("edl", flag.ExitOnError)
-	dir := dirFlag(fs)
-	name := fs.String("name", "", "new object name (required)")
-	file := fs.String("file", "", "EDL file path (required)")
-	inputs := fs.String("inputs", "", "comma-separated input video objects, in EDL input order")
-	fs.Parse(args)
-	text, err := os.ReadFile(*file)
-	if err != nil {
-		return err
-	}
-	list, err := edl.Parse(string(text))
-	if err != nil {
-		return err
-	}
-	db, store, err := openDB(fs, *dir)
-	if err != nil {
-		return err
-	}
-	var ids []core.ID
-	for _, n := range strings.Split(*inputs, ",") {
-		n = strings.TrimSpace(n)
-		if n == "" {
-			continue
-		}
-		obj, err := db.Lookup(n)
-		if err != nil {
-			store.Close()
-			return err
-		}
-		ids = append(ids, obj.ID)
-	}
-	id, err := db.AddDerived(*name, "video-edit", ids, derive.EncodeParams(list.Params), nil)
-	if err != nil {
-		store.Close()
-		return err
-	}
-	obj, _ := db.Get(id)
-	fmt.Printf("created %v from EDL %q (%d events)\n", obj, list.Title, len(list.Params.Entries))
-	return saveDB(db, store, *dir)
-}
-
 // cmdExport materializes an object into standard interchange files:
 // audio → .wav, music → .mid, video → numbered .ppm frames,
 // image → .ppm.
@@ -434,78 +260,75 @@ func cmdExport(args []string) error {
 	out := fs.String("out", ".", "output directory")
 	limit := fs.Int("frames", 25, "max video frames to export")
 	fs.Parse(args)
-	db, store, err := openDB(fs, *dir)
-	if err != nil {
-		return err
-	}
-	defer closeDB(db, store)
-	obj, err := db.Lookup(*name)
-	if err != nil {
-		return err
-	}
-	v, err := db.Expand(obj.ID)
-	if err != nil {
-		return err
-	}
-	if err := os.MkdirAll(*out, 0o755); err != nil {
-		return err
-	}
-	switch v.Kind {
-	case media.KindAudio:
-		path := filepath.Join(*out, *name+".wav")
-		f, err := os.Create(path)
+	return withDB(fs, *dir, func(db *catalog.DB) error {
+		obj, err := db.Lookup(*name)
 		if err != nil {
 			return err
 		}
-		defer f.Close()
-		if err := export.WriteWAV(f, v.Audio, int(v.Rate.Frequency())); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s (%d sample frames)\n", path, v.Audio.Frames())
-	case media.KindMusic:
-		path := filepath.Join(*out, *name+".mid")
-		f, err := os.Create(path)
+		v, err := db.Expand(obj.ID)
 		if err != nil {
 			return err
 		}
-		defer f.Close()
-		if err := export.WriteSMF(f, v.Music); err != nil {
+		if err := os.MkdirAll(*out, 0o755); err != nil {
 			return err
 		}
-		fmt.Printf("wrote %s (%d events)\n", path, len(v.Music.Events))
-	case media.KindImage:
-		path := filepath.Join(*out, *name+".ppm")
-		f, err := os.Create(path)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		if err := export.WritePPM(f, v.Image); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s\n", path)
-	case media.KindVideo:
-		n := len(v.Video)
-		if n > *limit {
-			n = *limit
-		}
-		for i := 0; i < n; i++ {
-			path := filepath.Join(*out, fmt.Sprintf("%s-%04d.ppm", *name, i))
+		switch v.Kind {
+		case media.KindAudio:
+			path := filepath.Join(*out, *name+".wav")
 			f, err := os.Create(path)
 			if err != nil {
 				return err
 			}
-			if err := export.WritePPM(f, v.Video[i]); err != nil {
-				f.Close()
+			defer f.Close()
+			if err := export.WriteWAV(f, v.Audio, int(v.Rate.Frequency())); err != nil {
 				return err
 			}
-			f.Close()
+			fmt.Printf("wrote %s (%d sample frames)\n", path, v.Audio.Frames())
+		case media.KindMusic:
+			path := filepath.Join(*out, *name+".mid")
+			f, err := os.Create(path)
+			if err != nil {
+				return err
+			}
+			defer f.Close()
+			if err := export.WriteSMF(f, v.Music); err != nil {
+				return err
+			}
+			fmt.Printf("wrote %s (%d events)\n", path, len(v.Music.Events))
+		case media.KindImage:
+			path := filepath.Join(*out, *name+".ppm")
+			f, err := os.Create(path)
+			if err != nil {
+				return err
+			}
+			defer f.Close()
+			if err := export.WritePPM(f, v.Image); err != nil {
+				return err
+			}
+			fmt.Printf("wrote %s\n", path)
+		case media.KindVideo:
+			n := len(v.Video)
+			if n > *limit {
+				n = *limit
+			}
+			for i := 0; i < n; i++ {
+				path := filepath.Join(*out, fmt.Sprintf("%s-%04d.ppm", *name, i))
+				f, err := os.Create(path)
+				if err != nil {
+					return err
+				}
+				if err := export.WritePPM(f, v.Video[i]); err != nil {
+					f.Close()
+					return err
+				}
+				f.Close()
+			}
+			fmt.Printf("wrote %d frames to %s/%s-NNNN.ppm\n", n, *out, *name)
+		default:
+			return fmt.Errorf("cannot export kind %v", v.Kind)
 		}
-		fmt.Printf("wrote %d frames to %s/%s-NNNN.ppm\n", n, *out, *name)
-	default:
-		return fmt.Errorf("cannot export kind %v", v.Kind)
-	}
-	return nil
+		return nil
+	})
 }
 
 // cmdImport ingests external interchange files: .wav audio, .mid
@@ -521,50 +344,42 @@ func cmdImport(args []string) error {
 		return err
 	}
 	defer f.Close()
-	db, store, err := openDB(fs, *dir)
-	if err != nil {
-		return err
-	}
-	var value *derive.Value
-	switch {
-	case strings.HasSuffix(*file, ".wav"):
-		buf, rate, err := export.ReadWAV(f)
+	return withDB(fs, *dir, func(db *catalog.DB) error {
+		var value *derive.Value
+		switch {
+		case strings.HasSuffix(*file, ".wav"):
+			buf, rate, err := export.ReadWAV(f)
+			if err != nil {
+				return err
+			}
+			tsys, err := timebase.New(int64(rate), 1)
+			if err != nil {
+				return err
+			}
+			value = derive.AudioValue(buf, tsys)
+		case strings.HasSuffix(*file, ".mid"):
+			seq, err := export.ReadSMF(f)
+			if err != nil {
+				return err
+			}
+			value = derive.MusicValue(seq)
+		case strings.HasSuffix(*file, ".ppm"):
+			img, err := export.ReadPPM(f)
+			if err != nil {
+				return err
+			}
+			value = derive.ImageValue(img)
+		default:
+			return fmt.Errorf("unknown file type %q (want .wav, .mid or .ppm)", *file)
+		}
+		id, err := db.Ingest(*name, value, catalog.IngestOptions{})
 		if err != nil {
-			store.Close()
 			return err
 		}
-		tsys, err := timebase.New(int64(rate), 1)
-		if err != nil {
-			store.Close()
-			return err
-		}
-		value = derive.AudioValue(buf, tsys)
-	case strings.HasSuffix(*file, ".mid"):
-		seq, err := export.ReadSMF(f)
-		if err != nil {
-			store.Close()
-			return err
-		}
-		value = derive.MusicValue(seq)
-	case strings.HasSuffix(*file, ".ppm"):
-		img, err := export.ReadPPM(f)
-		if err != nil {
-			store.Close()
-			return err
-		}
-		value = derive.ImageValue(img)
-	default:
-		store.Close()
-		return fmt.Errorf("unknown file type %q (want .wav, .mid or .ppm)", *file)
-	}
-	id, err := db.Ingest(*name, value, catalog.IngestOptions{})
-	if err != nil {
-		store.Close()
-		return err
-	}
-	obj, _ := db.Get(id)
-	fmt.Printf("imported %v\n", obj)
-	return saveDB(db, store, *dir)
+		obj, _ := db.Get(id)
+		fmt.Printf("imported %v\n", obj)
+		return nil
+	})
 }
 
 // cmdRender rasterizes a multimedia object's spatial composition at an
@@ -578,27 +393,24 @@ func cmdRender(args []string) error {
 	height := fs.Int("height", 240, "canvas height")
 	out := fs.String("out", "composition.ppm", "output PPM path")
 	fs.Parse(args)
-	db, store, err := openDB(fs, *dir)
-	if err != nil {
-		return err
-	}
-	defer closeDB(db, store)
-	obj, err := db.Lookup(*name)
-	if err != nil {
-		return err
-	}
-	f, err := db.RenderCompositionFrame(obj.ID, *tick, *width, *height)
-	if err != nil {
-		return err
-	}
-	file, err := os.Create(*out)
-	if err != nil {
-		return err
-	}
-	defer file.Close()
-	if err := export.WritePPM(file, f); err != nil {
-		return err
-	}
-	fmt.Printf("rendered %q at tick %d → %s (%dx%d)\n", *name, *tick, *out, *width, *height)
-	return nil
+	return withDB(fs, *dir, func(db *catalog.DB) error {
+		obj, err := db.Lookup(*name)
+		if err != nil {
+			return err
+		}
+		f, err := db.RenderCompositionFrame(obj.ID, *tick, *width, *height)
+		if err != nil {
+			return err
+		}
+		file, err := os.Create(*out)
+		if err != nil {
+			return err
+		}
+		defer file.Close()
+		if err := export.WritePPM(file, f); err != nil {
+			return err
+		}
+		fmt.Printf("rendered %q at tick %d → %s (%dx%d)\n", *name, *tick, *out, *width, *height)
+		return nil
+	})
 }

@@ -77,9 +77,15 @@ func TestCLIRefusesLiveServerDir(t *testing.T) {
 	if err == nil {
 		t.Fatalf("tbmctl cut on a live server's directory exited 0:\n%s", out)
 	}
-	// cut has no -url flag: the hint must not name one.
-	if !strings.Contains(string(out), "server running? stop it, or use its HTTP API") || strings.Contains(string(out), "-url") {
-		t.Errorf("tbmctl cut failed without pointing at the server's API, or named a flag it lacks:\n%s", out)
+	// cut has -url: its hint names it.
+	if !strings.Contains(string(out), "server running? use -url") {
+		t.Errorf("tbmctl cut failed without pointing at -url:\n%s", out)
+	}
+	// compose has no -url flag: the hint must not name one.
+	cmd = exec.Command(os.Args[0], "compose", "-dir", dir, "-name", "show", "-components", "clip-video@0")
+	cmd.Env = append(os.Environ(), cliEnv+"=1")
+	if out, err := cmd.CombinedOutput(); err == nil || !strings.Contains(string(out), "server running? stop it, or use its HTTP API") || strings.Contains(string(out), "-url") {
+		t.Errorf("tbmctl compose on a live server's directory: %v, without pointing at the server's API, or naming a flag it lacks:\n%s", err, out)
 	}
 	// query has -url: its hint names it.
 	cmd = exec.Command(os.Args[0], "query", "-dir", dir, "-kind", "video")

@@ -5,7 +5,10 @@
 //
 // A database lives in a directory: BLOBs as <n>.blob files, the object
 // graph as a chain of checkpoint.NNNNNN.ckpt files the MANIFEST names,
-// and the journal segments written since.
+// and the journal segments written since. The commands that have a
+// server route (ls, query, stats, timeline, lineage, cut, derive, edl)
+// send its requests: to a running tbmserve with -url, or to one served
+// in this process over -dir.
 //
 // Usage:
 //
@@ -13,11 +16,12 @@
 //	tbmctl ingest   -dir db -n 64 -j 8 [-frames 25] [-cuts 2] [-prefix bulk]
 //	tbmctl ls       -dir db | -url http://host:8080   (query with no filter)
 //	tbmctl inspect  -dir db -name clip
-//	tbmctl cut      -dir db -name cut1 -input clip -from 25 -to 100
-//	tbmctl derive   -dir db -name fade -op video-transition -inputs a,b -params '{"type":"fade","dur":10}'
+//	tbmctl cut      -dir db -name cut1 -input clip -from 25 -to 100 | -url ...
+//	tbmctl derive   -dir db -name fade -op video-transition -inputs a,b -params '{"type":"fade","dur":10}' | -url ...
+//	tbmctl edl      -dir db -name edit -file cuts.edl -inputs a,b | -url ...
 //	tbmctl compose  -dir db -name show -components 'cut1@0,cut2@4000'
-//	tbmctl timeline -dir db -name show
-//	tbmctl lineage  -dir db -name show
+//	tbmctl timeline -dir db -name show | -url http://host:8080
+//	tbmctl lineage  -dir db -name show | -url http://host:8080
 //	tbmctl play     -dir db -name show [-fidelity base]
 //	tbmctl query    -dir db [-kind video] [-class derived] [-attr language=fr]
 //	                [-derived-from clip] [-live-at 2.5] [-overlaps 1,4]
@@ -34,56 +38,45 @@ import (
 	"os"
 )
 
+// commands maps each command name to the function that runs it.
+var commands = map[string]func([]string) error{
+	"capture":  cmdCapture,
+	"ingest":   cmdIngest,
+	"inspect":  cmdInspect,
+	"cut":      cmdCut,
+	"derive":   cmdDerive,
+	"edl":      cmdEDL,
+	"export":   cmdExport,
+	"import":   cmdImport,
+	"render":   cmdRender,
+	"compose":  cmdCompose,
+	"timeline": cmdTimeline,
+	"lineage":  cmdLineage,
+	"play":     cmdPlay,
+	"query":    cmdQuery,
+	"ls":       cmdQuery,
+	"stats":    cmdStats,
+	"promote":  cmdPromote,
+	"ops":      cmdOps,
+}
+
 func main() {
 	if len(os.Args) < 2 {
 		usage()
 		os.Exit(2)
 	}
 	cmd, args := os.Args[1], os.Args[2:]
-	var err error
-	switch cmd {
-	case "capture":
-		err = cmdCapture(args)
-	case "ingest":
-		err = cmdIngest(args)
-	case "inspect":
-		err = cmdInspect(args)
-	case "cut":
-		err = cmdCut(args)
-	case "derive":
-		err = cmdDerive(args)
-	case "edl":
-		err = cmdEDL(args)
-	case "export":
-		err = cmdExport(args)
-	case "import":
-		err = cmdImport(args)
-	case "render":
-		err = cmdRender(args)
-	case "compose":
-		err = cmdCompose(args)
-	case "timeline":
-		err = cmdTimeline(args)
-	case "lineage":
-		err = cmdLineage(args)
-	case "play":
-		err = cmdPlay(args)
-	case "query", "ls":
-		err = cmdQuery(args)
-	case "stats":
-		err = cmdStats(args)
-	case "promote":
-		err = cmdPromote(args)
-	case "ops":
-		err = cmdOps(args)
-	case "help", "-h", "--help":
+	if cmd == "help" || cmd == "-h" || cmd == "--help" {
 		usage()
-	default:
+		return
+	}
+	fn, ok := commands[cmd]
+	if !ok {
 		fmt.Fprintf(os.Stderr, "tbmctl: unknown command %q\n", cmd)
 		usage()
 		os.Exit(2)
 	}
-	if err != nil {
+	if err := fn(args); err != nil {
 		fmt.Fprintf(os.Stderr, "tbmctl %s: %v\n", cmd, err)
 		os.Exit(1)
 	}
@@ -97,15 +90,15 @@ commands:
   ingest    bulk-load synthetic clips with concurrent workers
   ls        list catalog objects: query with no filter (local or -url)
   inspect   show an object, its descriptor, stream categories and tables
-  cut       create an edit-list derivation selecting a frame range
-  derive    create a derivation object with explicit operator/params
-  edl       create a video-edit derivation from an edit decision list file
+  cut       create an edit-list derivation selecting a frame range (local or -url)
+  derive    create a derivation object with explicit operator/params (local or -url)
+  edl       create a video-edit derivation from an edit decision list file (local or -url)
   export    write an object as .wav / .mid / .ppm interchange files
   import    ingest a .wav / .mid / .ppm file as a new media object
   render    rasterize a multimedia object's spatial composition to PPM
   compose   create a multimedia object from components ("name@startMs,...")
-  timeline  render a multimedia object's timeline
-  lineage   walk an object down to its BLOBs (the Figure 5 layers)
+  timeline  render a multimedia object's timeline (local or -url)
+  lineage   walk an object down to its BLOBs, the Figure 5 layers (local or -url)
   play      play an object on the virtual clock and report deadlines
   query     indexed structural query: kind/class/attr/provenance/time (local or -url)
   stats     show catalog and expansion-cache statistics (local or -url, the same report)

@@ -194,7 +194,7 @@ func WithTelemetry(reg *telemetry.Registry) Option {
 }
 
 // WithWALBatchWindow sets the journal's group-commit straggler window
-// for journals the catalog opens itself (OpenJournal / Open). d <= 0
+// for journals the catalog opens itself (Open). d <= 0
 // disables the wait; concurrent appends then only coalesce while a
 // leader's fsync is in progress.
 func WithWALBatchWindow(d time.Duration) Option {

@@ -272,10 +272,11 @@ func TestCrashCorruptSnapshotRecoversFromBackup(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	db, err := Load(dir, fs)
+	db, err := Open(dir, fs)
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer db.CloseJournal()
 	rec := db.Recovery()
 	if !rec.UsedBackup || len(rec.Quarantined) == 0 {
 		t.Fatalf("recovery = %+v", rec)
@@ -344,10 +345,11 @@ func TestCrashTruncatedSnapshotRecoversFromBackup(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	db, err := Load(dir, fs)
+	db, err := Open(dir, fs)
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer db.CloseJournal()
 	rec := db.Recovery()
 	if !rec.UsedBackup || len(rec.Quarantined) == 0 {
 		t.Fatalf("recovery = %+v", rec)
@@ -467,7 +469,7 @@ func TestRecoverReportsEveryQuarantine(t *testing.T) {
 }
 
 // TestRecoverNoCleanBaseFails: with the one base damaged and no backup
-// beside it, Load sets the base aside and fails, naming the damage.
+// beside it, Open sets the base aside and fails, naming the damage.
 func TestRecoverNoCleanBaseFails(t *testing.T) {
 	dir := t.TempDir()
 	db := openDB(t, dir)
@@ -479,8 +481,8 @@ func TestRecoverNoCleanBaseFails(t *testing.T) {
 	if err := os.WriteFile(base, []byte("not a container"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Load(dir, db.Store()); !errors.Is(err, ErrCorruptSnapshot) || !strings.Contains(err.Error(), "no other base") {
-		t.Errorf("Load = %v, want ErrCorruptSnapshot with no other base", err)
+	if _, err := Open(dir, db.Store()); !errors.Is(err, ErrCorruptSnapshot) || !strings.Contains(err.Error(), "no other base") {
+		t.Errorf("Open = %v, want ErrCorruptSnapshot with no other base", err)
 	}
 	if _, err := os.Stat(base + ".corrupt"); err != nil {
 		t.Error(err)

@@ -243,7 +243,7 @@ func hostileFrames() map[string]hostile {
 // TestHostileFramesRefused: every hostile frame is ErrCorruptSnapshot,
 // never a panic, and a claimed suffix length allocates only with the
 // bytes that arrive. As the delta of a chain, inside a valid container,
-// it is set aside by Load, which reports the chain broken.
+// it is set aside by Open, which reports the chain broken.
 func TestHostileFramesRefused(t *testing.T) {
 	dir := t.TempDir()
 	store := streamFixture(t, dir)
@@ -275,10 +275,16 @@ func TestHostileFramesRefused(t *testing.T) {
 			copyTree(t, dir, copied)
 			delta := chainFile(t, copied, 1)
 			writeContainer(t, delta, h.payload(streamHead{FromSeq: base.Seq, Seq: base.Seq + 100, NextID: base.NextID, NextBlob: base.NextBlob}))
-			db, err := Load(copied, store)
+			cstore, err := blob.OpenFileStore(copied)
 			if err != nil {
 				t.Fatal(err)
 			}
+			defer cstore.Close()
+			db, err := Open(copied, cstore)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer db.CloseJournal()
 			if rec := db.Recovery(); !rec.CheckpointChainBroken || len(rec.Quarantined) != 1 {
 				t.Errorf("recovery over the hostile delta = %+v, want the chain broken and the delta quarantined", rec)
 			}

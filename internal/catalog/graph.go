@@ -145,10 +145,15 @@ func (v *View) Lineage(id core.ID) ([]LineageNode, error) {
 // Figure 4a: the object, its composition relationships, derivation
 // objects and interpretations down to BLOBs.
 func (db *DB) InstanceDiagram(id core.ID) (string, error) {
+	return db.CurrentView().InstanceDiagram(id)
+}
+
+// InstanceDiagram is DB.InstanceDiagram resolving in this view.
+func (v *View) InstanceDiagram(id core.ID) (string, error) {
 	var b strings.Builder
 	var render func(id core.ID, indent string) error
 	render = func(id core.ID, indent string) error {
-		obj, err := db.Get(id)
+		obj, err := v.Get(id)
 		if err != nil {
 			return err
 		}

@@ -107,8 +107,8 @@ type walOp struct {
 type RecoveryInfo struct {
 	SnapshotLoaded bool `json:"snapshot_loaded"`
 	UsedBackup     bool `json:"used_backup"`
-	// Quarantined lists every file Load set aside (path.corrupt): the
-	// MANIFEST, a base, a delta.
+	// Quarantined lists every file Open set aside (path.corrupt): the
+	// MANIFEST, a base, a delta Load found damaged and loaded past.
 	Quarantined    []string `json:"quarantined,omitempty"`
 	JournalRecords int      `json:"journal_records_replayed"`
 	JournalSkipped int      `json:"journal_records_skipped"`
@@ -129,6 +129,10 @@ type RecoveryInfo struct {
 	CheckpointsApplied    int  `json:"checkpoints_applied"`
 	CheckpointChainBroken bool `json:"checkpoint_chain_broken,omitempty"`
 	ManifestCorrupt       bool `json:"manifest_corrupt,omitempty"`
+
+	// damaged lists the files Load found damaged, each once, for Open
+	// to quarantine under its lock.
+	damaged []string
 }
 
 // FellBack reports whether the load fell back past state the directory

@@ -86,8 +86,9 @@ func readDir(t *testing.T, dir string) map[string]string {
 
 // TestLoadWritesNothing: a Load of a directory another Open holds reads
 // up to the torn tail of the holder's active journal segment (a partial
-// frame, as an append in progress leaves it) and leaves every file
-// byte-identical. The next Open, under the lock, cuts the tail.
+// frame, as an append in progress leaves it), or loads past a damaged
+// base or MANIFEST, and leaves every file byte-identical. The next
+// Open, under the lock, cuts the tail or sets the damaged file aside.
 func TestLoadWritesNothing(t *testing.T) {
 	dir := t.TempDir()
 	db := openDB(t, dir)
@@ -139,6 +140,58 @@ func TestLoadWritesNothing(t *testing.T) {
 	defer db2.CloseJournal()
 	if st, err := os.Stat(active); err != nil || st.Size() != int64(len(before[filepath.Base(active)])-7) {
 		t.Errorf("Open left the torn tail: %v", err)
+	}
+
+	// A damaged base, or a damaged MANIFEST: Load loads past it and
+	// renames nothing; the holder's next Open sets it aside.
+	for _, damaged := range []string{"base", "MANIFEST"} {
+		t.Run(damaged, func(t *testing.T) {
+			dir := t.TempDir()
+			db := openDB(t, dir)
+			clip := savedClip(t, db, dir, "clip", 91)
+			if _, err := db.SelectDuration(clip, "late", 0, 2); err != nil {
+				t.Fatal(err)
+			}
+			if err := db.Save(dir); err != nil { // the first base becomes the backup
+				t.Fatal(err)
+			}
+			path := wal.ManifestFile(dir)
+			if damaged == "base" {
+				path = chainFile(t, dir, 0)
+			}
+			data, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			data[len(data)/2] ^= 0x08
+			if err := os.WriteFile(path, data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			before := readDir(t, dir)
+
+			loaded, err := Load(dir, db.Store())
+			if err != nil {
+				t.Fatalf("Load past the damaged %s: %v", damaged, err)
+			}
+			if rec := loaded.Recovery(); (!rec.UsedBackup && !rec.ManifestCorrupt) || len(rec.Quarantined) != 0 {
+				t.Errorf("Load's recovery = %+v, want the damage seen and nothing set aside", rec)
+			}
+			if after := readDir(t, dir); !maps.Equal(before, after) {
+				t.Fatalf("Load of a held directory with a damaged %s changed it: %d files before, %d after", damaged, len(before), len(after))
+			}
+
+			if err := db.CloseJournal(); err != nil {
+				t.Fatal(err)
+			}
+			db2 := openDB(t, dir)
+			defer db2.CloseJournal()
+			if q := db2.Recovery().Quarantined; len(q) != 1 || q[0] != path+".corrupt" {
+				t.Errorf("Open quarantined %q, want %s.corrupt", q, path)
+			}
+			if _, err := os.Stat(path + ".corrupt"); err != nil {
+				t.Error(err)
+			}
+		})
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"slices"
 	"time"
 
 	"timedmedia/internal/blob"
@@ -32,11 +33,13 @@ import (
 //   - Once a new base's MANIFEST is durable, the previous chain's base
 //     stays as the backup and every other file off the chain goes: a
 //     directory holds at most two full captures.
-//   - Load verifies every file and quarantines a damaged one
-//     (path.corrupt) — never a silent partial load. A damaged or
-//     missing MANIFEST, or a damaged base, sends Load to the chain
-//     rebuilt from the file heads; a damaged delta ends the chain, and
-//     the WAL segments (journal.NNNNNN.log) replay what they can.
+//   - Load verifies every file and loads past a damaged one — never a
+//     silent partial load. A damaged or missing MANIFEST, or a damaged
+//     base, sends Load to the chain rebuilt from the file heads; a
+//     damaged delta ends the chain, and the WAL segments
+//     (journal.NNNNNN.log) replay what they can. Load writes nothing:
+//     Open, under the directory lock, quarantines the damaged files
+//     (path.corrupt).
 
 // ErrCorruptSnapshot reports a checkpoint file that failed integrity
 // verification (container checksum or decode).
@@ -132,12 +135,15 @@ func (db *DB) observeCheckpoint(start time.Time, full bool, size int64) {
 	}
 }
 
-// setAside quarantines a file that failed verification and records
-// where it went.
-func (r *RecoveryInfo) setAside(path string) {
-	if q, _ := durable.Quarantine(path); q != "" {
-		r.Quarantined = append(r.Quarantined, q)
+// quarantine sets aside the files Load found damaged and records where
+// each went. Only Open calls it, holding the directory lock.
+func (r *RecoveryInfo) quarantine() {
+	for _, path := range r.damaged {
+		if q, _ := durable.Quarantine(path); q != "" {
+			r.Quarantined = append(r.Quarantined, q)
+		}
 	}
+	r.damaged = nil
 }
 
 // applyFile applies the chain file at path when it starts at the
@@ -159,18 +165,23 @@ func (db *DB) applyFile(path string) (bool, error) {
 // a base, and each later file applies from the state's seq. In the
 // MANIFEST's chain (strict) a delta that does not start there breaks
 // the chain; in one rebuilt from the file heads it belongs to another
-// chain and is passed over. A missing or damaged delta (quarantined)
+// chain and is passed over. A missing or damaged delta (noted in rec)
 // breaks the chain too, and recovery goes on with what the segments
-// hold. No DB comes back when nums[0] is not a base that reads clean:
-// a damaged one is set aside and its error returned. ErrSnapshotFormat
-// and store failures are hard errors: the file is healthy and not ours
-// to set aside.
+// hold. A file already noted damaged reads as missing, as it will be
+// once Open sets it aside, so each is noted once. No DB comes back when
+// nums[0] is not a base that reads clean: a damaged one is noted and
+// its error returned. ErrSnapshotFormat and store failures are hard
+// errors: the file is healthy and not ours to set aside.
 func loadFrom(dir string, nums []uint64, strict bool, store blob.Store, opts []Option, rec *RecoveryInfo) (*DB, []uint64, error) {
 	db := New(store, opts...)
 	var chain []uint64
 	for i, n := range nums {
 		path := CheckpointFile(dir, n)
-		ok, err := db.applyFile(path)
+		var ok bool
+		err := fs.ErrNotExist
+		if !slices.Contains(rec.damaged, path) {
+			ok, err = db.applyFile(path)
+		}
 		switch {
 		case ok && err == nil:
 			chain = append(chain, n)
@@ -180,7 +191,7 @@ func loadFrom(dir string, nums []uint64, strict bool, store blob.Store, opts []O
 		case err == nil, errors.Is(err, fs.ErrNotExist):
 			err = nil
 		case errors.Is(err, ErrCorruptSnapshot):
-			rec.setAside(path)
+			rec.damaged = append(rec.damaged, path)
 		default:
 			return nil, nil, err
 		}
@@ -201,6 +212,8 @@ func loadFrom(dir string, nums []uint64, strict bool, store blob.Store, opts []O
 // abandoned, whose seqs may have been reused since, from applying. A
 // base older than the MANIFEST's, or than a file set aside on the way,
 // is the backup (UsedBackup). With no chain at all, the DB is empty.
+// The heads leave out the files noted damaged, as Open's quarantine
+// will.
 func loadChain(dir string, man *wal.Manifest, store blob.Store, opts []Option, rec *RecoveryInfo) (*DB, []uint64, error) {
 	var named uint64
 	var cause error // why the first base was set aside
@@ -223,6 +236,7 @@ func loadChain(dir string, man *wal.Manifest, store blob.Store, opts []Option, r
 	if err != nil {
 		return nil, nil, err
 	}
+	nums = slices.DeleteFunc(nums, func(n uint64) bool { return slices.Contains(rec.damaged, CheckpointFile(dir, n)) })
 	lost := false
 	for i := len(nums) - 1; i >= 0; i-- {
 		db, chain, err := loadFrom(dir, nums[i:], false, store, opts, rec)
@@ -249,21 +263,27 @@ func loadChain(dir string, man *wal.Manifest, store blob.Store, opts []Option, r
 // ErrSnapshotFormat, nothing touched; MANIFEST → base → deltas
 // (loadChain; a file intact but in another format is ErrSnapshotFormat,
 // left in place) → the index pass, which fails on a live object whose
-// BLOB is missing (relinkAllLocked) → WAL segments in index order, a
-// torn tail truncated → the BLOB high-water mark reserved in the store.
-// (*DB).Recovery reports what happened. Load does not attach the
-// journal for writing — call OpenJournal to log new mutations.
+// BLOB is missing (relinkAllLocked) → WAL segments in index order, read
+// up to a torn tail → the BLOB high-water mark reserved in the store.
+// (*DB).Recovery reports what happened. Load writes nothing into dir:
+// it loads past a damaged file and leaves a torn tail, and it does not
+// attach the journal. Open does all three under the directory lock.
 func Load(dir string, store blob.Store, opts ...Option) (*DB, error) {
+	return load(dir, store, new(RecoveryInfo), opts)
+}
+
+// load is Load noting in rec, which the DB's Recovery starts from, the
+// damaged files it loads past.
+func load(dir string, store blob.Store, rec *RecoveryInfo, opts []Option) (*DB, error) {
 	if err := refuseEarlierLayout(dir); err != nil {
 		return nil, err
 	}
-	var rec RecoveryInfo
 	man, err := wal.LoadManifest(dir)
 	if err != nil {
-		rec.setAside(wal.ManifestFile(dir))
+		rec.damaged = append(rec.damaged, wal.ManifestFile(dir))
 		rec.ManifestCorrupt = true
 	}
-	db, chain, err := loadChain(dir, man, store, opts, &rec)
+	db, chain, err := loadChain(dir, man, store, opts, rec)
 	if err != nil {
 		return nil, err
 	}
@@ -277,7 +297,7 @@ func Load(dir string, store blob.Store, opts ...Option) (*DB, error) {
 			t.chainFiles.Set(int64(len(chain)))
 		}
 	}
-	db.recovery = rec
+	db.recovery = *rec
 
 	// Rebuild the secondary indexes once the whole base + chain state
 	// is present — multimedia spans resolve component objects, which
@@ -315,7 +335,10 @@ func lockDir(dir string) (*durable.DirLock, func(), error) {
 
 // Open loads the catalog at dir (Load: an empty one when dir holds no
 // state), creating dir if need be, and attaches the mutation journal.
-// This is the one-call path the CLIs use. It then sweeps the BLOB files
+// This is the one-call path the CLIs use. Under the lock it sets aside
+// the damaged files Load loaded past (path.corrupt; Recovery's
+// Quarantined names them, a failed Open's too) and cuts a torn journal
+// tail. It then sweeps the BLOB files
 // a reopen would not open again (replayKeep): a crash left them between
 // a checkpoint and its unlinks, or mid-ingest; or, at version retention
 // 1, a BLOB registered and collected between two checkpoints reached no
@@ -355,12 +378,15 @@ func Open(dir string, store blob.Store, opts ...Option) (*DB, error) {
 		release()
 		return nil, err
 	}
-	db, err := Load(dir, store, opts...)
+	var rec RecoveryInfo
+	db, err := load(dir, store, &rec, opts)
 	if err != nil {
+		rec.quarantine()
 		return fail(err)
 	}
 	db.mu.Lock()
 	defer db.mu.Unlock()
+	db.recovery.quarantine()
 	if err := db.cutTornTailsLocked(dir); err != nil {
 		return fail(err)
 	}

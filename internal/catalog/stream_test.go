@@ -810,14 +810,15 @@ func TestForeignSnapshotFormatRefused(t *testing.T) {
 			dir, fs := corruptDBSetup(t)
 			base := chainFile(t, dir, 0)
 			tc.write(t, base)
-			db, err := Load(dir, fs)
+			db, err := Open(dir, fs)
 			switch {
 			case tc.want == ErrCorruptSnapshot:
 				if err != nil || !db.Recovery().UsedBackup || len(db.Recovery().Quarantined) == 0 {
 					t.Fatalf("garbage base: err %v, want a quarantine and the backup", err)
 				}
+				db.CloseJournal()
 			case !errors.Is(err, ErrSnapshotFormat) || errors.Is(err, ErrCorruptSnapshot):
-				t.Fatalf("Load = %v, want ErrSnapshotFormat", err)
+				t.Fatalf("Open = %v, want ErrSnapshotFormat", err)
 			default:
 				if !strings.Contains(err.Error(), fmt.Sprintf("%q", tc.found)) {
 					t.Errorf("error does not name the bytes found (%q): %v", tc.found, err)

@@ -88,3 +88,26 @@ func TestBatchEndpointRejectsJunk(t *testing.T) {
 		}
 	}
 }
+
+// TestBatchRefusalsPinned: the batch route refuses a body over
+// maxBatchBody, a batch of maxBatchItems+1 items and an empty batch
+// with 400 bad_request before it reads an item, and creates nothing.
+func TestBatchRefusalsPinned(t *testing.T) {
+	ts, db := testServer(t)
+	before := db.Len()
+	item := `{"name":"x","op":"video-edit","input_names":["clip"],"params":{"entries":[{"input":0,"from":0,"to":1}]}}`
+	for name, body := range map[string]string{
+		"over maxBatchBody":     `{"items":[{"name":"` + strings.Repeat("x", maxBatchBody) + `"}]}`,
+		"maxBatchItems+1 items": `{"items":[` + strings.Repeat(item+",", maxBatchItems) + item + `]}`,
+		"empty":                 `{"items":[]}`,
+	} {
+		resp, raw := postJSON(t, ts.URL+"/v1/objects:batch", body)
+		var env errorEnvelope
+		if err := json.Unmarshal(raw, &env); err != nil || resp.StatusCode != http.StatusBadRequest || env.Error.Code != CodeBadRequest {
+			t.Errorf("%s: status %d, body %.200s; want 400 %s", name, resp.StatusCode, raw, CodeBadRequest)
+		}
+	}
+	if db.Len() != before {
+		t.Errorf("len = %d, want %d", db.Len(), before)
+	}
+}

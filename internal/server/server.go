@@ -19,8 +19,10 @@
 //	GET /v1/objects/{name}/at/{tick}        payload of the element covering tick
 //	GET /v1/objects/{name}/stream?from=&to= chunked elements in presentation order
 //	GET /v1/objects/{name}/expand           expand (decode) an object; JSON summary
-//	GET /v1/objects/{name}/timeline         multimedia timeline (JSON)
-//	GET /v1/objects/{name}/lineage          Figure 5 layers (JSON)
+//	GET /v1/objects/{name}/timeline         multimedia timeline (JSON); the
+//	                                        Fig. 4a axis under Accept: text/plain
+//	GET /v1/objects/{name}/lineage          Figure 5 layers (JSON); the instance
+//	                                        diagram under Accept: text/plain
 //	POST /v1/objects/{name}/cut?out=&from=&to=  create an edit derivation
 //	POST /v1/objects:batch                  atomic multi-object create (JSON)
 //	GET /v1/debug/trace                     recent request traces (JSON)
@@ -43,10 +45,12 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"log"
 	"log/slog"
 	"net/http"
 	"strconv"
+	"strings"
 	"time"
 
 	"timedmedia/internal/catalog"
@@ -338,6 +342,22 @@ func writeJSONStatus(w http.ResponseWriter, code int, v any) {
 	w.Write(buf.Bytes())
 }
 
+// wantsText reports whether a request asks for the text form of a
+// route that has one (timeline, lineage).
+func wantsText(r *http.Request) bool {
+	return strings.Contains(r.Header.Get("Accept"), "text/plain")
+}
+
+// writeText answers with a route's text form, or with err's envelope.
+func writeText(w http.ResponseWriter, text string, err error) {
+	if err != nil {
+		httpError(w, err)
+		return
+	}
+	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
+	io.WriteString(w, text)
+}
+
 // listReply is the paginated shape of GET /v1/query (and /v1/objects).
 // Epoch is the journal seq of the view the page was computed against —
 // pass it back as ?epoch= to make the next page mutually consistent
@@ -610,6 +630,11 @@ func (s *Server) handleTimeline(w http.ResponseWriter, r *http.Request) {
 		httpError(w, err)
 		return
 	}
+	if wantsText(r) {
+		text, err := mm.RenderTimeline(64)
+		writeText(w, text, err)
+		return
+	}
 	spans, err := mm.Timeline()
 	if err != nil {
 		httpError(w, err)
@@ -625,6 +650,11 @@ func (s *Server) handleLineage(w http.ResponseWriter, r *http.Request) {
 	}
 	obj, ok := s.lookupPinned(w, r, v, asOfStart)
 	if !ok {
+		return
+	}
+	if wantsText(r) {
+		text, err := v.InstanceDiagram(obj.ID)
+		writeText(w, text, err)
 		return
 	}
 	nodes, err := v.Lineage(obj.ID)

@@ -3,6 +3,7 @@ package server
 import (
 	"encoding/binary"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -181,6 +182,57 @@ func TestTimelineAndLineage(t *testing.T) {
 	}
 	if len(nodes) != 5 { // show + clip + song + 2 blobs
 		t.Errorf("lineage = %d nodes", len(nodes))
+	}
+}
+
+// TestTimelineAndLineageText: under Accept: text/plain the two graph
+// routes answer the text the catalog renders — the timeline's axis and
+// the instance diagram — and a refusal keeps its JSON envelope. The
+// diagram of /lineage?as_of=S is the one at S, though the composition
+// and one of its components were deleted after S.
+func TestTimelineAndLineageText(t *testing.T) {
+	ts, db := testServer(t)
+	text := map[string]string{"Accept": "text/plain"}
+	show, _ := db.Lookup("show")
+	mm, err := db.BuildMultimedia(show.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	timeline, err := mm.RenderTimeline(64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	diagram, err := db.InstanceDiagram(show.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, hdr := getWithHeaders(t, ts.URL+"/v1/objects/show/timeline", text, 200)
+	if string(body) != timeline || !strings.HasPrefix(hdr.Get("Content-Type"), "text/plain") {
+		t.Errorf("timeline text (%s):\n%s\nwant\n%s", hdr.Get("Content-Type"), body, timeline)
+	}
+	if body, _ := getWithHeaders(t, ts.URL+"/v1/objects/show/lineage", text, 200); string(body) != diagram {
+		t.Errorf("lineage text:\n%s\nwant\n%s", body, diagram)
+	}
+	if body, _ := getWithHeaders(t, ts.URL+"/v1/objects/clip/timeline", text, 400); !strings.Contains(string(body), CodeNotComposite) {
+		t.Errorf("timeline text of a stored object: %s", body)
+	}
+
+	S := db.Seq()
+	song, _ := db.Lookup("song")
+	clip, _ := db.Lookup("clip")
+	for _, id := range []core.ID{show.ID, song.ID} {
+		if err := db.Delete(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := db.AddMultimedia("show", timebase.Millis, []core.ComponentRef{{Object: clip.ID}}, nil); err != nil {
+		t.Fatal(err)
+	}
+	if body, _ := getWithHeaders(t, fmt.Sprintf("%s/v1/objects/show/lineage?as_of=%d", ts.URL, S), text, 200); string(body) != diagram {
+		t.Errorf("lineage text as of %d:\n%s\nwant\n%s", S, body, diagram)
+	}
+	if body, _ := getWithHeaders(t, ts.URL+"/v1/objects/show/lineage", text, 200); strings.Contains(string(body), "(song)") {
+		t.Errorf("the current lineage text still shows the deleted song:\n%s", body)
 	}
 }
 
