@@ -163,9 +163,9 @@ func TestCLIRoutesSameBothWays(t *testing.T) {
 	steps := []step{
 		{[]string{"timeline", "-name", "show"}, "clip-video", false},
 		{[]string{"lineage", "-name", "show"}, "[multimedia object]", false},
-		{[]string{"cut", "-name", "cut1", "-input", "clip-video", "-from", "2", "-to", "8"}, `created #4 "cut1" media object (derived): video-edit[obj-1]`, false},
+		{[]string{"cut", "-name", "cut1", "-input", "clip-video", "-from", "2", "-to", "8"}, `created #4 "cut1" media object (derived): video-edit[#1]`, false},
 		{[]string{"derive", "-name", "fade", "-op", "video-transition", "-inputs", "clip-video,cut1", "-params", `{"type":"fade","dur":5}`},
-			`created #5 "fade" media object (derived): video-transition[obj-1 obj-4]`, false},
+			`created #5 "fade" media object (derived): video-transition[#1 #4]`, false},
 		{[]string{"edl", "-name", "edlcut", "-file", edlPath, "-inputs", "clip-video"}, `from EDL "t" (1 events)`, false},
 		{[]string{"lineage", "-name", "edlcut"}, "(clip-video)  [media object]", false},
 		{[]string{"cut", "-name", "cut1", "-input", "clip-video", "-from", "0", "-to", "4"}, "(duplicate_name)", true},
@@ -239,4 +239,18 @@ func mustCLI(t *testing.T, args ...string) string {
 func firstLine(s string) string {
 	line, _, _ := strings.Cut(s, "\n")
 	return line
+}
+
+// TestCLIPromoteFailurePrintsMessage: `promote -url` against a follower
+// whose promotion fails prints the envelope's message and code, not
+// the raw body.
+func TestCLIPromoteFailurePrintsMessage(t *testing.T) {
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		server.WriteError(w, http.StatusInternalServerError, server.CodeInternal, "repl: promote: index verification failed")
+	}))
+	defer ts.Close()
+	_, stderr, ok := cli(t, "promote", "-url", ts.URL)
+	if ok || !strings.Contains(stderr, "server: repl: promote: index verification failed (internal)") {
+		t.Fatalf("promote against a failing follower: ok=%v stderr %q", ok, stderr)
+	}
 }

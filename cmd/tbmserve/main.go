@@ -4,8 +4,8 @@
 //
 // Durability: mutations made over HTTP (e.g. POST .../cut) are
 // journaled to the active WAL segment (<dir>/journal.NNNNNN.log)
-// before the response returns; segments rotate at -wal-segment-mb /
-// -wal-segment-records. A background checkpointer (-save-every) keeps
+// before the response returns; a segment is sealed once it holds
+// -wal-segment-mb MiB. A background checkpointer (-save-every) keeps
 // recovery bounded: it writes only the state changed since the last
 // checkpoint as a delta, records the chain in <dir>/MANIFEST, and
 // compacts covered segments — starting a new chain with a full base
@@ -38,7 +38,7 @@
 //	tbmserve -dir db -addr :8080 [-save-every 5m] [-request-timeout 30s]
 //	         [-max-inflight 1024] [-shutdown-grace 10s] [-cache-mb 256]
 //	         [-debug-addr 127.0.0.1:6060] [-wal-batch-window 2ms]
-//	         [-wal-segment-mb 64] [-wal-segment-records 1048576]
+//	         [-wal-segment-mb 64]
 //	         [-repl-listen :8090 | -replicate-from http://primary:8080]
 package main
 
@@ -68,15 +68,14 @@ import (
 
 // config carries the parsed flags through run.
 type config struct {
-	dir, addr, debugAddr        string
-	replicateFrom, replListen   string
-	cacheMB                     int64
-	saveEvery                   time.Duration
-	requestTimeout              time.Duration
-	walBatchWindow              time.Duration
-	walSegmentMB, walSegmentRec int64
-	maxInFlight                 int
-	shutdownGrace               time.Duration
+	dir, addr, debugAddr      string
+	replicateFrom, replListen string
+	cacheMB, walSegmentMB     int64
+	saveEvery                 time.Duration
+	requestTimeout            time.Duration
+	walBatchWindow            time.Duration
+	maxInFlight               int
+	shutdownGrace             time.Duration
 }
 
 func main() {
@@ -99,8 +98,6 @@ func main() {
 		"group-commit straggler window: how long a journal fsync waits for concurrent mutators to coalesce (0 disables batching; a lone writer never waits)")
 	flag.Int64Var(&cfg.walSegmentMB, "wal-segment-mb", 0,
 		"seal a WAL segment once it reaches this many MiB (0 = default 64)")
-	flag.Int64Var(&cfg.walSegmentRec, "wal-segment-records", 0,
-		"seal a WAL segment once it holds this many records (0 = default 1048576)")
 	flag.StringVar(&cfg.replicateFrom, "replicate-from", "",
 		"run as a read replica of the primary at this base URL (e.g. http://primary:8080)")
 	flag.StringVar(&cfg.replListen, "repl-listen", "",
@@ -133,7 +130,6 @@ func catalogOptions(cfg config, reg *telemetry.Registry) []catalog.Option {
 		catalog.WithCacheCapacity(cfg.cacheMB << 20),
 		catalog.WithWALBatchWindow(cfg.walBatchWindow),
 		catalog.WithWALSegmentBytes(cfg.walSegmentMB << 20),
-		catalog.WithWALSegmentRecords(cfg.walSegmentRec),
 		catalog.WithTelemetry(reg),
 	}
 }
@@ -313,6 +309,26 @@ func runPrimary(ctx context.Context, cfg config, reg *telemetry.Registry, access
 	return nil
 }
 
+// promoteRoute answers POST /v1/repl/promote: the follower's new role
+// and seq, or a failed promotion in the error envelope every route
+// answers with.
+func promoteRoute(f interface {
+	Promote() error
+	DB() *catalog.DB
+}) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		if err := f.Promote(); err != nil {
+			server.WriteError(w, http.StatusInternalServerError, server.CodeInternal, err.Error())
+			return
+		}
+		log.Printf("promoted to primary at seq %d", f.DB().Seq())
+		w.Header().Set("Content-Type", "application/json")
+		json.NewEncoder(w).Encode(map[string]any{
+			"status": "primary", "seq": f.DB().Seq(),
+		})
+	}
+}
+
 func runFollower(ctx context.Context, cfg config, reg *telemetry.Registry, accessLog *slog.Logger) error {
 	// The follower owns its catalog and blob store (a re-bootstrap
 	// replaces them), so the HTTP handler is swapped atomically
@@ -329,18 +345,7 @@ func runFollower(ctx context.Context, cfg config, reg *telemetry.Registry, acces
 			server.WithReadiness(func() (bool, string) { return f.Ready() }),
 			server.WithWriteGate(func() (bool, string) { return f.Promoted(), f.PrimaryURL() }),
 			server.WithReplStatus(func() any { return f.Status() }),
-			server.WithRoute("POST /v1/repl/promote", "repl_promote",
-				func(w http.ResponseWriter, r *http.Request) {
-					if err := f.Promote(); err != nil {
-						http.Error(w, err.Error(), http.StatusInternalServerError)
-						return
-					}
-					log.Printf("promoted to primary at seq %d", f.DB().Seq())
-					w.Header().Set("Content-Type", "application/json")
-					json.NewEncoder(w).Encode(map[string]any{
-						"status": "primary", "seq": f.DB().Seq(),
-					})
-				}),
+			server.WithRoute("POST /v1/repl/promote", "repl_promote", promoteRoute(f)),
 		)
 	}
 

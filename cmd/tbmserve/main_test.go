@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -587,5 +588,34 @@ func TestFollowerCheckpoints(t *testing.T) {
 	_, base, followLog = startServe(t, filepath.Join(logs, "follower2.log"), follow...)
 	if n := metric(t, base, "tbm_recovery_journal_records_replayed"); n >= cuts {
 		t.Fatalf("the restart replayed %d records, want fewer than the %d fed:\n%s", n, cuts, followLog())
+	}
+}
+
+// failedPromotion is a follower whose promotion fails.
+type failedPromotion struct{}
+
+func (failedPromotion) Promote() error {
+	return fmt.Errorf("repl: promote: index verification failed")
+}
+
+func (failedPromotion) DB() *catalog.DB { return nil }
+
+// TestPromoteFailureAnswersEnvelope: a failed POST /v1/repl/promote
+// answers 500 with the {"error":{"code","message"}} envelope every
+// route uses, not plain text.
+func TestPromoteFailureAnswersEnvelope(t *testing.T) {
+	rec := httptest.NewRecorder()
+	promoteRoute(failedPromotion{})(rec, httptest.NewRequest(http.MethodPost, "/v1/repl/promote", nil))
+	if rec.Code != http.StatusInternalServerError || rec.Header().Get("Content-Type") != "application/json" {
+		t.Fatalf("status %d, Content-Type %q", rec.Code, rec.Header().Get("Content-Type"))
+	}
+	var env struct {
+		Error struct{ Code, Message string }
+	}
+	if err := json.Unmarshal(rec.Body.Bytes(), &env); err != nil {
+		t.Fatalf("body %q: %v", rec.Body, err)
+	}
+	if env.Error.Code != "internal" || env.Error.Message != "repl: promote: index verification failed" {
+		t.Errorf("envelope = %+v", env.Error)
 	}
 }

@@ -102,20 +102,23 @@ type DB struct {
 
 	// Durability state (see journal.go / persist.go): the attached
 	// mutation journal, the database directory it belongs to, the
-	// group-commit straggler window, the sequence number of the last
-	// journaled mutation, and what the last Load had to recover.
-	wal            wal.Appender
-	walDir         string
-	dirLock        *durable.DirLock // the lock Open took on walDir, released by CloseJournal
-	heldDir        string           // the directory Open holds locked (its own lock or WithDirLock's) until CloseJournal
-	walBatchWindow time.Duration
-	seq            uint64
-	recovery       RecoveryInfo
+	// options of a journal Open opens (group-commit straggler window,
+	// segment bound), the sequence number of the last journaled
+	// mutation, and what the last Load had to recover.
+	wal      wal.Appender
+	walDir   string
+	dirLock  *durable.DirLock // the lock Open took on walDir, released by CloseJournal
+	heldDir  string           // the directory Open holds locked (its own lock or WithDirLock's) until CloseJournal
+	walOpts  []wal.SegmentedOption
+	seq      uint64
+	recovery RecoveryInfo
 
 	// saveMu serializes Save and Checkpoint: they take mu only to
 	// settle, pin and rotate, and two concurrent checkpoints (autosave
 	// racing shutdown) would take the same file number.
 	saveMu sync.Mutex
+	// stopCheckpointer stops the last StartCheckpointer's goroutine.
+	stopCheckpointer func()
 
 	// manifest is the chain the state stands on in walDir: the last
 	// MANIFEST a checkpoint wrote, or the chain Load read (nil when the
@@ -135,11 +138,6 @@ type DB struct {
 	// segment tails replay read up to and left in place: Load takes no
 	// lock, so only Open, under the directory lock, may truncate.
 	tornTails []wal.SegmentReplay
-
-	// walSegmentBytes/Records configure segment rotation thresholds for
-	// journals the catalog opens itself; <= 0 keeps the wal defaults.
-	walSegmentBytes   int64
-	walSegmentRecords int64
 
 	// checkpointHook, when non-nil, is called with a stage name at each
 	// boundary inside Save/Checkpoint — "rotated", "capture", "written",
@@ -161,21 +159,20 @@ type DB struct {
 // DefaultWALBatchWindow is the group-commit straggler window applied
 // when no WithWALBatchWindow option is given: how long a journal
 // batch leader waits for concurrent mutators that are mid-append but
-// not yet queued. A lone writer never pays it (see wal.WithBatchWindow).
+// not yet queued. A lone writer never pays it (see
+// wal.WithSegmentBatchWindow).
 const DefaultWALBatchWindow = 2 * time.Millisecond
 
 // Option configures a DB at construction.
 type Option func(*config)
 
 type config struct {
-	cacheCapacity     int64
-	telemetry         *telemetry.Registry
-	walBatchWindow    time.Duration
-	walSegmentBytes   int64
-	walSegmentRecords int64
-	versionRetention  int
-	replayCap         uint64
-	dirLock           *durable.DirLock
+	cacheCapacity    int64
+	telemetry        *telemetry.Registry
+	walOpts          []wal.SegmentedOption
+	versionRetention int
+	replayCap        uint64
+	dirLock          *durable.DirLock
 }
 
 // WithCacheCapacity bounds the expansion cache to n bytes of decoded
@@ -198,19 +195,13 @@ func WithTelemetry(reg *telemetry.Registry) Option {
 // disables the wait; concurrent appends then only coalesce while a
 // leader's fsync is in progress.
 func WithWALBatchWindow(d time.Duration) Option {
-	return func(c *config) { c.walBatchWindow = d }
+	return func(c *config) { c.walOpts = append(c.walOpts, wal.WithSegmentBatchWindow(d)) }
 }
 
 // WithWALSegmentBytes seals a WAL segment once it reaches n bytes, for
 // journals the catalog opens itself. n <= 0 keeps the wal default.
 func WithWALSegmentBytes(n int64) Option {
-	return func(c *config) { c.walSegmentBytes = n }
-}
-
-// WithWALSegmentRecords seals a WAL segment once it holds n records,
-// for journals the catalog opens itself. n <= 0 keeps the wal default.
-func WithWALSegmentRecords(n int64) Option {
-	return func(c *config) { c.walSegmentRecords = n }
+	return func(c *config) { c.walOpts = append(c.walOpts, wal.WithSegmentBytes(n)) }
 }
 
 // WithVersionRetention bounds each object's transaction-time version
@@ -242,7 +233,7 @@ func WithDirLock(l *durable.DirLock) Option {
 func New(store blob.Store, opts ...Option) *DB {
 	cfg := config{
 		cacheCapacity:    DefaultCacheCapacity,
-		walBatchWindow:   DefaultWALBatchWindow,
+		walOpts:          []wal.SegmentedOption{wal.WithSegmentBatchWindow(DefaultWALBatchWindow)},
 		versionRetention: DefaultVersionRetention,
 	}
 	for _, o := range opts {
@@ -255,14 +246,12 @@ func New(store blob.Store, opts ...Option) *DB {
 		store = blob.Observed(store, cfg.telemetry.Histogram(telemetry.StageFamily, telemetry.StageBlobRead))
 	}
 	db := &DB{
-		store:             store,
-		nextID:            1,
-		walBatchWindow:    cfg.walBatchWindow,
-		walSegmentBytes:   cfg.walSegmentBytes,
-		walSegmentRecords: cfg.walSegmentRecords,
-		verRetention:      cfg.versionRetention,
-		replayCap:         cfg.replayCap,
-		cache:             expcache.New[core.ID, *derive.Value](cfg.cacheCapacity),
+		store:        store,
+		nextID:       1,
+		walOpts:      cfg.walOpts,
+		verRetention: cfg.versionRetention,
+		replayCap:    cfg.replayCap,
+		cache:        expcache.New[core.ID, *derive.Value](cfg.cacheCapacity),
 	}
 	db.cur.Store(&View{db: db, at: seqNow})
 	if cfg.telemetry != nil {
@@ -461,7 +450,7 @@ func (db *DB) settleLocked(c *pendingCommit) {
 // discardLocked fails h, whose append failed, and every commit queued
 // behind it: each was built on h's view, and none of their records can
 // land, because a failed batch fences the journal (see
-// wal.Journal.Unfence). Once all of them have resolved, h's IDs are
+// wal.Segmented.Unfence). Once all of them have resolved, h's IDs are
 // handed out again, and so are its seqs when they were recorded ones —
 // re-applying the same replicated bytes is then no duplicate; a live
 // commit's seqs are never reused, since a record that failed only at

@@ -825,8 +825,9 @@ func (db *DB) Manifest() *wal.Manifest {
 }
 
 // StartCheckpointer runs Checkpoint(dir) every interval until the
-// returned stop function is called (stop waits for an in-flight
-// checkpoint to finish). Errors are reported to onErr (may be nil).
+// returned stop function, or Abandon, stops it (both wait for an
+// in-flight checkpoint to finish). Errors are reported to onErr (may
+// be nil).
 // ErrJournalTruncate — checkpoint durable, WAL cleanup failed — backs
 // the next attempt off exponentially (bounded at 8× the interval)
 // instead of hammering a stuck filesystem; any success resets the
@@ -867,8 +868,12 @@ func (db *DB) StartCheckpointer(dir string, every time.Duration, onErr func(erro
 			timer.Reset(delay)
 		}
 	}()
-	return func() {
+	stop = sync.OnceFunc(func() {
 		close(done)
 		wg.Wait()
-	}
+	})
+	db.mu.Lock()
+	db.stopCheckpointer = stop
+	db.mu.Unlock()
+	return stop
 }

@@ -9,6 +9,7 @@ import (
 	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -31,11 +32,6 @@ func openDB(t *testing.T, dir string) *DB {
 	}
 	return db
 }
-
-// crash abandons db the way a killed process leaves it: journal
-// handles open, nothing synced or closed. The directory lock is
-// released, as the kernel releases a dead process's flock.
-func crash(db *DB) { db.dirLock.Unlock() }
 
 // copyTree snapshots a database directory byte-for-byte — the crash
 // image a kill -9 at that instant would leave (checkpoint hooks fire
@@ -785,6 +781,33 @@ func TestStartCheckpointerStopWaitsForInFlight(t *testing.T) {
 	}
 	if err := db.CloseJournal(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestAbandonStopsCheckpointer: Abandon stops the checkpointer and
+// releases the directory lock, so a mutation made after it is left to
+// the journal — no checkpoint captures it — and the directory reopens
+// with it replayed.
+func TestAbandonStopsCheckpointer(t *testing.T) {
+	dir := t.TempDir()
+	db := openDB(t, dir)
+	clip := baseCatalog(t, db, dir, 8, 185)
+	var after atomic.Int32
+	db.checkpointHook = func(string) { after.Add(1) }
+	db.StartCheckpointer(dir, time.Millisecond, func(err error) { t.Error(err) })
+	db.Abandon()
+	after.Store(0)
+	if _, err := db.SelectDuration(clip, "unsaved", 0, 2); err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(20 * time.Millisecond)
+	if n := after.Load(); n != 0 {
+		t.Fatalf("the checkpointer ran %d stages after Abandon", n)
+	}
+	db2 := openDB(t, dir)
+	defer db2.CloseJournal()
+	if _, err := db2.Lookup("unsaved"); err != nil || db2.Recovery().JournalRecords != 1 {
+		t.Fatalf("reopen: %v, %d records replayed, want the unsaved cut replayed", err, db2.Recovery().JournalRecords)
 	}
 }
 

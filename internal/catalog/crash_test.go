@@ -41,7 +41,7 @@ func TestCrashJournalReplayRestoresCut(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Crash: no Save, no CloseJournal, handles simply abandoned.
-	crash(db)
+	db.Abandon()
 
 	fs2, err := blob.OpenFileStore(dir)
 	if err != nil {
@@ -76,7 +76,7 @@ func TestCrashJournalReplayRestoresCut(t *testing.T) {
 	if err := db2.Save(dir); err != nil {
 		t.Fatal(err)
 	}
-	crash(db2)
+	db2.Abandon()
 	db3, err := Open(dir, fs2)
 	if err != nil {
 		t.Fatal(err)
@@ -100,7 +100,7 @@ func TestCrashIngestSurvivesWithoutSnapshot(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Crash before any Save: no checkpoint file exists at all.
-	crash(db)
+	db.Abandon()
 
 	fs2, _ := blob.OpenFileStore(dir)
 	db2, err := Open(dir, fs2)
@@ -143,7 +143,7 @@ func TestCrashTornTailTruncatedOnRecovery(t *testing.T) {
 	}
 	// Crash mid-append: chop into the last record (the cut1 derivation)
 	// of the active WAL segment.
-	crash(db)
+	db.Abandon()
 	seg := wal.SegmentFile(dir, 1)
 	fi, err := os.Stat(seg)
 	if err != nil {
@@ -175,7 +175,7 @@ func TestCrashTornTailTruncatedOnRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	// ...crash again, without any Save.
-	crash(db2)
+	db2.Abandon()
 
 	// Second restart: cut2 must be present — it was fsynced before
 	// SelectDuration returned, and the first recovery truncated the

@@ -171,10 +171,7 @@ func (db *DB) JournalStats() wal.StatsSnapshot {
 // attachJournalLocked opens dir's segmented journal for appending
 // without replaying it. Assumes db.mu is held.
 func (db *DB) attachJournalLocked(dir string) error {
-	j, err := wal.OpenSegmented(dir,
-		wal.WithSegmentBatchWindow(db.walBatchWindow),
-		wal.WithSegmentBytes(db.walSegmentBytes),
-		wal.WithSegmentRecords(db.walSegmentRecords))
+	j, err := wal.OpenSegmented(dir, db.walOpts...)
 	if err != nil {
 		return err
 	}
@@ -218,6 +215,24 @@ func (db *DB) CloseJournal() error {
 	// this one.
 	db.walDir = ""
 	return err
+}
+
+// Abandon leaves db the way a killed process leaves its directory, for
+// crash tests: the checkpointer is stopped, the journal's handles stay
+// open with nothing synced or closed, and the directory lock is
+// released, as the kernel releases a dead process's flock. db must not
+// be used afterwards.
+func (db *DB) Abandon() {
+	db.mu.RLock()
+	stop := db.stopCheckpointer
+	db.mu.RUnlock()
+	if stop != nil {
+		stop()
+	}
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	db.dirLock.Unlock()
+	db.dirLock, db.heldDir = nil, ""
 }
 
 // SyncJournal flushes the journal without appending (shutdown path).

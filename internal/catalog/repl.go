@@ -26,20 +26,18 @@ func (db *DB) Seq() uint64 {
 }
 
 // WALDurableBoundary reports the attached journal's active segment
-// index and durable byte offset within it, when the journal can name
-// one (a segmented WAL, possibly behind a fault wrapper). The
-// replication feed reads sealed segments whole and the active segment
-// only up to this boundary, so it never ships bytes a crash could
-// roll back.
+// index and durable byte offset within it; ok is false when no journal
+// is attached. The replication feed reads sealed segments whole and
+// the active segment only up to this boundary, so it never ships bytes
+// a crash could roll back.
 func (db *DB) WALDurableBoundary() (seg uint64, off int64, ok bool) {
 	db.mu.RLock()
 	j := db.wal
 	db.mu.RUnlock()
-	if b, has := j.(interface{ DurableBoundary() (uint64, int64) }); has {
-		seg, off = b.DurableBoundary()
-		return seg, off, true
+	if j != nil {
+		seg, off = j.DurableBoundary()
 	}
-	return 0, 0, false
+	return seg, off, j != nil
 }
 
 // RecordInfo reads the routing metadata of one encoded journal record

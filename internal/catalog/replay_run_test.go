@@ -24,6 +24,11 @@ type replayHistory struct {
 	last    uint64
 }
 
+// frameBytes is about the size of one record's frame in these
+// histories, so a byte bound of n·frameBytes seals segments of about n
+// records.
+const frameBytes = 100
+
 // runReplayHistory writes a seeded random history into a fresh journaled
 // directory and never checkpoints it: clips ingested, cut and composed,
 // syncs, deletes down to a BLOB's last reader, and group-commit batches
@@ -40,7 +45,7 @@ func runReplayHistory(t *testing.T, seed int64, steps int, bulk bool, segRecords
 		t.Fatal(err)
 	}
 	defer store.Close()
-	db, err := Open(h.dir, store, WithWALSegmentRecords(segRecords))
+	db, err := Open(h.dir, store, WithWALSegmentBytes(segRecords*frameBytes))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,7 +254,7 @@ func checkReplayRuns(t *testing.T, h replayHistory, check func(uint64) bool) {
 func TestReplayRunsEqualPerRecordReplay(t *testing.T) {
 	every := func(uint64) bool { return true }
 	for seed := int64(1); seed <= 4; seed++ {
-		segRecords := int64(0) // the default: one segment
+		segRecords := int64(0) // the default bound: one segment
 		if seed%2 == 0 {
 			segRecords = 3 + seed
 		}

@@ -2,7 +2,6 @@ package catalog
 
 import (
 	"timedmedia/internal/telemetry"
-	"timedmedia/internal/wal"
 )
 
 // dbTelemetry caches the stage histograms the catalog's hot paths
@@ -113,18 +112,12 @@ func (db *DB) Telemetry() *telemetry.Registry {
 
 // wireFsyncLocked points the attached journal's fsync timing at the
 // wal_fsync stage histogram and its group-commit batch sizes at the
-// wal_batch_size histogram. Wrapped journals (fault injection) that
-// don't expose the setter methods are simply unobserved. Assumes
-// db.mu is held.
+// wal_batch_size histogram. Assumes db.mu is held.
 func (db *DB) wireFsyncLocked() {
 	t := db.tel.Load()
 	if t == nil || db.wal == nil {
 		return
 	}
-	if o, ok := db.wal.(interface{ SetFsyncObserver(wal.FsyncObserver) }); ok {
-		o.SetFsyncObserver(t.reg.Histogram(telemetry.StageFamily, telemetry.StageWALFsync))
-	}
-	if o, ok := db.wal.(interface{ SetBatchObserver(wal.FsyncObserver) }); ok {
-		o.SetBatchObserver(t.reg.Histogram(telemetry.WALBatchFamily, ""))
-	}
+	db.wal.SetFsyncObserver(t.reg.Histogram(telemetry.StageFamily, telemetry.StageWALFsync))
+	db.wal.SetBatchObserver(t.reg.Histogram(telemetry.WALBatchFamily, ""))
 }

@@ -156,8 +156,9 @@ func (m *Multimedia) Duration() (int64, error) {
 
 // Span is one timeline row.
 type Span struct {
-	Name       string
-	Start, End int64 // axis ticks
+	Name  string `json:"name"`
+	Start int64  `json:"start"` // axis ticks
+	End   int64  `json:"end"`
 }
 
 // Timeline returns spans sorted by start then name — the data behind

@@ -253,10 +253,10 @@ func WrapJournal(inner *wal.Segmented, inj *Injector) *Journal {
 	return &Journal{Segmented: inner, inj: inj}
 }
 
-// Append implements wal.Appender.
+// Append is Enqueue followed by Wait, through the injection point.
 func (j *Journal) Append(data []byte) error { return j.Enqueue(data).Wait() }
 
-// AppendBatch implements wal.Appender.
+// AppendBatch is EnqueueBatch followed by Wait, likewise.
 func (j *Journal) AppendBatch(records [][]byte) error { return j.EnqueueBatch(records).Wait() }
 
 // Enqueue implements wal.Appender. The injection point is at enqueue

@@ -106,7 +106,8 @@ func TestJournalWrapper(t *testing.T) {
 		Rule{Op: "journal.append", Nth: 2},
 		Rule{Op: "journal.rotate", Nth: 1},
 		Rule{Op: "journal.compact", Nth: 1})
-	var j wal.Appender = WrapJournal(inner, inj)
+	j := WrapJournal(inner, inj)
+	var _ wal.Appender = j
 
 	if err := j.Append([]byte("first")); err != nil {
 		t.Fatal(err)

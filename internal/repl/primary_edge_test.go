@@ -135,7 +135,7 @@ func TestHandleSnapshotSaveFailure(t *testing.T) {
 // durable boundary, positive behind it, and tolerant of segments that
 // compaction already deleted.
 func TestBacklogEstimate(t *testing.T) {
-	tp := newTestPrimary(t, catalog.WithWALSegmentRecords(2))
+	tp := newTestPrimary(t, catalog.WithWALSegmentBytes(2*cutBytes))
 	for i := 0; i < 5; i++ {
 		tp.ingest(t, "clip"+strconv.Itoa(i), 3, int64(i))
 	}

@@ -39,6 +39,11 @@ type testPrimary struct {
 	srv   *httptest.Server
 }
 
+// cutBytes is a little under the size of one cut's journal frame (79
+// bytes for the cuts below), so a segment bound of n·cutBytes seals a
+// segment after at most n cuts.
+const cutBytes = 75
+
 func newTestPrimary(t *testing.T, opts ...catalog.Option) *testPrimary {
 	t.Helper()
 	dir := t.TempDir()
@@ -169,7 +174,7 @@ func TestReplBootstrapTailCatchup(t *testing.T) {
 // re-bootstrap — including when the resume point sits exactly at a
 // segment boundary.
 func TestReplFollowerRestartResume(t *testing.T) {
-	tp := newTestPrimary(t, catalog.WithWALSegmentRecords(2))
+	tp := newTestPrimary(t, catalog.WithWALSegmentBytes(2*cutBytes))
 	clip := tp.ingest(t, "clip", 12, 3)
 	for i := 0; i < 4; i++ {
 		tp.cut(t, clip, fmt.Sprintf("early%d", i), int64(i), int64(i+4))
@@ -186,7 +191,7 @@ func TestReplFollowerRestartResume(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Primary keeps going while the follower is down; with 2 records
+	// Primary keeps going while the follower is down; with at most 2 cuts
 	// per segment these writes span multiple new segment files.
 	for i := 0; i < 5; i++ {
 		tp.cut(t, clip, fmt.Sprintf("late%d", i), int64(i), int64(i+6))
@@ -326,7 +331,7 @@ func TestReplResumeAfterCollectedBlob(t *testing.T) {
 // the follower: the feed answers 410 and the follower must rebuild
 // itself from a fresh snapshot automatically.
 func TestReplCompactedRebootstrap(t *testing.T) {
-	tp := newTestPrimary(t, catalog.WithWALSegmentRecords(2))
+	tp := newTestPrimary(t, catalog.WithWALSegmentBytes(2*cutBytes))
 	clip := tp.ingest(t, "clip", 12, 4)
 	tp.cut(t, clip, "cut0", 0, 6)
 
@@ -430,7 +435,7 @@ func TestReplTornFeedReconnect(t *testing.T) {
 // of the primary's acked writes, verify its indexes clean, and accept
 // new writes (including fresh payload blobs) immediately.
 func TestFailoverPromote(t *testing.T) {
-	tp := newTestPrimary(t, catalog.WithWALSegmentRecords(8))
+	tp := newTestPrimary(t, catalog.WithWALSegmentBytes(8*cutBytes))
 	clip := tp.ingest(t, "clip", 16, 6)
 
 	reg := telemetry.NewRegistry()

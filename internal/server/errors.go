@@ -87,16 +87,17 @@ func classify(err error) (status int, code string) {
 // httpError writes err as an error envelope with its mapped status.
 func httpError(w http.ResponseWriter, err error) {
 	status, code := classify(err)
-	writeError(w, status, code, err.Error())
+	WriteError(w, status, code, err.Error())
 }
 
 // badRequest writes a 400 envelope with a literal message.
 func badRequest(w http.ResponseWriter, msg string) {
-	writeError(w, http.StatusBadRequest, CodeBadRequest, msg)
+	WriteError(w, http.StatusBadRequest, CodeBadRequest, msg)
 }
 
-// writeError writes the envelope. It must not be used after the body
-// has started (streams set a trailer instead).
-func writeError(w http.ResponseWriter, status int, code, msg string) {
+// WriteError writes the error envelope, for the built-in routes and
+// those mounted with WithRoute alike. It must not be used after the
+// body has started (streams set a trailer instead).
+func WriteError(w http.ResponseWriter, status int, code, msg string) {
 	writeJSONStatus(w, status, errorEnvelope{Error: errorBody{Code: code, Message: msg}})
 }

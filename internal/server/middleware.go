@@ -122,7 +122,7 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		default:
 			s.stats.shed.Add(1)
 			w.Header().Set("Retry-After", strconv.Itoa(int(s.retryAfter/time.Second)))
-			writeError(rq, http.StatusServiceUnavailable, CodeOverloaded, "server overloaded")
+			WriteError(rq, http.StatusServiceUnavailable, CodeOverloaded, "server overloaded")
 			return
 		}
 	}

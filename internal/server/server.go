@@ -281,7 +281,15 @@ func (s *Server) summarize(v *catalog.View, obj *core.Object) objectSummary {
 			}
 		}
 	case core.ClassDerived:
-		out.Derivation = fmt.Sprintf("%s%v", obj.Derivation.Op, obj.Derivation.Inputs)
+		// Inputs spelled #N, as a summary line spells an object's own ID.
+		b := append([]byte(obj.Derivation.Op), '[')
+		for i, in := range obj.Derivation.Inputs {
+			if i > 0 {
+				b = append(b, ' ')
+			}
+			b = strconv.AppendUint(append(b, '#'), uint64(in), 10)
+		}
+		out.Derivation = string(append(b, ']'))
 	}
 	return out
 }
@@ -483,7 +491,7 @@ func (s *Server) handleAt(w http.ResponseWriter, r *http.Request) {
 	}
 	i, found := tr.ElementAt(tick)
 	if !found || !live {
-		writeError(w, http.StatusNotFound, CodeNoElement, "no element at tick")
+		WriteError(w, http.StatusNotFound, CodeNoElement, "no element at tick")
 		return
 	}
 	if r.URL.Query().Get("format") == "json" {
@@ -787,7 +795,7 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 // handleUnmatched answers a method and path no route serves with the
 // API's error envelope instead of the mux's plain-text 404.
 func (s *Server) handleUnmatched(w http.ResponseWriter, r *http.Request) {
-	writeError(w, http.StatusNotFound, CodeNotFound, "no such route: "+r.Method+" "+r.URL.Path)
+	WriteError(w, http.StatusNotFound, CodeNotFound, "no such route: "+r.Method+" "+r.URL.Path)
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
@@ -832,6 +840,6 @@ func (s *Server) writeAllowed(w http.ResponseWriter) bool {
 		w.Header().Set("X-Primary", primary)
 		msg += " at " + primary
 	}
-	writeError(w, http.StatusConflict, CodeReadOnly, msg)
+	WriteError(w, http.StatusConflict, CodeReadOnly, msg)
 	return false
 }

@@ -174,6 +174,12 @@ func TestTimelineAndLineage(t *testing.T) {
 	if len(spans) != 2 {
 		t.Fatalf("spans = %v", spans)
 	}
+	for _, sp := range spans {
+		// snake_case, as every route answers: name, start, end.
+		if _, ok := sp["name"].(string); !ok || len(sp) != 3 || sp["start"] == nil || sp["end"] == nil {
+			t.Errorf("span fields = %v, want name, start and end", sp)
+		}
+	}
 	get(t, ts.URL+"/v1/objects/clip/timeline", 400) // not multimedia
 
 	var nodes []map[string]any

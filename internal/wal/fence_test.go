@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"os"
-	"path/filepath"
 	"testing"
 )
 
@@ -23,24 +22,11 @@ func (f *failingFile) Write(p []byte) (int, error) {
 	return f.segmentFile.Write(p)
 }
 
-// failNextWrite arms j's file to fail its next write.
-func failNextWrite(j *Journal) {
-	j.mu.Lock()
-	j.f = &failingFile{segmentFile: j.f, armed: true}
-	j.mu.Unlock()
-}
-
-// replayed returns the records dir's segments hold, in order.
-func replayed(t *testing.T, dir string) string {
-	t.Helper()
-	var recs []string
-	if _, err := ReplaySegments(dir, func(d []byte) error {
-		recs = append(recs, string(d))
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	return fmt.Sprint(recs)
+// failNextWrite arms s's active segment to fail its next write.
+func failNextWrite(s *Segmented) {
+	s.mu.Lock()
+	s.f = &failingFile{segmentFile: s.f, armed: true}
+	s.mu.Unlock()
 }
 
 // fileSize returns path's size on disk.
@@ -53,36 +39,35 @@ func fileSize(t *testing.T, path string) int64 {
 	return fi.Size()
 }
 
-// TestFaultFenceJournal: after a failed batch a Journal refuses every
-// batch enqueued before Unfence, writing nothing, and takes appends
-// again after it.
+// TestFaultFenceJournal: after a failed batch the journal refuses
+// every batch enqueued before Unfence, writing nothing and leaving the
+// durable size where it was, and takes appends again after it.
 func TestFaultFenceJournal(t *testing.T) {
-	path := journalPath(t)
-	j, err := Open(path)
-	if err != nil {
+	s, dir := openTest(t)
+	defer s.Close()
+	if err := s.Append([]byte("acked")); err != nil {
 		t.Fatal(err)
 	}
-	defer j.Close()
-	if err := j.Append([]byte("acked")); err != nil {
-		t.Fatal(err)
-	}
-	size := fileSize(t, path)
-	failNextWrite(j)
-	if err := j.Append([]byte("failed")); err == nil || errors.Is(err, ErrFenced) {
+	size := fileSize(t, SegmentFile(dir, 1))
+	failNextWrite(s)
+	if err := s.Append([]byte("failed")); err == nil || errors.Is(err, ErrFenced) {
 		t.Fatalf("append over a failing write: %v", err)
 	}
-	if err := j.AppendBatch([][]byte{[]byte("built"), []byte("on it")}); !errors.Is(err, ErrFenced) {
+	if err := s.AppendBatch([][]byte{[]byte("built"), []byte("on it")}); !errors.Is(err, ErrFenced) {
 		t.Fatalf("batch after the failed one: %v, want ErrFenced", err)
 	}
-	if got := fileSize(t, path); got != size || j.Size() != size {
-		t.Errorf("segment is %d bytes (durable size %d), want %d", got, j.Size(), size)
+	if _, durable := s.DurableBoundary(); fileSize(t, SegmentFile(dir, 1)) != size || durable != size {
+		t.Errorf("segment is %d bytes (durable size %d), want %d", fileSize(t, SegmentFile(dir, 1)), durable, size)
 	}
-	j.Unfence()
-	if err := j.Append([]byte("after")); err != nil {
+	s.Unfence()
+	if err := s.Append([]byte("after")); err != nil {
 		t.Fatalf("append after Unfence: %v", err)
 	}
-	if got := replayed(t, filepath.Dir(path)); got != "[acked after]" {
+	if got := fmt.Sprint(collectRecords(t, dir)); got != "[acked after]" {
 		t.Errorf("replayed %s", got)
+	}
+	if st := s.Stats(); st.AppendErrors != 3 || st.Appends != 2 {
+		t.Errorf("stats = %+v, want 3 append errors and 2 appends", st)
 	}
 }
 
@@ -90,16 +75,12 @@ func TestFaultFenceJournal(t *testing.T) {
 // rotation — a batch enqueued before Unfence fails in the next segment
 // too and leaves it empty — and Unfence lifts it.
 func TestFaultFenceSegmented(t *testing.T) {
-	dir := t.TempDir()
-	s, err := OpenSegmented(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s, dir := openTest(t)
 	defer s.Close()
 	if err := s.Append([]byte("acked")); err != nil {
 		t.Fatal(err)
 	}
-	failNextWrite(s.active)
+	failNextWrite(s)
 	if err := s.Append([]byte("failed")); err == nil || errors.Is(err, ErrFenced) {
 		t.Fatalf("append over a failing write: %v", err)
 	}
@@ -120,7 +101,7 @@ func TestFaultFenceSegmented(t *testing.T) {
 	if err := s.Append([]byte("after")); err != nil {
 		t.Fatalf("append after Unfence: %v", err)
 	}
-	if got := replayed(t, dir); got != "[acked after]" {
+	if got := fmt.Sprint(collectRecords(t, dir)); got != "[acked after]" {
 		t.Errorf("replayed %s", got)
 	}
 }

@@ -12,11 +12,7 @@ import (
 // group commit must not reorder bytes within a frame, drop a queued
 // record, or ack before its batch's fsync.
 func TestConcurrentAppendsAllDurable(t *testing.T) {
-	path := journalPath(t)
-	j, err := Open(path, WithBatchWindow(2*time.Millisecond))
-	if err != nil {
-		t.Fatal(err)
-	}
+	j, dir := openTest(t, WithSegmentBatchWindow(2*time.Millisecond))
 	const writers, perWriter = 8, 25
 	var wg sync.WaitGroup
 	for w := 0; w < writers; w++ {
@@ -34,12 +30,11 @@ func TestConcurrentAppendsAllDurable(t *testing.T) {
 	j.Close()
 
 	got := map[string]bool{}
-	res, err := Replay(path, func(d []byte) error { got[string(d)] = true; return nil })
-	if err != nil || res.Torn {
-		t.Fatalf("res=%+v err=%v", res, err)
+	for _, r := range collectRecords(t, dir) {
+		got[r] = true
 	}
-	if res.Records != writers*perWriter {
-		t.Fatalf("records = %d, want %d", res.Records, writers*perWriter)
+	if len(got) != writers*perWriter {
+		t.Fatalf("records = %d, want %d", len(got), writers*perWriter)
 	}
 	for w := 0; w < writers; w++ {
 		for i := 0; i < perWriter; i++ {
@@ -61,10 +56,7 @@ func TestConcurrentAppendsAllDurable(t *testing.T) {
 // fsyncs: with a generous straggler window, 8 concurrent appends must
 // land in strictly fewer batches than records.
 func TestGroupCommitCoalesces(t *testing.T) {
-	j, err := Open(journalPath(t), WithBatchWindow(50*time.Millisecond))
-	if err != nil {
-		t.Fatal(err)
-	}
+	j, _ := openTest(t, WithSegmentBatchWindow(50*time.Millisecond))
 	defer j.Close()
 	const writers = 8
 	start := make(chan struct{})
@@ -94,10 +86,7 @@ func TestGroupCommitCoalesces(t *testing.T) {
 // batch window. 10 sequential appends under a huge window finishing
 // quickly is the observable contract.
 func TestSingleWriterNoWindowWait(t *testing.T) {
-	j, err := Open(journalPath(t), WithBatchWindow(time.Second))
-	if err != nil {
-		t.Fatal(err)
-	}
+	j, _ := openTest(t, WithSegmentBatchWindow(time.Second))
 	defer j.Close()
 	start := time.Now()
 	for i := 0; i < 10; i++ {
@@ -116,11 +105,7 @@ func TestSingleWriterNoWindowWait(t *testing.T) {
 // TestAppendBatchRoundTrip: AppendBatch writes every record in order
 // under one batch/fsync, and an empty batch is a no-op.
 func TestAppendBatchRoundTrip(t *testing.T) {
-	path := journalPath(t)
-	j, err := Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
+	j, dir := openTest(t)
 	if err := j.AppendBatch(nil); err != nil {
 		t.Fatalf("empty batch: %v", err)
 	}
@@ -129,12 +114,7 @@ func TestAppendBatchRoundTrip(t *testing.T) {
 	}
 	j.Close()
 
-	var got []string
-	res, err := Replay(path, func(d []byte) error { got = append(got, string(d)); return nil })
-	if err != nil || res.Torn || res.Records != 3 {
-		t.Fatalf("res=%+v err=%v", res, err)
-	}
-	if got[0] != "a" || got[1] != "bb" || got[2] != "ccc" {
+	if got := collectRecords(t, dir); fmt.Sprint(got) != "[a bb ccc]" {
 		t.Fatalf("got = %q", got)
 	}
 	s := j.Stats()
@@ -146,7 +126,7 @@ func TestAppendBatchRoundTrip(t *testing.T) {
 // TestAppendBatchAfterClose: the whole batch fails with ErrClosed and
 // every record counts as an append error.
 func TestAppendBatchAfterClose(t *testing.T) {
-	j, _ := Open(journalPath(t))
+	j, _ := openTest(t)
 	j.Close()
 	if err := j.AppendBatch([][]byte{[]byte("x"), []byte("y")}); err != ErrClosed {
 		t.Errorf("err = %v", err)
@@ -168,22 +148,32 @@ func (r *batchSizeRecorder) Observe(d time.Duration) {
 	r.mu.Unlock()
 }
 
-// TestBatchObserverSeesRecordCounts: the observer receives one
-// observation per commit, encoding the record count on the µs scale.
+// TestBatchObserverSeesRecordCounts: the batch observer receives one
+// observation per commit, encoding the record count on the µs scale,
+// and the fsync observer one per fsync — each commit's, Sync's and the
+// outgoing segment's at a rotation.
 func TestBatchObserverSeesRecordCounts(t *testing.T) {
-	j, err := Open(journalPath(t))
-	if err != nil {
-		t.Fatal(err)
-	}
+	j, _ := openTest(t)
 	defer j.Close()
-	rec := &batchSizeRecorder{}
+	rec, fsyncs := &batchSizeRecorder{}, &batchSizeRecorder{}
 	j.SetBatchObserver(rec)
+	j.SetFsyncObserver(fsyncs)
 	j.Append([]byte("one"))
 	j.AppendBatch([][]byte{[]byte("a"), []byte("b"), []byte("c")})
+	if err := j.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := j.Rotate(); err != nil {
+		t.Fatal(err)
+	}
+	j.Append([]byte("two"))
 	rec.mu.Lock()
 	defer rec.mu.Unlock()
-	if len(rec.sizes) != 2 || rec.sizes[0] != 1 || rec.sizes[1] != 3 {
-		t.Errorf("observed sizes = %v, want [1 3]", rec.sizes)
+	if fmt.Sprint(rec.sizes) != "[1 3 1]" {
+		t.Errorf("observed sizes = %v, want [1 3 1]", rec.sizes)
+	}
+	if n, syncs := len(fsyncs.sizes), j.Stats().Syncs; n != 5 || syncs != 5 {
+		t.Errorf("fsyncs observed %d, counted %d, want 5", n, syncs)
 	}
 }
 
@@ -191,11 +181,7 @@ func TestBatchObserverSeesRecordCounts(t *testing.T) {
 // several goroutines and verifies each batch's records are contiguous
 // in the log — group commit must never interleave two batches' frames.
 func TestConcurrentAppendBatchAtomic(t *testing.T) {
-	path := journalPath(t)
-	j, err := Open(path, WithBatchWindow(time.Millisecond))
-	if err != nil {
-		t.Fatal(err)
-	}
+	j, dir := openTest(t, WithSegmentBatchWindow(time.Millisecond))
 	const writers, batchLen = 6, 4
 	var wg sync.WaitGroup
 	for w := 0; w < writers; w++ {
@@ -214,10 +200,9 @@ func TestConcurrentAppendBatchAtomic(t *testing.T) {
 	wg.Wait()
 	j.Close()
 
-	var order []string
-	res, _ := Replay(path, func(d []byte) error { order = append(order, string(d)); return nil })
-	if res.Records != writers*batchLen {
-		t.Fatalf("records = %d", res.Records)
+	order := collectRecords(t, dir)
+	if len(order) != writers*batchLen {
+		t.Fatalf("records = %d", len(order))
 	}
 	for i := 0; i < len(order); i += batchLen {
 		var w byte = order[i][1]

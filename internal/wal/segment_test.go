@@ -8,18 +8,6 @@ import (
 	"testing"
 )
 
-func collectRecords(t *testing.T, dir string) []string {
-	t.Helper()
-	var out []string
-	if _, err := ReplaySegments(dir, func(d []byte) error {
-		out = append(out, string(d))
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	return out
-}
-
 func TestSegmentedAppendReplay(t *testing.T) {
 	dir := t.TempDir()
 	s, err := OpenSegmented(dir)
@@ -43,28 +31,25 @@ func TestSegmentedAppendReplay(t *testing.T) {
 	}
 }
 
-// TestSegmentedRotationByRecords: crossing the record threshold seals
-// the segment; records land across multiple files but replay in order.
-func TestSegmentedRotationByRecords(t *testing.T) {
-	dir := t.TempDir()
-	s, err := OpenSegmented(dir, WithSegmentRecords(4))
-	if err != nil {
-		t.Fatal(err)
-	}
+// TestSegmentedRotationByBytes: crossing the byte bound seals the
+// segment; records land across multiple files but replay in order.
+func TestSegmentedRotationByBytes(t *testing.T) {
+	// A record "rNN" is a 15-byte frame: four fill a segment.
+	s, dir := openTest(t, WithSegmentBytes(60))
 	for i := 0; i < 11; i++ {
 		if err := s.Append([]byte(fmt.Sprintf("r%02d", i))); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if got := s.Stats().Rotations; got < 2 {
-		t.Errorf("rotations = %d, want >= 2", got)
+	if got := s.Stats().Rotations; got != 2 {
+		t.Errorf("rotations = %d, want 2", got)
 	}
 	idxs, err := ListSegments(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(idxs) < 3 {
-		t.Fatalf("segments = %v, want >= 3", idxs)
+	if len(idxs) != 3 {
+		t.Fatalf("segments = %v, want 3", idxs)
 	}
 	s.Close()
 	recs := collectRecords(t, dir)
@@ -98,7 +83,7 @@ func TestSegmentedExplicitRotateBoundary(t *testing.T) {
 	// Everything <= sealed holds only the "before" records.
 	var pre []string
 	for idx := uint64(1); idx <= sealed; idx++ {
-		Replay(SegmentFile(dir, idx), func(d []byte) error {
+		replayFile(SegmentFile(dir, idx), func(d []byte) error {
 			pre = append(pre, string(d))
 			return nil
 		})
@@ -124,6 +109,62 @@ func TestSegmentedExplicitRotateBoundary(t *testing.T) {
 	}
 }
 
+// TestRotateCommitsQueuedTickets: a ticket enqueued before Rotate and
+// waited on only after it was committed by the rotation into the
+// sealed segment — its records replay from a segment at or below the
+// sealed index — while one enqueued after Rotate lands beyond it.
+func TestRotateCommitsQueuedTickets(t *testing.T) {
+	s, dir := openTest(t)
+	defer s.Close()
+	one := s.Enqueue([]byte("queued"))
+	batch := s.EnqueueBatch([][]byte{[]byte("queued-b0"), []byte("queued-b1")})
+	sealed, err := s.Rotate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	later := s.Enqueue([]byte("later"))
+	for _, tk := range []*Ticket{one, batch, later, one} {
+		if err := tk.Wait(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	results, err := ReplaySegments(dir, func([]byte) error { return nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(results) != 2 || results[0].Index != sealed || results[0].Records != 3 ||
+		results[1].Index != sealed+1 || results[1].Records != 1 {
+		t.Fatalf("replay results = %+v, want 3 records in sealed segment %d and 1 after", results, sealed)
+	}
+}
+
+// TestFailedRotateKeepsActiveSegment: a rotation that cannot open the
+// next segment fails, and appends — explicit or past the byte bound —
+// continue in the old one.
+func TestFailedRotateKeepsActiveSegment(t *testing.T) {
+	s, dir := openTest(t, WithSegmentBytes(1))
+	defer s.Close()
+	// A directory where the next segment file would go: it cannot be
+	// opened for appending.
+	if err := os.Mkdir(SegmentFile(dir, 2), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Rotate(); err == nil {
+		t.Fatal("rotate into an unopenable segment succeeded")
+	}
+	for _, r := range []string{"one", "two"} {
+		if err := s.Append([]byte(r)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if idx, _ := s.DurableBoundary(); idx != 1 || s.Stats().Rotations != 0 {
+		t.Fatalf("active segment %d after %d rotations, want 1 and 0", idx, s.Stats().Rotations)
+	}
+	if got := fmt.Sprint(collectRecords(t, dir)); got != "[one two]" {
+		t.Fatalf("replayed %s", got)
+	}
+}
+
 // TestSegmentedCompactNeverDeletesActive: a compaction bound at or
 // beyond the active index must leave the active segment alone.
 func TestSegmentedCompactNeverDeletesActive(t *testing.T) {
@@ -137,7 +178,10 @@ func TestSegmentedCompactNeverDeletesActive(t *testing.T) {
 	if _, err := s.CompactThrough(99); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := os.Stat(s.ActivePath()); err != nil {
+	if idx, _ := s.DurableBoundary(); idx != 1 {
+		t.Fatalf("active segment = %d, want 1", idx)
+	}
+	if _, err := os.Stat(SegmentFile(dir, 1)); err != nil {
 		t.Fatalf("active segment deleted by compaction: %v", err)
 	}
 	recs := collectRecords(t, dir)
@@ -149,23 +193,23 @@ func TestSegmentedCompactNeverDeletesActive(t *testing.T) {
 // TestSegmentedReopenResumesHighest: reopening a directory continues
 // appending to the highest segment, and replay sees everything.
 func TestSegmentedReopenResumesHighest(t *testing.T) {
-	dir := t.TempDir()
-	s, err := OpenSegmented(dir, WithSegmentRecords(2))
-	if err != nil {
-		t.Fatal(err)
-	}
+	// A record "aN" is a 14-byte frame: two fill a segment.
+	s, dir := openTest(t, WithSegmentBytes(28))
 	for i := 0; i < 5; i++ {
 		s.Append([]byte(fmt.Sprintf("a%d", i)))
 	}
-	high := s.ActiveIndex()
+	high, size := s.DurableBoundary()
 	s.Close()
+	if high != 3 || size != 14 {
+		t.Fatalf("active segment %d holds %d bytes, want 3 and 14", high, size)
+	}
 
-	s2, err := OpenSegmented(dir, WithSegmentRecords(2))
+	s2, err := OpenSegmented(dir, WithSegmentBytes(28))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s2.ActiveIndex() != high {
-		t.Fatalf("reopened at segment %d, want %d", s2.ActiveIndex(), high)
+	if idx, size2 := s2.DurableBoundary(); idx != high || size2 != size {
+		t.Fatalf("reopened at segment %d size %d, want %d size %d", idx, size2, high, size)
 	}
 	s2.Append([]byte("b0"))
 	s2.Close()
@@ -179,11 +223,7 @@ func TestSegmentedReopenResumesHighest(t *testing.T) {
 // racing size-triggered rotations lose no records and tear no frames.
 // Run with -race.
 func TestSegmentedConcurrentAppendsAcrossRotation(t *testing.T) {
-	dir := t.TempDir()
-	s, err := OpenSegmented(dir, WithSegmentRecords(8))
-	if err != nil {
-		t.Fatal(err)
-	}
+	s, dir := openTest(t, WithSegmentBytes(128))
 	const workers, per = 8, 25
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -216,29 +256,23 @@ func TestSegmentedConcurrentAppendsAcrossRotation(t *testing.T) {
 	if len(seen) != workers*per {
 		t.Fatalf("replayed %d unique records, want %d", len(seen), workers*per)
 	}
+	if len(results) < 3 {
+		t.Errorf("%d segments, want several rotations", len(results))
+	}
 }
 
 // TestSegmentedTornTailInLastSegment: a crash mid-append tears only
 // the last segment; earlier segments replay clean and the caller can
 // truncate the tear at the reported offset.
 func TestSegmentedTornTailInLastSegment(t *testing.T) {
-	dir := t.TempDir()
-	s, err := OpenSegmented(dir, WithSegmentRecords(2))
-	if err != nil {
-		t.Fatal(err)
-	}
+	// A record "recN" is a 16-byte frame: two fill a segment.
+	s, dir := openTest(t, WithSegmentBytes(32))
 	for i := 0; i < 5; i++ {
 		s.Append([]byte(fmt.Sprintf("rec%d", i)))
 	}
-	last := s.ActivePath()
+	last, _ := s.DurableBoundary()
 	s.Close()
-	fi, err := os.Stat(last)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.Truncate(last, fi.Size()-2); err != nil {
-		t.Fatal(err)
-	}
+	chop(t, SegmentFile(dir, last), 2)
 
 	var recs []string
 	results, err := ReplaySegments(dir, func(d []byte) error {
@@ -249,8 +283,13 @@ func TestSegmentedTornTailInLastSegment(t *testing.T) {
 		t.Fatal(err)
 	}
 	lastRes := results[len(results)-1]
-	if !lastRes.Torn {
-		t.Fatal("tear not reported")
+	if !lastRes.Torn || lastRes.Index != last {
+		t.Fatalf("tear not reported in the last segment: %+v", results)
+	}
+	for _, r := range results[:len(results)-1] {
+		if r.Torn {
+			t.Errorf("sealed segment %d torn", r.Index)
+		}
 	}
 	if len(recs) != 4 {
 		t.Fatalf("replayed %d records, want 4 (intact prefix)", len(recs))
@@ -288,10 +327,10 @@ func TestRotateEscapesFailedSegment(t *testing.T) {
 	// What a failed append followed by a failed rollback leaves: half a
 	// frame past the acknowledged boundary, and the segment marked.
 	frame := appendFrame(nil, []byte("never acknowledged"))
-	s.active.mu.Lock()
-	_, werr := s.active.f.Write(frame[:len(frame)/2])
-	s.active.failed = errors.New("rollback truncate: injected")
-	s.active.mu.Unlock()
+	s.mu.Lock()
+	_, werr := s.f.Write(frame[:len(frame)/2])
+	s.failed = errors.New("rollback truncate: injected")
+	s.mu.Unlock()
 	if werr != nil {
 		t.Fatal(werr)
 	}
