@@ -133,7 +133,7 @@ func Example_multilingual() {
 	// movie stored: 1 video + 4 audio tracks in one 2502196-byte BLOB
 	//
 	// Q1: audio track where language = "fr"
-	//     → obj-3 "movie-audio-fr" [media object (non-derived)] ← blob-1/audio-fr
+	//     → #3 "movie-audio-fr" [media object (non-derived)] ← blob-1/audio-fr
 	// Q2: select frames [10,30) of the movie
 	//     → 20 frames via a 61-byte derivation object
 	// Q3: retrieve frames at preview fidelity
@@ -142,9 +142,9 @@ func Example_multilingual() {
 	// uninterpreted-BLOB baseline: any query touches all 2502196 bytes
 	//
 	// all objects of the movie:
-	//     obj-1 "movie" [media object (non-derived)] ← blob-1/video
-	//     obj-2 "movie-audio-en" [media object (non-derived)] ← blob-1/audio-en
-	//     obj-3 "movie-audio-fr" [media object (non-derived)] ← blob-1/audio-fr
-	//     obj-4 "movie-audio-de" [media object (non-derived)] ← blob-1/audio-de
-	//     obj-5 "movie-audio-it" [media object (non-derived)] ← blob-1/audio-it
+	//     #1 "movie" [media object (non-derived)] ← blob-1/video
+	//     #2 "movie-audio-en" [media object (non-derived)] ← blob-1/audio-en
+	//     #3 "movie-audio-fr" [media object (non-derived)] ← blob-1/audio-fr
+	//     #4 "movie-audio-de" [media object (non-derived)] ← blob-1/audio-de
+	//     #5 "movie-audio-it" [media object (non-derived)] ← blob-1/audio-it
 }

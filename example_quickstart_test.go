@@ -76,6 +76,6 @@ func Example_quickstart() {
 	// stored:     video{VHS quality, D_25 fps, 50 frames, 320x240x24 RGB, enc=vjpg}
 	// categories: homogeneous, continuous, constant frequency
 	// table:      video(elementNumber, elementSize, blobPlacement) n=50
-	// cut:        obj-3 "cut" [media object (derived)] = video-edit[obj-1] (61 B derivation object)
+	// cut:        #3 "cut" [media object (derived)] = video-edit[#1] (61 B derivation object)
 	// played:     80 events, 583882 bytes, max jitter 0s
 }

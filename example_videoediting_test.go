@@ -109,7 +109,7 @@ func Example_videoediting() {
 	// Output:
 	// edit recorded in 241 bytes of derivation objects
 	// expanded result: 350 frames, 20160000 bytes raw (83651x larger)
-	// recut obj-7 created without touching stored frames
+	// recut #7 created without touching stored frames
 	//
 	// provenance of "final":
 	// (final)  [derived media object]

@@ -6,6 +6,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -43,6 +44,23 @@ func OpenFileStore(dir string) (*FileStore, error) {
 		}
 	}
 	return s, nil
+}
+
+// Dir returns the directory the store keeps its BLOB files in.
+func (s *FileStore) Dir() string { return s.dir }
+
+// ListedIDs returns the BLOB IDs among the names of a FileStore's
+// directory, ascending: what IDs returns, from a listing the caller
+// took.
+func ListedIDs(names []string) []ID {
+	var out []ID
+	for _, name := range names {
+		if id, ok := parseBlobName(name); ok {
+			out = append(out, id)
+		}
+	}
+	slices.Sort(out)
+	return out
 }
 
 func blobName(id ID) string { return fmt.Sprintf("%d.blob", uint64(id)) }
@@ -153,18 +171,16 @@ func (s *FileStore) Delete(id ID) error {
 func (s *FileStore) IDs() ([]ID, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	entries, err := os.ReadDir(s.dir)
+	d, err := os.Open(s.dir)
 	if err != nil {
 		return nil, fmt.Errorf("blob: %w", err)
 	}
-	var out []ID
-	for _, e := range entries {
-		if id, ok := parseBlobName(e.Name()); ok {
-			out = append(out, id)
-		}
+	defer d.Close()
+	names, err := d.Readdirnames(-1)
+	if err != nil {
+		return nil, fmt.Errorf("blob: %w", err)
 	}
-	sortIDs(out)
-	return out, nil
+	return ListedIDs(names), nil
 }
 
 // Sync flushes a BLOB's appended bytes to stable storage. BLOBs that

@@ -101,18 +101,24 @@ func parseCheckpointIndex(name string) (uint64, bool) {
 // listCheckpoints returns the numbers of dir's checkpoint files in
 // ascending order (none when dir does not exist).
 func listCheckpoints(dir string) ([]uint64, error) {
-	entries, err := os.ReadDir(dir)
-	if err != nil && !errors.Is(err, fs.ErrNotExist) {
+	names, err := durable.ListDir(dir)
+	if err != nil {
 		return nil, fmt.Errorf("catalog: %w", err)
 	}
+	return checkpointNums(names), nil
+}
+
+// checkpointNums returns the checkpoint file numbers among a
+// directory's names, ascending.
+func checkpointNums(names []string) []uint64 {
 	var nums []uint64
-	for _, e := range entries {
-		if n, ok := parseCheckpointIndex(e.Name()); ok {
+	for _, name := range names {
+		if n, ok := parseCheckpointIndex(name); ok {
 			nums = append(nums, n)
 		}
 	}
 	slices.Sort(nums)
-	return nums, nil
+	return nums
 }
 
 // catalogStreamPreamble opens a snapshot or checkpoint payload (format

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
+	"slices"
 	"time"
 
 	"timedmedia/internal/blob"
@@ -170,8 +171,8 @@ func (db *DB) JournalStats() wal.StatsSnapshot {
 
 // attachJournalLocked opens dir's segmented journal for appending
 // without replaying it. Assumes db.mu is held.
-func (db *DB) attachJournalLocked(dir string) error {
-	j, err := wal.OpenSegmented(dir, db.walOpts...)
+func (db *DB) attachJournalLocked(dir string, opts ...wal.SegmentedOption) error {
+	j, err := wal.OpenSegmented(dir, append(slices.Clip(db.walOpts), opts...)...)
 	if err != nil {
 		return err
 	}
@@ -294,7 +295,7 @@ const replayRun = 1024
 // and a skip decided against a moving maximum would silently drop
 // whatever a damaged log held out of order instead of applying it or
 // failing on it. Assumes db.mu is held (or the DB is not yet shared).
-func (db *DB) replayAllLocked(dir string) error {
+func (db *DB) replayAllLocked(dir string, segs []uint64) error {
 	base := db.seq
 	db.replayKeep = map[blob.ID]bool{}
 	db.cur.Load().interpVers.ascend(func(id blob.ID, c *interpVerChain) bool {
@@ -304,7 +305,7 @@ func (db *DB) replayAllLocked(dir string) error {
 		return true
 	})
 	var run []*walOp
-	results, err := wal.ReplaySegments(dir, func(data []byte) error {
+	results, err := wal.ReplayIndexes(dir, segs, func(data []byte) error {
 		rec, err := db.replayRecordLocked(base, data)
 		if rec == nil || err != nil {
 			return err

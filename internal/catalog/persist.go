@@ -214,7 +214,7 @@ func loadFrom(dir string, nums []uint64, strict bool, store blob.Store, opts []O
 // is the backup (UsedBackup). With no chain at all, the DB is empty.
 // The heads leave out the files noted damaged, as Open's quarantine
 // will.
-func loadChain(dir string, man *wal.Manifest, store blob.Store, opts []Option, rec *RecoveryInfo) (*DB, []uint64, error) {
+func loadChain(dir string, names []string, man *wal.Manifest, store blob.Store, opts []Option, rec *RecoveryInfo) (*DB, []uint64, error) {
 	var named uint64
 	var cause error // why the first base was set aside
 	// done reports whether an attempt settles the load — a DB, or a
@@ -232,11 +232,7 @@ func loadChain(dir string, man *wal.Manifest, store blob.Store, opts []Option, r
 			return db, chain, err
 		}
 	}
-	nums, err := listCheckpoints(dir)
-	if err != nil {
-		return nil, nil, err
-	}
-	nums = slices.DeleteFunc(nums, func(n uint64) bool { return slices.Contains(rec.damaged, CheckpointFile(dir, n)) })
+	nums := slices.DeleteFunc(checkpointNums(names), func(n uint64) bool { return slices.Contains(rec.damaged, CheckpointFile(dir, n)) })
 	lost := false
 	for i := len(nums) - 1; i >= 0; i-- {
 		db, chain, err := loadFrom(dir, nums[i:], false, store, opts, rec)
@@ -269,12 +265,16 @@ func loadChain(dir string, man *wal.Manifest, store blob.Store, opts []Option, r
 // it loads past a damaged file and leaves a torn tail, and it does not
 // attach the journal. Open does all three under the directory lock.
 func Load(dir string, store blob.Store, opts ...Option) (*DB, error) {
-	return load(dir, store, new(RecoveryInfo), opts)
+	names, err := durable.ListDir(dir)
+	if err != nil {
+		return nil, fmt.Errorf("catalog: %w", err)
+	}
+	return load(dir, names, store, new(RecoveryInfo), opts)
 }
 
-// load is Load noting in rec, which the DB's Recovery starts from, the
-// damaged files it loads past.
-func load(dir string, store blob.Store, rec *RecoveryInfo, opts []Option) (*DB, error) {
+// load is Load over names, the one listing of dir, noting in rec, which
+// the DB's Recovery starts from, the damaged files it loads past.
+func load(dir string, names []string, store blob.Store, rec *RecoveryInfo, opts []Option) (*DB, error) {
 	if err := refuseEarlierLayout(dir); err != nil {
 		return nil, err
 	}
@@ -283,7 +283,7 @@ func load(dir string, store blob.Store, rec *RecoveryInfo, opts []Option) (*DB, 
 		rec.damaged = append(rec.damaged, wal.ManifestFile(dir))
 		rec.ManifestCorrupt = true
 	}
-	db, chain, err := loadChain(dir, man, store, opts, rec)
+	db, chain, err := loadChain(dir, names, man, store, opts, rec)
 	if err != nil {
 		return nil, err
 	}
@@ -311,10 +311,20 @@ func load(dir string, store blob.Store, rec *RecoveryInfo, opts []Option) (*DB, 
 	if db.manifest != nil && !rec.FellBack() {
 		db.ckptView = db.cur.Load()
 	}
-	if err := db.replayAllLocked(dir); err != nil {
+	if err := db.replayAllLocked(dir, wal.SegmentIndexes(names)); err != nil {
 		return nil, err
 	}
 	return db, nil
+}
+
+// sweepIDs returns the BLOBs Open's sweep considers: from Open's
+// listing when the store keeps its files in dir, else from the store.
+func sweepIDs(store blob.Store, dir string, names []string) []blob.ID {
+	if fs, ok := store.(*blob.FileStore); ok && filepath.Clean(fs.Dir()) == filepath.Clean(dir) {
+		return blob.ListedIDs(names)
+	}
+	ids, _ := store.IDs() // best effort: a failed listing sweeps nothing
+	return ids
 }
 
 // lockDir takes dir's lock (durable.LockDir) and returns it with its
@@ -378,8 +388,14 @@ func Open(dir string, store blob.Store, opts ...Option) (*DB, error) {
 		release()
 		return nil, err
 	}
+	// One listing serves the chain fallback, replay, the journal and
+	// the sweep: under the lock nothing else adds or removes a file.
+	names, err := durable.ListDir(dir)
+	if err != nil {
+		return fail(fmt.Errorf("catalog: %w", err))
+	}
 	var rec RecoveryInfo
-	db, err := load(dir, store, &rec, opts)
+	db, err := load(dir, names, store, &rec, opts)
 	if err != nil {
 		rec.quarantine()
 		return fail(err)
@@ -390,7 +406,7 @@ func Open(dir string, store blob.Store, opts ...Option) (*DB, error) {
 	if err := db.cutTornTailsLocked(dir); err != nil {
 		return fail(err)
 	}
-	if err := db.attachJournalLocked(dir); err != nil {
+	if err := db.attachJournalLocked(dir, wal.WithSegments(wal.SegmentIndexes(names))); err != nil {
 		return fail(err)
 	}
 	if cfg.dirLock == nil {
@@ -398,8 +414,7 @@ func Open(dir string, store blob.Store, opts ...Option) (*DB, error) {
 	}
 	db.heldDir = filepath.Clean(dir)
 	if db.replayCap == 0 && !db.recovery.FellBack() {
-		ids, _ := db.store.IDs() // best effort: a failed listing sweeps nothing
-		for _, id := range ids {
+		for _, id := range sweepIDs(db.store, dir, names) {
 			if !db.replayKeep[id] && db.store.Delete(id) == nil {
 				db.recovery.BlobsSwept++
 			}

@@ -15,6 +15,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"strconv"
 
 	"timedmedia/internal/blob"
 	"timedmedia/internal/compose"
@@ -25,8 +26,8 @@ import (
 // ID identifies an object in a catalog.
 type ID uint64
 
-// String formats the ID.
-func (id ID) String() string { return fmt.Sprintf("obj-%d", uint64(id)) }
+// String formats the ID as every summary line spells it: #N.
+func (id ID) String() string { return "#" + strconv.FormatUint(uint64(id), 10) }
 
 // Class discriminates the Figure 5 layers above the BLOB.
 type Class int

@@ -20,6 +20,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"time"
@@ -49,6 +50,24 @@ func SyncDir(dir string) error {
 		return fmt.Errorf("durable: sync %s: %w", dir, err)
 	}
 	return nil
+}
+
+// ListDir returns the names in dir, unsorted; a missing directory
+// holds none.
+func ListDir(dir string) ([]string, error) {
+	d, err := os.Open(dir)
+	if errors.Is(err, fs.ErrNotExist) {
+		return nil, nil
+	}
+	if err != nil {
+		return nil, fmt.Errorf("durable: %w", err)
+	}
+	defer d.Close()
+	names, err := d.Readdirnames(-1)
+	if err != nil {
+		return nil, fmt.Errorf("durable: %w", err)
+	}
+	return names, nil
 }
 
 // ReplaceFile durably replaces path with what write produces: write

@@ -2,6 +2,7 @@ package durable
 
 import (
 	"bytes"
+	"compress/flate"
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
@@ -33,6 +34,34 @@ func v2Container(payload []byte, chunkLen int) []byte {
 		payload = payload[k:]
 	}
 	return appendTrailer(out, sum, total)
+}
+
+// deflate packs chunks copies of piece into one raw DEFLATE stream at
+// level: one version 3 chunk's stored bytes.
+func deflate(level int, chunks int, piece []byte) []byte {
+	var buf bytes.Buffer
+	zw, err := flate.NewWriter(&buf, level)
+	if err != nil {
+		panic(err)
+	}
+	for i := 0; i < chunks; i++ {
+		zw.Write(piece)
+	}
+	zw.Close()
+	return buf.Bytes()
+}
+
+// bestSpeedContainer frames each piece as one chunk deflated at
+// BestSpeed, the level every directory written before the default
+// level holds.
+func bestSpeedContainer(pieces ...[]byte) []byte {
+	var total uint64
+	stored := make([][]byte, len(pieces))
+	for i, p := range pieces {
+		total += uint64(len(p))
+		stored[i] = deflate(flate.BestSpeed, 1, p)
+	}
+	return v3Image(total, stored...)
 }
 
 // v3Image frames stored chunks as they are in a version 3 container
@@ -92,6 +121,10 @@ func FuzzSnapshotDecode(f *testing.F) {
 	f.Add(versionFlipped)
 	f.Add(container(make([]byte, DefaultChunkLen+1), DefaultChunkLen+1)) // one byte past the bound
 	f.Add(v3Image(3, []byte("not deflate")))
+	// Chunks deflated at BestSpeed, as earlier builds wrote them: the
+	// seeds above are written at chunkLevel, so the two cover both.
+	f.Add(bestSpeedContainer([]byte("snapshot payload")))
+	f.Add(bestSpeedContainer(bytes.Repeat([]byte("catalog "), 5000), []byte("snapshot payload"), bytes.Repeat([]byte("run "), 3000)))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		bound := 2<<20 + (frameGrowth+2)*uint64(len(data))

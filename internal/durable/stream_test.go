@@ -282,24 +282,28 @@ func TestChunkReaderReadsVersion2(t *testing.T) {
 	}
 }
 
+// TestBestSpeedChunksRead: the level a chunk was deflated at is not
+// part of the format, so a container an earlier build wrote at
+// BestSpeed reads back as its payload, one chunk or several.
+func TestBestSpeedChunksRead(t *testing.T) {
+	pieces := [][]byte{bytes.Repeat([]byte("catalog "), 5000), []byte("snapshot payload"), bytes.Repeat([]byte("run "), 3000)}
+	for n := 1; n <= len(pieces); n++ {
+		got, err := decodeContainer(bestSpeedContainer(pieces[:n]...), true)
+		if err != nil {
+			t.Fatalf("%d chunks: %v", n, err)
+		}
+		if want := bytes.Join(pieces[:n], nil); !bytes.Equal(got, want) {
+			t.Errorf("%d chunks: payload of %d bytes, want %d", n, len(got), len(want))
+		}
+	}
+}
+
 // TestChunkInflateRefused: a version 3 chunk whose CRCs all verify is
 // still refused when its stored bytes are not exactly one DEFLATE
 // stream of at most DefaultChunkLen payload bytes. A bomb — ~64 KiB of
 // DEFLATE that inflate to 64 MiB of zeros — is refused after one
 // chunk's worth, allocating no more than 2 MiB.
 func TestChunkInflateRefused(t *testing.T) {
-	deflate := func(level int, chunks int, piece []byte) []byte {
-		var buf bytes.Buffer
-		zw, err := flate.NewWriter(&buf, level)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < chunks; i++ {
-			zw.Write(piece)
-		}
-		zw.Close()
-		return buf.Bytes()
-	}
 	bomb := deflate(flate.BestCompression, 64, make([]byte, 1<<20))
 	if len(bomb) < 32<<10 || len(bomb) > 128<<10 {
 		t.Fatalf("64 MiB of zeros deflate to %d bytes", len(bomb))

@@ -47,7 +47,7 @@ type Rule struct {
 	Err error
 	// Short, for "append" and "net.read", delivers the first half of
 	// the data before failing — a torn write (or a feed cut
-	// mid-frame).
+	// mid-frame: half of what the body Read received).
 	Short bool
 	// Delay sleeps this long before the call proceeds. A rule with a
 	// Delay and neither Err nor Short is delay-only — the call

@@ -15,8 +15,9 @@ package faultfs
 //	               slow link.
 //	"net.read"     counted once per response-body Read. An Err rule
 //	               cuts the stream mid-flight; with Short, half the
-//	               requested bytes are delivered first — a torn feed
-//	               frame. Delay-only models a slow reader.
+//	               bytes that Read received are delivered first and the
+//	               body then ends — a torn feed frame, whatever size
+//	               the reader asks for. Delay-only models a slow reader.
 
 import (
 	"io"
@@ -60,10 +61,11 @@ type faultBody struct {
 	cut   bool
 }
 
-// Read implements io.Reader. A Short cut delivers half the requested
-// bytes before the error surfaces on the following Read — the
-// receiver sees a torn final frame, exactly like a peer crashing
-// mid-send.
+// Read implements io.Reader. A Short cut reads what the peer has sent
+// and delivers the first half of it before the error surfaces on the
+// following Read — the receiver sees a torn final frame, exactly like
+// a peer crashing mid-send, whether it reads frame by frame or through
+// a buffer that would otherwise take in whole frames.
 func (b *faultBody) Read(p []byte) (int, error) {
 	if b.cut {
 		return 0, ErrInjected
@@ -73,10 +75,10 @@ func (b *faultBody) Read(p []byte) (int, error) {
 		return b.inner.Read(p)
 	}
 	b.cut = true
-	if short && len(p) > 1 {
-		n, rerr := b.inner.Read(p[:len(p)/2])
+	if short {
+		n, _ := b.inner.Read(p) // the injected cut replaces its error
 		b.inner.Close()
-		if rerr == nil && n > 0 {
+		if n /= 2; n > 0 {
 			return n, nil // the cut error surfaces on the next Read
 		}
 		return 0, err

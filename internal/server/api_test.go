@@ -121,6 +121,45 @@ func TestMetricsContentNegotiation(t *testing.T) {
 	})
 }
 
+// TestMetricsJournalRotations: a segment sealed at the byte bound and
+// one a checkpoint sealed and compacted reach the Prometheus form, as
+// they reach the JSON form's journal stats.
+func TestMetricsJournalRotations(t *testing.T) {
+	dir := t.TempDir()
+	fs, err := blob.OpenFileStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fs.Close()
+	// A one-byte bound seals the segment after the ingest's commit.
+	db, err := catalog.Open(dir, fs, catalog.WithWALSegmentBytes(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.CloseJournal()
+	if _, err := db.Ingest("clip", fixtures.Video(4, 32, 24, 1), catalog.IngestOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Checkpoint(dir); err != nil {
+		t.Fatal(err)
+	}
+	j := db.JournalStats()
+	if j.Rotations < 2 || j.SegmentsCompacted < 1 {
+		t.Fatalf("journal stats %+v: want a byte-bound rotation, a checkpoint's, and a compaction", j)
+	}
+	ts := httptest.NewServer(New(db))
+	defer ts.Close()
+	out := string(get(t, ts.URL+"/metrics", 200))
+	for _, want := range []string{
+		fmt.Sprintf("tbm_journal_rotations_total %d\n", j.Rotations),
+		fmt.Sprintf("tbm_journal_segments_compacted_total %d\n", j.SegmentsCompacted),
+	} {
+		if !strings.Contains(out, want) {
+			t.Errorf("missing %q", want)
+		}
+	}
+}
+
 // TestRequestIDHeader asserts every response carries X-Request-ID —
 // success, error, and even unrouted paths — and that IDs differ.
 func TestRequestIDHeader(t *testing.T) {

@@ -80,6 +80,8 @@ func (s *Server) writePromCounters(w io.Writer) {
 	promCounter(w, "tbm_journal_syncs_total", "journal fsyncs", j.Syncs)
 	promCounter(w, "tbm_journal_batches_total", "group commits (one write+fsync each)", j.Batches)
 	promCounter(w, "tbm_journal_append_errors_total", "failed journal appends", j.AppendErrors)
+	promCounter(w, "tbm_journal_rotations_total", "journal segments sealed, at the segment byte bound or by a checkpoint", j.Rotations)
+	promCounter(w, "tbm_journal_segments_compacted_total", "sealed journal segments deleted once a checkpoint covered them", j.SegmentsCompacted)
 
 	promGauge(w, "tbm_recovery_snapshot_loaded", "whether the last load found a base checkpoint", int64(b2i(rec.SnapshotLoaded)))
 	promGauge(w, "tbm_recovery_used_backup", "whether the last load fell back to the backup base", int64(b2i(rec.UsedBackup)))

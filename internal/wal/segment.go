@@ -18,7 +18,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -65,24 +65,24 @@ func ParseSegmentIndex(name string) (uint64, bool) {
 // ListSegments returns the segment indexes present in dir, ascending.
 // A missing directory is an empty journal.
 func ListSegments(dir string) ([]uint64, error) {
-	entries, err := os.ReadDir(dir)
+	names, err := durable.ListDir(dir)
 	if err != nil {
-		if os.IsNotExist(err) {
-			return nil, nil
-		}
-		return nil, fmt.Errorf("wal: %w", err)
+		return nil, err
 	}
+	return SegmentIndexes(names), nil
+}
+
+// SegmentIndexes returns the segment indexes among a directory's
+// names, ascending.
+func SegmentIndexes(names []string) []uint64 {
 	var idxs []uint64
-	for _, e := range entries {
-		if e.IsDir() {
-			continue
-		}
-		if idx, ok := ParseSegmentIndex(e.Name()); ok {
+	for _, name := range names {
+		if idx, ok := ParseSegmentIndex(name); ok {
 			idxs = append(idxs, idx)
 		}
 	}
-	sort.Slice(idxs, func(a, b int) bool { return idxs[a] < idxs[b] })
-	return idxs, nil
+	slices.Sort(idxs)
+	return idxs
 }
 
 // SegmentedOption configures a Segmented journal at OpenSegmented.
@@ -96,6 +96,13 @@ func WithSegmentBytes(n int64) SegmentedOption {
 			s.maxBytes = n
 		}
 	}
+}
+
+// WithSegments hands OpenSegmented the segment indexes dir holds,
+// ascending, from a listing the caller took (SegmentIndexes), so it
+// does not list dir again.
+func WithSegments(idxs []uint64) SegmentedOption {
+	return func(s *Segmented) { s.listed, s.listing = true, idxs }
 }
 
 // WithSegmentBatchWindow bounds how long a group-commit leader waits
@@ -116,6 +123,8 @@ type Segmented struct {
 	dir         string
 	maxBytes    int64
 	batchWindow time.Duration
+	listed      bool     // WithSegments: listing holds dir's segments
+	listing     []uint64 // so OpenSegmented does not list dir again
 
 	// mu guards the active segment — its file (nil once closed), index,
 	// durable size (the last fully-acknowledged record boundary; a
@@ -157,9 +166,11 @@ func OpenSegmented(dir string, opts ...SegmentedOption) (*Segmented, error) {
 	for _, o := range opts {
 		o(s)
 	}
-	idxs, err := ListSegments(dir)
-	if err != nil {
-		return nil, err
+	idxs, err := s.listing, error(nil)
+	if !s.listed {
+		if idxs, err = ListSegments(dir); err != nil {
+			return nil, err
+		}
 	}
 	if n := len(idxs); n > 0 {
 		s.idx = idxs[n-1]
@@ -300,6 +311,12 @@ func ReplaySegments(dir string, fn func(data []byte) error) ([]SegmentReplay, er
 	if err != nil {
 		return nil, err
 	}
+	return ReplayIndexes(dir, idxs, fn)
+}
+
+// ReplayIndexes is ReplaySegments over the segments idxs names, from a
+// listing of dir the caller took (SegmentIndexes).
+func ReplayIndexes(dir string, idxs []uint64, fn func(data []byte) error) ([]SegmentReplay, error) {
 	var out []SegmentReplay
 	for _, idx := range idxs {
 		res, err := replayFile(SegmentFile(dir, idx), fn)
