@@ -534,8 +534,8 @@ func (db *DB) applyLocked(e *viewEdit, rec *walOp) error {
 	obj.ID = rec.ID
 	if obj.ID == 0 {
 		obj.ID = db.nextID
-	} else if e.getByID(obj.ID) != nil {
-		return fmt.Errorf("%w: object %v already exists", ErrInvalid, obj.ID)
+	} else if e.vers.has(obj.ID) {
+		return fmt.Errorf("%w: object %v already has a version chain", ErrInvalid, obj.ID)
 	}
 	if err := obj.Validate(); err != nil {
 		return fmt.Errorf("%w: %w", ErrInvalid, err)

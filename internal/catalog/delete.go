@@ -25,23 +25,20 @@ func (db *DB) Delete(id core.ID) error {
 
 // applyDelete validates a delete against the edit's working state and
 // applies it there: it refuses an object that does not exist, or that
-// another object references — referrers come from the provenance
-// adjacency index. The unlink, the version-chain tombstone at seq and
-// any BLOB interpretation collection land in the edit together.
+// a live object references — referrers come from the provenance
+// adjacency index, which also lists tombstoned ones. The version-chain
+// tombstone at seq and any BLOB interpretation collection land in the
+// edit together; the index entries stay until the chain is dropped.
 func (e *viewEdit) applyDelete(id core.ID, seq uint64) error {
 	obj := e.getByID(id)
 	if obj == nil {
 		return fmt.Errorf("%w: %v", ErrNotFound, id)
 	}
 	if set, ok := e.ix.deps.get(id); ok {
-		var other core.ID
-		set.ascend(func(k core.ID, _ struct{}) bool {
-			other = k
-			return false
-		})
-		return fmt.Errorf("%w: %v ← %v", ErrInUse, id, other)
+		if other, live := e.liveMember(set); live {
+			return fmt.Errorf("%w: %v ← %v", ErrInUse, id, other)
+		}
 	}
-	e.unlink(obj)
 	e.appendTombstone(obj, seq)
 	if obj.Class == core.ClassNonDerived {
 		e.maybeCollectBlob(obj.Blob, seq)
@@ -49,14 +46,27 @@ func (e *viewEdit) applyDelete(id core.ID, seq uint64) error {
 	return nil
 }
 
+// liveMember returns the first member of an index posting list that is
+// live in the edit's working state.
+func (e *viewEdit) liveMember(set idset) (id core.ID, live bool) {
+	set.ascend(func(k core.ID, _ struct{}) bool {
+		id, live = k, e.getByID(k) != nil
+		return !live
+	})
+	return id, live
+}
+
 // maybeCollectBlob tombstones the BLOB's interpretation in the edit when
-// no object in the edit's working state (one probe of the reader
-// index) still reads it. The collection is recorded as an
-// interpretation tombstone at seq, so as-of reads know the history ends
-// there; the checkpoint that covers it unlinks the file.
+// no object live in the edit's working state still reads it (a probe
+// of the reader index, which also lists tombstoned readers). The
+// collection is recorded as an interpretation tombstone at seq, so
+// as-of reads know the history ends there; the checkpoint that covers
+// it unlinks the file.
 func (e *viewEdit) maybeCollectBlob(id blob.ID, seq uint64) {
-	if e.ix.blob.has(id) {
-		return
+	if set, ok := e.ix.blob.get(id); ok {
+		if _, live := e.liveMember(set); live {
+			return
+		}
 	}
 	e.appendInterpTombstone(id, seq)
 }

@@ -11,16 +11,24 @@ import (
 	"timedmedia/internal/media"
 )
 
-// Secondary indexes over the visible object graph. Every index is
+// Secondary indexes over every retained version chain. Every index is
 // persistent (owned-path treaps, see pmap.go) and lives inside the
 // state of an immutable epoch View: linking an object produces a new
-// pIndexes value sharing structure with the old one,
-// so every published epoch carries exactly the index of its own
-// object set. An in-flight commit is indexed only in its pending
-// view, published once acknowledged, so the planner can only ever
-// surface acknowledged mutations — the same guarantee
-// Select gives — and a pinned epoch's plan, match and pagination all
-// read the same committed prefix without taking any lock.
+// pIndexes value sharing structure with the old one, so every
+// published epoch carries exactly the index of its own chains. An
+// in-flight commit is indexed only in its pending view, published once
+// acknowledged, so the planner can only ever surface acknowledged
+// mutations — the same guarantee Select gives — and a pinned epoch's
+// plan, match and pagination all read the same committed prefix
+// without taking any lock.
+//
+// An entry is made with the add and leaves with its chain (dropChain),
+// not with the delete: an ID's indexed keys hold for its chain's whole
+// life (a sync revision changes none of them), so the chain itself is
+// the entry's lifetime, and the executor resolves each candidate
+// through it at the view's seq. One index thus plans live and as-of
+// queries alike; a tombstoned candidate is just one that resolves to
+// nothing.
 //
 //	kind / class / attr  equality indexes
 //	deps                 provenance adjacency: id → objects that list
@@ -220,36 +228,28 @@ const (
 // registration.
 var indexPlans = []string{planKind, planClass, planAttr, planProvenance, planInterval}
 
-// descendantsOf returns the transitive dependents of src — every
-// object reachable from src by following provenance edges forward.
-// src itself is excluded (an object is not derived from itself).
-// referrers visits the direct referrers of one ID; the live view
-// answers it from the adjacency index, an as-of view from the edges it
-// collected at its seq.
-func descendantsOf(src core.ID, referrers func(cur core.ID, visit func(core.ID))) idSet {
+// descendants returns the transitive dependents of src — every object
+// reachable from src by following the adjacency index's provenance
+// edges forward, tombstoned referrers included; the executor keeps the
+// ones live at the view's seq. src itself is excluded (an object is
+// not derived from itself).
+func (v *View) descendants(src core.ID) idSet {
 	out := idSet{}
 	queue := []core.ID{src}
-	visit := func(dep core.ID) {
-		if _, seen := out[dep]; !seen {
-			out[dep] = struct{}{}
-			queue = append(queue, dep)
-		}
-	}
 	for len(queue) > 0 {
 		cur := queue[0]
 		queue = queue[1:]
-		referrers(cur, visit)
+		if set, ok := v.ix.deps.get(cur); ok {
+			set.ascend(func(dep core.ID, _ struct{}) bool {
+				if _, seen := out[dep]; !seen {
+					out[dep] = struct{}{}
+					queue = append(queue, dep)
+				}
+				return true
+			})
+		}
 	}
 	return out
-}
-
-// descendants is descendantsOf over this view's adjacency index.
-func (v *View) descendants(src core.ID) idSet {
-	return descendantsOf(src, func(cur core.ID, visit func(core.ID)) {
-		if set, ok := v.ix.deps.get(cur); ok {
-			set.ascend(func(dep core.ID, _ struct{}) bool { visit(dep); return true })
-		}
-	})
 }
 
 // idWalk yields candidate IDs in ascending order until yield returns
@@ -330,11 +330,9 @@ func (v *View) plan(sel *IndexedQuery) planResult {
 	return res
 }
 
-// matchObject applies the constraints an object answers by itself —
-// kind, class, attributes — and the materialized Reach sets. Shared by
-// the live and the as-of executors; only where the timeline span comes
-// from differs between them (matchSpan).
-func (sel *IndexedQuery) matchObject(reach []idSet, o *core.Object) bool {
+// match applies every sel constraint to o. reach must be the
+// descendant sets plan materialized for sel.Reach.
+func (v *View) match(sel *IndexedQuery, reach []idSet, o *core.Object) bool {
 	if sel.Kind != nil && o.Kind != *sel.Kind {
 		return false
 	}
@@ -351,28 +349,16 @@ func (sel *IndexedQuery) matchObject(reach []idSet, o *core.Object) bool {
 			return false
 		}
 	}
-	return true
-}
-
-// matchSpan reports whether sp overlaps every window of sel.Spans.
-func (sel *IndexedQuery) matchSpan(sp Span) bool {
-	for _, w := range sel.Spans {
-		if !sp.Overlaps(w.Start, w.End) {
-			return false
-		}
-	}
-	return true
-}
-
-// match applies every sel constraint to o. reach must be the
-// descendant sets plan materialized for sel.Reach.
-func (v *View) match(sel *IndexedQuery, reach []idSet, o *core.Object) bool {
-	if !sel.matchObject(reach, o) {
-		return false
-	}
 	if len(sel.Spans) > 0 {
 		sp, ok := v.ix.spans.spanOf(o.ID)
-		return ok && sel.matchSpan(sp)
+		if !ok {
+			return false
+		}
+		for _, w := range sel.Spans {
+			if !sp.Overlaps(w.Start, w.End) {
+				return false
+			}
+		}
 	}
 	return true
 }
@@ -411,20 +397,16 @@ func (w *window) add(o *core.Object) bool {
 	return !w.full()
 }
 
-// runIndexed is the shared executor behind SelectIndexed /
-// CountIndexed / SelectPage: plan, walk candidates in ID order, apply
+// runIndexed is the one executor behind SelectIndexed / CountIndexed /
+// SelectPage, live and as of a past seq alike: plan, walk candidates in
+// ID order, resolve each through its chain at the view's seq, apply
 // sel + pred, and hand the matches to the window. When the caller does
 // not need the total (needTotal false) the walk stops as soon as the
 // window is full, so matches past the cap are neither cloned nor
 // visited. The entire run executes against this immutable view — no
-// locks, no interaction with concurrent writers. A view that reads the
-// past has no index of its seq to plan against: it runs runAt.
+// locks, no interaction with concurrent writers.
 func (v *View) runIndexed(sel IndexedQuery, pred func(*core.Object) bool, offset, limit int, needTotal, clone bool) ([]*core.Object, int) {
 	w := newWindow(offset, limit, needTotal, clone)
-	if v.past() {
-		v.runAt(&sel, pred, w)
-		return w.out, w.total
-	}
 	planStart := time.Now()
 	pr := v.plan(&sel)
 	if t := v.db.tel.Load(); t != nil {
@@ -432,63 +414,13 @@ func (v *View) runIndexed(sel IndexedQuery, pred func(*core.Object) bool, offset
 		t.probes[pr.label].Inc()
 	}
 	pr.walk(func(id core.ID) bool {
-		o := v.object(id, seqNow)
+		o := v.object(id, v.at)
 		if o == nil || !v.match(&sel, pr.reach, o) || (pred != nil && !pred(o)) {
 			return true
 		}
 		return w.add(o)
 	})
 	return w.out, w.total
-}
-
-// runAt is runIndexed's walk at a past seq — the constraint checks and
-// the window are the same code — as one streaming pass over the
-// retained chains in ID order, with the timeline span (which may
-// resolve components through further chain probes) computed only for
-// objects that passed every cheaper test.
-func (v *View) runAt(sel *IndexedQuery, pred func(*core.Object) bool, w *window) {
-	getByID := func(id core.ID) *core.Object { return v.object(id, v.at) }
-	reach := v.reachSetsAt(sel.Reach)
-	v.eachAt(v.at, func(o *core.Object) bool {
-		if !sel.matchObject(reach, o) {
-			return true
-		}
-		if len(sel.Spans) > 0 {
-			if sp, ok := timelineSpan(o, getByID); !ok || !sel.matchSpan(sp) {
-				return true
-			}
-		}
-		if pred != nil && !pred(o) {
-			return true
-		}
-		return w.add(o)
-	})
-}
-
-// reachSetsAt materializes the descendant set of each src over the
-// object graph at the view's seq. There is no per-seq provenance index,
-// so the reverse edges are collected in one pass over the chains —
-// paid only by queries that carry a derived_from constraint.
-func (v *View) reachSetsAt(srcs []core.ID) []idSet {
-	if len(srcs) == 0 {
-		return nil
-	}
-	referrers := map[core.ID][]core.ID{}
-	v.eachAt(v.at, func(o *core.Object) bool {
-		for _, ref := range directRefs(o) {
-			referrers[ref] = append(referrers[ref], o.ID)
-		}
-		return true
-	})
-	sets := make([]idSet, len(srcs))
-	for i, src := range srcs {
-		sets[i] = descendantsOf(src, func(cur core.ID, visit func(core.ID)) {
-			for _, dep := range referrers[cur] {
-				visit(dep)
-			}
-		})
-	}
-	return sets
 }
 
 // SelectIndexed returns the objects matching sel and pred, ordered by
@@ -518,14 +450,16 @@ func (v *View) SelectPage(sel IndexedQuery, pred func(*core.Object) bool, offset
 	return v.runIndexed(sel, pred, offset, limit, true, true)
 }
 
-// IndexStats is a size snapshot of every index family.
+// IndexStats is a size snapshot of every index family. The indexes
+// list every retained chain, so the counts include tombstoned chains
+// retention still holds, not only live objects.
 type IndexStats struct {
 	Kinds           int `json:"kinds"`            // distinct kinds indexed
 	Classes         int `json:"classes"`          // distinct classes indexed
 	AttrKeys        int `json:"attr_keys"`        // distinct attribute keys
 	AttrValues      int `json:"attr_values"`      // distinct (key, value) pairs
 	ProvenanceEdges int `json:"provenance_edges"` // direct dependency edges
-	Spans           int `json:"spans"`            // objects with a timeline span
+	Spans           int `json:"spans"`            // chains with a timeline span
 }
 
 // IndexStats reports the view's index sizes.
@@ -544,21 +478,43 @@ func (v *View) IndexStats() IndexStats {
 // IndexStats reports the current epoch's index sizes.
 func (db *DB) IndexStats() IndexStats { return db.CurrentView().IndexStats() }
 
-// VerifyIndexes rebuilds the indexes from scratch over the live chain
-// tails and diffs the rebuild against the view's incrementally
-// maintained indexes, including the interval treap's structural
-// invariants, and checks the live count against the tails. Any
-// divergence — a stale entry leaked by a rollback or delete, a missing
-// entry, an unpruned empty set — is returned as an error. The chains
-// and the name directory are VerifyVersions' to check. Works on an
-// immutable epoch: safe to run concurrently with writers.
+// indexChains builds the indexes from scratch over every retained
+// chain, linking its newest version with components resolved at that
+// version's own seq, where ErrInUse kept them live: a deleted
+// composition keeps the span it was linked with. visit sees each
+// version first, with whether its chain is live; an error it returns
+// stops the build. It is the one rebuild behind Load's index pass and
+// VerifyIndexes.
+func (s *state) indexChains(visit func(o *core.Object, live bool) error) (pIndexes, error) {
+	ix, own := pIndexes{}, newOwner()
+	var err error
+	s.vers.ascend(func(_ core.ID, c *verChain) bool {
+		ent := c.newest()
+		if err = visit(ent.val, c.live()); err != nil {
+			return false
+		}
+		ix = ix.link(own, ent.val, func(id core.ID) *core.Object { return s.object(id, ent.seq) })
+		return true
+	})
+	return ix, err
+}
+
+// VerifyIndexes rebuilds the indexes from scratch over the retained
+// chains (indexChains) and diffs the rebuild against the view's
+// incrementally maintained indexes, including the interval treap's
+// structural invariants, and checks the live count against the chain
+// tails. Any divergence — a stale entry leaked by a rollback or a
+// dropped chain, a missing entry, an unpruned empty set — is returned
+// as an error. The chains and the name directory are VerifyVersions'
+// to check. Works on an immutable epoch: safe to run concurrently with
+// writers.
 func (v *View) VerifyIndexes() error {
 	count := 0
-	want, own := pIndexes{}, newOwner()
-	v.eachAt(seqNow, func(o *core.Object) bool {
-		want = want.link(own, o, v.getByID)
-		count++
-		return true
+	want, _ := v.indexChains(func(_ *core.Object, live bool) error {
+		if live {
+			count++
+		}
+		return nil
 	})
 	if err := diffSets("kind", setsToMap(v.ix.kind), setsToMap(want.kind)); err != nil {
 		return err

@@ -1,10 +1,12 @@
 package catalog
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
 
+	"timedmedia/internal/blob"
 	"timedmedia/internal/core"
 	"timedmedia/internal/media"
 	"timedmedia/internal/telemetry"
@@ -17,6 +19,12 @@ import (
 func indexDB(t *testing.T) (*DB, map[string]core.ID) {
 	t.Helper()
 	db := memDB()
+	return db, indexGraph(t, db)
+}
+
+// indexGraph builds indexDB's graph in db and returns its IDs by name.
+func indexGraph(t *testing.T, db *DB) map[string]core.ID {
+	t.Helper()
 	ids := map[string]core.ID{}
 	var err error
 	if ids["a"], err = db.Ingest("a", genVideo(10, 1),
@@ -33,7 +41,7 @@ func indexDB(t *testing.T) (*DB, map[string]core.ID) {
 		{Object: ids["cut"], Start: 0}, {Object: ids["b"], Start: 500}}, nil); err != nil {
 		t.Fatal(err)
 	}
-	return db, ids
+	return ids
 }
 
 func TestIndexStats(t *testing.T) {
@@ -163,22 +171,158 @@ func TestVerifyIndexesDetectsCorruption(t *testing.T) {
 	}
 }
 
-// TestIndexesFollowDelete checks unlink on the delete path: removing
-// the composition frees its components for deletion, and each delete
-// leaves the indexes equal to a rebuild.
+// TestIndexesFollowDelete checks the index upkeep of the delete path:
+// removing the composition frees its components for deletion, and each
+// delete leaves the indexes equal to a rebuild. A delete keeps the
+// entries, since the chain keeps answering as-of reads; the drop of the
+// chain removes them, which WithVersionRetention(1) does at the delete.
 func TestIndexesFollowDelete(t *testing.T) {
-	db, ids := indexDB(t)
-	for _, name := range []string{"mix", "cut", "b", "a"} {
-		if err := db.Delete(ids[name]); err != nil {
-			t.Fatalf("delete %s: %v", name, err)
+	for _, keep := range []int{DefaultVersionRetention, 1} {
+		db := New(blob.NewMemStore(), WithVersionRetention(keep))
+		ids := indexGraph(t, db)
+		full := db.IndexStats()
+		for _, name := range []string{"mix", "cut", "b", "a"} {
+			if err := db.Delete(ids[name]); err != nil {
+				t.Fatalf("retention %d: delete %s: %v", keep, name, err)
+			}
+			if err := db.VerifyIndexes(); err != nil {
+				t.Fatalf("retention %d: after deleting %s: %v", keep, name, err)
+			}
 		}
-		if err := db.VerifyIndexes(); err != nil {
-			t.Fatalf("after deleting %s: %v", name, err)
+		want := full // the four retained chains
+		if keep == 1 {
+			want = IndexStats{}
+		}
+		if st := db.IndexStats(); st != want {
+			t.Errorf("retention %d: stats after full drain = %+v, want %+v", keep, st, want)
 		}
 	}
-	st := db.IndexStats()
-	if st != (IndexStats{}) {
-		t.Errorf("stats after full drain = %+v", st)
+}
+
+// TestDeleteProbesForLiveMembers: the reader and provenance indexes
+// also list tombstoned members, so a delete looks for a live one. A
+// tombstoned referrer does not block a delete and a live one listed
+// after it does; a BLOB whose remaining readers are all tombstoned is
+// collected.
+func TestDeleteProbesForLiveMembers(t *testing.T) {
+	db, ids := indexDB(t)
+	cut2, err := db.SelectDuration(ids["a"], "cut2", 1, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"mix", "cut"} {
+		if err := db.Delete(ids[name]); err != nil {
+			t.Fatalf("delete %s, whose referrers are tombstoned: %v", name, err)
+		}
+	}
+	if err := db.Delete(ids["a"]); !errors.Is(err, ErrInUse) || !strings.Contains(err.Error(), cut2.String()) {
+		t.Fatalf("delete a, read by tombstoned cut and live cut2: %v, want ErrInUse naming %v", err, cut2)
+	}
+	if err := db.Delete(cut2); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Delete(ids["a"]); err != nil {
+		t.Fatalf("delete a, whose referrers are all tombstoned: %v", err)
+	}
+
+	src, _ := db.Get(ids["b"])
+	r1, err := db.AddNonDerived("r1", src.Blob, src.Track, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range []core.ID{r1, ids["b"]} {
+		if err := db.Delete(id); err != nil {
+			t.Fatal(err)
+		}
+		_, err := db.CurrentView().Interpretation(src.Blob)
+		if collected := errors.Is(err, ErrNoInterp); collected != (id == ids["b"]) {
+			t.Errorf("after deleting %v: BLOB collected = %v (%v)", id, collected, err)
+		}
+	}
+	if err := db.VerifyIndexes(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestAddRefusesRetainedChainID: an add whose recorded ID names a
+// retained chain, even a tombstoned one, is refused and publishes
+// nothing. Accepted, it would file a version of another object in that
+// chain, under a name the chain is not listed by.
+func TestAddRefusesRetainedChainID(t *testing.T) {
+	db, ids := indexDB(t)
+	if err := db.Delete(ids["mix"]); err != nil {
+		t.Fatal(err)
+	}
+	seq := db.Seq()
+	rec := mustEncode(t, &walOp{Seq: seq + 1, Kind: opMultimedia, ID: ids["mix"], Name: "mix2",
+		TimeNum: timebase.Millis.Num, TimeDen: timebase.Millis.Den,
+		Comps: []core.ComponentRef{{Object: ids["cut"], Start: 0}, {Object: ids["b"], Start: 500}}})
+	if _, err := db.ApplyReplicated(rec); !errors.Is(err, ErrInvalid) {
+		t.Fatalf("add over tombstoned chain %v: %v, want ErrInvalid", ids["mix"], err)
+	}
+	if db.Seq() != seq {
+		t.Errorf("seq moved %d → %d", seq, db.Seq())
+	}
+	if _, err := db.Get(ids["mix"]); !errors.Is(err, ErrNotFound) {
+		t.Errorf("Get(%v) = %v, want not found", ids["mix"], err)
+	}
+	if _, err := db.Lookup("mix2"); !errors.Is(err, ErrNotFound) {
+		t.Errorf("Lookup(mix2) = %v, want not found", err)
+	}
+	if err := db.CurrentView().VerifyVersions(); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestDeletedCompositionKeepsSpanAcrossReopen: a composition deleted
+// while its components stay live keeps its index entries, and the
+// rebuild on open links it with the span it was linked with, so
+// live_at and derived_from as of a seq before the delete answer the
+// same after a reopen.
+func TestDeletedCompositionKeepsSpanAcrossReopen(t *testing.T) {
+	dir := t.TempDir()
+	db := openDB(t, dir)
+	ids := indexGraph(t, db)
+	before := db.Seq()
+	if err := db.Delete(ids["mix"]); err != nil {
+		t.Fatal(err)
+	}
+	// mix spans [0.5, 0.7): b (5 PAL frames) placed at 500 ms.
+	queries := map[string]IndexedQuery{
+		"live_at 0.55":     {Spans: []Span{{Start: 0.55, End: 0.55}}},
+		"derived_from cut": {Reach: []core.ID{ids["cut"]}},
+		"derived_from a":   {Reach: []core.ID{ids["a"]}},
+		"live_at, from b":  {Reach: []core.ID{ids["b"]}, Spans: []Span{{Start: 0, End: 1}}},
+	}
+	answers := func(db *DB) map[string]string {
+		v, err := db.CurrentView().AsOf(before)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := map[string]string{}
+		for name, q := range queries {
+			got := v.SelectIndexed(q, nil, -1)
+			out[name] = pageIDs(got, len(got))
+		}
+		return out
+	}
+	want := answers(db)
+	if only := pageIDs([]*core.Object{{ID: ids["mix"]}}, 1); want["live_at 0.55"] != only || want["derived_from cut"] != only {
+		t.Fatalf("as of %d before the reopen: %v, want %s for live_at 0.55 and derived_from cut", before, want, only)
+	}
+	if err := db.Save(dir); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.CloseJournal(); err != nil {
+		t.Fatal(err)
+	}
+	db2 := openDB(t, dir)
+	defer db2.CloseJournal()
+	if err := db2.VerifyIndexes(); err != nil {
+		t.Fatal(err)
+	}
+	if got := answers(db2); fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Errorf("as of %d after the reopen: %v, want %v", before, got, want)
 	}
 }
 

@@ -17,8 +17,9 @@ package catalog
 // the union of those answers, and View.AsOf never builds it: the view
 // it returns is the same state read at S, and each read resolves
 // against the chains on demand — a name or ID lookup is one chain
-// probe, a query one pass over the chains (runIndexed) — so every read
-// route, and /v1/query?as_of=S with live_at, pagination and epoch
+// probe, a query plans over the indexes, which list every retained
+// chain, and probes each candidate's chain (runIndexed) — so every
+// read route, and /v1/query?as_of=S with live_at, pagination and epoch
 // pinning, reads the past through the same View methods.
 //
 // Retention: chains are bounded by WithVersionRetention. Pruning the
@@ -133,6 +134,16 @@ func (c *chain[T]) allTombstones() bool {
 // tail returns the newest entry of a non-empty chain.
 func (c *chain[T]) tail() entry[T] { return c.entries[len(c.entries)-1] }
 
+// newest returns the newest version of a stored chain: its tail, or the
+// entry before a closing tombstone (check keeps one in every chain).
+func (c *chain[T]) newest() entry[T] {
+	i := len(c.entries) - 1
+	for c.entries[i].val == nil {
+		i--
+	}
+	return c.entries[i]
+}
+
 // valAt resolves the T as of seq: nil when it did not exist yet or was
 // already deleted.
 func (c *chain[T]) valAt(seq uint64) *T {
@@ -204,10 +215,12 @@ func (e *viewEdit) setChain(id core.ID, c *verChain) {
 	}
 }
 
-// dropChain removes id's chain, its directory listing and its share of
-// the live count.
+// dropChain removes id's chain, its index entries (those of its newest
+// version: an ID's indexed keys never change), its directory listing
+// and its share of the live count.
 func (e *viewEdit) dropChain(id core.ID, name string) {
 	old, _ := e.vers.get(id)
+	e.ix = e.ix.unlink(e.own, old.newest().val)
 	e.count += liveDelta(old, nil)
 	e.vers = e.vers.del(e.own, id)
 	ids, _ := e.chainsByName.get(name)

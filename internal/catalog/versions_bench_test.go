@@ -4,7 +4,8 @@ import "testing"
 
 // The as-of read path on an 8k-chain history (a quarter of the chains
 // end in a tombstone): a point read is one directory probe plus one
-// chain probe; a query is one pass over the retained chains.
+// chain probe; a query plans over the indexes, which list every
+// retained chain, and probes each candidate's chain.
 
 func BenchmarkAsOfPointRead(b *testing.B) {
 	db, seq := historyDB(b, 8000)

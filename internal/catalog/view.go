@@ -25,12 +25,13 @@ package catalog
 // enqueue), but they no longer contend with readers at all.
 //
 // A View is also the one read type for the past: it knows the seq its
-// reads resolve at. A published view reads at seqNow and plans queries
-// over its indexes; View.AsOf and DB.ViewAt return a copy of a state
-// that reads at an older seq, where every point read resolves the
-// chains at that seq and a query walks them (runIndexed). So an HTTP
-// client can re-pin the epoch of its first page (epoch=) for as long as
-// version retention keeps the chains that far back.
+// reads resolve at. A published view reads at seqNow; View.AsOf and
+// DB.ViewAt return a copy of a state that reads at an older seq, where
+// every point read resolves the chains at that seq and a query plans
+// over the same indexes, which list every retained chain, and resolves
+// each candidate at that seq (runIndexed). So an HTTP client can re-pin
+// the epoch of its first page (epoch=) for as long as version retention
+// keeps the chains that far back.
 
 import (
 	"errors"
@@ -61,7 +62,8 @@ type state struct {
 	// re-used across a delete, of which at most one is live at any seq.
 	// Maintained by setChain/dropChain.
 	chainsByName tmap[string, []core.ID]
-	// ix holds the secondary indexes over the live objects (index.go).
+	// ix holds the secondary indexes over every chain in vers
+	// (index.go).
 	ix pIndexes
 	// count and interpCount are the live objects and interpretations:
 	// the chains whose tail is not a tombstone (setChain, setInterpChain).
@@ -135,8 +137,8 @@ type View struct {
 func (v *View) Epoch() uint64 { return v.seq }
 
 // past reports whether the view reads at an older seq than its
-// state's: its indexes describe the newest state, not the one it
-// reads, so queries walk the chains instead.
+// state's: its live count describes the newest state, not the one it
+// reads.
 func (v *View) past() bool { return v.at != seqNow }
 
 // Len returns the number of live objects in the view.
@@ -301,9 +303,6 @@ func (db *DB) beginEditLocked() *viewEdit {
 // members.
 func (e *viewEdit) link(obj *core.Object) { e.ix = e.ix.link(e.own, obj, e.getByID) }
 
-// unlink removes obj from the indexes.
-func (e *viewEdit) unlink(obj *core.Object) { e.ix = e.ix.unlink(e.own, obj) }
-
 // view freezes the edit as the view at seq and retires its token, so
 // no later edit changes a node the view reaches.
 func (e *viewEdit) view(seq uint64) *View {
@@ -318,26 +317,24 @@ func (db *DB) commitEditLocked(e *viewEdit, seq uint64) {
 	db.publishLocked(&pendingCommit{view: e.view(seq)})
 }
 
-// relinkAllLocked rebuilds the indexes from the live chain tails — the
-// one-pass index construction after bulk load, when all objects
-// (including forward-referenced components) are present. A live
-// non-derived object without a live interpretation fails it with the
-// store's error: applyStream skipped a registration whose BLOB is
-// gone, and no tombstone followed. Assumes the DB is not yet shared.
+// relinkAllLocked rebuilds the indexes over the retained chains
+// (indexChains) — the one-pass index construction after bulk load,
+// when all objects (including forward-referenced components) are
+// present. A live non-derived object without a live interpretation
+// fails it with the store's error: applyStream skipped a registration
+// whose BLOB is gone, and no tombstone followed. Assumes the DB is not
+// yet shared.
 func (db *DB) relinkAllLocked() error {
 	cur := db.cur.Load()
-	ix, own := pIndexes{}, newOwner()
-	var err error
-	cur.eachAt(seqNow, func(o *core.Object) bool {
-		if o.Class == core.ClassNonDerived && interpAt(cur.interpVers, o.Blob, seqNow) == nil {
-			if _, err = db.openBlob(o.Blob); err == nil {
-				err = fmt.Errorf("%w: %v", ErrNoInterp, o.Blob)
-			}
-			err = fmt.Errorf("catalog: object %v (%q): %w", o.ID, o.Name, err)
-			return false
+	ix, err := cur.indexChains(func(o *core.Object, live bool) error {
+		if !live || o.Class != core.ClassNonDerived || interpAt(cur.interpVers, o.Blob, seqNow) != nil {
+			return nil
 		}
-		ix = ix.link(own, o, cur.getByID)
-		return true
+		_, err := db.openBlob(o.Blob)
+		if err == nil {
+			err = fmt.Errorf("%w: %v", ErrNoInterp, o.Blob)
+		}
+		return fmt.Errorf("catalog: object %v (%q): %w", o.ID, o.Name, err)
 	})
 	if err != nil {
 		return err

@@ -22,27 +22,29 @@ import (
 // random compositions with random sort/limit shaping — is run twice:
 // once through the indexed planner (query.Q → catalog.SelectIndexed)
 // and once through an independent brute-force evaluation over a full
-// db.Select snapshot. The brute side reimplements provenance
+// View.Select snapshot, on the live view and as of a random past seq. The brute side reimplements provenance
 // reachability and timeline spans from first principles so it shares
 // no code with the index layer. On mismatch the failing case is
 // greedily shrunk (dropping filters, sort and limit while the mismatch
 // persists) and reported with its seed for replay.
 
-// oracleEnv is one generated catalog plus the brute-force view of it:
-// a full ID-ordered snapshot and an ID lookup over that snapshot.
+// oracleEnv is one view of a generated catalog plus the brute-force
+// view of it: a full ID-ordered snapshot and an ID lookup over that
+// snapshot. As of a past seq, View.Select is a scan of the version
+// chains, sharing no code with the planner's index walk.
 type oracleEnv struct {
-	db   *catalog.DB
+	v    *catalog.View
 	objs []*core.Object
 	byID map[core.ID]*core.Object
 }
 
-func snapshotEnv(db *catalog.DB) *oracleEnv {
-	objs := db.Select(func(*core.Object) bool { return true })
+func snapshotEnv(v *catalog.View) *oracleEnv {
+	objs := v.Select(func(*core.Object) bool { return true })
 	byID := make(map[core.ID]*core.Object, len(objs))
 	for _, o := range objs {
 		byID[o.ID] = o
 	}
-	return &oracleEnv{db: db, objs: objs, byID: byID}
+	return &oracleEnv{v: v, objs: objs, byID: byID}
 }
 
 // bruteReaches reports whether src is in o's transitive ancestry
@@ -247,7 +249,7 @@ func (c oracleCase) String() string {
 // build assembles the indexed query for the case. A Q is single-use,
 // so Run and Count each build afresh.
 func (c oracleCase) build(env *oracleEnv) *Q {
-	q := New(env.db)
+	q := At(env.v)
 	for _, s := range c.specs {
 		s.apply(q)
 	}
@@ -471,7 +473,10 @@ func genCatalog(t *testing.T, rng *rand.Rand) *catalog.DB {
 
 // TestIndexScanEquivalenceOracle is the oracle's entry point: per
 // seed, every filter family alone and then a pile of random
-// compositions with random shaping.
+// compositions with random shaping — on the live view, then again as
+// of a random seq between the version floor and the head, where the
+// planner walks the same indexes (which list every retained chain,
+// tombstoned ones included) and the brute side scans the chains.
 func TestIndexScanEquivalenceOracle(t *testing.T) {
 	seeds := []int64{1, 2, 3, 4, 5, 6}
 	compositions := 40
@@ -484,24 +489,48 @@ func TestIndexScanEquivalenceOracle(t *testing.T) {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
 			db := genCatalog(t, rng)
-			env := snapshotEnv(db)
+			env := snapshotEnv(db.CurrentView())
 			// Sanity: after generation the live indexes must equal a rebuild.
 			if err := db.VerifyIndexes(); err != nil {
 				t.Fatalf("VerifyIndexes after generation (seed %d): %v", seed, err)
 			}
-			// Each filter family alone, unshaped.
-			for fam := 0; fam < numFamilies; fam++ {
-				checkCase(t, env, oracleCase{specs: []spec{familySpec(rng, env, fam)}, limit: -1}, seed)
-			}
-			// Random 1–4-filter compositions with random sort and limit.
-			limits := []int{-1, -1, 0, 1, 3}
-			for i := 0; i < compositions; i++ {
-				c := oracleCase{sort: rng.Intn(3), limit: limits[rng.Intn(len(limits))]}
-				for j := 1 + rng.Intn(4); j > 0; j-- {
-					c.specs = append(c.specs, familySpec(rng, env, rng.Intn(numFamilies)))
-				}
-				checkCase(t, env, c, seed)
-			}
+			checkCases(t, rng, env, compositions, seed)
+			checkCases(t, rng, pastEnv(t, rng, db.CurrentView()), compositions, seed)
 		})
 	}
+}
+
+// checkCases runs every filter family alone, unshaped, and then random
+// 1–4-filter compositions with random sort and limit against env.
+func checkCases(t *testing.T, rng *rand.Rand, env *oracleEnv, compositions int, seed int64) {
+	t.Helper()
+	for fam := 0; fam < numFamilies; fam++ {
+		checkCase(t, env, oracleCase{specs: []spec{familySpec(rng, env, fam)}, limit: -1}, seed)
+	}
+	limits := []int{-1, -1, 0, 1, 3}
+	for i := 0; i < compositions; i++ {
+		c := oracleCase{sort: rng.Intn(3), limit: limits[rng.Intn(len(limits))]}
+		for j := 1 + rng.Intn(4); j > 0; j-- {
+			c.specs = append(c.specs, familySpec(rng, env, rng.Intn(numFamilies)))
+		}
+		checkCase(t, env, c, seed)
+	}
+}
+
+// pastEnv is the env of v as of a random seq S between the version
+// floor and v's epoch, at which the catalog holds an object (the
+// family specs draw their constants from it).
+func pastEnv(t *testing.T, rng *rand.Rand, v *catalog.View) *oracleEnv {
+	t.Helper()
+	first := v.VersionFloor()
+	for ; first < v.Epoch(); first++ {
+		if a, err := v.AsOf(first); err == nil && a.Len() > 0 {
+			break
+		}
+	}
+	a, err := v.AsOf(first + uint64(rng.Int63n(int64(v.Epoch()-first)+1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return snapshotEnv(a)
 }

@@ -2,8 +2,13 @@ package server
 
 import (
 	"encoding/json"
+	"fmt"
+	"strconv"
 	"strings"
 	"testing"
+
+	"timedmedia/internal/catalog"
+	"timedmedia/internal/fixtures"
 )
 
 // queryReply decodes the /v1/query list envelope.
@@ -163,5 +168,46 @@ func TestQueryEndpointMetrics(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("missing %s", want)
 		}
+	}
+}
+
+// metricValue reads one sample's value from the Prometheus exposition
+// of /metrics (0 when the sample is absent).
+func metricValue(t *testing.T, baseURL, sample string) float64 {
+	t.Helper()
+	for _, line := range strings.Split(string(get(t, baseURL+"/metrics", 200)), "\n") {
+		if v, ok := strings.CutPrefix(line, sample+" "); ok {
+			f, err := strconv.ParseFloat(v, 64)
+			if err != nil {
+				t.Fatalf("%s: %v", line, err)
+			}
+			return f
+		}
+	}
+	return 0
+}
+
+// TestAsOfQueryCountsItsPlan: a query as of a past seq is planned over
+// the same indexes as a live one, so it moves the probe counter of the
+// index it picked, and the query_plan stage, exactly as a live query
+// does.
+func TestAsOfQueryCountsItsPlan(t *testing.T) {
+	ts, db := testServer(t)
+	past := db.Seq()
+	if _, err := db.Ingest("later", fixtures.Tone(0.3, 220), catalog.IngestOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	const probes = `tbm_index_probes_total{index="interval"}`
+	const plans = `tbm_stage_duration_seconds_count{stage="query_plan"}`
+	p0, q0 := metricValue(t, ts.URL, probes), metricValue(t, ts.URL, plans)
+	r := runQuery(t, ts.URL, fmt.Sprintf("live_at=0.25&sort=name&as_of=%d", past))
+	if got := strings.Join(queryNames(r), " "); got != "clip show" {
+		t.Errorf("live_at=0.25 as of %d = %q, want \"clip show\"", past, got)
+	}
+	if d := metricValue(t, ts.URL, probes) - p0; d != 1 {
+		t.Errorf("%s moved by %v, want 1", probes, d)
+	}
+	if d := metricValue(t, ts.URL, plans) - q0; d != 1 {
+		t.Errorf("%s moved by %v, want 1", plans, d)
 	}
 }
