@@ -348,8 +348,8 @@ var fixtureAttrs = map[string]string{"language": "fr", "rights": "cleared", "tit
 var writeFixture = flag.String("write-fixture", "", "write the format fixture history into this directory")
 
 // writeFormatFixtureHistory runs the fixed history behind
-// testdata/format_pr54 (and format_pr53, format_pr44, format_pr36 and
-// format_pr31 before it) in dir: a base, one delta over it with a delete that collects a BLOB the
+// testdata/format_pr60 (and format_pr54, format_pr53, format_pr44,
+// format_pr36 and format_pr31 before it) in dir: a base, one delta over it with a delete that collects a BLOB the
 // snapshot names, and a journal tail. It returns the catalog, its
 // journal closed.
 func writeFormatFixtureHistory(t *testing.T, dir string) *DB {
@@ -395,9 +395,10 @@ func containerView(t *testing.T, path string) string {
 }
 
 // TestRecoverFormatFixture pins the on-disk format:
-// testdata/format_pr54 is the fixture history as written once chain
+// testdata/format_pr60 is the fixture history as written once chain
 // files framed each record as its difference from the one before
-// (TBMCATS5); its BLOB holds Rice-coded "VK" frames. It must open —
+// (TBMCATS5) and frames were Rice coded with run interruption; its BLOB
+// holds "VL" frames. It must open —
 // MANIFEST, base, delta, segments, BLOBs — as the catalog the
 // history built, and the bytes are a function of the history: written
 // again in this process, once as it is and once after gob has numbered
@@ -409,7 +410,7 @@ func TestRecoverFormatFixture(t *testing.T) {
 		writeFormatFixtureHistory(t, *writeFixture)
 		return
 	}
-	const fixture = "testdata/format_pr54"
+	const fixture = "testdata/format_pr60"
 	dir := t.TempDir()
 	copyTree(t, fixture, dir)
 	db := openDB(t, dir)
@@ -486,54 +487,61 @@ func TestRecoverFormatFixture(t *testing.T) {
 	}
 }
 
-// TestVarintFormatFixtureOpens: testdata/format_pr44 is the fixture
+// TestEarlierCodecFixturesOpen: testdata/format_pr44 is the fixture
 // history as the commit before the Rice entropy layer wrote it, its BLOB
-// holding varint "VJ" frames. The catalog formats did not change, so it
-// opens as it did — the same names, indexes and versions sound — and its
+// holding varint "VJ" frames, and testdata/format_pr54 as the commit
+// before run interruption wrote it, its BLOB holding Rice-coded "VK"
+// frames. The catalog formats did not change, so each opens as it did —
+// cleanly, with the same names, indexes and versions sound — and its
 // clip expands to the pixels it expanded to when it was written.
-func TestVarintFormatFixtureOpens(t *testing.T) {
-	dir := t.TempDir()
-	copyTree(t, "testdata/format_pr44", dir)
-	db := openDB(t, dir)
-	defer db.CloseJournal()
-	if rec := db.Recovery(); !rec.SnapshotLoaded || rec.UsedBackup || len(rec.Quarantined) != 0 || rec.BlobsSwept != 0 {
-		t.Errorf("recovery of the fixture = %+v", rec)
-	}
-	for _, name := range []string{"clip", "clip-cut0", "clip-cut5", "late", "later"} {
-		if _, err := db.Lookup(name); err != nil {
-			t.Errorf("%s: %v", name, err)
-		}
-	}
-	if db.Len() != 9 {
-		t.Errorf("%d objects, want 9", db.Len())
-	}
-	if err := db.VerifyIndexes(); err != nil {
-		t.Error(err)
-	}
-	if err := db.CurrentView().VerifyVersions(); err != nil {
-		t.Error(err)
-	}
-	data, err := os.ReadFile(filepath.Join(dir, "2.blob"))
-	if err != nil || !bytes.HasPrefix(data, []byte("VJ")) {
-		t.Fatalf("the fixture's BLOB does not open with a varint frame: %v", err)
-	}
-	// The digest is what the fixture's clip expanded to at the commit
-	// that wrote it.
+func TestEarlierCodecFixturesOpen(t *testing.T) {
+	// The digest is what the clip expanded to at the commits that
+	// wrote the fixtures: the same frames, in either layer.
 	const want = "5f7530afdf8de8c5de8c67ba3b16c7dbcd92f6fb2838db4d534c5bed9a40d00e"
-	clip, err := db.Lookup("clip")
-	if err != nil {
-		t.Fatal(err)
-	}
-	v, err := db.Expand(clip.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	h := sha256.New()
-	for _, f := range v.Video {
-		h.Write(f.Pix)
-	}
-	if got := hex.EncodeToString(h.Sum(nil)); len(v.Video) != 4 || got != want {
-		t.Errorf("the clip expands to %d frames with pixel digest %s, want 4 and %s", len(v.Video), got, want)
+	for fixture, magic := range map[string]string{"format_pr44": "VJ", "format_pr54": "VK"} {
+		t.Run(fixture, func(t *testing.T) {
+			dir := t.TempDir()
+			copyTree(t, filepath.Join("testdata", fixture), dir)
+			db := openDB(t, dir)
+			defer db.CloseJournal()
+			if rec := db.Recovery(); !rec.SnapshotLoaded || rec.UsedBackup || len(rec.Quarantined) != 0 || rec.ManifestCorrupt ||
+				rec.CheckpointChainBroken || rec.JournalTorn || rec.BlobsSwept != 0 {
+				t.Errorf("recovery of the fixture = %+v", rec)
+			}
+			for _, name := range []string{"clip", "clip-cut0", "clip-cut5", "late", "later"} {
+				if _, err := db.Lookup(name); err != nil {
+					t.Errorf("%s: %v", name, err)
+				}
+			}
+			if db.Len() != 9 {
+				t.Errorf("%d objects, want 9", db.Len())
+			}
+			if err := db.VerifyIndexes(); err != nil {
+				t.Error(err)
+			}
+			if err := db.CurrentView().VerifyVersions(); err != nil {
+				t.Error(err)
+			}
+			data, err := os.ReadFile(filepath.Join(dir, "2.blob"))
+			if err != nil || !bytes.HasPrefix(data, []byte(magic)) {
+				t.Fatalf("the fixture's BLOB does not open with a %q frame: %v", magic, err)
+			}
+			clip, err := db.Lookup("clip")
+			if err != nil {
+				t.Fatal(err)
+			}
+			v, err := db.Expand(clip.ID)
+			if err != nil {
+				t.Fatal(err)
+			}
+			h := sha256.New()
+			for _, f := range v.Video {
+				h.Write(f.Pix)
+			}
+			if got := hex.EncodeToString(h.Sum(nil)); len(v.Video) != 4 || got != want {
+				t.Errorf("the clip expands to %d frames with pixel digest %s, want 4 and %s", len(v.Video), got, want)
+			}
+		})
 	}
 }
 

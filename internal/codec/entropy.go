@@ -2,6 +2,7 @@ package codec
 
 import (
 	"encoding/binary"
+	"math"
 	"math/bits"
 )
 
@@ -13,26 +14,65 @@ import (
 //	0, n   — a run of n zero values
 //	k > 0  — the single value unzigzag(k)
 //
-// Each plane or segment is Golomb-Rice coded: one header byte holds two
-// parameters, the literal one in the high nibble (for the k > 0 tokens
-// and the 0 marker) and the run one in the low nibble (for n-1, so a
-// run of length 0 cannot be written), each at most riceMaxK. A value u
-// under parameter k is written MSB first as u>>k in unary (that many 1
-// bits and a 0), then the low k bits of u. A unary part of riceCap or
-// more is written as riceCap 1 bits and a 0, the escape, followed by u
-// in riceEscapeBits bits; riceCap+1 ones in a row is refused, so no code
-// is longer than riceCap+1+riceEscapeBits bits. The segment's last byte
-// is padded with 0 bits, so the next one starts byte-aligned.
+// Each plane or segment is Golomb-Rice coded under three parameters,
+// each at most riceMaxK, held in two header bytes, ka<<4|kb then kr<<4
+// (a nonzero low nibble in the second is refused):
 //
-// Streams earlier builds wrote use the byte-varint layer instead (each
-// token a uvarint). It is decoded, for stored data, and never written:
-// entropyDecode and decodePlaneVarint.
+//	ka — a token after a literal (or at the segment's start), which may
+//	     be the zero marker
+//	kb — the literal after a zero run shorter than maxRun, written as
+//	     k-1: the run stopped at a nonzero value, so the token there is
+//	     never the marker (JPEG-LS's run interruption)
+//	kr — a run's length, written as n-1, so a run of 0 cannot be written
+//
+// A run of maxRun is followed by a token under ka, as after a literal;
+// a run that ends the segment by nothing. A value u under parameter k is
+// written MSB first as u>>k in unary (that many 1 bits and a 0), then
+// the low k bits of u. A unary part of riceCap or more is written as
+// riceCap 1 bits and a 0, the escape, followed by u in riceEscapeBits
+// bits; riceCap+1 ones in a row is refused, and so is an escaped
+// after-run literal of 2^32-1, whose k would pass 32 bits. No code is
+// longer than riceCap+1+riceEscapeBits bits. The segment's last byte is
+// padded with 0 bits, so the next one starts byte-aligned.
+//
+// Streams earlier builds wrote use one of two older layers, decoded for
+// stored data and never written: the Rice layer without run
+// interruption (one header byte ka<<4|kr, every token under ka), read
+// by the same loops as the current one with kb = ka and no -1 bias; and
+// the byte-varint layer (each token a uvarint), entropyDecode and
+// decodePlaneVarint.
+
+// layer is an entropy layer. A bitstream's two-byte magic names the
+// layer of its segments, one magic per layer for each segment kind.
+type layer uint8
+
+const (
+	layerRice   layer = iota // Rice with run interruption: written
+	layerRice1               // Rice without it: read only
+	layerVarint              // byte varints: read only
+)
+
+// magics are a segment kind's magics, indexed by layer.
+type magics [3]string
+
+// layerOf returns the layer data's magic names among m, and false if
+// data opens with none of them.
+func layerOf(data []byte, m magics) (layer, bool) {
+	if len(data) >= 2 {
+		for l, magic := range m {
+			if string(data[:2]) == magic {
+				return layer(l), true
+			}
+		}
+	}
+	return 0, false
+}
 
 const (
 	riceCap         = 24 // unary part at which a code escapes
 	riceEscapeBits  = 32 // width of an escaped value
-	riceMaxK        = 14 // largest parameter; 15 in either nibble is refused
-	riceLiteralHist = 64 // literals below this are costed exactly
+	riceMaxK        = 14 // largest parameter; 15 in any nibble is refused
+	riceLiteralHist = 64 // literals below this are counted one by one
 
 	// riceMaxCode is the longest code short of an escape: a reader
 	// with that many bits loaded can read any code but an escape.
@@ -67,27 +107,40 @@ func token(vals []int32, i int) (u uint64, run, next int) {
 	return 0, next - i, next
 }
 
-// riceEncode appends the Rice-coded form of vals to dst: the parameter
-// byte, chosen from one histogram pass over the tokens, then the codes.
+// interrupts reports whether a token after a run of the given length is
+// an after-run literal, coded under kb as k-1.
+func interrupts(run uint64) bool { return run > 0 && run < maxRun }
+
+// riceEncode appends the Rice-coded form of vals to dst: the two
+// parameter bytes, chosen from one histogram pass over the tokens, then
+// the codes.
 func riceEncode(dst []byte, vals []int32) []byte {
-	var lit, runs riceHist
-	for i := 0; i < len(vals); {
+	var after, interrupted, runs riceHist
+	for i, prev := 0, 0; i < len(vals); {
 		u, run, next := token(vals, i)
-		lit.add(u)
+		if interrupts(uint64(prev)) {
+			interrupted.add(u - 1)
+		} else {
+			after.add(u)
+		}
 		if run > 0 {
 			runs.add(uint64(run - 1))
 		}
-		i = next
+		i, prev = next, run
 	}
-	kl, kr := lit.best(), runs.best()
-	w := bitWriter{dst: append(dst, byte(kl<<4|kr))}
-	for i := 0; i < len(vals); {
+	ka, kb, kr := after.best(), interrupted.best(), runs.best()
+	w := bitWriter{dst: append(dst, byte(ka<<4|kb), byte(kr<<4))}
+	for i, prev := 0, 0; i < len(vals); {
 		u, run, next := token(vals, i)
-		w.rice(u, kl)
+		if interrupts(uint64(prev)) {
+			w.rice(u-1, kb)
+		} else {
+			w.rice(u, ka)
+		}
 		if run > 0 {
 			w.rice(uint64(run-1), kr)
 		}
-		i = next
+		i, prev = next, run
 	}
 	return w.flush()
 }
@@ -100,45 +153,32 @@ func riceLen(u uint64, k uint) uint64 {
 	return riceCap + 1 + riceEscapeBits
 }
 
-// riceHist counts the values one parameter codes: small ones exactly,
-// the rest by bit length with their sum.
+// riceHist counts the values one parameter codes: small ones one by
+// one, and the rest by what they cost under each parameter.
 type riceHist struct {
-	small  [riceLiteralHist]uint64
-	n, sum [65]uint64 // by bit length, from largeBits up
+	small [riceLiteralHist]uint64
+	large [riceMaxK + 1]uint64 // bits of the values past small, by k
 }
-
-// largeBits is the bit length of the least value riceHist does not
-// count exactly.
-var largeBits = bits.Len(riceLiteralHist)
 
 func (h *riceHist) add(u uint64) {
 	if u < riceLiteralHist {
 		h.small[u]++
 		return
 	}
-	b := bits.Len64(u)
-	h.n[b]++
-	h.sum[b] += u
+	for k := range h.large {
+		h.large[k] += riceLen(u, uint(k))
+	}
 }
 
 // best returns the parameter that codes the counted values in the
-// fewest bits. A class of large values is costed as if every unary part
-// were the class sum's share, which is exact to within one bit a value.
+// fewest bits; the costs are exact, so no other parameter codes them in
+// fewer.
 func (h *riceHist) best() uint {
 	best, bestCost := uint(0), ^uint64(0)
 	for k := uint(0); k <= riceMaxK; k++ {
-		var cost uint64
+		cost := h.large[k]
 		for u, n := range h.small {
 			cost += n * riceLen(uint64(u), k)
-		}
-		for b := largeBits; b < len(h.n); b++ {
-			switch n := h.n[b]; {
-			case n == 0:
-			case uint64(1)<<(b-1)>>k >= riceCap: // every value escapes
-				cost += n * (riceCap + 1 + riceEscapeBits)
-			default:
-				cost += n*uint64(k+1) + h.sum[b]>>k
-			}
 		}
 		if cost < bestCost {
 			best, bestCost = k, cost
@@ -190,8 +230,9 @@ func (w *bitWriter) flush() []byte {
 // bits consumed than src holds reports the truncation, and end checks
 // the rest.
 type bitReader struct {
-	src []byte
-	off int // next byte of src to load (may pass len(src))
+	src  []byte
+	off  int // next byte of src to load (may pass len(src))
+	head int // parameter bytes before src
 }
 
 // window is a reader's loaded bits: n of them, left-aligned in acc.
@@ -200,16 +241,32 @@ type window struct {
 	n   uint
 }
 
-// newRiceReader reads a segment's parameter byte.
-func newRiceReader(src []byte) (r bitReader, kl, kr uint, err error) {
-	if len(src) == 0 {
-		return r, 0, 0, ErrCorrupt
+// riceParams are a segment's parameters as its decode loop applies
+// them: the token after a run shorter than maxRun is read under kb and
+// biased by bias (1, or 0 in layerRice1, where kb is ka), every other
+// token under ka, and run lengths under kr.
+type riceParams struct {
+	ka, kb, kr uint
+	bias       uint64
+}
+
+// newRiceReader reads the parameter bytes of a segment in Rice layer l.
+func newRiceReader(src []byte, l layer) (bitReader, riceParams, error) {
+	var p riceParams
+	head := 2
+	switch {
+	case l == layerRice1 && len(src) >= 1:
+		head = 1
+		p = riceParams{ka: uint(src[0] >> 4), kb: uint(src[0] >> 4), kr: uint(src[0] & 15)}
+	case l == layerRice && len(src) >= 2 && src[1]&15 == 0:
+		p = riceParams{ka: uint(src[0] >> 4), kb: uint(src[0] & 15), kr: uint(src[1] >> 4), bias: 1}
+	default:
+		return bitReader{}, p, ErrCorrupt
 	}
-	kl, kr = uint(src[0]>>4), uint(src[0]&15)
-	if kl > riceMaxK || kr > riceMaxK {
-		return r, 0, 0, ErrCorrupt
+	if p.ka > riceMaxK || p.kb > riceMaxK || p.kr > riceMaxK {
+		return bitReader{}, p, ErrCorrupt
 	}
-	return bitReader{src: src[1:]}, kl, kr, nil
+	return bitReader{src: src[head:], head: head}, p, nil
 }
 
 // refill loads bytes into w until at least 56 bits are loaded; it
@@ -286,64 +343,64 @@ func (r *bitReader) escape(w window, q uint) (window, uint64, bool) {
 	return w, v, true
 }
 
-// end returns the bytes the segment took, its parameter byte included,
+// end returns the bytes the segment took, its parameter bytes included,
 // or ErrCorrupt if its codes ran past the end of src.
 func (r *bitReader) end(w window) (int, error) {
 	used := 8*r.off - int(w.n)
 	if used > 8*len(r.src) {
 		return 0, ErrCorrupt
 	}
-	return 1 + (used+7)/8, nil
+	return r.head + (used+7)/8, nil
 }
 
-// riceDecode reads exactly n values of a Rice-coded segment from src,
-// returning them and the number of bytes consumed. It fails with
-// ErrCorrupt on a parameter out of range, a truncated stream, an
-// overlong unary part or a run past n.
-func riceDecode(src []byte, n int) ([]int32, int, error) {
-	r, kl, kr, err := newRiceReader(src)
+// decodeSegment reads exactly n values of a segment in layer l from
+// src, returning them and the number of bytes consumed.
+func decodeSegment(src []byte, n int, l layer) ([]int32, int, error) {
+	if l == layerVarint {
+		return entropyDecode(src, n)
+	}
+	return riceDecode(src, n, l)
+}
+
+// riceDecode reads exactly n values of a segment in Rice layer l from
+// src, returning them and the number of bytes consumed. It fails with
+// ErrCorrupt on a parameter out of range, a nonzero spare nibble, a
+// truncated stream, an overlong unary part, a literal past 32 bits or a
+// run past n.
+func riceDecode(src []byte, n int, l layer) ([]int32, int, error) {
+	r, p, err := newRiceReader(src, l)
 	if err != nil {
 		return nil, 0, err
 	}
 	out := make([]int32, 0, n)
 	var w window
+	k, bias := p.ka, uint64(0) // the next token's parameter and bias
 	for len(out) < n {
 		var u uint64
 		var ok bool
-		if w, u, ok = r.rice(w, kl); !ok {
+		if w, u, ok = r.rice(w, k); !ok || u+bias > math.MaxUint32 {
 			return nil, 0, ErrCorrupt
 		}
-		if u != 0 {
+		if u += bias; u != 0 {
 			out = append(out, unzigzag(u))
+			k, bias = p.ka, 0
 			continue
 		}
 		var run uint64
-		if w, run, ok = r.rice(w, kr); !ok || run >= uint64(n-len(out)) {
+		if w, run, ok = r.rice(w, p.kr); !ok || run >= uint64(n-len(out)) {
 			return nil, 0, ErrCorrupt
 		}
 		out = out[:len(out)+int(run)+1] // make zeroed them
+		k, bias = p.kb, p.bias
+		if !interrupts(run + 1) {
+			k, bias = p.ka, 0
+		}
 	}
 	m, err := r.end(w)
 	if err != nil {
 		return nil, 0, err
 	}
 	return out, m, nil
-}
-
-// layerDecoder returns the entropy decoder of the layer data's two-byte
-// magic names: riceDecode under magic, entropyDecode under varintMagic,
-// and nil under any other.
-func layerDecoder(data []byte, magic, varintMagic string) func([]byte, int) ([]int32, int, error) {
-	if len(data) < 2 {
-		return nil
-	}
-	switch string(data[:2]) {
-	case magic:
-		return riceDecode
-	case varintMagic:
-		return entropyDecode
-	}
-	return nil
 }
 
 // entropyDecode reads exactly n values of the legacy varint layer from

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"math"
+	"math/bits"
 	"slices"
 	"strings"
 	"testing"
@@ -170,55 +171,77 @@ func (b *refBits) rice(k int) (uint64, bool) {
 	return v, true
 }
 
-// refRiceDecode is riceDecode written the plain way, over refBits.
-func refRiceDecode(src []byte, n int) ([]int32, int, error) {
-	if len(src) == 0 || src[0]>>4 > riceMaxK || src[0]&15 > riceMaxK {
+// refRiceDecode is riceDecode written the plain way, over refBits:
+// the header of Rice layer l, then each token read under the parameter
+// the grammar gives it — a literal after a run short of maxRun under kb
+// as k-1 in layerRice, every other token under ka.
+func refRiceDecode(src []byte, n int, l layer) ([]int32, int, error) {
+	var ka, kb, kr, bias, head int
+	switch {
+	case l == layerRice1 && len(src) >= 1:
+		ka, kr, head = int(src[0]>>4), int(src[0]&15), 1
+		kb = ka
+	case l == layerRice && len(src) >= 2 && src[1]&15 == 0:
+		ka, kb, kr, bias, head = int(src[0]>>4), int(src[0]&15), int(src[1]>>4), 1, 2
+	default:
 		return nil, 0, ErrCorrupt
 	}
-	kl, kr := int(src[0]>>4), int(src[0]&15)
-	b := refBits{src: src[1:]}
+	if ka > riceMaxK || kb > riceMaxK || kr > riceMaxK {
+		return nil, 0, ErrCorrupt
+	}
+	b := refBits{src: src[head:]}
 	var out []int32
+	interrupted := false
 	for len(out) < n {
-		u, ok := b.rice(kl)
-		if !ok {
+		k, add := ka, 0
+		if interrupted {
+			k, add = kb, bias
+		}
+		u, ok := b.rice(k)
+		if !ok || u+uint64(add) >= 1<<32 {
 			return nil, 0, ErrCorrupt
 		}
+		u += uint64(add)
 		if u != 0 {
 			out = append(out, unzigzag(u))
+			interrupted = false
 			continue
 		}
 		run, ok := b.rice(kr)
 		if !ok || run+1 > uint64(n-len(out)) {
 			return nil, 0, ErrCorrupt
 		}
+		interrupted = run+1 < maxRun
 		for ; run+1 > 0; run-- {
 			out = append(out, 0)
 		}
 	}
-	return out, 1 + (b.pos+7)/8, nil
+	return out, head + (b.pos+7)/8, nil
 }
 
-// varintMagics maps each bitstream magic to the one of the other entropy
-// layer; isVarint names the varint ones.
-var (
-	otherMagic = map[string]string{
-		vjpgMagic: vjpgVarintMagic, vjpgVarintMagic: vjpgMagic,
-		enhMagic: enhVarintMagic, enhVarintMagic: enhMagic,
-		interMagic: interVarintMagic, interVarintMagic: interMagic,
+// allMagics are every segment kind's magics.
+var allMagics = []magics{vjpgMagics, enhMagics, interMagics}
+
+// kindOf returns the magics and the layer of a bitstream's magic.
+func kindOf(data []byte) (magics, layer, bool) {
+	for _, m := range allMagics {
+		if l, ok := layerOf(data, m); ok {
+			return m, l, true
+		}
 	}
-	isVarint = map[string]bool{vjpgVarintMagic: true, enhVarintMagic: true, interVarintMagic: true}
-)
+	return magics{}, 0, false
+}
 
 // segmentSizes returns the value counts of the entropy segments behind
-// the 7-byte header of a w×h bitstream with the given magic: three
-// planes for a vjpg frame, the RGB residuals for an enhancement layer,
-// the motion field and the YUV residuals for an intermediate.
-func segmentSizes(magic string, w, h int) []int {
+// the 7-byte header of a w×h bitstream of kind m: three planes for a
+// vjpg frame, the RGB residuals for an enhancement layer, the motion
+// field and the YUV residuals for an intermediate.
+func segmentSizes(m magics, w, h int) []int {
 	cw := (w + 1) / 2
-	switch magic {
-	case vjpgMagic, vjpgVarintMagic:
+	switch m {
+	case vjpgMagics:
 		return []int{w * h, cw * h, cw * h}
-	case enhMagic, enhVarintMagic:
+	case enhMagics:
 		return []int{3 * w * h}
 	}
 	blocks := 0
@@ -232,46 +255,116 @@ func segmentSizes(magic string, w, h int) []int {
 // reference readers — refRiceDecode, or entropyDecode for the varint
 // layer — and returns their values.
 func refSegments(data []byte) ([][]int32, error) {
-	if len(data) < 7 || otherMagic[string(data[:2])] == "" {
+	m, l, ok := kindOf(data)
+	if len(data) < 7 || !ok {
 		return nil, ErrCorrupt
 	}
-	magic := string(data[:2])
 	w, h := int(binary.BigEndian.Uint16(data[3:])), int(binary.BigEndian.Uint16(data[5:]))
-	decode := refRiceDecode
-	if isVarint[magic] {
-		decode = entropyDecode
-	}
 	var segs [][]int32
 	off := 7
-	for _, n := range segmentSizes(magic, w, h) {
-		vals, m, err := decode(data[off:], n)
+	for _, n := range segmentSizes(m, w, h) {
+		var vals []int32
+		var k int
+		var err error
+		if l == layerVarint {
+			vals, k, err = entropyDecode(data[off:], n)
+		} else {
+			vals, k, err = refRiceDecode(data[off:], n, l)
+		}
 		if err != nil {
 			return nil, err
 		}
 		segs = append(segs, vals)
-		off += m
+		off += k
 	}
 	return segs, nil
 }
 
+// rice1Encode appends vals to dst in layerRice1, the Rice layer without
+// run interruption that earlier builds wrote: one parameter byte, every
+// token under one literal parameter. It is kept here, as entropyEncode
+// is, to make vectors of a decode-only layer.
+func rice1Encode(dst []byte, vals []int32) []byte {
+	var lits, runs []uint64
+	for i := 0; i < len(vals); {
+		u, run, next := token(vals, i)
+		lits = append(lits, u)
+		if run > 0 {
+			runs = append(runs, uint64(run-1))
+		}
+		i = next
+	}
+	kl, kr := rice1Param(lits), rice1Param(runs)
+	w := bitWriter{dst: append(dst, byte(kl<<4|kr))}
+	for i := 0; i < len(vals); {
+		u, run, next := token(vals, i)
+		w.rice(u, kl)
+		if run > 0 {
+			w.rice(uint64(run-1), kr)
+		}
+		i = next
+	}
+	return w.flush()
+}
+
+// rice1Param is the parameter earlier builds chose for values: the one
+// of least estimated cost, with each value below riceLiteralHist costed
+// exactly and the rest by bit length, a class as if every unary part in
+// it were the class sum's share. The estimate is not always exact, so
+// the choice is not always riceHist.best's.
+func rice1Param(vals []uint64) uint {
+	best, bestCost := uint(0), ^uint64(0)
+	for k := uint(0); k <= riceMaxK; k++ {
+		var cost uint64
+		var n, sum [65]uint64
+		for _, u := range vals {
+			if u < riceLiteralHist {
+				cost += riceLen(u, k)
+				continue
+			}
+			n[bits.Len64(u)]++
+			sum[bits.Len64(u)] += u
+		}
+		for b := range n {
+			switch {
+			case n[b] == 0:
+			case uint64(1)<<(b-1)>>k >= riceCap: // every value escapes
+				cost += n[b] * (riceCap + 1 + riceEscapeBits)
+			default:
+				cost += n[b]*uint64(k+1) + sum[b]>>k
+			}
+		}
+		if cost < bestCost {
+			best, bestCost = k, cost
+		}
+	}
+	return best
+}
+
+// encodeSegment appends vals to dst in layer l.
+func encodeSegment(dst []byte, vals []int32, l layer) []byte {
+	switch l {
+	case layerRice1:
+		return rice1Encode(dst, vals)
+	case layerVarint:
+		return entropyEncode(dst, vals)
+	}
+	return riceEncode(dst, vals)
+}
+
 // recode rewrites a vjpg frame, enhancement layer or vmpg intermediate
-// in the other entropy layer, with the same header fields and tokens: a
-// Rice-coded one as the varint form earlier builds wrote, a varint one
-// Rice-coded.
-func recode(t testing.TB, data []byte) []byte {
+// in layer l, with the same header fields and tokens: a Rice-coded one
+// as the forms earlier builds wrote, and those as the one written now.
+func recode(t testing.TB, data []byte, l layer) []byte {
 	t.Helper()
 	segs, err := refSegments(data)
 	if err != nil {
 		t.Fatalf("recode: %v", err)
 	}
-	magic := string(data[:2])
-	out := append([]byte(otherMagic[magic]), data[2:7]...)
+	m, _, _ := kindOf(data)
+	out := append([]byte(m[l]), data[2:7]...)
 	for _, vals := range segs {
-		if isVarint[magic] {
-			out = riceEncode(out, vals)
-		} else {
-			out = entropyEncode(out, vals)
-		}
+		out = encodeSegment(out, vals, l)
 	}
 	return out
 }
@@ -291,22 +384,37 @@ func bitBytes(s string) []byte {
 	return w.flush()
 }
 
+// TestRiceRoundTripProperty: any values, escapes and long runs among
+// them, round-trip through the one-pass reader and the reference alike,
+// in the layer written now and in layerRice1; and the segment written
+// now is never more than one byte longer than layerRice1's for the same
+// tokens. Its parameters are each the best for the tokens they code,
+// and layerRice1's literal parameter, taken for both, would code every
+// after-run literal in no more bits than it does there; only the second
+// parameter byte is new.
 func TestRiceRoundTripProperty(t *testing.T) {
-	f := func(raw []int16, scale uint8) bool {
-		vals := make([]int32, len(raw))
+	f := func(raw []int16, scale uint8, gap uint16, big int32) bool {
+		vals := make([]int32, len(raw), len(raw)+int(gap)+1+len(raw))
 		for i, v := range raw {
 			vals[i] = int32(v) / (1 + int32(scale)) // zeros and small values as often as not
 		}
-		enc := riceEncode([]byte{0xaa}, vals)
-		dec, n, err := riceDecode(enc[1:], len(vals))
-		ref, refN, refErr := refRiceDecode(enc[1:], len(vals))
-		if err != nil || refErr != nil || n != len(enc)-1 || refN != n {
-			return false
-		}
-		for i := range vals {
-			if dec[i] != vals[i] || ref[i] != vals[i] {
+		vals = append(vals, make([]int32, gap)...)
+		vals = append(vals, big) // an after-run literal, escaped as often as not
+		vals = append(vals, vals[:len(raw)]...)
+		segs := map[layer][]byte{}
+		for _, l := range []layer{layerRice, layerRice1} {
+			enc := encodeSegment([]byte{0xaa}, vals, l)
+			dec, n, err := riceDecode(enc[1:], len(vals), l)
+			ref, refN, refErr := refRiceDecode(enc[1:], len(vals), l)
+			if err != nil || refErr != nil || n != len(enc)-1 || refN != n || !slices.Equal(dec, vals) || !slices.Equal(ref, vals) {
+				t.Logf("layer %d: %d and %d of %d bytes, %v / %v", l, n, refN, len(enc)-1, err, refErr)
 				return false
 			}
+			segs[l] = enc
+		}
+		if len(segs[layerRice]) > len(segs[layerRice1])+1 {
+			t.Logf("%d bytes, %d in layerRice1", len(segs[layerRice]), len(segs[layerRice1]))
+			return false
 		}
 		return true
 	}
@@ -316,18 +424,20 @@ func TestRiceRoundTripProperty(t *testing.T) {
 }
 
 // TestRiceExtremes round-trips what only an escape can carry: the
-// int32 extremes as literals, and a run whose n-1 is past the unary
-// cap under every parameter.
+// int32 extremes as literals, one of them after a run, and a run whose
+// n-1 is past the unary cap under every parameter.
 func TestRiceExtremes(t *testing.T) {
-	vals := make([]int32, 3+1<<20)
-	vals[0], vals[1], vals[2] = math.MaxInt32, math.MinInt32, -1
-	enc := riceEncode(nil, vals)
-	dec, n, err := riceDecode(enc, len(vals))
-	if err != nil || n != len(enc) || !slices.Equal(dec, vals) {
-		t.Fatalf("riceDecode: %d of %d bytes, %v, values equal %v", n, len(enc), err, slices.Equal(dec, vals))
-	}
-	if _, _, err := refRiceDecode(enc, len(vals)); err != nil {
-		t.Fatal(err)
+	vals := make([]int32, 5+1<<20)
+	vals[0], vals[1], vals[2], vals[4] = math.MaxInt32, math.MinInt32, -1, math.MinInt32
+	for _, l := range []layer{layerRice, layerRice1} {
+		enc := encodeSegment(nil, vals, l)
+		dec, n, err := riceDecode(enc, len(vals), l)
+		if err != nil || n != len(enc) || !slices.Equal(dec, vals) {
+			t.Fatalf("layer %d: %d of %d bytes, %v, values equal %v", l, n, len(enc), err, slices.Equal(dec, vals))
+		}
+		if _, _, err := refRiceDecode(enc, len(vals), l); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 
@@ -341,45 +451,68 @@ func TestRiceZeroRunsCompress(t *testing.T) {
 }
 
 // TestRiceDecodeCorrupt: every malformed segment is ErrCorrupt, from the
-// one-pass reader and the reference alike.
+// one-pass reader and the reference alike, in either Rice layer.
 func TestRiceDecodeCorrupt(t *testing.T) {
+	ones := strings.Repeat("1", riceCap)
 	cases := []struct {
 		name string
+		l    layer
 		src  []byte
 		n    int
 	}{
-		{"empty", nil, 1},
-		// Both codes would be whole under a parameter of 15.
-		{"literal parameter out of range", append([]byte{0xf0}, bitBytes("0 000000000000001")...), 1},
-		{"run parameter out of range", append([]byte{0x0f}, bitBytes("0 0 000000000000000")...), 1},
-		{"truncated", []byte{0x00}, 1},
-		{"cut mid-token", append([]byte{0x80}, bitBytes("1111 1111 0")...), 1}, // 7 of its 8 low bits
-		{"prefix past the cap", append([]byte{0x00}, bitBytes(strings.Repeat("1", riceCap+1)+strings.Repeat("0", riceEscapeBits-1)+"1")...), 1},
-		{"escape cut short", append([]byte{0x00}, bitBytes(strings.Repeat("1", riceCap)+"0 0000")...), 1},
-		{"run past the end", append([]byte{0x00}, bitBytes("0 11110")...), 4},
-		{"second run past the end", append([]byte{0x00}, bitBytes("0 0 0 110")...), 3},
+		{"empty", layerRice, nil, 1},
+		{"one parameter byte", layerRice, []byte{0x00}, 1},
+		// Each code would be whole under a parameter of 15.
+		{"literal parameter out of range", layerRice, append([]byte{0xf0, 0x00}, bitBytes("0 000000000000001")...), 1},
+		{"after-run parameter out of range", layerRice, append([]byte{0x0f, 0x00}, bitBytes("0 0 0 000000000000000")...), 2},
+		{"run parameter out of range", layerRice, append([]byte{0x00, 0xf0}, bitBytes("0 0 000000000000000")...), 1},
+		{"nonzero spare nibble", layerRice, append([]byte{0x00, 0x01}, bitBytes("0 0")...), 1},
+		{"truncated", layerRice, []byte{0x00, 0x00}, 1},
+		{"cut in an after-run literal", layerRice, append([]byte{0x08, 0x00}, bitBytes("0 0 0 11111")...), 2}, // 5 of its 8 low bits
+		{"escaped after-run literal past 32 bits", layerRice, append([]byte{0x00, 0x00}, bitBytes("0 0 "+ones+"0 "+strings.Repeat("1", riceEscapeBits))...), 2},
+		{"run past the end", layerRice, append([]byte{0x00, 0x00}, bitBytes("0 11110")...), 4},
+		{"prefix past the cap", layerRice, append([]byte{0x00, 0x00}, bitBytes(ones+"1"+strings.Repeat("0", riceEscapeBits-1)+"1")...), 1},
+
+		{"empty", layerRice1, nil, 1},
+		{"literal parameter out of range", layerRice1, append([]byte{0xf0}, bitBytes("0 000000000000001")...), 1},
+		{"run parameter out of range", layerRice1, append([]byte{0x0f}, bitBytes("0 0 000000000000000")...), 1},
+		{"truncated", layerRice1, []byte{0x00}, 1},
+		{"cut mid-token", layerRice1, append([]byte{0x80}, bitBytes("1111 1111 0")...), 1}, // 7 of its 8 low bits
+		{"prefix past the cap", layerRice1, append([]byte{0x00}, bitBytes(ones+"1"+strings.Repeat("0", riceEscapeBits-1)+"1")...), 1},
+		{"escape cut short", layerRice1, append([]byte{0x00}, bitBytes(ones+"0 0000")...), 1},
+		{"run past the end", layerRice1, append([]byte{0x00}, bitBytes("0 11110")...), 4},
+		{"second run past the end", layerRice1, append([]byte{0x00}, bitBytes("0 0 0 110")...), 3},
 	}
 	for _, c := range cases {
-		if _, _, err := riceDecode(c.src, c.n); err != ErrCorrupt {
-			t.Errorf("%s: %v, want ErrCorrupt", c.name, err)
+		if _, _, err := riceDecode(c.src, c.n, c.l); err != ErrCorrupt {
+			t.Errorf("layer %d, %s: %v, want ErrCorrupt", c.l, c.name, err)
 		}
-		if _, _, err := refRiceDecode(c.src, c.n); err != ErrCorrupt {
-			t.Errorf("%s: the reference gives %v, want ErrCorrupt", c.name, err)
+		if _, _, err := refRiceDecode(c.src, c.n, c.l); err != ErrCorrupt {
+			t.Errorf("layer %d, %s: the reference gives %v, want ErrCorrupt", c.l, c.name, err)
 		}
 	}
-	// The same codes, one a bit shorter and one whole, are accepted: a
-	// run of exactly the rest, an escape of 2^31.
+	// Codes next to those, whole, are accepted: a run of exactly the
+	// rest, an escape of 2^31, an after-run literal of code 0 (the
+	// value 1, so -1), one that escapes to the int32 extreme, and, in
+	// layerRice1, a second run where the layer written now reads a
+	// literal.
 	for _, c := range []struct {
+		l    layer
 		src  []byte
 		want []int32
 	}{
-		{append([]byte{0x00}, bitBytes("0 1110")...), []int32{0, 0, 0, 0}},
-		{append([]byte{0x00}, bitBytes(strings.Repeat("1", riceCap)+"0 1"+strings.Repeat("0", 31))...), []int32{1 << 30}},
+		{layerRice, append([]byte{0x00, 0x00}, bitBytes("0 1110")...), []int32{0, 0, 0, 0}},
+		{layerRice, append([]byte{0x00, 0x00}, bitBytes(ones+"0 1"+strings.Repeat("0", 31))...), []int32{1 << 30}},
+		{layerRice, append([]byte{0x00, 0x00}, bitBytes("0 0 0 110")...), []int32{0, -1, 1}},
+		{layerRice, append([]byte{0x00, 0x00}, bitBytes("0 0 "+ones+"0 "+strings.Repeat("1", riceEscapeBits-1)+"0")...), []int32{0, math.MinInt32}},
+		{layerRice1, append([]byte{0x00}, bitBytes("0 1110")...), []int32{0, 0, 0, 0}},
+		{layerRice1, append([]byte{0x00}, bitBytes(ones+"0 1"+strings.Repeat("0", 31))...), []int32{1 << 30}},
+		{layerRice1, append([]byte{0x00}, bitBytes("0 0 0 0 110")...), []int32{0, 0, 1}},
 	} {
-		got, _, err := riceDecode(c.src, len(c.want))
-		ref, _, refErr := refRiceDecode(c.src, len(c.want))
+		got, _, err := riceDecode(c.src, len(c.want), c.l)
+		ref, _, refErr := refRiceDecode(c.src, len(c.want), c.l)
 		if err != nil || refErr != nil || !slices.Equal(got, c.want) || !slices.Equal(ref, c.want) {
-			t.Errorf("%x: %v %v / reference %v %v, want %v", c.src, got, err, ref, refErr, c.want)
+			t.Errorf("layer %d, %x: %v %v / reference %v %v, want %v", c.l, c.src, got, err, ref, refErr, c.want)
 		}
 	}
 }
@@ -388,12 +521,14 @@ func TestRiceDecodeCorrupt(t *testing.T) {
 // refused within a refill of its end, not decoded on to the size its
 // header claims from the 0 bits a reader sees past it.
 func TestRiceDecodeStopsAtTruncation(t *testing.T) {
-	pix := bytes.Repeat([]byte{0xaa}, 1<<16)
-	src := append([]byte{0x00}, bitBytes("0 0 0 0 0 0")...) // three runs of 1
-	if _, err := decodePlane(src, pix, 256, 12); err != ErrCorrupt {
-		t.Fatalf("decodePlane: %v, want ErrCorrupt", err)
-	}
-	if written := len(pix) - bytes.Count(pix, []byte{0xaa}); written > 128 {
-		t.Errorf("decoded %d pixels from 6 bits", written)
+	for l, head := range map[layer][]byte{layerRice: {0x00, 0x00}, layerRice1: {0x00}} {
+		pix := bytes.Repeat([]byte{0xaa}, 1<<16)
+		src := append(head, bitBytes("0 0 0 0 0 0")...)
+		if _, err := decodePlane(src, pix, 256, 12, l); err != ErrCorrupt {
+			t.Fatalf("layer %d: decodePlane: %v, want ErrCorrupt", l, err)
+		}
+		if written := len(pix) - bytes.Count(pix, []byte{0xaa}); written > 128 {
+			t.Errorf("layer %d: decoded %d pixels from 6 bits", l, written)
+		}
 	}
 }

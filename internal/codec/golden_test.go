@@ -81,45 +81,57 @@ func checkGolden(t *testing.T, name, got string, want map[string]string) {
 	}
 }
 
+// goldenLayers are the tables TestVJPGEncodeGolden holds each entropy
+// layer's bitstreams to: what the encoders write now, and what earlier
+// builds wrote for the same frames.
+var goldenLayers = map[layer]map[string]string{
+	layerRice:   encodeGolden,
+	layerRice1:  rice1EncodeGolden,
+	layerVarint: varintEncodeGolden,
+}
+
 // TestVJPGEncodeGolden pins what the encoders write: vjpg frames at every
 // golden quantizer and size, one layered frame and one vmpg GOP. Each
-// bitstream recoded to the varint layer (recode) must be, byte for byte,
-// what earlier builds wrote for the same frames (varintEncodeGolden):
-// the Rice layer codes the same tokens.
+// bitstream recoded to an earlier layer (recode) must be, byte for
+// byte, what earlier builds wrote for the same frames: the three layers
+// code the same tokens.
 func TestVJPGEncodeGolden(t *testing.T) {
-	for _, c := range goldenCases() {
-		data, err := VJPGEncode(c.f, c.q)
-		if err != nil {
-			t.Fatalf("%s: %v", c.name, err)
+	for l, want := range goldenLayers {
+		in := func(data []byte) []byte {
+			if l == layerRice {
+				return data
+			}
+			return recode(t, data, l)
 		}
-		checkGolden(t, c.name, digest(data), encodeGolden)
-		checkGolden(t, c.name, digest(recode(t, data)), varintEncodeGolden)
+		for _, c := range goldenCases() {
+			data, err := VJPGEncode(c.f, c.q)
+			if err != nil {
+				t.Fatalf("%s: %v", c.name, err)
+			}
+			checkGolden(t, c.name, digest(in(data)), want)
+		}
+		base, enh := layeredGolden(t)
+		checkGolden(t, "layered", digest(in(base), in(enh)), want)
+		var parts [][]byte
+		for _, p := range vmpgGolden(t) {
+			parts = append(parts, binary.BigEndian.AppendUint32(nil, uint32(p.Index)), in(p.Data))
+		}
+		checkGolden(t, "vmpg", digest(parts...), want)
 	}
-	base, enh := layeredGolden(t)
-	checkGolden(t, "layered", digest(base, enh), encodeGolden)
-	checkGolden(t, "layered", digest(recode(t, base), recode(t, enh)), varintEncodeGolden)
-	var parts, varint [][]byte
-	for _, p := range vmpgGolden(t) {
-		index := binary.BigEndian.AppendUint32(nil, uint32(p.Index))
-		parts = append(parts, index, p.Data)
-		varint = append(varint, index, recode(t, p.Data))
-	}
-	checkGolden(t, "vmpg", digest(parts...), encodeGolden)
-	checkGolden(t, "vmpg", digest(varint...), varintEncodeGolden)
 }
 
 // TestVJPGDecodeGolden pins what the decoders return for the same
 // fixtures: the RGB and the YUV reconstruction of every vjpg frame, the
 // base and full reconstruction of the layered frame, and every frame of
 // the vmpg GOP — from the bitstreams the encoders write and from the
-// same bitstreams in the varint layer earlier builds wrote.
+// same bitstreams in the two layers earlier builds wrote.
 func TestVJPGDecodeGolden(t *testing.T) {
-	for _, varint := range []bool{false, true} {
+	for l := range goldenLayers {
 		in := func(data []byte) []byte {
-			if varint {
-				return recode(t, data)
+			if l == layerRice {
+				return data
 			}
-			return data
+			return recode(t, data, l)
 		}
 		for _, c := range goldenCases() {
 			data, err := VJPGEncode(c.f, c.q)
@@ -192,6 +204,33 @@ var varintEncodeGolden = map[string]string{
 }
 
 var encodeGolden = map[string]string{
+	"q1/160x120":   "7f26acaa0104be1c4a2e1325229b43459a9155197dd3ebc5b2a6927dc3a77947",
+	"q4/160x120":   "61937914c68873024cde9d8ebff3acd30b464078201af20b24e2e474d1f04085",
+	"q12/160x120":  "091b32f5e7a5f9e31ad4f05b5f2ec292294d5b33ec0aee1da7571a96565a8c1a",
+	"q20/160x120":  "be7fb6419b4a2ce2f6ce1052478ff4e2301cbc515c982c832b71355a322edda7",
+	"q128/160x120": "0ee36de19550e48abb28f47f982a034098f5a15d7e6b7c18fcbc737bfe10bc53",
+	"q1/33x17":     "a19c3148194507d298f561da44fd5a8118f13aaecd9884f5214cf80e1e2d1a6e",
+	"q4/33x17":     "f47f5b4bfd276e89ba9f179a0b0d997b20f0ca91aa617679996bcd7323abe405",
+	"q12/33x17":    "2243d9430a421bda2e5e37b25f491cc28a1f278679b214bbbc5167abca430d99",
+	"q20/33x17":    "4212c8067f97d5646b5fcaa77f141e7a82ce4b211c1be66948e5bf5826b2e6a9",
+	"q128/33x17":   "9bd83456f2032c3cc29b5f6c082accfbb32081920a6137f7b099d2f80b68063f",
+	"q1/7x3":       "b39de22aee2d88c21eeb69f38e3bf4f74eed7c9cd7704131afca2860be11b158",
+	"q4/7x3":       "f45a160c2e696b95c1ce592f29a12b2dd7dd0bdfefa70100be9f28c54e706597",
+	"q12/7x3":      "8d176a447f27197a1e346869efb214ac141dfdf5dc549bf6d5f5c4d9f50f5161",
+	"q20/7x3":      "3ca861d3eac8064f7f5780e1503ccbde8de58cd7131321ecc1662758a44d928f",
+	"q128/7x3":     "5546d4780513053844425a1229291874021b1c665b8115d60412636896907ee4",
+	"q1/1x1":       "64bb14a41cc4c8f880fb1f72006dfb2b30fa525d6b7b553b64f65003e8e0e5d6",
+	"q4/1x1":       "cd79e98efb12f1e4820818d6254c4fdd5232f5cec8bb612f2d3fe5d30b791ec6",
+	"q12/1x1":      "f147985d992301893d2f6c3f1865e081105fc464b2c33a820054d0e81b18aeed",
+	"q20/1x1":      "c50b0e916496c9a39f283124c36dc3a3455bb77d2af34110b0792fff5f272658",
+	"q128/1x1":     "42133bf1768fe71253812a0616fcceae38396252afc03c12157118efcbb9fb19",
+	"layered":      "736bb2dfda2340bc31da6a898c73d7f123d55b3c410daabb36edf1cd5087b4ec",
+	"vmpg":         "c636d9cfb90285cd2e197b1d8b7a7d0f6092c2a29b8736d3568446896991ece7",
+}
+
+// rice1EncodeGolden is what the encoders wrote before run interruption:
+// layerRice1's "VK", "VF" and "VD" bitstreams.
+var rice1EncodeGolden = map[string]string{
 	"q1/160x120":   "6b152a243a067cab7ce51fa32298e632779e14d441e77503a1135d4cf75bf998",
 	"q4/160x120":   "1a3f2c2da1dc22a443599ebf516523cf43e05de9b125d6429cb85d8c70648048",
 	"q12/160x120":  "35d606e67dfd6ad285ee5878f5f5f41fc63ef896ace81b40ff58f1eb5ecd73b1",

@@ -3,6 +3,7 @@ package codec
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 
 	"timedmedia/internal/frame"
 	"timedmedia/internal/media"
@@ -15,17 +16,15 @@ import (
 // reordering and reverse play cheaply — the property the paper
 // attributes to JPEG-compressed video.
 //
-// Bitstream: "VK" | u8 quantizer | u16 width | u16 height | Y plane |
+// Bitstream: "VL" | u8 quantizer | u16 width | u16 height | Y plane |
 // U plane | V plane, each plane a Rice-coded segment (see entropy.go):
-// its parameter byte, then its codes, padded to a whole byte.
+// its parameter bytes, then its codes, padded to a whole byte.
 //
-// Frames earlier builds stored open with "VJ" and code each plane's
+// Frames earlier builds stored open with "VK", whose planes are Rice
+// coded without run interruption, or "VJ", whose planes code their
 // tokens as uvarints; they are decoded, never written.
 
-const (
-	vjpgMagic       = "VK"
-	vjpgVarintMagic = "VJ"
-)
+var vjpgMagics = magics{layerRice: "VL", layerRice1: "VK", layerVarint: "VJ"}
 
 // VJPGEncode compresses an RGB frame at the given quantizer (see
 // QuantizerFor to derive one from a quality factor).
@@ -38,7 +37,7 @@ func VJPGEncode(f *frame.Frame, quantizer int) ([]byte, error) {
 		return nil, err
 	}
 	out := make([]byte, 0, len(yuv.Pix)/4)
-	out = append(out, vjpgMagic...)
+	out = append(out, vjpgMagics[layerRice]...)
 	out = append(out, byte(quantizer))
 	out = binary.BigEndian.AppendUint16(out, uint16(f.Width))
 	out = binary.BigEndian.AppendUint16(out, uint16(f.Height))
@@ -79,7 +78,7 @@ type VJPGDecoder struct {
 // Decode decompresses a vjpg frame to RGB. The frame it returns owns its
 // pixels; nothing of it stays with the decoder.
 func (d *VJPGDecoder) Decode(data []byte) (*frame.Frame, error) {
-	q, w, h, body, decode, err := vjpgHeader(data)
+	q, w, h, body, l, err := vjpgHeader(data)
 	if err != nil {
 		return nil, err
 	}
@@ -88,7 +87,7 @@ func (d *VJPGDecoder) Decode(data []byte) (*frame.Frame, error) {
 		d.yuv = make([]byte, n)
 	}
 	yuv := d.yuv[:n]
-	if err := decodePlanes(body, yuv, w, h, q, decode); err != nil {
+	if err := decodePlanes(body, yuv, w, h, q, l); err != nil {
 		return nil, err
 	}
 	out := frame.New(w, h, media.ColorRGB)
@@ -100,27 +99,27 @@ func (d *VJPGDecoder) Decode(data []byte) (*frame.Frame, error) {
 // YUV 8:2:2 representation, skipping the RGB conversion. Interframe
 // coding (vmpg) predicts in this domain.
 func VJPGDecodeYUV(data []byte) (*frame.Frame, error) {
-	q, w, h, body, decode, err := vjpgHeader(data)
+	q, w, h, body, l, err := vjpgHeader(data)
 	if err != nil {
 		return nil, err
 	}
 	yuv := frame.New(w, h, media.ColorYUV422)
-	if err := decodePlanes(body, yuv.Pix, w, h, q, decode); err != nil {
+	if err := decodePlanes(body, yuv.Pix, w, h, q, l); err != nil {
 		return nil, err
 	}
 	return yuv, nil
 }
 
-// planeDecoder decodes one plane's tokens into pix and returns the
-// bytes it consumed: decodePlane, or decodePlaneVarint for "VJ" frames.
-type planeDecoder func(src, pix []byte, width, q int) (int, error)
-
-// decodePlanes decodes the Y, U and V planes of a vjpg body into pix,
-// a planar YUV 8:2:2 buffer of w×h.
-func decodePlanes(body, pix []byte, w, h, q int, decode planeDecoder) error {
+// decodePlanes decodes the Y, U and V planes of a vjpg body in layer l
+// into pix, a planar YUV 8:2:2 buffer of w×h.
+func decodePlanes(body, pix []byte, w, h, q int, l layer) error {
+	decode := decodePlane
+	if l == layerVarint {
+		decode = decodePlaneVarint
+	}
 	off := 0
 	for pi, p := range planesOf(pix, w, h) {
-		n, err := decode(body[off:], p.pix, p.w, planeQuantizer(q, pi))
+		n, err := decode(body[off:], p.pix, p.w, planeQuantizer(q, pi), l)
 		if err != nil {
 			return err
 		}
@@ -136,27 +135,20 @@ func VJPGDims(data []byte) (w, h int, err error) {
 	return w, h, err
 }
 
-// vjpgHeader parses a vjpg frame's header, of either layer, and returns
-// the decoder of the layer its magic names.
-func vjpgHeader(data []byte) (q, w, h int, body []byte, decode planeDecoder, err error) {
-	if len(data) >= 2 {
-		switch string(data[:2]) {
-		case vjpgMagic:
-			decode = decodePlane
-		case vjpgVarintMagic:
-			decode = decodePlaneVarint
-		}
-	}
-	if len(data) < 7 || decode == nil {
-		return 0, 0, 0, nil, nil, fmt.Errorf("%w: vjpg header", ErrCorrupt)
+// vjpgHeader parses a vjpg frame's header, of any layer, and returns
+// the layer its magic names.
+func vjpgHeader(data []byte) (q, w, h int, body []byte, l layer, err error) {
+	l, ok := layerOf(data, vjpgMagics)
+	if len(data) < 7 || !ok {
+		return 0, 0, 0, nil, 0, fmt.Errorf("%w: vjpg header", ErrCorrupt)
 	}
 	q = int(data[2])
 	w = int(binary.BigEndian.Uint16(data[3:]))
 	h = int(binary.BigEndian.Uint16(data[5:]))
 	if q < 1 || q > 128 || w == 0 || h == 0 {
-		return 0, 0, 0, nil, nil, fmt.Errorf("%w: vjpg header fields", ErrCorrupt)
+		return 0, 0, 0, nil, 0, fmt.Errorf("%w: vjpg header fields", ErrCorrupt)
 	}
-	return q, w, h, data[7:], decode, nil
+	return q, w, h, data[7:], l, nil
 }
 
 type plane struct {
@@ -235,22 +227,24 @@ func roundDiv(r, q int) int {
 	return -((-r + q/3) / q)
 }
 
-// decodePlane reverses encodePlane: it reads the plane's Rice-coded
-// tokens (see entropy.go) straight into pix, row by row, and returns
-// the number of bytes consumed. It refuses, as ErrCorrupt, a parameter
-// out of range, a truncated stream, an overlong unary part and a run
-// past the plane's end.
-func decodePlane(src []byte, pix []byte, width, q int) (int, error) {
-	r, kl, kr, err := newRiceReader(src)
+// decodePlane reverses encodePlane: it reads the plane's tokens, Rice
+// coded in layer l (see entropy.go), straight into pix, row by row, and
+// returns the number of bytes consumed. It refuses, as ErrCorrupt, a
+// parameter out of range, a nonzero spare nibble, a truncated stream,
+// an overlong unary part, a literal past 32 bits and a run past the
+// plane's end.
+func decodePlane(src []byte, pix []byte, width, q int, l layer) (int, error) {
+	r, p, err := newRiceReader(src, l)
 	if err != nil {
 		return 0, err
 	}
 	var (
-		w     window
-		k     uint64
-		u     uint
-		ok    bool
-		zeros int // what is left of the current zero run
+		w      window
+		k      uint64
+		u      uint
+		ok     bool
+		zeros  int               // what is left of the current zero run
+		kn, bn = p.ka, uint64(0) // the next token's parameter and bias
 	)
 	for y0 := 0; y0 < len(pix); y0 += width {
 		row := pix[y0 : y0+width]
@@ -270,19 +264,19 @@ func decodePlane(src []byte, pix []byte, width, q int) (int, error) {
 					return 0, ErrCorrupt
 				}
 			}
-			w, k, u = w.short(kl)
+			w, k, u = w.short(kn)
 			if u >= riceCap {
-				if w, k, ok = r.escape(w, u); !ok {
+				if w, k, ok = r.escape(w, u); !ok || k+bn > math.MaxUint32 {
 					return 0, ErrCorrupt
 				}
 			}
-			if k == 0 {
+			if k += bn; k == 0 {
 				if w.n < riceMaxCode {
 					if w, ok = r.refill(w); !ok {
 						return 0, ErrCorrupt
 					}
 				}
-				w, k, u = w.short(kr)
+				w, k, u = w.short(p.kr)
 				if u >= riceCap {
 					if w, k, ok = r.escape(w, u); !ok {
 						return 0, ErrCorrupt
@@ -291,12 +285,16 @@ func decodePlane(src []byte, pix []byte, width, q int) (int, error) {
 				if k >= uint64(len(pix)-y0-x) {
 					return 0, ErrCorrupt
 				}
+				// A plane holds fewer than maxRun pixels, so a run
+				// that does not end it is interrupted.
 				zeros = int(k) + 1
+				kn, bn = p.kb, p.bias
 				continue
 			}
 			left = reconStep(predict(left, above, x), int(unzigzag(k)), q)
 			row[x] = byte(left)
 			x++
+			kn, bn = p.ka, 0
 		}
 	}
 	return r.end(w)
@@ -306,7 +304,7 @@ func decodePlane(src []byte, pix []byte, width, q int) (int, error) {
 // frame. It refuses what entropyDecode refuses, as ErrCorrupt: a
 // truncated or overlong varint, a zero run of length 0, and a run past
 // the plane's end.
-func decodePlaneVarint(src []byte, pix []byte, width, q int) (int, error) {
+func decodePlaneVarint(src []byte, pix []byte, width, q int, _ layer) (int, error) {
 	off, zeros := 0, 0
 	for y0 := 0; y0 < len(pix); y0 += width {
 		row := pix[y0 : y0+width]
@@ -410,14 +408,12 @@ func reconStep(pred, rq, q int) int {
 // base). Reading only the base layer yields a usable low-fidelity
 // frame at a fraction of the bytes.
 //
-// Enhancement bitstream: "VF" | u8 quantizer | u16 width | u16 height |
+// Enhancement bitstream: "VG" | u8 quantizer | u16 width | u16 height |
 // one Rice-coded segment of the quantized RGB residuals. Layers earlier
-// builds stored open with "VE" and code the segment as uvarints.
+// builds stored open with "VF", Rice coded without run interruption, or
+// "VE", coded as uvarints.
 
-const (
-	enhMagic       = "VF"
-	enhVarintMagic = "VE"
-)
+var enhMagics = magics{layerRice: "VG", layerRice1: "VF", layerVarint: "VE"}
 
 // VJPGEncodeLayered compresses f into base and enhancement layers.
 func VJPGEncodeLayered(f *frame.Frame, quantizer int) (base, enh []byte, err error) {
@@ -444,7 +440,7 @@ func VJPGEncodeLayered(f *frame.Frame, quantizer int) (base, enh []byte, err err
 		qvals[i] = quantInt32(v, int32(quantizer))
 	}
 	enh = make([]byte, 0, len(f.Pix)/8)
-	enh = append(enh, enhMagic...)
+	enh = append(enh, enhMagics[layerRice]...)
 	enh = append(enh, byte(quantizer))
 	enh = binary.BigEndian.AppendUint16(enh, uint16(f.Width))
 	enh = binary.BigEndian.AppendUint16(enh, uint16(f.Height))
@@ -463,8 +459,8 @@ func VJPGDecodeLayered(base, enh []byte) (*frame.Frame, error) {
 	if err != nil {
 		return nil, err
 	}
-	decode := layerDecoder(enh, enhMagic, enhVarintMagic)
-	if len(enh) < 7 || decode == nil {
+	l, ok := layerOf(enh, enhMagics)
+	if len(enh) < 7 || !ok {
 		return nil, fmt.Errorf("%w: enhancement header", ErrCorrupt)
 	}
 	q := int32(enh[2])
@@ -479,7 +475,7 @@ func VJPGDecodeLayered(base, enh []byte) (*frame.Frame, error) {
 		return nil, fmt.Errorf("%w: %dx%d enhancement layer over a %dx%d base", ErrCorrupt, w, h, baseRec.Width, baseRec.Height)
 	}
 	up := upsample2(baseRec, w, h)
-	vals, _, err := decode(enh[7:], len(up.Pix))
+	vals, _, err := decodeSegment(enh[7:], len(up.Pix), l)
 	if err != nil {
 		return nil, err
 	}

@@ -110,7 +110,7 @@ func FuzzVJPGDecode(f *testing.F) {
 		if err != nil {
 			f.Fatal(err)
 		}
-		for _, d := range [][]byte{data, recode(f, data)} {
+		for _, d := range [][]byte{data, recode(f, data, layerRice1), recode(f, data, layerVarint)} {
 			f.Add(d)
 			f.Add(d[:len(d)/2])
 			f.Add(d[:len(d)-1])
@@ -118,32 +118,48 @@ func FuzzVJPGDecode(f *testing.F) {
 	}
 	one, _ := VJPGEncode(frame.Flat(1, 1, 9, 200, 31), 4)
 	f.Add(one)
-	f.Add(recode(f, one))
+	f.Add(recode(f, one, layerRice1))
+	f.Add(recode(f, one, layerVarint))
 	// Varint frames: a zero run of length 0, a run past the plane's
 	// end, runs that span rows, a residual past 32 bits, and a run of
 	// 2^63.
-	f.Add(vjpgFrame(vjpgVarintMagic, 12, 2, 2, 0, 0))
-	f.Add(vjpgFrame(vjpgVarintMagic, 12, 2, 2, 0, 5))
-	f.Add(vjpgFrame(vjpgVarintMagic, 12, 3, 2, 0, 6, 0, 4, 0, 4))
-	f.Add(vjpgFrame(vjpgVarintMagic, 1, 3, 1, 0xff, 0xff, 0xff, 0xff, 0x7f, 1, 2, 0, 2, 0, 2))
-	f.Add(vjpgFrame(vjpgVarintMagic, 12, 2, 2, 0, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01))
-	// Rice frames: a unary part past the cap, a parameter byte out of
-	// range, a code cut mid-token, a zero run past the plane's end, an
-	// escaped literal, and runs that span rows (each plane a parameter
-	// byte and its codes).
+	varint, rice1, rice := vjpgMagics[layerVarint], vjpgMagics[layerRice1], vjpgMagics[layerRice]
+	f.Add(vjpgFrame(varint, 12, 2, 2, 0, 0))
+	f.Add(vjpgFrame(varint, 12, 2, 2, 0, 5))
+	f.Add(vjpgFrame(varint, 12, 3, 2, 0, 6, 0, 4, 0, 4))
+	f.Add(vjpgFrame(varint, 1, 3, 1, 0xff, 0xff, 0xff, 0xff, 0x7f, 1, 2, 0, 2, 0, 2))
+	f.Add(vjpgFrame(varint, 12, 2, 2, 0, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01))
+	// layerRice1 frames: a unary part past the cap, a parameter byte
+	// out of range, a code cut mid-token, a zero run past the plane's
+	// end, an escaped literal, and runs that span rows (each plane a
+	// parameter byte and its codes).
 	// Each is followed by whole chroma planes, so that only the flaw
 	// can refuse the frame.
 	ones := func(n int) string { return strings.Repeat("1", n) }
 	chroma1 := slices.Concat([]byte{0x00}, bitBytes("0 0"), []byte{0x00}, bitBytes("0 0"))   // 1 px each
 	chroma2 := slices.Concat([]byte{0x00}, bitBytes("0 10"), []byte{0x00}, bitBytes("0 10")) // 2 px each
 	pastCap := bitBytes(ones(riceCap+1) + strings.Repeat("0", riceEscapeBits-1) + "1")
-	f.Add(vjpgFrame(vjpgMagic, 12, 1, 1, slices.Concat([]byte{0x00}, pastCap, chroma1)...))
-	f.Add(vjpgFrame(vjpgMagic, 12, 1, 1, slices.Concat([]byte{0xf0}, bitBytes("0 000000000000001"), chroma1)...))
-	f.Add(vjpgFrame(vjpgMagic, 12, 1, 1, slices.Concat([]byte{0x80}, bitBytes("1111 1111"))...))
-	f.Add(vjpgFrame(vjpgMagic, 12, 2, 2, slices.Concat([]byte{0x00}, bitBytes("0 11110"), chroma2)...))
+	f.Add(vjpgFrame(rice1, 12, 1, 1, slices.Concat([]byte{0x00}, pastCap, chroma1)...))
+	f.Add(vjpgFrame(rice1, 12, 1, 1, slices.Concat([]byte{0xf0}, bitBytes("0 000000000000001"), chroma1)...))
+	f.Add(vjpgFrame(rice1, 12, 1, 1, slices.Concat([]byte{0x80}, bitBytes("1111 1111"))...))
+	f.Add(vjpgFrame(rice1, 12, 2, 2, slices.Concat([]byte{0x00}, bitBytes("0 11110"), chroma2)...))
 	esc := bitBytes(ones(riceCap) + "0" + ones(riceEscapeBits))
-	f.Add(vjpgFrame(vjpgMagic, 1, 1, 1, slices.Concat([]byte{0x00}, esc, chroma1)...))
-	f.Add(vjpgFrame(vjpgMagic, 12, 3, 2, slices.Concat([]byte{0x00}, bitBytes("0 11110"), []byte{0x01}, bitBytes("0 111"), []byte{0x00}, bitBytes("0 1110"))...))
+	f.Add(vjpgFrame(rice1, 1, 1, 1, slices.Concat([]byte{0x00}, esc, chroma1)...))
+	f.Add(vjpgFrame(rice1, 12, 3, 2, slices.Concat([]byte{0x00}, bitBytes("0 11110"), []byte{0x01}, bitBytes("0 111"), []byte{0x00}, bitBytes("0 1110"))...))
+	// Frames written now (two parameter bytes a plane): an after-run
+	// literal of code 0, the value 1; a run that ends the plane, after
+	// which no literal is read; a run that ends a row, its literal the
+	// next row's first pixel; a nonzero spare nibble; a stream cut
+	// inside an after-run literal; and an escaped after-run literal
+	// past 32 bits.
+	chroma1 = slices.Concat([]byte{0x00, 0x00}, bitBytes("0 0"), []byte{0x00, 0x00}, bitBytes("0 0")) // 1 px each
+	chroma2 = slices.Concat([]byte{0x00, 0x00}, bitBytes("0 10"), []byte{0x00, 0x00}, bitBytes("0 10"))
+	f.Add(vjpgFrame(rice, 12, 2, 1, slices.Concat([]byte{0x00, 0x00}, bitBytes("0 0 0"), chroma1)...))
+	f.Add(vjpgFrame(rice, 12, 2, 2, slices.Concat([]byte{0x00, 0x00}, bitBytes("0 1110"), chroma2)...))
+	f.Add(vjpgFrame(rice, 12, 2, 2, slices.Concat([]byte{0x00, 0x00}, bitBytes("0 10 110 0 0"), chroma2)...))
+	f.Add(vjpgFrame(rice, 12, 1, 1, slices.Concat([]byte{0x00, 0x01}, bitBytes("0 0"), chroma1)...))
+	f.Add(vjpgFrame(rice, 12, 2, 1, slices.Concat([]byte{0x08, 0x00}, bitBytes("0 0 0 11111"))...))
+	f.Add(vjpgFrame(rice, 1, 2, 1, slices.Concat([]byte{0x00, 0x00}, bitBytes("0 0 "+ones(riceCap)+"0 "+ones(riceEscapeBits)), chroma1)...))
 	var dec VJPGDecoder
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if w, h, err := VJPGDims(data); err == nil && w*h > 256*256 {
@@ -197,29 +213,47 @@ func FuzzLayerDecode(f *testing.F) {
 		f.Fatal(errA, errB)
 	}
 	inter := packets[2].Data
-	for _, d := range [][]byte{enh, recode(f, enh), inter, recode(f, inter)} {
-		f.Add(d)
-		f.Add(d[:len(d)-1])
-		f.Add(d[:len(d)/2])
+	for _, d := range [][]byte{enh, inter} {
+		for _, d := range [][]byte{d, recode(f, d, layerRice1), recode(f, d, layerVarint)} {
+			f.Add(d)
+			f.Add(d[:len(d)-1])
+			f.Add(d[:len(d)/2])
+		}
 	}
 	// Rice segments behind each header: a parameter byte out of range,
 	// a unary part past the cap, a code cut mid-token, a zero run past
-	// the end.
-	for _, seg := range [][]byte{
-		{0xf0, 0x00},
-		append([]byte{0x00}, bitBytes(strings.Repeat("1", riceCap+1))...),
-		{0x80, 0xff},
-		append([]byte{0x00}, bitBytes("0 "+strings.Repeat("1", riceCap)+"0 0000 0000 0000 0000 0000 0000 0000 1111")...),
+	// the end — in layerRice1, then in the layer written now with an
+	// after-run literal of code 0, a nonzero spare nibble, a stream cut
+	// inside an after-run literal and a run that ends the segment.
+	ones := strings.Repeat("1", riceCap)
+	for l, segs := range map[layer][][]byte{
+		layerRice1: {
+			{0xf0, 0x00},
+			append([]byte{0x00}, bitBytes(ones+"1")...),
+			{0x80, 0xff},
+			append([]byte{0x00}, bitBytes("0 "+ones+"0 0000 0000 0000 0000 0000 0000 0000 1111")...),
+		},
+		layerRice: {
+			{0xf0, 0x00, 0x00},
+			append([]byte{0x00, 0x00}, bitBytes(ones+"1")...),
+			append([]byte{0x00, 0x00}, bitBytes("0 0 0 0 0 0 0 0")...),
+			append([]byte{0x00, 0x01}, bitBytes("0 0 0")...),
+			append([]byte{0x08, 0x00}, bitBytes("0 0 0 11111")...),
+			append([]byte{0x00, 0x00}, bitBytes("0 "+ones+"0 0000 0000 0000 0000 0000 0000 0000 1111")...),
+		},
 	} {
-		f.Add(append(slices.Clone(enh[:7]), seg...))
-		f.Add(append(slices.Clone(inter[:7]), seg...))
+		for _, seg := range segs {
+			f.Add(append(append([]byte(enhMagics[l]), enh[2:7]...), seg...))
+			f.Add(append(append([]byte(interMagics[l]), inter[2:7]...), seg...))
+		}
 	}
-	// Every block's motion code out of range, in both layers: sound
+	// Every block's motion code out of range, in every layer: sound
 	// segments the decoder must refuse all the same.
 	for _, code := range []int32{5000, -1, 2*mvCount + 1} {
 		bad := withMotion(f, inter, code)
 		f.Add(bad)
-		f.Add(recode(f, bad))
+		f.Add(recode(f, bad, layerRice1))
+		f.Add(recode(f, bad, layerVarint))
 	}
 	dims := func(data []byte) (int, int) {
 		return int(binary.BigEndian.Uint16(data[3:])), int(binary.BigEndian.Uint16(data[5:]))
@@ -240,9 +274,11 @@ func FuzzLayerDecode(f *testing.F) {
 			}
 			return
 		}
-		other, err := decode(recode(t, data))
-		if err != nil || !bytes.Equal(got.Pix, other.Pix) {
-			t.Fatalf("%s: recoded in the other layer: %v, or the pixels differ", what, err)
+		for l := range layerVarint + 1 {
+			other, err := decode(recode(t, data, l))
+			if err != nil || !bytes.Equal(got.Pix, other.Pix) {
+				t.Fatalf("%s: recoded in layer %d: %v, or the pixels differ", what, l, err)
+			}
 		}
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -252,10 +288,11 @@ func FuzzLayerDecode(f *testing.F) {
 			return
 		}
 		fw, fh := dims(data)
-		magic := string(data[:2])
-		check(t, "enhancement", data, (magic == enhMagic || magic == enhVarintMagic) && data[2] >= 1 && (fw+1)/2 == bw && (fh+1)/2 == bh,
+		_, isEnh := layerOf(data, enhMagics)
+		_, isInter := layerOf(data, interMagics)
+		check(t, "enhancement", data, isEnh && data[2] >= 1 && (fw+1)/2 == bw && (fh+1)/2 == bh,
 			func(d []byte) (*frame.Frame, error) { return VJPGDecodeLayered(base, d) })
-		check(t, "intermediate", data, (magic == interMagic || magic == interVarintMagic) && data[2] >= 1 && fw == w && fh == h &&
+		check(t, "intermediate", data, isInter && data[2] >= 1 && fw == w && fh == h &&
 			motionInRange(data),
 			func(d []byte) (*frame.Frame, error) { return decodeIntermediate(d, recA, recB, 1, 2) })
 	})
@@ -272,13 +309,10 @@ func withMotion(t testing.TB, data []byte, code int32) []byte {
 	for i := range segs[0] {
 		segs[0][i] = code
 	}
+	_, l, _ := kindOf(data)
 	out := slices.Clone(data[:7])
 	for _, vals := range segs {
-		if isVarint[string(data[:2])] {
-			out = entropyEncode(out, vals)
-		} else {
-			out = riceEncode(out, vals)
-		}
+		out = encodeSegment(out, vals, l)
 	}
 	return out
 }
@@ -297,7 +331,7 @@ func motionInRange(data []byte) bool {
 
 // TestIntermediateRefusesMotionOutOfRange: a motion code below 0 or
 // above 2·mvCount names no vector, so an intermediate that holds one is
-// ErrCorrupt in either entropy layer, never a frame decoded through a
+// ErrCorrupt in every entropy layer, never a frame decoded through a
 // wrapped vector; the highest code, key B's last vector, decodes.
 func TestIntermediateRefusesMotionOutOfRange(t *testing.T) {
 	frames := genFrames(3, 33, 17, 8)
@@ -311,7 +345,7 @@ func TestIntermediateRefusesMotionOutOfRange(t *testing.T) {
 		t.Fatal(errA, errB)
 	}
 	inter := packets[2].Data
-	for _, data := range [][]byte{inter, recode(t, inter)} {
+	for _, data := range [][]byte{inter, recode(t, inter, layerRice1), recode(t, inter, layerVarint)} {
 		layer := string(data[:2])
 		for _, code := range []int32{5000, -1, 2*mvCount + 1, math.MinInt32, math.MaxInt32} {
 			if _, err := decodeIntermediate(withMotion(t, data, code), recA, recB, 1, 2); !errors.Is(err, ErrCorrupt) {

@@ -103,12 +103,13 @@ func VMPGEncode(frames []*frame.Frame, quantizer, gop int) ([]VMPGPacket, error)
 	return packets, nil
 }
 
-// intermediate bitstream: "VD" | u8 quantizer | u16 w | u16 h |
+// intermediate bitstream: "VM" | u8 quantizer | u16 w | u16 h |
 // per-block motion field | YUV-domain residual against the
 // motion-compensated prediction, each a Rice-coded segment (see
 // entropy.go) ending on a byte boundary. Intermediates earlier builds
-// stored open with "VC" and code both segments as uvarints; they are
-// decoded, never written.
+// stored open with "VD", both segments Rice coded without run
+// interruption, or "VC", both coded as uvarints; they are decoded,
+// never written.
 //
 // Prediction is per 16×16 block (within each YUV plane): the temporal
 // interpolation of the bracketing keys, or a motion-shifted block from
@@ -122,10 +123,7 @@ func VMPGEncode(frames []*frame.Frame, quantizer, gop int) ([]VMPGPacket, error)
 // dead-zone quantizer sends that noise to zero instead of spending a
 // token on every pixel.
 
-const (
-	interMagic       = "VD"
-	interVarintMagic = "VC"
-)
+var interMagics = magics{layerRice: "VM", layerRice1: "VD", layerVarint: "VC"}
 
 const (
 	mcBlock = 16 // block side in plane pixels
@@ -154,7 +152,7 @@ func encodeIntermediate(f, recA, recB *frame.Frame, offset, span, quantizer int)
 		vals[i] = int32(int(yuv.Pix[i])-int(pred.Pix[i])) / q // dead zone
 	}
 	out := make([]byte, 0, len(yuv.Pix)/16)
-	out = append(out, interMagic...)
+	out = append(out, interMagics[layerRice]...)
 	out = append(out, byte(quantizer))
 	out = binary.BigEndian.AppendUint16(out, uint16(f.Width))
 	out = binary.BigEndian.AppendUint16(out, uint16(f.Height))
@@ -277,8 +275,8 @@ func blocksInPlane(p plane) int {
 // decodeIntermediate reconstructs an intermediate frame in the YUV
 // domain.
 func decodeIntermediate(data []byte, recA, recB *frame.Frame, offset, span int) (*frame.Frame, error) {
-	decode := layerDecoder(data, interMagic, interVarintMagic)
-	if len(data) < 7 || decode == nil {
+	l, ok := layerOf(data, interMagics)
+	if len(data) < 7 || !ok {
 		return nil, fmt.Errorf("%w: vmpg intermediate header", ErrCorrupt)
 	}
 	q := int32(data[2])
@@ -293,7 +291,7 @@ func decodeIntermediate(data []byte, recA, recB *frame.Frame, offset, span int) 
 	for _, p := range yuvPlanes(pred) {
 		nBlocks += blocksInPlane(p)
 	}
-	motion, n, err := decode(data[7:], nBlocks)
+	motion, n, err := decodeSegment(data[7:], nBlocks, l)
 	if err != nil {
 		return nil, err
 	}
@@ -316,7 +314,7 @@ func decodeIntermediate(data []byte, recA, recB *frame.Frame, offset, span int) 
 			}
 		}
 	}
-	vals, _, err := decode(data[7+n:], len(pred.Pix))
+	vals, _, err := decodeSegment(data[7+n:], len(pred.Pix), l)
 	if err != nil {
 		return nil, err
 	}
