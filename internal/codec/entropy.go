@@ -41,19 +41,27 @@ import (
 // by the same loops as the current one with kb = ka and no -1 bias; and
 // the byte-varint layer (each token a uvarint), entropyDecode and
 // decodePlaneVarint.
+//
+// vjpg planes, the one segment kind that runs DPCM, have a fourth
+// layer: layerRice's codes over residuals of the median edge detector
+// (see predict in vjpg.go), where the other layers' residuals are of
+// the mean of left and above.
 
-// layer is an entropy layer. A bitstream's two-byte magic names the
-// layer of its segments, one magic per layer for each segment kind.
+// layer is an entropy layer, and for a vjpg plane the predictor its
+// residuals are of. A bitstream's two-byte magic names the layer of its
+// segments, one magic per layer for each segment kind.
 type layer uint8
 
 const (
-	layerRice   layer = iota // Rice with run interruption: written
+	layerRice   layer = iota // Rice with run interruption: written (vjpg frames only as vmpg keys)
 	layerRice1               // Rice without it: read only
 	layerVarint              // byte varints: read only
+	layerMED                 // layerRice over MED residuals: written, vjpg planes only
 )
 
-// magics are a segment kind's magics, indexed by layer.
-type magics [3]string
+// magics are a segment kind's magics, indexed by layer; a kind has none
+// (an empty string, which no data opens with) for a layer it never had.
+type magics [4]string
 
 // layerOf returns the layer data's magic names among m, and false if
 // data opens with none of them.
@@ -258,7 +266,7 @@ func newRiceReader(src []byte, l layer) (bitReader, riceParams, error) {
 	case l == layerRice1 && len(src) >= 1:
 		head = 1
 		p = riceParams{ka: uint(src[0] >> 4), kb: uint(src[0] >> 4), kr: uint(src[0] & 15)}
-	case l == layerRice && len(src) >= 2 && src[1]&15 == 0:
+	case (l == layerRice || l == layerMED) && len(src) >= 2 && src[1]&15 == 0:
 		p = riceParams{ka: uint(src[0] >> 4), kb: uint(src[0] & 15), kr: uint(src[1] >> 4), bias: 1}
 	default:
 		return bitReader{}, p, ErrCorrupt

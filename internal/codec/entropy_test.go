@@ -174,14 +174,14 @@ func (b *refBits) rice(k int) (uint64, bool) {
 // refRiceDecode is riceDecode written the plain way, over refBits:
 // the header of Rice layer l, then each token read under the parameter
 // the grammar gives it — a literal after a run short of maxRun under kb
-// as k-1 in layerRice, every other token under ka.
+// as k-1 in layerRice and layerMED, every other token under ka.
 func refRiceDecode(src []byte, n int, l layer) ([]int32, int, error) {
 	var ka, kb, kr, bias, head int
 	switch {
 	case l == layerRice1 && len(src) >= 1:
 		ka, kr, head = int(src[0]>>4), int(src[0]&15), 1
 		kb = ka
-	case l == layerRice && len(src) >= 2 && src[1]&15 == 0:
+	case (l == layerRice || l == layerMED) && len(src) >= 2 && src[1]&15 == 0:
 		ka, kb, kr, bias, head = int(src[0]>>4), int(src[0]&15), int(src[1]>>4), 1, 2
 	default:
 		return nil, 0, ErrCorrupt
@@ -355,13 +355,18 @@ func encodeSegment(dst []byte, vals []int32, l layer) []byte {
 // recode rewrites a vjpg frame, enhancement layer or vmpg intermediate
 // in layer l, with the same header fields and tokens: a Rice-coded one
 // as the forms earlier builds wrote, and those as the one written now.
+// A vjpg frame's tokens are residuals of its layer's predictor, so a
+// "VN" frame has no other layer and no other frame becomes one.
 func recode(t testing.TB, data []byte, l layer) []byte {
 	t.Helper()
 	segs, err := refSegments(data)
 	if err != nil {
 		t.Fatalf("recode: %v", err)
 	}
-	m, _, _ := kindOf(data)
+	m, from, _ := kindOf(data)
+	if (from == layerMED) != (l == layerMED) {
+		t.Fatalf("recode: %s tokens are not layer %d's", data[:2], l)
+	}
 	out := append([]byte(m[l]), data[2:7]...)
 	for _, vals := range segs {
 		out = encodeSegment(out, vals, l)

@@ -54,11 +54,11 @@ func digest(parts ...[]byte) string {
 }
 
 // layeredGolden and vmpgGolden are the two multi-frame fixtures: one
-// odd-sized layered frame, and one vmpg GOP with keys every fourth
-// frame.
-func layeredGolden(t *testing.T) (base, enh []byte) {
+// odd-sized layered frame, its base in vjpg layer l, and one vmpg GOP
+// with keys every fourth frame.
+func layeredGolden(t *testing.T, l layer) (base, enh []byte) {
 	t.Helper()
-	base, enh, err := VJPGEncodeLayered(frame.Generator{W: 33, H: 17, Seed: 12}.Frame(3), 8)
+	base, enh, err := encodeLayered(frame.Generator{W: 33, H: 17, Seed: 12}.Frame(3), 8, l)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,90 +81,122 @@ func checkGolden(t *testing.T, name, got string, want map[string]string) {
 	}
 }
 
-// goldenLayers are the tables TestVJPGEncodeGolden holds each entropy
-// layer's bitstreams to: what the encoders write now, and what earlier
-// builds wrote for the same frames.
+// goldenSet is the golden fixtures' bitstreams in one layer.
+type goldenSet struct {
+	frames    map[string][]byte // the vjpg frames, by goldenCases name
+	base, enh []byte            // the layered frame
+	vmpg      []VMPGPacket      // the vmpg GOP; none in layerMED
+}
+
+// goldenStreams encodes the golden fixtures in layer l. In layerMED
+// they are what VJPGEncode and VJPGEncodeLayered write now; vmpg keys
+// are never MED-predicted, so there is no GOP. In the other layers the
+// vjpg frames and the layered base are mean-predicted, as earlier
+// builds wrote them and as vmpg keys are written now, and each
+// bitstream is recoded to l (recode).
+func goldenStreams(t *testing.T, l layer) goldenSet {
+	t.Helper()
+	vl, in := layerMED, func(data []byte) []byte { return data }
+	if l != layerMED {
+		vl = layerRice
+		if l != layerRice {
+			in = func(data []byte) []byte { return recode(t, data, l) }
+		}
+	}
+	set := goldenSet{frames: map[string][]byte{}}
+	for _, c := range goldenCases() {
+		data, err := encodeVJPG(c.f, c.q, vl)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		set.frames[c.name] = in(data)
+	}
+	base, enh := layeredGolden(t, vl)
+	set.base, set.enh = in(base), in(enh)
+	if l != layerMED {
+		set.vmpg = vmpgGolden(t)
+		for i := range set.vmpg {
+			set.vmpg[i].Data = in(set.vmpg[i].Data)
+		}
+	}
+	return set
+}
+
+// goldenLayers are the tables TestVJPGEncodeGolden holds each layer's
+// bitstreams to: what the encoders write now — medEncodeGolden, and
+// encodeGolden for the vmpg GOP — and what earlier builds wrote for the
+// same frames.
 var goldenLayers = map[layer]map[string]string{
+	layerMED:    medEncodeGolden,
 	layerRice:   encodeGolden,
 	layerRice1:  rice1EncodeGolden,
 	layerVarint: varintEncodeGolden,
 }
 
-// TestVJPGEncodeGolden pins what the encoders write: vjpg frames at every
-// golden quantizer and size, one layered frame and one vmpg GOP. Each
-// bitstream recoded to an earlier layer (recode) must be, byte for
-// byte, what earlier builds wrote for the same frames: the three layers
-// code the same tokens.
+// TestVJPGEncodeGolden pins what the encoders write: vjpg frames at
+// every golden quantizer and size, one layered frame and one vmpg GOP.
+// The mean-predicted bitstreams recoded to an earlier layer (recode)
+// must be, byte for byte, what earlier builds wrote for the same
+// frames: the three mean-predicted layers code the same tokens.
 func TestVJPGEncodeGolden(t *testing.T) {
 	for l, want := range goldenLayers {
-		in := func(data []byte) []byte {
-			if l == layerRice {
-				return data
+		set := goldenStreams(t, l)
+		for name, data := range set.frames {
+			checkGolden(t, name, digest(data), want)
+		}
+		checkGolden(t, "layered", digest(set.base, set.enh), want)
+		n := len(set.frames) + 1
+		if set.vmpg != nil {
+			var parts [][]byte
+			for _, p := range set.vmpg {
+				parts = append(parts, binary.BigEndian.AppendUint32(nil, uint32(p.Index)), p.Data)
 			}
-			return recode(t, data, l)
+			checkGolden(t, "vmpg", digest(parts...), want)
+			n++
 		}
-		for _, c := range goldenCases() {
-			data, err := VJPGEncode(c.f, c.q)
-			if err != nil {
-				t.Fatalf("%s: %v", c.name, err)
-			}
-			checkGolden(t, c.name, digest(in(data)), want)
+		if n != len(want) {
+			t.Errorf("layer %d: %d bitstreams checked against a table of %d", l, n, len(want))
 		}
-		base, enh := layeredGolden(t)
-		checkGolden(t, "layered", digest(in(base), in(enh)), want)
-		var parts [][]byte
-		for _, p := range vmpgGolden(t) {
-			parts = append(parts, binary.BigEndian.AppendUint32(nil, uint32(p.Index)), in(p.Data))
-		}
-		checkGolden(t, "vmpg", digest(parts...), want)
 	}
 }
 
 // TestVJPGDecodeGolden pins what the decoders return for the same
 // fixtures: the RGB and the YUV reconstruction of every vjpg frame, the
 // base and full reconstruction of the layered frame, and every frame of
-// the vmpg GOP — from the bitstreams the encoders write and from the
-// same bitstreams in the two layers earlier builds wrote.
+// the vmpg GOP — medDecodeGolden for the MED-predicted bitstreams, and
+// decodeGolden for the mean-predicted ones in each of the three layers
+// they were ever written in.
 func TestVJPGDecodeGolden(t *testing.T) {
 	for l := range goldenLayers {
-		in := func(data []byte) []byte {
-			if l == layerRice {
-				return data
-			}
-			return recode(t, data, l)
+		want := decodeGolden
+		if l == layerMED {
+			want = medDecodeGolden
 		}
-		for _, c := range goldenCases() {
-			data, err := VJPGEncode(c.f, c.q)
-			if err != nil {
-				t.Fatalf("%s: %v", c.name, err)
-			}
-			data = in(data)
+		set := goldenStreams(t, l)
+		for name, data := range set.frames {
 			rgb, err := VJPGDecode(data)
 			if err != nil {
-				t.Fatalf("%s: %v", c.name, err)
+				t.Fatalf("%s: %v", name, err)
 			}
 			yuv, err := VJPGDecodeYUV(data)
 			if err != nil {
-				t.Fatalf("%s: %v", c.name, err)
+				t.Fatalf("%s: %v", name, err)
 			}
-			checkGolden(t, c.name, digest(rgb.Pix, yuv.Pix), decodeGolden)
+			checkGolden(t, name, digest(rgb.Pix, yuv.Pix), want)
 		}
-		base, enh := layeredGolden(t)
-		base, enh = in(base), in(enh)
-		low, err := VJPGDecodeBase(base)
+		low, err := VJPGDecodeBase(set.base)
 		if err != nil {
 			t.Fatal(err)
 		}
-		full, err := VJPGDecodeLayered(base, enh)
+		full, err := VJPGDecodeLayered(set.base, set.enh)
 		if err != nil {
 			t.Fatal(err)
 		}
-		checkGolden(t, "layered", digest(low.Pix, full.Pix), decodeGolden)
-		packets := vmpgGolden(t)
-		for i := range packets {
-			packets[i].Data = in(packets[i].Data)
+		checkGolden(t, "layered", digest(low.Pix, full.Pix), want)
+		if set.vmpg == nil {
+			continue
 		}
-		frames, err := VMPGDecode(packets)
+		frames, err := VMPGDecode(set.vmpg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -172,7 +204,7 @@ func TestVJPGDecodeGolden(t *testing.T) {
 		for _, f := range frames {
 			parts = append(parts, f.Pix)
 		}
-		checkGolden(t, "vmpg", digest(parts...), decodeGolden)
+		checkGolden(t, "vmpg", digest(parts...), want)
 	}
 }
 
@@ -203,6 +235,9 @@ var varintEncodeGolden = map[string]string{
 	"vmpg":         "8c22db053fc63df3dbdba0c52382f3a818e2ccffa46765eeaf2bd96a15e7301b",
 }
 
+// encodeGolden is what the encoders wrote before MED prediction, and
+// what vmpg keys are written as now: layerRice's "VL", "VG" and "VM"
+// bitstreams.
 var encodeGolden = map[string]string{
 	"q1/160x120":   "7f26acaa0104be1c4a2e1325229b43459a9155197dd3ebc5b2a6927dc3a77947",
 	"q4/160x120":   "61937914c68873024cde9d8ebff3acd30b464078201af20b24e2e474d1f04085",
@@ -278,4 +313,55 @@ var decodeGolden = map[string]string{
 	"q128/1x1":     "2e40717c82acfe750dfd6d241d780a8ff0573275c64fefc4610eb5426ed976b1",
 	"layered":      "42a7643df451aafeacc10cff8a1f5330ae0eaccf12ff74a3bab332fa2350d344",
 	"vmpg":         "6df02e2ae3368ffd22a6091128d1a1e23691b4e2a25c88eb89cf198c2d43c13c",
+}
+
+// medEncodeGolden is what the encoders write now: layerMED's "VN"
+// frames, and the layered frame's "VN" base and "VG" enhancement.
+var medEncodeGolden = map[string]string{
+	"q1/160x120":   "84f82e9b4ab801cc183fed1158d9415187c04d0e9ff386ddd5a919e3ec58386c",
+	"q4/160x120":   "f906f1f16413067938b505a546aeefb24860b07640e859b88b142253ba02fe3d",
+	"q12/160x120":  "13719b7226129539444b9c11220396dfeeaf24c5e8330e063e0994c04f8b559a",
+	"q20/160x120":  "f5c7234957909739db20720ec27399c258ce3fefa8e2863386458176f0c820d5",
+	"q128/160x120": "760cb0afceabf82e277cf13b6e062734c0f75af3248333a840316ab47f6bfaad",
+	"q1/33x17":     "1fbb29af825022c312cca8e1f2a4d9209308c0c7470375cb6bbbd074bf51b0fe",
+	"q4/33x17":     "5fb7c2943d3edbddbb11d61491a8d609508b34adb5b7e9fc9dda686bafe7b45a",
+	"q12/33x17":    "11d0f5e5f6988a3af8060873ab1e90170d487b8e9630da133711bf514af32196",
+	"q20/33x17":    "1c05361e8c7fafcd32c2c61cd28aacebe0cb6b930085e6756700588c78277516",
+	"q128/33x17":   "85712d56bd70d16e257770f026e1c80e8698a37a04152eaebe68933e023f0998",
+	"q1/7x3":       "8e039790f98694742858e59911eab0a7fe3c03a26c47119fdd635a286da608ee",
+	"q4/7x3":       "f08dc5acd97769199442f7eab6f8bb69ca6091a8f1dcefaa39802e767dd1b42a",
+	"q12/7x3":      "d215482c62ac5f383766245c834c37015645b987a99731700d8b407f19980742",
+	"q20/7x3":      "b6546f7efbdf3629e1729be078bc07031f81cb8e4791c13b7c45449423cc2a2a",
+	"q128/7x3":     "6eab042920eed8899d2c542542e85e54527e17a642a7b0e5090a4888b9717aa2",
+	"q1/1x1":       "fc745649edca842af6b9ab883e3e2c5f2f275d20d9be7630a2721cbf99d80802",
+	"q4/1x1":       "e6d2b736d9dedec00ce6979d4e13c14399a6898ccc825c9a8e05c47eeaabc80b",
+	"q12/1x1":      "9bfb78511769d12b44cb5b8fd1457acf0b08073cea1e51cdf68379dc62a54f5b",
+	"q20/1x1":      "274ec6a9536ff226e678f7b487605d06fa025aa479a80606765c854c73c2712d",
+	"q128/1x1":     "377210a54c127349bccd45fa99d52ed54a841318316563d001c65cad275e4e92",
+	"layered":      "74b0e70f2ffac061df3fcd9bc22521f2aa28859417239e2b43522aa3db48553e",
+}
+
+// medDecodeGolden is what the "VN" bitstreams decode to.
+var medDecodeGolden = map[string]string{
+	"q1/160x120":   "ddd7e447e5ef53dcd8b1d9185a75e5398a5b52bfc97a2ae818afe20322423994",
+	"q4/160x120":   "e3f9c23d21149a7bdb0e515ed2077caba2bf4ea6de6a9abf91cfc0d621e95c47",
+	"q12/160x120":  "fbf9e991e324f4f8f0c15581a3fc457c1d317cb6fcb9250e8fbbb3c5103af8fc",
+	"q20/160x120":  "adf6bed41bcb0395374c9504017ccea5c3abab53384aef6d6389b4c6003e54f1",
+	"q128/160x120": "62943d8aac0cd6e67349e10c5a0cb9758064339d961e8cfa09768bd317e598c8",
+	"q1/33x17":     "c2ff88ca7853deba1f1f87ebcfb86698ad20bfdf51253deddc74cca70e38c55e",
+	"q4/33x17":     "3a7072425355ac480102c3b83060f6d0ba007065f73dd05ec0307fcf1320d812",
+	"q12/33x17":    "206e3375dfd152e62e56016b169f0966d3a2d14592ab4b2b4c47afae43dfb674",
+	"q20/33x17":    "d062ff3d8f4e8971b940d99ef81d6db5b93949067f26edb526a16dd3b7e7d01b",
+	"q128/33x17":   "a4f7e31845204122c1d7a96c46d75b01117795b241e207f8fe5d9c113c3df9c6",
+	"q1/7x3":       "a6c01bbf3c975edb32aa3867ae19b0542d7c2528a525107991f2b9fd7bd388f2",
+	"q4/7x3":       "42c5aedb9aa0e2ad2135c3f55ac3846e73d95a5ab67cd4af9fcb13a15edddf1d",
+	"q12/7x3":      "c1b8b8e704eb4bc6424210be94a3983f738f6204d7c0317b69b6af1aaa87d270",
+	"q20/7x3":      "ad63722ad5367cc10a32fb31b037c228dc3e9ef633fc69c5f4c551b82b3d806e",
+	"q128/7x3":     "b78f651ceadc46b7288319df1a4f3ec00799fed237ce6b0ba6b882f234497a6d",
+	"q1/1x1":       "c58996f44fa1323b0d904fc60daa9f5cb604d01afc3d1f79da00437eb1645a36",
+	"q4/1x1":       "b1998635b8e771d8b1e7c3470cdc844d0b0e418558bf39b0a645ef4b3d08ab80",
+	"q12/1x1":      "bc74fa9a93f284448333e385ce88093b53628894b2b6255fa530870fd4b75eaf",
+	"q20/1x1":      "da623daf1ee2da4fb235aea84f63f8974752e217be754ed677eeff97132dc5b5",
+	"q128/1x1":     "2e40717c82acfe750dfd6d241d780a8ff0573275c64fefc4610eb5426ed976b1",
+	"layered":      "1c5831f9005a47350ea6810993c10f186e0a29e75e40bf90277a66b41f599375",
 }

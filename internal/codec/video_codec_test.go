@@ -1,6 +1,8 @@
 package codec
 
 import (
+	"errors"
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -103,6 +105,14 @@ func TestVJPGErrors(t *testing.T) {
 	data, _ := VJPGEncode(f, 8)
 	if _, err := VJPGDecode(data[:len(data)-1]); err == nil {
 		t.Error("truncated stream must fail")
+	}
+	// FuzzVJPGDecode's reference parses the header with vjpgHeader too,
+	// so the quantizer's bound is held here.
+	for _, q := range []byte{0, 129, 255} {
+		bad := append(append([]byte{}, data[:2]...), q)
+		if _, err := VJPGDecode(append(bad, data[3:]...)); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("quantizer %d: %v, want ErrCorrupt", q, err)
+		}
 	}
 }
 
@@ -415,6 +425,86 @@ func TestVJPGRoundTripProperty(t *testing.T) {
 		return err == nil && p > 18
 	}, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestQuantizerErrorBound: over random planes, at every quantizer and
+// under either predictor, every reconstructed pixel is within
+// q-1-q/3 of the original (see roundDiv) — 7 at VHS's q = 12.
+func TestQuantizerErrorBound(t *testing.T) {
+	if err := quick.Check(func(seed int64, w8, h8 uint8) bool {
+		rng := rand.New(rand.NewSource(seed))
+		w, h := int(w8%40)+1, int(h8%24)+1
+		// A gradient under noise of one of five amplitudes: flat and
+		// smooth planes give zero runs, noisy ones large residuals.
+		amp := []int{0, 2, 8, 64, 256}[rng.Intn(5)]
+		gx, gy, c := rng.Intn(9)-4, rng.Intn(9)-4, rng.Intn(256)
+		pix := make([]byte, w*h)
+		for i := range pix {
+			pix[i] = clamp8(c + gx*(i%w) + gy*(i/w) + rng.Intn(amp+1) - amp/2)
+		}
+		rec := make([]byte, len(pix))
+		for _, l := range []layer{layerRice, layerMED} {
+			for q := 1; q <= 128; q++ {
+				enc := encodePlane(nil, pix, w, q, l)
+				if n, err := decodePlane(enc, rec, w, q, l); err != nil || n != len(enc) {
+					t.Logf("layer %d, q %d, %dx%d: %d of %d bytes, %v", l, q, w, h, n, len(enc), err)
+					return false
+				}
+				for i, v := range pix {
+					if d := int(v) - int(rec[i]); d > q-1-q/3 || -d > q-1-q/3 {
+						t.Logf("layer %d, q %d, %dx%d: pixel %d is %d, reconstructed %d", l, q, w, h, i, v, rec[i])
+						return false
+					}
+				}
+			}
+		}
+		return true
+	}, &quick.Config{MaxCount: 30}); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestMEDBeatsMeanAtEveryFactor is the S1 sweep at reduced scale, on
+// the four bodies the benchmark's clips hold (bench/seed: generator
+// seeds 41, 97, 153 and 209 at 160×120), a few frames each. Under the
+// median edge detector the four quality factors are strictly monotone
+// in bytes and in PSNR; and at every factor the frames take fewer bytes
+// than the same frames mean-predicted, through the same loop in
+// layerRice, at no lower PSNR.
+func TestMEDBeatsMeanAtEveryFactor(t *testing.T) {
+	factors := []media.Quality{media.QualityPreview, media.QualityVHS, media.QualityBroadcast, media.QualityStudio}
+	for c := 0; c < 4; c++ {
+		frames := genFrames(3, 160, 120, int64(41+56*c))
+		var prevBytes int
+		var prevPSNR float64
+		for _, qf := range factors {
+			var bytes [2]int
+			var psnr [2]float64
+			for i, l := range []layer{layerRice, layerMED} {
+				for _, f := range frames {
+					data, err := encodeVJPG(f, QuantizerFor(qf), l)
+					if err != nil {
+						t.Fatal(err)
+					}
+					rec, err := VJPGDecode(data)
+					if err != nil {
+						t.Fatal(err)
+					}
+					p, _ := frame.PSNR(f, rec)
+					bytes[i] += len(data)
+					psnr[i] += p / float64(len(frames))
+				}
+			}
+			t.Logf("body %d, %v: %d B %.2f dB mean-predicted, %d B %.2f dB MED", c, qf, bytes[0], psnr[0], bytes[1], psnr[1])
+			if bytes[1] >= bytes[0] || psnr[1] < psnr[0] {
+				t.Errorf("body %d, %v: MED %d B at %.3f dB, the mean %d B at %.3f dB", c, qf, bytes[1], psnr[1], bytes[0], psnr[0])
+			}
+			if bytes[1] <= prevBytes || psnr[1] <= prevPSNR {
+				t.Errorf("body %d, %v: MED %d B at %.3f dB, the factor below %d B at %.3f dB", c, qf, bytes[1], psnr[1], prevBytes, prevPSNR)
+			}
+			prevBytes, prevPSNR = bytes[1], psnr[1]
+		}
 	}
 }
 

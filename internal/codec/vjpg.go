@@ -16,19 +16,32 @@ import (
 // reordering and reverse play cheaply — the property the paper
 // attributes to JPEG-compressed video.
 //
-// Bitstream: "VL" | u8 quantizer | u16 width | u16 height | Y plane |
+// Bitstream: "VN" | u8 quantizer | u16 width | u16 height | Y plane |
 // U plane | V plane, each plane a Rice-coded segment (see entropy.go):
-// its parameter bytes, then its codes, padded to a whole byte.
+// its parameter bytes, then its codes, padded to a whole byte. A
+// plane's values are its quantized residuals against LOCO-I's median
+// edge detector (see predict).
 //
-// Frames earlier builds stored open with "VK", whose planes are Rice
-// coded without run interruption, or "VJ", whose planes code their
-// tokens as uvarints; they are decoded, never written.
+// A "VL" frame's planes are coded as "VN" planes are, but predict each
+// pixel from the mean of its left and above neighbours; earlier builds
+// wrote every frame so, and vmpg keys are still written so (see
+// VMPGEncode). Frames earlier builds stored may also open with "VK",
+// mean-predicted and Rice coded without run interruption, or "VJ",
+// mean-predicted with tokens coded as uvarints; those are decoded,
+// never written.
 
-var vjpgMagics = magics{layerRice: "VL", layerRice1: "VK", layerVarint: "VJ"}
+var vjpgMagics = magics{layerMED: "VN", layerRice: "VL", layerRice1: "VK", layerVarint: "VJ"}
 
 // VJPGEncode compresses an RGB frame at the given quantizer (see
 // QuantizerFor to derive one from a quality factor).
 func VJPGEncode(f *frame.Frame, quantizer int) ([]byte, error) {
+	return encodeVJPG(f, quantizer, layerMED)
+}
+
+// encodeVJPG is VJPGEncode in layer l, layerMED or layerRice: the
+// latter writes mean-predicted "VL" frames, as vmpg keys are written
+// and as earlier builds wrote every frame.
+func encodeVJPG(f *frame.Frame, quantizer int, l layer) ([]byte, error) {
 	if quantizer < 1 || quantizer > 128 {
 		return nil, fmt.Errorf("%w: quantizer %d", ErrBadQuality, quantizer)
 	}
@@ -37,12 +50,12 @@ func VJPGEncode(f *frame.Frame, quantizer int) ([]byte, error) {
 		return nil, err
 	}
 	out := make([]byte, 0, len(yuv.Pix)/4)
-	out = append(out, vjpgMagics[layerRice]...)
+	out = append(out, vjpgMagics[l]...)
 	out = append(out, byte(quantizer))
 	out = binary.BigEndian.AppendUint16(out, uint16(f.Width))
 	out = binary.BigEndian.AppendUint16(out, uint16(f.Height))
 	for pi, p := range yuvPlanes(yuv) {
-		out = encodePlane(out, p.pix, p.w, planeQuantizer(quantizer, pi))
+		out = encodePlane(out, p.pix, p.w, planeQuantizer(quantizer, pi), l)
 	}
 	return out, nil
 }
@@ -169,21 +182,21 @@ func planesOf(pix []byte, w, h int) [3]plane {
 	}
 }
 
-// encodePlane compresses a byte plane with in-loop 2-D DPCM: each
-// pixel is predicted from the average of the *reconstructed* left and
-// above neighbors and the residual is quantized with a dead zone
-// (truncation toward zero). Keeping the quantizer inside the
+// encodePlane compresses a byte plane in Rice layer l with in-loop 2-D
+// DPCM: each pixel is predicted from its *reconstructed* neighbours by
+// the layer's predictor (see predict), and the residual is quantized
+// with a mild dead zone (roundDiv). Keeping the quantizer inside the
 // prediction loop avoids limit-cycle flicker at quantization
 // boundaries; the 2-D predictor locks onto gradients in either
 // direction, which is where smooth synthetic and natural content
 // spends most of its pixels.
-func encodePlane(dst []byte, pix []byte, width, q int) []byte {
+func encodePlane(dst []byte, pix []byte, width, q int, l layer) []byte {
 	vals := make([]int32, len(pix))
 	recon := make([]byte, len(pix))
 	for y0 := 0; y0 < len(pix); y0 += width {
 		above, left := rowStart(recon, y0, width)
 		for x, v := range pix[y0 : y0+width] {
-			pred := predict(left, above, x)
+			pred := predict(left, above, x, l)
 			rq := roundDiv(int(v)-pred, q)
 			vals[y0+x] = int32(rq)
 			left = reconStep(pred, rq, q)
@@ -197,7 +210,8 @@ func encodePlane(dst []byte, pix []byte, width, q int) []byte {
 // at offset y0 of a reconstructed plane: the row above (nil on the
 // first row), and a left neighbour that makes the row's first
 // prediction come out right — 128 on the first row, the pixel above on
-// the others, since (above + above + 1) / 2 = above.
+// the others, since (above + above + 1) / 2 = above, and the median
+// edge detector of two equal neighbours is that neighbour.
 func rowStart(recon []byte, y0, width int) (above []byte, left int) {
 	if y0 == 0 {
 		return nil, 128
@@ -206,20 +220,33 @@ func rowStart(recon []byte, y0, width int) (above []byte, left int) {
 	return above, int(above[0])
 }
 
-// predict is the 2-D DPCM predictor for pixel x of a row: the
-// reconstructed left neighbour on the first row, and elsewhere the
-// rounded mean of the left and above neighbours.
-func predict(left int, above []byte, x int) int {
+// predict is layer l's 2-D DPCM predictor for pixel x of a row: the
+// reconstructed left neighbour on the first row. Below it, layerMED
+// takes LOCO-I's median edge detector (Weinberger, Seroussi and Sapiro,
+// IEEE TIP 2000) of left a, above b and above-left c: min(a,b) if
+// c >= max(a,b), max(a,b) if c <= min(a,b), and a+b-c otherwise —
+// which is the median of a, b and a+b-c. It follows an edge in either
+// direction where the mean blurs it. The other layers take the rounded
+// mean of left and above. At x = 0 left is above[0] (rowStart), so
+// either predicts above[0], and c there is taken as above[0] too.
+func predict(left int, above []byte, x int, l layer) int {
 	if above == nil {
 		return left
 	}
-	return (left + int(above[x]) + 1) >> 1
+	b := int(above[x])
+	if l != layerMED {
+		return (left + b + 1) >> 1
+	}
+	c := int(above[max(x-1, 0)])
+	return max(min(left, b), min(max(left, b), left+b-c))
 }
 
 // roundDiv quantizes with a mild dead zone (rounding offset q/3
 // instead of q/2, as hardware video quantizers do): small residuals —
-// tracking noise on gradients — quantize to zero more often, while the
-// reconstruction error stays bounded by 2q/3.
+// tracking noise on gradients — quantize to zero more often. For
+// r >= 0, r + q/3 = roundDiv(r, q)·q + m with 0 <= m < q, so the
+// reconstruction error r - roundDiv(r, q)·q = m - q/3 lies in
+// [-q/3, q-1-q/3], and likewise for r < 0 with the signs turned.
 func roundDiv(r, q int) int {
 	if r >= 0 {
 		return (r + q/3) / q
@@ -253,7 +280,7 @@ func decodePlane(src []byte, pix []byte, width, q int, l layer) (int, error) {
 			if zeros > 0 {
 				end := min(width, x+zeros)
 				zeros -= end - x
-				left = zeroResiduals(row[x:end], above, x, left)
+				left = zeroResiduals(row[x:end], above, x, left, l)
 				x = end
 				continue
 			}
@@ -291,7 +318,7 @@ func decodePlane(src []byte, pix []byte, width, q int, l layer) (int, error) {
 				kn, bn = p.kb, p.bias
 				continue
 			}
-			left = reconStep(predict(left, above, x), int(unzigzag(k)), q)
+			left = reconStep(predict(left, above, x, l), int(unzigzag(k)), q)
 			row[x] = byte(left)
 			x++
 			kn, bn = p.ka, 0
@@ -304,7 +331,7 @@ func decodePlane(src []byte, pix []byte, width, q int, l layer) (int, error) {
 // frame. It refuses what entropyDecode refuses, as ErrCorrupt: a
 // truncated or overlong varint, a zero run of length 0, and a run past
 // the plane's end.
-func decodePlaneVarint(src []byte, pix []byte, width, q int, _ layer) (int, error) {
+func decodePlaneVarint(src []byte, pix []byte, width, q int, l layer) (int, error) {
 	off, zeros := 0, 0
 	for y0 := 0; y0 < len(pix); y0 += width {
 		row := pix[y0 : y0+width]
@@ -313,7 +340,7 @@ func decodePlaneVarint(src []byte, pix []byte, width, q int, _ layer) (int, erro
 			if zeros > 0 {
 				end := min(width, x+zeros)
 				zeros -= end - x
-				left = zeroResiduals(row[x:end], above, x, left)
+				left = zeroResiduals(row[x:end], above, x, left, l)
 				x = end
 				continue
 			}
@@ -331,7 +358,7 @@ func decodePlaneVarint(src []byte, pix []byte, width, q int, _ layer) (int, erro
 				zeros = int(run)
 				continue
 			}
-			left = reconStep(predict(left, above, x), int(unzigzag(k)), q)
+			left = reconStep(predict(left, above, x, l), int(unzigzag(k)), q)
 			row[x] = byte(left)
 			x++
 		}
@@ -340,16 +367,52 @@ func decodePlaneVarint(src []byte, pix []byte, width, q int, _ layer) (int, erro
 }
 
 // zeroResiduals reconstructs out, the pixels of a row from x on, from
-// zero residuals — each is its prediction, which needs no clamp — and
-// returns the last as the next left.
-func zeroResiduals(out, above []byte, x, left int) int {
-	if above == nil {
+// zero residuals under layer l's predictor — each is its prediction,
+// which needs no clamp — and returns the last as the next left.
+func zeroResiduals(out, above []byte, x, left int, l layer) int {
+	switch {
+	case above == nil:
 		for i := range out {
 			out[i] = byte(left)
 		}
 		return left
+	case l == layerMED:
+		return medRun(out, above, x, left)
 	}
 	return predictRun(out, above[x:x+len(out)], left)
+}
+
+// medRun reconstructs a run of zero residuals below the first row,
+// from pixel x on, under the median edge detector. It follows e, a
+// pixel's height over the one above it. With e' the left pixel's and
+// d = b - c the step along the row above, median(a, b, a+b-c) is
+// b + median(e'-d, 0, e'): e keeps its sign and never grows, so only a
+// subtract and a compare per pixel wait on the pixel before, and once
+// e is 0 every pixel left is the one above it — a copy. It returns the
+// last pixel.
+func medRun(out, above []byte, x, left int) int {
+	c, e := int(above[0]), 0 // at x = 0, left is above[0]
+	if x > 0 {
+		c = int(above[x-1])
+		e = left - c
+	}
+	above = above[x : x+len(out)]
+	out = out[:len(above)]
+	for i, b := range above {
+		if e == 0 {
+			copy(out[i:], above[i:])
+			return int(above[len(above)-1])
+		}
+		d := int(b) - c
+		if e > 0 {
+			e = max(0, e-max(d, 0))
+		} else {
+			e = min(0, e-min(d, 0))
+		}
+		c = int(b)
+		out[i] = byte(c + e)
+	}
+	return int(out[len(out)-1])
 }
 
 // predictRun reconstructs a run of zero residuals below the first row:
@@ -383,8 +446,9 @@ func predictRun(out, above []byte, left int) int {
 }
 
 // reconStep applies a dequantized residual to the prediction, clamping
-// to byte range. With the rounding quantizer the reconstruction error
-// is bounded by q/2.
+// to byte range. With roundDiv's quantizer the reconstruction error is
+// at most q-1-q/3 (integer division: 7 at q = 12); the clamp only
+// brings a pixel nearer its byte-range original.
 func reconStep(pred, rq, q int) int {
 	v := pred + rq*q
 	if v < 0 {
@@ -417,11 +481,17 @@ var enhMagics = magics{layerRice: "VG", layerRice1: "VF", layerVarint: "VE"}
 
 // VJPGEncodeLayered compresses f into base and enhancement layers.
 func VJPGEncodeLayered(f *frame.Frame, quantizer int) (base, enh []byte, err error) {
+	return encodeLayered(f, quantizer, layerMED)
+}
+
+// encodeLayered is VJPGEncodeLayered with its base in vjpg layer l (see
+// encodeVJPG).
+func encodeLayered(f *frame.Frame, quantizer int, l layer) (base, enh []byte, err error) {
 	if f.Model != media.ColorRGB {
 		return nil, nil, fmt.Errorf("%w: layered vjpg requires RGB", ErrBadGeometry)
 	}
 	half := downsample2(f)
-	base, err = VJPGEncode(half, quantizer)
+	base, err = encodeVJPG(half, quantizer, l)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -466,7 +536,7 @@ func VJPGDecodeLayered(base, enh []byte) (*frame.Frame, error) {
 	q := int32(enh[2])
 	w := int(binary.BigEndian.Uint16(enh[3:]))
 	h := int(binary.BigEndian.Uint16(enh[5:]))
-	if q < 1 || w == 0 || h == 0 {
+	if q < 1 || q > 128 || w == 0 || h == 0 {
 		return nil, fmt.Errorf("%w: enhancement header fields", ErrCorrupt)
 	}
 	// The base is the enhancement's size halved (see downsample2); a

@@ -5,10 +5,12 @@ import (
 	"encoding/binary"
 	"errors"
 	"math"
+	"math/rand"
 	"runtime"
 	"slices"
 	"strings"
 	"testing"
+	"testing/quick"
 
 	"timedmedia/internal/frame"
 	"timedmedia/internal/media"
@@ -22,7 +24,7 @@ import (
 // with per-pixel stores. It returns the YUV reconstruction and the RGB
 // frame.
 func refVJPGDecode(data []byte) (yuv, rgb *frame.Frame, err error) {
-	q, w, h, _, _, err := vjpgHeader(data)
+	q, w, h, _, l, err := vjpgHeader(data)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -30,10 +32,14 @@ func refVJPGDecode(data []byte) (yuv, rgb *frame.Frame, err error) {
 	if err != nil {
 		return nil, nil, err
 	}
+	predict := refPredict2D
+	if l == layerMED {
+		predict = refPredictMED
+	}
 	yuv = frame.New(w, h, media.ColorYUV422)
 	for pi, p := range yuvPlanes(yuv) {
 		for i, d := range segs[pi] {
-			p.pix[i] = byte(reconStep(refPredict2D(p.pix, i, p.w), int(d), planeQuantizer(q, pi)))
+			p.pix[i] = byte(reconStep(predict(p.pix, i, p.w), int(d), planeQuantizer(q, pi)))
 		}
 	}
 	cw := (w + 1) / 2
@@ -74,6 +80,25 @@ func refPredict2D(recon []byte, i, width int) int {
 	}
 }
 
+// refPredictMED is the median edge detector as LOCO-I states it, over
+// the reconstructed left (a), above (b) and above-left (c) neighbours of
+// pixel i: min(a,b) if c >= max(a,b), max(a,b) if c <= min(a,b), and
+// a+b-c otherwise. Where a neighbour is missing it predicts as
+// refPredict2D does: the one there is, or 128.
+func refPredictMED(recon []byte, i, width int) int {
+	if i < width || i%width == 0 {
+		return refPredict2D(recon, i, width)
+	}
+	a, b, c := int(recon[i-1]), int(recon[i-width]), int(recon[i-width-1])
+	switch {
+	case c >= max(a, b):
+		return min(a, b)
+	case c <= min(a, b):
+		return max(a, b)
+	}
+	return a + b - c
+}
+
 // vjpgFrame builds a vjpg bitstream by hand: a header with the given
 // magic and a body.
 func vjpgFrame(magic string, q, w, h int, body ...byte) []byte {
@@ -105,21 +130,26 @@ func decodeAllocBytes(data []byte, bound uint64) uint64 {
 // does, must not let a reused scratch buffer leak one frame into the
 // next, and must allocate no more than the frame it claims.
 func FuzzVJPGDecode(f *testing.F) {
-	for i, q := range []int{1, 4, 12, 20, 128} {
-		data, err := VJPGEncode(frame.Generator{W: 17, H: 9, Seed: int64(i)}.Frame(i), q)
-		if err != nil {
-			f.Fatal(err)
+	// Every layer's frames: "VN" as written now, and the same frames
+	// mean-predicted in the three layers earlier builds wrote.
+	layers := func(fr *frame.Frame, q int) [][]byte {
+		med, errMED := VJPGEncode(fr, q)
+		mean, errMean := encodeVJPG(fr, q, layerRice)
+		if errMED != nil || errMean != nil {
+			f.Fatal(errMED, errMean)
 		}
-		for _, d := range [][]byte{data, recode(f, data, layerRice1), recode(f, data, layerVarint)} {
+		return [][]byte{med, mean, recode(f, mean, layerRice1), recode(f, mean, layerVarint)}
+	}
+	for i, q := range []int{1, 4, 12, 20, 128} {
+		for _, d := range layers(frame.Generator{W: 17, H: 9, Seed: int64(i)}.Frame(i), q) {
 			f.Add(d)
 			f.Add(d[:len(d)/2])
 			f.Add(d[:len(d)-1])
 		}
 	}
-	one, _ := VJPGEncode(frame.Flat(1, 1, 9, 200, 31), 4)
-	f.Add(one)
-	f.Add(recode(f, one, layerRice1))
-	f.Add(recode(f, one, layerVarint))
+	for _, d := range layers(frame.Flat(1, 1, 9, 200, 31), 4) {
+		f.Add(d)
+	}
 	// Varint frames: a zero run of length 0, a run past the plane's
 	// end, runs that span rows, a residual past 32 bits, and a run of
 	// 2^63.
@@ -160,6 +190,16 @@ func FuzzVJPGDecode(f *testing.F) {
 	f.Add(vjpgFrame(rice, 12, 1, 1, slices.Concat([]byte{0x00, 0x01}, bitBytes("0 0"), chroma1)...))
 	f.Add(vjpgFrame(rice, 12, 2, 1, slices.Concat([]byte{0x08, 0x00}, bitBytes("0 0 0 11111"))...))
 	f.Add(vjpgFrame(rice, 1, 2, 1, slices.Concat([]byte{0x00, 0x00}, bitBytes("0 0 "+ones(riceCap)+"0 "+ones(riceEscapeBits)), chroma1)...))
+	// "VN" frames, whose zero runs take the median edge detector's run
+	// path: a run that starts at column 0 below the first row, where
+	// every pixel is the one above; a run that starts mid-row, where
+	// the pixels follow their height over the row above until it is 0,
+	// and crosses into the next row; and a run past the plane's end.
+	med := vjpgMagics[layerMED]
+	chroma6 := slices.Concat([]byte{0x00, 0x00}, bitBytes("0 111110"), []byte{0x00, 0x00}, bitBytes("0 111110")) // 2×3 px each
+	f.Add(vjpgFrame(med, 12, 2, 2, slices.Concat([]byte{0x00, 0x00}, bitBytes("110 110 0 10"), chroma2)...))
+	f.Add(vjpgFrame(med, 12, 3, 3, slices.Concat([]byte{0x00, 0x00}, bitBytes("110 10 11110 110 0 11110"), chroma6)...))
+	f.Add(vjpgFrame(med, 12, 2, 2, slices.Concat([]byte{0x00, 0x00}, bitBytes("0 11110"), chroma2)...))
 	var dec VJPGDecoder
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if w, h, err := VJPGDims(data); err == nil && w*h > 256*256 {
@@ -247,6 +287,11 @@ func FuzzLayerDecode(f *testing.F) {
 			f.Add(append(append([]byte(interMagics[l]), inter[2:7]...), seg...))
 		}
 	}
+	// A quantizer past 128, which no encoder writes.
+	for _, q := range []byte{129, 255} {
+		f.Add(append(append(slices.Clone(enh[:2]), q), enh[3:]...))
+		f.Add(append(append(slices.Clone(inter[:2]), q), inter[3:]...))
+	}
 	// Every block's motion code out of range, in every layer: sound
 	// segments the decoder must refuse all the same.
 	for _, code := range []int32{5000, -1, 2*mvCount + 1} {
@@ -290,9 +335,10 @@ func FuzzLayerDecode(f *testing.F) {
 		fw, fh := dims(data)
 		_, isEnh := layerOf(data, enhMagics)
 		_, isInter := layerOf(data, interMagics)
-		check(t, "enhancement", data, isEnh && data[2] >= 1 && (fw+1)/2 == bw && (fh+1)/2 == bh,
+		q := data[2]
+		check(t, "enhancement", data, isEnh && q >= 1 && q <= 128 && (fw+1)/2 == bw && (fh+1)/2 == bh,
 			func(d []byte) (*frame.Frame, error) { return VJPGDecodeLayered(base, d) })
-		check(t, "intermediate", data, isInter && data[2] >= 1 && fw == w && fh == h &&
+		check(t, "intermediate", data, isInter && q >= 1 && q <= 128 && fw == w && fh == h &&
 			motionInRange(data),
 			func(d []byte) (*frame.Frame, error) { return decodeIntermediate(d, recA, recB, 1, 2) })
 	})
@@ -357,6 +403,44 @@ func TestIntermediateRefusesMotionOutOfRange(t *testing.T) {
 				t.Errorf("%s with every motion code %d: %v", layer, code, err)
 			}
 		}
+	}
+}
+
+// TestZeroRunsArePredictions: the run paths, predictRun's four-pixel
+// blocks and medRun's height over the row above, reconstruct a run of
+// zero residuals exactly as predicting each pixel in turn does, for
+// runs of any length starting at any column, over rows above that are
+// flat, smooth or noisy.
+func TestZeroRunsArePredictions(t *testing.T) {
+	if err := quick.Check(func(seed int64, w8, x8, n8 uint8, left uint8) bool {
+		rng := rand.New(rand.NewSource(seed))
+		w := int(w8%64) + 1
+		x := int(x8) % w
+		n := int(n8)%(w-x) + 1
+		amp := []int{0, 3, 40, 256}[rng.Intn(4)]
+		above := make([]byte, w)
+		for i := range above {
+			above[i] = clamp8(100 + i + rng.Intn(amp+1) - amp/2)
+		}
+		if x == 0 {
+			left = above[0] // what rowStart gives
+		}
+		for _, l := range []layer{layerRice, layerMED} {
+			got := make([]byte, n)
+			last := zeroResiduals(got, above, x, int(left), l)
+			want, p := make([]byte, n), int(left)
+			for i := range want {
+				p = predict(p, above, x+i, l)
+				want[i] = byte(p)
+			}
+			if !bytes.Equal(got, want) || last != p {
+				t.Logf("layer %d, a run of %d from column %d of %v after %d: %v, %d; want %v, %d", l, n, x, above, left, got, last, want, p)
+				return false
+			}
+		}
+		return true
+	}, &quick.Config{MaxCount: 2000}); err != nil {
+		t.Error(err)
 	}
 }
 

@@ -62,11 +62,14 @@ func VMPGEncode(frames []*frame.Frame, quantizer, gop int) ([]VMPGPacket, error)
 	sort.Ints(keys)
 
 	// Encode keys and keep their reconstructions in the YUV domain,
-	// where intermediates are predicted.
+	// where intermediates are predicted. Keys stay mean-predicted "VL"
+	// frames: a MED key is a third smaller, but the intermediates
+	// beside it, which code their residual against it without DPCM,
+	// then cost more than the keys (DESIGN.md §2, row 8).
 	keyData := make(map[int][]byte, len(keys))
 	keyRecon := make(map[int]*frame.Frame, len(keys))
 	for _, k := range keys {
-		data, err := VJPGEncode(frames[k], quantizer)
+		data, err := encodeVJPG(frames[k], quantizer, layerRice)
 		if err != nil {
 			return nil, err
 		}
@@ -282,7 +285,7 @@ func decodeIntermediate(data []byte, recA, recB *frame.Frame, offset, span int) 
 	q := int32(data[2])
 	w := int(binary.BigEndian.Uint16(data[3:]))
 	h := int(binary.BigEndian.Uint16(data[5:]))
-	if q < 1 || w != recA.Width || h != recA.Height {
+	if q < 1 || q > 128 || w != recA.Width || h != recA.Height {
 		return nil, fmt.Errorf("%w: vmpg intermediate fields", ErrCorrupt)
 	}
 	interp := interpolate(recA, recB, offset, span)
