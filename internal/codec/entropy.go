@@ -45,7 +45,9 @@ import (
 // vjpg planes, the one segment kind that runs DPCM, have a fourth
 // layer: layerRice's codes over residuals of the median edge detector
 // (see predict in vjpg.go), where the other layers' residuals are of
-// the mean of left and above.
+// the mean of left and above. A vjpg frame has a fifth: its luma plane
+// in layerMED, and its chroma planes in layerMED over a bias-corrected
+// row above (see biasState in vjpg.go).
 
 // layer is an entropy layer, and for a vjpg plane the predictor its
 // residuals are of. A bitstream's two-byte magic names the layer of its
@@ -56,12 +58,13 @@ const (
 	layerRice   layer = iota // Rice with run interruption: written (vjpg frames only as vmpg keys)
 	layerRice1               // Rice without it: read only
 	layerVarint              // byte varints: read only
-	layerMED                 // layerRice over MED residuals: written, vjpg planes only
+	layerMED                 // layerRice over MED residuals: vjpg planes only, written as layerBias's luma
+	layerBias                // layerMED with bias-corrected chroma: written, vjpg frames only
 )
 
 // magics are a segment kind's magics, indexed by layer; a kind has none
 // (an empty string, which no data opens with) for a layer it never had.
-type magics [4]string
+type magics [5]string
 
 // layerOf returns the layer data's magic names among m, and false if
 // data opens with none of them.

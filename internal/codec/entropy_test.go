@@ -174,14 +174,15 @@ func (b *refBits) rice(k int) (uint64, bool) {
 // refRiceDecode is riceDecode written the plain way, over refBits:
 // the header of Rice layer l, then each token read under the parameter
 // the grammar gives it — a literal after a run short of maxRun under kb
-// as k-1 in layerRice and layerMED, every other token under ka.
+// as k-1 in layerRice, layerMED and layerBias, every other token under
+// ka.
 func refRiceDecode(src []byte, n int, l layer) ([]int32, int, error) {
 	var ka, kb, kr, bias, head int
 	switch {
 	case l == layerRice1 && len(src) >= 1:
 		ka, kr, head = int(src[0]>>4), int(src[0]&15), 1
 		kb = ka
-	case (l == layerRice || l == layerMED) && len(src) >= 2 && src[1]&15 == 0:
+	case (l == layerRice || l == layerMED || l == layerBias) && len(src) >= 2 && src[1]&15 == 0:
 		ka, kb, kr, bias, head = int(src[0]>>4), int(src[0]&15), int(src[1]>>4), 1, 2
 	default:
 		return nil, 0, ErrCorrupt
@@ -356,7 +357,7 @@ func encodeSegment(dst []byte, vals []int32, l layer) []byte {
 // in layer l, with the same header fields and tokens: a Rice-coded one
 // as the forms earlier builds wrote, and those as the one written now.
 // A vjpg frame's tokens are residuals of its layer's predictor, so a
-// "VN" frame has no other layer and no other frame becomes one.
+// "VN" or "VB" frame has no other layer and no other frame becomes one.
 func recode(t testing.TB, data []byte, l layer) []byte {
 	t.Helper()
 	segs, err := refSegments(data)
@@ -364,7 +365,7 @@ func recode(t testing.TB, data []byte, l layer) []byte {
 		t.Fatalf("recode: %v", err)
 	}
 	m, from, _ := kindOf(data)
-	if (from == layerMED) != (l == layerMED) {
+	if from != l && (from >= layerMED || l >= layerMED) {
 		t.Fatalf("recode: %s tokens are not layer %d's", data[:2], l)
 	}
 	out := append([]byte(m[l]), data[2:7]...)
@@ -529,7 +530,7 @@ func TestRiceDecodeStopsAtTruncation(t *testing.T) {
 	for l, head := range map[layer][]byte{layerRice: {0x00, 0x00}, layerRice1: {0x00}} {
 		pix := bytes.Repeat([]byte{0xaa}, 1<<16)
 		src := append(head, bitBytes("0 0 0 0 0 0")...)
-		if _, err := decodePlane(src, pix, 256, 12, l); err != ErrCorrupt {
+		if _, err := decodePlane(src, pix, 256, 12, l, nil); err != ErrCorrupt {
 			t.Fatalf("layer %d: decodePlane: %v, want ErrCorrupt", l, err)
 		}
 		if written := len(pix) - bytes.Count(pix, []byte{0xaa}); written > 128 {

@@ -85,19 +85,20 @@ func checkGolden(t *testing.T, name, got string, want map[string]string) {
 type goldenSet struct {
 	frames    map[string][]byte // the vjpg frames, by goldenCases name
 	base, enh []byte            // the layered frame
-	vmpg      []VMPGPacket      // the vmpg GOP; none in layerMED
+	vmpg      []VMPGPacket      // the vmpg GOP; none in layerBias or layerMED
 }
 
-// goldenStreams encodes the golden fixtures in layer l. In layerMED
-// they are what VJPGEncode and VJPGEncodeLayered write now; vmpg keys
-// are never MED-predicted, so there is no GOP. In the other layers the
-// vjpg frames and the layered base are mean-predicted, as earlier
+// goldenStreams encodes the golden fixtures in layer l. In layerBias
+// they are what VJPGEncode and VJPGEncodeLayered write now, and in
+// layerMED what they wrote before chroma bias correction; vmpg keys
+// are never MED-predicted, so neither has a GOP. In the other layers
+// the vjpg frames and the layered base are mean-predicted, as earlier
 // builds wrote them and as vmpg keys are written now, and each
 // bitstream is recoded to l (recode).
 func goldenStreams(t *testing.T, l layer) goldenSet {
 	t.Helper()
-	vl, in := layerMED, func(data []byte) []byte { return data }
-	if l != layerMED {
+	vl, in := l, func(data []byte) []byte { return data }
+	if l != layerBias && l != layerMED {
 		vl = layerRice
 		if l != layerRice {
 			in = func(data []byte) []byte { return recode(t, data, l) }
@@ -113,7 +114,7 @@ func goldenStreams(t *testing.T, l layer) goldenSet {
 	}
 	base, enh := layeredGolden(t, vl)
 	set.base, set.enh = in(base), in(enh)
-	if l != layerMED {
+	if vl == layerRice {
 		set.vmpg = vmpgGolden(t)
 		for i := range set.vmpg {
 			set.vmpg[i].Data = in(set.vmpg[i].Data)
@@ -123,10 +124,11 @@ func goldenStreams(t *testing.T, l layer) goldenSet {
 }
 
 // goldenLayers are the tables TestVJPGEncodeGolden holds each layer's
-// bitstreams to: what the encoders write now — medEncodeGolden, and
+// bitstreams to: what the encoders write now — biasEncodeGolden, and
 // encodeGolden for the vmpg GOP — and what earlier builds wrote for the
 // same frames.
 var goldenLayers = map[layer]map[string]string{
+	layerBias:   biasEncodeGolden,
 	layerMED:    medEncodeGolden,
 	layerRice:   encodeGolden,
 	layerRice1:  rice1EncodeGolden,
@@ -163,13 +165,17 @@ func TestVJPGEncodeGolden(t *testing.T) {
 // TestVJPGDecodeGolden pins what the decoders return for the same
 // fixtures: the RGB and the YUV reconstruction of every vjpg frame, the
 // base and full reconstruction of the layered frame, and every frame of
-// the vmpg GOP — medDecodeGolden for the MED-predicted bitstreams, and
+// the vmpg GOP — biasDecodeGolden for the bitstreams with corrected
+// chroma, medDecodeGolden for the MED-predicted ones without, and
 // decodeGolden for the mean-predicted ones in each of the three layers
 // they were ever written in.
 func TestVJPGDecodeGolden(t *testing.T) {
 	for l := range goldenLayers {
 		want := decodeGolden
-		if l == layerMED {
+		switch l {
+		case layerBias:
+			want = biasDecodeGolden
+		case layerMED:
 			want = medDecodeGolden
 		}
 		set := goldenStreams(t, l)
@@ -315,8 +321,9 @@ var decodeGolden = map[string]string{
 	"vmpg":         "6df02e2ae3368ffd22a6091128d1a1e23691b4e2a25c88eb89cf198c2d43c13c",
 }
 
-// medEncodeGolden is what the encoders write now: layerMED's "VN"
-// frames, and the layered frame's "VN" base and "VG" enhancement.
+// medEncodeGolden is what the encoders wrote before chroma bias
+// correction: layerMED's "VN" frames, and the layered frame's "VN" base
+// and "VG" enhancement.
 var medEncodeGolden = map[string]string{
 	"q1/160x120":   "84f82e9b4ab801cc183fed1158d9415187c04d0e9ff386ddd5a919e3ec58386c",
 	"q4/160x120":   "f906f1f16413067938b505a546aeefb24860b07640e859b88b142253ba02fe3d",
@@ -364,4 +371,55 @@ var medDecodeGolden = map[string]string{
 	"q20/1x1":      "da623daf1ee2da4fb235aea84f63f8974752e217be754ed677eeff97132dc5b5",
 	"q128/1x1":     "2e40717c82acfe750dfd6d241d780a8ff0573275c64fefc4610eb5426ed976b1",
 	"layered":      "1c5831f9005a47350ea6810993c10f186e0a29e75e40bf90277a66b41f599375",
+}
+
+// biasEncodeGolden is what the encoders write now: layerBias's "VB"
+// frames, and the layered frame's "VB" base and "VG" enhancement.
+var biasEncodeGolden = map[string]string{
+	"q1/160x120":   "2d19787acf0809023d9f762a6d75f4073e443bb15ee6a156568528e329275913",
+	"q4/160x120":   "45384dea36bc991eaad5c1db949575c7681f0c53465fe8ca2ccddb32ec86c048",
+	"q12/160x120":  "560a7d593f5ffcc46894b3f254c1ce0865800d2c28c0138b412ca266794ac581",
+	"q20/160x120":  "fc5a52540767540ac2b5e938195bdbafc1d2dab00740d35a89d135f51d94964b",
+	"q128/160x120": "49925927f3ac5a2d9ba9f442447745159f0e80166d559c7b30dd5d28e510d8b9",
+	"q1/33x17":     "edce3b42ac5203f0506ff4548d1948dd40a0ce92edbfea676f98965739b7d906",
+	"q4/33x17":     "3496a06c225f706b743dbb34f6d41bf049b4f2edb81a583029461f358ccd5764",
+	"q12/33x17":    "1ad1ba09b00d225ec455887edd97357034221aa62bb5348fd6b1ce8ad682af52",
+	"q20/33x17":    "ec35ef801826feade461741e06bb3d064e3947fca6d5c88278de0d36c3fe438c",
+	"q128/33x17":   "6a9e17f1bb5e26c79fdb62a882ddd6508c007eb03463a26c11cd693778ed9aa5",
+	"q1/7x3":       "ad6c2617c4fe26d5a130474b03668e3364a7b13955a0f4162b2e59b845f608c9",
+	"q4/7x3":       "f9f9fc03f97a1e61cfcf512d00605796c4f2e8e66db716280006ffd8238549d7",
+	"q12/7x3":      "2fb39d558f3bd5cb3bf6d354c1bcbd72c76a1191b2bdf62ab9b270bc6799db8c",
+	"q20/7x3":      "94ce534d3cf088fb129876acae8c3c3aff562945750c7121aa99477ad3d3d463",
+	"q128/7x3":     "7e1c91e5b07e8399d52645ef5ef0f29314326975c559c0f03cc9b0a74bc3c4f2",
+	"q1/1x1":       "cb765b0f846f1347d872a565cd49af8064f5aa64dd342ffd31ba6ae2f8ca884a",
+	"q4/1x1":       "edfb41e2c71f9bd22b458d2988e7dd12852fd34d46077d27056dcf8e0dce7e92",
+	"q12/1x1":      "da91b61b7014c9520a5b2dfc61d98e36d08f3f808cf2763adacc09033376bf03",
+	"q20/1x1":      "ba430b47c6a667868626b199982d62fc2e82bc525ab27efbd3ace79e09c56d59",
+	"q128/1x1":     "4849ef024ffd32c65b5fc24de28b3b80260eec91ea60e40100a2a312b33b056c",
+	"layered":      "b819db90e1475570de90ed8aa08590561f070b6fa6eab38575f27371853f78a5",
+}
+
+// biasDecodeGolden is what the "VB" bitstreams decode to.
+var biasDecodeGolden = map[string]string{
+	"q1/160x120":   "18f09b4f1bf9cf198231fc3917f0746f97518a5b6b6326b49340424a5a8401f4",
+	"q4/160x120":   "cccc10fc7a11e99094ad2ce6efb7cf191f8f40b0980d461d408d4850078a0b93",
+	"q12/160x120":  "f4df82f3aec42cc3fb39f0f1ab09c7b9da6d1a7ad9f4eed9f58ddb26a80c348c",
+	"q20/160x120":  "2a8a6521d90b33cad26a260f45f8cd3a64cea2d0e35bd615f0b899b16b4e6b67",
+	"q128/160x120": "c9a52919d9bffb307879ed894d03c72461328d00939495008416881840947e0a",
+	"q1/33x17":     "08be4657b468a629eb0c92b9354bebbc4ee328c6ab40fadd8652cf78d839ed2b",
+	"q4/33x17":     "07f698422bd0241a98d405dab03f98e28718ab6fbdd69f81095b72f206d12466",
+	"q12/33x17":    "a453d4722ff203550bc3250c300811b70f45698b024c29f83f8efeff44d4bca1",
+	"q20/33x17":    "7b9d85d1d342a8d164bf8c8f3c13bda25d4a8e916f97fb335ed0da88bd7acaff",
+	"q128/33x17":   "88670f229367ef3cc6f38c7883fd2d995509f29ba6847d41b6d9e3fa2c9b367e",
+	"q1/7x3":       "a6c01bbf3c975edb32aa3867ae19b0542d7c2528a525107991f2b9fd7bd388f2",
+	"q4/7x3":       "42c5aedb9aa0e2ad2135c3f55ac3846e73d95a5ab67cd4af9fcb13a15edddf1d",
+	"q12/7x3":      "c1b8b8e704eb4bc6424210be94a3983f738f6204d7c0317b69b6af1aaa87d270",
+	"q20/7x3":      "ad63722ad5367cc10a32fb31b037c228dc3e9ef633fc69c5f4c551b82b3d806e",
+	"q128/7x3":     "b78f651ceadc46b7288319df1a4f3ec00799fed237ce6b0ba6b882f234497a6d",
+	"q1/1x1":       "c58996f44fa1323b0d904fc60daa9f5cb604d01afc3d1f79da00437eb1645a36",
+	"q4/1x1":       "b1998635b8e771d8b1e7c3470cdc844d0b0e418558bf39b0a645ef4b3d08ab80",
+	"q12/1x1":      "bc74fa9a93f284448333e385ce88093b53628894b2b6255fa530870fd4b75eaf",
+	"q20/1x1":      "da623daf1ee2da4fb235aea84f63f8974752e217be754ed677eeff97132dc5b5",
+	"q128/1x1":     "2e40717c82acfe750dfd6d241d780a8ff0573275c64fefc4610eb5426ed976b1",
+	"layered":      "ff3a653afc8fad1ddba3fdfcc09ccb54f12599e1242785645cdfdd4e69b277d0",
 }

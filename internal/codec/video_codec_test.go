@@ -429,8 +429,9 @@ func TestVJPGRoundTripProperty(t *testing.T) {
 }
 
 // TestQuantizerErrorBound: over random planes, at every quantizer and
-// under either predictor, every reconstructed pixel is within
-// q-1-q/3 of the original (see roundDiv) — 7 at VHS's q = 12.
+// under every predictor — the mean, the median edge detector, and the
+// detector over a bias-corrected row above — every reconstructed pixel
+// is within q-1-q/3 of the original (see roundDiv) — 7 at VHS's q = 12.
 func TestQuantizerErrorBound(t *testing.T) {
 	if err := quick.Check(func(seed int64, w8, h8 uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -444,10 +445,14 @@ func TestQuantizerErrorBound(t *testing.T) {
 			pix[i] = clamp8(c + gx*(i%w) + gy*(i/w) + rng.Intn(amp+1) - amp/2)
 		}
 		rec := make([]byte, len(pix))
-		for _, l := range []layer{layerRice, layerMED} {
+		var encBias, decBias biasState
+		for _, l := range []layer{layerRice, layerMED, layerBias} {
 			for q := 1; q <= 128; q++ {
-				enc := encodePlane(nil, pix, w, q, l)
-				if n, err := decodePlane(enc, rec, w, q, l); err != nil || n != len(enc) {
+				// layerBias: a chroma plane of a "VB" frame.
+				pl, eb := planeLayer(l, 1, &encBias)
+				_, db := planeLayer(l, 1, &decBias)
+				enc := encodePlane(nil, pix, w, q, pl, eb)
+				if n, err := decodePlane(enc, rec, w, q, pl, db); err != nil || n != len(enc) {
 					t.Logf("layer %d, q %d, %dx%d: %d of %d bytes, %v", l, q, w, h, n, len(enc), err)
 					return false
 				}
@@ -473,6 +478,20 @@ func TestQuantizerErrorBound(t *testing.T) {
 // than the same frames mean-predicted, through the same loop in
 // layerRice, at no lower PSNR.
 func TestMEDBeatsMeanAtEveryFactor(t *testing.T) {
+	checkBeatsAtEveryFactor(t, layerRice, layerMED)
+}
+
+// TestBiasBeatsMEDAtEveryFactor is its successor for the generation
+// written now: with chroma bias-corrected ("VB") the four factors are
+// strictly monotone in bytes and in PSNR, and at every factor the
+// frames take fewer bytes than "VN" frames at no lower PSNR.
+func TestBiasBeatsMEDAtEveryFactor(t *testing.T) {
+	checkBeatsAtEveryFactor(t, layerMED, layerBias)
+}
+
+// checkBeatsAtEveryFactor holds vjpg layer newer to the S1 sweep on the
+// four bodies, against older.
+func checkBeatsAtEveryFactor(t *testing.T, older, newer layer) {
 	factors := []media.Quality{media.QualityPreview, media.QualityVHS, media.QualityBroadcast, media.QualityStudio}
 	for c := 0; c < 4; c++ {
 		frames := genFrames(3, 160, 120, int64(41+56*c))
@@ -481,7 +500,7 @@ func TestMEDBeatsMeanAtEveryFactor(t *testing.T) {
 		for _, qf := range factors {
 			var bytes [2]int
 			var psnr [2]float64
-			for i, l := range []layer{layerRice, layerMED} {
+			for i, l := range []layer{older, newer} {
 				for _, f := range frames {
 					data, err := encodeVJPG(f, QuantizerFor(qf), l)
 					if err != nil {
@@ -496,12 +515,13 @@ func TestMEDBeatsMeanAtEveryFactor(t *testing.T) {
 					psnr[i] += p / float64(len(frames))
 				}
 			}
-			t.Logf("body %d, %v: %d B %.2f dB mean-predicted, %d B %.2f dB MED", c, qf, bytes[0], psnr[0], bytes[1], psnr[1])
+			older, newer := vjpgMagics[older], vjpgMagics[newer]
+			t.Logf("body %d, %v: %d B %.2f dB %s, %d B %.2f dB %s", c, qf, bytes[0], psnr[0], older, bytes[1], psnr[1], newer)
 			if bytes[1] >= bytes[0] || psnr[1] < psnr[0] {
-				t.Errorf("body %d, %v: MED %d B at %.3f dB, the mean %d B at %.3f dB", c, qf, bytes[1], psnr[1], bytes[0], psnr[0])
+				t.Errorf("body %d, %v: %s %d B at %.3f dB, %s %d B at %.3f dB", c, qf, newer, bytes[1], psnr[1], older, bytes[0], psnr[0])
 			}
 			if bytes[1] <= prevBytes || psnr[1] <= prevPSNR {
-				t.Errorf("body %d, %v: MED %d B at %.3f dB, the factor below %d B at %.3f dB", c, qf, bytes[1], psnr[1], prevBytes, prevPSNR)
+				t.Errorf("body %d, %v: %s %d B at %.3f dB, the factor below %d B at %.3f dB", c, qf, newer, bytes[1], psnr[1], prevBytes, prevPSNR)
 			}
 			prevBytes, prevPSNR = bytes[1], psnr[1]
 		}

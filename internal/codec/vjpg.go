@@ -16,31 +16,34 @@ import (
 // reordering and reverse play cheaply — the property the paper
 // attributes to JPEG-compressed video.
 //
-// Bitstream: "VN" | u8 quantizer | u16 width | u16 height | Y plane |
+// Bitstream: "VB" | u8 quantizer | u16 width | u16 height | Y plane |
 // U plane | V plane, each plane a Rice-coded segment (see entropy.go):
 // its parameter bytes, then its codes, padded to a whole byte. A
 // plane's values are its quantized residuals against LOCO-I's median
-// edge detector (see predict).
+// edge detector (see predict). The chroma planes' detector sees the
+// row above through LOCO-I's context bias correction (see biasState);
+// the luma plane's sees it as it is.
 //
-// A "VL" frame's planes are coded as "VN" planes are, but predict each
-// pixel from the mean of its left and above neighbours; earlier builds
-// wrote every frame so, and vmpg keys are still written so (see
-// VMPGEncode). Frames earlier builds stored may also open with "VK",
-// mean-predicted and Rice coded without run interruption, or "VJ",
-// mean-predicted with tokens coded as uvarints; those are decoded,
-// never written.
+// A "VN" frame's planes are all coded as the "VB" luma plane is;
+// earlier builds wrote every frame so. A "VL" frame's planes are coded
+// as those are, but predict each pixel from the mean of its left and
+// above neighbours; earlier builds wrote every frame so too, and vmpg
+// keys are still written so (see VMPGEncode). Frames earlier builds
+// stored may also open with "VK", mean-predicted and Rice coded without
+// run interruption, or "VJ", mean-predicted with tokens coded as
+// uvarints; those are decoded, never written.
 
-var vjpgMagics = magics{layerMED: "VN", layerRice: "VL", layerRice1: "VK", layerVarint: "VJ"}
+var vjpgMagics = magics{layerBias: "VB", layerMED: "VN", layerRice: "VL", layerRice1: "VK", layerVarint: "VJ"}
 
 // VJPGEncode compresses an RGB frame at the given quantizer (see
 // QuantizerFor to derive one from a quality factor).
 func VJPGEncode(f *frame.Frame, quantizer int) ([]byte, error) {
-	return encodeVJPG(f, quantizer, layerMED)
+	return encodeVJPG(f, quantizer, layerBias)
 }
 
-// encodeVJPG is VJPGEncode in layer l, layerMED or layerRice: the
-// latter writes mean-predicted "VL" frames, as vmpg keys are written
-// and as earlier builds wrote every frame.
+// encodeVJPG is VJPGEncode in layer l, layerBias, layerMED or
+// layerRice: the last writes mean-predicted "VL" frames, as vmpg keys
+// are written, and it and layerMED write frames as earlier builds did.
 func encodeVJPG(f *frame.Frame, quantizer int, l layer) ([]byte, error) {
 	if quantizer < 1 || quantizer > 128 {
 		return nil, fmt.Errorf("%w: quantizer %d", ErrBadQuality, quantizer)
@@ -54,10 +57,26 @@ func encodeVJPG(f *frame.Frame, quantizer int, l layer) ([]byte, error) {
 	out = append(out, byte(quantizer))
 	out = binary.BigEndian.AppendUint16(out, uint16(f.Width))
 	out = binary.BigEndian.AppendUint16(out, uint16(f.Height))
+	var bias biasState
 	for pi, p := range yuvPlanes(yuv) {
-		out = encodePlane(out, p.pix, p.w, planeQuantizer(quantizer, pi), l)
+		pl, b := planeLayer(l, pi, &bias)
+		out = encodePlane(out, p.pix, p.w, planeQuantizer(quantizer, pi), pl, b)
 	}
 	return out, nil
+}
+
+// planeLayer returns the layer plane pi of a layer-l vjpg frame is
+// coded in, and bias, reset, if its predictor sees a bias-corrected
+// row above — a "VB" frame's chroma planes — or else nil.
+func planeLayer(l layer, pi int, bias *biasState) (layer, *biasState) {
+	if l != layerBias {
+		return l, nil
+	}
+	if pi == 0 {
+		return layerMED, nil
+	}
+	bias.reset()
+	return layerMED, bias
 }
 
 // planeQuantizer coarsens chrominance quantization relative to luma —
@@ -81,11 +100,13 @@ func VJPGDecode(data []byte) (*frame.Frame, error) {
 }
 
 // VJPGDecoder decodes vjpg frames to RGB and keeps the YUV planes of one
-// frame as scratch for the next, so a track's frames share one planar
-// buffer instead of allocating one each. The zero value is ready to use.
+// frame, and the bias state of its chroma planes, as scratch for the
+// next, so a track's frames share one planar buffer and one corrected
+// row instead of allocating them each. The zero value is ready to use.
 // A decoder is not safe for concurrent use.
 type VJPGDecoder struct {
-	yuv []byte
+	yuv  []byte
+	bias biasState
 }
 
 // Decode decompresses a vjpg frame to RGB. The frame it returns owns its
@@ -100,7 +121,7 @@ func (d *VJPGDecoder) Decode(data []byte) (*frame.Frame, error) {
 		d.yuv = make([]byte, n)
 	}
 	yuv := d.yuv[:n]
-	if err := decodePlanes(body, yuv, w, h, q, l); err != nil {
+	if err := decodePlanes(body, yuv, w, h, q, l, &d.bias); err != nil {
 		return nil, err
 	}
 	out := frame.New(w, h, media.ColorRGB)
@@ -117,22 +138,27 @@ func VJPGDecodeYUV(data []byte) (*frame.Frame, error) {
 		return nil, err
 	}
 	yuv := frame.New(w, h, media.ColorYUV422)
-	if err := decodePlanes(body, yuv.Pix, w, h, q, l); err != nil {
+	var bias biasState
+	if err := decodePlanes(body, yuv.Pix, w, h, q, l, &bias); err != nil {
 		return nil, err
 	}
 	return yuv, nil
 }
 
 // decodePlanes decodes the Y, U and V planes of a vjpg body in layer l
-// into pix, a planar YUV 8:2:2 buffer of w×h.
-func decodePlanes(body, pix []byte, w, h, q int, l layer) error {
-	decode := decodePlane
-	if l == layerVarint {
-		decode = decodePlaneVarint
-	}
+// into pix, a planar YUV 8:2:2 buffer of w×h, with bias as the
+// corrected planes' state.
+func decodePlanes(body, pix []byte, w, h, q int, l layer, bias *biasState) error {
 	off := 0
 	for pi, p := range planesOf(pix, w, h) {
-		n, err := decode(body[off:], p.pix, p.w, planeQuantizer(q, pi), l)
+		pl, b := planeLayer(l, pi, bias)
+		var n int
+		var err error
+		if l == layerVarint {
+			n, err = decodePlaneVarint(body[off:], p.pix, p.w, planeQuantizer(q, pi), pl)
+		} else {
+			n, err = decodePlane(body[off:], p.pix, p.w, planeQuantizer(q, pi), pl, b)
+		}
 		if err != nil {
 			return err
 		}
@@ -189,18 +215,22 @@ func planesOf(pix []byte, w, h int) [3]plane {
 // prediction loop avoids limit-cycle flicker at quantization
 // boundaries; the 2-D predictor locks onto gradients in either
 // direction, which is where smooth synthetic and natural content
-// spends most of its pixels.
-func encodePlane(dst []byte, pix []byte, width, q int, l layer) []byte {
+// spends most of its pixels. With bias non-nil the predictor sees the
+// row above as bias corrects it (see biasState).
+func encodePlane(dst []byte, pix []byte, width, q int, l layer, bias *biasState) []byte {
 	vals := make([]int32, len(pix))
 	recon := make([]byte, len(pix))
 	for y0 := 0; y0 < len(pix); y0 += width {
-		above, left := rowStart(recon, y0, width)
+		above, left := rowStart(recon, y0, width, bias)
 		for x, v := range pix[y0 : y0+width] {
 			pred := predict(left, above, x, l)
 			rq := roundDiv(int(v)-pred, q)
 			vals[y0+x] = int32(rq)
 			left = reconStep(pred, rq, q)
 			recon[y0+x] = byte(left)
+			if rq != 0 && bias != nil && above != nil {
+				bias.update(x, left-pred)
+			}
 		}
 	}
 	return riceEncode(dst, vals)
@@ -208,16 +238,150 @@ func encodePlane(dst []byte, pix []byte, width, q int, l layer) []byte {
 
 // rowStart returns what the 2-D predictor sees at the start of the row
 // at offset y0 of a reconstructed plane: the row above (nil on the
-// first row), and a left neighbour that makes the row's first
-// prediction come out right — 128 on the first row, the pixel above on
-// the others, since (above + above + 1) / 2 = above, and the median
-// edge detector of two equal neighbours is that neighbour.
-func rowStart(recon []byte, y0, width int) (above []byte, left int) {
+// first row) — as bias corrects it, with bias non-nil — and a left
+// neighbour that makes the row's first prediction come out right — 128
+// on the first row, the pixel above on the others, since (above + above
+// + 1) / 2 = above, and the median edge detector of two equal
+// neighbours is that neighbour.
+func rowStart(recon []byte, y0, width int, bias *biasState) (above []byte, left int) {
 	if y0 == 0 {
 		return nil, 128
 	}
 	above = recon[y0-width : y0]
+	if bias != nil {
+		above = bias.correct(above)
+	}
 	return above, int(above[0])
+}
+
+// biasState is LOCO-I's context bias cancellation (Weinberger, Seroussi
+// and Sapiro, IEEE TIP 2000; JPEG-LS's lossless thresholds and
+// update), kept by the encoder and the decoder alike for one plane, and
+// applied to the row above rather than to each prediction: before each
+// row below the first, every pixel p[x] of the reconstructed row above
+// is moved by its context's correction C to ref[x] = clamp(p[x] + C),
+// and the row is predicted from ref. A pixel's context is the pair of
+// quantized steps around it in the row above, p[x+1]-p[x] and
+// p[x]-p[x-1], a missing neighbour's step counting as 0. Each literal
+// — never a zero residual — folds its error, reconstruction minus
+// prediction, into its context's bias; it moves the corrections of
+// the rows below it, not of its own.
+type biasState struct {
+	// corr is each context's correction, JPEG-LS's C, clamped to
+	// [biasMinC, biasMaxC]. It is read at every pixel, so it is kept
+	// apart from acc, and padded past biasContexts so that a context
+	// index, a uint8, needs no bounds check.
+	corr [256]int8
+	acc  [biasContexts]biasAcc
+	ref  []byte  // the corrected row above the row being coded
+	ctxs []uint8 // the context of each pixel of that row
+}
+
+// biasAcc is what a context accumulates at its literals, JPEG-LS's B
+// and N: the error its correction left, kept in (-N, 0], and the count
+// of its literals, from 1, halved with B when it reaches biasReset.
+type biasAcc struct{ b, n int32 }
+
+const (
+	biasContexts       = 81 // 9 quantized steps on either side
+	biasReset          = 64
+	biasMinC, biasMaxC = -128, 127
+)
+
+// stepLevel maps a step d between neighbours, at stepLevel[d+255], to
+// its quantized level 0…8: 4 + sign(d)·level, level 0 at 0, 1 at 1–2,
+// 2 at 3–6, 3 at 7–20 and 4 from 21 (JPEG-LS's lossless thresholds 3,
+// 7 and 21). Its length is a power of two so that an index masked to
+// it needs no bounds check.
+var stepLevel = func() (t [512]uint8) {
+	for d := -255; d <= 255; d++ {
+		lv := 0
+		switch a := max(d, -d); {
+		case a >= 21:
+			lv = 4
+		case a >= 7:
+			lv = 3
+		case a >= 3:
+			lv = 2
+		case a >= 1:
+			lv = 1
+		}
+		if d < 0 {
+			lv = -lv
+		}
+		t[d+255] = uint8(4 + lv)
+	}
+	return t
+}()
+
+// reset readies s for a new plane: every correction 0, every count 1.
+func (s *biasState) reset() {
+	s.corr = [256]int8{}
+	for i := range s.acc {
+		s.acc[i] = biasAcc{n: 1}
+	}
+}
+
+// correct returns above, the reconstructed row over the next one, as
+// its contexts' corrections move it, and records each pixel's context
+// for update. The slices it returns and records are s's scratch, valid
+// until the next call. It runs at every pixel of a corrected plane, so
+// it takes each step once, as the right step of one pixel and then the
+// left step of the next.
+func (s *biasState) correct(above []byte) []byte {
+	n := len(above)
+	if cap(s.ref) < n {
+		buf := make([]byte, 2*n)
+		s.ref, s.ctxs = buf[:n:n], buf[n:]
+	}
+	ref, ctxs := s.ref[:n], s.ctxs[:n]
+	left, p := uint8(4), int(above[0]) // the step before pixel 0 counts as 0
+	for x := 1; x < n; x++ {
+		next := int(above[x])
+		right := stepLevel[uint(next-p+255)&511]
+		c := right*9 + left
+		ctxs[x-1] = c
+		ref[x-1] = clamp8(p + int(s.corr[c]))
+		left, p = right, next
+	}
+	c := 4*9 + left // and so does the step after the last
+	ctxs[n-1] = c
+	ref[n-1] = clamp8(p + int(s.corr[c]))
+	return ref
+}
+
+// update folds e, a literal's reconstruction minus its prediction at
+// pixel x of the row correct last returned, into x's context, as
+// JPEG-LS updates B, N and C: add e to B, count the literal, halving B
+// and N when N reaches biasReset (JPEG-LS with its RESET at 63), and if
+// B is then outside (-N, 0], move C one step toward it, take N back out
+// of B and clamp B to the interval's edge.
+func (s *biasState) update(x, e int) {
+	c := s.ctxs[x]
+	t := &s.acc[c]
+	b, n := t.b+int32(e), t.n
+	if n++; n == biasReset {
+		b, n = b>>1, n>>1
+	}
+	switch {
+	case b <= -n:
+		b += n
+		if s.corr[c] > biasMinC {
+			s.corr[c]--
+		}
+		if b <= -n {
+			b = -n + 1
+		}
+	case b > 0:
+		b -= n
+		if s.corr[c] < biasMaxC {
+			s.corr[c]++
+		}
+		if b > 0 {
+			b = 0
+		}
+	}
+	t.b, t.n = b, n
 }
 
 // predict is layer l's 2-D DPCM predictor for pixel x of a row: the
@@ -255,12 +419,12 @@ func roundDiv(r, q int) int {
 }
 
 // decodePlane reverses encodePlane: it reads the plane's tokens, Rice
-// coded in layer l (see entropy.go), straight into pix, row by row, and
-// returns the number of bytes consumed. It refuses, as ErrCorrupt, a
-// parameter out of range, a nonzero spare nibble, a truncated stream,
-// an overlong unary part, a literal past 32 bits and a run past the
-// plane's end.
-func decodePlane(src []byte, pix []byte, width, q int, l layer) (int, error) {
+// coded in layer l (see entropy.go), straight into pix, row by row,
+// through bias if it is non-nil, and returns the number of bytes
+// consumed. It refuses, as ErrCorrupt, a parameter out of range, a
+// nonzero spare nibble, a truncated stream, an overlong unary part, a
+// literal past 32 bits and a run past the plane's end.
+func decodePlane(src []byte, pix []byte, width, q int, l layer, bias *biasState) (int, error) {
 	r, p, err := newRiceReader(src, l)
 	if err != nil {
 		return 0, err
@@ -275,7 +439,7 @@ func decodePlane(src []byte, pix []byte, width, q int, l layer) (int, error) {
 	)
 	for y0 := 0; y0 < len(pix); y0 += width {
 		row := pix[y0 : y0+width]
-		above, left := rowStart(pix, y0, width)
+		above, left := rowStart(pix, y0, width, bias)
 		for x := 0; x < width; {
 			if zeros > 0 {
 				end := min(width, x+zeros)
@@ -318,8 +482,12 @@ func decodePlane(src []byte, pix []byte, width, q int, l layer) (int, error) {
 				kn, bn = p.kb, p.bias
 				continue
 			}
-			left = reconStep(predict(left, above, x, l), int(unzigzag(k)), q)
+			pred := predict(left, above, x, l)
+			left = reconStep(pred, int(unzigzag(k)), q)
 			row[x] = byte(left)
+			if bias != nil && above != nil {
+				bias.update(x, left-pred)
+			}
 			x++
 			kn, bn = p.ka, 0
 		}
@@ -335,7 +503,7 @@ func decodePlaneVarint(src []byte, pix []byte, width, q int, l layer) (int, erro
 	off, zeros := 0, 0
 	for y0 := 0; y0 < len(pix); y0 += width {
 		row := pix[y0 : y0+width]
-		above, left := rowStart(pix, y0, width)
+		above, left := rowStart(pix, y0, width, nil)
 		for x := 0; x < width; {
 			if zeros > 0 {
 				end := min(width, x+zeros)
@@ -481,7 +649,7 @@ var enhMagics = magics{layerRice: "VG", layerRice1: "VF", layerVarint: "VE"}
 
 // VJPGEncodeLayered compresses f into base and enhancement layers.
 func VJPGEncodeLayered(f *frame.Frame, quantizer int) (base, enh []byte, err error) {
-	return encodeLayered(f, quantizer, layerMED)
+	return encodeLayered(f, quantizer, layerBias)
 }
 
 // encodeLayered is VJPGEncodeLayered with its base in vjpg layer l (see

@@ -20,9 +20,9 @@ import (
 // replaced, kept as the fuzz oracle: every plane's residuals are entropy
 // decoded into a slice first by the reference readers (refSegments),
 // then reconstructed pixel by pixel with a predictor that finds its
-// neighbours by index arithmetic, and the result is converted to RGB
-// with per-pixel stores. It returns the YUV reconstruction and the RGB
-// frame.
+// neighbours by index arithmetic — a "VB" frame's chroma planes through
+// refBiasPlane — and the result is converted to RGB with per-pixel
+// stores. It returns the YUV reconstruction and the RGB frame.
 func refVJPGDecode(data []byte) (yuv, rgb *frame.Frame, err error) {
 	q, w, h, _, l, err := vjpgHeader(data)
 	if err != nil {
@@ -33,11 +33,15 @@ func refVJPGDecode(data []byte) (yuv, rgb *frame.Frame, err error) {
 		return nil, nil, err
 	}
 	predict := refPredict2D
-	if l == layerMED {
+	if l == layerMED || l == layerBias {
 		predict = refPredictMED
 	}
 	yuv = frame.New(w, h, media.ColorYUV422)
 	for pi, p := range yuvPlanes(yuv) {
+		if l == layerBias && pi > 0 {
+			refBiasPlane(p.pix, segs[pi], p.w, planeQuantizer(q, pi))
+			continue
+		}
 		for i, d := range segs[pi] {
 			p.pix[i] = byte(reconStep(predict(p.pix, i, p.w), int(d), planeQuantizer(q, pi)))
 		}
@@ -99,6 +103,105 @@ func refPredictMED(recon []byte, i, width int) int {
 	return a + b - c
 }
 
+// refBiasPlane reconstructs a "VB" chroma plane from its residuals res
+// at quantizer q. Row 0 is reconstructed as a "VN" plane's is. Each row
+// below it is predicted by refPredictMED from a copy of the row above
+// in which every pixel is moved by the correction C[Q] of its context
+// Q, the pair of quantized gradients to its right and to its left in
+// that row; and each nonzero residual updates its context's B, C and N
+// as JPEG-LS (ITU-T T.87, A.6.1 and A.6.2) states it, lossless (NEAR =
+// 0), with C in [-128, 127] and RESET at 63.
+func refBiasPlane(pix []byte, res []int32, w, q int) {
+	type state struct{ B, C, N int }
+	contexts := map[[2]int]*state{}
+	at := func(Q [2]int) *state {
+		if contexts[Q] == nil {
+			contexts[Q] = &state{N: 1}
+		}
+		return contexts[Q]
+	}
+	// quantize is T.87's gradient quantization with its default
+	// thresholds T1 = 3, T2 = 7, T3 = 21 for 8-bit samples.
+	quantize := func(D int) int {
+		switch {
+		case D <= -21:
+			return -4
+		case D <= -7:
+			return -3
+		case D <= -3:
+			return -2
+		case D < 0:
+			return -1
+		case D == 0:
+			return 0
+		case D < 3:
+			return 1
+		case D < 7:
+			return 2
+		case D < 21:
+			return 3
+		}
+		return 4
+	}
+	for i := 0; i < w && i < len(pix); i++ {
+		pix[i] = byte(reconStep(refPredictMED(pix, i, w), int(res[i]), q))
+	}
+	for y := 1; y*w < len(pix); y++ {
+		above := pix[(y-1)*w : y*w]
+		// two holds the corrected row above, then the row being
+		// reconstructed, so that refPredictMED finds both.
+		two := make([]byte, 2*w)
+		Q := make([][2]int, w)
+		for x := range above {
+			var right, left int // a missing neighbour's gradient is 0
+			if x+1 < w {
+				right = int(above[x+1]) - int(above[x])
+			}
+			if x > 0 {
+				left = int(above[x]) - int(above[x-1])
+			}
+			Q[x] = [2]int{quantize(right), quantize(left)}
+			two[x] = clamp8(int(above[x]) + at(Q[x]).C)
+		}
+		for x := 0; x < w; x++ {
+			Px := refPredictMED(two, w+x, w)
+			Rx := reconStep(Px, int(res[y*w+x]), q)
+			two[w+x], pix[y*w+x] = byte(Rx), byte(Rx)
+			if res[y*w+x] == 0 {
+				continue
+			}
+			st := at(Q[x])
+			st.B += Rx - Px
+			if st.N == 63 {
+				if st.B >= 0 {
+					st.B = st.B >> 1
+				} else {
+					st.B = -((1 - st.B) >> 1)
+				}
+				st.N = st.N >> 1
+			}
+			st.N++
+			if st.B <= -st.N {
+				st.B += st.N
+				if st.C > -128 {
+					st.C--
+				}
+				if st.B <= -st.N {
+					st.B = -st.N + 1
+				}
+			} else if st.B > 0 {
+				st.B -= st.N
+				if st.C < 127 {
+					st.C++
+				}
+				if st.B > 0 {
+					st.B = 0
+				}
+			}
+		}
+	}
+}
+
 // vjpgFrame builds a vjpg bitstream by hand: a header with the given
 // magic and a body.
 func vjpgFrame(magic string, q, w, h int, body ...byte) []byte {
@@ -106,6 +209,37 @@ func vjpgFrame(magic string, q, w, h int, body ...byte) []byte {
 	out = binary.BigEndian.AppendUint16(out, uint16(w))
 	out = binary.BigEndian.AppendUint16(out, uint16(h))
 	return append(out, body...)
+}
+
+// vbFrame encodes planes, the Y, U and V planes of a w×h frame, as a
+// "VB" frame at quantizer q: the frames VJPGEncode writes, but from
+// planes no RGB frame converts to.
+func vbFrame(q, w, h int, planes [3][]byte) []byte {
+	out := vjpgFrame(vjpgMagics[layerBias], q, w, h)
+	var bias biasState
+	for pi, pix := range planes {
+		pw := w
+		if pi > 0 {
+			pw = (w + 1) / 2
+		}
+		pl, b := planeLayer(layerBias, pi, &bias)
+		out = encodePlane(out, pix, pw, planeQuantizer(q, pi), pl, b)
+	}
+	return out
+}
+
+// swingPlane is a w×h plane whose even rows run 0, 255, 0, … and odd
+// rows 255, 0, 255, …: under "VB" every pixel of it is a literal whose
+// error keeps the sign the steps above it give its context, so two of
+// its contexts' corrections run to their clamps.
+func swingPlane(w, h int) []byte {
+	pix := make([]byte, w*h)
+	for i := range pix {
+		if (i%w+i/w)%2 == 1 {
+			pix[i] = 255
+		}
+	}
+	return pix
 }
 
 // decodeAllocBytes reports the bytes VJPGDecode(data) allocates: the
@@ -130,15 +264,17 @@ func decodeAllocBytes(data []byte, bound uint64) uint64 {
 // does, must not let a reused scratch buffer leak one frame into the
 // next, and must allocate no more than the frame it claims.
 func FuzzVJPGDecode(f *testing.F) {
-	// Every layer's frames: "VN" as written now, and the same frames
-	// mean-predicted in the three layers earlier builds wrote.
+	// Every layer's frames: "VB" as written now, "VN" as written
+	// before it, and the same frames mean-predicted in the three layers
+	// earlier builds wrote.
 	layers := func(fr *frame.Frame, q int) [][]byte {
-		med, errMED := VJPGEncode(fr, q)
+		vb, errVB := VJPGEncode(fr, q)
+		med, errMED := encodeVJPG(fr, q, layerMED)
 		mean, errMean := encodeVJPG(fr, q, layerRice)
-		if errMED != nil || errMean != nil {
-			f.Fatal(errMED, errMean)
+		if errVB != nil || errMED != nil || errMean != nil {
+			f.Fatal(errVB, errMED, errMean)
 		}
-		return [][]byte{med, mean, recode(f, mean, layerRice1), recode(f, mean, layerVarint)}
+		return [][]byte{vb, med, mean, recode(f, mean, layerRice1), recode(f, mean, layerVarint)}
 	}
 	for i, q := range []int{1, 4, 12, 20, 128} {
 		for _, d := range layers(frame.Generator{W: 17, H: 9, Seed: int64(i)}.Frame(i), q) {
@@ -200,6 +336,26 @@ func FuzzVJPGDecode(f *testing.F) {
 	f.Add(vjpgFrame(med, 12, 2, 2, slices.Concat([]byte{0x00, 0x00}, bitBytes("110 110 0 10"), chroma2)...))
 	f.Add(vjpgFrame(med, 12, 3, 3, slices.Concat([]byte{0x00, 0x00}, bitBytes("110 10 11110 110 0 11110"), chroma6)...))
 	f.Add(vjpgFrame(med, 12, 2, 2, slices.Concat([]byte{0x00, 0x00}, bitBytes("0 11110"), chroma2)...))
+	// "VB" frames, whose chroma rows are predicted from a corrected row
+	// above: chroma swinging between 0 and 255, whose literals drive
+	// two corrections to their clamps (TestBiasCorrectionClamps); a
+	// zero run that crosses into a row whose correction the literal
+	// before it changed, 128s then 152 then 152s over 153s at chroma
+	// quantizer 24; and planes of width 1, where both of a pixel's
+	// neighbours in the row above are missing.
+	swing := swingPlane(2, 260)
+	f.Add(vbFrame(64, 4, 260, [3][]byte{make([]byte, 4*260), swing, swing}))
+	steps := []byte{128, 128, 128, 152, 152, 152, 153, 153, 153}
+	f.Add(vbFrame(12, 6, 3, [3][]byte{bytes.Repeat([]byte{128}, 18), steps, steps}))
+	for _, w := range []int{1, 2} {
+		for _, q := range []int{1, 12} {
+			d, err := VJPGEncode(frame.Generator{W: w, H: 24, Seed: 9}.Frame(2), q)
+			if err != nil {
+				f.Fatal(err)
+			}
+			f.Add(d)
+		}
+	}
 	var dec VJPGDecoder
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if w, h, err := VJPGDims(data); err == nil && w*h > 256*256 {
@@ -444,6 +600,36 @@ func TestZeroRunsArePredictions(t *testing.T) {
 	}
 }
 
+// TestBiasCorrectionClamps: chroma swinging between 0 and 255 row after
+// row, at chroma quantizer 128, drives the correction of the context
+// over a rising step to 127 and of the one over a falling step to
+// -128, and under the clamped corrections every pixel still decodes
+// within the quantizer's bound, q-1-q/3 (see roundDiv).
+func TestBiasCorrectionClamps(t *testing.T) {
+	const w, h = 4, 260
+	swing := swingPlane(w/2, h)
+	data := vbFrame(64, w, h, [3][]byte{make([]byte, w*h), swing, swing})
+	var dec VJPGDecoder
+	if _, err := dec.Decode(data); err != nil {
+		t.Fatal(err)
+	}
+	yuv, err := VJPGDecodeYUV(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const bound = 128 - 1 - 128/3 // at chroma quantizer 128
+	for i, v := range yuv.Pix[w*h:] {
+		if d := int(v) - int(swing[i%len(swing)]); d > bound || d < -bound {
+			t.Fatalf("chroma pixel %d of %d decodes to %d, %d off", i, 2*len(swing), v, d)
+		}
+	}
+	// After the V plane: the first column's context over a rising step
+	// (right level 8, left 4) and over a falling one (right 0, left 4).
+	if rise, fall := dec.bias.corr[8*9+4], dec.bias.corr[0*9+4]; rise != biasMaxC || fall != biasMinC {
+		t.Errorf("corrections %d over the rising step and %d over the falling one, want %d and %d", rise, fall, biasMaxC, biasMinC)
+	}
+}
+
 // TestVJPGDecodeCost pins what one 160×120 frame costs a decoder whose
 // scratch is warm: the frame header and its pixels, nothing else.
 func TestVJPGDecodeCost(t *testing.T) {
@@ -519,6 +705,33 @@ func BenchmarkVJPGDecode(b *testing.B) {
 	b.SetBytes(160 * 120 * 3) // the decoded RGB frame, as in BenchmarkVJPGEncode
 	for i := 0; i < b.N; i++ {
 		if _, err := dec.Decode(data); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkVJPGDecodeClips decodes the frames the play benchmark's
+// clips hold (bench/seed: four bodies of 50 frames, generator seeds 41,
+// 97, 153 and 209 at 160×120, VHS quality) in turn through one warm
+// decoder; an op is one frame.
+func BenchmarkVJPGDecodeClips(b *testing.B) {
+	var frames [][]byte
+	for c := 0; c < 4; c++ {
+		g := frame.Generator{W: 160, H: 120, Seed: int64(41 + 56*c)}
+		for i := 0; i < 50; i++ {
+			data, err := VJPGEncode(g.Frame(i), QuantizerFor(media.QualityVHS))
+			if err != nil {
+				b.Fatal(err)
+			}
+			frames = append(frames, data)
+		}
+	}
+	var dec VJPGDecoder
+	b.ReportAllocs()
+	b.SetBytes(160 * 120 * 3)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := dec.Decode(frames[i%len(frames)]); err != nil {
 			b.Fatal(err)
 		}
 	}

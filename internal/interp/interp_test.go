@@ -537,7 +537,7 @@ func TestExportedDescriptorVariants(t *testing.T) {
 			Color: media.ColorYUV422, Encoding: media.EncodingVJPG, AvgDataRate: 1.5e6, PeakDataRate: math.Inf(1)},
 		&media.Audio{Quality: media.QualityCD, SampleRate: timebase.CDAudio, DurationTicks: -1, SampleBits: 16, Channels: 2,
 			Encoding: media.EncodingPCM, AvgDataRate: 176400},
-		&media.Image{Quality: 3, Width: 1 << 40, Height: -7, Depth: 32, Color: media.ColorCMYK, Encoding: media.EncodingCMYKSep},
+		&media.Image{Quality: 3, Width: math.MaxInt32, Height: -7, Depth: 32, Color: media.ColorCMYK, Encoding: media.EncodingCMYKSep},
 		&media.Music{Division: timebase.MustNew(480, 1), DurationTicks: math.MaxInt64, Channels: 16, TempoBPM: 0.1},
 		&media.Animation{FrameRate: pal, DurationTicks: math.MinInt64, Width: 640, Height: 480},
 		nil,

@@ -265,7 +265,7 @@ func TestImportRejectsBadPlacement(t *testing.T) {
 		"length beyond the BLOB":          func(r *Run) { r.Layers[0].Len = 1 << 40 },
 		"offset beyond the BLOB":          func(r *Run) { r.Layers[0].Offset = 1 << 20 },
 		"offset + N*stride past the BLOB": func(r *Run) { r.Layers[0].Gap = 1 << 17 },
-		"N = 1<<40":                       func(r *Run) { r.N = 1 << 40 },
+		"N = 1<<30":                       func(r *Run) { r.N = 1 << 30 },
 		"offset stride near MaxInt64":     func(r *Run) { r.Layers[0].Gap = math.MaxInt64 - 12 },
 		"offset and length near MaxInt64": func(r *Run) { r.Layers[0] = LayerRun{Offset: math.MaxInt64 - 3, Len: math.MaxInt64} },
 	} {
@@ -304,7 +304,7 @@ func TestImportRejectsMalformedRecord(t *testing.T) {
 		"stride under length":     func(r *Exported) { r.Tracks[0].Runs[0].Layers[0].Gap = -1 },
 		"offset stride overflows": func(r *Exported) { r.Tracks[0].Runs[0].Layers[0].Gap = math.MaxInt64 },
 		"empty placements, huge N": func(r *Exported) {
-			r.Tracks[0].Runs[0].N, r.Tracks[0].Runs[0].Layers[0] = 1<<40, LayerRun{}
+			r.Tracks[0].Runs[0].N, r.Tracks[0].Runs[0].Layers[0] = 1<<30, LayerRun{}
 		},
 		"a million elements over another track's bytes": func(r *Exported) {
 			r.Tracks[0].Runs[0].N, r.Tracks[0].Runs[0].Layers[0] = 1<<20, LayerRun{Offset: 0, Len: 1}
@@ -369,7 +369,7 @@ func FuzzInterpImport(f *testing.F) {
 	}
 	hostile, _ := hostileFixture(f)
 	rec := Export(hostile)
-	rec.Tracks[0].Runs[0].N = 1 << 40
+	rec.Tracks[0].Runs[0].N = 1 << 30
 	f.Add(layoutBytes(f, rec))
 
 	id, b, err := blob.NewMemStore().Create()
