@@ -248,8 +248,8 @@ func cmdStats(args []string) error {
 			if err := c.get(path+class, &counts[i]); err != nil {
 				return err
 			}
-			// The later counts read the epoch the first one did.
-			path = fmt.Sprintf("/v1/query?count=1&epoch=%d&class=", counts[0].Epoch)
+			// The later counts read the seq the first one did.
+			path = fmt.Sprintf("/v1/query?count=1&as_of=%d&class=", counts[0].Epoch)
 		}
 		var m struct {
 			ExpansionCache expcache.StatsSnapshot `json:"expansion_cache"`

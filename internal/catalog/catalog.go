@@ -81,8 +81,8 @@ type DB struct {
 	// handed out twice.
 	nextBlob blob.ID
 
-	// cur is the published view; an older epoch is read from its
-	// version chains (ViewAt).
+	// cur is the published view; an older seq is read from its
+	// version chains (View.AsOf).
 	cur atomic.Pointer[View]
 
 	// commits queues, in seq order, the commits whose journal append has
@@ -253,7 +253,7 @@ func New(store blob.Store, opts ...Option) *DB {
 		replayCap:    cfg.replayCap,
 		cache:        expcache.New[core.ID, *derive.Value](cfg.cacheCapacity),
 	}
-	db.cur.Store(&View{db: db, at: seqNow})
+	db.cur.Store(&View{db: db})
 	if cfg.telemetry != nil {
 		db.SetTelemetry(cfg.telemetry)
 	}

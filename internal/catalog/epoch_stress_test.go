@@ -137,9 +137,9 @@ func TestEpochRaceStress(t *testing.T) {
 				}
 
 				// Re-pin the same epoch: the newer state read at its seq.
-				v2, err := db.ViewAt(v.Epoch())
+				v2, err := db.CurrentView().AsOf(v.Epoch())
 				if err != nil {
-					t.Errorf("reader %d: ViewAt(%d): %v", rdr, v.Epoch(), err)
+					t.Errorf("reader %d: AsOf(%d): %v", rdr, v.Epoch(), err)
 					return
 				}
 				if d := asOfDiff(v, v2); v2.Epoch() != v.Epoch() || d != "" {
@@ -161,7 +161,7 @@ func TestEpochRaceStress(t *testing.T) {
 					t.Errorf("asof reader %d: epoch %d: %v", rdr, v.Epoch(), err)
 					return
 				}
-				max := db.Seq()
+				max := v.Epoch()
 				if max == 0 {
 					continue
 				}
@@ -174,8 +174,8 @@ func TestEpochRaceStress(t *testing.T) {
 					t.Errorf("asof reader %d: AsOf(%d): %v", rdr, seq, err)
 					return
 				}
-				if av.Epoch() != v.Epoch() {
-					t.Errorf("asof reader %d: AsOf(%d) pinned epoch %d, want %d", rdr, seq, av.Epoch(), v.Epoch())
+				if av.Epoch() != seq {
+					t.Errorf("asof reader %d: AsOf(%d) reads at epoch %d", rdr, seq, av.Epoch())
 					return
 				}
 				all := av.SelectIndexed(IndexedQuery{}, nil, -1)

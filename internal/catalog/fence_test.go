@@ -217,11 +217,11 @@ func TestFaultFenceDependentCommitFails(t *testing.T) {
 					t.Errorf("retried B got %v, the failed one %v; want %v", ids[0], idB, want)
 				}
 				for _, s := range failed { // the acked prefix below s: no trace of the failure
-					v, err := db.ViewAt(s)
+					v, err := db.CurrentView().AsOf(s)
 					if err != nil {
-						t.Errorf("ViewAt(%d), a failed commit's seq: %v", s, err)
+						t.Errorf("AsOf(%d), a failed commit's seq: %v", s, err)
 					} else if d := asOfDiff(before, v); d != "" {
-						t.Errorf("ViewAt(%d), a failed commit's seq, is not the view before it: %s", s, d)
+						t.Errorf("AsOf(%d), a failed commit's seq, is not the view before it: %s", s, d)
 					}
 				}
 				if err := db.CloseJournal(); err != nil {

@@ -414,7 +414,7 @@ func (v *View) runIndexed(sel IndexedQuery, pred func(*core.Object) bool, offset
 		t.probes[pr.label].Inc()
 	}
 	pr.walk(func(id core.ID) bool {
-		o := v.object(id, v.at)
+		o := v.object(id, v.seq)
 		if o == nil || !v.match(&sel, pr.reach, o) || (pred != nil && !pred(o)) {
 			return true
 		}

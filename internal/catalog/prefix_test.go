@@ -55,7 +55,7 @@ func newestSeq(v *View) uint64 {
 }
 
 // asOfDiff reports how a, a view of v's epoch read from another
-// state's chains (ViewAt), differs from v, or "" when it does not: the
+// state's chains (AsOf), differs from v, or "" when it does not: the
 // same live count, every name in v's directory resolving to the same
 // object, and a kind page and an attr query giving the same IDs — v's
 // indexes against one pass over a's chains at the epoch's seq.
@@ -99,7 +99,7 @@ func pageIDs(objs []*core.Object, total int) string {
 // checkpointer and pinning readers, every pinned view is exactly the
 // acknowledged records up to its Epoch: it holds no record above it,
 // every commit acknowledged by the end of the run at or below it, and
-// ViewAt of its Epoch, read from the final state's chains, holds what
+// AsOf of its Epoch, read from the final state's chains, holds what
 // it holds (asOfDiff).
 func TestViewsArePrefixes(t *testing.T) {
 	const (
@@ -230,20 +230,20 @@ func TestViewsArePrefixes(t *testing.T) {
 				missing++
 			}
 		}
-		asOf := "ViewAt failed"
-		got, err := db.ViewAt(v.Epoch())
+		asOf := "AsOf failed"
+		got, err := db.CurrentView().AsOf(v.Epoch())
 		if err == nil {
 			asOf = asOfDiff(v, got)
 		}
 		if top > v.Epoch() || missing > 0 || err != nil || got.Epoch() != v.Epoch() || asOf != "" {
 			if bad++; bad <= 5 {
-				t.Errorf("view %d: newest record %d, %d acknowledged commits at or below it missing; ViewAt: %v; read from the chains: %q",
+				t.Errorf("view %d: newest record %d, %d acknowledged commits at or below it missing; AsOf: %v; read from the chains: %q",
 					v.Epoch(), top, missing, err, asOf)
 			}
 		}
 	}
 	if bad > 0 {
-		t.Errorf("%d of %d pinned views are not exact seq prefixes equal to ViewAt of their epoch", bad, len(views))
+		t.Errorf("%d of %d pinned views are not exact seq prefixes equal to AsOf of their epoch", bad, len(views))
 	}
 	t.Logf("%d pinned views, %d acknowledged commits", len(views), len(acks))
 }
@@ -252,7 +252,7 @@ func TestViewsArePrefixes(t *testing.T) {
 // the batch's prefix up to that seq, and a follower applying the
 // primary's journal record by record is, whenever it reaches a seq the
 // primary published a view at, at a view with the same Epoch — the
-// ETag a read answers — and the same objects as ViewAt of that seq.
+// ETag a read answers — and the same objects as AsOf of that seq.
 func TestFollowerEpochsMatchPrimary(t *testing.T) {
 	dir := t.TempDir()
 	fs, err := blob.OpenFileStore(dir)
@@ -290,8 +290,8 @@ func TestFollowerEpochsMatchPrimary(t *testing.T) {
 	}
 	for i, s := range []uint64{epochs[2] - 2, epochs[2] - 1} { // inside the batch
 		want := append([]string{"clip", "cut"}, []string{"b1", "b2"}[:i+1]...)
-		if v, err := primary.ViewAt(s); err != nil || v.Epoch() != s || !slices.Equal(names(v), want) {
-			t.Errorf("ViewAt(%d), a seq inside a batch: %v; want epoch %d holding %v", s, err, s, want)
+		if v, err := primary.CurrentView().AsOf(s); err != nil || v.Epoch() != s || !slices.Equal(names(v), want) {
+			t.Errorf("AsOf(%d), a seq inside a batch: %v; want epoch %d holding %v", s, err, s, want)
 		}
 	}
 	step(primary.Delete(cut))
@@ -307,7 +307,7 @@ func TestFollowerEpochsMatchPrimary(t *testing.T) {
 			return err
 		}
 		matched++
-		pv, err := primary.ViewAt(seq)
+		pv, err := primary.CurrentView().AsOf(seq)
 		if err != nil {
 			return err
 		}

@@ -44,10 +44,12 @@ import (
 // the mutated objects themselves, not copies of the catalog.
 const DefaultVersionRetention = 256
 
-// ErrVersionGone reports an as_of seq older than the version floor:
-// retention has pruned at least one chain past it, so the catalog at
-// that seq can no longer be reconstructed faithfully.
-var ErrVersionGone = errors.New("catalog: version truncated by retention")
+// ErrVersionGone reports an as_of seq the state cannot answer: one
+// older than the version floor, where retention has pruned at least one
+// chain past it, so the catalog at that seq can no longer be
+// reconstructed faithfully; or one past the state's newest seq, not
+// committed there yet.
+var ErrVersionGone = errors.New("catalog: version gone")
 
 // entry is one committed version of a T. A nil val is a tombstone: the
 // T was deleted (or its BLOB collected) at seq.

@@ -24,9 +24,10 @@ func openRetentionDB(t *testing.T, dir string) *DB {
 }
 
 // verifyRecoveredVersions asserts a reloaded catalog's transaction-time
-// state is whole: chains verify, the floor is exactly wantFloor, every
-// as_of below the floor is refused with ErrVersionGone, and every
-// as_of at or above it materializes a consistent snapshot.
+// state is whole: chains verify, the floor is exactly wantFloor, the
+// head is maxSeq, every as_of below the floor or past the head is
+// refused with ErrVersionGone, and every as_of between them
+// materializes a consistent snapshot.
 func verifyRecoveredVersions(t *testing.T, db *DB, wantFloor, maxSeq uint64) {
 	t.Helper()
 	v := db.CurrentView()
@@ -39,11 +40,14 @@ func verifyRecoveredVersions(t *testing.T, db *DB, wantFloor, maxSeq uint64) {
 	if got := v.VersionFloor(); got != wantFloor {
 		t.Fatalf("recovered floor = %d, want %d", got, wantFloor)
 	}
-	for seq := uint64(1); seq <= maxSeq; seq++ {
+	if v.Epoch() != maxSeq {
+		t.Fatalf("recovered head = %d, want %d", v.Epoch(), maxSeq)
+	}
+	for seq := uint64(1); seq <= maxSeq+2; seq++ {
 		av, err := v.AsOf(seq)
-		if seq < wantFloor {
+		if seq < wantFloor || seq > maxSeq {
 			if !errors.Is(err, ErrVersionGone) {
-				t.Fatalf("AsOf(%d) below floor %d: %v, want ErrVersionGone", seq, wantFloor, err)
+				t.Fatalf("AsOf(%d) outside floor %d..head %d: %v, want ErrVersionGone", seq, wantFloor, maxSeq, err)
 			}
 			continue
 		}
@@ -111,7 +115,7 @@ func TestCrashRecoveryAtVersionRetentionBoundary(t *testing.T) {
 			}
 
 			db2 := openRetentionDB(t, crash)
-			verifyRecoveredVersions(t, db2, wantFloor, maxSeq+2)
+			verifyRecoveredVersions(t, db2, wantFloor, maxSeq)
 			if _, err := db2.Lookup("cutA"); !errors.Is(err, ErrNotFound) {
 				t.Errorf("truncated-away object resurrected: %v", err)
 			}
@@ -190,7 +194,7 @@ func TestCrashRecoveryTruncationDuringCheckpoint(t *testing.T) {
 				}
 				return
 			}
-			verifyRecoveredVersions(t, db2, wantFloor, maxSeq+2)
+			verifyRecoveredVersions(t, db2, wantFloor, maxSeq)
 			if _, err := db2.Lookup("cutA"); !errors.Is(err, ErrNotFound) {
 				t.Errorf("truncated-away object resurrected: %v", err)
 			}

@@ -114,8 +114,8 @@ func TestInterpVersionChainPrimitives(t *testing.T) {
 // TestAsOfViewReads drives the read surface of View.AsOf directly across a
 // scripted history: point lookups by ID and name, interpretation
 // resolution, indexed selection with every constraint family, counts,
-// pagination, and the boundary seqs (0 = before anything, past-the-end
-// = latest state).
+// pagination, and the boundary seqs (0 = before anything, the newest
+// seq = the view itself, past it = ErrVersionGone).
 func TestAsOfViewReads(t *testing.T) {
 	db := memDB()
 	clip, err := db.Ingest("clip", genVideo(8, 21), IngestOptions{Attrs: map[string]string{"lane": "a"}})
@@ -178,9 +178,15 @@ func TestAsOfViewReads(t *testing.T) {
 		t.Errorf("Interpretation(unknown): %v, want ErrNoInterp", err)
 	}
 
-	// Past the end reads as the latest state.
-	if av := asOf(db.Seq() + 50); av.Len() != v.Len() {
-		t.Errorf("AsOf(future).Len = %d, want %d", av.Len(), v.Len())
+	// The newest seq is the view itself; past it nothing is committed.
+	if av := asOf(v.Epoch()); av != v {
+		t.Errorf("AsOf(newest %d) = epoch %d, want the view itself", v.Epoch(), av.Epoch())
+	}
+	if av, err := asOf(cutSeq).AsOf(v.Epoch()); err != nil || av != v {
+		t.Errorf("AsOf(newest) of a past view = %v, %v; want the published view", av, err)
+	}
+	if _, err := v.AsOf(v.Epoch() + 1); !errors.Is(err, ErrVersionGone) || !strings.Contains(err.Error(), "past the newest seq") {
+		t.Errorf("AsOf(future): %v, want ErrVersionGone past the newest seq", err)
 	}
 
 	// Indexed selection at mid-history: every constraint family.
@@ -310,18 +316,17 @@ func TestFaultSyncRollbackRewritesVersionChain(t *testing.T) {
 	if err := v.VerifyVersions(); err != nil {
 		t.Fatalf("chain inconsistency after rollback: %v", err)
 	}
-	for _, seq := range []uint64{mmSeq, failedSeq} {
-		av, err := v.AsOf(seq)
-		if err != nil {
-			t.Fatalf("AsOf(%d): %v", seq, err)
-		}
-		o, err := av.Get(mm)
-		if err != nil {
-			t.Fatalf("AsOf(%d).Get(mm): %v", seq, err)
-		}
-		if len(o.Multimedia.Syncs) != 0 {
-			t.Errorf("as-of read at %d surfaces the rolled-back sync: %+v", seq, o.Multimedia.Syncs)
-		}
+	// The failed commit's seq is never reused, and no view was
+	// published at it: until a later commit lands, it is past the head.
+	if _, err := v.AsOf(failedSeq); failedSeq <= mmSeq || !errors.Is(err, ErrVersionGone) {
+		t.Fatalf("AsOf(%d), the failed sync's seq over head %d: %v, want ErrVersionGone", failedSeq, v.Epoch(), err)
+	}
+	av, err := v.AsOf(mmSeq)
+	if err != nil {
+		t.Fatalf("AsOf(%d): %v", mmSeq, err)
+	}
+	if o, err := av.Get(mm); err != nil || len(o.Multimedia.Syncs) != 0 {
+		t.Errorf("as-of read at %d surfaces the rolled-back sync: %v, %v", mmSeq, o, err)
 	}
 
 	// The fault was one-shot: the retry lands, and only reads at or
@@ -334,7 +339,7 @@ func TestFaultSyncRollbackRewritesVersionChain(t *testing.T) {
 	if err := v.VerifyVersions(); err != nil {
 		t.Fatal(err)
 	}
-	av, err := v.AsOf(ackSeq)
+	av, err = v.AsOf(ackSeq)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -349,8 +354,8 @@ func TestFaultSyncRollbackRewritesVersionChain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if o, err := prev.Get(mm); err != nil || len(o.Multimedia.Syncs) != 0 {
-		t.Errorf("read before the ack sees the sync: %v, %v", o, err)
+	if o, err := prev.Get(mm); ackSeq-1 != failedSeq || err != nil || len(o.Multimedia.Syncs) != 0 {
+		t.Errorf("read at %d, the failed sync's seq, before the ack at %d sees the sync: %v, %v", ackSeq-1, ackSeq, o, err)
 	}
 	if err := db.CloseJournal(); err != nil {
 		t.Fatal(err)
@@ -374,7 +379,7 @@ func syncFixture(t *testing.T, db *DB) (mm core.ID, mmSeq uint64) {
 
 // TestFaultFailedSyncPublishesNothing: a sync whose journal append
 // fails never reaches a reader — no epoch is published for it, so no
-// epoch= pin can be served the unacknowledged constraint.
+// as_of= pin can be served the unacknowledged constraint.
 func TestFaultFailedSyncPublishesNothing(t *testing.T) {
 	db := memDB()
 	mm, _ := syncFixture(t, db)
@@ -389,7 +394,7 @@ func TestFaultFailedSyncPublishesNothing(t *testing.T) {
 		t.Errorf("a failed sync published %d epochs", after-before)
 	}
 	for ep := uint64(0); ep <= after; ep++ {
-		v, err := db.ViewAt(ep)
+		v, err := db.CurrentView().AsOf(ep)
 		if err != nil {
 			continue
 		}
@@ -584,7 +589,7 @@ func TestAsOfNameReuseAcrossDelete(t *testing.T) {
 	}{
 		{addSeq - 1, 0}, {addSeq, oldID}, {delSeq - 1, oldID},
 		{delSeq, 0}, {reAddSeq - 1, 0},
-		{reAddSeq, newID}, {reAddSeq + 10, newID},
+		{reAddSeq, newID},
 	} {
 		av, err := v.AsOf(tc.seq)
 		if err != nil {

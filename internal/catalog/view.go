@@ -7,14 +7,14 @@ package catalog
 // of it: the version chains of objects and interpretations
 // (versions.go), the name directory over the object chains, and every
 // secondary index. A live object is the non-tombstone tail of its
-// chain, so a live read is an as-of read at seqNow and goes through
-// the same point-read helpers a read of the past does (state.object,
-// state.lookup, interpAt). The state is built from persistent treaps
-// (pmap.go, interval.go), so publishing a new epoch after a commit
-// copies only the O(log n) spines the commit touched, once each however
-// many records touched them, and shares everything else with the
-// previous epoch. Every ID-keyed treap walks
-// in ID order, so a query's candidate walk is already in result order.
+// chain, so a live read is an as-of read at the newest seq and goes
+// through the same point-read helpers a read of the past does
+// (state.object, state.lookup, interpAt). The state is built from
+// persistent treaps (pmap.go, interval.go), so publishing a new epoch
+// after a commit copies only the O(log n) spines the commit touched,
+// once each however many records touched them, and shares everything
+// else with the previous epoch. Every ID-keyed treap walks in ID
+// order, so a query's candidate walk is already in result order.
 //
 // Readers pin a View with one atomic load and never take a lock: a
 // pinned view is internally consistent forever — a paginated walk,
@@ -24,17 +24,16 @@ package catalog
 // sequence order, which needs one global critical section per
 // enqueue), but they no longer contend with readers at all.
 //
-// A View is also the one read type for the past: it knows the seq its
-// reads resolve at. A published view reads at seqNow; View.AsOf and
-// DB.ViewAt return a copy of a state that reads at an older seq, where
-// every point read resolves the chains at that seq and a query plans
-// over the same indexes, which list every retained chain, and resolves
-// each candidate at that seq (runIndexed). So an HTTP client can re-pin
-// the epoch of its first page (epoch=) for as long as version retention
-// keeps the chains that far back.
+// A View is also the one read type for the past: it has one seq, the
+// one its reads resolve at. A published view's seq is the newest of its
+// state; View.AsOf returns a view over the same state at an older seq,
+// where every point read resolves the chains at that seq and a query
+// plans over the same indexes, which list every retained chain, and
+// resolves each candidate at that seq (runIndexed). So an HTTP client
+// can re-pin the seq of its first page (as_of=) for as long as version
+// retention keeps the chains that far back.
 
 import (
-	"errors"
 	"fmt"
 	"math"
 
@@ -43,11 +42,8 @@ import (
 	"timedmedia/internal/interp"
 )
 
-// ErrEpochGone reports a pinned epoch past the newest published one.
-var ErrEpochGone = errors.New("catalog: epoch not published")
-
-// seqNow is the seq a live read resolves chains at: past every commit,
-// so each chain answers with its tail.
+// seqNow is the seq an edit's working state resolves chains at: past
+// every commit, so each chain answers with its tail.
 const seqNow = math.MaxUint64
 
 // state is the catalog content of one epoch, shared by a View and the
@@ -120,34 +116,33 @@ func interpAt(vers tmap[blob.ID, *interpVerChain], id blob.ID, seq uint64) *inte
 	return nil
 }
 
-// View is one immutable epoch of the catalog, read at a seq: seqNow
-// for a published view, an older seq for one AsOf or ViewAt made. All
-// methods are safe for unsynchronized concurrent use; none of them
-// lock.
+// View is one immutable epoch of the catalog, read at one seq: the
+// newest of its state for a published view, an older one for a view
+// AsOf made. All methods are safe for unsynchronized concurrent use;
+// none of them lock.
 type View struct {
 	db  *DB
 	seq uint64
-	at  uint64
+	// head is the published view a past view narrows, nil on a
+	// published one: a past view's state, live count included, is its
+	// head's.
+	head *View
 	state
 }
 
-// Epoch returns the journal seq the view holds every acknowledged
-// record up to (see settleLocked); a batch takes several seqs. A view
-// ViewAt(N) made reports N; AsOf keeps the epoch it narrowed.
+// Epoch returns the journal seq the view's reads resolve at. A
+// published view holds every acknowledged record up to it (see
+// settleLocked); a batch takes several seqs. A view AsOf(S) made
+// reports S.
 func (v *View) Epoch() uint64 { return v.seq }
-
-// past reports whether the view reads at an older seq than its
-// state's: its live count describes the newest state, not the one it
-// reads.
-func (v *View) past() bool { return v.at != seqNow }
 
 // Len returns the number of live objects in the view.
 func (v *View) Len() int {
-	if !v.past() {
+	if v.head == nil {
 		return v.count
 	}
 	n := 0
-	v.eachAt(v.at, func(*core.Object) bool { n++; return true })
+	v.eachAt(v.seq, func(*core.Object) bool { n++; return true })
 	return n
 }
 
@@ -160,7 +155,7 @@ func (v *View) VersionChains() int { return v.vers.len() }
 // shared with the view and must be treated as read-only; use
 // (*core.Object).Clone for a mutable copy.
 func (v *View) Get(id core.ID) (*core.Object, error) {
-	if o := v.object(id, v.at); o != nil {
+	if o := v.object(id, v.seq); o != nil {
 		return o, nil
 	}
 	return nil, fmt.Errorf("%w: %v", ErrNotFound, id)
@@ -169,7 +164,7 @@ func (v *View) Get(id core.ID) (*core.Object, error) {
 // Lookup returns the object with the given name. The returned object
 // is shared with the view and must be treated as read-only.
 func (v *View) Lookup(name string) (*core.Object, error) {
-	if o := v.lookup(name, v.at); o != nil {
+	if o := v.lookup(name, v.seq); o != nil {
 		return o, nil
 	}
 	return nil, fmt.Errorf("%w: %q", ErrNotFound, name)
@@ -178,7 +173,7 @@ func (v *View) Lookup(name string) (*core.Object, error) {
 // Interpretation returns the interpretation of a BLOB as of the view's
 // seq.
 func (v *View) Interpretation(id blob.ID) (*interp.Interpretation, error) {
-	if it := interpAt(v.interpVers, id, v.at); it != nil {
+	if it := interpAt(v.interpVers, id, v.seq); it != nil {
 		return it, nil
 	}
 	return nil, fmt.Errorf("%w: %v", ErrNoInterp, id)
@@ -198,7 +193,7 @@ func (v *View) Payloads(id blob.ID) (*interp.Interpretation, error) {
 // collected is Payloads' refusal: ErrVersionGone when the view reads
 // the past and id's interpretation chain ends in a collection.
 func (v *View) collected(id blob.ID) error {
-	if !v.past() {
+	if v.head == nil {
 		return nil
 	}
 	if c, ok := v.interpVers.get(id); ok && !c.live() {
@@ -212,7 +207,7 @@ func (v *View) collected(id blob.ID) error {
 // or modify them.
 func (v *View) Select(pred func(*core.Object) bool) []*core.Object {
 	var out []*core.Object
-	v.eachAt(v.at, func(o *core.Object) bool {
+	v.eachAt(v.seq, func(o *core.Object) bool {
 		if pred(o) {
 			out = append(out, o.Clone())
 		}
@@ -228,41 +223,29 @@ func (db *DB) CurrentView() *View {
 	return db.cur.Load()
 }
 
-// ViewAt returns the view of the given epoch: the current view itself,
-// or the current state read at that older seq. A seq inside a batch,
-// which no published view was at, reads the batch's prefix. An epoch
-// past the current one returns ErrEpochGone, one below the version
-// floor ErrVersionGone.
-func (db *DB) ViewAt(epoch uint64) (*View, error) {
-	cur := db.cur.Load()
-	if epoch > cur.seq {
-		return nil, fmt.Errorf("%w: %d (current is %d)", ErrEpochGone, epoch, cur.seq)
-	}
-	v, err := cur.AsOf(epoch)
-	if err != nil || v == cur {
-		return v, err
-	}
-	v.seq = epoch
-	return v, nil
-}
-
-// AsOf narrows the view to transaction-time seq: a copy that reads at
-// seq and keeps the view's Epoch. seq below the version floor
-// (retention has pruned history past it) returns ErrVersionGone; seq at
-// or beyond the view's own returns the view itself.
+// AsOf returns the view's state read at transaction-time seq: the
+// published view itself when seq is its newest seq, else a view whose
+// Epoch is seq. A seq inside a batch, which no published view was at,
+// reads the batch's prefix. ErrVersionGone refuses a seq below the
+// version floor (retention has pruned history past it) and one past
+// the state's newest seq (not committed there yet).
 func (v *View) AsOf(seq uint64) (*View, error) {
-	if seq < v.verFloor {
-		if t := v.db.tel.Load(); t != nil {
+	h := v
+	if v.head != nil {
+		h = v.head
+	}
+	switch {
+	case seq < h.verFloor:
+		if t := h.db.tel.Load(); t != nil {
 			t.versionGone.Inc()
 		}
-		return nil, fmt.Errorf("%w: as_of %d precedes version floor %d", ErrVersionGone, seq, v.verFloor)
+		return nil, fmt.Errorf("%w: as_of %d precedes version floor %d", ErrVersionGone, seq, h.verFloor)
+	case seq > h.seq:
+		return nil, fmt.Errorf("%w: as_of %d is past the newest seq %d", ErrVersionGone, seq, h.seq)
+	case seq == h.seq:
+		return h, nil
 	}
-	if seq >= min(v.seq, v.at) {
-		return v, nil
-	}
-	a := *v
-	a.at = seq
-	return &a, nil
+	return &View{db: h.db, seq: seq, head: h, state: h.state}, nil
 }
 
 // viewEdit is a copy-on-write editing session over a view. A commit
@@ -307,7 +290,7 @@ func (e *viewEdit) link(obj *core.Object) { e.ix = e.ix.link(e.own, obj, e.getBy
 // no later edit changes a node the view reaches.
 func (e *viewEdit) view(seq uint64) *View {
 	e.db.editOwner, e.own = 0, 0
-	return &View{db: e.db, seq: seq, at: seqNow, state: e.state}
+	return &View{db: e.db, seq: seq, state: e.state}
 }
 
 // commitEditLocked publishes the edit as the view at seq. Load uses

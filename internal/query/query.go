@@ -51,8 +51,8 @@ func New(db *catalog.DB) *Q {
 
 // At starts a query pinned to v, so plan, match and pagination all
 // read one immutable epoch regardless of concurrent writers (the HTTP
-// layer's epoch= parameter does exactly this). A view that reads the
-// past (View.AsOf, DB.ViewAt) answers as of its seq.
+// layer's as_of= parameter does exactly this). A view that reads the
+// past (View.AsOf) answers as of its seq.
 func At(v *catalog.View) *Q {
 	return &Q{v: v, limit: -1}
 }

@@ -103,8 +103,8 @@ func TestBodyDigestVolatileFields(t *testing.T) {
 func TestBodyDigestErrorEnvelope(t *testing.T) {
 	// Error messages are non-contractual and often embed an epoch or
 	// id; equivalence is the code alone.
-	a := []byte(`{"error":{"code":"epoch_gone","message":"epoch 40 evicted"}}`)
-	b := []byte(`{"error":{"code":"epoch_gone","message":"epoch 7 evicted"}}`)
+	a := []byte(`{"error":{"code":"version_gone","message":"as_of 40 is past the newest seq 39"}}`)
+	b := []byte(`{"error":{"code":"version_gone","message":"as_of 7 is past the newest seq 6"}}`)
 	if BodyDigest("application/json", a) != BodyDigest("application/json", b) {
 		t.Error("error digests differ on message-only changes")
 	}

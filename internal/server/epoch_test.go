@@ -1,12 +1,18 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
 	"io"
+	"math/rand"
 	"net/http"
+	"net/http/httptest"
 	"testing"
 
+	"timedmedia/internal/blob"
+	"timedmedia/internal/catalog"
 	"timedmedia/internal/core"
+	"timedmedia/internal/timebase"
 )
 
 // getWithHeaders is get plus the response headers.
@@ -75,9 +81,9 @@ func TestETagAndNotModified(t *testing.T) {
 }
 
 // TestEpochPinnedPagination is the regression test for pagination
-// racing writers: with an epoch= pin, a page and its total are
-// computed against the pinned epoch, so a commit between pages can
-// change neither.
+// racing writers: with the first page's epoch passed back as as_of=, a
+// page and its total are computed against the pinned epoch, so a
+// commit between pages can change neither.
 func TestEpochPinnedPagination(t *testing.T) {
 	ts, db := testServer(t) // clip, song, show (IDs ascending)
 
@@ -88,7 +94,7 @@ func TestEpochPinnedPagination(t *testing.T) {
 	if page1.Total != 3 || len(page1.Objects) != 2 || page1.NextOffset == nil || *page1.NextOffset != 2 {
 		t.Fatalf("page1 = %+v", page1)
 	}
-	pin := "&epoch=" + jsonUint(t, page1.Epoch)
+	pin := "&as_of=" + jsonUint(t, page1.Epoch)
 
 	// Writers commit between the pages: one cut that stays, then more
 	// epochs than any bounded ring of recent views would hold.
@@ -151,30 +157,32 @@ func jsonUint(t *testing.T, n uint64) string {
 	return string(b)
 }
 
-// TestEpochPinErrors: an unparsable epoch is 400; a future epoch is
-// 410 epoch_gone; an old epoch is served from the version chains until
-// retention raises the version floor past it, and then it is 410
-// version_gone.
+// errCode is the code of an error envelope, "" for any other body.
+func errCode(body []byte) string {
+	var env errorEnvelope
+	json.Unmarshal(body, &env)
+	return env.Error.Code
+}
+
+// TestEpochPinErrors: an unparsable pin is 400; a seq past the head is
+// 410 version_gone; an old seq is served from the version chains, under
+// the head's ETag, until retention raises the version floor past it,
+// and then it is 410 version_gone.
 func TestEpochPinErrors(t *testing.T) {
 	ts, db := testServer(t)
 
-	body := get(t, ts.URL+"/v1/objects?epoch=x", 400)
-	var env errorEnvelope
-	json.Unmarshal(body, &env)
-	if env.Error.Code != CodeBadRequest {
-		t.Errorf("bad epoch code = %q", env.Error.Code)
+	if code := errCode(get(t, ts.URL+"/v1/objects?as_of=x", 400)); code != CodeBadRequest {
+		t.Errorf("bad as_of code = %q", code)
 	}
 
-	// Future epoch: never published.
-	body, _ = getWithHeaders(t, ts.URL+"/v1/objects?epoch=999999", nil, 410)
-	env = errorEnvelope{}
-	json.Unmarshal(body, &env)
-	if env.Error.Code != CodeEpochGone {
-		t.Errorf("future epoch code = %q", env.Error.Code)
+	// Past the head: nothing is committed there yet.
+	body, _ := getWithHeaders(t, ts.URL+"/v1/objects?as_of=999999", nil, 410)
+	if code := errCode(body); code != CodeVersionGone {
+		t.Errorf("as_of past the head: code %q", code)
 	}
 
-	// An old epoch: pin the current one, then publish a hundred more.
-	// The pin still reads its own three objects, under its own ETag.
+	// An old seq: pin the current one, then publish a hundred more.
+	// The pin still reads its own three objects; the ETag is the head's.
 	cur := db.CurrentView().Epoch()
 	clip, _ := db.Lookup("clip")
 	for db.CurrentView().Epoch() < cur+100 {
@@ -187,9 +195,10 @@ func TestEpochPinErrors(t *testing.T) {
 		}
 	}
 	var old listReply
-	body, hdr := getWithHeaders(t, ts.URL+"/v1/objects?epoch="+jsonUint(t, cur), nil, 200)
-	if err := json.Unmarshal(body, &old); err != nil || old.Total != 3 || old.Epoch != cur || hdr.Get("ETag") != `"`+jsonUint(t, cur)+`"` {
-		t.Errorf("old epoch %d: %s (%v), ETag %s", cur, body, err, hdr.Get("ETag"))
+	head := `"` + jsonUint(t, db.CurrentView().Epoch()) + `"`
+	body, hdr := getWithHeaders(t, ts.URL+"/v1/objects?as_of="+jsonUint(t, cur), nil, 200)
+	if err := json.Unmarshal(body, &old); err != nil || old.Total != 3 || old.Epoch != cur || hdr.Get("ETag") != head {
+		t.Errorf("as_of %d: %s (%v), ETag %s, want %s", cur, body, err, hdr.Get("ETag"), head)
 	}
 
 	// Below the version floor: revise show until retention prunes its
@@ -200,20 +209,18 @@ func TestEpochPinErrors(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	body, _ = getWithHeaders(t, ts.URL+"/v1/objects?epoch="+jsonUint(t, cur), nil, 410)
-	env = errorEnvelope{}
-	json.Unmarshal(body, &env)
-	if env.Error.Code != CodeVersionGone {
-		t.Errorf("epoch below the version floor: code %q", env.Error.Code)
+	body, _ = getWithHeaders(t, ts.URL+"/v1/objects?as_of="+jsonUint(t, cur), nil, 410)
+	if code := errCode(body); code != CodeVersionGone {
+		t.Errorf("as_of below the version floor: code %q", code)
 	}
 	floor := db.CurrentView().VersionFloor()
-	getWithHeaders(t, ts.URL+"/v1/objects?epoch="+jsonUint(t, floor), nil, 200)
+	getWithHeaders(t, ts.URL+"/v1/objects?as_of="+jsonUint(t, floor), nil, 200)
 }
 
 // TestEpochPinResolvesGraphRoutes: expand, timeline and lineage run
 // wholly against the pinned view — the object and everything it
 // derives from or composes — so objects deleted since the pin still
-// answer under the pinned ETag.
+// answer, under the head's ETag.
 func TestEpochPinResolvesGraphRoutes(t *testing.T) {
 	ts, db := testServer(t) // clip, song, show = clip + song
 	clip, _ := db.Lookup("clip")
@@ -223,18 +230,19 @@ func TestEpochPinResolvesGraphRoutes(t *testing.T) {
 	}
 	_, hdr := getWithHeaders(t, ts.URL+"/v1/objects", nil, 200)
 	etag := hdr.Get("ETag")
-	pin := "?epoch=" + etag[1:len(etag)-1]
+	pin := "?as_of=" + etag[1:len(etag)-1]
 	show, _ := db.Lookup("show")
 	for _, id := range []core.ID{show.ID, cut} {
 		if err := db.Delete(id); err != nil {
 			t.Fatal(err)
 		}
 	}
+	head := `"` + jsonUint(t, db.CurrentView().Epoch()) + `"`
 
 	for _, path := range []string{"/v1/objects/cut/expand", "/v1/objects/show/timeline", "/v1/objects/cut/lineage"} {
 		body, h := getWithHeaders(t, ts.URL+path+pin, nil, 200)
-		if h.Get("ETag") != etag {
-			t.Errorf("GET %s%s ETag = %q, want %q", path, pin, h.Get("ETag"), etag)
+		if h.Get("ETag") != head {
+			t.Errorf("GET %s%s ETag = %q, want the head's %q", path, pin, h.Get("ETag"), head)
 		}
 		if path == "/v1/objects/cut/expand" {
 			var out expandSummary
@@ -244,6 +252,169 @@ func TestEpochPinResolvesGraphRoutes(t *testing.T) {
 		}
 		get(t, ts.URL+path, 404) // the current view has neither
 	}
+}
+
+// pinnedHistory is testServer's catalog with a past worth pinning:
+// a cut of clip and a cut of that cut exist at the returned seq S, and
+// both, with show, are deleted after it.
+func pinnedHistory(t *testing.T) (*httptest.Server, *catalog.DB, uint64) {
+	t.Helper()
+	ts, db := testServer(t)
+	clip, _ := db.Lookup("clip")
+	cut, err := db.SelectDuration(clip.ID, "cut", 0, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cut2, err := db.SelectDuration(cut, "cut2", 1, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	S := db.Seq()
+	show, _ := db.Lookup("show")
+	for _, id := range []core.ID{show.ID, cut2, cut} {
+		if err := db.Delete(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return ts, db, S
+}
+
+// TestOnePinTwoSpellings: epoch=S is another spelling of as_of=S. On
+// every read route the two give the same status, byte-identical bodies
+// and the same ETag, the head's; past the head both answer 410
+// version_gone, and a request sending both is 400.
+func TestOnePinTwoSpellings(t *testing.T) {
+	ts, db, S := pinnedHistory(t)
+	head := `"` + jsonUint(t, db.CurrentView().Epoch()) + `"`
+	routes := []string{
+		"/v1/objects/cut",
+		"/v1/objects?limit=2",
+		"/v1/query?kind=video&sort=name",
+		"/v1/query?count=1",
+		"/v1/objects/show/timeline",
+		"/v1/objects/cut2/lineage",
+		"/v1/objects/clip/at/3",
+		"/v1/objects/clip/at/3?format=json",
+		"/v1/objects/cut2/expand",
+		"/v1/objects/clip/element/1",
+		"/v1/objects/clip/stream",
+	}
+	for _, path := range routes {
+		asOf, hdr := getWithHeaders(t, ts.URL+withParam(path, "as_of="+jsonUint(t, S)), nil, 200)
+		epoch, ehdr := getWithHeaders(t, ts.URL+withParam(path, "epoch="+jsonUint(t, S)), nil, 200)
+		if !bytes.Equal(asOf, epoch) {
+			t.Errorf("%s: as_of=%d and epoch=%d differ:\n%s\n%s", path, S, S, asOf, epoch)
+		}
+		if hdr.Get("ETag") != head || ehdr.Get("ETag") != head {
+			t.Errorf("%s: ETags %s (as_of) and %s (epoch), want the head's %s", path, hdr.Get("ETag"), ehdr.Get("ETag"), head)
+		}
+		for _, pin := range []string{"as_of", "epoch"} {
+			past := withParam(path, pin+"="+jsonUint(t, db.CurrentView().Epoch()+1))
+			if body, _ := getWithHeaders(t, ts.URL+past, nil, 410); errCode(body) != CodeVersionGone {
+				t.Errorf("%s: %s", past, body)
+			}
+		}
+		both := withParam(withParam(path, "as_of="+jsonUint(t, S)), "epoch="+jsonUint(t, S))
+		if body, _ := getWithHeaders(t, ts.URL+both, nil, 400); errCode(body) != CodeBadRequest {
+			t.Errorf("%s: %s", both, body)
+		}
+	}
+	// The body's epoch is the seq read, whichever spelling pinned it.
+	var page listReply
+	if err := json.Unmarshal(get(t, ts.URL+"/v1/objects?epoch="+jsonUint(t, S), 200), &page); err != nil || page.Epoch != S {
+		t.Errorf("epoch=%d page: epoch %d (%v)", S, page.Epoch, err)
+	}
+}
+
+// TestPinRefusedBeforeNotModified: a pin that cannot be read is
+// refused even when If-None-Match names the head's ETag — a 304 would
+// tell the client its cached head answers a read nobody ran.
+func TestPinRefusedBeforeNotModified(t *testing.T) {
+	ts, db := testServer(t)
+	show, _ := db.Lookup("show")
+	for i := int64(0); db.CurrentView().VersionFloor() <= 1; i++ {
+		if err := db.AddSync(show.ID, 0, 1, i); err != nil {
+			t.Fatal(err)
+		}
+	}
+	_, hdr := getWithHeaders(t, ts.URL+"/v1/objects", nil, 200)
+	inm := map[string]string{"If-None-Match": hdr.Get("ETag")}
+	for _, tc := range []struct {
+		query  string
+		status int
+		code   string
+	}{
+		{"as_of=x", 400, CodeBadRequest},
+		{"epoch=x", 400, CodeBadRequest},
+		{"as_of=1&epoch=1", 400, CodeBadRequest},
+		{"as_of=1", 410, CodeVersionGone},
+		{"as_of=" + jsonUint(t, db.CurrentView().Epoch()+1), 410, CodeVersionGone},
+	} {
+		for _, path := range []string{"/v1/objects?", "/v1/objects/clip?"} {
+			if body, _ := getWithHeaders(t, ts.URL+path+tc.query, inm, tc.status); errCode(body) != tc.code {
+				t.Errorf("%s%s with If-None-Match: %s, want %s", path, tc.query, body, tc.code)
+			}
+		}
+	}
+	// A pin that can be read still polls: the head's tag answers 304.
+	getWithHeaders(t, ts.URL+"/v1/objects/clip?as_of="+jsonUint(t, db.CurrentView().Epoch()-1), inm, 304)
+}
+
+// TestReopenedHeadIsSavedSeq: a catalog populated without a journal and
+// saved with one full snapshot — the way a benchmark seeds a directory
+// — reopens at a head whose Epoch is the Seq it was saved at, so an
+// as_of draw up to that Seq is answered, not refused as past the head.
+func TestReopenedHeadIsSavedSeq(t *testing.T) {
+	dir := t.TempDir()
+	store, err := blob.OpenFileStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	db := catalog.New(store, catalog.WithVersionRetention(2))
+	applyScript(t, db, "h", genScript(rand.New(rand.NewSource(63)), 24))
+	// Two syncs on a fresh composition: its third version raises the
+	// floor under retention 2.
+	src, err := db.Lookup("h-001") // the first scripted op is always an ingest
+	if err != nil {
+		t.Fatal(err)
+	}
+	mm, err := db.AddMultimedia("floor-marker", timebase.Millis, []core.ComponentRef{{Object: src.ID}, {Object: src.ID, Start: 40}}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := int64(0); i < 2; i++ {
+		if err := db.AddSync(mm, 0, 1, i); err != nil {
+			t.Fatal(err)
+		}
+	}
+	seq := db.Seq()
+	if db.CurrentView().Epoch() != seq || db.CurrentView().VersionFloor() == 0 {
+		t.Fatalf("seeded head %d, Seq %d, floor %d", db.CurrentView().Epoch(), seq, db.CurrentView().VersionFloor())
+	}
+	if err := db.Save(dir); err != nil {
+		t.Fatal(err)
+	}
+	if err := store.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	store, err = blob.OpenFileStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	rdb, err := catalog.Open(dir, store)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rdb.CloseJournal()
+	if got := rdb.CurrentView().Epoch(); got != seq {
+		t.Fatalf("reopened head %d, saved at Seq %d", got, seq)
+	}
+	ts := httptest.NewServer(New(rdb))
+	defer ts.Close()
+	get(t, ts.URL+"/v1/query?count=1&as_of="+jsonUint(t, seq), 200)
+	get(t, ts.URL+"/v1/query?count=1&as_of="+jsonUint(t, seq+1), 410)
 }
 
 // TestAtAliasSharedShape: /at/{tick}?format=json returns the shared

@@ -29,7 +29,6 @@ const (
 	CodeDupName      = "duplicate_name"
 	CodeJournal      = "journal_failed"
 	CodeBadRequest   = "bad_request"
-	CodeEpochGone    = "epoch_gone"
 	CodeVersionGone  = "version_gone"
 	CodeOverloaded   = "overloaded"
 	CodeReadOnly     = "read_only"
@@ -64,14 +63,11 @@ func classify(err error) (status int, code string) {
 		return http.StatusBadRequest, CodeCannotExpand
 	case errors.Is(err, catalog.ErrNoInterp):
 		return http.StatusBadRequest, CodeNoInterp
-	case errors.Is(err, catalog.ErrEpochGone):
-		// 410, not 404: the resource class still exists, the pinned
-		// epoch has been retired. Clients drop the pin and re-read.
-		return http.StatusGone, CodeEpochGone
 	case errors.Is(err, catalog.ErrVersionGone):
-		// Same shape for transaction time: the requested as_of sequence
-		// fell below the version retention floor. Deterministic and
-		// stable — replaying the same history yields the same 410.
+		// 410, not 404: the resource class still exists, but the pinned
+		// seq is not one this catalog can answer — retention pruned the
+		// history below it, or it is past the head. Clients drop the pin
+		// and re-read from the head.
 		return http.StatusGone, CodeVersionGone
 	case errors.Is(err, catalog.ErrInvalid):
 		return http.StatusBadRequest, CodeBadRequest

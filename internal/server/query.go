@@ -30,6 +30,7 @@ import (
 //
 // Shaping: sort=id|name|duration (default id), limit=N, offset=N,
 // count=1 returns {"count":N,"epoch":E} without materializing objects.
+// E, like a page's epoch, is the seq the view was read at.
 // Results use the paginated listReply envelope.
 
 // parseKindName maps the wire name of a media kind back to the kind.
@@ -100,7 +101,8 @@ var queryParams = map[string]bool{
 	"derived_from": true, "live_at": true, "overlaps": true,
 	"min_duration": true, "max_duration": true, "sort": true,
 	"limit": true, "offset": true, "count": true,
-	"epoch": true, "as_of": true,
+	// The read pin (see pin); epoch is its older spelling.
+	"as_of": true, "epoch": true,
 }
 
 // checkQueryParams rejects unknown /v1/query parameters, reporting
@@ -151,8 +153,8 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	// The whole query — planner, match, pagination, summaries — runs
 	// against one pinned epoch view: no lock is taken and concurrent
 	// commits cannot tear the result or skew total against the page.
-	// With as_of= the view narrows further, to the transaction-time
-	// snapshot at that journal sequence.
+	// With as_of= it is the transaction-time snapshot at that journal
+	// sequence.
 	v, asOfStart, okPin := s.pin(w, r)
 	if !okPin {
 		return

@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -11,12 +12,22 @@ import (
 
 // FuzzQueryParams sends an arbitrary query string to /v1/query. Whatever
 // it holds, the answer is 200, 400 bad_request, 404 not_found (a
-// derived_from naming no object) or 410 (an as_of or epoch no longer
-// retained) — never a 5xx, never a panic — and its body is exactly one
-// JSON value. /v1/objects is the same parser: the same query string
-// sent there answers the same status with a byte-identical body.
+// derived_from naming no object) or 410 version_gone (a pin below the
+// version floor or past the head) — never a 5xx, never a panic — and
+// its body is exactly one JSON value. /v1/objects is the same parser:
+// the same query string sent there answers the same status with a
+// byte-identical body.
 func FuzzQueryParams(f *testing.F) {
-	ts, _ := testServer(f)
+	ts, db := testServer(f)
+	// Revise show until retention prunes its chain: a pin below the
+	// floor is then one more way to be refused.
+	show, _ := db.Lookup("show")
+	for i := int64(0); db.CurrentView().VersionFloor() <= 3; i++ {
+		if err := db.AddSync(show.ID, 0, 1, i); err != nil {
+			f.Fatal(err)
+		}
+	}
+	floor := db.CurrentView().VersionFloor()
 	for _, q := range []string{
 		// TestQueryEndpointBadRequests' cases.
 		"kind=hologram", "class=imaginary", "live_at=noon", "live_at=NaN",
@@ -27,6 +38,10 @@ func FuzzQueryParams(f *testing.F) {
 		// Well-formed queries over the fixture.
 		"", "kind=video&sort=name&limit=1", "attr.language=en&count=1",
 		"live_at=0.1&as_of=2", "epoch=1", "name_contains=o&offset=2",
+		// The one pin: both spellings at once, past the head, below the
+		// version floor.
+		"as_of=2&epoch=2", "as_of=99999", "epoch=99999&count=1",
+		fmt.Sprintf("as_of=%d", floor-1), fmt.Sprintf("epoch=%d&kind=video", floor-1),
 	} {
 		f.Add(q)
 	}
@@ -54,12 +69,13 @@ func FuzzQueryParams(f *testing.F) {
 		}
 		var env errorEnvelope
 		json.Unmarshal(body, &env)
-		want := map[int]string{http.StatusOK: "", http.StatusBadRequest: CodeBadRequest, http.StatusNotFound: CodeNotFound}
+		want := map[int]string{http.StatusOK: "", http.StatusBadRequest: CodeBadRequest,
+			http.StatusNotFound: CodeNotFound, http.StatusGone: CodeVersionGone}
 		switch code, ok := want[rec.Code]; {
-		case ok && env.Error.Code != code:
-			t.Fatalf("%q: %d with error code %q, want %q: %s", q, rec.Code, env.Error.Code, code, body)
-		case !ok && rec.Code != http.StatusGone:
+		case !ok:
 			t.Fatalf("%q: status %d: %s", q, rec.Code, body)
+		case env.Error.Code != code:
+			t.Fatalf("%q: %d with error code %q, want %q: %s", q, rec.Code, env.Error.Code, code, body)
 		}
 	})
 }

@@ -367,9 +367,8 @@ func writeText(w http.ResponseWriter, text string, err error) {
 }
 
 // listReply is the paginated shape of GET /v1/query (and /v1/objects).
-// Epoch is the journal seq of the view the page was computed against —
-// pass it back as ?epoch= to make the next page mutually consistent
-// with this one.
+// Epoch is the journal seq the page was read at — pass it back as
+// ?as_of= to make the next page mutually consistent with this one.
 // NextOffset is present only when more objects follow the returned
 // page and the page advanced: a limit=0 page links nowhere, as
 // following it would fetch the same page forever.
