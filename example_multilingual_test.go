@@ -130,16 +130,16 @@ func Example_multilingual() {
 	}
 
 	// Output:
-	// movie stored: 1 video + 4 audio tracks in one 2421581-byte BLOB
+	// movie stored: 1 video + 4 audio tracks in one 2375959-byte BLOB
 	//
 	// Q1: audio track where language = "fr"
 	//     → #3 "movie-audio-fr" [media object (non-derived)] ← blob-1/audio-fr
 	// Q2: select frames [10,30) of the movie
 	//     → 20 frames via a 61-byte derivation object
 	// Q3: retrieve frames at preview fidelity
-	//     → 80x60 previews, 22983 B read (full fidelity would read 1010381 B, 44.0x more)
+	//     → 80x60 previews, 30825 B read (full fidelity would read 964759 B, 31.3x more)
 	//
-	// uninterpreted-BLOB baseline: any query touches all 2421581 bytes
+	// uninterpreted-BLOB baseline: any query touches all 2375959 bytes
 	//
 	// all objects of the movie:
 	//     #1 "movie" [media object (non-derived)] ← blob-1/video

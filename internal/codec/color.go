@@ -1,6 +1,7 @@
 package codec
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"timedmedia/internal/frame"
@@ -24,25 +25,25 @@ func RGBToYUV422(f *frame.Frame) (*frame.Frame, error) {
 	uPlane := out.Pix[w*h : w*h+cw*h]
 	vPlane := out.Pix[w*h+cw*h:]
 	for y := 0; y < h; y++ {
-		for x := 0; x < w; x++ {
-			r, g, b := f.RGB(x, y)
+		row := f.Pix[3*y*w : 3*y*w+3*w]
+		ys := yPlane[y*w : y*w+w]
+		for x := range ys {
+			p := row[3*x : 3*x+3 : 3*x+3]
 			// BT.601-style integer transform.
-			yy := (66*int(r) + 129*int(g) + 25*int(b) + 128) >> 8
-			yPlane[y*w+x] = clamp8(yy + 16)
+			ys[x] = clamp8((66*int(p[0])+129*int(p[1])+25*int(p[2])+128)>>8 + 16)
 		}
-		for cx := 0; cx < cw; cx++ {
-			x0 := cx * 2
-			x1 := x0 + 1
-			if x1 >= w {
-				x1 = x0
+		us, vs := uPlane[y*cw:y*cw+cw], vPlane[y*cw:y*cw+cw]
+		for cx := range us {
+			p0 := row[6*cx : 6*cx+3 : 6*cx+3]
+			p1 := p0
+			if 6*cx+6 <= len(row) {
+				p1 = row[6*cx+3 : 6*cx+6 : 6*cx+6]
 			}
-			r0, g0, b0 := f.RGB(x0, y)
-			r1, g1, b1 := f.RGB(x1, y)
-			r, g, b := (int(r0)+int(r1))/2, (int(g0)+int(g1))/2, (int(b0)+int(b1))/2
+			r, g, b := (int(p0[0])+int(p1[0]))/2, (int(p0[1])+int(p1[1]))/2, (int(p0[2])+int(p1[2]))/2
 			u := (-38*r - 74*g + 112*b + 128) >> 8
 			v := (112*r - 94*g - 18*b + 128) >> 8
-			uPlane[y*cw+cx] = clamp8(u + 128)
-			vPlane[y*cw+cx] = clamp8(v + 128)
+			us[cx] = clamp8(u + 128)
+			vs[cx] = clamp8(v + 128)
 		}
 	}
 	return out, nil
@@ -64,68 +65,95 @@ func YUV422ToRGB(f *frame.Frame) (*frame.Frame, error) {
 //	g = (298(Y-16) - 100(U-128) - 208(V-128) + 128) >> 8
 //	b = (298(Y-16) + 516(U-128) + 128) >> 8
 //
-// each clamped to a byte. The tables hold every product by the stored
-// byte. The luma term also carries the rounding constant and a bias of
-// clampBias<<8, so each shifted sum lands in clampTab already offset:
-// over all inputs it spans [-277, 534] + clampBias, inside the table.
-const clampBias = 384
+// each clamped to a byte. The three sums are taken at once, as three
+// 21-bit lanes of one uint64 (red from bit 0, green from laneG, blue
+// from laneB): lumaLanes[Y] + chromaU[U] + chromaV[V]. Each table lifts
+// its lanes by a multiple of 256 that keeps them non-negative, so no
+// lane borrows from the next, and the three lifts add up to rgbBias in
+// every lane: a lane holds its channel's sum plus 2^17, which over all
+// inputs lies in [60384, 267954], below 2^19, so no lane carries into
+// the next either, and clampTab takes a lane's bits from 8 up to its
+// channel's clamped byte.
+const (
+	laneG, laneB = 21, 42
+	rgbBias      = 512 << 8
+	biasU        = 258 << 8                // 516·128: the blue lane of U = 0
+	biasV        = 205 << 8                // above 409·128: the red lane of V = 0
+	biasY        = rgbBias - biasU - biasV // above 298·16 - 128: Y = 0
+)
 
 var (
-	lumaTerm, redV, greenU, greenV, blueU [256]int32
-	clampTab                              [1024]byte
+	lumaLanes, chromaU, chromaV [256]uint64
+	clampTab                    [2048]byte
 )
+
+// lanes packs three non-negative lane values into one word.
+func lanes(r, g, b int32) uint64 {
+	return uint64(r) | uint64(g)<<laneG | uint64(b)<<laneB
+}
 
 func init() {
 	for i := range 256 {
 		c := int32(i) - 128
-		lumaTerm[i] = 298*(int32(i)-16) + 128 + clampBias<<8
-		redV[i], greenU[i], greenV[i], blueU[i] = 409*c, -100*c, -208*c, 516*c
+		y := 298*(int32(i)-16) + 128 + biasY
+		lumaLanes[i] = lanes(y, y, y)
+		chromaU[i] = lanes(biasU, -100*c+biasU, 516*c+biasU)
+		chromaV[i] = lanes(409*c+biasV, -208*c+biasV, biasV)
 	}
 	for i := range clampTab {
-		clampTab[i] = clamp8(i - clampBias)
+		clampTab[i] = clamp8(i - rgbBias>>8)
 	}
 }
 
-// chromaTerms returns the red, green and blue chroma products of one
-// chroma sample, shared by the two pixels it covers.
-func chromaTerms(u, v byte) (rv, guv, bu int32) {
-	return redV[v], greenU[u] + greenV[v], blueU[u]
-}
-
-// rgbPixel writes one pixel from its luma byte and its chroma terms.
-// The index mask never changes a value (see clampBias); it lets the
-// compiler drop the bounds check.
-func rgbPixel(o []byte, y byte, rv, guv, bu int32) {
-	_ = o[2]
-	luma := lumaTerm[y]
-	o[0] = clampTab[(luma+rv)>>8&1023]
-	o[1] = clampTab[(luma+guv)>>8&1023]
-	o[2] = clampTab[(luma+bu)>>8&1023]
+// rgbWord returns the pixel whose lanes are l as its three bytes, red
+// in the lowest.
+func rgbWord(l uint64) uint32 {
+	return uint32(clampTab[l>>8&2047]) | uint32(clampTab[l>>(laneG+8)&2047])<<8 | uint32(clampTab[l>>(laneB+8)&2047])<<16
 }
 
 // yuv422ToRGB converts the planar YUV 8:2:2 buffer src of w×h into the
-// interleaved RGB buffer dst, a row at a time and two pixels per chroma
-// sample.
+// interleaved RGB buffer dst: in one pass of pixel pairs where w is
+// even, and otherwise a row at a time, the last pixel of each row on
+// its own.
 func yuv422ToRGB(dst, src []byte, w, h int) {
 	cw := (w + 1) / 2
 	yPlane := src[:w*h]
 	uPlane := src[w*h : w*h+cw*h]
-	vPlane := src[w*h+cw*h:]
+	vPlane := src[w*h+cw*h : w*h+2*cw*h]
+	if w%2 == 0 {
+		rgbPairs(dst[:3*w*h], yPlane, uPlane, vPlane)
+		return
+	}
 	for y := 0; y < h; y++ {
 		ys := yPlane[y*w : y*w+w]
 		us := uPlane[y*cw : y*cw+cw]
 		vs := vPlane[y*cw : y*cw+cw]
 		out := dst[3*y*w : 3*y*w+3*w]
-		for cx := range w / 2 {
-			rv, guv, bu := chromaTerms(us[cx], vs[cx])
-			o, yy := out[6*cx:6*cx+6], ys[2*cx:2*cx+2]
-			rgbPixel(o[:3], yy[0], rv, guv, bu)
-			rgbPixel(o[3:], yy[1], rv, guv, bu)
-		}
-		if w%2 == 1 { // the last chroma sample covers one pixel
-			rv, guv, bu := chromaTerms(us[cw-1], vs[cw-1])
-			rgbPixel(out[3*w-3:], ys[w-1], rv, guv, bu)
-		}
+		rgbPairs(out, ys, us[:cw-1], vs)
+		p := rgbWord(lumaLanes[ys[w-1]] + chromaU[us[cw-1]] + chromaV[vs[cw-1]])
+		out[3*w-3], out[3*w-2], out[3*w-1] = byte(p), byte(p>>8), byte(p>>16)
+	}
+}
+
+// rgbPairs converts pixel pairs, one per chroma sample of us and vs: ys
+// holds their luma and out their RGB. It runs at every pixel of every
+// decoded frame: the vector kernel takes what it can (rgbBlocks, none
+// where there is no kernel), and rgbPairsScalar the rest.
+func rgbPairs(out, ys, us, vs []byte) {
+	k := rgbBlocks(out, ys, us, vs)
+	rgbPairsScalar(out[6*k:], ys[2*k:], us[k:], vs[k:])
+}
+
+// rgbPairsScalar is rgbPairs through the lane tables: no branch but the
+// loop's, and each pair's six bytes in two stores.
+func rgbPairsScalar(out, ys, us, vs []byte) {
+	vs = vs[:len(us)]
+	for i, u := range us {
+		c := chromaU[u] + chromaV[vs[i]]
+		y, o := ys[2*i:2*i+2:2*i+2], out[6*i:6*i+6:6*i+6]
+		p0, p1 := rgbWord(lumaLanes[y[0]]+c), rgbWord(lumaLanes[y[1]]+c)
+		binary.LittleEndian.PutUint32(o, p0|p1<<24)
+		binary.LittleEndian.PutUint16(o[4:], uint16(p1>>8))
 	}
 }
 

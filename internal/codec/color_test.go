@@ -1,6 +1,8 @@
 package codec
 
 import (
+	"bytes"
+	"math/rand"
 	"testing"
 
 	"timedmedia/internal/frame"
@@ -142,5 +144,104 @@ func TestCMYKRequiresModels(t *testing.T) {
 	}
 	if _, err := CMYKToRGB(frame.New(2, 2, media.ColorRGB)); err == nil {
 		t.Error("rgb input must be rejected")
+	}
+}
+
+// refRGB is the BT.601-style inverse transform as plain integer
+// arithmetic, with no tables: each sum shifted (rounding toward minus
+// infinity) and clamped to a byte.
+func refRGB(y, u, v byte) (r, g, b byte) {
+	yy, uu, vv := int(y)-16, int(u)-128, int(v)-128
+	return clamp8((298*yy + 409*vv + 128) >> 8),
+		clamp8((298*yy - 100*uu - 208*vv + 128) >> 8),
+		clamp8((298*yy + 516*uu + 128) >> 8)
+}
+
+// refYUV422ToRGB converts a planar YUV 8:2:2 buffer of w×h pixel by
+// pixel through refRGB.
+func refYUV422ToRGB(src []byte, w, h int) []byte {
+	cw := (w + 1) / 2
+	out := make([]byte, 0, 3*w*h)
+	for y := 0; y < h; y++ {
+		for x := 0; x < w; x++ {
+			r, g, b := refRGB(src[y*w+x], src[w*h+y*cw+x/2], src[w*h+cw*h+y*cw+x/2])
+			out = append(out, r, g, b)
+		}
+	}
+	return out
+}
+
+// TestYUV422ToRGBExact: the conversion returns refRGB's bytes for every
+// (Y,U,V) triple — 256 frames of 256×256, one a U value, with V down
+// the rows and Y along them, so each chroma sample covers two Y values
+// — through the vector kernel where there is one and through the lane
+// tables alone (rgbPairsScalar); and for random planes at widths 1, 2,
+// 3 and 161, whose odd widths end each row on a pixel of its own.
+func TestYUV422ToRGBExact(t *testing.T) {
+	const w, h = 256, 256
+	src := make([]byte, 2*w*h)
+	dst := make([]byte, 3*w*h)
+	for i := range w * h {
+		src[i] = byte(i)
+	}
+	for v := range h {
+		for cx := range w / 2 {
+			src[w*h+w/2*h+v*w/2+cx] = byte(v)
+		}
+	}
+	for u := range 256 {
+		for i := w * h; i < w*h+w/2*h; i++ {
+			src[i] = byte(u)
+		}
+		want := refYUV422ToRGB(src, w, h)
+		for _, convert := range []func(){
+			func() { yuv422ToRGB(dst, src, w, h) },
+			func() { rgbPairsScalar(dst, src[:w*h], src[w*h:w*h+w/2*h], src[w*h+w/2*h:]) },
+		} {
+			clear(dst)
+			convert()
+			if !bytes.Equal(dst, want) {
+				i := 0
+				for dst[i] == want[i] {
+					i++
+				}
+				p := i / 3
+				t.Fatalf("Y %d U %d V %d: channel %d is %d, want %d", p%256, u, p/w, i%3, dst[i], want[i])
+			}
+		}
+	}
+	rng := rand.New(rand.NewSource(1))
+	for _, w := range []int{1, 2, 3, 161} {
+		for _, h := range []int{1, 2, 7} {
+			f := frame.New(w, h, media.ColorYUV422)
+			rng.Read(f.Pix)
+			got, err := YUV422ToRGB(f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got.Pix, refYUV422ToRGB(f.Pix, w, h)) {
+				t.Errorf("%dx%d: the kernel and the formula differ", w, h)
+			}
+		}
+	}
+}
+
+// BenchmarkYUV422ToRGB converts one decoded frame of the benchmark's
+// clip size into a buffer it reuses: the colour conversion alone, which
+// allocates nothing.
+func BenchmarkYUV422ToRGB(b *testing.B) {
+	data, err := VJPGEncode(frame.Generator{W: 160, H: 120, Seed: 41}.Frame(3), QuantizerFor(media.QualityVHS))
+	if err != nil {
+		b.Fatal(err)
+	}
+	yuv, err := VJPGDecodeYUV(data)
+	if err != nil {
+		b.Fatal(err)
+	}
+	dst := make([]byte, 160*120*3)
+	b.ReportAllocs()
+	b.SetBytes(int64(len(dst)))
+	for b.Loop() {
+		yuv422ToRGB(dst, yuv.Pix, 160, 120)
 	}
 }

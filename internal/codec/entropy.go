@@ -45,9 +45,11 @@ import (
 // vjpg planes, the one segment kind that runs DPCM, have a fourth
 // layer: layerRice's codes over residuals of the median edge detector
 // (see predict in vjpg.go), where the other layers' residuals are of
-// the mean of left and above. A vjpg frame has a fifth: its luma plane
-// in layerMED, and its chroma planes in layerMED over a bias-corrected
-// row above (see biasState in vjpg.go).
+// the mean of left and above. A vjpg frame has two more, frame-level
+// ones: layerLuma, written now, whose three planes are each in layerMED
+// over a bias-corrected row above (see biasState in vjpg.go), and
+// layerBias, which earlier builds wrote, whose chroma planes are so and
+// whose luma plane is plain layerMED.
 
 // layer is an entropy layer, and for a vjpg plane the predictor its
 // residuals are of. A bitstream's two-byte magic names the layer of its
@@ -58,13 +60,14 @@ const (
 	layerRice   layer = iota // Rice with run interruption: written (vjpg frames only as vmpg keys)
 	layerRice1               // Rice without it: read only
 	layerVarint              // byte varints: read only
-	layerMED                 // layerRice over MED residuals: vjpg planes only, written as layerBias's luma
-	layerBias                // layerMED with bias-corrected chroma: written, vjpg frames only
+	layerMED                 // layerRice over MED residuals: vjpg planes only, read only as a frame's layer
+	layerBias                // layerMED with bias-corrected chroma: vjpg frames only, read only
+	layerLuma                // layerBias with the luma plane corrected too: written, vjpg frames only
 )
 
 // magics are a segment kind's magics, indexed by layer; a kind has none
 // (an empty string, which no data opens with) for a layer it never had.
-type magics [5]string
+type magics [6]string
 
 // layerOf returns the layer data's magic names among m, and false if
 // data opens with none of them.

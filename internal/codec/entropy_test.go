@@ -174,7 +174,7 @@ func (b *refBits) rice(k int) (uint64, bool) {
 // refRiceDecode is riceDecode written the plain way, over refBits:
 // the header of Rice layer l, then each token read under the parameter
 // the grammar gives it — a literal after a run short of maxRun under kb
-// as k-1 in layerRice, layerMED and layerBias, every other token under
+// as k-1 in layerRice and the MED-predicted layers, every other token under
 // ka.
 func refRiceDecode(src []byte, n int, l layer) ([]int32, int, error) {
 	var ka, kb, kr, bias, head int
@@ -182,7 +182,7 @@ func refRiceDecode(src []byte, n int, l layer) ([]int32, int, error) {
 	case l == layerRice1 && len(src) >= 1:
 		ka, kr, head = int(src[0]>>4), int(src[0]&15), 1
 		kb = ka
-	case (l == layerRice || l == layerMED || l == layerBias) && len(src) >= 2 && src[1]&15 == 0:
+	case (l == layerRice || l >= layerMED) && len(src) >= 2 && src[1]&15 == 0:
 		ka, kb, kr, bias, head = int(src[0]>>4), int(src[0]&15), int(src[1]>>4), 1, 2
 	default:
 		return nil, 0, ErrCorrupt

@@ -85,20 +85,21 @@ func checkGolden(t *testing.T, name, got string, want map[string]string) {
 type goldenSet struct {
 	frames    map[string][]byte // the vjpg frames, by goldenCases name
 	base, enh []byte            // the layered frame
-	vmpg      []VMPGPacket      // the vmpg GOP; none in layerBias or layerMED
+	vmpg      []VMPGPacket      // the vmpg GOP; none in the MED-predicted layers
 }
 
-// goldenStreams encodes the golden fixtures in layer l. In layerBias
-// they are what VJPGEncode and VJPGEncodeLayered write now, and in
-// layerMED what they wrote before chroma bias correction; vmpg keys
-// are never MED-predicted, so neither has a GOP. In the other layers
+// goldenStreams encodes the golden fixtures in layer l. In layerLuma
+// they are what VJPGEncode writes now, in layerBias what it wrote
+// before luma bias correction, and in layerMED what it wrote before
+// chroma bias correction; vmpg keys are never MED-predicted, so none of
+// the three has a GOP. In the other layers
 // the vjpg frames and the layered base are mean-predicted, as earlier
 // builds wrote them and as vmpg keys are written now, and each
 // bitstream is recoded to l (recode).
 func goldenStreams(t *testing.T, l layer) goldenSet {
 	t.Helper()
 	vl, in := l, func(data []byte) []byte { return data }
-	if l != layerBias && l != layerMED {
+	if l != layerLuma && l != layerBias && l != layerMED {
 		vl = layerRice
 		if l != layerRice {
 			in = func(data []byte) []byte { return recode(t, data, l) }
@@ -124,10 +125,11 @@ func goldenStreams(t *testing.T, l layer) goldenSet {
 }
 
 // goldenLayers are the tables TestVJPGEncodeGolden holds each layer's
-// bitstreams to: what the encoders write now — biasEncodeGolden, and
+// bitstreams to: what the encoders write now — lumaEncodeGolden, and
 // encodeGolden for the vmpg GOP — and what earlier builds wrote for the
 // same frames.
 var goldenLayers = map[layer]map[string]string{
+	layerLuma:   lumaEncodeGolden,
 	layerBias:   biasEncodeGolden,
 	layerMED:    medEncodeGolden,
 	layerRice:   encodeGolden,
@@ -147,6 +149,13 @@ func TestVJPGEncodeGolden(t *testing.T) {
 			checkGolden(t, name, digest(data), want)
 		}
 		checkGolden(t, "layered", digest(set.base, set.enh), want)
+		if l == layerMED {
+			base, enh, err := VJPGEncodeLayered(frame.Generator{W: 33, H: 17, Seed: 12}.Frame(3), 8)
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkGolden(t, "layered", digest(base, enh), want)
+		}
 		n := len(set.frames) + 1
 		if set.vmpg != nil {
 			var parts [][]byte
@@ -165,14 +174,17 @@ func TestVJPGEncodeGolden(t *testing.T) {
 // TestVJPGDecodeGolden pins what the decoders return for the same
 // fixtures: the RGB and the YUV reconstruction of every vjpg frame, the
 // base and full reconstruction of the layered frame, and every frame of
-// the vmpg GOP — biasDecodeGolden for the bitstreams with corrected
-// chroma, medDecodeGolden for the MED-predicted ones without, and
+// the vmpg GOP — lumaDecodeGolden for the bitstreams with every plane
+// corrected, biasDecodeGolden for those with corrected chroma,
+// medDecodeGolden for the MED-predicted ones without, and
 // decodeGolden for the mean-predicted ones in each of the three layers
 // they were ever written in.
 func TestVJPGDecodeGolden(t *testing.T) {
 	for l := range goldenLayers {
 		want := decodeGolden
 		switch l {
+		case layerLuma:
+			want = lumaDecodeGolden
 		case layerBias:
 			want = biasDecodeGolden
 		case layerMED:
@@ -323,7 +335,7 @@ var decodeGolden = map[string]string{
 
 // medEncodeGolden is what the encoders wrote before chroma bias
 // correction: layerMED's "VN" frames, and the layered frame's "VN" base
-// and "VG" enhancement.
+// and "VG" enhancement, which VJPGEncodeLayered writes now.
 var medEncodeGolden = map[string]string{
 	"q1/160x120":   "84f82e9b4ab801cc183fed1158d9415187c04d0e9ff386ddd5a919e3ec58386c",
 	"q4/160x120":   "f906f1f16413067938b505a546aeefb24860b07640e859b88b142253ba02fe3d",
@@ -373,8 +385,9 @@ var medDecodeGolden = map[string]string{
 	"layered":      "1c5831f9005a47350ea6810993c10f186e0a29e75e40bf90277a66b41f599375",
 }
 
-// biasEncodeGolden is what the encoders write now: layerBias's "VB"
-// frames, and the layered frame's "VB" base and "VG" enhancement.
+// biasEncodeGolden is what the encoders wrote before luma bias
+// correction: layerBias's "VB" frames, and the layered frame's "VB"
+// base and "VG" enhancement.
 var biasEncodeGolden = map[string]string{
 	"q1/160x120":   "2d19787acf0809023d9f762a6d75f4073e443bb15ee6a156568528e329275913",
 	"q4/160x120":   "45384dea36bc991eaad5c1db949575c7681f0c53465fe8ca2ccddb32ec86c048",
@@ -422,4 +435,56 @@ var biasDecodeGolden = map[string]string{
 	"q20/1x1":      "da623daf1ee2da4fb235aea84f63f8974752e217be754ed677eeff97132dc5b5",
 	"q128/1x1":     "2e40717c82acfe750dfd6d241d780a8ff0573275c64fefc4610eb5426ed976b1",
 	"layered":      "ff3a653afc8fad1ddba3fdfcc09ccb54f12599e1242785645cdfdd4e69b277d0",
+}
+
+// lumaEncodeGolden is what VJPGEncode writes now: layerLuma's "VY"
+// frames; and the layered frame over a "VY" base, which decodes but is
+// not written (VJPGEncodeLayered's base is "VN", medEncodeGolden's).
+var lumaEncodeGolden = map[string]string{
+	"q1/160x120":   "22737626acdf456ee6de847aa6215347a7ea127d4d5e459879f1305ad28ba05f",
+	"q4/160x120":   "10f553127d46788dc3bb1128a031e7b8af270fd143278cc3b091919c1a152672",
+	"q12/160x120":  "9afe429738a00939e22b31ae186ffab68ee70080c44d7be566dd9a1978c3b64d",
+	"q20/160x120":  "588dcf5b32747d61164d5e4ffe63ba99c9983035595962bbff63ca337cb0846f",
+	"q128/160x120": "98291f95959496c261ad485ae61fe4b780cc0752a53f50fcae3113bf9da4a7de",
+	"q1/33x17":     "55d5c38cc8de19550b78d662be6c131462a6efad0b1ac66c0d0fe9652509031a",
+	"q4/33x17":     "c931272fb8fe8ac9cd4e804e0a7ee279736cded6997d8e3383d533a2409087b4",
+	"q12/33x17":    "60a82019246918e2ff930635f41fba81508fb3462e6d265172214b4e6cf6d73e",
+	"q20/33x17":    "0ff8c5af17c74b20d83278e81c03be27dbc7a3f1939d2db048b50154028db113",
+	"q128/33x17":   "090163e662e86f02ffad3085f52800bf02cfd8b1070f36bced31b7f253a0d0cf",
+	"q1/7x3":       "59a2251e25240bc8db30439cb84011ccac7d6d196f53cf0e6577ecb754a68f99",
+	"q4/7x3":       "f208ec11193094a30e505b96629911a63a37faccd9a0ebd9a9be16ab5719b138",
+	"q12/7x3":      "b10a755f139e78d92df903f5b3dc991f9273ed0422128f5857e3d0fa153da7fa",
+	"q20/7x3":      "1f078109efccc65caa0bbc93fe2dd0be842c128f34c2cbe3691a8857beb9f13e",
+	"q128/7x3":     "4a36169f06d8ed0eb3ae42c3d371e3d7c61e42326a6ae729323a9c534832da38",
+	"q1/1x1":       "e2b52cb6b5d7bca2484246fd2dda47878cb427662a3b9d0593b7539cabf5d82c",
+	"q4/1x1":       "5c085a0b122f0361c9f7c7620dd602fe4f0f9637acbfb3b43804014b5b28387f",
+	"q12/1x1":      "26bf1f0b9cae87c7f5b35bf587db80fe0dbd0277c7c208c83a20490861ebf04f",
+	"q20/1x1":      "5162b5b402360a7dccd978a7c1256e1d52618c5e7f0b9f28b140291c83e67170",
+	"q128/1x1":     "da706e253012e9b07a247fe058f6703942b1c785e7c87e515a0055d4b78576de",
+	"layered":      "fe795c23a117c1f6af111b5ec9c732b196dc8715c94462aa26bbab3cf760b465",
+}
+
+// lumaDecodeGolden is what the "VY" bitstreams decode to.
+var lumaDecodeGolden = map[string]string{
+	"q1/160x120":   "18f09b4f1bf9cf198231fc3917f0746f97518a5b6b6326b49340424a5a8401f4",
+	"q4/160x120":   "60dd7863288ee99873109ac3530c7f673d9288d3d8dd4e815d119ead980d8579",
+	"q12/160x120":  "0fba0ce424fc6179851b6b7fb60e2b941638d60cf53c0ceeb2e80e8ecd345fa7",
+	"q20/160x120":  "fb946dab2df69c0dfe1285131932ce6f2ec491835684de8f780da4ee74c9d008",
+	"q128/160x120": "c9a52919d9bffb307879ed894d03c72461328d00939495008416881840947e0a",
+	"q1/33x17":     "08be4657b468a629eb0c92b9354bebbc4ee328c6ab40fadd8652cf78d839ed2b",
+	"q4/33x17":     "1e803f0de4311cf505181df5b40c92a3d9ba0d5dfcd0f682d22c2743581b725a",
+	"q12/33x17":    "b684468cdc4709856ef14d25cf4a17ac788bac1da627b211ebcc70f319e9b174",
+	"q20/33x17":    "7b9d85d1d342a8d164bf8c8f3c13bda25d4a8e916f97fb335ed0da88bd7acaff",
+	"q128/33x17":   "88670f229367ef3cc6f38c7883fd2d995509f29ba6847d41b6d9e3fa2c9b367e",
+	"q1/7x3":       "a6c01bbf3c975edb32aa3867ae19b0542d7c2528a525107991f2b9fd7bd388f2",
+	"q4/7x3":       "0bc8efa3f37712b64f0c63b45a6f63f04008a86593b7b2463566385811ce2abc",
+	"q12/7x3":      "c1b8b8e704eb4bc6424210be94a3983f738f6204d7c0317b69b6af1aaa87d270",
+	"q20/7x3":      "ad63722ad5367cc10a32fb31b037c228dc3e9ef633fc69c5f4c551b82b3d806e",
+	"q128/7x3":     "b78f651ceadc46b7288319df1a4f3ec00799fed237ce6b0ba6b882f234497a6d",
+	"q1/1x1":       "c58996f44fa1323b0d904fc60daa9f5cb604d01afc3d1f79da00437eb1645a36",
+	"q4/1x1":       "b1998635b8e771d8b1e7c3470cdc844d0b0e418558bf39b0a645ef4b3d08ab80",
+	"q12/1x1":      "bc74fa9a93f284448333e385ce88093b53628894b2b6255fa530870fd4b75eaf",
+	"q20/1x1":      "da623daf1ee2da4fb235aea84f63f8974752e217be754ed677eeff97132dc5b5",
+	"q128/1x1":     "2e40717c82acfe750dfd6d241d780a8ff0573275c64fefc4610eb5426ed976b1",
+	"layered":      "7e5037be3306ceac9a0d571b5a0e1d2b1828a4b5d3990501b40635224f28a23d",
 }

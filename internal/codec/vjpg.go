@@ -16,34 +16,37 @@ import (
 // reordering and reverse play cheaply — the property the paper
 // attributes to JPEG-compressed video.
 //
-// Bitstream: "VB" | u8 quantizer | u16 width | u16 height | Y plane |
+// Bitstream: "VY" | u8 quantizer | u16 width | u16 height | Y plane |
 // U plane | V plane, each plane a Rice-coded segment (see entropy.go):
 // its parameter bytes, then its codes, padded to a whole byte. A
 // plane's values are its quantized residuals against LOCO-I's median
-// edge detector (see predict). The chroma planes' detector sees the
-// row above through LOCO-I's context bias correction (see biasState);
-// the luma plane's sees it as it is.
+// edge detector (see predict), which sees the row above through
+// LOCO-I's context bias correction (see biasState), its state reset at
+// each plane.
 //
-// A "VN" frame's planes are all coded as the "VB" luma plane is;
-// earlier builds wrote every frame so. A "VL" frame's planes are coded
-// as those are, but predict each pixel from the mean of its left and
-// above neighbours; earlier builds wrote every frame so too, and vmpg
-// keys are still written so (see VMPGEncode). Frames earlier builds
-// stored may also open with "VK", mean-predicted and Rice coded without
-// run interruption, or "VJ", mean-predicted with tokens coded as
-// uvarints; those are decoded, never written.
+// A "VB" frame's planes are coded as those are, but its luma plane's
+// detector sees the row above as it is; earlier builds wrote every
+// frame so. A "VN" frame's planes are all coded as the "VB" luma plane
+// is; earlier builds wrote every frame so too. A "VL" frame's planes
+// are coded as those are, but predict each pixel from the mean of its
+// left and above neighbours; earlier builds wrote every frame so, and
+// vmpg keys are still written so (see VMPGEncode). Frames earlier
+// builds stored may also open with "VK", mean-predicted and Rice coded
+// without run interruption, or "VJ", mean-predicted with tokens coded
+// as uvarints; those are decoded, never written.
 
-var vjpgMagics = magics{layerBias: "VB", layerMED: "VN", layerRice: "VL", layerRice1: "VK", layerVarint: "VJ"}
+var vjpgMagics = magics{layerLuma: "VY", layerBias: "VB", layerMED: "VN", layerRice: "VL", layerRice1: "VK", layerVarint: "VJ"}
 
 // VJPGEncode compresses an RGB frame at the given quantizer (see
 // QuantizerFor to derive one from a quality factor).
 func VJPGEncode(f *frame.Frame, quantizer int) ([]byte, error) {
-	return encodeVJPG(f, quantizer, layerBias)
+	return encodeVJPG(f, quantizer, layerLuma)
 }
 
-// encodeVJPG is VJPGEncode in layer l, layerBias, layerMED or
-// layerRice: the last writes mean-predicted "VL" frames, as vmpg keys
-// are written, and it and layerMED write frames as earlier builds did.
+// encodeVJPG is VJPGEncode in layer l, layerLuma, layerBias, layerMED
+// or layerRice: the last writes mean-predicted "VL" frames, as vmpg
+// keys are written, and it and the two between write frames as earlier
+// builds did.
 func encodeVJPG(f *frame.Frame, quantizer int, l layer) ([]byte, error) {
 	if quantizer < 1 || quantizer > 128 {
 		return nil, fmt.Errorf("%w: quantizer %d", ErrBadQuality, quantizer)
@@ -67,16 +70,17 @@ func encodeVJPG(f *frame.Frame, quantizer int, l layer) ([]byte, error) {
 
 // planeLayer returns the layer plane pi of a layer-l vjpg frame is
 // coded in, and bias, reset, if its predictor sees a bias-corrected
-// row above — a "VB" frame's chroma planes — or else nil.
+// row above — every plane of a "VY" frame, a "VB" frame's chroma
+// planes — or else nil.
 func planeLayer(l layer, pi int, bias *biasState) (layer, *biasState) {
-	if l != layerBias {
-		return l, nil
-	}
-	if pi == 0 {
+	switch {
+	case l == layerLuma, l == layerBias && pi > 0:
+		bias.reset()
+		return layerMED, bias
+	case l == layerBias:
 		return layerMED, nil
 	}
-	bias.reset()
-	return layerMED, bias
+	return l, nil
 }
 
 // planeQuantizer coarsens chrominance quantization relative to luma —
@@ -100,7 +104,7 @@ func VJPGDecode(data []byte) (*frame.Frame, error) {
 }
 
 // VJPGDecoder decodes vjpg frames to RGB and keeps the YUV planes of one
-// frame, and the bias state of its chroma planes, as scratch for the
+// frame, and the bias state of its corrected planes, as scratch for the
 // next, so a track's frames share one planar buffer and one corrected
 // row instead of allocating them each. The zero value is ready to use.
 // A decoder is not safe for concurrent use.
@@ -211,8 +215,8 @@ func planesOf(pix []byte, w, h int) [3]plane {
 // encodePlane compresses a byte plane in Rice layer l with in-loop 2-D
 // DPCM: each pixel is predicted from its *reconstructed* neighbours by
 // the layer's predictor (see predict), and the residual is quantized
-// with a mild dead zone (roundDiv). Keeping the quantizer inside the
-// prediction loop avoids limit-cycle flicker at quantization
+// with a mild dead zone (quantizer.roundDiv). Keeping the quantizer
+// inside the prediction loop avoids limit-cycle flicker at quantization
 // boundaries; the 2-D predictor locks onto gradients in either
 // direction, which is where smooth synthetic and natural content
 // spends most of its pixels. With bias non-nil the predictor sees the
@@ -220,11 +224,12 @@ func planesOf(pix []byte, w, h int) [3]plane {
 func encodePlane(dst []byte, pix []byte, width, q int, l layer, bias *biasState) []byte {
 	vals := make([]int32, len(pix))
 	recon := make([]byte, len(pix))
+	z := newQuantizer(q)
 	for y0 := 0; y0 < len(pix); y0 += width {
 		above, left := rowStart(recon, y0, width, bias)
 		for x, v := range pix[y0 : y0+width] {
 			pred := predict(left, above, x, l)
-			rq := roundDiv(int(v)-pred, q)
+			rq := z.roundDiv(int(v) - pred)
 			vals[y0+x] = int32(rq)
 			left = reconStep(pred, rq, q)
 			recon[y0+x] = byte(left)
@@ -271,10 +276,10 @@ type biasState struct {
 	// [biasMinC, biasMaxC]. It is read at every pixel, so it is kept
 	// apart from acc, and padded past biasContexts so that a context
 	// index, a uint8, needs no bounds check.
-	corr [256]int8
-	acc  [biasContexts]biasAcc
-	ref  []byte  // the corrected row above the row being coded
-	ctxs []uint8 // the context of each pixel of that row
+	corr  [256]int8
+	acc   [biasContexts]biasAcc
+	ref   []byte // the corrected row above the row being coded
+	above []byte // and that row as it was reconstructed
 }
 
 // biasAcc is what a context accumulates at its literals, JPEG-LS's B
@@ -291,8 +296,8 @@ const (
 // stepLevel maps a step d between neighbours, at stepLevel[d+255], to
 // its quantized level 0…8: 4 + sign(d)·level, level 0 at 0, 1 at 1–2,
 // 2 at 3–6, 3 at 7–20 and 4 from 21 (JPEG-LS's lossless thresholds 3,
-// 7 and 21). Its length is a power of two so that an index masked to
-// it needs no bounds check.
+// 7 and 21). The step between two bytes, plus 255, lies inside it, so
+// that index needs no bounds check.
 var stepLevel = func() (t [512]uint8) {
 	for d := -255; d <= 255; d++ {
 		lv := 0
@@ -323,41 +328,55 @@ func (s *biasState) reset() {
 }
 
 // correct returns above, the reconstructed row over the next one, as
-// its contexts' corrections move it, and records each pixel's context
-// for update. The slices it returns and records are s's scratch, valid
-// until the next call. It runs at every pixel of a corrected plane, so
-// it takes each step once, as the right step of one pixel and then the
-// left step of the next.
+// its contexts' corrections move it. The slice it returns is s's
+// scratch, valid until the next call. It runs at every pixel of a
+// corrected plane, so it takes each step once, as the right step of one
+// pixel and then the left step of the next; it reads each step's two
+// pixels from above, so that the compiler sees the step's index in
+// range, and it records no context: update, which runs only at
+// literals, finds its pixel's again.
 func (s *biasState) correct(above []byte) []byte {
 	n := len(above)
 	if cap(s.ref) < n {
-		buf := make([]byte, 2*n)
-		s.ref, s.ctxs = buf[:n:n], buf[n:]
+		s.ref = make([]byte, n)
 	}
-	ref, ctxs := s.ref[:n], s.ctxs[:n]
-	left, p := uint8(4), int(above[0]) // the step before pixel 0 counts as 0
-	for x := 1; x < n; x++ {
-		next := int(above[x])
-		right := stepLevel[uint(next-p+255)&511]
-		c := right*9 + left
-		ctxs[x-1] = c
-		ref[x-1] = clamp8(p + int(s.corr[c]))
-		left, p = right, next
+	ref := s.ref[:n]
+	s.above = above
+	corr, level := &s.corr, &stepLevel
+	left := uint8(4) // the step before pixel 0 counts as 0
+	for x := 1; x < len(above); x++ {
+		p := int(above[x-1])
+		right := level[int(above[x])-p+255]
+		ref[x-1] = clamp8(p + int(corr[right*9+left]))
+		left = right
 	}
-	c := 4*9 + left // and so does the step after the last
-	ctxs[n-1] = c
-	ref[n-1] = clamp8(p + int(s.corr[c]))
+	ref[n-1] = clamp8(int(above[n-1]) + int(corr[4*9+left])) // and so does the step after the last
 	return ref
 }
 
+// context returns the context of pixel x of the row correct last
+// corrected.
+func (s *biasState) context(x int) uint8 {
+	above := s.above
+	p := int(above[x])
+	left, right := uint8(4), uint8(4)
+	if x > 0 {
+		left = stepLevel[p-int(above[x-1])+255]
+	}
+	if x+1 < len(above) {
+		right = stepLevel[int(above[x+1])-p+255]
+	}
+	return right*9 + left
+}
+
 // update folds e, a literal's reconstruction minus its prediction at
-// pixel x of the row correct last returned, into x's context, as
-// JPEG-LS updates B, N and C: add e to B, count the literal, halving B
-// and N when N reaches biasReset (JPEG-LS with its RESET at 63), and if
-// B is then outside (-N, 0], move C one step toward it, take N back out
-// of B and clamp B to the interval's edge.
+// pixel x of the row below the one correct last corrected, into x's
+// context, as JPEG-LS updates B, N and C: add e to B, count the literal,
+// halving B and N when N reaches biasReset (JPEG-LS with its RESET at
+// 63), and if B is then outside (-N, 0], move C one step toward it, take
+// N back out of B and clamp B to the interval's edge.
 func (s *biasState) update(x, e int) {
-	c := s.ctxs[x]
+	c := s.context(x)
 	t := &s.acc[c]
 	b, n := t.b+int32(e), t.n
 	if n++; n == biasReset {
@@ -405,17 +424,33 @@ func predict(left int, above []byte, x int, l layer) int {
 	return max(min(left, b), min(max(left, b), left+b-c))
 }
 
-// roundDiv quantizes with a mild dead zone (rounding offset q/3
-// instead of q/2, as hardware video quantizers do): small residuals —
-// tracking noise on gradients — quantize to zero more often. For
-// r >= 0, r + q/3 = roundDiv(r, q)·q + m with 0 <= m < q, so the
-// reconstruction error r - roundDiv(r, q)·q = m - q/3 lies in
+// quantizer is a plane's quantizer q as roundDiv uses it, its two
+// divisions done once a plane: off is the dead zone's rounding offset
+// q/3, and inv = ⌈2^16/q⌉, with which n·inv >> 16 = ⌊n/q⌋ for every
+// numerator n roundDiv divides, 0 <= n <= 255 + 128/3: with
+// inv·q = 2^16 + e, 0 <= e < q, the product overshoots n/q by
+// n·e/(q·2^16), less than 1/q while n·e < 2^16 (TestRoundDivExact checks
+// every residual at every quantizer).
+type quantizer struct {
+	off int
+	inv uint32
+}
+
+func newQuantizer(q int) quantizer {
+	return quantizer{off: q / 3, inv: (1<<16 + uint32(q) - 1) / uint32(q)}
+}
+
+// roundDiv quantizes the residual r with a mild dead zone (rounding
+// offset q/3 instead of q/2, as hardware video quantizers do): small
+// residuals — tracking noise on gradients — quantize to zero more often.
+// For r >= 0, r + q/3 = roundDiv(r)·q + m with 0 <= m < q, so the
+// reconstruction error r - roundDiv(r)·q = m - q/3 lies in
 // [-q/3, q-1-q/3], and likewise for r < 0 with the signs turned.
-func roundDiv(r, q int) int {
+func (z quantizer) roundDiv(r int) int {
 	if r >= 0 {
-		return (r + q/3) / q
+		return int(uint32(r+z.off) * z.inv >> 16)
 	}
-	return -((-r + q/3) / q)
+	return -int(uint32(-r+z.off) * z.inv >> 16)
 }
 
 // decodePlane reverses encodePlane: it reads the plane's tokens, Rice
@@ -614,7 +649,7 @@ func predictRun(out, above []byte, left int) int {
 }
 
 // reconStep applies a dequantized residual to the prediction, clamping
-// to byte range. With roundDiv's quantizer the reconstruction error is
+// to byte range. With quantizer.roundDiv the reconstruction error is
 // at most q-1-q/3 (integer division: 7 at q = 12); the clamp only
 // brings a pixel nearer its byte-range original.
 func reconStep(pred, rq, q int) int {
@@ -647,9 +682,14 @@ func reconStep(pred, rq, q int) int {
 
 var enhMagics = magics{layerRice: "VG", layerRice1: "VF", layerVarint: "VE"}
 
-// VJPGEncodeLayered compresses f into base and enhancement layers.
+// VJPGEncodeLayered compresses f into base and enhancement layers. Its
+// base is a "VN" frame, not one in the layer VJPGEncode writes: a
+// bias-corrected base takes fewer bytes but reconstructs worse at half
+// resolution, and the enhancement layer then grows by more than the
+// base shrinks (a 50-frame 160×120 clip at VHS quality reads about 5 %
+// more in full with a "VB" or "VY" base).
 func VJPGEncodeLayered(f *frame.Frame, quantizer int) (base, enh []byte, err error) {
-	return encodeLayered(f, quantizer, layerBias)
+	return encodeLayered(f, quantizer, layerMED)
 }
 
 // encodeLayered is VJPGEncodeLayered with its base in vjpg layer l (see

@@ -20,9 +20,10 @@ import (
 // replaced, kept as the fuzz oracle: every plane's residuals are entropy
 // decoded into a slice first by the reference readers (refSegments),
 // then reconstructed pixel by pixel with a predictor that finds its
-// neighbours by index arithmetic — a "VB" frame's chroma planes through
-// refBiasPlane — and the result is converted to RGB with per-pixel
-// stores. It returns the YUV reconstruction and the RGB frame.
+// neighbours by index arithmetic — every plane of a "VY" frame and a
+// "VB" frame's chroma planes through refBiasPlane — and the result is
+// converted to RGB pixel by pixel (refYUV422ToRGB). It returns the YUV
+// reconstruction and the RGB frame.
 func refVJPGDecode(data []byte) (yuv, rgb *frame.Frame, err error) {
 	q, w, h, _, l, err := vjpgHeader(data)
 	if err != nil {
@@ -33,12 +34,12 @@ func refVJPGDecode(data []byte) (yuv, rgb *frame.Frame, err error) {
 		return nil, nil, err
 	}
 	predict := refPredict2D
-	if l == layerMED || l == layerBias {
+	if l == layerMED || l == layerBias || l == layerLuma {
 		predict = refPredictMED
 	}
 	yuv = frame.New(w, h, media.ColorYUV422)
 	for pi, p := range yuvPlanes(yuv) {
-		if l == layerBias && pi > 0 {
+		if l == layerLuma || l == layerBias && pi > 0 {
 			refBiasPlane(p.pix, segs[pi], p.w, planeQuantizer(q, pi))
 			continue
 		}
@@ -46,19 +47,8 @@ func refVJPGDecode(data []byte) (yuv, rgb *frame.Frame, err error) {
 			p.pix[i] = byte(reconStep(predict(p.pix, i, p.w), int(d), planeQuantizer(q, pi)))
 		}
 	}
-	cw := (w + 1) / 2
 	rgb = frame.New(w, h, media.ColorRGB)
-	for y := 0; y < h; y++ {
-		for x := 0; x < w; x++ {
-			yy := int(yuv.Pix[y*w+x]) - 16
-			u := int(yuv.Pix[w*h+y*cw+x/2]) - 128
-			v := int(yuv.Pix[w*h+cw*h+y*cw+x/2]) - 128
-			r := (298*yy + 409*v + 128) >> 8
-			g := (298*yy - 100*u - 208*v + 128) >> 8
-			b := (298*yy + 516*u + 128) >> 8
-			rgb.SetRGB(x, y, clamp8(r), clamp8(g), clamp8(b))
-		}
-	}
+	rgb.Pix = refYUV422ToRGB(yuv.Pix, w, h)
 	return yuv, rgb, nil
 }
 
@@ -103,7 +93,8 @@ func refPredictMED(recon []byte, i, width int) int {
 	return a + b - c
 }
 
-// refBiasPlane reconstructs a "VB" chroma plane from its residuals res
+// refBiasPlane reconstructs a "VY" plane or a "VB" chroma plane from
+// its residuals res
 // at quantizer q. Row 0 is reconstructed as a "VN" plane's is. Each row
 // below it is predicted by refPredictMED from a copy of the row above
 // in which every pixel is moved by the correction C[Q] of its context
@@ -211,25 +202,25 @@ func vjpgFrame(magic string, q, w, h int, body ...byte) []byte {
 	return append(out, body...)
 }
 
-// vbFrame encodes planes, the Y, U and V planes of a w×h frame, as a
-// "VB" frame at quantizer q: the frames VJPGEncode writes, but from
-// planes no RGB frame converts to.
-func vbFrame(q, w, h int, planes [3][]byte) []byte {
-	out := vjpgFrame(vjpgMagics[layerBias], q, w, h)
+// planesFrame encodes planes, the Y, U and V planes of a w×h frame, as
+// a vjpg frame in layer l at quantizer q: the frames encodeVJPG writes,
+// but from planes no RGB frame converts to.
+func planesFrame(l layer, q, w, h int, planes [3][]byte) []byte {
+	out := vjpgFrame(vjpgMagics[l], q, w, h)
 	var bias biasState
 	for pi, pix := range planes {
 		pw := w
 		if pi > 0 {
 			pw = (w + 1) / 2
 		}
-		pl, b := planeLayer(layerBias, pi, &bias)
+		pl, b := planeLayer(l, pi, &bias)
 		out = encodePlane(out, pix, pw, planeQuantizer(q, pi), pl, b)
 	}
 	return out
 }
 
 // swingPlane is a w×h plane whose even rows run 0, 255, 0, … and odd
-// rows 255, 0, 255, …: under "VB" every pixel of it is a literal whose
+// rows 255, 0, 255, …: as a bias-corrected plane every pixel of it is a literal whose
 // error keeps the sign the steps above it give its context, so two of
 // its contexts' corrections run to their clamps.
 func swingPlane(w, h int) []byte {
@@ -264,17 +255,20 @@ func decodeAllocBytes(data []byte, bound uint64) uint64 {
 // does, must not let a reused scratch buffer leak one frame into the
 // next, and must allocate no more than the frame it claims.
 func FuzzVJPGDecode(f *testing.F) {
-	// Every layer's frames: "VB" as written now, "VN" as written
-	// before it, and the same frames mean-predicted in the three layers
-	// earlier builds wrote.
+	// Every layer's frames: "VY" as written now, "VB" and "VN" as
+	// written before it, and the same frames mean-predicted in the
+	// three layers earlier builds wrote.
 	layers := func(fr *frame.Frame, q int) [][]byte {
-		vb, errVB := VJPGEncode(fr, q)
-		med, errMED := encodeVJPG(fr, q, layerMED)
-		mean, errMean := encodeVJPG(fr, q, layerRice)
-		if errVB != nil || errMED != nil || errMean != nil {
-			f.Fatal(errVB, errMED, errMean)
+		var out [][]byte
+		for _, l := range []layer{layerLuma, layerBias, layerMED, layerRice} {
+			data, err := encodeVJPG(fr, q, l)
+			if err != nil {
+				f.Fatal(err)
+			}
+			out = append(out, data)
 		}
-		return [][]byte{vb, med, mean, recode(f, mean, layerRice1), recode(f, mean, layerVarint)}
+		mean := out[len(out)-1]
+		return append(out, recode(f, mean, layerRice1), recode(f, mean, layerVarint))
 	}
 	for i, q := range []int{1, 4, 12, 20, 128} {
 		for _, d := range layers(frame.Generator{W: 17, H: 9, Seed: int64(i)}.Frame(i), q) {
@@ -342,18 +336,28 @@ func FuzzVJPGDecode(f *testing.F) {
 	// zero run that crosses into a row whose correction the literal
 	// before it changed, 128s then 152 then 152s over 153s at chroma
 	// quantizer 24; and planes of width 1, where both of a pixel's
-	// neighbours in the row above are missing.
+	// neighbours in the row above are missing. Then the same for "VY"
+	// frames, whose luma rows are predicted so too: luma swinging at
+	// quantizer 128, which drives the luma plane's two contexts to
+	// their clamps, and the steps in every plane, the luma's at
+	// quantizer 12.
 	swing := swingPlane(2, 260)
-	f.Add(vbFrame(64, 4, 260, [3][]byte{make([]byte, 4*260), swing, swing}))
+	f.Add(planesFrame(layerBias, 64, 4, 260, [3][]byte{make([]byte, 4*260), swing, swing}))
+	f.Add(planesFrame(layerLuma, 128, 4, 260, [3][]byte{swingPlane(4, 260), swing, swing}))
 	steps := []byte{128, 128, 128, 152, 152, 152, 153, 153, 153}
-	f.Add(vbFrame(12, 6, 3, [3][]byte{bytes.Repeat([]byte{128}, 18), steps, steps}))
-	for _, w := range []int{1, 2} {
-		for _, q := range []int{1, 12} {
-			d, err := VJPGEncode(frame.Generator{W: w, H: 24, Seed: 9}.Frame(2), q)
-			if err != nil {
-				f.Fatal(err)
+	f.Add(planesFrame(layerBias, 12, 6, 3, [3][]byte{bytes.Repeat([]byte{128}, 18), steps, steps}))
+	f.Add(planesFrame(layerLuma, 12, 3, 3, [3][]byte{steps, steps[:6], steps[:6]}))
+	// Frames 1 and 2 pixels wide, as written now and before luma bias
+	// correction.
+	for _, l := range []layer{layerLuma, layerBias} {
+		for _, w := range []int{1, 2} {
+			for _, q := range []int{1, 12} {
+				d, err := encodeVJPG(frame.Generator{W: w, H: 24, Seed: 9}.Frame(2), q, l)
+				if err != nil {
+					f.Fatal(err)
+				}
+				f.Add(d)
 			}
-			f.Add(d)
 		}
 	}
 	var dec VJPGDecoder
@@ -604,11 +608,12 @@ func TestZeroRunsArePredictions(t *testing.T) {
 // row, at chroma quantizer 128, drives the correction of the context
 // over a rising step to 127 and of the one over a falling step to
 // -128, and under the clamped corrections every pixel still decodes
-// within the quantizer's bound, q-1-q/3 (see roundDiv).
+// within the quantizer's bound, q-1-q/3 (see roundDiv); and so does
+// luma, as a "VY" frame codes it.
 func TestBiasCorrectionClamps(t *testing.T) {
 	const w, h = 4, 260
 	swing := swingPlane(w/2, h)
-	data := vbFrame(64, w, h, [3][]byte{make([]byte, w*h), swing, swing})
+	data := planesFrame(layerBias, 64, w, h, [3][]byte{make([]byte, w*h), swing, swing})
 	var dec VJPGDecoder
 	if _, err := dec.Decode(data); err != nil {
 		t.Fatal(err)
@@ -627,6 +632,25 @@ func TestBiasCorrectionClamps(t *testing.T) {
 	// (right level 8, left 4) and over a falling one (right 0, left 4).
 	if rise, fall := dec.bias.corr[8*9+4], dec.bias.corr[0*9+4]; rise != biasMaxC || fall != biasMinC {
 		t.Errorf("corrections %d over the rising step and %d over the falling one, want %d and %d", rise, fall, biasMaxC, biasMinC)
+	}
+	// A "VY" frame's luma plane is corrected too: luma swinging so at
+	// quantizer 128 drives the same two contexts to their clamps, and
+	// still decodes within the bound.
+	luma := swingPlane(w, h)
+	var enc, dbias biasState
+	pl, eb := planeLayer(layerLuma, 0, &enc)
+	_, db := planeLayer(layerLuma, 0, &dbias)
+	rec := make([]byte, len(luma))
+	if _, err := decodePlane(encodePlane(nil, luma, w, 128, pl, eb), rec, w, 128, pl, db); err != nil {
+		t.Fatal(err)
+	}
+	for i, v := range rec {
+		if d := int(v) - int(luma[i]); d > bound || d < -bound {
+			t.Fatalf("luma pixel %d decodes to %d, %d off", i, v, d)
+		}
+	}
+	if rise, fall := dbias.corr[8*9+4], dbias.corr[0*9+4]; rise != biasMaxC || fall != biasMinC {
+		t.Errorf("luma corrections %d over the rising step and %d over the falling one, want %d and %d", rise, fall, biasMaxC, biasMinC)
 	}
 }
 
