@@ -1,7 +1,6 @@
 package codec
 
 import (
-	"encoding/binary"
 	"fmt"
 
 	"timedmedia/internal/frame"
@@ -65,50 +64,43 @@ func YUV422ToRGB(f *frame.Frame) (*frame.Frame, error) {
 //	g = (298(Y-16) - 100(U-128) - 208(V-128) + 128) >> 8
 //	b = (298(Y-16) + 516(U-128) + 128) >> 8
 //
-// each clamped to a byte. The three sums are taken at once, as three
-// 21-bit lanes of one uint64 (red from bit 0, green from laneG, blue
-// from laneB): lumaLanes[Y] + chromaU[U] + chromaV[V]. Each table lifts
-// its lanes by a multiple of 256 that keeps them non-negative, so no
-// lane borrows from the next, and the three lifts add up to rgbBias in
-// every lane: a lane holds its channel's sum plus 2^17, which over all
-// inputs lies in [60384, 267954], below 2^19, so no lane carries into
-// the next either, and clampTab takes a lane's bits from 8 up to its
-// channel's clamped byte.
-const (
-	laneG, laneB = 21, 42
-	rgbBias      = 512 << 8
-	biasU        = 258 << 8                // 516·128: the blue lane of U = 0
-	biasV        = 205 << 8                // above 409·128: the red lane of V = 0
-	biasY        = rgbBias - biasU - biasV // above 298·16 - 128: Y = 0
-)
+// each clamped to a byte. The tables hold every product by the stored
+// byte. The luma term also carries the rounding constant and a bias of
+// clampBias<<8, so each shifted sum lands in clampTab already offset:
+// over all inputs it spans [-277, 534] + clampBias, inside the table.
+const clampBias = 384
 
 var (
-	lumaLanes, chromaU, chromaV [256]uint64
-	clampTab                    [2048]byte
+	lumaTerm, redV, greenU, greenV, blueU [256]int32
+	clampTab                              [1024]byte
 )
-
-// lanes packs three non-negative lane values into one word.
-func lanes(r, g, b int32) uint64 {
-	return uint64(r) | uint64(g)<<laneG | uint64(b)<<laneB
-}
 
 func init() {
 	for i := range 256 {
 		c := int32(i) - 128
-		y := 298*(int32(i)-16) + 128 + biasY
-		lumaLanes[i] = lanes(y, y, y)
-		chromaU[i] = lanes(biasU, -100*c+biasU, 516*c+biasU)
-		chromaV[i] = lanes(409*c+biasV, -208*c+biasV, biasV)
+		lumaTerm[i] = 298*(int32(i)-16) + 128 + clampBias<<8
+		redV[i], greenU[i], greenV[i], blueU[i] = 409*c, -100*c, -208*c, 516*c
 	}
 	for i := range clampTab {
-		clampTab[i] = clamp8(i - rgbBias>>8)
+		clampTab[i] = clamp8(i - clampBias)
 	}
 }
 
-// rgbWord returns the pixel whose lanes are l as its three bytes, red
-// in the lowest.
-func rgbWord(l uint64) uint32 {
-	return uint32(clampTab[l>>8&2047]) | uint32(clampTab[l>>(laneG+8)&2047])<<8 | uint32(clampTab[l>>(laneB+8)&2047])<<16
+// chromaTerms returns the red, green and blue chroma products of one
+// chroma sample, shared by the two pixels it covers.
+func chromaTerms(u, v byte) (rv, guv, bu int32) {
+	return redV[v], greenU[u] + greenV[v], blueU[u]
+}
+
+// rgbPixel writes one pixel from its luma byte and its chroma terms.
+// The index mask never changes a value (see clampBias); it lets the
+// compiler drop the bounds check.
+func rgbPixel(o []byte, y byte, rv, guv, bu int32) {
+	_ = o[2]
+	luma := lumaTerm[y]
+	o[0] = clampTab[(luma+rv)>>8&1023]
+	o[1] = clampTab[(luma+guv)>>8&1023]
+	o[2] = clampTab[(luma+bu)>>8&1023]
 }
 
 // yuv422ToRGB converts the planar YUV 8:2:2 buffer src of w×h into the
@@ -130,8 +122,8 @@ func yuv422ToRGB(dst, src []byte, w, h int) {
 		vs := vPlane[y*cw : y*cw+cw]
 		out := dst[3*y*w : 3*y*w+3*w]
 		rgbPairs(out, ys, us[:cw-1], vs)
-		p := rgbWord(lumaLanes[ys[w-1]] + chromaU[us[cw-1]] + chromaV[vs[cw-1]])
-		out[3*w-3], out[3*w-2], out[3*w-1] = byte(p), byte(p>>8), byte(p>>16)
+		rv, guv, bu := chromaTerms(us[cw-1], vs[cw-1])
+		rgbPixel(out[3*w-3:], ys[w-1], rv, guv, bu)
 	}
 }
 
@@ -144,16 +136,14 @@ func rgbPairs(out, ys, us, vs []byte) {
 	rgbPairsScalar(out[6*k:], ys[2*k:], us[k:], vs[k:])
 }
 
-// rgbPairsScalar is rgbPairs through the lane tables: no branch but the
-// loop's, and each pair's six bytes in two stores.
+// rgbPairsScalar is rgbPairs through the tables, two pixels per chroma
+// sample.
 func rgbPairsScalar(out, ys, us, vs []byte) {
-	vs = vs[:len(us)]
-	for i, u := range us {
-		c := chromaU[u] + chromaV[vs[i]]
-		y, o := ys[2*i:2*i+2:2*i+2], out[6*i:6*i+6:6*i+6]
-		p0, p1 := rgbWord(lumaLanes[y[0]]+c), rgbWord(lumaLanes[y[1]]+c)
-		binary.LittleEndian.PutUint32(o, p0|p1<<24)
-		binary.LittleEndian.PutUint16(o[4:], uint16(p1>>8))
+	for cx, u := range us {
+		rv, guv, bu := chromaTerms(u, vs[cx])
+		o, yy := out[6*cx:6*cx+6], ys[2*cx:2*cx+2]
+		rgbPixel(o[:3], yy[0], rv, guv, bu)
+		rgbPixel(o[3:], yy[1], rv, guv, bu)
 	}
 }
 

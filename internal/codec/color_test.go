@@ -174,7 +174,7 @@ func refYUV422ToRGB(src []byte, w, h int) []byte {
 // TestYUV422ToRGBExact: the conversion returns refRGB's bytes for every
 // (Y,U,V) triple — 256 frames of 256×256, one a U value, with V down
 // the rows and Y along them, so each chroma sample covers two Y values
-// — through the vector kernel where there is one and through the lane
+// — through the vector kernel where there is one and through the
 // tables alone (rgbPairsScalar); and for random planes at widths 1, 2,
 // 3 and 161, whose odd widths end each row on a pixel of its own.
 func TestYUV422ToRGBExact(t *testing.T) {
@@ -241,7 +241,8 @@ func BenchmarkYUV422ToRGB(b *testing.B) {
 	dst := make([]byte, 160*120*3)
 	b.ReportAllocs()
 	b.SetBytes(int64(len(dst)))
-	for b.Loop() {
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
 		yuv422ToRGB(dst, yuv.Pix, 160, 120)
 	}
 }
