@@ -202,14 +202,15 @@ func (db *DB) SelectDuration(id core.ID, name string, from, to int64) (core.ID, 
 // layers; pass layer 0 to codec.VJPGDecodeBase, or layers 0 and 1 to
 // codec.VJPGDecodeLayered.
 func (db *DB) FramesAtFidelity(id core.ID, maxLayer int) ([][][]byte, error) {
-	obj, err := db.Get(id)
+	v := db.CurrentView()
+	obj, err := v.Get(id)
 	if err != nil {
 		return nil, err
 	}
 	if obj.Class != core.ClassNonDerived {
 		return nil, fmt.Errorf("%w: %v is not stored", ErrNotMedia, id)
 	}
-	it, err := db.Interpretation(obj.Blob)
+	it, err := v.Interpretation(obj.Blob)
 	if err != nil {
 		return nil, err
 	}

@@ -1,6 +1,7 @@
 package catalog
 
 import (
+	"context"
 	"fmt"
 	"sort"
 
@@ -19,7 +20,8 @@ import (
 // image within a page of text or placing graphical objects in a
 // scene."
 func (db *DB) RenderCompositionFrame(id core.ID, t int64, w, h int) (*frame.Frame, error) {
-	obj, err := db.Get(id)
+	v := db.CurrentView()
+	obj, err := v.Get(id)
 	if err != nil {
 		return nil, err
 	}
@@ -39,31 +41,31 @@ func (db *DB) RenderCompositionFrame(id core.ID, t int64, w, h int) (*frame.Fram
 	}
 	var layers []layer
 	for ci, cref := range obj.Multimedia.Components {
-		comp, err := db.Get(cref.Object)
+		comp, err := v.Get(cref.Object)
 		if err != nil {
 			return nil, err
 		}
 		if comp.Kind != media.KindVideo && comp.Kind != media.KindImage {
 			continue
 		}
-		v, err := db.Expand(cref.Object)
+		val, err := v.expand(context.Background(), cref.Object)
 		if err != nil {
 			return nil, err
 		}
 		var f *frame.Frame
 		switch comp.Kind {
 		case media.KindImage:
-			f = v.Image
+			f = val.Image
 		case media.KindVideo:
 			// Local tick of this component at axis time t.
-			local, err := timebase.Rescale(t-cref.Start, obj.Multimedia.Time, v.Rate)
+			local, err := timebase.Rescale(t-cref.Start, obj.Multimedia.Time, val.Rate)
 			if err != nil {
 				return nil, err
 			}
-			if t < cref.Start || local >= int64(len(v.Video)) {
+			if t < cref.Start || local >= int64(len(val.Video)) {
 				continue // not active at t
 			}
-			f = v.Video[local]
+			f = val.Video[local]
 		}
 		z := 0
 		if cref.Region != nil {

@@ -6,6 +6,7 @@ import (
 	"sort"
 	"time"
 
+	"timedmedia/internal/compose"
 	"timedmedia/internal/interp"
 )
 
@@ -105,8 +106,11 @@ func (r TrackReport) MeanJitter() time.Duration {
 type Report struct {
 	Tracks   []TrackReport
 	Duration time.Duration // final clock value
-	// MaxSkew is the largest pairwise delivery-progress skew observed
-	// between tracks (see PlayComposition for constraint checking).
+	// MaxSkew is the worst sync skew of a composition's constrained
+	// components (zero for Play): for each event of a component that a
+	// sync constraint names, the absolute difference between that
+	// event's lateness (Actual - Deadline) and the worst lateness its
+	// partner has had so far; MaxSkew is the largest such difference.
 	MaxSkew time.Duration
 }
 
@@ -121,13 +125,21 @@ func (r Report) MaxJitter() time.Duration {
 	return m
 }
 
+// source is one stream the schedule draws from: a track of an
+// interpretation, the label its events and report carry, and the
+// offset in seconds of its element times on the presentation axis.
+type source struct {
+	it     *interp.Interpretation
+	tr     *interp.Track
+	label  string
+	offset float64
+}
+
 // scheduled is one element queued for delivery.
 type scheduled struct {
-	track    string
-	trackIdx int // index into report slice
+	src      int // index into the sources and the report
 	index    int
 	deadline time.Duration
-	offset   time.Duration // composition offset already folded into deadline
 }
 
 // Play presents the named tracks of an interpretation (all tracks if
@@ -141,39 +153,53 @@ func Play(it *interp.Interpretation, names []string, clock Clock, sink Sink, opt
 	if len(names) == 0 {
 		return Report{}, ErrNoTracks
 	}
-	var sched []scheduled
-	reports := make([]TrackReport, len(names))
-	for ti, name := range names {
+	srcs := make([]source, len(names))
+	for i, name := range names {
 		tr, err := it.Track(name)
 		if err != nil {
 			return Report{}, err
 		}
-		reports[ti] = TrackReport{Track: name}
-		tsys := tr.MediaType().Time
-		for i := 0; i < tr.Len(); i++ {
-			el := tr.Stream().At(i)
-			sec := tsys.Seconds(el.Start)
+		srcs[i] = source{it: it, tr: tr, label: name}
+	}
+	return run(srcs, schedule(srcs, opts), nil, clock, sink, opts)
+}
+
+// schedule lists the elements of srcs whose presentation time (element
+// start plus source offset) falls in the From/To window, in source
+// order then element order, each with its deadline scaled by Rate.
+func schedule(srcs []source, opts Options) []scheduled {
+	var sched []scheduled
+	for si, src := range srcs {
+		tsys := src.tr.MediaType().Time
+		for i := 0; i < src.tr.Len(); i++ {
+			sec := tsys.Seconds(src.tr.Stream().At(i).Start) + src.offset
 			if sec < opts.From || (opts.To > 0 && sec >= opts.To) {
 				continue
 			}
 			sched = append(sched, scheduled{
-				track:    name,
-				trackIdx: ti,
+				src:      si,
 				index:    i,
 				deadline: time.Duration(sec / opts.speed() * float64(time.Second)),
 			})
 		}
 	}
-	return run(it, sched, reports, clock, sink, opts)
+	return sched
 }
 
-func run(it *interp.Interpretation, sched []scheduled, reports []TrackReport, clock Clock, sink Sink, opts Options) (Report, error) {
+// run delivers sched in deadline order (a stable sort, so ties keep
+// source then element order) and reports per source. Skew is measured
+// between the sources each sync constraint names.
+func run(srcs []source, sched []scheduled, syncs []compose.SyncConstraint, clock Clock, sink Sink, opts Options) (Report, error) {
 	sort.SliceStable(sched, func(a, b int) bool { return sched[a].deadline < sched[b].deadline })
-	var rep Report
+	rep := Report{Tracks: make([]TrackReport, len(srcs))}
+	for i, src := range srcs {
+		rep.Tracks[i].Track = src.label
+	}
 	for _, s := range sched {
-		layers, err := it.PayloadLayers(s.track, s.index, effectiveLayer(it, s, opts.MaxLayer))
+		src := srcs[s.src]
+		layers, err := src.it.PayloadLayers(src.tr.Name(), s.index, effectiveLayer(src.tr, s.index, opts.MaxLayer))
 		if err != nil {
-			return rep, err
+			return Report{}, err
 		}
 		var payload []byte
 		for _, l := range layers {
@@ -183,11 +209,11 @@ func run(it *interp.Interpretation, sched []scheduled, reports []TrackReport, cl
 		// time pushes the clock, the wait absorbs slack.
 		clock.Advance(time.Duration(len(payload)) * opts.WorkPerByte)
 		actual := clock.WaitUntil(s.deadline)
-		ev := Event{Track: s.track, Index: s.index, Deadline: s.deadline, Actual: actual, Payload: payload}
+		ev := Event{Track: src.label, Index: s.index, Deadline: s.deadline, Actual: actual, Payload: payload}
 		if err := sink.Deliver(ev); err != nil {
-			return rep, fmt.Errorf("%w: %v", ErrStopped, err)
+			return Report{}, fmt.Errorf("%w: %v", ErrStopped, err)
 		}
-		r := &reports[s.trackIdx]
+		r := &rep.Tracks[s.src]
 		r.Events++
 		r.Bytes += int64(len(payload))
 		if j := ev.Jitter(); j > 0 {
@@ -196,23 +222,39 @@ func run(it *interp.Interpretation, sched []scheduled, reports []TrackReport, cl
 				r.MaxJitter = j
 			}
 		}
+		for _, sc := range syncs {
+			var other int
+			switch s.src {
+			case sc.A:
+				other = sc.B
+			case sc.B:
+				other = sc.A
+			default:
+				continue
+			}
+			if rep.Tracks[other].Events == 0 {
+				continue
+			}
+			skew := ev.Jitter() - rep.Tracks[other].MaxJitter
+			if skew < 0 {
+				skew = -skew
+			}
+			if skew > rep.MaxSkew {
+				rep.MaxSkew = skew
+			}
+		}
 	}
-	rep.Tracks = reports
 	rep.Duration = clock.Now()
 	return rep, nil
 }
 
-// effectiveLayer clamps the fidelity request to the element's layer
+// effectiveLayer clamps the fidelity request to element i's layer
 // count so single-layer tracks play unchanged under scaled playback.
-func effectiveLayer(it *interp.Interpretation, s scheduled, maxLayer int) int {
+func effectiveLayer(tr *interp.Track, i, maxLayer int) int {
 	if maxLayer < 0 {
 		return -1
 	}
-	tr, err := it.Track(s.track)
-	if err != nil {
-		return -1
-	}
-	if n := tr.Layers(s.index); maxLayer >= n {
+	if n := tr.Layers(i); maxLayer >= n {
 		return n - 1
 	}
 	return maxLayer

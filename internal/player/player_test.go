@@ -396,3 +396,186 @@ func TestPlayCompositionScaledFidelity(t *testing.T) {
 		t.Errorf("scaled composition playback: base %d >= full %d", base.Bytes, full.Bytes)
 	}
 }
+
+// TestTwoEntryPointsOneSchedule: a one-component composition at offset
+// 0 delivers what Play of that track delivers, under every option, and
+// placing the component at +100 ms moves every deadline by 100 ms /
+// Rate and nothing else.
+func TestTwoEntryPointsOneSchedule(t *testing.T) {
+	db := catalog.New(blob.NewMemStore())
+	g := frame.Generator{W: 32, H: 24, Seed: 5}
+	frames := make([]*frame.Frame, 10)
+	for i := range frames {
+		frames[i] = g.Frame(i)
+	}
+	vid, err := db.Ingest("v", derive.VideoValue(frames, timebase.PAL), catalog.IngestOptions{Layered: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	obj, err := db.Get(vid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	it, err := db.Interpretation(obj.Blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := it.MustTrack(obj.Track).Layers(0); n < 2 {
+		t.Fatalf("layered ingest wrote %d layers", n)
+	}
+	at0, err := db.AddMultimedia("at0", timebase.Millis, []core.ComponentRef{{Object: vid, Start: 0}}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	at100, err := db.AddMultimedia("at100", timebase.Millis, []core.ComponentRef{{Object: vid, Start: 100}}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	record := func(evs *[]Event) Sink {
+		return SinkFunc(func(e Event) error { *evs = append(*evs, e); return nil })
+	}
+	for _, tc := range []struct {
+		name string
+		opts Options
+	}{
+		{"all layers", Options{MaxLayer: -1}},
+		{"base layer", Options{MaxLayer: 0}},
+		{"layer clamp", Options{MaxLayer: 7}},
+		{"window", Options{MaxLayer: -1, From: 0.1, To: 0.25}},
+		{"open window", Options{MaxLayer: -1, From: 0.15}},
+		{"rate 2", Options{MaxLayer: -1, Rate: 2}},
+		{"rate 0.5", Options{MaxLayer: -1, Rate: 0.5}},
+		{"work", Options{MaxLayer: -1, WorkPerByte: 20 * time.Microsecond}},
+		{"everything", Options{MaxLayer: 0, From: 0.1, To: 0.3, Rate: 2, WorkPerByte: 30 * time.Microsecond}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var played, composed, shifted []Event
+			prep, err := Play(it, []string{obj.Track}, &VirtualClock{}, record(&played), tc.opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			crep, err := PlayComposition(db, at0, &VirtualClock{}, record(&composed), tc.opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(played) == 0 || len(played) != len(composed) {
+				t.Fatalf("Play delivered %d events, PlayComposition %d", len(played), len(composed))
+			}
+			for i, p := range played {
+				c := composed[i]
+				if p.Track != obj.Track || c.Track != "v" {
+					t.Fatalf("event %d labels: %q and %q", i, p.Track, c.Track)
+				}
+				if p.Index != c.Index || p.Deadline != c.Deadline || p.Actual != c.Actual || len(p.Payload) != len(c.Payload) {
+					t.Errorf("event %d: Play %d@%v/%v %d B, PlayComposition %d@%v/%v %d B",
+						i, p.Index, p.Deadline, p.Actual, len(p.Payload), c.Index, c.Deadline, c.Actual, len(c.Payload))
+				}
+			}
+			if prep.Duration != crep.Duration || prep.MaxJitter() != crep.MaxJitter() {
+				t.Errorf("reports: Play %v/%v, PlayComposition %v/%v", prep.Duration, prep.MaxJitter(), crep.Duration, crep.MaxJitter())
+			}
+
+			opts := tc.opts
+			opts.From += 0.1
+			if opts.To > 0 {
+				opts.To += 0.1
+			}
+			if _, err := PlayComposition(db, at100, &VirtualClock{}, record(&shifted), opts); err != nil {
+				t.Fatal(err)
+			}
+			if len(shifted) != len(composed) {
+				t.Fatalf("shifted composition delivered %d events, want %d", len(shifted), len(composed))
+			}
+			// A deadline is float seconds truncated to nanoseconds, so
+			// an element whose shifted start rounds down in binary
+			// (0.24 + 0.1 = 0.33999…) lands 1 ns short of the shift.
+			want := time.Duration(float64(100*time.Millisecond) / opts.speed())
+			for i, c := range composed {
+				s := shifted[i]
+				if d := s.Deadline - c.Deadline; s.Index != c.Index || len(s.Payload) != len(c.Payload) || d > want || d < want-1 {
+					t.Errorf("event %d: at +100 ms %d@%v %d B, at 0 %d@%v %d B (want deadline +%v)",
+						i, s.Index, s.Deadline, len(s.Payload), c.Index, c.Deadline, len(c.Payload), want)
+				}
+			}
+		})
+	}
+
+	// A window that holds nothing: Play reports nothing played,
+	// PlayComposition refuses.
+	rep, err := Play(it, []string{obj.Track}, &VirtualClock{}, &Discard{}, Options{From: 10})
+	if err != nil || len(rep.Tracks) != 1 || rep.Tracks[0].Events != 0 {
+		t.Errorf("empty window: Play %+v, %v", rep, err)
+	}
+	if _, err := PlayComposition(db, at0, &VirtualClock{}, &Discard{}, Options{From: 10}); !errors.Is(err, ErrNoTracks) {
+		t.Errorf("empty window: PlayComposition err = %v, want ErrNoTracks", err)
+	}
+}
+
+// TestMaxSkewIsLatenessGap pins what MaxSkew measures: for each event
+// of a sync-constrained component, the absolute difference between its
+// lateness and the worst lateness its partner has had so far; the
+// report's MaxSkew is the largest such difference.
+func TestMaxSkewIsLatenessGap(t *testing.T) {
+	db := catalog.New(blob.NewMemStore())
+	g := frame.Generator{W: 32, H: 24, Seed: 6}
+	frames := make([]*frame.Frame, 8)
+	for i := range frames {
+		frames[i] = g.Frame(i)
+	}
+	vid, err := db.Ingest("v", derive.VideoValue(frames, timebase.PAL), catalog.IngestOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	aud, err := db.Ingest("a", derive.AudioValue(audio.Sine(8*1764, 2, 440, 44100, 0.4), timebase.CDAudio), catalog.IngestOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	other, err := db.Ingest("w", derive.VideoValue(frames[:4], timebase.PAL), catalog.IngestOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// "w" is unconstrained: its deliveries move the clock but are not
+	// measured.
+	mm, err := db.AddMultimedia("show", timebase.Millis, []core.ComponentRef{
+		{Object: vid, Start: 0},
+		{Object: aud, Start: 20},
+		{Object: other, Start: 60},
+	}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := db.AddSync(mm, 0, 1, 40); err != nil {
+		t.Fatal(err)
+	}
+	var evs []Event
+	rep, err := PlayComposition(db, mm, &VirtualClock{}, SinkFunc(func(e Event) error { evs = append(evs, e); return nil }),
+		Options{MaxLayer: -1, WorkPerByte: 10 * time.Microsecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	partner := map[string]string{"v": "a", "a": "v"}
+	seen := map[string]bool{}
+	worst := map[string]time.Duration{}
+	var want time.Duration
+	for _, e := range evs {
+		if o, ok := partner[e.Track]; ok && seen[o] {
+			gap := e.Jitter() - worst[o]
+			if gap < 0 {
+				gap = -gap
+			}
+			if gap > want {
+				want = gap
+			}
+		}
+		seen[e.Track] = true
+		if j := e.Jitter(); j > worst[e.Track] {
+			worst[e.Track] = j
+		}
+	}
+	if want == 0 {
+		t.Fatal("the load produced no lateness gap; the check shows nothing")
+	}
+	if rep.MaxSkew != want {
+		t.Errorf("MaxSkew = %v, want %v", rep.MaxSkew, want)
+	}
+}
