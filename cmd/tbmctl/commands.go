@@ -6,17 +6,20 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"sort"
 	"strconv"
 	"strings"
 	"time"
 
 	"timedmedia/internal/blob"
 	"timedmedia/internal/catalog"
+	"timedmedia/internal/codec"
 	"timedmedia/internal/core"
 	"timedmedia/internal/derive"
 	"timedmedia/internal/durable"
 	"timedmedia/internal/export"
 	"timedmedia/internal/fixtures"
+	"timedmedia/internal/interp"
 	"timedmedia/internal/media"
 	"timedmedia/internal/player"
 	"timedmedia/internal/timebase"
@@ -134,6 +137,13 @@ func cmdInspect(args []string) error {
 			fmt.Printf("  table:      %v\n", tr)
 			fmt.Printf("  bytes:      %d in %v (%d B)\n", tr.TotalBytes(), obj.Blob, it.BlobSize())
 			fmt.Printf("  chunks:     %d, key elements: %d\n", len(tr.Chunks()), len(tr.KeyElements()))
+			if tr.MediaType().Encoding() == media.EncodingVJPG {
+				gens, err := vjpgGenerations(it, tr)
+				if err != nil {
+					return err
+				}
+				fmt.Printf("  vjpg frames: %s\n", gens)
+			}
 		case core.ClassDerived:
 			fmt.Printf("  derivation: %s inputs=%v params=%s (%d B)\n",
 				obj.Derivation.Op, obj.Derivation.Inputs, obj.Derivation.Params, obj.Derivation.SizeBytes())
@@ -150,6 +160,34 @@ func cmdInspect(args []string) error {
 		}
 		return nil
 	})
+}
+
+// vjpgGenerations counts a vjpg track's frames by the magic their base
+// layer opens with, the codec generation that wrote them, as "50 VV" or
+// "10 VV, 40 VY": a catalog an earlier build wrote shows its mix.
+func vjpgGenerations(it *interp.Interpretation, tr *interp.Track) (string, error) {
+	count := map[string]int{}
+	for i := 0; i < tr.Len(); i++ {
+		layers, err := it.PayloadLayers(tr.Name(), i, 0)
+		if err != nil {
+			return "", err
+		}
+		magic, ok := codec.VJPGMagic(layers[0])
+		if !ok {
+			magic = "unknown"
+		}
+		count[magic]++
+	}
+	magics := make([]string, 0, len(count))
+	for magic := range count {
+		magics = append(magics, magic)
+	}
+	sort.Strings(magics)
+	parts := make([]string, len(magics))
+	for i, magic := range magics {
+		parts[i] = fmt.Sprintf("%d %s", count[magic], magic)
+	}
+	return strings.Join(parts, ", "), nil
 }
 
 func cmdCompose(args []string) error {

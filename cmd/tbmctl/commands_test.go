@@ -196,3 +196,40 @@ func TestCLIPlayLeavesCatalogAlone(t *testing.T) {
 		t.Errorf("ls after the plays:\n%s\nbefore:\n%s", lsAfter, lsBefore)
 	}
 }
+
+// TestCLIInspectCountsVJPGGenerations: inspect counts a vjpg track's
+// frames by the codec generation that wrote them — every frame of a
+// clip captured now is a "VV" frame, and the clip of a catalog an
+// earlier build wrote shows the generation that build wrote.
+func TestCLIInspectCountsVJPGGenerations(t *testing.T) {
+	dir := t.TempDir()
+	run(t, cmdCapture, "-dir", dir, "-name", "clip", "-seconds", "1", "-width", "64", "-height", "48")
+	out, stderr, ok := cli(t, "inspect", "-dir", dir, "-name", "clip-video")
+	if !ok || !strings.Contains(out, "  vjpg frames: 25 VV\n") {
+		t.Errorf("inspect of a captured clip: %q (%s)", out, stderr)
+	}
+	for fixture, want := range map[string]string{"format_pr44": "4 VJ", "format_pr62": "4 VB", "format_pr64": "4 VY"} {
+		old := filepath.Join(t.TempDir(), fixture)
+		src := filepath.Join("..", "..", "internal", "catalog", "testdata", fixture)
+		if err := os.MkdirAll(old, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		entries, err := os.ReadDir(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range entries {
+			data, err := os.ReadFile(filepath.Join(src, e.Name()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(filepath.Join(old, e.Name()), data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		out, stderr, ok := cli(t, "inspect", "-dir", old, "-name", "clip")
+		if !ok || !strings.Contains(out, "  vjpg frames: "+want+"\n") {
+			t.Errorf("inspect of %s's clip: %q (%s), want %s", fixture, out, stderr, want)
+		}
+	}
+}

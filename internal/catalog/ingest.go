@@ -120,8 +120,9 @@ func Encode(store blob.Store, v *derive.Value, opts IngestOptions) (*interp.Inte
 
 // Materialize expands a derived object and stores the result as a new
 // non-derived object — the paper's (b): "'expand' derived objects to
-// produce actual (i.e., non-derived) objects", done when expansion
-// cannot be performed in real time.
+// produce actual (i.e., non-derived) objects", which it does when
+// expansion cannot be performed in real time. Here the caller decides
+// when: nothing calls Materialize on its own.
 func (db *DB) Materialize(id core.ID, name string, opts IngestOptions) (core.ID, error) {
 	v, err := db.Expand(id)
 	if err != nil {

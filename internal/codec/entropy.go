@@ -45,11 +45,32 @@ import (
 // vjpg planes, the one segment kind that runs DPCM, have a fourth
 // layer: layerRice's codes over residuals of the median edge detector
 // (see predict in vjpg.go), where the other layers' residuals are of
-// the mean of left and above. A vjpg frame has two more, frame-level
-// ones: layerLuma, written now, whose three planes are each in layerMED
-// over a bias-corrected row above (see biasState in vjpg.go), and
-// layerBias, which earlier builds wrote, whose chroma planes are so and
-// whose luma plane is plain layerMED.
+// the mean of left and above. A vjpg frame has three more, frame-level
+// ones: layerVert, written now; layerLuma, whose three planes are each
+// in layerMED over a bias-corrected row above (see biasState in
+// vjpg.go); and layerBias, whose chroma planes are so and whose luma
+// plane is plain layerMED. Earlier builds wrote the last two.
+//
+// A layerVert plane holds a layerLuma plane's residuals, coded in one
+// of two modes that the low nibble of its second parameter byte names,
+// whichever takes fewer bytes: 0, the layerMED code byte for byte, or
+// 1, vertical mode, where a zero run may end against the row above (as
+// ITU-T T.4's two-dimensional coding codes a change against the line
+// before). Vertical mode adds a third parameter byte, kd<<4|kv:
+//
+//	kd — a vertically coded run's end e, as zigzag(p-1-e), where p is
+//	     the run's reference (below)
+//	kv — the literal after such a run, as the zigzag of its difference,
+//	     modulo 2^32, from the literal above p (which is never 0)
+//
+// A run starting at s has a reference if some value at s+1-width to
+// s-1 is nonzero and the position a row below the first such one, p,
+// lies inside the plane: p is then the first position after s whose
+// neighbour above holds a nonzero residual. Most runs end one short of
+// p or at it, below an edge the row above crossed. A run with a
+// reference is coded after a flag bit: 1 and its end under kd, or 0
+// and its length under kr with the literal after it under kb, as a run
+// without one is.
 
 // layer is an entropy layer, and for a vjpg plane the predictor its
 // residuals are of. A bitstream's two-byte magic names the layer of its
@@ -62,12 +83,13 @@ const (
 	layerVarint              // byte varints: read only
 	layerMED                 // layerRice over MED residuals: vjpg planes only, read only as a frame's layer
 	layerBias                // layerMED with bias-corrected chroma: vjpg frames only, read only
-	layerLuma                // layerBias with the luma plane corrected too: written, vjpg frames only
+	layerLuma                // layerBias with the luma plane corrected too: vjpg frames only, read only
+	layerVert                // layerLuma with vertical runs: written, vjpg frames and their planes only
 )
 
 // magics are a segment kind's magics, indexed by layer; a kind has none
 // (an empty string, which no data opens with) for a layer it never had.
-type magics [6]string
+type magics [7]string
 
 // layerOf returns the layer data's magic names among m, and false if
 // data opens with none of them.
@@ -159,6 +181,230 @@ func riceEncode(dst []byte, vals []int32) []byte {
 	return w.flush()
 }
 
+// vertRun is a zero run of a plane as the vertical-mode encoder sees
+// it: its two codes and the literal after it in each. Without a
+// reference, or with one too far from its end, only the first applies.
+type vertRun struct {
+	n, m      uint64 // its length less 1, and its end against its reference (endCode)
+	lit, vlit uint64 // the literal after it, as kb and as kv code it
+	ref, near bool   // it has a reference (and a flag bit); its end can be coded against it
+	last      bool   // it ends the plane: no literal after it
+	vertical  bool   // it is coded against its reference
+}
+
+// endCode is the code of a vertically coded run's end e against its
+// reference p: zigzag(p-1-e), so that a run ending one short of p codes
+// 0, one ending at p 1, and one ending a pixel before or after those 2
+// and 3. It reports false for an end too far from p to code.
+func endCode(p, e int) (uint64, bool) {
+	d := int64(p) - 1 - int64(e)
+	return zigzag(int32(d)), d == int64(int32(d))
+}
+
+// riceEncodePlane appends vals, a plane width values wide, to dst in
+// layerVert: in vertical mode where that takes fewer bytes than
+// riceEncode's code, and as riceEncode codes it — a layerMED plane byte
+// for byte — where it does not, so no plane takes more bytes than that.
+// Both sizes come exactly from the token histograms, so only the
+// shorter code is written.
+//
+// Vertical mode is three parameter bytes, ka<<4|kb, kr<<4|1 and
+// kd<<4|kv, then the codes. A run with a reference (see vertRefs) is
+// coded after a flag bit: 1 and its end under kd (endCode), or 0 and
+// its length under kr, whichever, with the literal after it, takes
+// fewer bits; the literal after a vertically coded run is coded under
+// kv as the zigzagged difference, modulo 2^32, from its reference's
+// literal. The parameters and the choices are fitted to each other in
+// turn, a fixed number of rounds.
+func riceEncodePlane(dst []byte, vals []int32, width int) []byte {
+	var after, lits, runs, ends, vlits riceHist
+	var rs []vertRun
+	j := 0 // no nonzero value lies between the reference window's start and j
+	for i, prev := 0, 0; i < len(vals); {
+		u, run, end := token(vals, i)
+		if prev == 0 {
+			after.add(u)
+		}
+		if run == 0 {
+			i, prev = end, 0
+			continue
+		}
+		r := vertRun{n: uint64(run - 1), last: end == len(vals)}
+		if !r.last {
+			r.lit = zigzag(vals[end]) - 1
+		}
+		for j = max(j, i+1-width); j < i && vals[j] == 0; {
+			j++
+		}
+		if j < i && j+width < len(vals) {
+			r.ref = true
+			r.m, r.near = endCode(j+width, end)
+			if !r.last {
+				r.vlit = zigzag(vals[end] - vals[j])
+			}
+		}
+		rs = append(rs, r)
+		i, prev = end, run
+	}
+	// Start from every run coded by length and every one that has a
+	// reference by its end, then choose and refit. Every run with a
+	// reference takes a flag bit.
+	var flags uint64
+	for _, r := range rs {
+		if r.ref {
+			flags++
+		}
+		runs.add(r.n)
+		if !r.last {
+			lits.add(r.lit)
+		}
+		if r.near {
+			ends.add(r.m)
+			if !r.last {
+				vlits.add(r.vlit)
+			}
+		}
+	}
+	ka, afterBits := after.fit()
+	kb, litBits := lits.fit()
+	kr, runBits := runs.fit()
+	byLenBits := afterBits + litBits + runBits // riceEncode's codes
+	kd, kv := ends.best(), vlits.best()
+	var vertBits uint64
+	for round := 0; round < 3; round++ {
+		lits, runs, ends, vlits = riceHist{}, riceHist{}, riceHist{}, riceHist{}
+		for i := range rs {
+			r := &rs[i]
+			byLen, byEnd := riceLen(r.n, kr), riceLen(r.m, kd)
+			if !r.last {
+				byLen += riceLen(r.lit, kb)
+				byEnd += riceLen(r.vlit, kv)
+			}
+			r.vertical = r.near && byEnd < byLen
+			switch {
+			case r.vertical:
+				ends.add(r.m)
+				if !r.last {
+					vlits.add(r.vlit)
+				}
+			default:
+				runs.add(r.n)
+				if !r.last {
+					lits.add(r.lit)
+				}
+			}
+		}
+		var b, r, d, v uint64
+		kb, b = lits.fit()
+		kr, r = runs.fit()
+		kd, d = ends.fit()
+		kv, v = vlits.fit()
+		vertBits = afterBits + flags + b + r + d + v
+	}
+	if 3+(vertBits+7)/8 >= 2+(byLenBits+7)/8 {
+		return riceEncode(dst, vals)
+	}
+	w := bitWriter{dst: append(dst, byte(ka<<4|kb), byte(kr<<4|1), byte(kd<<4|kv))}
+	var prev *vertRun // the run before the current value, if any
+	for i, ri := 0, 0; i < len(vals); {
+		if v := vals[i]; v != 0 {
+			switch {
+			case prev == nil:
+				w.rice(zigzag(v), ka)
+			case prev.vertical:
+				w.rice(prev.vlit, kv)
+			default:
+				w.rice(prev.lit, kb)
+			}
+			prev = nil
+			i++
+			continue
+		}
+		// A plane holds fewer than maxRun values, so a run follows a
+		// literal or starts the plane.
+		w.rice(0, ka)
+		prev = &rs[ri]
+		ri++
+		switch {
+		case prev.vertical:
+			w.put(1, 1)
+			w.rice(prev.m, kd)
+		case prev.ref:
+			w.put(0, 1)
+			fallthrough
+		default:
+			w.rice(prev.n, kr)
+		}
+		i += int(prev.n) + 1
+	}
+	return w.flush()
+}
+
+// vertRefs is what a vertical-mode plane's decoder keeps of the
+// residuals it has read to find a run's reference: which columns of
+// the row being read and of the row above hold a nonzero residual, a
+// bit each of cur and above, and each column's latest nonzero residual.
+type vertRefs struct {
+	cur, above []uint64
+	val        []int32
+}
+
+// reset readies r for a plane width values wide, before its first row.
+func (r *vertRefs) reset(width int) {
+	n := (width + 63) / 64
+	if cap(r.val) < width {
+		r.val = make([]int32, width)
+		r.cur, r.above = make([]uint64, n), make([]uint64, n)
+	}
+	r.cur, r.above = r.cur[:n], r.above[:n]
+	clear(r.cur)
+	clear(r.above)
+}
+
+// nextRow moves r to the next row: the one read so far is above it.
+// A row is a few words, so it clears them in a loop, not by a call.
+func (r *vertRefs) nextRow() {
+	r.cur, r.above = r.above, r.cur
+	for i := 0; i < len(r.cur); i++ {
+		r.cur[i] = 0
+	}
+}
+
+// set records v, nonzero, as the residual at column x of the row being
+// read.
+func (r *vertRefs) set(x int, v int32) {
+	r.cur[x>>6] |= 1 << (x & 63)
+	r.val[x] = v
+}
+
+// first returns the first column in [x0, x1) whose bit in row is set,
+// or -1.
+func first(row []uint64, x0, x1 int) int {
+	for x0 < x1 {
+		if word := row[x0>>6] >> (x0 & 63); word != 0 {
+			if c := x0 + bits.TrailingZeros64(word); c < x1 {
+				return c
+			}
+			return -1
+		}
+		x0 = x0 | 63 + 1
+	}
+	return -1
+}
+
+// ref returns the column of the reference of a run starting at column
+// x of the row being read, or -1 if it has none: the first of the
+// positions after the run's start, within a row of it, whose neighbour
+// above holds a nonzero residual — columns after x in the row above,
+// then, unless the row is the plane's last, columns before x in the
+// run's own row.
+func (r *vertRefs) ref(x, width int, last bool) int {
+	if c := first(r.above, x+1, width); c >= 0 || last {
+		return c
+	}
+	return first(r.cur, 0, x)
+}
+
 // riceLen is the length in bits of u's code under parameter k.
 func riceLen(u uint64, k uint) uint64 {
 	if q := u >> k; q < riceCap {
@@ -172,11 +418,13 @@ func riceLen(u uint64, k uint) uint64 {
 type riceHist struct {
 	small [riceLiteralHist]uint64
 	large [riceMaxK + 1]uint64 // bits of the values past small, by k
+	top   int                  // small[top:] are all 0
 }
 
 func (h *riceHist) add(u uint64) {
 	if u < riceLiteralHist {
 		h.small[u]++
+		h.top = max(h.top, int(u)+1)
 		return
 	}
 	for k := range h.large {
@@ -188,17 +436,24 @@ func (h *riceHist) add(u uint64) {
 // fewest bits; the costs are exact, so no other parameter codes them in
 // fewer.
 func (h *riceHist) best() uint {
-	best, bestCost := uint(0), ^uint64(0)
+	k, _ := h.fit()
+	return k
+}
+
+// fit returns best's parameter and the bits the counted values take
+// under it.
+func (h *riceHist) fit() (best uint, bestCost uint64) {
+	bestCost = ^uint64(0)
 	for k := uint(0); k <= riceMaxK; k++ {
 		cost := h.large[k]
-		for u, n := range h.small {
+		for u, n := range h.small[:h.top] {
 			cost += n * riceLen(uint64(u), k)
 		}
 		if cost < bestCost {
 			best, bestCost = k, cost
 		}
 	}
-	return best
+	return best, bestCost
 }
 
 // bitWriter appends bits MSB first to dst.
@@ -258,10 +513,14 @@ type window struct {
 // riceParams are a segment's parameters as its decode loop applies
 // them: the token after a run shorter than maxRun is read under kb and
 // biased by bias (1, or 0 in layerRice1, where kb is ka), every other
-// token under ka, and run lengths under kr.
+// token under ka, and run lengths under kr. A vertical-mode plane also
+// reads a vertically coded run's end under kd and the literal after it
+// under kv.
 type riceParams struct {
 	ka, kb, kr uint
 	bias       uint64
+	kd, kv     uint
+	vertical   bool
 }
 
 // newRiceReader reads the parameter bytes of a segment in Rice layer l.
@@ -272,12 +531,16 @@ func newRiceReader(src []byte, l layer) (bitReader, riceParams, error) {
 	case l == layerRice1 && len(src) >= 1:
 		head = 1
 		p = riceParams{ka: uint(src[0] >> 4), kb: uint(src[0] >> 4), kr: uint(src[0] & 15)}
-	case (l == layerRice || l == layerMED) && len(src) >= 2 && src[1]&15 == 0:
+	case (l == layerRice || l == layerMED || l == layerVert) && len(src) >= 2 && src[1]&15 == 0:
 		p = riceParams{ka: uint(src[0] >> 4), kb: uint(src[0] & 15), kr: uint(src[1] >> 4), bias: 1}
+	case l == layerVert && len(src) >= 3 && src[1]&15 == 1:
+		head = 3
+		p = riceParams{ka: uint(src[0] >> 4), kb: uint(src[0] & 15), kr: uint(src[1] >> 4), bias: 1,
+			kd: uint(src[2] >> 4), kv: uint(src[2] & 15), vertical: true}
 	default:
 		return bitReader{}, p, ErrCorrupt
 	}
-	if p.ka > riceMaxK || p.kb > riceMaxK || p.kr > riceMaxK {
+	if max(p.ka, p.kb, p.kr, p.kd, p.kv) > riceMaxK {
 		return bitReader{}, p, ErrCorrupt
 	}
 	return bitReader{src: src[head:], head: head}, p, nil

@@ -220,6 +220,102 @@ func refRiceDecode(src []byte, n int, l layer) ([]int32, int, error) {
 	return out, head + (b.pos+7)/8, nil
 }
 
+// refVertDecode reads a "VV" plane of n values, width wide, the plain
+// way over refBits: its spare nibble names its mode, 0 for a "VY"
+// plane's code (refRiceDecode) and 1 for vertical mode, three parameter
+// bytes and then tokens. In vertical mode a run's reference is found by
+// scanning the values read so far: the first nonzero one at or after
+// the run's start less width-1, if it lies before the start and the
+// position a row below it inside the plane. A run with one is read
+// after a flag bit: 1 for its end under kd, p-1 less its zigzagged
+// code, p the position below the reference, or 0 for its length under
+// kr; and the literal after a run read by its end is read under kv as
+// its difference from the reference's value, modulo 2^32.
+func refVertDecode(src []byte, n, width int) ([]int32, int, error) {
+	if len(src) >= 2 && src[1]&15 == 0 {
+		return refRiceDecode(src, n, layerMED)
+	}
+	if len(src) < 3 || src[1]&15 != 1 {
+		return nil, 0, ErrCorrupt
+	}
+	ka, kb, kr := int(src[0]>>4), int(src[0]&15), int(src[1]>>4)
+	kd, kv := int(src[2]>>4), int(src[2]&15)
+	if max(ka, kb, kr, kd, kv) > riceMaxK {
+		return nil, 0, ErrCorrupt
+	}
+	b := refBits{src: src[3:]}
+	var out []int32
+	const (
+		afterLiteral = iota
+		afterLength
+		afterEnd
+	)
+	after, against := afterLiteral, int32(0)
+	for len(out) < n {
+		var u uint64
+		var ok bool
+		switch after {
+		case afterLiteral:
+			u, ok = b.rice(ka)
+		case afterLength:
+			u, ok = b.rice(kb)
+			u++
+			ok = ok && u < 1<<32
+		case afterEnd:
+			u, ok = b.rice(kv)
+		}
+		if !ok {
+			return nil, 0, ErrCorrupt
+		}
+		if after == afterEnd {
+			v := against + unzigzag(u)
+			if v == 0 {
+				return nil, 0, ErrCorrupt
+			}
+			out = append(out, v)
+			after = afterLiteral
+			continue
+		}
+		if u != 0 {
+			out = append(out, unzigzag(u))
+			after = afterLiteral
+			continue
+		}
+		s, ref := len(out), -1
+		for j := max(0, s+1-width); j < s; j++ {
+			if out[j] != 0 {
+				if j+width < n {
+					ref = j
+				}
+				break
+			}
+		}
+		flag := uint64(0)
+		if ref >= 0 {
+			if flag, ok = b.bit(); !ok {
+				return nil, 0, ErrCorrupt
+			}
+		}
+		if flag == 1 {
+			m, ok := b.rice(kd)
+			e := int64(ref+width) - 1 - int64(unzigzag(m))
+			if !ok || e <= int64(s) || e > int64(n) {
+				return nil, 0, ErrCorrupt
+			}
+			out = append(out, make([]int32, int(e)-s)...)
+			after, against = afterEnd, out[ref]
+			continue
+		}
+		run, ok := b.rice(kr)
+		if !ok || run+1 > uint64(n-s) {
+			return nil, 0, ErrCorrupt
+		}
+		out = append(out, make([]int32, run+1)...)
+		after = afterLength
+	}
+	return out, 3 + (b.pos+7)/8, nil
+}
+
 // allMagics are every segment kind's magics.
 var allMagics = []magics{vjpgMagics, enhMagics, interMagics}
 
@@ -236,25 +332,27 @@ func kindOf(data []byte) (magics, layer, bool) {
 // segmentSizes returns the value counts of the entropy segments behind
 // the 7-byte header of a w×h bitstream of kind m: three planes for a
 // vjpg frame, the RGB residuals for an enhancement layer, the motion
-// field and the YUV residuals for an intermediate.
-func segmentSizes(m magics, w, h int) []int {
+// field and the YUV residuals for an intermediate. For a vjpg frame it
+// also returns its planes' widths.
+func segmentSizes(m magics, w, h int) (sizes, widths []int) {
 	cw := (w + 1) / 2
 	switch m {
 	case vjpgMagics:
-		return []int{w * h, cw * h, cw * h}
+		return []int{w * h, cw * h, cw * h}, []int{w, cw, cw}
 	case enhMagics:
-		return []int{3 * w * h}
+		return []int{3 * w * h}, nil
 	}
 	blocks := 0
 	for _, p := range planesOf(make([]byte, w*h+2*cw*h), w, h) {
 		blocks += blocksInPlane(p)
 	}
-	return []int{blocks, w*h + 2*cw*h}
+	return []int{blocks, w*h + 2*cw*h}, nil
 }
 
 // refSegments decodes the entropy segments of a bitstream with the
-// reference readers — refRiceDecode, or entropyDecode for the varint
-// layer — and returns their values.
+// reference readers — refRiceDecode, refVertDecode for the planes of a
+// "VV" frame, or entropyDecode for the varint layer — and returns their
+// values.
 func refSegments(data []byte) ([][]int32, error) {
 	m, l, ok := kindOf(data)
 	if len(data) < 7 || !ok {
@@ -263,13 +361,17 @@ func refSegments(data []byte) ([][]int32, error) {
 	w, h := int(binary.BigEndian.Uint16(data[3:])), int(binary.BigEndian.Uint16(data[5:]))
 	var segs [][]int32
 	off := 7
-	for _, n := range segmentSizes(m, w, h) {
+	sizes, widths := segmentSizes(m, w, h)
+	for i, n := range sizes {
 		var vals []int32
 		var k int
 		var err error
-		if l == layerVarint {
+		switch l {
+		case layerVarint:
 			vals, k, err = entropyDecode(data[off:], n)
-		} else {
+		case layerVert:
+			vals, k, err = refVertDecode(data[off:], n, widths[i])
+		default:
 			vals, k, err = refRiceDecode(data[off:], n, l)
 		}
 		if err != nil {
@@ -357,7 +459,8 @@ func encodeSegment(dst []byte, vals []int32, l layer) []byte {
 // in layer l, with the same header fields and tokens: a Rice-coded one
 // as the forms earlier builds wrote, and those as the one written now.
 // A vjpg frame's tokens are residuals of its layer's predictor, so a
-// "VN" or "VB" frame has no other layer and no other frame becomes one.
+// "VN" or "VB" frame has no other layer and no other frame becomes one;
+// but a "VV" frame's are a "VY" frame's, so it becomes one.
 func recode(t testing.TB, data []byte, l layer) []byte {
 	t.Helper()
 	segs, err := refSegments(data)
@@ -365,7 +468,7 @@ func recode(t testing.TB, data []byte, l layer) []byte {
 		t.Fatalf("recode: %v", err)
 	}
 	m, from, _ := kindOf(data)
-	if from != l && (from >= layerMED || l >= layerMED) {
+	if from != l && (from >= layerMED || l >= layerMED) && (from != layerVert || l != layerLuma) {
 		t.Fatalf("recode: %s tokens are not layer %d's", data[:2], l)
 	}
 	out := append([]byte(m[l]), data[2:7]...)
@@ -527,10 +630,10 @@ func TestRiceDecodeCorrupt(t *testing.T) {
 // refused within a refill of its end, not decoded on to the size its
 // header claims from the 0 bits a reader sees past it.
 func TestRiceDecodeStopsAtTruncation(t *testing.T) {
-	for l, head := range map[layer][]byte{layerRice: {0x00, 0x00}, layerRice1: {0x00}} {
+	for l, head := range map[layer][]byte{layerRice: {0x00, 0x00}, layerRice1: {0x00}, layerVert: {0x00, 0x01, 0x00}} {
 		pix := bytes.Repeat([]byte{0xaa}, 1<<16)
 		src := append(head, bitBytes("0 0 0 0 0 0")...)
-		if _, err := decodePlane(src, pix, 256, 12, l, nil); err != ErrCorrupt {
+		if _, err := decodePlane(src, pix, 256, 12, l, nil, &vertRefs{}); err != ErrCorrupt {
 			t.Fatalf("layer %d: decodePlane: %v, want ErrCorrupt", l, err)
 		}
 		if written := len(pix) - bytes.Count(pix, []byte{0xaa}); written > 128 {

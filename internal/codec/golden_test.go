@@ -88,18 +88,19 @@ type goldenSet struct {
 	vmpg      []VMPGPacket      // the vmpg GOP; none in the MED-predicted layers
 }
 
-// goldenStreams encodes the golden fixtures in layer l. In layerLuma
-// they are what VJPGEncode writes now, in layerBias what it wrote
-// before luma bias correction, and in layerMED what it wrote before
-// chroma bias correction; vmpg keys are never MED-predicted, so none of
-// the three has a GOP. In the other layers
+// goldenStreams encodes the golden fixtures in layer l. In layerVert
+// they are what VJPGEncode writes now, in layerLuma what it wrote
+// before vertical runs, in layerBias what it wrote before luma bias
+// correction, and in layerMED what it wrote before chroma bias
+// correction; vmpg keys are never MED-predicted, so none of the four
+// has a GOP. In the other layers
 // the vjpg frames and the layered base are mean-predicted, as earlier
 // builds wrote them and as vmpg keys are written now, and each
 // bitstream is recoded to l (recode).
 func goldenStreams(t *testing.T, l layer) goldenSet {
 	t.Helper()
 	vl, in := l, func(data []byte) []byte { return data }
-	if l != layerLuma && l != layerBias && l != layerMED {
+	if l != layerVert && l != layerLuma && l != layerBias && l != layerMED {
 		vl = layerRice
 		if l != layerRice {
 			in = func(data []byte) []byte { return recode(t, data, l) }
@@ -125,10 +126,11 @@ func goldenStreams(t *testing.T, l layer) goldenSet {
 }
 
 // goldenLayers are the tables TestVJPGEncodeGolden holds each layer's
-// bitstreams to: what the encoders write now — lumaEncodeGolden, and
+// bitstreams to: what the encoders write now — vertEncodeGolden, and
 // encodeGolden for the vmpg GOP — and what earlier builds wrote for the
 // same frames.
 var goldenLayers = map[layer]map[string]string{
+	layerVert:   vertEncodeGolden,
 	layerLuma:   lumaEncodeGolden,
 	layerBias:   biasEncodeGolden,
 	layerMED:    medEncodeGolden,
@@ -175,7 +177,8 @@ func TestVJPGEncodeGolden(t *testing.T) {
 // fixtures: the RGB and the YUV reconstruction of every vjpg frame, the
 // base and full reconstruction of the layered frame, and every frame of
 // the vmpg GOP — lumaDecodeGolden for the bitstreams with every plane
-// corrected, biasDecodeGolden for those with corrected chroma,
+// corrected, with vertical runs or without (the same residuals, so the
+// same pixels), biasDecodeGolden for those with corrected chroma,
 // medDecodeGolden for the MED-predicted ones without, and
 // decodeGolden for the mean-predicted ones in each of the three layers
 // they were ever written in.
@@ -183,7 +186,7 @@ func TestVJPGDecodeGolden(t *testing.T) {
 	for l := range goldenLayers {
 		want := decodeGolden
 		switch l {
-		case layerLuma:
+		case layerVert, layerLuma:
 			want = lumaDecodeGolden
 		case layerBias:
 			want = biasDecodeGolden
@@ -437,9 +440,10 @@ var biasDecodeGolden = map[string]string{
 	"layered":      "ff3a653afc8fad1ddba3fdfcc09ccb54f12599e1242785645cdfdd4e69b277d0",
 }
 
-// lumaEncodeGolden is what VJPGEncode writes now: layerLuma's "VY"
-// frames; and the layered frame over a "VY" base, which decodes but is
-// not written (VJPGEncodeLayered's base is "VN", medEncodeGolden's).
+// lumaEncodeGolden is what VJPGEncode wrote before vertical runs:
+// layerLuma's "VY" frames; and the layered frame over a "VY" base, which
+// decodes but is not written (VJPGEncodeLayered's base is "VN",
+// medEncodeGolden's).
 var lumaEncodeGolden = map[string]string{
 	"q1/160x120":   "22737626acdf456ee6de847aa6215347a7ea127d4d5e459879f1305ad28ba05f",
 	"q4/160x120":   "10f553127d46788dc3bb1128a031e7b8af270fd143278cc3b091919c1a152672",
@@ -464,7 +468,8 @@ var lumaEncodeGolden = map[string]string{
 	"layered":      "fe795c23a117c1f6af111b5ec9c732b196dc8715c94462aa26bbab3cf760b465",
 }
 
-// lumaDecodeGolden is what the "VY" bitstreams decode to.
+// lumaDecodeGolden is what the "VY" bitstreams decode to, and the "VV"
+// ones.
 var lumaDecodeGolden = map[string]string{
 	"q1/160x120":   "18f09b4f1bf9cf198231fc3917f0746f97518a5b6b6326b49340424a5a8401f4",
 	"q4/160x120":   "60dd7863288ee99873109ac3530c7f673d9288d3d8dd4e815d119ead980d8579",
@@ -487,4 +492,31 @@ var lumaDecodeGolden = map[string]string{
 	"q20/1x1":      "da623daf1ee2da4fb235aea84f63f8974752e217be754ed677eeff97132dc5b5",
 	"q128/1x1":     "2e40717c82acfe750dfd6d241d780a8ff0573275c64fefc4610eb5426ed976b1",
 	"layered":      "7e5037be3306ceac9a0d571b5a0e1d2b1828a4b5d3990501b40635224f28a23d",
+}
+
+// vertEncodeGolden is what VJPGEncode writes now: layerVert's "VV"
+// frames; and the layered frame over a "VV" base, which decodes but is
+// not written.
+var vertEncodeGolden = map[string]string{
+	"q1/160x120":   "6e9d3fd8c56072def75348ef9e0c460a30eb1b41ba75daa3ed3be42daedf386d",
+	"q4/160x120":   "d432f57592dce0055af3b4ac1a511b1417108e60d802f166e84cbf8a47c10131",
+	"q12/160x120":  "fded5c9009205fafe512581c29917cea7b49a4c847a0ae52b4d70215a4b147a1",
+	"q20/160x120":  "1b45138d9266fbcf21097291298d1883413f47eabaa237afc7e5a3f4e4037d71",
+	"q128/160x120": "a4cbc801af5fb9c1b1b800f9bc1695f6f00ab571067316c3efcfbefd3c2e1ea8",
+	"q1/33x17":     "9d2012e61eb1ecff443488f9337ec738d43385397837624b53086ac973076f20",
+	"q4/33x17":     "ede66ed603a8a0af058a7c751b46c13cfb289b3c8dcc1dc0c31c5a813cae42ca",
+	"q12/33x17":    "8c3f5a871c65f7134ae961693d14b1a1221c62d9861a16ef27edfb9789082401",
+	"q20/33x17":    "834c6763e8a6e9c076057d2e426947d74ee110ed37f88a78960dbdce4f68c889",
+	"q128/33x17":   "37ddf0fdd144bcd8b64258623c7447794a86e4d22e61b4a749b41d90c932966d",
+	"q1/7x3":       "49b551820ba133a350b6bdf6c385d2a96e82d1ada1de74e8bb1bb71e7fe34c39",
+	"q4/7x3":       "5c429c49c08332807d715942d120709ef4dedeb0f222822a5ff3afc4cfdbea1c",
+	"q12/7x3":      "8289f114ef562f2940e424729006ee3f0a45c1dc96896b8a95e246e8cfb3e220",
+	"q20/7x3":      "9b6f10d04567d07bc847efb5e2bfa408101ea69c2bce4b3abd6978036f9d6e75",
+	"q128/7x3":     "1588c042853e0b49d994fb137f49e659738fdd1d8fc726022934ac2107d1525c",
+	"q1/1x1":       "0c274251530869c1ed1fc612dc69e666490fc059d2ab7b2de8b636e05da74618",
+	"q4/1x1":       "8a2a2edba2bd91010f9ae404bdeaa8f73950bad2ce5c273cd2317c75269ad5e5",
+	"q12/1x1":      "aa96b791aebd9ca7cc5fc4c062b6434dc8918ec6c822e2d3e540dbeee3c58734",
+	"q20/1x1":      "1252992ccfc3e23592270e542baf12ed01c9fc19f665c36531a9813bc7b8f005",
+	"q128/1x1":     "239e7ad68b04d7baa3f059a14bc5d5b4836b9ec8ba468c4d45ae4db8585dc7ca",
+	"layered":      "b50456980d1dd02e9c6244e620acd33cf8914a1c970699f1c8658fc59e83febc",
 }

@@ -16,18 +16,24 @@ import (
 // reordering and reverse play cheaply — the property the paper
 // attributes to JPEG-compressed video.
 //
-// Bitstream: "VY" | u8 quantizer | u16 width | u16 height | Y plane |
+// Bitstream: "VV" | u8 quantizer | u16 width | u16 height | Y plane |
 // U plane | V plane, each plane a Rice-coded segment (see entropy.go):
 // its parameter bytes, then its codes, padded to a whole byte. A
 // plane's values are its quantized residuals against LOCO-I's median
 // edge detector (see predict), which sees the row above through
 // LOCO-I's context bias correction (see biasState), its state reset at
-// each plane.
+// each plane. The encoder codes each plane in both of layerVert's
+// modes, with zero runs coded by their length or, where that is
+// shorter, against the row above, and keeps the one that takes fewer
+// bytes; the second parameter byte's low nibble says which.
 //
-// A "VB" frame's planes are coded as those are, but its luma plane's
-// detector sees the row above as it is; earlier builds wrote every
-// frame so. A "VN" frame's planes are all coded as the "VB" luma plane
-// is; earlier builds wrote every frame so too. A "VL" frame's planes
+// A "VY" frame holds the same residuals, every plane coded by run
+// length; earlier builds wrote every frame so, and it decodes to the
+// same pixels as the "VV" frame of the same picture. A "VB" frame's
+// planes are coded as those are, but its luma plane's detector sees
+// the row above as it is; earlier builds wrote every frame so. A "VN"
+// frame's planes are all coded as the "VB" luma plane is; earlier
+// builds wrote every frame so too. A "VL" frame's planes
 // are coded as those are, but predict each pixel from the mean of its
 // left and above neighbours; earlier builds wrote every frame so, and
 // vmpg keys are still written so (see VMPGEncode). Frames earlier
@@ -35,18 +41,18 @@ import (
 // without run interruption, or "VJ", mean-predicted with tokens coded
 // as uvarints; those are decoded, never written.
 
-var vjpgMagics = magics{layerLuma: "VY", layerBias: "VB", layerMED: "VN", layerRice: "VL", layerRice1: "VK", layerVarint: "VJ"}
+var vjpgMagics = magics{layerVert: "VV", layerLuma: "VY", layerBias: "VB", layerMED: "VN", layerRice: "VL", layerRice1: "VK", layerVarint: "VJ"}
 
 // VJPGEncode compresses an RGB frame at the given quantizer (see
 // QuantizerFor to derive one from a quality factor).
 func VJPGEncode(f *frame.Frame, quantizer int) ([]byte, error) {
-	return encodeVJPG(f, quantizer, layerLuma)
+	return encodeVJPG(f, quantizer, layerVert)
 }
 
-// encodeVJPG is VJPGEncode in layer l, layerLuma, layerBias, layerMED
-// or layerRice: the last writes mean-predicted "VL" frames, as vmpg
-// keys are written, and it and the two between write frames as earlier
-// builds did.
+// encodeVJPG is VJPGEncode in layer l, layerVert, layerLuma,
+// layerBias, layerMED or layerRice: the last writes mean-predicted "VL"
+// frames, as vmpg keys are written, and it and the three between write
+// frames as earlier builds did.
 func encodeVJPG(f *frame.Frame, quantizer int, l layer) ([]byte, error) {
 	if quantizer < 1 || quantizer > 128 {
 		return nil, fmt.Errorf("%w: quantizer %d", ErrBadQuality, quantizer)
@@ -70,10 +76,13 @@ func encodeVJPG(f *frame.Frame, quantizer int, l layer) ([]byte, error) {
 
 // planeLayer returns the layer plane pi of a layer-l vjpg frame is
 // coded in, and bias, reset, if its predictor sees a bias-corrected
-// row above — every plane of a "VY" frame, a "VB" frame's chroma
-// planes — or else nil.
+// row above — every plane of a "VV" or "VY" frame, a "VB" frame's
+// chroma planes — or else nil.
 func planeLayer(l layer, pi int, bias *biasState) (layer, *biasState) {
 	switch {
+	case l == layerVert:
+		bias.reset()
+		return layerVert, bias
 	case l == layerLuma, l == layerBias && pi > 0:
 		bias.reset()
 		return layerMED, bias
@@ -111,6 +120,7 @@ func VJPGDecode(data []byte) (*frame.Frame, error) {
 type VJPGDecoder struct {
 	yuv  []byte
 	bias biasState
+	refs vertRefs
 }
 
 // Decode decompresses a vjpg frame to RGB. The frame it returns owns its
@@ -125,7 +135,7 @@ func (d *VJPGDecoder) Decode(data []byte) (*frame.Frame, error) {
 		d.yuv = make([]byte, n)
 	}
 	yuv := d.yuv[:n]
-	if err := decodePlanes(body, yuv, w, h, q, l, &d.bias); err != nil {
+	if err := decodePlanes(body, yuv, w, h, q, l, &d.bias, &d.refs); err != nil {
 		return nil, err
 	}
 	out := frame.New(w, h, media.ColorRGB)
@@ -143,7 +153,8 @@ func VJPGDecodeYUV(data []byte) (*frame.Frame, error) {
 	}
 	yuv := frame.New(w, h, media.ColorYUV422)
 	var bias biasState
-	if err := decodePlanes(body, yuv.Pix, w, h, q, l, &bias); err != nil {
+	var refs vertRefs
+	if err := decodePlanes(body, yuv.Pix, w, h, q, l, &bias, &refs); err != nil {
 		return nil, err
 	}
 	return yuv, nil
@@ -151,8 +162,8 @@ func VJPGDecodeYUV(data []byte) (*frame.Frame, error) {
 
 // decodePlanes decodes the Y, U and V planes of a vjpg body in layer l
 // into pix, a planar YUV 8:2:2 buffer of w×h, with bias as the
-// corrected planes' state.
-func decodePlanes(body, pix []byte, w, h, q int, l layer, bias *biasState) error {
+// corrected planes' state and refs as the vertical-mode planes'.
+func decodePlanes(body, pix []byte, w, h, q int, l layer, bias *biasState, refs *vertRefs) error {
 	off := 0
 	for pi, p := range planesOf(pix, w, h) {
 		pl, b := planeLayer(l, pi, bias)
@@ -161,7 +172,7 @@ func decodePlanes(body, pix []byte, w, h, q int, l layer, bias *biasState) error
 		if l == layerVarint {
 			n, err = decodePlaneVarint(body[off:], p.pix, p.w, planeQuantizer(q, pi), pl)
 		} else {
-			n, err = decodePlane(body[off:], p.pix, p.w, planeQuantizer(q, pi), pl, b)
+			n, err = decodePlane(body[off:], p.pix, p.w, planeQuantizer(q, pi), pl, b, refs)
 		}
 		if err != nil {
 			return err
@@ -169,6 +180,15 @@ func decodePlanes(body, pix []byte, w, h, q int, l layer, bias *biasState) error
 		off += n
 	}
 	return nil
+}
+
+// VJPGMagic returns the two-byte magic that opens a vjpg frame, which
+// names the generation of the codec that wrote it ("VV" now, "VY",
+// "VB", "VN", "VL", "VK" or "VJ" before), and false if data opens with
+// none of them. It reads nothing past the magic.
+func VJPGMagic(data []byte) (string, bool) {
+	l, ok := layerOf(data, vjpgMagics)
+	return vjpgMagics[l], ok
 }
 
 // VJPGDims returns the dimensions recorded in a vjpg bitstream without
@@ -220,7 +240,8 @@ func planesOf(pix []byte, w, h int) [3]plane {
 // boundaries; the 2-D predictor locks onto gradients in either
 // direction, which is where smooth synthetic and natural content
 // spends most of its pixels. With bias non-nil the predictor sees the
-// row above as bias corrects it (see biasState).
+// row above as bias corrects it (see biasState). A layerVert plane is
+// coded in whichever of its two modes is shorter (riceEncodePlane).
 func encodePlane(dst []byte, pix []byte, width, q int, l layer, bias *biasState) []byte {
 	vals := make([]int32, len(pix))
 	recon := make([]byte, len(pix))
@@ -237,6 +258,9 @@ func encodePlane(dst []byte, pix []byte, width, q int, l layer, bias *biasState)
 				bias.update(x, left-pred)
 			}
 		}
+	}
+	if l == layerVert {
+		return riceEncodePlane(dst, vals, width)
 	}
 	return riceEncode(dst, vals)
 }
@@ -343,14 +367,22 @@ func (s *biasState) correct(above []byte) []byte {
 	ref := s.ref[:n]
 	s.above = above
 	corr, level := &s.corr, &stepLevel
+	// Blocks of pixels first where there is a vector kernel, from pixel
+	// 1 to x-1; then pixel 0, and the rest from x on, one at a time.
 	left := uint8(4) // the step before pixel 0 counts as 0
-	for x := 1; x < len(above); x++ {
-		p := int(above[x-1])
-		right := level[int(above[x])-p+255]
-		ref[x-1] = clamp8(p + int(corr[right*9+left]))
-		left = right
+	x := correctBlocks(ref, above, corr)
+	if x > 0 {
+		ref[0] = clamp8(int(above[0]) + int(corr[s.context(0)]))
+		left = level[int(above[x])-int(above[x-1])+255]
 	}
-	ref[n-1] = clamp8(int(above[n-1]) + int(corr[4*9+left])) // and so does the step after the last
+	p, rest := int(above[x]), above[x+1:]
+	out := ref[x : x+len(rest)]
+	for i, b := range rest {
+		right := level[int(b)-p+255]
+		out[i] = clamp8(p + int(corr[right*9+left]))
+		p, left = int(b), right
+	}
+	ref[n-1] = clamp8(p + int(corr[4*9+left])) // and so does the step after the last
 	return ref
 }
 
@@ -405,7 +437,8 @@ func (s *biasState) update(x, e int) {
 
 // predict is layer l's 2-D DPCM predictor for pixel x of a row: the
 // reconstructed left neighbour on the first row. Below it, layerMED
-// takes LOCO-I's median edge detector (Weinberger, Seroussi and Sapiro,
+// and layerVert, the layers from layerMED on, take LOCO-I's median
+// edge detector (Weinberger, Seroussi and Sapiro,
 // IEEE TIP 2000) of left a, above b and above-left c: min(a,b) if
 // c >= max(a,b), max(a,b) if c <= min(a,b), and a+b-c otherwise —
 // which is the median of a, b and a+b-c. It follows an edge in either
@@ -417,7 +450,7 @@ func predict(left int, above []byte, x int, l layer) int {
 		return left
 	}
 	b := int(above[x])
-	if l != layerMED {
+	if l < layerMED {
 		return (left + b + 1) >> 1
 	}
 	c := int(above[max(x-1, 0)])
@@ -456,25 +489,42 @@ func (z quantizer) roundDiv(r int) int {
 // decodePlane reverses encodePlane: it reads the plane's tokens, Rice
 // coded in layer l (see entropy.go), straight into pix, row by row,
 // through bias if it is non-nil, and returns the number of bytes
-// consumed. It refuses, as ErrCorrupt, a parameter out of range, a
-// nonzero spare nibble, a truncated stream, an overlong unary part, a
-// literal past 32 bits and a run past the plane's end.
-func decodePlane(src []byte, pix []byte, width, q int, l layer, bias *biasState) (int, error) {
+// consumed. A vertical-mode plane keeps what it reads of its residuals
+// in refs. It refuses, as ErrCorrupt, a parameter out of range, a
+// spare nibble it does not name, a truncated stream, an overlong unary
+// part, a literal past 32 bits, a run past the plane's end — or, coded
+// against its reference, not past its own start — and a literal of 0
+// after such a run.
+func decodePlane(src []byte, pix []byte, width, q int, l layer, bias *biasState, refs *vertRefs) (int, error) {
 	r, p, err := newRiceReader(src, l)
 	if err != nil {
 		return 0, err
 	}
+	// vr is refs's bits and values in locals, so that moving to the next
+	// row swaps no pointers on the heap; a plane not in vertical mode,
+	// or of a single row, where no run has a reference, leaves it empty.
+	var vr vertRefs
+	if p.vertical && len(pix) > width {
+		refs.reset(width)
+		vr = *refs
+	}
+	vertical := vr.val != nil
 	var (
-		w      window
-		k      uint64
-		u      uint
-		ok     bool
-		zeros  int               // what is left of the current zero run
-		kn, bn = p.ka, uint64(0) // the next token's parameter and bias
+		w       window
+		k       uint64
+		u       uint
+		ok      bool
+		zeros   int               // what is left of the current zero run
+		kn, bn  = p.ka, uint64(0) // the next token's parameter and bias
+		vlit    bool              // the next token is a literal against
+		against int32             // this one, after a vertically coded run
 	)
 	for y0 := 0; y0 < len(pix); y0 += width {
 		row := pix[y0 : y0+width]
 		above, left := rowStart(pix, y0, width, bias)
+		if vertical && y0 > 0 {
+			vr.nextRow()
+		}
 		for x := 0; x < width; {
 			if zeros > 0 {
 				end := min(width, x+zeros)
@@ -496,30 +546,70 @@ func decodePlane(src []byte, pix []byte, width, q int, l layer, bias *biasState)
 					return 0, ErrCorrupt
 				}
 			}
-			if k += bn; k == 0 {
-				if w.n < riceMaxCode {
+			if k += bn; k == 0 && !vlit {
+				// The run's length under kr — or, if it has a
+				// reference c and its flag bit is 1, its end against
+				// the reference under kd: one code either way.
+				c, kk := -1, p.kr
+				if vertical {
+					c = vr.ref(x, width, y0+width == len(pix))
+				}
+				if w.n <= riceMaxCode {
 					if w, ok = r.refill(w); !ok {
 						return 0, ErrCorrupt
 					}
 				}
-				w, k, u = w.short(p.kr)
+				flag := false
+				if c >= 0 {
+					flag = w.acc>>63 != 0
+					w.acc <<= 1
+					w.n--
+				}
+				if flag {
+					kk = p.kd
+				}
+				w, k, u = w.short(kk)
 				if u >= riceCap {
 					if w, k, ok = r.escape(w, u); !ok {
 						return 0, ErrCorrupt
 					}
 				}
-				if k >= uint64(len(pix)-y0-x) {
+				// The run ends k+1 pixels on — or, coded against its
+				// reference, one pixel before the position below the
+				// residual at c, less the code's zigzagged value. A
+				// plane holds fewer than maxRun pixels, so a run that
+				// does not end it is interrupted.
+				s := int64(y0 + x)
+				e := s + int64(k) + 1
+				if flag {
+					e = int64(y0+c) - 1 - int64(unzigzag(k))
+					if c < x {
+						e += int64(width)
+					}
+				}
+				if e <= s || e > int64(len(pix)) {
 					return 0, ErrCorrupt
 				}
-				// A plane holds fewer than maxRun pixels, so a run
-				// that does not end it is interrupted.
-				zeros = int(k) + 1
-				kn, bn = p.kb, p.bias
+				zeros = int(e - s)
+				kn, bn, vlit = p.kb, p.bias, flag
+				if flag {
+					kn, bn, against = p.kv, 0, vr.val[c]
+				}
 				continue
 			}
+			res := unzigzag(k)
+			if vlit {
+				if res += against; res == 0 {
+					return 0, ErrCorrupt
+				}
+				vlit = false
+			}
 			pred := predict(left, above, x, l)
-			left = reconStep(pred, int(unzigzag(k)), q)
+			left = reconStep(pred, int(res), q)
 			row[x] = byte(left)
+			if vertical {
+				vr.set(x, res)
+			}
 			if bias != nil && above != nil {
 				bias.update(x, left-pred)
 			}
@@ -579,7 +669,7 @@ func zeroResiduals(out, above []byte, x, left int, l layer) int {
 			out[i] = byte(left)
 		}
 		return left
-	case l == layerMED:
+	case l >= layerMED:
 		return medRun(out, above, x, left)
 	}
 	return predictRun(out, above[x:x+len(out)], left)

@@ -20,10 +20,10 @@ import (
 // replaced, kept as the fuzz oracle: every plane's residuals are entropy
 // decoded into a slice first by the reference readers (refSegments),
 // then reconstructed pixel by pixel with a predictor that finds its
-// neighbours by index arithmetic — every plane of a "VY" frame and a
-// "VB" frame's chroma planes through refBiasPlane — and the result is
-// converted to RGB pixel by pixel (refYUV422ToRGB). It returns the YUV
-// reconstruction and the RGB frame.
+// neighbours by index arithmetic — every plane of a "VV" or "VY" frame
+// and a "VB" frame's chroma planes through refBiasPlane — and the
+// result is converted to RGB pixel by pixel (refYUV422ToRGB). It
+// returns the YUV reconstruction and the RGB frame.
 func refVJPGDecode(data []byte) (yuv, rgb *frame.Frame, err error) {
 	q, w, h, _, l, err := vjpgHeader(data)
 	if err != nil {
@@ -34,12 +34,12 @@ func refVJPGDecode(data []byte) (yuv, rgb *frame.Frame, err error) {
 		return nil, nil, err
 	}
 	predict := refPredict2D
-	if l == layerMED || l == layerBias || l == layerLuma {
+	if l == layerMED || l == layerBias || l == layerLuma || l == layerVert {
 		predict = refPredictMED
 	}
 	yuv = frame.New(w, h, media.ColorYUV422)
 	for pi, p := range yuvPlanes(yuv) {
-		if l == layerLuma || l == layerBias && pi > 0 {
+		if l == layerVert || l == layerLuma || l == layerBias && pi > 0 {
 			refBiasPlane(p.pix, segs[pi], p.w, planeQuantizer(q, pi))
 			continue
 		}
@@ -93,10 +93,9 @@ func refPredictMED(recon []byte, i, width int) int {
 	return a + b - c
 }
 
-// refBiasPlane reconstructs a "VY" plane or a "VB" chroma plane from
-// its residuals res
-// at quantizer q. Row 0 is reconstructed as a "VN" plane's is. Each row
-// below it is predicted by refPredictMED from a copy of the row above
+// refBiasPlane reconstructs a "VV" or "VY" plane or a "VB" chroma plane
+// from its residuals res at quantizer q. Row 0 is reconstructed as a
+// "VN" plane's is. Each row below it is predicted by refPredictMED from a copy of the row above
 // in which every pixel is moved by the correction C[Q] of its context
 // Q, the pair of quantized gradients to its right and to its left in
 // that row; and each nonzero residual updates its context's B, C and N
@@ -255,12 +254,12 @@ func decodeAllocBytes(data []byte, bound uint64) uint64 {
 // does, must not let a reused scratch buffer leak one frame into the
 // next, and must allocate no more than the frame it claims.
 func FuzzVJPGDecode(f *testing.F) {
-	// Every layer's frames: "VY" as written now, "VB" and "VN" as
+	// Every layer's frames: "VV" as written now, "VY", "VB" and "VN" as
 	// written before it, and the same frames mean-predicted in the
 	// three layers earlier builds wrote.
 	layers := func(fr *frame.Frame, q int) [][]byte {
 		var out [][]byte
-		for _, l := range []layer{layerLuma, layerBias, layerMED, layerRice} {
+		for _, l := range []layer{layerVert, layerLuma, layerBias, layerMED, layerRice} {
 			data, err := encodeVJPG(fr, q, l)
 			if err != nil {
 				f.Fatal(err)
@@ -347,9 +346,14 @@ func FuzzVJPGDecode(f *testing.F) {
 	steps := []byte{128, 128, 128, 152, 152, 152, 153, 153, 153}
 	f.Add(planesFrame(layerBias, 12, 6, 3, [3][]byte{bytes.Repeat([]byte{128}, 18), steps, steps}))
 	f.Add(planesFrame(layerLuma, 12, 3, 3, [3][]byte{steps, steps[:6], steps[:6]}))
+	f.Add(planesFrame(layerVert, 128, 4, 260, [3][]byte{swingPlane(4, 260), swing, swing}))
+	f.Add(planesFrame(layerVert, 12, 3, 3, [3][]byte{steps, steps[:6], steps[:6]}))
+	for _, c := range vertHandFrames() {
+		f.Add(c.data)
+	}
 	// Frames 1 and 2 pixels wide, as written now and before luma bias
 	// correction.
-	for _, l := range []layer{layerLuma, layerBias} {
+	for _, l := range []layer{layerVert, layerLuma, layerBias} {
 		for _, w := range []int{1, 2} {
 			for _, q := range []int{1, 12} {
 				d, err := encodeVJPG(frame.Generator{W: w, H: 24, Seed: 9}.Frame(2), q, l)
@@ -388,6 +392,58 @@ func FuzzVJPGDecode(f *testing.F) {
 			t.Fatalf("decoding a %dx%d frame allocated %d bytes", rgb.Width, rgb.Height, n)
 		}
 	})
+}
+
+// vertHandFrames are "VV" frames whose luma plane is in vertical mode
+// (parameter bytes 00 01 00, every parameter 0), over chroma planes
+// coded as a "VY" frame's, each with the luma residuals it decodes to,
+// or nil if it must be refused: a run with no reference, at the plane's
+// start; a run whose reference is in its own row, the literal of 1
+// before it, which ends one short of the position below that literal,
+// the literal after it coded against the reference (a difference of 0,
+// so 1 again), then a run that has a reference, the literal just read,
+// and is read by its length; runs whose end against the reference
+// would fall past the plane's end or at its start; and a plane cut at
+// its first flag bit, read as padding, which then runs past the
+// plane's codes.
+func vertHandFrames() []struct {
+	name string
+	data []byte
+	want []int32
+} {
+	vert := vjpgMagics[layerVert]
+	chroma2 := slices.Concat([]byte{0x00, 0x00}, bitBytes("0 10"), []byte{0x00, 0x00}, bitBytes("0 10"))     // 1×2 px each
+	chroma4 := slices.Concat([]byte{0x00, 0x00}, bitBytes("0 1110"), []byte{0x00, 0x00}, bitBytes("0 1110")) // 2×2 px each
+	head := []byte{0x00, 0x01, 0x00}
+	return []struct {
+		name string
+		data []byte
+		want []int32
+	}{
+		{"no reference", vjpgFrame(vert, 12, 2, 2, slices.Concat(head, bitBytes("0 1110"), chroma2)...), []int32{0, 0, 0, 0}},
+		{"reference in the run's row", vjpgFrame(vert, 12, 3, 2, slices.Concat(head, bitBytes("110 0 1 0 0 0 0 110"), chroma4)...), []int32{1, 0, 1, 0, 0, 0}},
+		{"end past the plane", vjpgFrame(vert, 12, 2, 2, slices.Concat(head, bitBytes("110 0 1 11111110"), chroma2)...), nil},
+		{"end at the run's start", vjpgFrame(vert, 12, 2, 2, slices.Concat(head, bitBytes("110 0 1 0"), chroma2)...), nil},
+		{"cut at a flag bit", vjpgFrame(vert, 12, 2, 2, slices.Concat(head, bitBytes("110 0"))...), nil},
+	}
+}
+
+// TestVerticalRunsByHand: the decoder and the reference read each of
+// vertHandFrames as it says, residuals or refusal.
+func TestVerticalRunsByHand(t *testing.T) {
+	for _, c := range vertHandFrames() {
+		segs, refErr := refSegments(c.data)
+		_, err := VJPGDecode(c.data)
+		if c.want == nil {
+			if !errors.Is(err, ErrCorrupt) || refErr == nil {
+				t.Errorf("%s: %v, the reference %v; want both refused", c.name, err, refErr)
+			}
+			continue
+		}
+		if err != nil || refErr != nil || !slices.Equal(segs[0], c.want) {
+			t.Errorf("%s: %v, the reference %v, luma residuals %v; want %v", c.name, err, refErr, segs, c.want)
+		}
+	}
 }
 
 // FuzzLayerDecode holds the enhancement-layer and vmpg-intermediate
@@ -641,7 +697,7 @@ func TestBiasCorrectionClamps(t *testing.T) {
 	pl, eb := planeLayer(layerLuma, 0, &enc)
 	_, db := planeLayer(layerLuma, 0, &dbias)
 	rec := make([]byte, len(luma))
-	if _, err := decodePlane(encodePlane(nil, luma, w, 128, pl, eb), rec, w, 128, pl, db); err != nil {
+	if _, err := decodePlane(encodePlane(nil, luma, w, 128, pl, eb), rec, w, 128, pl, db, nil); err != nil {
 		t.Fatal(err)
 	}
 	for i, v := range rec {
@@ -651,6 +707,43 @@ func TestBiasCorrectionClamps(t *testing.T) {
 	}
 	if rise, fall := dbias.corr[8*9+4], dbias.corr[0*9+4]; rise != biasMaxC || fall != biasMinC {
 		t.Errorf("luma corrections %d over the rising step and %d over the falling one, want %d and %d", rise, fall, biasMaxC, biasMinC)
+	}
+}
+
+// TestCorrectExact: correct, whose blocks of sixteen pixels the vector
+// kernel corrects where there is one, moves every pixel of a row by its
+// context's correction exactly as a pixel-by-pixel reading of
+// biasState's rule does (context, then clamp), for rows of every width
+// up to 80 and a few wider, flat, smooth or swinging, under corrections
+// anywhere in [biasMinC, biasMaxC].
+func TestCorrectExact(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	var s biasState
+	for trial := 0; trial < 3000; trial++ {
+		w := trial%80 + 1
+		if trial%10 == 0 {
+			w = 160 + rng.Intn(200)
+		}
+		above := make([]byte, w)
+		amp := []int{0, 4, 30, 256}[rng.Intn(4)]
+		for i := range above {
+			above[i] = clamp8(128 + rng.Intn(2*amp+1) - amp)
+			if amp == 256 {
+				above[i] = byte(rng.Intn(2) * 255)
+			}
+		}
+		for c := range s.corr[:biasContexts] {
+			s.corr[c] = int8(rng.Intn(biasMaxC-biasMinC+1) + biasMinC)
+			if trial%3 == 0 {
+				s.corr[c] = int8(rng.Intn(9) - 4)
+			}
+		}
+		got := bytes.Clone(s.correct(above))
+		for x := range above {
+			if want := clamp8(int(above[x]) + int(s.corr[s.context(x)])); got[x] != want {
+				t.Fatalf("width %d, pixel %d of %v: %d, want %d", w, x, above, got[x], want)
+			}
+		}
 	}
 }
 

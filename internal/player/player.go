@@ -3,6 +3,7 @@ package player
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 	"time"
 
@@ -166,7 +167,9 @@ func Play(it *interp.Interpretation, names []string, clock Clock, sink Sink, opt
 
 // schedule lists the elements of srcs whose presentation time (element
 // start plus source offset) falls in the From/To window, in source
-// order then element order, each with its deadline scaled by Rate.
+// order then element order, each with its deadline scaled by Rate and
+// rounded to the nearest nanosecond, half away from zero: float seconds
+// such as 0.24 + 0.1 = 0.33999… land on the instant they name.
 func schedule(srcs []source, opts Options) []scheduled {
 	var sched []scheduled
 	for si, src := range srcs {
@@ -179,7 +182,7 @@ func schedule(srcs []source, opts Options) []scheduled {
 			sched = append(sched, scheduled{
 				src:      si,
 				index:    i,
-				deadline: time.Duration(sec / opts.speed() * float64(time.Second)),
+				deadline: time.Duration(math.Round(sec / opts.speed() * float64(time.Second))),
 			})
 		}
 	}

@@ -486,13 +486,14 @@ func TestTwoEntryPointsOneSchedule(t *testing.T) {
 			if len(shifted) != len(composed) {
 				t.Fatalf("shifted composition delivered %d events, want %d", len(shifted), len(composed))
 			}
-			// A deadline is float seconds truncated to nanoseconds, so
-			// an element whose shifted start rounds down in binary
-			// (0.24 + 0.1 = 0.33999…) lands 1 ns short of the shift.
+			// A deadline is float seconds rounded to nanoseconds, so an
+			// element whose shifted start is a little short in binary
+			// (0.24 + 0.1 = 0.33999…) still lands on the exact shift:
+			// 100 ms at rates 1, 2 and 0.5 over 40 ms frames.
 			want := time.Duration(float64(100*time.Millisecond) / opts.speed())
 			for i, c := range composed {
 				s := shifted[i]
-				if d := s.Deadline - c.Deadline; s.Index != c.Index || len(s.Payload) != len(c.Payload) || d > want || d < want-1 {
+				if d := s.Deadline - c.Deadline; s.Index != c.Index || len(s.Payload) != len(c.Payload) || d != want {
 					t.Errorf("event %d: at +100 ms %d@%v %d B, at 0 %d@%v %d B (want deadline +%v)",
 						i, s.Index, s.Deadline, len(s.Payload), c.Index, c.Deadline, len(c.Payload), want)
 				}
