@@ -163,8 +163,8 @@ func cmdInspect(args []string) error {
 }
 
 // vjpgGenerations counts a vjpg track's frames by the magic their base
-// layer opens with, the codec generation that wrote them, as "50 VV" or
-// "10 VV, 40 VY": a catalog an earlier build wrote shows its mix.
+// layer opens with, the codec generation that wrote them, as "50 VA" or
+// "10 VA, 40 VV": a catalog an earlier build wrote shows its mix.
 func vjpgGenerations(it *interp.Interpretation, tr *interp.Track) (string, error) {
 	count := map[string]int{}
 	for i := 0; i < tr.Len(); i++ {

@@ -199,16 +199,16 @@ func TestCLIPlayLeavesCatalogAlone(t *testing.T) {
 
 // TestCLIInspectCountsVJPGGenerations: inspect counts a vjpg track's
 // frames by the codec generation that wrote them — every frame of a
-// clip captured now is a "VV" frame, and the clip of a catalog an
+// clip captured now is a "VA" frame, and the clip of a catalog an
 // earlier build wrote shows the generation that build wrote.
 func TestCLIInspectCountsVJPGGenerations(t *testing.T) {
 	dir := t.TempDir()
 	run(t, cmdCapture, "-dir", dir, "-name", "clip", "-seconds", "1", "-width", "64", "-height", "48")
 	out, stderr, ok := cli(t, "inspect", "-dir", dir, "-name", "clip-video")
-	if !ok || !strings.Contains(out, "  vjpg frames: 25 VV\n") {
+	if !ok || !strings.Contains(out, "  vjpg frames: 25 VA\n") {
 		t.Errorf("inspect of a captured clip: %q (%s)", out, stderr)
 	}
-	for fixture, want := range map[string]string{"format_pr44": "4 VJ", "format_pr62": "4 VB", "format_pr64": "4 VY"} {
+	for fixture, want := range map[string]string{"format_pr44": "4 VJ", "format_pr62": "4 VB", "format_pr64": "4 VY", "format_vv": "4 VV"} {
 		old := filepath.Join(t.TempDir(), fixture)
 		src := filepath.Join("..", "..", "internal", "catalog", "testdata", fixture)
 		if err := os.MkdirAll(old, 0o755); err != nil {

@@ -131,7 +131,7 @@ func Example_musicvideo() {
 	// footage    |====================================                    |
 	//             0                                                   5000 ticks (D_1000)
 	//
-	// played 206 events (887074 B), max jitter 0s, sync skew 0s
+	// played 206 events (886820 B), max jitter 0s, sync skew 0s
 	//
 	// transposed score ready for re-synthesis (first note key 65, was 60)
 }

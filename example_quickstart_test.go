@@ -77,5 +77,5 @@ func Example_quickstart() {
 	// categories: homogeneous, continuous, constant frequency
 	// table:      video(elementNumber, elementSize, blobPlacement) n=50
 	// cut:        #3 "cut" [media object (derived)] = video-edit[#1] (61 B derivation object)
-	// played:     80 events, 403163 bytes, max jitter 0s
+	// played:     80 events, 390903 bytes, max jitter 0s
 }

@@ -348,7 +348,7 @@ var fixtureAttrs = map[string]string{"language": "fr", "rights": "cleared", "tit
 var writeFixture = flag.String("write-fixture", "", "write the format fixture history into this directory")
 
 // writeFormatFixtureHistory runs the fixed history behind
-// testdata/format_vv (and format_pr64, format_pr62, format_pr61, format_pr60, format_pr54,
+// testdata/format_va (and format_vv, format_pr64, format_pr62, format_pr61, format_pr60, format_pr54,
 // format_pr53, format_pr44, format_pr36 and format_pr31 before it) in dir: a base, one delta over it with a delete that collects a BLOB the
 // snapshot names, and a journal tail. It returns the catalog, its
 // journal closed.
@@ -395,10 +395,10 @@ func containerView(t *testing.T, path string) string {
 }
 
 // TestRecoverFormatFixture pins the on-disk format:
-// testdata/format_vv is the fixture history as written once chain
+// testdata/format_va is the fixture history as written once chain
 // files framed each record as its difference from the one before
-// (TBMCATS5) and a frame's zero runs could end against the row above;
-// its BLOB holds "VV" frames. It must open —
+// (TBMCATS5) and a frame's planes were range coded under contexts;
+// its BLOB holds "VA" frames. It must open —
 // MANIFEST, base, delta, segments, BLOBs — as the catalog the
 // history built, and the bytes are a function of the history: written
 // again in this process, once as it is and once after gob has numbered
@@ -410,7 +410,7 @@ func TestRecoverFormatFixture(t *testing.T) {
 		writeFormatFixtureHistory(t, *writeFixture)
 		return
 	}
-	const fixture = "testdata/format_vv"
+	const fixture = "testdata/format_va"
 	dir := t.TempDir()
 	copyTree(t, fixture, dir)
 	db := openDB(t, dir)
@@ -496,15 +496,18 @@ func TestRecoverFormatFixture(t *testing.T) {
 // testdata/format_pr61 as the commit before chroma bias correction
 // wrote it, its BLOB holding "VN" frames; testdata/format_pr62 as
 // the commit before luma bias correction wrote it, its BLOB holding
-// "VB" frames; and testdata/format_pr64 as the commit before vertical
-// runs wrote it, its BLOB holding "VY" frames. The catalog formats did not
+// "VB" frames; testdata/format_pr64 as the commit before vertical
+// runs wrote it, its BLOB holding "VY" frames; and testdata/format_vv
+// as the commit before range coding wrote it, its BLOB holding "VV"
+// frames. The catalog formats did not
 // change, so each opens as it did — cleanly, with the same names,
 // indexes and versions sound — and its clip expands to the pixels it
 // expanded to when it was written.
 func TestEarlierCodecFixturesOpen(t *testing.T) {
 	// Each digest is what the clip expanded to at the commit that wrote
 	// the fixture: the same mean-predicted frames in any of the three
-	// layers, the "VN" frames, the "VB" frames and the "VY" frames.
+	// layers, the "VN" frames, the "VB" frames, and the "VY" frames and
+	// the "VV" frames, which hold the same residuals.
 	const mean = "5f7530afdf8de8c5de8c67ba3b16c7dbcd92f6fb2838db4d534c5bed9a40d00e"
 	for fixture, c := range map[string]struct{ magic, want string }{
 		"format_pr44": {"VJ", mean},
@@ -513,6 +516,7 @@ func TestEarlierCodecFixturesOpen(t *testing.T) {
 		"format_pr61": {"VN", "f4e174719beeeb2cc287e340ad36e02ce0dad3bc1429cbdf7a443652bcd2f7fd"},
 		"format_pr62": {"VB", "302f9ba991008fc1fae997a6773c19c56f4b7b2aad15c605f88263dc811838d9"},
 		"format_pr64": {"VY", "940ca17480858ac4e332792b6b84372de028ad1c4a38a21644bf57295533d404"},
+		"format_vv":   {"VV", "940ca17480858ac4e332792b6b84372de028ad1c4a38a21644bf57295533d404"},
 	} {
 		magic, want := c.magic, c.want
 		t.Run(fixture, func(t *testing.T) {

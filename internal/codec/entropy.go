@@ -45,15 +45,17 @@ import (
 // vjpg planes, the one segment kind that runs DPCM, have a fourth
 // layer: layerRice's codes over residuals of the median edge detector
 // (see predict in vjpg.go), where the other layers' residuals are of
-// the mean of left and above. A vjpg frame has three more, frame-level
-// ones: layerVert, written now; layerLuma, whose three planes are each
-// in layerMED over a bias-corrected row above (see biasState in
-// vjpg.go); and layerBias, whose chroma planes are so and whose luma
-// plane is plain layerMED. Earlier builds wrote the last two.
+// the mean of left and above. A vjpg frame has four more, frame-level
+// ones: layerArith, written now, whose planes are range coded (see
+// arith.go); layerVert; layerLuma, whose three planes are each in
+// layerMED over a bias-corrected row above (see biasState in vjpg.go);
+// and layerBias, whose chroma planes are so and whose luma plane is
+// plain layerMED. Earlier builds wrote the last three.
 //
-// A layerVert plane holds a layerLuma plane's residuals, coded in one
-// of two modes that the low nibble of its second parameter byte names,
-// whichever takes fewer bytes: 0, the layerMED code byte for byte, or
+// A layerVert plane, which earlier builds wrote, holds a layerLuma
+// plane's residuals, coded in one of two modes that the low nibble of
+// its second parameter byte names, whichever took fewer bytes: 0, the
+// layerMED code byte for byte, or
 // 1, vertical mode, where a zero run may end against the row above (as
 // ITU-T T.4's two-dimensional coding codes a change against the line
 // before). Vertical mode adds a third parameter byte, kd<<4|kv:
@@ -84,12 +86,13 @@ const (
 	layerMED                 // layerRice over MED residuals: vjpg planes only, read only as a frame's layer
 	layerBias                // layerMED with bias-corrected chroma: vjpg frames only, read only
 	layerLuma                // layerBias with the luma plane corrected too: vjpg frames only, read only
-	layerVert                // layerLuma with vertical runs: written, vjpg frames and their planes only
+	layerVert                // layerLuma with vertical runs: vjpg frames and their planes only, read only as a frame's layer
+	layerArith               // layerVert's residuals, range coded under contexts: written, vjpg frames only
 )
 
 // magics are a segment kind's magics, indexed by layer; a kind has none
 // (an empty string, which no data opens with) for a layer it never had.
-type magics [7]string
+type magics [8]string
 
 // layerOf returns the layer data's magic names among m, and false if
 // data opens with none of them.
@@ -177,165 +180,6 @@ func riceEncode(dst []byte, vals []int32) []byte {
 			w.rice(uint64(run-1), kr)
 		}
 		i, prev = next, run
-	}
-	return w.flush()
-}
-
-// vertRun is a zero run of a plane as the vertical-mode encoder sees
-// it: its two codes and the literal after it in each. Without a
-// reference, or with one too far from its end, only the first applies.
-type vertRun struct {
-	n, m      uint64 // its length less 1, and its end against its reference (endCode)
-	lit, vlit uint64 // the literal after it, as kb and as kv code it
-	ref, near bool   // it has a reference (and a flag bit); its end can be coded against it
-	last      bool   // it ends the plane: no literal after it
-	vertical  bool   // it is coded against its reference
-}
-
-// endCode is the code of a vertically coded run's end e against its
-// reference p: zigzag(p-1-e), so that a run ending one short of p codes
-// 0, one ending at p 1, and one ending a pixel before or after those 2
-// and 3. It reports false for an end too far from p to code.
-func endCode(p, e int) (uint64, bool) {
-	d := int64(p) - 1 - int64(e)
-	return zigzag(int32(d)), d == int64(int32(d))
-}
-
-// riceEncodePlane appends vals, a plane width values wide, to dst in
-// layerVert: in vertical mode where that takes fewer bytes than
-// riceEncode's code, and as riceEncode codes it — a layerMED plane byte
-// for byte — where it does not, so no plane takes more bytes than that.
-// Both sizes come exactly from the token histograms, so only the
-// shorter code is written.
-//
-// Vertical mode is three parameter bytes, ka<<4|kb, kr<<4|1 and
-// kd<<4|kv, then the codes. A run with a reference (see vertRefs) is
-// coded after a flag bit: 1 and its end under kd (endCode), or 0 and
-// its length under kr, whichever, with the literal after it, takes
-// fewer bits; the literal after a vertically coded run is coded under
-// kv as the zigzagged difference, modulo 2^32, from its reference's
-// literal. The parameters and the choices are fitted to each other in
-// turn, a fixed number of rounds.
-func riceEncodePlane(dst []byte, vals []int32, width int) []byte {
-	var after, lits, runs, ends, vlits riceHist
-	var rs []vertRun
-	j := 0 // no nonzero value lies between the reference window's start and j
-	for i, prev := 0, 0; i < len(vals); {
-		u, run, end := token(vals, i)
-		if prev == 0 {
-			after.add(u)
-		}
-		if run == 0 {
-			i, prev = end, 0
-			continue
-		}
-		r := vertRun{n: uint64(run - 1), last: end == len(vals)}
-		if !r.last {
-			r.lit = zigzag(vals[end]) - 1
-		}
-		for j = max(j, i+1-width); j < i && vals[j] == 0; {
-			j++
-		}
-		if j < i && j+width < len(vals) {
-			r.ref = true
-			r.m, r.near = endCode(j+width, end)
-			if !r.last {
-				r.vlit = zigzag(vals[end] - vals[j])
-			}
-		}
-		rs = append(rs, r)
-		i, prev = end, run
-	}
-	// Start from every run coded by length and every one that has a
-	// reference by its end, then choose and refit. Every run with a
-	// reference takes a flag bit.
-	var flags uint64
-	for _, r := range rs {
-		if r.ref {
-			flags++
-		}
-		runs.add(r.n)
-		if !r.last {
-			lits.add(r.lit)
-		}
-		if r.near {
-			ends.add(r.m)
-			if !r.last {
-				vlits.add(r.vlit)
-			}
-		}
-	}
-	ka, afterBits := after.fit()
-	kb, litBits := lits.fit()
-	kr, runBits := runs.fit()
-	byLenBits := afterBits + litBits + runBits // riceEncode's codes
-	kd, kv := ends.best(), vlits.best()
-	var vertBits uint64
-	for round := 0; round < 3; round++ {
-		lits, runs, ends, vlits = riceHist{}, riceHist{}, riceHist{}, riceHist{}
-		for i := range rs {
-			r := &rs[i]
-			byLen, byEnd := riceLen(r.n, kr), riceLen(r.m, kd)
-			if !r.last {
-				byLen += riceLen(r.lit, kb)
-				byEnd += riceLen(r.vlit, kv)
-			}
-			r.vertical = r.near && byEnd < byLen
-			switch {
-			case r.vertical:
-				ends.add(r.m)
-				if !r.last {
-					vlits.add(r.vlit)
-				}
-			default:
-				runs.add(r.n)
-				if !r.last {
-					lits.add(r.lit)
-				}
-			}
-		}
-		var b, r, d, v uint64
-		kb, b = lits.fit()
-		kr, r = runs.fit()
-		kd, d = ends.fit()
-		kv, v = vlits.fit()
-		vertBits = afterBits + flags + b + r + d + v
-	}
-	if 3+(vertBits+7)/8 >= 2+(byLenBits+7)/8 {
-		return riceEncode(dst, vals)
-	}
-	w := bitWriter{dst: append(dst, byte(ka<<4|kb), byte(kr<<4|1), byte(kd<<4|kv))}
-	var prev *vertRun // the run before the current value, if any
-	for i, ri := 0, 0; i < len(vals); {
-		if v := vals[i]; v != 0 {
-			switch {
-			case prev == nil:
-				w.rice(zigzag(v), ka)
-			case prev.vertical:
-				w.rice(prev.vlit, kv)
-			default:
-				w.rice(prev.lit, kb)
-			}
-			prev = nil
-			i++
-			continue
-		}
-		// A plane holds fewer than maxRun values, so a run follows a
-		// literal or starts the plane.
-		w.rice(0, ka)
-		prev = &rs[ri]
-		ri++
-		switch {
-		case prev.vertical:
-			w.put(1, 1)
-			w.rice(prev.m, kd)
-		case prev.ref:
-			w.put(0, 1)
-			fallthrough
-		default:
-			w.rice(prev.n, kr)
-		}
-		i += int(prev.n) + 1
 	}
 	return w.flush()
 }

@@ -9,6 +9,8 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+
+	"timedmedia/internal/frame"
 )
 
 // entropyEncode appends the legacy varint form of vals to dst and
@@ -351,8 +353,8 @@ func segmentSizes(m magics, w, h int) (sizes, widths []int) {
 
 // refSegments decodes the entropy segments of a bitstream with the
 // reference readers — refRiceDecode, refVertDecode for the planes of a
-// "VV" frame, or entropyDecode for the varint layer — and returns their
-// values.
+// "VV" frame, refArithSegments for those of a "VA" frame, or
+// entropyDecode for the varint layer — and returns their values.
 func refSegments(data []byte) ([][]int32, error) {
 	m, l, ok := kindOf(data)
 	if len(data) < 7 || !ok {
@@ -362,6 +364,9 @@ func refSegments(data []byte) ([][]int32, error) {
 	var segs [][]int32
 	off := 7
 	sizes, widths := segmentSizes(m, w, h)
+	if l == layerArith {
+		return refArithSegments(data[off:], sizes, widths)
+	}
 	for i, n := range sizes {
 		var vals []int32
 		var k int
@@ -444,6 +449,166 @@ func rice1Param(vals []uint64) uint {
 	return best
 }
 
+// vertRun is a zero run of a plane as the vertical-mode encoder sees
+// it: its two codes and the literal after it in each. Without a
+// reference, or with one too far from its end, only the first applies.
+type vertRun struct {
+	n, m      uint64 // its length less 1, and its end against its reference (endCode)
+	lit, vlit uint64 // the literal after it, as kb and as kv code it
+	ref, near bool   // it has a reference (and a flag bit); its end can be coded against it
+	last      bool   // it ends the plane: no literal after it
+	vertical  bool   // it is coded against its reference
+}
+
+// endCode is the code of a vertically coded run's end e against its
+// reference p: zigzag(p-1-e), so that a run ending one short of p codes
+// 0, one ending at p 1, and one ending a pixel before or after those 2
+// and 3. It reports false for an end too far from p to code.
+func endCode(p, e int) (uint64, bool) {
+	d := int64(p) - 1 - int64(e)
+	return zigzag(int32(d)), d == int64(int32(d))
+}
+
+// riceEncodePlane appends vals, a plane width values wide, to dst in
+// layerVert, as builds before range coding wrote it; it is kept here,
+// as rice1Encode is, to make frames of a decode-only layer: in vertical mode where that takes fewer bytes than
+// riceEncode's code, and as riceEncode codes it — a layerMED plane byte
+// for byte — where it does not, so no plane takes more bytes than that.
+// Both sizes come exactly from the token histograms, so only the
+// shorter code is written.
+//
+// Vertical mode is three parameter bytes, ka<<4|kb, kr<<4|1 and
+// kd<<4|kv, then the codes. A run with a reference (see vertRefs) is
+// coded after a flag bit: 1 and its end under kd (endCode), or 0 and
+// its length under kr, whichever, with the literal after it, takes
+// fewer bits; the literal after a vertically coded run is coded under
+// kv as the zigzagged difference, modulo 2^32, from its reference's
+// literal. The parameters and the choices are fitted to each other in
+// turn, a fixed number of rounds.
+func riceEncodePlane(dst []byte, vals []int32, width int) []byte {
+	var after, lits, runs, ends, vlits riceHist
+	var rs []vertRun
+	j := 0 // no nonzero value lies between the reference window's start and j
+	for i, prev := 0, 0; i < len(vals); {
+		u, run, end := token(vals, i)
+		if prev == 0 {
+			after.add(u)
+		}
+		if run == 0 {
+			i, prev = end, 0
+			continue
+		}
+		r := vertRun{n: uint64(run - 1), last: end == len(vals)}
+		if !r.last {
+			r.lit = zigzag(vals[end]) - 1
+		}
+		for j = max(j, i+1-width); j < i && vals[j] == 0; {
+			j++
+		}
+		if j < i && j+width < len(vals) {
+			r.ref = true
+			r.m, r.near = endCode(j+width, end)
+			if !r.last {
+				r.vlit = zigzag(vals[end] - vals[j])
+			}
+		}
+		rs = append(rs, r)
+		i, prev = end, run
+	}
+	// Start from every run coded by length and every one that has a
+	// reference by its end, then choose and refit. Every run with a
+	// reference takes a flag bit.
+	var flags uint64
+	for _, r := range rs {
+		if r.ref {
+			flags++
+		}
+		runs.add(r.n)
+		if !r.last {
+			lits.add(r.lit)
+		}
+		if r.near {
+			ends.add(r.m)
+			if !r.last {
+				vlits.add(r.vlit)
+			}
+		}
+	}
+	ka, afterBits := after.fit()
+	kb, litBits := lits.fit()
+	kr, runBits := runs.fit()
+	byLenBits := afterBits + litBits + runBits // riceEncode's codes
+	kd, kv := ends.best(), vlits.best()
+	var vertBits uint64
+	for round := 0; round < 3; round++ {
+		lits, runs, ends, vlits = riceHist{}, riceHist{}, riceHist{}, riceHist{}
+		for i := range rs {
+			r := &rs[i]
+			byLen, byEnd := riceLen(r.n, kr), riceLen(r.m, kd)
+			if !r.last {
+				byLen += riceLen(r.lit, kb)
+				byEnd += riceLen(r.vlit, kv)
+			}
+			r.vertical = r.near && byEnd < byLen
+			switch {
+			case r.vertical:
+				ends.add(r.m)
+				if !r.last {
+					vlits.add(r.vlit)
+				}
+			default:
+				runs.add(r.n)
+				if !r.last {
+					lits.add(r.lit)
+				}
+			}
+		}
+		var b, r, d, v uint64
+		kb, b = lits.fit()
+		kr, r = runs.fit()
+		kd, d = ends.fit()
+		kv, v = vlits.fit()
+		vertBits = afterBits + flags + b + r + d + v
+	}
+	if 3+(vertBits+7)/8 >= 2+(byLenBits+7)/8 {
+		return riceEncode(dst, vals)
+	}
+	w := bitWriter{dst: append(dst, byte(ka<<4|kb), byte(kr<<4|1), byte(kd<<4|kv))}
+	var prev *vertRun // the run before the current value, if any
+	for i, ri := 0, 0; i < len(vals); {
+		if v := vals[i]; v != 0 {
+			switch {
+			case prev == nil:
+				w.rice(zigzag(v), ka)
+			case prev.vertical:
+				w.rice(prev.vlit, kv)
+			default:
+				w.rice(prev.lit, kb)
+			}
+			prev = nil
+			i++
+			continue
+		}
+		// A plane holds fewer than maxRun values, so a run follows a
+		// literal or starts the plane.
+		w.rice(0, ka)
+		prev = &rs[ri]
+		ri++
+		switch {
+		case prev.vertical:
+			w.put(1, 1)
+			w.rice(prev.m, kd)
+		case prev.ref:
+			w.put(0, 1)
+			fallthrough
+		default:
+			w.rice(prev.n, kr)
+		}
+		i += int(prev.n) + 1
+	}
+	return w.flush()
+}
+
 // encodeSegment appends vals to dst in layer l.
 func encodeSegment(dst []byte, vals []int32, l layer) []byte {
 	switch l {
@@ -460,7 +625,9 @@ func encodeSegment(dst []byte, vals []int32, l layer) []byte {
 // as the forms earlier builds wrote, and those as the one written now.
 // A vjpg frame's tokens are residuals of its layer's predictor, so a
 // "VN" or "VB" frame has no other layer and no other frame becomes one;
-// but a "VV" frame's are a "VY" frame's, so it becomes one.
+// but "VY", "VV" and "VA" frames hold the same residuals, so each
+// becomes any of the three: recoded as "VV", it is what builds before
+// range coding wrote.
 func recode(t testing.TB, data []byte, l layer) []byte {
 	t.Helper()
 	segs, err := refSegments(data)
@@ -468,10 +635,27 @@ func recode(t testing.TB, data []byte, l layer) []byte {
 		t.Fatalf("recode: %v", err)
 	}
 	m, from, _ := kindOf(data)
-	if from != l && (from >= layerMED || l >= layerMED) && (from != layerVert || l != layerLuma) {
+	sameResiduals := func(l layer) bool { return l == layerLuma || l == layerVert || l == layerArith }
+	if from != l && (from >= layerMED || l >= layerMED) && !(sameResiduals(from) && sameResiduals(l)) {
 		t.Fatalf("recode: %s tokens are not layer %d's", data[:2], l)
 	}
 	out := append([]byte(m[l]), data[2:7]...)
+	_, widths := segmentSizes(m, int(binary.BigEndian.Uint16(data[3:])), int(binary.BigEndian.Uint16(data[5:])))
+	switch l {
+	case layerArith:
+		e := newRangeEncoder(out)
+		var am arithModels
+		var rows arithRows
+		for i, vals := range segs {
+			encodeArithPlane(&e, &am, &rows, vals, widths[i])
+		}
+		return e.flush()
+	case layerVert:
+		for i, vals := range segs {
+			out = riceEncodePlane(out, vals, widths[i])
+		}
+		return out
+	}
 	for _, vals := range segs {
 		out = encodeSegment(out, vals, l)
 	}
@@ -640,4 +824,23 @@ func TestRiceDecodeStopsAtTruncation(t *testing.T) {
 			t.Errorf("layer %d: decoded %d pixels from 6 bits", l, written)
 		}
 	}
+}
+
+// encodeLayer is encodeVJPG in layer l, and in layerVert too, which no
+// encoder in the package writes any more: a "VV" frame is the "VY"
+// frame's residuals recoded (recode).
+func encodeLayer(t testing.TB, f *frame.Frame, q int, l layer) []byte {
+	t.Helper()
+	el := l
+	if l == layerVert {
+		el = layerLuma
+	}
+	data, err := encodeVJPG(f, q, el)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if l == layerVert {
+		data = recode(t, data, layerVert)
+	}
+	return data
 }

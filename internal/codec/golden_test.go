@@ -58,9 +58,16 @@ func digest(parts ...[]byte) string {
 // with keys every fourth frame.
 func layeredGolden(t *testing.T, l layer) (base, enh []byte) {
 	t.Helper()
-	base, enh, err := encodeLayered(frame.Generator{W: 33, H: 17, Seed: 12}.Frame(3), 8, l)
+	el := l
+	if l == layerVert {
+		el = layerLuma // the same residuals, the same pixels, so the same enhancement layer
+	}
+	base, enh, err := encodeLayered(frame.Generator{W: 33, H: 17, Seed: 12}.Frame(3), 8, el)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if l == layerVert {
+		base = recode(t, base, layerVert)
 	}
 	return base, enh
 }
@@ -88,11 +95,12 @@ type goldenSet struct {
 	vmpg      []VMPGPacket      // the vmpg GOP; none in the MED-predicted layers
 }
 
-// goldenStreams encodes the golden fixtures in layer l. In layerVert
-// they are what VJPGEncode writes now, in layerLuma what it wrote
+// goldenStreams encodes the golden fixtures in layer l. In layerArith
+// they are what VJPGEncode writes now, in layerVert what it wrote
+// before range coding, in layerLuma what it wrote
 // before vertical runs, in layerBias what it wrote before luma bias
 // correction, and in layerMED what it wrote before chroma bias
-// correction; vmpg keys are never MED-predicted, so none of the four
+// correction; vmpg keys are never MED-predicted, so none of the five
 // has a GOP. In the other layers
 // the vjpg frames and the layered base are mean-predicted, as earlier
 // builds wrote them and as vmpg keys are written now, and each
@@ -100,7 +108,7 @@ type goldenSet struct {
 func goldenStreams(t *testing.T, l layer) goldenSet {
 	t.Helper()
 	vl, in := l, func(data []byte) []byte { return data }
-	if l != layerVert && l != layerLuma && l != layerBias && l != layerMED {
+	if l < layerMED {
 		vl = layerRice
 		if l != layerRice {
 			in = func(data []byte) []byte { return recode(t, data, l) }
@@ -108,11 +116,7 @@ func goldenStreams(t *testing.T, l layer) goldenSet {
 	}
 	set := goldenSet{frames: map[string][]byte{}}
 	for _, c := range goldenCases() {
-		data, err := encodeVJPG(c.f, c.q, vl)
-		if err != nil {
-			t.Fatalf("%s: %v", c.name, err)
-		}
-		set.frames[c.name] = in(data)
+		set.frames[c.name] = in(encodeLayer(t, c.f, c.q, vl))
 	}
 	base, enh := layeredGolden(t, vl)
 	set.base, set.enh = in(base), in(enh)
@@ -126,10 +130,11 @@ func goldenStreams(t *testing.T, l layer) goldenSet {
 }
 
 // goldenLayers are the tables TestVJPGEncodeGolden holds each layer's
-// bitstreams to: what the encoders write now — vertEncodeGolden, and
+// bitstreams to: what the encoders write now — arithEncodeGolden, and
 // encodeGolden for the vmpg GOP — and what earlier builds wrote for the
 // same frames.
 var goldenLayers = map[layer]map[string]string{
+	layerArith:  arithEncodeGolden,
 	layerVert:   vertEncodeGolden,
 	layerLuma:   lumaEncodeGolden,
 	layerBias:   biasEncodeGolden,
@@ -177,8 +182,8 @@ func TestVJPGEncodeGolden(t *testing.T) {
 // fixtures: the RGB and the YUV reconstruction of every vjpg frame, the
 // base and full reconstruction of the layered frame, and every frame of
 // the vmpg GOP — lumaDecodeGolden for the bitstreams with every plane
-// corrected, with vertical runs or without (the same residuals, so the
-// same pixels), biasDecodeGolden for those with corrected chroma,
+// corrected, range coded, with vertical runs or without (the same
+// residuals, so the same pixels), biasDecodeGolden for those with corrected chroma,
 // medDecodeGolden for the MED-predicted ones without, and
 // decodeGolden for the mean-predicted ones in each of the three layers
 // they were ever written in.
@@ -186,7 +191,7 @@ func TestVJPGDecodeGolden(t *testing.T) {
 	for l := range goldenLayers {
 		want := decodeGolden
 		switch l {
-		case layerVert, layerLuma:
+		case layerArith, layerVert, layerLuma:
 			want = lumaDecodeGolden
 		case layerBias:
 			want = biasDecodeGolden
@@ -469,7 +474,7 @@ var lumaEncodeGolden = map[string]string{
 }
 
 // lumaDecodeGolden is what the "VY" bitstreams decode to, and the "VV"
-// ones.
+// and "VA" ones.
 var lumaDecodeGolden = map[string]string{
 	"q1/160x120":   "18f09b4f1bf9cf198231fc3917f0746f97518a5b6b6326b49340424a5a8401f4",
 	"q4/160x120":   "60dd7863288ee99873109ac3530c7f673d9288d3d8dd4e815d119ead980d8579",
@@ -494,9 +499,9 @@ var lumaDecodeGolden = map[string]string{
 	"layered":      "7e5037be3306ceac9a0d571b5a0e1d2b1828a4b5d3990501b40635224f28a23d",
 }
 
-// vertEncodeGolden is what VJPGEncode writes now: layerVert's "VV"
-// frames; and the layered frame over a "VV" base, which decodes but is
-// not written.
+// vertEncodeGolden is what VJPGEncode wrote before range coding:
+// layerVert's "VV" frames; and the layered frame over a "VV" base,
+// which decodes but is not written.
 var vertEncodeGolden = map[string]string{
 	"q1/160x120":   "6e9d3fd8c56072def75348ef9e0c460a30eb1b41ba75daa3ed3be42daedf386d",
 	"q4/160x120":   "d432f57592dce0055af3b4ac1a511b1417108e60d802f166e84cbf8a47c10131",
@@ -519,4 +524,31 @@ var vertEncodeGolden = map[string]string{
 	"q20/1x1":      "1252992ccfc3e23592270e542baf12ed01c9fc19f665c36531a9813bc7b8f005",
 	"q128/1x1":     "239e7ad68b04d7baa3f059a14bc5d5b4836b9ec8ba468c4d45ae4db8585dc7ca",
 	"layered":      "b50456980d1dd02e9c6244e620acd33cf8914a1c970699f1c8658fc59e83febc",
+}
+
+// arithEncodeGolden is what VJPGEncode writes now: layerArith's "VA"
+// frames; and the layered frame over a "VA" base, which decodes but is
+// not written.
+var arithEncodeGolden = map[string]string{
+	"layered":      "be655b58b71adb99a99a071d66338cc7ae75d728a2a0169c98468dcd4522569d",
+	"q1/160x120":   "09b1d9ccd51cd0ae8812068b2e8d9816c4a7ee702a6fcadcb322d43ce10a7524",
+	"q1/1x1":       "1ec435b3392d4d88bf304174f8f618a18f48c08026ecd578bd48258ece444651",
+	"q1/33x17":     "4fe0bdb31dcad856ba988d847a611fe7757772791656a371bd33964cf234e8ef",
+	"q1/7x3":       "9688d9cf4dc40774ffe11b45310b1af7ff7b695dad041ba0db17f662158623aa",
+	"q12/160x120":  "ce56743eab8f426f333033564aadb5eb3c7b119c3170b23dd7166ddae4465d5f",
+	"q12/1x1":      "45ca38dedd361c77c73980557ba3b7f8676ae62c5c7ca23dfb826003e0ea6b25",
+	"q12/33x17":    "909d48d87e12a4637a078ea221ae9051a0ec5224f0bbb9a56d1fdfd7b9792b95",
+	"q12/7x3":      "024b91487fafacf4735ad10729499538d7ace11f8191bec6787336435c6bf705",
+	"q128/160x120": "e08223e840439dcf03e1b2f0621872cf84781516cea19ceec9c9459f0a4ccecb",
+	"q128/1x1":     "b9adfd944a2a91b90109138f5d055cef1cca323e8e7fa8763b2eb7ad9f31b408",
+	"q128/33x17":   "1a10caa5dacbf53ce1116864cf57fe88e237b400c259a8b1ab1514db3ff03565",
+	"q128/7x3":     "d83f3cbe417d2c7cb3e764ea42d8247bc87c06894ed5be7fbe9f790ffd0427f6",
+	"q20/160x120":  "bae68a7adc309c966b5f2f84a923b2915c4ce7649ea383d60267b17e8dad4ea2",
+	"q20/1x1":      "6c6533dcd4d54d9e2cff4fd710edad011696266011e23344152e82734d0eb5ae",
+	"q20/33x17":    "c39ba5fdf5314e79d2ffbe95b582e2acce4b3e87391d1d2761d6f62f00448659",
+	"q20/7x3":      "fb70c5e02a916cf28154c9c50aac81871bfd0ffa428ef406e84733c14cdfd908",
+	"q4/160x120":   "c2b6e9aa3df42c203ab73b0d6780b610d8de8b95357ce44b88c643b35eed8395",
+	"q4/1x1":       "6778f373013d3d1ef094f3db23dd241b969d399d2e66fd77004449ae129966bc",
+	"q4/33x17":     "a6fc072c1c9aad48d2748c2ccdd903fea2de75c5afe85c3a1f20fe023ab92778",
+	"q4/7x3":       "ef7c39a3c1a4fdc280f553d8e2eec32abd7784f8c122aa789f23cfb47b3dfd32",
 }

@@ -460,7 +460,12 @@ func TestQuantizerErrorBound(t *testing.T) {
 				}
 				pl, eb := planeLayer(l, pi, &encBias)
 				_, db := planeLayer(l, pi, &decBias)
-				enc := encodePlane(nil, pix, w, q, pl, eb)
+				var enc []byte
+				if pl == layerVert {
+					enc = riceEncodePlane(nil, planeResiduals(pix, w, q, pl, eb), w)
+				} else {
+					enc = encodePlane(nil, pix, w, q, pl, eb)
+				}
 				if n, err := decodePlane(enc, rec, w, q, pl, db, &refs); err != nil || n != len(enc) {
 					t.Logf("layer %d, q %d, %dx%d: %d of %d bytes, %v", l, q, w, h, n, len(enc), err)
 					return false
@@ -511,7 +516,7 @@ func TestLumaBiasBeatsBiasAtEveryFactor(t *testing.T) {
 }
 
 // TestVertBeatsLumaBiasAtEveryFactor is its successor for the
-// generation written now: with vertical runs ("VV") the four factors are
+// generation after it: with vertical runs ("VV") the four factors are
 // strictly monotone in bytes and in PSNR, and at every factor the frames
 // take fewer bytes than "VY" frames at the same PSNR — 0 dB apart, since
 // a "VV" frame codes a "VY" frame's residuals and decodes to its pixels.
@@ -522,10 +527,7 @@ func TestVertBeatsLumaBiasAtEveryFactor(t *testing.T) {
 			for _, qf := range []media.Quality{media.QualityPreview, media.QualityVHS, media.QualityBroadcast, media.QualityStudio} {
 				var pix [2][]byte
 				for i, l := range []layer{layerLuma, layerVert} {
-					data, err := encodeVJPG(f, QuantizerFor(qf), l)
-					if err != nil {
-						t.Fatal(err)
-					}
+					data := encodeLayer(t, f, QuantizerFor(qf), l)
 					rec, err := VJPGDecode(data)
 					if err != nil {
 						t.Fatal(err)
@@ -566,7 +568,7 @@ func TestVerticalPlanesNeverGrow(t *testing.T) {
 				ll, lb := planeLayer(layerLuma, pi, &lumaBias)
 				vl, vb := planeLayer(layerVert, pi, &vertBias)
 				vy := encodePlane(nil, p.pix, p.w, pq, ll, lb)
-				vv := encodePlane(nil, p.pix, p.w, pq, vl, vb)
+				vv := riceEncodePlane(nil, planeResiduals(p.pix, p.w, pq, vl, vb), p.w)
 				if len(vv) > len(vy) || vv[1]&15 == 0 && !bytes.Equal(vv, vy) {
 					t.Errorf("%dx%d at q %d, plane %d: %d B, mode %d; %d B as a VY plane", f.Width, f.Height, q, pi, len(vv), vv[1]&15, len(vy))
 				}
@@ -579,10 +581,7 @@ func TestVerticalPlanesNeverGrow(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			vv, err := encodeVJPG(f, q, layerVert)
-			if err != nil {
-				t.Fatal(err)
-			}
+			vv := encodeLayer(t, f, q, layerVert)
 			a, errA := VJPGDecodeYUV(vy)
 			b, errB := VJPGDecodeYUV(vv)
 			if errA != nil || errB != nil || !bytes.Equal(a.Pix, b.Pix) {
@@ -638,10 +637,7 @@ func checkBeatsAtEveryFactor(t *testing.T, older, newer layer, samePSNR bool) {
 			for i, l := range []layer{older, newer} {
 				var pt point
 				for _, f := range frames {
-					data, err := encodeVJPG(f, QuantizerFor(qf), l)
-					if err != nil {
-						t.Fatal(err)
-					}
+					data := encodeLayer(t, f, QuantizerFor(qf), l)
 					rec, err := VJPGDecode(data)
 					if err != nil {
 						t.Fatal(err)

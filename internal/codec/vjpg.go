@@ -11,48 +11,50 @@ import (
 
 // vjpg: the intraframe codec. Pipeline (per the paper's Figure 2
 // recipe): RGB → YUV 8:2:2 → per-plane quantization inside a 2-D DPCM
-// prediction loop → run-length tokens, Golomb-Rice coded. Every frame
-// decodes independently, which is why vjpg streams support frame
+// prediction loop → the residuals range coded under contexts. Every
+// frame decodes independently, which is why vjpg streams support frame
 // reordering and reverse play cheaply — the property the paper
 // attributes to JPEG-compressed video.
 //
-// Bitstream: "VV" | u8 quantizer | u16 width | u16 height | Y plane |
-// U plane | V plane, each plane a Rice-coded segment (see entropy.go):
-// its parameter bytes, then its codes, padded to a whole byte. A
-// plane's values are its quantized residuals against LOCO-I's median
-// edge detector (see predict), which sees the row above through
-// LOCO-I's context bias correction (see biasState), its state reset at
-// each plane. The encoder codes each plane in both of layerVert's
-// modes, with zero runs coded by their length or, where that is
-// shorter, against the row above, and keeps the one that takes fewer
-// bytes; the second parameter byte's low nibble says which.
+// Bitstream: "VA" | u8 quantizer | u16 width | u16 height | body, the
+// bytes of one range coder over the Y, U and V planes' residuals (see
+// arith.go). A plane's values are its quantized residuals against
+// LOCO-I's median edge detector (see predict), which sees the row above
+// through LOCO-I's context bias correction (see biasState), its state
+// reset at each plane.
 //
-// A "VY" frame holds the same residuals, every plane coded by run
-// length; earlier builds wrote every frame so, and it decodes to the
-// same pixels as the "VV" frame of the same picture. A "VB" frame's
-// planes are coded as those are, but its luma plane's detector sees
-// the row above as it is; earlier builds wrote every frame so. A "VN"
-// frame's planes are all coded as the "VB" luma plane is; earlier
-// builds wrote every frame so too. A "VL" frame's planes
-// are coded as those are, but predict each pixel from the mean of its
-// left and above neighbours; earlier builds wrote every frame so, and
-// vmpg keys are still written so (see VMPGEncode). Frames earlier
-// builds stored may also open with "VK", mean-predicted and Rice coded
-// without run interruption, or "VJ", mean-predicted with tokens coded
-// as uvarints; those are decoded, never written.
+// A "VV" frame holds the same residuals, each plane a Rice-coded
+// segment (see entropy.go) — its parameter bytes, then its codes,
+// padded to a whole byte — in whichever of layerVert's two modes is
+// shorter, with zero runs coded by their length or against the row
+// above; earlier builds wrote every frame so, and it decodes to the
+// same pixels as the "VA" frame of the same picture. A "VY" frame holds
+// them too, every plane coded by run length; so did builds before
+// those. A "VB" frame's planes are coded as those are, but its luma
+// plane's detector sees the row above as it is; earlier builds wrote
+// every frame so. A "VN" frame's planes are all coded as the "VB" luma
+// plane is; earlier builds wrote every frame so too, and layered bases
+// are still written so. A "VL" frame's planes are coded as those are,
+// but predict each pixel from the mean of its left and above
+// neighbours; earlier builds wrote every frame so, and vmpg keys are
+// still written so (see VMPGEncode). Frames earlier builds stored may
+// also open with "VK", mean-predicted and Rice coded without run
+// interruption, or "VJ", mean-predicted with tokens coded as uvarints;
+// those are decoded, never written.
 
-var vjpgMagics = magics{layerVert: "VV", layerLuma: "VY", layerBias: "VB", layerMED: "VN", layerRice: "VL", layerRice1: "VK", layerVarint: "VJ"}
+var vjpgMagics = magics{layerArith: "VA", layerVert: "VV", layerLuma: "VY", layerBias: "VB", layerMED: "VN", layerRice: "VL", layerRice1: "VK", layerVarint: "VJ"}
 
 // VJPGEncode compresses an RGB frame at the given quantizer (see
 // QuantizerFor to derive one from a quality factor).
 func VJPGEncode(f *frame.Frame, quantizer int) ([]byte, error) {
-	return encodeVJPG(f, quantizer, layerVert)
+	return encodeVJPG(f, quantizer, layerArith)
 }
 
-// encodeVJPG is VJPGEncode in layer l, layerVert, layerLuma,
+// encodeVJPG is VJPGEncode in layer l, layerArith, layerLuma,
 // layerBias, layerMED or layerRice: the last writes mean-predicted "VL"
 // frames, as vmpg keys are written, and it and the three between write
-// frames as earlier builds did.
+// frames as earlier builds did. No layerVert encoder is kept: a "VV"
+// frame holds a "VY" frame's residuals.
 func encodeVJPG(f *frame.Frame, quantizer int, l layer) ([]byte, error) {
 	if quantizer < 1 || quantizer > 128 {
 		return nil, fmt.Errorf("%w: quantizer %d", ErrBadQuality, quantizer)
@@ -66,23 +68,40 @@ func encodeVJPG(f *frame.Frame, quantizer int, l layer) ([]byte, error) {
 	out = append(out, byte(quantizer))
 	out = binary.BigEndian.AppendUint16(out, uint16(f.Width))
 	out = binary.BigEndian.AppendUint16(out, uint16(f.Height))
+	return appendPlanes(out, yuvPlanes(yuv), quantizer, l), nil
+}
+
+// appendPlanes appends the Y, U and V planes of a layer-l vjpg frame at
+// quantizer q to out: in layerArith all three in one range coder's
+// bytes, in the other layers each a segment of its own.
+func appendPlanes(out []byte, planes [3]plane, q int, l layer) []byte {
 	var bias biasState
-	for pi, p := range yuvPlanes(yuv) {
-		pl, b := planeLayer(l, pi, &bias)
-		out = encodePlane(out, p.pix, p.w, planeQuantizer(quantizer, pi), pl, b)
+	if l == layerArith {
+		e := newRangeEncoder(out)
+		var m arithModels
+		var rows arithRows
+		for pi, p := range planes {
+			_, b := planeLayer(l, pi, &bias)
+			encodeArithPlane(&e, &m, &rows, planeResiduals(p.pix, p.w, planeQuantizer(q, pi), l, b), p.w)
+		}
+		return e.flush()
 	}
-	return out, nil
+	for pi, p := range planes {
+		pl, b := planeLayer(l, pi, &bias)
+		out = encodePlane(out, p.pix, p.w, planeQuantizer(q, pi), pl, b)
+	}
+	return out
 }
 
 // planeLayer returns the layer plane pi of a layer-l vjpg frame is
 // coded in, and bias, reset, if its predictor sees a bias-corrected
-// row above — every plane of a "VV" or "VY" frame, a "VB" frame's
+// row above — every plane of a "VA", "VV" or "VY" frame, a "VB" frame's
 // chroma planes — or else nil.
 func planeLayer(l layer, pi int, bias *biasState) (layer, *biasState) {
 	switch {
-	case l == layerVert:
+	case l == layerVert, l == layerArith:
 		bias.reset()
-		return layerVert, bias
+		return l, bias
 	case l == layerLuma, l == layerBias && pi > 0:
 		bias.reset()
 		return layerMED, bias
@@ -118,9 +137,18 @@ func VJPGDecode(data []byte) (*frame.Frame, error) {
 // row instead of allocating them each. The zero value is ready to use.
 // A decoder is not safe for concurrent use.
 type VJPGDecoder struct {
-	yuv  []byte
-	bias biasState
-	refs vertRefs
+	yuv     []byte
+	bias    biasState
+	scratch planeScratch
+}
+
+// planeScratch is what a vjpg frame's planes are decoded with besides
+// their bias state: a vertical-mode plane's references, and a
+// layerArith frame's models and rows.
+type planeScratch struct {
+	refs   vertRefs
+	models arithModels
+	rows   arithRows
 }
 
 // Decode decompresses a vjpg frame to RGB. The frame it returns owns its
@@ -135,7 +163,7 @@ func (d *VJPGDecoder) Decode(data []byte) (*frame.Frame, error) {
 		d.yuv = make([]byte, n)
 	}
 	yuv := d.yuv[:n]
-	if err := decodePlanes(body, yuv, w, h, q, l, &d.bias, &d.refs); err != nil {
+	if err := decodePlanes(body, yuv, w, h, q, l, &d.bias, &d.scratch); err != nil {
 		return nil, err
 	}
 	out := frame.New(w, h, media.ColorRGB)
@@ -153,8 +181,8 @@ func VJPGDecodeYUV(data []byte) (*frame.Frame, error) {
 	}
 	yuv := frame.New(w, h, media.ColorYUV422)
 	var bias biasState
-	var refs vertRefs
-	if err := decodePlanes(body, yuv.Pix, w, h, q, l, &bias, &refs); err != nil {
+	var scratch planeScratch
+	if err := decodePlanes(body, yuv.Pix, w, h, q, l, &bias, &scratch); err != nil {
 		return nil, err
 	}
 	return yuv, nil
@@ -162,8 +190,25 @@ func VJPGDecodeYUV(data []byte) (*frame.Frame, error) {
 
 // decodePlanes decodes the Y, U and V planes of a vjpg body in layer l
 // into pix, a planar YUV 8:2:2 buffer of w×h, with bias as the
-// corrected planes' state and refs as the vertical-mode planes'.
-func decodePlanes(body, pix []byte, w, h, q int, l layer, bias *biasState, refs *vertRefs) error {
+// corrected planes' state and s as the rest of their scratch.
+func decodePlanes(body, pix []byte, w, h, q int, l layer, bias *biasState, s *planeScratch) error {
+	if l == layerArith {
+		d, ok := newRangeDecoder(body)
+		if !ok {
+			return ErrCorrupt
+		}
+		for pi, p := range planesOf(pix, w, h) {
+			_, b := planeLayer(l, pi, bias)
+			var err error
+			if d, err = decodeArithPlane(d, body, &s.models, &s.rows, p.pix, p.w, planeQuantizer(q, pi), b); err != nil {
+				return err
+			}
+		}
+		if d.off > len(body) {
+			return ErrCorrupt
+		}
+		return nil
+	}
 	off := 0
 	for pi, p := range planesOf(pix, w, h) {
 		pl, b := planeLayer(l, pi, bias)
@@ -172,7 +217,7 @@ func decodePlanes(body, pix []byte, w, h, q int, l layer, bias *biasState, refs 
 		if l == layerVarint {
 			n, err = decodePlaneVarint(body[off:], p.pix, p.w, planeQuantizer(q, pi), pl)
 		} else {
-			n, err = decodePlane(body[off:], p.pix, p.w, planeQuantizer(q, pi), pl, b, refs)
+			n, err = decodePlane(body[off:], p.pix, p.w, planeQuantizer(q, pi), pl, b, &s.refs)
 		}
 		if err != nil {
 			return err
@@ -183,8 +228,8 @@ func decodePlanes(body, pix []byte, w, h, q int, l layer, bias *biasState, refs 
 }
 
 // VJPGMagic returns the two-byte magic that opens a vjpg frame, which
-// names the generation of the codec that wrote it ("VV" now, "VY",
-// "VB", "VN", "VL", "VK" or "VJ" before), and false if data opens with
+// names the generation of the codec that wrote it ("VA" now, "VV",
+// "VY", "VB", "VN", "VL", "VK" or "VJ" before), and false if data opens with
 // none of them. It reads nothing past the magic.
 func VJPGMagic(data []byte) (string, bool) {
 	l, ok := layerOf(data, vjpgMagics)
@@ -240,9 +285,13 @@ func planesOf(pix []byte, w, h int) [3]plane {
 // boundaries; the 2-D predictor locks onto gradients in either
 // direction, which is where smooth synthetic and natural content
 // spends most of its pixels. With bias non-nil the predictor sees the
-// row above as bias corrects it (see biasState). A layerVert plane is
-// coded in whichever of its two modes is shorter (riceEncodePlane).
+// row above as bias corrects it (see biasState).
 func encodePlane(dst []byte, pix []byte, width, q int, l layer, bias *biasState) []byte {
+	return riceEncode(dst, planeResiduals(pix, width, q, l, bias))
+}
+
+// planeResiduals returns the quantized residuals encodePlane codes.
+func planeResiduals(pix []byte, width, q int, l layer, bias *biasState) []int32 {
 	vals := make([]int32, len(pix))
 	recon := make([]byte, len(pix))
 	z := newQuantizer(q)
@@ -259,10 +308,7 @@ func encodePlane(dst []byte, pix []byte, width, q int, l layer, bias *biasState)
 			}
 		}
 	}
-	if l == layerVert {
-		return riceEncodePlane(dst, vals, width)
-	}
-	return riceEncode(dst, vals)
+	return vals
 }
 
 // rowStart returns what the 2-D predictor sees at the start of the row

@@ -20,8 +20,8 @@ import (
 // replaced, kept as the fuzz oracle: every plane's residuals are entropy
 // decoded into a slice first by the reference readers (refSegments),
 // then reconstructed pixel by pixel with a predictor that finds its
-// neighbours by index arithmetic — every plane of a "VV" or "VY" frame
-// and a "VB" frame's chroma planes through refBiasPlane — and the
+// neighbours by index arithmetic — every plane of a "VA", "VV" or "VY"
+// frame and a "VB" frame's chroma planes through refBiasPlane — and the
 // result is converted to RGB pixel by pixel (refYUV422ToRGB). It
 // returns the YUV reconstruction and the RGB frame.
 func refVJPGDecode(data []byte) (yuv, rgb *frame.Frame, err error) {
@@ -34,12 +34,12 @@ func refVJPGDecode(data []byte) (yuv, rgb *frame.Frame, err error) {
 		return nil, nil, err
 	}
 	predict := refPredict2D
-	if l == layerMED || l == layerBias || l == layerLuma || l == layerVert {
+	if l >= layerMED {
 		predict = refPredictMED
 	}
 	yuv = frame.New(w, h, media.ColorYUV422)
 	for pi, p := range yuvPlanes(yuv) {
-		if l == layerVert || l == layerLuma || l == layerBias && pi > 0 {
+		if l >= layerLuma || l == layerBias && pi > 0 {
 			refBiasPlane(p.pix, segs[pi], p.w, planeQuantizer(q, pi))
 			continue
 		}
@@ -93,7 +93,7 @@ func refPredictMED(recon []byte, i, width int) int {
 	return a + b - c
 }
 
-// refBiasPlane reconstructs a "VV" or "VY" plane or a "VB" chroma plane
+// refBiasPlane reconstructs a "VA", "VV" or "VY" plane or a "VB" chroma plane
 // from its residuals res at quantizer q. Row 0 is reconstructed as a
 // "VN" plane's is. Each row below it is predicted by refPredictMED from a copy of the row above
 // in which every pixel is moved by the correction C[Q] of its context
@@ -202,20 +202,20 @@ func vjpgFrame(magic string, q, w, h int, body ...byte) []byte {
 }
 
 // planesFrame encodes planes, the Y, U and V planes of a w×h frame, as
-// a vjpg frame in layer l at quantizer q: the frames encodeVJPG writes,
+// a vjpg frame in layer l at quantizer q: the frames encodeLayer writes,
 // but from planes no RGB frame converts to.
-func planesFrame(l layer, q, w, h int, planes [3][]byte) []byte {
-	out := vjpgFrame(vjpgMagics[l], q, w, h)
-	var bias biasState
+func planesFrame(t testing.TB, l layer, q, w, h int, planes [3][]byte) []byte {
+	var ps [3]plane
 	for pi, pix := range planes {
-		pw := w
+		ps[pi] = plane{pix: pix, w: w}
 		if pi > 0 {
-			pw = (w + 1) / 2
+			ps[pi].w = (w + 1) / 2
 		}
-		pl, b := planeLayer(l, pi, &bias)
-		out = encodePlane(out, pix, pw, planeQuantizer(q, pi), pl, b)
 	}
-	return out
+	if l == layerVert {
+		return recode(t, appendPlanes(vjpgFrame(vjpgMagics[layerLuma], q, w, h), ps, q, layerLuma), layerVert)
+	}
+	return appendPlanes(vjpgFrame(vjpgMagics[l], q, w, h), ps, q, l)
 }
 
 // swingPlane is a w×h plane whose even rows run 0, 255, 0, … and odd
@@ -254,17 +254,13 @@ func decodeAllocBytes(data []byte, bound uint64) uint64 {
 // does, must not let a reused scratch buffer leak one frame into the
 // next, and must allocate no more than the frame it claims.
 func FuzzVJPGDecode(f *testing.F) {
-	// Every layer's frames: "VV" as written now, "VY", "VB" and "VN" as
-	// written before it, and the same frames mean-predicted in the
-	// three layers earlier builds wrote.
+	// Every layer's frames: "VA" as written now, "VV", "VY", "VB" and
+	// "VN" as written before it, and the same frames mean-predicted in
+	// the three layers earlier builds wrote.
 	layers := func(fr *frame.Frame, q int) [][]byte {
 		var out [][]byte
-		for _, l := range []layer{layerVert, layerLuma, layerBias, layerMED, layerRice} {
-			data, err := encodeVJPG(fr, q, l)
-			if err != nil {
-				f.Fatal(err)
-			}
-			out = append(out, data)
+		for _, l := range []layer{layerArith, layerVert, layerLuma, layerBias, layerMED, layerRice} {
+			out = append(out, encodeLayer(f, fr, q, l))
 		}
 		mean := out[len(out)-1]
 		return append(out, recode(f, mean, layerRice1), recode(f, mean, layerVarint))
@@ -341,26 +337,31 @@ func FuzzVJPGDecode(f *testing.F) {
 	// their clamps, and the steps in every plane, the luma's at
 	// quantizer 12.
 	swing := swingPlane(2, 260)
-	f.Add(planesFrame(layerBias, 64, 4, 260, [3][]byte{make([]byte, 4*260), swing, swing}))
-	f.Add(planesFrame(layerLuma, 128, 4, 260, [3][]byte{swingPlane(4, 260), swing, swing}))
+	f.Add(planesFrame(f, layerBias, 64, 4, 260, [3][]byte{make([]byte, 4*260), swing, swing}))
+	f.Add(planesFrame(f, layerLuma, 128, 4, 260, [3][]byte{swingPlane(4, 260), swing, swing}))
 	steps := []byte{128, 128, 128, 152, 152, 152, 153, 153, 153}
-	f.Add(planesFrame(layerBias, 12, 6, 3, [3][]byte{bytes.Repeat([]byte{128}, 18), steps, steps}))
-	f.Add(planesFrame(layerLuma, 12, 3, 3, [3][]byte{steps, steps[:6], steps[:6]}))
-	f.Add(planesFrame(layerVert, 128, 4, 260, [3][]byte{swingPlane(4, 260), swing, swing}))
-	f.Add(planesFrame(layerVert, 12, 3, 3, [3][]byte{steps, steps[:6], steps[:6]}))
+	f.Add(planesFrame(f, layerBias, 12, 6, 3, [3][]byte{bytes.Repeat([]byte{128}, 18), steps, steps}))
+	f.Add(planesFrame(f, layerLuma, 12, 3, 3, [3][]byte{steps, steps[:6], steps[:6]}))
+	f.Add(planesFrame(f, layerVert, 128, 4, 260, [3][]byte{swingPlane(4, 260), swing, swing}))
+	f.Add(planesFrame(f, layerVert, 12, 3, 3, [3][]byte{steps, steps[:6], steps[:6]}))
+	f.Add(planesFrame(f, layerArith, 128, 4, 260, [3][]byte{swingPlane(4, 260), swing, swing}))
+	f.Add(planesFrame(f, layerArith, 12, 3, 3, [3][]byte{steps, steps[:6], steps[:6]}))
 	for _, c := range vertHandFrames() {
+		f.Add(c.data)
+	}
+	// "VA" frames coded by hand: an offset past its stretch, a
+	// magnitude past the escape and at its edge, frames cut short or
+	// claiming more rows than their body holds, and a first code word
+	// no encoder writes.
+	for _, c := range arithHandFrames() {
 		f.Add(c.data)
 	}
 	// Frames 1 and 2 pixels wide, as written now and before luma bias
 	// correction.
-	for _, l := range []layer{layerVert, layerLuma, layerBias} {
+	for _, l := range []layer{layerArith, layerVert, layerLuma, layerBias} {
 		for _, w := range []int{1, 2} {
 			for _, q := range []int{1, 12} {
-				d, err := encodeVJPG(frame.Generator{W: w, H: 24, Seed: 9}.Frame(2), q, l)
-				if err != nil {
-					f.Fatal(err)
-				}
-				f.Add(d)
+				f.Add(encodeLayer(f, frame.Generator{W: w, H: 24, Seed: 9}.Frame(2), q, l))
 			}
 		}
 	}
@@ -669,7 +670,7 @@ func TestZeroRunsArePredictions(t *testing.T) {
 func TestBiasCorrectionClamps(t *testing.T) {
 	const w, h = 4, 260
 	swing := swingPlane(w/2, h)
-	data := planesFrame(layerBias, 64, w, h, [3][]byte{make([]byte, w*h), swing, swing})
+	data := planesFrame(t, layerBias, 64, w, h, [3][]byte{make([]byte, w*h), swing, swing})
 	var dec VJPGDecoder
 	if _, err := dec.Decode(data); err != nil {
 		t.Fatal(err)
